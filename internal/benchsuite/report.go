@@ -91,7 +91,7 @@ type Report struct {
 	// RunAllocsPerOp surfaces EndToEndRun's allocation count at the top
 	// level, and RebindNs the RebindCachedPlan ns/op — the two numbers the
 	// PR 7 batched-executor work is budgeted against (the alloc guard
-	// enforces RunAllocsPerOp <= 500 in tier 1).
+	// enforces RunAllocsPerOp <= 32 in tier 1).
 	RunAllocsPerOp float64 `json:"run_allocs_per_op,omitempty"`
 	RebindNs       float64 `json:"rebind_ns,omitempty"`
 	// ReplicaPredictNs surfaces the ReplicaPredict ns/op (the follower's

@@ -3,20 +3,15 @@ package executor
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/tpch"
 )
 
-// batchSize is the number of candidate rows a scan filters per mask pass.
-// 1024 int32 row ids plus the bool mask fit comfortably in L1 while keeping
-// the per-batch loop overhead negligible against per-row work; it matches
-// the batch sizes vectorized engines converge on for the same reason.
-const batchSize = 1024
-
 // Arena is the per-execution scratch of one CompiledPlan: tuple selection
-// vectors, the batch filter mask, join hash tables and sort permutations,
-// and aggregation accumulators. Arenas are checked out of the plan's
+// vectors, join match pairs, hash tables and sort permutations, and
+// aggregation accumulators. Arenas are checked out of the plan's
 // sync.Pool for the duration of one Exec, so concurrent executions never
 // share one; all slices retain their capacity across executions, which is
 // what drives steady-state allocations toward zero.
@@ -28,10 +23,14 @@ const batchSize = 1024
 type Arena struct {
 	// vecs holds one row-id vector per compile-time slot. A node's output
 	// tuple t is the cross-section vecs[slot][t] over the node's slots (one
-	// slot per base relation, late materialization).
+	// slot per base relation, late materialization). A scan sizes its vector
+	// to its candidate count before filtering into it.
 	vecs [][]int32
-	// mask is the batch filter mask, batchSize wide.
-	mask []bool
+
+	// matchL and matchR hold the running join's matched (left, right) tuple
+	// pairs; the join's output vectors are gathered from them.
+	matchL []int32
+	matchR []int32
 
 	// Hash join scratch: chained hash tables in insertion order. The table
 	// entry packs head<<32|tail of the bucket's chain through next. Numeric
@@ -49,49 +48,45 @@ type Arena struct {
 	keysA  []float64
 	keysB  []float64
 
-	// Aggregation scratch: group index keyed by the encoded group key, the
-	// key encoding buffer, first-seen group keys, and flat accumulators
-	// (counts per group; sums/mins/maxs per group x spec). groupsN is the
-	// single-numeric-column fast path: keyed on the raw float bits, which is
-	// exactly the byte encoding groups would see, minus the encoding.
+	// Aggregation scratch: group index keyed by the encoded group key and
+	// the key encoding buffer, or htG for a single numeric group column
+	// (keyed on the raw float bits, which is exactly the byte encoding groups
+	// would see, minus the encoding); each tuple's dense group id; first-seen
+	// group keys and tuple counts per group; and the accumulators, one per
+	// group, of the one aggregate being folded.
 	groups    map[string]int32
-	groupsN   map[uint64]int32
+	htG       f64HT
 	keyBuf    []byte
+	gids      []int32
 	groupKeys []Value
 	counts    []float64
-	sums      []float64
-	mins      []float64
-	maxs      []float64
+	acc       []float64
 }
 
 // newArena sizes an arena for one compiled plan.
 func newArena(cp *CompiledPlan) *Arena {
-	ar := &Arena{
-		vecs: make([][]int32, cp.nSlots),
-		mask: make([]bool, batchSize),
-	}
+	ar := &Arena{vecs: make([][]int32, cp.nSlots)}
 	if cp.needHTStr {
 		ar.htS = make(map[string]int64)
 	}
-	if cp.agg != nil {
-		if cp.agg.numKey() {
-			ar.groupsN = make(map[uint64]int32)
-		} else {
-			ar.groups = make(map[string]int32)
-		}
+	if cp.agg != nil && len(cp.agg.groupCols) > 0 && !cp.agg.numKey() {
+		ar.groups = make(map[string]int32)
 	}
 	return ar
 }
 
-// f64HT is the numeric hash-join table: open addressing with linear
-// probing over power-of-two slots, keyed by float equality (so, like the
-// row engine's map, NaN keys insert distinct buckets and never match a
-// probe, and ±0 share one bucket via normalization at the call sites).
-// ents packs head<<32|tail of the bucket's chain; -1 marks an empty slot.
+// f64HT is the numeric hash table: open addressing with linear probing over
+// power-of-two slots; -1 in ents marks an empty slot. A hash join uses
+// insert and lookup, keyed by float equality (so, like the row engine's
+// map, NaN keys insert distinct buckets and never match a probe, and ±0
+// share one bucket), with ents packing head<<32|tail of the bucket's chain.
+// A numeric GROUP BY uses group, keyed by the float's bits, with ents
+// holding the dense group id.
 type f64HT struct {
 	keys  []float64
 	ents  []int64
 	shift uint
+	n     int // groups assigned since reset
 }
 
 // f64HashK scrambles the key bits; the high bits index the table.
@@ -115,11 +110,52 @@ func (t *f64HT) reset(n int) {
 		t.ents[i] = -1
 	}
 	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	t.n = 0
+}
+
+// group returns the dense id of the group whose key has k's bits, and
+// whether this call created it. Ids count up from 0 in first-seen order;
+// the table doubles when half full.
+func (t *f64HT) group(k float64) (g int32, fresh bool) {
+	if 2*t.n >= len(t.ents) {
+		keys, ents, n := t.keys, t.ents, t.n
+		t.keys, t.ents = nil, nil
+		t.reset(2 * n)
+		t.n = n
+		for i, e := range ents {
+			if e >= 0 {
+				j := t.slot(keys[i])
+				t.keys[j], t.ents[j] = keys[i], e
+			}
+		}
+	}
+	j := t.slot(k)
+	if t.ents[j] >= 0 {
+		return int32(t.ents[j]), false
+	}
+	t.keys[j], t.ents[j] = k, int64(t.n)
+	t.n++
+	return int32(t.n - 1), true
+}
+
+// slot finds the slot holding the key with k's bits, or the empty slot
+// where it belongs.
+func (t *f64HT) slot(k float64) uint64 {
+	mask := uint64(len(t.ents) - 1)
+	b := math.Float64bits(k)
+	j := (b * f64HashK) >> t.shift
+	for t.ents[j] >= 0 && math.Float64bits(t.keys[j]) != b {
+		j = (j + 1) & mask
+	}
+	return j
 }
 
 // insert adds build row i under key k, appending to the key's chain (in
 // insertion order) through next.
 func (t *f64HT) insert(k float64, i int32, next []int32) {
+	if k == 0 {
+		k = 0 // -0 hashes as +0
+	}
 	mask := uint64(len(t.ents) - 1)
 	j := (math.Float64bits(k) * f64HashK) >> t.shift
 	for {
@@ -140,6 +176,9 @@ func (t *f64HT) insert(k float64, i int32, next []int32) {
 
 // lookup returns the packed chain entry for k, or -1.
 func (t *f64HT) lookup(k float64) int64 {
+	if k == 0 {
+		k = 0
+	}
 	mask := uint64(len(t.ents) - 1)
 	j := (math.Float64bits(k) * f64HashK) >> t.shift
 	for {
@@ -154,13 +193,10 @@ func (t *f64HT) lookup(k float64) int64 {
 	}
 }
 
-// chain ensures the hash-join chain array has n entries.
-func (ar *Arena) chain(n int) []int32 {
-	if cap(ar.next) < n {
-		ar.next = make([]int32, n)
-	}
-	ar.next = ar.next[:n]
-	return ar.next
+// sized returns s resliced to n elements, reusing its capacity when that
+// suffices; the elements' values are whatever the backing array held.
+func sized[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
 }
 
 // permKeys sizes a (perm, keys) pair for a sort of n tuples and fills perm
@@ -194,18 +230,6 @@ func (ar *Arena) stableSortPerm(perm []int32, keys []float64) {
 	ar.sorter.perm, ar.sorter.keys = perm, keys
 	sort.Stable(&ar.sorter)
 	ar.sorter.perm, ar.sorter.keys = nil, nil
-}
-
-// resetAgg clears the aggregation scratch for a fresh grouping pass.
-func (ar *Arena) resetAgg() {
-	clear(ar.groups)
-	clear(ar.groupsN)
-	ar.keyBuf = ar.keyBuf[:0]
-	ar.groupKeys = ar.groupKeys[:0]
-	ar.counts = ar.counts[:0]
-	ar.sums = ar.sums[:0]
-	ar.mins = ar.mins[:0]
-	ar.maxs = ar.maxs[:0]
 }
 
 // typedEq compares one column value from each side of a join with full type

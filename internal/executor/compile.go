@@ -34,7 +34,6 @@ type CompiledPlan struct {
 	nParams int
 
 	nSlots    int
-	needHTNum bool
 	needHTStr bool
 
 	pool sync.Pool
@@ -285,11 +284,7 @@ func (c *compiler) join(n *optimizer.Node) (*cNode, error) {
 		switch n.Op {
 		case optimizer.OpHashJoin:
 			cn.buildLeft = n.BuildLeft
-			if cn.strKey {
-				c.cp.needHTStr = true
-			} else {
-				c.cp.needHTNum = true
-			}
+			c.cp.needHTStr = c.cp.needHTStr || cn.strKey
 		case optimizer.OpMergeJoin:
 			if cn.strKey {
 				return nil, fmt.Errorf("executor: merge join on string key %s", n.LeftCol)

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/optimizer"
 	"repro/internal/queries"
 )
 
@@ -309,5 +310,90 @@ func TestCompiledArenaParallel(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestIndexScanStrictBounds is the differential test for comparison
+// predicates that drive an index scan: the driving predicate is dropped from
+// the scan's residual filters, so the bounds alone must give it its exact
+// meaning — strict for < and >. For every operator on an indexed column with
+// duplicate keys, at values on and between keys, the index-scan plan and a
+// sequential-scan plan must agree, under both engines and however the
+// parameter reaches the bounds (planned in, rebound by Recost, derived by the
+// compiled scan), with a count taken directly over the column.
+func TestIndexScanStrictBounds(t *testing.T) {
+	keys := testDB.MustTable("lineitem").MustColumn("l_partkey").Nums
+	lo, hi := keys[0], keys[0]
+	for _, k := range keys {
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	// The column holds whole numbers, so the halves lie between keys.
+	values := []float64{lo - 1, lo, lo + 0.5, lo + 1, lo + 2, hi - 1.5, hi - 1, hi, hi + 1}
+	for _, tc := range []struct {
+		op      string
+		planAt  float64 // a value selective enough that the optimizer picks the index
+		matches func(k, v float64) bool
+	}{
+		{"<", lo + 2, func(k, v float64) bool { return k < v }},
+		{"<=", lo + 2, func(k, v float64) bool { return k <= v }},
+		{">", hi - 2, func(k, v float64) bool { return k > v }},
+		{">=", hi - 2, func(k, v float64) bool { return k >= v }},
+		{"=", lo + 2, func(k, v float64) bool { return k == v }},
+	} {
+		q, err := parseSQL("SELECT COUNT(*) FROM lineitem WHERE l_partkey " + tc.op + " ?")
+		if err != nil {
+			t.Fatal(err)
+		}
+		idxPlan, err := opt.Optimize(q, []float64{tc.planAt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if scan := idxPlan.Root.Left; scan.Op != optimizer.OpIndexScan || scan.IndexCol != "l_partkey" {
+			t.Fatalf("%s: optimizer chose %s, want an index scan on l_partkey", tc.op, idxPlan.Fingerprint)
+		}
+		seqRoot := *idxPlan.Root
+		seqRoot.Left = &optimizer.Node{Op: optimizer.OpSeqScan, Table: "lineitem", Alias: idxPlan.Root.Left.Alias, Filters: q.Preds}
+		seqPlan := &optimizer.Plan{Root: &seqRoot}
+
+		for _, v := range values {
+			want := 0.0
+			for _, k := range keys {
+				if tc.matches(k, v) {
+					want++
+				}
+			}
+			check := func(path string, res *Result, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("l_partkey %s %v, %s: %v", tc.op, v, path, err)
+				}
+				if got := res.Rows[0][0].Num; got != want {
+					t.Errorf("l_partkey %s %v, %s: COUNT(*) = %v, want %v", tc.op, v, path, got, want)
+				}
+			}
+			for _, p := range []struct {
+				name string
+				plan *optimizer.Plan
+			}{{"index scan", idxPlan}, {"seq scan", seqPlan}} {
+				cp, err := exec.Compile(p.plan, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := cp.Exec([]float64{v})
+				check(p.name+", compiled", res, err)
+				bound, err := opt.Recost(q, p.plan, []float64{v})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err = exec.Run(bound)
+				check(p.name+", rebound tree-walk", res, err)
+			}
+			fresh, err := opt.Optimize(q, []float64{v})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := exec.Run(fresh)
+			check("optimizer's plan "+fresh.Fingerprint, res, err)
+		}
 	}
 }

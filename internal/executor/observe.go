@@ -32,20 +32,23 @@ type CardObservation struct {
 	Lo, Hi float64
 }
 
-// ExecObserve runs the compiled plan like Exec and additionally harvests
-// per-operator observed cardinalities, appending them to obs (reusing its
-// capacity) in bottom-up order. The harvest reads vector lengths the run
-// already produced; it adds no per-row work.
-func (cp *CompiledPlan) ExecObserve(params []float64, obs []CardObservation) (*Result, []CardObservation, error) {
+// ExecObserve runs the compiled plan at the given parameter values and
+// returns a freshly materialized result; Exec is this with a nil obs. With
+// a non-nil obs it additionally harvests per-operator observed
+// cardinalities, appending them to *obs in bottom-up order. The harvest
+// reads vector lengths the run already produced; it adds no per-row work.
+func (cp *CompiledPlan) ExecObserve(params []float64, obs *[]CardObservation) (*Result, error) {
 	if err := cp.exec.faults.Fail(faults.ExecutorError); err != nil {
-		return nil, obs, fmt.Errorf("executor: %w", err)
+		return nil, fmt.Errorf("executor: %w", err)
 	}
 	if len(params) != cp.nParams {
-		return nil, obs, fmt.Errorf("executor: got %d parameters, want %d", len(params), cp.nParams)
+		return nil, fmt.Errorf("executor: got %d parameters, want %d", len(params), cp.nParams)
 	}
 	ar := cp.pool.Get().(*Arena)
 	cp.run(cp.root, ar, params)
-	obs = harvest(cp.root, ar, params, obs)
+	if obs != nil {
+		*obs = harvest(cp.root, ar, params, *obs)
+	}
 	var res *Result
 	if cp.agg != nil {
 		res = cp.materializeAgg(ar)
@@ -53,7 +56,7 @@ func (cp *CompiledPlan) ExecObserve(params []float64, obs []CardObservation) (*R
 		res = cp.materialize(ar)
 	}
 	cp.pool.Put(ar)
-	return res, obs, nil
+	return res, nil
 }
 
 func harvest(n *cNode, ar *Arena, params []float64, obs []CardObservation) []CardObservation {
@@ -65,10 +68,7 @@ func harvest(n *cNode, ar *Arena, params []float64, obs []CardObservation) []Car
 	o := CardObservation{Node: n.lineage, Rows: float64(len(ar.vecs[n.slots[0]]))}
 	switch n.op {
 	case optimizer.OpIndexScan:
-		o.Lo, o.Hi = n.lo, n.hi
-		for _, d := range n.derive {
-			o.Lo, o.Hi = optimizer.SargBoundsFor(d.Op, params[d.ParamIdx])
-		}
+		o.Lo, o.Hi = n.bounds(params)
 	case optimizer.OpHashJoin, optimizer.OpMergeJoin, optimizer.OpNLJoin:
 		o.LeftRows = float64(len(ar.vecs[n.left.slots[0]]))
 		o.RightRows = float64(len(ar.vecs[n.right.slots[0]]))

@@ -1,17 +1,16 @@
 // Compiled plan execution. Operators consume and produce int32 selection
-// vectors held in the arena; scans filter candidate row ids through the
-// shared batch mask in fixed-size chunks with one columnar pass per
-// predicate; joins emit matched (left, right) tuple pairs by appending to
-// the join's output vectors; rows are materialized exactly once, into the
+// vectors held in the arena. A scan's first predicate runs over the
+// contiguous column and writes the passing row ids into the scan's vector;
+// every further predicate refines that vector in place. Joins record their
+// matched (left, right) tuple pairs and gather the output vectors from them
+// one relation at a time; rows are materialized exactly once, into the
 // final Result (two allocations: the Value backing array and the Row
 // headers).
 package executor
 
 import (
-	"fmt"
 	"math"
 
-	"repro/internal/faults"
 	"repro/internal/optimizer"
 	"repro/internal/tpch"
 )
@@ -21,46 +20,29 @@ import (
 // nothing with the arena (the Schema is shared with the plan and must be
 // treated as read-only).
 func (cp *CompiledPlan) Exec(params []float64) (*Result, error) {
-	if err := cp.exec.faults.Fail(faults.ExecutorError); err != nil {
-		return nil, fmt.Errorf("executor: %w", err)
-	}
-	if len(params) != cp.nParams {
-		return nil, fmt.Errorf("executor: got %d parameters, want %d", len(params), cp.nParams)
-	}
-	ar := cp.pool.Get().(*Arena)
-	cp.run(cp.root, ar, params)
-	var res *Result
-	if cp.agg != nil {
-		res = cp.materializeAgg(ar)
-	} else {
-		res = cp.materialize(ar)
-	}
-	cp.pool.Put(ar)
-	return res, nil
+	return cp.ExecObserve(params, nil)
 }
 
 func (cp *CompiledPlan) run(n *cNode, ar *Arena, params []float64) {
-	switch n.op {
-	case optimizer.OpSeqScan:
-		n.runSeqScan(ar, params)
-	case optimizer.OpIndexScan:
-		n.runIndexScan(ar, params)
-	case optimizer.OpHashJoin:
-		cp.run(n.left, ar, params)
+	if n.left == nil {
+		n.runScan(ar, params)
+		return
+	}
+	cp.run(n.left, ar, params)
+	if n.right != nil {
 		cp.run(n.right, ar, params)
+	}
+	switch n.op {
+	case optimizer.OpHashJoin:
 		n.runHashJoin(ar, params)
 	case optimizer.OpMergeJoin:
-		cp.run(n.left, ar, params)
-		cp.run(n.right, ar, params)
 		n.runMergeJoin(ar, params)
 	case optimizer.OpIndexNLJoin:
-		cp.run(n.left, ar, params)
 		n.runIndexNLJoin(ar, params)
 	case optimizer.OpNLJoin:
-		cp.run(n.left, ar, params)
-		cp.run(n.right, ar, params)
 		n.runNLJoin(ar, params)
 	}
+	n.gatherOutput(ar)
 }
 
 // testRow evaluates one compiled non-join predicate against a direct base
@@ -81,206 +63,176 @@ func (p *cPred) testRow(params []float64, id int32) bool {
 	return false
 }
 
-func (n *cNode) runSeqScan(ar *Arena, params []float64) {
-	out := ar.vecs[n.slots[0]][:0]
-	total := int32(n.table.NumRows())
-	if len(n.filters) == 0 {
-		for id := int32(0); id < total; id++ {
-			out = append(out, id)
-		}
-		ar.vecs[n.slots[0]] = out
-		return
-	}
-	mask := ar.mask
-	for base := int32(0); base < total; base += batchSize {
-		m := total - base
-		if m > batchSize {
-			m = batchSize
-		}
-		for j := int32(0); j < m; j++ {
-			mask[j] = true
-		}
-		for fi := range n.filters {
-			n.filters[fi].filterContig(params, mask, base, m)
-		}
-		for j := int32(0); j < m; j++ {
-			if mask[j] {
-				out = append(out, base+j)
+// runScan produces the scan's selection vector, in row-id order for a
+// sequential scan and in index order for an index scan. The vector is sized
+// to the candidate count up front, so the kernels store without growing it.
+func (n *cNode) runScan(ar *Arena, params []float64) {
+	slot := n.slots[0]
+	filters := n.filters
+	var sel []int32
+	if n.op == optimizer.OpIndexScan {
+		sel = append(ar.vecs[slot][:0], n.index.RangeRows(n.bounds(params))...)
+	} else {
+		sel = sized(ar.vecs[slot], n.table.NumRows())
+		if len(filters) == 0 {
+			for i := range sel {
+				sel[i] = int32(i)
 			}
+		} else {
+			sel = sel[:filters[0].selectAll(params, sel)]
+			filters = filters[1:]
 		}
 	}
-	ar.vecs[n.slots[0]] = out
+	for fi := range filters {
+		sel = sel[:filters[fi].refine(params, sel)]
+	}
+	ar.vecs[slot] = sel
 }
 
-// filterContig clears mask[j] for every row base+j (j < m) failing the
-// predicate, with the per-op comparison hoisted out of the row loop so the
-// hot numeric filters run call- and switch-free. The negated comparison
-// forms keep the row engine's NaN behaviour (a NaN column value fails
-// every comparison, and passes BETWEEN via its !(v < lo || v > hi) form).
-func (p *cPred) filterContig(params []float64, mask []bool, base, m int32) {
-	switch p.kind {
-	case optimizer.PredCmpNum:
-		nums := p.col.Nums[base : base+m]
-		v := p.rhs(params)
-		switch p.op {
-		case optimizer.OpEq:
-			for j, x := range nums {
-				if !(x == v) {
-					mask[j] = false
-				}
-			}
-		case optimizer.OpLE:
-			for j, x := range nums {
-				if !(x <= v) {
-					mask[j] = false
-				}
-			}
-		case optimizer.OpGE:
-			for j, x := range nums {
-				if !(x >= v) {
-					mask[j] = false
-				}
-			}
-		case optimizer.OpLT:
-			for j, x := range nums {
-				if !(x < v) {
-					mask[j] = false
-				}
-			}
-		case optimizer.OpGT:
-			for j, x := range nums {
-				if !(x > v) {
-					mask[j] = false
-				}
-			}
-		}
-	case optimizer.PredCmpStr:
-		strs := p.col.Strs[base : base+m]
-		for j, s := range strs {
-			if s != p.strValue {
-				mask[j] = false
-			}
-		}
-	case optimizer.PredBetween:
-		nums := p.col.Nums[base : base+m]
-		for j, x := range nums {
-			if x < p.lo || x > p.hi {
-				mask[j] = false
-			}
-		}
-	default:
-		for j := int32(0); j < m; j++ {
-			if mask[j] && !p.testRow(params, base+j) {
-				mask[j] = false
-			}
-		}
-	}
-}
-
-func (n *cNode) runIndexScan(ar *Arena, params []float64) {
-	lo, hi := n.lo, n.hi
-	// Parameter-driven bounds re-derive exactly as Recost's rebind does;
-	// later derivations win, matching the rebind order over q.Preds.
+// bounds returns the index scan's effective bounds. Parameter-driven bounds
+// re-derive exactly as Recost's rebind does; later derivations win,
+// matching the rebind order over q.Preds.
+func (n *cNode) bounds(params []float64) (lo, hi float64) {
+	lo, hi = n.lo, n.hi
 	for _, d := range n.derive {
 		lo, hi = optimizer.SargBoundsFor(d.Op, params[d.ParamIdx])
 	}
-	cands := n.index.RangeRows(lo, hi)
-	out := ar.vecs[n.slots[0]][:0]
-	if len(n.filters) == 0 {
-		out = append(out, cands...)
-		ar.vecs[n.slots[0]] = out
-		return
-	}
-	mask := ar.mask
-	for base := 0; base < len(cands); base += batchSize {
-		chunk := cands[base:]
-		if len(chunk) > batchSize {
-			chunk = chunk[:batchSize]
-		}
-		for j := range chunk {
-			mask[j] = true
-		}
-		for fi := range n.filters {
-			n.filters[fi].filterGather(params, mask, chunk)
-		}
-		for j, id := range chunk {
-			if mask[j] {
-				out = append(out, id)
-			}
-		}
-	}
-	ar.vecs[n.slots[0]] = out
+	return lo, hi
 }
 
-// filterGather is filterContig over a gathered id chunk (index scan
-// candidates are arbitrary row ids, not a contiguous range).
-func (p *cPred) filterGather(params []float64, mask []bool, ids []int32) {
+// b2i is the conditional increment of the selection kernels: the compiler
+// turns it into a flag-to-register move, so a kernel's loop has no
+// data-dependent branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// selectAll runs the predicate over the whole contiguous column, writing the
+// ids of passing rows to the front of out (len(out) = the column's length)
+// in row order, and returns how many passed. Every row id is stored
+// unconditionally and the write position advances only on a pass. The
+// positive comparison forms fail a NaN column value as the row engine's
+// comparisons do; BETWEEN keeps its !(v < lo || v > hi) form, which passes
+// one.
+func (p *cPred) selectAll(params []float64, out []int32) int {
+	k := 0
+	switch p.kind {
+	case optimizer.PredCmpNum:
+		nums := p.col.Nums[:len(out)]
+		v := p.rhs(params)
+		switch p.op {
+		case optimizer.OpEq:
+			for i, x := range nums {
+				out[k] = int32(i)
+				k += b2i(x == v)
+			}
+		case optimizer.OpLE:
+			for i, x := range nums {
+				out[k] = int32(i)
+				k += b2i(x <= v)
+			}
+		case optimizer.OpGE:
+			for i, x := range nums {
+				out[k] = int32(i)
+				k += b2i(x >= v)
+			}
+		case optimizer.OpLT:
+			for i, x := range nums {
+				out[k] = int32(i)
+				k += b2i(x < v)
+			}
+		case optimizer.OpGT:
+			for i, x := range nums {
+				out[k] = int32(i)
+				k += b2i(x > v)
+			}
+		}
+	case optimizer.PredBetween:
+		for i, x := range p.col.Nums[:len(out)] {
+			out[k] = int32(i)
+			k += 1 - (b2i(x < p.lo) | b2i(x > p.hi))
+		}
+	case optimizer.PredCmpStr:
+		for i, s := range p.col.Strs[:len(out)] {
+			out[k] = int32(i)
+			k += b2i(s == p.strValue)
+		}
+	default:
+		for i := range out {
+			out[k] = int32(i)
+			k += b2i(p.testRow(params, int32(i)))
+		}
+	}
+	return k
+}
+
+// refine is selectAll over a gathered id vector: it keeps, in place and in
+// order, the ids whose rows pass the predicate, and returns how many did.
+func (p *cPred) refine(params []float64, ids []int32) int {
+	k := 0
 	switch p.kind {
 	case optimizer.PredCmpNum:
 		nums := p.col.Nums
 		v := p.rhs(params)
 		switch p.op {
 		case optimizer.OpEq:
-			for j, id := range ids {
-				if !(nums[id] == v) {
-					mask[j] = false
-				}
+			for _, id := range ids {
+				ids[k] = id
+				k += b2i(nums[id] == v)
 			}
 		case optimizer.OpLE:
-			for j, id := range ids {
-				if !(nums[id] <= v) {
-					mask[j] = false
-				}
+			for _, id := range ids {
+				ids[k] = id
+				k += b2i(nums[id] <= v)
 			}
 		case optimizer.OpGE:
-			for j, id := range ids {
-				if !(nums[id] >= v) {
-					mask[j] = false
-				}
+			for _, id := range ids {
+				ids[k] = id
+				k += b2i(nums[id] >= v)
 			}
 		case optimizer.OpLT:
-			for j, id := range ids {
-				if !(nums[id] < v) {
-					mask[j] = false
-				}
+			for _, id := range ids {
+				ids[k] = id
+				k += b2i(nums[id] < v)
 			}
 		case optimizer.OpGT:
-			for j, id := range ids {
-				if !(nums[id] > v) {
-					mask[j] = false
-				}
-			}
-		}
-	case optimizer.PredCmpStr:
-		strs := p.col.Strs
-		for j, id := range ids {
-			if strs[id] != p.strValue {
-				mask[j] = false
+			for _, id := range ids {
+				ids[k] = id
+				k += b2i(nums[id] > v)
 			}
 		}
 	case optimizer.PredBetween:
 		nums := p.col.Nums
-		for j, id := range ids {
-			if nums[id] < p.lo || nums[id] > p.hi {
-				mask[j] = false
-			}
+		for _, id := range ids {
+			ids[k] = id
+			k += 1 - (b2i(nums[id] < p.lo) | b2i(nums[id] > p.hi))
+		}
+	case optimizer.PredCmpStr:
+		strs := p.col.Strs
+		for _, id := range ids {
+			ids[k] = id
+			k += b2i(strs[id] == p.strValue)
 		}
 	default:
-		for j, id := range ids {
-			if mask[j] && !p.testRow(params, id) {
-				mask[j] = false
-			}
+		for _, id := range ids {
+			ids[k] = id
+			k += b2i(p.testRow(params, id))
 		}
 	}
+	return k
 }
 
-// evalJoinFilters evaluates the compiled join-level filters against a
-// candidate (left tuple li, right tuple ri) pair. rightDirect marks
-// index-nested-loop context, where ri is a direct inner row id rather than
-// an index into a selection vector.
-func evalJoinFilters(filters []cPred, params []float64, ar *Arena, li, ri int32, rightDirect bool) bool {
-	for fi := range filters {
-		p := &filters[fi]
+// evalJoinFilters evaluates the node's compiled join-level filters against a
+// candidate (left tuple li, right tuple ri) pair. In an index-nested-loop
+// join, which has no right child, ri is a direct inner row id rather than an
+// index into a selection vector.
+func (n *cNode) evalJoinFilters(ar *Arena, params []float64, li, ri int32) bool {
+	rightDirect := n.right == nil
+	for fi := range n.joinFilters {
+		p := &n.joinFilters[fi]
 		idA := joinRowID(ar, p.side, p.slot, li, ri, rightDirect)
 		if p.kind == optimizer.PredJoin {
 			idB := joinRowID(ar, p.side2, p.slot2, li, ri, rightDirect)
@@ -306,30 +258,44 @@ func joinRowID(ar *Arena, side, slot int, li, ri int32, rightDirect bool) int32 
 	return ar.vecs[slot][ri]
 }
 
-// emit appends the combined (left li, right ri) tuple to the join's output
-// vectors. For index-nested-loop joins ri is the direct inner row id.
-func (n *cNode) emit(ar *Arena, li, ri int32, rightDirect bool) {
-	nl := len(n.left.slots)
-	for x, s := range n.left.slots {
-		ar.vecs[n.slots[x]] = append(ar.vecs[n.slots[x]], ar.vecs[s][li])
-	}
-	if rightDirect {
-		ar.vecs[n.slots[nl]] = append(ar.vecs[n.slots[nl]], ri)
-		return
-	}
-	for x, s := range n.right.slots {
-		ar.vecs[n.slots[nl+x]] = append(ar.vecs[n.slots[nl+x]], ar.vecs[s][ri])
+// match records the (left li, right ri) tuple pair as a join match if it
+// passes the node's residual join filters.
+func (n *cNode) match(ar *Arena, params []float64, li, ri int32) {
+	if n.evalJoinFilters(ar, params, li, ri) {
+		ar.matchL = append(ar.matchL, li)
+		ar.matchR = append(ar.matchR, ri)
 	}
 }
 
-func (n *cNode) resetOutput(ar *Arena) {
-	for _, s := range n.slots {
-		ar.vecs[s] = ar.vecs[s][:0]
+// gatherOutput builds the join's output vectors from the recorded match
+// pairs, one relation at a time, and empties the pair vectors for the next
+// join. For index-nested-loop joins the right halves are already the inner
+// relation's row ids.
+func (n *cNode) gatherOutput(ar *Arena) {
+	nl := len(n.left.slots)
+	for x, s := range n.left.slots {
+		ar.vecs[n.slots[x]] = gather(ar.vecs[n.slots[x]], ar.vecs[s], ar.matchL)
 	}
+	if n.right == nil {
+		ar.vecs[n.slots[nl]] = append(ar.vecs[n.slots[nl]][:0], ar.matchR...)
+	} else {
+		for x, s := range n.right.slots {
+			ar.vecs[n.slots[nl+x]] = gather(ar.vecs[n.slots[nl+x]], ar.vecs[s], ar.matchR)
+		}
+	}
+	ar.matchL, ar.matchR = ar.matchL[:0], ar.matchR[:0]
+}
+
+// gather overwrites out with in[t] for every t of idx, reusing its capacity.
+func gather(out, in, idx []int32) []int32 {
+	out = sized(out, len(idx))
+	for i, t := range idx {
+		out[i] = in[t]
+	}
+	return out
 }
 
 func (n *cNode) runHashJoin(ar *Arena, params []float64) {
-	n.resetOutput(ar)
 	buildSlot, probeSlot := n.rightSlot, n.leftSlot
 	buildKey, probeKey := n.rightKey, n.leftKey
 	if n.buildLeft {
@@ -338,7 +304,8 @@ func (n *cNode) runHashJoin(ar *Arena, params []float64) {
 	}
 	buildVec := ar.vecs[buildSlot]
 	probeVec := ar.vecs[probeSlot]
-	next := ar.chain(len(buildVec))
+	ar.next = sized(ar.next, len(buildVec))
+	next := ar.next
 
 	// Build: chained buckets in insertion order (head<<32 | tail), so probe
 	// emission order matches the row engine's bucket-append order exactly.
@@ -358,11 +325,9 @@ func (n *cNode) runHashJoin(ar *Arena, params []float64) {
 		}
 		pkeys := probeKey.Strs
 		for pi, id := range probeVec {
-			he, ok := ht[pkeys[id]]
-			if !ok {
-				continue
+			if he, ok := ht[pkeys[id]]; ok {
+				n.probeChain(ar, params, next, he, int32(pi))
 			}
-			n.probeChain(ar, params, next, he, int32(pi))
 		}
 		return
 	}
@@ -371,27 +336,36 @@ func (n *cNode) runHashJoin(ar *Arena, params []float64) {
 	keys := buildKey.Nums
 	for i, id := range buildVec {
 		next[i] = -1
-		k := keys[id]
-		if k == 0 {
-			k = 0 // normalize -0 so ±0 share a bucket, as map keys do
-		}
-		ht.insert(k, int32(i), next)
+		ht.insert(keys[id], int32(i), next)
 	}
 	pkeys := probeKey.Nums
-	for pi, id := range probeVec {
-		k := pkeys[id]
-		if k == 0 {
-			k = 0
+	if len(n.joinFilters) > 0 {
+		for pi, id := range probeVec {
+			if he := ht.lookup(pkeys[id]); he >= 0 {
+				n.probeChain(ar, params, next, he, int32(pi))
+			}
 		}
-		he := ht.lookup(k)
-		if he < 0 {
-			continue
-		}
-		n.probeChain(ar, params, next, he, int32(pi))
+		return
 	}
+	// No residual filters: every chain entry is a match, so the probe appends
+	// (probe, build) pairs to local vectors and never looks at the node or
+	// the arena again.
+	mp, mb := ar.matchL, ar.matchR
+	for pi, id := range probeVec {
+		if he := ht.lookup(pkeys[id]); he >= 0 {
+			for bi := int32(he >> 32); bi >= 0; bi = next[bi] {
+				mp = append(mp, int32(pi))
+				mb = append(mb, bi)
+			}
+		}
+	}
+	if n.buildLeft {
+		mp, mb = mb, mp
+	}
+	ar.matchL, ar.matchR = mp, mb
 }
 
-// probeChain walks one build-side bucket for probe tuple pi, emitting
+// probeChain walks one build-side bucket for probe tuple pi, recording
 // filtered matches in build insertion order.
 func (n *cNode) probeChain(ar *Arena, params []float64, next []int32, he int64, pi int32) {
 	for bi := int32(he >> 32); bi >= 0; bi = next[bi] {
@@ -399,14 +373,11 @@ func (n *cNode) probeChain(ar *Arena, params []float64, next []int32, he int64, 
 		if n.buildLeft {
 			li, ri = bi, pi
 		}
-		if evalJoinFilters(n.joinFilters, params, ar, li, ri, false) {
-			n.emit(ar, li, ri, false)
-		}
+		n.match(ar, params, li, ri)
 	}
 }
 
 func (n *cNode) runMergeJoin(ar *Arena, params []float64) {
-	n.resetOutput(ar)
 	lvec, rvec := ar.vecs[n.leftSlot], ar.vecs[n.rightSlot]
 	ar.permA, ar.keysA = permKeys(ar.permA, ar.keysA, len(lvec))
 	ar.permB, ar.keysB = permKeys(ar.permB, ar.keysB, len(rvec))
@@ -435,12 +406,8 @@ func (n *cNode) runMergeJoin(ar *Arena, params []float64) {
 				jEnd++
 			}
 			for ; i < len(permA) && keysA[permA[i]] == lv; i++ {
-				li := permA[i]
 				for k := j; k < jEnd; k++ {
-					ri := permB[k]
-					if evalJoinFilters(n.joinFilters, params, ar, li, ri, false) {
-						n.emit(ar, li, ri, false)
-					}
+					n.match(ar, params, permA[i], permB[k])
 				}
 			}
 			j = jEnd
@@ -449,7 +416,6 @@ func (n *cNode) runMergeJoin(ar *Arena, params []float64) {
 }
 
 func (n *cNode) runIndexNLJoin(ar *Arena, params []float64) {
-	n.resetOutput(ar)
 	lvec := ar.vecs[n.leftSlot]
 	keys := n.leftKey.Nums
 	for li := range lvec {
@@ -462,25 +428,19 @@ func (n *cNode) runIndexNLJoin(ar *Arena, params []float64) {
 					break
 				}
 			}
-			if !ok {
-				continue
-			}
-			if evalJoinFilters(n.joinFilters, params, ar, int32(li), ri, true) {
-				n.emit(ar, int32(li), ri, true)
+			if ok {
+				n.match(ar, params, int32(li), ri)
 			}
 		}
 	}
 }
 
 func (n *cNode) runNLJoin(ar *Arena, params []float64) {
-	n.resetOutput(ar)
 	nl := len(ar.vecs[n.left.slots[0]])
 	nr := len(ar.vecs[n.right.slots[0]])
 	for li := int32(0); li < int32(nl); li++ {
 		for ri := int32(0); ri < int32(nr); ri++ {
-			if evalJoinFilters(n.joinFilters, params, ar, li, ri, false) {
-				n.emit(ar, li, ri, false)
-			}
+			n.match(ar, params, li, ri)
 		}
 	}
 }
@@ -511,61 +471,81 @@ func (cp *CompiledPlan) materialize(ar *Arena) *Result {
 	return &Result{Schema: cp.schema, Rows: rows}
 }
 
-// materializeAgg groups the root's tuples through the arena accumulators
-// and materializes the aggregate rows, replicating the row engine's
-// grouping (first-seen order, byte-encoded keys) and accumulation
-// (identical float addition order) so results stay bit-identical.
+// materializeAgg aggregates the root's tuples and materializes the
+// aggregate rows, replicating the row engine's grouping (first-seen order,
+// bit-equal keys) and accumulation (identical float addition order) so
+// results stay bit-identical. Tuples are first assigned dense group ids,
+// then every aggregate that reads an accumulator makes one pass over its
+// input column; COUNT needs only the per-group tuple counts.
 func (cp *CompiledPlan) materializeAgg(ar *Arena) *Result {
 	agg := cp.agg
-	child := cp.root
-	nt := len(ar.vecs[child.slots[0]])
-	nS := len(agg.specs)
 	nK := len(agg.groupCols)
-	ar.resetAgg()
-	if agg.numKey() {
+	gids := agg.assignGroups(ar, len(ar.vecs[cp.root.slots[0]]))
+	ng := len(ar.counts)
+
+	width := len(agg.outSchema)
+	backing := make([]Value, ng*width)
+	rows := make([]Row, ng)
+	for g := range rows {
+		rows[g] = backing[g*width : (g+1)*width : (g+1)*width]
+		copy(rows[g], ar.groupKeys[g*nK:(g+1)*nK])
+	}
+	for s := range agg.specs {
+		sp := &agg.specs[s]
+		acc := ar.counts
+		if sp.fn != optimizer.AggCount {
+			acc = sp.accumulate(ar, gids, ng)
+		}
+		for g, v := range acc {
+			// A global aggregate over zero rows averages to its sum, 0, not
+			// to 0/0.
+			if sp.fn == optimizer.AggAvg && ar.counts[g] > 0 {
+				v /= ar.counts[g]
+			}
+			rows[g][nK+s] = Value{Num: v}
+		}
+	}
+	return &Result{Schema: agg.outSchema, Rows: rows}
+}
+
+// assignGroups counts the tuples of every group into ar.counts, records the
+// first-seen group keys, and returns each tuple's dense group id. A plan
+// with no GROUP BY looks nothing up: every tuple is in group 0, which
+// exists even over zero tuples.
+func (a *cAgg) assignGroups(ar *Arena, nt int) []int32 {
+	ar.gids = sized(ar.gids, nt)
+	gids := ar.gids
+	ar.groupKeys = ar.groupKeys[:0]
+	if len(a.groupCols) == 0 {
+		clear(gids)
+		ar.counts = append(ar.counts[:0], float64(nt))
+		return gids
+	}
+	ar.counts = ar.counts[:0]
+	if a.numKey() {
 		// Single numeric group column: the raw float bits are the group key
 		// (identical equality — and so identical first-seen group order — to
 		// the byte-encoded key the general path builds).
-		gc := &agg.groupCols[0]
-		gvec := ar.vecs[gc.slot]
+		gc := &a.groupCols[0]
 		nums := gc.col.Nums
-		for t := 0; t < nt; t++ {
-			kv := nums[gvec[t]]
-			g, ok := ar.groupsN[math.Float64bits(kv)]
-			if !ok {
-				g = int32(len(ar.counts))
-				ar.groupsN[math.Float64bits(kv)] = g
-				ar.groupKeys = append(ar.groupKeys, Value{Num: kv})
+		ht := &ar.htG
+		ht.reset(ht.n)
+		for t, id := range ar.vecs[gc.slot] {
+			g, fresh := ht.group(nums[id])
+			if fresh {
+				ar.groupKeys = append(ar.groupKeys, Value{Num: nums[id]})
 				ar.counts = append(ar.counts, 0)
-				for s := 0; s < nS; s++ {
-					ar.sums = append(ar.sums, 0)
-					ar.mins = append(ar.mins, math.Inf(1))
-					ar.maxs = append(ar.maxs, math.Inf(-1))
-				}
 			}
 			ar.counts[g]++
-			base := int(g) * nS
-			for s := range agg.specs {
-				sp := &agg.specs[s]
-				if sp.slot < 0 {
-					continue
-				}
-				v := sp.col.Nums[ar.vecs[sp.slot][t]]
-				ar.sums[base+s] += v
-				if v < ar.mins[base+s] {
-					ar.mins[base+s] = v
-				}
-				if v > ar.maxs[base+s] {
-					ar.maxs[base+s] = v
-				}
-			}
+			gids[t] = g
 		}
-		return cp.aggRows(ar, nS, nK)
+		return gids
 	}
-	for t := 0; t < nt; t++ {
+	clear(ar.groups)
+	for t := range gids {
 		kb := ar.keyBuf[:0]
-		for gi := range agg.groupCols {
-			gc := &agg.groupCols[gi]
+		for gi := range a.groupCols {
+			gc := &a.groupCols[gi]
 			id := ar.vecs[gc.slot][t]
 			if gc.col.Kind == tpch.KindString {
 				kb = append(kb, gc.col.Strs[id]...)
@@ -579,8 +559,8 @@ func (cp *CompiledPlan) materializeAgg(ar *Arena) *Result {
 		if !ok {
 			g = int32(len(ar.counts))
 			ar.groups[string(kb)] = g
-			for gi := range agg.groupCols {
-				gc := &agg.groupCols[gi]
+			for gi := range a.groupCols {
+				gc := &a.groupCols[gi]
 				id := ar.vecs[gc.slot][t]
 				if gc.col.Kind == tpch.KindString {
 					ar.groupKeys = append(ar.groupKeys, Value{Str: gc.col.Strs[id], IsStr: true})
@@ -589,82 +569,52 @@ func (cp *CompiledPlan) materializeAgg(ar *Arena) *Result {
 				}
 			}
 			ar.counts = append(ar.counts, 0)
-			for s := 0; s < nS; s++ {
-				ar.sums = append(ar.sums, 0)
-				ar.mins = append(ar.mins, math.Inf(1))
-				ar.maxs = append(ar.maxs, math.Inf(-1))
-			}
 		}
 		ar.counts[g]++
-		base := int(g) * nS
-		for s := range agg.specs {
-			sp := &agg.specs[s]
-			if sp.slot < 0 {
-				continue
-			}
-			v := sp.col.Nums[ar.vecs[sp.slot][t]]
-			ar.sums[base+s] += v
-			if v < ar.mins[base+s] {
-				ar.mins[base+s] = v
-			}
-			if v > ar.maxs[base+s] {
-				ar.maxs[base+s] = v
-			}
-		}
+		gids[t] = g
 	}
-	return cp.aggRows(ar, nS, nK)
+	return gids
 }
 
-// aggRows materializes the grouped accumulators into the final rows (or
-// the row engine's zero-row special cases).
-func (cp *CompiledPlan) aggRows(ar *Arena, nS, nK int) *Result {
-	agg := cp.agg
-	ng := len(ar.counts)
-	if ng == 0 && nK == 0 {
-		// A global aggregate over zero rows still yields one row.
-		row := make(Row, nS)
-		for s := range agg.specs {
-			switch agg.specs[s].fn {
-			case optimizer.AggMin:
-				row[s] = Value{Num: math.Inf(1)}
-			case optimizer.AggMax:
-				row[s] = Value{Num: math.Inf(-1)}
-			default:
-				row[s] = Value{Num: 0}
+// accumulate folds the aggregate's input column into one accumulator per
+// group, in tuple order, and returns them (valid until the next call).
+func (sp *aggColSpec) accumulate(ar *Arena, gids []int32, ng int) []float64 {
+	ar.acc = sized(ar.acc, ng)
+	acc, nums, vec := ar.acc, sp.col.Nums, ar.vecs[sp.slot]
+	switch sp.fn {
+	case optimizer.AggSum, optimizer.AggAvg:
+		if ng == 1 {
+			// One group: the addition chain stays in a register instead of
+			// going through memory on every tuple.
+			sum := 0.0
+			for _, id := range vec {
+				sum += nums[id]
+			}
+			acc[0] = sum
+			break
+		}
+		clear(acc)
+		for t, id := range vec {
+			acc[gids[t]] += nums[id]
+		}
+	case optimizer.AggMin:
+		for g := range acc {
+			acc[g] = math.Inf(1)
+		}
+		for t, id := range vec {
+			if v := nums[id]; v < acc[gids[t]] {
+				acc[gids[t]] = v
 			}
 		}
-		return &Result{Schema: agg.outSchema, Rows: []Row{row}}
-	}
-	if ng == 0 {
-		// Matches the row engine: a grouped aggregate over zero input rows
-		// yields an empty (non-nil) row set.
-		return &Result{Schema: agg.outSchema, Rows: []Row{}}
-	}
-	width := len(agg.outSchema)
-	backing := make([]Value, ng*width)
-	rows := make([]Row, ng)
-	for g := 0; g < ng; g++ {
-		row := backing[g*width : (g+1)*width : (g+1)*width]
-		copy(row, ar.groupKeys[g*nK:(g+1)*nK])
-		base := g * nS
-		for s := range agg.specs {
-			sp := &agg.specs[s]
-			var v float64
-			switch sp.fn {
-			case optimizer.AggCount:
-				v = ar.counts[g]
-			case optimizer.AggSum:
-				v = ar.sums[base+s]
-			case optimizer.AggAvg:
-				v = ar.sums[base+s] / ar.counts[g]
-			case optimizer.AggMin:
-				v = ar.mins[base+s]
-			case optimizer.AggMax:
-				v = ar.maxs[base+s]
-			}
-			row[nK+s] = Value{Num: v}
+	case optimizer.AggMax:
+		for g := range acc {
+			acc[g] = math.Inf(-1)
 		}
-		rows[g] = row
+		for t, id := range vec {
+			if v := nums[id]; v > acc[gids[t]] {
+				acc[gids[t]] = v
+			}
+		}
 	}
-	return &Result{Schema: agg.outSchema, Rows: rows}
+	return acc
 }

@@ -249,14 +249,7 @@ func sargBounds(p Predicate) (lo, hi float64) {
 	case PredBetween:
 		return p.Lo, p.Hi
 	case PredCmpNum:
-		switch p.Op {
-		case OpEq:
-			return p.Value, p.Value
-		case OpLE, OpLT:
-			return math.Inf(-1), p.Value
-		case OpGE, OpGT:
-			return p.Value, math.Inf(1)
-		}
+		return SargBoundsFor(p.Op, p.Value)
 	}
 	return math.Inf(-1), math.Inf(1)
 }

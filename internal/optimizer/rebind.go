@@ -42,16 +42,29 @@ func IndexBoundDerives(q *Query, n *Node) []BoundDerive {
 	return out
 }
 
-// SargBoundsFor converts a comparison against value v into index scan
-// bounds; the exported counterpart of sargBounds for compiled consumers.
+// SargBoundsFor converts a comparison against value v into the inclusive
+// index scan bounds that select exactly the keys satisfying it. The driving
+// predicate is not among the scan's residual filters, so a strict bound
+// must itself exclude v: it moves to the adjacent float on the open side,
+// or to the empty range when nothing lies beyond v.
 func SargBoundsFor(op CmpOp, v float64) (lo, hi float64) {
 	switch op {
 	case OpEq:
 		return v, v
-	case OpLE, OpLT:
+	case OpLE:
 		return math.Inf(-1), v
-	case OpGE, OpGT:
+	case OpGE:
 		return v, math.Inf(1)
+	case OpLT:
+		if math.IsInf(v, -1) {
+			return math.Inf(1), math.Inf(-1)
+		}
+		return math.Inf(-1), math.Nextafter(v, math.Inf(-1))
+	case OpGT:
+		if math.IsInf(v, 1) {
+			return math.Inf(1), math.Inf(-1)
+		}
+		return math.Nextafter(v, math.Inf(1)), math.Inf(1)
 	}
 	return math.Inf(-1), math.Inf(1)
 }

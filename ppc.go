@@ -1028,6 +1028,7 @@ func (s *System) Run(template string, values []float64) (res *RunResult, err err
 			// correction learner when the adaptive layer is on.
 			out, xerr = s.execObserved(st, prog, values)
 		} else {
+			st.obs.CountTreeWalkRun()
 			out, xerr = s.exec.Run(bound)
 		}
 		if xerr != nil {
@@ -1049,8 +1050,7 @@ func (s *System) Run(template string, values []float64) (res *RunResult, err err
 // run on the applier.
 func (s *System) execObserved(st *templateState, prog *executor.CompiledPlan, values []float64) (*executor.Result, error) {
 	buf := cardBufPool.Get().(*cardBuf)
-	out, cards, err := prog.ExecObserve(values, buf.cards[:0])
-	buf.cards = cards
+	out, err := prog.ExecObserve(values, &buf.cards)
 	if err != nil {
 		releaseCards(buf)
 		return nil, err
