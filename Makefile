@@ -54,15 +54,18 @@ crash:
 	$(GO) test -race -run 'TestDurable|TestCrashRecovery|TestDegrade' -v .
 	$(GO) test -race -run TestKillRestartRecovery -v ./cmd/ppcserve
 
-# Short fuzz smoke over every decoder that reads crash-shaped bytes: the
+# Short fuzz smoke over every decoder that reads crash-shaped bytes — the
 # WAL frame decoder, the WAL directory scanner/repairer, the snapshot
-# envelope, and the optional state-tail sections (corrections + retune). Go
-# runs one fuzz target per invocation, hence four runs.
+# envelope, and the optional state-tail sections (corrections + retune) —
+# and over the join enumerator, held to the node-building reference at
+# fuzzer-chosen templates and points. Go runs one fuzz target per
+# invocation, hence five runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzScan -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzStateTailDecode -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzOptimizeMatchesReference -fuzztime $(FUZZTIME) ./internal/optimizer
 
 # The replication suite, bottom up: wire protocol and torn/corrupt frames,
 # WAL tailing, leader/replica servers under fault injection (epoch fencing,
@@ -85,13 +88,22 @@ bench:
 benchcmp:
 	$(GO) run ./cmd/ppcbench -benchcmp $(OLD) $(NEW)
 
-# CPU and heap profiles of the end-to-end Run path, for chasing where the
-# serving-path time goes (`go tool pprof $(PROFILE_DIR)/run.cpu.pprof`).
+# CPU and heap profiles of the two Run paths, for chasing where the time
+# goes: run.* is the hit path (BenchmarkEndToEndRun: Q1 in steady state,
+# executor-bound), miss.* the miss path (BenchmarkMissPathRun: Q3/Q4/Q8 at
+# uniform points, the miss_optimize workload's shape — NULL predict,
+# OptimizeMemo, intern/compile, feedback). Go profiles one benchmark run
+# per invocation. `go tool pprof $(PROFILE_DIR)/miss.cpu.pprof`, or
+# `-sample_index=alloc_space` on a mem profile for allocation sites.
 profile:
 	mkdir -p $(PROFILE_DIR)
-	$(GO) test -run '^$$' -bench BenchmarkEndToEndRun -benchmem \
+	$(GO) test -run '^$$' -bench 'BenchmarkEndToEndRun$$' -benchmem \
 		-cpuprofile $(PROFILE_DIR)/run.cpu.pprof \
 		-memprofile $(PROFILE_DIR)/run.mem.pprof \
+		-o $(PROFILE_DIR)/ppc.test .
+	$(GO) test -run '^$$' -bench 'BenchmarkMissPathRun$$' -benchmem \
+		-cpuprofile $(PROFILE_DIR)/miss.cpu.pprof \
+		-memprofile $(PROFILE_DIR)/miss.mem.pprof \
 		-o $(PROFILE_DIR)/ppc.test .
 	@echo "profiles written to $(PROFILE_DIR)/"
 

@@ -9,9 +9,13 @@ package ppc_test
 //	go test -bench=BenchmarkRunParallel -cpu 4
 
 import (
+	"math/rand"
 	"testing"
 
+	ppc "repro"
 	"repro/internal/benchsuite"
+	"repro/internal/queries"
+	"repro/internal/tpch"
 )
 
 func BenchmarkPredictApproxLSHHist(b *testing.B) { benchsuite.PredictApproxLSHHist(b) }
@@ -48,3 +52,55 @@ func BenchmarkRunHotTemplateParallel(b *testing.B) { benchsuite.RunHotTemplatePa
 // same trained Q1 synopsis the predictor microbenchmarks use. Part of the
 // zero-allocation guard — replicas exist to absorb read load.
 func BenchmarkReplicaPredict(b *testing.B) { benchsuite.ReplicaPredict(b) }
+
+// BenchmarkMissPathRun is the miss_optimize shape: Run on the multi-join
+// templates at uniform plan-space points, where the learner rarely has a
+// confident answer and nearly every run pays NULL-predict, OptimizeMemo,
+// intern/compile and feedback. `make profile` profiles it beside
+// BenchmarkEndToEndRun so a pass over the miss path starts from its own
+// profile, not from the hit path's.
+func BenchmarkMissPathRun(b *testing.B) {
+	sys, err := ppc.Open(ppc.Options{TPCH: tpch.Config{Scale: 1000, Seed: 1}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sys.Close()
+	names := []string{"Q3", "Q4", "Q8"}
+	for _, name := range names {
+		tm, err := queries.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := sys.Register(name, tm.SQL); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	values := make([][][]float64, len(names))
+	for k, name := range names {
+		tm, err := sys.Template(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		values[k] = make([][]float64, 512)
+		for i := range values[k] {
+			point := make([]float64, tm.Degree())
+			for j := range point {
+				point[j] = rng.Float64()
+			}
+			inst, err := sys.Optimizer().InstanceAt(tm, point)
+			if err != nil {
+				b.Fatal(err)
+			}
+			values[k][i] = inst.Values
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(names)
+		if _, err := sys.Run(names[k], values[k][(i/len(names))%512]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -116,16 +116,22 @@ func (m CostModel) mergeJoinCost(left, right, out float64) float64 {
 	return (left+right)*m.CPUMerge + out*m.CPUOutput
 }
 
-// indexNLJoinCost is the incremental cost of probing an inner index once
-// per outer row, fetching matchesPerOuter inner tuples per probe.
-// innerRows sizes the B-tree descend; nfilters are residual inner filters.
-func (m CostModel) indexNLJoinCost(outer, innerRows, matchesPerOuter float64, nfilters int, correlated bool, out float64) float64 {
+// indexProbeCost is the cost of one probe of an index nested-loop join:
+// a B-tree descend sized by innerRows plus fetching matchesPerOuter inner
+// tuples through nfilters residual inner filters. It does not depend on the
+// outer input, so the enumeration computes it once per join step.
+func (m CostModel) indexProbeCost(innerRows, matchesPerOuter float64, nfilters int, correlated bool) float64 {
 	perMatch := m.RandPage
 	if correlated {
 		perMatch = m.CorrPage
 	}
-	perProbe := m.IndexLookup*math.Log2(innerRows+2) +
+	return m.IndexLookup*math.Log2(innerRows+2) +
 		matchesPerOuter*(perMatch+m.CPUTuple+float64(nfilters)*m.CPUFilter)
+}
+
+// indexNLJoinCost is the incremental cost of probing an inner index once
+// per outer row at perProbe (indexProbeCost) each, producing out rows.
+func (m CostModel) indexNLJoinCost(outer, perProbe, out float64) float64 {
 	return outer*perProbe + out*m.CPUOutput
 }
 

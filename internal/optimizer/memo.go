@@ -2,97 +2,178 @@ package optimizer
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/faults"
 )
 
+// maxJoinRelations bounds the FROM list of an optimizable query. The
+// enumeration keeps one candidate set per relation subset, so its scratch
+// grows as 2^n; twelve relations (4096 subsets) is past anything the
+// templates need and keeps a hostile FROM list from sizing allocations.
+const maxJoinRelations = 12
+
+// JoinLimitError reports a query whose FROM list exceeds the enumeration's
+// relation limit.
+type JoinLimitError struct {
+	Relations int // relations in the rejected query
+	Limit     int
+}
+
+func (e *JoinLimitError) Error() string {
+	return fmt.Sprintf("optimizer: query joins %d relations, limit is %d", e.Relations, e.Limit)
+}
+
 // Memo is the per-template optimization memo: every piece of the
 // Selinger-style enumeration that does not depend on parameter values is
-// computed once per template and reused across all of its optimizations —
-// query validation, table binding, the single-table/join predicate
-// partition, the connectivity lists for every (subset, relation) DP step,
-// and the catalog join selectivities (parameter-free by construction).
-// Parameter-only re-optimizations then re-cost just the
-// predicate-selectivity-dependent entries: base access paths and the cost
-// roll-ups through the join DP, using pooled candidate-set scratch instead
-// of per-call maps.
+// computed once per template and reused across all of its optimizations.
+// It has two parts. The shape — table binding, access paths, the oriented
+// join steps with their fingerprint headers, the output-order table — is a
+// function of the query and the database alone and is shared by every
+// refresh of the memo. The join selectivities embed the template's
+// correction factors, so they are per correction epoch: RefreshMemo
+// re-derives them and nothing else.
 //
-// A Memo is immutable after NewMemo apart from its internal scratch pool,
-// so it is safe for concurrent OptimizeMemo calls (misses and audits on
-// one hot template race freely).
+// A Memo is immutable; the pooled enumeration scratch hangs off the shape.
+// It is safe for concurrent OptimizeMemo calls (misses and audits on one
+// hot template race freely).
+//
+// Everything parameter-free is read from the optimizer that calls NewMemo
+// and frozen: table row counts and Distinct (join selectivities, matches
+// per index-NL probe, the GROUP BY product). OptimizeMemo on a WithStats
+// clone reads only the clone's Sel* answers, so a provider that overrides
+// Distinct (stats.Distorted.DistinctFn) must be in place before NewMemo —
+// on a memo built without it the override is ignored, and RefreshMemo
+// re-reads Distinct for the join selectivities alone.
 type Memo struct {
-	q *Query
-	n int
+	shape *memoShape
 
-	joins      []Predicate
-	singleTmpl [][]Predicate // per relation: template single-table preds
-	conn       [][]Predicate // (mask*n + r) -> connecting join preds
-	connSel    [][]float64   // parallel join selectivities
-	hasAgg     bool
+	// joinSel[j] is the corrected selectivity of shape.joins[j].
+	joinSel []float64
 
-	// StatsEpoch is the template's correction epoch captured at NewMemo.
-	// The precomputed join selectivities (and every plan the memo produces)
-	// embed that epoch's correction factors; holders compare it against
-	// Stats().Epoch(template) and rebuild the memo when it moves.
+	// StatsEpoch is the template's correction epoch captured when the join
+	// selectivities were derived. Every plan the memo produces embeds that
+	// epoch's join correction factors; holders compare it against
+	// Stats().Epoch(template) and call RefreshMemo when it moves.
 	StatsEpoch uint64
+}
+
+// memoShape is the parameter-free, epoch-free part of a Memo.
+type memoShape struct {
+	q      *Query
+	hasAgg bool
+	// groups is the product of the GROUP BY columns' distinct counts (1
+	// without GROUP BY): the parameter-free part of the group estimate.
+	groups float64
+
+	rels  []relShape
+	joins []Predicate // join predicates in WHERE order
+	// steps holds two oriented copies of every join predicate: steps[2j]
+	// as written (attaching the right column's relation), steps[2j+1]
+	// flipped.
+	steps []joinStep
+
+	// orders interns every output order an entry can have; id 0 is the
+	// zero ColRef (no order). orderRank[id] is the id's position in
+	// ascending ColRef.String() order, the order the final pick visits
+	// candidate sets in.
+	orders    []ColRef
+	orderRank []int16
 
 	scratch sync.Pool // *dpScratch
 }
 
-// dpScratch is the pooled per-call DP state: one candidate set per
-// relation subset. Candidate sets keep their capacity across calls; the
-// plan nodes they reference are freshly allocated each call (the winner
-// escapes into the plan cache).
+// relShape is one FROM entry: its template predicates and access paths.
+type relShape struct {
+	ref      TableRef
+	baseRows float64
+	preds    []Predicate // single-table template predicates, WHERE order
+	paths    []pathShape // [0] sequential scan, then one per index column ascending
+	pathOff  int         // offset of paths in the flat per-call cost array
+	// steps lists, in WHERE order, the oriented joins that attach this
+	// relation to a subset containing the step's left relation.
+	steps []int32
+}
+
+// pathShape is one access path of a relation.
+type pathShape struct {
+	col       string // index column; "" for the sequential scan
+	order     int16  // output order id
+	driving   int    // index into relShape.preds of the sargable predicate driving the index range, -1 if none
+	clustered bool   // index on the column the table is physically ordered by
+	print     string // the scan's fingerprint, "Seq(a)" or "Idx(a.col)"
+}
+
+// joinStep is a join predicate oriented for one DP step: pred.Col is on the
+// already-joined (left) side, pred.RightCol on the relation being attached.
+type joinStep struct {
+	pred       Predicate
+	join       int // index into memoShape.joins / Memo.joinSel
+	leftRel    int
+	rightRel   int
+	leftOrder  int16 // order id of pred.Col
+	rightOrder int16 // order id of pred.RightCol
+	// heads are the fingerprint headers of the step's join methods,
+	// indexed by method-methodHashJoin: "HJ[l=r](", "HJ^[l=r](",
+	// "MJ[l=r](", "INL[l=r](".
+	heads [4]string
+	// Index nested-loop: inlPath is the attached relation's access path
+	// over pred.RightCol's index (-1 when the column has none).
+	inlPath         int
+	matchesPerOuter float64
+}
+
+// Join methods of a dpEntry. The four predicate joins are contiguous and in
+// the order candidates are offered.
+const (
+	methodScan uint8 = iota
+	methodHashJoin
+	methodHashJoinBuildLeft
+	methodMergeJoin
+	methodIndexNLJoin
+	methodNLJoin
+)
+
+const nlHead = "NL("
+
+// dpEntry is one DP candidate: the cheapest known way to produce a relation
+// subset in one output order. It is a small value record; the plan it
+// stands for is recovered by walking parent pointers.
+type dpEntry struct {
+	cost   float64
+	rows   float64
+	parent int32 // arena index of the left input's entry; -1 for a base scan
+	step   int32 // driving oriented join; -1 for scans and cross products
+	order  int16 // output order id
+	path   int16 // access path of rel: the scan itself, or the join's right input
+	rel    uint8 // the relation scanned, or attached by this join
+	method uint8
+}
+
+// dpScratch is the pooled per-call enumeration state. Nothing in it
+// outlives the call: the winner is copied out into fresh plan nodes.
 type dpScratch struct {
-	sets []candSet
-}
+	// entries is the candidate arena. Subsets are filled in ascending mask
+	// order, each one completely before the next, so subset T's candidate
+	// set is entries[setOff[T]:setOff[T+1]].
+	entries []dpEntry
+	setOff  []int32
+	// leftSort[i] is the cost of sorting entries[i]'s output, for merge
+	// joins that take it as an unsorted left input.
+	leftSort []float64
 
-// candSet keeps the best candidate per output order — the slice-based,
-// deterministic replacement for the former map[string]candidate DP entry.
-type candSet struct {
-	orders []ColRef
-	cands  []candidate
-}
+	sels     []float64 // selectivities of the predicates of the relation being costed
+	pathCost []float64 // per access path (relShape.pathOff)
+	relRows  []float64 // per relation: output rows of any of its scans
+	relSort  []float64 // per relation: cost of sorting a scan's output
+	cheapest []int16   // per relation: its cheapest access path
+	probe    []float64 // per join step: index nested-loop cost per outer row
 
-func (s *candSet) reset() {
-	s.orders = s.orders[:0]
-	s.cands = s.cands[:0]
-}
-
-func (s *candSet) add(c candidate) {
-	for i := range s.orders {
-		if s.orders[i] == c.sortedOn {
-			if betterThan(c, s.cands[i]) {
-				s.cands[i] = c
-			}
-			return
-		}
-	}
-	s.orders = append(s.orders, c.sortedOn)
-	s.cands = append(s.cands, c)
-}
-
-// best returns the overall winner, iterating orders in ascending canonical
-// key order exactly as the former map-based bestCandidate did.
-func (s *candSet) best() candidate {
-	keys := make([]string, len(s.orders))
-	for i, o := range s.orders {
-		keys[i] = o.String()
-	}
-	idx := make([]int, len(keys))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
-	best := s.cands[idx[0]]
-	for _, i := range idx[1:] {
-		if betterThan(s.cands[i], best) {
-			best = s.cands[i]
-		}
-	}
-	return best
+	conn  []int32 // joins connecting the current (subset, relation) step
+	visit []int32 // final set in canonical order
 }
 
 // NewMemo validates the query once and precomputes its parameter-
@@ -102,61 +183,187 @@ func (o *Optimizer) NewMemo(q *Query) (*Memo, error) {
 		return nil, err
 	}
 	n := len(q.Tables)
-	m := &Memo{q: q, n: n, hasAgg: len(q.GroupBy) > 0 || hasAggregates(q)}
-	for _, t := range q.Tables {
-		if o.db.Table(t.Table) == nil {
-			return nil, fmt.Errorf("optimizer: unknown table %s", t.Table)
-		}
+	if n > maxJoinRelations {
+		return nil, &JoinLimitError{Relations: n, Limit: maxJoinRelations}
 	}
+	sh := &memoShape{q: q, hasAgg: len(q.GroupBy) > 0 || hasAggregates(q), groups: o.groupDistinct(q)}
+
+	orderIDs := map[ColRef]int16{{}: 0}
+	sh.orders = []ColRef{{}}
+	orderID := func(c ColRef) int16 {
+		id, ok := orderIDs[c]
+		if !ok {
+			id = int16(len(sh.orders))
+			orderIDs[c] = id
+			sh.orders = append(sh.orders, c)
+		}
+		return id
+	}
+
 	aliasIdx := make(map[string]int, n)
+	sh.rels = make([]relShape, n)
 	for i, t := range q.Tables {
 		aliasIdx[t.Alias] = i
+		sh.rels[i].ref = t
 	}
-	m.singleTmpl = make([][]Predicate, n)
 	for _, p := range q.Preds {
 		if p.Kind == PredJoin {
-			m.joins = append(m.joins, p)
+			sh.joins = append(sh.joins, p)
 		} else {
-			i, ok := aliasIdx[p.Col.Alias]
-			if !ok {
-				return nil, fmt.Errorf("optimizer: unbound alias %s", p.Col.Alias)
-			}
-			m.singleTmpl[i] = append(m.singleTmpl[i], p)
+			r := &sh.rels[aliasIdx[p.Col.Alias]]
+			r.preds = append(r.preds, p)
 		}
 	}
-	// Connectivity and join selectivities for every DP step. Join
-	// selectivities are parameter-free (1/max distinct, corrected by the
-	// site factor at the memo's stats epoch), so they never change between
-	// parameter instantiations; a correction-epoch bump invalidates the
-	// whole memo instead.
-	m.StatsEpoch = o.stats.Epoch(q.Template)
-	m.conn = make([][]Predicate, (1<<uint(n))*n)
-	m.connSel = make([][]float64, (1<<uint(n))*n)
-	for mask := 1; mask < 1<<uint(n); mask++ {
-		for r := 0; r < n; r++ {
-			if mask&(1<<uint(r)) != 0 {
-				continue
+
+	npaths := 0
+	for i := range sh.rels {
+		r := &sh.rels[i]
+		table := o.db.Table(r.ref.Table)
+		if table == nil {
+			return nil, fmt.Errorf("optimizer: unknown table %s", r.ref.Table)
+		}
+		r.baseRows = float64(table.NumRows())
+		r.pathOff = npaths
+		clustered := clusteredColumn(table)
+		// Generated tables are physically ordered by their first (key)
+		// column, so a sequential scan provides that order.
+		r.paths = append(r.paths, pathShape{
+			order:   orderID(ColRef{Alias: r.ref.Alias, Column: clustered}),
+			driving: -1,
+			print:   "Seq(" + r.ref.Alias + ")",
+		})
+		// One path per index: a range scan when a sargable predicate can
+		// drive it, otherwise a full-range scan that provides sort order.
+		idxCols := make([]string, 0, len(table.Indexes))
+		for col := range table.Indexes {
+			idxCols = append(idxCols, col)
+		}
+		sort.Strings(idxCols)
+		for _, col := range idxCols {
+			r.paths = append(r.paths, pathShape{
+				col:       col,
+				order:     orderID(ColRef{Alias: r.ref.Alias, Column: col}),
+				driving:   sargable(r.preds, col),
+				clustered: col == clustered,
+				print:     "Idx(" + r.ref.Alias + "." + col + ")",
+			})
+		}
+		npaths += len(r.paths)
+	}
+
+	sh.steps = make([]joinStep, 0, 2*len(sh.joins))
+	for j, p := range sh.joins {
+		// The flipped copy carries the site along: a join predicate's
+		// correction identity does not depend on which side ends up left.
+		flipped := Predicate{Kind: PredJoin, Col: p.RightCol, RightCol: p.Col, ParamIdx: -1, Site: p.Site}
+		for _, pred := range []Predicate{p, flipped} {
+			left, right := aliasIdx[pred.Col.Alias], aliasIdx[pred.RightCol.Alias]
+			st := joinStep{
+				pred: pred, join: j, leftRel: left, rightRel: right,
+				leftOrder: orderID(pred.Col), rightOrder: orderID(pred.RightCol),
+				inlPath: -1,
 			}
-			conn := connecting(m.joins, aliasIdx, mask, r)
-			if len(conn) == 0 {
-				continue
+			for m, tag := range [4]string{"HJ", "HJ^", "MJ", "INL"} {
+				var b strings.Builder
+				writeJoinHead(&b, tag, pred.Col, pred.RightCol)
+				st.heads[m] = b.String()
 			}
-			sels := make([]float64, len(conn))
-			for i, j := range conn {
-				s, err := o.joinSelectivity(q, j)
-				if err != nil {
-					return nil, err
+			rr := &sh.rels[right]
+			for k, path := range rr.paths {
+				if k > 0 && path.col == pred.RightCol.Column {
+					distinct, err := o.stats.Distinct(rr.ref.Table, path.col)
+					if err != nil {
+						return nil, err
+					}
+					st.inlPath = k
+					st.matchesPerOuter = rr.baseRows / math.Max(distinct, 1)
 				}
-				sels[i] = s
 			}
-			m.conn[mask*n+r] = conn
-			m.connSel[mask*n+r] = sels
+			rr.steps = append(rr.steps, int32(len(sh.steps)))
+			sh.steps = append(sh.steps, st)
 		}
 	}
-	m.scratch.New = func() any {
-		return &dpScratch{sets: make([]candSet, 1<<uint(n))}
+
+	byName := make([]int16, len(sh.orders))
+	for i := range byName {
+		byName[i] = int16(i)
+	}
+	sort.SliceStable(byName, func(a, b int) bool {
+		return sh.orders[byName[a]].String() < sh.orders[byName[b]].String()
+	})
+	sh.orderRank = make([]int16, len(sh.orders))
+	for rank, id := range byName {
+		sh.orderRank[id] = int16(rank)
+	}
+
+	nsteps := len(sh.steps)
+	sh.scratch.New = func() any {
+		return &dpScratch{
+			setOff:   make([]int32, (1<<uint(n))+1),
+			pathCost: make([]float64, npaths),
+			relRows:  make([]float64, n),
+			relSort:  make([]float64, n),
+			cheapest: make([]int16, n),
+			probe:    make([]float64, nsteps),
+		}
+	}
+	return o.deriveMemo(sh)
+}
+
+// RefreshMemo returns a memo for the same template at the provider's
+// current correction epoch. It re-derives the join selectivities — the only
+// memoized state corrections reach — and shares the shape and the scratch
+// pool with m, which stays valid.
+func (o *Optimizer) RefreshMemo(m *Memo) (*Memo, error) {
+	return o.deriveMemo(m.shape)
+}
+
+// deriveMemo computes the per-epoch half of a memo over a shape. Join
+// selectivities are parameter-free (1/max distinct, corrected by the site
+// factor), so they hold until the correction epoch moves. The epoch is read
+// first: a correction landing mid-derivation leaves the memo stamped older
+// than its contents and it is refreshed once more, never served stale.
+func (o *Optimizer) deriveMemo(sh *memoShape) (*Memo, error) {
+	m := &Memo{shape: sh, StatsEpoch: o.stats.Epoch(sh.q.Template), joinSel: make([]float64, len(sh.joins))}
+	for j, p := range sh.joins {
+		s, err := o.joinSelectivity(sh.q, p)
+		if err != nil {
+			return nil, err
+		}
+		m.joinSel[j] = s
 	}
 	return m, nil
+}
+
+// sargable picks the predicate usable as an index range on col: the first
+// numeric comparison or BETWEEN on the column, except that an equality
+// (the most selective) takes over from a range. -1 when there is none.
+func sargable(preds []Predicate, col string) int {
+	best := -1
+	for i, p := range preds {
+		if p.Col.Column != col {
+			continue
+		}
+		switch p.Kind {
+		case PredCmpNum, PredBetween:
+			if best == -1 || (p.Kind == PredCmpNum && p.Op == OpEq) {
+				best = i
+			}
+		}
+	}
+	return best
+}
+
+// connecting appends to dst the oriented joins linking relation r to the
+// subset mask, in WHERE order. The first is the step's driving predicate;
+// the rest filter its output.
+func (sh *memoShape) connecting(dst []int32, mask, r int) []int32 {
+	for _, s := range sh.rels[r].steps {
+		if mask&(1<<uint(sh.steps[s].leftRel)) != 0 {
+			dst = append(dst, s)
+		}
+	}
+	return dst
 }
 
 // OptimizeMemo selects the cheapest plan for the memoized template at the
@@ -169,95 +376,4 @@ func (o *Optimizer) OptimizeMemo(m *Memo, params []float64) (*Plan, error) {
 		return nil, fmt.Errorf("optimizer: %w", err)
 	}
 	return o.optimizeCore(m, params)
-}
-
-// optimizeCore is the enumeration shared by Optimize and OptimizeMemo.
-func (o *Optimizer) optimizeCore(m *Memo, params []float64) (*Plan, error) {
-	if got, want := len(params), m.q.ParamDegree(); got != want {
-		return nil, fmt.Errorf("optimizer: got %d parameters, want %d", got, want)
-	}
-	n := m.n
-	sc := m.scratch.Get().(*dpScratch)
-	defer m.scratch.Put(sc)
-	for i := range sc.sets {
-		sc.sets[i].reset()
-	}
-
-	// Base access paths: the only entries whose selectivities depend on the
-	// parameter values. Instantiated predicate slices are freshly allocated
-	// (once per relation) because the chosen plan's nodes alias them beyond
-	// this call.
-	single := make([][]Predicate, n)
-	base := make([][]candidate, n)
-	for i, t := range m.q.Tables {
-		single[i] = instantiateSingle(m.singleTmpl[i], params)
-		cands, err := o.accessPaths(m.q.Template, t, single[i])
-		if err != nil {
-			return nil, err
-		}
-		base[i] = cands
-		for _, c := range cands {
-			sc.sets[1<<uint(i)].add(c)
-		}
-	}
-
-	// Left-deep dynamic programming over relation subsets.
-	for mask := 1; mask < 1<<uint(n); mask++ {
-		set := &sc.sets[mask]
-		if len(set.cands) == 0 {
-			continue
-		}
-		for r := 0; r < n; r++ {
-			bit := 1 << uint(r)
-			if mask&bit != 0 {
-				continue
-			}
-			conn, sels := m.conn[mask*n+r], m.connSel[mask*n+r]
-			for ci := range set.cands {
-				cands, err := o.joinCandidates(m.q, set.cands[ci], r, base[r], conn, sels, single[r])
-				if err != nil {
-					return nil, err
-				}
-				for _, c := range cands {
-					sc.sets[mask|bit].add(c)
-				}
-			}
-		}
-	}
-
-	full := &sc.sets[1<<uint(n)-1]
-	if len(full.cands) == 0 {
-		return nil, fmt.Errorf("optimizer: no plan found")
-	}
-	best := full.best()
-
-	root := best.node
-	if m.hasAgg {
-		groups := o.groupEstimate(m.q, best.rows)
-		root = &Node{
-			Op:      OpHashAgg,
-			GroupBy: m.q.GroupBy,
-			Aggs:    m.q.Select,
-			Left:    root,
-			EstRows: groups,
-			EstCost: root.EstCost + o.model.hashAggCost(best.rows, groups),
-		}
-	}
-	return &Plan{Root: root, Cost: root.EstCost, Fingerprint: FingerprintOf(root)}, nil
-}
-
-// instantiateSingle substitutes parameter values into a fresh copy of one
-// relation's template predicates (nil when the relation has none).
-func instantiateSingle(tmpl []Predicate, params []float64) []Predicate {
-	if len(tmpl) == 0 {
-		return nil
-	}
-	out := make([]Predicate, len(tmpl))
-	copy(out, tmpl)
-	for i := range out {
-		if out[i].Kind == PredCmpNum && out[i].ParamIdx >= 0 {
-			out[i].Value = params[out[i].ParamIdx]
-		}
-	}
-	return out
 }

@@ -102,56 +102,87 @@ type Plan struct {
 	Fingerprint string
 }
 
-// Fingerprint computes the canonical structure string of a subtree.
+// writeColRef writes c as ColRef.String renders it.
+func writeColRef(b *strings.Builder, c ColRef) {
+	if c.Alias != "" {
+		b.WriteString(c.Alias)
+		b.WriteByte('.')
+	}
+	b.WriteString(c.Column)
+}
+
+// writeJoinHead writes a predicate join's fingerprint header, "tag[l=r](".
+// The memo interns these per join step so the enumeration can order
+// candidates by fingerprint without rendering one.
+func writeJoinHead(b *strings.Builder, tag string, l, r ColRef) {
+	b.WriteString(tag)
+	b.WriteByte('[')
+	writeColRef(b, l)
+	b.WriteByte('=')
+	writeColRef(b, r)
+	b.WriteString("](")
+}
+
+// fingerprint appends the canonical structure string of a subtree.
+// Fingerprints are registry keys and are persisted in checkpoints and
+// replica snapshots: the rendering is a format, pinned by
+// TestFingerprintFormat.
 func (n *Node) fingerprint(b *strings.Builder) {
 	switch n.Op {
 	case OpSeqScan:
-		fmt.Fprintf(b, "Seq(%s)", n.Alias)
+		b.WriteString("Seq(")
+		b.WriteString(n.Alias)
+		b.WriteByte(')')
+		return
 	case OpIndexScan:
-		fmt.Fprintf(b, "Idx(%s.%s)", n.Alias, n.IndexCol)
+		b.WriteString("Idx(")
+		b.WriteString(n.Alias)
+		b.WriteByte('.')
+		b.WriteString(n.IndexCol)
+		b.WriteByte(')')
+		return
 	case OpHashJoin:
-		side := ""
+		tag := "HJ"
 		if n.BuildLeft {
-			side = "^"
+			tag = "HJ^"
 		}
-		fmt.Fprintf(b, "HJ%s[%s=%s](", side, n.LeftCol, n.RightCol)
-		n.Left.fingerprint(b)
-		b.WriteString(",")
-		n.Right.fingerprint(b)
-		b.WriteString(")")
+		writeJoinHead(b, tag, n.LeftCol, n.RightCol)
 	case OpMergeJoin:
-		fmt.Fprintf(b, "MJ[%s=%s](", n.LeftCol, n.RightCol)
-		n.Left.fingerprint(b)
-		b.WriteString(",")
-		n.Right.fingerprint(b)
-		b.WriteString(")")
+		writeJoinHead(b, "MJ", n.LeftCol, n.RightCol)
 	case OpIndexNLJoin:
-		fmt.Fprintf(b, "INL[%s=%s](", n.LeftCol, n.RightCol)
-		n.Left.fingerprint(b)
-		b.WriteString(",")
-		n.Right.fingerprint(b)
-		b.WriteString(")")
+		writeJoinHead(b, "INL", n.LeftCol, n.RightCol)
 	case OpNLJoin:
-		b.WriteString("NL(")
-		n.Left.fingerprint(b)
-		b.WriteString(",")
-		n.Right.fingerprint(b)
-		b.WriteString(")")
+		b.WriteString(nlHead)
 	case OpHashAgg:
 		cols := make([]string, len(n.GroupBy))
 		for i, c := range n.GroupBy {
 			cols[i] = c.String()
 		}
 		sort.Strings(cols)
-		fmt.Fprintf(b, "Agg[%s](", strings.Join(cols, ","))
+		b.WriteString("Agg[")
+		for i, c := range cols {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString(c)
+		}
+		b.WriteString("](")
 		n.Left.fingerprint(b)
-		b.WriteString(")")
+		b.WriteByte(')')
+		return
+	default:
+		return
 	}
+	n.Left.fingerprint(b)
+	b.WriteByte(',')
+	n.Right.fingerprint(b)
+	b.WriteByte(')')
 }
 
 // FingerprintOf returns the canonical structure string for a plan tree.
 func FingerprintOf(root *Node) string {
 	var b strings.Builder
+	b.Grow(128) // a four-way join's fingerprint; longer ones grow
 	root.fingerprint(&b)
 	return b.String()
 }

@@ -177,8 +177,8 @@ func (o *Optimizer) recostJoin(n *Node, q *Query) (float64, float64, error) {
 		inner.EstRows = matchesPerOuter
 		correlated := inner.IndexCol == clusteredColumn(table)
 		n.EstRows = outRows
-		n.EstCost = leftCost + o.model.indexNLJoinCost(leftRows, innerRows, matchesPerOuter,
-			len(inner.Filters), correlated, outRows)
+		perProbe := o.model.indexProbeCost(innerRows, matchesPerOuter, len(inner.Filters), correlated)
+		n.EstCost = leftCost + o.model.indexNLJoinCost(leftRows, perProbe, outRows)
 		return n.EstRows, n.EstCost, nil
 	}
 

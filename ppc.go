@@ -309,7 +309,7 @@ type templateState struct {
 	// apart from its internal scratch pool, which is concurrency-safe).
 	// The pointer is atomic because the memo embeds correction factors in
 	// its join selectivities: when the adaptive statistics epoch moves past
-	// the one the memo captured, memoFor swaps in a rebuilt memo.
+	// the one the memo captured, memoFor swaps in a refreshed memo.
 	memo atomic.Pointer[optimizer.Memo]
 
 	// corr is the template's adaptive correction state (nil when the layer
@@ -711,7 +711,7 @@ func (s *System) registerLocked(name, sql string) error {
 		if s.stats != nil {
 			s.stats.Drop(name)
 		}
-		return err
+		return fmt.Errorf("ppc: register %s: %w", name, err)
 	}
 	st.memo.Store(memo)
 	env.st = st
@@ -1217,20 +1217,21 @@ func (s *System) runDegraded(st *templateState, res *RunResult, inst optimizer.I
 	return nil
 }
 
-// memoFor returns the template's current memo, rebuilding it first when
+// memoFor returns the template's current memo, refreshing it first when
 // the adaptive statistics epoch has moved past the one the memo captured —
-// the memo's interned join selectivities embed correction factors, so an
-// epoch bump makes its costs stale (plans it enumerates stay valid). The
-// epoch comparison is two atomic loads on the hot path; concurrent rebuilds
-// are benign (both build from the current or a newer epoch, last store
-// wins). A rebuild failure keeps serving the stale memo: lagging costs beat
-// a failed query.
+// the memo's join selectivities embed correction factors, so an epoch bump
+// makes its costs stale (plans it enumerates stay valid). The refresh
+// re-derives those selectivities only; the template's shape is shared. The
+// epoch comparison is two atomic loads on the hot path; concurrent
+// refreshes are benign (both derive from the current or a newer epoch, last
+// store wins). A refresh failure keeps serving the stale memo: lagging
+// costs beat a failed query.
 func (s *System) memoFor(st *templateState) *optimizer.Memo {
 	m := st.memo.Load()
 	if st.corr == nil || m.StatsEpoch == st.corr.Epoch() {
 		return m
 	}
-	fresh, err := s.opt.NewMemo(st.tmpl.Query)
+	fresh, err := s.opt.RefreshMemo(m)
 	if err != nil {
 		return m
 	}

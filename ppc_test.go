@@ -1,9 +1,14 @@
 package ppc
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"repro/internal/optimizer"
 	"repro/internal/queries"
 	"repro/internal/tpch"
 	"repro/internal/workload"
@@ -224,5 +229,43 @@ func TestDisableExecution(t *testing.T) {
 	}
 	if res.EstimatedCost <= 0 {
 		t.Error("no cost estimate")
+	}
+}
+
+// TestRegisterRejectsTooManyRelations: the FROM list comes straight from
+// caller SQL and the join enumeration's state grows as 2^relations, so
+// Register must refuse a list past the optimizer's limit with a typed
+// error — registering nothing — instead of sizing allocations by it.
+func TestRegisterRejectsTooManyRelations(t *testing.T) {
+	sys := openSmall(t)
+	regions := func(n int) string {
+		var from, where []string
+		for i := 0; i < n; i++ {
+			from = append(from, fmt.Sprintf("region r%d", i))
+			if i > 0 {
+				where = append(where, fmt.Sprintf("r%d.r_regionkey = r%d.r_regionkey", i-1, i))
+			}
+		}
+		return "SELECT COUNT(*) FROM " + strings.Join(from, ", ") +
+			" WHERE " + strings.Join(where, " AND ") + " AND r0.r_date <= ?"
+	}
+	err := sys.Register("wide", regions(13))
+	var limit *optimizer.JoinLimitError
+	if !errors.As(err, &limit) || limit.Relations != 13 {
+		t.Fatalf("13 relations: got %v, want a JoinLimitError", err)
+	}
+	if _, err := sys.Template("wide"); err == nil {
+		t.Error("the rejected template is registered")
+	}
+	if err := sys.Register("wide", regions(12)); err != nil {
+		t.Fatalf("12 relations: %v", err)
+	}
+	res, err := sys.Run("wide", []float64{math.Inf(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := float64(sys.DB().MustTable("region").NumRows())
+	if len(res.Result.Rows) != 1 || res.Result.Rows[0][0].Num != want {
+		t.Errorf("12-way region self-join counted %v, want %v", res.Result.Rows, want)
 	}
 }
