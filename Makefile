@@ -57,15 +57,17 @@ crash:
 # Short fuzz smoke over every decoder that reads crash-shaped bytes — the
 # WAL frame decoder, the WAL directory scanner/repairer, the snapshot
 # envelope, and the optional state-tail sections (corrections + retune) —
-# and over the join enumerator, held to the node-building reference at
-# fuzzer-chosen templates and points. Go runs one fuzz target per
-# invocation, hence five runs.
+# over the join enumerator, held to the node-building reference at
+# fuzzer-chosen templates and points, and over the frozen-block predict
+# query, held to the map-walking reference at fuzzer-chosen synopsis states
+# and points. Go runs one fuzz target per invocation, hence six runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzScan -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzStateTailDecode -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzOptimizeMatchesReference -fuzztime $(FUZZTIME) ./internal/optimizer
+	$(GO) test -run '^$$' -fuzz FuzzModelPredictMatchesReference -fuzztime $(FUZZTIME) ./internal/core
 
 # The replication suite, bottom up: wire protocol and torn/corrupt frames,
 # WAL tailing, leader/replica servers under fault injection (epoch fencing,
@@ -81,7 +83,7 @@ replication:
 # Run the go-test serving-path benchmarks with allocation accounting, then
 # regenerate the machine-readable report through cmd/ppcbench.
 bench:
-	$(GO) test -run '^$$' -bench 'ApproxLSHHist|ModelSnapshot|Run|Replica' -benchmem .
+	$(GO) test -run '^$$' -bench 'ApproxLSHHist|PredictModel|Run|Replica' -benchmem .
 	$(GO) run ./cmd/ppcbench -bench -baseline $(BENCH_BASE) -benchout $(BENCH_OUT)
 
 # Benchcmp-style diff of two stored bench reports.

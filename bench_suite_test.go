@@ -18,11 +18,12 @@ import (
 	"repro/internal/tpch"
 )
 
-func BenchmarkPredictApproxLSHHist(b *testing.B) { benchsuite.PredictApproxLSHHist(b) }
-func BenchmarkPredictModelSnapshot(b *testing.B) { benchsuite.PredictModelSnapshot(b) }
-func BenchmarkInsertApproxLSHHist(b *testing.B)  { benchsuite.InsertApproxLSHHist(b) }
-func BenchmarkEndToEndRun(b *testing.B)          { benchsuite.EndToEndRun(b) }
-func BenchmarkRunMixedSerial(b *testing.B)       { benchsuite.RunMixedSerial(b) }
+func BenchmarkPredictApproxLSHHist(b *testing.B)  { benchsuite.PredictApproxLSHHist(b) }
+func BenchmarkPredictModelSnapshot(b *testing.B)  { benchsuite.PredictModelSnapshot(b) }
+func BenchmarkPredictModelManyPlans(b *testing.B) { benchsuite.PredictModelManyPlans(b) }
+func BenchmarkInsertApproxLSHHist(b *testing.B)   { benchsuite.InsertApproxLSHHist(b) }
+func BenchmarkEndToEndRun(b *testing.B)           { benchsuite.EndToEndRun(b) }
+func BenchmarkRunMixedSerial(b *testing.B)        { benchsuite.RunMixedSerial(b) }
 
 // BenchmarkRebindCachedPlan isolates the cache-hit rebind: re-costing a
 // cached plan's rebind program at fresh parameter values, O(params) work

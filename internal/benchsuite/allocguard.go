@@ -17,8 +17,10 @@ import (
 // write lock, so an allocation there would stall the feedback path the same
 // way a predictor allocation would stall serving. ReplicaPredict joins with
 // PR 8: a follower exists to absorb read load, so its serving path carries
-// the same contract as the leader's.
-var ZeroAllocBenchmarks = []string{"PredictApproxLSHHist", "PredictModelSnapshot", "InsertApproxLSHHist", "WALAppend", "ReplicaPredict"}
+// the same contract as the leader's. PredictModelManyPlans joins with the
+// block layout: its scratch is sized by the model's plan count, so it is
+// the entry that would show a per-plan allocation.
+var ZeroAllocBenchmarks = []string{"PredictApproxLSHHist", "PredictModelSnapshot", "PredictModelManyPlans", "InsertApproxLSHHist", "WALAppend", "ReplicaPredict"}
 
 // CheckZeroAlloc measures the named suite entries under testing.Benchmark
 // and returns an error naming every entry that allocated. progress may be

@@ -58,19 +58,7 @@ func predictorEnv(b *testing.B) (*core.ApproxLSHHist, [][]float64) {
 			return
 		}
 		predEnv = env
-		tmpl := env.Templates["Q1"]
-		oracle := experiments.NewOracle(env, tmpl)
-		samples, err := oracle.SamplePlanSpace(3200, 3)
-		if err != nil {
-			predErr = err
-			return
-		}
-		cfg := core.Config{Dims: tmpl.Degree(), Radius: 0.05, Gamma: 0.7, NoiseElimination: true, Seed: 5}
-		predHist = core.MustNewApproxLSHHist(cfg)
-		for _, s := range samples {
-			predHist.Insert(s)
-		}
-		predTests = workload.Uniform(tmpl.Degree(), 512, 11)
+		predHist, predTests, predErr = trainOn(env, "Q1")
 	})
 	if predErr != nil {
 		b.Fatal(predErr)
@@ -78,9 +66,25 @@ func predictorEnv(b *testing.B) (*core.ApproxLSHHist, [][]float64) {
 	return predHist, predTests
 }
 
+// trainOn trains a predictor on 3200 optimizer-labeled uniform points of
+// one template and draws 512 uniform test points for it.
+func trainOn(env *experiments.Env, name string) (*core.ApproxLSHHist, [][]float64, error) {
+	tmpl := env.Templates[name]
+	samples, err := experiments.NewOracle(env, tmpl).SamplePlanSpace(3200, 3)
+	if err != nil {
+		return nil, nil, err
+	}
+	hist := core.MustNewApproxLSHHist(core.Config{Dims: tmpl.Degree(), Radius: 0.05, Gamma: 0.7, NoiseElimination: true, Seed: 5})
+	for _, s := range samples {
+		hist.Insert(s)
+	}
+	return hist, workload.Uniform(tmpl.Degree(), 512, 11), nil
+}
+
 // PredictApproxLSHHist measures one plan-cache lookup decision: O(t·log b_h)
-// per prediction (Table I row 4). The PR 2 serving path keeps this
-// allocation-free via per-predictor scratch buffers.
+// per prediction (Table I row 4), asked of the live predictor, which
+// answers through its cached frozen Model and per-predictor scratch
+// buffers — allocation-free between mutations.
 func PredictApproxLSHHist(b *testing.B) {
 	hist, tests := predictorEnv(b)
 	b.ReportAllocs()
@@ -106,6 +110,41 @@ func PredictModelSnapshot(b *testing.B) {
 		sc := pool.Get().(*core.PredictScratch)
 		model.PredictWithCost(tests[i%len(tests)], sc)
 		pool.Put(sc)
+	}
+}
+
+var (
+	manyOnce  sync.Once
+	manyErr   error
+	manyModel *core.Model
+	manyTests [][]float64
+)
+
+// PredictModelManyPlans is PredictModelSnapshot on a model the size the
+// miss path serves: Q8 (a five-way join) labeled at uniform plan-space
+// points, so the snapshot holds several dozen plans and one prediction
+// probes every one of them in every transform. The 2-plan Q1 model above
+// measures the fixed cost of a prediction; this one measures the per-plan
+// cost, which is what a NULL prediction on a multi-join template pays.
+func PredictModelManyPlans(b *testing.B) {
+	env := mustSharedEnv(b)
+	manyOnce.Do(func() {
+		var hist *core.ApproxLSHHist
+		if hist, manyTests, manyErr = trainOn(env, "Q8"); manyErr != nil {
+			return
+		}
+		if manyModel = hist.Freeze(); manyModel.Plans() < 40 {
+			manyErr = fmt.Errorf("benchsuite: Q8 model has %d plans, want >= 40", manyModel.Plans())
+		}
+	})
+	if manyErr != nil {
+		b.Fatal(manyErr)
+	}
+	sc := core.NewPredictScratch(manyModel.Config())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		manyModel.PredictWithCost(manyTests[i%len(manyTests)], sc)
 	}
 }
 

@@ -21,6 +21,7 @@ var Suite = []struct {
 }{
 	{"PredictApproxLSHHist", PredictApproxLSHHist},
 	{"PredictModelSnapshot", PredictModelSnapshot},
+	{"PredictModelManyPlans", PredictModelManyPlans},
 	{"InsertApproxLSHHist", InsertApproxLSHHist},
 	{"WALAppend", WALAppend},
 	{"EndToEndRun", EndToEndRun},

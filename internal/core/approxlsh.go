@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/lsh"
@@ -136,13 +135,20 @@ func (p *ApproxLSH) Reset() {
 	p.total = 0
 }
 
-// median returns the median of vs (vs is modified by sorting).
+// median returns the median of vs (vs is modified by sorting). The inputs
+// are one value per transform, so an insertion sort — with sort.Float64s'
+// ordering, NaNs first — beats the sort package's dispatch on the predict
+// path, which calls this once per plan.
 func median(vs []float64) float64 {
-	if len(vs) == 0 {
+	n := len(vs)
+	if n == 0 {
 		return 0
 	}
-	sort.Float64s(vs)
-	n := len(vs)
+	for i := 1; i < n; i++ {
+		for j := i; j > 0 && (vs[j] < vs[j-1] || (vs[j] != vs[j] && vs[j-1] == vs[j-1])); j-- {
+			vs[j], vs[j-1] = vs[j-1], vs[j]
+		}
+	}
 	if n%2 == 1 {
 		return vs[n/2]
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/geom"
@@ -73,28 +74,32 @@ type ApproxLSHHist struct {
 	// gen counts mutations (Insert/Reset); frozen caches the Model
 	// published at frozenGen so Freeze after a quiet period is a pointer
 	// return, and otherwise copies only the histograms touched since the
-	// previous publication (each Dynamic caches its own frozen view).
+	// previous publication (each Dynamic caches its own frozen block).
 	gen       uint64
 	frozen    *Model
 	frozenGen uint64
+	// dirty lists the plans inserted into since frozen was published (with
+	// repeats): the blocks the next Freeze must replace in its copy of
+	// frozen's index. Reset and ApplyRetune replace every histogram and
+	// drop frozen with it.
+	dirty []int
 }
 
 // PredictScratch is the working memory of one in-flight predict call,
 // reused across calls so the steady-state serving path performs no heap
 // allocation. The live predictor owns one; lock-free snapshot readers draw
-// them from a sync.Pool. Rows of counts/costs are recycled; they only grow
-// while new plans appear.
+// them from a sync.Pool. The per-plan buffers are dense — indexed like
+// Model.planIDs and overwritten whole by every call, so nothing is cleared
+// — and only grow while new plans appear.
 type PredictScratch struct {
-	x         []float64   // clamped input point
-	proj      []float64   // one transform's projection output
-	cell      []uint32    // z-order cell coordinates
-	localMass []float64   // per-transform marginal mass in the query range
-	tmp       []float64   // median working buffer (length t)
-	planRow   map[int]int // plan id -> row into counts/costs
-	planIDs   []int       // plans with in-range mass, sorted before voting
-	med       []float64   // per-plan median density, aligned with planIDs
-	counts    [][]float64 // [row][transform] in-range count (0 = none)
-	costs     [][]float64 // [row][transform] in-range average cost
+	x         []float64 // clamped input point
+	proj      []float64 // one transform's projection output
+	cell      []uint32  // z-order cell coordinates
+	localMass []float64 // per-transform marginal mass in the query range
+	tmp       []float64 // median working buffer (length t)
+	med       []float64 // [plan] median density
+	counts    []float64 // [plan×t] in-range count (0 = none)
+	costs     []float64 // [plan×t] in-range cost sum
 }
 
 // NewPredictScratch allocates scratch buffers sized for cfg. cfg must be an
@@ -107,8 +112,17 @@ func NewPredictScratch(cfg Config) *PredictScratch {
 		cell:      make([]uint32, cfg.OutDims),
 		localMass: make([]float64, t),
 		tmp:       make([]float64, t),
-		planRow:   make(map[int]int),
 	}
+}
+
+// fit sizes the per-plan buffers for a model of n plans and t transforms.
+func (s *PredictScratch) fit(n, t int) (med, counts, costs []float64) {
+	if cap(s.med) < n {
+		s.med = make([]float64, n)
+		s.counts = make([]float64, n*t)
+		s.costs = make([]float64, n*t)
+	}
+	return s.med[:n], s.counts[:n*t], s.costs[:n*t]
 }
 
 // scratch lazily creates the predictor's scratch buffers (decoded
@@ -118,34 +132,6 @@ func (p *ApproxLSHHist) scratch() *PredictScratch {
 		p.scr = NewPredictScratch(p.cfg)
 	}
 	return p.scr
-}
-
-// addPlan registers a plan seen during the current query and returns its
-// row, zeroing a recycled row or growing the row set on first use.
-func (s *PredictScratch) addPlan(plan, t int) int {
-	row := len(s.planIDs)
-	s.planIDs = append(s.planIDs, plan)
-	s.planRow[plan] = row
-	if row == len(s.counts) {
-		s.counts = append(s.counts, make([]float64, t))
-		s.costs = append(s.costs, make([]float64, t))
-	} else {
-		for i := range s.counts[row] {
-			s.counts[row][i] = 0
-			s.costs[row][i] = 0
-		}
-	}
-	return row
-}
-
-// sortPlans is an in-place insertion sort (plan sets are tiny; avoids the
-// sort package's interface machinery on the hot path).
-func sortPlans(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // NewApproxLSHHist creates an APPROXIMATE-LSH-HISTOGRAMS predictor.
@@ -264,10 +250,39 @@ func (p *ApproxLSHHist) insertSample(s cluster.Sample, harvest bool) {
 	}
 	p.plans[s.Plan] = true
 	p.total++
+	if p.frozen != nil {
+		if len(p.dirty) < len(p.frozen.planIDs) {
+			p.dirty = append(p.dirty, s.Plan)
+		} else {
+			// More inserts than the index has entries: rebuilding it costs
+			// no more than patching it, and dirty stays bounded however
+			// long the owner goes without freezing.
+			p.dropFrozen()
+		}
+	}
+}
+
+// dropFrozen forgets the published Model, so the next Freeze rebuilds the
+// block index from the live histograms instead of patching the previous one.
+func (p *ApproxLSHHist) dropFrozen() {
+	p.frozen, p.dirty = nil, p.dirty[:0]
+}
+
+// dropHistograms empties the synopsis: the Section IV-E recovery action,
+// and the first half of a re-tune's rebuild.
+func (p *ApproxLSHHist) dropHistograms() {
+	for i := range p.hists {
+		p.hists[i] = make(map[int]*histogram.Dynamic)
+		p.marginals[i].Reset()
+	}
+	p.plans = make(map[int]bool)
+	p.total = 0
+	p.dropFrozen()
 }
 
 // warpInto applies one transform's per-axis warps to a projected point in
-// place. Allocation-free — it runs on the serving path too (predictOn).
+// place. Allocation-free — it runs on the serving path too
+// (Model.PredictWithCost).
 func warpInto(ws []*lsh.Warp, proj []float64) {
 	for a := range proj {
 		proj[a] = ws[a].Apply(proj[a])
@@ -319,12 +334,7 @@ func (p *ApproxLSHHist) ApplyRetune(epoch uint64, warps [][]*lsh.Warp) {
 	if p.tuner != nil {
 		p.tuner.Decay()
 	}
-	for i := range p.hists {
-		p.hists[i] = make(map[int]*histogram.Dynamic)
-		p.marginals[i].Reset()
-	}
-	p.plans = make(map[int]bool)
-	p.total = 0
+	p.dropHistograms()
 	p.eachReservoir(func(s cluster.Sample) { p.insertSample(s, false) })
 	p.retuneEpoch = epoch
 	p.sinceRetune = 0
@@ -360,51 +370,71 @@ func (p *ApproxLSHHist) Predict(x []float64) cluster.Prediction {
 	return pred
 }
 
-// PredictWithCost implements CostPredictor. The steady-state call performs
-// no heap allocation: every temporary lives in the predictor's scratch. The
-// body is the generic predictOn core shared with Model.PredictWithCost,
-// instantiated here over the live *histogram.Dynamic synopses.
+// PredictWithCost implements CostPredictor by asking the frozen image of
+// the current state — Model.PredictWithCost is the one implementation of
+// the query. Freeze is a pointer return until the next mutation, so a run
+// of predictions allocates nothing; a prediction right after an Insert pays
+// that insert's publish (the touched blocks), as the serving path does.
 func (p *ApproxLSHHist) PredictWithCost(x []float64) (cluster.Prediction, float64, bool) {
-	if p.total < p.cfg.MinSamples || len(x) != p.cfg.Dims {
-		// A malformed point answers NULL — the facade's capturePanic guard
-		// must not be bypassable through the predictor boundary.
-		return cluster.Prediction{}, 0, false
-	}
-	return predictOn(&p.cfg, p.ensemble, p.curves, p.warps, p.hists, p.marginals, p.valueDeltas, p.ballFrac, x, p.scratch())
+	return p.Freeze().PredictWithCost(x, p.scratch())
 }
 
 // Freeze publishes an immutable Model of the current state. Consecutive
-// calls without an intervening mutation return the SAME *Model; otherwise
-// the per-(transform, plan) maps are rebuilt but each histogram's Freeze is
-// a cached pointer unless that histogram was written — copy-on-write at
-// histogram granularity.
+// calls without an intervening mutation return the SAME *Model. Otherwise
+// it is copy-on-write at histogram granularity: the new Model takes a copy
+// of the previous one's per-transform block index (t slices of one pointer
+// per plan) and re-freezes only the blocks of the plans inserted into since
+// — found through p.dirty, not by walking the synopsis — and the
+// marginals; every other block is shared. The index is rebuilt from the
+// live maps only when there is no previous Model to patch (first freeze,
+// Reset, ApplyRetune, more inserts than plans since) or a plan appeared.
 func (p *ApproxLSHHist) Freeze() *Model {
 	if p.frozen != nil && p.frozenGen == p.gen {
 		return p.frozen
 	}
+	t := len(p.hists)
 	m := &Model{
 		cfg:         p.cfg,
 		ensemble:    p.ensemble,
 		curves:      p.curves,
 		warps:       p.warps,
-		hists:       make([]map[int]*histogram.Histogram, len(p.hists)),
-		marginals:   make([]*histogram.Histogram, len(p.marginals)),
+		blocks:      make([][]*histogram.Frozen, t),
+		marginals:   make([]*histogram.Frozen, t),
 		valueDeltas: p.valueDeltas,
 		ballFrac:    p.ballFrac,
 		total:       p.total,
-		nPlans:      len(p.plans),
 		version:     p.gen,
 		retuneEpoch: p.retuneEpoch,
 	}
-	for i := range p.hists {
-		m.hists[i] = make(map[int]*histogram.Histogram, len(p.hists[i]))
-		for plan, h := range p.hists[i] {
-			m.hists[i][plan] = h.Freeze()
+	prev, refreeze := p.frozen, p.dirty
+	if prev != nil && len(prev.planIDs) == len(p.plans) {
+		m.planIDs = prev.planIDs
+	} else {
+		prev = nil
+		m.planIDs = make([]int, 0, len(p.plans))
+		for plan := range p.plans {
+			m.planIDs = append(m.planIDs, plan)
+		}
+		slices.Sort(m.planIDs)
+		refreeze = m.planIDs
+	}
+	for i := range m.blocks {
+		m.blocks[i] = make([]*histogram.Frozen, len(m.planIDs))
+		if prev != nil {
+			copy(m.blocks[i], prev.blocks[i])
 		}
 		m.marginals[i] = p.marginals[i].Freeze()
 	}
-	p.frozen = m
-	p.frozenGen = p.gen
+	for _, plan := range refreeze {
+		j, _ := slices.BinarySearch(m.planIDs, plan)
+		for i, row := range m.blocks {
+			// A decoded synopsis may hold a plan in some transforms only.
+			if h := p.hists[i][plan]; h != nil {
+				row[j] = h.Freeze()
+			}
+		}
+	}
+	p.frozen, p.frozenGen, p.dirty = m, p.gen, p.dirty[:0]
 	return m
 }
 
@@ -429,12 +459,7 @@ func (p *ApproxLSHHist) MemoryBytes() int {
 // coordinate distribution survive — the parameter distribution is
 // orthogonal to where the plan boundaries moved.
 func (p *ApproxLSHHist) Reset() {
-	for i := range p.hists {
-		p.hists[i] = make(map[int]*histogram.Dynamic)
-		p.marginals[i].Reset()
-	}
-	p.plans = make(map[int]bool)
-	p.total = 0
+	p.dropHistograms()
 	p.reservoir = p.reservoir[:0]
 	p.resNext = 0
 	p.sinceRetune = 0

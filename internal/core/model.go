@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/histogram"
@@ -11,15 +12,15 @@ import (
 
 // Model is an immutable snapshot of one template's learned plan space
 // model: the LSH ensemble and z-order curves (shared with the live
-// predictor — they are fixed at construction), plus frozen copies of every
-// (transform, plan) histogram and per-transform marginal. A Model is
-// published through an atomic pointer and read lock-free by any number of
-// concurrent predictors; it is never mutated after Freeze builds it.
+// predictor — they are fixed at construction), plus a dense, plan-ordered
+// index of frozen histogram blocks. A Model is published through an atomic
+// pointer and read lock-free by any number of concurrent predictors; it is
+// never mutated after Freeze builds it.
 //
-// The freeze is copy-on-write at histogram granularity: Freeze reuses the
-// frozen histogram of every (transform, plan) pair untouched since the
-// previous publication, so publish cost is proportional to the buckets a
-// feedback batch actually wrote, not to the size of the model.
+// The freeze is copy-on-write at histogram granularity: Freeze shares the
+// frozen block of every (transform, plan) pair untouched since the previous
+// publication, so publish cost is the buckets a feedback batch actually
+// wrote plus one pointer per plan and transform, not the size of the model.
 type Model struct {
 	cfg      Config
 	ensemble *lsh.Ensemble
@@ -28,13 +29,16 @@ type Model struct {
 	// identity). Shared with the live predictor, which replaces — never
 	// mutates — it, so the snapshot stays immutable.
 	warps [][]*lsh.Warp
-	// hists and marginals are frozen views of the live synopses.
-	hists       []map[int]*histogram.Histogram
-	marginals   []*histogram.Histogram
+	// planIDs lists the snapshot's plans in ascending order; blocks[i][j] is
+	// the frozen histogram of plan planIDs[j] in transform i (nil when that
+	// transform never saw the plan). Ascending order is the vote's
+	// accumulation and tie-breaking order, so predictions need no sort.
+	planIDs     []int
+	blocks      [][]*histogram.Frozen
+	marginals   []*histogram.Frozen
 	valueDeltas []float64
 	ballFrac    float64
 	total       int
-	nPlans      int
 	// version is the predictor's mutation generation at freeze time; it
 	// increases with every publication of changed state.
 	version uint64
@@ -46,7 +50,7 @@ type Model struct {
 func (m *Model) TotalPoints() int { return m.total }
 
 // Plans returns the number of distinct plans in the snapshot.
-func (m *Model) Plans() int { return m.nPlans }
+func (m *Model) Plans() int { return len(m.planIDs) }
 
 // Version is the learner's mutation generation at freeze time.
 func (m *Model) Version() uint64 { return m.version }
@@ -59,10 +63,9 @@ func (m *Model) RetuneEpoch() uint64 { return m.retuneEpoch }
 func (m *Model) Config() Config { return m.cfg }
 
 // MemoryBytes reports the snapshot's footprint with the paper's accounting
-// (t·n·b_h·12 plus one marginal per transformation), matching
-// ApproxLSHHist.MemoryBytes for the same state.
+// (t·n·b_h·12 plus one marginal per transformation).
 func (m *Model) MemoryBytes() int {
-	n := m.nPlans
+	n := len(m.planIDs)
 	if n == 0 {
 		n = 1
 	}
@@ -76,71 +79,47 @@ func (m *Model) Predict(x []float64, sc *PredictScratch) cluster.Prediction {
 	return pred
 }
 
-// PredictWithCost answers a plan prediction and histogram cost estimate
-// from the snapshot. It is lock-free and safe for any number of concurrent
-// callers, provided each call uses its own PredictScratch (readers draw one
-// from a pool). The algorithm is identical to the live predictor's — both
-// instantiate the same generic core over their histogram representation.
+// PredictWithCost is the APPROXIMATE-LSH-HISTOGRAMS density/cost query of
+// Section IV-C: a plan prediction and histogram cost estimate from the
+// snapshot. It is lock-free and safe for any number of concurrent callers,
+// provided each call uses its own PredictScratch (readers draw one from a
+// pool), and the steady-state call performs no heap allocation: every
+// temporary lives in sc. It is the only implementation of the query — the
+// live predictor answers through its cached Freeze.
+//
+// The order of every float operation here is contract: it is the order of
+// the map-walking reference the tests keep, so that a leader, a recovered
+// leader and a replica that hold the same synopsis give the same answer to
+// the last bit.
 func (m *Model) PredictWithCost(x []float64, sc *PredictScratch) (cluster.Prediction, float64, bool) {
 	if m.total < m.cfg.MinSamples || len(x) != m.cfg.Dims {
+		// A malformed point answers NULL — the facade's capturePanic guard
+		// must not be bypassable through the predictor boundary.
 		return cluster.Prediction{}, 0, false
 	}
-	return predictOn(&m.cfg, m.ensemble, m.curves, m.warps, m.hists, m.marginals, m.valueDeltas, m.ballFrac, x, sc)
-}
-
-// histView is the read-only histogram surface the predict core needs. Both
-// the live *histogram.Dynamic and the frozen *histogram.Histogram satisfy
-// it, so the serving algorithm is written once and instantiated (without
-// interface dispatch or allocation) for each representation.
-type histView interface {
-	RangeCount(lo, hi float64) float64
-	RangeCost(lo, hi float64) (cost, count float64)
-	TotalCount() float64
-	Buckets() []histogram.Bucket
-}
-
-// predictOn is the APPROXIMATE-LSH-HISTOGRAMS density/cost query of Section
-// IV-C, generic over the histogram representation. The steady-state call
-// performs no heap allocation: every temporary lives in sc. Callers have
-// already checked MinSamples and the point's dimensionality.
-func predictOn[H histView](cfg *Config, ens *lsh.Ensemble, curves []*zorder.Curve,
-	warps [][]*lsh.Warp, hists []map[int]H, marginals []H, valueDeltas []float64,
-	ballFrac float64, x []float64, sc *PredictScratch) (cluster.Prediction, float64, bool) {
 	clampPointInto(sc.x, x)
-	t := len(hists)
-	sc.planIDs = sc.planIDs[:0]
-	clear(sc.planRow)
-	for i := range hists {
-		if err := ens.Transform(i).ApplyInto(sc.proj, sc.x); err != nil {
-			panic(err) // dims validated by the caller
+	t := len(m.blocks)
+	med, counts, costs := sc.fit(len(m.planIDs), t)
+	for i, blocks := range m.blocks {
+		if err := m.ensemble.Transform(i).ApplyInto(sc.proj, sc.x); err != nil {
+			panic(err) // dims validated above
 		}
-		if warps != nil {
-			warpInto(warps[i], sc.proj)
+		if m.warps != nil {
+			warpInto(m.warps[i], sc.proj)
 		}
-		z := curves[i].ValueWith(sc.cell, sc.proj)
-		lo, hi := queryRangeOn(marginals[i], valueDeltas[i], ballFrac, z)
-		sc.localMass[i] = marginals[i].RangeCount(lo, hi)
-		for plan, h := range hists[i] {
-			cost, count := h.RangeCost(lo, hi)
-			if count <= 0 {
-				continue
+		z := m.curves[i].ValueWith(sc.cell, sc.proj)
+		lo, hi := queryRange(m.marginals[i], m.valueDeltas[i], m.ballFrac, z)
+		end := math.Nextafter(hi, math.Inf(1))
+		sc.localMass[i] = m.marginals[i].RangeCount(lo, end)
+		for j, b := range blocks {
+			var count, cost float64
+			if b != nil {
+				if s, c := b.RangeCost(lo, end); !(c <= 0) {
+					count, cost = c, s
+				}
 			}
-			row, ok := sc.planRow[plan]
-			if !ok {
-				row = sc.addPlan(plan, t)
-			}
-			sc.counts[row][i] = count
-			sc.costs[row][i] = cost / count
+			counts[j*t+i], costs[j*t+i] = count, cost
 		}
-	}
-	// Deterministic float accumulation and tie breaking: vote in ascending
-	// plan order, exactly like cluster.PredictFromDensities.
-	sortPlans(sc.planIDs)
-	sc.med = sc.med[:0]
-	for _, plan := range sc.planIDs {
-		// Transforms that saw no density contribute zeros to the median.
-		copy(sc.tmp, sc.counts[sc.planRow[plan]])
-		sc.med = append(sc.med, median(sc.tmp))
 	}
 	// Noise elimination (Section IV-C): plan densities below a fixed
 	// fraction of the plan space point mass found in the query range are
@@ -148,24 +127,42 @@ func predictOn[H histView](cfg *Config, ens *lsh.Ensemble, curves []*zorder.Curv
 	// vote. (The paper states the threshold as a constant factor of the
 	// total point count; we apply it to the local in-range mass so the
 	// check stays meaningful for sub-bucket interpolated queries.)
-	if cfg.NoiseElimination {
-		floor := cfg.NoiseFraction * median(sc.localMass)
-		for i, c := range sc.med {
+	floor := math.Inf(-1)
+	if m.cfg.NoiseElimination {
+		floor = m.cfg.NoiseFraction * median(sc.localMass)
+	}
+	// Per-plan density: the median over the transforms, a transform that
+	// saw nothing of the plan contributing its zero. Most plans are noise
+	// at any one point, and that shows without sorting: once more than half
+	// of a plan's counts are under the floor, so is the upper middle one,
+	// and with it the median.
+	for j := range med {
+		row := counts[j*t : j*t+t]
+		light := 0
+		for i, c := range row {
+			sc.tmp[i] = c
 			if c < floor {
-				sc.med[i] = 0
+				light++
+			}
+		}
+		med[j] = 0
+		if light <= t/2 {
+			if c := median(sc.tmp); !(c < floor) {
+				med[j] = c
 			}
 		}
 	}
-	pred := cluster.PredictFromDensityList(sc.planIDs, sc.med, cfg.Gamma)
+	pred := cluster.PredictFromDensityList(m.planIDs, med, m.cfg.Gamma)
 	if !pred.OK {
 		return pred, 0, false
 	}
 	// Median cost over the transforms that actually saw the winning plan.
-	row := sc.planRow[pred.Plan]
+	row, _ := slices.BinarySearch(m.planIDs, pred.Plan)
+	row *= t
 	k := 0
 	for i := 0; i < t; i++ {
-		if sc.counts[row][i] > 0 {
-			sc.tmp[k] = sc.costs[row][i]
+		if counts[row+i] > 0 {
+			sc.tmp[k] = costs[row+i] / counts[row+i]
 			k++
 		}
 	}
@@ -175,7 +172,7 @@ func predictOn[H histView](cfg *Config, ens *lsh.Ensemble, curves []*zorder.Curv
 	return pred, median(sc.tmp[:k]), true
 }
 
-// queryRangeOn computes the curve interval around z that realizes the
+// queryRange computes the curve interval around z that realizes the
 // paper's δ (half of the query sphere's volume) for one transform. Two
 // measures are combined:
 //
@@ -189,15 +186,15 @@ func predictOn[H histView](cfg *Config, ens *lsh.Ensemble, curves []*zorder.Curv
 //     realistic sample size.
 //
 // The returned interval is the union of the two.
-func queryRangeOn[H histView](m H, valueDelta, ballFrac, z float64) (lo, hi float64) {
+func queryRange(m *histogram.Frozen, valueDelta, ballFrac, z float64) (lo, hi float64) {
 	lo, hi = z-valueDelta, z+valueDelta
 	if m.TotalCount() > 0 {
-		rank := rankOn(m, z)
+		rank := m.Rank(z)
 		f := ballFrac / 2
-		if rlo := quantileOn(m, math.Max(0, rank-f)); rlo < lo {
+		if rlo := m.Quantile(math.Max(0, rank-f)); rlo < lo {
 			lo = rlo
 		}
-		if rhi := quantileOn(m, math.Min(1, rank+f)); rhi > hi {
+		if rhi := m.Quantile(math.Min(1, rank+f)); rhi > hi {
 			hi = rhi
 		}
 	}
@@ -205,37 +202,4 @@ func queryRangeOn[H histView](m H, valueDelta, ballFrac, z float64) (lo, hi floa
 		hi = math.Nextafter(lo, math.Inf(1))
 	}
 	return lo, hi
-}
-
-// rankOn estimates the fraction of points with value <= z.
-func rankOn[H histView](h H, z float64) float64 {
-	c := h.RangeCount(0, z)
-	t := h.TotalCount()
-	if t <= 0 {
-		return 0
-	}
-	return c / t
-}
-
-// quantileOn inverts rankOn via the bucket structure.
-func quantileOn[H histView](h H, p float64) float64 {
-	if p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return 1
-	}
-	target := p * h.TotalCount()
-	var cum float64
-	for _, b := range h.Buckets() {
-		if cum+b.Count >= target {
-			if b.Count <= 0 {
-				return b.Lo
-			}
-			frac := (target - cum) / b.Count
-			return b.Lo + frac*b.Width()
-		}
-		cum += b.Count
-	}
-	return 1
 }

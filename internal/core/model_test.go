@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/cluster"
@@ -19,33 +21,232 @@ func trainedPredictor(t *testing.T, n int) *ApproxLSHHist {
 	return p
 }
 
-// The frozen Model and the live predictor instantiate the same generic
-// predict core, so for identical state they must answer identically — the
-// lock-free serving path is not allowed to change a single prediction.
-func TestModelPredictMatchesLive(t *testing.T) {
-	p := trainedPredictor(t, 800)
-	m := p.Freeze()
-	sc := NewPredictScratch(p.Config())
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 500; i++ {
-		x := []float64{rng.Float64(), rng.Float64()}
-		lp, lc, lok := p.PredictWithCost(x)
-		mp, mc, mok := m.PredictWithCost(x, sc)
-		if lok != mok || lp != mp || lc != mc {
-			t.Fatalf("point %v: live (%+v, %v, %v) != model (%+v, %v, %v)",
-				x, lp, lc, lok, mp, mc, mok)
+// genState is one generated synopsis state for the differential tests:
+// every knob the block layout could be sensitive to, drawn from one seed.
+type genState struct {
+	dims    int
+	planIDs []int // sparse, non-contiguous, possibly negative
+	inserts int   // before the optional reset/retune
+	reset   bool  // Reset, then a few fresh inserts (possibly under MinSamples)
+	retune  bool  // tunable LSH armed and one re-tune applied mid-stream
+	skew    float64
+}
+
+func genStateFrom(rng *rand.Rand) genState {
+	g := genState{
+		dims:    2 + rng.Intn(5),
+		inserts: []int{0, 5, 19, 20, 60, 400, 1500, 6000}[rng.Intn(8)],
+		reset:   rng.Intn(4) == 0,
+		retune:  rng.Intn(3) == 0,
+		skew:    1 + 3*rng.Float64(),
+	}
+	seen := map[int]bool{}
+	n := 1 + rng.Intn(60)
+	if rng.Intn(2) == 0 {
+		n = 1 + rng.Intn(6) // few plans: confident predictions, so costs get compared
+	}
+	for len(g.planIDs) < n {
+		id := rng.Intn(2000) - 200
+		if rng.Intn(8) == 0 {
+			id *= 1 << 20
+		}
+		if !seen[id] {
+			seen[id] = true
+			g.planIDs = append(g.planIDs, id)
 		}
 	}
-	if m.TotalPoints() != p.TotalPoints() || m.MemoryBytes() != p.MemoryBytes() {
-		t.Errorf("model accounting (%d pts, %d B) != live (%d pts, %d B)",
-			m.TotalPoints(), m.MemoryBytes(), p.TotalPoints(), p.MemoryBytes())
+	return g
+}
+
+// build trains a predictor into the generated state. Plans own regions of
+// the first coordinate so that some queries have a clear winner, some sit
+// on a boundary and some see noise only.
+func (g genState) build(tb testing.TB, rng *rand.Rand) *ApproxLSHHist {
+	tb.Helper()
+	cfg := Config{Dims: g.dims, Radius: 0.05 + 0.1*rng.Float64(), Gamma: 0.3 + 0.5*rng.Float64(),
+		NoiseElimination: rng.Intn(2) == 0, Seed: rng.Int63n(1 << 30)}
+	if rng.Intn(3) == 0 {
+		cfg.Transforms = 1 + rng.Intn(8) // even counts average the two middle densities
+	}
+	if g.retune {
+		cfg.RetuneEvery, cfg.RetuneReservoir = 1<<30, 300
+	}
+	p := MustNewApproxLSHHist(cfg)
+	insert := func(n int) {
+		for i := 0; i < n; i++ {
+			x := make([]float64, g.dims)
+			for d := range x {
+				x[d] = math.Pow(rng.Float64(), g.skew)
+			}
+			plan := g.planIDs[int(x[0]*float64(len(g.planIDs)))%len(g.planIDs)]
+			if rng.Intn(10) == 0 {
+				plan = g.planIDs[rng.Intn(len(g.planIDs))]
+			}
+			p.Insert(cluster.Sample{Point: x, Plan: plan, Cost: 10 + 1000*x[0] + rng.NormFloat64()})
+			if rng.Intn(50) == 0 {
+				p.Freeze() // publish mid-stream, so later freezes patch a previous index
+			}
+		}
+	}
+	insert(g.inserts)
+	if g.retune && g.inserts > 0 {
+		warps := p.PrepareRetune()
+		if g.skew > 1.5 && g.inserts >= 400 && warps[0][0].Apply(0.25) == 0.25 {
+			tb.Fatalf("skewed harvest built an identity warp")
+		}
+		p.ApplyRetune(1, warps)
+		insert(g.inserts / 4)
+	}
+	if g.reset {
+		p.Reset()
+		insert([]int{0, 7, 30, 200}[rng.Intn(4)])
+	}
+	return p
+}
+
+// checkAgainstReference holds the frozen Model, and the live predictor that
+// answers through it, to the map-walking reference at the given points:
+// prediction, confidence, cost estimate and ok flag, bit for bit.
+func checkAgainstReference(tb testing.TB, p *ApproxLSHHist, points [][]float64) {
+	tb.Helper()
+	m := p.Freeze()
+	sc := NewPredictScratch(p.Config())
+	for _, x := range points {
+		wp, wc, wok := refPredict(p, x)
+		gp, gc, gok := m.PredictWithCost(x, sc)
+		if gok != wok || gp != wp || math.Float64bits(gc) != math.Float64bits(wc) {
+			tb.Fatalf("point %v: model (%+v, %v, %v) != reference (%+v, %v, %v)", x, gp, gc, gok, wp, wc, wok)
+		}
+		lp, lc, lok := p.PredictWithCost(x)
+		if lok != wok || lp != wp || math.Float64bits(lc) != math.Float64bits(wc) {
+			tb.Fatalf("point %v: live (%+v, %v, %v) != reference (%+v, %v, %v)", x, lp, lc, lok, wp, wc, wok)
+		}
+	}
+	if m.TotalPoints() != p.TotalPoints() || m.MemoryBytes() != p.MemoryBytes() || m.Plans() != len(p.plans) {
+		tb.Errorf("model accounting (%d pts, %d B, %d plans) != live (%d pts, %d B, %d plans)",
+			m.TotalPoints(), m.MemoryBytes(), m.Plans(), p.TotalPoints(), p.MemoryBytes(), len(p.plans))
 	}
 }
 
+// queryPoints draws test points: uniform, on the training skew, at the
+// corners, outside the unit cube (clamped by the query) and of the wrong
+// dimensionality (answered NULL).
+func queryPoints(rng *rand.Rand, g genState, n int) [][]float64 {
+	var out [][]float64
+	for i := 0; i < n; i++ {
+		x := make([]float64, g.dims)
+		for d := range x {
+			switch i % 4 {
+			case 0:
+				x[d] = rng.Float64()
+			case 1:
+				x[d] = math.Pow(rng.Float64(), g.skew)
+			case 2:
+				x[d] = float64(rng.Intn(2))
+			default:
+				x[d] = rng.Float64()*1.4 - 0.2
+			}
+		}
+		out = append(out, x)
+	}
+	return append(out, make([]float64, g.dims+1))
+}
+
+// The block layout is not allowed to change a single prediction: over
+// generated states — dims 2–6, 1–60 sparse plan ids, before MinSamples,
+// after Reset, after a re-tune with non-identity warps, with mid-stream
+// publishes so freezes patch earlier indexes — Model.PredictWithCost equals
+// the map-walking reference bit for bit.
+func TestModelPredictMatchesReference(t *testing.T) {
+	states := 120
+	if testing.Short() {
+		states = 30
+	}
+	covered := map[string]int{}
+	for seed := int64(0); seed < int64(states); seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := genStateFrom(rng)
+		p := g.build(t, rng)
+		checkAgainstReference(t, p, queryPoints(rng, g, 60))
+		if p.TotalPoints() < p.Config().MinSamples {
+			covered["under MinSamples"]++
+		}
+		if g.reset {
+			covered["after Reset"]++
+		}
+		if p.Warps() != nil {
+			covered["warped"]++
+		}
+		if len(p.plans) >= 40 {
+			covered["40+ plans"]++
+		}
+	}
+	for _, want := range []string{"under MinSamples", "after Reset", "warped", "40+ plans"} {
+		if covered[want] == 0 {
+			t.Errorf("no generated state was %s", want)
+		}
+	}
+}
+
+// The same identity one level up, through the path a replica takes: a
+// logged re-tune switch replayed into an Online republishes a Model whose
+// answers equal the reference over the rebuilt synopsis.
+func TestModelMatchesReferenceAfterReplayRetune(t *testing.T) {
+	cfg := OnlineConfig{Core: Config{Dims: 3, Seed: 4, NoiseElimination: true, RetuneEvery: 1 << 30, RetuneReservoir: 256}, Seed: 2}
+	o, err := NewOnline(cfg, &quadrantEnv{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(8))
+	for i := 0; i < 600; i++ {
+		x := []float64{math.Pow(rng.Float64(), 3), math.Pow(rng.Float64(), 2), rng.Float64()}
+		if err := o.LearnValidated(x, 100*(1+int(x[0]*7)), 50+x[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	warps := o.Predictor().PrepareRetune()
+	if warps[0][0].Apply(0.25) == 0.25 {
+		t.Fatal("skewed harvest built an identity warp")
+	}
+	if !o.ReplayRetune(0, 1, warps) {
+		t.Fatal("ReplayRetune rejected the switch")
+	}
+	sc := NewPredictScratch(o.Model().Config())
+	for i := 0; i < 300; i++ {
+		x := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+		wp, wc, wok := refPredict(o.Predictor(), x)
+		gp, gc, gok := o.Model().PredictWithCost(x, sc)
+		if gok != wok || gp != wp || math.Float64bits(gc) != math.Float64bits(wc) {
+			t.Fatalf("point %v: model (%+v, %v, %v) != reference (%+v, %v, %v)", x, gp, gc, gok, wp, wc, wok)
+		}
+	}
+}
+
+// FuzzModelPredictMatchesReference lets the fuzzer pick the state seed and
+// the query point.
+func FuzzModelPredictMatchesReference(f *testing.F) {
+	f.Add(int64(1), 0.3, 0.4, 0.5)
+	f.Add(int64(7), 0.0, 1.0, 0.999)
+	f.Add(int64(42), -3.0, 0.5, 7.5)
+	f.Fuzz(func(t *testing.T, seed int64, a, b, c float64) {
+		rng := rand.New(rand.NewSource(seed))
+		g := genStateFrom(rng)
+		if g.inserts > 400 {
+			g.inserts = 400 // keep one execution cheap
+		}
+		p := g.build(t, rng)
+		x := make([]float64, g.dims)
+		for d := range x {
+			x[d] = []float64{a, b, c}[d%3] * float64(1+d/3)
+		}
+		checkAgainstReference(t, p, [][]float64{x})
+	})
+}
+
 // Freeze is copy-on-write: an unchanged predictor returns the identical
-// *Model, and after a mutation only the histograms the insert actually
-// touched are re-frozen — every other (transform, plan) histogram pointer
-// is shared with the previous snapshot.
+// *Model, and after a mutation only the blocks the insert actually touched
+// are re-frozen — every other (transform, plan) block pointer, and the plan
+// index itself, is shared with the previous snapshot.
 func TestFreezeCopyOnWrite(t *testing.T) {
 	p := trainedPredictor(t, 800)
 	m1 := p.Freeze()
@@ -63,22 +264,84 @@ func TestFreezeCopyOnWrite(t *testing.T) {
 	if m3.Version() <= m1.Version() {
 		t.Errorf("version did not advance: %d -> %d", m1.Version(), m3.Version())
 	}
-	for i := range m3.hists {
-		for plan, h := range m3.hists[i] {
-			old, ok := m1.hists[i][plan]
-			if !ok {
-				continue
+	if &m3.planIDs[0] != &m1.planIDs[0] {
+		t.Error("plan index was copied although no plan appeared")
+	}
+	for i := range m3.blocks {
+		for j, plan := range m3.planIDs {
+			b, old := m3.blocks[i][j], m1.blocks[i][j]
+			if plan == 0 && b == old {
+				t.Errorf("transform %d: touched plan 0 block was not re-frozen", i)
 			}
-			if plan == 0 && h == old {
-				t.Errorf("transform %d: touched plan 0 histogram was not re-frozen", i)
-			}
-			if plan != 0 && h != old {
-				t.Errorf("transform %d plan %d: untouched histogram was copied, not shared", i, plan)
+			if plan != 0 && b != old {
+				t.Errorf("transform %d plan %d: untouched block was copied, not shared", i, plan)
 			}
 		}
 		if m3.marginals[i] == m1.marginals[i] {
 			t.Errorf("transform %d: marginal absorbed the insert but was not re-frozen", i)
 		}
+	}
+
+	// A new plan rebuilds the index; the untouched blocks are still shared.
+	p.Insert(cluster.Sample{Point: []float64{0.9, 0.1}, Plan: 77, Cost: 1})
+	m4 := p.Freeze()
+	if m4.Plans() != m3.Plans()+1 || m4.planIDs[m4.Plans()-1] != 77 {
+		t.Fatalf("new plan not indexed: %v", m4.planIDs)
+	}
+	for i := range m4.blocks {
+		for j, plan := range m3.planIDs {
+			if m4.blocks[i][j] != m3.blocks[i][j] {
+				t.Errorf("transform %d plan %d: block copied when plan 77 appeared", i, plan)
+			}
+		}
+	}
+	// The earlier snapshots are untouched by all of this.
+	if m1.Plans() != 4 || len(m1.blocks[0]) != 4 || m3.Plans() != 4 {
+		t.Errorf("published snapshots changed: %d/%d plans", m1.Plans(), m3.Plans())
+	}
+}
+
+// The publish cost guard: after one Insert, Freeze allocates the Model, its
+// two per-transform slice headers, t index slices and 2t blocks (the plan's
+// and the marginal's in each transform, two allocations each) — nothing per
+// untouched plan but its t pointers.
+func TestFreezePublishCost(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	publish := func(plans int) (allocs float64, bytes uint64) {
+		p := MustNewApproxLSHHist(Config{Dims: 3, Transforms: 5, Seed: 3})
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < 40*plans; i++ {
+			x := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+			p.Insert(cluster.Sample{Point: x, Plan: 3 * (i % plans), Cost: float64(i % 9)})
+		}
+		p.Freeze()
+		i := 0
+		step := func() {
+			p.Insert(cluster.Sample{Point: []float64{0.5, 0.5, 0.5}, Plan: 3 * (i % plans), Cost: 1})
+			i++
+			if m := p.Freeze(); m.Plans() != plans {
+				t.Fatalf("model has %d plans, want %d", m.Plans(), plans)
+			}
+		}
+		const runs = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(runs, step)
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+	}
+	const tr = 5
+	small, smallBytes := publish(10)
+	large, largeBytes := publish(50)
+	if budget := float64(3 + tr + 2*2*tr); large > budget || small > budget {
+		t.Errorf("Freeze after one insert: %v allocs at 10 plans, %v at 50, budget %v", small, large, budget)
+	}
+	// 40 more plans may cost their 40 pointers per transform (rounded up to
+	// the allocator's size classes), not their histograms.
+	if extra := int64(largeBytes) - int64(smallBytes); extra > 2*tr*40*8 {
+		t.Errorf("Freeze bytes grew by %d for 40 untouched plans (10 plans: %d B, 50 plans: %d B)", extra, smallBytes, largeBytes)
 	}
 }
 

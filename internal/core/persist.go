@@ -180,6 +180,9 @@ func decodeBody(r io.Reader) (*ApproxLSHHist, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: marginal %d: %w", i, err)
 		}
+		if !unitDomain(m) {
+			return nil, fmt.Errorf("core: marginal %d does not span [0,1)", i)
+		}
 		p.marginals[i] = m
 		var nPlans uint32
 		if err := binary.Read(r, le, &nPlans); err != nil {
@@ -194,10 +197,21 @@ func decodeBody(r io.Reader) (*ApproxLSHHist, error) {
 			if err != nil {
 				return nil, fmt.Errorf("core: histogram (%d, plan %d): %w", i, plan, err)
 			}
+			if !unitDomain(h) {
+				return nil, fmt.Errorf("core: histogram (%d, plan %d) does not span [0,1)", i, plan)
+			}
 			p.hists[i][int(plan)] = h
 			p.plans[int(plan)] = true
 		}
 	}
 	p.total = int(total)
 	return p, nil
+}
+
+// unitDomain reports whether a decoded histogram spans [0,1), the range of
+// the z-order curve every synopsis histogram is created over: the predict
+// query ranks from 0 and clamps quantiles to 1.
+func unitDomain(h *histogram.Dynamic) bool {
+	b := h.Buckets()
+	return b[0].Lo == 0 && b[len(b)-1].Hi == 1
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/histogram"
 )
 
 func TestApproxLSHHistEncodeDecodeIdenticalPredictions(t *testing.T) {
@@ -116,5 +117,39 @@ func TestOnlineEncodeDecodeState(t *testing.T) {
 	o3 := MustNewOnline(OnlineConfig{Core: Config{Dims: 3, Seed: 5}, Seed: 17}, env)
 	if err := o3.DecodeState(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Error("dimension mismatch accepted")
+	}
+}
+
+// The predict query ranks from 0 and clamps quantiles to 1, so a synopsis
+// histogram over any other domain is a corrupt image, not a model. A plan
+// held by some transforms only is legal (and predicts like the reference).
+func TestDecodeDomainAndRaggedPlans(t *testing.T) {
+	p := trainedPredictor(t, 300)
+	delete(p.hists[1], 2) // transform 1 never saw plan 2
+	var buf bytes.Buffer
+	if err := p.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodeApproxLSHHist(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := back.Freeze(); m.Plans() != 4 || m.blocks[1][2] != nil || m.blocks[0][2] == nil {
+		t.Fatalf("ragged plan set not preserved: %d plans, blocks[1][2]=%v", m.Plans(), m.blocks[1][2])
+	}
+	rng := rand.New(rand.NewSource(5))
+	var points [][]float64
+	for i := 0; i < 200; i++ {
+		points = append(points, []float64{rng.Float64(), rng.Float64()})
+	}
+	checkAgainstReference(t, back, points)
+
+	p.hists[0][0] = histogram.MustNewDynamic(40, 0, 2)
+	buf.Reset()
+	if err := p.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeApproxLSHHist(&buf); err == nil {
+		t.Error("histogram over [0,2) accepted")
 	}
 }

@@ -3,7 +3,6 @@ package histogram
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Dynamic is a bounded-bucket histogram supporting online insertion, used
@@ -29,11 +28,11 @@ type Dynamic struct {
 	lo, hi     float64
 	minDepth   float64 // never split a bucket below this count
 
-	// gen counts mutations (Insert/Reset); frozen caches the immutable view
+	// gen counts mutations (Insert/Reset); frozen caches the immutable image
 	// published at frozenGen so Freeze is a pointer return for histograms
 	// untouched since the last publication.
 	gen       uint64
-	frozen    *Histogram
+	frozen    *Frozen
 	frozenGen uint64
 }
 
@@ -104,7 +103,7 @@ func (d *Dynamic) Insert(value, cost float64) {
 
 // find returns the index of the bucket containing value.
 func (d *Dynamic) find(value float64) int {
-	i := sort.Search(len(d.buckets), func(i int) bool { return d.buckets[i].Hi > value })
+	i := bucketSearch(d.buckets, value)
 	if i >= len(d.buckets) {
 		i = len(d.buckets) - 1
 	}
@@ -181,26 +180,4 @@ func (d *Dynamic) RangeAvgCost(lo, hi float64) (float64, bool) {
 		return 0, false
 	}
 	return cost / count, true
-}
-
-// Snapshot freezes the current state into an immutable Histogram.
-func (d *Dynamic) Snapshot() *Histogram {
-	bs := make([]Bucket, len(d.buckets))
-	copy(bs, d.buckets)
-	return &Histogram{buckets: bs, total: d.total}
-}
-
-// Freeze returns an immutable view of the current contents. Consecutive
-// calls without an intervening mutation return the SAME *Histogram, so a
-// copy-on-write publisher pays the bucket-slice copy only for the
-// histograms actually touched since its last publication — publish cost is
-// proportional to buckets written, not to model size. The returned
-// Histogram is never mutated afterwards and is safe to share across
-// goroutines.
-func (d *Dynamic) Freeze() *Histogram {
-	if d.frozen == nil || d.frozenGen != d.gen {
-		d.frozen = d.Snapshot()
-		d.frozenGen = d.gen
-	}
-	return d.frozen
 }

@@ -142,25 +142,6 @@ func TestDynamicAvgCostTracking(t *testing.T) {
 	}
 }
 
-func TestDynamicSnapshot(t *testing.T) {
-	d := MustNewDynamic(8, 0, 1)
-	for i := 0; i < 500; i++ {
-		d.Insert(float64(i%10)/10+0.05, float64(i%3))
-	}
-	snap := d.Snapshot()
-	if snap.TotalCount() != d.TotalCount() {
-		t.Errorf("snapshot total = %v, want %v", snap.TotalCount(), d.TotalCount())
-	}
-	// Mutating the dynamic must not affect the snapshot.
-	before := snap.RangeCount(0, 1)
-	for i := 0; i < 100; i++ {
-		d.Insert(0.5, 1)
-	}
-	if after := snap.RangeCount(0, 1); after != before {
-		t.Error("snapshot aliases dynamic buckets")
-	}
-}
-
 func TestDynamicMemoryBytes(t *testing.T) {
 	d := MustNewDynamic(40, 0, 1)
 	if got := d.MemoryBytes(); got != 40*BytesPerBucket {

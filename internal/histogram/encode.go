@@ -73,13 +73,22 @@ func DecodeDynamic(r io.Reader) (*Dynamic, error) {
 				return nil, err
 			}
 		}
-		if buckets[i].Count < 0 || math.IsNaN(buckets[i].Count) {
+		if !(buckets[i].Count >= 0) || math.IsInf(buckets[i].Count, 1) {
 			return nil, fmt.Errorf("histogram: corrupt bucket %d count %v", i, buckets[i].Count)
 		}
-		if i > 0 && buckets[i].Lo != buckets[i-1].Hi {
+		// The buckets tile [lo, hi) with positive widths — what Insert
+		// maintains and what the range queries (Frozen above all) rely on.
+		prevHi := lo
+		if i > 0 {
+			prevHi = buckets[i-1].Hi
+		}
+		if buckets[i].Lo != prevHi || !(buckets[i].Hi > buckets[i].Lo) {
 			return nil, fmt.Errorf("histogram: corrupt bucket chain at %d", i)
 		}
 		checked += buckets[i].Count
+	}
+	if buckets[nBuckets-1].Hi != hi {
+		return nil, fmt.Errorf("histogram: bucket chain ends at %v, domain at %v", buckets[nBuckets-1].Hi, hi)
 	}
 	if math.Abs(checked-total) > 1e-6*math.Max(1, total) {
 		return nil, fmt.Errorf("histogram: bucket counts (%v) disagree with total (%v)", checked, total)

@@ -2,6 +2,7 @@ package histogram
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -72,6 +73,42 @@ func TestDecodeDynamicRejectsCorruption(t *testing.T) {
 	bad2[0] = 99
 	if _, err := DecodeDynamic(bytes.NewReader(bad2)); err == nil {
 		t.Error("unknown version accepted")
+	}
+}
+
+// The frozen blocks store only upper bounds, so a decoded histogram must
+// tile its domain: the chain starts at lo, every width is positive, it ends
+// at hi, and counts are finite. Each violation is its own corrupt image.
+func TestDecodeDynamicRejectsBrokenTiling(t *testing.T) {
+	good := []Bucket{{Lo: 0, Hi: 0.5, Count: 3, CostSum: 6}, {Lo: 0.5, Hi: 1, Count: 1, CostSum: 2}}
+	encode := func(buckets []Bucket) *bytes.Buffer {
+		d := MustNewDynamic(8, 0, 1)
+		d.buckets, d.total = buckets, 0
+		for _, b := range buckets {
+			d.total += b.Count
+		}
+		var buf bytes.Buffer
+		if err := d.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return &buf
+	}
+	if _, err := DecodeDynamic(encode(good)); err != nil {
+		t.Fatalf("well-formed image rejected: %v", err)
+	}
+	for name, buckets := range map[string][]Bucket{
+		"starts above lo":  {{Lo: 0.1, Hi: 0.5, Count: 3}, {Lo: 0.5, Hi: 1, Count: 1}},
+		"gap in chain":     {{Lo: 0, Hi: 0.4, Count: 3}, {Lo: 0.5, Hi: 1, Count: 1}},
+		"zero width":       {{Lo: 0, Hi: 0.5, Count: 3}, {Lo: 0.5, Hi: 0.5, Count: 0}, {Lo: 0.5, Hi: 1, Count: 1}},
+		"NaN bound":        {{Lo: 0, Hi: math.NaN(), Count: 3}, {Lo: math.NaN(), Hi: 1, Count: 1}},
+		"ends below hi":    {{Lo: 0, Hi: 0.5, Count: 3}, {Lo: 0.5, Hi: 0.9, Count: 1}},
+		"infinite count":   {{Lo: 0, Hi: 0.5, Count: math.Inf(1)}, {Lo: 0.5, Hi: 1, Count: 1}},
+		"negative count":   {{Lo: 0, Hi: 0.5, Count: -1}, {Lo: 0.5, Hi: 1, Count: 1}},
+		"not-a-number cnt": {{Lo: 0, Hi: 0.5, Count: math.NaN()}, {Lo: 0.5, Hi: 1, Count: 1}},
+	} {
+		if _, err := DecodeDynamic(encode(buckets)); err == nil {
+			t.Errorf("%s: corrupt image accepted", name)
+		}
 	}
 }
 

@@ -193,9 +193,21 @@ func rangeCost(buckets []Bucket, lo, hi float64) (cost, count float64) {
 }
 
 // bucketSearch returns the index of the first bucket whose Hi > lo, i.e.
-// the first bucket that can overlap a range starting at lo.
+// the first bucket that can overlap a range starting at lo. It is searchGT
+// over the Hi field: written out so that it inlines into the range queries
+// and the comparison is not a closure call per step.
 func bucketSearch(buckets []Bucket, lo float64) int {
-	return sort.Search(len(buckets), func(i int) bool { return buckets[i].Hi > lo })
+	i, n := 0, len(buckets)
+	for n > 0 {
+		h := n >> 1
+		if buckets[i+h].Hi > lo {
+			n = h
+		} else {
+			i += h + 1
+			n -= h + 1
+		}
+	}
+	return i
 }
 
 // --- Static builders -------------------------------------------------------

@@ -248,4 +248,56 @@ func TestFractionLEMonotoneQuick(t *testing.T) {
 	}
 }
 
+// The written-out binary searches must land where sort.Search did, on the
+// boundaries where an off-by-one would hide: a probe equal to a bucket's Hi
+// (the bucket is half-open, so the next one is the first to overlap), the
+// one-ulp buckets sealBoundaries makes for duplicate values, a probe beyond
+// either end, and no buckets at all.
+func TestBucketSearchBoundaries(t *testing.T) {
+	up := func(v float64) float64 { return math.Nextafter(v, math.Inf(1)) }
+	dup, err := BuildEquiDepth([]float64{2, 2, 2, 5, 5, 5, 9, 9, 9}, nil, 3) // three one-ulp buckets
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name    string
+		buckets []Bucket
+	}{
+		{"empty", nil},
+		{"single", []Bucket{{Lo: 0, Hi: 1}}},
+		{"tiled", []Bucket{{Lo: 0, Hi: 0.25}, {Lo: 0.25, Hi: 0.5}, {Lo: 0.5, Hi: 0.75}, {Lo: 0.75, Hi: 1}, {Lo: 1, Hi: 2}}},
+		{"one-ulp duplicates", dup.Buckets()},
+	}
+	for _, c := range cases {
+		probes := []float64{math.Inf(-1), -1, 0, math.Inf(1), math.NaN()}
+		for _, b := range c.buckets {
+			probes = append(probes, b.Lo, b.Hi, up(b.Hi), math.Nextafter(b.Hi, math.Inf(-1)))
+		}
+		his := make([]float64, len(c.buckets))
+		for i, b := range c.buckets {
+			his[i] = b.Hi
+		}
+		for _, v := range probes {
+			want := sort.Search(len(c.buckets), func(i int) bool { return c.buckets[i].Hi > v })
+			if got := bucketSearch(c.buckets, v); got != want {
+				t.Errorf("%s: bucketSearch(%v) = %d, want %d", c.name, v, got, want)
+			}
+			if got := searchGT(his, v); got != want {
+				t.Errorf("%s: searchGT(%v) = %d, want %d", c.name, v, got, want)
+			}
+		}
+	}
+	// The range queries over the same boundaries: the duplicate value's
+	// one-ulp bucket is counted whole by the closed query that ends on it.
+	if got := dup.RangeCount(2, 2); got != 3 {
+		t.Errorf("RangeCount(2,2) over one-ulp bucket = %v, want 3", got)
+	}
+	if got := dup.RangeCount(up(2), 5); got != 3 {
+		t.Errorf("RangeCount(2+ulp,5) = %v, want 3", got)
+	}
+	if got := (&Histogram{}).RangeCount(0, 1); got != 0 {
+		t.Errorf("empty histogram RangeCount = %v", got)
+	}
+}
+
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
