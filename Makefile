@@ -48,10 +48,11 @@ chaos:
 	$(GO) test -race -run 'TestChaos|TestConcurrent|TestParallel' -v .
 
 # The durability suite: crash-image recovery properties, degrade-to-cold
-# triples, and the kill-and-restart integration test against the real
-# ppcserve binary.
+# triples, restored plans coming back compiled (a restart must not serve
+# its cache slower than the process it replaced), and the kill-and-restart
+# integration test against the real ppcserve binary.
 crash:
-	$(GO) test -race -run 'TestDurable|TestCrashRecovery|TestDegrade' -v .
+	$(GO) test -race -run 'TestDurable|TestCrashRecovery|TestDegrade|TestRestoredPlansServeCompiled' -v .
 	$(GO) test -race -run TestKillRestartRecovery -v ./cmd/ppcserve
 
 # Short fuzz smoke over every decoder that reads crash-shaped bytes — the

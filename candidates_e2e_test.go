@@ -78,7 +78,7 @@ func TestCandidateSetDiverseAtRegister(t *testing.T) {
 	st.candMu.RLock()
 	for i, id := range st.candIDs {
 		entry := sys.planByID[id]
-		if entry == nil || entry.owner != st || entry.rebind == nil {
+		if entry == nil || entry.owner != st {
 			t.Errorf("candidate %d (plan id %d) not live in the cache", i, id)
 		}
 	}

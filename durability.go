@@ -138,7 +138,6 @@ func (s *System) openDurable() error {
 	}
 	s.wal = log
 	s.walPending = make(map[string][]wal.Record)
-	s.corrPending = make(map[string][]stats.CorrRecord)
 
 	// Load the latest checkpoint. A missing file is a first boot; an
 	// unreadable or corrupt one degrades to cold learners (LoadState's
@@ -155,8 +154,7 @@ func (s *System) openDurable() error {
 	} else {
 		report = &LoadReport{}
 		if !os.IsNotExist(oerr) {
-			report.Corrupt = true
-			report.Reason = fmt.Sprintf("checkpoint: %v", oerr)
+			report.damaged("checkpoint: %v", oerr)
 		}
 		s.loadMu.Lock()
 		s.lastLoad = report
@@ -168,73 +166,23 @@ func (s *System) openDurable() error {
 	report.WALTornSegment = recov.TornSegment
 	report.WALQuarantined = recov.QuarantinedSegments
 	if recov.Corrupt {
-		report.Corrupt = true
-		if report.Reason == "" {
-			report.Reason = "wal: " + recov.Reason
-		}
+		report.damaged("wal: %s", recov.Reason)
 	}
 
 	// Replay the tail. Records are globally ordered by sequence number;
 	// grouping by template preserves each learner's relative order, which
-	// is the only order that matters (learners share no state). Feedback and
-	// retune records stay interleaved within a template's stream — a retune
-	// record is a barrier, and replayRecords flushes the feedback batch at
-	// each one so the rebuilt synopsis matches the leader's bit for bit.
-	// Correction records ride the same log under their own kind and replay
-	// into the template's correction state rather than its learner
-	// (order-independent: they carry absolute post-update state).
-	byTemplate := make(map[string][]wal.Record)
-	corrByTemplate := make(map[string][]stats.CorrRecord)
-	for _, r := range recov.Records {
-		if r.Kind == wal.RecordCorrection {
-			corrByTemplate[r.Template] = append(corrByTemplate[r.Template], stats.CorrRecord{
-				Seq:   r.Seq,
-				Epoch: r.CorrEpoch,
-				Site:  int(r.Site),
-				LogC:  r.LogC,
-				N:     r.N,
-				Ref:   r.Ref,
-			})
+	// is the only order that matters (learners share no state). All three
+	// record kinds stay interleaved in a template's stream and replay through
+	// core.Online.ReplayRecords, the loop replicas run too.
+	for name, recs := range wal.ByTemplate(recov.Records) {
+		if st, err := s.lookup(name); err == nil {
+			s.replayInto(st, recs)
 			continue
 		}
-		byTemplate[r.Template] = append(byTemplate[r.Template], r)
-	}
-	s.regMu.RLock()
-	states := make(map[string]*templateState, len(s.templates))
-	for n, st := range s.templates {
-		states[n] = st
-	}
-	s.regMu.RUnlock()
-	for name, recs := range byTemplate {
-		st := states[name]
-		if st == nil {
-			// The checkpoint does not know this template (first boot, or a
-			// corrupt checkpoint). Hold the records until Register.
-			s.walPending[name] = recs
-			report.WALPending += len(recs)
-			continue
-		}
-		applied, skipped, stale := replayRecords(st.online, recs)
-		st.obs.SetRetuneEpoch(st.online.RetuneEpoch())
-		report.WALReplayed += applied
-		report.WALSkipped += skipped
-		report.WALStale += stale
-	}
-	for name, recs := range corrByTemplate {
-		st := states[name]
-		if st == nil || st.online.Corrections() == nil {
-			s.corrPending[name] = recs
-			report.WALPending += len(recs)
-			continue
-		}
-		corr := st.online.Corrections()
-		for _, rec := range recs {
-			if corr.Replay(rec) {
-				report.WALReplayed++
-			} else {
-				report.WALSkipped++
-			}
-		}
+		// The checkpoint does not know this template (first boot, or a
+		// corrupt checkpoint). Hold the records until Register.
+		s.walPending[name] = recs
+		report.WALPending += len(recs)
 	}
 	// Every learner — checkpoint-restored or registered later — gets its
 	// WAL sink in registerLocked (s.wal is already set when LoadState
@@ -253,95 +201,33 @@ func (s *System) openDurable() error {
 	return nil
 }
 
-// replayRecords replays one template's ordered WAL record stream — feedback
-// and retune records interleaved in log order — into its learner. Feedback
-// accumulates into batches flushed at each retune record, preserving the
-// leader's insert/retune interleaving (the retune rebuilds the synopsis
-// from its reservoir, so a point applied on the wrong side of it would land
-// in the wrong mapping). Malformed retune payloads are counted stale.
-func replayRecords(o *core.Online, recs []wal.Record) (applied, skipped, stale int) {
-	batch := make([]core.Feedback, 0, len(recs))
-	flush := func() {
-		if len(batch) == 0 {
-			return
-		}
-		a, sk, stl := o.ReplayBatch(batch)
-		applied += a
-		skipped += sk
-		stale += stl
-		batch = batch[:0]
+// replayInto replays recovered WAL records into a registered template and
+// folds the outcome into the load report.
+func (s *System) replayInto(st *templateState, recs []wal.Record) {
+	applied, skipped, stale := st.online.ReplayRecords(recs)
+	st.obs.SetRetuneEpoch(st.online.RetuneEpoch())
+	s.loadMu.Lock()
+	defer s.loadMu.Unlock()
+	if r := s.lastLoad; r != nil {
+		r.WALReplayed += applied
+		r.WALSkipped += skipped
+		r.WALStale += stale
 	}
-	for _, r := range recs {
-		if r.Kind == wal.RecordRetune {
-			flush()
-			warps, err := core.WarpsFromFlat(int(r.WarpT), int(r.WarpS), int(r.WarpK), r.Warps)
-			if err != nil {
-				stale++
-				continue
-			}
-			if o.ReplayRetune(r.Seq, r.RetuneEpoch, warps) {
-				applied++
-			} else {
-				skipped++
-			}
-			continue
-		}
-		batch = append(batch, core.Feedback{
-			Point:       r.Point,
-			Plan:        int(r.Plan),
-			Cost:        r.Cost,
-			SelfLabeled: r.SelfLabeled,
-			Epoch:       r.Epoch,
-			Seq:         r.Seq,
-		})
-	}
-	flush()
-	return applied, skipped, stale
 }
 
-// replayPendingLocked applies WAL records held for a template that was not
-// in the checkpoint. Feedback records whose dimensionality disagrees with
-// the registered template are counted stale rather than applied (the
-// template changed shape between crash and restart). Callers hold s.regMu.
+// replayPendingLocked applies the WAL records held for a template that was
+// not in the checkpoint, now that it is registered. Callers hold s.regMu.
 func (s *System) replayPendingLocked(name string, st *templateState) {
 	recs := s.walPending[name]
-	if len(recs) == 0 && len(s.corrPending[name]) == 0 {
+	if len(recs) == 0 {
 		return
 	}
 	t0 := time.Now()
 	delete(s.walPending, name)
-	dims := st.tmpl.Degree()
-	kept := recs[:0]
-	mismatched := 0
-	for _, r := range recs {
-		if r.Kind != wal.RecordRetune && len(r.Point) != dims {
-			mismatched++
-			continue
-		}
-		kept = append(kept, r)
-	}
-	applied, skipped, stale := replayRecords(st.online, kept)
-	st.obs.SetRetuneEpoch(st.online.RetuneEpoch())
-	corrRecs := s.corrPending[name]
-	delete(s.corrPending, name)
-	corrApplied, corrSkipped := 0, 0
-	if corr := st.online.Corrections(); corr != nil {
-		for _, rec := range corrRecs {
-			if corr.Replay(rec) {
-				corrApplied++
-			} else {
-				corrSkipped++
-			}
-		}
-	} else {
-		corrSkipped = len(corrRecs)
-	}
+	s.replayInto(st, recs)
 	s.loadMu.Lock()
 	if r := s.lastLoad; r != nil {
-		r.WALPending -= len(recs) + len(corrRecs)
-		r.WALReplayed += applied + corrApplied
-		r.WALSkipped += skipped + corrSkipped
-		r.WALStale += stale + mismatched
+		r.WALPending -= len(recs)
 		// Pending replay is recovery work deferred to registration time;
 		// fold it into the recovery wall clock so the report stays honest.
 		r.RecoveryDuration += time.Since(t0)

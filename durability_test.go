@@ -18,6 +18,7 @@ package ppc
 // a possibly half-written trailing record.
 
 import (
+	"bytes"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -565,4 +566,100 @@ func TestDegradeBothCorrupt(t *testing.T) {
 		t.Errorf("replayed %d of %d surviving records", rep.WALReplayed, len(scan.Records))
 	}
 	runDurableWorkload(t, sys2, 5, 5)
+}
+
+// TestRestoredPlansServeCompiled: a plan restored from a snapshot — through
+// SaveState/LoadState, or through a durable close and reopen — comes back
+// compiled, exactly like a freshly optimized one. Every restored cache
+// entry holds its executor program and rebind program, a hit on a restored
+// plan id is served without an optimizer invocation, and the restored
+// candidate set routes: a restart must not serve its cache slower than the
+// process it replaced.
+func TestRestoredPlansServeCompiled(t *testing.T) {
+	for _, mode := range []string{"snapshot", "reopen"} {
+		t.Run(mode, func(t *testing.T) {
+			online := onlineForTest()
+			online.InvocationProb = 1e-9 // no random audits: a warm point is a hit
+			opts := Options{
+				TPCH:          tpch.Config{Scale: 2000, Seed: 5},
+				Online:        online,
+				FeedbackQueue: -1,
+				Candidates:    CandidatesOptions{Enable: true},
+			}
+			if mode == "reopen" {
+				opts.Durability = Durability{Dir: t.TempDir(), DisableCheckpointer: true}
+			}
+			warm, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := warm.Register("Q1", mustSQL(t, "Q1")); err != nil {
+				t.Fatal(err)
+			}
+			runDurableWorkload(t, warm, 120, 3)
+			tmpl, _ := warm.Template("Q1")
+			hot, err := warm.Optimizer().InstanceAt(tmpl, []float64{0.3, 0.3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res, err := warm.Run("Q1", hot.Values); err != nil || !res.CacheHit {
+				t.Fatalf("warm system does not hit at the probe (%+v, %v); test is vacuous", res, err)
+			}
+			var snap bytes.Buffer
+			if err := warm.SaveState(&snap); err != nil {
+				t.Fatal(err)
+			}
+			if err := warm.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			sys, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close() //nolint:errcheck
+			if mode == "snapshot" {
+				if err := sys.LoadState(&snap); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if rep := sys.LoadStateReport(); rep == nil || rep.Corrupt || rep.Plans == 0 {
+				t.Fatalf("nothing restored: %+v", rep)
+			}
+			sys.cacheMu.RLock()
+			restored := make(map[int]bool, len(sys.planByID))
+			for id, entry := range sys.planByID {
+				restored[id] = true
+				if entry.prog == nil || entry.rebind == nil {
+					t.Errorf("restored plan %d (%s) is not compiled", id, entry.plan.Fingerprint)
+				}
+			}
+			sys.cacheMu.RUnlock()
+
+			res, err := sys.Run("Q1", hot.Values)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.CacheHit || res.Invoked || res.OptimizeTime != 0 || !restored[res.PlanID] {
+				t.Errorf("first run after restore: hit=%v invoked=%v optimize=%v plan %d restored=%v",
+					res.CacheHit, res.Invoked, res.OptimizeTime, res.PlanID, restored[res.PlanID])
+			}
+			// Points the learner has not seen invoke the optimizer, which the
+			// restored candidate set answers.
+			rng := rand.New(rand.NewSource(9))
+			for i := 0; i < 30; i++ {
+				inst, err := sys.Optimizer().InstanceAt(tmpl, []float64{rng.Float64(), rng.Float64()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := sys.Run("Q1", inst.Values); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st, _ := sys.lookup("Q1")
+			if st.obs.CandidateRouted() == 0 {
+				t.Error("no optimizer invocation was routed through the restored candidate set")
+			}
+		})
+	}
 }

@@ -12,8 +12,8 @@ import (
 // that a misbehaving learner must never make a query fail or return a worse
 // answer than "just call the optimizer": internal panics are recovered into
 // *InternalError at the exported API surface, pipeline-stage failures
-// (optimizer, recosting, execution) surface as *PipelineError, and snapshot
-// problems as *SnapshotError. errors.As works on all three.
+// (optimizer, plan compilation, execution) surface as *PipelineError, and
+// snapshot problems as *SnapshotError. errors.As works on all three.
 
 // InternalError reports a panic recovered at the System API boundary. It
 // indicates a bug in an internal package; the System remains usable.
@@ -34,7 +34,9 @@ func (e *InternalError) Error() string {
 // PipelineError reports a failure in one stage of the Figure-1 pipeline
 // while running a query instance.
 type PipelineError struct {
-	// Stage is the failed stage: "optimize", "recost" or "execute".
+	// Stage is the failed stage: "optimize", "compile" or "execute".
+	// "compile" is an invariant violation — Register admits only templates
+	// whose plans all compile.
 	Stage string
 	// Template is the query template being run.
 	Template string

@@ -7,11 +7,13 @@
 //
 // The compiled engine is columnar with late materialization: intermediate
 // results are selection vectors of int32 row ids per base relation, and
-// full rows are only materialized once, into the final Result. Plans the
-// compiler cannot express (string-keyed merge joins, aggregates over
-// string columns) return an error and the caller falls back to the
-// row-at-a-time engine in executor.go, which remains the semantic
-// reference.
+// full rows are only materialized once, into the final Result. The
+// compiler expresses every plan the optimizer emits — the optimizer's type
+// rule (optimizer.TypeError) turns away the queries it could not, and
+// costs no merge join on a string key — so the serving path runs this
+// engine only. The row-at-a-time engine in executor.go is the semantic
+// reference the equivalence suites and the benchmark's answer oracle
+// compare against.
 package executor
 
 import (
@@ -145,8 +147,9 @@ func (p *cPred) rhs(params []float64) float64 {
 // Compile translates a physical plan into its compiled form. q supplies
 // the template's parameter layout so literal slots can be bound per
 // execution; a nil q compiles every literal as baked (plans outside a
-// template, e.g. hand-built test plans). Unsupported shapes return an
-// error; the plan is left untouched and remains executable by Run.
+// template, e.g. hand-built test plans). It compiles every plan the
+// optimizer emits for a query that passed its type rule
+// (optimizer.TypeError); an error means a hand-built or foreign tree.
 func (e *Executor) Compile(plan *optimizer.Plan, q *optimizer.Query) (*CompiledPlan, error) {
 	if plan == nil || plan.Root == nil {
 		return nil, fmt.Errorf("executor: nil plan")
@@ -359,7 +362,7 @@ func (c *compiler) agg(n *optimizer.Node, child *cNode) (*cAgg, error) {
 			if err != nil {
 				return nil, fmt.Errorf("executor: aggregate column %s not in input", item.Col)
 			}
-			if col.Kind != tpch.KindNumeric {
+			if item.Agg != optimizer.AggCount && col.Kind != tpch.KindNumeric {
 				return nil, fmt.Errorf("executor: aggregate over string column %s", item.Col)
 			}
 			spec.col, spec.slot = col, slot

@@ -189,16 +189,11 @@ func fuzzQuery(rng *rand.Rand) string {
 }
 
 // TestCompiledMatchesTreeWalkFuzzed drives both engines over fuzzer-
-// generated predicate sets. Queries the compiler cannot express fall back
-// in production (nil program -> tree-walk), so a compile error here only
-// skips the comparison; the test fails if the compiler rejects most of the
-// generated population, which would mean the fast path silently stopped
-// covering the workload.
+// generated predicate sets. Every query the optimizer accepts must compile:
+// the serving path has no other engine to fall back to.
 func TestCompiledMatchesTreeWalkFuzzed(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
-	const trials = 60
-	compiled := 0
-	for i := 0; i < trials; i++ {
+	for i := 0; i < 60; i++ {
 		sql := fuzzQuery(rng)
 		q, err := parseSQL(sql)
 		if err != nil {
@@ -214,17 +209,13 @@ func TestCompiledMatchesTreeWalkFuzzed(t *testing.T) {
 		}
 		cp, err := exec.Compile(plan, q)
 		if err != nil {
-			continue // inexpressible shape: production falls back to tree-walk
+			t.Fatalf("trial %d: compile %q: %v", i, sql, err)
 		}
-		compiled++
 		got, err := cp.Exec(nil)
 		if err != nil {
 			t.Fatalf("trial %d: compiled exec %q: %v", i, sql, err)
 		}
 		assertSameResult(t, sql, want, got)
-	}
-	if compiled < trials/2 {
-		t.Errorf("compiler accepted only %d/%d fuzzed queries", compiled, trials)
 	}
 }
 

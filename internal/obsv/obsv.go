@@ -178,9 +178,6 @@ type TemplateObs struct {
 	candidateRouted atomic.Uint64
 	candidateKept   atomic.Uint64
 
-	// treeWalkRuns counts runs that fell back to the tree-walk engine.
-	treeWalkRuns atomic.Uint64
-
 	predict  Hist
 	optimize Hist
 	execute  Hist
@@ -302,10 +299,6 @@ func (t *TemplateObs) CountCandidateRouted() { t.candidateRouted.Add(1) }
 // already in the candidate set — evidence the set covers the plan space.
 func (t *TemplateObs) CountCandidateKept() { t.candidateKept.Add(1) }
 
-// CountTreeWalkRun records a run executed by the tree-walk engine because
-// the executor could not compile its plan.
-func (t *TemplateObs) CountTreeWalkRun() { t.treeWalkRuns.Add(1) }
-
 // CandidateRouted returns the candidate-routed invocation count.
 func (t *TemplateObs) CandidateRouted() uint64 { return t.candidateRouted.Load() }
 
@@ -380,10 +373,6 @@ type CounterSnapshot struct {
 	RetuneEpoch     uint64 `json:"retune_epoch"`
 	CandidateRouted uint64 `json:"candidate_routed"`
 	CandidateKept   uint64 `json:"candidate_kept"`
-	// TreeWalkRuns counts runs the tree-walk engine executed because the
-	// executor refused to compile their plan (additive). While it stays 0
-	// the compiled engine is the only one serving.
-	TreeWalkRuns uint64 `json:"tree_walk_runs"`
 }
 
 // TemplateSnapshot is the JSON form of one template's metrics.
@@ -433,7 +422,6 @@ func (t *TemplateObs) Snapshot() TemplateSnapshot {
 			RetuneEpoch:          t.retuneEpoch.Load(),
 			CandidateRouted:      t.candidateRouted.Load(),
 			CandidateKept:        t.candidateKept.Load(),
-			TreeWalkRuns:         t.treeWalkRuns.Load(),
 		},
 		PredictLatency:   t.predict.Snapshot(),
 		OptimizeLatency:  t.optimize.Snapshot(),

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/faults"
+	"repro/internal/tpch"
 )
 
 // maxJoinRelations bounds the FROM list of an optimizable query. The
@@ -25,6 +26,70 @@ type JoinLimitError struct {
 
 func (e *JoinLimitError) Error() string {
 	return fmt.Sprintf("optimizer: query joins %d relations, limit is %d", e.Relations, e.Limit)
+}
+
+// TypeError reports a query the execution engines cannot type: a numeric
+// comparison or BETWEEN over a string column, a string equality over a
+// numeric column, an equi-join between a numeric and a string column, or a
+// SUM/AVG/MIN/MAX over a string column. NewMemo rejects such a query, so
+// every plan the optimizer emits compiles (Executor.Compile,
+// CompileRebind) — which is what lets the serving path hold compiled plans
+// only.
+type TypeError struct {
+	Expr   string // the offending predicate or select item, as written
+	Reason string
+}
+
+func (e *TypeError) Error() string {
+	return fmt.Sprintf("optimizer: %s: %s", e.Expr, e.Reason)
+}
+
+// colKind looks up the kind of a column of a bound alias in the catalog.
+func (o *Optimizer) colKind(q *Query, c ColRef) (tpch.ColKind, error) {
+	cs, err := o.cat.Column(q.Binding(c.Alias).Table, c.Column)
+	if err != nil {
+		return 0, err
+	}
+	return cs.Kind, nil
+}
+
+// checkTypes applies the type rule TypeError documents.
+func (o *Optimizer) checkTypes(q *Query) error {
+	for _, p := range q.Preds {
+		k, err := o.colKind(q, p.Col)
+		if err != nil {
+			return err
+		}
+		switch p.Kind {
+		case PredCmpNum, PredBetween:
+			if k != tpch.KindNumeric {
+				return &TypeError{Expr: p.String(), Reason: "numeric comparison over a string column"}
+			}
+		case PredCmpStr:
+			if k != tpch.KindString {
+				return &TypeError{Expr: p.String(), Reason: "string comparison over a numeric column"}
+			}
+		case PredJoin:
+			rk, err := o.colKind(q, p.RightCol)
+			if err != nil {
+				return err
+			}
+			if rk != k {
+				return &TypeError{Expr: p.String(), Reason: "join between a numeric and a string column"}
+			}
+		}
+	}
+	for _, s := range q.Select {
+		if s.Agg == AggNone || s.Agg == AggCount {
+			continue
+		}
+		if k, err := o.colKind(q, s.Col); err != nil {
+			return err
+		} else if k != tpch.KindNumeric {
+			return &TypeError{Expr: s.String(), Reason: "aggregate over a string column"}
+		}
+	}
+	return nil
 }
 
 // Memo is the per-template optimization memo: every piece of the
@@ -116,6 +181,9 @@ type joinStep struct {
 	rightRel   int
 	leftOrder  int16 // order id of pred.Col
 	rightOrder int16 // order id of pred.RightCol
+	// strKey marks a join on string columns: it hashes but never merges
+	// (merge join compares numeric keys).
+	strKey bool
 	// heads are the fingerprint headers of the step's join methods,
 	// indexed by method-methodHashJoin: "HJ[l=r](", "HJ^[l=r](",
 	// "MJ[l=r](", "INL[l=r](".
@@ -250,6 +318,9 @@ func (o *Optimizer) NewMemo(q *Query) (*Memo, error) {
 		}
 		npaths += len(r.paths)
 	}
+	if err := o.checkTypes(q); err != nil {
+		return nil, err
+	}
 
 	sh.steps = make([]joinStep, 0, 2*len(sh.joins))
 	for j, p := range sh.joins {
@@ -262,6 +333,11 @@ func (o *Optimizer) NewMemo(q *Query) (*Memo, error) {
 				pred: pred, join: j, leftRel: left, rightRel: right,
 				leftOrder: orderID(pred.Col), rightOrder: orderID(pred.RightCol),
 				inlPath: -1,
+			}
+			// checkTypes vouched for the column, and for both sides being
+			// of one kind.
+			if k, _ := o.colKind(q, pred.Col); k == tpch.KindString {
+				st.strKey = true
 			}
 			for m, tag := range [4]string{"HJ", "HJ^", "MJ", "INL"} {
 				var b strings.Builder

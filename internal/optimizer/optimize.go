@@ -307,21 +307,23 @@ func (o *Optimizer) joinCandidates(m *Memo, sc *dpScratch, model *CostModel, mas
 		sc.offer(sh, start, c)
 
 		// Merge join: requires both inputs ordered on the join columns;
-		// unsorted inputs pay an explicit sort.
-		c.method, c.order = methodMergeJoin, st.leftOrder
-		sortLeft := 0.0
-		if left.order != st.leftOrder {
-			sortLeft = sc.leftSort[li]
-		}
-		merge := model.mergeJoinCost(left.rows, rightRows, c.rows)
-		for k := range rel.paths {
-			sortRight := 0.0
-			if rel.paths[k].order != st.rightOrder {
-				sortRight = rightSort
+		// unsorted inputs pay an explicit sort. Numeric keys only.
+		if !st.strKey {
+			c.method, c.order = methodMergeJoin, st.leftOrder
+			sortLeft := 0.0
+			if left.order != st.leftOrder {
+				sortLeft = sc.leftSort[li]
 			}
-			c.path = int16(k)
-			c.cost = left.cost + costs[k] + sortLeft + sortRight + merge
-			sc.offer(sh, start, c)
+			merge := model.mergeJoinCost(left.rows, rightRows, c.rows)
+			for k := range rel.paths {
+				sortRight := 0.0
+				if rel.paths[k].order != st.rightOrder {
+					sortRight = rightSort
+				}
+				c.path = int16(k)
+				c.cost = left.cost + costs[k] + sortLeft + sortRight + merge
+				sc.offer(sh, start, c)
+			}
 		}
 
 		// Index nested-loop join: inner index on the join column, probed

@@ -1,6 +1,7 @@
 package optimizer_test
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/executor"
 	"repro/internal/optimizer"
 	"repro/internal/queries"
+	"repro/internal/sqlparse"
 	"repro/internal/tpch"
 )
 
@@ -319,5 +321,30 @@ func TestFingerprintInsensitiveToParameterValues(t *testing.T) {
 	}
 	if p1.Root.IndexLo == p2.Root.IndexLo && p1.Root.Op == optimizer.OpIndexScan {
 		t.Error("expected different instantiated bounds")
+	}
+}
+
+// TestNoMergeJoinOnStringKey: both engines' merge join compares numeric
+// keys, so the memo costs no merge join on a string key — even under a cost
+// model where hashing is prohibitive and a numeric key of the same shape
+// does merge. And the type rule turns away what no engine can run.
+func TestNoMergeJoinOnStringKey(t *testing.T) {
+	model := optimizer.DefaultCostModel()
+	model.CPUHash, model.CPUProbe = 1e6, 1e6
+	o := optimizer.NewWithModel(testDB, testCat, model)
+	for key, wantMerge := range map[string]bool{"p_size": true, "p_brand": false} {
+		sql := "SELECT COUNT(*) FROM part p1, part p2 WHERE p1." + key + " = p2." + key
+		plan, err := o.Optimize(sqlparse.MustParse(sql, queries.Schema), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Contains(plan.Fingerprint, "MJ["); got != wantMerge {
+			t.Errorf("%s: plan %s, merge join = %v, want %v", key, plan.Fingerprint, got, wantMerge)
+		}
+	}
+	_, err := o.Optimize(sqlparse.MustParse("SELECT MAX(p.p_brand) FROM part p", queries.Schema), nil)
+	var te *optimizer.TypeError
+	if !errors.As(err, &te) {
+		t.Errorf("MAX over a string column: got %v, want a TypeError", err)
 	}
 }

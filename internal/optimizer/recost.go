@@ -10,10 +10,13 @@ import (
 // index scan bounds), and recomputes cardinality and cost estimates bottom
 // up under the current statistics — without re-running plan enumeration.
 //
-// This is exactly what a plan cache does on a hit, and it doubles as the
-// cost oracle for the negative-feedback detector: the recosted Cost of a
-// cached plan at a new plan space point is the execution cost the paper's
+// This is what a plan cache does on a hit, and it doubles as the cost
+// oracle for the negative-feedback detector: the recosted Cost of a cached
+// plan at a new plan space point is the execution cost the paper's
 // prototype would observe when running that (possibly stale) plan there.
+// The serving path does both through RebindProgram.Recost, which binds in
+// place; Recost is the reference RebindProgram is held to, and what
+// experiments and the benchmark call.
 func (o *Optimizer) Recost(q *Query, plan *Plan, params []float64) (*Plan, error) {
 	if got, want := len(params), q.ParamDegree(); got != want {
 		return nil, fmt.Errorf("optimizer: got %d parameters, want %d", got, want)

@@ -1,7 +1,8 @@
 package optimizer
 
 // The node-building join enumerator this package shipped before the
-// cost-first rewrite, kept verbatim as a test-only reference: every
+// cost-first rewrite, kept verbatim (but for the string-key merge join
+// guard in refJoinCandidates) as a test-only reference: every
 // candidate is a heap-allocated *Node and every near-tie renders two full
 // fingerprints. TestOptimizeMatchesReference holds the production
 // enumerator to it plan for plan, bit for bit. It lives in the package (not
@@ -14,6 +15,8 @@ import (
 	"math"
 	"sort"
 	"sync"
+
+	"repro/internal/tpch"
 )
 
 // refCandidate is a DP entry: a partial plan with its cost, cardinality and
@@ -182,7 +185,13 @@ func (o *Optimizer) refJoinCandidates(q *Query, left refCandidate, r int, rightB
 		}
 	}
 
-	for _, right := range rightBase {
+	// Not verbatim: like the production enumerator, no merge join on a
+	// string key (it compares numeric keys).
+	mergeBase := rightBase
+	if table.Column(driving.RightCol.Column).Kind == tpch.KindString {
+		mergeBase = nil
+	}
+	for _, right := range mergeBase {
 		sortLeft, sortRight := 0.0, 0.0
 		if left.sortedOn != driving.Col {
 			sortLeft = o.model.sortCost(left.rows)

@@ -13,7 +13,7 @@
 //     the same snapshot epoch.
 //   - The incremental stream is the leader's WAL records, shipped in their
 //     on-disk frame encoding. Replicas apply them through the same
-//     idempotent ReplayBatch crash recovery uses: per-template applied-
+//     idempotent ReplayRecords crash recovery uses: per-template applied-
 //     sequence watermarks make the snapshot/stream overlap harmless, and
 //     record epochs reproduce drift resets.
 //   - Epoch fencing: every stream is stamped with the leader's lineage
@@ -160,43 +160,20 @@ func (s *State) Install(snap *netproto.Snapshot) error {
 	return nil
 }
 
-// ApplyRecords feeds shipped WAL records into the installed learners via
-// the same idempotent replay path crash recovery uses. Records for
-// templates the snapshot did not contain are counted skipped — the leader
-// registered them after the snapshot was cut, and the next full snapshot
-// covers them. The received sequence advances over every record either
-// way, so lag converges to zero even with unknown templates in the stream.
-//
-// Within one template's stream, feedback and retune records replay in log
-// order: a retune record is a barrier (it rebuilds the synopsis from its
-// reservoir under the shipped warps), so the pending feedback batch flushes
-// before it applies — the interleaving that makes the replica's synopsis
-// bit-identical to the leader's. Correction records carry absolute state
-// and stay order-independent.
+// ApplyRecords feeds shipped WAL records into the installed learners
+// through core.Online.ReplayRecords — the idempotent replay loop crash
+// recovery uses, so leader recovery and replica hold the same state by
+// construction. Records for templates the snapshot did not contain are
+// counted skipped — the leader registered them after the snapshot was cut,
+// and the next full snapshot covers them — as are stale and malformed
+// records (the next snapshot reconciles). The received sequence advances
+// over every record either way, so lag converges to zero even with unknown
+// templates in the stream.
 func (s *State) ApplyRecords(recs []wal.Record) (applied, skipped int) {
 	if len(recs) == 0 {
 		return 0, 0
 	}
-	byTemplate := make(map[string][]wal.Record)
-	corrByTemplate := make(map[string][]stats.CorrRecord)
-	for _, r := range recs {
-		if r.Kind == wal.RecordCorrection {
-			// Correction records replay into the template's shipped
-			// correction state (absolute post-update values, so the replay
-			// is idempotent). A learner shipped without a correction
-			// section (leader running without adaptive stats) skips them.
-			corrByTemplate[r.Template] = append(corrByTemplate[r.Template], stats.CorrRecord{
-				Seq:   r.Seq,
-				Epoch: r.CorrEpoch,
-				Site:  int(r.Site),
-				LogC:  r.LogC,
-				N:     r.N,
-				Ref:   r.Ref,
-			})
-			continue
-		}
-		byTemplate[r.Template] = append(byTemplate[r.Template], r)
-	}
+	byTemplate := wal.ByTemplate(recs)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for name, stream := range byTemplate {
@@ -205,73 +182,15 @@ func (s *State) ApplyRecords(recs []wal.Record) (applied, skipped int) {
 			skipped += len(stream)
 			continue
 		}
-		a, sk := applyStream(o, stream)
+		a, sk, stale := o.ReplayRecords(stream)
 		applied += a
-		skipped += sk
-	}
-	for name, batch := range corrByTemplate {
-		o := s.templates[name]
-		if o == nil || o.Corrections() == nil {
-			skipped += len(batch)
-			continue
-		}
-		corr := o.Corrections()
-		for _, rec := range batch {
-			if corr.Replay(rec) {
-				applied++
-			} else {
-				skipped++
-			}
-		}
+		skipped += sk + stale
 	}
 	if last := recs[len(recs)-1].Seq; last > s.receivedSeq {
 		s.receivedSeq = last
 	}
 	s.obs.CountRecordsApplied(applied)
 	s.obs.SetAppliedSeq(s.receivedSeq)
-	return applied, skipped
-}
-
-// applyStream replays one template's ordered feedback/retune record stream
-// into its learner, flushing the accumulated feedback batch at each retune
-// record. A malformed retune payload is counted skipped; the stream keeps
-// replaying (the next snapshot reconciles).
-func applyStream(o *core.Online, stream []wal.Record) (applied, skipped int) {
-	batch := make([]core.Feedback, 0, len(stream))
-	flush := func() {
-		if len(batch) == 0 {
-			return
-		}
-		a, sk, stale := o.ReplayBatch(batch)
-		applied += a
-		skipped += sk + stale
-		batch = batch[:0]
-	}
-	for _, r := range stream {
-		if r.Kind == wal.RecordRetune {
-			flush()
-			warps, err := core.WarpsFromFlat(int(r.WarpT), int(r.WarpS), int(r.WarpK), r.Warps)
-			if err != nil {
-				skipped++
-				continue
-			}
-			if o.ReplayRetune(r.Seq, r.RetuneEpoch, warps) {
-				applied++
-			} else {
-				skipped++
-			}
-			continue
-		}
-		batch = append(batch, core.Feedback{
-			Point:       r.Point,
-			Plan:        int(r.Plan),
-			Cost:        r.Cost,
-			SelfLabeled: r.SelfLabeled,
-			Epoch:       r.Epoch,
-			Seq:         r.Seq,
-		})
-	}
-	flush()
 	return applied, skipped
 }
 

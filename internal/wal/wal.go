@@ -141,6 +141,17 @@ type Record struct {
 	Warps       []float64
 }
 
+// ByTemplate groups records by template, keeping log order within each
+// group — the only order replay depends on, since templates share no
+// learned state.
+func ByTemplate(recs []Record) map[string][]Record {
+	out := make(map[string][]Record)
+	for _, r := range recs {
+		out[r.Template] = append(out[r.Template], r)
+	}
+	return out
+}
+
 // SyncPolicy selects when Commit calls fsync. The zero value is SyncAlways:
 // a durability layer should be durable unless the operator opts out.
 type SyncPolicy int

@@ -6,9 +6,7 @@ package ppc
 
 import (
 	"encoding/json"
-	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
@@ -446,113 +444,5 @@ func TestTraceDisabled(t *testing.T) {
 	}
 	if snap.Templates[0].Counters.Runs != 1 {
 		t.Errorf("runs = %d, want 1", snap.Templates[0].Counters.Runs)
-	}
-}
-
-// fuzzTemplate generates a random parameterized template over the standard
-// schema — the serving-level counterpart of the executor equivalence suite's
-// literal-only fuzz corpus, since Run serves only templates: one table or a
-// foreign-key pair, one to three `?` range comparisons with random
-// operators, literal BETWEEN and string-equality filters on the side, and a
-// global or grouped aggregate.
-func fuzzTemplate(rng *rand.Rand, sys *System) string {
-	type rel struct {
-		table, alias string
-		numCols      []string
-		strCols      []string
-		parent       string // "alias|join predicate", or empty
-	}
-	rels := []rel{
-		{"nation", "n", []string{"n_nationkey", "n_regionkey", "n_date"}, []string{"n_name"}, ""},
-		{"supplier", "s", []string{"s_suppkey", "s_nationkey", "s_date"}, nil, "n|s.s_nationkey = n.n_nationkey"},
-		{"part", "p", []string{"p_partkey", "p_size", "p_retailprice", "p_date"}, []string{"p_brand", "p_type"}, ""},
-		{"customer", "c", []string{"c_custkey", "c_nationkey", "c_date"}, []string{"c_mktsegment"}, "n|c.c_nationkey = n.n_nationkey"},
-		{"orders", "o", []string{"o_orderkey", "o_custkey", "o_totalprice", "o_orderdate"}, []string{"o_orderpriority"}, "c|o.o_custkey = c.c_custkey"},
-		{"lineitem", "l", []string{"l_orderkey", "l_quantity", "l_extendedprice", "l_shipdate"}, nil, "o|l.l_orderkey = o.o_orderkey"},
-	}
-	chosen := []rel{rels[rng.Intn(len(rels))]}
-	var preds []string
-	if alias, join, ok := strings.Cut(chosen[0].parent, "|"); ok && rng.Intn(2) == 0 {
-		for _, r := range rels {
-			if r.alias == alias {
-				chosen = append(chosen, r)
-			}
-		}
-		preds = append(preds, join)
-	}
-	params := 0
-	for _, r := range chosen {
-		lit := func(col string) string {
-			return fmt.Sprintf("%.4f", sys.Catalog().MustColumn(r.table, col).Quantile(rng.Float64()))
-		}
-		for i, col := range r.numCols {
-			switch {
-			case params < 3 && (rng.Intn(3) == 0 || params == 0 && i == len(r.numCols)-1):
-				preds = append(preds, fmt.Sprintf("%s.%s %s ?", r.alias, col, []string{"<=", ">=", "<", ">"}[rng.Intn(4)]))
-				params++
-			case rng.Intn(4) == 0:
-				preds = append(preds, fmt.Sprintf("%s.%s BETWEEN %s AND %s", r.alias, col, lit(col), lit(col)))
-			}
-		}
-		for _, col := range r.strCols {
-			if rng.Intn(3) == 0 {
-				strs := sys.DB().MustTable(r.table).MustColumn(col).Strs
-				preds = append(preds, fmt.Sprintf("%s.%s = '%s'", r.alias, col, strs[rng.Intn(len(strs))]))
-			}
-		}
-	}
-	first := chosen[0]
-	col := first.alias + "." + first.numCols[rng.Intn(len(first.numCols))]
-	sel, groupBy := "COUNT(*)", ""
-	switch rng.Intn(3) {
-	case 1:
-		sel = "COUNT(*), SUM(" + col + ")"
-	case 2:
-		sel, groupBy = col+", COUNT(*)", " GROUP BY "+col
-	}
-	var from []string
-	for _, r := range chosen {
-		from = append(from, r.table+" "+r.alias)
-	}
-	return "SELECT " + sel + " FROM " + strings.Join(from, ", ") + " WHERE " + strings.Join(preds, " AND ") + groupBy
-}
-
-// TestNoTreeWalkRuns is the evidence for demoting the tree-walk engine to a
-// test oracle: tree_walk_runs counts the runs it served because Compile
-// refused their plan, and it must stay 0 over all nine standard templates
-// and a corpus of fuzzed templates, each driven across the plan space so
-// several plan shapes are interned.
-func TestNoTreeWalkRuns(t *testing.T) {
-	sys := openSmall(t)
-	want := make(map[string]uint64)
-	for i, d := range queries.Defs {
-		if err := sys.Register(d.Name, d.SQL); err != nil {
-			t.Fatal(err)
-		}
-		want[d.Name] = drive(t, sys, d.Name, 40, int64(i)).executed
-	}
-	rng := rand.New(rand.NewSource(97))
-	for i := 0; i < 40; i++ {
-		name, sql := fmt.Sprintf("F%d", i), fuzzTemplate(rng, sys)
-		if err := sys.Register(name, sql); err != nil {
-			t.Fatalf("%s: %q: %v", name, sql, err)
-		}
-		want[name] = drive(t, sys, name, 12, int64(i)).executed
-	}
-	snap, err := sys.MetricsSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Templates) != len(want) {
-		t.Fatalf("snapshot has %d templates, want %d", len(snap.Templates), len(want))
-	}
-	for _, tm := range snap.Templates {
-		if got := tm.ExecuteLatency.Count; got == 0 || got != want[tm.Template] {
-			t.Errorf("%s: %d executed runs in the snapshot, drove %d", tm.Template, got, want[tm.Template])
-		}
-		if n := tm.Counters.TreeWalkRuns; n != 0 {
-			sql, _ := sys.Template(tm.Template)
-			t.Errorf("%s: tree_walk_runs = %d, want 0 (%s)", tm.Template, n, sql.SQL)
-		}
 	}
 }

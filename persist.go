@@ -123,6 +123,14 @@ type LoadReport struct {
 	RecoveryDuration time.Duration
 }
 
+// damaged marks the report corrupt; the first reason recorded is kept.
+func (r *LoadReport) damaged(format string, args ...any) {
+	r.Corrupt = true
+	if r.Reason == "" {
+		r.Reason = fmt.Sprintf(format, args...)
+	}
+}
+
 // LoadStateReport returns the report of the most recent LoadState call, or
 // nil if LoadState has not been called.
 func (s *System) LoadStateReport() *LoadReport {
@@ -253,8 +261,7 @@ func (s *System) LoadState(r io.Reader) (err error) {
 
 	in, reason := decodeSnapshot(r)
 	if reason != "" {
-		report.Corrupt = true
-		report.Reason = reason
+		report.damaged("%s", reason)
 		return nil // degrade to cold
 	}
 	if in.DBScale != s.opts.TPCH.Scale || in.DBSeed != s.opts.TPCH.Seed {
@@ -277,10 +284,7 @@ func (s *System) LoadState(r io.Reader) (err error) {
 			return err
 		}
 		if derr := s.templates[st.Name].online.DecodeState(bytes.NewReader(st.Learner)); derr != nil {
-			report.Corrupt = true
-			if report.Reason == "" {
-				report.Reason = fmt.Sprintf("template %s synopsis: %v", st.Name, derr)
-			}
+			report.damaged("template %s synopsis: %v", st.Name, derr)
 			report.ColdTemplates = append(report.ColdTemplates, st.Name)
 			// Replace the half-decoded learner with a cold one.
 			if rerr := s.recreateLearnerLocked(st.Name); rerr != nil {
@@ -310,27 +314,37 @@ func (s *System) LoadState(r io.Reader) (err error) {
 		}
 		report.Templates++
 	}
-	// Restore plan trees and cache membership under the cache lock
-	// (regMu > cacheMu in the hierarchy). A plan without a tree, or whose
-	// owning template is not in the snapshot, is dropped (Run re-optimizes
-	// on demand).
-	s.cacheMu.Lock()
-	defer s.cacheMu.Unlock()
+	// Restore plan trees and cache membership. Every restored tree is
+	// recompiled through newCachedPlan, so a restored plan serves exactly
+	// like a freshly optimized one. A plan without a tree, one whose owning
+	// template is not in the snapshot, or one that no longer compiles is
+	// dropped and reported (Run re-optimizes on demand). An id the
+	// registrations above already interned (the regenerated candidate set)
+	// keeps its entry — the trees are fingerprint-identical. Compilation
+	// runs outside cacheMu, like everywhere else (regMu > cacheMu).
 	for _, sp := range in.Plans {
 		owner := s.templates[sp.Template]
 		if sp.Root == nil || owner == nil {
-			report.Corrupt = true
-			if report.Reason == "" {
-				report.Reason = fmt.Sprintf("plan %d has no tree or unknown template %q", sp.ID, sp.Template)
-			}
+			report.damaged("plan %d has no tree or unknown template %q", sp.ID, sp.Template)
 			continue
 		}
-		s.planByID[sp.ID] = &cachedPlan{
-			owner: owner,
-			plan:  &optimizer.Plan{Root: sp.Root, Cost: sp.Cost, Fingerprint: sp.Print},
+		s.cacheMu.RLock()
+		cur := s.planByID[sp.ID]
+		s.cacheMu.RUnlock()
+		if cur == nil || cur.owner != owner {
+			entry, err := s.newCachedPlan(owner, &optimizer.Plan{Root: sp.Root, Cost: sp.Cost, Fingerprint: sp.Print})
+			if err != nil {
+				report.damaged("plan %d: %v", sp.ID, err)
+				continue
+			}
+			s.cacheMu.Lock()
+			s.planByID[sp.ID] = entry
+			s.cacheMu.Unlock()
 		}
 		report.Plans++
 	}
+	s.cacheMu.Lock()
+	defer s.cacheMu.Unlock()
 	for _, id := range in.CacheMRU {
 		entry, ok := s.planByID[id]
 		if !ok {

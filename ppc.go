@@ -60,16 +60,9 @@ type Options struct {
 	// Online configures the per-template learners; the Core.Dims field is
 	// overridden per template with its parameter degree.
 	Online core.OnlineConfig
-	// ExecutePlans controls whether Run actually executes plans against
-	// the in-memory database (default true). Disable for prediction-only
-	// workloads (e.g. large parameter sweeps).
-	ExecutePlans bool
-	// DisableExecution is the explicit off switch for ExecutePlans.
+	// DisableExecution stops Run from executing plans against the in-memory
+	// database, for prediction-only workloads (e.g. large parameter sweeps).
 	DisableExecution bool
-	// DisableNegativeFeedback is the explicit off switch for the paper's
-	// Section IV-E cost-based error detector, which is on by default
-	// (mirrors DisableExecution).
-	DisableNegativeFeedback bool
 	// Breaker configures the per-template circuit breaker; the zero value
 	// uses the defaults documented on metrics.BreakerConfig.
 	Breaker metrics.BreakerConfig
@@ -163,16 +156,12 @@ func (o Options) withDefaults() Options {
 	if o.Online.Core.NoiseFraction == 0 {
 		o.Online.Core.NoiseElimination = true
 	}
-	// The paper's online safety rails are on by default: cost-based
-	// negative feedback and a low random audit rate. An explicit
-	// DisableNegativeFeedback switch turns the detector off — setting
-	// Online.NegativeFeedback=false alone cannot, since false is also the
-	// zero value.
-	o.Online.NegativeFeedback = !o.DisableNegativeFeedback
+	// The paper's online safety rails are always on: cost-based negative
+	// feedback (Section IV-E) and a low random audit rate.
+	o.Online.NegativeFeedback = true
 	if o.Online.InvocationProb == 0 {
 		o.Online.InvocationProb = 0.05
 	}
-	o.ExecutePlans = !o.DisableExecution
 	if o.TunableLSH.Enable {
 		if o.TunableLSH.RetuneEvery == 0 {
 			o.TunableLSH.RetuneEvery = 200
@@ -246,15 +235,12 @@ type System struct {
 
 	// Durability layer (nil/zero when Options.Durability.Dir is empty).
 	// wal is the shared feedback log; walObs its metrics; walPending holds
-	// recovered records (feedback and retune, interleaved in log order) for
-	// templates the checkpoint did not contain, keyed by template name and
-	// guarded by regMu (consumed at registration).
+	// recovered records (all kinds, interleaved in log order) for templates
+	// the checkpoint did not contain, keyed by template name and guarded by
+	// regMu (consumed at registration).
 	wal        *wal.Log
 	walObs     *obsv.WALObs
 	walPending map[string][]wal.Record
-	// corrPending holds recovered correction records for templates the
-	// checkpoint did not contain, symmetric with walPending.
-	corrPending map[string][]stats.CorrRecord
 	// checkpointStop/Done bracket the background checkpointer goroutine.
 	checkpointStop chan struct{}
 	checkpointDone chan struct{}
@@ -273,17 +259,31 @@ type System struct {
 // The owner pointer lets the eviction scorer and the foreign-plan guard
 // resolve a plan's template without the registry lock.
 //
-// prog and rebind are the plan's compiled forms, built once at intern time
-// so a cache hit does O(params) work instead of O(plan): prog executes the
-// plan through the batched columnar engine, rebind re-costs it by binding
-// parameter slots in place. Either may be nil when the plan's shape is not
-// compilable — the serving path then falls back to the tree-walking
-// executor and the deep-copy Recost, which handle every shape.
+// prog and rebind are the plan's compiled forms, so a cache hit does
+// O(params) work instead of O(plan): prog executes the plan through the
+// batched columnar engine, rebind re-costs it by binding parameter slots in
+// place. Neither is ever nil: newCachedPlan is the only place a cachedPlan
+// is made, and it fails rather than return a plan the serving path could
+// not run. Register admits only templates whose plans all compile
+// (optimizer.TypeError), so a failure there is an invariant violation.
 type cachedPlan struct {
 	owner  *templateState
 	plan   *optimizer.Plan
 	prog   *executor.CompiledPlan
 	rebind *optimizer.RebindProgram
+}
+
+// newCachedPlan compiles a plan of st's template into its cache entry.
+func (s *System) newCachedPlan(st *templateState, plan *optimizer.Plan) (*cachedPlan, error) {
+	prog, err := s.exec.Compile(plan, st.tmpl.Query)
+	if err != nil {
+		return nil, err
+	}
+	rebind, err := s.opt.CompileRebind(st.tmpl.Query, plan)
+	if err != nil {
+		return nil, err
+	}
+	return &cachedPlan{owner: st, plan: plan, prog: prog, rebind: rebind}, nil
 }
 
 // applyBatchMax bounds how many queued feedback points one apply batch
@@ -749,7 +749,7 @@ func (s *System) registerLocked(name, sql string) error {
 // after a correction-epoch bump (no facade lock held); both orders respect
 // the hierarchy regMu > candMu > cacheMu. A generation failure keeps the
 // previous set — routing then falls back to the full optimizer until the
-// next epoch bump retries.
+// next epoch bump retries; so does a candidate that fails to compile.
 func (s *System) refreshCandidates(st *templateState) {
 	if !s.opts.Candidates.Enable {
 		return
@@ -773,7 +773,10 @@ func (s *System) refreshCandidates(st *templateState) {
 	ids := make([]int, 0, len(cands))
 	fps := make([]string, 0, len(cands))
 	for _, c := range cands {
-		id, _ := s.internPlan(st, c.Plan)
+		id, _, err := s.internPlan(st, c.Plan)
+		if err != nil {
+			return
+		}
 		ids = append(ids, id)
 		fps = append(fps, c.Plan.Fingerprint)
 	}
@@ -786,8 +789,8 @@ func (s *System) refreshCandidates(st *templateState) {
 // the instance in O(params) via its cached rebind program and the cheapest
 // wins — the plan the full optimizer would pick whenever the set covers the
 // optimum, at a fraction of the cost. Returns ok=false when candidates are
-// disabled, stale against the correction epoch, or not recostable; the
-// caller then falls back to full optimization.
+// disabled, stale against the correction epoch, or evicted; the caller then
+// falls back to full optimization.
 func (s *System) candidateRoute(st *templateState, values []float64) (int, float64, bool) {
 	if !s.opts.Candidates.Enable {
 		return 0, 0, false
@@ -812,7 +815,7 @@ func (s *System) candidateRoute(st *templateState, values []float64) (int, float
 	}
 	live := make([]cand, 0, len(ids))
 	for _, id := range ids {
-		if entry := s.planByID[id]; entry != nil && entry.owner == st && entry.rebind != nil {
+		if entry := s.planByID[id]; entry != nil && entry.owner == st {
 			live = append(live, cand{id: id, entry: entry})
 		}
 	}
@@ -1011,26 +1014,18 @@ func (s *System) Run(template string, values []float64) (res *RunResult, err err
 		}
 	}
 
-	bound, prog, err := s.resolvePlan(st, res, inst, values)
+	prog, err := s.resolvePlan(st, res, inst, values)
 	if err != nil {
 		return nil, err
 	}
 
-	if s.opts.ExecutePlans {
+	if !s.opts.DisableExecution {
+		// Batched columnar execution over pooled arenas. Every run also
+		// harvests true per-operator cardinalities — for the estimation
+		// q-error histogram always, and for the correction learner when the
+		// adaptive layer is on.
 		t1 := time.Now()
-		var out *executor.Result
-		var xerr error
-		if prog != nil {
-			// Compiled path: batched columnar execution over pooled arenas,
-			// bit-identical to the tree-walking engine's output. Every
-			// compiled run also harvests true per-operator cardinalities —
-			// for the estimation q-error histogram always, and for the
-			// correction learner when the adaptive layer is on.
-			out, xerr = s.execObserved(st, prog, values)
-		} else {
-			st.obs.CountTreeWalkRun()
-			out, xerr = s.exec.Run(bound)
-		}
+		out, xerr := s.execObserved(st, prog, values)
 		if xerr != nil {
 			return nil, &PipelineError{Stage: "execute", Template: template, Err: xerr}
 		}
@@ -1202,7 +1197,9 @@ func (s *System) runDegraded(st *templateState, res *RunResult, inst optimizer.I
 	res.OptimizeTime += time.Since(t1)
 	res.Invoked = true
 	res.CacheHit = false
-	res.PlanID, _ = s.internPlan(st, plan)
+	if res.PlanID, _, oerr = s.internPlan(st, plan); oerr != nil {
+		return oerr
+	}
 	st.degradedRuns.Add(1)
 	// The validated label still feeds the quarantined learner so it
 	// retrains while degraded. A rejected point (dimensionality mismatch)
@@ -1240,82 +1237,51 @@ func (s *System) memoFor(st *templateState) *optimizer.Memo {
 	return fresh
 }
 
-// resolvePlan fetches the plan to execute: on a hit, rebind the cached
-// plan's compiled program in O(params) (falling back to the deep-copy
-// Recost when the plan never compiled); on a miss (or a foreign/unusable
-// tree) optimize afresh through the template's memo. Rebinding and
-// optimization run outside all locks. The returned program, when non-nil,
-// is the compiled form of the returned plan and is what Run executes; the
-// bound tree is only executed when prog is nil.
-func (s *System) resolvePlan(st *templateState, res *RunResult, inst optimizer.Instance, values []float64) (*optimizer.Plan, *executor.CompiledPlan, error) {
+// resolvePlan fetches the compiled plan to execute: on a hit, rebind the
+// cached plan's program in O(params); on a miss (the predicted plan was
+// evicted, belongs to another template, or does not rebind at these values)
+// optimize afresh through the template's memo and compile the winner.
+// Rebinding and optimization run outside all locks.
+func (s *System) resolvePlan(st *templateState, res *RunResult, inst optimizer.Instance, values []float64) (*executor.CompiledPlan, error) {
 	s.cacheMu.RLock()
 	entry, ok := s.planByID[res.PlanID]
 	s.cacheMu.RUnlock()
 	// A plan belonging to another template (a garbled prediction that
 	// happens to resolve) must never execute here — treat it as a miss.
-	if ok && entry.owner != st {
-		ok = false
-	}
-	var bound *optimizer.Plan
-	var prog *executor.CompiledPlan
-	if ok {
-		if entry.rebind != nil && entry.prog != nil {
-			// Fast hit: bind the parameter slots and re-cost in place — no
-			// tree copy. The cached (template-bound) tree stands in for the
-			// bound plan; it is never executed, entry.prog is.
-			cost, rerr := entry.rebind.Recost(s.opt, values)
-			if rerr != nil {
-				ok = false
-			} else {
-				bound = entry.plan
-				prog = entry.prog
-				res.EstimatedCost = cost
-			}
-		} else {
-			rb, rerr := s.opt.Recost(st.tmpl.Query, entry.plan, values)
-			if rerr != nil {
-				// The cached tree is unusable for this template: treat it as
-				// a miss and re-optimize rather than failing the query.
-				ok = false
-			} else {
-				bound = rb
-				res.EstimatedCost = rb.Cost
-			}
+	if ok && entry.owner == st {
+		// Bind the parameter slots and re-cost in place — no tree copy.
+		if cost, err := entry.rebind.Recost(s.opt, values); err == nil {
+			res.EstimatedCost = cost
+			res.Fingerprint = entry.plan.Fingerprint
+			// Refresh the executed plan's recency. Touch (rather than Get)
+			// leaves an id a concurrent insertion has just evicted alone
+			// instead of recording a spurious cache miss.
+			s.cacheMu.Lock()
+			s.cache.Touch(res.PlanID)
+			s.cacheMu.Unlock()
+			s.cacheObs.CountHit()
+			return entry.prog, nil
 		}
 	}
-	if ok {
-		res.Fingerprint = entry.plan.Fingerprint
-		// Refresh the executed plan's recency. Touch (rather than Get)
-		// leaves an id a concurrent insertion has just evicted alone
-		// instead of recording a spurious cache miss.
-		s.cacheMu.Lock()
-		s.cache.Touch(res.PlanID)
-		s.cacheMu.Unlock()
-		s.cacheObs.CountHit()
-	} else {
-		// The predicted plan's tree was evicted from the cache (or was
-		// unusable): optimize afresh — a cache miss despite a possibly
-		// correct prediction.
-		t1 := time.Now()
-		plan, oerr := s.opt.OptimizeMemo(s.memoFor(st), inst.Values)
-		if oerr != nil {
-			return nil, nil, &PipelineError{Stage: "optimize", Template: res.Template, Err: oerr}
-		}
-		res.OptimizeTime += time.Since(t1)
-		res.Invoked = true
-		res.CacheHit = false
-		var fresh *cachedPlan
-		res.PlanID, fresh = s.internPlan(st, plan)
-		// OptimizeMemo binds the plan at these values already.
-		bound = plan
-		prog = fresh.prog
-		res.Fingerprint = plan.Fingerprint
-		res.EstimatedCost = plan.Cost
-		// No recency refresh here: internPlan just Put the plan, which
-		// already made it the cache's most recent entry.
-		s.cacheObs.CountMiss()
+	// A cache miss despite a possibly correct prediction.
+	t1 := time.Now()
+	plan, err := s.opt.OptimizeMemo(s.memoFor(st), inst.Values)
+	if err != nil {
+		return nil, &PipelineError{Stage: "optimize", Template: res.Template, Err: err}
 	}
-	return bound, prog, nil
+	res.OptimizeTime += time.Since(t1)
+	res.Invoked = true
+	res.CacheHit = false
+	if res.PlanID, entry, err = s.internPlan(st, plan); err != nil {
+		return nil, err
+	}
+	// OptimizeMemo costs the plan at these values already.
+	res.Fingerprint = plan.Fingerprint
+	res.EstimatedCost = plan.Cost
+	// No recency refresh here: internPlan just Put the plan, which
+	// already made it the cache's most recent entry.
+	s.cacheObs.CountMiss()
+	return entry.prog, nil
 }
 
 // internPlan registers a fresh plan in the registry, index and cache, and
@@ -1327,22 +1293,18 @@ func (s *System) resolvePlan(st *templateState, res *RunResult, inst optimizer.I
 //
 // An id already cached for this template keeps its existing entry (the
 // trees are fingerprint-identical), so re-interning a plan on every audit
-// or degraded run never recompiles it. Fresh entries are compiled — into a
-// batched executor program and a rebind program — outside cacheMu; a plan
-// shape the compilers cannot express leaves the fields nil and serves
-// through the legacy paths.
-func (s *System) internPlan(st *templateState, plan *optimizer.Plan) (int, *cachedPlan) {
+// or degraded run never recompiles it. Fresh entries are compiled outside
+// cacheMu; a plan that does not compile is not interned and surfaces as a
+// *PipelineError at stage "compile".
+func (s *System) internPlan(st *templateState, plan *optimizer.Plan) (int, *cachedPlan, error) {
 	id := s.reg.ID(plan.Fingerprint)
 	s.cacheMu.RLock()
 	entry, ok := s.planByID[id]
 	s.cacheMu.RUnlock()
 	if !ok || entry.owner != st {
-		entry = &cachedPlan{owner: st, plan: plan}
-		if prog, err := s.exec.Compile(plan, st.tmpl.Query); err == nil {
-			entry.prog = prog
-		}
-		if rb, err := s.opt.CompileRebind(st.tmpl.Query, plan); err == nil {
-			entry.rebind = rb
+		var err error
+		if entry, err = s.newCachedPlan(st, plan); err != nil {
+			return 0, nil, &PipelineError{Stage: "compile", Template: st.tmpl.Name, Err: err}
 		}
 	}
 	s.cacheMu.Lock()
@@ -1353,7 +1315,7 @@ func (s *System) internPlan(st *templateState, plan *optimizer.Plan) (int, *cach
 		delete(s.planByID, evicted)
 		s.cacheObs.CountEviction()
 	}
-	return id, entry
+	return id, entry, nil
 }
 
 // Stats summarizes a template's learner state.
@@ -1658,7 +1620,10 @@ func (e *planEnv) Optimize(x []float64) (int, float64, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	id, _ := e.sys.internPlan(e.st, plan)
+	id, _, err := e.sys.internPlan(e.st, plan)
+	if err != nil {
+		return 0, 0, err
+	}
 	if e.st.candidateHas(plan.Fingerprint) {
 		e.st.obs.CountCandidateKept()
 	}
@@ -1703,16 +1668,5 @@ func (e *planEnv) ExecuteCost(x []float64, planID int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	// Every cache-hit learner step lands here: prefer the O(params) rebind
-	// program over the deep-copy Recost.
-	if entry.rebind != nil {
-		if cost, err := entry.rebind.Recost(e.sys.opt, inst.Values); err == nil {
-			return cost, nil
-		}
-	}
-	re, err := e.sys.opt.Recost(e.tmpl.Query, entry.plan, inst.Values)
-	if err != nil {
-		return 0, err
-	}
-	return re.Cost, nil
+	return entry.rebind.Recost(e.sys.opt, inst.Values)
 }

@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/executor"
 	"repro/internal/optimizer"
 	"repro/internal/queries"
 	"repro/internal/tpch"
@@ -101,38 +104,148 @@ func TestRunExecutesAndCaches(t *testing.T) {
 	}
 }
 
+// TestRunResultsMatchDirectExecution: whatever the cache decides, a Run
+// returns the rows a fresh optimize-and-execute of the same instance gives
+// on the tree-walk reference engine. The corpus is the nine standard
+// templates plus 40 fuzzed ones, each driven across its plan space so
+// several plan shapes are interned; every Register and Run succeeding means
+// every interned plan compiled.
 func TestRunResultsMatchDirectExecution(t *testing.T) {
-	// Whatever the cache decides, results must equal a fresh
-	// optimize-and-execute of the same instance.
 	sys := openSmall(t)
-	if err := sys.Register("Q2", queries.Defs[2].SQL); err != nil {
-		t.Fatal(err)
+	runs := make(map[string]int)
+	for _, d := range queries.Defs {
+		if err := sys.Register(d.Name, d.SQL); err != nil {
+			t.Fatal(err)
+		}
+		runs[d.Name] = 40
 	}
-	tmpl, _ := sys.Template("Q2")
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 60; i++ {
-		point := []float64{rng.Float64(), rng.Float64()}
-		inst, err := sys.Optimizer().InstanceAt(tmpl, point)
-		if err != nil {
-			t.Fatal(err)
+	rng := rand.New(rand.NewSource(97))
+	for i := 0; i < 40; i++ {
+		name, sql := fmt.Sprintf("F%d", i), fuzzTemplate(rng, sys)
+		if err := sys.Register(name, sql); err != nil {
+			t.Fatalf("%s: %q: %v", name, sql, err)
 		}
-		res, err := sys.Run("Q2", inst.Values)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := sys.Optimizer().OptimizeInstance(inst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Both are COUNT/SUM aggregates: compare the count cell.
-		direct, err := execDirect(sys, fresh)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := res.Result.Rows[0][0].Num, direct.Rows[0][0].Num; got != want {
-			t.Errorf("run %d: cached path count %v, direct %v", i, got, want)
+		runs[name] = 12
+	}
+	for _, name := range sys.TemplateNames() {
+		tmpl, _ := sys.Template(name)
+		prng := rand.New(rand.NewSource(2))
+		for i := 0; i < runs[name]; i++ {
+			point := make([]float64, tmpl.Degree())
+			for d := range point {
+				point[d] = prng.Float64()
+			}
+			inst, err := sys.Optimizer().InstanceAt(tmpl, point)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sys.Run(name, inst.Values)
+			if err != nil {
+				t.Fatalf("%s run %d: %v (%s)", name, i, err, tmpl.SQL)
+			}
+			fresh, err := sys.Optimizer().OptimizeInstance(inst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct, err := execDirect(sys, fresh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := canonRows(res.Result), canonRows(direct); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s run %d: cached path returned %d rows, direct %d, or they differ (%s)",
+					name, i, len(got), len(want), tmpl.SQL)
+			}
 		}
 	}
+}
+
+// canonRows renders a result's rows in an order-independent form: plans of
+// one instance may emit the same rows (and groups) in different orders, and
+// sum the same values in different orders.
+func canonRows(r *executor.Result) []string {
+	out := make([]string, len(r.Rows))
+	for i, row := range r.Rows {
+		var b strings.Builder
+		for _, v := range row {
+			if v.IsStr {
+				b.WriteString(v.Str)
+			} else {
+				fmt.Fprintf(&b, "%.9g", v.Num)
+			}
+			b.WriteByte('|')
+		}
+		out[i] = b.String()
+	}
+	sort.Strings(out)
+	return out
+}
+
+// fuzzTemplate generates a random parameterized template over the standard
+// schema — the serving-level counterpart of the executor equivalence suite's
+// literal-only fuzz corpus, since Run serves only templates: one table or a
+// foreign-key pair, one to three `?` range comparisons with random
+// operators, literal BETWEEN and string-equality filters on the side, and a
+// global or grouped aggregate.
+func fuzzTemplate(rng *rand.Rand, sys *System) string {
+	type rel struct {
+		table, alias string
+		numCols      []string
+		strCols      []string
+		parent       string // "alias|join predicate", or empty
+	}
+	rels := []rel{
+		{"nation", "n", []string{"n_nationkey", "n_regionkey", "n_date"}, []string{"n_name"}, ""},
+		{"supplier", "s", []string{"s_suppkey", "s_nationkey", "s_date"}, nil, "n|s.s_nationkey = n.n_nationkey"},
+		{"part", "p", []string{"p_partkey", "p_size", "p_retailprice", "p_date"}, []string{"p_brand", "p_type"}, ""},
+		{"customer", "c", []string{"c_custkey", "c_nationkey", "c_date"}, []string{"c_mktsegment"}, "n|c.c_nationkey = n.n_nationkey"},
+		{"orders", "o", []string{"o_orderkey", "o_custkey", "o_totalprice", "o_orderdate"}, []string{"o_orderpriority"}, "c|o.o_custkey = c.c_custkey"},
+		{"lineitem", "l", []string{"l_orderkey", "l_quantity", "l_extendedprice", "l_shipdate"}, nil, "o|l.l_orderkey = o.o_orderkey"},
+	}
+	chosen := []rel{rels[rng.Intn(len(rels))]}
+	var preds []string
+	if alias, join, ok := strings.Cut(chosen[0].parent, "|"); ok && rng.Intn(2) == 0 {
+		for _, r := range rels {
+			if r.alias == alias {
+				chosen = append(chosen, r)
+			}
+		}
+		preds = append(preds, join)
+	}
+	params := 0
+	for _, r := range chosen {
+		lit := func(col string) string {
+			return fmt.Sprintf("%.4f", sys.Catalog().MustColumn(r.table, col).Quantile(rng.Float64()))
+		}
+		for i, col := range r.numCols {
+			switch {
+			case params < 3 && (rng.Intn(3) == 0 || params == 0 && i == len(r.numCols)-1):
+				preds = append(preds, fmt.Sprintf("%s.%s %s ?", r.alias, col, []string{"<=", ">=", "<", ">"}[rng.Intn(4)]))
+				params++
+			case rng.Intn(4) == 0:
+				preds = append(preds, fmt.Sprintf("%s.%s BETWEEN %s AND %s", r.alias, col, lit(col), lit(col)))
+			}
+		}
+		for _, col := range r.strCols {
+			if rng.Intn(3) == 0 {
+				strs := sys.DB().MustTable(r.table).MustColumn(col).Strs
+				preds = append(preds, fmt.Sprintf("%s.%s = '%s'", r.alias, col, strs[rng.Intn(len(strs))]))
+			}
+		}
+	}
+	first := chosen[0]
+	col := first.alias + "." + first.numCols[rng.Intn(len(first.numCols))]
+	sel, groupBy := "COUNT(*)", ""
+	switch rng.Intn(3) {
+	case 1:
+		sel = "COUNT(*), SUM(" + col + ")"
+	case 2:
+		sel, groupBy = col+", COUNT(*)", " GROUP BY "+col
+	}
+	var from []string
+	for _, r := range chosen {
+		from = append(from, r.table+" "+r.alias)
+	}
+	return "SELECT " + sel + " FROM " + strings.Join(from, ", ") + " WHERE " + strings.Join(preds, " AND ") + groupBy
 }
 
 func TestTemplateStats(t *testing.T) {
@@ -267,5 +380,60 @@ func TestRegisterRejectsTooManyRelations(t *testing.T) {
 	want := float64(sys.DB().MustTable("region").NumRows())
 	if len(res.Result.Rows) != 1 || res.Result.Rows[0][0].Num != want {
 		t.Errorf("12-way region self-join counted %v, want %v", res.Result.Rows, want)
+	}
+}
+
+// TestRegisterRejectsIllTypedTemplates: Register is where a template the
+// compiled engine cannot express is refused — with a typed error, leaving
+// nothing registered — because Run has no second engine to fall back to,
+// and the reference engine's answers to them are meaningless (MAX over a
+// string column is 0, a numeric-to-string join has no rows). String
+// equi-joins are supported, as hash joins.
+func TestRegisterRejectsIllTypedTemplates(t *testing.T) {
+	sys := openSmall(t)
+	for name, sql := range map[string]string{
+		"strmax":   "SELECT COUNT(*), MAX(p.p_brand) FROM part p WHERE p.p_size <= ?",
+		"mixedkey": "SELECT COUNT(*) FROM part p, partsupp ps WHERE p.p_brand = ps.ps_partkey AND p.p_size <= ?",
+		"numstr":   "SELECT COUNT(*) FROM part p WHERE p.p_brand <= ?",
+		"strnum":   "SELECT COUNT(*) FROM part p WHERE p.p_size = 'x' AND p.p_date <= ?",
+	} {
+		err := sys.Register(name, sql)
+		var te *optimizer.TypeError
+		if !errors.As(err, &te) {
+			t.Errorf("%s: got %v, want a TypeError", name, err)
+		}
+		if _, err := sys.Template(name); err == nil {
+			t.Errorf("%s: the rejected template is registered", name)
+		}
+	}
+
+	sql := "SELECT COUNT(*), COUNT(p1.p_type) FROM part p1, part p2 WHERE p1.p_brand = p2.p_brand AND p1.p_size <= ?"
+	if err := sys.Register("strjoin", sql); err != nil {
+		t.Fatal(err)
+	}
+	tmpl, _ := sys.Template("strjoin")
+	for _, sel := range []float64{0.1, 0.5, 0.9, 0.5} {
+		inst, err := sys.Optimizer().InstanceAt(tmpl, []float64{sel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sys.Run("strjoin", inst.Values)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(res.Fingerprint, "MJ[") {
+			t.Errorf("merge join on a string key: %s", res.Fingerprint)
+		}
+		fresh, err := sys.Optimizer().OptimizeInstance(inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := execDirect(sys, fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := canonRows(res.Result), canonRows(direct); !reflect.DeepEqual(got, want) || got[0] == "0|0|" {
+			t.Errorf("selectivity %v: compiled string hash join returned %v, tree-walk reference %v", sel, got, want)
+		}
 	}
 }
