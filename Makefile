@@ -1,15 +1,9 @@
 GO ?= go
 
-.PHONY: tier1 build vet test race chaos crash fuzz replication bench benchcmp profile clean
+.PHONY: tier1 build vet test race chaos crash fuzz replication ab profile clean
 
 # Per-target budget for the fuzz smoke (`make fuzz FUZZTIME=2m` to go deep).
 FUZZTIME ?= 15s
-
-# Benchmark pipeline knobs: `make bench` re-measures the serving-path suite
-# and writes $(BENCH_OUT) with benchcmp-style deltas against $(BENCH_BASE);
-# `make benchcmp OLD=a.json NEW=b.json` diffs any two stored reports.
-BENCH_BASE ?= bench_baseline.json
-BENCH_OUT  ?= BENCH_PR10.json
 
 # Where `make profile` drops its pprof output.
 PROFILE_DIR ?= profiles
@@ -81,15 +75,15 @@ replication:
 	$(GO) test -race -run 'TestReplication|TestLeaderReplica|TestLeaderRestart' -v .
 	$(GO) test -race -run TestLeaderReplicaFailover -v ./cmd/ppcreplica
 
-# Run the go-test serving-path benchmarks with allocation accounting, then
-# regenerate the machine-readable report through cmd/ppcbench.
-bench:
-	$(GO) test -run '^$$' -bench 'ApproxLSHHist|PredictModel|Run|Replica' -benchmem .
-	$(GO) run ./cmd/ppcbench -bench -baseline $(BENCH_BASE) -benchout $(BENCH_OUT)
-
-# Benchcmp-style diff of two stored bench reports.
-benchcmp:
-	$(GO) run ./cmd/ppcbench -benchcmp $(OLD) $(NEW)
+# Same-runner A/B of one bench/ workload (hit_exec, miss_optimize,
+# serve_durable, replica_predict): the working tree against git ref BASE,
+# five alternating pairs of `bash bench/run.sh` at BENCHMARK.json's settings,
+# held to BENCHMARK.json's bounds by `go run -C bench . -compare`. Exits 1 on
+# a metric past its bound; the last stdout line is a BENCH_LEDGER.json row.
+# This is CI's bench-ab gate; `make ab BASE=HEAD W=hit_exec` measures an
+# uncommitted change.
+ab:
+	bash scripts/ab.sh "$(BASE)" "$(W)"
 
 # CPU and heap profiles of the two Run paths, for chasing where the time
 # goes: run.* is the hit path (BenchmarkEndToEndRun: Q1 in steady state,

@@ -8,6 +8,8 @@ package ppc_test
 
 import (
 	"os"
+	"os/exec"
+	"strings"
 	"testing"
 
 	"repro/internal/benchsuite"
@@ -40,5 +42,20 @@ func TestRunPathAllocBudget(t *testing.T) {
 	}
 	if err := benchsuite.CheckAllocBudget(os.Stderr, "EndToEndRun", 32); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCommandsLinkNoBenchHarness keeps the guards' substrate where it
+// belongs: internal/benchsuite exists for _test.go files, so no shipped
+// binary under cmd/ may link it, or the testing package it drags in.
+func TestCommandsLinkNoBenchHarness(t *testing.T) {
+	out, err := exec.Command("go", "list", "-deps", "./cmd/...").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go list -deps ./cmd/...: %v\n%s", err, out)
+	}
+	for _, pkg := range strings.Fields(string(out)) {
+		if pkg == "testing" || pkg == "repro/internal/benchsuite" {
+			t.Errorf("a command under cmd/ links %s", pkg)
+		}
 	}
 }

@@ -1,9 +1,9 @@
 package ppc_test
 
-// go-test entry points for the serving-path benchmark suite. The bodies
-// live in internal/benchsuite so cmd/ppcbench -bench measures exactly the
-// same code via testing.Benchmark; this file is in the external test
-// package because benchsuite imports repro.
+// go-test entry points for the serving-path benchmark bodies. The bodies
+// live in internal/benchsuite so the allocation guards (allocguard_test.go)
+// measure exactly the same code via testing.Benchmark; this file is in the
+// external test package because benchsuite imports repro.
 //
 //	go test -bench='Run|ApproxLSHHist' -benchmem
 //	go test -bench=BenchmarkRunParallel -cpu 4
@@ -24,17 +24,6 @@ func BenchmarkPredictModelManyPlans(b *testing.B) { benchsuite.PredictModelManyP
 func BenchmarkInsertApproxLSHHist(b *testing.B)   { benchsuite.InsertApproxLSHHist(b) }
 func BenchmarkEndToEndRun(b *testing.B)           { benchsuite.EndToEndRun(b) }
 func BenchmarkRunMixedSerial(b *testing.B)        { benchsuite.RunMixedSerial(b) }
-
-// BenchmarkRebindCachedPlan isolates the cache-hit rebind: re-costing a
-// cached plan's rebind program at fresh parameter values, O(params) work
-// with no prediction or execution attached.
-func BenchmarkRebindCachedPlan(b *testing.B) { benchsuite.RebindCachedPlan(b) }
-
-// BenchmarkRunWithWAL is BenchmarkEndToEndRun on a durability-enabled
-// System: the same steady-state Q1 workload with every validated feedback
-// point logged to the WAL (SyncInterval group commit). The ratio against
-// BenchmarkEndToEndRun is the serving-path cost of durability.
-func BenchmarkRunWithWAL(b *testing.B) { benchsuite.RunWithWAL(b) }
 
 // BenchmarkRunParallel serves the mixed four-template workload from
 // GOMAXPROCS goroutines, each pinned to one template. Against

@@ -198,7 +198,6 @@ func BenchmarkExecuteQ1(b *testing.B) {
 }
 
 // The serving-path benchmarks (PredictApproxLSHHist, InsertApproxLSHHist,
-// EndToEndRun, RunMixedSerial, RunParallel) live in internal/benchsuite and
-// are exposed as go-test benchmarks by bench_suite_test.go, so the same
-// bodies feed both `go test -bench` and the machine-readable pipeline
-// (cmd/ppcbench -bench).
+// EndToEndRun, RunMixedSerial, RunParallel) live in internal/benchsuite,
+// where the allocation guards can reach them, and are exposed as go-test
+// benchmarks by bench_suite_test.go.

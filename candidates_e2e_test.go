@@ -16,8 +16,8 @@ import (
 // openCandidateSystem opens the PR 9 distorted adaptive substrate with
 // candidate generation on top: a 6x-biased base estimator the correction
 // learner can absorb, synchronous feedback, and the candidate set interned
-// at Register.
-func openCandidateSystem(t *testing.T) *System {
+// at Register. tunable is the zero value for the fixed transform grid.
+func openCandidateSystem(t *testing.T, tunable TunableLSHOptions) *System {
 	t.Helper()
 	sys, err := Open(Options{
 		TPCH:          tpch.Config{Scale: 1000, Seed: 5},
@@ -25,6 +25,7 @@ func openCandidateSystem(t *testing.T) *System {
 		FeedbackQueue: -1,
 		StatsWrap:     distortLineitem,
 		Candidates:    CandidatesOptions{Enable: true},
+		TunableLSH:    tunable,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +46,7 @@ func candidateFingerprints(st *templateState) []string {
 // template — before any query runs — and surface the count on the metrics
 // snapshot.
 func TestCandidateSetDiverseAtRegister(t *testing.T) {
-	sys := openCandidateSystem(t)
+	sys := openCandidateSystem(t, TunableLSHOptions{})
 	if err := sys.Register("Q1", mustSQL(t, "Q1")); err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,10 @@ func TestCandidateSetDiverseAtRegister(t *testing.T) {
 // full optimization, and once the corrections converge — bumping the
 // correction epoch and regenerating the set — routing picks exactly the
 // plan a ground-truth (undistorted) optimizer picks, without ever waiting
-// for a cache miss to discover it.
+// for a cache miss to discover it. The tunable-lsh case is the only place
+// the tree opens a System with candidate generation and tunable LSH
+// together: routing must hold while the learner's transform grid re-tunes
+// under it.
 func TestCandidateRoutingUnderDistortion(t *testing.T) {
 	// Ground truth: the plan an undistorted optimizer picks at the probe.
 	truth, err := Open(Options{
@@ -120,55 +124,70 @@ func TestCandidateRoutingUnderDistortion(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sys := openCandidateSystem(t)
-	if err := sys.Register("Q1", mustSQL(t, "Q1")); err != nil {
-		t.Fatal(err)
-	}
-	st, err := sys.lookup("Q1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The skewed workload warms the corrections (epoch bumps regenerate the
-	// candidate set under the corrected estimates) while the learner's
-	// optimizer invocations route among the candidates throughout.
-	runSkewed(t, sys, 300, 7)
-	if _, err := sys.TemplateStats("Q1"); err != nil { // flush the applier
-		t.Fatal(err)
-	}
+	// The warm learner audits a fraction of the 300 runs, so the tunable
+	// case needs a re-tune threshold well under mutTunable's 40 insertions.
+	for name, tunable := range map[string]TunableLSHOptions{
+		"fixed-lsh":   {},
+		"tunable-lsh": {Enable: true, RetuneEvery: 10, Reservoir: 128},
+	} {
+		t.Run(name, func(t *testing.T) {
+			sys := openCandidateSystem(t, tunable)
+			if err := sys.Register("Q1", mustSQL(t, "Q1")); err != nil {
+				t.Fatal(err)
+			}
+			st, err := sys.lookup("Q1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The skewed workload warms the corrections (epoch bumps regenerate the
+			// candidate set under the corrected estimates) while the learner's
+			// optimizer invocations route among the candidates throughout.
+			runSkewed(t, sys, 300, 7)
+			if _, err := sys.TemplateStats("Q1"); err != nil { // flush the applier
+				t.Fatal(err)
+			}
 
-	snap, err := sys.MetricsSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tm := range snap.Templates {
-		if tm.Template != "Q1" {
-			continue
-		}
-		if tm.Counters.CandidateRouted == 0 {
-			t.Error("no learner invocation was candidate-routed across 300 runs")
-		}
-		if tm.Counters.CandidatePlans < 3 {
-			t.Errorf("candidate set shrank to %d plans", tm.Counters.CandidatePlans)
-		}
-	}
+			snap, err := sys.MetricsSnapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tm := range snap.Templates {
+				if tm.Template != "Q1" {
+					continue
+				}
+				if tm.Counters.CandidateRouted == 0 {
+					t.Error("no learner invocation was candidate-routed across 300 runs")
+				}
+				if tm.Counters.CandidatePlans < 3 {
+					t.Errorf("candidate set shrank to %d plans", tm.Counters.CandidatePlans)
+				}
+			}
 
-	// The converged set contains the ground-truth plan and routing picks it.
-	if !st.candidateHas(truthPlan.Fingerprint) {
-		t.Fatalf("converged candidate set %v does not contain the ground-truth plan %s",
-			candidateFingerprints(st), truthPlan.Fingerprint)
-	}
-	id, _, ok := sys.candidateRoute(st, probe.Values)
-	if !ok {
-		t.Fatal("candidate routing declined at the probe point after convergence")
-	}
-	sys.cacheMu.RLock()
-	entry := sys.planByID[id]
-	sys.cacheMu.RUnlock()
-	if entry == nil {
-		t.Fatalf("routed plan id %d not in the cache", id)
-	}
-	if entry.plan.Fingerprint != truthPlan.Fingerprint {
-		t.Errorf("candidate routing picked %s, ground-truth optimizer picks %s",
-			entry.plan.Fingerprint, truthPlan.Fingerprint)
+			// Read from the learner: with synchronous feedback the metrics
+			// gauge is not refreshed (only the applier goroutine sets it).
+			if tunable.Enable && retuneEpoch(t, sys, "Q1") == 0 {
+				t.Error("tunable learner never re-tuned across 300 runs")
+			}
+
+			// The converged set contains the ground-truth plan and routing picks it.
+			if !st.candidateHas(truthPlan.Fingerprint) {
+				t.Fatalf("converged candidate set %v does not contain the ground-truth plan %s",
+					candidateFingerprints(st), truthPlan.Fingerprint)
+			}
+			id, _, ok := sys.candidateRoute(st, probe.Values)
+			if !ok {
+				t.Fatal("candidate routing declined at the probe point after convergence")
+			}
+			sys.cacheMu.RLock()
+			entry := sys.planByID[id]
+			sys.cacheMu.RUnlock()
+			if entry == nil {
+				t.Fatalf("routed plan id %d not in the cache", id)
+			}
+			if entry.plan.Fingerprint != truthPlan.Fingerprint {
+				t.Errorf("candidate routing picked %s, ground-truth optimizer picks %s",
+					entry.plan.Fingerprint, truthPlan.Fingerprint)
+			}
+		})
 	}
 }

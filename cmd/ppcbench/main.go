@@ -1,11 +1,8 @@
-// Command ppcbench regenerates the paper's tables and figures, and runs the
-// serving-path benchmark suite in machine-readable form.
+// Command ppcbench regenerates the paper's tables and figures.
 //
 // Usage:
 //
-//	ppcbench [-scale N] [-seed S] [-frac F] [-list] [experiment ...]
-//	ppcbench -bench [-baseline FILE] [-benchout FILE] [-metrics] [-regress PCT] [-regressbench RE]
-//	ppcbench -benchcmp [-regress PCT] OLD.json NEW.json
+//	ppcbench [-scale N] [-seed S] [-frac F] [-csv DIR] [-list] [experiment ...]
 //
 // With no experiment arguments it runs the full suite in paper order. Each
 // experiment prints an aligned table with the same rows/series the paper
@@ -15,16 +12,8 @@
 //	ppcbench fig3 tab2        # run two experiments at full size
 //	ppcbench -frac 0.1 fig8   # quick pass at 10% workload sizes
 //
-// -bench measures the internal/benchsuite serving-path benchmarks (the same
-// bodies `go test -bench` runs) and writes a JSON report: per-benchmark
-// ns/op, allocs/op, B/op, the serial-vs-parallel speedup on a mixed
-// four-template workload, and — with -baseline — benchcmp-style deltas
-// against a stored report. -benchcmp diffs two such reports.
-//
-// -regress PCT turns either comparison into a gate: any serving-path
-// benchmark whose ns/op grew more than PCT percent versus the baseline is
-// printed to stderr and the process exits with status 2 (after the report
-// is written, so the artifact survives for archaeology).
+// Serving-path performance is not measured here: bench/ is the benchmark
+// (`go run -C bench .`, `make ab BASE=<ref> W=<workload>`).
 package main
 
 import (
@@ -32,10 +21,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"regexp"
 	"time"
 
-	"repro/internal/benchsuite"
 	"repro/internal/experiments"
 )
 
@@ -45,37 +32,7 @@ func main() {
 	frac := flag.Float64("frac", 1.0, "workload size fraction (0 < frac <= 1)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	csvDir := flag.String("csv", "", "also write each table as <dir>/<id>.csv")
-	bench := flag.Bool("bench", false, "run the serving-path benchmark suite and emit a JSON report")
-	benchOut := flag.String("benchout", "", "with -bench: write the JSON report to this file (default stdout)")
-	baseline := flag.String("baseline", "", "with -bench: embed this stored report and benchcmp-style deltas")
-	benchCmp := flag.Bool("benchcmp", false, "diff two bench report JSON files: ppcbench -benchcmp OLD NEW")
-	withMetrics := flag.Bool("metrics", false, "with -bench: embed the serving-path metrics snapshot in the report")
-	regress := flag.Float64("regress", 0, "with -bench -baseline or -benchcmp: exit 2 if any benchmark's ns/op regressed more than this percent (0 disables)")
-	regressBench := flag.String("regressbench", "", "with -regress: only gate benchmarks whose name matches this regexp (empty gates all)")
 	flag.Parse()
-
-	if *benchCmp {
-		if flag.NArg() != 2 {
-			fatal(fmt.Errorf("-benchcmp takes exactly two report files, got %d", flag.NArg()))
-		}
-		old, err := benchsuite.ReadReport(flag.Arg(0))
-		if err != nil {
-			fatal(err)
-		}
-		cur, err := benchsuite.ReadReport(flag.Arg(1))
-		if err != nil {
-			fatal(err)
-		}
-		benchsuite.WriteComparison(os.Stdout, old, cur)
-		failOnRegressions(benchsuite.Compare(old, cur), *regress, *regressBench)
-		return
-	}
-	if *bench {
-		if err := runBenchSuite(*baseline, *benchOut, *withMetrics, *regress, *regressBench); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	if *list {
 		for _, r := range experiments.Registry {
@@ -116,86 +73,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "[%s done in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
-}
-
-// runBenchSuite measures the serving-path suite, optionally folds in a
-// stored baseline report and the serving metrics snapshot, and writes the
-// JSON report to outPath (stdout when empty). With regressPct > 0 and a
-// baseline, the process exits 2 after writing the report if any benchmark
-// regressed beyond the threshold.
-func runBenchSuite(baselinePath, outPath string, withMetrics bool, regressPct float64, regressBench string) error {
-	rep, err := benchsuite.RunSuite(os.Stderr)
-	if err != nil {
-		return err
-	}
-	if withMetrics {
-		if snap, ok := benchsuite.ServingMetrics(); ok {
-			rep.ServingMetrics = snap
-		} else {
-			fmt.Fprintln(os.Stderr, "no serving metrics available (Run benchmarks did not build the shared system)")
-		}
-	}
-	if baselinePath != "" {
-		base, err := benchsuite.ReadReport(baselinePath)
-		if err != nil {
-			return err
-		}
-		rep.BaselineFile = baselinePath
-		rep.Baseline = base.Benchmarks
-		rep.Deltas = benchsuite.Compare(base, rep)
-		benchsuite.WriteComparison(os.Stderr, base, rep)
-	}
-	out := os.Stdout
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	if err := benchsuite.WriteReport(out, rep); err != nil {
-		return err
-	}
-	if outPath != "" {
-		fmt.Fprintf(os.Stderr, "wrote %s\n", outPath)
-	}
-	failOnRegressions(rep.Deltas, regressPct, regressBench)
-	return nil
-}
-
-// failOnRegressions exits with status 2 when any delta's ns/op regression
-// exceeds pct percent. pct <= 0 disables the gate. A non-empty nameRe
-// restricts the gate to matching benchmark names, so CI can gate the
-// macro end-to-end benchmarks without flaking on sub-microsecond
-// benchmarks whose relative ns/op swings with host noise.
-func failOnRegressions(deltas []benchsuite.Delta, pct float64, nameRe string) {
-	if pct <= 0 {
-		return
-	}
-	if nameRe != "" {
-		re, err := regexp.Compile(nameRe)
-		if err != nil {
-			fatal(fmt.Errorf("-regressbench: %w", err))
-		}
-		var kept []benchsuite.Delta
-		for _, d := range deltas {
-			if re.MatchString(d.Name) {
-				kept = append(kept, d)
-			}
-		}
-		deltas = kept
-	}
-	bad := benchsuite.Regressions(deltas, pct)
-	if len(bad) == 0 {
-		return
-	}
-	fmt.Fprintf(os.Stderr, "ppcbench: %d benchmark(s) regressed beyond %.1f%%:\n", len(bad), pct)
-	for _, d := range bad {
-		fmt.Fprintf(os.Stderr, "  %s: %.1f ns/op -> %.1f ns/op (%+.2f%%)\n",
-			d.Name, d.OldNsPerOp, d.NewNsPerOp, d.NsDeltaPct)
-	}
-	os.Exit(2)
 }
 
 // writeCSV writes one experiment table to dir/id.csv.

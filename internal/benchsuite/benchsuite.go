@@ -1,21 +1,20 @@
-// Package benchsuite holds the serving-path benchmark bodies shared by the
-// go-test wrappers (bench_suite_test.go at the repo root) and the
-// machine-readable pipeline (cmd/ppcbench -bench). Each body is an ordinary
-// benchmark function so `go test -bench` and testing.Benchmark measure
-// exactly the same code.
+// Package benchsuite holds the serving-path benchmark bodies that tests
+// read: the seven bodies the allocation guards measure (allocguard.go), and
+// the Run-path bodies `go test -bench` and `make profile` drive through the
+// wrappers in bench_suite_test.go at the repo root. Timings are for working
+// with on one host; the benchmark that compares two builds is bench/.
 //
-// The suite covers the hot path of the paper's architecture at three
+// The bodies cover the hot path of the paper's architecture at three
 // granularities: the predictor in isolation (Predict/Insert on the
 // LSH+histogram synopsis), the facade's full Run path on one template, and
 // the same Run path serialized vs. parallel across a mixed-template
-// workload — the last pair is what the sharded lock design is for.
+// workload — the last pair is what the sharded lock design is for, and
+// until bench/ sweeps GOMAXPROCS it is the only scaling measurement.
 package benchsuite
 
 import (
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,8 +23,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/obsv"
-	"repro/internal/optimizer"
 	"repro/internal/queries"
 	"repro/internal/tpch"
 	"repro/internal/wal"
@@ -48,7 +45,7 @@ var (
 )
 
 // predictorEnv trains the LSH+histogram predictor once on the paper's
-// running-example template (Q1) and keeps it for every suite invocation.
+// running-example template (Q1) and keeps it for every body that asks.
 func predictorEnv(b *testing.B) (*core.ApproxLSHHist, [][]float64) {
 	b.Helper()
 	predOnce.Do(func() {
@@ -170,39 +167,6 @@ func mustSharedEnv(b *testing.B) *experiments.Env {
 	return predEnv
 }
 
-// ServingMetrics returns the observability snapshot of the shared Run-path
-// System, and false if no Run benchmark has built it yet. Attaching it to a
-// report answers the "what did the workload actually look like" questions a
-// bare ns/op can't — hit rates, degraded runs, breaker trips — for the same
-// process whose latencies the report records.
-func ServingMetrics() (*ppc.MetricsSnapshot, bool) {
-	if runSys == nil {
-		return nil, false
-	}
-	snap, err := runSys.MetricsSnapshot()
-	if err != nil {
-		return nil, false
-	}
-	return &snap, true
-}
-
-// AdaptiveStatsSummary merges the Run substrate's per-template estimation
-// q-error histograms and memo-invalidation counters into the report's
-// top-level adaptive-statistics numbers. Zeroes when no Run benchmark has
-// built the shared System (q-errors are only observed on executed runs).
-func AdaptiveStatsSummary() (p50, p95 float64, memoInvalidations uint64) {
-	snap, ok := ServingMetrics()
-	if !ok {
-		return 0, 0, 0
-	}
-	var merged obsv.QHistSnapshot
-	for _, t := range snap.Templates {
-		merged = merged.Merge(t.EstimationQError)
-		memoInvalidations += t.Counters.MemoInvalidations
-	}
-	return merged.Quantile(0.50), merged.Quantile(0.95), memoInvalidations
-}
-
 // --- End-to-end Run substrate ----------------------------------------------
 
 var (
@@ -287,151 +251,10 @@ func EndToEndRun(b *testing.B) {
 	}
 }
 
-// --- Durable Run substrate -------------------------------------------------
-
-var (
-	walOnce sync.Once
-	walErr  error
-	walSys  *ppc.System
-	walDir  string
-	walVals [][]float64
-)
-
-// walEnv opens a second System identical to runEnv's but with durability
-// enabled — every validated feedback point is WAL-logged before it is
-// acknowledged — and warms Q1 the same way, so RunWithWAL over EndToEndRun
-// isolates the logging cost. SyncInterval is the production-representative
-// policy (group commit amortized across a fsync window); the checkpointer
-// is off so the log keeps growing and MeasureRecovery has a tail to replay.
-func walEnv(b *testing.B) (*ppc.System, [][]float64) {
-	b.Helper()
-	walOnce.Do(func() {
-		dir, err := os.MkdirTemp("", "ppcbench-wal-")
-		if err != nil {
-			walErr = err
-			return
-		}
-		walDir = dir
-		sys, err := ppc.Open(ppc.Options{
-			TPCH: tpch.Config{Scale: 2000, Seed: 5},
-			Durability: ppc.Durability{
-				Dir:                 dir,
-				Sync:                wal.SyncInterval,
-				DisableCheckpointer: true,
-			},
-		})
-		if err != nil {
-			walErr = err
-			return
-		}
-		sql, ok := defSQL("Q1")
-		if !ok {
-			walErr = fmt.Errorf("benchsuite: no Q1 definition")
-			return
-		}
-		if err := sys.Register("Q1", sql); err != nil {
-			walErr = err
-			return
-		}
-		tmpl, err := sys.Template("Q1")
-		if err != nil {
-			walErr = err
-			return
-		}
-		points := workload.MustTrajectories(workload.TrajectoryConfig{
-			Dims: tmpl.Degree(), NumPoints: 512, Sigma: 0.01, Seed: 3,
-		})
-		vals := make([][]float64, len(points))
-		for i, p := range points {
-			inst, err := sys.Optimizer().InstanceAt(tmpl, p)
-			if err != nil {
-				walErr = err
-				return
-			}
-			vals[i] = inst.Values
-		}
-		for i := 0; i < 64; i++ {
-			if _, err := sys.Run("Q1", vals[i%len(vals)]); err != nil {
-				walErr = err
-				return
-			}
-		}
-		walSys, walVals = sys, vals
-	})
-	if walErr != nil {
-		b.Fatal(walErr)
-	}
-	return walSys, walVals
-}
-
-// RunWithWAL is EndToEndRun with durability enabled: the same steady-state
-// Q1 workload on a System whose feedback applier logs every validated point
-// to the WAL. Its ns/op over EndToEndRun's is the report's wal_overhead —
-// the end-to-end price of durability on the serving path. The predict path
-// itself never touches the log (appends happen on the background applier),
-// so the overhead shows up as applier backpressure, not per-Run fsyncs.
-func RunWithWAL(b *testing.B) {
-	sys, pts := walEnv(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.Run("Q1", pts[i%len(pts)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// MeasureRecovery times crash recovery over the WAL that RunWithWAL wrote:
-// it snapshots the durability directory (copying files mid-append is a
-// faithful crash image — a partial trailing record is exactly a torn tail),
-// opens a fresh System over the copy, registers the template so the held
-// records replay, and reports the recovery wall time in milliseconds along
-// with the number of records replayed. Returns 0, 0 with no error when the
-// WAL substrate was never built (RunWithWAL did not run).
-func MeasureRecovery() (ms float64, replayed int, err error) {
-	if walSys == nil || walDir == "" {
-		return 0, 0, nil
-	}
-	// Flush the applier so the log holds the acknowledged workload.
-	if _, err := walSys.TemplateStats("Q1"); err != nil {
-		return 0, 0, err
-	}
-	dst, err := os.MkdirTemp("", "ppcbench-recover-")
-	if err != nil {
-		return 0, 0, err
-	}
-	defer os.RemoveAll(dst) //nolint:errcheck
-	if err := copyTree(walDir, dst); err != nil {
-		return 0, 0, err
-	}
-	sys, err := ppc.Open(ppc.Options{
-		TPCH: tpch.Config{Scale: 2000, Seed: 5},
-		Durability: ppc.Durability{
-			Dir:                 dst,
-			DisableCheckpointer: true,
-		},
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	defer sys.Close() //nolint:errcheck
-	sql, ok := defSQL("Q1")
-	if !ok {
-		return 0, 0, fmt.Errorf("benchsuite: no Q1 definition")
-	}
-	if err := sys.Register("Q1", sql); err != nil {
-		return 0, 0, err
-	}
-	rep := sys.LoadStateReport()
-	if rep == nil {
-		return 0, 0, fmt.Errorf("benchsuite: recovery produced no LoadReport")
-	}
-	return float64(rep.RecoveryDuration.Nanoseconds()) / 1e6, rep.WALReplayed, nil
-}
-
 // WALAppend measures the log's append path in isolation: encode one frame
 // into the log's reused scratch buffer and write it to the current segment
-// (SyncNever — fsync cost is Commit's, measured by RunWithWAL end to end).
+// (SyncNever — fsync cost is Commit's; bench/'s serve_durable workload pays
+// it end to end).
 // The append runs under the learner's write lock in production, so it must
 // stay allocation-free: it is part of the zero-alloc guard.
 func WALAppend(b *testing.B) {
@@ -455,48 +278,6 @@ func WALAppend(b *testing.B) {
 	}
 }
 
-// defSQL returns the SQL of a standard template definition.
-func defSQL(name string) (string, bool) {
-	for _, d := range queries.Defs {
-		if d.Name == name {
-			return d.SQL, true
-		}
-	}
-	return "", false
-}
-
-// copyTree copies a directory tree of regular files (the durability layout
-// has no symlinks or special files).
-func copyTree(src, dst string) error {
-	return filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(src, path)
-		if err != nil {
-			return err
-		}
-		target := filepath.Join(dst, rel)
-		if info.IsDir() {
-			return os.MkdirAll(target, 0o755)
-		}
-		in, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		defer in.Close() //nolint:errcheck
-		out, err := os.Create(target)
-		if err != nil {
-			return err
-		}
-		if _, err := io.Copy(out, in); err != nil {
-			out.Close() //nolint:errcheck
-			return err
-		}
-		return out.Close()
-	})
-}
-
 // RunMixedSerial is the serial baseline for RunParallel: the same mixed
 // four-template workload issued from one goroutine.
 func RunMixedSerial(b *testing.B) {
@@ -517,9 +298,8 @@ func RunMixedSerial(b *testing.B) {
 // PR 4 read/write split is for. With the PR 3 per-template mutex every
 // goroutine serialized on Q1's learner lock, so this benchmark could not
 // beat EndToEndRun; with lock-free predict on an immutable model snapshot
-// it scales with GOMAXPROCS. Compare its ns/op against EndToEndRun (the
-// serial single-template baseline): the ratio is the hot_template_speedup
-// the report records.
+// it scales with GOMAXPROCS. Compare its ns/op against EndToEndRun, the
+// serial single-template baseline.
 func RunHotTemplateParallel(b *testing.B) {
 	sys, vals := runEnv(b)
 	pts := vals["Q1"]
@@ -564,76 +344,4 @@ func RunParallel(b *testing.B) {
 			i++
 		}
 	})
-}
-
-// --- Rebind microbenchmark substrate ---------------------------------------
-
-var (
-	rebindOnce sync.Once
-	rebindErr  error
-	rebindOpt  *optimizer.Optimizer
-	rebindProg *optimizer.RebindProgram
-	rebindVals [][]float64
-)
-
-// rebindEnv compiles one Q1 plan into a rebind program and prepares a
-// trajectory of instance values to probe it with.
-func rebindEnv(b *testing.B) (*optimizer.RebindProgram, [][]float64) {
-	b.Helper()
-	rebindOnce.Do(func() {
-		env, err := experiments.NewEnv(2000, 5)
-		if err != nil {
-			rebindErr = err
-			return
-		}
-		tmpl := env.Templates["Q1"]
-		inst, err := env.Opt.InstanceAt(tmpl, []float64{0.4, 0.4})
-		if err != nil {
-			rebindErr = err
-			return
-		}
-		plan, err := env.Opt.OptimizeInstance(inst)
-		if err != nil {
-			rebindErr = err
-			return
-		}
-		prog, err := env.Opt.CompileRebind(tmpl.Query, plan)
-		if err != nil {
-			rebindErr = err
-			return
-		}
-		points := workload.MustTrajectories(workload.TrajectoryConfig{
-			Dims: tmpl.Degree(), NumPoints: 256, Sigma: 0.01, Seed: 11,
-		})
-		vals := make([][]float64, len(points))
-		for i, p := range points {
-			pi, err := env.Opt.InstanceAt(tmpl, p)
-			if err != nil {
-				rebindErr = err
-				return
-			}
-			vals[i] = pi.Values
-		}
-		rebindOpt, rebindProg, rebindVals = env.Opt, prog, vals
-	})
-	if rebindErr != nil {
-		b.Fatal(rebindErr)
-	}
-	return rebindProg, rebindVals
-}
-
-// RebindCachedPlan measures the memoized rebind in isolation: the
-// O(params) work a cache hit performs to re-cost its cached plan at fresh
-// parameter values, with no prediction or execution attached. This is the
-// piece PR 7 turned from a full plan-tree clone into a pooled in-place
-// bind, so it gets its own line in the report (rebind_ns).
-func RebindCachedPlan(b *testing.B) {
-	prog, vals := rebindEnv(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := prog.Recost(rebindOpt, vals[i%len(vals)]); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -1,0 +1,95 @@
+#!/usr/bin/env bash
+# Same-runner A/B of one bench/ workload: the working tree against <base-ref>,
+# measured on this host, in this session, alternating which tree runs first.
+#
+#   scripts/ab.sh <base-ref> <workload>      (make ab BASE=<ref> W=<workload>)
+#
+# <base-ref> is checked out into a scratch worktree; both trees then run
+# `bash bench/run.sh --workload W --seed 2012 --seconds 10` five times each.
+# A run that reports failed operations fails the A/B. The runs are collected
+# into bench/out/ab/W.base.json and W.head.json, in the shape
+# `go run -C bench . -compare` reads, and the exit status is that command's:
+# 1 when an end-to-end metric is worse than the base by more than its
+# BENCHMARK.json bound ("unresolved" rows, where the spread is wider than the
+# bound, do not fail). The last line on stdout is one BENCH_LEDGER.json row.
+#
+# Writes only under bench/out/ (gitignored); the scratch worktree is removed
+# on exit, also on failure or interrupt. The run settings are BENCHMARK.json's
+# and are not options: numbers taken with other settings are not comparable.
+set -euo pipefail
+
+if [ $# -ne 2 ]; then
+	echo "usage: scripts/ab.sh <base-ref> <workload>" >&2
+	exit 2
+fi
+base_ref=$1
+workload=$2
+pairs=5
+seed=2012
+seconds=10
+
+root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
+out=$root/bench/out/ab
+tree=$out/base-tree
+
+cleanup() {
+	git -C "$root" worktree remove --force "$tree" 2>/dev/null || true
+	git -C "$root" worktree prune
+}
+trap cleanup EXIT
+
+cleanup # a tree left by a killed run, or an entry whose tree `rm -rf bench/out` took
+mkdir -p "$out"
+git -C "$root" worktree add --quiet --detach "$tree" "$base_ref"
+
+# run_one <tree>: one run of the workload in that tree; prints the run's
+# result line. The harness's tables go to stderr, as it wrote them.
+run_one() {
+	local line
+	# A run with failed operations exits 1 after printing its line; judge by
+	# the line, so that the message can say which.
+	line=$(bash "$1/bench/run.sh" --workload "$workload" --seed "$seed" --seconds "$seconds" | tail -n 1) || true
+	if ! jq -es 'length == 1 and .[0].failed == 0' >/dev/null 2>&1 <<<"$line"; then
+		echo "ab: $workload in $1: run failed or reported failed operations: ${line:-no result line}" >&2
+		exit 1
+	fi
+	printf '%s\n' "$line"
+}
+
+base_runs=()
+head_runs=()
+for ((i = 1; i <= pairs; i++)); do
+	echo "ab: $workload pair $i/$pairs" >&2
+	if ((i % 2)); then
+		base_runs+=("$(run_one "$tree")")
+		head_runs+=("$(run_one "$root")")
+	else
+		head_runs+=("$(run_one "$root")")
+		base_runs+=("$(run_one "$tree")")
+	fi
+done
+
+# result_file <path> <run>...: the runs as one result file of this workload.
+result_file() {
+	local path=$1
+	shift
+	printf '%s\n' "$@" | jq -s --arg w "$workload" '{workloads: {($w): .}}' >"$path"
+}
+result_file "$out/$workload.base.json" "${base_runs[@]}"
+result_file "$out/$workload.head.json" "${head_runs[@]}"
+
+# The comparison builds where run.sh builds, so nothing lands outside bench/out/.
+status=0
+GOCACHE=$root/bench/out/gocache GOTMPDIR=$root/bench/out/tmp \
+	go run -C "$root/bench" . -compare "$out/$workload.base.json" "$out/$workload.head.json" || status=$?
+
+jq -n -c --arg w "$workload" --argjson seed "$seed" --argjson pairs "$pairs" \
+	--slurpfile base "$out/$workload.base.json" --slurpfile head "$out/$workload.head.json" '
+	def median: sort | if length % 2 == 1 then .[(length - 1) / 2] else (.[length / 2 - 1] + .[length / 2]) / 2 end;
+	def p50(f): f[0].workloads[$w] | map(.metrics.op_p50_us.value) | median;
+	def digits(n): . * n | round / n;
+	p50($base) as $parent | p50($head) as $change |
+	{workload: $w, seed: $seed, pairs: $pairs,
+	 parent_op_p50_us: ($parent | digits(100)), change_op_p50_us: ($change | digits(100)),
+	 ratio: ($change / $parent | digits(1000))}'
+exit "$status"
