@@ -55,7 +55,9 @@ crash:
 # over the join enumerator, held to the node-building reference at
 # fuzzer-chosen templates and points, and over the frozen-block predict
 # query, held to the map-walking reference at fuzzer-chosen synopsis states
-# and points. Go runs one fuzz target per invocation, hence six runs.
+# and points, and over the compiled executor's key-consuming kernels, held
+# to the tree-walk engine at fuzzer-chosen key-column shapes, operators and
+# parameters. Go runs one fuzz target per invocation, hence seven runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzScan -fuzztime $(FUZZTIME) ./internal/wal
@@ -63,6 +65,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzStateTailDecode -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzOptimizeMatchesReference -fuzztime $(FUZZTIME) ./internal/optimizer
 	$(GO) test -run '^$$' -fuzz FuzzModelPredictMatchesReference -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzCompiledMatchesTreeWalk -fuzztime $(FUZZTIME) ./internal/executor
 
 # The replication suite, bottom up: wire protocol and torn/corrupt frames,
 # WAL tailing, leader/replica servers under fault injection (epoch fencing,

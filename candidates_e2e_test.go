@@ -163,9 +163,7 @@ func TestCandidateRoutingUnderDistortion(t *testing.T) {
 				}
 			}
 
-			// Read from the learner: with synchronous feedback the metrics
-			// gauge is not refreshed (only the applier goroutine sets it).
-			if tunable.Enable && retuneEpoch(t, sys, "Q1") == 0 {
+			if tunable.Enable && retuneGauge(t, sys, "Q1") == 0 {
 				t.Error("tunable learner never re-tuned across 300 runs")
 			}
 

@@ -27,18 +27,29 @@ type Arena struct {
 	// to its candidate count before filtering into it.
 	vecs [][]int32
 
+	// nrows holds every operator's output tuple count, by cNode.ord: a join
+	// gathers vectors only for its live slots, so no vector's length can be
+	// relied on to carry it.
+	nrows []int
+
 	// matchL and matchR hold the running join's matched (left, right) tuple
-	// pairs; the join's output vectors are gathered from them.
+	// pairs; the join's live output vectors are gathered from them.
 	matchL []int32
 	matchR []int32
 
-	// Hash join scratch: chained hash tables in insertion order. The table
-	// entry packs head<<32|tail of the bucket's chain through next. Numeric
-	// keys go through the open-addressed htN (a Go map spends most of the
-	// probe in hashing and bucket dispatch); string keys keep a Go map.
-	next []int32
-	htN  f64HT
-	htS  map[string]int64
+	// Hash join scratch: the build side chained by key, in input order.
+	// nextA[t] is 1 + the next build tuple holding tuple t's key, 0 at the
+	// end; the table holds 1 + the first. The table is dirA, addressed by
+	// key - lo, when Compile found dense integer keys (kernAddressed);
+	// otherwise numeric keys go through the open-addressed htN (a Go map
+	// spends most of the probe in hashing and bucket dispatch) and string
+	// keys keep a Go map. An addressed merge join chains its left input
+	// through dirA/nextA and its right input through dirB/nextB; an addressed
+	// GROUP BY keeps 1 + the key's dense group id in dirA.
+	dirA, dirB   []int32
+	nextA, nextB []int32
+	htN          f64HT
+	htS          map[string]int32
 
 	// Merge join scratch: one stable sort permutation and key cache per
 	// side.
@@ -48,14 +59,12 @@ type Arena struct {
 	keysA  []float64
 	keysB  []float64
 
-	// Aggregation scratch: group index keyed by the encoded group key and
-	// the key encoding buffer, or htG for a single numeric group column
-	// (keyed on the raw float bits, which is exactly the byte encoding groups
-	// would see, minus the encoding); each tuple's dense group id; first-seen
-	// group keys and tuple counts per group; and the accumulators, one per
-	// group, of the one aggregate being folded.
+	// Aggregation scratch: the group index keyed by the encoded group key,
+	// and the key encoding buffer, for any key dirA cannot address; each
+	// tuple's dense group id; first-seen group keys and tuple counts per
+	// group; and the accumulators, one per group, of the one aggregate being
+	// folded.
 	groups    map[string]int32
-	htG       f64HT
 	keyBuf    []byte
 	gids      []int32
 	groupKeys []Value
@@ -65,132 +74,87 @@ type Arena struct {
 
 // newArena sizes an arena for one compiled plan.
 func newArena(cp *CompiledPlan) *Arena {
-	ar := &Arena{vecs: make([][]int32, cp.nSlots)}
+	ar := &Arena{vecs: make([][]int32, cp.nSlots), nrows: make([]int, cp.nNodes)}
 	if cp.needHTStr {
-		ar.htS = make(map[string]int64)
+		ar.htS = make(map[string]int32)
 	}
-	if cp.agg != nil && len(cp.agg.groupCols) > 0 && !cp.agg.numKey() {
+	if cp.agg != nil && len(cp.agg.groupCols) > 0 {
 		ar.groups = make(map[string]int32)
 	}
 	return ar
 }
 
-// f64HT is the numeric hash table: open addressing with linear probing over
-// power-of-two slots; -1 in ents marks an empty slot. A hash join uses
-// insert and lookup, keyed by float equality (so, like the row engine's
-// map, NaN keys insert distinct buckets and never match a probe, and ±0
-// share one bucket), with ents packing head<<32|tail of the bucket's chain.
-// A numeric GROUP BY uses group, keyed by the float's bits, with ents
-// holding the dense group id.
+// f64HT is the numeric hash join table: open addressing with linear probing
+// over power-of-two slots, keyed by float equality (so, like the row
+// engine's map, NaN keys insert distinct buckets and never match a probe,
+// and ±0 share one bucket). ents holds 1 + the first build tuple of the
+// key's chain, 0 in an empty slot.
 type f64HT struct {
 	keys  []float64
-	ents  []int64
+	ents  []int32
 	shift uint
-	n     int // groups assigned since reset
 }
 
 // f64HashK scrambles the key bits; the high bits index the table.
 const f64HashK = 0x9e3779b97f4a7c15
 
-// reset sizes the table for n build rows at load factor <= 1/2 and marks
-// every slot empty. Capacity is retained across executions.
+// reset sizes the table for n build rows at load factor <= 1/2 and empties
+// every slot. Capacity is retained across executions.
 func (t *f64HT) reset(n int) {
 	size := 16
 	for size < 2*n {
 		size <<= 1
 	}
-	if size > cap(t.ents) {
-		t.keys = make([]float64, size)
-		t.ents = make([]int64, size)
-	} else {
-		t.keys = t.keys[:size]
-		t.ents = t.ents[:size]
-	}
-	for i := range t.ents {
-		t.ents[i] = -1
-	}
+	t.keys, t.ents = sized(t.keys, size), sized(t.ents, size)
+	clear(t.ents)
 	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
-	t.n = 0
 }
 
-// group returns the dense id of the group whose key has k's bits, and
-// whether this call created it. Ids count up from 0 in first-seen order;
-// the table doubles when half full.
-func (t *f64HT) group(k float64) (g int32, fresh bool) {
-	if 2*t.n >= len(t.ents) {
-		keys, ents, n := t.keys, t.ents, t.n
-		t.keys, t.ents = nil, nil
-		t.reset(2 * n)
-		t.n = n
-		for i, e := range ents {
-			if e >= 0 {
-				j := t.slot(keys[i])
-				t.keys[j], t.ents[j] = keys[i], e
-			}
-		}
-	}
-	j := t.slot(k)
-	if t.ents[j] >= 0 {
-		return int32(t.ents[j]), false
-	}
-	t.keys[j], t.ents[j] = k, int64(t.n)
-	t.n++
-	return int32(t.n - 1), true
-}
-
-// slot finds the slot holding the key with k's bits, or the empty slot
-// where it belongs.
+// slot finds the slot holding key k, or the empty slot where it belongs.
 func (t *f64HT) slot(k float64) uint64 {
-	mask := uint64(len(t.ents) - 1)
-	b := math.Float64bits(k)
-	j := (b * f64HashK) >> t.shift
-	for t.ents[j] >= 0 && math.Float64bits(t.keys[j]) != b {
-		j = (j + 1) & mask
-	}
-	return j
-}
-
-// insert adds build row i under key k, appending to the key's chain (in
-// insertion order) through next.
-func (t *f64HT) insert(k float64, i int32, next []int32) {
 	if k == 0 {
 		k = 0 // -0 hashes as +0
 	}
 	mask := uint64(len(t.ents) - 1)
 	j := (math.Float64bits(k) * f64HashK) >> t.shift
-	for {
-		e := t.ents[j]
-		if e < 0 {
-			t.keys[j] = k
-			t.ents[j] = int64(i)<<32 | int64(i)
-			return
-		}
-		if t.keys[j] == k {
-			next[e&0xffffffff] = i
-			t.ents[j] = e&^0xffffffff | int64(i)
-			return
-		}
+	for t.ents[j] != 0 && t.keys[j] != k {
 		j = (j + 1) & mask
+	}
+	return j
+}
+
+// insert links build tuple i in front of key k's chain; inserting the build
+// side backwards leaves every chain in input order.
+func (t *f64HT) insert(k float64, i int32, next []int32) {
+	j := t.slot(k)
+	t.keys[j] = k
+	next[i] = t.ents[j]
+	t.ents[j] = i + 1
+}
+
+// lookup returns 1 + the first build tuple holding key k, or 0.
+func (t *f64HT) lookup(k float64) int32 { return t.ents[t.slot(k)] }
+
+// chainByKey links the tuples of vec by key through head and next (see
+// Arena.dirA): head covers the keys from lo up, and a tuple whose key falls
+// outside it is left out. Walking the input backwards and linking each tuple
+// in front of its key's chain leaves every chain in input order, which is
+// the order the row engine's bucket appends and stable sorts produce.
+func chainByKey(head, next, vec []int32, keys []float64, lo int) {
+	clear(head)
+	for i := len(vec) - 1; i >= 0; i-- {
+		if k := uint(int(keys[vec[i]]) - lo); k < uint(len(head)) {
+			next[i] = head[k]
+			head[k] = int32(i + 1)
+		}
 	}
 }
 
-// lookup returns the packed chain entry for k, or -1.
-func (t *f64HT) lookup(k float64) int64 {
-	if k == 0 {
-		k = 0
-	}
-	mask := uint64(len(t.ents) - 1)
-	j := (math.Float64bits(k) * f64HashK) >> t.shift
-	for {
-		e := t.ents[j]
-		if e < 0 {
-			return -1
-		}
-		if t.keys[j] == k {
-			return e
-		}
-		j = (j + 1) & mask
-	}
+// addressable is the Exec-time half of the kernel choice: a span-sized
+// table is cleared, and for a merge join walked, on every execution, so it
+// must be within a few entries per input tuple.
+func addressable(span, tuples int) bool {
+	return span <= addrSpanPerTuple*tuples+addrSpanFloor
 }
 
 // sized returns s resliced to n elements, reusing its capacity when that

@@ -36,6 +36,7 @@ type CompiledPlan struct {
 	nParams int
 
 	nSlots    int
+	nNodes    int
 	needHTStr bool
 
 	pool sync.Pool
@@ -53,11 +54,45 @@ type relBind struct {
 	alias string
 }
 
+// kernel is the implementation Compile put a key-consuming operator on,
+// chosen from the facts of its key columns (facts.go).
+type kernel uint8
+
+const (
+	// kernGeneric hashes (hash join, GROUP BY), sorts (merge join) or binary-
+	// searches (index-nested-loop join) its keys. It serves what addressing
+	// cannot: a string key, a column holding a fraction, NaN or -0, a span
+	// much wider than the column, a multi-column GROUP BY.
+	kernGeneric kernel = iota
+	// kernAddressed uses key - keyLo as the position in a direct table.
+	kernAddressed
+	// kernAddressedOnce is kernAddressed for a hash join whose build input
+	// holds every key at most once (a scan of a column with no repeated
+	// value), so a probe finds at most one match and does not branch on it.
+	kernAddressedOnce
+)
+
+func (k kernel) String() string {
+	return [...]string{"generic", "addressed", "addressed-once"}[k]
+}
+
+// gatherOp builds one live output vector of a join from a child's vector
+// and the join's match pairs. src -1 is the inner relation of an index-
+// nested-loop join, whose matched row ids are the right halves themselves.
+type gatherOp struct {
+	dst, src int
+	right    bool // index through matchR rather than matchL
+}
+
 // cNode is one compiled operator.
 type cNode struct {
 	op    optimizer.OpKind
 	left  *cNode
 	right *cNode // nil for scans and index-nested-loop joins
+
+	// ord numbers the operators of a plan; Arena.nrows[ord] is the operator's
+	// output tuple count, which is all a dead slot keeps.
+	ord int
 
 	// lineage is the plan node this operator was compiled from. It ties
 	// observed cardinalities (ExecObserve) back to the optimizer's
@@ -84,6 +119,20 @@ type cNode struct {
 	strKey      bool
 	joinFilters []cPred
 
+	// Key addressing (kernel != kernGeneric): the table covers the keySpan
+	// keys from keyLo up — the build column's span for a hash join, the
+	// intersection of both columns' spans for a merge join, the index's span
+	// (as the directory dir) for an index-nested-loop join.
+	kernel  kernel
+	keyLo   int
+	keySpan int
+	dir     []int32
+
+	// gathers lists the output vectors something above this join reads — a
+	// join key, a residual filter, a group or aggregate column, the result.
+	// The other slots are dead: nothing is gathered into them.
+	gathers []gatherOp
+
 	// Index-nested-loop joins: the inner relation's residual filters; the
 	// probe index and table live in index/table above.
 	innerFilters []cPred
@@ -94,13 +143,12 @@ type cAgg struct {
 	groupCols []aggCol
 	specs     []aggColSpec
 	outSchema Schema
-}
 
-// numKey reports whether grouping can use the single-numeric-column fast
-// path: the raw float bits are then the group key, sidestepping the byte
-// encoding (bit equality matches the encoded-key equality exactly).
-func (a *cAgg) numKey() bool {
-	return len(a.groupCols) == 1 && a.groupCols[0].col.Kind != tpch.KindString
+	// kernel is kernAddressed when the one group column is dense integers:
+	// group ids then come from a direct table over [keyLo, keyLo+keySpan).
+	kernel  kernel
+	keyLo   int
+	keySpan int
 }
 
 type aggCol struct {
@@ -170,6 +218,14 @@ func (e *Executor) Compile(plan *optimizer.Plan, q *optimizer.Query) (*CompiledP
 			return nil, err
 		}
 		cp.root, cp.agg, cp.schema = child, agg, agg.outSchema
+		for _, g := range agg.groupCols {
+			c.live[g.slot] = true
+		}
+		for _, sp := range agg.specs {
+			if sp.col != nil {
+				c.live[sp.slot] = true
+			}
+		}
 	} else {
 		cn, err := c.node(root)
 		if err != nil {
@@ -185,9 +241,11 @@ func (e *Executor) Compile(plan *optimizer.Plan, q *optimizer.Query) (*CompiledP
 				cp.schema = append(cp.schema, optimizer.ColRef{Alias: r.alias, Column: col.Name})
 				cp.outCols = append(cp.outCols, colSrc{col: col, slot: slot})
 			}
+			c.live[slot] = true
 		}
 	}
-	cp.nSlots = c.nSlots
+	c.gathers(cp.root)
+	cp.nSlots, cp.nNodes = c.nSlots, c.nNodes
 	cp.pool.New = func() any { return newArena(cp) }
 	return cp, nil
 }
@@ -199,12 +257,69 @@ type compiler struct {
 	q      *optimizer.Query
 	cp     *CompiledPlan
 	nSlots int
+	nNodes int
+	live   []bool // per slot: something reads the vector
 }
 
 func (c *compiler) alloc() int {
 	s := c.nSlots
 	c.nSlots++
+	c.live = append(c.live, false)
 	return s
+}
+
+// newNode numbers a compiled operator.
+func (c *compiler) newNode(n cNode) *cNode {
+	n.ord = c.nNodes
+	c.nNodes++
+	return &n
+}
+
+// gathers decides slot liveness, top down: the root's readers have marked
+// their slots; a join gathers the output vectors that are marked, which in
+// turn marks the child vectors they are gathered from, and marks what the
+// join itself reads of its inputs — its keys and its residual filters'
+// columns. A scan always produces its one vector (the filter kernels write
+// it as they go), so only joins have dead slots.
+func (c *compiler) gathers(n *cNode) {
+	if n.left == nil {
+		return
+	}
+	nl := len(n.left.slots)
+	for x, dst := range n.slots {
+		if !c.live[dst] {
+			continue
+		}
+		g := gatherOp{dst: dst, src: -1, right: x >= nl}
+		if !g.right {
+			g.src = n.left.slots[x]
+		} else if n.right != nil {
+			g.src = n.right.slots[x-nl]
+		}
+		if g.src >= 0 {
+			c.live[g.src] = true
+		}
+		n.gathers = append(n.gathers, g)
+	}
+	if n.leftKey != nil {
+		c.live[n.leftSlot] = true
+	}
+	if n.rightKey != nil {
+		c.live[n.rightSlot] = true
+	}
+	for _, p := range n.joinFilters {
+		// Slot -1 is an index-nested-loop join's directly probed inner row.
+		if p.slot >= 0 {
+			c.live[p.slot] = true
+		}
+		if p.kind == optimizer.PredJoin && p.slot2 >= 0 {
+			c.live[p.slot2] = true
+		}
+	}
+	c.gathers(n.left)
+	if n.right != nil {
+		c.gathers(n.right)
+	}
 }
 
 func (c *compiler) node(n *optimizer.Node) (*cNode, error) {
@@ -225,13 +340,13 @@ func (c *compiler) scan(n *optimizer.Node) (*cNode, error) {
 	if t == nil {
 		return nil, fmt.Errorf("executor: unknown table %s", n.Table)
 	}
-	cn := &cNode{
+	cn := c.newNode(cNode{
 		op:      n.Op,
 		lineage: n,
 		table:   t,
 		rels:    []relBind{{table: t, alias: n.Alias}},
 		slots:   []int{c.alloc()},
-	}
+	})
 	if n.Op == optimizer.OpIndexScan {
 		ix := t.Indexes[n.IndexCol]
 		if ix == nil {
@@ -265,7 +380,7 @@ func (c *compiler) join(n *optimizer.Node) (*cNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	cn := &cNode{op: n.Op, lineage: n, left: left, right: right}
+	cn := c.newNode(cNode{op: n.Op, lineage: n, left: left, right: right})
 	cn.rels = append(append(make([]relBind, 0, len(left.rels)+len(right.rels)), left.rels...), right.rels...)
 	cn.slots = make([]int, len(cn.rels))
 	for i := range cn.slots {
@@ -284,13 +399,32 @@ func (c *compiler) join(n *optimizer.Node) (*cNode, error) {
 			return nil, fmt.Errorf("executor: mixed-type join key %s = %s", n.LeftCol, n.RightCol)
 		}
 		cn.strKey = cn.leftKey.Kind == tpch.KindString
+		lf, rf := c.e.factsFor(cn.leftKey), c.e.factsFor(cn.rightKey)
 		switch n.Op {
 		case optimizer.OpHashJoin:
 			cn.buildLeft = n.BuildLeft
 			c.cp.needHTStr = c.cp.needHTStr || cn.strKey
+			build, bf, pf := right, rf, lf
+			if n.BuildLeft {
+				build, bf, pf = left, lf, rf
+			}
+			// The table spans the build column; a probe key outside it misses
+			// on the bounds check, so the probe column need only be integral.
+			if bf.dense && pf.integral {
+				cn.kernel, cn.keyLo, cn.keySpan = kernAddressed, bf.lo, bf.span()
+				if bf.unique && build.left == nil {
+					cn.kernel = kernAddressedOnce
+				}
+			}
 		case optimizer.OpMergeJoin:
 			if cn.strKey {
 				return nil, fmt.Errorf("executor: merge join on string key %s", n.LeftCol)
+			}
+			// Only keys both columns hold can match: the tables span the
+			// intersection, which is no wider than the dense side's span.
+			if lf.integral && rf.integral && (lf.dense || rf.dense) {
+				cn.kernel, cn.keyLo = kernAddressed, max(lf.lo, rf.lo)
+				cn.keySpan = max(0, min(lf.hi, rf.hi)-cn.keyLo+1)
 			}
 		}
 	}
@@ -315,7 +449,7 @@ func (c *compiler) inlJoin(n *optimizer.Node) (*cNode, error) {
 	if ix == nil {
 		return nil, fmt.Errorf("executor: no index on %s.%s", inner.Table, inner.IndexCol)
 	}
-	cn := &cNode{op: n.Op, lineage: n, left: left, table: t, index: ix}
+	cn := c.newNode(cNode{op: n.Op, lineage: n, left: left, table: t, index: ix})
 	cn.rels = append(append(make([]relBind, 0, len(left.rels)+1), left.rels...), relBind{table: t, alias: inner.Alias})
 	cn.slots = make([]int, len(cn.rels))
 	for i := range cn.slots {
@@ -327,6 +461,11 @@ func (c *compiler) inlJoin(n *optimizer.Node) (*cNode, error) {
 	}
 	if cn.leftKey.Kind != tpch.KindNumeric {
 		return nil, fmt.Errorf("executor: index-nested-loop probe on string key %s", n.LeftCol)
+	}
+	if c.e.factsFor(cn.leftKey).integral {
+		if d := c.e.dirFor(ix); d.off != nil {
+			cn.kernel, cn.keyLo, cn.dir = kernAddressed, d.lo, d.off
+		}
 	}
 	innerRels := []relBind{{table: t, alias: inner.Alias}}
 	cn.innerFilters, err = c.preds(inner.Filters, innerRels, []int{-1}, nil, nil)
@@ -369,6 +508,11 @@ func (c *compiler) agg(n *optimizer.Node, child *cNode) (*cAgg, error) {
 		}
 		agg.specs = append(agg.specs, spec)
 		agg.outSchema = append(agg.outSchema, optimizer.ColRef{Column: item.String()})
+	}
+	if len(agg.groupCols) == 1 {
+		if f := c.e.factsFor(agg.groupCols[0].col); f.dense {
+			agg.kernel, agg.keyLo, agg.keySpan = kernAddressed, f.lo, f.span()
+		}
 	}
 	return agg, nil
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/faults"
 	"repro/internal/optimizer"
@@ -48,14 +49,26 @@ type Result struct {
 	Rows   []Row
 }
 
-// Executor evaluates plans against a database.
+// Executor evaluates plans against a database. The database must not change
+// once the executor has compiled a plan against it: Compile learns facts
+// about the key columns (facts.go) that every later execution relies on.
 type Executor struct {
 	db     *tpch.Database
 	faults *faults.Injector
+
+	// Column facts and index key directories, learned by the first Compile
+	// that keys on the column and kept for the executor's life. factScans
+	// counts the scans made, so a test can show a second Compile makes none.
+	factMu    sync.Mutex
+	facts     map[*tpch.Column]colFacts
+	dirs      map[*tpch.Index]keyDir
+	factScans int
 }
 
 // New creates an executor over db.
-func New(db *tpch.Database) *Executor { return &Executor{db: db} }
+func New(db *tpch.Database) *Executor {
+	return &Executor{db: db, facts: make(map[*tpch.Column]colFacts), dirs: make(map[*tpch.Index]keyDir)}
+}
 
 // SetFaults attaches a fault injector (nil disables injection).
 func (e *Executor) SetFaults(inj *faults.Injector) { e.faults = inj }
@@ -263,6 +276,14 @@ func (e *Executor) mergeJoin(n *optimizer.Node) (Schema, []Row, error) {
 			i++
 		case lv > rv:
 			j++
+		case lv != rv:
+			// Unordered: one key is NaN, which joins nothing. Step past it
+			// (without this the merge never advances).
+			if math.IsNaN(lv) {
+				i++
+			} else {
+				j++
+			}
 		default:
 			// Emit the cross product of the equal runs.
 			jEnd := j

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/optimizer"
+	"repro/internal/queries"
 	"repro/internal/tpch"
 )
 
@@ -191,19 +192,491 @@ func TestCompiledMatchesTreeWalkAggregateEdges(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: Exec: %v", tc.name, err)
 			}
-			assertSameResult(t, tc.name, want, got)
+			// On the cells' bits: float == cannot tell the zeros apart.
+			assertBitIdentical(t, tc.name, want, got)
 			if (got.Rows == nil) != (want.Rows == nil) {
 				t.Errorf("%s: compiled Rows nil = %v, tree-walk %v", tc.name, got.Rows == nil, want.Rows == nil)
 			}
-			// assertSameResult compares floats by ==, which cannot tell the
-			// zeros apart (or see a NaN); the bits can.
-			for i := range want.Rows {
-				for j := range want.Rows[i] {
-					if w, g := math.Float64bits(want.Rows[i][j].Num), math.Float64bits(got.Rows[i][j].Num); w != g {
-						t.Errorf("%s: row %d col %d bits = %#x, want %#x", tc.name, i, j, g, w)
+		}
+	}
+}
+
+// The differential suite for the key-consuming kernels. Every join operator
+// and the grouped aggregate run compiled against tree-walk over customer ⋈
+// orders with the two key columns doctored into each shape that decides a
+// kernel: the addressed kernels must be bit-identical where Compile chooses
+// them, the generic ones where it must not, and the test asserts which one
+// it was, so nothing passes by taking the generic path throughout.
+
+// keyShape doctors the join's key columns: left is customer.c_custkey (75
+// rows at scale 2000), right is orders.o_custkey (750 rows).
+type keyShape struct {
+	name string
+	fill func(rng *rand.Rand, left, right []float64)
+	// The kernel Compile must choose for a hash join building on the left
+	// and on the right input, a merge join, an index-nested-loop join probing
+	// the index on the right column, and GROUP BY the left and the right
+	// column.
+	hashL, hashR, merge, inl, groupL, groupR kernel
+}
+
+// fillRange fills col with whole numbers drawn from [lo, hi]: a shuffled run
+// of consecutive values when unique (the column must fit), uniform draws
+// otherwise.
+func fillRange(rng *rand.Rand, col []float64, lo, hi int, unique bool) {
+	perm := rng.Perm(hi - lo + 1)
+	for i := range col {
+		if unique {
+			col[i] = float64(lo + perm[i])
+		} else {
+			col[i] = float64(lo + rng.Intn(hi-lo+1))
+		}
+	}
+}
+
+// withSpecial is a dense shape with one value of one column replaced by v,
+// which takes that column's facts away.
+func withSpecial(name string, v float64, inLeft bool) keyShape {
+	s := keyShape{name: name, fill: func(rng *rand.Rand, left, right []float64) {
+		fillRange(rng, left, 0, 40, false)
+		fillRange(rng, right, 0, 40, false)
+		col := right
+		if inLeft {
+			col = left
+		}
+		col[rng.Intn(len(col))] = v
+	}}
+	// Every join reads both columns; only GROUP BY the untouched one addresses.
+	if inLeft {
+		s.groupR = kernAddressed
+	} else {
+		s.groupL = kernAddressed
+	}
+	return s
+}
+
+var keyShapes = []keyShape{
+	{"dense unique", func(rng *rand.Rand, left, right []float64) {
+		fillRange(rng, left, 1, len(left), true)
+		fillRange(rng, right, 1, len(left), false)
+	}, kernAddressedOnce, kernAddressed, kernAddressed, kernAddressed, kernAddressed, kernAddressed},
+	{"dense with duplicates on both sides", func(rng *rand.Rand, left, right []float64) {
+		fillRange(rng, left, 1, 20, false)
+		fillRange(rng, right, 1, 25, false)
+	}, kernAddressed, kernAddressed, kernAddressed, kernAddressed, kernAddressed, kernAddressed},
+	{"negative integers", func(rng *rand.Rand, left, right []float64) {
+		fillRange(rng, left, -40, len(left)-41, true)
+		fillRange(rng, right, -50, 50, false)
+	}, kernAddressedOnce, kernAddressed, kernAddressed, kernAddressed, kernAddressed, kernAddressed},
+	{"probe keys outside the build span", func(rng *rand.Rand, left, right []float64) {
+		fillRange(rng, left, 100, 99+len(left), true)
+		fillRange(rng, right, 0, 300, false)
+	}, kernAddressedOnce, kernAddressed, kernAddressed, kernAddressed, kernAddressed, kernAddressed},
+	withSpecial("-0 in the left column", math.Copysign(0, -1), true),
+	withSpecial("-0 in the right column", math.Copysign(0, -1), false),
+	withSpecial("NaN in the left column", math.NaN(), true),
+	withSpecial("NaN in the right column", math.NaN(), false),
+	withSpecial("fraction in the left column", 7.5, true),
+	withSpecial("fraction in the right column", 7.5, false),
+	{"sparse span on both sides", func(rng *rand.Rand, left, right []float64) {
+		for _, col := range [][]float64{left, right} {
+			for i := range col {
+				col[i] = 7 + 1e7*float64(rng.Intn(2))
+			}
+		}
+	}, kernGeneric, kernGeneric, kernGeneric, kernGeneric, kernGeneric, kernGeneric},
+	// The left column's span is too wide for a table, but its values are
+	// whole, so it can probe one built over the dense right column.
+	{"sparse left, dense right", func(rng *rand.Rand, left, right []float64) {
+		for i := range left {
+			left[i] = 7 + 1e7*float64(rng.Intn(2))
+		}
+		fillRange(rng, right, 1, 40, false)
+	}, kernGeneric, kernAddressed, kernAddressed, kernAddressed, kernGeneric, kernAddressed},
+}
+
+// kernelDB is the suite's private database: the key columns are rewritten
+// for every shape, and the two string columns share a small domain so that a
+// string-keyed join matches.
+type kernelDB struct {
+	db          *tpch.Database
+	left, right []float64
+	cDate       [2]float64 // value range of each parameter's column
+	oDate       [2]float64
+	oPrice      [2]float64
+}
+
+func newKernelDB(scale int) *kernelDB {
+	db := tpch.MustGenerate(tpch.Config{Scale: scale, Seed: 23})
+	c, o := db.MustTable("customer"), db.MustTable("orders")
+	domain := []string{"AUTO", "BUILD", "HOUSE", "NONE"}
+	for i, col := range []*tpch.Column{c.MustColumn("c_mktsegment"), o.MustColumn("o_orderpriority")} {
+		for r := range col.Strs {
+			col.Strs[r] = domain[(r*7+i)%(len(domain)-i)]
+		}
+	}
+	span := func(nums []float64) [2]float64 {
+		return [2]float64{slices.Min(nums), slices.Max(nums)}
+	}
+	return &kernelDB{
+		db: db, left: c.MustColumn("c_custkey").Nums, right: o.MustColumn("o_custkey").Nums,
+		cDate: span(c.MustColumn("c_date").Nums), oDate: span(o.MustColumn("o_orderdate").Nums),
+		oPrice: span(o.MustColumn("o_totalprice").Nums),
+	}
+}
+
+// doctor rewrites the key columns into the shape, rebuilds the index over the
+// right one and returns a fresh Executor: facts are learned once per
+// Executor, so a doctored database needs a new one.
+func (k *kernelDB) doctor(t testing.TB, shape keyShape, seed int64) *Executor {
+	t.Helper()
+	shape.fill(rand.New(rand.NewSource(seed)), k.left, k.right)
+	if err := k.db.MustTable("orders").BuildIndex("o_custkey"); err != nil {
+		t.Fatal(err)
+	}
+	return New(k.db)
+}
+
+// kernelCase is one plan over the doctored database: a join of customer c
+// (left) and orders o (right) on the key columns, or no join at all, under
+// one of four tops. Parameter 0 bounds c.c_date, parameter 1 o.o_orderdate
+// (the inner relation's filter under an index-nested-loop join), parameter 2
+// the residual join filter on o.o_totalprice.
+type kernelCase struct {
+	op        optimizer.OpKind // a join operator, or OpSeqScan: aggregate one scan
+	buildLeft bool
+	residual  bool
+	strKey    bool // join and group on the string columns instead
+	top       int  // 0 rows, 1 global aggregate, 2 GROUP BY the left key, 3 the right key
+}
+
+func (kc kernelCase) String() string {
+	return fmt.Sprintf("%v buildLeft=%v residual=%v strKey=%v top=%d", kc.op, kc.buildLeft, kc.residual, kc.strKey, kc.top)
+}
+
+func (kc kernelCase) plan() (*optimizer.Plan, *optimizer.Query) {
+	ref := func(alias, col string) optimizer.ColRef { return optimizer.ColRef{Alias: alias, Column: col} }
+	param := func(col optimizer.ColRef, idx int) optimizer.Predicate {
+		return optimizer.Predicate{Kind: optimizer.PredCmpNum, Col: col, Op: optimizer.OpLE, ParamIdx: idx}
+	}
+	lkey, rkey := ref("c", "c_custkey"), ref("o", "o_custkey")
+	if kc.strKey {
+		lkey, rkey = ref("c", "c_mktsegment"), ref("o", "o_orderpriority")
+	}
+	q := &optimizer.Query{Preds: []optimizer.Predicate{param(ref("c", "c_date"), 0), param(ref("o", "o_orderdate"), 1)}}
+	left := &optimizer.Node{Op: optimizer.OpSeqScan, Table: "customer", Alias: "c", Filters: q.Preds[:1]}
+	right := &optimizer.Node{Op: optimizer.OpSeqScan, Table: "orders", Alias: "o", Filters: q.Preds[1:2]}
+	var root *optimizer.Node
+	switch kc.op {
+	case optimizer.OpSeqScan:
+		root = left
+		if kc.top == 3 {
+			root = right
+		}
+	default:
+		if kc.op == optimizer.OpIndexNLJoin {
+			right.Op, right.IndexCol = optimizer.OpIndexScan, rkey.Column
+		}
+		root = &optimizer.Node{Op: kc.op, Left: left, Right: right, LeftCol: lkey, RightCol: rkey, BuildLeft: kc.buildLeft}
+		if kc.residual {
+			q.Preds = append(q.Preds, param(ref("o", "o_totalprice"), 2))
+			root.Filters = []optimizer.Predicate{q.Preds[2], {Kind: optimizer.PredJoin, Col: lkey, RightCol: rkey}}
+		}
+	}
+	price, bal := ref("o", "o_totalprice"), ref("c", "c_acctbal")
+	switch kc.top {
+	case 1:
+		aggs := []optimizer.SelectItem{{Agg: optimizer.AggCount}}
+		if kc.op != optimizer.OpSeqScan {
+			aggs = append(aggs, optimizer.SelectItem{Agg: optimizer.AggSum, Col: price}, optimizer.SelectItem{Agg: optimizer.AggAvg, Col: bal},
+				optimizer.SelectItem{Agg: optimizer.AggMin, Col: price}, optimizer.SelectItem{Agg: optimizer.AggMax, Col: bal})
+		}
+		root = &optimizer.Node{Op: optimizer.OpHashAgg, Left: root, Aggs: aggs}
+	case 2, 3:
+		g, sum := lkey, bal
+		if kc.top == 3 {
+			g, sum = rkey, price
+		}
+		root = &optimizer.Node{Op: optimizer.OpHashAgg, Left: root, GroupBy: []optimizer.ColRef{g},
+			Aggs: []optimizer.SelectItem{{Col: g}, {Agg: optimizer.AggCount}, {Agg: optimizer.AggSum, Col: sum}}}
+	}
+	return &optimizer.Plan{Root: root}, q
+}
+
+// bindLiterals writes the parameter values into the plan's filters, which is
+// where the tree-walk engine reads them.
+func bindLiterals(n *optimizer.Node, params []float64) {
+	if n == nil {
+		return
+	}
+	for i := range n.Filters {
+		if n.Filters[i].Kind == optimizer.PredCmpNum && n.Filters[i].ParamIdx >= 0 {
+			n.Filters[i].Value = params[n.Filters[i].ParamIdx]
+		}
+	}
+	bindLiterals(n.Left, params)
+	bindLiterals(n.Right, params)
+}
+
+// assertBitIdentical is assertSameResult on the cells' bits, so that it tells
+// the zeros apart and accepts a NaN that equals itself.
+func assertBitIdentical(t testing.TB, label string, want, got *Result) {
+	t.Helper()
+	if !slices.Equal(got.Schema, want.Schema) {
+		t.Fatalf("%s: schema %v, want %v", label, got.Schema, want.Schema)
+	}
+	if len(got.Rows) != len(want.Rows) {
+		t.Fatalf("%s: %d rows, want %d", label, len(got.Rows), len(want.Rows))
+	}
+	for i := range want.Rows {
+		for j, w := range want.Rows[i] {
+			g := got.Rows[i][j]
+			if g.IsStr != w.IsStr || g.Str != w.Str || math.Float64bits(g.Num) != math.Float64bits(w.Num) {
+				t.Fatalf("%s: row %d col %d = %v (%#x), want %v (%#x)", label, i, j, g, math.Float64bits(g.Num), w, math.Float64bits(w.Num))
+			}
+		}
+	}
+}
+
+// check compiles the case, runs it twice (the second run reuses the arena
+// the first one sized) against the tree-walk engine, and returns the kernels
+// Compile chose for the join and for the GROUP BY.
+func (kc kernelCase) check(t testing.TB, ex *Executor, label string, params []float64) (join, group kernel) {
+	t.Helper()
+	plan, q := kc.plan()
+	params = params[:q.ParamDegree()]
+	cp, err := ex.Compile(plan, q)
+	if err != nil {
+		t.Fatalf("%s: Compile: %v", label, err)
+	}
+	bindLiterals(plan.Root, params)
+	want, err := ex.Run(plan)
+	if err != nil {
+		t.Fatalf("%s: Run: %v", label, err)
+	}
+	for run := 0; run < 2; run++ {
+		got, err := cp.Exec(params)
+		if err != nil {
+			t.Fatalf("%s: Exec: %v", label, err)
+		}
+		assertBitIdentical(t, fmt.Sprintf("%s run %d", label, run), want, got)
+	}
+	if cp.agg != nil {
+		group = cp.agg.kernel
+	}
+	return cp.root.kernel, group
+}
+
+// quantiles places each parameter at the given fraction of its column's
+// value range.
+func (k *kernelDB) quantiles(f0, f1, f2 float64) []float64 {
+	at := func(r [2]float64, f float64) float64 { return r[0] + f*(r[1]-r[0]) }
+	return []float64{at(k.cDate, f0), at(k.oDate, f1), at(k.oPrice, f2)}
+}
+
+func TestKernelChoiceMatchesTreeWalk(t *testing.T) {
+	k := newKernelDB(2000)
+	// Mid-range, everything, nothing on one side, nothing on the other.
+	points := [][3]float64{{0.6, 0.5, 0.7}, {1, 1, 1}, {-0.1, 0.5, 0.5}, {0.5, -0.1, 0.5}}
+	sawRows := false
+	for si, shape := range keyShapes {
+		ex := k.doctor(t, shape, int64(100+si))
+		for _, tc := range []struct {
+			kc   kernelCase
+			join kernel
+		}{
+			{kernelCase{op: optimizer.OpHashJoin, buildLeft: true}, shape.hashL},
+			{kernelCase{op: optimizer.OpHashJoin, buildLeft: true, residual: true}, shape.hashL},
+			{kernelCase{op: optimizer.OpHashJoin}, shape.hashR},
+			{kernelCase{op: optimizer.OpHashJoin, residual: true}, shape.hashR},
+			{kernelCase{op: optimizer.OpMergeJoin}, shape.merge},
+			{kernelCase{op: optimizer.OpMergeJoin, residual: true}, shape.merge},
+			{kernelCase{op: optimizer.OpIndexNLJoin}, shape.inl},
+			{kernelCase{op: optimizer.OpIndexNLJoin, residual: true}, shape.inl},
+			{kernelCase{op: optimizer.OpSeqScan}, kernGeneric},
+		} {
+			for top, group := range []kernel{kernGeneric, kernGeneric, shape.groupL, shape.groupR} {
+				kc := tc.kc
+				kc.top = top
+				if kc.op == optimizer.OpSeqScan && top == 0 {
+					continue
+				}
+				for _, p := range points {
+					label := fmt.Sprintf("%s: %v at %v", shape.name, kc, p)
+					join, grp := kc.check(t, ex, label, k.quantiles(p[0], p[1], p[2]))
+					if join != tc.join || grp != group {
+						t.Errorf("%s: Compile chose the %v join kernel and the %v group kernel, want %v and %v", label, join, grp, tc.join, group)
 					}
 				}
 			}
 		}
+		plan, _ := kernelCase{op: optimizer.OpHashJoin}.plan()
+		params := k.quantiles(1, 1, 1)[:2]
+		bindLiterals(plan.Root, params)
+		if res, err := ex.Run(plan); err != nil {
+			t.Fatal(err)
+		} else if len(res.Rows) > 0 {
+			sawRows = true
+		} else if shape.hashR != kernGeneric {
+			t.Errorf("%s: the unfiltered join is empty, so the addressed kernels matched nothing", shape.name)
+		}
+	}
+	if !sawRows {
+		t.Error("no shape's join produced a row")
+	}
+
+	// A string key has no facts: hash join and GROUP BY stay generic, and
+	// the compiler refuses the other two operators.
+	ex := New(k.db)
+	for _, kc := range []kernelCase{
+		{op: optimizer.OpHashJoin, strKey: true, buildLeft: true},
+		{op: optimizer.OpHashJoin, strKey: true, buildLeft: true, residual: true},
+		{op: optimizer.OpHashJoin, strKey: true},
+		{op: optimizer.OpHashJoin, strKey: true, residual: true},
+		{op: optimizer.OpSeqScan, strKey: true},
+	} {
+		for top := 0; top < 4; top++ {
+			kc.top = top
+			if kc.op == optimizer.OpSeqScan && top == 0 {
+				continue
+			}
+			label := fmt.Sprintf("string key: %v", kc)
+			if join, grp := kc.check(t, ex, label, k.quantiles(0.6, 0.5, 0.7)); join != kernGeneric || grp != kernGeneric {
+				t.Errorf("%s: Compile chose the %v join kernel and the %v group kernel, want generic", label, join, grp)
+			}
+		}
+	}
+	for _, op := range []optimizer.OpKind{optimizer.OpMergeJoin, optimizer.OpIndexNLJoin} {
+		plan, q := kernelCase{op: op, strKey: true}.plan()
+		if _, err := ex.Compile(plan, q); err == nil {
+			t.Errorf("%v on a string key compiled", op)
+		}
+	}
+}
+
+// TestAddressedKernelsYieldToSmallInputs covers the Exec-time half of the
+// kernel choice: over a key span much wider than the tuples that reach the
+// operator, clearing (and, for a merge join, walking) the table would cost
+// more than hashing or sorting them, so the run takes the generic kernel —
+// and the same compiled plan addresses again when the inputs are large. The
+// arena shows which ran: only an addressed kernel sizes dirA.
+func TestAddressedKernelsYieldToSmallInputs(t *testing.T) {
+	k := newKernelDB(200) // 750 customers, 7500 orders
+	const span = 2900     // within maxSpanPerRow of either column, far above addrSpanFloor
+	ex := k.doctor(t, keyShape{fill: func(rng *rand.Rand, left, right []float64) {
+		fillRange(rng, left, 1, span, true)
+		fillRange(rng, right, 1, span, false)
+		left[0], left[1], right[0], right[1] = 1, span, 1, span
+	}}, 5)
+	few, all := k.quantiles(0.02, 0.02, 1), k.quantiles(1, 1, 1)
+	for _, kc := range []kernelCase{
+		{op: optimizer.OpHashJoin},
+		{op: optimizer.OpMergeJoin},
+		{op: optimizer.OpSeqScan, top: 3},
+	} {
+		kc.check(t, ex, kc.String()+", few", few)
+		kc.check(t, ex, kc.String()+", all", all)
+		plan, q := kc.plan()
+		cp, err := ex.Compile(plan, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			params    []float64
+			addressed bool
+		}{{few, false}, {all, true}} {
+			ar := newArena(cp)
+			cp.run(cp.root, ar, tc.params[:cp.nParams])
+			tuples := ar.nrows[cp.root.ord]
+			if cp.agg != nil {
+				cp.agg.assignGroups(ar, tuples)
+			} else {
+				tuples = ar.nrows[cp.root.left.ord] + ar.nrows[cp.root.right.ord]
+			}
+			if tuples == 0 || addressable(span, tuples) != tc.addressed {
+				t.Fatalf("%v at %v: %d input tuples; the case does not test what it says", kc, tc.params, tuples)
+			}
+			if got := cap(ar.dirA) > 0; got != tc.addressed {
+				t.Errorf("%v at %v: addressed kernel ran = %v, want %v", kc, tc.params, got, tc.addressed)
+			}
+		}
+	}
+}
+
+// TestExecSteadyStateAllocs: once an arena has been sized, an execution
+// allocates its result — the Result, the Value backing array and the Row
+// headers — and nothing else, whichever kernel runs: the direct tables and
+// chains live in the pooled Arena like every other scratch vector.
+func TestExecSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector's shadow memory inflates allocation counts")
+	}
+	k := newKernelDB(2000)
+	ex := k.doctor(t, keyShapes[0], 1)
+	params := k.quantiles(0.6, 0.5, 0.7)
+	for _, kc := range []kernelCase{
+		{op: optimizer.OpHashJoin, buildLeft: true},
+		{op: optimizer.OpHashJoin, residual: true},
+		{op: optimizer.OpMergeJoin},
+		{op: optimizer.OpIndexNLJoin},
+		{op: optimizer.OpHashJoin, top: 3},
+		{op: optimizer.OpSeqScan, top: 3},
+	} {
+		plan, q := kc.plan()
+		cp, err := ex.Compile(plan, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kc.op != optimizer.OpSeqScan && cp.root.kernel == kernGeneric || cp.agg != nil && cp.agg.kernel == kernGeneric {
+			t.Fatalf("%v: compiled onto a generic kernel; the guard is for the addressed ones", kc)
+		}
+		exec := func() {
+			if res, err := cp.Exec(params[:cp.nParams]); err != nil || len(res.Rows) == 0 {
+				t.Fatalf("%v: %d rows, err %v", kc, len(res.Rows), err)
+			}
+		}
+		exec()
+		if allocs := testing.AllocsPerRun(100, exec); allocs > 3 {
+			t.Errorf("%v: %v allocations per warmed Exec, want at most the result's 3", kc, allocs)
+		}
+	}
+}
+
+// TestColumnFactsLearnedOnce: the facts of a key column cost one scan per
+// Executor, paid by the first plan that keys on it. Compiling the standard
+// templates' plans a second time scans nothing.
+func TestColumnFactsLearnedOnce(t *testing.T) {
+	ex := New(testDB)
+	compileAll := func() {
+		for _, d := range queries.Defs {
+			tm, err := queries.ByName(d.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			point := make([]float64, tm.Degree())
+			for j := range point {
+				point[j] = 0.5
+			}
+			inst, err := opt.InstanceAt(tm, point)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := opt.OptimizeInstance(inst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ex.Compile(plan, tm.Query); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	compileAll()
+	first := ex.factScans
+	if first == 0 {
+		t.Fatal("compiling Q0..Q8 learned no column facts")
+	}
+	compileAll()
+	if ex.factScans != first {
+		t.Errorf("second Compile of the same plans scanned %d more columns", ex.factScans-first)
 	}
 }

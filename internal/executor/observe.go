@@ -1,6 +1,6 @@
-// Cardinality harvesting: the compiled engine already materializes every
-// operator's output selection vector, so true per-operator cardinalities
-// are free — ExecObserve reads them out after a run, before the arena goes
+// Cardinality harvesting: the compiled engine already records every
+// operator's output tuple count, so true per-operator cardinalities are
+// free — ExecObserve reads them out after a run, before the arena goes
 // back to the pool. Each observation carries the optimizer plan node the
 // operator was compiled from (its lineage), which is what maps the counts
 // back to template predicate sites for the adaptive statistics layer.
@@ -36,7 +36,7 @@ type CardObservation struct {
 // returns a freshly materialized result; Exec is this with a nil obs. With
 // a non-nil obs it additionally harvests per-operator observed
 // cardinalities, appending them to *obs in bottom-up order. The harvest
-// reads vector lengths the run already produced; it adds no per-row work.
+// reads tuple counts the run already produced; it adds no per-row work.
 func (cp *CompiledPlan) ExecObserve(params []float64, obs *[]CardObservation) (*Result, error) {
 	if err := cp.exec.faults.Fail(faults.ExecutorError); err != nil {
 		return nil, fmt.Errorf("executor: %w", err)
@@ -65,15 +65,15 @@ func harvest(n *cNode, ar *Arena, params []float64, obs []CardObservation) []Car
 	}
 	obs = harvest(n.left, ar, params, obs)
 	obs = harvest(n.right, ar, params, obs)
-	o := CardObservation{Node: n.lineage, Rows: float64(len(ar.vecs[n.slots[0]]))}
+	o := CardObservation{Node: n.lineage, Rows: float64(ar.nrows[n.ord])}
 	switch n.op {
 	case optimizer.OpIndexScan:
 		o.Lo, o.Hi = n.bounds(params)
 	case optimizer.OpHashJoin, optimizer.OpMergeJoin, optimizer.OpNLJoin:
-		o.LeftRows = float64(len(ar.vecs[n.left.slots[0]]))
-		o.RightRows = float64(len(ar.vecs[n.right.slots[0]]))
+		o.LeftRows = float64(ar.nrows[n.left.ord])
+		o.RightRows = float64(ar.nrows[n.right.ord])
 	case optimizer.OpIndexNLJoin:
-		o.LeftRows = float64(len(ar.vecs[n.left.slots[0]]))
+		o.LeftRows = float64(ar.nrows[n.left.ord])
 		o.RightRows = float64(n.table.NumRows())
 	}
 	return append(obs, o)

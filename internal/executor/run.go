@@ -2,10 +2,12 @@
 // vectors held in the arena. A scan's first predicate runs over the
 // contiguous column and writes the passing row ids into the scan's vector;
 // every further predicate refines that vector in place. Joins record their
-// matched (left, right) tuple pairs and gather the output vectors from them
-// one relation at a time; rows are materialized exactly once, into the
-// final Result (two allocations: the Value backing array and the Row
-// headers).
+// matched (left, right) tuple pairs and gather, one relation at a time, the
+// output vectors something above them reads; rows are materialized exactly
+// once, into the final Result (two allocations: the Value backing array and
+// the Row headers). Where Compile found the keys to be dense integers
+// (facts.go) a join or GROUP BY addresses a direct table by key - lo; the
+// hashed, sorted and searched kernels serve every other input.
 package executor
 
 import (
@@ -87,6 +89,7 @@ func (n *cNode) runScan(ar *Arena, params []float64) {
 		sel = sel[:filters[fi].refine(params, sel)]
 	}
 	ar.vecs[slot] = sel
+	ar.nrows[n.ord] = len(sel)
 }
 
 // bounds returns the index scan's effective bounds. Parameter-driven bounds
@@ -267,22 +270,22 @@ func (n *cNode) match(ar *Arena, params []float64, li, ri int32) {
 	}
 }
 
-// gatherOutput builds the join's output vectors from the recorded match
-// pairs, one relation at a time, and empties the pair vectors for the next
-// join. For index-nested-loop joins the right halves are already the inner
-// relation's row ids.
+// gatherOutput builds the join's live output vectors from the recorded
+// match pairs, one relation at a time, records the output tuple count and
+// empties the pair vectors for the next join.
 func (n *cNode) gatherOutput(ar *Arena) {
-	nl := len(n.left.slots)
-	for x, s := range n.left.slots {
-		ar.vecs[n.slots[x]] = gather(ar.vecs[n.slots[x]], ar.vecs[s], ar.matchL)
-	}
-	if n.right == nil {
-		ar.vecs[n.slots[nl]] = append(ar.vecs[n.slots[nl]][:0], ar.matchR...)
-	} else {
-		for x, s := range n.right.slots {
-			ar.vecs[n.slots[nl+x]] = gather(ar.vecs[n.slots[nl+x]], ar.vecs[s], ar.matchR)
+	for _, g := range n.gathers {
+		idx := ar.matchL
+		if g.right {
+			idx = ar.matchR
+		}
+		if g.src < 0 {
+			ar.vecs[g.dst] = append(ar.vecs[g.dst][:0], idx...)
+		} else {
+			ar.vecs[g.dst] = gather(ar.vecs[g.dst], ar.vecs[g.src], idx)
 		}
 	}
+	ar.nrows[n.ord] = len(ar.matchL)
 	ar.matchL, ar.matchR = ar.matchL[:0], ar.matchR[:0]
 }
 
@@ -295,6 +298,12 @@ func gather(out, in, idx []int32) []int32 {
 	return out
 }
 
+// runHashJoin chains the build side by key and probes it in probe order, so
+// pairs come out in the row engine's order: probe order, and build input
+// order within one probe. The table the chains hang from is a direct table
+// spanning the build column where Compile found dense integer keys, an
+// open-addressed float table or a string map otherwise; the chains are the
+// same (see Arena.dirA).
 func (n *cNode) runHashJoin(ar *Arena, params []float64) {
 	buildSlot, probeSlot := n.rightSlot, n.leftSlot
 	buildKey, probeKey := n.rightKey, n.leftKey
@@ -304,59 +313,60 @@ func (n *cNode) runHashJoin(ar *Arena, params []float64) {
 	}
 	buildVec := ar.vecs[buildSlot]
 	probeVec := ar.vecs[probeSlot]
-	ar.next = sized(ar.next, len(buildVec))
-	next := ar.next
+	ar.nextA = sized(ar.nextA, len(buildVec))
+	next := ar.nextA
+	filtered := len(n.joinFilters) > 0
+	mp, mb := ar.matchL, ar.matchR // (probe, build) pairs
 
-	// Build: chained buckets in insertion order (head<<32 | tail), so probe
-	// emission order matches the row engine's bucket-append order exactly.
-	if n.strKey {
+	switch {
+	case n.kernel != kernGeneric && addressable(n.keySpan, len(buildVec)+len(probeVec)):
+		// A probe is a bounds check and a load.
+		ar.dirA = sized(ar.dirA, n.keySpan)
+		head, lo, pkeys := ar.dirA, n.keyLo, probeKey.Nums
+		chainByKey(head, next, buildVec, buildKey.Nums, lo)
+		if n.kernel == kernAddressedOnce && !filtered {
+			// At most one match per probe: store the pair unconditionally and
+			// advance only on a hit, so nothing branches on the data but the
+			// bounds check (which a foreign key never fails).
+			mp, mb = sized(mp, len(probeVec)), sized(mb, len(probeVec))
+			m := 0
+			for pi, id := range probeVec {
+				var b int32
+				if k := uint(int(pkeys[id]) - lo); k < uint(len(head)) {
+					b = head[k]
+				}
+				mp[m], mb[m] = int32(pi), b-1
+				m += b2i(b != 0)
+			}
+			mp, mb = mp[:m], mb[:m]
+			break
+		}
+		for pi, id := range probeVec {
+			if k := uint(int(pkeys[id]) - lo); k < uint(len(head)) && head[k] != 0 {
+				mp, mb = n.probeChain(ar, params, next, head[k], int32(pi), mp, mb)
+			}
+		}
+	case n.strKey:
 		ht := ar.htS
 		clear(ht)
-		keys := buildKey.Strs
-		for i, id := range buildVec {
-			next[i] = -1
-			k := keys[id]
-			if he, ok := ht[k]; ok {
-				next[int32(he&0xffffffff)] = int32(i)
-				ht[k] = he&^0xffffffff | int64(i)
-			} else {
-				ht[k] = int64(i)<<32 | int64(i)
-			}
+		keys, pkeys := buildKey.Strs, probeKey.Strs
+		for i := len(buildVec) - 1; i >= 0; i-- {
+			k := keys[buildVec[i]]
+			next[i] = ht[k]
+			ht[k] = int32(i + 1)
 		}
-		pkeys := probeKey.Strs
 		for pi, id := range probeVec {
-			if he, ok := ht[pkeys[id]]; ok {
-				n.probeChain(ar, params, next, he, int32(pi))
-			}
+			mp, mb = n.probeChain(ar, params, next, ht[pkeys[id]], int32(pi), mp, mb)
 		}
-		return
-	}
-	ht := &ar.htN
-	ht.reset(len(buildVec))
-	keys := buildKey.Nums
-	for i, id := range buildVec {
-		next[i] = -1
-		ht.insert(keys[id], int32(i), next)
-	}
-	pkeys := probeKey.Nums
-	if len(n.joinFilters) > 0 {
+	default:
+		ht := &ar.htN
+		ht.reset(len(buildVec))
+		keys, pkeys := buildKey.Nums, probeKey.Nums
+		for i := len(buildVec) - 1; i >= 0; i-- {
+			ht.insert(keys[buildVec[i]], int32(i), next)
+		}
 		for pi, id := range probeVec {
-			if he := ht.lookup(pkeys[id]); he >= 0 {
-				n.probeChain(ar, params, next, he, int32(pi))
-			}
-		}
-		return
-	}
-	// No residual filters: every chain entry is a match, so the probe appends
-	// (probe, build) pairs to local vectors and never looks at the node or
-	// the arena again.
-	mp, mb := ar.matchL, ar.matchR
-	for pi, id := range probeVec {
-		if he := ht.lookup(pkeys[id]); he >= 0 {
-			for bi := int32(he >> 32); bi >= 0; bi = next[bi] {
-				mp = append(mp, int32(pi))
-				mb = append(mb, bi)
-			}
+			mp, mb = n.probeChain(ar, params, next, ht.lookup(pkeys[id]), int32(pi), mp, mb)
 		}
 	}
 	if n.buildLeft {
@@ -365,20 +375,50 @@ func (n *cNode) runHashJoin(ar *Arena, params []float64) {
 	ar.matchL, ar.matchR = mp, mb
 }
 
-// probeChain walks one build-side bucket for probe tuple pi, recording
-// filtered matches in build insertion order.
-func (n *cNode) probeChain(ar *Arena, params []float64, next []int32, he int64, pi int32) {
-	for bi := int32(he >> 32); bi >= 0; bi = next[bi] {
-		li, ri := pi, bi
+// probeChain appends probe tuple pi's matches along the build chain from b
+// (1 + a build tuple, 0 at the end), dropping those the residual join
+// filters reject.
+func (n *cNode) probeChain(ar *Arena, params []float64, next []int32, b, pi int32, mp, mb []int32) ([]int32, []int32) {
+	for ; b != 0; b = next[b-1] {
+		li, ri := pi, b-1
 		if n.buildLeft {
-			li, ri = bi, pi
+			li, ri = ri, li
 		}
-		n.match(ar, params, li, ri)
+		if len(n.joinFilters) == 0 || n.evalJoinFilters(ar, params, li, ri) {
+			mp, mb = append(mp, pi), append(mb, b-1)
+		}
 	}
+	return mp, mb
 }
 
 func (n *cNode) runMergeJoin(ar *Arena, params []float64) {
 	lvec, rvec := ar.vecs[n.leftSlot], ar.vecs[n.rightSlot]
+	if n.kernel != kernGeneric && addressable(n.keySpan, len(lvec)+len(rvec)) {
+		// Dense integer keys: chain both inputs by key and walk the span in
+		// key order. Each chain is in input order, so the pairs come out as
+		// the stable sorts below would order them, and nothing is sorted.
+		ar.dirA, ar.nextA = sized(ar.dirA, n.keySpan), sized(ar.nextA, len(lvec))
+		ar.dirB, ar.nextB = sized(ar.dirB, n.keySpan), sized(ar.nextB, len(rvec))
+		nextL, headR, nextR := ar.nextA, ar.dirB, ar.nextB
+		chainByKey(ar.dirA, nextL, lvec, n.leftKey.Nums, n.keyLo)
+		chainByKey(headR, nextR, rvec, n.rightKey.Nums, n.keyLo)
+		filtered := len(n.joinFilters) > 0
+		ml, mr := ar.matchL, ar.matchR
+		for k, l := range ar.dirA {
+			if headR[k] == 0 {
+				continue
+			}
+			for ; l != 0; l = nextL[l-1] {
+				for r := headR[k]; r != 0; r = nextR[r-1] {
+					if !filtered || n.evalJoinFilters(ar, params, l-1, r-1) {
+						ml, mr = append(ml, l-1), append(mr, r-1)
+					}
+				}
+			}
+		}
+		ar.matchL, ar.matchR = ml, mr
+		return
+	}
 	ar.permA, ar.keysA = permKeys(ar.permA, ar.keysA, len(lvec))
 	ar.permB, ar.keysB = permKeys(ar.permB, ar.keysB, len(rvec))
 	for i, id := range lvec {
@@ -400,6 +440,13 @@ func (n *cNode) runMergeJoin(ar *Arena, params []float64) {
 			i++
 		case lv > rv:
 			j++
+		case lv != rv:
+			// A NaN key joins nothing; step past it, as the row engine does.
+			if math.IsNaN(lv) {
+				i++
+			} else {
+				j++
+			}
 		default:
 			jEnd := j
 			for jEnd < len(permB) && keysB[permB[jEnd]] == lv {
@@ -420,7 +467,15 @@ func (n *cNode) runIndexNLJoin(ar *Arena, params []float64) {
 	keys := n.leftKey.Nums
 	for li := range lvec {
 		v := keys[lvec[li]]
-		for _, ri := range n.index.RangeRows(v, v) {
+		// The rows holding key v: two loads from the index's key directory
+		// when the keys are dense integers, two binary searches otherwise.
+		var rows []int32
+		if n.kernel == kernGeneric {
+			rows = n.index.RangeRows(v, v)
+		} else if k := uint(int(v) - n.keyLo); k < uint(len(n.dir)-1) {
+			rows = n.index.Rows[n.dir[k]:n.dir[k+1]]
+		}
+		for _, ri := range rows {
 			ok := true
 			for fi := range n.innerFilters {
 				if !n.innerFilters[fi].testRow(params, ri) {
@@ -436,8 +491,7 @@ func (n *cNode) runIndexNLJoin(ar *Arena, params []float64) {
 }
 
 func (n *cNode) runNLJoin(ar *Arena, params []float64) {
-	nl := len(ar.vecs[n.left.slots[0]])
-	nr := len(ar.vecs[n.right.slots[0]])
+	nl, nr := ar.nrows[n.left.ord], ar.nrows[n.right.ord]
 	for li := int32(0); li < int32(nl); li++ {
 		for ri := int32(0); ri < int32(nr); ri++ {
 			n.match(ar, params, li, ri)
@@ -448,7 +502,7 @@ func (n *cNode) runNLJoin(ar *Arena, params []float64) {
 // materialize builds the final Result for a non-aggregating plan: one
 // backing Value array plus the Row headers.
 func (cp *CompiledPlan) materialize(ar *Arena) *Result {
-	nt := len(ar.vecs[cp.root.slots[0]])
+	nt := ar.nrows[cp.root.ord]
 	if nt == 0 {
 		return &Result{Schema: cp.schema}
 	}
@@ -480,7 +534,7 @@ func (cp *CompiledPlan) materialize(ar *Arena) *Result {
 func (cp *CompiledPlan) materializeAgg(ar *Arena) *Result {
 	agg := cp.agg
 	nK := len(agg.groupCols)
-	gids := agg.assignGroups(ar, len(ar.vecs[cp.root.slots[0]]))
+	gids := agg.assignGroups(ar, ar.nrows[cp.root.ord])
 	ng := len(ar.counts)
 
 	width := len(agg.outSchema)
@@ -522,22 +576,26 @@ func (a *cAgg) assignGroups(ar *Arena, nt int) []int32 {
 		return gids
 	}
 	ar.counts = ar.counts[:0]
-	if a.numKey() {
-		// Single numeric group column: the raw float bits are the group key
-		// (identical equality — and so identical first-seen group order — to
-		// the byte-encoded key the general path builds).
+	if a.kernel != kernGeneric && addressable(a.keySpan, nt) {
+		// Dense integer keys: dirA holds 1 + the key's group id. Whole numbers
+		// other than -0 are bit-equal exactly when they are equal, so these
+		// are the groups, in the first-seen order, of the path below.
 		gc := &a.groupCols[0]
-		nums := gc.col.Nums
-		ht := &ar.htG
-		ht.reset(ht.n)
+		nums, lo := gc.col.Nums, a.keyLo
+		ar.dirA = sized(ar.dirA, a.keySpan)
+		dir := ar.dirA
+		clear(dir)
 		for t, id := range ar.vecs[gc.slot] {
-			g, fresh := ht.group(nums[id])
-			if fresh {
+			k := int(nums[id]) - lo
+			g := dir[k]
+			if g == 0 {
 				ar.groupKeys = append(ar.groupKeys, Value{Num: nums[id]})
 				ar.counts = append(ar.counts, 0)
+				g = int32(len(ar.counts))
+				dir[k] = g
 			}
-			ar.counts[g]++
-			gids[t] = g
+			ar.counts[g-1]++
+			gids[t] = g - 1
 		}
 		return gids
 	}

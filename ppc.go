@@ -405,6 +405,8 @@ func (st *templateState) Deliver(fb core.Feedback) {
 		applied, dropped = 0, 1
 	}
 	st.obs.RecordApply(time.Since(t0), applied, dropped)
+	// As applyBatch does: the point may have triggered a re-tune.
+	st.obs.SetRetuneEpoch(st.online.RetuneEpoch())
 }
 
 // applyLoop is the template's background learner: it drains the mailbox in

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/netproto"
+	"repro/internal/tpch"
 )
 
 // mutTunable enables tunable LSH with a low re-tune threshold so the
@@ -27,6 +28,50 @@ func retuneEpoch(t *testing.T, sys *System, template string) uint64 {
 		t.Fatal(err)
 	}
 	return st.online.RetuneEpoch()
+}
+
+// retuneGauge reads the retune_epoch gauge of one template's metrics.
+func retuneGauge(t *testing.T, sys *System, template string) uint64 {
+	t.Helper()
+	snap, err := sys.MetricsSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tm := range snap.Templates {
+		if tm.Template == template {
+			return tm.Counters.RetuneEpoch
+		}
+	}
+	t.Fatalf("no metrics for template %s", template)
+	return 0
+}
+
+// TestRetuneEpochGaugeSynchronousFeedback: with FeedbackQueue < 0 there is
+// no applier goroutine, and every point is applied inline by Deliver — which
+// must refresh the retune_epoch gauge as the applier's batches do, or the
+// gauge reads 0 on a learner that has re-tuned.
+func TestRetuneEpochGaugeSynchronousFeedback(t *testing.T) {
+	sys, err := Open(Options{
+		TPCH:          tpch.Config{Scale: 2000, Seed: 5},
+		Online:        onlineForTest(),
+		FeedbackQueue: -1,
+		TunableLSH:    TunableLSHOptions{Enable: true, RetuneEvery: 10, Reservoir: 128},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close() //nolint:errcheck
+	if err := sys.Register("Q1", mustSQL(t, "Q1")); err != nil {
+		t.Fatal(err)
+	}
+	runDurableWorkload(t, sys, 300, 3)
+	epoch := retuneEpoch(t, sys, "Q1")
+	if epoch == 0 {
+		t.Fatal("learner never re-tuned; the gauge check is vacuous")
+	}
+	if got := retuneGauge(t, sys, "Q1"); got != epoch {
+		t.Errorf("retune_epoch gauge reads %d, learner at %d", got, epoch)
+	}
 }
 
 // predictParity compares two Systems' learner-state predictions over the
@@ -83,14 +128,8 @@ func TestRetuneCrashRecoveryTwice(t *testing.T) {
 	}
 	// The metrics gauge must be seeded at recovery, not first re-reported at
 	// the next live re-tune.
-	snap, err := rec1.MetricsSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tm := range snap.Templates {
-		if tm.Template == "Q1" && tm.Counters.RetuneEpoch != epoch1 {
-			t.Errorf("recovered metrics report retune_epoch %d, learner at %d", tm.Counters.RetuneEpoch, epoch1)
-		}
+	if got := retuneGauge(t, rec1, "Q1"); got != epoch1 {
+		t.Errorf("recovered metrics report retune_epoch %d, learner at %d", got, epoch1)
 	}
 	if hits := predictParity(t, "first recovery", sys, rec1, "Q1", tmpl.Degree()); hits == 0 {
 		t.Fatal("no OK predictions across the probe grid; parity vacuous")
