@@ -13,15 +13,20 @@ PROFILE_DIR ?= profiles
 # bookkeeping inflates allocation counts, so the guards skip themselves
 # under -race). TestServingPathZeroAlloc holds predict/insert/WAL-append at
 # exactly zero allocs; TestRunPathAllocBudget holds the full batched Run
-# path under its 32 allocs/op budget. The benchmark harness in bench/ is a
-# module of its own that imports this one's internal packages, so it is
-# vetted and self-tested here too: an internal refactor that breaks it must
-# fail the gate, not the next benchmark run.
+# path under its 32 allocs/op budget; TestExecSteadyStateAllocs holds a
+# warmed CompiledPlan.Exec to its result's three allocations whichever
+# kernel runs, and TestColumnFactsLearnedOnce a second Compile to no column
+# scan and no bitmap build; TestFreezePublishCost holds a model publish to
+# the blocks one insert touched, and TestPredictZeroAllocWithWarps predict
+# under learned warps at zero. The benchmark harness in bench/ is a module
+# of its own that imports this one's internal packages, so it is vetted and
+# self-tested here too: an internal refactor that breaks it must fail the
+# gate, not the next benchmark run.
 tier1:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -run 'TestServingPathZeroAlloc|TestRunPathAllocBudget' -count=1 .
+	$(GO) test -run 'TestServingPathZeroAlloc|TestRunPathAllocBudget|TestExecSteadyStateAllocs|TestColumnFactsLearnedOnce|TestFreezePublishCost|TestPredictZeroAllocWithWarps' -count=1 . ./internal/executor ./internal/core
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench -short ./...
 

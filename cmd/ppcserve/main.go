@@ -282,8 +282,9 @@ func newMux(sys *ppc.System) *http.ServeMux {
 		writeJSON(w, out)
 	})
 	mux.HandleFunc("/run", postOnly(func(w http.ResponseWriter, r *http.Request) {
-		name := r.URL.Query().Get("template")
-		point, err := parsePoint(r.URL.Query().Get("values"))
+		query := r.URL.Query()
+		name := query.Get("template")
+		point, err := parsePoint(query.Get("values"))
 		if name == "" || err != nil {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("need ?template=NAME&values=v1,v2,...: %v", err))
 			return
@@ -304,19 +305,14 @@ func newMux(sys *ppc.System) *http.ServeMux {
 			return
 		}
 		// The executed rows can be large; report the decision, not the data.
-		rows := 0
-		if res.Result != nil {
-			rows = len(res.Result.Rows)
+		reply := runReply{
+			Template: res.Template, PlanID: res.PlanID, CacheHit: res.CacheHit,
+			Predicted: res.Predicted, Invoked: res.Invoked, Degraded: res.Degraded,
 		}
-		writeJSON(w, map[string]any{
-			"template":  res.Template,
-			"plan_id":   res.PlanID,
-			"cache_hit": res.CacheHit,
-			"predicted": res.Predicted,
-			"invoked":   res.Invoked,
-			"degraded":  res.Degraded,
-			"rows":      rows,
-		})
+		if res.Result != nil {
+			reply.Rows = len(res.Result.Rows)
+		}
+		writeJSON(w, reply)
 	}))
 	mux.HandleFunc("/recovery", func(w http.ResponseWriter, r *http.Request) {
 		rep := sys.LoadStateReport()
@@ -418,6 +414,17 @@ func parsePoint(s string) ([]float64, error) {
 		out[i] = v
 	}
 	return out, nil
+}
+
+// runReply is the body of a /run reply.
+type runReply struct {
+	Template  string `json:"template"`
+	PlanID    int    `json:"plan_id"`
+	CacheHit  bool   `json:"cache_hit"`
+	Predicted bool   `json:"predicted"`
+	Invoked   bool   `json:"invoked"`
+	Degraded  bool   `json:"degraded"`
+	Rows      int    `json:"rows"`
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -6,9 +6,11 @@ package main
 // safe to run more than once per process.
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -63,15 +65,40 @@ func TestMutatingEndpointsRequirePOST(t *testing.T) {
 		}
 	}
 
-	// POST goes through to the handler.
+	// POST goes through to the handler, and the reply carries what Run
+	// returned: a twin system's first run at the same point is that result.
 	resp, err := http.Post(runURL, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck
-	resp.Body.Close()              //nolint:errcheck
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("POST /run = %d, want 200", resp.StatusCode)
+	var got map[string]any
+	err = json.NewDecoder(resp.Body).Decode(&got)
+	resp.Body.Close() //nolint:errcheck
+	if resp.StatusCode != http.StatusOK || err != nil {
+		t.Fatalf("POST /run = %d, reply decodes with %v; want 200 and a JSON object", resp.StatusCode, err)
+	}
+	twin := testSystem(t)
+	point := make([]float64, tmpl.Degree())
+	for i := range point {
+		point[i] = 0.3
+	}
+	inst, err := twin.Optimizer().InstanceAt(tmpl, point)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := twin.Run("Q1", inst.Values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Invoked || len(res.Result.Rows) == 0 {
+		t.Fatalf("a first run of Q1 invoked the optimizer = %v and returned %d rows; the reply check needs both", res.Invoked, len(res.Result.Rows))
+	}
+	want := map[string]any{
+		"template": res.Template, "plan_id": float64(res.PlanID), "cache_hit": res.CacheHit, "predicted": res.Predicted,
+		"invoked": res.Invoked, "degraded": res.Degraded, "rows": float64(len(res.Result.Rows)),
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("POST /run replied %v, Run returned %v", got, want)
 	}
 	// /checkpoint without a WAL is a handler-level failure (500), never a
 	// method-level one.

@@ -27,6 +27,13 @@ type Arena struct {
 	// to its candidate count before filtering into it.
 	vecs [][]int32
 
+	// bits holds the conjunction of the running scan's range predicates (or
+	// of an index-nested-loop join's inner ones), one bit per row of the
+	// table: the AND of the predicates' bitmaps (rangebits.go). It is dead
+	// once the scan has extracted its vector, so every scan of the plan
+	// shares it.
+	bits []uint64
+
 	// nrows holds every operator's output tuple count, by cNode.ord: a join
 	// gathers vectors only for its live slots, so no vector's length can be
 	// relied on to carry it.

@@ -103,11 +103,14 @@ type cNode struct {
 	rels  []relBind
 	slots []int // arena slot per relation, parallel to rels
 
-	// Scans (and the inner side of index-nested-loop joins).
+	// Scans (and the inner side of index-nested-loop joins). ranges holds the
+	// relation's range filters, evaluated on the columns' bitmaps; filters
+	// (innerFilters below for the join) the ones that read the column.
 	table   *tpch.Table
 	index   *tpch.Index
 	lo, hi  float64
 	derive  []optimizer.BoundDerive
+	ranges  []cPred
 	filters []cPred
 
 	// Joins.
@@ -133,8 +136,8 @@ type cNode struct {
 	// The other slots are dead: nothing is gathered into them.
 	gathers []gatherOp
 
-	// Index-nested-loop joins: the inner relation's residual filters; the
-	// probe index and table live in index/table above.
+	// Index-nested-loop joins: the inner relation's residual filters other
+	// than ranges; the probe index and table live in index/table above.
 	innerFilters []cPred
 }
 
@@ -176,6 +179,10 @@ type cPred struct {
 	col  *tpch.Column
 	side int
 	slot int
+
+	// rb is the column's bitmaps, for a range filter of a scan or of an
+	// index-nested-loop join's inner relation (cNode.ranges).
+	rb *rangeBits
 
 	// PredJoin second column.
 	col2  *tpch.Column
@@ -363,12 +370,26 @@ func (c *compiler) scan(n *optimizer.Node) (*cNode, error) {
 			}
 		}
 	}
-	var err error
-	cn.filters, err = c.preds(n.Filters, cn.rels, cn.slots, nil, nil)
+	filters, err := c.preds(n.Filters, cn.rels, cn.slots, nil, nil)
 	if err != nil {
 		return nil, err
 	}
+	cn.ranges, cn.filters = c.splitRanges(t, filters)
 	return cn, nil
+}
+
+// splitRanges separates one relation's range filters, which run first and
+// on bitmaps, from the rest, and binds each to its column's bitmaps.
+func (c *compiler) splitRanges(t *tpch.Table, filters []cPred) (ranges, rest []cPred) {
+	for _, p := range filters {
+		if p.isRange() {
+			p.bindRange(c.e.rangeFor(t, p.col))
+			ranges = append(ranges, p)
+		} else {
+			rest = append(rest, p)
+		}
+	}
+	return ranges, rest
 }
 
 func (c *compiler) join(n *optimizer.Node) (*cNode, error) {
@@ -468,10 +489,11 @@ func (c *compiler) inlJoin(n *optimizer.Node) (*cNode, error) {
 		}
 	}
 	innerRels := []relBind{{table: t, alias: inner.Alias}}
-	cn.innerFilters, err = c.preds(inner.Filters, innerRels, []int{-1}, nil, nil)
+	innerFilters, err := c.preds(inner.Filters, innerRels, []int{-1}, nil, nil)
 	if err != nil {
 		return nil, err
 	}
+	cn.ranges, cn.innerFilters = c.splitRanges(t, innerFilters)
 	// Join-level filters: inner-side columns are evaluated against the
 	// direct probed row id (slot -1), outer columns against the left tuple.
 	cn.joinFilters, err = c.preds(n.Filters, left.rels, left.slots, innerRels, []int{-1})

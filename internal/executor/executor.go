@@ -51,23 +51,31 @@ type Result struct {
 
 // Executor evaluates plans against a database. The database must not change
 // once the executor has compiled a plan against it: Compile learns facts
-// about the key columns (facts.go) that every later execution relies on.
+// about the key columns (facts.go) and builds bitmaps of the filtered ones
+// (rangebits.go) that every later execution relies on.
 type Executor struct {
 	db     *tpch.Database
 	faults *faults.Injector
 
-	// Column facts and index key directories, learned by the first Compile
-	// that keys on the column and kept for the executor's life. factScans
-	// counts the scans made, so a test can show a second Compile makes none.
+	// Column facts, index key directories and range bitmaps, learned by the
+	// first Compile that keys or filters on the column and kept for the
+	// executor's life. factScans counts the scans made, so a test can show a
+	// second Compile makes none.
 	factMu    sync.Mutex
 	facts     map[*tpch.Column]colFacts
 	dirs      map[*tpch.Index]keyDir
+	ranges    map[*tpch.Column]*rangeBits
 	factScans int
 }
 
 // New creates an executor over db.
 func New(db *tpch.Database) *Executor {
-	return &Executor{db: db, facts: make(map[*tpch.Column]colFacts), dirs: make(map[*tpch.Index]keyDir)}
+	return &Executor{
+		db:     db,
+		facts:  make(map[*tpch.Column]colFacts),
+		dirs:   make(map[*tpch.Index]keyDir),
+		ranges: make(map[*tpch.Column]*rangeBits),
+	}
 }
 
 // SetFaults attaches a fault injector (nil disables injection).

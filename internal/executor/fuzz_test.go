@@ -14,20 +14,25 @@ var fuzzKernelDB = sync.OnceValue(func() *kernelDB { return newKernelDB(2000) })
 
 // FuzzCompiledMatchesTreeWalk holds the compiled engine to the tree-walk
 // engine, bit for bit and twice per plan (arena reuse), at a fuzzer-chosen
-// key-column shape (and fill seed), operator, build side, residual filter,
-// top and parameter values: whichever kernels Compile and Exec choose for
-// the doctored columns, the answer is the reference's. A parameter is a
-// 16-bit position within — and a little beyond — its column's value range.
+// key-column shape (and fill seed, whose parity doctors the filter columns),
+// operator, build side, residual filter, second scan filter, top, comparison
+// and parameter values: whichever kernels Compile and Exec choose for the
+// doctored columns, the answer is the reference's. A parameter is a 16-bit
+// position within — and a little beyond — its column's value range.
 func FuzzCompiledMatchesTreeWalk(f *testing.F) {
 	for shape := range keyShapes {
-		for op := uint8(0); op < 5; op++ {
-			f.Add(uint8(shape), int64(shape), op, op%2 == 0, uint8(shape+int(op)), uint16(40000), uint16(35000), uint16(45000))
+		for op := uint8(0); op < 10; op++ {
+			// top's bits 3-4 choose the comparison, op/5 the second scan filter;
+			// the residual alternates with the shape, so every operator meets one
+			// with and without the second filter.
+			top := uint8(shape+int(op))%8 + 8*(uint8(shape+int(op))%4)
+			f.Add(uint8(shape), int64(shape), op, (shape+int(op))%2 == 0, top, uint16(40000), uint16(35000), uint16(45000))
 		}
 	}
 	f.Add(uint8(0), int64(1), uint8(0), true, uint8(5), uint16(0), uint16(65535), uint16(65535)) // string key, empty left input
 	f.Fuzz(func(t *testing.T, shape uint8, seed int64, op uint8, residual bool, top uint8, p0, p1, p2 uint16) {
 		k := fuzzKernelDB()
-		kc := kernelCase{residual: residual, top: int(top % 4), strKey: top%8 >= 4}
+		kc := kernelCase{residual: residual, multi: op/5%2 == 1, top: int(top % 4), strKey: top%8 >= 4, cmp: int(top / 8 % 4)}
 		switch op % 5 {
 		case 0:
 			kc.op, kc.buildLeft = optimizer.OpHashJoin, true

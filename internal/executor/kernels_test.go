@@ -2,9 +2,11 @@ package executor
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/optimizer"
@@ -12,14 +14,18 @@ import (
 	"repro/internal/tpch"
 )
 
-// TestScanKernelsMatchTestRow holds both scan kernels — selectAll over the
-// contiguous column and refine over a gathered id vector — to cPred.testRow,
-// the row-at-a-time form of every predicate, for every comparison shape:
-// each CmpOp (literal and parameter-bound), BETWEEN, string equality and the
-// same-row column comparison of the generic fallback. Columns carry NaN,
-// ±Inf and ±0 among ordinary values; right-hand sides are chosen so that
-// selectivities of exactly 0 and exactly 1 occur as well as everything in
-// between; table sizes straddle 0, 1 and 1024.
+// TestScanKernelsMatchTestRow holds every scan kernel to cPred.testRow, the
+// row-at-a-time form of every predicate. The range shapes — the four
+// inequalities (literal and parameter-bound) and BETWEEN (NaN and inverted
+// bounds among them) — go through the bitmaps: alone and in conjunctions of
+// two to four, extracted in row order and as the bit test over a permuted id
+// vector, on bitmaps that alias an ordered index and on ones that sorted the
+// column themselves. Equality, string equality and the same-row column
+// comparison go through selectAll over the contiguous column and refine over
+// a gathered id vector. Columns carry NaN, ±Inf and ±0 among ordinary values;
+// right-hand sides are chosen so that selectivities of exactly 0 and exactly
+// 1 occur as well as everything in between; table sizes straddle 0, 1 and
+// 1024.
 func TestScanKernelsMatchTestRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	negZero := math.Copysign(0, -1)
@@ -49,6 +55,17 @@ func TestScanKernelsMatchTestRow(t *testing.T) {
 			strs.Strs[i] = []string{"a", "b", "c"}[rng.Intn(3)]
 			same.Strs[i] = "a"
 		}
+		// Each numeric column's bitmaps twice: over an ordered index (aliased
+		// for plain; special's holds NaN keys, which no sort places, so it must
+		// be passed over) and over the bare column.
+		tbl := tpch.NewTable("t", plain, special)
+		bitmaps := map[*tpch.Column][2]*rangeBits{}
+		for _, col := range []*tpch.Column{plain, special} {
+			if err := tbl.BuildIndex(col.Name); err != nil {
+				t.Fatal(err)
+			}
+			bitmaps[col] = [2]*rangeBits{newRangeBits(col.Nums, tbl.Indexes[col.Name]), newRangeBits(col.Nums, nil)}
+		}
 
 		var preds []cPred
 		for _, col := range []*tpch.Column{plain, special} {
@@ -61,7 +78,7 @@ func TestScanKernelsMatchTestRow(t *testing.T) {
 			}
 			for _, b := range [][2]float64{
 				{math.Inf(-1), math.Inf(1)}, {1, -1}, {-0.5, 0.5}, {0, 0}, {negZero, 0.25},
-				{math.NaN(), math.NaN()}, {math.Inf(1), math.Inf(1)},
+				{math.NaN(), math.NaN()}, {math.Inf(1), math.Inf(1)}, {math.NaN(), 0.25}, {-0.3, math.NaN()},
 			} {
 				preds = append(preds, cPred{kind: optimizer.PredBetween, lo: b[0], hi: b[1], col: col})
 			}
@@ -82,42 +99,96 @@ func TestScanKernelsMatchTestRow(t *testing.T) {
 			}
 		}
 
+		// check holds a pair of kernels — all computes the passing rows of the
+		// whole table into its argument, some keeps the passing ids of its
+		// argument in place — to the conjunction of the predicates' testRow,
+		// and returns how many rows of the table pass.
+		check := func(label string, all, some func([]int32) int, oracle []*cPred, params []float64) int {
+			t.Helper()
+			pass := func(id int32) bool {
+				for _, p := range oracle {
+					if !p.testRow(params, id) {
+						return false
+					}
+				}
+				return true
+			}
+			var want []int32
+			for id := int32(0); id < int32(n); id++ {
+				if pass(id) {
+					want = append(want, id)
+				}
+			}
+			out := make([]int32, n)
+			if got := out[:all(out)]; !slices.Equal(got, want) {
+				t.Fatalf("%s: over the table the kernel kept %d rows, testRow %d (first difference at %d)", label, len(got), len(want), firstDiff(got, want))
+			}
+			kept := len(want)
+			want = want[:0]
+			for _, id := range ids {
+				if pass(id) {
+					want = append(want, id)
+				}
+			}
+			in := slices.Clone(ids)
+			if got := in[:some(in)]; !slices.Equal(got, want) {
+				t.Fatalf("%s: over the id vector the kernel kept %d ids, testRow %d (first difference at %d)", label, len(got), len(want), firstDiff(got, want))
+			}
+			return kept
+		}
+		// checkSet is check for a bitmap: extracted, and tested against ids.
+		checkSet := func(label string, set []uint64, oracle []*cPred, params []float64) int {
+			t.Helper()
+			return check(label,
+				func(out []int32) int { return extract(set, out) },
+				func(in []int32) int { return refineSet(set, in) }, oracle, params)
+		}
+
+		ar := &Arena{}
 		sawNone, sawAll := false, false
+		var ranges []int // the range shapes, by position in preds
 		for pi := range preds {
 			p := &preds[pi]
 			// The rhs values cycle through the parameter-bound twins in step
 			// with their literal siblings.
 			params := []float64{rhs[(pi/2)%len(rhs)]}
-			label := fmt.Sprintf("n=%d pred %d (kind %d op %d col %s params %v)", n, pi, p.kind, p.op, p.col.Name, params)
+			label := fmt.Sprintf("n=%d pred %d (kind %d op %d lo %v hi %v col %s params %v)", n, pi, p.kind, p.op, p.lo, p.hi, p.col.Name, params)
 
-			var want []int32
-			for id := int32(0); id < int32(n); id++ {
-				if p.testRow(params, id) {
-					want = append(want, id)
-				}
+			if !p.isRange() {
+				check(label,
+					func(out []int32) int { return p.selectAll(params, out) },
+					func(in []int32) int { return p.refine(params, in) }, []*cPred{p}, params)
+				continue
 			}
-			out := make([]int32, n)
-			got := out[:p.selectAll(params, out)]
-			if !slices.Equal(got, want) {
-				t.Fatalf("%s: selectAll kept %d rows, testRow %d (first difference at %d)", label, len(got), len(want), firstDiff(got, want))
-			}
-			sawNone = sawNone || len(want) == 0
-			sawAll = sawAll || len(want) == n
-
-			want = want[:0]
-			for _, id := range ids {
-				if p.testRow(params, id) {
-					want = append(want, id)
-				}
-			}
-			in := slices.Clone(ids)
-			got = in[:p.refine(params, in)]
-			if !slices.Equal(got, want) {
-				t.Fatalf("%s: refine kept %d ids, testRow %d (first difference at %d)", label, len(got), len(want), firstDiff(got, want))
+			ranges = append(ranges, pi)
+			for v, rb := range bitmaps[p.col] {
+				bound := *p // testRow keeps judging the bounds as written
+				bound.bindRange(rb)
+				kept := checkSet(fmt.Sprintf("%s bitmaps %d", label, v), ar.rangeSet([]cPred{bound}, params, n), []*cPred{p}, params)
+				sawNone = sawNone || kept == 0
+				sawAll = sawAll || kept == n
 			}
 		}
 		if !sawNone || !sawAll {
-			t.Errorf("n=%d: predicates reached selectivity 0: %v, selectivity 1: %v; want both", n, sawNone, sawAll)
+			t.Errorf("n=%d: range predicates reached selectivity 0: %v, selectivity 1: %v; want both", n, sawNone, sawAll)
+		}
+
+		// Conjunctions of two to four range shapes drawn across both columns
+		// and both kinds of bitmaps, one parameter value shared by the
+		// parameter-bound ones.
+		for trial := 0; trial < 400; trial++ {
+			params := []float64{rhs[rng.Intn(len(rhs))]}
+			var conj []cPred
+			var oracle []*cPred
+			label := fmt.Sprintf("n=%d conjunction of preds", n)
+			for k := 2 + rng.Intn(3); k > 0; k-- {
+				pi := ranges[rng.Intn(len(ranges))]
+				bound := preds[pi]
+				bound.bindRange(bitmaps[bound.col][rng.Intn(2)])
+				conj, oracle = append(conj, bound), append(oracle, &preds[pi])
+				label += fmt.Sprintf(" %d", pi)
+			}
+			checkSet(fmt.Sprintf("%s at %v", label, params), ar.rangeSet(conj, params, n), oracle, params)
 		}
 	}
 }
@@ -206,7 +277,9 @@ func TestCompiledMatchesTreeWalkAggregateEdges(t *testing.T) {
 // orders with the two key columns doctored into each shape that decides a
 // kernel: the addressed kernels must be bit-identical where Compile chooses
 // them, the generic ones where it must not, and the test asserts which one
-// it was, so nothing passes by taking the generic path throughout.
+// it was, so nothing passes by taking the generic path throughout. The scans
+// beneath filter through range bitmaps, so the suite doctors their filter
+// columns as well and runs all four inequalities.
 
 // keyShape doctors the join's key columns: left is customer.c_custkey (75
 // rows at scale 2000), right is orders.o_custkey (750 rows).
@@ -304,6 +377,10 @@ type kernelDB struct {
 	cDate       [2]float64 // value range of each parameter's column
 	oDate       [2]float64
 	oPrice      [2]float64
+	// The scans' filter columns, c_date and o_orderdate, and the values the
+	// generator gave them.
+	filterCols [2]*tpch.Column
+	generated  [2][]float64
 }
 
 func newKernelDB(scale int) *kernelDB {
@@ -318,21 +395,44 @@ func newKernelDB(scale int) *kernelDB {
 	span := func(nums []float64) [2]float64 {
 		return [2]float64{slices.Min(nums), slices.Max(nums)}
 	}
+	cDate, oDate := c.MustColumn("c_date"), o.MustColumn("o_orderdate")
 	return &kernelDB{
 		db: db, left: c.MustColumn("c_custkey").Nums, right: o.MustColumn("o_custkey").Nums,
-		cDate: span(c.MustColumn("c_date").Nums), oDate: span(o.MustColumn("o_orderdate").Nums),
-		oPrice: span(o.MustColumn("o_totalprice").Nums),
+		cDate: span(cDate.Nums), oDate: span(oDate.Nums), oPrice: span(o.MustColumn("o_totalprice").Nums),
+		filterCols: [2]*tpch.Column{cDate, oDate},
+		generated:  [2][]float64{slices.Clone(cDate.Nums), slices.Clone(oDate.Nums)},
 	}
 }
 
-// doctor rewrites the key columns into the shape, rebuilds the index over the
-// right one and returns a fresh Executor: facts are learned once per
-// Executor, so a doctored database needs a new one.
+// doctor rewrites the key columns into the shape and, on an odd seed, a
+// quarter of each filter column into NaN, ±Inf, ±0 and repeats of other rows'
+// values (an even seed restores what the generator wrote, which an ordered
+// index can hold, so the range bitmaps alias it). It rebuilds the indexes over
+// the rewritten columns and returns a fresh Executor: facts and bitmaps are
+// learned once per Executor, so a doctored database needs a new one.
 func (k *kernelDB) doctor(t testing.TB, shape keyShape, seed int64) *Executor {
 	t.Helper()
-	shape.fill(rand.New(rand.NewSource(seed)), k.left, k.right)
-	if err := k.db.MustTable("orders").BuildIndex("o_custkey"); err != nil {
-		t.Fatal(err)
+	rng := rand.New(rand.NewSource(seed))
+	shape.fill(rng, k.left, k.right)
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
+	for i, col := range k.filterCols {
+		copy(col.Nums, k.generated[i])
+		if seed&1 == 0 {
+			continue
+		}
+		for r := range col.Nums {
+			switch rng.Intn(8) {
+			case 0:
+				col.Nums[r] = specials[rng.Intn(len(specials))]
+			case 1:
+				col.Nums[r] = col.Nums[rng.Intn(len(col.Nums))]
+			}
+		}
+	}
+	for _, ix := range [][2]string{{"customer", "c_date"}, {"orders", "o_orderdate"}, {"orders", "o_custkey"}} {
+		if err := k.db.MustTable(ix[0]).BuildIndex(ix[1]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return New(k.db)
 }
@@ -341,31 +441,45 @@ func (k *kernelDB) doctor(t testing.TB, shape keyShape, seed int64) *Executor {
 // (left) and orders o (right) on the key columns, or no join at all, under
 // one of four tops. Parameter 0 bounds c.c_date, parameter 1 o.o_orderdate
 // (the inner relation's filter under an index-nested-loop join), parameter 2
-// the residual join filter on o.o_totalprice.
+// o.o_totalprice (which has no index), as the residual join filter and as a
+// second filter of the orders scan.
 type kernelCase struct {
 	op        optimizer.OpKind // a join operator, or OpSeqScan: aggregate one scan
 	buildLeft bool
 	residual  bool
+	multi     bool // the orders scan filters on o_totalprice as well
 	strKey    bool // join and group on the string columns instead
 	top       int  // 0 rows, 1 global aggregate, 2 GROUP BY the left key, 3 the right key
+	cmp       int  // the parameter predicates' comparison, of rangeOps
 }
 
+// rangeOps are the comparisons a kernelCase's parameters bound their columns
+// by; the zero kernelCase uses <=, as the standard templates do.
+var rangeOps = [4]optimizer.CmpOp{optimizer.OpLE, optimizer.OpGE, optimizer.OpLT, optimizer.OpGT}
+
 func (kc kernelCase) String() string {
-	return fmt.Sprintf("%v buildLeft=%v residual=%v strKey=%v top=%d", kc.op, kc.buildLeft, kc.residual, kc.strKey, kc.top)
+	return fmt.Sprintf("%v buildLeft=%v residual=%v multi=%v strKey=%v top=%d cmp=%v",
+		kc.op, kc.buildLeft, kc.residual, kc.multi, kc.strKey, kc.top, rangeOps[kc.cmp])
 }
 
 func (kc kernelCase) plan() (*optimizer.Plan, *optimizer.Query) {
 	ref := func(alias, col string) optimizer.ColRef { return optimizer.ColRef{Alias: alias, Column: col} }
 	param := func(col optimizer.ColRef, idx int) optimizer.Predicate {
-		return optimizer.Predicate{Kind: optimizer.PredCmpNum, Col: col, Op: optimizer.OpLE, ParamIdx: idx}
+		return optimizer.Predicate{Kind: optimizer.PredCmpNum, Col: col, Op: rangeOps[kc.cmp], ParamIdx: idx}
 	}
 	lkey, rkey := ref("c", "c_custkey"), ref("o", "o_custkey")
 	if kc.strKey {
 		lkey, rkey = ref("c", "c_mktsegment"), ref("o", "o_orderpriority")
 	}
 	q := &optimizer.Query{Preds: []optimizer.Predicate{param(ref("c", "c_date"), 0), param(ref("o", "o_orderdate"), 1)}}
+	if kc.multi || kc.residual && kc.op != optimizer.OpSeqScan {
+		q.Preds = append(q.Preds, param(ref("o", "o_totalprice"), 2))
+	}
 	left := &optimizer.Node{Op: optimizer.OpSeqScan, Table: "customer", Alias: "c", Filters: q.Preds[:1]}
 	right := &optimizer.Node{Op: optimizer.OpSeqScan, Table: "orders", Alias: "o", Filters: q.Preds[1:2]}
+	if kc.multi {
+		right.Filters = q.Preds[1:3]
+	}
 	var root *optimizer.Node
 	switch kc.op {
 	case optimizer.OpSeqScan:
@@ -379,7 +493,6 @@ func (kc kernelCase) plan() (*optimizer.Plan, *optimizer.Query) {
 		}
 		root = &optimizer.Node{Op: kc.op, Left: left, Right: right, LeftCol: lkey, RightCol: rkey, BuildLeft: kc.buildLeft}
 		if kc.residual {
-			q.Preds = append(q.Preds, param(ref("o", "o_totalprice"), 2))
 			root.Filters = []optimizer.Predicate{q.Preds[2], {Kind: optimizer.PredJoin, Col: lkey, RightCol: rkey}}
 		}
 	}
@@ -476,12 +589,15 @@ func (k *kernelDB) quantiles(f0, f1, f2 float64) []float64 {
 
 func TestKernelChoiceMatchesTreeWalk(t *testing.T) {
 	k := newKernelDB(2000)
-	// Mid-range, everything, nothing on one side, nothing on the other.
+	// Mid-range, everything (under <=; nothing under >), nothing on one side,
+	// nothing on the other.
 	points := [][3]float64{{0.6, 0.5, 0.7}, {1, 1, 1}, {-0.1, 0.5, 0.5}, {0.5, -0.1, 0.5}}
 	sawRows := false
 	for si, shape := range keyShapes {
+		// The seeds alternate, and with them doctored and generated filter
+		// columns.
 		ex := k.doctor(t, shape, int64(100+si))
-		for _, tc := range []struct {
+		for ci, tc := range []struct {
 			kc   kernelCase
 			join kernel
 		}{
@@ -489,11 +605,14 @@ func TestKernelChoiceMatchesTreeWalk(t *testing.T) {
 			{kernelCase{op: optimizer.OpHashJoin, buildLeft: true, residual: true}, shape.hashL},
 			{kernelCase{op: optimizer.OpHashJoin}, shape.hashR},
 			{kernelCase{op: optimizer.OpHashJoin, residual: true}, shape.hashR},
+			{kernelCase{op: optimizer.OpHashJoin, multi: true}, shape.hashR},
 			{kernelCase{op: optimizer.OpMergeJoin}, shape.merge},
 			{kernelCase{op: optimizer.OpMergeJoin, residual: true}, shape.merge},
 			{kernelCase{op: optimizer.OpIndexNLJoin}, shape.inl},
 			{kernelCase{op: optimizer.OpIndexNLJoin, residual: true}, shape.inl},
+			{kernelCase{op: optimizer.OpIndexNLJoin, multi: true}, shape.inl},
 			{kernelCase{op: optimizer.OpSeqScan}, kernGeneric},
+			{kernelCase{op: optimizer.OpSeqScan, multi: true}, kernGeneric},
 		} {
 			for top, group := range []kernel{kernGeneric, kernGeneric, shape.groupL, shape.groupR} {
 				kc := tc.kc
@@ -501,7 +620,9 @@ func TestKernelChoiceMatchesTreeWalk(t *testing.T) {
 				if kc.op == optimizer.OpSeqScan && top == 0 {
 					continue
 				}
-				for _, p := range points {
+				for pi, p := range points {
+					// Every (case, top) meets all four comparisons over its points.
+					kc.cmp = (ci + top + pi) % len(rangeOps)
 					label := fmt.Sprintf("%s: %v at %v", shape.name, kc, p)
 					join, grp := kc.check(t, ex, label, k.quantiles(p[0], p[1], p[2]))
 					if join != tc.join || grp != group {
@@ -567,7 +688,7 @@ func TestAddressedKernelsYieldToSmallInputs(t *testing.T) {
 		fillRange(rng, left, 1, span, true)
 		fillRange(rng, right, 1, span, false)
 		left[0], left[1], right[0], right[1] = 1, span, 1, span
-	}}, 5)
+	}}, 4) // an even seed: the tuple counts below are quantiles of the generated filter columns
 	few, all := k.quantiles(0.02, 0.02, 1), k.quantiles(1, 1, 1)
 	for _, kc := range []kernelCase{
 		{op: optimizer.OpHashJoin},
@@ -606,7 +727,8 @@ func TestAddressedKernelsYieldToSmallInputs(t *testing.T) {
 // TestExecSteadyStateAllocs: once an arena has been sized, an execution
 // allocates its result — the Result, the Value backing array and the Row
 // headers — and nothing else, whichever kernel runs: the direct tables and
-// chains live in the pooled Arena like every other scratch vector.
+// chains, and the bitmap the scans' range predicates are ANDed into, live in
+// the pooled Arena like every other scratch vector.
 func TestExecSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector's shadow memory inflates allocation counts")
@@ -619,8 +741,10 @@ func TestExecSteadyStateAllocs(t *testing.T) {
 		{op: optimizer.OpHashJoin, residual: true},
 		{op: optimizer.OpMergeJoin},
 		{op: optimizer.OpIndexNLJoin},
+		{op: optimizer.OpIndexNLJoin, multi: true}, // two ranged inner filters
 		{op: optimizer.OpHashJoin, top: 3},
 		{op: optimizer.OpSeqScan, top: 3},
+		{op: optimizer.OpSeqScan, top: 3, multi: true}, // a two-predicate scan
 	} {
 		plan, q := kc.plan()
 		cp, err := ex.Compile(plan, q)
@@ -642,41 +766,97 @@ func TestExecSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestColumnFactsLearnedOnce: the facts of a key column cost one scan per
-// Executor, paid by the first plan that keys on it. Compiling the standard
-// templates' plans a second time scans nothing.
+// TestColumnFactsLearnedOnce: the facts of a key column, and the range
+// bitmaps of a filtered one, cost one scan (or sort) per Executor, paid by the
+// first plan that keys or filters on it — one, also when the first plans
+// compile at once, as interned plans do. Compiling the standard templates'
+// plans again scans nothing and builds nothing.
 func TestColumnFactsLearnedOnce(t *testing.T) {
+	var plans []*optimizer.Plan
+	var tmpls []*optimizer.Template
+	for _, d := range queries.Defs {
+		tm, err := queries.ByName(d.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		point := make([]float64, tm.Degree())
+		for j := range point {
+			point[j] = 0.5
+		}
+		inst, err := opt.InstanceAt(tm, point)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := opt.OptimizeInstance(inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans, tmpls = append(plans, plan), append(tmpls, tm)
+	}
 	ex := New(testDB)
 	compileAll := func() {
-		for _, d := range queries.Defs {
-			tm, err := queries.ByName(d.Name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			point := make([]float64, tm.Degree())
-			for j := range point {
-				point[j] = 0.5
-			}
-			inst, err := opt.InstanceAt(tm, point)
-			if err != nil {
-				t.Fatal(err)
-			}
-			plan, err := opt.OptimizeInstance(inst)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := ex.Compile(plan, tm.Query); err != nil {
-				t.Fatal(err)
+		for i, plan := range plans {
+			if _, err := ex.Compile(plan, tmpls[i].Query); err != nil {
+				t.Error(err)
 			}
 		}
 	}
-	compileAll()
-	first := ex.factScans
-	if first == 0 {
-		t.Fatal("compiling Q0..Q8 learned no column facts")
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			compileAll()
+		}()
+	}
+	wg.Wait()
+	first, bitmaps := ex.factScans, maps.Clone(ex.ranges)
+	if len(ex.facts) == 0 || len(bitmaps) == 0 {
+		t.Fatalf("compiling Q0..Q8 learned the facts of %d columns and the bitmaps of %d; want both", len(ex.facts), len(bitmaps))
+	}
+	if learned := len(ex.facts) + len(ex.dirs) + len(bitmaps); first != learned {
+		t.Errorf("four concurrent compilations of Q0..Q8 made %d scans for %d facts, directories and bitmaps", first, learned)
 	}
 	compileAll()
 	if ex.factScans != first {
-		t.Errorf("second Compile of the same plans scanned %d more columns", ex.factScans-first)
+		t.Errorf("another Compile of the same plans scanned %d more columns", ex.factScans-first)
+	}
+	if !maps.Equal(ex.ranges, bitmaps) {
+		t.Errorf("another Compile of the same plans rebuilt range bitmaps: %d columns, were %d", len(ex.ranges), len(bitmaps))
+	}
+}
+
+// TestRangeBitsFootprint: the bitmaps of a column cost its own size — 64
+// checkpoints of one bit per row, 8 bytes per row — when the column has an
+// ordered index free of NaN to alias, and 12 bytes per row more for a sorted
+// copy of the values and their row ids when it has not.
+func TestRangeBitsFootprint(t *testing.T) {
+	li := testDB.MustTable("lineitem")
+	n := li.NumRows()
+	const rounding = 8 * rangeCheckpoints // the checkpoints are whole words
+	for _, tc := range []struct {
+		col    string
+		alias  bool
+		perRow int
+	}{
+		{"l_shipdate", true, 8},
+		{"l_quantity", false, 20},
+	} {
+		rb := New(testDB).rangeFor(li, li.MustColumn(tc.col))
+		ix := li.Indexes[tc.col]
+		aliased := ix != nil && &rb.keys[0] == &ix.Keys[0] && &rb.rows[0] == &ix.Rows[0]
+		if aliased != tc.alias {
+			t.Errorf("%s: bitmaps alias the column's index = %v, want %v", tc.col, aliased, tc.alias)
+		}
+		size := 8 * (len(rb.cps) + len(rb.nan))
+		if !aliased {
+			size += 8*len(rb.keys) + 4*len(rb.rows)
+		}
+		if size > tc.perRow*n+rounding {
+			t.Errorf("%s: bitmaps take %d bytes over %d rows, want at most %d per row", tc.col, size, n, tc.perRow)
+		}
+		if len(rb.keys) != n || len(rb.rows) != n || rb.nan != nil {
+			t.Errorf("%s: %d keys, %d rows, NaN bitmap %v over a NaN-free column of %d rows", tc.col, len(rb.keys), len(rb.rows), rb.nan != nil, n)
+		}
 	}
 }

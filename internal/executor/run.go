@@ -1,13 +1,16 @@
 // Compiled plan execution. Operators consume and produce int32 selection
-// vectors held in the arena. A scan's first predicate runs over the
-// contiguous column and writes the passing row ids into the scan's vector;
-// every further predicate refines that vector in place. Joins record their
-// matched (left, right) tuple pairs and gather, one relation at a time, the
-// output vectors something above them reads; rows are materialized exactly
-// once, into the final Result (two allocations: the Value backing array and
-// the Row headers). Where Compile found the keys to be dense integers
-// (facts.go) a join or GROUP BY addresses a direct table by key - lo; the
-// hashed, sorted and searched kernels serve every other input.
+// vectors held in the arena. A scan's range predicates never read the column:
+// they AND the columns' bitmaps (rangebits.go), and a sequential scan extracts
+// the set bits — row ids, ascending — into its vector, where an index scan
+// tests its candidates against them. A predicate of another kind runs over
+// the contiguous column when it is the scan's first and refines the vector in
+// place otherwise. Joins record their matched (left, right) tuple pairs and
+// gather, one relation at a time, the output vectors something above them
+// reads; rows are materialized exactly once, into the final Result (two
+// allocations: the Value backing array and the Row headers). Where Compile
+// found the keys to be dense integers (facts.go) a join or GROUP BY addresses
+// a direct table by key - lo; the hashed, sorted and searched kernels serve
+// every other input.
 package executor
 
 import (
@@ -71,18 +74,28 @@ func (p *cPred) testRow(params []float64, id int32) bool {
 func (n *cNode) runScan(ar *Arena, params []float64) {
 	slot := n.slots[0]
 	filters := n.filters
+	var set []uint64
+	if len(n.ranges) > 0 {
+		set = ar.rangeSet(n.ranges, params, n.table.NumRows())
+	}
 	var sel []int32
 	if n.op == optimizer.OpIndexScan {
 		sel = append(ar.vecs[slot][:0], n.index.RangeRows(n.bounds(params))...)
+		if set != nil {
+			sel = sel[:refineSet(set, sel)]
+		}
 	} else {
 		sel = sized(ar.vecs[slot], n.table.NumRows())
-		if len(filters) == 0 {
+		switch {
+		case set != nil:
+			sel = sel[:extract(set, sel)]
+		case len(filters) > 0:
+			sel = sel[:filters[0].selectAll(params, sel)]
+			filters = filters[1:]
+		default:
 			for i := range sel {
 				sel[i] = int32(i)
 			}
-		} else {
-			sel = sel[:filters[0].selectAll(params, sel)]
-			filters = filters[1:]
 		}
 	}
 	for fi := range filters {
@@ -116,47 +129,17 @@ func b2i(b bool) int {
 // selectAll runs the predicate over the whole contiguous column, writing the
 // ids of passing rows to the front of out (len(out) = the column's length)
 // in row order, and returns how many passed. Every row id is stored
-// unconditionally and the write position advances only on a pass. The
-// positive comparison forms fail a NaN column value as the row engine's
-// comparisons do; BETWEEN keeps its !(v < lo || v > hi) form, which passes
-// one.
+// unconditionally and the write position advances only on a pass. It serves
+// the predicates that have no bitmap form (cPred.isRange): equality, string
+// equality and, through testRow, the same-row column comparison.
 func (p *cPred) selectAll(params []float64, out []int32) int {
 	k := 0
 	switch p.kind {
 	case optimizer.PredCmpNum:
-		nums := p.col.Nums[:len(out)]
 		v := p.rhs(params)
-		switch p.op {
-		case optimizer.OpEq:
-			for i, x := range nums {
-				out[k] = int32(i)
-				k += b2i(x == v)
-			}
-		case optimizer.OpLE:
-			for i, x := range nums {
-				out[k] = int32(i)
-				k += b2i(x <= v)
-			}
-		case optimizer.OpGE:
-			for i, x := range nums {
-				out[k] = int32(i)
-				k += b2i(x >= v)
-			}
-		case optimizer.OpLT:
-			for i, x := range nums {
-				out[k] = int32(i)
-				k += b2i(x < v)
-			}
-		case optimizer.OpGT:
-			for i, x := range nums {
-				out[k] = int32(i)
-				k += b2i(x > v)
-			}
-		}
-	case optimizer.PredBetween:
 		for i, x := range p.col.Nums[:len(out)] {
 			out[k] = int32(i)
-			k += 1 - (b2i(x < p.lo) | b2i(x > p.hi))
+			k += b2i(x == v)
 		}
 	case optimizer.PredCmpStr:
 		for i, s := range p.col.Strs[:len(out)] {
@@ -180,38 +163,9 @@ func (p *cPred) refine(params []float64, ids []int32) int {
 	case optimizer.PredCmpNum:
 		nums := p.col.Nums
 		v := p.rhs(params)
-		switch p.op {
-		case optimizer.OpEq:
-			for _, id := range ids {
-				ids[k] = id
-				k += b2i(nums[id] == v)
-			}
-		case optimizer.OpLE:
-			for _, id := range ids {
-				ids[k] = id
-				k += b2i(nums[id] <= v)
-			}
-		case optimizer.OpGE:
-			for _, id := range ids {
-				ids[k] = id
-				k += b2i(nums[id] >= v)
-			}
-		case optimizer.OpLT:
-			for _, id := range ids {
-				ids[k] = id
-				k += b2i(nums[id] < v)
-			}
-		case optimizer.OpGT:
-			for _, id := range ids {
-				ids[k] = id
-				k += b2i(nums[id] > v)
-			}
-		}
-	case optimizer.PredBetween:
-		nums := p.col.Nums
 		for _, id := range ids {
 			ids[k] = id
-			k += 1 - (b2i(nums[id] < p.lo) | b2i(nums[id] > p.hi))
+			k += b2i(nums[id] == v)
 		}
 	case optimizer.PredCmpStr:
 		strs := p.col.Strs
@@ -465,6 +419,12 @@ func (n *cNode) runMergeJoin(ar *Arena, params []float64) {
 func (n *cNode) runIndexNLJoin(ar *Arena, params []float64) {
 	lvec := ar.vecs[n.leftSlot]
 	keys := n.leftKey.Nums
+	// The inner relation's range filters are one bitmap for the whole run,
+	// and one bit test per candidate row however many they are.
+	var set []uint64
+	if len(n.ranges) > 0 {
+		set = ar.rangeSet(n.ranges, params, n.table.NumRows())
+	}
 	for li := range lvec {
 		v := keys[lvec[li]]
 		// The rows holding key v: two loads from the index's key directory
@@ -476,12 +436,9 @@ func (n *cNode) runIndexNLJoin(ar *Arena, params []float64) {
 			rows = n.index.Rows[n.dir[k]:n.dir[k+1]]
 		}
 		for _, ri := range rows {
-			ok := true
-			for fi := range n.innerFilters {
-				if !n.innerFilters[fi].testRow(params, ri) {
-					ok = false
-					break
-				}
+			ok := set == nil || set[ri>>6]>>(ri&63)&1 != 0
+			for fi := 0; ok && fi < len(n.innerFilters); fi++ {
+				ok = n.innerFilters[fi].testRow(params, ri)
 			}
 			if ok {
 				n.match(ar, params, int32(li), ri)

@@ -92,7 +92,7 @@ func Generate(cfg Config) (*Database, error) {
 			name.Strs[i] = regions[i]
 			date.Nums[i] = gaussDate()
 		}
-		db.Tables["region"] = newTable("region", key, name, date)
+		db.Tables["region"] = NewTable("region", key, name, date)
 	}
 
 	// nation
@@ -107,7 +107,7 @@ func Generate(cfg Config) (*Database, error) {
 			rkey.Nums[i] = float64(i % 5)
 			date.Nums[i] = gaussDate()
 		}
-		db.Tables["nation"] = newTable("nation", key, name, rkey, date)
+		db.Tables["nation"] = NewTable("nation", key, name, rkey, date)
 	}
 
 	// supplier
@@ -122,7 +122,7 @@ func Generate(cfg Config) (*Database, error) {
 			bal.Nums[i] = -999.99 + rng.Float64()*10998.98
 			date.Nums[i] = gaussDate()
 		}
-		db.Tables["supplier"] = newTable("supplier", key, nkey, bal, date)
+		db.Tables["supplier"] = NewTable("supplier", key, nkey, bal, date)
 	}
 
 	// part
@@ -141,7 +141,7 @@ func Generate(cfg Config) (*Database, error) {
 			ptype.Strs[i] = types[rng.Intn(len(types))]
 			date.Nums[i] = gaussDate()
 		}
-		db.Tables["part"] = newTable("part", key, size, price, brand, ptype, date)
+		db.Tables["part"] = NewTable("part", key, size, price, brand, ptype, date)
 	}
 
 	// partsupp: each part has nPartSupp/nPart suppliers.
@@ -159,7 +159,7 @@ func Generate(cfg Config) (*Database, error) {
 			cost.Nums[i] = 1 + rng.Float64()*999
 			date.Nums[i] = gaussDate()
 		}
-		db.Tables["partsupp"] = newTable("partsupp", pkey, skey, qty, cost, date)
+		db.Tables["partsupp"] = NewTable("partsupp", pkey, skey, qty, cost, date)
 	}
 
 	// customer
@@ -176,7 +176,7 @@ func Generate(cfg Config) (*Database, error) {
 			seg.Strs[i] = segments[rng.Intn(len(segments))]
 			date.Nums[i] = gaussDate()
 		}
-		db.Tables["customer"] = newTable("customer", key, nkey, bal, seg, date)
+		db.Tables["customer"] = NewTable("customer", key, nkey, bal, seg, date)
 	}
 
 	// orders
@@ -195,7 +195,7 @@ func Generate(cfg Config) (*Database, error) {
 			prio.Strs[i] = priorities[rng.Intn(len(priorities))]
 			date.Nums[i] = gaussDate()
 		}
-		db.Tables["orders"] = newTable("orders", key, ckey, price, odate, prio, date)
+		db.Tables["orders"] = NewTable("orders", key, ckey, price, odate, prio, date)
 	}
 
 	// lineitem: lines per order approximately uniform 1..7 (avg 4, as in TPC-H).
@@ -230,7 +230,7 @@ func Generate(cfg Config) (*Database, error) {
 				produced++
 			}
 		}
-		db.Tables["lineitem"] = newTable("lineitem",
+		db.Tables["lineitem"] = NewTable("lineitem",
 			okey, pkey, skey, lnum, qty, price, disc, sdate, date)
 	}
 

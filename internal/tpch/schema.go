@@ -126,7 +126,8 @@ func (t *Table) BuildIndex(col string) error {
 	return nil
 }
 
-func newTable(name string, cols ...*Column) *Table {
+// NewTable returns a table over the given columns, with no indexes.
+func NewTable(name string, cols ...*Column) *Table {
 	t := &Table{
 		Name:    name,
 		Columns: cols,

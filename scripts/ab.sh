@@ -4,7 +4,10 @@
 #
 #   scripts/ab.sh <base-ref> <workload>      (make ab BASE=<ref> W=<workload>)
 #
-# <base-ref> is checked out into a scratch worktree; both trees then run
+# <base-ref> is checked out into a scratch worktree — or, when it names a
+# directory holding bench/run.sh (a `git clone` or `git archive` of the base,
+# where `git worktree` cannot be used), that tree is the base as it stands and
+# no worktree is added or removed; both trees then run
 # `bash bench/run.sh --workload W --seed 2012 --seconds 10` five times each.
 # A run that reports failed operations fails the A/B. The runs are collected
 # into bench/out/ab/W.base.json and W.head.json, in the shape
@@ -13,9 +16,10 @@
 # BENCHMARK.json bound ("unresolved" rows, where the spread is wider than the
 # bound, do not fail). The last line on stdout is one BENCH_LEDGER.json row.
 #
-# Writes only under bench/out/ (gitignored); the scratch worktree is removed
-# on exit, also on failure or interrupt. The run settings are BENCHMARK.json's
-# and are not options: numbers taken with other settings are not comparable.
+# Writes only under bench/out/ (gitignored) — of both trees, when the base is
+# a directory; the scratch worktree is removed on exit, also on failure or
+# interrupt. The run settings are BENCHMARK.json's and are not options:
+# numbers taken with other settings are not comparable.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -30,17 +34,20 @@ seconds=10
 
 root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
 out=$root/bench/out/ab
-tree=$out/base-tree
-
-cleanup() {
-	git -C "$root" worktree remove --force "$tree" 2>/dev/null || true
-	git -C "$root" worktree prune
-}
-trap cleanup EXIT
-
-cleanup # a tree left by a killed run, or an entry whose tree `rm -rf bench/out` took
 mkdir -p "$out"
-git -C "$root" worktree add --quiet --detach "$tree" "$base_ref"
+
+if [ -f "$base_ref/bench/run.sh" ]; then
+	tree=$(cd "$base_ref" && pwd)
+else
+	tree=$out/base-tree
+	cleanup() {
+		git -C "$root" worktree remove --force "$tree" 2>/dev/null || true
+		git -C "$root" worktree prune
+	}
+	trap cleanup EXIT
+	cleanup # a tree left by a killed run, or an entry whose tree `rm -rf bench/out` took
+	git -C "$root" worktree add --quiet --detach "$tree" "$base_ref"
+fi
 
 # run_one <tree>: one run of the workload in that tree; prints the run's
 # result line. The harness's tables go to stderr, as it wrote them.
