@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build vet test race chaos crash fuzz replication ab profile clean
+.PHONY: tier1 build vet test race chaos crash fuzz replication ab loc profile clean
 
 # Per-target budget for the fuzz smoke (`make fuzz FUZZTIME=2m` to go deep).
 FUZZTIME ?= 15s
@@ -13,7 +13,7 @@ PROFILE_DIR ?= profiles
 # bookkeeping inflates allocation counts, so the guards skip themselves
 # under -race). TestServingPathZeroAlloc holds predict/insert/WAL-append at
 # exactly zero allocs; TestRunPathAllocBudget holds the full batched Run
-# path under its 32 allocs/op budget; TestExecSteadyStateAllocs holds a
+# path under its 10 allocs/op budget; TestExecSteadyStateAllocs holds a
 # warmed CompiledPlan.Exec to its result's three allocations whichever
 # kernel runs, and TestColumnFactsLearnedOnce a second Compile to no column
 # scan and no bitmap build; TestFreezePublishCost holds a model publish to
@@ -92,6 +92,13 @@ replication:
 # uncommitted change.
 ab:
 	bash scripts/ab.sh "$(BASE)" "$(W)"
+
+# Net non-test lines of Go outside bench/ since git ref BASE, working tree
+# included: the number a simplicity PR reports (`make loc BASE=HEAD~1`).
+loc:
+	@git diff --numstat $(BASE) -- '*.go' ':!*_test.go' ':!bench' | \
+		awk '{ a += $$1; d += $$2; printf "%6d %6d  %s\n", $$1, $$2, $$3 } \
+		END { printf "%6d %6d  non-test Go outside bench/: net %+d\n", a, d, a - d }'
 
 # CPU and heap profiles of the two Run paths, for chasing where the time
 # goes: run.* is the hit path (BenchmarkEndToEndRun: Q1 in steady state,

@@ -75,16 +75,13 @@ func TestCandidateSetDiverseAtRegister(t *testing.T) {
 		}
 	}
 	// Every candidate is live in the shared cache, recostable for routing.
-	sys.cacheMu.RLock()
 	st.candMu.RLock()
 	for i, id := range st.candIDs {
-		entry := sys.planByID[id]
-		if entry == nil || entry.owner != st {
+		if sys.cachedPlanOf(st, id) == nil {
 			t.Errorf("candidate %d (plan id %d) not live in the cache", i, id)
 		}
 	}
 	st.candMu.RUnlock()
-	sys.cacheMu.RUnlock()
 }
 
 // TestCandidateRoutingUnderDistortion is the tentpole acceptance criterion:
@@ -172,15 +169,12 @@ func TestCandidateRoutingUnderDistortion(t *testing.T) {
 				t.Fatalf("converged candidate set %v does not contain the ground-truth plan %s",
 					candidateFingerprints(st), truthPlan.Fingerprint)
 			}
-			id, _, ok := sys.candidateRoute(st, probe.Values)
-			if !ok {
+			entry, _ := sys.candidateRoute(st, probe.Values)
+			if entry == nil {
 				t.Fatal("candidate routing declined at the probe point after convergence")
 			}
-			sys.cacheMu.RLock()
-			entry := sys.planByID[id]
-			sys.cacheMu.RUnlock()
-			if entry == nil {
-				t.Fatalf("routed plan id %d not in the cache", id)
+			if sys.cachedPlanOf(st, entry.id) != entry {
+				t.Fatalf("routed plan id %d not in the cache", entry.id)
 			}
 			if entry.plan.Fingerprint != truthPlan.Fingerprint {
 				t.Errorf("candidate routing picked %s, ground-truth optimizer picks %s",

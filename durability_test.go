@@ -626,15 +626,13 @@ func TestRestoredPlansServeCompiled(t *testing.T) {
 			if rep := sys.LoadStateReport(); rep == nil || rep.Corrupt || rep.Plans == 0 {
 				t.Fatalf("nothing restored: %+v", rep)
 			}
-			sys.cacheMu.RLock()
-			restored := make(map[int]bool, len(sys.planByID))
-			for id, entry := range sys.planByID {
-				restored[id] = true
+			restored := make(map[int]bool)
+			for _, entry := range cachedPlans(sys) {
+				restored[entry.id] = true
 				if entry.prog == nil || entry.rebind == nil {
-					t.Errorf("restored plan %d (%s) is not compiled", id, entry.plan.Fingerprint)
+					t.Errorf("restored plan %d (%s) is not compiled", entry.id, entry.plan.Fingerprint)
 				}
 			}
-			sys.cacheMu.RUnlock()
 
 			res, err := sys.Run("Q1", hot.Values)
 			if err != nil {

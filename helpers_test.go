@@ -26,6 +26,25 @@ func execDirect(sys *System, plan *optimizer.Plan) (*executor.Result, error) {
 	return executor.New(sys.DB()).Run(plan)
 }
 
+// cachedPlans returns the plan cache's entries as Each yields them: least
+// recently used first.
+func cachedPlans(sys *System) []*cachedPlan {
+	sys.cacheMu.RLock()
+	defer sys.cacheMu.RUnlock()
+	var entries []*cachedPlan
+	sys.cache.Each(func(_ int, v any) { entries = append(entries, v.(*cachedPlan)) })
+	return entries
+}
+
+// cachedPlanIDs lists the cached plan ids, least recently used first.
+func cachedPlanIDs(sys *System) []int {
+	var ids []int
+	for _, entry := range cachedPlans(sys) {
+		ids = append(ids, entry.id)
+	}
+	return ids
+}
+
 // mustSQL returns the SQL of a standard template by name.
 func mustSQL(t *testing.T, name string) string {
 	t.Helper()

@@ -445,8 +445,17 @@ func TestOnlineConfigValidation(t *testing.T) {
 	if _, err := NewOnline(OnlineConfig{Core: Config{Dims: 2}, InvocationProb: 2}, env); err == nil {
 		t.Error("expected error for bad invocation probability")
 	}
-	if _, err := NewOnline(OnlineConfig{Core: Config{Dims: 2}}, nil); err == nil {
-		t.Error("expected error for nil environment")
+	// A driver without an environment is legal — the facade hands
+	// StepConcurrent a per-run one, replicas never step — but cannot Step.
+	o, err := NewOnline(OnlineConfig{Core: Config{Dims: 2}}, nil)
+	if err != nil {
+		t.Fatalf("nil environment rejected: %v", err)
+	}
+	if _, err := o.Step([]float64{0.5, 0.5}); err == nil {
+		t.Error("Step on a driver without an environment must fail")
+	}
+	if o.Steps() != 0 {
+		t.Errorf("refused Step was counted: Steps = %d", o.Steps())
 	}
 	if _, err := NewOnline(OnlineConfig{Core: Config{Dims: 2}, WindowK: -1}, env); err == nil {
 		t.Error("expected error for bad window")

@@ -280,14 +280,13 @@ type Online struct {
 	nulls atomic.Int64
 }
 
-// NewOnline creates an online driver for one template.
+// NewOnline creates an online driver for one template. env is what Step
+// steps against; callers that only use StepConcurrent (which is handed its
+// environment per call) or never step at all (replicas) pass nil.
 func NewOnline(cfg OnlineConfig, env Environment) (*Online, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
-	}
-	if env == nil {
-		return nil, fmt.Errorf("core: nil environment")
 	}
 	pred, err := NewApproxLSHHist(cfg.Core)
 	if err != nil {
@@ -340,8 +339,12 @@ func MustNewOnline(cfg OnlineConfig, env Environment) *Online {
 // A non-nil error reports a failed Environment call (optimizer or
 // recosting); the returned Decision describes how far the step got. The
 // driver's learned state is never corrupted by a failed step — the labeled
-// point is simply not inserted.
+// point is simply not inserted. A driver built without an environment
+// cannot Step at all.
 func (o *Online) Step(x []float64) (Decision, error) {
+	if o.env == nil {
+		return Decision{}, fmt.Errorf("core: Step on a driver built without an environment")
+	}
 	return o.StepConcurrent(x, o.env, nil)
 }
 
@@ -838,44 +841,78 @@ func (o *Online) EncodeState(w io.Writer) error {
 	return nil
 }
 
+// onlineState is an EncodeState stream decoded and validated, not yet
+// installed in a driver.
+type onlineState struct {
+	// pred is the synopsis, with the retune section (when present) restored.
+	pred *ApproxLSHHist
+	// counters is the trailer: validated, selfLabeled, epoch, appliedSeq.
+	counters [4]int64
+	// corr is the corrections section (nil when the stream has none: a
+	// pre-correction build, or adaptive stats off at save time); retuned
+	// reports whether the stream had a retune section.
+	corr    *stats.Corrections
+	retuned bool
+}
+
+// decodeOnlineState reads one EncodeState stream. It is the one decoder
+// behind DecodeState (checkpoint restore on the leader) and
+// NewReplicaOnline (snapshot install on a replica), so both sides accept
+// and reject exactly the same bytes.
+func decodeOnlineState(r io.Reader) (*onlineState, error) {
+	pred, err := DecodeApproxLSHHist(r)
+	if err != nil {
+		return nil, err
+	}
+	st := &onlineState{pred: pred}
+	if err := binary.Read(r, binary.LittleEndian, st.counters[:]); err != nil {
+		return nil, fmt.Errorf("core: state trailer: %w", err)
+	}
+	if st.counters[3] < 0 {
+		return nil, fmt.Errorf("core: restored state has negative applied sequence %d", st.counters[3])
+	}
+	corr, ret, err := decodeStateTail(r)
+	if err != nil {
+		return nil, err
+	}
+	st.corr = corr
+	if ret != nil {
+		if err := pred.restoreRetune(ret); err != nil {
+			return nil, err
+		}
+		st.retuned = true
+	}
+	return st, nil
+}
+
 // DecodeState restores a driver state written by EncodeState and publishes
 // the restored model. The restored predictor must match this driver's plan
 // space dimensionality.
 func (o *Online) DecodeState(r io.Reader) error {
-	pred, err := DecodeApproxLSHHist(r)
+	st, err := decodeOnlineState(r)
 	if err != nil {
 		return err
 	}
+	return o.install(st)
+}
+
+// install adopts a decoded state and publishes its model.
+func (o *Online) install(st *onlineState) error {
+	pred := st.pred
 	if pred.Config().Dims != o.cfg.Core.Dims {
 		return fmt.Errorf("core: restored state has %d dims, driver expects %d",
 			pred.Config().Dims, o.cfg.Core.Dims)
-	}
-	var counters [4]int64
-	if err := binary.Read(r, binary.LittleEndian, counters[:]); err != nil {
-		return err
-	}
-	if counters[3] < 0 {
-		return fmt.Errorf("core: restored state has negative applied sequence %d", counters[3])
-	}
-	corrDec, retDec, err := decodeStateTail(r)
-	if err != nil {
-		return err
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.corr != nil {
 		// Adopt the optional correction section; a snapshot without one
-		// (pre-correction build, or adaptive stats off at save time) resets
-		// the corrections to cold rather than keeping unrelated state.
-		if err := o.corr.Adopt(corrDec); err != nil {
+		// resets the corrections to cold rather than keeping unrelated state.
+		if err := o.corr.Adopt(st.corr); err != nil {
 			return err
 		}
 	}
-	if retDec != nil {
-		if err := pred.restoreRetune(retDec); err != nil {
-			return err
-		}
-	} else if o.cfg.Core.RetuneEvery > 0 {
+	if !st.retuned && o.cfg.Core.RetuneEvery > 0 {
 		// Snapshot predates tunable LSH (or it was off at save time) but the
 		// driver wants it on: arm the machinery cold with this driver's knobs
 		// on the restored predictor's shape.
@@ -886,10 +923,10 @@ func (o *Online) DecodeState(r io.Reader) error {
 		pred.initTuning(c)
 	}
 	o.pred = pred
-	o.validated.Store(counters[0])
-	o.selfLabeled.Store(counters[1])
-	o.resets.Store(counters[2])
-	o.appliedSeq.Store(uint64(counters[3]))
+	o.validated.Store(st.counters[0])
+	o.selfLabeled.Store(st.counters[1])
+	o.resets.Store(st.counters[2])
+	o.appliedSeq.Store(uint64(st.counters[3]))
 	o.est.Reset()
 	o.publishLocked()
 	return nil

@@ -9,13 +9,11 @@ package core
 // bit-identical to the leader's for the same snapshot epoch.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math/rand"
 
 	"repro/internal/cluster"
-	"repro/internal/metrics"
+	"repro/internal/netproto"
 )
 
 // PredictModel predicts at plan-space point x against the current published
@@ -32,72 +30,60 @@ func (o *Online) PredictModel(x []float64) (cluster.Prediction, float64, bool) {
 	return pred, costEst, costOK
 }
 
+// AnswerPredict serves one wire predict request for this driver's template:
+// the body the leader's and the replica's PredictRPC share once each has
+// resolved req.Template to its driver. fingerprint resolves a plan id
+// against the caller's copy of the dense fingerprint table ("" when the id
+// is unknown there). Never invokes the optimizer and never feeds the
+// learner: an RPC is a read.
+func (o *Online) AnswerPredict(req netproto.PredictRequest, fingerprint func(plan int) string) netproto.PredictResult {
+	res := netproto.PredictResult{ID: req.ID}
+	if len(req.Point) != o.Dims() {
+		res.Status = netproto.StatusBadRequest
+		res.ErrMsg = fmt.Sprintf("point has %d coordinates, template %s expects %d",
+			len(req.Point), req.Template, o.Dims())
+		return res
+	}
+	pred, costEst, costOK := o.PredictModel(req.Point)
+	res.Epoch = o.Epoch()
+	res.ModelVersion = o.Model().Version()
+	if !pred.OK {
+		res.Status = netproto.StatusNoPrediction
+		return res
+	}
+	res.Status = netproto.StatusOK
+	res.Plan = int64(pred.Plan)
+	res.Confidence = pred.Confidence
+	res.Cost, res.CostKnown = costEst, costOK
+	res.Fingerprint = fingerprint(pred.Plan)
+	return res
+}
+
 // Dims returns the plan-space dimensionality the driver expects.
 func (o *Online) Dims() int { return o.cfg.Core.Dims }
 
 // NewReplicaOnline constructs a predict-only driver directly from an
 // EncodeState stream, with no prior knowledge of the template's
 // configuration — the predictor's own encoded config is the source of
-// truth. The driver has a stub environment: it can install state, replay
-// shipped WAL records and predict, but any code path that would invoke the
-// optimizer or executor fails loudly instead of silently doing work a
-// replica must not do.
+// truth. The driver has no environment: it can install state, replay
+// shipped WAL records and predict, and Step — the one path that would
+// invoke an optimizer or executor a replica does not have — is an error.
 func NewReplicaOnline(r io.Reader) (*Online, error) {
-	pred, err := DecodeApproxLSHHist(r)
+	st, err := decodeOnlineState(r)
 	if err != nil {
 		return nil, err
 	}
-	var trailer [4]int64
-	if err := binary.Read(r, binary.LittleEndian, trailer[:]); err != nil {
-		return nil, fmt.Errorf("core: replica state trailer: %w", err)
-	}
-	if trailer[3] < 0 {
-		return nil, fmt.Errorf("core: replica state has negative applied sequence %d", trailer[3])
-	}
-	cfg, err := OnlineConfig{Core: pred.Config()}.withDefaults()
+	o, err := NewOnline(OnlineConfig{Core: st.pred.Config()}, nil)
 	if err != nil {
 		return nil, err
 	}
-	o := &Online{
-		cfg:  cfg,
-		env:  replicaEnv{},
-		pred: pred,
-		rng:  rand.New(rand.NewSource(cfg.Seed)),
-		est:  metrics.NewTemplateEstimator(cfg.WindowK),
+	if err := o.install(st); err != nil {
+		return nil, err
 	}
-	scratchCfg := pred.Config()
-	o.scratch.New = func() any { return NewPredictScratch(scratchCfg) }
-	o.validated.Store(trailer[0])
-	o.selfLabeled.Store(trailer[1])
-	o.resets.Store(trailer[2])
-	o.appliedSeq.Store(uint64(trailer[3]))
-	// The optional sections ship with the learner so replica state stays in
-	// lockstep with the leader's per epoch: corrections (nil when the leader
-	// runs without adaptive stats) and tunable-LSH retune state (warps,
-	// harvest counts, reservoir — without which a shipped re-tune record
-	// could not rebuild the identical synopsis).
-	corr, ret, err := decodeStateTail(r)
-	if err != nil {
-		return nil, fmt.Errorf("core: replica state tail: %w", err)
-	}
-	o.corr = corr
-	if ret != nil {
-		if err := pred.restoreRetune(ret); err != nil {
-			return nil, err
-		}
-	}
-	o.snap.Store(pred.Freeze())
+	// The corrections ship with the learner so replica state stays in
+	// lockstep with the leader's per epoch (nil when the leader runs without
+	// adaptive stats). A replica has no registered correction state to adopt
+	// them into: the decoded section is the state.
+	o.corr = st.corr
 	return o, nil
-}
-
-// replicaEnv is the Environment of a predict-only replica: there is no
-// optimizer and no executor, so both calls are errors by construction.
-type replicaEnv struct{}
-
-func (replicaEnv) Optimize([]float64) (int, float64, error) {
-	return 0, 0, fmt.Errorf("core: predict-only replica cannot invoke the optimizer")
-}
-
-func (replicaEnv) ExecuteCost([]float64, int) (float64, error) {
-	return 0, fmt.Errorf("core: predict-only replica cannot execute plans")
 }

@@ -15,14 +15,11 @@ import (
 	"fmt"
 )
 
-// Entry is one cached plan.
-type Entry struct {
-	// PlanID is the dense plan identifier from the optimizer registry.
-	PlanID int
-	// Plan is the cached physical plan (opaque to the cache).
-	Plan any
-	// Hits counts cache hits.
-	Hits int
+// entry is one cached plan: the dense plan identifier from the optimizer
+// registry and the plan itself (opaque to the cache).
+type entry struct {
+	id   int
+	plan any
 }
 
 // PrecisionFunc reports the estimated precision of predictions of a plan
@@ -35,9 +32,6 @@ type Cache struct {
 	entries   map[int]*list.Element // planID -> element in lru
 	lru       *list.List            // front = most recently used
 	precision PrecisionFunc
-	hits      int
-	misses    int
-	puts      int
 	evictions int
 }
 
@@ -64,50 +58,32 @@ func MustNew(capacity int, precision PrecisionFunc) *Cache {
 	return c
 }
 
-// Get returns the cached plan and marks it recently used. A lookup of an
-// absent plan counts as a cache miss; callers that merely want to refresh
-// recency when (and only when) the plan is still cached should use Touch,
-// which never skews the miss statistics.
-func (c *Cache) Get(planID int) (*Entry, bool) {
+// Peek returns the cached plan without touching its recency.
+func (c *Cache) Peek(planID int) (any, bool) {
 	el, ok := c.entries[planID]
 	if !ok {
-		c.misses++
 		return nil, false
 	}
-	c.hits++
-	c.lru.MoveToFront(el)
-	e := el.Value.(*Entry)
-	e.Hits++
-	return e, true
+	return el.Value.(*entry).plan, true
 }
 
-// Touch refreshes a plan's recency (counting a hit) if it is cached, and
-// reports whether it was. Unlike Get, touching an absent plan — e.g. one a
-// concurrent insertion evicted moments ago — is a no-op that records
-// neither a hit nor a miss.
+// Touch refreshes a plan's recency if it is cached, and reports whether it
+// was. Touching an absent plan — e.g. one a concurrent insertion evicted
+// moments ago — is a no-op.
 func (c *Cache) Touch(planID int) bool {
 	el, ok := c.entries[planID]
 	if !ok {
 		return false
 	}
-	c.hits++
 	c.lru.MoveToFront(el)
-	el.Value.(*Entry).Hits++
 	return true
-}
-
-// Contains reports presence without touching recency.
-func (c *Cache) Contains(planID int) bool {
-	_, ok := c.entries[planID]
-	return ok
 }
 
 // Put inserts (or refreshes) a plan, evicting if necessary. It returns the
 // evicted plan identifier, or -1.
 func (c *Cache) Put(planID int, plan any) int {
-	c.puts++
 	if el, ok := c.entries[planID]; ok {
-		el.Value.(*Entry).Plan = plan
+		el.Value.(*entry).plan = plan
 		c.lru.MoveToFront(el)
 		return -1
 	}
@@ -115,8 +91,7 @@ func (c *Cache) Put(planID int, plan any) int {
 	if c.lru.Len() >= c.capacity {
 		evicted = c.evict()
 	}
-	el := c.lru.PushFront(&Entry{PlanID: planID, Plan: plan})
-	c.entries[planID] = el
+	c.entries[planID] = c.lru.PushFront(&entry{id: planID, plan: plan})
 	return evicted
 }
 
@@ -133,10 +108,10 @@ func (c *Cache) evict() int {
 	var worst *scored
 	rank := 0
 	for el := c.lru.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*Entry)
+		e := el.Value.(*entry)
 		prec := 1.0
 		if c.precision != nil {
-			if p, ok := c.precision(e.PlanID); ok {
+			if p, ok := c.precision(e.id); ok {
 				prec = p
 			}
 		}
@@ -146,59 +121,28 @@ func (c *Cache) evict() int {
 		}
 		rank++
 	}
-	e := worst.el.Value.(*Entry)
+	e := worst.el.Value.(*entry)
 	c.lru.Remove(worst.el)
-	delete(c.entries, e.PlanID)
+	delete(c.entries, e.id)
 	c.evictions++
-	return e.PlanID
+	return e.id
+}
+
+// Each visits every cached plan from least to most recently used — the
+// order in which re-inserting them into an empty cache reproduces this
+// one's recency. visit must not modify the cache.
+func (c *Cache) Each(visit func(planID int, plan any)) {
+	for el := c.lru.Back(); el != nil; el = el.Prev() {
+		e := el.Value.(*entry)
+		visit(e.id, e.plan)
+	}
 }
 
 // Len returns the number of cached plans.
 func (c *Cache) Len() int { return c.lru.Len() }
-
-// Stats is a copyable view of the cache's occupancy and traffic counters.
-// The counters are lifetime totals: Clear empties the cache but does not
-// rewind history.
-type Stats struct {
-	Len       int `json:"len"`
-	Capacity  int `json:"capacity"`
-	Hits      int `json:"hits"`
-	Misses    int `json:"misses"`
-	Puts      int `json:"puts"`
-	Evictions int `json:"evictions"`
-}
-
-// Stats returns the current counters.
-func (c *Cache) Stats() Stats {
-	return Stats{
-		Len:       c.lru.Len(),
-		Capacity:  c.capacity,
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Puts:      c.puts,
-		Evictions: c.evictions,
-	}
-}
 
 // Capacity returns the configured bound.
 func (c *Cache) Capacity() int { return c.capacity }
 
 // Evictions returns the number of evictions performed.
 func (c *Cache) Evictions() int { return c.evictions }
-
-// Drop removes a specific plan (used when a template's synopses are reset).
-func (c *Cache) Drop(planID int) bool {
-	el, ok := c.entries[planID]
-	if !ok {
-		return false
-	}
-	c.lru.Remove(el)
-	delete(c.entries, planID)
-	return true
-}
-
-// Clear empties the cache.
-func (c *Cache) Clear() {
-	c.entries = make(map[int]*list.Element)
-	c.lru.Init()
-}

@@ -219,44 +219,27 @@ func (s *State) CorrectionState(template string) *stats.Corrections {
 }
 
 // PredictRPC serves one wire predict request from the installed state:
-// the identical lock-free path the leader's PredictRPC runs, which is what
-// makes replica answers bit-identical to the leader's for the same
-// snapshot epoch.
+// once the template resolves, core.Online.AnswerPredict — the body the
+// leader's PredictRPC runs too, which is what makes replica answers
+// bit-identical to the leader's for the same snapshot epoch.
 func (s *State) PredictRPC(req netproto.PredictRequest) netproto.PredictResult {
-	res := netproto.PredictResult{ID: req.ID}
 	s.mu.RLock()
 	o := s.templates[req.Template]
 	fps := s.fingerprints
 	empty := len(s.templates) == 0
 	s.mu.RUnlock()
 	if o == nil {
-		if empty {
-			res.Status = netproto.StatusNotReady
-		} else {
+		res := netproto.PredictResult{ID: req.ID, Status: netproto.StatusNotReady}
+		if !empty {
 			res.Status = netproto.StatusUnknownTemplate
 			res.ErrMsg = req.Template
 		}
 		return res
 	}
-	if len(req.Point) != o.Dims() {
-		res.Status = netproto.StatusBadRequest
-		res.ErrMsg = fmt.Sprintf("point has %d coordinates, template %s expects %d",
-			len(req.Point), req.Template, o.Dims())
-		return res
-	}
-	pred, costEst, costOK := o.PredictModel(req.Point)
-	res.Epoch = o.Epoch()
-	res.ModelVersion = o.Model().Version()
-	if !pred.OK {
-		res.Status = netproto.StatusNoPrediction
-		return res
-	}
-	res.Status = netproto.StatusOK
-	res.Plan = int64(pred.Plan)
-	res.Confidence = pred.Confidence
-	res.Cost, res.CostKnown = costEst, costOK
-	if pred.Plan >= 0 && pred.Plan < len(fps) {
-		res.Fingerprint = fps[pred.Plan]
-	}
-	return res
+	return o.AnswerPredict(req, func(plan int) string {
+		if plan >= 0 && plan < len(fps) {
+			return fps[plan]
+		}
+		return ""
+	})
 }

@@ -6,11 +6,13 @@ package ppc
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/metrics"
 	"repro/internal/obsv"
 	"repro/internal/queries"
 	"repro/internal/tpch"
@@ -31,11 +33,11 @@ func sqlFor(t *testing.T, name string) string {
 // runTally accumulates RunResult ground truth for comparison against a
 // CounterSnapshot.
 type runTally struct {
-	runs, cacheHits, predicted, nulls       uint64
-	invoked, random, feedback, drift        uint64
-	degraded, degradedByError               uint64
-	predictObs, executed                    uint64
-	last                                    *RunResult
+	runs, cacheHits, predicted, nulls uint64
+	invoked, random, feedback, drift  uint64
+	degraded, degradedByError         uint64
+	predictObs, executed              uint64
+	last                              *RunResult
 }
 
 func (c *runTally) add(res *RunResult) {
@@ -289,10 +291,12 @@ func TestRunLatencyAccounting(t *testing.T) {
 func TestErrorDegradeAccounting(t *testing.T) {
 	inj := faults.New(42).Enable(faults.OptimizerError, 0.5)
 	sys, err := Open(Options{
-		TPCH:           tpch.Config{Scale: 1000, Seed: 5},
-		Online:         onlineForTest(),
-		DisableBreaker: true,
-		Faults:         inj,
+		TPCH:   tpch.Config{Scale: 1000, Seed: 5},
+		Online: onlineForTest(),
+		// A breaker that never trips: every learner error degrades its own
+		// run and nothing else.
+		Breaker: metrics.BreakerConfig{FailureThreshold: math.MaxInt, PrecisionFloor: -1},
+		Faults:  inj,
 	})
 	if err != nil {
 		t.Fatal(err)

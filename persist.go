@@ -154,53 +154,30 @@ func (s *System) LoadStateReport() *LoadReport {
 func (s *System) SaveState(w io.Writer) (err error) {
 	defer capturePanic("ppc.SaveState", &err)
 	out := savedSystem{DBScale: s.opts.TPCH.Scale, DBSeed: s.opts.TPCH.Seed}
-	s.regMu.RLock()
-	names := s.templateNamesLocked()
-	states := make([]*templateState, len(names))
-	for i, name := range names {
-		states[i] = s.templates[name]
-	}
-	s.regMu.RUnlock()
-	for i, name := range names {
-		st := states[i]
-		var buf bytes.Buffer
-		st.flush()
-		encErr := st.online.EncodeState(&buf)
-		if encErr != nil {
-			return &SnapshotError{Op: "save", Err: fmt.Errorf("template %s: %w", name, encErr)}
-		}
+	out.Fingerprints, err = s.encodeLearners(func(st *templateState, learner []byte) {
 		st.candMu.RLock()
 		candFPs := append([]string(nil), st.candFPs...)
 		candEpoch := st.candEpoch
 		st.candMu.RUnlock()
 		out.Templates = append(out.Templates, savedTemplate{
-			Name: name, SQL: st.tmpl.SQL, Learner: buf.Bytes(),
+			Name: st.tmpl.Name, SQL: st.tmpl.SQL, Learner: learner,
 			CandFPs: candFPs, CandEpoch: candEpoch,
 		})
+	})
+	if err != nil {
+		return &SnapshotError{Op: "save", Err: err}
 	}
-	// Registry fingerprints come after the learners (see doc comment).
-	for id := 0; ; id++ {
-		fp := s.reg.Fingerprint(id)
-		if fp == "" {
-			break
-		}
-		out.Fingerprints = append(out.Fingerprints, fp)
-	}
+	// The cached plans, least recently used first: LoadState re-inserts them
+	// in this order, which reproduces the recency.
 	s.cacheMu.RLock()
-	for id, entry := range s.planByID {
+	s.cache.Each(func(id int, v any) {
+		entry := v.(*cachedPlan)
 		out.Plans = append(out.Plans, savedPlan{
 			ID: id, Template: entry.owner.tmpl.Name,
 			Root: entry.plan.Root, Cost: entry.plan.Cost, Print: entry.plan.Fingerprint,
 		})
-	}
-	// Preserve recency: the cache exposes no iteration, so approximate by
-	// saving membership; hits re-establish order quickly. Membership is
-	// what matters for avoiding re-optimization.
-	for id := range s.planByID {
-		if s.cache.Contains(id) {
-			out.CacheMRU = append(out.CacheMRU, id)
-		}
-	}
+		out.CacheMRU = append(out.CacheMRU, id)
+	})
 	s.cacheMu.RUnlock()
 
 	var payload bytes.Buffer
@@ -314,43 +291,43 @@ func (s *System) LoadState(r io.Reader) (err error) {
 		}
 		report.Templates++
 	}
-	// Restore plan trees and cache membership. Every restored tree is
-	// recompiled through newCachedPlan, so a restored plan serves exactly
-	// like a freshly optimized one. A plan without a tree, one whose owning
-	// template is not in the snapshot, or one that no longer compiles is
-	// dropped and reported (Run re-optimizes on demand). An id the
+	// Restore the cached plans through cachePlan, least recently used first
+	// as CacheMRU lists them: the restored cache has the saver's recency
+	// order, and a snapshot taken under a larger CacheCapacity keeps its
+	// most recent plans within this System's bound — the cache is the only
+	// plan index, so nothing can be served from outside it. Every restored
+	// tree is recompiled through newCachedPlan, so a restored plan serves
+	// exactly like a freshly optimized one. A plan without a tree, one whose
+	// owning template is not in the snapshot, or one that no longer compiles
+	// is dropped and reported (Run re-optimizes on demand). An id the
 	// registrations above already interned (the regenerated candidate set)
 	// keeps its entry — the trees are fingerprint-identical. Compilation
 	// runs outside cacheMu, like everywhere else (regMu > cacheMu).
-	for _, sp := range in.Plans {
+	saved := make(map[int]*savedPlan, len(in.Plans))
+	for i := range in.Plans {
+		saved[in.Plans[i].ID] = &in.Plans[i]
+	}
+	for _, id := range in.CacheMRU {
+		sp := saved[id]
+		if sp == nil {
+			continue
+		}
 		owner := s.templates[sp.Template]
 		if sp.Root == nil || owner == nil {
-			report.damaged("plan %d has no tree or unknown template %q", sp.ID, sp.Template)
+			report.damaged("plan %d has no tree or unknown template %q", id, sp.Template)
 			continue
 		}
-		s.cacheMu.RLock()
-		cur := s.planByID[sp.ID]
-		s.cacheMu.RUnlock()
-		if cur == nil || cur.owner != owner {
-			entry, err := s.newCachedPlan(owner, &optimizer.Plan{Root: sp.Root, Cost: sp.Cost, Fingerprint: sp.Print})
+		entry := s.cachedPlanOf(owner, id)
+		if entry == nil {
+			var err error
+			entry, err = s.newCachedPlan(owner, id, &optimizer.Plan{Root: sp.Root, Cost: sp.Cost, Fingerprint: sp.Print})
 			if err != nil {
-				report.damaged("plan %d: %v", sp.ID, err)
+				report.damaged("plan %d: %v", id, err)
 				continue
 			}
-			s.cacheMu.Lock()
-			s.planByID[sp.ID] = entry
-			s.cacheMu.Unlock()
 		}
+		s.cachePlan(entry)
 		report.Plans++
-	}
-	s.cacheMu.Lock()
-	defer s.cacheMu.Unlock()
-	for _, id := range in.CacheMRU {
-		entry, ok := s.planByID[id]
-		if !ok {
-			continue
-		}
-		s.cache.Put(id, entry.plan)
 	}
 	return nil
 }
@@ -417,20 +394,27 @@ func (s *System) recreateLearnerLocked(name string) error {
 	return s.registerLocked(name, sql)
 }
 
-// templateNamesLocked returns sorted template names; callers hold s.regMu.
-func (s *System) templateNamesLocked() []string {
-	names := make([]string, 0, len(s.templates))
-	for n := range s.templates {
-		names = append(names, n)
-	}
-	sortStrings(names)
-	return names
-}
-
-func sortStrings(a []string) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
+// encodeLearners is the walk SaveState and ReplicationSnapshot share: every
+// registered template in name order — mailbox flushed, so every point Run
+// has acknowledged is in the synopsis, then the learner encoded under its
+// own write lock — handed to visit, and afterwards the dense plan
+// fingerprint table. The registry is append-only, so collecting it AFTER
+// the learners guarantees it names every plan id a synopsis references.
+func (s *System) encodeLearners(visit func(st *templateState, learner []byte)) ([]string, error) {
+	for _, st := range s.statesByName() {
+		st.flush()
+		var buf bytes.Buffer
+		if err := st.online.EncodeState(&buf); err != nil {
+			return nil, fmt.Errorf("template %s: %w", st.tmpl.Name, err)
 		}
+		visit(st, buf.Bytes())
+	}
+	var fingerprints []string
+	for id := 0; ; id++ {
+		fp := s.reg.Fingerprint(id)
+		if fp == "" {
+			return fingerprints, nil
+		}
+		fingerprints = append(fingerprints, fp)
 	}
 }

@@ -3,6 +3,7 @@ package ppc
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/queries"
@@ -77,6 +78,11 @@ func TestSaveLoadStateRoundTrip(t *testing.T) {
 	}
 	if cold.CacheLen() == 0 {
 		t.Error("restored cache is empty")
+	}
+	// The restored cache holds the saver's plans in the saver's recency
+	// order (no run has touched either cache since the save).
+	if got, want := cachedPlanIDs(cold), cachedPlanIDs(warm); !reflect.DeepEqual(got, want) {
+		t.Errorf("restored cache order (LRU first) = %v, saver's = %v", got, want)
 	}
 	// The restored system must serve the warmed neighborhood from cache
 	// immediately — no re-learning phase.
@@ -168,5 +174,102 @@ func TestRestoredPredictionsIdentical(t *testing.T) {
 		if len(a.Result.Rows) > 0 && a.Result.Rows[0][1].Num != b.Result.Rows[0][1].Num {
 			t.Fatalf("results diverged at %d", i)
 		}
+	}
+}
+
+// TestRestoreIntoSmallerCache: a snapshot saved under a large CacheCapacity
+// restores into a System with a small one within that System's bound,
+// keeping the saver's most recent plans — and stays within it. The cache is
+// the only plan index, so a run can only be a CacheHit on a plan the cache
+// holds when the run returns.
+func TestRestoreIntoSmallerCache(t *testing.T) {
+	const small = 4
+	opts := Options{
+		TPCH:          tpch.Config{Scale: 1000, Seed: 5},
+		Online:        onlineForTest(),
+		FeedbackQueue: -1, // single goroutine, deterministic
+	}
+	// Nine templates, in bursts of 20 runs so that a small cache still sees
+	// hits, over a neighborhood wide enough for several plans each.
+	workload := func(sys *System, n int, seed int64, each func(st *templateState, res *RunResult)) {
+		t.Helper()
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < n; i++ {
+			name := queries.Defs[i/20%len(queries.Defs)].Name
+			st, err := sys.lookup(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			point := make([]float64, st.tmpl.Degree())
+			for j := range point {
+				point[j] = 0.1 + rng.Float64()*0.5
+			}
+			inst, err := sys.Optimizer().InstanceAt(st.tmpl, point)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sys.Run(name, inst.Values)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if each != nil {
+				each(st, res)
+			}
+		}
+	}
+
+	big, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := big.RegisterStandard(); err != nil {
+		t.Fatal(err)
+	}
+	workload(big, 1800, 1, nil)
+	saved := cachedPlanIDs(big)
+	if len(saved) < 4*small {
+		t.Fatalf("saver caches only %d plans; test is vacuous", len(saved))
+	}
+	var snap bytes.Buffer
+	if err := big.SaveState(&snap); err != nil {
+		t.Fatal(err)
+	}
+
+	opts.CacheCapacity = small
+	sys, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.LoadState(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if rep := sys.LoadStateReport(); rep.Corrupt || rep.Plans != len(saved) {
+		t.Fatalf("restore report %+v, want %d plans and no damage", rep, len(saved))
+	}
+	if got, want := cachedPlanIDs(sys), saved[len(saved)-small:]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored cache = %v, want the saver's %d most recent plans %v", got, small, want)
+	}
+	hits := 0
+	workload(sys, 400, 2, func(st *templateState, res *RunResult) {
+		if n := len(cachedPlans(sys)); n > small {
+			t.Fatalf("cache holds %d plans, capacity %d", n, small)
+		}
+		if !res.CacheHit {
+			return
+		}
+		hits++
+		if sys.cachedPlanOf(st, res.PlanID) == nil {
+			t.Errorf("run on %s reported a CacheHit on plan %d, which the cache does not hold", res.Template, res.PlanID)
+		}
+	})
+	t.Logf("saver cached %d plans; %d of 400 runs after the restore were cache hits", len(saved), hits)
+	if hits == 0 {
+		t.Fatal("no run after the restore was a cache hit; test is vacuous")
+	}
+	if snapm, err := sys.MetricsSnapshot(); err != nil {
+		t.Fatal(err)
+	} else if snapm.Cache.Evictions != uint64(sys.CacheEvictions()) || snapm.Cache.Evictions < uint64(len(saved)-small) {
+		t.Errorf("metrics count %d evictions, the cache %d, the restore alone made %d",
+			snapm.Cache.Evictions, sys.CacheEvictions(), len(saved)-small)
 	}
 }

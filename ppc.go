@@ -60,15 +60,9 @@ type Options struct {
 	// Online configures the per-template learners; the Core.Dims field is
 	// overridden per template with its parameter degree.
 	Online core.OnlineConfig
-	// DisableExecution stops Run from executing plans against the in-memory
-	// database, for prediction-only workloads (e.g. large parameter sweeps).
-	DisableExecution bool
 	// Breaker configures the per-template circuit breaker; the zero value
 	// uses the defaults documented on metrics.BreakerConfig.
 	Breaker metrics.BreakerConfig
-	// DisableBreaker turns the circuit breaker off: learner errors then
-	// surface directly from Run instead of tripping into degraded mode.
-	DisableBreaker bool
 	// Faults optionally injects deterministic faults into the optimizer,
 	// executor, learner and snapshot writer (chaos testing). nil disables
 	// injection.
@@ -193,12 +187,12 @@ func (o Options) withDefaults() Options {
 // regMu guards the template registry map; each core.Online.mu serializes
 // that template's learner write path (feedback application, snapshot
 // publication, drift reset, state encode/decode) — the read path takes no
-// lock at all; cacheMu guards the shared plan cache and the plan-id index;
-// the estimator is an internally synchronized leaf so cache eviction can
-// score plans without any template lock. The circuit breaker and all health
-// counters are atomics. The optimizer, executor, catalog and plan registry
-// are read-only or internally synchronized and are used outside all facade
-// locks.
+// lock at all; cacheMu guards the shared plan cache, the only index of
+// compiled plans; the estimator is an internally synchronized leaf so
+// cache eviction can score plans without any template lock. The circuit
+// breaker and all health counters are atomics. The optimizer, executor,
+// catalog and plan registry are read-only or internally synchronized and
+// are used outside all facade locks.
 type System struct {
 	db   *tpch.Database
 	cat  *catalog.Catalog
@@ -216,12 +210,12 @@ type System struct {
 	regMu     sync.RWMutex
 	templates map[string]*templateState
 
-	// cacheMu guards the shared plan cache and the id -> plan index. Even
-	// cache reads take the write lock when they touch recency (Get moves
-	// the entry to the LRU front).
-	cacheMu  sync.RWMutex
-	cache    *plancache.Cache
-	planByID map[int]*cachedPlan
+	// cacheMu guards the shared plan cache, whose entries are the
+	// *cachedPlan values — the one plan index: a plan the cache evicts is
+	// gone from the serving path by construction. Peek and Each take the
+	// read lock; Put and Touch move recency and take the write lock.
+	cacheMu sync.RWMutex
+	cache   *plancache.Cache
 
 	// loadMu guards lastLoad.
 	loadMu   sync.Mutex
@@ -255,9 +249,10 @@ type System struct {
 	opts Options
 }
 
-// cachedPlan pairs a physical plan with the template state that owns it.
-// The owner pointer lets the eviction scorer and the foreign-plan guard
-// resolve a plan's template without the registry lock.
+// cachedPlan is the plan cache's entry value: a physical plan under its
+// dense registry id, paired with the template state that owns it. The owner
+// pointer lets the eviction scorer and the foreign-plan guard resolve a
+// plan's template without the registry lock.
 //
 // prog and rebind are the plan's compiled forms, so a cache hit does
 // O(params) work instead of O(plan): prog executes the plan through the
@@ -267,6 +262,7 @@ type System struct {
 // not run. Register admits only templates whose plans all compile
 // (optimizer.TypeError), so a failure there is an invariant violation.
 type cachedPlan struct {
+	id     int
 	owner  *templateState
 	plan   *optimizer.Plan
 	prog   *executor.CompiledPlan
@@ -274,7 +270,7 @@ type cachedPlan struct {
 }
 
 // newCachedPlan compiles a plan of st's template into its cache entry.
-func (s *System) newCachedPlan(st *templateState, plan *optimizer.Plan) (*cachedPlan, error) {
+func (s *System) newCachedPlan(st *templateState, id int, plan *optimizer.Plan) (*cachedPlan, error) {
 	prog, err := s.exec.Compile(plan, st.tmpl.Query)
 	if err != nil {
 		return nil, err
@@ -283,7 +279,7 @@ func (s *System) newCachedPlan(st *templateState, plan *optimizer.Plan) (*cached
 	if err != nil {
 		return nil, err
 	}
-	return &cachedPlan{owner: st, plan: plan, prog: prog, rebind: rebind}, nil
+	return &cachedPlan{id: id, owner: st, plan: plan, prog: prog, rebind: rebind}, nil
 }
 
 // applyBatchMax bounds how many queued feedback points one apply batch
@@ -298,9 +294,10 @@ const defaultFeedbackQueue = 256
 // templateState is one template's serving state. It holds no mutex: the
 // learner decision runs lock-free on the published model snapshot, the
 // breaker and health counters are atomics, and feedback flows through the
-// bounded mailbox to the template's background apply goroutine. The tmpl,
-// env, breaker, obs and channel fields are immutable after registration.
+// bounded mailbox to the template's background apply goroutine. The sys,
+// tmpl, breaker, obs and channel fields are immutable after registration.
 type templateState struct {
+	sys  *System
 	tmpl *optimizer.Template
 
 	// memo is the template's optimization memo: the parameter-independent
@@ -319,10 +316,8 @@ type templateState struct {
 	corrLog *walSink
 
 	online *core.Online
-	env    *planEnv
-	// breaker quarantines the learner when it misbehaves (nil when
-	// disabled). While open, Run bypasses the learner entirely and invokes
-	// the optimizer directly.
+	// breaker quarantines the learner when it misbehaves. While open, Run
+	// bypasses the learner entirely and invokes the optimizer directly.
 	breaker *metrics.Breaker
 	// learnerErrs counts Step errors; degradedRuns counts runs served in
 	// always-invoke-the-optimizer mode; retrainDrops counts degraded-mode
@@ -399,14 +394,7 @@ func (st *templateState) Deliver(fb core.Feedback) {
 		}
 	}
 	st.obs.CountFeedbackDeferred()
-	t0 := time.Now()
-	applied, dropped := 1, 0
-	if !st.online.Apply(fb) {
-		applied, dropped = 0, 1
-	}
-	st.obs.RecordApply(time.Since(t0), applied, dropped)
-	// As applyBatch does: the point may have triggered a re-tune.
-	st.obs.SetRetuneEpoch(st.online.RetuneEpoch())
+	st.applyBatch([]core.Feedback{fb}, nil, nil)
 }
 
 // applyLoop is the template's background learner: it drains the mailbox in
@@ -433,14 +421,7 @@ func (st *templateState) applyLoop() {
 // immediately available, up to applyBatchMax points.
 func (st *templateState) collect(msg feedbackMsg, batch []core.Feedback, flushes []chan struct{}, cards []*cardBuf) ([]core.Feedback, []chan struct{}, []*cardBuf) {
 	for {
-		switch {
-		case msg.flush != nil:
-			flushes = append(flushes, msg.flush)
-		case msg.cards != nil:
-			cards = append(cards, msg.cards)
-		default:
-			batch = append(batch, msg.fb)
-		}
+		batch, flushes, cards = sortMessage(msg, batch, flushes, cards)
 		if len(batch) >= applyBatchMax {
 			return batch, flushes, cards
 		}
@@ -450,6 +431,19 @@ func (st *templateState) collect(msg feedbackMsg, batch []core.Feedback, flushes
 			return batch, flushes, cards
 		}
 	}
+}
+
+// sortMessage files one mailbox message under what it carries.
+func sortMessage(msg feedbackMsg, batch []core.Feedback, flushes []chan struct{}, cards []*cardBuf) ([]core.Feedback, []chan struct{}, []*cardBuf) {
+	switch {
+	case msg.flush != nil:
+		flushes = append(flushes, msg.flush)
+	case msg.cards != nil:
+		cards = append(cards, msg.cards)
+	default:
+		batch = append(batch, msg.fb)
+	}
+	return batch, flushes, cards
 }
 
 // applyBatch applies the batch (one snapshot publication) and the queued
@@ -493,7 +487,7 @@ func (st *templateState) applyCards(buf *cardBuf) {
 		// An epoch bump makes the candidate set's costs stale; regenerate it
 		// under the corrected estimates (refreshCandidates early-outs on a
 		// matching epoch, so steady state pays one epoch comparison).
-		st.env.sys.refreshCandidates(st)
+		st.sys.refreshCandidates(st)
 	}
 	releaseCards(buf)
 }
@@ -507,14 +501,7 @@ func (st *templateState) drainMailbox(batch []core.Feedback, flushes []chan stru
 	for {
 		select {
 		case msg := <-st.mail:
-			switch {
-			case msg.flush != nil:
-				flushes = append(flushes, msg.flush)
-			case msg.cards != nil:
-				cards = append(cards, msg.cards)
-			default:
-				batch = append(batch, msg.fb)
-			}
+			batch, flushes, cards = sortMessage(msg, batch, flushes, cards)
 		default:
 			st.applyBatch(batch, flushes, cards)
 			return
@@ -598,7 +585,6 @@ func Open(opts Options) (*System, error) {
 		opt:       optimizer.New(db, cat),
 		exec:      executor.New(db),
 		reg:       optimizer.NewRegistry(),
-		planByID:  make(map[int]*cachedPlan),
 		templates: make(map[string]*templateState),
 		obs:       obsv.NewRegistry(opts.TraceRingSize),
 		opts:      opts,
@@ -681,7 +667,6 @@ func (s *System) registerLocked(name, sql string) error {
 	if err != nil {
 		return err
 	}
-	env := &planEnv{sys: s, tmpl: tmpl}
 	cfg := s.opts.Online
 	cfg.Core.Dims = tmpl.Degree()
 	cfg.Core.OutDims = 0 // per-template default
@@ -689,12 +674,18 @@ func (s *System) registerLocked(name, sql string) error {
 		cfg.Core.RetuneEvery = s.opts.TunableLSH.RetuneEvery
 		cfg.Core.RetuneReservoir = s.opts.TunableLSH.Reservoir
 	}
-	online, err := core.NewOnline(cfg, env)
+	// No driver-level environment: every Run steps the learner against
+	// itself (see run).
+	online, err := core.NewOnline(cfg, nil)
 	if err != nil {
 		return err
 	}
 	online.SetFaults(s.opts.Faults)
-	st := &templateState{tmpl: tmpl, online: online, env: env, obs: s.obs.Template(name)}
+	st := &templateState{
+		sys: s, tmpl: tmpl, online: online,
+		breaker: metrics.NewBreaker(s.opts.Breaker),
+		obs:     s.obs.Template(name),
+	}
 	if s.stats != nil {
 		// One correction site per WHERE predicate (1-based, as stamped by
 		// NewTemplate). Attached to the learner before any state decode so
@@ -716,10 +707,6 @@ func (s *System) registerLocked(name, sql string) error {
 		return fmt.Errorf("ppc: register %s: %w", name, err)
 	}
 	st.memo.Store(memo)
-	env.st = st
-	if !s.opts.DisableBreaker {
-		st.breaker = metrics.NewBreaker(s.opts.Breaker)
-	}
 	if s.opts.FeedbackQueue >= 0 {
 		q := s.opts.FeedbackQueue
 		if q == 0 {
@@ -775,11 +762,11 @@ func (s *System) refreshCandidates(st *templateState) {
 	ids := make([]int, 0, len(cands))
 	fps := make([]string, 0, len(cands))
 	for _, c := range cands {
-		id, _, err := s.internPlan(st, c.Plan)
+		entry, err := s.internPlan(st, c.Plan)
 		if err != nil {
 			return
 		}
-		ids = append(ids, id)
+		ids = append(ids, entry.id)
 		fps = append(fps, c.Plan.Fingerprint)
 	}
 	st.candIDs, st.candFPs, st.candEpoch = ids, fps, epoch
@@ -790,52 +777,40 @@ func (s *System) refreshCandidates(st *templateState) {
 // interned candidate set when it is fresh: every candidate is re-costed at
 // the instance in O(params) via its cached rebind program and the cheapest
 // wins — the plan the full optimizer would pick whenever the set covers the
-// optimum, at a fraction of the cost. Returns ok=false when candidates are
-// disabled, stale against the correction epoch, or evicted; the caller then
-// falls back to full optimization.
-func (s *System) candidateRoute(st *templateState, values []float64) (int, float64, bool) {
+// optimum, at a fraction of the cost. Returns a nil entry when candidates
+// are disabled, stale against the correction epoch, or evicted; the caller
+// then falls back to full optimization.
+func (s *System) candidateRoute(st *templateState, values []float64) (best *cachedPlan, bestCost float64) {
 	if !s.opts.Candidates.Enable {
-		return 0, 0, false
+		return nil, 0
 	}
 	st.candMu.RLock()
 	ids := st.candIDs
 	epoch := st.candEpoch
 	st.candMu.RUnlock()
 	if len(ids) < 2 {
-		return 0, 0, false
+		return nil, 0
 	}
 	if st.corr != nil && st.corr.Epoch() != epoch {
 		// The correction epoch moved past the set: its costs are stale.
 		// The background applier regenerates; this run takes the full
 		// optimizer.
-		return 0, 0, false
+		return nil, 0
 	}
-	s.cacheMu.RLock()
-	type cand struct {
-		id    int
-		entry *cachedPlan
-	}
-	live := make([]cand, 0, len(ids))
 	for _, id := range ids {
-		if entry := s.planByID[id]; entry != nil && entry.owner == st {
-			live = append(live, cand{id: id, entry: entry})
+		entry := s.cachedPlanOf(st, id)
+		if entry == nil {
+			continue
 		}
-	}
-	s.cacheMu.RUnlock()
-	bestID, bestCost, found := 0, 0.0, false
-	for _, c := range live {
-		cost, err := c.entry.rebind.Recost(s.opt, values)
+		cost, err := entry.rebind.Recost(s.opt, values)
 		if err != nil {
 			continue
 		}
-		if !found || cost < bestCost {
-			bestID, bestCost, found = c.id, cost, true
+		if best == nil || cost < bestCost {
+			best, bestCost = entry, cost
 		}
 	}
-	if !found {
-		return 0, 0, false
-	}
-	return bestID, bestCost, true
+	return best, bestCost
 }
 
 // candidateHas reports whether the fingerprint is in the candidate set.
@@ -858,13 +833,7 @@ func (st *templateState) candidateHas(fp string) bool {
 // Close is idempotent.
 func (s *System) Close() error {
 	s.stopCheckpointer()
-	s.regMu.RLock()
-	states := make([]*templateState, 0, len(s.templates))
-	for _, st := range s.templates {
-		states = append(states, st)
-	}
-	s.regMu.RUnlock()
-	for _, st := range states {
+	for _, st := range s.statesByName() {
 		st.shutdown()
 	}
 	return s.closeDurable()
@@ -908,15 +877,27 @@ func (s *System) Template(name string) (*optimizer.Template, error) {
 	return st.tmpl, nil
 }
 
+// statesByName returns the registered templates' states in name order: the
+// registry snapshot every whole-system walk (names, metrics, snapshots,
+// shutdown) starts from, taken under the registry lock and used outside it.
+func (s *System) statesByName() []*templateState {
+	s.regMu.RLock()
+	states := make([]*templateState, 0, len(s.templates))
+	for _, st := range s.templates {
+		states = append(states, st)
+	}
+	s.regMu.RUnlock()
+	sort.Slice(states, func(i, j int) bool { return states[i].tmpl.Name < states[j].tmpl.Name })
+	return states
+}
+
 // TemplateNames returns the registered template names, sorted.
 func (s *System) TemplateNames() []string {
-	s.regMu.RLock()
-	defer s.regMu.RUnlock()
-	names := make([]string, 0, len(s.templates))
-	for n := range s.templates {
-		names = append(names, n)
+	states := s.statesByName()
+	names := make([]string, len(states))
+	for i, st := range states {
+		names[i] = st.tmpl.Name
 	}
-	sort.Strings(names)
 	return names
 }
 
@@ -964,7 +945,7 @@ type RunResult struct {
 	// runs still carry the time spent in the failed learner step in
 	// PredictTime.
 	DegradedByError bool
-	// Result holds the executed rows (nil when execution is disabled).
+	// Result holds the executed rows.
 	Result *executor.Result
 }
 
@@ -997,6 +978,7 @@ func (s *System) Run(template string, values []float64) (res *RunResult, err err
 			st.obs.CountRunError()
 		}
 	}()
+	// Bind: the instance and its plan space point.
 	inst, err := st.tmpl.Instantiate(values)
 	if err != nil {
 		return nil, err
@@ -1006,34 +988,31 @@ func (s *System) Run(template string, values []float64) (res *RunResult, err err
 		return nil, err
 	}
 	res = &RunResult{Template: template, Values: values, Point: point}
+	r := &run{st: st, res: res}
 
-	// The learner decides: cached plan or optimizer — unless the breaker
-	// has quarantined it, in which case the optimizer is invoked directly.
-	degraded := s.decide(st, res, point)
-	if degraded {
-		if err := s.runDegraded(st, res, inst, point); err != nil {
+	// Decide: the learner picks a cached plan or asks for the optimizer —
+	// unless the breaker has quarantined it (or it just failed), in which
+	// case the optimizer is invoked directly.
+	if r.decide() {
+		if err := r.degrade(); err != nil {
 			return nil, err
 		}
 	}
-
-	prog, err := s.resolvePlan(st, res, inst, values)
-	if err != nil {
+	// Resolve: the compiled plan to execute, costed at this instance.
+	if err := r.resolve(); err != nil {
 		return nil, err
 	}
-
-	if !s.opts.DisableExecution {
-		// Batched columnar execution over pooled arenas. Every run also
-		// harvests true per-operator cardinalities — for the estimation
-		// q-error histogram always, and for the correction learner when the
-		// adaptive layer is on.
-		t1 := time.Now()
-		out, xerr := s.execObserved(st, prog, values)
-		if xerr != nil {
-			return nil, &PipelineError{Stage: "execute", Template: template, Err: xerr}
-		}
-		res.ExecuteTime = time.Since(t1)
-		res.Result = out
+	// Execute: batched columnar execution over pooled arenas. Every run also
+	// harvests true per-operator cardinalities — for the estimation q-error
+	// histogram always, and for the correction learner when the adaptive
+	// layer is on.
+	t1 := time.Now()
+	out, xerr := s.execObserved(st, r.entry.prog, values)
+	if xerr != nil {
+		return nil, &PipelineError{Stage: "execute", Template: template, Err: xerr}
 	}
+	res.ExecuteTime = time.Since(t1)
+	res.Result = out
 	s.observeRun(st, res)
 	return res, nil
 }
@@ -1110,109 +1089,204 @@ func (s *System) observeRun(st *templateState, res *RunResult) {
 	}
 }
 
+// run is one bound query instance on its way through Run: the template
+// state, the result under construction (which carries the caller's values
+// and the plan space point) and the cache entry the run has resolved so
+// far. It is also the core.Environment the learner steps against, so the
+// learner's optimizer call and its cost observation work at the run's own
+// values — the point→values inverse (Optimizer.InstanceAt) belongs to
+// workload generation, not to serving — and whatever entry and cost they
+// produce is what the run goes on to execute and report, not a second
+// lookup and a second recost. One value per Run, never shared: concurrent
+// runs on one template cannot cross-contaminate each other's accounting.
+type run struct {
+	st  *templateState
+	res *RunResult
+	// entry is the plan the run will execute (nil until Optimize,
+	// ExecuteCost or resolve finds one); res.EstimatedCost is its cost at
+	// res.Values.
+	entry *cachedPlan
+}
+
+// Optimize implements core.Environment: the optimizer's choice for this
+// run's instance (x is the run's own point).
+func (r *run) Optimize([]float64) (int, float64, error) {
+	if err := r.optimize(true); err != nil {
+		return 0, 0, err
+	}
+	return r.entry.id, r.res.EstimatedCost, nil
+}
+
+// ExecuteCost implements core.Environment: the execution cost of a given
+// (possibly stale) plan at this run's instance, by binding the cached
+// plan's parameter slots and re-costing in place — no tree copy.
+func (r *run) ExecuteCost(_ []float64, planID int) (float64, error) {
+	entry := r.st.sys.cachedPlanOf(r.st, planID)
+	if entry == nil {
+		// Plan fell out of the cache, or belongs to another template (a
+		// garbled prediction that happens to resolve, which must never
+		// execute here); behave like a severe cost surprise so the learner
+		// re-optimizes.
+		return 0, nil
+	}
+	cost, err := entry.rebind.Recost(r.st.sys.opt, r.res.Values)
+	if err != nil {
+		return 0, err
+	}
+	r.entry, r.res.EstimatedCost = entry, cost
+	return cost, nil
+}
+
+// optimize is the one place a run invokes the optimizer, outside all
+// locks: through the template's memo, at the run's own values, then intern
+// (and, first time, compile) the winner. Where the learner asked
+// (viaCandidates) a fresh candidate set answers instead: re-costing the
+// interned alternatives at the instance is O(candidates × params), picks
+// the same plan the optimizer would whenever the set covers the optimum,
+// and never waits on a cache miss to surface it. A degraded run and a
+// cache-miss fallback always take the full optimizer — the plan a system
+// without a plan cache would produce.
+func (r *run) optimize(viaCandidates bool) error {
+	s, st := r.st.sys, r.st
+	t0 := time.Now()
+	var entry *cachedPlan
+	var cost float64
+	if viaCandidates {
+		if entry, cost = s.candidateRoute(st, r.res.Values); entry != nil {
+			st.obs.CountCandidateRouted()
+		}
+	}
+	if entry == nil {
+		plan, err := s.opt.OptimizeMemo(s.memoFor(st), r.res.Values)
+		if err != nil {
+			return &PipelineError{Stage: "optimize", Template: r.res.Template, Err: err}
+		}
+		if entry, err = s.internPlan(st, plan); err != nil {
+			return err
+		}
+		// OptimizeMemo costs the plan at these values already.
+		cost = plan.Cost
+		if st.candidateHas(plan.Fingerprint) {
+			st.obs.CountCandidateKept()
+		}
+	}
+	r.res.OptimizeTime += time.Since(t0)
+	r.res.Invoked = true
+	r.res.CacheHit = false
+	r.entry, r.res.EstimatedCost = entry, cost
+	return nil
+}
+
 // decide runs the learner protocol — lock-free on the template's published
 // model snapshot — and reports whether the run must fall back to degraded
 // (always-invoke-the-optimizer) mode. A learner error is absorbed here: it
 // trips the breaker and degrades this run instead of failing the query.
-func (s *System) decide(st *templateState, res *RunResult, point []float64) (degraded bool) {
-	if st.breaker != nil {
-		prev := st.breaker.State()
-		allowed := st.breaker.Allow()
-		st.obs.BreakerTransition(prev, st.breaker.State())
-		if !allowed {
-			return true
-		}
+func (r *run) decide() (degraded bool) {
+	st, res := r.st, r.res
+	prev := st.breaker.State()
+	allowed := st.breaker.Allow()
+	st.obs.BreakerTransition(prev, st.breaker.State())
+	if !allowed {
+		return true
 	}
-	// Each run times its own optimizer work through a private wrapper, so
-	// concurrent runs on one template cannot cross-contaminate accounting.
-	env := &runEnv{env: st.env}
 	t0 := time.Now()
-	decision, lerr := st.online.StepConcurrent(point, env, st)
-	decide := time.Since(t0)
+	decision, lerr := st.online.StepConcurrent(res.Point, r, st)
+	// The step's latency splits into predict and optimize components: the
+	// optimizer work it triggered was timed by optimize.
+	res.PredictTime = time.Since(t0) - res.OptimizeTime
+	if res.PredictTime < 0 {
+		res.PredictTime = 0
+	}
 	if lerr != nil {
 		// Learner-path failure: count it, trip the breaker toward
 		// degraded mode, and fall back to direct optimization for this
 		// run. The learner's state was not corrupted by the failed step.
-		// The time spent in the failed step must not vanish from the
-		// run's accounting: record it as decide time (any successfully
-		// timed optimizer work inside the step stays in OptimizeTime,
-		// which runDegraded extends) and mark the run degraded-by-error
-		// so traces and metrics can tell this fallback from an
-		// already-open breaker.
+		// The time spent in the failed step stays in the run's accounting
+		// (PredictTime above; any successfully timed optimizer work inside
+		// the step stays in OptimizeTime, which degrade extends) and the
+		// run is marked degraded-by-error so traces and metrics can tell
+		// this fallback from an already-open breaker.
 		st.learnerErrs.Add(1)
 		st.obs.CountLearnerError()
-		res.PredictTime = decide - env.optTime
-		if res.PredictTime < 0 {
-			res.PredictTime = 0
-		}
-		res.OptimizeTime = env.optTime
 		res.DegradedByError = true
-		if st.breaker != nil {
-			prev := st.breaker.State()
-			st.breaker.RecordFailure()
-			st.obs.BreakerTransition(prev, st.breaker.State())
-		}
+		prev = st.breaker.State()
+		st.breaker.RecordFailure()
+		st.obs.BreakerTransition(prev, st.breaker.State())
 		return true
 	}
-	if st.breaker != nil {
-		prev := st.breaker.State()
-		st.breaker.RecordSuccess()
-		st.obs.BreakerTransition(prev, st.breaker.State())
-		if prec, ok := st.online.Estimator().Precision(); ok {
-			prev = st.breaker.State()
-			if st.breaker.ObservePrecision(prec, st.online.Estimator().SampleCount()) {
-				// Precision collapse tripped the breaker (the CAS admits
-				// exactly one winner under races): drop the stale window
-				// so recovery is judged on fresh evidence once probes
-				// resume.
-				st.online.Estimator().Reset()
-			}
-			st.obs.BreakerTransition(prev, st.breaker.State())
+	prev = st.breaker.State()
+	st.breaker.RecordSuccess()
+	st.obs.BreakerTransition(prev, st.breaker.State())
+	if prec, ok := st.online.Estimator().Precision(); ok {
+		prev = st.breaker.State()
+		if st.breaker.ObservePrecision(prec, st.online.Estimator().SampleCount()) {
+			// Precision collapse tripped the breaker (the CAS admits
+			// exactly one winner under races): drop the stale window
+			// so recovery is judged on fresh evidence once probes
+			// resume.
+			st.online.Estimator().Reset()
 		}
+		st.obs.BreakerTransition(prev, st.breaker.State())
 	}
-	res.PlanID = decision.Plan
 	res.CacheHit = decision.CacheHit
 	res.Predicted = decision.Predicted
 	res.Invoked = decision.Invoked
 	res.RandomInvocation = decision.RandomInvocation
 	res.FeedbackCorrection = decision.FeedbackCorrection
 	res.DriftReset = decision.Reset
-	res.PredictTime = decide - env.optTime
-	if res.PredictTime < 0 {
-		res.PredictTime = 0
-	}
-	res.OptimizeTime = env.optTime
 	return false
 }
 
-// runDegraded serves a run in always-invoke-the-optimizer mode: the same
-// plan (and answer) a system without a plan cache would produce. The
-// optimizer call happens outside all locks; the retraining point flows
-// through the same feedback pipeline as healthy runs.
-func (s *System) runDegraded(st *templateState, res *RunResult, inst optimizer.Instance, point []float64) error {
+// degrade serves a run in always-invoke-the-optimizer mode: the same plan
+// (and answer) a system without a plan cache would produce. The retraining
+// point flows through the same feedback pipeline as healthy runs.
+func (r *run) degrade() error {
+	st, res := r.st, r.res
 	res.Degraded = true
-	t1 := time.Now()
-	plan, oerr := s.opt.OptimizeMemo(s.memoFor(st), inst.Values)
-	if oerr != nil {
-		return &PipelineError{Stage: "optimize", Template: res.Template, Err: oerr}
-	}
-	res.OptimizeTime += time.Since(t1)
-	res.Invoked = true
-	res.CacheHit = false
-	if res.PlanID, _, oerr = s.internPlan(st, plan); oerr != nil {
-		return oerr
+	if err := r.optimize(false); err != nil {
+		return err
 	}
 	st.degradedRuns.Add(1)
 	// The validated label still feeds the quarantined learner so it
 	// retrains while degraded. A rejected point (dimensionality mismatch)
 	// is counted rather than silently dropped.
-	fb, lerr := st.online.ValidatedFeedback(point, res.PlanID, plan.Cost)
+	fb, lerr := st.online.ValidatedFeedback(res.Point, r.entry.id, res.EstimatedCost)
 	if lerr != nil {
 		st.retrainDrops.Add(1)
 		st.obs.CountRetrainDrop()
 		return nil
 	}
 	st.Deliver(fb)
+	return nil
+}
+
+// resolve settles the compiled plan to execute. Normally decide (or
+// degrade) already did the work: the learner's own optimizer call or cost
+// observation left the entry and its cost at this instance on the run, so
+// a hit pays one index lookup and one recost in total, and resolve only
+// refreshes the plan's recency. When nothing was left — the predicted plan
+// was evicted or belongs to another template and the cost check had no
+// estimate to catch it against — it is a cache miss despite a possibly
+// correct prediction: optimize afresh.
+func (r *run) resolve() error {
+	s := r.st.sys
+	if r.entry == nil {
+		if err := r.optimize(false); err != nil {
+			return err
+		}
+		// No recency refresh: internPlan just Put the plan, which made it
+		// the cache's most recent entry.
+		s.cacheObs.CountMiss()
+	} else {
+		// Touch leaves an id a concurrent insertion has just evicted alone;
+		// the run still holds the entry and executes it.
+		s.cacheMu.Lock()
+		s.cache.Touch(r.entry.id)
+		s.cacheMu.Unlock()
+		s.cacheObs.CountHit()
+	}
+	r.res.PlanID = r.entry.id
+	r.res.Fingerprint = r.entry.plan.Fingerprint
 	return nil
 }
 
@@ -1239,85 +1313,53 @@ func (s *System) memoFor(st *templateState) *optimizer.Memo {
 	return fresh
 }
 
-// resolvePlan fetches the compiled plan to execute: on a hit, rebind the
-// cached plan's program in O(params); on a miss (the predicted plan was
-// evicted, belongs to another template, or does not rebind at these values)
-// optimize afresh through the template's memo and compile the winner.
-// Rebinding and optimization run outside all locks.
-func (s *System) resolvePlan(st *templateState, res *RunResult, inst optimizer.Instance, values []float64) (*executor.CompiledPlan, error) {
+// cachedPlanOf returns st's cache entry under the given plan id, or nil when
+// the cache does not hold the id or holds it for another template. It does
+// not touch recency.
+func (s *System) cachedPlanOf(st *templateState, id int) *cachedPlan {
 	s.cacheMu.RLock()
-	entry, ok := s.planByID[res.PlanID]
+	v, _ := s.cache.Peek(id)
 	s.cacheMu.RUnlock()
-	// A plan belonging to another template (a garbled prediction that
-	// happens to resolve) must never execute here — treat it as a miss.
-	if ok && entry.owner == st {
-		// Bind the parameter slots and re-cost in place — no tree copy.
-		if cost, err := entry.rebind.Recost(s.opt, values); err == nil {
-			res.EstimatedCost = cost
-			res.Fingerprint = entry.plan.Fingerprint
-			// Refresh the executed plan's recency. Touch (rather than Get)
-			// leaves an id a concurrent insertion has just evicted alone
-			// instead of recording a spurious cache miss.
-			s.cacheMu.Lock()
-			s.cache.Touch(res.PlanID)
-			s.cacheMu.Unlock()
-			s.cacheObs.CountHit()
-			return entry.prog, nil
-		}
+	if entry, _ := v.(*cachedPlan); entry != nil && entry.owner == st {
+		return entry
 	}
-	// A cache miss despite a possibly correct prediction.
-	t1 := time.Now()
-	plan, err := s.opt.OptimizeMemo(s.memoFor(st), inst.Values)
-	if err != nil {
-		return nil, &PipelineError{Stage: "optimize", Template: res.Template, Err: err}
-	}
-	res.OptimizeTime += time.Since(t1)
-	res.Invoked = true
-	res.CacheHit = false
-	if res.PlanID, entry, err = s.internPlan(st, plan); err != nil {
-		return nil, err
-	}
-	// OptimizeMemo costs the plan at these values already.
-	res.Fingerprint = plan.Fingerprint
-	res.EstimatedCost = plan.Cost
-	// No recency refresh here: internPlan just Put the plan, which
-	// already made it the cache's most recent entry.
-	s.cacheObs.CountMiss()
-	return entry.prog, nil
+	return nil
 }
 
-// internPlan registers a fresh plan in the registry, index and cache, and
-// returns its dense id plus the cache entry. The registry is internally
-// synchronized; the index and cache update happens under the cache lock.
-// When the insertion evicts another plan, only the cache slot and index
-// entry are reclaimed — the tree itself stays alive for learners still
-// referencing its id, and Run re-optimizes if the plan is predicted again.
+// internPlan registers a fresh plan in the registry and the cache, and
+// returns its cache entry (which carries the dense id). The registry is
+// internally synchronized. When the insertion evicts another plan, its
+// compiled forms go with the cache slot — learners still referencing the
+// id simply miss, and Run re-optimizes if the plan is predicted again.
 //
 // An id already cached for this template keeps its existing entry (the
 // trees are fingerprint-identical), so re-interning a plan on every audit
 // or degraded run never recompiles it. Fresh entries are compiled outside
 // cacheMu; a plan that does not compile is not interned and surfaces as a
 // *PipelineError at stage "compile".
-func (s *System) internPlan(st *templateState, plan *optimizer.Plan) (int, *cachedPlan, error) {
+func (s *System) internPlan(st *templateState, plan *optimizer.Plan) (*cachedPlan, error) {
 	id := s.reg.ID(plan.Fingerprint)
-	s.cacheMu.RLock()
-	entry, ok := s.planByID[id]
-	s.cacheMu.RUnlock()
-	if !ok || entry.owner != st {
+	entry := s.cachedPlanOf(st, id)
+	if entry == nil {
 		var err error
-		if entry, err = s.newCachedPlan(st, plan); err != nil {
-			return 0, nil, &PipelineError{Stage: "compile", Template: st.tmpl.Name, Err: err}
+		if entry, err = s.newCachedPlan(st, id, plan); err != nil {
+			return nil, &PipelineError{Stage: "compile", Template: st.tmpl.Name, Err: err}
 		}
 	}
+	s.cachePlan(entry)
+	return entry, nil
+}
+
+// cachePlan makes the entry the cache's most recent, evicting within the
+// cache's bound. Every insertion — a fresh optimization, a candidate set, a
+// restored snapshot — goes through here.
+func (s *System) cachePlan(entry *cachedPlan) {
 	s.cacheMu.Lock()
 	defer s.cacheMu.Unlock()
-	s.planByID[id] = entry
 	s.cacheObs.CountPut()
-	if evicted := s.cache.Put(id, entry.plan); evicted >= 0 && evicted != id {
-		delete(s.planByID, evicted)
+	if s.cache.Put(entry.id, entry) >= 0 {
 		s.cacheObs.CountEviction()
 	}
-	return id, entry, nil
 }
 
 // Stats summarizes a template's learner state.
@@ -1389,11 +1431,8 @@ func (s *System) TemplateStats(template string) (out Stats, err error) {
 // Health summarizes the fault posture of one template's serving path.
 type Health struct {
 	Template string
-	// Breaker is the circuit breaker's state and counters. Zero-valued
-	// (State Closed, no trips) when the breaker is disabled.
+	// Breaker is the circuit breaker's state and counters.
 	Breaker metrics.BreakerSnapshot
-	// BreakerEnabled reports whether a breaker guards this template.
-	BreakerEnabled bool
 	// LearnerErrors counts Step failures on the learner path.
 	LearnerErrors int
 	// DegradedRuns counts Runs served by invoking the optimizer directly
@@ -1412,17 +1451,13 @@ func (s *System) TemplateHealth(template string) (h Health, err error) {
 	if err != nil {
 		return Health{}, err
 	}
-	h = Health{
+	return Health{
 		Template:      template,
+		Breaker:       st.breaker.Snapshot(),
 		LearnerErrors: int(st.learnerErrs.Load()),
 		DegradedRuns:  int(st.degradedRuns.Load()),
 		RetrainDrops:  int(st.retrainDrops.Load()),
-	}
-	if st.breaker != nil {
-		h.BreakerEnabled = true
-		h.Breaker = st.breaker.Snapshot()
-	}
-	return h, nil
+	}, nil
 }
 
 // LearnerMetrics is the learner-internal slice of a template's metrics
@@ -1464,10 +1499,9 @@ type LearnerMetrics struct {
 // circuit breaker's counters.
 type TemplateMetrics struct {
 	obsv.TemplateSnapshot
-	Degree         int                     `json:"degree"`
-	Learner        LearnerMetrics          `json:"learner"`
-	BreakerEnabled bool                    `json:"breaker_enabled"`
-	Breaker        metrics.BreakerSnapshot `json:"breaker"`
+	Degree  int                     `json:"degree"`
+	Learner LearnerMetrics          `json:"learner"`
+	Breaker metrics.BreakerSnapshot `json:"breaker"`
 }
 
 // CacheMetrics is the shared plan cache's slice of a MetricsSnapshot.
@@ -1505,22 +1539,13 @@ type MetricsSnapshot struct {
 func (s *System) MetricsSnapshot() (snap MetricsSnapshot, err error) {
 	defer capturePanic("ppc.MetricsSnapshot", &err)
 	snap.Schema = MetricsSnapshotSchema
-	s.regMu.RLock()
-	states := make(map[string]*templateState, len(s.templates))
-	names := make([]string, 0, len(s.templates))
-	for n, st := range s.templates {
-		states[n] = st
-		names = append(names, n)
-	}
-	s.regMu.RUnlock()
-	sort.Strings(names)
-	for _, name := range names {
-		st := states[name]
+	for _, st := range s.statesByName() {
 		st.obs.SetQueueDepth(len(st.mail))
 		st.flush()
 		tm := TemplateMetrics{
 			TemplateSnapshot: st.obs.Snapshot(),
 			Degree:           st.tmpl.Degree(),
+			Breaker:          st.breaker.Snapshot(),
 		}
 		est := st.online.Estimator()
 		model := st.online.Model()
@@ -1539,10 +1564,6 @@ func (s *System) MetricsSnapshot() (snap MetricsSnapshot, err error) {
 		tm.Learner.Precision, tm.Learner.PrecisionKnown = est.Precision()
 		tm.Learner.Recall, tm.Learner.RecallKnown = est.Recall()
 		tm.Learner.Beta, tm.Learner.BetaKnown = est.Beta()
-		if st.breaker != nil {
-			tm.BreakerEnabled = true
-			tm.Breaker = st.breaker.Snapshot()
-		}
 		snap.Templates = append(snap.Templates, tm)
 	}
 	s.cacheMu.RLock()
@@ -1585,90 +1606,9 @@ func (s *System) CacheEvictions() int {
 // queries only the internally synchronized estimator, so it never needs the
 // registry or a template lock (which would invert the lock hierarchy).
 func (s *System) planPrecision(planID int) (float64, bool) {
-	entry, ok := s.planByID[planID]
+	v, ok := s.cache.Peek(planID)
 	if !ok {
 		return 0, false
 	}
-	return entry.owner.online.Estimator().PlanPrecision(planID)
-}
-
-// planEnv adapts the optimizer to the learner's Environment interface for
-// one template. It is stateless per call and shared by all of the
-// template's concurrent runs; each run wraps it in a private runEnv to time
-// its own optimizer work. Its methods take cacheMu for the shared cache,
-// consistent with the lock hierarchy.
-type planEnv struct {
-	sys  *System
-	tmpl *optimizer.Template
-	st   *templateState
-}
-
-// Optimize implements core.Environment: invoke the real optimizer at plan
-// space point x — through the template's memo — intern the plan, and cache
-// it. With candidate enumeration on, a fresh candidate set answers instead:
-// re-costing the interned alternatives at the instance is O(candidates ×
-// params), picks the same plan the optimizer would whenever the set covers
-// the optimum, and never waits on a cache miss to surface it.
-func (e *planEnv) Optimize(x []float64) (int, float64, error) {
-	inst, err := e.sys.opt.InstanceAt(e.tmpl, x)
-	if err != nil {
-		return 0, 0, err
-	}
-	if id, cost, ok := e.sys.candidateRoute(e.st, inst.Values); ok {
-		e.st.obs.CountCandidateRouted()
-		return id, cost, nil
-	}
-	plan, err := e.sys.opt.OptimizeMemo(e.sys.memoFor(e.st), inst.Values)
-	if err != nil {
-		return 0, 0, err
-	}
-	id, _, err := e.sys.internPlan(e.st, plan)
-	if err != nil {
-		return 0, 0, err
-	}
-	if e.st.candidateHas(plan.Fingerprint) {
-		e.st.obs.CountCandidateKept()
-	}
-	return id, plan.Cost, nil
-}
-
-// runEnv wraps a template's planEnv for one Run, accumulating the wall time
-// of successful optimizer calls so decide can split the step's latency into
-// predict and optimize components without shared mutable state.
-type runEnv struct {
-	env     *planEnv
-	optTime time.Duration
-}
-
-func (e *runEnv) Optimize(x []float64) (int, float64, error) {
-	t0 := time.Now()
-	plan, cost, err := e.env.Optimize(x)
-	if err != nil {
-		return plan, cost, err
-	}
-	e.optTime += time.Since(t0)
-	return plan, cost, nil
-}
-
-func (e *runEnv) ExecuteCost(x []float64, planID int) (float64, error) {
-	return e.env.ExecuteCost(x, planID)
-}
-
-// ExecuteCost implements core.Environment: the execution cost of a given
-// (possibly stale) plan at x, via plan rebinding and recosting.
-func (e *planEnv) ExecuteCost(x []float64, planID int) (float64, error) {
-	e.sys.cacheMu.RLock()
-	entry, ok := e.sys.planByID[planID]
-	e.sys.cacheMu.RUnlock()
-	if !ok || entry.owner != e.st {
-		// Plan fell out of the cache, or belongs to another template (a
-		// garbled prediction); behave like a severe cost surprise so the
-		// learner re-optimizes.
-		return 0, nil
-	}
-	inst, err := e.sys.opt.InstanceAt(e.tmpl, x)
-	if err != nil {
-		return 0, err
-	}
-	return entry.rebind.Recost(e.sys.opt, inst.Values)
+	return v.(*cachedPlan).owner.online.Estimator().PlanPrecision(planID)
 }

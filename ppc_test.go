@@ -319,29 +319,69 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-func TestDisableExecution(t *testing.T) {
+// TestRunOptimizesAtItsOwnValues: when a run invokes the optimizer — on the
+// learner's request, degraded, or on a cache miss — it optimizes the
+// instance the caller bound, not one rebuilt from the instance's plan space
+// point through the catalog's quantile inverse (which round-trips a value
+// only to within an ulp or a histogram bucket). The values here come
+// straight from each parameter column's domain, never through InstanceAt,
+// and every invoked run must report exactly the plan and cost a direct
+// optimization of those values yields.
+func TestRunOptimizesAtItsOwnValues(t *testing.T) {
 	sys, err := Open(Options{
-		TPCH:             tpch.Config{Scale: 1000, Seed: 5},
-		DisableExecution: true,
-		Online:           onlineForTest(),
+		TPCH:                 tpch.Config{Scale: 1000, Seed: 5},
+		Online:               onlineForTest(),
+		FeedbackQueue:        -1,
+		DisableAdaptiveStats: true, // costs depend on the values alone
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Register("Q0", queries.Defs[0].SQL); err != nil {
+	if err := sys.RegisterStandard(); err != nil {
 		t.Fatal(err)
 	}
-	tmpl, _ := sys.Template("Q0")
-	inst, _ := sys.Optimizer().InstanceAt(tmpl, []float64{0.5, 0.5})
-	res, err := sys.Run("Q0", inst.Values)
-	if err != nil {
-		t.Fatal(err)
+	rng := rand.New(rand.NewSource(19))
+	invoked := 0
+	for _, d := range queries.Defs {
+		tmpl, err := sys.Template(d.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, hi := make([]float64, tmpl.Degree()), make([]float64, tmpl.Degree())
+		for i := range lo {
+			pred := tmpl.ParamPredicate(i)
+			cs, err := sys.Catalog().Column(tmpl.Query.Binding(pred.Col.Alias).Table, pred.Col.Column)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lo[i], hi[i] = cs.Quantile(0), cs.Quantile(1)
+		}
+		for n := 0; n < 300; n++ {
+			values := make([]float64, tmpl.Degree())
+			for i := range values {
+				values[i] = lo[i] + rng.Float64()*(hi[i]-lo[i])
+			}
+			res, err := sys.Run(d.Name, values)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Invoked {
+				continue
+			}
+			invoked++
+			want, err := sys.Optimizer().OptimizeInstance(optimizer.Instance{Template: tmpl, Values: values})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Fingerprint != want.Fingerprint || res.EstimatedCost != want.Cost {
+				t.Errorf("%s at %v: run reports plan %s at cost %v (%#x), optimizing these values gives %s at %v (%#x)",
+					d.Name, values, res.Fingerprint, res.EstimatedCost, math.Float64bits(res.EstimatedCost),
+					want.Fingerprint, want.Cost, math.Float64bits(want.Cost))
+			}
+		}
 	}
-	if res.Result != nil {
-		t.Error("execution disabled but rows returned")
-	}
-	if res.EstimatedCost <= 0 {
-		t.Error("no cost estimate")
+	if invoked < 500 {
+		t.Fatalf("only %d of %d runs invoked the optimizer; test is vacuous", invoked, 300*len(queries.Defs))
 	}
 }
 

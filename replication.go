@@ -7,7 +7,6 @@ package ppc
 // bytes a checkpoint writes. Nothing here runs on the serving path.
 
 import (
-	"bytes"
 	"crypto/rand"
 	"encoding/binary"
 	"fmt"
@@ -92,31 +91,12 @@ func (s *System) ReplicationSnapshot() (*netproto.Snapshot, error) {
 		return nil, err
 	}
 	baseSeq := s.checkpointMinSeq()
-
-	s.regMu.RLock()
-	names := s.templateNamesLocked()
-	states := make([]*templateState, len(names))
-	for i, name := range names {
-		states[i] = s.templates[name]
-	}
-	s.regMu.RUnlock()
-
 	snap := &netproto.Snapshot{Epoch: epoch, BaseSeq: baseSeq}
-	for i, name := range names {
-		st := states[i]
-		st.flush()
-		var buf bytes.Buffer
-		if err := st.online.EncodeState(&buf); err != nil {
-			return nil, fmt.Errorf("ppc: encode template %s for shipping: %w", name, err)
-		}
-		snap.Templates = append(snap.Templates, netproto.TemplateState{Name: name, State: buf.Bytes()})
-	}
-	for id := 0; ; id++ {
-		fp := s.reg.Fingerprint(id)
-		if fp == "" {
-			break
-		}
-		snap.Fingerprints = append(snap.Fingerprints, fp)
+	snap.Fingerprints, err = s.encodeLearners(func(st *templateState, learner []byte) {
+		snap.Templates = append(snap.Templates, netproto.TemplateState{Name: st.tmpl.Name, State: learner})
+	})
+	if err != nil {
+		return nil, fmt.Errorf("ppc: encode for shipping: %w", err)
 	}
 	return snap, nil
 }
@@ -127,32 +107,11 @@ func (s *System) ReplicationSnapshot() (*netproto.Snapshot, error) {
 // the same prediction. Never invokes the optimizer and never feeds the
 // learner: an RPC is a read.
 func (s *System) PredictRPC(req netproto.PredictRequest) netproto.PredictResult {
-	res := netproto.PredictResult{ID: req.ID}
 	st, err := s.lookup(req.Template)
 	if err != nil {
-		res.Status = netproto.StatusUnknownTemplate
-		res.ErrMsg = req.Template
-		return res
+		return netproto.PredictResult{ID: req.ID, Status: netproto.StatusUnknownTemplate, ErrMsg: req.Template}
 	}
-	if len(req.Point) != st.online.Dims() {
-		res.Status = netproto.StatusBadRequest
-		res.ErrMsg = fmt.Sprintf("point has %d coordinates, template %s expects %d",
-			len(req.Point), req.Template, st.online.Dims())
-		return res
-	}
-	pred, costEst, costOK := st.online.PredictModel(req.Point)
-	res.Epoch = st.online.Epoch()
-	res.ModelVersion = st.online.Model().Version()
-	if !pred.OK {
-		res.Status = netproto.StatusNoPrediction
-		return res
-	}
-	res.Status = netproto.StatusOK
-	res.Plan = int64(pred.Plan)
-	res.Confidence = pred.Confidence
-	res.Cost, res.CostKnown = costEst, costOK
-	res.Fingerprint = s.reg.Fingerprint(pred.Plan)
-	return res
+	return st.online.AnswerPredict(req, s.reg.Fingerprint)
 }
 
 // WALDir returns the live WAL segment directory ("" when durability is
