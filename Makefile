@@ -8,14 +8,16 @@ FUZZTIME ?= 15s
 # Where `make profile` drops its pprof output.
 PROFILE_DIR ?= profiles
 
-# The gate: build, vet, the full test suite under the race detector, and the
-# allocation guards (a separate non-race invocation: the race runtime's
-# bookkeeping inflates allocation counts, so the guards skip themselves
-# under -race). TestServingPathZeroAlloc holds predict/insert/WAL-append at
-# exactly zero allocs; TestRunPathAllocBudget holds the full batched Run
-# path under its 10 allocs/op budget; TestExecSteadyStateAllocs holds a
-# warmed CompiledPlan.Exec to its result's three allocations whichever
-# kernel runs, and TestColumnFactsLearnedOnce a second Compile to no column
+# The gate: build, gofmt (any file `gofmt -l .` names fails it), vet, the
+# full test suite under the race detector, and the allocation guards (a
+# separate non-race invocation: the race runtime's bookkeeping inflates
+# allocation counts, so the guards skip themselves under -race).
+# TestServingPathZeroAlloc holds predict/insert/WAL-append at exactly zero
+# allocs; TestRunPathAllocBudget holds the full batched Run path under its
+# 10 allocs/op budget; TestDurableApplyAllocBudget holds the learner → sink
+# → wal.Log write path to what the same batch allocates with no log
+# attached; TestExecSteadyStateAllocs holds a warmed CompiledPlan.Exec to
+# its result's three allocations whichever kernel runs, and TestColumnFactsLearnedOnce a second Compile to no column
 # scan and no bitmap build; TestFreezePublishCost holds a model publish to
 # the blocks one insert touched, and TestPredictZeroAllocWithWarps predict
 # under learned warps at zero. The benchmark harness in bench/ is a module
@@ -24,9 +26,11 @@ PROFILE_DIR ?= profiles
 # gate, not the next benchmark run.
 tier1:
 	$(GO) build ./...
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l . names:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -run 'TestServingPathZeroAlloc|TestRunPathAllocBudget|TestExecSteadyStateAllocs|TestColumnFactsLearnedOnce|TestFreezePublishCost|TestPredictZeroAllocWithWarps' -count=1 . ./internal/executor ./internal/core
+	$(GO) test -run 'TestServingPathZeroAlloc|TestRunPathAllocBudget|TestDurableApplyAllocBudget|TestExecSteadyStateAllocs|TestColumnFactsLearnedOnce|TestFreezePublishCost|TestPredictZeroAllocWithWarps' -count=1 . ./internal/executor ./internal/core
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench -short ./...
 
@@ -46,28 +50,34 @@ race:
 chaos:
 	$(GO) test -race -run 'TestChaos|TestConcurrent|TestParallel' -v .
 
-# The durability suite: crash-image recovery properties, degrade-to-cold
-# triples, restored plans coming back compiled (a restart must not serve
+# The durability suite: crash-image recovery properties (a template that
+# comes back in another shape among them), degrade-to-cold triples,
+# restored plans coming back compiled (a restart must not serve
 # its cache slower than the process it replaced), and the kill-and-restart
 # integration test against the real ppcserve binary.
 crash:
 	$(GO) test -race -run 'TestDurable|TestCrashRecovery|TestDegrade|TestRestoredPlansServeCompiled' -v .
 	$(GO) test -race -run TestKillRestartRecovery -v ./cmd/ppcserve
 
-# Short fuzz smoke over every decoder that reads crash-shaped bytes — the
-# WAL frame decoder, the WAL directory scanner/repairer, the snapshot
-# envelope, and the optional state-tail sections (corrections + retune) —
-# over the join enumerator, held to the node-building reference at
+# Short fuzz smoke over every decoder that reads crash- or peer-shaped
+# bytes — the WAL frame decoder (all record kinds), the WAL directory
+# scanner/repairer, the snapshot envelope, the optional state-tail sections
+# (corrections + retune), and the seven wire message decoders — over the one
+# replay switch, fed decoded frames of every kind and held to no panic and a
+# learner state that still round-trips its own encoding, over the join
+# enumerator, held to the node-building reference at
 # fuzzer-chosen templates and points, and over the frozen-block predict
 # query, held to the map-walking reference at fuzzer-chosen synopsis states
 # and points, and over the compiled executor's key-consuming kernels, held
 # to the tree-walk engine at fuzzer-chosen key-column shapes, operators and
-# parameters. Go runs one fuzz target per invocation, hence seven runs.
+# parameters. Go runs one fuzz target per invocation, hence nine runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzScan -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzStateTailDecode -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzReplayRecords -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzDecodeMessages -fuzztime $(FUZZTIME) ./internal/netproto
 	$(GO) test -run '^$$' -fuzz FuzzOptimizeMatchesReference -fuzztime $(FUZZTIME) ./internal/optimizer
 	$(GO) test -run '^$$' -fuzz FuzzModelPredictMatchesReference -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzCompiledMatchesTreeWalk -fuzztime $(FUZZTIME) ./internal/executor

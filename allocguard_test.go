@@ -10,12 +10,16 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"math/rand"
 	"os"
 	"os/exec"
 	"strings"
 	"testing"
 
+	ppc "repro"
 	"repro/internal/benchsuite"
+	"repro/internal/core"
+	"repro/internal/wal"
 )
 
 func TestServingPathZeroAlloc(t *testing.T) {
@@ -47,6 +51,54 @@ func TestRunPathAllocBudget(t *testing.T) {
 	}
 	if err := benchsuite.CheckAllocBudget(os.Stderr, "EndToEndRun", 10); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDurableApplyAllocBudget holds the whole durable write path — learner
+// → the facade's per-template sink → wal.Log — to what it allocated before
+// the three logger interfaces became one seam: 57 allocations for a batch of
+// eight points, all of them the in-memory apply's (histogram growth and the
+// snapshot publication; this tree measures 49). The record handed to the log
+// lives in a field under the learner's lock, so logging adds none: a durable
+// batch allocates exactly what the same batch allocates with no log
+// attached. WALAppend in the zero-alloc guard covers only a bare
+// wal.Log.Append.
+func TestDurableApplyAllocBudget(t *testing.T) {
+	if benchsuite.RaceEnabled {
+		t.Skip("race detector's shadow memory inflates allocation counts")
+	}
+	log, _, err := wal.Open(wal.Options{Dir: t.TempDir(), Sync: wal.SyncNever, SegmentBytes: 1 << 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close() //nolint:errcheck
+	rng := rand.New(rand.NewSource(3))
+	batch := make([]core.Feedback, 8)
+	for i := range batch {
+		batch[i] = core.Feedback{Point: []float64{rng.Float64(), rng.Float64()}, Plan: i % 3, Cost: 10 + float64(i)}
+	}
+	measure := func(sink wal.Appender) float64 {
+		o, err := core.NewOnline(core.OnlineConfig{Core: core.Config{Dims: 2, Radius: 0.05, NoiseElimination: true, Seed: 5}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.AttachLog(sink)
+		for i := 0; i < 300; i++ { // past histogram warm-up
+			o.ApplyBatch(batch)
+		}
+		return testing.AllocsPerRun(500, func() { o.ApplyBatch(batch) })
+	}
+	before := log.LastSeq()
+	durable, inMemory := measure(ppc.TemplateLog(log, "Q1")), measure(nil)
+	if log.LastSeq() == before {
+		t.Fatal("the durable arm logged nothing; the guard is vacuous")
+	}
+	t.Logf("ApplyBatch of %d points: %.0f allocs durable, %.0f in memory", len(batch), durable, inMemory)
+	if durable > 57 {
+		t.Errorf("a durable ApplyBatch of %d points allocates %.0f times, budget 57", len(batch), durable)
+	}
+	if durable > inMemory {
+		t.Errorf("logging adds %.0f allocations to an ApplyBatch of %d points, want none", durable-inMemory, len(batch))
 	}
 }
 

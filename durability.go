@@ -6,10 +6,7 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/lsh"
 	"repro/internal/obsv"
-	"repro/internal/stats"
 	"repro/internal/wal"
 )
 
@@ -56,65 +53,26 @@ const defaultCheckpointInterval = time.Minute
 // checkpointName is the snapshot file under the durability directory.
 const checkpointName = "checkpoint.ppc"
 
-// walSink adapts one template's view of the shared WAL to the learner's
-// FeedbackLogger interface. LogFeedback runs under the learner write lock
-// (core.Online.applyLocked); the log serializes on its own mutex below it.
+// walSink is one template's view of the shared WAL: the wal.Appender its
+// learner logs every durable event through. Append runs under the lock that
+// guards the state the record describes (core.Online.mu, or the leaf
+// stats.Corrections.mu below it), before the event applies — so recovery and
+// replicas see each record ordered exactly against the others, the order
+// that makes the rebuilt state bit-identical; the log serializes on its own
+// mutex below both.
 type walSink struct {
 	log      *wal.Log
 	template string
 }
 
-// LogFeedback appends one feedback point under the template's name.
-func (w *walSink) LogFeedback(fb *core.Feedback) (uint64, error) {
-	rec := wal.Record{
-		Epoch:       fb.Epoch,
-		Template:    w.template,
-		Plan:        int64(fb.Plan),
-		Cost:        fb.Cost,
-		SelfLabeled: fb.SelfLabeled,
-		Point:       fb.Point,
-	}
-	return w.log.Append(&rec)
+// Append stamps the template's name on the record and logs it.
+func (w *walSink) Append(rec *wal.Record) (uint64, error) {
+	rec.Template = w.template
+	return w.log.Append(rec)
 }
 
 // Commit is the per-batch group-commit barrier.
 func (w *walSink) Commit() error { return w.log.Commit() }
-
-// LogRetune appends one tunable-LSH retune record (core.RetuneLogger). Runs
-// under the learner write lock, before the retune applies, so recovery and
-// replicas see the record ordered exactly against the feedback stream — the
-// order that makes the rebuilt synopsis bit-identical. The record carries
-// the absolute warp grid, making replay deterministic and idempotent.
-func (w *walSink) LogRetune(epoch uint64, warps [][]*lsh.Warp) (uint64, error) {
-	t, s, k, flat := core.FlattenWarps(warps)
-	rec := wal.Record{
-		Kind:        wal.RecordRetune,
-		Template:    w.template,
-		RetuneEpoch: epoch,
-		WarpT:       uint16(t),
-		WarpS:       uint16(s),
-		WarpK:       uint16(k),
-		Warps:       flat,
-	}
-	return w.log.Append(&rec)
-}
-
-// LogCorrection appends one correction-state record (stats.CorrLogger).
-// Runs under Corrections.mu — a leaf below every other lock — while the log
-// serializes on its own mutex. Records carry absolute post-update state, so
-// replay is idempotent by construction.
-func (w *walSink) LogCorrection(rec *stats.CorrRecord) (uint64, error) {
-	r := wal.Record{
-		Kind:      wal.RecordCorrection,
-		Template:  w.template,
-		CorrEpoch: rec.Epoch,
-		Site:      uint32(rec.Site),
-		LogC:      rec.LogC,
-		N:         rec.N,
-		Ref:       rec.Ref,
-	}
-	return w.log.Append(&r)
-}
 
 // openDurable runs the recovery sequence for a freshly opened System:
 // open (and repair) the WAL, load the latest checkpoint, replay the WAL
@@ -205,7 +163,6 @@ func (s *System) openDurable() error {
 // folds the outcome into the load report.
 func (s *System) replayInto(st *templateState, recs []wal.Record) {
 	applied, skipped, stale := st.online.ReplayRecords(recs)
-	st.obs.SetRetuneEpoch(st.online.RetuneEpoch())
 	s.loadMu.Lock()
 	defer s.loadMu.Unlock()
 	if r := s.lastLoad; r != nil {
@@ -290,8 +247,8 @@ func (s *System) Checkpoint() (err error) {
 		return &SnapshotError{Op: "checkpoint", Err: err}
 	}
 	if err := s.SaveState(f); err != nil {
-		f.Close()       //nolint:errcheck
-		os.Remove(tmp)  //nolint:errcheck
+		f.Close()      //nolint:errcheck
+		os.Remove(tmp) //nolint:errcheck
 		return err
 	}
 	if err := f.Sync(); err != nil {

@@ -32,12 +32,10 @@ import (
 	"repro/internal/wal"
 )
 
-// openDurable opens a System over dir with the WAL in SyncAlways (every
-// apply batch is fsynced before the next) and the background checkpointer
-// off, so tests control exactly when checkpoints happen. Q1 is registered
-// unless the checkpoint already restored it.
-func openDurable(t *testing.T, dir string, mut func(*Options)) *System {
-	t.Helper()
+// durableOptions are the suite's options over dir: the WAL in SyncAlways
+// (every apply batch is fsynced before the next) and the background
+// checkpointer off, so tests control exactly when checkpoints happen.
+func durableOptions(dir string, mut func(*Options)) Options {
 	online := onlineForTest()
 	// A high audit rate keeps validated feedback flowing after the learner
 	// warms up, so every phase of every test appends WAL records.
@@ -54,7 +52,14 @@ func openDurable(t *testing.T, dir string, mut func(*Options)) *System {
 	if mut != nil {
 		mut(&opts)
 	}
-	sys, err := Open(opts)
+	return opts
+}
+
+// openDurable opens a System over dir with durableOptions. Q1 is registered
+// unless the checkpoint already restored it.
+func openDurable(t *testing.T, dir string, mut func(*Options)) *System {
+	t.Helper()
+	sys, err := Open(durableOptions(dir, mut))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,9 +43,9 @@ func validSnapshot(f *testing.F) []byte {
 func FuzzSnapshotDecode(f *testing.F) {
 	snap := validSnapshot(f)
 	f.Add(snap)
-	f.Add(snap[:len(snap)/2])      // truncated payload
-	f.Add(snap[:8])                // truncated header
-	f.Add([]byte{})                // empty
+	f.Add(snap[:len(snap)/2])     // truncated payload
+	f.Add(snap[:8])               // truncated header
+	f.Add([]byte{})               // empty
 	f.Add([]byte("PPCSNAP1junk")) // plausible magic, garbage after
 	flipped := append([]byte(nil), snap...)
 	flipped[len(flipped)/2] ^= 0xff // checksum mismatch

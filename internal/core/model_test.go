@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/wal"
 )
 
 // trainedPredictor builds a live predictor over the quadrant plan space.
@@ -208,8 +209,9 @@ func TestModelMatchesReferenceAfterReplayRetune(t *testing.T) {
 	if warps[0][0].Apply(0.25) == 0.25 {
 		t.Fatal("skewed harvest built an identity warp")
 	}
-	if !o.ReplayRetune(0, 1, warps) {
-		t.Fatal("ReplayRetune rejected the switch")
+	rec := retuneRecord(1, warps)
+	if applied, _, _ := o.ReplayRecords([]wal.Record{rec}); applied != 1 {
+		t.Fatal("ReplayRecords rejected the switch")
 	}
 	sc := NewPredictScratch(o.Model().Config())
 	for i := 0; i < 300; i++ {

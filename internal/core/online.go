@@ -11,9 +11,9 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/faults"
-	"repro/internal/lsh"
 	"repro/internal/metrics"
 	"repro/internal/stats"
+	"repro/internal/wal"
 )
 
 // Environment is the online driver's view of the RDBMS: it can invoke the
@@ -161,11 +161,6 @@ type Feedback struct {
 	Cost        float64
 	SelfLabeled bool
 	Epoch       int64
-	// Seq is the point's write-ahead-log sequence number: 0 for a live
-	// point that has not been logged yet, >0 for a point read back from the
-	// log during recovery. Replay uses it for exactly-once application — a
-	// record at or below the learner's applied sequence is skipped.
-	Seq uint64
 }
 
 // FeedbackSink receives feedback points produced by StepConcurrent. The
@@ -174,31 +169,6 @@ type Feedback struct {
 // to a synchronous Apply instead of dropping validated points).
 type FeedbackSink interface {
 	Deliver(fb Feedback)
-}
-
-// FeedbackLogger durably appends feedback points on their way into the
-// synopsis. LogFeedback is called under the learner write lock, immediately
-// before the in-memory insert — append and apply are therefore atomic with
-// respect to EncodeState, so a checkpoint's applied-sequence watermark
-// never claims a record the checkpoint does not contain. Commit is the
-// group-commit barrier, called once per apply batch after the lock is
-// released (an fsync must not stall the write path's lock).
-type FeedbackLogger interface {
-	// LogFeedback appends one point and returns its assigned sequence
-	// number; seq 0 with nil error means the logger declined the record
-	// (e.g. an injected dead log). Errors degrade durability, never
-	// availability: the caller applies the point in memory regardless.
-	LogFeedback(fb *Feedback) (seq uint64, err error)
-	// Commit makes previously logged records durable per the sync policy.
-	Commit() error
-}
-
-// RetuneLogger durably records tunable-LSH re-tune switches. Like
-// LogFeedback it is called under the learner write lock immediately before
-// the in-memory switch, carries the absolute warps (so replay needs no
-// harvest state), and degrades durability only on error.
-type RetuneLogger interface {
-	LogRetune(epoch uint64, warps [][]*lsh.Warp) (seq uint64, err error)
 }
 
 // Online is the ONLINE-APPROXIMATE-LSH-HISTOGRAMS driver for one query
@@ -244,12 +214,14 @@ type Online struct {
 
 	faults *faults.Injector
 
-	// wal, when set, durably logs every applied feedback point. Written
-	// once at registration (before the template serves); read under mu.
-	wal FeedbackLogger
-	// retuneLog, when set, durably logs re-tune switches (same lifecycle
-	// and locking discipline as wal).
-	retuneLog RetuneLogger
+	// log, when set, durably records every learner event — applied feedback
+	// points, re-tune switches and (through ApplyCorrections) correction
+	// site updates — before it takes effect. Written once at registration
+	// (before the template serves). rec is the record handed to it: a field,
+	// guarded by mu, so the record has a stable address and a durable apply
+	// allocates nothing for it.
+	log wal.Appender
+	rec wal.Record
 	// corr, when set, is the template's adaptive-statistics correction
 	// state. The driver does not consult it for predictions — corrections
 	// move optimizer costing, not plan-space points — but it rides along in
@@ -506,14 +478,8 @@ func (o *Online) LearnValidated(x []float64, plan int, cost float64) error {
 // point's epoch predates the current drift-reset epoch. Safe for concurrent
 // use; writers serialize on the learner lock.
 func (o *Online) Apply(fb Feedback) bool {
-	o.mu.Lock()
-	ok := o.applyLocked(fb)
-	if ok {
-		o.publishLocked()
-	}
-	o.mu.Unlock()
-	o.commitWAL()
-	return ok
+	applied, _ := o.ApplyBatch([]Feedback{fb})
+	return applied == 1
 }
 
 // ApplyBatch applies a batch of feedback points and publishes at most one
@@ -523,7 +489,12 @@ func (o *Online) ApplyBatch(batch []Feedback) (applied, dropped int) {
 	if len(batch) == 0 {
 		return 0, 0
 	}
+	// Deferred first, so it runs last: the group commit stays outside the
+	// lock, and the lock is released even when an insert panics (Run absorbs
+	// the panic; a lock left held would wedge the template).
+	defer o.commitWAL()
 	o.mu.Lock()
+	defer o.mu.Unlock()
 	for _, fb := range batch {
 		if o.applyLocked(fb) {
 			applied++
@@ -534,8 +505,6 @@ func (o *Online) ApplyBatch(batch []Feedback) (applied, dropped int) {
 	if applied > 0 {
 		o.publishLocked()
 	}
-	o.mu.Unlock()
-	o.commitWAL()
 	return applied, dropped
 }
 
@@ -544,14 +513,9 @@ func (o *Online) applyLocked(fb Feedback) bool {
 		o.staleDrops.Add(1)
 		return false
 	}
-	if o.wal != nil && fb.Seq == 0 {
-		// Log before insert, under the same lock, so a checkpoint's
-		// appliedSeq watermark and its synopsis always agree. Append
-		// failures are counted by the log's observer and degrade
-		// durability only — the point still applies in memory.
-		if seq, err := o.wal.LogFeedback(&fb); err == nil && seq > 0 {
-			o.appliedSeq.Store(seq)
-		}
+	if o.log != nil {
+		o.rec = feedbackRecord(fb)
+		o.logLocked()
 	}
 	o.pred.Insert(cluster.Sample{Point: fb.Point, Plan: fb.Plan, Cost: fb.Cost})
 	if fb.SelfLabeled {
@@ -567,7 +531,7 @@ func (o *Online) applyLocked(fb Feedback) bool {
 // accumulated: build the equalizing warps from the harvested distribution,
 // log the switch (absolute warps, so replay is self-contained), then re-map
 // the synopsis. Live path only — replay and replicas re-apply logged
-// switches through ReplayRetune instead of deciding their own, which keeps
+// switches through ReplayRecords instead of deciding their own, which keeps
 // every copy of the learner on the identical mapping. Callers hold mu.
 func (o *Online) maybeRetuneLocked() {
 	if !o.pred.RetuneDue() {
@@ -578,34 +542,37 @@ func (o *Online) maybeRetuneLocked() {
 	if warps == nil {
 		return
 	}
-	if o.retuneLog != nil {
-		if seq, err := o.retuneLog.LogRetune(epoch, warps); err == nil && seq > 0 {
-			o.appliedSeq.Store(seq)
-		}
+	if o.log != nil {
+		o.rec = retuneRecord(epoch, warps)
+		o.logLocked()
 	}
 	o.pred.ApplyRetune(epoch, warps)
 }
 
-// ReplayRetune re-applies a logged re-tune switch during recovery or on a
-// replica. Idempotent: a record at or below the applied-sequence watermark,
-// or an epoch at or below the predictor's, is skipped. The caller must have
-// replayed all feedback that preceded the switch first — the reservoir
-// content at switch time determines the rebuilt synopsis.
-func (o *Online) ReplayRetune(seq uint64, epoch uint64, warps [][]*lsh.Warp) bool {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if seq != 0 && seq <= o.appliedSeq.Load() {
-		return false
-	}
-	if seq != 0 {
+// logLocked appends o.rec — log before apply, under the same lock, so a
+// checkpoint's appliedSeq watermark and its synopsis always agree. Append
+// failures are counted by the log's observer and degrade durability only:
+// the event still applies in memory. Callers hold mu.
+func (o *Online) logLocked() {
+	if seq, err := o.log.Append(&o.rec); err == nil && seq > 0 {
 		o.appliedSeq.Store(seq)
 	}
-	if epoch <= o.pred.RetuneEpoch() {
+}
+
+// ApplyCorrections folds one run's attributed cardinality observations into
+// the attached correction state, logging each touched site's post-update
+// state before its factor publishes and group-committing the records. It
+// reports whether the template's correction epoch advanced; a no-op without
+// attached corrections.
+func (o *Online) ApplyCorrections(batch []stats.Obs) (epochBumped bool) {
+	if o.corr == nil || len(batch) == 0 {
 		return false
 	}
-	o.pred.ApplyRetune(epoch, warps)
-	o.publishLocked()
-	return true
+	epochBumped = o.corr.Apply(batch, o.log)
+	// An fsync error is counted by the log's own observer and retried with
+	// the next batch.
+	o.commitWAL()
+	return epochBumped
 }
 
 // RetuneEpoch returns the re-tune epoch of the published model (0 = base
@@ -616,66 +583,9 @@ func (o *Online) RetuneEpoch() uint64 { return o.snap.Load().RetuneEpoch() }
 // fsync must not stall concurrent writers). Commit errors are counted by
 // the log's observer; the in-memory state is already applied.
 func (o *Online) commitWAL() {
-	if o.wal != nil {
-		o.wal.Commit() //nolint:errcheck
+	if o.log != nil {
+		o.log.Commit() //nolint:errcheck
 	}
-}
-
-// ReplayBatch re-applies feedback records read back from the write-ahead
-// log during recovery. Unlike ApplyBatch it is idempotent and epoch-aware:
-//
-//   - A record at or below the learner's applied sequence is already in the
-//     checkpoint — skipped, never double-applied.
-//   - A record from a newer epoch than the learner's implies drift resets
-//     happened between: the resets are performed first, reproducing the
-//     live insert-then-reset ordering.
-//   - A record from an older epoch is dropped as stale (it was superseded
-//     by a reset before the crash).
-//
-// Records are not re-logged (they are already on disk). The applied
-// sequence advances over skipped and stale records too, so a second replay
-// of the same log is a no-op.
-func (o *Online) ReplayBatch(batch []Feedback) (applied, skipped, stale int) {
-	if len(batch) == 0 {
-		return 0, 0, 0
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	dirty := false
-	for _, fb := range batch {
-		if fb.Seq != 0 && fb.Seq <= o.appliedSeq.Load() {
-			skipped++
-			continue
-		}
-		if cur := o.resets.Load(); fb.Epoch > cur {
-			o.pred.Reset()
-			o.est.Reset()
-			o.resets.Store(fb.Epoch)
-			dirty = true
-		} else if fb.Epoch < cur {
-			if fb.Seq != 0 {
-				o.appliedSeq.Store(fb.Seq)
-			}
-			o.staleDrops.Add(1)
-			stale++
-			continue
-		}
-		o.pred.Insert(cluster.Sample{Point: fb.Point, Plan: fb.Plan, Cost: fb.Cost})
-		if fb.SelfLabeled {
-			o.selfLabeled.Add(1)
-		} else {
-			o.validated.Add(1)
-		}
-		if fb.Seq != 0 {
-			o.appliedSeq.Store(fb.Seq)
-		}
-		applied++
-		dirty = true
-	}
-	if dirty {
-		o.publishLocked()
-	}
-	return applied, skipped, stale
 }
 
 // publishLocked freezes the live synopsis and publishes it. Callers hold mu.
@@ -687,20 +597,12 @@ func (o *Online) publishLocked() {
 // SetFaults attaches a fault injector (nil disables injection).
 func (o *Online) SetFaults(inj *faults.Injector) { o.faults = inj }
 
-// SetWAL attaches a feedback logger (nil disables durable logging). Must be
-// called before the driver starts applying feedback — registration time,
-// not mid-flight.
-func (o *Online) SetWAL(l FeedbackLogger) {
+// AttachLog attaches the durable log every learner event is appended to
+// before it applies (nil disables durable logging). Must be called before
+// the driver starts applying feedback — registration time, not mid-flight.
+func (o *Online) AttachLog(l wal.Appender) {
 	o.mu.Lock()
-	o.wal = l
-	o.mu.Unlock()
-}
-
-// SetRetuneLogger attaches a re-tune logger (nil disables durable logging
-// of re-tune switches). Registration time, not mid-flight.
-func (o *Online) SetRetuneLogger(l RetuneLogger) {
-	o.mu.Lock()
-	o.retuneLog = l
+	o.log = l
 	o.mu.Unlock()
 }
 

@@ -3,7 +3,7 @@ package core
 // Replica-side construction and the shared predict-only entry point. A
 // predict-only replica holds the same Online driver as the leader but never
 // calls Step: it installs shipped EncodeState bytes, applies shipped WAL
-// records through ReplayBatch, and serves predictions from the published
+// records through ReplayRecords, and serves predictions from the published
 // snapshot. Because both sides decode the identical state bytes and apply
 // the identical record stream, a replica's PredictModel output is
 // bit-identical to the leader's for the same snapshot epoch.

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"repro/internal/wal"
 )
 
 // TestReplicaOnlineBitIdenticalPredictions is the replication equivalence
@@ -57,7 +59,7 @@ func TestReplicaOnlineBitIdenticalPredictions(t *testing.T) {
 	}
 }
 
-// A replica Online keeps learning through ReplayBatch (the shipped-records
+// A replica Online keeps learning through ReplayRecords (the shipped-records
 // path) even though it has no environment to drive Step.
 func TestReplicaOnlineReplayAdvances(t *testing.T) {
 	env := &quadrantEnv{wrongFactor: 3}
@@ -79,15 +81,15 @@ func TestReplicaOnlineReplayAdvances(t *testing.T) {
 	}
 
 	base := rep.AppliedSeq()
-	batch := []Feedback{
+	batch := []wal.Record{
 		{Point: []float64{0.2, 0.2}, Plan: 0, Cost: 1, Seq: base + 1, Epoch: rep.Epoch()},
 		{Point: []float64{0.8, 0.2}, Plan: 1, Cost: 1, Seq: base + 2, Epoch: rep.Epoch()},
 		// Duplicate ship (snapshot/stream overlap) must be idempotent.
 		{Point: []float64{0.2, 0.2}, Plan: 0, Cost: 1, Seq: base + 1, Epoch: rep.Epoch()},
 	}
-	applied, skipped, stale := rep.ReplayBatch(batch)
+	applied, skipped, stale := rep.ReplayRecords(batch)
 	if applied != 2 || skipped != 1 || stale != 0 {
-		t.Fatalf("ReplayBatch = %d applied, %d skipped, %d stale; want 2/1/0", applied, skipped, stale)
+		t.Fatalf("ReplayRecords = %d applied, %d skipped, %d stale; want 2/1/0", applied, skipped, stale)
 	}
 	if rep.AppliedSeq() != base+2 {
 		t.Fatalf("AppliedSeq = %d, want %d", rep.AppliedSeq(), base+2)

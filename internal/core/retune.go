@@ -63,54 +63,6 @@ func (p *ApproxLSHHist) hasTuningState() bool {
 	return p.tuner != nil || p.warps != nil
 }
 
-// FlattenWarps serializes a warp grid into its shape and a flat knot slice —
-// the form a WAL retune record carries on the wire. Row-major over
-// transforms, then axes, then knots.
-func FlattenWarps(warps [][]*lsh.Warp) (transforms, axes, knots int, flat []float64) {
-	if len(warps) == 0 || len(warps[0]) == 0 {
-		return 0, 0, 0, nil
-	}
-	transforms, axes, knots = len(warps), len(warps[0]), lsh.WarpBins+1
-	flat = make([]float64, 0, transforms*axes*knots)
-	for _, row := range warps {
-		for _, w := range row {
-			k := w.Knots()
-			flat = append(flat, k[:]...)
-		}
-	}
-	return transforms, axes, knots, flat
-}
-
-// WarpsFromFlat rebuilds a warp grid from its wire form, validating every
-// warp's knots (monotone, endpoint-anchored). The exact inverse of
-// FlattenWarps, so a logged retune record replays to bit-identical warps.
-func WarpsFromFlat(transforms, axes, knots int, flat []float64) ([][]*lsh.Warp, error) {
-	if transforms <= 0 || axes <= 0 {
-		return nil, fmt.Errorf("core: warp grid shape %dx%d", transforms, axes)
-	}
-	if knots != lsh.WarpBins+1 {
-		return nil, fmt.Errorf("core: warp record has %d knots, this build uses %d", knots, lsh.WarpBins+1)
-	}
-	if len(flat) != transforms*axes*knots {
-		return nil, fmt.Errorf("core: warp record has %d values, shape %dx%dx%d needs %d",
-			len(flat), transforms, axes, knots, transforms*axes*knots)
-	}
-	warps := make([][]*lsh.Warp, transforms)
-	off := 0
-	for i := range warps {
-		warps[i] = make([]*lsh.Warp, axes)
-		for a := range warps[i] {
-			w, err := lsh.WarpFromKnots(flat[off : off+knots])
-			if err != nil {
-				return nil, fmt.Errorf("core: warp [%d][%d]: %w", i, a, err)
-			}
-			warps[i][a] = w
-			off += knots
-		}
-	}
-	return warps, nil
-}
-
 // encodeRetune writes the predictor's tunable-LSH section.
 func (p *ApproxLSHHist) encodeRetune(w io.Writer) error {
 	le := binary.LittleEndian

@@ -5,41 +5,36 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/lsh"
+	"repro/internal/wal"
 )
 
-// memRetuneLog is an in-memory WAL double capturing the interleaved
-// feedback/retune record stream with one shared monotone sequence — the
-// order a replica (or recovery) must replay in.
-type memRetuneLog struct {
-	seq     uint64
-	kinds   []uint8 // 1 = feedback, 3 = retune, in log order
-	feeds   []Feedback
-	retunes []memRetune
+// memLog is an in-memory wal.Appender: it stamps one shared monotone
+// sequence the way the WAL does and keeps every record — feedback and
+// retune interleaved in log order, the order a replica (or recovery) must
+// replay in — so what the learner logged replays through ReplayRecords.
+type memLog struct {
+	seq  uint64
+	recs []wal.Record
 }
 
-type memRetune struct {
-	seq   uint64
-	epoch uint64
-	warps [][]*lsh.Warp
-}
-
-func (l *memRetuneLog) LogFeedback(fb *Feedback) (uint64, error) {
+func (l *memLog) Append(rec *wal.Record) (uint64, error) {
 	l.seq++
-	owned := *fb
-	owned.Seq = l.seq
-	l.feeds = append(l.feeds, owned)
-	l.kinds = append(l.kinds, 1)
+	rec.Seq = l.seq
+	l.recs = append(l.recs, *rec)
 	return l.seq, nil
 }
 
-func (l *memRetuneLog) Commit() error { return nil }
+func (l *memLog) Commit() error { return nil }
 
-func (l *memRetuneLog) LogRetune(epoch uint64, warps [][]*lsh.Warp) (uint64, error) {
-	l.seq++
-	l.retunes = append(l.retunes, memRetune{seq: l.seq, epoch: epoch, warps: warps})
-	l.kinds = append(l.kinds, 3)
-	return l.seq, nil
+// count returns how many records of the kind the log holds.
+func (l *memLog) count(kind uint8) int {
+	n := 0
+	for i := range l.recs {
+		if l.recs[i].Kind == kind {
+			n++
+		}
+	}
+	return n
 }
 
 func retuneTestConfig() OnlineConfig {
@@ -166,9 +161,8 @@ func TestRetuneStateRoundTrip(t *testing.T) {
 func TestReplicaRetuneReplayParity(t *testing.T) {
 	env := &quadrantEnv{wrongFactor: 3}
 	leader := MustNewOnline(retuneTestConfig(), env)
-	log := &memRetuneLog{}
-	leader.SetWAL(log)
-	leader.SetRetuneLogger(log)
+	log := &memLog{}
+	leader.AttachLog(log)
 
 	// Cold snapshot (tuning armed, nothing learned) seeds the replica.
 	var cold bytes.Buffer
@@ -187,38 +181,22 @@ func TestReplicaRetuneReplayParity(t *testing.T) {
 	if leader.RetuneEpoch() < 3 {
 		t.Fatalf("leader retuned only %d times", leader.RetuneEpoch())
 	}
-	if len(log.retunes) != int(leader.RetuneEpoch()) {
-		t.Fatalf("log captured %d retune records, leader epoch %d", len(log.retunes), leader.RetuneEpoch())
+	if n := log.count(wal.RecordRetune); n != int(leader.RetuneEpoch()) {
+		t.Fatalf("log captured %d retune records, leader epoch %d", n, leader.RetuneEpoch())
 	}
 
-	// Replay in log order: feedback batches flushed at each retune record.
-	fi, ri := 0, 0
-	var batch []Feedback
-	flush := func() {
-		if len(batch) > 0 {
-			replica.ReplayBatch(batch)
-			batch = batch[:0]
+	// Replay in log order, one record at a time so that every retune record
+	// is seen to apply on its own.
+	for i := range log.recs {
+		r := log.recs[i : i+1]
+		if applied, _, _ := replica.ReplayRecords(r); applied != 1 {
+			t.Fatalf("record seq %d kind %d not applied", r[0].Seq, r[0].Kind)
+		}
+		// Idempotence: a duplicate ship must be a no-op.
+		if applied, skipped, _ := replica.ReplayRecords(r); applied != 0 || skipped != 1 {
+			t.Fatalf("duplicate record seq %d kind %d: applied %d, skipped %d", r[0].Seq, r[0].Kind, applied, skipped)
 		}
 	}
-	for _, kind := range log.kinds {
-		switch kind {
-		case 1:
-			batch = append(batch, log.feeds[fi])
-			fi++
-		case 3:
-			flush()
-			r := log.retunes[ri]
-			ri++
-			if !replica.ReplayRetune(r.seq, r.epoch, r.warps) {
-				t.Fatalf("retune record seq %d epoch %d not applied", r.seq, r.epoch)
-			}
-			// Idempotence: a duplicate ship must be a no-op.
-			if replica.ReplayRetune(r.seq, r.epoch, r.warps) {
-				t.Fatalf("duplicate retune record seq %d applied twice", r.seq)
-			}
-		}
-	}
-	flush()
 
 	if leader.RetuneEpoch() != replica.RetuneEpoch() {
 		t.Fatalf("retune epochs diverged: leader %d, replica %d", leader.RetuneEpoch(), replica.RetuneEpoch())

@@ -66,10 +66,11 @@ func WarpFromKnots(knots []float64) (*Warp, error) {
 	return w, nil
 }
 
-// Apply maps v through the warp. Inputs are clamped to [0,1]; the result is
-// in [0,1]. Allocation-free — safe on the serving path.
+// Apply maps v through the warp. Inputs are clamped to [0,1] (NaN — a
+// coordinate of a point that came off a wire or a log — to 0); the result
+// is in [0,1]. Allocation-free — safe on the serving path.
 func (w *Warp) Apply(v float64) float64 {
-	if v <= 0 {
+	if !(v > 0) { // v <= 0 or NaN, whose int conversion below would index out of range
 		return 0
 	}
 	if v >= 1 {

@@ -19,6 +19,14 @@ func TestIdentityWarp(t *testing.T) {
 	if w.Apply(-0.5) != 0 || w.Apply(1.5) != 1 {
 		t.Error("warp does not clamp out-of-range inputs")
 	}
+	// A NaN coordinate reaches Apply from a replayed feedback record or a
+	// predict request once warps are active; it used to index knots[MinInt64].
+	if got := w.Apply(math.NaN()); got != 0 {
+		t.Errorf("warp maps NaN to %v, want 0", got)
+	}
+	if w.Apply(math.Inf(-1)) != 0 || w.Apply(math.Inf(1)) != 1 {
+		t.Error("warp does not clamp infinite inputs")
+	}
 }
 
 func TestWarpFromKnotsValidation(t *testing.T) {

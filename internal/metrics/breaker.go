@@ -96,9 +96,14 @@ type Breaker struct {
 	cooldownLeft atomic.Int64
 	probeWins    atomic.Int64
 
-	trips          atomic.Int64
+	// Edge counters, each incremented by the one racer whose CAS performed
+	// the transition — exact under races, where a poll of State around a
+	// call can miss an edge or see one it did not make.
+	trips          atomic.Int64 // → open, by cause below
 	errorTrips     atomic.Int64
 	precisionTrips atomic.Int64
+	halfOpens      atomic.Int64 // open → half-open
+	recloses       atomic.Int64 // half-open → closed
 	probes         atomic.Int64
 	failures       atomic.Int64
 	successes      atomic.Int64
@@ -126,6 +131,7 @@ func (b *Breaker) Allow() bool {
 			return false
 		}
 		if b.state.CompareAndSwap(int32(BreakerOpen), int32(BreakerHalfOpen)) {
+			b.halfOpens.Add(1)
 			b.probeWins.Store(0)
 			b.probes.Add(1)
 			return true
@@ -147,6 +153,7 @@ func (b *Breaker) RecordSuccess() {
 	if BreakerState(b.state.Load()) == BreakerHalfOpen {
 		if b.probeWins.Add(1) >= int64(b.cfg.ProbeSuccesses) {
 			if b.state.CompareAndSwap(int32(BreakerHalfOpen), int32(BreakerClosed)) {
+				b.recloses.Add(1)
 				b.probeWins.Store(0)
 			}
 		}
@@ -207,6 +214,12 @@ type BreakerSnapshot struct {
 	Failures       int
 	Successes      int
 	DegradedSteps  int
+	// HalfOpens and Recloses count the other two edges (Trips counts the
+	// edges into open). The metrics snapshot exports the three as
+	// counters.breaker_opens / _half_opens / _recloses, so they are not
+	// repeated in the breaker's own JSON object.
+	HalfOpens int `json:"-"`
+	Recloses  int `json:"-"`
 }
 
 // Snapshot returns the current counters.
@@ -220,5 +233,7 @@ func (b *Breaker) Snapshot() BreakerSnapshot {
 		Failures:       int(b.failures.Load()),
 		Successes:      int(b.successes.Load()),
 		DegradedSteps:  int(b.degraded.Load()),
+		HalfOpens:      int(b.halfOpens.Load()),
+		Recloses:       int(b.recloses.Load()),
 	}
 }

@@ -24,8 +24,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/metrics"
 )
 
 // Registry is the process-wide metrics registry: one TemplateObs per
@@ -147,21 +145,16 @@ type TemplateObs struct {
 	degradedByError     atomic.Uint64
 	learnerErrors       atomic.Uint64
 	retrainDrops        atomic.Uint64
-	breakerOpens        atomic.Uint64
-	breakerHalfOpens    atomic.Uint64
-	breakerRecloses     atomic.Uint64
 
 	// Feedback-pipeline health: points enqueued to the background applier,
 	// points applied synchronously because the mailbox was full or closed
 	// (deferred — never lost), points discarded as stale after a drift
-	// reset, apply-loop batches, and snapshot publications. queueDepth is a
-	// gauge sampled at snapshot time.
+	// reset, apply-loop batches, and snapshot publications.
 	feedbackEnqueued  atomic.Uint64
 	feedbackDeferred  atomic.Uint64
 	feedbackDropped   atomic.Uint64
 	applyBatches      atomic.Uint64
 	snapshotPublishes atomic.Uint64
-	queueDepth        atomic.Int64
 
 	// Adaptive-statistics health: per-run estimation q-errors (estimated
 	// vs. observed operator cardinalities, attributed to predicate sites)
@@ -169,12 +162,9 @@ type TemplateObs struct {
 	memoInvalidations atomic.Uint64
 	qerror            QHist
 
-	// Candidate-generation and tunable-LSH health: the interned candidate
-	// set size and the learner's retune epoch (gauges), plus routing
-	// outcomes — optimizer invocations answered from the candidate set, and
-	// full optimizations whose winner was already a candidate.
-	candidatePlans  atomic.Int64
-	retuneEpoch     atomic.Uint64
+	// Candidate routing outcomes: optimizer invocations answered from the
+	// candidate set, and full optimizations whose winner was already a
+	// candidate.
 	candidateRouted atomic.Uint64
 	candidateKept   atomic.Uint64
 
@@ -271,9 +261,6 @@ func (t *TemplateObs) RecordApply(d time.Duration, applied, dropped int) {
 	}
 }
 
-// SetQueueDepth records the mailbox depth gauge (sampled by snapshots).
-func (t *TemplateObs) SetQueueDepth(n int) { t.queueDepth.Store(int64(n)) }
-
 // RecordQError records one estimation q-error (estimated vs. observed rows
 // for an operator attributed to a template predicate site).
 func (t *TemplateObs) RecordQError(q float64) { t.qerror.Record(q) }
@@ -284,12 +271,6 @@ func (t *TemplateObs) CountMemoInvalidation() { t.memoInvalidations.Add(1) }
 
 // MemoInvalidations returns the memo-rebuild count.
 func (t *TemplateObs) MemoInvalidations() uint64 { return t.memoInvalidations.Load() }
-
-// SetCandidatePlans records the template's interned candidate set size.
-func (t *TemplateObs) SetCandidatePlans(n int) { t.candidatePlans.Store(int64(n)) }
-
-// SetRetuneEpoch records the learner's current tunable-LSH retune epoch.
-func (t *TemplateObs) SetRetuneEpoch(e uint64) { t.retuneEpoch.Store(e) }
 
 // CountCandidateRouted records an optimizer invocation answered by
 // re-costing the candidate set instead of a full optimization.
@@ -305,27 +286,15 @@ func (t *TemplateObs) CandidateRouted() uint64 { return t.candidateRouted.Load()
 // QError returns a snapshot of the estimation q-error histogram.
 func (t *TemplateObs) QError() QHistSnapshot { return t.qerror.Snapshot() }
 
-// BreakerTransition counts a circuit breaker state edge; a no-op when the
-// state did not change.
-func (t *TemplateObs) BreakerTransition(prev, cur metrics.BreakerState) {
-	if prev == cur {
-		return
-	}
-	switch cur {
-	case metrics.BreakerOpen:
-		t.breakerOpens.Add(1)
-	case metrics.BreakerHalfOpen:
-		t.breakerHalfOpens.Add(1)
-	case metrics.BreakerClosed:
-		t.breakerRecloses.Add(1)
-	}
-}
-
 // Trace returns the template's recent trace records, oldest first (nil
 // when tracing is disabled).
 func (t *TemplateObs) Trace() []TraceRecord { return t.ring.Snapshot() }
 
-// CounterSnapshot is the JSON form of a template's counters.
+// CounterSnapshot is the JSON form of a template's counters. The registry
+// fills what it counts; the gauges and breaker edges below mirror state
+// another component owns, and the facade's MetricsSnapshot reads them from
+// that owner when it assembles the snapshot — the registry keeps no copy to
+// refresh (TemplateObs.Snapshot leaves them zero).
 type CounterSnapshot struct {
 	// Runs counts completed (successful) Runs; RunErrors counts Runs that
 	// returned a typed error after template resolution.
@@ -349,14 +318,15 @@ type CounterSnapshot struct {
 	DegradedByError uint64 `json:"degraded_by_error"`
 	LearnerErrors   uint64 `json:"learner_errors"`
 	RetrainDrops    uint64 `json:"retrain_drops"`
-	// Breaker state transition counts by destination state.
+	// Breaker state transition counts by destination state, counted by the
+	// breaker where its compare-and-swap performs the edge.
 	BreakerOpens     uint64 `json:"breaker_opens"`
 	BreakerHalfOpens uint64 `json:"breaker_half_opens"`
 	BreakerRecloses  uint64 `json:"breaker_recloses"`
 	// Feedback-pipeline counters: enqueued to the background applier,
 	// deferred to a synchronous apply under backpressure, dropped as stale
 	// after a drift reset, apply batches, snapshot publications, and the
-	// mailbox depth gauge at snapshot time.
+	// mailbox depth at snapshot time (the mailbox's own length).
 	FeedbackEnqueued  uint64 `json:"feedback_enqueued"`
 	FeedbackDeferred  uint64 `json:"feedback_deferred"`
 	FeedbackDropped   uint64 `json:"feedback_dropped"`
@@ -367,8 +337,8 @@ type CounterSnapshot struct {
 	// movement in the adaptive statistics layer.
 	MemoInvalidations uint64 `json:"memo_invalidations"`
 	// Candidate-generation and tunable-LSH fields (additive): the interned
-	// candidate set size and retune-epoch gauges, and the routing-outcome
-	// counters.
+	// candidate set's size and the published model's retune epoch, and the
+	// routing-outcome counters.
 	CandidatePlans  int64  `json:"candidate_plans"`
 	RetuneEpoch     uint64 `json:"retune_epoch"`
 	CandidateRouted uint64 `json:"candidate_routed"`
@@ -390,39 +360,38 @@ type TemplateSnapshot struct {
 	EstimationQError QHistSnapshot `json:"estimation_qerror"`
 }
 
+// Counters copies the template's counters.
+func (t *TemplateObs) Counters() CounterSnapshot {
+	return CounterSnapshot{
+		Runs:                 t.runs.Load(),
+		RunErrors:            t.runErrors.Load(),
+		CacheHits:            t.cacheHits.Load(),
+		Predicted:            t.predicted.Load(),
+		NullPredictions:      t.nullPredictions.Load(),
+		OptimizerInvocations: t.invocations.Load(),
+		RandomInvocations:    t.randomInvocations.Load(),
+		FeedbackCorrections:  t.feedbackCorrections.Load(),
+		DriftResets:          t.driftResets.Load(),
+		DegradedRuns:         t.degradedRuns.Load(),
+		DegradedByError:      t.degradedByError.Load(),
+		LearnerErrors:        t.learnerErrors.Load(),
+		RetrainDrops:         t.retrainDrops.Load(),
+		FeedbackEnqueued:     t.feedbackEnqueued.Load(),
+		FeedbackDeferred:     t.feedbackDeferred.Load(),
+		FeedbackDropped:      t.feedbackDropped.Load(),
+		ApplyBatches:         t.applyBatches.Load(),
+		SnapshotPublishes:    t.snapshotPublishes.Load(),
+		MemoInvalidations:    t.memoInvalidations.Load(),
+		CandidateRouted:      t.candidateRouted.Load(),
+		CandidateKept:        t.candidateKept.Load(),
+	}
+}
+
 // Snapshot copies the template's counters and histograms.
 func (t *TemplateObs) Snapshot() TemplateSnapshot {
 	return TemplateSnapshot{
-		Template: t.name,
-		Counters: CounterSnapshot{
-			Runs:                 t.runs.Load(),
-			RunErrors:            t.runErrors.Load(),
-			CacheHits:            t.cacheHits.Load(),
-			Predicted:            t.predicted.Load(),
-			NullPredictions:      t.nullPredictions.Load(),
-			OptimizerInvocations: t.invocations.Load(),
-			RandomInvocations:    t.randomInvocations.Load(),
-			FeedbackCorrections:  t.feedbackCorrections.Load(),
-			DriftResets:          t.driftResets.Load(),
-			DegradedRuns:         t.degradedRuns.Load(),
-			DegradedByError:      t.degradedByError.Load(),
-			LearnerErrors:        t.learnerErrors.Load(),
-			RetrainDrops:         t.retrainDrops.Load(),
-			BreakerOpens:         t.breakerOpens.Load(),
-			BreakerHalfOpens:     t.breakerHalfOpens.Load(),
-			BreakerRecloses:      t.breakerRecloses.Load(),
-			FeedbackEnqueued:     t.feedbackEnqueued.Load(),
-			FeedbackDeferred:     t.feedbackDeferred.Load(),
-			FeedbackDropped:      t.feedbackDropped.Load(),
-			ApplyBatches:         t.applyBatches.Load(),
-			SnapshotPublishes:    t.snapshotPublishes.Load(),
-			QueueDepth:           t.queueDepth.Load(),
-			MemoInvalidations:    t.memoInvalidations.Load(),
-			CandidatePlans:       t.candidatePlans.Load(),
-			RetuneEpoch:          t.retuneEpoch.Load(),
-			CandidateRouted:      t.candidateRouted.Load(),
-			CandidateKept:        t.candidateKept.Load(),
-		},
+		Template:         t.name,
+		Counters:         t.Counters(),
 		PredictLatency:   t.predict.Snapshot(),
 		OptimizeLatency:  t.optimize.Snapshot(),
 		ExecuteLatency:   t.execute.Snapshot(),

@@ -5,8 +5,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/metrics"
 )
 
 func TestBucketIndex(t *testing.T) {
@@ -16,11 +14,11 @@ func TestBucketIndex(t *testing.T) {
 	}{
 		{0, 0},
 		{999 * time.Nanosecond, 0},
-		{time.Microsecond, 1},          // us=1 -> Len64(1)=1
-		{2 * time.Microsecond, 2},      // [2,4) us
+		{time.Microsecond, 1},     // us=1 -> Len64(1)=1
+		{2 * time.Microsecond, 2}, // [2,4) us
 		{3 * time.Microsecond, 2},
-		{1024 * time.Microsecond, 11},  // [1024,2048) us
-		{time.Hour, histBuckets - 1},   // overflow
+		{1024 * time.Microsecond, 11}, // [1024,2048) us
+		{time.Hour, histBuckets - 1},  // overflow
 	}
 	for _, c := range cases {
 		if got := bucketIndex(c.d.Nanoseconds()); got != c.want {
@@ -166,21 +164,6 @@ func TestTraceRecordJSON(t *testing.T) {
 	rec.SetValues(make([]float64, MaxTraceDims+5))
 	if rec.NumValues != MaxTraceDims {
 		t.Errorf("NumValues = %d, want %d", rec.NumValues, MaxTraceDims)
-	}
-}
-
-func TestBreakerTransitionCounting(t *testing.T) {
-	tm := NewRegistry(0).Template("Q")
-	tm.BreakerTransition(metrics.BreakerClosed, metrics.BreakerClosed) // no-op
-	tm.BreakerTransition(metrics.BreakerClosed, metrics.BreakerOpen)
-	tm.BreakerTransition(metrics.BreakerOpen, metrics.BreakerHalfOpen)
-	tm.BreakerTransition(metrics.BreakerHalfOpen, metrics.BreakerOpen)
-	tm.BreakerTransition(metrics.BreakerOpen, metrics.BreakerHalfOpen)
-	tm.BreakerTransition(metrics.BreakerHalfOpen, metrics.BreakerClosed)
-	c := tm.Snapshot().Counters
-	if c.BreakerOpens != 2 || c.BreakerHalfOpens != 2 || c.BreakerRecloses != 1 {
-		t.Errorf("transition counts = %d/%d/%d, want 2/2/1",
-			c.BreakerOpens, c.BreakerHalfOpens, c.BreakerRecloses)
 	}
 }
 

@@ -49,9 +49,9 @@ type TraceRecord struct {
 
 	// Values/Point hold the instance's parameter values and plan space
 	// point, inline up to MaxTraceDims coordinates.
-	NumValues int                  `json:"-"`
+	NumValues int                   `json:"-"`
 	Values    [MaxTraceDims]float64 `json:"-"`
-	NumPoint  int                  `json:"-"`
+	NumPoint  int                   `json:"-"`
 	Point     [MaxTraceDims]float64 `json:"-"`
 }
 

@@ -91,14 +91,11 @@ func (f *fakeSource) feed(n int) {
 			Cost:     1 + x[0] + x[1],
 			Point:    x,
 		}
-		seq, err := f.log.Append(&rec)
-		if err != nil {
+		if _, err := f.log.Append(&rec); err != nil {
 			f.t.Error(err)
 			return
 		}
-		f.online.ReplayBatch([]core.Feedback{{
-			Point: rec.Point, Plan: int(rec.Plan), Cost: rec.Cost, Seq: seq,
-		}})
+		f.online.ReplayRecords([]wal.Record{rec})
 	}
 	if err := f.log.Sync(); err != nil {
 		f.t.Error(err)

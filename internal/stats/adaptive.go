@@ -7,6 +7,8 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/wal"
 )
 
 // CorrConfig tunes one template's correction learner.
@@ -54,28 +56,6 @@ type Obs struct {
 	LogQ float64
 }
 
-// CorrRecord is the durable form of one site update: the post-update
-// absolute EWMA state, so replay is idempotent by construction (applying
-// the same record twice sets the same state). Seq is the WAL sequence the
-// logger assigned; Epoch the template's correction epoch after the update.
-type CorrRecord struct {
-	Seq   uint64
-	Epoch uint64
-	Site  int
-	LogC  float64
-	N     uint64
-	Ref   float64
-}
-
-// CorrLogger durably appends correction records on their way into the
-// published factors. Like core.FeedbackLogger it is called under the
-// corrections write lock immediately before the in-memory publish, and
-// errors degrade durability, never availability. Group commit is the
-// caller's batch barrier (the shared WAL's Commit).
-type CorrLogger interface {
-	LogCorrection(rec *CorrRecord) (seq uint64, err error)
-}
-
 // siteState is one predicate site's learned correction, guarded by
 // Corrections.mu.
 type siteState struct {
@@ -98,7 +78,7 @@ type Corrections struct {
 	stamp    []uint64
 	stampGen uint64
 	touched  []int
-	rec      CorrRecord
+	rec      wal.Record
 
 	// factors publishes each site's clamped multiplicative factor as
 	// Float64bits; the zero value decodes as the identity (cold start).
@@ -182,7 +162,7 @@ func (c *Corrections) publishLocked(s int) {
 // publishes the new factors. It returns whether the template's correction
 // epoch advanced — the signal that memo caches must re-derive. lg may be
 // nil (no durability).
-func (c *Corrections) Apply(batch []Obs, lg CorrLogger) (epochBumped bool) {
+func (c *Corrections) Apply(batch []Obs, lg wal.Appender) (epochBumped bool) {
 	if len(batch) == 0 {
 		return false
 	}
@@ -229,8 +209,11 @@ func (c *Corrections) Apply(batch []Obs, lg CorrLogger) (epochBumped bool) {
 	if lg != nil {
 		for _, site := range c.touched {
 			st := &c.sites[site-1]
-			c.rec = CorrRecord{Epoch: epoch, Site: site, LogC: st.logc, N: st.n, Ref: st.ref}
-			if seq, err := lg.LogCorrection(&c.rec); err == nil && seq > 0 {
+			c.rec = wal.Record{
+				Kind: wal.RecordCorrection, CorrEpoch: epoch,
+				Site: uint32(site), LogC: st.logc, N: st.n, Ref: st.ref,
+			}
+			if seq, err := lg.Append(&c.rec); err == nil && seq > 0 {
 				c.appliedSeq.Store(seq)
 			}
 		}
@@ -244,13 +227,15 @@ func (c *Corrections) Apply(batch []Obs, lg CorrLogger) (epochBumped bool) {
 	return epochBumped
 }
 
-// Replay re-applies one correction record read back from the WAL (crash
-// recovery) or shipped over a replication stream. Idempotent via the
-// applied-sequence watermark; records carry absolute state, so replay in
-// sequence order reconstructs exactly the pre-crash factors. Records for
-// sites beyond the template's shape are skipped (the template changed
-// between crash and restart) but still advance the watermark.
-func (c *Corrections) Replay(rec CorrRecord) (applied bool) {
+// Replay re-applies one correction record — the durable form of one site
+// update that Apply logs: the post-update absolute EWMA state — read back
+// from the WAL (crash recovery) or shipped over a replication stream.
+// Idempotent via the applied-sequence watermark; records carry absolute
+// state, so replay in sequence order reconstructs exactly the pre-crash
+// factors. Records for sites beyond the template's shape are skipped (the
+// template changed between crash and restart) but still advance the
+// watermark.
+func (c *Corrections) Replay(rec *wal.Record) (applied bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if rec.Seq != 0 && rec.Seq <= c.appliedSeq.Load() {
@@ -259,14 +244,14 @@ func (c *Corrections) Replay(rec CorrRecord) (applied bool) {
 	if rec.Seq != 0 {
 		c.appliedSeq.Store(rec.Seq)
 	}
-	if rec.Site < 1 || rec.Site > len(c.sites) {
+	if rec.Site < 1 || int(rec.Site) > len(c.sites) {
 		return false
 	}
 	st := &c.sites[rec.Site-1]
 	st.logc, st.n, st.ref = rec.LogC, rec.N, rec.Ref
-	c.publishLocked(rec.Site - 1)
-	if rec.Epoch > c.epoch.Load() {
-		c.epoch.Store(rec.Epoch)
+	c.publishLocked(int(rec.Site) - 1)
+	if rec.CorrEpoch > c.epoch.Load() {
+		c.epoch.Store(rec.CorrEpoch)
 	}
 	return true
 }

@@ -4,22 +4,25 @@ import (
 	"bytes"
 	"math"
 	"testing"
+
+	"repro/internal/wal"
 )
 
-// memLogger is an in-memory CorrLogger: it stamps sequences the way the
-// WAL does and keeps every record for replay.
-type memLogger struct {
+// memLog is an in-memory wal.Appender: it stamps sequences the way the WAL
+// does and keeps every record, so what Apply logged replays through Replay.
+type memLog struct {
 	seq  uint64
-	recs []CorrRecord
+	recs []wal.Record
 }
 
-func (m *memLogger) LogCorrection(rec *CorrRecord) (uint64, error) {
+func (m *memLog) Append(rec *wal.Record) (uint64, error) {
 	m.seq++
-	r := *rec
-	r.Seq = m.seq
-	m.recs = append(m.recs, r)
+	rec.Seq = m.seq
+	m.recs = append(m.recs, *rec)
 	return m.seq, nil
 }
+
+func (m *memLog) Commit() error { return nil }
 
 func TestCorrectionsColdStartPassthrough(t *testing.T) {
 	c := NewCorrections(2, CorrConfig{MinObs: 3})
@@ -105,7 +108,7 @@ func TestCorrectionsEpochAdvancesOnDrift(t *testing.T) {
 }
 
 func TestCorrectionsReplayReconstructsState(t *testing.T) {
-	lg := &memLogger{}
+	lg := &memLog{}
 	c := NewCorrections(3, CorrConfig{})
 	for i := 0; i < 10; i++ {
 		c.Apply([]Obs{
@@ -121,8 +124,8 @@ func TestCorrectionsReplayReconstructsState(t *testing.T) {
 	// Replaying the log in sequence order into fresh state reconstructs
 	// exactly the pre-crash factors (records carry absolute state).
 	fresh := NewCorrections(3, CorrConfig{})
-	for _, rec := range lg.recs {
-		fresh.Replay(rec)
+	for i := range lg.recs {
+		fresh.Replay(&lg.recs[i])
 	}
 	gotEpoch, gotSeq, gotSites := fresh.State()
 	if gotEpoch != wantEpoch || gotSeq != wantSeq {
@@ -140,13 +143,13 @@ func TestCorrectionsReplayReconstructsState(t *testing.T) {
 	}
 
 	// Idempotence: replaying the same records again applies nothing.
-	for _, rec := range lg.recs {
-		if fresh.Replay(rec) {
-			t.Fatalf("record seq %d re-applied; watermark not honored", rec.Seq)
+	for i := range lg.recs {
+		if fresh.Replay(&lg.recs[i]) {
+			t.Fatalf("record seq %d re-applied; watermark not honored", lg.recs[i].Seq)
 		}
 	}
 	// Records for sites beyond the shape advance the watermark but skip.
-	if fresh.Replay(CorrRecord{Seq: wantSeq + 1, Site: 99, LogC: 1, N: 5}) {
+	if fresh.Replay(&wal.Record{Kind: wal.RecordCorrection, Seq: wantSeq + 1, Site: 99, LogC: 1, N: 5}) {
 		t.Fatal("out-of-shape record applied")
 	}
 	if fresh.AppliedSeq() != wantSeq+1 {
@@ -156,7 +159,7 @@ func TestCorrectionsReplayReconstructsState(t *testing.T) {
 
 func TestCorrectionsEncodeDecodeRoundTrip(t *testing.T) {
 	c := NewCorrections(2, CorrConfig{})
-	lg := &memLogger{}
+	lg := &memLog{}
 	for i := 0; i < 8; i++ {
 		c.Apply([]Obs{{Site: 1, LogQ: math.Log(5)}, {Site: 2, LogQ: math.Log(0.5)}}, lg)
 	}

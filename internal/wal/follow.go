@@ -7,10 +7,9 @@ package wal
 // bytes a crash recovery would).
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
+	"io/fs"
 	"path/filepath"
 )
 
@@ -37,7 +36,8 @@ func AppendFrame(dst []byte, rec *Record) []byte {
 // the consumed frame length. The error form of the private decodeFrame,
 // for callers outside the scan path (wire batch decoding on replicas).
 func DecodeFrame(buf []byte) (Record, int, error) {
-	rec, n, reason := decodeFrame(buf)
+	var rec Record
+	n, reason := decodeFrame(buf, &rec)
 	if reason != "" {
 		return Record{}, 0, fmt.Errorf("wal: decode frame: %s", reason)
 	}
@@ -104,37 +104,22 @@ func (f *Follower) Poll(max int) ([]Record, error) {
 			}
 		}
 		name := segName(f.segFirst)
-		data, err := os.ReadFile(filepath.Join(f.dir, name))
-		if err != nil {
-			if os.IsNotExist(err) {
-				// The segment under us was compacted away.
-				f.segFirst = 0
-				return out, ErrCompacted
-			}
-			return out, fmt.Errorf("wal: follow read %s: %w", name, err)
-		}
-		if int64(len(data)) < f.off {
-			// The file shrank below bytes already consumed: the history we
-			// were tailing was rewritten. Resnapshot.
+		seg, err := readSegment(filepath.Join(f.dir, name), f.off)
+		switch {
+		case errors.Is(err, fs.ErrNotExist), errors.Is(err, errShrunk):
+			// The segment under us was compacted away, or shrank below bytes
+			// already consumed: the history we were tailing was rewritten.
+			// Resnapshot.
 			f.segFirst = 0
 			return out, ErrCompacted
+		case errors.Is(err, errShortHeader):
+			return out, nil // header still being written; retry later
+		case err != nil:
+			return out, fmt.Errorf("wal: follow %s: %w", name, err)
 		}
-		if f.off == 0 {
-			if len(data) < headerSize {
-				return out, nil // header still being written; retry later
-			}
-			if string(data[:len(segMagic)]) != segMagic {
-				return out, fmt.Errorf("wal: follow: bad segment header in %s", name)
-			}
-			if v := binary.LittleEndian.Uint16(data[len(segMagic):headerSize]); v != segVersion {
-				return out, fmt.Errorf("wal: follow: unsupported segment version %d in %s", v, name)
-			}
-			f.off = int64(headerSize)
-		}
-		buf := data[f.off:]
-		for len(buf) > 0 && len(out) < max {
-			rec, frameLen, reason := decodeFrame(buf)
-			if reason != "" {
+		f.off = seg.off
+		for len(seg.buf) > 0 && len(out) < max {
+			if reason := seg.next(&out); reason != "" {
 				// Invalid bytes at the current position. At the live tail
 				// this is an append in flight — deliver what we have and let
 				// the next poll retry. If the writer has already rotated
@@ -150,14 +135,14 @@ func (f *Follower) Poll(max int) ([]Record, error) {
 				}
 				return out, nil
 			}
-			f.off += int64(frameLen)
-			buf = buf[frameLen:]
-			if rec.Seq > f.after {
-				f.after = rec.Seq
-				out = append(out, rec)
+			f.off = seg.off
+			if seq := out[len(out)-1].Seq; seq > f.after {
+				f.after = seq
+			} else {
+				out = out[:len(out)-1] // at or below the starting position
 			}
 		}
-		if len(buf) > 0 {
+		if len(seg.buf) > 0 {
 			continue // max reached mid-segment; outer condition ends the loop
 		}
 		// Clean end of segment: advance only once the writer has rotated,

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -182,6 +183,49 @@ func TestFollowerTornTailNotDelivered(t *testing.T) {
 	recs, err = f.Poll(100)
 	if err != nil || len(recs) != 1 || recs[0].Seq != 5 {
 		t.Fatalf("completed tail delivered %v (%v), want seq 5", recs, err)
+	}
+}
+
+// TestFollowerPollReadsOnlyTheTail: a poll costs what is new, not what the
+// segment holds. Behind a consumed segment of 2 MiB, a hundred rounds of
+// one append and one poll allocate well under the segment's size in total;
+// reading the segment from byte 0 on every poll allocates a hundred times
+// its size (≈ 250 MiB here).
+func TestFollowerPollReadsOnlyTheTail(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openTest(t, Options{Dir: dir, Sync: SyncNever, SegmentBytes: 1 << 30})
+	rec := testRecord("Q1", 1)
+	frame := int64(len(AppendFrame(nil, rec)))
+	n := int((2<<20)/frame) + 1
+	for i := 0; i < n; i++ {
+		if _, err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := NewFollower(dir, 0)
+	if got := len(drain(t, f)); got != n {
+		t.Fatalf("catch-up delivered %d of %d records", got, n)
+	}
+	if f.off < 2<<20 {
+		t.Fatalf("consumed segment is %d bytes, want at least 2 MiB", f.off)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 100; i++ {
+		seq, err := l.Append(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := f.Poll(16)
+		if err != nil || len(recs) != 1 || recs[0].Seq != seq {
+			t.Fatalf("round %d: poll delivered %d records (%v), want seq %d", i, len(recs), err, seq)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	t.Logf("100 × (append, poll) behind a %d-byte segment allocated %d bytes", f.off, after.TotalAlloc-before.TotalAlloc)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("100 × (append, poll) behind a %d-byte segment allocated %d bytes, want under 1 MiB", f.off, got)
 	}
 }
 

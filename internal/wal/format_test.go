@@ -1,0 +1,105 @@
+package wal
+
+import (
+	"bytes"
+	"encoding/hex"
+	"hash/crc32"
+	"reflect"
+	"testing"
+)
+
+// TestFrameGolden pins the frame bytes of every record kind, plus a
+// zero-Kind feedback record, to vectors printed by the encoder as it stood
+// before the kinds moved into one table (PR 19's tree). Every other format
+// test is a round trip, which a symmetric mistake in encode and decode
+// passes; these bytes are what segments on disk and replicas on the wire
+// already hold.
+func TestFrameGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rec  Record
+		hex  string
+	}{
+		{"feedback", Record{Kind: RecordFeedback, Seq: 7, Epoch: 2, Template: "Q1", Plan: 5, Cost: 1234.5, SelfLabeled: true, Point: []float64{0.25, 0.75}},
+			"38000000f4d0650d010700000000000000020000000000000002005131050000000000000000000000004a9340010200000000000000d03f000000000000e83f"},
+		{"zero kind", Record{Seq: 8, Epoch: -1, Template: "Q3", Plan: -2, Cost: 0.5, Point: []float64{0.125}},
+			"3000000079232587010800000000000000ffffffffffffffff02005133feffffffffffffff000000000000e03f000100000000000000c03f"},
+		{"correction", Record{Kind: RecordCorrection, Seq: 9, CorrEpoch: 3, Template: "Q1", Site: 2, LogC: -0.5, N: 11, Ref: 0.25},
+			"310000000ae839d302090000000000000003000000000000000200513102000000000000000000e0bf0b00000000000000000000000000d03f"},
+		{"retune", Record{Kind: RecordRetune, Seq: 10, RetuneEpoch: 4, Template: "Q8", WarpT: 1, WarpS: 1, WarpK: 3, Warps: []float64{0, 0.5, 1}},
+			"33000000ee7867eb030a000000000000000400000000000000020051380100010003000000000000000000000000000000e03f000000000000f03f"},
+	} {
+		want, err := hex.DecodeString(tc.hex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := tc.rec
+		if got := AppendFrame(nil, &rec); !bytes.Equal(got, want) {
+			t.Errorf("%s encodes to\n  %x\nwant\n  %x", tc.name, got, want)
+		}
+		got, n, err := DecodeFrame(want)
+		if err != nil || n != len(want) {
+			t.Errorf("%s: golden frame decodes to %d of %d bytes, %v", tc.name, n, len(want), err)
+			continue
+		}
+		if rec.Kind == 0 {
+			rec.Kind = RecordFeedback // what a zero Kind is on the wire
+		}
+		if !reflect.DeepEqual(got, rec) {
+			t.Errorf("%s: golden frame decodes to\n  %+v\nwant\n  %+v", tc.name, got, rec)
+		}
+	}
+}
+
+// TestEveryKindRoundTripsItsSmallestRecord: a kind's minimum payload is its
+// own — empty template, no point, no knots — not the feedback kind's. Held
+// to one shared minimum, Append wrote a 25-byte (or, with a ten-byte
+// template name, 35-byte) retune payload that the next scan reported as an
+// implausible record length and truncated the log at.
+func TestEveryKindRoundTripsItsSmallestRecord(t *testing.T) {
+	for kind := range kinds {
+		if specFor(uint8(kind)) == nil {
+			continue
+		}
+		for _, name := range []string{"", "tenletters"} {
+			rec := Record{Kind: uint8(kind), Seq: 1, Template: name}
+			frame := AppendFrame(nil, &rec)
+			got, n, err := DecodeFrame(frame)
+			if err != nil {
+				t.Errorf("kind %d, template %q: %d-byte payload does not decode: %v", kind, name, len(frame)-frameOverhead, err)
+				continue
+			}
+			if n != len(frame) || got.Kind != rec.Kind || got.Seq != 1 || got.Template != name || len(got.Point) != 0 || len(got.Warps) != 0 {
+				t.Errorf("kind %d, template %q: round trip gave %+v (%d of %d bytes)", kind, name, got, n, len(frame))
+			}
+			// One byte short of the kind's minimum is not a record of it.
+			if name == "" {
+				short := append([]byte(nil), frame[:len(frame)-1]...)
+				le.PutUint32(short[0:4], uint32(len(short)-frameOverhead))
+				le.PutUint32(short[4:8], crc32.Checksum(short[frameOverhead:], walCRC))
+				if _, _, err := DecodeFrame(short); err == nil {
+					t.Errorf("kind %d: a payload one byte under its minimum decoded", kind)
+				}
+			}
+		}
+	}
+
+	// And through a real log: append each smallest record, scan them back.
+	dir := t.TempDir()
+	l, _ := openTest(t, Options{Dir: dir})
+	for _, kind := range []uint8{RecordFeedback, RecordCorrection, RecordRetune} {
+		if _, err := l.Append(&Record{Kind: kind}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Scan(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Records) != 3 || rec.TornBytes != 0 || rec.Corrupt {
+		t.Fatalf("scan found %d of 3 smallest records (torn %d bytes: %q)", len(rec.Records), rec.TornBytes, rec.Reason)
+	}
+}

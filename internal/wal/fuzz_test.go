@@ -19,6 +19,11 @@ func FuzzDecodeFrame(f *testing.F) {
 		{Seq: 42, Epoch: 3, Template: "", Plan: -1, Cost: 0, SelfLabeled: true, Point: nil},
 		{Seq: 1<<63 + 9, Epoch: -5, Template: "a-very-long-template-name", Plan: 1 << 40,
 			Cost: -2.25, Point: []float64{0, 0, 0, 0, 0, 0, 0, 0}},
+		{Kind: RecordCorrection, Seq: 2, CorrEpoch: 3, Template: "Q1", Site: 2, LogC: -0.5, N: 11, Ref: 0.25},
+		{Kind: RecordCorrection, Seq: 3},
+		{Kind: RecordRetune, Seq: 4, RetuneEpoch: 1, Template: "Q8", WarpT: 1, WarpS: 2, WarpK: 3,
+			Warps: []float64{0, 0.5, 1, 0, 0.25, 1}},
+		{Kind: RecordRetune, Seq: 5},
 	}
 	for _, r := range seedRecs {
 		f.Add(encodeFrame(nil, r))
@@ -33,7 +38,8 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(bad)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, n, reason := decodeFrame(data)
+		var rec Record
+		n, reason := decodeFrame(data, &rec)
 		if reason != "" {
 			if n != 0 {
 				t.Fatalf("invalid frame consumed %d bytes", n)

@@ -1,10 +1,11 @@
 // Package wal is the durability layer of the PPC runtime: an append-only,
-// segment-rotated write-ahead log of epoch-stamped feedback records. The
-// per-template feedback appliers log every labeled plan space point before
-// it enters the histogram synopsis, so a crash loses no acknowledged
-// training signal — recovery loads the latest checkpoint and replays only
-// the WAL tail (records newer than what the checkpoint's learners had
-// applied).
+// segment-rotated write-ahead log of learner events. A learner logs every
+// event — a labeled plan space point, a correction site's new state, a
+// tunable-LSH switch — through the Appender seam before the event takes
+// effect in memory, so a crash loses no acknowledged training signal:
+// recovery loads the latest checkpoint and replays only the WAL tail
+// (records newer than what the checkpoint's learners had applied), and a
+// replica replays the same records as they are shipped.
 //
 // Design constraints, in order:
 //
@@ -26,15 +27,22 @@
 //
 //	segment: "PPCWAL\x00" u16 version | record*
 //	record:  u32 payloadLen | u32 crc32c(payload) | payload
-//	payload (kind 1, feedback):
-//	         u8 kind | u64 seq | i64 epoch | u16 len(template) template |
+//	payload: u8 kind | u64 seq | u64 epoch | u16 len(template) template | tail
+//	tail (kind 1, feedback; epoch = the learner's drift-reset epoch, i64):
 //	         i64 plan | f64 cost | u8 selfLabeled | u16 dims | f64*dims
-//	payload (kind 2, correction):
-//	         u8 kind | u64 seq | u64 corrEpoch | u16 len(template) template |
+//	tail (kind 2, correction; epoch = the correction epoch after the update):
 //	         u32 site | f64 logc | u64 n | f64 ref
-//	payload (kind 3, retune):
-//	         u8 kind | u64 seq | u64 retuneEpoch | u16 len(template) template |
+//	tail (kind 3, retune; epoch = the re-tune epoch after the switch):
 //	         u16 t | u16 s | u16 k | f64*(t*s*k) warp knots
+//
+// A record kind is declared once, as an entry of the kinds table: the size
+// of its tail's fixed part, the length of the variable part, an encoder and
+// a decoder for the tail. The prefix, the frame, the checksum and every
+// length check are written once around the table (encodeFrame,
+// decodeFrame), and a kind's smallest payload is its own — the prefix plus
+// its fixed part — not another kind's. Segment bytes are likewise read in
+// one place, readSegment, from a byte offset: recovery reads a segment from
+// its start and a Follower from where its last poll stopped.
 //
 // Sequence numbers are global, monotonically increasing, and never reused;
 // segment file names carry the first sequence number the segment may
@@ -44,6 +52,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -71,15 +80,14 @@ const (
 	// maxPayload bounds a declared record length so a corrupted length
 	// field cannot drive a huge allocation during scan.
 	maxPayload = 1 << 20
-	// minPayload is the smallest well-formed feedback payload: kind, seq,
-	// epoch, empty template, plan, cost, selfLabeled flag, zero dims.
-	minPayload = 1 + 8 + 8 + 2 + 8 + 8 + 1 + 2
-	// corrPayloadFixed is a correction payload's size net of the template
-	// name: kind, seq, corrEpoch, name length, site, logc, n, ref.
-	corrPayloadFixed = 1 + 8 + 8 + 2 + 4 + 8 + 8 + 8
-	// retunePayloadFixed is a retune payload's size net of the template name
-	// and knots: kind, seq, retuneEpoch, name length, t, s, k.
-	retunePayloadFixed = 1 + 8 + 8 + 2 + 2 + 2 + 2
+	// minPayload is the prefix every payload opens with, at an empty
+	// template name: kind, seq, epoch, name length. A kind's own minimum is
+	// this plus its tail's fixed part (kinds).
+	minPayload = 1 + 8 + 8 + 2
+	// The fixed parts of the three tails (layouts in the package comment).
+	feedbackFixed   = 8 + 8 + 1 + 2
+	correctionFixed = 4 + 8 + 8 + 8
+	retuneFixed     = 2 + 2 + 2
 
 	// DefaultSegmentBytes rotates segments at 4 MiB.
 	DefaultSegmentBytes = 4 << 20
@@ -90,6 +98,8 @@ const (
 // walCRC is the Castagnoli polynomial table (the same family as the
 // snapshot envelopes in persist.go and internal/core).
 var walCRC = crc32.MakeTable(crc32.Castagnoli)
+
+var le = binary.LittleEndian
 
 // Record kinds. The kind byte is first in every payload so the framing is
 // shared; unknown kinds stop a scan (they cannot be skipped trustably).
@@ -105,9 +115,11 @@ const (
 	RecordRetune uint8 = 3
 )
 
-// Record is one durable log record. Kind selects which fields are live; a
-// zero Kind encodes as RecordFeedback, so pre-correction callers that never
-// set it are unchanged. Seq is assigned by Append.
+// Record is the one durable form of a learner event: what a writer hands
+// the Appender, what a segment frames, what the ship stream carries and what
+// core's replay switch consumes. Kind selects which fields are live; a zero
+// Kind encodes as RecordFeedback, so pre-correction callers that never set
+// it are unchanged. Seq is assigned by Append.
 //
 // Feedback fields: Epoch is the learner's drift-reset epoch at the point's
 // creation, which makes replay reproduce reset semantics (a stale point is
@@ -139,6 +151,23 @@ type Record struct {
 	WarpS       uint16
 	WarpK       uint16
 	Warps       []float64
+}
+
+// Appender is the seam a writer of learner events logs through: core's
+// learner and stats' corrections hand it the record they are about to
+// apply, under the lock that guards the state the record describes, and
+// apply only afterwards — so a checkpoint's applied-sequence watermark never
+// claims a record the checkpoint does not contain. *Log is one; the facade
+// wraps it to stamp the template name; tests substitute an in-memory one.
+type Appender interface {
+	// Append assigns rec.Seq and logs the record. Seq 0 with a nil error
+	// means the log declined it (an injected dead log). Errors degrade
+	// durability, never availability: the caller applies in memory
+	// regardless.
+	Append(rec *Record) (seq uint64, err error)
+	// Commit is the group-commit barrier, called once per apply batch after
+	// the writer's lock is released (an fsync must not stall it).
+	Commit() error
 }
 
 // ByTemplate groups records by template, keeping log order within each
@@ -420,185 +449,281 @@ func scanDir(dir string) (*Recovery, string, int64, error) {
 // hard failure — a half-unlinked segment must degrade, not crash, the
 // recovery).
 func scanSegment(path string, out *[]Record) (badReason string, badOff int64, size int64) {
-	f, err := os.Open(path)
+	seg, err := readSegment(path, 0)
 	if err != nil {
-		return fmt.Sprintf("open: %v", err), 0, 0
+		return err.Error(), 0, seg.size
 	}
-	defer f.Close()
-	data, err := io.ReadAll(f)
-	if err != nil {
-		return fmt.Sprintf("read: %v", err), 0, 0
-	}
-	size = int64(len(data))
-	if len(data) < headerSize || string(data[:len(segMagic)]) != segMagic {
-		return "bad segment header", 0, size
-	}
-	if v := binary.LittleEndian.Uint16(data[len(segMagic):headerSize]); v != segVersion {
-		return fmt.Sprintf("unsupported segment version %d", v), 0, size
-	}
-	off := int64(headerSize)
-	buf := data[headerSize:]
-	for len(buf) > 0 {
-		rec, frameLen, reason := decodeFrame(buf)
-		if reason != "" {
-			return reason, off, size
+	for len(seg.buf) > 0 {
+		if reason := seg.next(out); reason != "" {
+			return reason, seg.off, seg.size
 		}
-		*out = append(*out, rec)
-		off += int64(frameLen)
-		buf = buf[frameLen:]
 	}
-	return "", 0, size
+	return "", 0, seg.size
 }
 
-// decodeFrame decodes one framed record from the head of buf, returning
-// the consumed frame length. A non-empty reason means the frame is invalid
-// (truncated, implausible length, checksum mismatch, malformed payload) —
-// scanning stops there.
-func decodeFrame(buf []byte) (Record, int, string) {
-	if len(buf) < frameOverhead {
-		return Record{}, 0, fmt.Sprintf("truncated frame header (%d bytes)", len(buf))
+// Conditions of readSegment a follower tells apart from damage: at the live
+// tail a header cut short is a rotation in flight, and a file shorter than
+// the offset already consumed means the history under it was rewritten.
+var (
+	errShortHeader = errors.New("segment shorter than its header")
+	errShrunk      = errors.New("segment shorter than the read offset")
+)
+
+// segTail is the unread remainder of one segment file: the one reader under
+// recovery (scanSegment, from byte 0) and the ship tail (Follower.Poll, from
+// where its last poll stopped), so both check the same header and stop at
+// the same frames.
+type segTail struct {
+	buf  []byte // undecoded bytes
+	off  int64  // file offset of buf[0]
+	size int64  // bytes of the file seen by the read
+}
+
+// readSegment reads path from byte offset off to its end — the only place
+// segment bytes are read. off 0 reads from the start and checks and skips
+// the header; any other offset must sit on a frame boundary of a segment
+// whose header an earlier read checked. It reads (and allocates) the
+// remainder only, never the bytes before off.
+func readSegment(path string, off int64) (segTail, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return segTail{}, fmt.Errorf("open: %w", err)
 	}
-	payLen := binary.LittleEndian.Uint32(buf[0:4])
-	sum := binary.LittleEndian.Uint32(buf[4:8])
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return segTail{}, fmt.Errorf("stat: %w", err)
+	}
+	seg := segTail{off: off, size: st.Size()}
+	if seg.size < off {
+		return seg, errShrunk
+	}
+	seg.buf = make([]byte, seg.size-off)
+	n, err := f.ReadAt(seg.buf, off)
+	if err != nil && err != io.EOF {
+		return segTail{}, fmt.Errorf("read: %w", err)
+	}
+	// A file truncated between Stat and ReadAt reads short: what was read
+	// is what the segment holds.
+	seg.buf, seg.size = seg.buf[:n], off+int64(n)
+	if off > 0 {
+		return seg, nil
+	}
+	switch {
+	case n < headerSize:
+		return seg, errShortHeader
+	case string(seg.buf[:len(segMagic)]) != segMagic:
+		return seg, errors.New("bad segment header")
+	}
+	if v := le.Uint16(seg.buf[len(segMagic):headerSize]); v != segVersion {
+		return seg, fmt.Errorf("unsupported segment version %d", v)
+	}
+	seg.buf, seg.off = seg.buf[headerSize:], int64(headerSize)
+	return seg, nil
+}
+
+// next decodes the frame at the head of the remainder onto the end of out —
+// in place, so the record is never copied — and steps past it. A non-empty
+// reason means the bytes there are not a valid frame: the reader stays where
+// it is (off is the first invalid byte) and out is as it was. Callers stop
+// at len(buf) == 0.
+func (s *segTail) next(out *[]Record) (reason string) {
+	*out = append(*out, Record{})
+	n, reason := decodeFrame(s.buf, &(*out)[len(*out)-1])
+	if reason != "" {
+		*out = (*out)[:len(*out)-1]
+		return reason
+	}
+	s.buf, s.off = s.buf[n:], s.off+int64(n)
+	return ""
+}
+
+// kindSpec declares one record kind: everything the codec knows about it.
+// A payload is the shared prefix `u8 kind | u64 seq | u64 epoch | u16
+// len(template) template` followed by the kind's tail — fixed bytes, then a
+// run of float64s whose count the fixed part states. The prefix, the frame,
+// the checksum and the length checks live in encodeFrame and decodePayload;
+// a new kind is one entry here plus its arm of core's replay switch.
+//
+// The funcs take and return Record by value: a pointer handed to a func
+// value escapes, which would cost Append its zero-allocation guarantee and
+// every decode a third allocation.
+type kindSpec struct {
+	// fixed is the byte length of the tail's fixed part — with minPayload,
+	// the kind's own minimum payload.
+	fixed int
+	// variable is the byte length of the tail's variable part on encode.
+	variable func(r Record) int
+	// encode writes the tail (fixed + variable bytes) and returns the value
+	// of the prefix's epoch slot.
+	encode func(r Record, tail []byte) (epoch uint64)
+	// decode reads the kind's fields out of the epoch slot and the tail,
+	// which holds at least fixed bytes. A non-empty reason means the count
+	// in the fixed part disagrees with the tail's length.
+	decode func(epoch uint64, tail []byte) (r Record, reason string)
+}
+
+// kinds is the record-kind table, indexed by the kind byte.
+var kinds = [...]kindSpec{
+	RecordFeedback: {
+		// i64 plan | f64 cost | u8 selfLabeled | u16 dims | f64*dims
+		fixed:    feedbackFixed,
+		variable: func(r Record) int { return 8 * len(r.Point) },
+		encode: func(r Record, p []byte) uint64 {
+			le.PutUint64(p[0:], uint64(r.Plan))
+			le.PutUint64(p[8:], math.Float64bits(r.Cost))
+			p[16] = 0
+			if r.SelfLabeled {
+				p[16] = 1
+			}
+			le.PutUint16(p[17:], uint16(len(r.Point)))
+			putFloats(p[feedbackFixed:], r.Point)
+			return uint64(r.Epoch)
+		},
+		decode: func(epoch uint64, p []byte) (r Record, reason string) {
+			r.Epoch = int64(epoch)
+			r.Plan = int64(le.Uint64(p[0:]))
+			r.Cost = math.Float64frombits(le.Uint64(p[8:]))
+			r.SelfLabeled = p[16] != 0
+			dims := int(le.Uint16(p[17:]))
+			if feedbackFixed+8*dims != len(p) {
+				return r, fmt.Sprintf("record dims %d disagree with payload length", dims)
+			}
+			r.Point = floats(p[feedbackFixed:], dims)
+			return r, ""
+		},
+	},
+	RecordCorrection: {
+		// u32 site | f64 logc | u64 n | f64 ref
+		fixed:    correctionFixed,
+		variable: func(Record) int { return 0 },
+		encode: func(r Record, p []byte) uint64 {
+			le.PutUint32(p[0:], r.Site)
+			le.PutUint64(p[4:], math.Float64bits(r.LogC))
+			le.PutUint64(p[12:], r.N)
+			le.PutUint64(p[20:], math.Float64bits(r.Ref))
+			return r.CorrEpoch
+		},
+		decode: func(epoch uint64, p []byte) (r Record, reason string) {
+			if len(p) != correctionFixed {
+				return r, "correction record payload length disagrees with its template name"
+			}
+			r.CorrEpoch = epoch
+			r.Site = le.Uint32(p[0:])
+			r.LogC = math.Float64frombits(le.Uint64(p[4:]))
+			r.N = le.Uint64(p[12:])
+			r.Ref = math.Float64frombits(le.Uint64(p[20:]))
+			return r, ""
+		},
+	},
+	RecordRetune: {
+		// u16 t | u16 s | u16 k | f64*(t*s*k) warp knots
+		fixed:    retuneFixed,
+		variable: func(r Record) int { return 8 * len(r.Warps) },
+		encode: func(r Record, p []byte) uint64 {
+			le.PutUint16(p[0:], r.WarpT)
+			le.PutUint16(p[2:], r.WarpS)
+			le.PutUint16(p[4:], r.WarpK)
+			putFloats(p[retuneFixed:], r.Warps)
+			return r.RetuneEpoch
+		},
+		decode: func(epoch uint64, p []byte) (r Record, reason string) {
+			r.RetuneEpoch = epoch
+			r.WarpT, r.WarpS, r.WarpK = le.Uint16(p[0:]), le.Uint16(p[2:]), le.Uint16(p[4:])
+			n := int(r.WarpT) * int(r.WarpS) * int(r.WarpK)
+			if retuneFixed+8*n != len(p) {
+				return r, fmt.Sprintf("retune record knot count %d disagrees with payload length", n)
+			}
+			r.Warps = floats(p[retuneFixed:], n)
+			return r, ""
+		},
+	},
+}
+
+// specFor returns the table entry for a kind byte, nil when the table
+// declares no such kind.
+func specFor(kind uint8) *kindSpec {
+	if int(kind) >= len(kinds) || kinds[kind].encode == nil {
+		return nil
+	}
+	return &kinds[kind]
+}
+
+func putFloats(p []byte, vs []float64) {
+	for i, v := range vs {
+		le.PutUint64(p[8*i:], math.Float64bits(v))
+	}
+}
+
+func floats(p []byte, n int) []float64 {
+	vs := make([]float64, n)
+	for i := range vs {
+		vs[i] = math.Float64frombits(le.Uint64(p[8*i:]))
+	}
+	return vs
+}
+
+// decodeFrame decodes one framed record from the head of buf into rec,
+// returning the consumed frame length. A non-empty reason means the frame
+// is invalid (truncated, implausible length, checksum mismatch, malformed
+// payload) — scanning stops there, and rec is left as it was.
+func decodeFrame(buf []byte, rec *Record) (int, string) {
+	if len(buf) < frameOverhead {
+		return 0, fmt.Sprintf("truncated frame header (%d bytes)", len(buf))
+	}
+	payLen := le.Uint32(buf[0:4])
+	sum := le.Uint32(buf[4:8])
 	if payLen < minPayload || payLen > maxPayload {
-		return Record{}, 0, fmt.Sprintf("implausible record length %d", payLen)
+		return 0, fmt.Sprintf("implausible record length %d", payLen)
 	}
 	if len(buf) < frameOverhead+int(payLen) {
-		return Record{}, 0, fmt.Sprintf("truncated record (%d of %d payload bytes)", len(buf)-frameOverhead, payLen)
+		return 0, fmt.Sprintf("truncated record (%d of %d payload bytes)", len(buf)-frameOverhead, payLen)
 	}
 	payload := buf[frameOverhead : frameOverhead+int(payLen)]
 	if got := crc32.Checksum(payload, walCRC); got != sum {
-		return Record{}, 0, fmt.Sprintf("record checksum mismatch: got %08x want %08x", got, sum)
+		return 0, fmt.Sprintf("record checksum mismatch: got %08x want %08x", got, sum)
 	}
-	rec, reason := decodePayload(payload)
+	if reason := decodePayload(payload, rec); reason != "" {
+		return 0, reason
+	}
+	return frameOverhead + int(payLen), ""
+}
+
+// decodePayload decodes the checksummed record body (at least minPayload
+// bytes): the shared prefix here, the tail by the kind's table entry.
+func decodePayload(p []byte, rec *Record) string {
+	spec := specFor(p[0])
+	if spec == nil {
+		return fmt.Sprintf("unknown record kind %d", p[0])
+	}
+	tl := int(le.Uint16(p[17:]))
+	if minPayload+tl+spec.fixed > len(p) {
+		return fmt.Sprintf("kind %d record payload shorter than its template name and %d-byte tail", p[0], spec.fixed)
+	}
+	r, reason := spec.decode(le.Uint64(p[9:]), p[minPayload+tl:])
 	if reason != "" {
-		return Record{}, 0, reason
+		return reason
 	}
-	return rec, frameOverhead + int(payLen), ""
-}
-
-// decodePayload decodes the checksummed record body.
-func decodePayload(p []byte) (Record, string) {
-	le := binary.LittleEndian
-	switch p[0] {
-	case RecordFeedback:
-	case RecordCorrection:
-		return decodeCorrection(p)
-	case RecordRetune:
-		return decodeRetune(p)
-	default:
-		return Record{}, fmt.Sprintf("unknown record kind %d", p[0])
-	}
-	off := 1
-	rec := Record{Kind: RecordFeedback}
-	rec.Seq = le.Uint64(p[off:])
-	off += 8
-	rec.Epoch = int64(le.Uint64(p[off:]))
-	off += 8
-	tl := int(le.Uint16(p[off:]))
-	off += 2
-	// Fixed tail after the template name: plan, cost, flag, dim count.
-	if off+tl+8+8+1+2 > len(p) {
-		return Record{}, "record payload shorter than its template name"
-	}
-	rec.Template = string(p[off : off+tl])
-	off += tl
-	rec.Plan = int64(le.Uint64(p[off:]))
-	off += 8
-	rec.Cost = math.Float64frombits(le.Uint64(p[off:]))
-	off += 8
-	rec.SelfLabeled = p[off] != 0
-	off++
-	dims := int(le.Uint16(p[off:]))
-	off += 2
-	if off+8*dims != len(p) {
-		return Record{}, fmt.Sprintf("record dims %d disagree with payload length", dims)
-	}
-	rec.Point = make([]float64, dims)
-	for i := 0; i < dims; i++ {
-		rec.Point[i] = math.Float64frombits(le.Uint64(p[off:]))
-		off += 8
-	}
-	return rec, ""
-}
-
-// decodeCorrection decodes a kind-2 correction payload.
-func decodeCorrection(p []byte) (Record, string) {
-	le := binary.LittleEndian
-	rec := Record{Kind: RecordCorrection}
-	if len(p) < corrPayloadFixed {
-		return Record{}, "correction record too short"
-	}
-	off := 1
-	rec.Seq = le.Uint64(p[off:])
-	off += 8
-	rec.CorrEpoch = le.Uint64(p[off:])
-	off += 8
-	tl := int(le.Uint16(p[off:]))
-	off += 2
-	if off+tl+4+8+8+8 != len(p) {
-		return Record{}, "correction record payload length disagrees with its template name"
-	}
-	rec.Template = string(p[off : off+tl])
-	off += tl
-	rec.Site = le.Uint32(p[off:])
-	off += 4
-	rec.LogC = math.Float64frombits(le.Uint64(p[off:]))
-	off += 8
-	rec.N = le.Uint64(p[off:])
-	off += 8
-	rec.Ref = math.Float64frombits(le.Uint64(p[off:]))
-	return rec, ""
-}
-
-// decodeRetune decodes a kind-3 retune payload.
-func decodeRetune(p []byte) (Record, string) {
-	le := binary.LittleEndian
-	rec := Record{Kind: RecordRetune}
-	if len(p) < retunePayloadFixed {
-		return Record{}, "retune record too short"
-	}
-	off := 1
-	rec.Seq = le.Uint64(p[off:])
-	off += 8
-	rec.RetuneEpoch = le.Uint64(p[off:])
-	off += 8
-	tl := int(le.Uint16(p[off:]))
-	off += 2
-	if off+tl+6 > len(p) {
-		return Record{}, "retune record payload shorter than its template name"
-	}
-	rec.Template = string(p[off : off+tl])
-	off += tl
-	rec.WarpT = le.Uint16(p[off:])
-	off += 2
-	rec.WarpS = le.Uint16(p[off:])
-	off += 2
-	rec.WarpK = le.Uint16(p[off:])
-	off += 2
-	n := int(rec.WarpT) * int(rec.WarpS) * int(rec.WarpK)
-	if off+8*n != len(p) {
-		return Record{}, fmt.Sprintf("retune record knot count %d disagrees with payload length", n)
-	}
-	rec.Warps = make([]float64, n)
-	for i := 0; i < n; i++ {
-		rec.Warps[i] = math.Float64frombits(le.Uint64(p[off:]))
-		off += 8
-	}
-	return rec, ""
+	r.Kind, r.Seq, r.Template = p[0], le.Uint64(p[1:]), string(p[minPayload:minPayload+tl])
+	*rec = r
+	return ""
 }
 
 // encodeFrame encodes rec's framed bytes into buf (reusing its capacity)
-// and returns the frame.
+// and returns the frame. A kind the table does not declare is a bug in the
+// caller: records are built by the constructors beside core's replay switch
+// or come out of decodeFrame.
 func encodeFrame(buf []byte, rec *Record) []byte {
-	if rec.Kind == RecordCorrection {
-		return encodeCorrectionFrame(buf, rec)
+	kind := rec.Kind
+	if kind == 0 {
+		kind = RecordFeedback
 	}
-	if rec.Kind == RecordRetune {
-		return encodeRetuneFrame(buf, rec)
+	spec := specFor(kind)
+	if spec == nil {
+		panic(fmt.Sprintf("wal: encode of undeclared record kind %d", kind))
 	}
-	le := binary.LittleEndian
-	payLen := minPayload + len(rec.Template) + 8*len(rec.Point)
+	tailOff := minPayload + len(rec.Template)
+	payLen := tailOff + spec.fixed + spec.variable(*rec)
 	need := frameOverhead + payLen
 	if cap(buf) < need {
 		buf = make([]byte, need)
@@ -606,100 +731,11 @@ func encodeFrame(buf []byte, rec *Record) []byte {
 	frame := buf[:need]
 	le.PutUint32(frame[0:4], uint32(payLen))
 	p := frame[frameOverhead:]
-	p[0] = RecordFeedback
-	off := 1
-	le.PutUint64(p[off:], rec.Seq)
-	off += 8
-	le.PutUint64(p[off:], uint64(rec.Epoch))
-	off += 8
-	le.PutUint16(p[off:], uint16(len(rec.Template)))
-	off += 2
-	copy(p[off:], rec.Template)
-	off += len(rec.Template)
-	le.PutUint64(p[off:], uint64(rec.Plan))
-	off += 8
-	le.PutUint64(p[off:], math.Float64bits(rec.Cost))
-	off += 8
-	if rec.SelfLabeled {
-		p[off] = 1
-	} else {
-		p[off] = 0
-	}
-	off++
-	le.PutUint16(p[off:], uint16(len(rec.Point)))
-	off += 2
-	for _, v := range rec.Point {
-		le.PutUint64(p[off:], math.Float64bits(v))
-		off += 8
-	}
-	le.PutUint32(frame[4:8], crc32.Checksum(p, walCRC))
-	return frame
-}
-
-// encodeCorrectionFrame encodes a kind-2 correction record.
-func encodeCorrectionFrame(buf []byte, rec *Record) []byte {
-	le := binary.LittleEndian
-	payLen := corrPayloadFixed + len(rec.Template)
-	need := frameOverhead + payLen
-	if cap(buf) < need {
-		buf = make([]byte, need)
-	}
-	frame := buf[:need]
-	le.PutUint32(frame[0:4], uint32(payLen))
-	p := frame[frameOverhead:]
-	p[0] = RecordCorrection
-	off := 1
-	le.PutUint64(p[off:], rec.Seq)
-	off += 8
-	le.PutUint64(p[off:], rec.CorrEpoch)
-	off += 8
-	le.PutUint16(p[off:], uint16(len(rec.Template)))
-	off += 2
-	copy(p[off:], rec.Template)
-	off += len(rec.Template)
-	le.PutUint32(p[off:], rec.Site)
-	off += 4
-	le.PutUint64(p[off:], math.Float64bits(rec.LogC))
-	off += 8
-	le.PutUint64(p[off:], rec.N)
-	off += 8
-	le.PutUint64(p[off:], math.Float64bits(rec.Ref))
-	le.PutUint32(frame[4:8], crc32.Checksum(p, walCRC))
-	return frame
-}
-
-// encodeRetuneFrame encodes a kind-3 retune record. Real retune payloads
-// (at least one warp of WarpBins+1 knots) always clear minPayload.
-func encodeRetuneFrame(buf []byte, rec *Record) []byte {
-	le := binary.LittleEndian
-	payLen := retunePayloadFixed + len(rec.Template) + 8*len(rec.Warps)
-	need := frameOverhead + payLen
-	if cap(buf) < need {
-		buf = make([]byte, need)
-	}
-	frame := buf[:need]
-	le.PutUint32(frame[0:4], uint32(payLen))
-	p := frame[frameOverhead:]
-	p[0] = RecordRetune
-	off := 1
-	le.PutUint64(p[off:], rec.Seq)
-	off += 8
-	le.PutUint64(p[off:], rec.RetuneEpoch)
-	off += 8
-	le.PutUint16(p[off:], uint16(len(rec.Template)))
-	off += 2
-	copy(p[off:], rec.Template)
-	off += len(rec.Template)
-	le.PutUint16(p[off:], rec.WarpT)
-	off += 2
-	le.PutUint16(p[off:], rec.WarpS)
-	off += 2
-	le.PutUint16(p[off:], rec.WarpK)
-	off += 2
-	for _, v := range rec.Warps {
-		le.PutUint64(p[off:], math.Float64bits(v))
-		off += 8
-	}
+	p[0] = kind
+	le.PutUint64(p[1:], rec.Seq)
+	le.PutUint64(p[9:], spec.encode(*rec, p[tailOff:]))
+	le.PutUint16(p[17:], uint16(len(rec.Template)))
+	copy(p[minPayload:], rec.Template)
 	le.PutUint32(frame[4:8], crc32.Checksum(p, walCRC))
 	return frame
 }
@@ -943,10 +979,10 @@ func (l *Log) observer() Observer {
 
 type noopObserver struct{}
 
-func (noopObserver) WALAppend(int)            {}
-func (noopObserver) WALAppendError()          {}
-func (noopObserver) WALSync(time.Duration)    {}
-func (noopObserver) WALSyncError()            {}
-func (noopObserver) WALRotate()               {}
-func (noopObserver) WALCompact(int)           {}
-func (noopObserver) WALTearDropped()          {}
+func (noopObserver) WALAppend(int)         {}
+func (noopObserver) WALAppendError()       {}
+func (noopObserver) WALSync(time.Duration) {}
+func (noopObserver) WALSyncError()         {}
+func (noopObserver) WALRotate()            {}
+func (noopObserver) WALCompact(int)        {}
+func (noopObserver) WALTearDropped()       {}

@@ -269,9 +269,6 @@ func (s *System) LoadState(r io.Reader) (err error) {
 			}
 			continue
 		}
-		// The retune gauge is otherwise only written on live re-tunes; seed
-		// it so a restored system reports its re-tuned state immediately.
-		s.templates[st.Name].obs.SetRetuneEpoch(s.templates[st.Name].online.RetuneEpoch())
 		// Adopt the saved candidate set over the one registerLocked just
 		// regenerated: the saved fingerprints were produced at the saved
 		// correction epoch, which the restored learner state is in lockstep
@@ -287,7 +284,6 @@ func (s *System) LoadState(r io.Reader) (err error) {
 			ts.candFPs = append([]string(nil), st.CandFPs...)
 			ts.candEpoch = st.CandEpoch
 			ts.candMu.Unlock()
-			ts.obs.SetCandidatePlans(len(ids))
 		}
 		report.Templates++
 	}

@@ -310,21 +310,13 @@ type templateState struct {
 	memo atomic.Pointer[optimizer.Memo]
 
 	// corr is the template's adaptive correction state (nil when the layer
-	// is disabled); corrLog is its WAL sink (nil without durability). Both
-	// are immutable after registration.
-	corr    *stats.Corrections
-	corrLog *walSink
+	// is disabled), immutable after registration.
+	corr *stats.Corrections
 
 	online *core.Online
 	// breaker quarantines the learner when it misbehaves. While open, Run
 	// bypasses the learner entirely and invokes the optimizer directly.
 	breaker *metrics.Breaker
-	// learnerErrs counts Step errors; degradedRuns counts runs served in
-	// always-invoke-the-optimizer mode; retrainDrops counts degraded-mode
-	// retraining points the learner rejected (dimensionality mismatch).
-	learnerErrs  atomic.Int64
-	degradedRuns atomic.Int64
-	retrainDrops atomic.Int64
 
 	// mail is the bounded feedback mailbox drained by applyLoop (nil when
 	// Options.FeedbackQueue < 0 — synchronous mode). stop asks the applier
@@ -455,9 +447,6 @@ func (st *templateState) applyBatch(batch []core.Feedback, flushes []chan struct
 		t0 := time.Now()
 		applied, dropped := st.online.ApplyBatch(batch)
 		st.obs.RecordApply(time.Since(t0), applied, dropped)
-		// Lock-free snapshot read; the gauge tracks re-tunes the batch may
-		// have triggered.
-		st.obs.SetRetuneEpoch(st.online.RetuneEpoch())
 	}
 	for _, buf := range cards {
 		st.applyCards(buf)
@@ -474,16 +463,7 @@ func (st *templateState) applyBatch(batch []core.Feedback, flushes []chan struct
 // the next optimizer invocation.
 func (st *templateState) applyCards(buf *cardBuf) {
 	if st.corr != nil && len(buf.obs) > 0 {
-		var lg stats.CorrLogger
-		if st.corrLog != nil {
-			lg = st.corrLog
-		}
-		st.corr.Apply(buf.obs, lg)
-		if st.corrLog != nil {
-			// Group-commit the correction records; an fsync error is counted
-			// by the log's own observer and retried with the next batch.
-			st.corrLog.Commit() //nolint:errcheck
-		}
+		st.online.ApplyCorrections(buf.obs)
 		// An epoch bump makes the candidate set's costs stale; regenerate it
 		// under the corrected estimates (refreshCandidates early-outs on a
 		// matching epoch, so steady state pays one epoch comparison).
@@ -694,10 +674,7 @@ func (s *System) registerLocked(name, sql string) error {
 		online.AttachCorrections(st.corr)
 	}
 	if s.wal != nil {
-		ws := &walSink{log: s.wal, template: name}
-		online.SetWAL(ws)
-		online.SetRetuneLogger(ws)
-		st.corrLog = ws
+		online.AttachLog(&walSink{log: s.wal, template: name})
 	}
 	memo, err := s.opt.NewMemo(tmpl.Query)
 	if err != nil {
@@ -770,7 +747,6 @@ func (s *System) refreshCandidates(st *templateState) {
 		fps = append(fps, c.Plan.Fingerprint)
 	}
 	st.candIDs, st.candFPs, st.candEpoch = ids, fps, epoch
-	st.obs.SetCandidatePlans(len(ids))
 }
 
 // candidateRoute serves a learner optimizer invocation from the template's
@@ -1183,10 +1159,7 @@ func (r *run) optimize(viaCandidates bool) error {
 // trips the breaker and degrades this run instead of failing the query.
 func (r *run) decide() (degraded bool) {
 	st, res := r.st, r.res
-	prev := st.breaker.State()
-	allowed := st.breaker.Allow()
-	st.obs.BreakerTransition(prev, st.breaker.State())
-	if !allowed {
+	if !st.breaker.Allow() {
 		return true
 	}
 	t0 := time.Now()
@@ -1206,19 +1179,13 @@ func (r *run) decide() (degraded bool) {
 		// the step stays in OptimizeTime, which degrade extends) and the
 		// run is marked degraded-by-error so traces and metrics can tell
 		// this fallback from an already-open breaker.
-		st.learnerErrs.Add(1)
 		st.obs.CountLearnerError()
 		res.DegradedByError = true
-		prev = st.breaker.State()
 		st.breaker.RecordFailure()
-		st.obs.BreakerTransition(prev, st.breaker.State())
 		return true
 	}
-	prev = st.breaker.State()
 	st.breaker.RecordSuccess()
-	st.obs.BreakerTransition(prev, st.breaker.State())
 	if prec, ok := st.online.Estimator().Precision(); ok {
-		prev = st.breaker.State()
 		if st.breaker.ObservePrecision(prec, st.online.Estimator().SampleCount()) {
 			// Precision collapse tripped the breaker (the CAS admits
 			// exactly one winner under races): drop the stale window
@@ -1226,7 +1193,6 @@ func (r *run) decide() (degraded bool) {
 			// resume.
 			st.online.Estimator().Reset()
 		}
-		st.obs.BreakerTransition(prev, st.breaker.State())
 	}
 	res.CacheHit = decision.CacheHit
 	res.Predicted = decision.Predicted
@@ -1246,13 +1212,11 @@ func (r *run) degrade() error {
 	if err := r.optimize(false); err != nil {
 		return err
 	}
-	st.degradedRuns.Add(1)
 	// The validated label still feeds the quarantined learner so it
 	// retrains while degraded. A rejected point (dimensionality mismatch)
 	// is counted rather than silently dropped.
 	fb, lerr := st.online.ValidatedFeedback(res.Point, r.entry.id, res.EstimatedCost)
 	if lerr != nil {
-		st.retrainDrops.Add(1)
 		st.obs.CountRetrainDrop()
 		return nil
 	}
@@ -1435,8 +1399,8 @@ type Health struct {
 	Breaker metrics.BreakerSnapshot
 	// LearnerErrors counts Step failures on the learner path.
 	LearnerErrors int
-	// DegradedRuns counts Runs served by invoking the optimizer directly
-	// (breaker open, or a same-run fallback after a learner error).
+	// DegradedRuns counts completed Runs served by invoking the optimizer
+	// directly (breaker open, or a same-run fallback after a learner error).
 	DegradedRuns int
 	// RetrainDrops counts degraded-mode retraining points the learner
 	// rejected (dimensionality mismatch) instead of absorbing.
@@ -1451,12 +1415,13 @@ func (s *System) TemplateHealth(template string) (h Health, err error) {
 	if err != nil {
 		return Health{}, err
 	}
+	c := st.obs.Counters()
 	return Health{
 		Template:      template,
 		Breaker:       st.breaker.Snapshot(),
-		LearnerErrors: int(st.learnerErrs.Load()),
-		DegradedRuns:  int(st.degradedRuns.Load()),
-		RetrainDrops:  int(st.retrainDrops.Load()),
+		LearnerErrors: int(c.LearnerErrors),
+		DegradedRuns:  int(c.DegradedRuns),
+		RetrainDrops:  int(c.RetrainDrops),
 	}, nil
 }
 
@@ -1532,21 +1497,33 @@ type MetricsSnapshot struct {
 }
 
 // MetricsSnapshot assembles the current metrics across all templates. Each
-// template's feedback mailbox is flushed (and its depth gauge sampled just
-// before the flush) so the learner numbers reflect every point already
-// acknowledged by Run; all counters are atomics read without any lock, so a
-// snapshot never stalls the serving path.
+// template's feedback mailbox is flushed (its depth read just before the
+// flush) so the learner numbers reflect every point already acknowledged by
+// Run; all counters are atomics read without any lock, so a snapshot never
+// stalls the serving path. A number is read from whoever owns it: the
+// mailbox's length, the candidate set's size, the published model's retune
+// epoch and the breaker's edge counts are not copied anywhere between
+// snapshots.
 func (s *System) MetricsSnapshot() (snap MetricsSnapshot, err error) {
 	defer capturePanic("ppc.MetricsSnapshot", &err)
 	snap.Schema = MetricsSnapshotSchema
 	for _, st := range s.statesByName() {
-		st.obs.SetQueueDepth(len(st.mail))
+		depth := len(st.mail)
 		st.flush()
 		tm := TemplateMetrics{
 			TemplateSnapshot: st.obs.Snapshot(),
 			Degree:           st.tmpl.Degree(),
 			Breaker:          st.breaker.Snapshot(),
 		}
+		c := &tm.Counters
+		c.QueueDepth = int64(depth)
+		c.RetuneEpoch = st.online.RetuneEpoch()
+		st.candMu.RLock()
+		c.CandidatePlans = int64(len(st.candIDs))
+		st.candMu.RUnlock()
+		c.BreakerOpens = uint64(tm.Breaker.Trips)
+		c.BreakerHalfOpens = uint64(tm.Breaker.HalfOpens)
+		c.BreakerRecloses = uint64(tm.Breaker.Recloses)
 		est := st.online.Estimator()
 		model := st.online.Model()
 		tm.Learner = LearnerMetrics{

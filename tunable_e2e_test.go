@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/netproto"
 	"repro/internal/tpch"
+	"repro/internal/wal"
 )
 
 // mutTunable enables tunable LSH with a low re-tune threshold so the
@@ -47,9 +48,10 @@ func retuneGauge(t *testing.T, sys *System, template string) uint64 {
 }
 
 // TestRetuneEpochGaugeSynchronousFeedback: with FeedbackQueue < 0 there is
-// no applier goroutine, and every point is applied inline by Deliver — which
-// must refresh the retune_epoch gauge as the applier's batches do, or the
-// gauge reads 0 on a learner that has re-tuned.
+// no applier goroutine, and every point is applied inline by Deliver. The
+// retune_epoch a snapshot reports is read from the published model when the
+// snapshot is taken, so it is the learner's whichever path applied the
+// points (as a gauge only the applier refreshed, it read 0 here).
 func TestRetuneEpochGaugeSynchronousFeedback(t *testing.T) {
 	sys, err := Open(Options{
 		TPCH:          tpch.Config{Scale: 2000, Seed: 5},
@@ -126,8 +128,8 @@ func TestRetuneCrashRecoveryTwice(t *testing.T) {
 	if got := retuneEpoch(t, rec1, "Q1"); got != epoch1 {
 		t.Fatalf("first recovery restored retune epoch %d, leader at %d", got, epoch1)
 	}
-	// The metrics gauge must be seeded at recovery, not first re-reported at
-	// the next live re-tune.
+	// The metrics report the recovered epoch at once, not first at the next
+	// live re-tune.
 	if got := retuneGauge(t, rec1, "Q1"); got != epoch1 {
 		t.Errorf("recovered metrics report retune_epoch %d, learner at %d", got, epoch1)
 	}
@@ -155,6 +157,75 @@ func TestRetuneCrashRecoveryTwice(t *testing.T) {
 	}
 	if hits := predictParity(t, "second recovery", rec1, rec2, "Q1", tmpl.Degree()); hits == 0 {
 		t.Fatal("no OK predictions after the second recovery; parity vacuous")
+	}
+}
+
+// TestDurableReshapedTemplateReplay: a durable leader with tunable LSH on
+// crashes before any checkpoint covers Q1 and, restarted from its WAL, is
+// handed Q1 again with a third parameter. Every record the log holds for
+// the old shape that does not fit the new learner — the two-coordinate
+// points, and the re-tune switches, whose warp grid has the old learner's
+// axes — is stale, and the template serves cold but correct. Before the
+// replay switch asked the retune arm that question, Register succeeded with
+// the old warps installed, and the first insert under them indexed past the
+// grid: with FeedbackQueue -1 the first Run returned *InternalError having
+// panicked under the learner lock (ApplyBatch did not defer its unlock) and
+// the second Run never returned; with the default mailbox the panic was the
+// applier goroutine's and killed the process. So at the parent commit the
+// first arm fails at its first Run and the second arm takes the test binary
+// down.
+func TestDurableReshapedTemplateReplay(t *testing.T) {
+	dir := t.TempDir()
+	sys := openDurable(t, dir, mutTunable)
+	defer sys.Close() //nolint:errcheck
+	runDurableWorkload(t, sys, 200, 3)
+	if _, err := sys.TemplateStats("Q1"); err != nil { // flush the applier
+		t.Fatal(err)
+	}
+	if retuneEpoch(t, sys, "Q1") == 0 {
+		t.Fatal("leader never re-tuned; the log holds no retune record to misfit")
+	}
+	misfits := 0
+	for _, r := range mustScan(t, dir).Records {
+		if r.Kind == wal.RecordFeedback || r.Kind == wal.RecordRetune {
+			misfits++
+		}
+	}
+
+	const reshaped = `SELECT s.s_suppkey, COUNT(*)
+		FROM supplier s, lineitem l
+		WHERE l.l_suppkey = s.s_suppkey AND s.s_date <= ? AND l.l_partkey <= ? AND l.l_shipdate <= ?
+		GROUP BY s.s_suppkey`
+	for _, arm := range []struct {
+		name  string
+		queue int
+	}{{"synchronous feedback", -1}, {"applier goroutine", 0}} {
+		t.Run(arm.name, func(t *testing.T) {
+			rec, err := Open(durableOptions(crashImage(t, dir), func(o *Options) {
+				mutTunable(o)
+				o.FeedbackQueue = arm.queue
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rec.Register("Q1", reshaped); err != nil {
+				t.Fatal(err)
+			}
+			rep := rec.LoadStateReport()
+			if rep.WALPending != 0 || rep.WALStale < misfits {
+				t.Errorf("replay left %d records pending and counted %d stale; the log holds %d points and re-tunes of the old shape",
+					rep.WALPending, rep.WALStale, misfits)
+			}
+			if got := retuneEpoch(t, rec, "Q1"); got != 0 {
+				t.Errorf("the reshaped learner is at retune epoch %d: a switch of the old shape was applied", got)
+			}
+			// A wedged learner lock shows as this hanging until the test
+			// binary's timeout.
+			runDurableWorkload(t, rec, 50, 7)
+			if err := rec.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
