@@ -66,11 +66,13 @@ crash:
 # replay switch, fed decoded frames of every kind and held to no panic and a
 # learner state that still round-trips its own encoding, over the join
 # enumerator, held to the node-building reference at
-# fuzzer-chosen templates and points, and over the frozen-block predict
+# fuzzer-chosen templates and points, over the frozen-block predict
 # query, held to the map-walking reference at fuzzer-chosen synopsis states
-# and points, and over the compiled executor's key-consuming kernels, held
+# and points, over the compiled executor's key-consuming kernels, held
 # to the tree-walk engine at fuzzer-chosen key-column shapes, operators and
-# parameters. Go runs one fuzz target per invocation, hence nine runs.
+# parameters, and over the template SQL parser — Register's outside input —
+# held to a query or an error, and to a query NewTemplate takes without a
+# panic. Go runs one fuzz target per invocation, hence ten runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzScan -fuzztime $(FUZZTIME) ./internal/wal
@@ -81,6 +83,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzOptimizeMatchesReference -fuzztime $(FUZZTIME) ./internal/optimizer
 	$(GO) test -run '^$$' -fuzz FuzzModelPredictMatchesReference -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzCompiledMatchesTreeWalk -fuzztime $(FUZZTIME) ./internal/executor
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/sqlparse
 
 # The replication suite, bottom up: wire protocol and torn/corrupt frames,
 # WAL tailing, leader/replica servers under fault injection (epoch fencing,

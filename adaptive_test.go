@@ -259,3 +259,58 @@ func TestAdaptiveDriftInteraction(t *testing.T) {
 		t.Error("learner synopsis empty after drift interaction")
 	}
 }
+
+// TestCorrectionsHoldQErrorOnUndistortedCatalog is ROADMAP 4(4)'s guard:
+// the corrections repair a distorted catalog, so where the catalog is the
+// truth (no StatsWrap) they must leave the estimates alone. The nine
+// standard templates each take the same 300 seeded runs on a system with
+// the layer on and on its control arm (DisableAdaptiveStats), and per
+// template the p95 estimation q-error with corrections on is held to the
+// control's × 1.05 — the q-error histogram's buckets double, so in effect to
+// no higher bucket.
+func TestCorrectionsHoldQErrorOnUndistortedCatalog(t *testing.T) {
+	p95 := func(disable bool) map[string]float64 {
+		sys, err := Open(Options{
+			TPCH:                 tpch.Config{Scale: 2000, Seed: 5},
+			Online:               onlineForTest(),
+			FeedbackQueue:        -1,
+			DisableAdaptiveStats: disable,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sys.Close() //nolint:errcheck
+		if err := sys.RegisterStandard(); err != nil {
+			t.Fatal(err)
+		}
+		for i, name := range sys.TemplateNames() {
+			for _, values := range hotTemplatePoints(t, sys, name, 300, int64(100+i)) {
+				if _, err := sys.Run(name, values); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		snap, err := sys.MetricsSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string]float64, len(snap.Templates))
+		for _, tm := range snap.Templates {
+			if tm.EstimationQError.Count > 0 {
+				out[tm.Template] = tm.EstimationQError.Quantile(0.95)
+			}
+		}
+		return out
+	}
+	off, on := p95(true), p95(false)
+	// Q0 has no attributable operator: its one scan applies both predicates.
+	if len(off) != 8 || len(on) != 8 {
+		t.Fatalf("q-error observed on %d templates with corrections off and %d on, want Q1-Q8 in both", len(off), len(on))
+	}
+	for name, control := range off {
+		if on[name] > control*1.05 {
+			t.Errorf("%s: corrections raise p95 q-error on an undistorted catalog: %.3f on, %.3f off", name, on[name], control)
+		}
+	}
+	t.Logf("estimation q-error p95 by template: corrections off %v, on %v", off, on)
+}

@@ -104,15 +104,60 @@ func TestDurableApplyAllocBudget(t *testing.T) {
 
 // TestCommandsLinkNoBenchHarness keeps the guards' substrate where it
 // belongs: internal/benchsuite exists for _test.go files, so no shipped
-// binary under cmd/ may link it, or the testing package it drags in.
+// binary under cmd/ may link it, or the testing package it drags in. The
+// two serving binaries are held tighter: what they link of repro/internal
+// is exactly the literal set below, so a new dependency fails here and the
+// set can only shrink.
 func TestCommandsLinkNoBenchHarness(t *testing.T) {
-	out, err := exec.Command("go", "list", "-deps", "./cmd/...").CombinedOutput()
-	if err != nil {
-		t.Fatalf("go list -deps ./cmd/...: %v\n%s", err, out)
+	deps := func(patterns ...string) []string {
+		t.Helper()
+		out, err := exec.Command("go", append([]string{"list", "-deps"}, patterns...)...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("go list -deps %v: %v\n%s", patterns, err, out)
+		}
+		return strings.Fields(string(out))
 	}
-	for _, pkg := range strings.Fields(string(out)) {
+	for _, pkg := range deps("./cmd/...") {
 		if pkg == "testing" || pkg == "repro/internal/benchsuite" {
 			t.Errorf("a command under cmd/ links %s", pkg)
+		}
+	}
+
+	serving := map[string]bool{
+		"catalog":   true,
+		"cluster":   true, // ROADMAP 5(a): core keeps two types and PredictFromDensities there
+		"core":      true,
+		"executor":  true,
+		"faults":    true,
+		"geom":      true,
+		"histogram": true,
+		"lsh":       true,
+		"metrics":   true,
+		"netproto":  true,
+		"obsv":      true,
+		"optimizer": true,
+		"plancache": true,
+		"queries":   true,
+		"replica":   true,
+		"sqlparse":  true,
+		"stats":     true,
+		"tpch":      true,
+		"wal":       true,
+		"workload":  true, // ROADMAP 2(1): ppcserve's built-in load generator
+		"zorder":    true,
+	}
+	linked := map[string]bool{}
+	for _, pkg := range deps("./cmd/ppcserve", "./cmd/ppcreplica") {
+		if name, ok := strings.CutPrefix(pkg, "repro/internal/"); ok {
+			linked[name] = true
+			if !serving[name] {
+				t.Errorf("a serving binary links repro/internal/%s, which is not on the allow-list", name)
+			}
+		}
+	}
+	for name := range serving {
+		if !linked[name] {
+			t.Errorf("repro/internal/%s is on the allow-list but no serving binary links it: take it off", name)
 		}
 	}
 }
@@ -121,7 +166,8 @@ func TestCommandsLinkNoBenchHarness(t *testing.T) {
 // job, read off the root package's non-test source: a Run works at the
 // values its caller bound, so nothing here inverts a plan space point
 // (InstanceAt is for workload generators); there is one site that invokes
-// the optimizer (run.optimize); and the plan cache is the only plan index.
+// the optimizer (run.optimize) and nothing named after a candidate plan set
+// beside it; and the plan cache is the only plan index.
 func TestFacadeOnePathPerJob(t *testing.T) {
 	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi os.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -157,5 +203,12 @@ func TestFacadeOnePathPerJob(t *testing.T) {
 	old := "plan" + "ByID"
 	if n := idents[old]; n != 0 {
 		t.Errorf("identifier %s occurs %d times: the plan cache is the only plan index", old, n)
+	}
+	// The optimize site has no second answerer: precomputed plan sets that
+	// stood in for the optimizer left the tree (ROADMAP 4(4)).
+	for name := range idents {
+		if lower := strings.ToLower(name); strings.HasPrefix(lower, "cand") || strings.Contains(lower, "candidate") {
+			t.Errorf("identifier %s: only the optimizer answers run.optimize", name)
+		}
 	}
 }

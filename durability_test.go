@@ -576,10 +576,9 @@ func TestDegradeBothCorrupt(t *testing.T) {
 // TestRestoredPlansServeCompiled: a plan restored from a snapshot — through
 // SaveState/LoadState, or through a durable close and reopen — comes back
 // compiled, exactly like a freshly optimized one. Every restored cache
-// entry holds its executor program and rebind program, a hit on a restored
-// plan id is served without an optimizer invocation, and the restored
-// candidate set routes: a restart must not serve its cache slower than the
-// process it replaced.
+// entry holds its executor program and rebind program, and a hit on a
+// restored plan id is served without an optimizer invocation: a restart must
+// not serve its cache slower than the process it replaced.
 func TestRestoredPlansServeCompiled(t *testing.T) {
 	for _, mode := range []string{"snapshot", "reopen"} {
 		t.Run(mode, func(t *testing.T) {
@@ -589,7 +588,6 @@ func TestRestoredPlansServeCompiled(t *testing.T) {
 				TPCH:          tpch.Config{Scale: 2000, Seed: 5},
 				Online:        online,
 				FeedbackQueue: -1,
-				Candidates:    CandidatesOptions{Enable: true},
 			}
 			if mode == "reopen" {
 				opts.Durability = Durability{Dir: t.TempDir(), DisableCheckpointer: true}
@@ -647,21 +645,80 @@ func TestRestoredPlansServeCompiled(t *testing.T) {
 				t.Errorf("first run after restore: hit=%v invoked=%v optimize=%v plan %d restored=%v",
 					res.CacheHit, res.Invoked, res.OptimizeTime, res.PlanID, restored[res.PlanID])
 			}
-			// Points the learner has not seen invoke the optimizer, which the
-			// restored candidate set answers.
-			rng := rand.New(rand.NewSource(9))
-			for i := 0; i < 30; i++ {
-				inst, err := sys.Optimizer().InstanceAt(tmpl, []float64{rng.Float64(), rng.Float64()})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := sys.Run("Q1", inst.Values); err != nil {
+		})
+	}
+}
+
+// TestDurableStateWrittenWithCandidateSets: state the parent build wrote
+// with candidate plan sets on (testdata/parent_candidates_on, its README has
+// the recipe) restores warm on a build that has no such thing — gob drops
+// the saved sets, and the plans they interned are ordinary cache entries.
+// The checkpoint is read both ways it can arrive: as a LoadState stream into
+// an in-memory System, and in place by a durable reopen, which finds the
+// WAL wholly covered by it.
+func TestDurableStateWrittenWithCandidateSets(t *testing.T) {
+	const fixture = "testdata/parent_candidates_on"
+	checkpoint, err := os.ReadFile(filepath.Join(fixture, checkpointName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(checkpoint, []byte("CandFPs")) {
+		t.Fatal("the fixture carries no candidate set; the test is vacuous")
+	}
+	saved, reason := decodeSnapshot(bytes.NewReader(checkpoint))
+	if reason != "" {
+		t.Fatal(reason)
+	}
+	for _, mode := range []string{"snapshot", "reopen"} {
+		t.Run(mode, func(t *testing.T) {
+			online := onlineForTest()
+			online.InvocationProb = 1e-9 // no random audits: a warm point is a hit
+			opts := Options{
+				TPCH:          tpch.Config{Scale: saved.DBScale, Seed: saved.DBSeed},
+				Online:        online,
+				FeedbackQueue: -1,
+			}
+			if mode == "reopen" {
+				opts.Durability = Durability{Dir: crashImage(t, fixture), DisableCheckpointer: true}
+			}
+			sys, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close() //nolint:errcheck
+			if mode == "snapshot" {
+				if err := sys.LoadState(bytes.NewReader(checkpoint)); err != nil {
 					t.Fatal(err)
 				}
 			}
-			st, _ := sys.lookup("Q1")
-			if st.obs.CandidateRouted() == 0 {
-				t.Error("no optimizer invocation was routed through the restored candidate set")
+			rep := sys.LoadStateReport()
+			if rep == nil || rep.Corrupt || rep.Templates != len(saved.Templates) || rep.Plans != len(saved.CacheMRU) {
+				t.Fatalf("restored %+v, the checkpoint holds %d templates and %d plans", rep, len(saved.Templates), len(saved.CacheMRU))
+			}
+			if mode == "reopen" && (rep.WALReplayed != 0 || rep.WALSkipped == 0) {
+				t.Errorf("reopen replayed %d records and skipped %d; the checkpoint covers the whole log", rep.WALReplayed, rep.WALSkipped)
+			}
+			for _, st := range saved.Templates {
+				tmpl, err := sys.Template(st.Name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				point := make([]float64, tmpl.Degree())
+				for i := range point {
+					point[i] = 0.3
+				}
+				hot, err := sys.Optimizer().InstanceAt(tmpl, point)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := sys.Run(st.Name, hot.Values)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.CacheHit || res.Invoked || res.OptimizeTime != 0 {
+					t.Errorf("%s: first run at a trained point: hit=%v invoked=%v optimize=%v",
+						st.Name, res.CacheHit, res.Invoked, res.OptimizeTime)
+				}
 			}
 		})
 	}

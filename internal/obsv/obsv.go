@@ -162,12 +162,6 @@ type TemplateObs struct {
 	memoInvalidations atomic.Uint64
 	qerror            QHist
 
-	// Candidate routing outcomes: optimizer invocations answered from the
-	// candidate set, and full optimizations whose winner was already a
-	// candidate.
-	candidateRouted atomic.Uint64
-	candidateKept   atomic.Uint64
-
 	predict  Hist
 	optimize Hist
 	execute  Hist
@@ -272,17 +266,6 @@ func (t *TemplateObs) CountMemoInvalidation() { t.memoInvalidations.Add(1) }
 // MemoInvalidations returns the memo-rebuild count.
 func (t *TemplateObs) MemoInvalidations() uint64 { return t.memoInvalidations.Load() }
 
-// CountCandidateRouted records an optimizer invocation answered by
-// re-costing the candidate set instead of a full optimization.
-func (t *TemplateObs) CountCandidateRouted() { t.candidateRouted.Add(1) }
-
-// CountCandidateKept records a full optimization whose winning plan was
-// already in the candidate set — evidence the set covers the plan space.
-func (t *TemplateObs) CountCandidateKept() { t.candidateKept.Add(1) }
-
-// CandidateRouted returns the candidate-routed invocation count.
-func (t *TemplateObs) CandidateRouted() uint64 { return t.candidateRouted.Load() }
-
 // QError returns a snapshot of the estimation q-error histogram.
 func (t *TemplateObs) QError() QHistSnapshot { return t.qerror.Snapshot() }
 
@@ -336,13 +319,8 @@ type CounterSnapshot struct {
 	// MemoInvalidations counts memo rebuilds forced by correction-epoch
 	// movement in the adaptive statistics layer.
 	MemoInvalidations uint64 `json:"memo_invalidations"`
-	// Candidate-generation and tunable-LSH fields (additive): the interned
-	// candidate set's size and the published model's retune epoch, and the
-	// routing-outcome counters.
-	CandidatePlans  int64  `json:"candidate_plans"`
-	RetuneEpoch     uint64 `json:"retune_epoch"`
-	CandidateRouted uint64 `json:"candidate_routed"`
-	CandidateKept   uint64 `json:"candidate_kept"`
+	// RetuneEpoch is the published model's tunable-LSH retune epoch.
+	RetuneEpoch uint64 `json:"retune_epoch"`
 }
 
 // TemplateSnapshot is the JSON form of one template's metrics.
@@ -382,8 +360,6 @@ func (t *TemplateObs) Counters() CounterSnapshot {
 		ApplyBatches:         t.applyBatches.Load(),
 		SnapshotPublishes:    t.snapshotPublishes.Load(),
 		MemoInvalidations:    t.memoInvalidations.Load(),
-		CandidateRouted:      t.candidateRouted.Load(),
-		CandidateKept:        t.candidateKept.Load(),
 	}
 }
 

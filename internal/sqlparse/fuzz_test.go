@@ -6,17 +6,24 @@ import (
 	"testing"
 )
 
+// NoiseAlphabet and MutationBase are what the two tests below draw their
+// inputs from; FuzzParse (package sqlparse_test) seeds its corpus with them.
+const (
+	NoiseAlphabet = "SELECT FROM WHERE AND GROUP BY BETWEEN COUNT(*)<>=?.','x_1 \t\n\"#;%" +
+		"lineitem orders customer l_shipdate o_orderkey 3.14 -7 '"
+	MutationBase = "SELECT o.o_orderkey, COUNT(*) FROM orders o, lineitem l " +
+		"WHERE l.l_orderkey = o.o_orderkey AND l.l_shipdate <= ? GROUP BY o.o_orderkey"
+)
+
 // The parser must never panic, whatever bytes it is fed — it either
 // returns a query or an error.
 func TestParseNeverPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	alphabet := "SELECT FROM WHERE AND GROUP BY BETWEEN COUNT(*)<>=?.','x_1 \t\n\"#;%" +
-		"lineitem orders customer l_shipdate o_orderkey 3.14 -7 '"
 	for i := 0; i < 5000; i++ {
 		n := rng.Intn(120)
 		var b strings.Builder
 		for j := 0; j < n; j++ {
-			b.WriteByte(alphabet[rng.Intn(len(alphabet))])
+			b.WriteByte(NoiseAlphabet[rng.Intn(len(NoiseAlphabet))])
 		}
 		input := b.String()
 		func() {
@@ -33,11 +40,9 @@ func TestParseNeverPanics(t *testing.T) {
 // Mutations of a valid query must also never panic (they hit deeper parser
 // states than pure noise).
 func TestParseMutatedQueriesNeverPanic(t *testing.T) {
-	base := "SELECT o.o_orderkey, COUNT(*) FROM orders o, lineitem l " +
-		"WHERE l.l_orderkey = o.o_orderkey AND l.l_shipdate <= ? GROUP BY o.o_orderkey"
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 5000; i++ {
-		bs := []byte(base)
+		bs := []byte(MutationBase)
 		for k := 0; k < 1+rng.Intn(4); k++ {
 			switch rng.Intn(3) {
 			case 0: // delete

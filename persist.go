@@ -62,12 +62,6 @@ type savedTemplate struct {
 	Name    string
 	SQL     string
 	Learner []byte
-	// CandFPs and CandEpoch carry the candidate plan set (fingerprints, and
-	// the correction epoch it was generated at). Gob-additive: snapshots
-	// written before the field decode it as empty, and restore falls back to
-	// regeneration at registration time.
-	CandFPs   []string
-	CandEpoch uint64
 }
 
 type savedPlan struct {
@@ -155,14 +149,7 @@ func (s *System) SaveState(w io.Writer) (err error) {
 	defer capturePanic("ppc.SaveState", &err)
 	out := savedSystem{DBScale: s.opts.TPCH.Scale, DBSeed: s.opts.TPCH.Seed}
 	out.Fingerprints, err = s.encodeLearners(func(st *templateState, learner []byte) {
-		st.candMu.RLock()
-		candFPs := append([]string(nil), st.candFPs...)
-		candEpoch := st.candEpoch
-		st.candMu.RUnlock()
-		out.Templates = append(out.Templates, savedTemplate{
-			Name: st.tmpl.Name, SQL: st.tmpl.SQL, Learner: learner,
-			CandFPs: candFPs, CandEpoch: candEpoch,
-		})
+		out.Templates = append(out.Templates, savedTemplate{Name: st.tmpl.Name, SQL: st.tmpl.SQL, Learner: learner})
 	})
 	if err != nil {
 		return &SnapshotError{Op: "save", Err: err}
@@ -269,22 +256,6 @@ func (s *System) LoadState(r io.Reader) (err error) {
 			}
 			continue
 		}
-		// Adopt the saved candidate set over the one registerLocked just
-		// regenerated: the saved fingerprints were produced at the saved
-		// correction epoch, which the restored learner state is in lockstep
-		// with. Ids resolve through the rebuilt registry (dense, identical).
-		if len(st.CandFPs) > 0 {
-			ts := s.templates[st.Name]
-			ids := make([]int, len(st.CandFPs))
-			for i, fp := range st.CandFPs {
-				ids[i] = s.reg.ID(fp)
-			}
-			ts.candMu.Lock()
-			ts.candIDs = ids
-			ts.candFPs = append([]string(nil), st.CandFPs...)
-			ts.candEpoch = st.CandEpoch
-			ts.candMu.Unlock()
-		}
 		report.Templates++
 	}
 	// Restore the cached plans through cachePlan, least recently used first
@@ -295,10 +266,8 @@ func (s *System) LoadState(r io.Reader) (err error) {
 	// tree is recompiled through newCachedPlan, so a restored plan serves
 	// exactly like a freshly optimized one. A plan without a tree, one whose
 	// owning template is not in the snapshot, or one that no longer compiles
-	// is dropped and reported (Run re-optimizes on demand). An id the
-	// registrations above already interned (the regenerated candidate set)
-	// keeps its entry — the trees are fingerprint-identical. Compilation
-	// runs outside cacheMu, like everywhere else (regMu > cacheMu).
+	// is dropped and reported (Run re-optimizes on demand). Compilation runs
+	// outside cacheMu, like everywhere else (regMu > cacheMu).
 	saved := make(map[int]*savedPlan, len(in.Plans))
 	for i := range in.Plans {
 		saved[in.Plans[i].ID] = &in.Plans[i]
@@ -313,14 +282,10 @@ func (s *System) LoadState(r io.Reader) (err error) {
 			report.damaged("plan %d has no tree or unknown template %q", id, sp.Template)
 			continue
 		}
-		entry := s.cachedPlanOf(owner, id)
-		if entry == nil {
-			var err error
-			entry, err = s.newCachedPlan(owner, id, &optimizer.Plan{Root: sp.Root, Cost: sp.Cost, Fingerprint: sp.Print})
-			if err != nil {
-				report.damaged("plan %d: %v", id, err)
-				continue
-			}
+		entry, err := s.newCachedPlan(owner, id, &optimizer.Plan{Root: sp.Root, Cost: sp.Cost, Fingerprint: sp.Print})
+		if err != nil {
+			report.damaged("plan %d: %v", id, err)
+			continue
 		}
 		s.cachePlan(entry)
 		report.Plans++

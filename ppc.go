@@ -32,7 +32,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/candidates"
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/executor"
@@ -100,29 +99,11 @@ type Options struct {
 	// tests use it to inject base-estimate error (stats.Distorted) and
 	// watch the corrections repair it; production systems leave it nil.
 	StatsWrap func(stats.Provider) stats.Provider
-	// Candidates configures registration-time candidate plan enumeration:
-	// each template's plan space is swept under perturbed selectivities and
-	// the structurally distinct plans are interned into the cache, so the
-	// learner routes among real alternatives from the first query. Off by
-	// default.
-	Candidates CandidatesOptions
 	// TunableLSH configures the incremental LSH re-tune pass: per-axis
 	// transform grids adapt to the empirical parameter distribution
 	// harvested on the feedback path, republishing the synopsis under the
 	// retuned mapping. Off by default.
 	TunableLSH TunableLSHOptions
-}
-
-// CandidatesOptions configures candidate plan enumeration (see
-// internal/candidates).
-type CandidatesOptions struct {
-	// Enable turns the subsystem on.
-	Enable bool
-	// Scales are the selectivity distortion factors swept around the base
-	// estimate (default {0.25, 0.5, 2, 4}; 1.0 is always probed).
-	Scales []float64
-	// MaxPlans caps each template's candidate set (default 8).
-	MaxPlans int
 }
 
 // TunableLSHOptions configures the tunable-LSH re-tune pass (see
@@ -328,17 +309,6 @@ type templateState struct {
 	closeOnce sync.Once
 	closed    atomic.Bool
 
-	// candMu guards the candidate plan set (sits between regMu and cacheMu
-	// in the lock hierarchy: generation interns plans under cacheMu while
-	// holding it). candIDs/candFPs are replaced wholesale, never mutated in
-	// place; candEpoch is the correction epoch the set was generated at —
-	// when the corrections move past it, the set's costs are stale and the
-	// background applier regenerates it.
-	candMu    sync.RWMutex
-	candIDs   []int
-	candFPs   []string
-	candEpoch uint64
-
 	// obs is this template's metrics (immutable pointer, set before the
 	// state is published; the counters themselves are atomics and need no
 	// lock).
@@ -464,10 +434,6 @@ func (st *templateState) applyBatch(batch []core.Feedback, flushes []chan struct
 func (st *templateState) applyCards(buf *cardBuf) {
 	if st.corr != nil && len(buf.obs) > 0 {
 		st.online.ApplyCorrections(buf.obs)
-		// An epoch bump makes the candidate set's costs stale; regenerate it
-		// under the corrected estimates (refreshCandidates early-outs on a
-		// matching epoch, so steady state pays one epoch comparison).
-		st.sys.refreshCandidates(st)
 	}
 	releaseCards(buf)
 }
@@ -695,10 +661,6 @@ func (s *System) registerLocked(name, sql string) error {
 		go st.applyLoop()
 	}
 	s.templates[name] = st
-	// Enumerate and intern the template's candidate plan set so predictions
-	// can resolve to real cached plans from the very first Run — no cache
-	// miss needed to populate the alternatives.
-	s.refreshCandidates(st)
 	// Replay any WAL records recovered for this template before the
 	// checkpoint knew it (or because the checkpoint was corrupt) — the
 	// template serves warm from its first Run.
@@ -706,99 +668,6 @@ func (s *System) registerLocked(name, sql string) error {
 		s.replayPendingLocked(name, st)
 	}
 	return nil
-}
-
-// refreshCandidates (re)generates the template's candidate plan set and
-// interns every survivor into the shared cache. A no-op when the subsystem
-// is disabled or the set is already fresh against the correction epoch.
-// Called at registration (under regMu) and from the background applier
-// after a correction-epoch bump (no facade lock held); both orders respect
-// the hierarchy regMu > candMu > cacheMu. A generation failure keeps the
-// previous set — routing then falls back to the full optimizer until the
-// next epoch bump retries; so does a candidate that fails to compile.
-func (s *System) refreshCandidates(st *templateState) {
-	if !s.opts.Candidates.Enable {
-		return
-	}
-	var epoch uint64
-	if st.corr != nil {
-		epoch = st.corr.Epoch()
-	}
-	st.candMu.Lock()
-	defer st.candMu.Unlock()
-	if st.candIDs != nil && st.candEpoch == epoch {
-		return
-	}
-	cands, err := candidates.Generate(s.opt, st.tmpl, candidates.Config{
-		Scales:   s.opts.Candidates.Scales,
-		MaxPlans: s.opts.Candidates.MaxPlans,
-	})
-	if err != nil {
-		return
-	}
-	ids := make([]int, 0, len(cands))
-	fps := make([]string, 0, len(cands))
-	for _, c := range cands {
-		entry, err := s.internPlan(st, c.Plan)
-		if err != nil {
-			return
-		}
-		ids = append(ids, entry.id)
-		fps = append(fps, c.Plan.Fingerprint)
-	}
-	st.candIDs, st.candFPs, st.candEpoch = ids, fps, epoch
-}
-
-// candidateRoute serves a learner optimizer invocation from the template's
-// interned candidate set when it is fresh: every candidate is re-costed at
-// the instance in O(params) via its cached rebind program and the cheapest
-// wins — the plan the full optimizer would pick whenever the set covers the
-// optimum, at a fraction of the cost. Returns a nil entry when candidates
-// are disabled, stale against the correction epoch, or evicted; the caller
-// then falls back to full optimization.
-func (s *System) candidateRoute(st *templateState, values []float64) (best *cachedPlan, bestCost float64) {
-	if !s.opts.Candidates.Enable {
-		return nil, 0
-	}
-	st.candMu.RLock()
-	ids := st.candIDs
-	epoch := st.candEpoch
-	st.candMu.RUnlock()
-	if len(ids) < 2 {
-		return nil, 0
-	}
-	if st.corr != nil && st.corr.Epoch() != epoch {
-		// The correction epoch moved past the set: its costs are stale.
-		// The background applier regenerates; this run takes the full
-		// optimizer.
-		return nil, 0
-	}
-	for _, id := range ids {
-		entry := s.cachedPlanOf(st, id)
-		if entry == nil {
-			continue
-		}
-		cost, err := entry.rebind.Recost(s.opt, values)
-		if err != nil {
-			continue
-		}
-		if best == nil || cost < bestCost {
-			best, bestCost = entry, cost
-		}
-	}
-	return best, bestCost
-}
-
-// candidateHas reports whether the fingerprint is in the candidate set.
-func (st *templateState) candidateHas(fp string) bool {
-	st.candMu.RLock()
-	defer st.candMu.RUnlock()
-	for _, f := range st.candFPs {
-		if f == fp {
-			return true
-		}
-	}
-	return false
 }
 
 // Close stops every template's background apply goroutine after draining
@@ -1087,7 +956,7 @@ type run struct {
 // Optimize implements core.Environment: the optimizer's choice for this
 // run's instance (x is the run's own point).
 func (r *run) Optimize([]float64) (int, float64, error) {
-	if err := r.optimize(true); err != nil {
+	if err := r.optimize(); err != nil {
 		return 0, 0, err
 	}
 	return r.entry.id, r.res.EstimatedCost, nil
@@ -1115,41 +984,26 @@ func (r *run) ExecuteCost(_ []float64, planID int) (float64, error) {
 
 // optimize is the one place a run invokes the optimizer, outside all
 // locks: through the template's memo, at the run's own values, then intern
-// (and, first time, compile) the winner. Where the learner asked
-// (viaCandidates) a fresh candidate set answers instead: re-costing the
-// interned alternatives at the instance is O(candidates × params), picks
-// the same plan the optimizer would whenever the set covers the optimum,
-// and never waits on a cache miss to surface it. A degraded run and a
-// cache-miss fallback always take the full optimizer — the plan a system
-// without a plan cache would produce.
-func (r *run) optimize(viaCandidates bool) error {
+// (and, first time, compile) the winner. The learner's invocation, a
+// degraded run and a cache-miss fallback all land here, so the label a run
+// feeds the synopsis is always the plan a system without a plan cache would
+// produce.
+func (r *run) optimize() error {
 	s, st := r.st.sys, r.st
 	t0 := time.Now()
-	var entry *cachedPlan
-	var cost float64
-	if viaCandidates {
-		if entry, cost = s.candidateRoute(st, r.res.Values); entry != nil {
-			st.obs.CountCandidateRouted()
-		}
+	plan, err := s.opt.OptimizeMemo(s.memoFor(st), r.res.Values)
+	if err != nil {
+		return &PipelineError{Stage: "optimize", Template: r.res.Template, Err: err}
 	}
-	if entry == nil {
-		plan, err := s.opt.OptimizeMemo(s.memoFor(st), r.res.Values)
-		if err != nil {
-			return &PipelineError{Stage: "optimize", Template: r.res.Template, Err: err}
-		}
-		if entry, err = s.internPlan(st, plan); err != nil {
-			return err
-		}
-		// OptimizeMemo costs the plan at these values already.
-		cost = plan.Cost
-		if st.candidateHas(plan.Fingerprint) {
-			st.obs.CountCandidateKept()
-		}
+	entry, err := s.internPlan(st, plan)
+	if err != nil {
+		return err
 	}
 	r.res.OptimizeTime += time.Since(t0)
 	r.res.Invoked = true
 	r.res.CacheHit = false
-	r.entry, r.res.EstimatedCost = entry, cost
+	// OptimizeMemo costs the plan at these values already.
+	r.entry, r.res.EstimatedCost = entry, plan.Cost
 	return nil
 }
 
@@ -1209,7 +1063,7 @@ func (r *run) decide() (degraded bool) {
 func (r *run) degrade() error {
 	st, res := r.st, r.res
 	res.Degraded = true
-	if err := r.optimize(false); err != nil {
+	if err := r.optimize(); err != nil {
 		return err
 	}
 	// The validated label still feeds the quarantined learner so it
@@ -1235,7 +1089,7 @@ func (r *run) degrade() error {
 func (r *run) resolve() error {
 	s := r.st.sys
 	if r.entry == nil {
-		if err := r.optimize(false); err != nil {
+		if err := r.optimize(); err != nil {
 			return err
 		}
 		// No recency refresh: internPlan just Put the plan, which made it
@@ -1315,8 +1169,8 @@ func (s *System) internPlan(st *templateState, plan *optimizer.Plan) (*cachedPla
 }
 
 // cachePlan makes the entry the cache's most recent, evicting within the
-// cache's bound. Every insertion — a fresh optimization, a candidate set, a
-// restored snapshot — goes through here.
+// cache's bound. Every insertion — a fresh optimization, a restored
+// snapshot — goes through here.
 func (s *System) cachePlan(entry *cachedPlan) {
 	s.cacheMu.Lock()
 	defer s.cacheMu.Unlock()
@@ -1501,9 +1355,8 @@ type MetricsSnapshot struct {
 // flush) so the learner numbers reflect every point already acknowledged by
 // Run; all counters are atomics read without any lock, so a snapshot never
 // stalls the serving path. A number is read from whoever owns it: the
-// mailbox's length, the candidate set's size, the published model's retune
-// epoch and the breaker's edge counts are not copied anywhere between
-// snapshots.
+// mailbox's length, the published model's retune epoch and the breaker's
+// edge counts are not copied anywhere between snapshots.
 func (s *System) MetricsSnapshot() (snap MetricsSnapshot, err error) {
 	defer capturePanic("ppc.MetricsSnapshot", &err)
 	snap.Schema = MetricsSnapshotSchema
@@ -1518,9 +1371,6 @@ func (s *System) MetricsSnapshot() (snap MetricsSnapshot, err error) {
 		c := &tm.Counters
 		c.QueueDepth = int64(depth)
 		c.RetuneEpoch = st.online.RetuneEpoch()
-		st.candMu.RLock()
-		c.CandidatePlans = int64(len(st.candIDs))
-		st.candMu.RUnlock()
 		c.BreakerOpens = uint64(tm.Breaker.Trips)
 		c.BreakerHalfOpens = uint64(tm.Breaker.HalfOpens)
 		c.BreakerRecloses = uint64(tm.Breaker.Recloses)

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/netproto"
+	"repro/internal/stats"
 	"repro/internal/tpch"
 	"repro/internal/wal"
 )
@@ -51,28 +52,47 @@ func retuneGauge(t *testing.T, sys *System, template string) uint64 {
 // no applier goroutine, and every point is applied inline by Deliver. The
 // retune_epoch a snapshot reports is read from the published model when the
 // snapshot is taken, so it is the learner's whichever path applied the
-// points (as a gauge only the applier refreshed, it read 0 here).
+// points (as a gauge only the applier refreshed, it read 0 here). The
+// distorted case is the only place the tree runs tunable LSH over a 6x-biased
+// base estimator: the transform grid must re-tune while the adaptive
+// corrections move the estimates (and so the plan choices) under it.
 func TestRetuneEpochGaugeSynchronousFeedback(t *testing.T) {
-	sys, err := Open(Options{
-		TPCH:          tpch.Config{Scale: 2000, Seed: 5},
-		Online:        onlineForTest(),
-		FeedbackQueue: -1,
-		TunableLSH:    TunableLSHOptions{Enable: true, RetuneEvery: 10, Reservoir: 128},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close() //nolint:errcheck
-	if err := sys.Register("Q1", mustSQL(t, "Q1")); err != nil {
-		t.Fatal(err)
-	}
-	runDurableWorkload(t, sys, 300, 3)
-	epoch := retuneEpoch(t, sys, "Q1")
-	if epoch == 0 {
-		t.Fatal("learner never re-tuned; the gauge check is vacuous")
-	}
-	if got := retuneGauge(t, sys, "Q1"); got != epoch {
-		t.Errorf("retune_epoch gauge reads %d, learner at %d", got, epoch)
+	for _, tc := range []struct {
+		name      string
+		scale     int
+		statsWrap func(stats.Provider) stats.Provider
+		workload  func(*testing.T, *System, int, int64)
+	}{
+		{"catalog estimates", 2000, nil, runDurableWorkload},
+		{"distorted estimates under correction", 1000, distortLineitem, runSkewed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := Open(Options{
+				TPCH:          tpch.Config{Scale: tc.scale, Seed: 5},
+				Online:        onlineForTest(),
+				FeedbackQueue: -1,
+				StatsWrap:     tc.statsWrap,
+				TunableLSH:    TunableLSHOptions{Enable: true, RetuneEvery: 10, Reservoir: 128},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close() //nolint:errcheck
+			if err := sys.Register("Q1", mustSQL(t, "Q1")); err != nil {
+				t.Fatal(err)
+			}
+			tc.workload(t, sys, 300, 3)
+			epoch := retuneEpoch(t, sys, "Q1")
+			if epoch == 0 {
+				t.Fatal("learner never re-tuned; the gauge check is vacuous")
+			}
+			if got := retuneGauge(t, sys, "Q1"); got != epoch {
+				t.Errorf("retune_epoch gauge reads %d, learner at %d", got, epoch)
+			}
+			if st, _ := sys.lookup("Q1"); tc.statsWrap != nil && st.corr.Epoch() == 0 {
+				t.Error("the corrections never moved under the distortion; the case is the first one again")
+			}
+		})
 	}
 }
 
