@@ -12,25 +12,28 @@ PROFILE_DIR ?= profiles
 # full test suite under the race detector, and the allocation guards (a
 # separate non-race invocation: the race runtime's bookkeeping inflates
 # allocation counts, so the guards skip themselves under -race).
-# TestServingPathZeroAlloc holds predict/insert/WAL-append at exactly zero
-# allocs; TestRunPathAllocBudget holds the full batched Run path under its
-# 10 allocs/op budget; TestDurableApplyAllocBudget holds the learner → sink
-# → wal.Log write path to what the same batch allocates with no log
-# attached; TestExecSteadyStateAllocs holds a warmed CompiledPlan.Exec to
-# its result's three allocations whichever kernel runs, and TestColumnFactsLearnedOnce a second Compile to no column
-# scan and no bitmap build; TestFreezePublishCost holds a model publish to
-# the blocks one insert touched, and TestPredictZeroAllocWithWarps predict
-# under learned warps at zero. The benchmark harness in bench/ is a module
-# of its own that imports this one's internal packages, so it is vetted and
-# self-tested here too: an internal refactor that breaks it must fail the
-# gate, not the next benchmark run.
+# TestServingPathZeroAlloc holds predict/insert/WAL-append and a hit's
+# recost (RebindRecost) at exactly zero allocs; TestRunPathAllocBudget holds
+# the full batched Run path under its 10 allocs/op budget;
+# TestDurableApplyAllocBudget holds the learner → sink → wal.Log write path
+# to what the same batch allocates with no log attached;
+# TestExecSteadyStateAllocs holds a warmed CompiledPlan.Exec to its result's
+# three allocations whichever kernel runs, and TestColumnFactsLearnedOnce a
+# second Compile to no column scan and no bitmap build; TestFreezePublishCost
+# holds a model publish to the blocks one insert touched, and
+# TestPredictZeroAllocWithWarps predict under learned warps at zero;
+# TestRunHandlerAllocBudget holds ppcserve's /run handler to its Run's
+# allocations plus the request's own. The benchmark harness in bench/ is a
+# module of its own that imports this one's internal packages, so it is
+# vetted and self-tested here too: an internal refactor that breaks it must
+# fail the gate, not the next benchmark run.
 tier1:
 	$(GO) build ./...
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l . names:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -run 'TestServingPathZeroAlloc|TestRunPathAllocBudget|TestDurableApplyAllocBudget|TestExecSteadyStateAllocs|TestColumnFactsLearnedOnce|TestFreezePublishCost|TestPredictZeroAllocWithWarps' -count=1 . ./internal/executor ./internal/core
+	$(GO) test -run 'TestServingPathZeroAlloc|TestRunPathAllocBudget|TestDurableApplyAllocBudget|TestExecSteadyStateAllocs|TestColumnFactsLearnedOnce|TestFreezePublishCost|TestPredictZeroAllocWithWarps|TestRunHandlerAllocBudget' -count=1 . ./internal/executor ./internal/core ./cmd/ppcserve
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench -short ./...
 
@@ -70,9 +73,13 @@ crash:
 # query, held to the map-walking reference at fuzzer-chosen synopsis states
 # and points, over the compiled executor's key-consuming kernels, held
 # to the tree-walk engine at fuzzer-chosen key-column shapes, operators and
-# parameters, and over the template SQL parser — Register's outside input —
-# held to a query or an error, and to a query NewTemplate takes without a
-# panic. Go runs one fuzz target per invocation, hence ten runs.
+# parameters, over the template SQL parser — Register's outside input —
+# held to a query or an error, to a query that prints as SQL parsing back to
+# itself, and to one NewTemplate takes without a panic, and over the catalog
+# histograms' running-count probes (FractionLE, RangeCount, Quantile), held
+# with == to the bucket scans they replaced at fuzzer-chosen values, builders
+# and bucket counts. Go runs one fuzz target per invocation, hence eleven
+# runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzScan -fuzztime $(FUZZTIME) ./internal/wal
@@ -84,6 +91,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzModelPredictMatchesReference -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzCompiledMatchesTreeWalk -fuzztime $(FUZZTIME) ./internal/executor
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/sqlparse
+	$(GO) test -run '^$$' -fuzz FuzzProbeMatchesScan -fuzztime $(FUZZTIME) ./internal/histogram
 
 # The replication suite, bottom up: wire protocol and torn/corrupt frames,
 # WAL tailing, leader/replica servers under fault injection (epoch fencing,
@@ -114,8 +122,9 @@ loc:
 		END { printf "%6d %6d  non-test Go outside bench/: net %+d\n", a, d, a - d }'
 
 # CPU and heap profiles of the two Run paths, for chasing where the time
-# goes: run.* is the hit path (BenchmarkEndToEndRun: Q1 in steady state,
-# executor-bound), miss.* the miss path (BenchmarkMissPathRun: Q3/Q4/Q8 at
+# goes: run.* is the hit path (BenchmarkEndToEndRun: Q0 and Q1 alternating
+# in steady state, the mix bench/'s hit_exec gates; executor-bound), miss.*
+# the miss path (BenchmarkMissPathRun: Q3/Q4/Q8 at
 # uniform points, the miss_optimize workload's shape — NULL predict,
 # OptimizeMemo, intern/compile, feedback). Go profiles one benchmark run
 # per invocation. `go tool pprof $(PROFILE_DIR)/miss.cpu.pprof`, or

@@ -23,6 +23,7 @@ func BenchmarkPredictModelSnapshot(b *testing.B)  { benchsuite.PredictModelSnaps
 func BenchmarkPredictModelManyPlans(b *testing.B) { benchsuite.PredictModelManyPlans(b) }
 func BenchmarkInsertApproxLSHHist(b *testing.B)   { benchsuite.InsertApproxLSHHist(b) }
 func BenchmarkEndToEndRun(b *testing.B)           { benchsuite.EndToEndRun(b) }
+func BenchmarkRebindRecost(b *testing.B)          { benchsuite.RebindRecost(b) }
 func BenchmarkRunMixedSerial(b *testing.B)        { benchsuite.RunMixedSerial(b) }
 
 // BenchmarkRunParallel serves the mixed four-template workload from

@@ -29,7 +29,7 @@
 //	GET  /trace?template=Q1       recent decision traces, oldest first
 //	GET  /stats?template=Q1       learner stats (omit template for all)
 //	GET  /health                  per-template breaker and degraded-mode counters
-//	POST /run?template=Q1&values=0.3,0.4   run one instance at a plan-space point
+//	POST /run?template=Q1&values=0.3,0.4   run one instance at a plan-space point (compact JSON reply)
 //	GET  /recovery                LoadReport from startup recovery (404 when cold-started)
 //	GET  /replication             leader-side replication gauges (404 without -wal-dir)
 //	POST /checkpoint              force a checkpoint + WAL compaction now
@@ -282,9 +282,9 @@ func newMux(sys *ppc.System) *http.ServeMux {
 		writeJSON(w, out)
 	})
 	mux.HandleFunc("/run", postOnly(func(w http.ResponseWriter, r *http.Request) {
-		query := r.URL.Query()
-		name := query.Get("template")
-		point, err := parsePoint(query.Get("values"))
+		name, values := runParams(r)
+		var buf [8]float64 // the standard templates have at most six parameters
+		point, err := parsePoint(buf[:0], values)
 		if name == "" || err != nil {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("need ?template=NAME&values=v1,v2,...: %v", err))
 			return
@@ -304,15 +304,7 @@ func newMux(sys *ppc.System) *http.ServeMux {
 			httpError(w, http.StatusInternalServerError, err)
 			return
 		}
-		// The executed rows can be large; report the decision, not the data.
-		reply := runReply{
-			Template: res.Template, PlanID: res.PlanID, CacheHit: res.CacheHit,
-			Predicted: res.Predicted, Invoked: res.Invoked, Degraded: res.Degraded,
-		}
-		if res.Result != nil {
-			reply.Rows = len(res.Result.Rows)
-		}
-		writeJSON(w, reply)
+		writeRunReply(w, res)
 	}))
 	mux.HandleFunc("/recovery", func(w http.ResponseWriter, r *http.Request) {
 		rep := sys.LoadStateReport()
@@ -399,32 +391,100 @@ func splitNames(s string) []string {
 	return out
 }
 
-// parsePoint parses "0.3,0.4" into a plan-space point.
-func parsePoint(s string) ([]float64, error) {
+// runParams reads /run's template and values parameters. The serving path's
+// callers send them unescaped, and then they are substrings of the raw
+// query: no url.Values map is built. Anything escaped goes the long way.
+func runParams(r *http.Request) (template, values string) {
+	raw := r.URL.RawQuery
+	if strings.ContainsAny(raw, "%+;") {
+		q := r.URL.Query()
+		return q.Get("template"), q.Get("values")
+	}
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		switch key, value, _ := strings.Cut(pair, "="); {
+		case key == "template" && template == "":
+			template = value
+		case key == "values" && values == "":
+			values = value
+		}
+	}
+	return template, values
+}
+
+// parsePoint parses "0.3,0.4" into a plan-space point appended to dst,
+// walking the string: no field slice is built.
+func parsePoint(dst []float64, s string) ([]float64, error) {
 	if s == "" {
 		return nil, errors.New("empty values")
 	}
-	parts := strings.Split(s, ",")
-	out := make([]float64, len(parts))
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
+	for more := true; more; {
+		var field string
+		field, s, more = strings.Cut(s, ",")
+		v, err := strconv.ParseFloat(strings.TrimSpace(field), 64)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = v
+		dst = append(dst, v)
 	}
-	return out, nil
+	return dst, nil
 }
 
-// runReply is the body of a /run reply.
-type runReply struct {
-	Template  string `json:"template"`
-	PlanID    int    `json:"plan_id"`
-	CacheHit  bool   `json:"cache_hit"`
-	Predicted bool   `json:"predicted"`
-	Invoked   bool   `json:"invoked"`
-	Degraded  bool   `json:"degraded"`
-	Rows      int    `json:"rows"`
+// replyBufs pools the buffers /run replies are encoded into.
+var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// jsonContentType is shared by every reply's header map; nothing writes to
+// it.
+var jsonContentType = []string{"application/json"}
+
+// writeRunReply writes the body of a /run reply — the decision, not the
+// executed rows, which can be large: seven fields appended into a pooled
+// buffer (no reflection, no indentation) and sent with one Write under an
+// explicit Content-Length. The other endpoints are for people and keep
+// writeJSON.
+func writeRunReply(w http.ResponseWriter, res *ppc.RunResult) {
+	rows := 0
+	if res.Result != nil {
+		rows = len(res.Result.Rows)
+	}
+	bp := replyBufs.Get().(*[]byte)
+	b := append((*bp)[:0], `{"template":`...)
+	b = appendJSONString(b, res.Template)
+	b = append(b, `,"plan_id":`...)
+	b = strconv.AppendInt(b, int64(res.PlanID), 10)
+	b = append(b, `,"cache_hit":`...)
+	b = strconv.AppendBool(b, res.CacheHit)
+	b = append(b, `,"predicted":`...)
+	b = strconv.AppendBool(b, res.Predicted)
+	b = append(b, `,"invoked":`...)
+	b = strconv.AppendBool(b, res.Invoked)
+	b = append(b, `,"degraded":`...)
+	b = strconv.AppendBool(b, res.Degraded)
+	b = append(b, `,"rows":`...)
+	b = strconv.AppendInt(b, int64(rows), 10)
+	b = append(b, "}\n"...)
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	h["Content-Length"] = []string{strconv.Itoa(len(b))}
+	w.Write(b) //nolint:errcheck
+	*bp = b
+	replyBufs.Put(bp)
+}
+
+// appendJSONString appends s as a JSON string. Template names are plain
+// ASCII in practice and are copied between quotes; anything that needs
+// escaping goes through encoding/json.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' {
+			quoted, _ := json.Marshal(s) // a string always marshals
+			return append(b, quoted...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

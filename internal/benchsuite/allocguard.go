@@ -19,8 +19,12 @@ import (
 // PR 8: a follower exists to absorb read load, so its serving path carries
 // the same contract as the leader's. PredictModelManyPlans joins with the
 // block layout: its scratch is sized by the model's plan count, so it is
-// the entry that would show a per-plan allocation.
-var ZeroAllocBenchmarks = []string{"PredictApproxLSHHist", "PredictModelSnapshot", "PredictModelManyPlans", "InsertApproxLSHHist", "WALAppend", "ReplicaPredict"}
+// the entry that would show a per-plan allocation. RebindRecost joins with
+// the bound estimation path: a rebind program resolves its statistics
+// handles when it is compiled and walks the cached plan in place — there is
+// no pooled private tree any more — so costing a hit may not allocate, and
+// binding cannot hide a per-run allocation.
+var ZeroAllocBenchmarks = []string{"PredictApproxLSHHist", "PredictModelSnapshot", "PredictModelManyPlans", "InsertApproxLSHHist", "WALAppend", "ReplicaPredict", "RebindRecost"}
 
 // CheckZeroAlloc measures the named bodies under testing.Benchmark
 // and returns an error naming every entry that allocated. progress may be
@@ -77,6 +81,7 @@ var guarded = map[string]func(*testing.B){
 	"InsertApproxLSHHist":   InsertApproxLSHHist,
 	"WALAppend":             WALAppend,
 	"ReplicaPredict":        ReplicaPredict,
+	"RebindRecost":          RebindRecost,
 	"EndToEndRun":           EndToEndRun,
 }
 

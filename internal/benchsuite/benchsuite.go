@@ -1,5 +1,5 @@
 // Package benchsuite holds the serving-path benchmark bodies that tests
-// read: the seven bodies the allocation guards measure (allocguard.go), and
+// read: the eight bodies the allocation guards measure (allocguard.go), and
 // the Run-path bodies `go test -bench` and `make profile` drive through the
 // wrappers in bench_suite_test.go at the repo root. Timings are for working
 // with on one host; the benchmark that compares two builds is bench/.
@@ -23,6 +23,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/optimizer"
 	"repro/internal/queries"
 	"repro/internal/tpch"
 	"repro/internal/wal"
@@ -238,14 +239,64 @@ func runEnv(b *testing.B) (*ppc.System, map[string][][]float64) {
 }
 
 // EndToEndRun measures the facade's full Run path (predict or optimize,
-// rebind, execute) in steady state on a single template.
+// rebind, execute) in steady state, alternating Q0 and Q1 along tight
+// trajectories — the mix bench/'s hit_exec workload gates, so that the
+// profile `make profile` takes of it ranks what the benchmark measures.
 func EndToEndRun(b *testing.B) {
 	sys, vals := runEnv(b)
-	pts := vals["Q1"]
+	names := [2]string{"Q0", "Q1"}
+	pts := [2][][]float64{vals["Q0"], vals["Q1"]}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.Run("Q1", pts[i%len(pts)]); err != nil {
+		k := i & 1
+		if _, err := sys.Run(names[k], pts[k][(i>>1)%len(pts[k])]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// RebindRecost measures what a cache hit pays to cost its plan: one
+// RebindProgram.Recost of a Q1 and of a Q8 plan (two and six parameters, one
+// and seven joins) at steady-state values. The program binds its statistics
+// handles when it is compiled and walks the cached plan in place, so a
+// recost allocates nothing — it is part of the zero-alloc guard, which keeps
+// binding from hiding a per-run allocation.
+func RebindRecost(b *testing.B) {
+	sys, _ := runEnv(b)
+	opt := sys.Optimizer()
+	var progs [2]*optimizer.RebindProgram
+	var vals [2][][]float64
+	for k, name := range [2]string{"Q1", "Q8"} {
+		// Parsed afresh: Q8 is not among the templates the Run substrate
+		// registers, and the optimizer binds a template at first use.
+		tmpl, err := queries.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		points := workload.MustTrajectories(workload.TrajectoryConfig{
+			Dims: tmpl.Degree(), NumPoints: 256, Sigma: 0.01, Seed: 3,
+		})
+		for _, p := range points {
+			inst, err := opt.InstanceAt(tmpl, p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			vals[k] = append(vals[k], inst.Values)
+		}
+		plan, err := opt.Optimize(tmpl.Query, vals[k][0])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if progs[k], err = opt.CompileRebind(tmpl.Query, plan); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i & 1
+		if _, err := progs[k].Recost(opt, vals[k][(i>>1)%len(vals[k])]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -111,6 +111,13 @@ func (cs *ColumnStats) Quantile(p float64) float64 {
 	return cs.Hist.Quantile(p)
 }
 
+// DistinctCount returns the column's distinct-value count (the join
+// selectivity denominator).
+func (cs *ColumnStats) DistinctCount() float64 { return float64(cs.Distinct) }
+
+// Bounds returns the column's value range (zeros for a string column).
+func (cs *ColumnStats) Bounds() (lo, hi float64) { return cs.Min, cs.Max }
+
 // TableStats summarizes one table.
 type TableStats struct {
 	Table    string

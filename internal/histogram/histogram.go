@@ -51,10 +51,31 @@ func (b Bucket) Width() float64 { return b.Hi - b.Lo }
 // bucket: a 4-byte boundary, a 4-byte count and a 4-byte average cost.
 const BytesPerBucket = 12
 
-// Histogram is an immutable static histogram over a closed domain.
+// Histogram is an immutable static histogram over a closed domain of finite
+// width.
+//
+// cum carries the running count: cum[i] = Count of buckets [0, i), added
+// left to right exactly as a scan over the buckets adds them, so a query
+// counted from the lower edge of the domain — FractionLE, RangeCount from at
+// or below it, Quantile — is one binary search plus the bucket(s) the range
+// ends in, and equals the scan to the last bit. A bucket the range covers
+// whole has overlap fraction w/w = 1 (a zero-width or one-ulp duplicate
+// bucket is whole or absent: overlapFrac returns exactly 1 or 0) and
+// contributes Count·1 = Count, which is why its min, max and divide can be
+// skipped. reference_test.go keeps the scans as the oracle.
 type Histogram struct {
 	buckets []Bucket
+	cum     []float64 // len(buckets)+1
 	total   float64
+}
+
+// newHistogram seals a builder's buckets into a Histogram.
+func newHistogram(buckets []Bucket, total float64) *Histogram {
+	cum := make([]float64, len(buckets)+1)
+	for i, b := range buckets {
+		cum[i+1] = cum[i] + b.Count
+	}
+	return &Histogram{buckets: buckets, cum: cum, total: total}
 }
 
 // Buckets returns the bucket slice (callers must not modify it).
@@ -79,9 +100,28 @@ func (h *Histogram) Domain() (lo, hi float64) {
 }
 
 // RangeCount estimates the number of points in [lo, hi] by summing fully
-// covered buckets and linearly interpolating partially covered ones.
+// covered buckets and linearly interpolating partially covered ones. A range
+// that starts at or below the domain's lower edge — what a selectivity
+// estimate asks — reads the buckets below hi's from cum; one that starts
+// mid-domain scans from lo's bucket.
 func (h *Histogram) RangeCount(lo, hi float64) float64 {
-	return rangeCount(h.buckets, lo, hi)
+	bs := h.buckets
+	if hi < lo || len(bs) == 0 {
+		return 0
+	}
+	// The scan starts at the first bucket reaching past lo. When that is
+	// bucket 0 and lo does not cut it, every bucket ending at or below end is
+	// covered whole and the scan's running sum on leaving them is cum.
+	if !(lo <= bs[0].Lo && bs[0].Hi > lo) {
+		return rangeCount(bs, lo, hi)
+	}
+	end := math.Nextafter(hi, math.Inf(1))
+	i := bucketSearch(bs, end)
+	sum := h.cum[i]
+	for ; i < len(bs) && !(bs[i].Lo > end); i++ {
+		sum += bs[i].Count * overlapFrac(bs[i], lo, end)
+	}
+	return sum
 }
 
 // RangeCost estimates the total cost and count of points in [lo, hi]; the
@@ -125,18 +165,19 @@ func (h *Histogram) Quantile(p float64) float64 {
 		return hi
 	}
 	target := p * h.total
-	var cum float64
-	for _, b := range h.buckets {
-		if cum+b.Count >= target {
-			if b.Count <= 0 {
-				return b.Lo
-			}
-			frac := (target - cum) / b.Count
-			return b.Lo + frac*b.Width()
-		}
-		cum += b.Count
+	// The first bucket whose running count reaches target: no float lies
+	// between target and its predecessor, so "at least target" is "greater
+	// than the predecessor".
+	i := searchGT(h.cum[1:], math.Nextafter(target, math.Inf(-1)))
+	if i == len(h.buckets) {
+		return hi
 	}
-	return hi
+	b := h.buckets[i]
+	if b.Count <= 0 {
+		return b.Lo
+	}
+	frac := (target - h.cum[i]) / b.Count
+	return b.Lo + frac*b.Width()
 }
 
 // shared range arithmetic over a sorted bucket slice.
@@ -255,9 +296,11 @@ func BuildEquiWidth(values, costs []float64, nbuckets int, lo, hi float64) (*His
 	}
 	width := (hi - lo) / float64(nbuckets)
 	buckets := make([]Bucket, nbuckets)
+	// Edges are clamped to hi so that they stay ordered when the domain is
+	// only a few ulps wide and lo + i·width rounds past it.
 	for i := range buckets {
-		buckets[i].Lo = lo + float64(i)*width
-		buckets[i].Hi = lo + float64(i+1)*width
+		buckets[i].Lo = math.Min(lo+float64(i)*width, hi)
+		buckets[i].Hi = math.Min(lo+float64(i+1)*width, hi)
 	}
 	buckets[nbuckets-1].Hi = hi
 	for i, v := range values {
@@ -273,7 +316,7 @@ func BuildEquiWidth(values, costs []float64, nbuckets int, lo, hi float64) (*His
 			buckets[j].CostSum += costs[i]
 		}
 	}
-	return &Histogram{buckets: buckets, total: float64(len(values))}, nil
+	return newHistogram(buckets, float64(len(values))), nil
 }
 
 // BuildEquiDepth builds a histogram whose buckets each hold approximately
@@ -314,7 +357,7 @@ func BuildEquiDepth(values, costs []float64, nbuckets int) (*Histogram, error) {
 		start = end
 	}
 	sealBoundaries(buckets)
-	return &Histogram{buckets: buckets, total: float64(n)}, nil
+	return newHistogram(buckets, float64(n)), nil
 }
 
 // BuildMaxDiff builds a histogram placing bucket boundaries at the
@@ -373,7 +416,7 @@ func BuildMaxDiff(values, costs []float64, nbuckets int) (*Histogram, error) {
 		start = end
 	}
 	sealBoundaries(buckets)
-	return &Histogram{buckets: buckets, total: float64(n)}, nil
+	return newHistogram(buckets, float64(n)), nil
 }
 
 // sealBoundaries fixes up buckets built from point sets. Buckets keep the

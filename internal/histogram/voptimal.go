@@ -65,6 +65,9 @@ func BuildVOptimal(values, costs []float64, nbuckets int) (*Histogram, error) {
 			if j < k {
 				continue // not enough values for k+1 non-empty buckets
 			}
+			// A valid cut even when every candidate's SSE overflows (values
+			// near the largest float): the reconstruction below follows cut.
+			cut[k][j] = k
 			for i := k; i <= j; i++ { // bucket k covers values i..j
 				if c := dp[k-1][i-1] + sse(i, j); c < dp[k][j] {
 					dp[k][j] = c
@@ -106,7 +109,7 @@ func BuildVOptimal(values, costs []float64, nbuckets int) (*Histogram, error) {
 		buckets = append(buckets, b)
 	}
 	sealBoundaries(buckets)
-	return &Histogram{buckets: buckets, total: float64(n)}, nil
+	return newHistogram(buckets, float64(n)), nil
 }
 
 // SSE returns a histogram's total within-bucket sum of squared errors

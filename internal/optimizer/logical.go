@@ -15,6 +15,7 @@ package optimizer
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -103,6 +104,10 @@ type Predicate struct {
 	Site int
 }
 
+// literal prints a numeric literal the way the template SQL writes one:
+// plain digits, never an exponent, so that a printed query parses back.
+func literal(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
+
 func (p Predicate) String() string {
 	switch p.Kind {
 	case PredCmpNum:
@@ -110,13 +115,13 @@ func (p Predicate) String() string {
 			// Positional placeholder; parameters number left to right.
 			return fmt.Sprintf("%s %s ?", p.Col, p.Op)
 		}
-		return fmt.Sprintf("%s %s %g", p.Col, p.Op, p.Value)
+		return fmt.Sprintf("%s %s %s", p.Col, p.Op, literal(p.Value))
 	case PredCmpStr:
 		return fmt.Sprintf("%s = '%s'", p.Col, p.StrValue)
 	case PredJoin:
 		return fmt.Sprintf("%s = %s", p.Col, p.RightCol)
 	case PredBetween:
-		return fmt.Sprintf("%s BETWEEN %g AND %g", p.Col, p.Lo, p.Hi)
+		return fmt.Sprintf("%s BETWEEN %s AND %s", p.Col, literal(p.Lo), literal(p.Hi))
 	}
 	return "?"
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/faults"
+	"repro/internal/stats"
 	"repro/internal/tpch"
 )
 
@@ -107,12 +108,12 @@ func (o *Optimizer) checkTypes(q *Query) error {
 // hot template race freely).
 //
 // Everything parameter-free is read from the optimizer that calls NewMemo
-// and frozen: table row counts and Distinct (join selectivities, matches
-// per index-NL probe, the GROUP BY product). OptimizeMemo on a WithStats
-// clone reads only the clone's Sel* answers, so a provider that overrides
-// Distinct (stats.Distorted.DistinctFn) must be in place before NewMemo —
-// on a memo built without it the override is ignored, and RefreshMemo
-// re-reads Distinct for the join selectivities alone.
+// and frozen in the shape: table row counts, distinct counts (base join
+// selectivities, matches per index-NL probe, the GROUP BY product), and the
+// handles the per-call estimates probe — each predicate's column and the
+// template's correction state. A memo therefore estimates through the
+// statistics provider that was in place at NewMemo; only the per-epoch join
+// correction factors are asked of the optimizer that refreshes it.
 type Memo struct {
 	shape *memoShape
 
@@ -134,8 +135,14 @@ type memoShape struct {
 	// without GROUP BY): the parameter-free part of the group estimate.
 	groups float64
 
+	// corr is the template's correction state (nil: identity), resolved
+	// once so that neither a call's estimates nor a refresh look it up.
+	corr *stats.Corrections
+
 	rels  []relShape
 	joins []Predicate // join predicates in WHERE order
+	// joinBase[j] is the base (uncorrected) selectivity of joins[j].
+	joinBase []float64
 	// steps holds two oriented copies of every join predicate: steps[2j]
 	// as written (attaching the right column's relation), steps[2j+1]
 	// flipped.
@@ -155,9 +162,10 @@ type memoShape struct {
 type relShape struct {
 	ref      TableRef
 	baseRows float64
-	preds    []Predicate // single-table template predicates, WHERE order
-	paths    []pathShape // [0] sequential scan, then one per index column ascending
-	pathOff  int         // offset of paths in the flat per-call cost array
+	preds    []Predicate    // single-table template predicates, WHERE order
+	cols     []stats.Column // statistics handle of each pred's column
+	paths    []pathShape    // [0] sequential scan, then one per index column ascending
+	pathOff  int            // offset of paths in the flat per-call cost array
 	// steps lists, in WHERE order, the oriented joins that attach this
 	// relation to a subset containing the step's left relation.
 	steps []int32
@@ -321,6 +329,9 @@ func (o *Optimizer) NewMemo(q *Query) (*Memo, error) {
 	if err := o.checkTypes(q); err != nil {
 		return nil, err
 	}
+	if err := o.bindShape(sh); err != nil {
+		return nil, err
+	}
 
 	sh.steps = make([]joinStep, 0, 2*len(sh.joins))
 	for j, p := range sh.joins {
@@ -347,12 +358,12 @@ func (o *Optimizer) NewMemo(q *Query) (*Memo, error) {
 			rr := &sh.rels[right]
 			for k, path := range rr.paths {
 				if k > 0 && path.col == pred.RightCol.Column {
-					distinct, err := o.stats.Distinct(rr.ref.Table, path.col)
+					col, err := o.stats.Column(rr.ref.Table, path.col)
 					if err != nil {
 						return nil, err
 					}
 					st.inlPath = k
-					st.matchesPerOuter = rr.baseRows / math.Max(distinct, 1)
+					st.matchesPerOuter = rr.baseRows / math.Max(col.DistinctCount(), 1)
 				}
 			}
 			rr.steps = append(rr.steps, int32(len(sh.steps)))
@@ -383,32 +394,52 @@ func (o *Optimizer) NewMemo(q *Query) (*Memo, error) {
 			probe:    make([]float64, nsteps),
 		}
 	}
-	return o.deriveMemo(sh)
+	return o.deriveMemo(sh), nil
+}
+
+// bindShape resolves what the per-call estimates and the per-epoch join
+// selectivities read: each single-table predicate's column handle, each
+// join's base selectivity and the template's correction state. After it, no
+// OptimizeMemo or RefreshMemo looks a table, column or template up by name.
+func (o *Optimizer) bindShape(sh *memoShape) error {
+	sh.corr = o.corrections(sh.q)
+	var err error
+	for i := range sh.rels {
+		r := &sh.rels[i]
+		if r.cols, err = o.predColumns(r.ref.Table, r.preds); err != nil {
+			return err
+		}
+	}
+	sh.joinBase = make([]float64, len(sh.joins))
+	for j := range sh.joins {
+		if sh.joinBase[j], err = o.baseJoinSelectivity(sh.q, &sh.joins[j]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // RefreshMemo returns a memo for the same template at the provider's
 // current correction epoch. It re-derives the join selectivities — the only
-// memoized state corrections reach — and shares the shape and the scratch
-// pool with m, which stays valid.
+// memoized state corrections reach — from the shape's base selectivities,
+// resolving no column, and shares the shape and the scratch pool with m,
+// which stays valid. The error is always nil.
 func (o *Optimizer) RefreshMemo(m *Memo) (*Memo, error) {
-	return o.deriveMemo(m.shape)
+	return o.deriveMemo(m.shape), nil
 }
 
 // deriveMemo computes the per-epoch half of a memo over a shape. Join
-// selectivities are parameter-free (1/max distinct, corrected by the site
-// factor), so they hold until the correction epoch moves. The epoch is read
-// first: a correction landing mid-derivation leaves the memo stamped older
-// than its contents and it is refreshed once more, never served stale.
-func (o *Optimizer) deriveMemo(sh *memoShape) (*Memo, error) {
-	m := &Memo{shape: sh, StatsEpoch: o.stats.Epoch(sh.q.Template), joinSel: make([]float64, len(sh.joins))}
-	for j, p := range sh.joins {
-		s, err := o.joinSelectivity(sh.q, p)
-		if err != nil {
-			return nil, err
-		}
-		m.joinSel[j] = s
+// selectivities are parameter-free (the shape's 1/max distinct, corrected by
+// the site factor), so they hold until the correction epoch moves. The epoch
+// is read first: a correction landing mid-derivation leaves the memo stamped
+// older than its contents and it is refreshed once more, never served stale.
+func (o *Optimizer) deriveMemo(sh *memoShape) *Memo {
+	tmpl := sh.q.Template
+	m := &Memo{shape: sh, StatsEpoch: o.stats.Epoch(tmpl), joinSel: make([]float64, len(sh.joins))}
+	for j := range sh.joins {
+		m.joinSel[j] = o.stats.Correct(tmpl, sh.joins[j].Site, sh.joinBase[j])
 	}
-	return m, nil
+	return m
 }
 
 // sargable picks the predicate usable as an index range on col: the first

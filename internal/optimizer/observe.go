@@ -34,46 +34,38 @@ type SiteObservation struct {
 // Operators filtering through several predicates at once are skipped —
 // splitting a combined selectivity across sites would just smear the error.
 // ok is false when the node is not attributable or the observation carries
-// no information (empty input).
-func (o *Optimizer) AttributeCard(q *Query, n *Node, params []float64, rows, leftRows, rightRows, lo, hi float64) (so SiteObservation, ok bool) {
+// no information (empty input). n is a node of the plan the program was
+// compiled from; the base estimate comes from the handles bound then.
+func (rp *RebindProgram) AttributeCard(n *Node, params []float64, rows, leftRows, rightRows, lo, hi float64) (so SiteObservation, ok bool) {
+	var b *boundNode
+	for i := range rp.nodes {
+		if rp.nodes[i].n == n {
+			b = &rp.nodes[i]
+			break
+		}
+	}
+	if b == nil {
+		return so, false
+	}
 	switch n.Op {
 	case OpSeqScan:
-		if len(n.Filters) != 1 || n.Filters[0].Site <= 0 || n.Filters[0].Kind == PredJoin {
+		if len(n.Filters) != 1 || n.Filters[0].Site <= 0 || b.rows == 0 {
 			return so, false
 		}
-		table := o.db.Table(n.Table)
-		if table == nil || table.NumRows() == 0 {
+		p := &n.Filters[0]
+		if p.Kind == PredCmpNum && p.ParamIdx >= len(params) {
 			return so, false
 		}
-		p := n.Filters[0]
-		if p.Kind == PredCmpNum && p.ParamIdx >= 0 {
-			if p.ParamIdx >= len(params) {
-				return so, false
-			}
-			p.Value = params[p.ParamIdx]
-		}
-		est, err := o.BaseSelectivity(n.Table, p)
-		if err != nil {
-			return so, false
-		}
-		return SiteObservation{Site: p.Site, Est: est, Obs: rows / float64(table.NumRows())}, true
+		return SiteObservation{Site: p.Site, Est: predSel(b.cols[0], p, params), Obs: rows / b.rows}, true
 
 	case OpIndexScan:
-		if len(n.Filters) != 0 || n.IndexSite <= 0 {
+		if len(n.Filters) != 0 || n.IndexSite <= 0 || b.rows == 0 {
 			return so, false
 		}
 		if math.IsInf(lo, -1) && math.IsInf(hi, 1) {
 			return so, false // full-range scan: no predicate to attribute
 		}
-		table := o.db.Table(n.Table)
-		if table == nil || table.NumRows() == 0 {
-			return so, false
-		}
-		est, err := o.BaseRangeSelectivity(n.Table, n.IndexCol, lo, hi)
-		if err != nil {
-			return so, false
-		}
-		return SiteObservation{Site: n.IndexSite, Est: est, Obs: rows / float64(table.NumRows())}, true
+		return SiteObservation{Site: n.IndexSite, Est: rangeSel(b.index, lo, hi), Obs: rows / b.rows}, true
 
 	case OpHashJoin, OpMergeJoin, OpIndexNLJoin:
 		if n.JoinSite <= 0 || len(n.Filters) != 0 {
@@ -85,11 +77,7 @@ func (o *Optimizer) AttributeCard(q *Query, n *Node, params []float64, rows, lef
 		if leftRows <= 0 || rightRows <= 0 {
 			return so, false
 		}
-		est, err := o.BaseJoinSelectivity(q, Predicate{Kind: PredJoin, Col: n.LeftCol, RightCol: n.RightCol})
-		if err != nil {
-			return so, false
-		}
-		return SiteObservation{Site: n.JoinSite, Est: est, Obs: rows / (leftRows * rightRows)}, true
+		return SiteObservation{Site: n.JoinSite, Est: b.joinSel, Obs: rows / (leftRows * rightRows)}, true
 	}
 	return so, false
 }

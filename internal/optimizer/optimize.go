@@ -58,19 +58,6 @@ func (o *Optimizer) SetStats(p stats.Provider) { o.stats = p }
 // Stats returns the selectivity provider.
 func (o *Optimizer) Stats() stats.Provider { return o.stats }
 
-// WithStats returns a shallow clone of the optimizer that estimates through
-// the given provider instead. The clone shares the database, catalog, cost
-// model and fault injector; it exists so callers can optimize the same
-// query under perturbed statistics (candidate-plan enumeration) without
-// mutating the shared optimizer other goroutines are using. A Memo built by
-// the original serves the clone's perturbed selectivities but keeps the
-// distinct counts it was built with (see Memo).
-func (o *Optimizer) WithStats(p stats.Provider) *Optimizer {
-	c := *o
-	c.stats = p
-	return &c
-}
-
 // SetFaults attaches a fault injector (nil disables injection). Chaos tests
 // use it to simulate optimizer outages and latency spikes.
 func (o *Optimizer) SetFaults(inj *faults.Injector) { o.faults = inj }
@@ -160,9 +147,7 @@ func (o *Optimizer) optimizeCore(m *Memo, params []float64) (*Plan, error) {
 	}
 	sc := sh.scratch.Get().(*dpScratch)
 	defer sh.scratch.Put(sc)
-	if err := o.enumerate(m, sc, params); err != nil {
-		return nil, err
-	}
+	o.enumerate(m, sc, params)
 	best := sc.best(sh, int(sc.setOff[1<<uint(len(sh.rels))-1]))
 	return o.buildPlan(m, sc, params, best), nil
 }
@@ -176,13 +161,11 @@ func (o *Optimizer) optimizeCore(m *Memo, params []float64) (*Plan, error) {
 // in descending order (the ascending order of the subsets T&^r they
 // extend), left entries in slot order, then hash join building right, hash
 // join building left, merge join per right access path, index nested-loop.
-func (o *Optimizer) enumerate(m *Memo, sc *dpScratch, params []float64) error {
+func (o *Optimizer) enumerate(m *Memo, sc *dpScratch, params []float64) {
 	sh := m.shape
 	sc.entries, sc.leftSort = sc.entries[:0], sc.leftSort[:0]
 	model := o.model
-	if err := o.costAccessPaths(sh, sc, &model, params); err != nil {
-		return err
-	}
+	costAccessPaths(sh, sc, &model, params)
 	for s := range sh.steps {
 		if st := &sh.steps[s]; st.inlPath >= 0 {
 			inner := &sh.rels[st.rightRel]
@@ -219,22 +202,20 @@ func (o *Optimizer) enumerate(m *Memo, sc *dpScratch, params []float64) error {
 		}
 	}
 	sc.setOff[full+1] = int32(len(sc.entries))
-	return nil
 }
 
 // costAccessPaths fills the per-call, per-relation state: predicate
 // selectivities at the parameter values (the only estimates that depend on
-// them), output rows, the cost of every access path and which is cheapest.
-func (o *Optimizer) costAccessPaths(sh *memoShape, sc *dpScratch, model *CostModel, params []float64) error {
+// them — one probe of the shape's bound handle each), output rows, the cost
+// of every access path and which is cheapest.
+func costAccessPaths(sh *memoShape, sc *dpScratch, model *CostModel, params []float64) {
 	for i := range sh.rels {
 		r := &sh.rels[i]
 		sels := sc.sels[:0]
 		selAll := 1.0
-		for _, p := range r.preds {
-			s, err := o.selectivity(sh.q.Template, r.ref.Table, instantiate(p, params))
-			if err != nil {
-				return err
-			}
+		for j := range r.preds {
+			p := &r.preds[j]
+			s := sh.corr.CorrectSel(p.Site, predSel(r.cols[j], p, params))
 			sels = append(sels, s)
 			selAll *= s
 		}
@@ -263,7 +244,6 @@ func (o *Optimizer) costAccessPaths(sh *memoShape, sc *dpScratch, model *CostMod
 		}
 		sc.cheapest[i] = int16(cheapest)
 	}
-	return nil
 }
 
 // joinCandidates offers to the set starting at arena index start every way
@@ -557,137 +537,4 @@ func (o *Optimizer) buildPlan(m *Memo, sc *dpScratch, params []float64, best int
 		})
 	}
 	return &Plan{Root: root, Cost: root.EstCost, Fingerprint: FingerprintOf(root)}
-}
-
-// BaseJoinSelectivity estimates the selectivity of an equi-join predicate
-// using the standard 1/max(distinct_left, distinct_right) formula, without
-// corrections — the reference the feedback loop measures observed join
-// selectivities against.
-func (o *Optimizer) BaseJoinSelectivity(q *Query, j Predicate) (float64, error) {
-	lt := q.Binding(j.Col.Alias)
-	rt := q.Binding(j.RightCol.Alias)
-	if lt == nil || rt == nil {
-		return 0, fmt.Errorf("optimizer: unbound join %s", j)
-	}
-	ld, err := o.stats.Distinct(lt.Table, j.Col.Column)
-	if err != nil {
-		return 0, err
-	}
-	rd, err := o.stats.Distinct(rt.Table, j.RightCol.Column)
-	if err != nil {
-		return 0, err
-	}
-	d := math.Max(ld, rd)
-	if d < 1 {
-		d = 1
-	}
-	return 1 / d, nil
-}
-
-// joinSelectivity is BaseJoinSelectivity corrected by the join predicate's
-// site factor when the query belongs to a template.
-func (o *Optimizer) joinSelectivity(q *Query, j Predicate) (float64, error) {
-	s, err := o.BaseJoinSelectivity(q, j)
-	if err != nil {
-		return 0, err
-	}
-	return o.stats.Correct(q.Template, j.Site, s), nil
-}
-
-// BaseSelectivity estimates one instantiated single-table predicate without
-// corrections — the reference estimate the feedback loop compares observed
-// cardinalities against.
-func (o *Optimizer) BaseSelectivity(table string, p Predicate) (float64, error) {
-	return o.selectivity("", table, p)
-}
-
-// BaseRangeSelectivity estimates P(lo <= col <= hi) without corrections,
-// clamping infinite bounds to the column's value range — the same clamping
-// recost applies to index scan bounds.
-func (o *Optimizer) BaseRangeSelectivity(table, col string, lo, hi float64) (float64, error) {
-	cLo, cHi, err := o.stats.Bounds(table, col)
-	if err != nil {
-		return 0, err
-	}
-	if math.IsInf(lo, -1) {
-		lo = cLo
-	}
-	if math.IsInf(hi, 1) {
-		hi = cHi
-	}
-	return o.stats.SelRange(table, col, lo, hi)
-}
-
-// selProduct multiplies the selectivities of single-table predicates.
-func (o *Optimizer) selProduct(tmpl, table string, preds []Predicate) (float64, error) {
-	sel := 1.0
-	for _, p := range preds {
-		s, err := o.selectivity(tmpl, table, p)
-		if err != nil {
-			return 0, err
-		}
-		sel *= s
-	}
-	return sel, nil
-}
-
-// selectivity estimates one instantiated single-table predicate through the
-// stats provider — the same estimation the PPC framework's f functions use —
-// then applies the site's learned correction. tmpl == "" (or Site 0) keeps
-// the base estimate; the learner's SelectivityPoint deliberately passes ""
-// so plan-space geometry is not re-shaped by the corrections it feeds.
-func (o *Optimizer) selectivity(tmpl, table string, p Predicate) (float64, error) {
-	var s float64
-	var err error
-	switch p.Kind {
-	case PredCmpNum:
-		switch p.Op {
-		case OpLE, OpLT:
-			s, err = o.stats.SelLE(table, p.Col.Column, p.Value)
-		case OpGE, OpGT:
-			s, err = o.stats.SelLE(table, p.Col.Column, p.Value)
-			s = 1 - s
-		case OpEq:
-			s, err = o.stats.SelEq(table, p.Col.Column, p.Value)
-		default:
-			return 0, fmt.Errorf("optimizer: cannot estimate %s", p)
-		}
-	case PredCmpStr:
-		s, err = o.stats.SelEqString(table, p.Col.Column, p.StrValue)
-	case PredBetween:
-		s, err = o.stats.SelRange(table, p.Col.Column, p.Lo, p.Hi)
-	default:
-		return 0, fmt.Errorf("optimizer: cannot estimate %s", p)
-	}
-	if err != nil {
-		return 0, err
-	}
-	if tmpl == "" {
-		return s, nil
-	}
-	return o.stats.Correct(tmpl, p.Site, s), nil
-}
-
-// groupDistinct is the parameter-free part of the group estimate: the
-// product of the GROUP BY columns' distinct counts (1 without GROUP BY).
-// Group counts stay uncorrected: corrections model predicate selectivity
-// error, not grouping-key cardinality.
-func (o *Optimizer) groupDistinct(q *Query) float64 {
-	groups := 1.0
-	for _, g := range q.GroupBy {
-		t := q.Binding(g.Alias)
-		if t == nil {
-			continue
-		}
-		if d, err := o.stats.Distinct(t.Table, g.Column); err == nil {
-			groups *= math.Max(d, 1)
-		}
-	}
-	return groups
-}
-
-// groupEstimate estimates the number of output groups of the aggregation
-// over inputRows rows.
-func (o *Optimizer) groupEstimate(q *Query, inputRows float64) float64 {
-	return math.Max(math.Min(o.groupDistinct(q), inputRows), 1)
 }

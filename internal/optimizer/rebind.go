@@ -3,7 +3,8 @@ package optimizer
 import (
 	"fmt"
 	"math"
-	"sync"
+
+	"repro/internal/stats"
 )
 
 // BoundDerive describes how one template parameter drives an index scan's
@@ -70,51 +71,61 @@ func SargBoundsFor(op CmpOp, v float64) (lo, hi float64) {
 }
 
 // RebindProgram is the memoized form of Recost for one cached plan: the
-// plan is compiled once — parameter slots resolved to value pointers,
-// index-bound derivations precomputed — so each subsequent recost does
-// O(params) binding plus the in-place cost walk, with no tree clone and no
-// allocation in steady state. Bound instances are pooled, so the program
-// is safe for concurrent use from the lock-free serving path.
+// plan is bound once — per node the table's row count, each filter's and
+// index's column handle, each join's base selectivity, the template's
+// correction state, the index-bound derivation — so each subsequent recost
+// is the cost walk alone: it reads parameter values straight from the
+// caller's slice and performs no table, column or template lookup, no tree
+// clone and no allocation. A program is immutable after CompileRebind, so
+// it is safe for concurrent use from the lock-free serving path. It holds
+// the handles of the provider that compiled it.
 type RebindProgram struct {
-	q    *Query
-	pool sync.Pool
+	degree int
+	// corr is the template's correction state (nil: identity).
+	corr *stats.Corrections
+	// nodes holds the bound plan in post-order; the root is last.
+	nodes []boundNode
 }
 
-// valSlot binds one parameterized filter literal in the private tree.
-type valSlot struct {
-	ptr   *float64
-	param int
-}
+// boundNode is one plan node with every statistic the cost walk and the
+// cardinality attribution read from it resolved. n is shared with the plan
+// cache in a compiled program (read-only) and private in Recost's clone.
+type boundNode struct {
+	n           *Node
+	left, right *boundNode
 
-// scanSlot binds one index scan whose bounds a parameter drives.
-type scanSlot struct {
-	node   *Node
-	derive []BoundDerive
-}
+	// Scans, and the inner index scan of an index nested-loop join.
+	rows      float64        // the table's row count
+	cols      []stats.Column // handle of each n.Filters[i]'s column
+	index     stats.Column   // index scans: handle of n.IndexCol
+	clustered bool           // index on the column the table is ordered by
+	// derive, when set, re-derives the index bounds from a parameter on
+	// every walk; otherwise n.IndexLo/IndexHi hold.
+	derive *BoundDerive
 
-// boundTree is one pooled bindable instance: a private clone of the source
-// tree plus its parameter slots.
-type boundTree struct {
-	root  *Node
-	vals  []valSlot
-	scans []scanSlot
+	// Joins: the base (uncorrected) selectivity of the driving equi-join and
+	// of each extra join predicate in n.Filters, and for an index
+	// nested-loop join the inner matches per probe.
+	joinSel         float64
+	filterSel       []float64
+	matchesPerOuter float64
+
+	// Aggregation: the product of the GROUP BY columns' distinct counts.
+	groups float64
 }
 
 // CompileRebind builds the rebind program for a cached plan under a
 // template's query. A tree referencing parameters the query does not have
-// (a foreign plan) is rejected here, once, instead of on every recost.
+// (a foreign plan), tables or columns without statistics, or a predicate
+// with no estimate is rejected here, once, instead of on every recost.
 func (o *Optimizer) CompileRebind(q *Query, plan *Plan) (*RebindProgram, error) {
 	if plan == nil || plan.Root == nil {
 		return nil, fmt.Errorf("optimizer: nil plan")
 	}
-	degree := q.ParamDegree()
-	if err := checkForeignParams(plan.Root, degree); err != nil {
+	if err := checkForeignParams(plan.Root, q.ParamDegree()); err != nil {
 		return nil, err
 	}
-	rp := &RebindProgram{q: q}
-	root := plan.Root
-	rp.pool.New = func() any { return newBoundTree(root, q) }
-	return rp, nil
+	return o.bind(q, plan.Root)
 }
 
 func checkForeignParams(n *Node, degree int) error {
@@ -133,52 +144,118 @@ func checkForeignParams(n *Node, degree int) error {
 	return checkForeignParams(n.Right, degree)
 }
 
-func newBoundTree(root *Node, q *Query) *boundTree {
-	bt := &boundTree{root: cloneTree(root)}
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if n == nil {
-			return
-		}
-		for i := range n.Filters {
-			if n.Filters[i].Kind == PredCmpNum && n.Filters[i].ParamIdx >= 0 {
-				bt.vals = append(bt.vals, valSlot{ptr: &n.Filters[i].Value, param: n.Filters[i].ParamIdx})
-			}
-		}
-		if n.Op == OpIndexScan {
-			if d := IndexBoundDerives(q, n); len(d) > 0 {
-				bt.scans = append(bt.scans, scanSlot{node: n, derive: d})
-			}
-		}
-		walk(n.Left)
-		walk(n.Right)
+func countNodes(n *Node) int {
+	if n == nil {
+		return 0
 	}
-	walk(bt.root)
-	return bt
+	return 1 + countNodes(n.Left) + countNodes(n.Right)
 }
 
-// Recost binds the parameter values into a pooled instance and recomputes
-// the plan's cost bottom-up in place — the O(params)+O(nodes) hit-path
-// replacement for the clone-and-rebind Recost, producing the identical
-// cost.
-func (rp *RebindProgram) Recost(o *Optimizer, params []float64) (float64, error) {
-	if got, want := len(params), rp.q.ParamDegree(); got != want {
-		return 0, fmt.Errorf("optimizer: got %d parameters, want %d", got, want)
+// bind resolves the tree under q through the optimizer's statistics
+// provider. This is the only place recosting looks anything up by name.
+func (o *Optimizer) bind(q *Query, root *Node) (*RebindProgram, error) {
+	rp := &RebindProgram{
+		degree: q.ParamDegree(),
+		corr:   o.corrections(q),
+		// Exact capacity: nodes point at each other inside the slice.
+		nodes: make([]boundNode, 0, countNodes(root)),
 	}
-	bt := rp.pool.Get().(*boundTree)
-	for _, s := range bt.vals {
-		*s.ptr = params[s.param]
+	if _, err := o.bindNode(rp, q, root); err != nil {
+		return nil, err
 	}
-	for _, s := range bt.scans {
-		for _, d := range s.derive {
-			s.node.IndexLo, s.node.IndexHi = SargBoundsFor(d.Op, params[d.ParamIdx])
+	return rp, nil
+}
+
+func (o *Optimizer) bindNode(rp *RebindProgram, q *Query, n *Node) (*boundNode, error) {
+	if n == nil {
+		return nil, fmt.Errorf("optimizer: malformed plan: operator without its input")
+	}
+	b := boundNode{n: n}
+	var err error
+	switch n.Op {
+	case OpSeqScan, OpIndexScan:
+		err = o.bindScan(&b, q)
+	case OpHashAgg:
+		b.groups = o.groupDistinct(q)
+		b.left, err = o.bindNode(rp, q, n.Left)
+	case OpHashJoin, OpMergeJoin, OpNLJoin, OpIndexNLJoin:
+		err = o.bindJoin(rp, &b, q)
+	default:
+		err = fmt.Errorf("optimizer: cannot recost operator %v", n.Op)
+	}
+	if err != nil {
+		return nil, err
+	}
+	rp.nodes = append(rp.nodes, b)
+	return &rp.nodes[len(rp.nodes)-1], nil
+}
+
+func (o *Optimizer) bindScan(b *boundNode, q *Query) error {
+	n := b.n
+	table := o.db.Table(n.Table)
+	if table == nil {
+		return fmt.Errorf("optimizer: unknown table %s", n.Table)
+	}
+	b.rows = float64(table.NumRows())
+	var err error
+	if b.cols, err = o.predColumns(n.Table, n.Filters); err != nil {
+		return err
+	}
+	if n.Op == OpIndexScan {
+		if b.index, err = o.stats.Column(n.Table, n.IndexCol); err != nil {
+			return err
+		}
+		b.clustered = n.IndexCol == clusteredColumn(table)
+		if d := IndexBoundDerives(q, n); len(d) > 0 {
+			b.derive = &d[len(d)-1] // later entries win
 		}
 	}
-	_, _, err := o.recostNode(bt.root, rp.q)
-	cost := bt.root.EstCost
-	rp.pool.Put(bt)
-	if err != nil {
-		return 0, err
+	return nil
+}
+
+func (o *Optimizer) bindJoin(rp *RebindProgram, b *boundNode, q *Query) error {
+	n := b.n
+	var err error
+	if b.left, err = o.bindNode(rp, q, n.Left); err != nil {
+		return err
 	}
+	if b.right, err = o.bindNode(rp, q, n.Right); err != nil {
+		return err
+	}
+	switch n.Op {
+	case OpNLJoin:
+		return nil
+	case OpIndexNLJoin:
+		// The inner index scan is probed, never costed as a scan of its own:
+		// the walk reads its row count, filters and key distinct count.
+		if n.Right.Op != OpIndexScan {
+			return fmt.Errorf("optimizer: malformed plan: index nested-loop join without an inner index scan")
+		}
+		b.matchesPerOuter = b.right.rows / math.Max(b.right.index.DistinctCount(), 1)
+	}
+	if b.joinSel, err = o.baseJoinSelectivity(q, &Predicate{Kind: PredJoin, Col: n.LeftCol, RightCol: n.RightCol}); err != nil {
+		return err
+	}
+	b.filterSel = make([]float64, len(n.Filters))
+	for i := range n.Filters {
+		if f := &n.Filters[i]; f.Kind == PredJoin {
+			if b.filterSel[i], err = o.baseJoinSelectivity(q, f); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// Recost re-costs the plan at the given parameter values — the hit-path
+// replacement for the clone-and-rebind Recost, producing the identical
+// cost. o supplies the cost model; the statistics are the ones bound by
+// CompileRebind.
+func (rp *RebindProgram) Recost(o *Optimizer, params []float64) (float64, error) {
+	if len(params) != rp.degree {
+		return 0, fmt.Errorf("optimizer: got %d parameters, want %d", len(params), rp.degree)
+	}
+	w := costWalk{model: o.model, corr: rp.corr, params: params}
+	_, cost := w.node(&rp.nodes[len(rp.nodes)-1])
 	return cost, nil
 }

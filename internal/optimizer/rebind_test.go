@@ -2,10 +2,12 @@ package optimizer_test
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/optimizer"
 	"repro/internal/queries"
+	"repro/internal/stats"
 )
 
 // TestRebindProgramMatchesRecost verifies the O(params) rebind program
@@ -74,4 +76,69 @@ func instAt(t *testing.T, tm *optimizer.Template, point []float64) optimizer.Ins
 		t.Fatal(err)
 	}
 	return inst
+}
+
+// TestRecostMatchesReference holds the one cost walk over bound handles —
+// Recost (whole tree: every node's rows, cost, literals and bounds) and
+// RebindProgram.Recost (the cost) — to the string-keyed walk it replaced,
+// bit for bit, for every standard-template plan at fuzzed points: through
+// the base provider, through a distorting one (selectivities and distinct
+// counts), and through an adaptive one whose correction factors keep moving
+// under the compiled programs.
+func TestRecostMatchesReference(t *testing.T) {
+	distorted := &stats.Distorted{
+		Provider:   stats.NewBase(testCat),
+		Sel:        func(_, col string, sel float64) float64 { return sel * (1 + float64(len(col)%3)) },
+		DistinctFn: func(_, col string, d float64) float64 { return d / (1 + float64(len(col)%2)) },
+	}
+	adaptive := stats.NewAdaptive(distorted, stats.CorrConfig{})
+	for _, tc := range []struct {
+		name string
+		o    *optimizer.Optimizer
+	}{
+		{"base", opt},
+		{"distorted", opt.WithStats(distorted)},
+		{"adaptive", opt.WithStats(adaptive)},
+	} {
+		rng := rand.New(rand.NewSource(35))
+		for _, d := range queries.Defs {
+			tm := tmpl(t, d.Name)
+			q := tm.Query
+			corr := adaptive.Register(tm.Name, len(q.Preds))
+			for trial := 0; trial < 10; trial++ {
+				plan, err := tc.o.Optimize(q, instAt(t, tm, randPoint(rng, tm.Degree())).Values)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rp, err := tc.o.CompileRebind(q, plan)
+				if err != nil {
+					t.Fatalf("%s %s: CompileRebind: %v", tc.name, d.Name, err)
+				}
+				for probe := 0; probe < 10; probe++ {
+					if tc.o.Stats() == stats.Provider(adaptive) {
+						corr.Apply([]stats.Obs{{Site: 1 + rng.Intn(len(q.Preds)), LogQ: rng.NormFloat64()}}, nil)
+					}
+					next := instAt(t, tm, randPoint(rng, tm.Degree())).Values
+					want, err := tc.o.ReferenceRecost(q, plan, next)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := tc.o.Recost(q, plan, next)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s %s: Recost at %v:\n got %s\nwant %s", tc.name, d.Name, next, got, want)
+					}
+					cost, err := rp.Recost(tc.o, next)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if cost != want.Cost {
+						t.Fatalf("%s %s: program cost %v, reference %v (params %v)", tc.name, d.Name, cost, want.Cost, next)
+					}
+				}
+			}
+		}
+	}
 }

@@ -3,6 +3,8 @@ package optimizer
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/stats"
 )
 
 // Recost rebinds a cached plan to new parameter values: it deep-copies the
@@ -14,9 +16,11 @@ import (
 // oracle for the negative-feedback detector: the recosted Cost of a cached
 // plan at a new plan space point is the execution cost the paper's
 // prototype would observe when running that (possibly stale) plan there.
-// The serving path does both through RebindProgram.Recost, which binds in
-// place; Recost is the reference RebindProgram is held to, and what
-// experiments and the benchmark call.
+// The serving path does both through RebindProgram.Recost, which binds the
+// plan's statistics once when the plan is compiled; Recost binds its private
+// copy on every call and runs the same cost walk over it. It is the
+// reference RebindProgram is held to, and what experiments and the
+// benchmark call.
 func (o *Optimizer) Recost(q *Query, plan *Plan, params []float64) (*Plan, error) {
 	if got, want := len(params), q.ParamDegree(); got != want {
 		return nil, fmt.Errorf("optimizer: got %d parameters, want %d", got, want)
@@ -25,9 +29,12 @@ func (o *Optimizer) Recost(q *Query, plan *Plan, params []float64) (*Plan, error
 	if err := rebind(root, q, params); err != nil {
 		return nil, err
 	}
-	if _, _, err := o.recostNode(root, q); err != nil {
+	rp, err := o.bind(q, root)
+	if err != nil {
 		return nil, err
 	}
+	w := costWalk{model: o.model, corr: rp.corr, params: params, store: true}
+	w.node(&rp.nodes[len(rp.nodes)-1])
 	return &Plan{Root: root, Cost: root.EstCost, Fingerprint: FingerprintOf(root)}, nil
 }
 
@@ -90,138 +97,107 @@ func rebind(n *Node, q *Query, params []float64) error {
 	return rebind(n.Right, q, params)
 }
 
-// recostNode recomputes EstRows and EstCost bottom-up. It returns the
-// node's output cardinality and cumulative cost.
-func (o *Optimizer) recostNode(n *Node, q *Query) (rows, cost float64, err error) {
-	switch n.Op {
+// costWalk is one bottom-up costing of a bound plan at one instantiation:
+// the single recost, shared by Recost (over its private clone, estimates
+// stored into the tree) and RebindProgram.Recost (over the cached plan,
+// nothing stored). Parameterized literals are read from params, never from
+// the tree, so the walk mutates nothing it does not own.
+type costWalk struct {
+	model  CostModel
+	corr   *stats.Corrections
+	params []float64
+	// store writes each node's EstRows/EstCost into its Node.
+	store bool
+}
+
+// node returns the node's output cardinality and cumulative cost.
+func (w *costWalk) node(b *boundNode) (rows, cost float64) {
+	switch b.n.Op {
 	case OpSeqScan, OpIndexScan:
-		return o.recostScan(n, q)
-	case OpHashJoin, OpMergeJoin, OpIndexNLJoin, OpNLJoin:
-		return o.recostJoin(n, q)
+		rows, cost = w.scan(b)
 	case OpHashAgg:
-		childRows, childCost, err := o.recostNode(n.Left, q)
-		if err != nil {
-			return 0, 0, err
-		}
-		groups := o.groupEstimate(q, childRows)
-		n.EstRows = groups
-		n.EstCost = childCost + o.model.hashAggCost(childRows, groups)
-		return n.EstRows, n.EstCost, nil
+		childRows, childCost := w.node(b.left)
+		rows = math.Max(math.Min(b.groups, childRows), 1)
+		cost = childCost + w.model.hashAggCost(childRows, rows)
 	default:
-		return 0, 0, fmt.Errorf("optimizer: cannot recost operator %v", n.Op)
+		rows, cost = w.join(b)
 	}
+	if w.store {
+		b.n.EstRows, b.n.EstCost = rows, cost
+	}
+	return rows, cost
 }
 
-func (o *Optimizer) recostScan(n *Node, q *Query) (float64, float64, error) {
-	table := o.db.Table(n.Table)
-	if table == nil {
-		return 0, 0, fmt.Errorf("optimizer: unknown table %s", n.Table)
+// filterSel multiplies the corrected selectivities of a scan's residual
+// single-table predicates.
+func (w *costWalk) filterSel(b *boundNode) float64 {
+	sel := 1.0
+	for i := range b.n.Filters {
+		f := &b.n.Filters[i]
+		sel *= w.corr.CorrectSel(f.Site, predSel(b.cols[i], f, w.params))
 	}
-	baseRows := float64(table.NumRows())
-	selResidual, err := o.selProduct(q.Template, n.Table, n.Filters)
-	if err != nil {
-		return 0, 0, err
-	}
-	switch n.Op {
-	case OpSeqScan:
-		n.EstRows = math.Max(baseRows*selResidual, 1e-6)
-		n.EstCost = o.model.seqScanCost(baseRows, len(n.Filters))
-	case OpIndexScan:
-		matchSel := 1.0
-		if !math.IsInf(n.IndexLo, -1) || !math.IsInf(n.IndexHi, 1) {
-			s, err := o.BaseRangeSelectivity(n.Table, n.IndexCol, n.IndexLo, n.IndexHi)
-			if err != nil {
-				return 0, 0, err
-			}
-			matchSel = o.stats.Correct(q.Template, n.IndexSite, s)
-		}
-		matches := math.Max(baseRows*matchSel, 1e-6)
-		n.EstRows = math.Max(matches*selResidual, 1e-6)
-		n.EstCost = o.model.indexScanCost(baseRows, matches, len(n.Filters), n.IndexCol == clusteredColumn(table))
-	}
-	return n.EstRows, n.EstCost, nil
+	return sel
 }
 
-func (o *Optimizer) recostJoin(n *Node, q *Query) (float64, float64, error) {
-	leftRows, leftCost, err := o.recostNode(n.Left, q)
-	if err != nil {
-		return 0, 0, err
+func (w *costWalk) scan(b *boundNode) (rows, cost float64) {
+	n := b.n
+	selResidual := w.filterSel(b)
+	if n.Op == OpSeqScan {
+		return math.Max(b.rows*selResidual, 1e-6), w.model.seqScanCost(b.rows, len(n.Filters))
 	}
+	lo, hi := n.IndexLo, n.IndexHi
+	if b.derive != nil {
+		lo, hi = SargBoundsFor(b.derive.Op, w.params[b.derive.ParamIdx])
+	}
+	matchSel := 1.0
+	if !math.IsInf(lo, -1) || !math.IsInf(hi, 1) {
+		matchSel = w.corr.CorrectSel(n.IndexSite, rangeSel(b.index, lo, hi))
+	}
+	matches := math.Max(b.rows*matchSel, 1e-6)
+	return math.Max(matches*selResidual, 1e-6), w.model.indexScanCost(b.rows, matches, len(n.Filters), b.clustered)
+}
+
+func (w *costWalk) join(b *boundNode) (rows, cost float64) {
+	n := b.n
+	leftRows, leftCost := w.node(b.left)
 	switch n.Op {
 	case OpNLJoin:
-		rightRows, rightCost, err := o.recostNode(n.Right, q)
-		if err != nil {
-			return 0, 0, err
-		}
-		n.EstRows = math.Max(leftRows*rightRows, 1e-6)
-		n.EstCost = leftCost + rightCost + o.model.nlJoinCost(leftRows, rightCost, n.EstRows)
-		return n.EstRows, n.EstCost, nil
+		rightRows, rightCost := w.node(b.right)
+		rows = math.Max(leftRows*rightRows, 1e-6)
+		return rows, leftCost + rightCost + w.model.nlJoinCost(leftRows, rightCost, rows)
 	case OpIndexNLJoin:
-		inner := n.Right
-		table := o.db.Table(inner.Table)
-		if table == nil {
-			return 0, 0, fmt.Errorf("optimizer: unknown table %s", inner.Table)
+		inner := b.right
+		innerSel := w.filterSel(inner)
+		joinSel := w.corr.CorrectSel(n.JoinSite, b.joinSel)
+		rows = math.Max(leftRows*(inner.rows*innerSel)*joinSel, 1e-6)
+		if w.store {
+			inner.n.EstRows = b.matchesPerOuter
 		}
-		innerRows := float64(table.NumRows())
-		innerDistinct, err := o.stats.Distinct(inner.Table, inner.IndexCol)
-		if err != nil {
-			return 0, 0, err
-		}
-		innerSel, err := o.selProduct(q.Template, inner.Table, inner.Filters)
-		if err != nil {
-			return 0, 0, err
-		}
-		joinSel, err := o.joinSelectivity(q, Predicate{Kind: PredJoin, Col: n.LeftCol, RightCol: n.RightCol, Site: n.JoinSite})
-		if err != nil {
-			return 0, 0, err
-		}
-		matchesPerOuter := innerRows / math.Max(innerDistinct, 1)
-		outRows := math.Max(leftRows*(innerRows*innerSel)*joinSel, 1e-6)
-		inner.EstRows = matchesPerOuter
-		correlated := inner.IndexCol == clusteredColumn(table)
-		n.EstRows = outRows
-		perProbe := o.model.indexProbeCost(innerRows, matchesPerOuter, len(inner.Filters), correlated)
-		n.EstCost = leftCost + o.model.indexNLJoinCost(leftRows, perProbe, outRows)
-		return n.EstRows, n.EstCost, nil
+		perProbe := w.model.indexProbeCost(inner.rows, b.matchesPerOuter, len(inner.n.Filters), inner.clustered)
+		return rows, leftCost + w.model.indexNLJoinCost(leftRows, perProbe, rows)
 	}
 
 	// Hash and merge joins: cost both children.
-	rightRows, rightCost, err := o.recostNode(n.Right, q)
-	if err != nil {
-		return 0, 0, err
-	}
-	joinSel, err := o.joinSelectivity(q, Predicate{Kind: PredJoin, Col: n.LeftCol, RightCol: n.RightCol, Site: n.JoinSite})
-	if err != nil {
-		return 0, 0, err
-	}
-	outRows := math.Max(leftRows*rightRows*joinSel, 1e-6)
-	for _, f := range n.Filters {
-		if f.Kind == PredJoin {
-			s, err := o.joinSelectivity(q, f)
-			if err != nil {
-				return 0, 0, err
-			}
-			outRows = math.Max(outRows*s, 1e-6)
+	rightRows, rightCost := w.node(b.right)
+	rows = math.Max(leftRows*rightRows*w.corr.CorrectSel(n.JoinSite, b.joinSel), 1e-6)
+	for i := range n.Filters {
+		if f := &n.Filters[i]; f.Kind == PredJoin {
+			rows = math.Max(rows*w.corr.CorrectSel(f.Site, b.filterSel[i]), 1e-6)
 		}
 	}
-	switch n.Op {
-	case OpHashJoin:
+	if n.Op == OpHashJoin {
 		build, probe := rightRows, leftRows
 		if n.BuildLeft {
 			build, probe = leftRows, rightRows
 		}
-		n.EstRows = outRows
-		n.EstCost = leftCost + rightCost + o.model.hashJoinCost(build, probe, outRows)
-	case OpMergeJoin:
-		sortLeft, sortRight := 0.0, 0.0
-		if n.Left.SortedOn != n.LeftCol {
-			sortLeft = o.model.sortCost(leftRows)
-		}
-		if n.Right.SortedOn != n.RightCol {
-			sortRight = o.model.sortCost(rightRows)
-		}
-		n.EstRows = outRows
-		n.EstCost = leftCost + rightCost + sortLeft + sortRight + o.model.mergeJoinCost(leftRows, rightRows, outRows)
+		return rows, leftCost + rightCost + w.model.hashJoinCost(build, probe, rows)
 	}
-	return n.EstRows, n.EstCost, nil
+	sortLeft, sortRight := 0.0, 0.0
+	if n.Left.SortedOn != n.LeftCol {
+		sortLeft = w.model.sortCost(leftRows)
+	}
+	if n.Right.SortedOn != n.RightCol {
+		sortRight = w.model.sortCost(rightRows)
+	}
+	return rows, leftCost + rightCost + sortLeft + sortRight + w.model.mergeJoinCost(leftRows, rightRows, rows)
 }

@@ -212,7 +212,7 @@ func (o *Optimizer) refJoinCandidates(q *Query, left refCandidate, r int, rightB
 	}
 
 	if table.HasIndex(driving.RightCol.Column) {
-		innerDistinct, err := o.stats.Distinct(tRef.Table, driving.RightCol.Column)
+		innerDistinct, err := o.distinct(tRef.Table, driving.RightCol.Column)
 		if err != nil {
 			return nil, err
 		}
@@ -466,9 +466,7 @@ func (o *Optimizer) CheckPrintOrder(m *Memo, params []float64) (int, error) {
 	sh := m.shape
 	sc := sh.scratch.Get().(*dpScratch)
 	defer sh.scratch.Put(sc)
-	if err := o.enumerate(m, sc, params); err != nil {
-		return 0, err
-	}
+	o.enumerate(m, sc, params)
 	prints := make([]string, len(sc.entries))
 	for i := range sc.entries {
 		root := o.buildPlan(m, sc, params, int32(i)).Root

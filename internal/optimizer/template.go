@@ -3,6 +3,9 @@ package optimizer
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
+
+	"repro/internal/stats"
 )
 
 // Template is a query template (Definition 1): a parsed query with `?`
@@ -16,6 +19,36 @@ type Template struct {
 
 	// params[i] is the predicate index (into Query.Preds) of placeholder i.
 	params []int
+
+	// bound is the parameters' column handles as last resolved: a Run asks
+	// the same r columns every time, so they are looked up at first use per
+	// statistics provider, not per probe.
+	bound atomic.Pointer[paramBinding]
+}
+
+// paramBinding is the statistics handle of each parameter's column under
+// one provider.
+type paramBinding struct {
+	provider stats.Provider
+	cols     []stats.Column
+}
+
+// paramColumns returns the handle of each of t's parameter columns under
+// the optimizer's provider, resolving them the first time (and again should
+// the template be used with another provider).
+func (o *Optimizer) paramColumns(t *Template) ([]stats.Column, error) {
+	if b := t.bound.Load(); b != nil && b.provider == o.stats {
+		return b.cols, nil
+	}
+	b := &paramBinding{provider: o.stats, cols: make([]stats.Column, len(t.params))}
+	for i, pi := range t.params {
+		var err error
+		if b.cols[i], err = o.column(t.Query, t.Query.Preds[pi].Col); err != nil {
+			return nil, err
+		}
+	}
+	t.bound.Store(b)
+	return b.cols, nil
 }
 
 // NewTemplate wraps a validated query as a template. It stamps the query
@@ -73,30 +106,24 @@ func (t *Template) Instantiate(values []float64) (Instance, error) {
 // SelectivityPoint is the normalization function f of Section II-A: it maps
 // an instance's parameter values to the selectivities of the parameterized
 // predicates — computed from the catalog exactly as the optimizer estimates
-// them — yielding the instance's plan space point in [0,1]^r. It passes an
-// empty template name to selectivity on purpose: points stay on UNcorrected
-// base estimates so the learner's plan-space geometry (and every cached
-// cluster model) does not churn each time a correction factor moves. The
-// corrections shift which plan the optimizer assigns to a point, never
+// them, one probe of a bound column handle each — yielding the instance's
+// plan space point in [0,1]^r. It applies no correction on purpose: points
+// stay on base estimates so the learner's plan-space geometry (and every
+// cached cluster model) does not churn each time a correction factor moves.
+// The corrections shift which plan the optimizer assigns to a point, never
 // where the point lies.
 func (o *Optimizer) SelectivityPoint(inst Instance) ([]float64, error) {
 	t := inst.Template
 	if len(inst.Values) != t.Degree() {
 		return nil, fmt.Errorf("optimizer: instance has %d values, template degree %d", len(inst.Values), t.Degree())
 	}
-	point := make([]float64, t.Degree())
-	for i := range point {
-		pred := t.ParamPredicate(i)
-		pred.Value = inst.Values[i]
-		tr := t.Query.Binding(pred.Col.Alias)
-		if tr == nil {
-			return nil, fmt.Errorf("optimizer: unbound alias %s", pred.Col.Alias)
-		}
-		s, err := o.selectivity("", tr.Table, pred)
-		if err != nil {
-			return nil, err
-		}
-		point[i] = s
+	cols, err := o.paramColumns(t)
+	if err != nil {
+		return nil, err
+	}
+	point := make([]float64, len(cols))
+	for i, c := range cols {
+		point[i] = cmpSel(c, t.Query.Preds[t.params[i]].Op, inst.Values[i])
 	}
 	return point, nil
 }
@@ -109,25 +136,19 @@ func (o *Optimizer) InstanceAt(t *Template, point []float64) (Instance, error) {
 	if len(point) != t.Degree() {
 		return Instance{}, fmt.Errorf("optimizer: point has %d coordinates, template degree %d", len(point), t.Degree())
 	}
-	values := make([]float64, t.Degree())
+	cols, err := o.paramColumns(t)
+	if err != nil {
+		return Instance{}, err
+	}
+	values := make([]float64, len(cols))
 	for i, p := range point {
 		p = math.Max(0, math.Min(1, p))
-		pred := t.ParamPredicate(i)
-		tr := t.Query.Binding(pred.Col.Alias)
-		if tr == nil {
-			return Instance{}, fmt.Errorf("optimizer: unbound alias %s", pred.Col.Alias)
-		}
-		cs, err := o.cat.Column(tr.Table, pred.Col.Column)
-		if err != nil {
-			return Instance{}, err
-		}
-		switch pred.Op {
+		// NewTemplate admits range operators only.
+		switch t.Query.Preds[t.params[i]].Op {
 		case OpLE, OpLT:
-			values[i] = cs.Quantile(p)
-		case OpGE, OpGT:
-			values[i] = cs.Quantile(1 - p)
+			values[i] = cols[i].Quantile(p)
 		default:
-			return Instance{}, fmt.Errorf("optimizer: parameter %d not invertible (%s)", i, pred.Op)
+			values[i] = cols[i].Quantile(1 - p)
 		}
 	}
 	return Instance{Template: t, Values: values}, nil

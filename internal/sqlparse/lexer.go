@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 type tokenKind int
@@ -132,15 +133,27 @@ func lex(input string) ([]token, error) {
 			}
 			toks = append(toks, token{kind: tokNumber, text: text, num: num, pos: i})
 			i = j
-		case isIdentStart(rune(c)):
-			j := i + 1
-			for j < n && isIdentPart(rune(input[j])) {
-				j++
+		default:
+			// Identifiers are read rune by rune: a byte >= 0x80 that does not
+			// start a valid UTF-8 sequence is an error, not a Latin-1 letter
+			// (Query.String would print it back as U+FFFD, which is neither).
+			r, size := utf8.DecodeRuneInString(input[i:])
+			if r == utf8.RuneError && size <= 1 {
+				return nil, fmt.Errorf("sqlparse: invalid UTF-8 at offset %d", i)
+			}
+			if !isIdentStart(r) {
+				return nil, fmt.Errorf("sqlparse: unexpected character %q at offset %d", r, i)
+			}
+			j := i + size
+			for j < n {
+				r, size := utf8.DecodeRuneInString(input[j:])
+				if r == utf8.RuneError && size <= 1 || !isIdentPart(r) {
+					break
+				}
+				j += size
 			}
 			toks = append(toks, token{kind: tokIdent, text: input[i:j], pos: i})
 			i = j
-		default:
-			return nil, fmt.Errorf("sqlparse: unexpected character %q at offset %d", c, i)
 		}
 	}
 	toks = append(toks, token{kind: tokEOF, pos: n})

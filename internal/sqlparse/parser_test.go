@@ -168,6 +168,9 @@ func TestParseErrors(t *testing.T) {
 		{"count-star-only", "SELECT SUM(*) FROM customer", "only COUNT"},
 		{"between-non-number", "SELECT c_custkey FROM customer WHERE c_acctbal BETWEEN x AND 7", "expected number"},
 		{"bad-char", "SELECT c_custkey FROM customer WHERE c_acctbal <= #", "unexpected character"},
+		{"invalid-utf8-alias", "SELECT COUNT(*)FROM customer A,orders B,lineitem \xdc", "invalid UTF-8"},
+		{"invalid-utf8-in-ident", "SELECT COUNT(*) FROM customer c\xff", "invalid UTF-8"},
+		{"non-letter-rune", "SELECT COUNT(*) FROM customer \u00a9", "unexpected character"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -179,6 +182,23 @@ func TestParseErrors(t *testing.T) {
 				t.Errorf("error %q does not contain %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// Identifiers are lexed rune by rune: an alias outside ASCII is one token,
+// and the query prints back as SQL that parses to the same query.
+func TestParseUnicodeAlias(t *testing.T) {
+	q, err := Parse("SELECT COUNT(*) FROM customer Üç WHERE Üç.c_acctbal <= 1000000", testSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := q.Tables[0].Alias; got != "üç" {
+		t.Fatalf("alias = %q, want üç", got)
+	}
+	printed := q.String()
+	again, err := Parse(printed, testSchema)
+	if err != nil || again.String() != printed {
+		t.Fatalf("%q parses back with %v as %v", printed, err, again)
 	}
 }
 

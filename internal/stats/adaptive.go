@@ -109,17 +109,23 @@ func NewCorrections(nSites int, cfg CorrConfig) *Corrections {
 // NSites returns the number of predicate sites.
 func (c *Corrections) NSites() int { return len(c.factors) }
 
-// Epoch returns the template's correction epoch.
-func (c *Corrections) Epoch() uint64 { return c.epoch.Load() }
+// Epoch returns the template's correction epoch (0 on a nil receiver: no
+// corrections).
+func (c *Corrections) Epoch() uint64 {
+	if c == nil {
+		return 0
+	}
+	return c.epoch.Load()
+}
 
 // AppliedSeq returns the WAL watermark of the newest correction reflected
 // in the state.
 func (c *Corrections) AppliedSeq() uint64 { return c.appliedSeq.Load() }
 
 // Factor returns the published multiplicative factor for a 1-based site:
-// lock-free, identity for unknown sites and cold sites.
+// lock-free, identity for unknown sites, cold sites and a nil receiver.
 func (c *Corrections) Factor(site int) float64 {
-	if site < 1 || site > len(c.factors) {
+	if c == nil || site < 1 || site > len(c.factors) {
 		return 1
 	}
 	bits := c.factors[site-1].Load()
@@ -421,9 +427,10 @@ func (c *Corrections) Adopt(dec *Corrections) error {
 }
 
 // Adaptive layers per-template corrections over a base provider. The
-// template map is copy-on-write: Correct and Epoch on the serving path are
-// a lock-free map read plus atomics; Register is rare and serializes on a
-// mutex.
+// template map is copy-on-write: Corrections, Correct and Epoch are a
+// lock-free map read plus atomics (the serving path keeps the *Corrections
+// it resolved when it bound a plan and skips the map); Register is rare and
+// serializes on a mutex.
 type Adaptive struct {
 	Provider
 	cfg CorrConfig
@@ -444,7 +451,7 @@ func NewAdaptive(base Provider, cfg CorrConfig) *Adaptive {
 // Register creates (or returns) the correction state for a template with
 // nSites predicate sites.
 func (a *Adaptive) Register(template string, nSites int) *Corrections {
-	if c := a.For(template); c != nil {
+	if c := a.Corrections(template); c != nil {
 		return c
 	}
 	a.mu.Lock()
@@ -481,28 +488,18 @@ func (a *Adaptive) Drop(template string) {
 	a.byTmpl.Store(&next)
 }
 
-// For returns a template's correction state, nil when unregistered.
-func (a *Adaptive) For(template string) *Corrections {
+// Corrections returns a template's correction state, nil when unregistered.
+func (a *Adaptive) Corrections(template string) *Corrections {
 	return (*a.byTmpl.Load())[template]
 }
 
 // Correct applies the template's learned factor for a predicate site.
 func (a *Adaptive) Correct(template string, site int, sel float64) float64 {
-	if site <= 0 || template == "" {
+	if template == "" {
 		return sel
 	}
-	c := a.For(template)
-	if c == nil {
-		return sel
-	}
-	return c.CorrectSel(site, sel)
+	return a.Corrections(template).CorrectSel(site, sel)
 }
 
 // Epoch returns the template's correction epoch (0 when unregistered).
-func (a *Adaptive) Epoch(template string) uint64 {
-	c := a.For(template)
-	if c == nil {
-		return 0
-	}
-	return c.Epoch()
-}
+func (a *Adaptive) Epoch(template string) uint64 { return a.Corrections(template).Epoch() }

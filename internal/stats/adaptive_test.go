@@ -229,7 +229,7 @@ func TestAdaptiveRegisterCorrectDrop(t *testing.T) {
 	if a.Register("q", 7) != c {
 		t.Fatal("Register is not idempotent")
 	}
-	if a.For("q") != c {
+	if a.Corrections("q") != c {
 		t.Fatal("For does not return the registered state")
 	}
 	c.Apply([]Obs{{Site: 1, LogQ: math.Log(2)}}, nil)
@@ -243,7 +243,7 @@ func TestAdaptiveRegisterCorrectDrop(t *testing.T) {
 		t.Fatal("Epoch does not delegate")
 	}
 	a.Drop("q")
-	if a.For("q") != nil {
+	if a.Corrections("q") != nil {
 		t.Fatal("Drop did not remove the template")
 	}
 	if got := a.Correct("q", 1, 0.1); got != 0.1 {

@@ -2,15 +2,16 @@
 // that answers the selectivity questions the cost model asks, layered so
 // the answers can be corrected from observed execution.
 //
-// The base provider wraps the catalog's static histograms — exactly the
-// estimates the optimizer used before this layer existed. On top of it the
+// The base provider hands out the catalog's column statistics as handles
+// (Column) — exactly the estimates the optimizer used before this layer
+// existed, resolved once by whoever asks a column repeatedly. On top of it the
 // Adaptive provider maintains per-(template, predicate-site) multiplicative
 // correction factors learned from true operator cardinalities (Ivanov &
 // Bartunov's adaptive cardinality estimation, specialized to the template
 // world: a predicate site inside a template IS a query class). The
-// optimizer asks Correct(template, site, sel) after every base estimate; a
-// site with no evidence passes through unchanged, so a cold system is
-// bit-identical to the static one.
+// optimizer applies the template's correction (Corrections.CorrectSel) after
+// every base estimate; a site with no evidence passes through unchanged, so
+// a cold system is bit-identical to the static one.
 //
 // Lock-hierarchy position (DESIGN.md §9/§14): Correction state is a leaf.
 // The read path (Factor/Correct/Epoch) is lock-free atomics plus a
@@ -25,32 +26,49 @@ import (
 	"repro/internal/catalog"
 )
 
-// Provider answers the optimizer's selectivity and statistics questions.
-// The four Sel* calls and Distinct are the estimation choke points that
-// used to be direct catalog calls; Bounds feeds recost's infinite-bound
-// clamping. Correct applies the adaptive layer's learned factor for one
-// predicate site (identity on the base provider), and Epoch is the
-// template's correction epoch — memo caches stamp it at build time and
-// re-derive when it moves.
+// Column answers the estimation questions about one column. It is the
+// handle a Provider resolves once per (table, column): whoever asks the
+// same column again and again — a template for its parameters, a memo for
+// its predicates, a compiled plan for its filters and join keys — keeps the
+// handle and pays no name lookup per question. *catalog.ColumnStats is the
+// base implementation.
+type Column interface {
+	// SelectivityLE estimates P(col <= v).
+	SelectivityLE(v float64) float64
+	// SelectivityEq estimates P(col = v).
+	SelectivityEq(v float64) float64
+	// SelectivityEqString estimates P(col = s) for a string column.
+	SelectivityEqString(s string) float64
+	// SelectivityRange estimates P(lo <= col <= hi).
+	SelectivityRange(lo, hi float64) float64
+	// Quantile inverts SelectivityLE (workload generation).
+	Quantile(p float64) float64
+	// DistinctCount returns the column's distinct-value count (join
+	// selectivity denominator).
+	DistinctCount() float64
+	// Bounds returns the column's value range; it feeds recost's
+	// infinite-bound clamping.
+	Bounds() (lo, hi float64)
+}
+
+// Provider is where the optimizer's statistics come from: column handles
+// for the base estimates, and the adaptive layer's learned corrections per
+// template. Implementations must be comparable (pointers): a holder of bound
+// handles remembers which provider resolved them.
 type Provider interface {
-	// SelLE estimates P(col <= v) on table.
-	SelLE(table, col string, v float64) (float64, error)
-	// SelEq estimates P(col = v) on table.
-	SelEq(table, col string, v float64) (float64, error)
-	// SelEqString estimates P(col = v) for a string column.
-	SelEqString(table, col, v string) (float64, error)
-	// SelRange estimates P(lo <= col <= hi).
-	SelRange(table, col string, lo, hi float64) (float64, error)
-	// Distinct returns the column's distinct-value count (join selectivity
-	// denominator).
-	Distinct(table, col string) (float64, error)
-	// Bounds returns the column's value range.
-	Bounds(table, col string) (lo, hi float64, err error)
+	// Column resolves the handle that answers every question about
+	// table.col.
+	Column(table, col string) (Column, error)
+	// Corrections returns the template's correction state, nil when it has
+	// none (all of a nil *Corrections' read methods are the identity).
+	// Holders of bound handles keep it beside them.
+	Corrections(template string) *Corrections
 	// Correct applies the learned correction for a template's predicate
-	// site to a base selectivity estimate. site <= 0 or an unknown template
-	// is the identity.
+	// site to a base selectivity estimate: Corrections(template).CorrectSel.
+	// site <= 0 or an unknown template is the identity.
 	Correct(template string, site int, sel float64) float64
-	// Epoch returns the template's correction epoch (0 = no corrections).
+	// Epoch returns the template's correction epoch (0 = no corrections) —
+	// memo caches stamp it at build time and re-derive when it moves.
 	Epoch(template string) uint64
 }
 
@@ -63,55 +81,19 @@ type Base struct {
 // NewBase wraps a built catalog.
 func NewBase(cat *catalog.Catalog) *Base { return &Base{cat: cat} }
 
-func (b *Base) SelLE(table, col string, v float64) (float64, error) {
+// Column returns the catalog's statistics for the column.
+func (b *Base) Column(table, col string) (Column, error) {
 	cs, err := b.cat.Column(table, col)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	return cs.SelectivityLE(v), nil
+	return cs, nil
 }
 
-func (b *Base) SelEq(table, col string, v float64) (float64, error) {
-	cs, err := b.cat.Column(table, col)
-	if err != nil {
-		return 0, err
-	}
-	return cs.SelectivityEq(v), nil
-}
+// Corrections on the base provider is always nil: no adaptive layer.
+func (b *Base) Corrections(string) *Corrections { return nil }
 
-func (b *Base) SelEqString(table, col, v string) (float64, error) {
-	cs, err := b.cat.Column(table, col)
-	if err != nil {
-		return 0, err
-	}
-	return cs.SelectivityEqString(v), nil
-}
-
-func (b *Base) SelRange(table, col string, lo, hi float64) (float64, error) {
-	cs, err := b.cat.Column(table, col)
-	if err != nil {
-		return 0, err
-	}
-	return cs.SelectivityRange(lo, hi), nil
-}
-
-func (b *Base) Distinct(table, col string) (float64, error) {
-	cs, err := b.cat.Column(table, col)
-	if err != nil {
-		return 0, err
-	}
-	return float64(cs.Distinct), nil
-}
-
-func (b *Base) Bounds(table, col string) (float64, float64, error) {
-	cs, err := b.cat.Column(table, col)
-	if err != nil {
-		return 0, 0, err
-	}
-	return cs.Min, cs.Max, nil
-}
-
-// Correct on the base provider is the identity: no adaptive layer.
+// Correct on the base provider is the identity.
 func (b *Base) Correct(_ string, _ int, sel float64) float64 { return sel }
 
 // Epoch on the base provider is always 0.
@@ -120,8 +102,9 @@ func (b *Base) Epoch(string) uint64 { return 0 }
 // Distorted wraps a provider and perturbs its selectivity answers — the
 // controlled way to make base estimates diverge from execution truth, for
 // experiments and for the adaptive layer's tests. Sel, when set, rewrites
-// every Sel* answer; DistinctFn rewrites Distinct (join selectivities).
-// Correct and Epoch pass through untouched.
+// every Selectivity* answer; DistinctFn rewrites DistinctCount (join
+// selectivities). The column handle is wrapped once, when it is resolved;
+// Quantile, Bounds and the corrections pass through untouched.
 type Distorted struct {
 	Provider
 	// Sel rewrites a base selectivity estimate for (table, col).
@@ -130,43 +113,51 @@ type Distorted struct {
 	DistinctFn func(table, col string, d float64) float64
 }
 
-func (d *Distorted) distort(table, col string, sel float64, err error) (float64, error) {
-	if err != nil || d.Sel == nil {
-		return sel, err
+// Column wraps the underlying provider's handle.
+func (d *Distorted) Column(table, col string) (Column, error) {
+	c, err := d.Provider.Column(table, col)
+	if err != nil {
+		return nil, err
 	}
-	return clamp01(d.Sel(table, col, sel)), nil
+	return &distortedColumn{Column: c, d: d, table: table, col: col}, nil
 }
 
-func (d *Distorted) SelLE(table, col string, v float64) (float64, error) {
-	s, err := d.Provider.SelLE(table, col, v)
-	return d.distort(table, col, s, err)
+// distortedColumn is a column handle seen through a Distorted provider.
+type distortedColumn struct {
+	Column
+	d          *Distorted
+	table, col string
 }
 
-func (d *Distorted) SelEq(table, col string, v float64) (float64, error) {
-	s, err := d.Provider.SelEq(table, col, v)
-	return d.distort(table, col, s, err)
-}
-
-func (d *Distorted) SelEqString(table, col, v string) (float64, error) {
-	s, err := d.Provider.SelEqString(table, col, v)
-	return d.distort(table, col, s, err)
-}
-
-func (d *Distorted) SelRange(table, col string, lo, hi float64) (float64, error) {
-	s, err := d.Provider.SelRange(table, col, lo, hi)
-	return d.distort(table, col, s, err)
-}
-
-func (d *Distorted) Distinct(table, col string) (float64, error) {
-	n, err := d.Provider.Distinct(table, col)
-	if err != nil || d.DistinctFn == nil {
-		return n, err
+func (c *distortedColumn) distort(sel float64) float64 {
+	if c.d.Sel == nil {
+		return sel
 	}
-	n = d.DistinctFn(table, col, n)
-	if n < 1 {
-		n = 1
+	return clamp01(c.d.Sel(c.table, c.col, sel))
+}
+
+func (c *distortedColumn) SelectivityLE(v float64) float64 {
+	return c.distort(c.Column.SelectivityLE(v))
+}
+
+func (c *distortedColumn) SelectivityEq(v float64) float64 {
+	return c.distort(c.Column.SelectivityEq(v))
+}
+
+func (c *distortedColumn) SelectivityEqString(s string) float64 {
+	return c.distort(c.Column.SelectivityEqString(s))
+}
+
+func (c *distortedColumn) SelectivityRange(lo, hi float64) float64 {
+	return c.distort(c.Column.SelectivityRange(lo, hi))
+}
+
+func (c *distortedColumn) DistinctCount() float64 {
+	n := c.Column.DistinctCount()
+	if c.d.DistinctFn == nil {
+		return n
 	}
-	return n, nil
+	return math.Max(c.d.DistinctFn(c.table, c.col, n), 1)
 }
 
 func clamp01(s float64) float64 {

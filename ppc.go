@@ -852,7 +852,7 @@ func (s *System) Run(template string, values []float64) (res *RunResult, err err
 	// histogram always, and for the correction learner when the adaptive
 	// layer is on.
 	t1 := time.Now()
-	out, xerr := s.execObserved(st, r.entry.prog, values)
+	out, xerr := s.execObserved(st, r.entry, values)
 	if xerr != nil {
 		return nil, &PipelineError{Stage: "execute", Template: template, Err: xerr}
 	}
@@ -867,19 +867,19 @@ func (s *System) Run(template string, values []float64) (res *RunResult, err err
 // predicate site, records the estimation q-errors, and queues the
 // attributed log-q-error samples to the template's background applier. The
 // serving-goroutine cost is O(plan nodes) — vector-length reads plus a few
-// histogram probes for the base estimates; the EWMA updates and WAL appends
-// run on the applier.
-func (s *System) execObserved(st *templateState, prog *executor.CompiledPlan, values []float64) (*executor.Result, error) {
+// histogram probes for the base estimates, through the column handles the
+// plan's rebind program bound when it was compiled; the EWMA updates and
+// WAL appends run on the applier.
+func (s *System) execObserved(st *templateState, entry *cachedPlan, values []float64) (*executor.Result, error) {
 	buf := cardBufPool.Get().(*cardBuf)
-	out, err := prog.ExecObserve(values, &buf.cards)
+	out, err := entry.prog.ExecObserve(values, &buf.cards)
 	if err != nil {
 		releaseCards(buf)
 		return nil, err
 	}
-	q := st.tmpl.Query
 	for i := range buf.cards {
 		c := &buf.cards[i]
-		so, ok := s.opt.AttributeCard(q, c.Node, values, c.Rows, c.LeftRows, c.RightRows, c.Lo, c.Hi)
+		so, ok := entry.rebind.AttributeCard(c.Node, values, c.Rows, c.LeftRows, c.RightRows, c.Lo, c.Hi)
 		if !ok {
 			continue
 		}
