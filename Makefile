@@ -77,9 +77,8 @@ crash:
 # held to a query or an error, to a query that prints as SQL parsing back to
 # itself, and to one NewTemplate takes without a panic, and over the catalog
 # histograms' running-count probes (FractionLE, RangeCount, Quantile), held
-# with == to the bucket scans they replaced at fuzzer-chosen values, builders
-# and bucket counts. Go runs one fuzz target per invocation, hence eleven
-# runs.
+# with == to the bucket scans they replaced at fuzzer-chosen values and
+# bucket counts. Go runs one fuzz target per invocation, hence eleven runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzScan -fuzztime $(FUZZTIME) ./internal/wal

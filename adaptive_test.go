@@ -118,21 +118,21 @@ func TestAdaptiveStatsReduceQError(t *testing.T) {
 		t.Errorf("adaptive p95 %.2f not 2x below static %.2f", adaptiveP95, staticP95)
 	}
 
-	// The adaptive layer's state is visible on the stats surface: warmed
+	// The adaptive layer's state is visible on the metrics surface: warmed
 	// correction sites and an advanced epoch.
-	st, err := adaptive.TemplateStats("Q1")
+	tm, err := adaptive.TemplateMetrics("Q1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.CorrectionSites == 0 {
+	if tm.Learner.CorrectionSites == 0 {
 		t.Error("no correction site past cold start after 400 runs")
 	}
-	if st.CorrectionEpoch == 0 {
+	if tm.Learner.CorrectionEpoch == 0 {
 		t.Error("correction epoch never advanced despite a 6x base bias")
 	}
 	// The static system reports the layer disabled.
-	if st2, err := static.TemplateStats("Q1"); err != nil || st2.CorrectionEpoch != 0 || st2.CorrectionSites != 0 {
-		t.Errorf("static system reports correction state: %+v (err %v)", st2, err)
+	if tm2, err := static.TemplateMetrics("Q1"); err != nil || tm2.Learner.CorrectionEpoch != 0 || tm2.Learner.CorrectionSites != 0 {
+		t.Errorf("static system reports correction state: %+v (err %v)", tm2.Learner, err)
 	}
 }
 
@@ -216,7 +216,7 @@ func TestAdaptiveDriftInteraction(t *testing.T) {
 	// while the corrections warm up underneath it; phase 2 runs long after
 	// every crossover shift has happened.
 	runSkewed(t, sys, 300, 11)
-	mid, err := sys.TemplateStats("Q1")
+	mid, err := sys.TemplateMetrics("Q1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,19 +243,19 @@ func TestAdaptiveDriftInteraction(t *testing.T) {
 			}
 		}
 	}
-	final, err := sys.TemplateStats("Q1")
+	final, err := sys.TemplateMetrics("Q1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Re-convergence, not thrash: after the corrections settle, the
 	// learner stops resetting and serves from cache again.
-	if extra := final.Resets - mid.Resets; extra > 3 {
+	if extra := final.Learner.Resets - mid.Learner.Resets; extra > 3 {
 		t.Errorf("learner reset %d times after the corrections settled; crossover shift caused thrash", extra)
 	}
 	if lateHits*2 < lateRuns {
 		t.Errorf("late-phase cache hits %d/%d; learner did not re-converge", lateHits, lateRuns)
 	}
-	if final.SamplesAbsorbed == 0 {
+	if final.Learner.SamplesAbsorbed == 0 {
 		t.Error("learner synopsis empty after drift interaction")
 	}
 }

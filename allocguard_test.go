@@ -125,7 +125,6 @@ func TestCommandsLinkNoBenchHarness(t *testing.T) {
 
 	serving := map[string]bool{
 		"catalog":   true,
-		"cluster":   true, // ROADMAP 5(a): core keeps two types and PredictFromDensities there
 		"core":      true,
 		"executor":  true,
 		"faults":    true,
@@ -167,7 +166,10 @@ func TestCommandsLinkNoBenchHarness(t *testing.T) {
 // values its caller bound, so nothing here inverts a plan space point
 // (InstanceAt is for workload generators); there is one site that invokes
 // the optimizer (run.optimize) and nothing named after a candidate plan set
-// beside it; and the plan cache is the only plan index.
+// beside it; the plan cache is the only plan index; and a template's metrics
+// are assembled in one place, which MetricsSnapshot and TemplateMetrics both
+// go through — the Stats / Health shapes hand-copied from the same learner
+// left with ppc-metrics/v1 and stay out.
 func TestFacadeOnePathPerJob(t *testing.T) {
 	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi os.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -181,6 +183,10 @@ func TestFacadeOnePathPerJob(t *testing.T) {
 	}
 	calls := map[string]int{}
 	idents := map[string]int{}
+	// assembles[f] counts f's calls of the one assembler, templateState.metrics;
+	// builds counts the functions that fill in a TemplateMetrics literal.
+	assembles := map[string]int{}
+	var builds []string
 	ast.Inspect(pkg, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
@@ -189,9 +195,45 @@ func TestFacadeOnePathPerJob(t *testing.T) {
 			}
 		case *ast.Ident:
 			idents[n.Name]++
+		case *ast.FuncDecl:
+			if n.Name.Name == "Stats" || n.Name.Name == "Health" {
+				t.Errorf("func %s: TemplateMetrics is the one per-template read", n.Name.Name)
+			}
+			ast.Inspect(n, func(m ast.Node) bool {
+				switch m := m.(type) {
+				case *ast.CallExpr:
+					if sel, ok := m.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "metrics" {
+						assembles[n.Name.Name]++
+					}
+				case *ast.CompositeLit:
+					if id, ok := m.Type.(*ast.Ident); ok && id.Name == "TemplateMetrics" && len(m.Elts) > 0 {
+						builds = append(builds, n.Name.Name)
+					}
+				}
+				return true
+			})
+		case *ast.TypeSpec:
+			switch n.Name.Name {
+			case "Stats", "Health":
+				t.Errorf("type %s: a template's numbers have one shape, TemplateMetrics", n.Name.Name)
+			}
 		}
 		return true
 	})
+	// Spelled in halves, like the old index above.
+	for _, gone := range []string{"Template" + "Stats", "Template" + "Health"} {
+		if n := idents[gone]; n != 0 {
+			t.Errorf("identifier %s occurs %d times: TemplateMetrics is the one per-template read", gone, n)
+		}
+	}
+	for _, f := range []string{"MetricsSnapshot", "TemplateMetrics"} {
+		if assembles[f] != 1 {
+			t.Errorf("%s calls templateState.metrics %d times, want exactly 1: one assembler", f, assembles[f])
+		}
+	}
+	if len(builds) != 1 || builds[0] != "metrics" {
+		t.Errorf("TemplateMetrics values are filled in by %v, want only by templateState.metrics", builds)
+	}
 	if n := calls["InstanceAt"]; n != 0 {
 		t.Errorf("%d calls of InstanceAt on the facade, want 0: a run serves the values it was given", n)
 	}

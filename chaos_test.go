@@ -163,7 +163,7 @@ func TestChaosAllFaultClasses(t *testing.T) {
 				// racing the scheduler for the warm-up.
 				if class == faults.LearnerMisprediction && (i+1)%len(names) == 0 {
 					for _, name := range names {
-						if _, err := sys.TemplateStats(name); err != nil {
+						if _, err := sys.TemplateMetrics(name); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -173,7 +173,7 @@ func TestChaosAllFaultClasses(t *testing.T) {
 				// Appends happen on the background appliers; flush them so
 				// every acknowledged point has consulted the injector.
 				for _, name := range names {
-					if _, err := sys.TemplateStats(name); err != nil {
+					if _, err := sys.TemplateMetrics(name); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -246,7 +246,7 @@ func TestChaosAllFaultClasses(t *testing.T) {
 				run(i, false)
 			}
 			for _, name := range names {
-				h, err := sys.TemplateHealth(name)
+				h, err := sys.TemplateMetrics(name)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -295,15 +295,15 @@ func TestChaosBreakerTripAndRecover(t *testing.T) {
 		}
 		assertTyped(t, err)
 	}
-	h, err := sys.TemplateHealth("Q1")
+	h, err := sys.TemplateMetrics("Q1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h.Breaker.ErrorTrips == 0 {
 		t.Fatalf("breaker never tripped on errors: %+v", h.Breaker)
 	}
-	if h.LearnerErrors == 0 {
-		t.Fatalf("no learner errors counted: %+v", h)
+	if h.Breaker.Failures == 0 {
+		t.Fatalf("no learner errors counted: %+v", h.Breaker)
 	}
 
 	// Outage over: the breaker must finish its cooldown in degraded mode
@@ -322,12 +322,12 @@ func TestChaosBreakerTripAndRecover(t *testing.T) {
 	if !sawDegraded {
 		t.Error("no degraded (optimizer-direct) runs during recovery")
 	}
-	h, _ = sys.TemplateHealth("Q1")
+	h, _ = sys.TemplateMetrics("Q1")
 	if h.Breaker.State != "closed" {
 		t.Fatalf("breaker did not re-close: %+v", h.Breaker)
 	}
-	if h.DegradedRuns == 0 {
-		t.Fatalf("degraded runs not counted: %+v", h)
+	if h.Counters.DegradedRuns == 0 {
+		t.Fatalf("degraded runs not counted: %+v", h.Counters)
 	}
 
 	// Closed again: normal serving, no degradation.
@@ -385,9 +385,9 @@ func TestChaosPrecisionCollapseTrips(t *testing.T) {
 	for i := 0; i < 150; i++ {
 		runOne()
 	}
-	st, _ := sys.TemplateStats("Q1")
-	if !st.PrecisionKnown || st.Precision < 0.5 {
-		t.Fatalf("warm-up failed: precision %.2f (known=%v)", st.Precision, st.PrecisionKnown)
+	st, _ := sys.TemplateMetrics("Q1")
+	if l := st.Learner; !l.PrecisionKnown || l.Precision < 0.5 {
+		t.Fatalf("warm-up failed: precision %.2f (known=%v)", l.Precision, l.PrecisionKnown)
 	}
 
 	// Garble every prediction. The cost detector flags the mispredictions,
@@ -397,7 +397,7 @@ func TestChaosPrecisionCollapseTrips(t *testing.T) {
 	tripped := false
 	for i := 0; i < 300 && !tripped; i++ {
 		runOne()
-		h, err := sys.TemplateHealth("Q1")
+		h, err := sys.TemplateMetrics("Q1")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -413,7 +413,7 @@ func TestChaosPrecisionCollapseTrips(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		runOne()
 	}
-	h, _ := sys.TemplateHealth("Q1")
+	h, _ := sys.TemplateMetrics("Q1")
 	if h.Breaker.State != "closed" {
 		t.Fatalf("breaker did not recover from precision trip: %+v", h.Breaker)
 	}

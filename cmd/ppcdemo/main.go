@@ -72,21 +72,21 @@ func main() {
 			predTime += res.PredictTime
 			execTime += res.ExecuteTime
 		}
-		stats, err := sys.TemplateStats(name)
+		tm, err := sys.TemplateMetrics(name)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("%s (degree %d): %d queries, %d cache hits (%.0f%%), %d optimizer calls\n",
-			name, stats.Degree, *n, hits, 100*float64(hits)/float64(*n), invocations)
+			name, tm.Degree, *n, hits, 100*float64(hits)/float64(*n), invocations)
 		fmt.Printf("   time: optimize %v, predict %v, execute %v; result rows %d\n",
 			optTime.Round(time.Microsecond), predTime.Round(time.Microsecond),
 			execTime.Round(time.Microsecond), rows)
-		if stats.PrecisionKnown {
+		if l := tm.Learner; l.PrecisionKnown {
 			fmt.Printf("   learner: %d samples in %d B synopsis, est. precision %.2f, est. recall %.2f\n",
-				stats.SamplesAbsorbed, stats.SynopsisBytes, stats.Precision, stats.Recall)
+				l.SamplesAbsorbed, l.SynopsisBytes, l.Precision, l.Recall)
 		} else {
 			fmt.Printf("   learner: %d samples in %d B synopsis (no predictions yet)\n",
-				stats.SamplesAbsorbed, stats.SynopsisBytes)
+				l.SamplesAbsorbed, l.SynopsisBytes)
 		}
 	}
 	fmt.Printf("\nplan cache: %d plans cached, %d evictions\n", sys.CacheLen(), sys.CacheEvictions())

@@ -1,6 +1,6 @@
 // Command ppcserve exposes a running PPC system over HTTP: the serving-path
-// metrics snapshot, per-template decision traces, learner stats and breaker
-// health, plus expvar and pprof for live inspection. An optional built-in
+// metrics snapshot (whole, or one template's element of it), per-template
+// decision traces, a liveness answer, and pprof. An optional built-in
 // load generator keeps the serving path busy so the endpoints show a live
 // system rather than a cold one.
 //
@@ -25,27 +25,27 @@
 //
 // Endpoints:
 //
-//	GET  /metrics                 MetricsSnapshot as indented JSON (ppc-metrics/v1)
+//	GET  /metrics                 MetricsSnapshot as indented JSON (ppc-metrics/v2)
+//	GET  /metrics?template=Q1     that template's element of the snapshot, alone
 //	GET  /trace?template=Q1       recent decision traces, oldest first
-//	GET  /stats?template=Q1       learner stats (omit template for all)
-//	GET  /health                  per-template breaker and degraded-mode counters
+//	GET  /health                  liveness: 200 and each template's breaker state (never flushes)
 //	POST /run?template=Q1&values=0.3,0.4   run one instance at a plan-space point (compact JSON reply)
 //	GET  /recovery                LoadReport from startup recovery (404 when cold-started)
 //	GET  /replication             leader-side replication gauges (404 without -wal-dir)
 //	POST /checkpoint              force a checkpoint + WAL compaction now
-//	GET  /debug/vars              expvar (includes the metrics snapshot)
 //	GET  /debug/pprof/            pprof profiles
 //
 // /run and /checkpoint mutate state (they feed the learner and rewrite the
 // checkpoint respectively) and therefore require POST; any other method gets
-// 405 with an Allow header.
+// 405 with an Allow header. /stats and /debug/vars are gone with
+// ppc-metrics/v1: /metrics?template=NAME carries everything /stats did, and
+// the expvar copy of the snapshot was /metrics under another path.
 package main
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -56,7 +56,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -72,32 +71,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ppcserve:", err)
 		os.Exit(1)
 	}
-}
-
-// expvar.Publish panics on a duplicate name, and the registry is global and
-// append-only — so the publication happens once per process and reads the
-// current system through a pointer that run() swaps in. Tests that call
-// run()-style setup repeatedly stay safe.
-var (
-	expvarSys  atomic.Pointer[ppc.System]
-	expvarOnce sync.Once
-)
-
-func publishExpvar(sys *ppc.System) {
-	expvarSys.Store(sys)
-	expvarOnce.Do(func() {
-		expvar.Publish("ppc_metrics", expvar.Func(func() any {
-			s := expvarSys.Load()
-			if s == nil {
-				return nil
-			}
-			snap, err := s.MetricsSnapshot()
-			if err != nil {
-				return map[string]string{"error": err.Error()}
-			}
-			return snap
-		}))
-	})
 }
 
 // run holds the whole server lifecycle so that every exit path — flag
@@ -185,8 +158,6 @@ func run() (err error) {
 		}(w)
 	}
 
-	publishExpvar(sys)
-
 	if *shipAddr != "" {
 		ship, err := replica.Serve(replica.Config{
 			Addr:         *shipAddr,
@@ -225,13 +196,22 @@ func run() (err error) {
 }
 
 // newMux builds the server's handler on a dedicated ServeMux. Nothing here
-// touches http.DefaultServeMux: pprof and expvar are mounted explicitly, so
-// a third-party import that registers a debug handler on the default mux
+// touches http.DefaultServeMux: pprof is mounted explicitly, so a
+// third-party import that registers a debug handler on the default mux
 // (or a second server in the same process) cannot silently expose it — or
 // collide with us — on this listener.
 func newMux(sys *ppc.System) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		if name := r.URL.Query().Get("template"); name != "" {
+			tm, err := sys.TemplateMetrics(name)
+			if err != nil {
+				httpError(w, http.StatusNotFound, err)
+				return
+			}
+			writeJSON(w, tm)
+			return
+		}
 		snap, err := sys.MetricsSnapshot()
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, err)
@@ -252,34 +232,11 @@ func newMux(sys *ppc.System) *http.ServeMux {
 		}
 		writeJSON(w, trace)
 	})
-	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
-		want := sys.TemplateNames()
-		if name := r.URL.Query().Get("template"); name != "" {
-			want = []string{name}
-		}
-		out := make([]ppc.Stats, 0, len(want))
-		for _, name := range want {
-			st, err := sys.TemplateStats(name)
-			if err != nil {
-				httpError(w, http.StatusNotFound, err)
-				return
-			}
-			out = append(out, st)
-		}
-		writeJSON(w, out)
-	})
+	// Liveness: breaker states are single atomic loads, so this answers even
+	// while a template's applier is stalled (everything under /metrics
+	// flushes the feedback mailboxes first and would wait).
 	mux.HandleFunc("/health", func(w http.ResponseWriter, r *http.Request) {
-		names := sys.TemplateNames()
-		out := make([]ppc.Health, 0, len(names))
-		for _, name := range names {
-			h, err := sys.TemplateHealth(name)
-			if err != nil {
-				httpError(w, http.StatusInternalServerError, err)
-				return
-			}
-			out = append(out, h)
-		}
-		writeJSON(w, out)
+		writeJSON(w, sys.BreakerStates())
 	})
 	mux.HandleFunc("/run", postOnly(func(w http.ResponseWriter, r *http.Request) {
 		name, values := runParams(r)
@@ -330,7 +287,6 @@ func newMux(sys *ppc.System) *http.ServeMux {
 		writeJSON(w, sys.WALMetrics())
 	}))
 	// Debug surfaces, mounted explicitly on this mux.
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -19,12 +19,11 @@ import (
 	"time"
 )
 
-// serveStats mirrors the fields this test reads from /stats (the handler
-// serializes ppc.Stats with Go's default field names).
+// serveStats mirrors the learner fields this test reads from
+// /metrics?template=Q1 (one ppc.TemplateMetrics).
 type serveStats struct {
-	Template   string
-	Validated  int
-	AppliedSeq uint64
+	Validated  int    `json:"validated_points"`
+	AppliedSeq uint64 `json:"applied_seq"`
 }
 
 // serveRecovery mirrors the fields read from /recovery.
@@ -62,7 +61,7 @@ func TestKillRestartRecovery(t *testing.T) {
 	defer cmd.Process.Kill() //nolint:errcheck
 
 	// Let the load generator produce acknowledged feedback, then sample the
-	// durable watermark. /stats flushes the applier, so under -wal-sync
+	// durable watermark. /metrics flushes the applier, so under -wal-sync
 	// always everything it reports is on disk.
 	var acked serveStats
 	waitFor(t, 30*time.Second, func() bool {
@@ -127,9 +126,9 @@ func TestKillRestartRecovery(t *testing.T) {
 	})
 }
 
-// getStats fetches Q1's learner stats.
+// getStats fetches Q1's learner metrics.
 func getStats(base string) (serveStats, bool) {
-	resp, err := http.Get(base + "/stats?template=Q1")
+	resp, err := http.Get(base + "/metrics?template=Q1")
 	if err != nil {
 		return serveStats{}, false
 	}
@@ -137,11 +136,14 @@ func getStats(base string) (serveStats, bool) {
 	if resp.StatusCode != http.StatusOK {
 		return serveStats{}, false
 	}
-	var out []serveStats
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || len(out) != 1 {
+	var out struct {
+		Template string     `json:"template"`
+		Learner  serveStats `json:"learner"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || out.Template != "Q1" {
 		return serveStats{}, false
 	}
-	return out[0], true
+	return out.Learner, true
 }
 
 // waitFor polls cond until it returns true or the deadline passes.

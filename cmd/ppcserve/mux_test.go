@@ -2,8 +2,8 @@ package main
 
 // In-process tests for the HTTP surface: mutating endpoints must enforce
 // POST, the debug handlers must be mounted on the dedicated mux (not
-// inherited from http.DefaultServeMux), and the expvar publication must be
-// safe to run more than once per process.
+// inherited from http.DefaultServeMux), and one template's metrics must be
+// its element of the whole snapshot.
 
 import (
 	"encoding/json"
@@ -260,44 +260,102 @@ func TestRunHandlerAllocBudget(t *testing.T) {
 
 func TestReadEndpointsServeOnDedicatedMux(t *testing.T) {
 	sys := testSystem(t)
-	publishExpvar(sys)
 	srv := httptest.NewServer(newMux(sys))
 	defer srv.Close()
 
 	for path, want := range map[string]int{
-		"/metrics":            http.StatusOK,
-		"/health":             http.StatusOK,
-		"/stats?template=Q1":  http.StatusOK,
-		"/replication":        http.StatusNotFound, // no WAL in this system
-		"/debug/vars":         http.StatusOK,
-		"/debug/pprof/":       http.StatusOK,
-		"/debug/pprof/symbol": http.StatusOK,
+		"/metrics":              http.StatusOK,
+		"/metrics?template=Q1":  http.StatusOK,
+		"/metrics?template=Q99": http.StatusNotFound,
+		"/health":               http.StatusOK,
+		"/replication":          http.StatusNotFound, // no WAL in this system
+		"/debug/pprof/":         http.StatusOK,
+		"/debug/pprof/symbol":   http.StatusOK,
+		// Gone with ppc-metrics/v1: /metrics?template= answers what /stats
+		// did, and /debug/vars was /metrics under a second path.
+		"/stats?template=Q1": http.StatusNotFound,
+		"/debug/vars":        http.StatusNotFound,
 	} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close() //nolint:errcheck
 		if resp.StatusCode != want {
 			t.Errorf("GET %s = %d, want %d", path, resp.StatusCode, want)
 		}
-		if path == "/debug/vars" && !strings.Contains(string(body), "ppc_metrics") {
-			t.Error("/debug/vars does not carry the published ppc_metrics var")
-		}
 	}
 }
 
-// TestPublishExpvarIdempotent guards the second-server-in-one-process case:
-// expvar.Publish panics on a duplicate name, so the publication must be
-// once-guarded and re-pointable at a newer System.
-func TestPublishExpvarIdempotent(t *testing.T) {
+// TestMetricsOfOneTemplateIsItsSnapshotElement: /metrics?template=Q1 returns
+// exactly the Q1 element of /metrics — one assembly, two framings — and
+// /health is the facade's breaker states and nothing that needs a flush
+// (TestBreakerStatesAnswerWhileApplierStalled, in the root package, stalls
+// an applier under that read).
+func TestMetricsOfOneTemplateIsItsSnapshotElement(t *testing.T) {
 	sys := testSystem(t)
-	publishExpvar(sys)
-	publishExpvar(sys) // second publication must not panic
-	sys2 := testSystem(t)
-	publishExpvar(sys2)
-	if got := expvarSys.Load(); got != sys2 {
-		t.Error("expvar does not read through to the most recent system")
+	srv := httptest.NewServer(newMux(sys))
+	defer srv.Close()
+
+	tmpl, err := sys.Template("Q1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := strings.TrimSuffix(strings.Repeat("0.3,", tmpl.Degree()), ",")
+	for i := 0; i < 5; i++ {
+		resp, err := http.Post(srv.URL+"/run?template=Q1&values="+values, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close() //nolint:errcheck
+	}
+	get := func(path string, into any) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close() //nolint:errcheck
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %d", path, resp.StatusCode)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+	}
+	var all struct {
+		Schema    string            `json:"schema"`
+		Templates []json.RawMessage `json:"templates"`
+	}
+	get("/metrics", &all)
+	if all.Schema != ppc.MetricsSnapshotSchema {
+		t.Errorf("schema %q, want %q", all.Schema, ppc.MetricsSnapshotSchema)
+	}
+	var one, element any
+	get("/metrics?template=Q1", &one)
+	for _, raw := range all.Templates {
+		var head struct {
+			Template string `json:"template"`
+		}
+		if err := json.Unmarshal(raw, &head); err != nil {
+			t.Fatal(err)
+		}
+		if head.Template == "Q1" {
+			if err := json.Unmarshal(raw, &element); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if element == nil || !reflect.DeepEqual(one, element) {
+		t.Errorf("/metrics?template=Q1 is not the Q1 element of /metrics:\n one: %v\n all: %v", one, element)
+	}
+	if runs := one.(map[string]any)["counters"].(map[string]any)["runs"]; runs != 5.0 {
+		t.Errorf("counters.runs = %v after 5 runs", runs)
+	}
+
+	var health map[string]string
+	get("/health", &health)
+	if want := sys.BreakerStates(); !reflect.DeepEqual(health, want) || health["Q1"] != "closed" {
+		t.Errorf("/health = %v, want the breaker states %v", health, want)
 	}
 }

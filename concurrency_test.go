@@ -61,11 +61,11 @@ func TestConcurrentRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range names {
-		st, err := sys.TemplateStats(name)
+		st, err := sys.TemplateMetrics(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.SamplesAbsorbed == 0 {
+		if st.Learner.SamplesAbsorbed == 0 {
 			t.Errorf("%s absorbed no samples", name)
 		}
 	}
@@ -119,7 +119,7 @@ func TestConcurrentRegisterAndRun(t *testing.T) {
 // Per-template isolation: one template's tripped breaker must not leak into
 // any other template's serving path. Q0's breaker is forced open, then all
 // four templates run in parallel while two more goroutines hammer SaveState
-// and TemplateStats — under the old global mutex this was trivially true
+// and TemplateMetrics — under the old global mutex this was trivially true
 // (and trivially slow); under sharded locks it is the property the design
 // must preserve.
 func TestParallelTemplateIsolation(t *testing.T) {
@@ -217,12 +217,12 @@ func TestParallelTemplateIsolation(t *testing.T) {
 			default:
 			}
 			name := names[i%len(names)]
-			if _, err := sys.TemplateStats(name); err != nil {
-				t.Errorf("concurrent TemplateStats(%s): %v", name, err)
+			if _, err := sys.TemplateMetrics(name); err != nil {
+				t.Errorf("concurrent TemplateMetrics(%s): %v", name, err)
 				return
 			}
-			if _, err := sys.TemplateHealth(name); err != nil {
-				t.Errorf("concurrent TemplateHealth(%s): %v", name, err)
+			if state := sys.BreakerStates()[name]; state == "" {
+				t.Errorf("concurrent BreakerStates: no state for %s", name)
 				return
 			}
 		}
@@ -235,7 +235,7 @@ func TestParallelTemplateIsolation(t *testing.T) {
 	}
 
 	for _, name := range names {
-		h, err := sys.TemplateHealth(name)
+		h, err := sys.TemplateMetrics(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,19 +243,15 @@ func TestParallelTemplateIsolation(t *testing.T) {
 			if h.Breaker.State != "open" {
 				t.Errorf("Q0 breaker ended %q, want open", h.Breaker.State)
 			}
-			if h.DegradedRuns != runsPerTemplate {
-				t.Errorf("Q0 DegradedRuns = %d, want %d", h.DegradedRuns, runsPerTemplate)
+			if h.Counters.DegradedRuns != runsPerTemplate {
+				t.Errorf("Q0 degraded_runs = %d, want %d", h.Counters.DegradedRuns, runsPerTemplate)
 			}
 			continue
 		}
-		if h.Breaker.State != "closed" || h.DegradedRuns != 0 {
-			t.Errorf("%s ended breaker=%q degraded=%d, want closed/0", name, h.Breaker.State, h.DegradedRuns)
+		if h.Breaker.State != "closed" || h.Counters.DegradedRuns != 0 {
+			t.Errorf("%s ended breaker=%q degraded=%d, want closed/0", name, h.Breaker.State, h.Counters.DegradedRuns)
 		}
-		st, err := sys.TemplateStats(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.SamplesAbsorbed == 0 {
+		if h.Learner.SamplesAbsorbed == 0 {
 			t.Errorf("%s absorbed no samples while Q0 was quarantined", name)
 		}
 	}
@@ -351,11 +347,11 @@ func TestConcurrentRunsUnderFaults(t *testing.T) {
 	}
 	// The faulted system must have made progress despite the chaos.
 	for _, name := range names {
-		st, err := sys.TemplateStats(name)
+		st, err := sys.TemplateMetrics(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.SamplesAbsorbed == 0 {
+		if st.Learner.SamplesAbsorbed == 0 {
 			t.Errorf("%s absorbed no samples under chaos", name)
 		}
 	}

@@ -182,11 +182,11 @@ type statsTriple struct {
 
 func triple(t *testing.T, sys *System) statsTriple {
 	t.Helper()
-	st, err := sys.TemplateStats("Q1") // flushes the applier first
+	st, err := sys.TemplateMetrics("Q1") // flushes the applier first
 	if err != nil {
 		t.Fatal(err)
 	}
-	return statsTriple{st.Validated, st.SelfLabeled, st.AppliedSeq}
+	return statsTriple{st.Learner.Validated, st.Learner.SelfLabeled, st.Learner.AppliedSeq}
 }
 
 // TestDurableCloseReopenRestoresState is the clean-shutdown half of the

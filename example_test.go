@@ -59,11 +59,11 @@ func ExampleSystem_SaveState() {
 	if err := restarted.LoadState(&state); err != nil {
 		log.Fatal(err)
 	}
-	st, err := restarted.TemplateStats("q")
+	tm, err := restarted.TemplateMetrics("q")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("restored a learner with absorbed samples: %v\n", st.SamplesAbsorbed > 0)
+	fmt.Printf("restored a learner with absorbed samples: %v\n", tm.Learner.SamplesAbsorbed > 0)
 	// Output:
 	// restored a learner with absorbed samples: true
 }

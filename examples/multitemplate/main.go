@@ -67,20 +67,20 @@ func main() {
 
 	fmt.Println("template  degree  queries  cache-hit%  est.precision  synopsis(B)")
 	for _, name := range names {
-		st, err := sys.TemplateStats(name)
+		tm, err := sys.TemplateMetrics(name)
 		if err != nil {
 			log.Fatal(err)
 		}
 		prec := "   -"
-		if st.PrecisionKnown {
-			prec = fmt.Sprintf("%.2f", st.Precision)
+		if tm.Learner.PrecisionKnown {
+			prec = fmt.Sprintf("%.2f", tm.Learner.Precision)
 		}
 		rate := 0.0
 		if ran[name] > 0 {
 			rate = 100 * float64(hits[name]) / float64(ran[name])
 		}
 		fmt.Printf("%-9s %6d  %7d  %9.0f%%  %13s  %11d\n",
-			name, st.Degree, ran[name], rate, prec, st.SynopsisBytes)
+			name, tm.Degree, ran[name], rate, prec, tm.Learner.SynopsisBytes)
 	}
 	fmt.Printf("\ncache: %d/%d plans resident, %d evictions over the run\n",
 		sys.CacheLen(), 8, sys.CacheEvictions())

@@ -57,10 +57,10 @@ func main() {
 		}
 	}
 
-	st, _ := sys.TemplateStats("revenue")
+	tm, _ := sys.TemplateMetrics("revenue")
 	fmt.Printf("\ntemplate degree %d; learner absorbed %d optimizer-labeled points into a %d-byte synopsis\n",
-		st.Degree, st.SamplesAbsorbed, st.SynopsisBytes)
+		tm.Degree, tm.Learner.SamplesAbsorbed, tm.Learner.SynopsisBytes)
 	fmt.Printf("estimated precision %.2f, recall %.2f; %d plan(s) cached\n",
-		st.Precision, st.Recall, sys.CacheLen())
+		tm.Learner.Precision, tm.Learner.Recall, sys.CacheLen())
 	_ = tmpl
 }

@@ -67,7 +67,8 @@ func main() {
 		}
 	}
 
-	st, _ := sys.TemplateStats(name)
+	tm, _ := sys.TemplateMetrics(name)
+	l := tm.Learner
 	fmt.Printf("\nfinal learner state: %d samples, synopsis %d bytes, est. precision %.2f, est. recall %.2f\n",
-		st.SamplesAbsorbed, st.SynopsisBytes, st.Precision, st.Recall)
+		l.SamplesAbsorbed, l.SynopsisBytes, l.Precision, l.Recall)
 }

@@ -20,7 +20,6 @@ import (
 	"testing"
 
 	ppc "repro"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/optimizer"
@@ -157,7 +156,7 @@ func InsertApproxLSHHist(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := points[i%len(points)]
-		hist.Insert(cluster.Sample{Point: p, Plan: i % 7, Cost: float64(i % 100)})
+		hist.Insert(core.Sample{Point: p, Plan: i % 7, Cost: float64(i % 100)})
 	}
 }
 

@@ -16,7 +16,6 @@ package catalog
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/histogram"
 	"repro/internal/tpch"
@@ -25,20 +24,6 @@ import (
 // DefaultColumnBuckets is the number of equi-depth buckets per column
 // histogram.
 const DefaultColumnBuckets = 64
-
-// Options controls statistics construction beyond the bucket count.
-type Options struct {
-	// Buckets is the per-column histogram resolution (0 = default).
-	Buckets int
-	// VOptimal builds V-optimal column histograms (minimum within-bucket
-	// variance) instead of equi-depth ones. V-optimal construction is
-	// O(n²·b), so columns larger than SampleSize rows are sampled first.
-	VOptimal bool
-	// SampleSize caps the values fed to the V-optimal DP (default 2000).
-	SampleSize int
-	// Seed drives the sampling.
-	Seed int64
-}
 
 // ColumnStats summarizes one column.
 type ColumnStats struct {
@@ -133,24 +118,15 @@ type Catalog struct {
 // Build scans every table of db and constructs statistics. buckets controls
 // the per-column histogram resolution; pass 0 for DefaultColumnBuckets.
 func Build(db *tpch.Database, buckets int) (*Catalog, error) {
-	return BuildWithOptions(db, Options{Buckets: buckets})
-}
-
-// BuildWithOptions scans every table of db and constructs statistics with
-// full control over the construction strategy.
-func BuildWithOptions(db *tpch.Database, opts Options) (*Catalog, error) {
-	if opts.Buckets <= 0 {
-		opts.Buckets = DefaultColumnBuckets
-	}
-	if opts.SampleSize <= 0 {
-		opts.SampleSize = 2000
+	if buckets <= 0 {
+		buckets = DefaultColumnBuckets
 	}
 	c := &Catalog{tables: make(map[string]*TableStats)}
 	for _, name := range db.TableNames() {
 		t := db.MustTable(name)
 		ts := &TableStats{Table: name, RowCount: t.NumRows(), Columns: make(map[string]*ColumnStats)}
 		for _, col := range t.Columns {
-			cs, err := buildColumn(name, col, opts)
+			cs, err := buildColumn(name, col, buckets)
 			if err != nil {
 				return nil, err
 			}
@@ -170,7 +146,7 @@ func MustBuild(db *tpch.Database, buckets int) *Catalog {
 	return c
 }
 
-func buildColumn(table string, col *tpch.Column, opts Options) (*ColumnStats, error) {
+func buildColumn(table string, col *tpch.Column, buckets int) (*ColumnStats, error) {
 	cs := &ColumnStats{Table: table, Column: col.Name, Kind: col.Kind, RowCount: col.Len()}
 	switch col.Kind {
 	case tpch.KindNumeric:
@@ -191,22 +167,7 @@ func buildColumn(table string, col *tpch.Column, opts Options) (*ColumnStats, er
 			}
 		}
 		cs.Distinct = len(distinct)
-		var h *histogram.Histogram
-		var err error
-		if opts.VOptimal {
-			values := col.Nums
-			if len(values) > opts.SampleSize {
-				rng := rand.New(rand.NewSource(opts.Seed + int64(len(values))))
-				sample := make([]float64, opts.SampleSize)
-				for i := range sample {
-					sample[i] = values[rng.Intn(len(values))]
-				}
-				values = sample
-			}
-			h, err = histogram.BuildVOptimal(values, nil, opts.Buckets)
-		} else {
-			h, err = histogram.BuildEquiDepth(col.Nums, nil, opts.Buckets)
-		}
+		h, err := histogram.BuildEquiDepth(col.Nums, nil, buckets)
 		if err != nil {
 			return nil, fmt.Errorf("catalog: %s.%s: %w", table, col.Name, err)
 		}

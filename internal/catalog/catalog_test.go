@@ -163,37 +163,3 @@ func TestColumnErrors(t *testing.T) {
 	}()
 	c.MustColumn("nope", "x")
 }
-
-func TestBuildWithVOptimal(t *testing.T) {
-	c, err := BuildWithOptions(testDB, Options{Buckets: 32, VOptimal: true, SampleSize: 500, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sampled V-optimal statistics must still support the quantile round
-	// trip the workload generator depends on (looser tolerance: sampled).
-	cs := c.MustColumn("lineitem", "l_shipdate")
-	for _, p := range []float64{0.1, 0.5, 0.9} {
-		v := cs.Quantile(p)
-		back := cs.SelectivityLE(v)
-		if math.Abs(back-p) > 0.08 {
-			t.Errorf("v-optimal quantile round trip at %v: %v", p, back)
-		}
-	}
-	// The sampled histogram estimates the full column's selectivity well.
-	full := testCatalogForVopt(t).MustColumn("lineitem", "l_shipdate")
-	for _, p := range []float64{0.25, 0.75} {
-		v := full.Quantile(p)
-		if got := cs.SelectivityLE(v); math.Abs(got-p) > 0.08 {
-			t.Errorf("sampled v-optimal selectivity at true p=%v: got %v", p, got)
-		}
-	}
-}
-
-func testCatalogForVopt(t *testing.T) *Catalog {
-	t.Helper()
-	c, err := Build(testDB, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}

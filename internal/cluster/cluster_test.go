@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/core"
 )
 
 func TestConfidenceEndpoints(t *testing.T) {
@@ -22,7 +24,7 @@ func TestConfidenceEndpoints(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := Confidence(tc.max, tc.tot); math.Abs(got-tc.want) > tc.tol {
+			if got := core.Confidence(tc.max, tc.tot); math.Abs(got-tc.want) > tc.tol {
 				t.Errorf("Confidence(%v,%v) = %v, want %v", tc.max, tc.tot, got, tc.want)
 			}
 		})
@@ -32,7 +34,7 @@ func TestConfidenceEndpoints(t *testing.T) {
 func TestConfidenceMonotoneInPurity(t *testing.T) {
 	prev := -1.0
 	for f := 0.5; f <= 1.0001; f += 0.01 {
-		c := Confidence(f*1000, 1000)
+		c := core.Confidence(f*1000, 1000)
 		if c < prev {
 			t.Fatalf("confidence not monotone at purity %v: %v < %v", f, c, prev)
 		}
@@ -46,7 +48,7 @@ func TestConfidenceScaleInvariant(t *testing.T) {
 		max := float64(maxRaw%100) + 1
 		total := max + float64(scaleRaw%50)
 		k := 1 + float64(scaleRaw%7)
-		return math.Abs(Confidence(max, total)-Confidence(max*k, total*k)) < 1e-9
+		return math.Abs(core.Confidence(max, total)-core.Confidence(max*k, total*k)) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -58,7 +60,7 @@ func TestConfidenceLinearChord(t *testing.T) {
 	for _, tc := range []struct{ purity, want float64 }{
 		{0.75, 0.5}, {0.85, 0.7}, {0.9, 0.8}, {1.0, 1.0}, {0.5, 0.0},
 	} {
-		got := Confidence(tc.purity*1000, 1000)
+		got := core.Confidence(tc.purity*1000, 1000)
 		if math.Abs(got-tc.want) > 1e-9 {
 			t.Errorf("Confidence at purity %v = %v, want %v", tc.purity, got, tc.want)
 		}
@@ -77,7 +79,7 @@ func TestSegmentConfidenceGeometry(t *testing.T) {
 	// The segment model is stricter than the linear model everywhere
 	// strictly between the endpoints.
 	for p := 0.55; p < 1.0; p += 0.05 {
-		if SegmentConfidence(p*1000, 1000) >= Confidence(p*1000, 1000) {
+		if SegmentConfidence(p*1000, 1000) >= core.Confidence(p*1000, 1000) {
 			t.Errorf("segment not stricter at purity %v", p)
 		}
 	}
@@ -85,15 +87,15 @@ func TestSegmentConfidenceGeometry(t *testing.T) {
 
 // twoRegionSamples builds a synthetic 2-D plan space split at x=0.5:
 // plan 0 on the left, plan 1 on the right.
-func twoRegionSamples(n int, rng *rand.Rand) []Sample {
-	out := make([]Sample, n)
+func twoRegionSamples(n int, rng *rand.Rand) []core.Sample {
+	out := make([]core.Sample, n)
 	for i := range out {
 		p := []float64{rng.Float64(), rng.Float64()}
 		plan := 0
 		if p[0] >= 0.5 {
 			plan = 1
 		}
-		out[i] = Sample{Point: p, Plan: plan, Cost: 1}
+		out[i] = core.Sample{Point: p, Plan: plan, Cost: 1}
 	}
 	return out
 }
@@ -144,7 +146,7 @@ func TestDensityGammaTradeoff(t *testing.T) {
 }
 
 func TestSingleLinkagePredict(t *testing.T) {
-	samples := []Sample{
+	samples := []core.Sample{
 		{Point: []float64{0.1, 0.1}, Plan: 7},
 		{Point: []float64{0.9, 0.9}, Plan: 8},
 	}
@@ -200,7 +202,7 @@ func TestKMeansPredict(t *testing.T) {
 func TestKMeansDegenerateGroups(t *testing.T) {
 	// Fewer points than clusters: centroids equal the points.
 	rng := rand.New(rand.NewSource(8))
-	samples := []Sample{
+	samples := []core.Sample{
 		{Point: []float64{0.2, 0.2}, Plan: 1},
 		{Point: []float64{0.8, 0.8}, Plan: 2},
 	}
@@ -228,7 +230,7 @@ func TestSectionIIIQualitativeOrdering(t *testing.T) {
 		return 1
 	}
 	n := 1500
-	samples := make([]Sample, 0, n)
+	samples := make([]core.Sample, 0, n)
 	for i := 0; i < n; i++ {
 		p := []float64{rng.Float64(), rng.Float64()}
 		plan := label(p)
@@ -236,7 +238,7 @@ func TestSectionIIIQualitativeOrdering(t *testing.T) {
 		if rng.Float64() < 0.03 {
 			plan = 1 - plan
 		}
-		samples = append(samples, Sample{Point: p, Plan: plan})
+		samples = append(samples, core.Sample{Point: p, Plan: plan})
 	}
 	precision := func(p Predictor) float64 {
 		correct, answered := 0, 0
@@ -275,14 +277,14 @@ func TestPredictFromDensitiesTieBreak(t *testing.T) {
 	// Equal densities: deterministic lowest-plan tie break, confidence 0
 	// (exactly on the modeled boundary) so the prediction is NULL at any
 	// positive γ.
-	pred := PredictFromDensities(map[int]float64{3: 5, 1: 5}, 0.0)
+	pred := core.PredictFromDensities(map[int]float64{3: 5, 1: 5}, 0.0)
 	if !pred.OK || pred.Plan != 1 {
 		t.Errorf("tie break = %+v, want plan 1 at γ=0", pred)
 	}
 	if pred.Confidence != 0 {
 		t.Errorf("tie confidence = %v, want 0", pred.Confidence)
 	}
-	if got := PredictFromDensities(map[int]float64{3: 5, 1: 5}, 0.1); got.OK {
+	if got := core.PredictFromDensities(map[int]float64{3: 5, 1: 5}, 0.1); got.OK {
 		t.Errorf("tie at γ=0.1 should be NULL: %+v", got)
 	}
 }

@@ -1,64 +1,22 @@
 // Package cluster implements the three candidate clustering methods of the
 // paper's Section III — k-means predict, single-linkage predict, and
-// density predict (Algorithm 1, BASELINE) — together with the shared
-// confidence model of Section IV-A. These are the reference algorithms the
+// density predict (Algorithm 1, BASELINE): the reference algorithms the
 // efficient NAÏVE / APPROXIMATE-LSH / APPROXIMATE-LSH-HISTOGRAMS predictors
-// in package core approximate.
+// in package core approximate. The vocabulary they share with the learner —
+// Sample, Prediction, the Section IV-A confidence model and the Algorithm 1
+// vote — lives in package core, so the serving binaries link the learner
+// without linking this package; only the experiments import it.
 package cluster
 
-import "math"
+import (
+	"math"
 
-// Sample is one labeled plan space point: the selectivity vector of a query
-// instance, the identifier of the optimizer's chosen plan, and the
-// execution cost of that plan at that point.
-type Sample struct {
-	Point []float64
-	Plan  int
-	Cost  float64
-}
-
-// Prediction is a plan prediction. OK is false for a NULL prediction
-// (Definition 4: the algorithm may decline to predict).
-type Prediction struct {
-	Plan       int
-	Confidence float64
-	OK         bool
-}
-
-// Confidence implements the geometric confidence model of Section IV-A.
-//
-// Within the query ball of radius d around x, countMax samples carry the
-// majority plan and countTotal samples exist in total. The model assumes
-// the plan boundary is a chord splitting the ball into a majority region
-// (area fraction countMax/countTotal) and a minority region; the chord's
-// distance t from the center gives the angle θ with sin(θ) = t/d, and the
-// confidence is sin(θ).
-//
-// The area split is translated to the chord offset with the diameter-split
-// approximation — the chord at offset t divides the diameter in proportion
-// (1+t/d):(1−t/d), so sin(θ) ≈ 2·(countMax/countTotal) − 1. (The exact
-// circular-segment inversion, SegmentConfidence, is retained for reference;
-// both agree at the endpoints, and the linear form is the "reasonable
-// simplification" consistent with the paper's reported operating points.)
-// The confidence is 1 when the ball is pure, 0 when the center lies on the
-// boundary, and 0 (unsafe) when the majority holds less than half the ball.
-func Confidence(countMax, countTotal float64) float64 {
-	if countTotal <= 0 || countMax <= 0 {
-		return 0
-	}
-	if countMax >= countTotal {
-		return 1
-	}
-	c := 2*countMax/countTotal - 1
-	if c < 0 {
-		return 0
-	}
-	return c
-}
+	"repro/internal/core"
+)
 
 // SegmentConfidence is the exact circular-segment variant of the model: it
 // inverts the segment-area formula to recover sin(θ) from the minority
-// area fraction. Stricter than Confidence at every purity level.
+// area fraction. Stricter than core.Confidence at every purity level.
 func SegmentConfidence(countMax, countTotal float64) float64 {
 	if countTotal <= 0 || countMax <= 0 {
 		return 0
@@ -97,5 +55,5 @@ func chordOffsetForMinorityFraction(fMin float64) float64 {
 type Predictor interface {
 	// Predict returns the plan prediction for plan space point x, or a
 	// NULL prediction (OK == false) when the algorithm declines.
-	Predict(x []float64) Prediction
+	Predict(x []float64) core.Prediction
 }

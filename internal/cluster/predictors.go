@@ -3,7 +3,9 @@ package cluster
 import (
 	"math"
 	"math/rand"
+	"sort"
 
+	"repro/internal/core"
 	"repro/internal/geom"
 )
 
@@ -12,102 +14,43 @@ import (
 // it counts the samples of each plan within radius d and returns the
 // majority plan if the confidence sanity check passes the threshold γ.
 type Density struct {
-	samples []Sample
+	samples []core.Sample
 	d       float64
 	gamma   float64
 }
 
 // NewDensity creates a BASELINE predictor with query radius d and
 // confidence threshold gamma.
-func NewDensity(samples []Sample, d, gamma float64) *Density {
+func NewDensity(samples []core.Sample, d, gamma float64) *Density {
 	return &Density{samples: samples, d: d, gamma: gamma}
 }
 
 // Predict implements Predictor. It runs in O(|X|) per call, which is why
 // the paper replaces BASELINE with the constant-time approximations.
-func (p *Density) Predict(x []float64) Prediction {
+func (p *Density) Predict(x []float64) core.Prediction {
 	density := make(map[int]float64)
 	for _, s := range p.samples {
 		if geom.Dist(s.Point, x) <= p.d {
 			density[s.Plan]++
 		}
 	}
-	return PredictFromDensities(density, p.gamma)
-}
-
-// PredictFromDensities applies lines 6–16 of Algorithm 1: find the
-// highest-density plan and emit it iff the confidence meets gamma.
-// Plans are visited in sorted order so float accumulation (and tie
-// breaking) is deterministic across runs.
-func PredictFromDensities(density map[int]float64, gamma float64) Prediction {
-	plans := make([]int, 0, len(density))
-	for plan := range density {
-		plans = append(plans, plan)
-	}
-	sortInts(plans)
-	var total, maxCount float64
-	maxPlan := -1
-	for _, plan := range plans {
-		c := density[plan]
-		if c <= 0 {
-			continue
-		}
-		total += c
-		if c > maxCount || (c == maxCount && (maxPlan == -1 || plan < maxPlan)) {
-			maxCount, maxPlan = c, plan
-		}
-	}
-	if maxPlan == -1 {
-		return Prediction{OK: false}
-	}
-	conf := Confidence(maxCount, total)
-	if conf < gamma {
-		return Prediction{Confidence: conf, OK: false}
-	}
-	return Prediction{Plan: maxPlan, Confidence: conf, OK: true}
-}
-
-// PredictFromDensityList is PredictFromDensities over parallel slices:
-// plans must be sorted ascending and densities[i] is the density of
-// plans[i]. It allocates nothing, so the serving path can vote from
-// reusable scratch buffers. Entries with density <= 0 are ignored.
-func PredictFromDensityList(plans []int, densities []float64, gamma float64) Prediction {
-	var total, maxCount float64
-	maxPlan := -1
-	for i, plan := range plans {
-		c := densities[i]
-		if c <= 0 {
-			continue
-		}
-		total += c
-		if c > maxCount || (c == maxCount && (maxPlan == -1 || plan < maxPlan)) {
-			maxCount, maxPlan = c, plan
-		}
-	}
-	if maxPlan == -1 {
-		return Prediction{OK: false}
-	}
-	conf := Confidence(maxCount, total)
-	if conf < gamma {
-		return Prediction{Confidence: conf, OK: false}
-	}
-	return Prediction{Plan: maxPlan, Confidence: conf, OK: true}
+	return core.PredictFromDensities(density, p.gamma)
 }
 
 // SingleLinkage is the single-linkage predictor (Section III-A(b)): the
 // plan label of the nearest sample point, NULL beyond radius d.
 type SingleLinkage struct {
-	samples []Sample
+	samples []core.Sample
 	d       float64
 }
 
 // NewSingleLinkage creates a single-linkage predictor with cutoff radius d.
-func NewSingleLinkage(samples []Sample, d float64) *SingleLinkage {
+func NewSingleLinkage(samples []core.Sample, d float64) *SingleLinkage {
 	return &SingleLinkage{samples: samples, d: d}
 }
 
 // Predict implements Predictor.
-func (p *SingleLinkage) Predict(x []float64) Prediction {
+func (p *SingleLinkage) Predict(x []float64) core.Prediction {
 	best := -1
 	bestDist := math.Inf(1)
 	for i, s := range p.samples {
@@ -116,11 +59,11 @@ func (p *SingleLinkage) Predict(x []float64) Prediction {
 		}
 	}
 	if best == -1 || bestDist > p.d {
-		return Prediction{OK: false}
+		return core.Prediction{OK: false}
 	}
 	// Distance-based sanity check only; confidence decays linearly with
 	// distance for reporting purposes.
-	return Prediction{Plan: p.samples[best].Plan, Confidence: 1 - bestDist/p.d, OK: true}
+	return core.Prediction{Plan: p.samples[best].Plan, Confidence: 1 - bestDist/p.d, OK: true}
 }
 
 // KMeans is the k-means predictor (Section III-A(a)): samples are grouped
@@ -135,7 +78,7 @@ type KMeans struct {
 
 // NewKMeans builds the per-plan k-means predictor. c is the cluster count
 // per plan group; rng seeds the centroid initialization.
-func NewKMeans(samples []Sample, c int, d float64, rng *rand.Rand) *KMeans {
+func NewKMeans(samples []core.Sample, c int, d float64, rng *rand.Rand) *KMeans {
 	groups := make(map[int][][]float64)
 	for _, s := range samples {
 		groups[s.Plan] = append(groups[s.Plan], s.Point)
@@ -146,7 +89,7 @@ func NewKMeans(samples []Sample, c int, d float64, rng *rand.Rand) *KMeans {
 	for plan := range groups {
 		planIDs = append(planIDs, plan)
 	}
-	sortInts(planIDs)
+	sort.Ints(planIDs)
 	for _, plan := range planIDs {
 		pts := groups[plan]
 		k := c
@@ -162,7 +105,7 @@ func NewKMeans(samples []Sample, c int, d float64, rng *rand.Rand) *KMeans {
 }
 
 // Predict implements Predictor.
-func (p *KMeans) Predict(x []float64) Prediction {
+func (p *KMeans) Predict(x []float64) core.Prediction {
 	best := -1
 	bestDist := math.Inf(1)
 	for i, c := range p.centroids {
@@ -171,9 +114,9 @@ func (p *KMeans) Predict(x []float64) Prediction {
 		}
 	}
 	if best == -1 || bestDist > p.d {
-		return Prediction{OK: false}
+		return core.Prediction{OK: false}
 	}
-	return Prediction{Plan: p.plans[best], Confidence: 1 - bestDist/p.d, OK: true}
+	return core.Prediction{Plan: p.plans[best], Confidence: 1 - bestDist/p.d, OK: true}
 }
 
 // NumCentroids returns the total number of centroids (for space accounting).
@@ -247,12 +190,4 @@ func lloyd(pts [][]float64, k int, rng *rand.Rand) [][]float64 {
 		}
 	}
 	return centroids
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

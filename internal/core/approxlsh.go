@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/cluster"
 	"repro/internal/lsh"
 )
 
@@ -53,7 +52,7 @@ func MustNewApproxLSH(cfg Config) *ApproxLSH {
 }
 
 // Insert implements Predictor.
-func (p *ApproxLSH) Insert(s cluster.Sample) {
+func (p *ApproxLSH) Insert(s Sample) {
 	if len(s.Point) != p.cfg.Dims {
 		panic(fmt.Sprintf("core: expected %d dims, got %d", p.cfg.Dims, len(s.Point)))
 	}
@@ -66,16 +65,16 @@ func (p *ApproxLSH) Insert(s cluster.Sample) {
 }
 
 // Predict implements Predictor.
-func (p *ApproxLSH) Predict(x []float64) cluster.Prediction {
+func (p *ApproxLSH) Predict(x []float64) Prediction {
 	pred, _, _ := p.PredictWithCost(x)
 	return pred
 }
 
 // PredictWithCost implements CostPredictor: the per-plan density (and cost)
 // is the median of the t per-grid estimates.
-func (p *ApproxLSH) PredictWithCost(x []float64) (cluster.Prediction, float64, bool) {
+func (p *ApproxLSH) PredictWithCost(x []float64) (Prediction, float64, bool) {
 	if p.total < p.cfg.MinSamples || len(x) != p.cfg.Dims {
-		return cluster.Prediction{}, 0, false
+		return Prediction{}, 0, false
 	}
 	x = clampPoint(x)
 	t := len(p.grids)
@@ -103,7 +102,7 @@ func (p *ApproxLSH) PredictWithCost(x []float64) (cluster.Prediction, float64, b
 		}
 		med[plan] = median(ests)
 	}
-	pred := cluster.PredictFromDensities(med, p.cfg.Gamma)
+	pred := PredictFromDensities(med, p.cfg.Gamma)
 	if !pred.OK {
 		return pred, 0, false
 	}

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/cluster"
 	"repro/internal/lsh"
 )
 
@@ -141,9 +140,9 @@ func (c Config) withDefaults() (Config, error) {
 type Predictor interface {
 	// Insert folds one labeled plan space point into the synopsis. The
 	// sample's Point is not retained: callers may reuse its backing array.
-	Insert(s cluster.Sample)
+	Insert(s Sample)
 	// Predict returns the plan prediction at x (possibly NULL).
-	Predict(x []float64) cluster.Prediction
+	Predict(x []float64) Prediction
 	// TotalPoints returns the number of inserted samples.
 	TotalPoints() int
 	// MemoryBytes returns the storage footprint under the paper's
@@ -161,7 +160,7 @@ type CostPredictor interface {
 	// PredictWithCost returns the prediction and, when OK, the estimated
 	// average execution cost of that plan in the vicinity of x. costOK is
 	// false when no cost information is available.
-	PredictWithCost(x []float64) (pred cluster.Prediction, cost float64, costOK bool)
+	PredictWithCost(x []float64) (pred Prediction, cost float64, costOK bool)
 }
 
 // gridCellsPerAxis returns the per-axis resolution of a grid of dims

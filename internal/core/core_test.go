@@ -3,8 +3,6 @@ package core
 import (
 	"math/rand"
 	"testing"
-
-	"repro/internal/cluster"
 )
 
 // quadrantPlan labels [0,1]^2 with four quadrant plans — a simple space
@@ -29,7 +27,7 @@ func fillQuadrants(p Predictor, n int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < n; i++ {
 		x := []float64{rng.Float64(), rng.Float64()}
-		p.Insert(cluster.Sample{Point: x, Plan: quadrantPlan(x), Cost: quadrantCost(x)})
+		p.Insert(Sample{Point: x, Plan: quadrantPlan(x), Cost: quadrantCost(x)})
 	}
 }
 
@@ -208,7 +206,7 @@ func TestApproxLSHHistMemoryAccounting(t *testing.T) {
 		if x[0] > 0.5 {
 			plan = 1
 		}
-		p.Insert(cluster.Sample{Point: x, Plan: plan, Cost: 1})
+		p.Insert(Sample{Point: x, Plan: plan, Cost: 1})
 	}
 	// 2 plans plus 1 marginal per transform: 5 * (2+1) * 40 * 12 bytes.
 	if got := p.MemoryBytes(); got != 5*3*40*12 {
@@ -242,12 +240,12 @@ func TestNoiseEliminationSuppressesStragglers(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		x := []float64{rng.Float64(), rng.Float64()}
 		for _, p := range []Predictor{withNoise, without} {
-			p.Insert(cluster.Sample{Point: x, Plan: 0, Cost: 1})
+			p.Insert(Sample{Point: x, Plan: 0, Cost: 1})
 		}
 	}
 	// One rogue point of plan 1 in the middle.
 	for _, p := range []Predictor{withNoise, without} {
-		p.Insert(cluster.Sample{Point: []float64{0.5, 0.5}, Plan: 1, Cost: 1})
+		p.Insert(Sample{Point: []float64{0.5, 0.5}, Plan: 1, Cost: 1})
 	}
 	got := withNoise.Predict([]float64{0.5, 0.5})
 	if !got.OK || got.Plan != 0 {

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/faults"
 )
 
@@ -88,7 +87,7 @@ func TestInsertDimensionMismatchPanics(t *testing.T) {
 					t.Errorf("%s: no panic on dimension mismatch", name)
 				}
 			}()
-			p.Insert(cluster.Sample{Point: []float64{0.5, 0.5}, Plan: 1})
+			p.Insert(Sample{Point: []float64{0.5, 0.5}, Plan: 1})
 		}()
 	}
 }
@@ -98,7 +97,7 @@ func TestPredictOutOfRangePointsClamp(t *testing.T) {
 	p := MustNewApproxLSHHist(Config{Dims: 2, Radius: 0.1, Gamma: 0.5, Seed: 5, MinSamples: -1})
 	rng := rand.New(rand.NewSource(59))
 	for i := 0; i < 500; i++ {
-		p.Insert(cluster.Sample{Point: []float64{rng.Float64(), rng.Float64()}, Plan: 3, Cost: 1})
+		p.Insert(Sample{Point: []float64{rng.Float64(), rng.Float64()}, Plan: 3, Cost: 1})
 	}
 	for _, x := range [][]float64{{-5, 0.5}, {0.5, 99}, {-1, -1}, {2, 2}} {
 		got := p.Predict(x)
@@ -113,12 +112,12 @@ func TestMinSamplesGate(t *testing.T) {
 	p := MustNewApproxLSHHist(Config{Dims: 2, Radius: 0.1, Gamma: 0.5, Seed: 5, MinSamples: 50})
 	rng := rand.New(rand.NewSource(61))
 	for i := 0; i < 49; i++ {
-		p.Insert(cluster.Sample{Point: []float64{rng.Float64(), rng.Float64()}, Plan: 1, Cost: 1})
+		p.Insert(Sample{Point: []float64{rng.Float64(), rng.Float64()}, Plan: 1, Cost: 1})
 		if got := p.Predict([]float64{0.5, 0.5}); got.OK {
 			t.Fatalf("prediction after only %d samples", i+1)
 		}
 	}
-	p.Insert(cluster.Sample{Point: []float64{0.5, 0.5}, Plan: 1, Cost: 1})
+	p.Insert(Sample{Point: []float64{0.5, 0.5}, Plan: 1, Cost: 1})
 	if got := p.Predict([]float64{0.5, 0.5}); !got.OK {
 		t.Error("no prediction after reaching MinSamples on a pure space")
 	}

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"slices"
 
-	"repro/internal/cluster"
 	"repro/internal/geom"
 	"repro/internal/histogram"
 	"repro/internal/lsh"
@@ -67,7 +66,7 @@ type ApproxLSHHist struct {
 	retuneEpoch uint64
 	retuneEvery int
 	sinceRetune int
-	reservoir   []cluster.Sample
+	reservoir   []Sample
 	resNext     int
 	resCap      int
 
@@ -210,7 +209,7 @@ func zBitsFor(s int) int {
 // z-order coordinate is inserted into the histogram of its plan in every
 // intermediate space. Live inserts additionally harvest the pre-warp
 // coordinate distribution and retain the sample in the re-tune reservoir.
-func (p *ApproxLSHHist) Insert(s cluster.Sample) {
+func (p *ApproxLSHHist) Insert(s Sample) {
 	if len(s.Point) != p.cfg.Dims {
 		panic(fmt.Sprintf("core: expected %d dims, got %d", p.cfg.Dims, len(s.Point)))
 	}
@@ -226,7 +225,7 @@ func (p *ApproxLSHHist) Insert(s cluster.Sample) {
 // whether the tuner observes the pre-warp coordinates — true for live
 // inserts, false when ApplyRetune re-plays the reservoir (those points were
 // observed once already).
-func (p *ApproxLSHHist) insertSample(s cluster.Sample, harvest bool) {
+func (p *ApproxLSHHist) insertSample(s Sample, harvest bool) {
 	sc := p.scratch()
 	clampPointInto(sc.x, s.Point)
 	for i := range p.hists {
@@ -290,13 +289,13 @@ func warpInto(ws []*lsh.Warp, proj []float64) {
 }
 
 // reservoirAdd retains an owned copy of the sample in the re-tune ring.
-func (p *ApproxLSHHist) reservoirAdd(s cluster.Sample) {
+func (p *ApproxLSHHist) reservoirAdd(s Sample) {
 	if p.resCap <= 0 {
 		return
 	}
 	pt := make([]float64, len(s.Point))
 	copy(pt, s.Point)
-	owned := cluster.Sample{Point: pt, Plan: s.Plan, Cost: s.Cost}
+	owned := Sample{Point: pt, Plan: s.Plan, Cost: s.Cost}
 	if len(p.reservoir) < p.resCap {
 		p.reservoir = append(p.reservoir, owned)
 		return
@@ -335,7 +334,7 @@ func (p *ApproxLSHHist) ApplyRetune(epoch uint64, warps [][]*lsh.Warp) {
 		p.tuner.Decay()
 	}
 	p.dropHistograms()
-	p.eachReservoir(func(s cluster.Sample) { p.insertSample(s, false) })
+	p.eachReservoir(func(s Sample) { p.insertSample(s, false) })
 	p.retuneEpoch = epoch
 	p.sinceRetune = 0
 	p.gen++
@@ -343,7 +342,7 @@ func (p *ApproxLSHHist) ApplyRetune(epoch uint64, warps [][]*lsh.Warp) {
 
 // eachReservoir visits the retained samples oldest-first (ring order), the
 // deterministic order every rebuild — leader, replica, recovery — shares.
-func (p *ApproxLSHHist) eachReservoir(fn func(cluster.Sample)) {
+func (p *ApproxLSHHist) eachReservoir(fn func(Sample)) {
 	if len(p.reservoir) < p.resCap {
 		for _, s := range p.reservoir {
 			fn(s)
@@ -365,7 +364,7 @@ func (p *ApproxLSHHist) Warps() [][]*lsh.Warp { return p.warps }
 func (p *ApproxLSHHist) Tuner() *lsh.Tuner { return p.tuner }
 
 // Predict implements Predictor.
-func (p *ApproxLSHHist) Predict(x []float64) cluster.Prediction {
+func (p *ApproxLSHHist) Predict(x []float64) Prediction {
 	pred, _, _ := p.PredictWithCost(x)
 	return pred
 }
@@ -375,7 +374,7 @@ func (p *ApproxLSHHist) Predict(x []float64) cluster.Prediction {
 // the query. Freeze is a pointer return until the next mutation, so a run
 // of predictions allocates nothing; a prediction right after an Insert pays
 // that insert's publish (the touched blocks), as the serving path does.
-func (p *ApproxLSHHist) PredictWithCost(x []float64) (cluster.Prediction, float64, bool) {
+func (p *ApproxLSHHist) PredictWithCost(x []float64) (Prediction, float64, bool) {
 	return p.Freeze().PredictWithCost(x, p.scratch())
 }
 

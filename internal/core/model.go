@@ -4,7 +4,6 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/cluster"
 	"repro/internal/histogram"
 	"repro/internal/lsh"
 	"repro/internal/zorder"
@@ -74,7 +73,7 @@ func (m *Model) MemoryBytes() int {
 
 // Predict answers a plan prediction from the snapshot using the caller's
 // scratch buffers.
-func (m *Model) Predict(x []float64, sc *PredictScratch) cluster.Prediction {
+func (m *Model) Predict(x []float64, sc *PredictScratch) Prediction {
 	pred, _, _ := m.PredictWithCost(x, sc)
 	return pred
 }
@@ -91,11 +90,11 @@ func (m *Model) Predict(x []float64, sc *PredictScratch) cluster.Prediction {
 // the map-walking reference the tests keep, so that a leader, a recovered
 // leader and a replica that hold the same synopsis give the same answer to
 // the last bit.
-func (m *Model) PredictWithCost(x []float64, sc *PredictScratch) (cluster.Prediction, float64, bool) {
+func (m *Model) PredictWithCost(x []float64, sc *PredictScratch) (Prediction, float64, bool) {
 	if m.total < m.cfg.MinSamples || len(x) != m.cfg.Dims {
 		// A malformed point answers NULL — the facade's capturePanic guard
 		// must not be bypassable through the predictor boundary.
-		return cluster.Prediction{}, 0, false
+		return Prediction{}, 0, false
 	}
 	clampPointInto(sc.x, x)
 	t := len(m.blocks)
@@ -152,7 +151,7 @@ func (m *Model) PredictWithCost(x []float64, sc *PredictScratch) (cluster.Predic
 			}
 		}
 	}
-	pred := cluster.PredictFromDensityList(m.planIDs, med, m.cfg.Gamma)
+	pred := PredictFromDensityList(m.planIDs, med, m.cfg.Gamma)
 	if !pred.OK {
 		return pred, 0, false
 	}

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/wal"
 )
 
@@ -17,7 +16,7 @@ func trainedPredictor(t *testing.T, n int) *ApproxLSHHist {
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < n; i++ {
 		x := []float64{rng.Float64(), rng.Float64()}
-		p.Insert(cluster.Sample{Point: x, Plan: quadrantPlan(x), Cost: quadrantCost(x)})
+		p.Insert(Sample{Point: x, Plan: quadrantPlan(x), Cost: quadrantCost(x)})
 	}
 	return p
 }
@@ -83,7 +82,7 @@ func (g genState) build(tb testing.TB, rng *rand.Rand) *ApproxLSHHist {
 			if rng.Intn(10) == 0 {
 				plan = g.planIDs[rng.Intn(len(g.planIDs))]
 			}
-			p.Insert(cluster.Sample{Point: x, Plan: plan, Cost: 10 + 1000*x[0] + rng.NormFloat64()})
+			p.Insert(Sample{Point: x, Plan: plan, Cost: 10 + 1000*x[0] + rng.NormFloat64()})
 			if rng.Intn(50) == 0 {
 				p.Freeze() // publish mid-stream, so later freezes patch a previous index
 			}
@@ -258,7 +257,7 @@ func TestFreezeCopyOnWrite(t *testing.T) {
 
 	// Mutate exactly one plan's histograms (plan 0 in every transform, plus
 	// the marginals, which every insert touches).
-	p.Insert(cluster.Sample{Point: []float64{0.1, 0.1}, Plan: 0, Cost: 1})
+	p.Insert(Sample{Point: []float64{0.1, 0.1}, Plan: 0, Cost: 1})
 	m3 := p.Freeze()
 	if m3 == m1 {
 		t.Fatal("Freeze after mutation returned the stale model")
@@ -285,7 +284,7 @@ func TestFreezeCopyOnWrite(t *testing.T) {
 	}
 
 	// A new plan rebuilds the index; the untouched blocks are still shared.
-	p.Insert(cluster.Sample{Point: []float64{0.9, 0.1}, Plan: 77, Cost: 1})
+	p.Insert(Sample{Point: []float64{0.9, 0.1}, Plan: 77, Cost: 1})
 	m4 := p.Freeze()
 	if m4.Plans() != m3.Plans()+1 || m4.planIDs[m4.Plans()-1] != 77 {
 		t.Fatalf("new plan not indexed: %v", m4.planIDs)
@@ -316,12 +315,12 @@ func TestFreezePublishCost(t *testing.T) {
 		rng := rand.New(rand.NewSource(1))
 		for i := 0; i < 40*plans; i++ {
 			x := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-			p.Insert(cluster.Sample{Point: x, Plan: 3 * (i % plans), Cost: float64(i % 9)})
+			p.Insert(Sample{Point: x, Plan: 3 * (i % plans), Cost: float64(i % 9)})
 		}
 		p.Freeze()
 		i := 0
 		step := func() {
-			p.Insert(cluster.Sample{Point: []float64{0.5, 0.5, 0.5}, Plan: 3 * (i % plans), Cost: 1})
+			p.Insert(Sample{Point: []float64{0.5, 0.5, 0.5}, Plan: 3 * (i % plans), Cost: 1})
 			i++
 			if m := p.Freeze(); m.Plans() != plans {
 				t.Fatalf("model has %d plans, want %d", m.Plans(), plans)

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/cluster"
 )
 
 // planCell accumulates per-plan statistics within one grid bucket: the
@@ -159,7 +157,7 @@ func MustNewNaive(cfg Config) *Naive {
 }
 
 // Insert implements Predictor.
-func (p *Naive) Insert(s cluster.Sample) {
+func (p *Naive) Insert(s Sample) {
 	if len(s.Point) != p.cfg.Dims {
 		panic(fmt.Sprintf("core: expected %d dims, got %d", p.cfg.Dims, len(s.Point)))
 	}
@@ -167,18 +165,18 @@ func (p *Naive) Insert(s cluster.Sample) {
 }
 
 // Predict implements Predictor.
-func (p *Naive) Predict(x []float64) cluster.Prediction {
+func (p *Naive) Predict(x []float64) Prediction {
 	pred, _, _ := p.PredictWithCost(x)
 	return pred
 }
 
 // PredictWithCost implements CostPredictor.
-func (p *Naive) PredictWithCost(x []float64) (cluster.Prediction, float64, bool) {
+func (p *Naive) PredictWithCost(x []float64) (Prediction, float64, bool) {
 	if p.grid.total < p.cfg.MinSamples || len(x) != p.cfg.Dims {
-		return cluster.Prediction{}, 0, false
+		return Prediction{}, 0, false
 	}
 	counts, costs := p.grid.boxDensities(clampPoint(x), p.cfg.Radius)
-	pred := cluster.PredictFromDensities(counts, p.cfg.Gamma)
+	pred := PredictFromDensities(counts, p.cfg.Gamma)
 	if !pred.OK {
 		return pred, 0, false
 	}

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/cluster"
 	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/stats"
@@ -478,16 +477,16 @@ func (o *Online) LearnValidated(x []float64, plan int, cost float64) error {
 // point's epoch predates the current drift-reset epoch. Safe for concurrent
 // use; writers serialize on the learner lock.
 func (o *Online) Apply(fb Feedback) bool {
-	applied, _ := o.ApplyBatch([]Feedback{fb})
-	return applied == 1
+	return o.ApplyBatch([]Feedback{fb}) == 1
 }
 
 // ApplyBatch applies a batch of feedback points and publishes at most one
 // snapshot, amortizing the copy-on-write cost over the whole batch. One
-// WAL group commit covers the batch.
-func (o *Online) ApplyBatch(batch []Feedback) (applied, dropped int) {
+// WAL group commit covers the batch. It returns how many points entered the
+// synopsis; the rest were stale (StaleFeedbackDrops counts them).
+func (o *Online) ApplyBatch(batch []Feedback) (applied int) {
 	if len(batch) == 0 {
-		return 0, 0
+		return 0
 	}
 	// Deferred first, so it runs last: the group commit stays outside the
 	// lock, and the lock is released even when an insert panics (Run absorbs
@@ -498,14 +497,12 @@ func (o *Online) ApplyBatch(batch []Feedback) (applied, dropped int) {
 	for _, fb := range batch {
 		if o.applyLocked(fb) {
 			applied++
-		} else {
-			dropped++
 		}
 	}
 	if applied > 0 {
 		o.publishLocked()
 	}
-	return applied, dropped
+	return applied
 }
 
 func (o *Online) applyLocked(fb Feedback) bool {
@@ -517,7 +514,7 @@ func (o *Online) applyLocked(fb Feedback) bool {
 		o.rec = feedbackRecord(fb)
 		o.logLocked()
 	}
-	o.pred.Insert(cluster.Sample{Point: fb.Point, Plan: fb.Plan, Cost: fb.Cost})
+	o.pred.Insert(Sample{Point: fb.Point, Plan: fb.Plan, Cost: fb.Cost})
 	if fb.SelfLabeled {
 		o.selfLabeled.Add(1)
 	} else {

@@ -32,11 +32,11 @@ import (
 //
 // Version 2 frames the body with its length and a CRC-32C checksum so a
 // truncated or bit-flipped synopsis is detected at load instead of being
-// deserialized into garbage histograms. Version-1 streams (unframed) are
-// still readable.
+// deserialized into garbage histograms. It is the only version read: the
+// unframed version 1 had no checksum to verify and no build in this
+// history writes it.
 const (
-	persistVersion       = 2
-	legacyPersistVersion = 1
+	persistVersion = 2
 	// maxPersistBody bounds the declared body length so a corrupted header
 	// cannot trigger a giant allocation.
 	maxPersistBody = 1 << 30
@@ -117,12 +117,7 @@ func DecodeApproxLSHHist(r io.Reader) (*ApproxLSHHist, error) {
 	if err := binary.Read(r, le, &version); err != nil {
 		return nil, fmt.Errorf("core: decode: %w", err)
 	}
-	switch version {
-	case legacyPersistVersion:
-		// Unframed stream from before checksumming.
-		return decodeBody(r)
-	case persistVersion:
-	default:
+	if version != persistVersion {
 		return nil, fmt.Errorf("core: unsupported persistence version %d", version)
 	}
 	var length uint64

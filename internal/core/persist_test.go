@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/histogram"
 )
 
@@ -21,7 +20,7 @@ func TestApproxLSHHistEncodeDecodeIdenticalPredictions(t *testing.T) {
 		if x[1] > 0.7 {
 			plan = 2
 		}
-		p.Insert(cluster.Sample{Point: x, Plan: plan, Cost: 5 + x[2]})
+		p.Insert(Sample{Point: x, Plan: plan, Cost: 5 + x[2]})
 	}
 	var buf bytes.Buffer
 	if err := p.Encode(&buf); err != nil {
@@ -46,7 +45,7 @@ func TestApproxLSHHistEncodeDecodeIdenticalPredictions(t *testing.T) {
 		}
 	}
 	// The restored predictor keeps learning.
-	back.Insert(cluster.Sample{Point: []float64{0.5, 0.5, 0.5}, Plan: 1, Cost: 5})
+	back.Insert(Sample{Point: []float64{0.5, 0.5, 0.5}, Plan: 1, Cost: 5})
 	if back.TotalPoints() != p.TotalPoints()+1 {
 		t.Error("restored predictor does not accept inserts")
 	}
@@ -57,7 +56,7 @@ func TestApproxLSHHistDecodeRejectsGarbage(t *testing.T) {
 		t.Error("garbage accepted")
 	}
 	p := MustNewApproxLSHHist(Config{Dims: 2, Seed: 1})
-	p.Insert(cluster.Sample{Point: []float64{0.5, 0.5}, Plan: 1, Cost: 1})
+	p.Insert(Sample{Point: []float64{0.5, 0.5}, Plan: 1, Cost: 1})
 	var buf bytes.Buffer
 	if err := p.Encode(&buf); err != nil {
 		t.Fatal(err)
@@ -67,6 +66,35 @@ func TestApproxLSHHistDecodeRejectsGarbage(t *testing.T) {
 		if _, err := DecodeApproxLSHHist(bytes.NewReader(good[:cut])); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
+	}
+}
+
+// TestDecodeRejectsUnchecksummedVersion: version 2 is the only synopsis
+// stream read. Version 1 was the same body with no frame around it — no
+// length, no CRC — and the decoder used to take it on the strength of one
+// byte, so checkpoint or replica-snapshot bytes whose first byte read 1 were
+// deserialized unchecked. Both shapes a damaged stream can take are refused:
+// a valid version-2 stream with its version byte rewritten, and the bare
+// body behind a 1 (what the old arm accepted).
+func TestDecodeRejectsUnchecksummedVersion(t *testing.T) {
+	p := MustNewApproxLSHHist(Config{Dims: 2, Seed: 1})
+	p.Insert(Sample{Point: []float64{0.5, 0.5}, Plan: 1, Cost: 1})
+	var buf bytes.Buffer
+	if err := p.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	if _, err := DecodeApproxLSHHist(bytes.NewReader(good)); err != nil {
+		t.Fatalf("the fixture itself does not decode: %v", err)
+	}
+	rewritten := append([]byte{1}, good[1:]...)
+	if _, err := DecodeApproxLSHHist(bytes.NewReader(rewritten)); err == nil {
+		t.Error("a version-2 stream with its version byte rewritten to 1 was accepted")
+	}
+	const frameHeader = 1 + 8 + 4 // version, body length, CRC-32C
+	unframed := append([]byte{1}, good[frameHeader:]...)
+	if _, err := DecodeApproxLSHHist(bytes.NewReader(unframed)); err == nil {
+		t.Error("an unframed, unchecksummed version-1 body was accepted")
 	}
 }
 

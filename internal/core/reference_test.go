@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/cluster"
 	"repro/internal/histogram"
 	"repro/internal/lsh"
 	"repro/internal/zorder"
@@ -72,9 +71,9 @@ func refMedian(vs []float64) float64 {
 }
 
 // refPredict answers the predict query from the live synopsis of p.
-func refPredict(p *ApproxLSHHist, x []float64) (cluster.Prediction, float64, bool) {
+func refPredict(p *ApproxLSHHist, x []float64) (Prediction, float64, bool) {
 	if p.total < p.cfg.MinSamples || len(x) != p.cfg.Dims {
-		return cluster.Prediction{}, 0, false
+		return Prediction{}, 0, false
 	}
 	return refPredictOn(&p.cfg, p.ensemble, p.curves, p.warps, p.hists, p.marginals,
 		p.valueDeltas, p.ballFrac, x, newRefScratch(p.cfg))
@@ -82,7 +81,7 @@ func refPredict(p *ApproxLSHHist, x []float64) (cluster.Prediction, float64, boo
 
 func refPredictOn(cfg *Config, ens *lsh.Ensemble, curves []*zorder.Curve,
 	warps [][]*lsh.Warp, hists []map[int]*histogram.Dynamic, marginals []*histogram.Dynamic, valueDeltas []float64,
-	ballFrac float64, x []float64, sc *refScratch) (cluster.Prediction, float64, bool) {
+	ballFrac float64, x []float64, sc *refScratch) (Prediction, float64, bool) {
 	clampPointInto(sc.x, x)
 	t := len(hists)
 	sc.planIDs = sc.planIDs[:0]
@@ -124,7 +123,7 @@ func refPredictOn(cfg *Config, ens *lsh.Ensemble, curves []*zorder.Curve,
 			}
 		}
 	}
-	pred := cluster.PredictFromDensityList(sc.planIDs, sc.med, cfg.Gamma)
+	pred := PredictFromDensityList(sc.planIDs, sc.med, cfg.Gamma)
 	if !pred.OK {
 		return pred, 0, false
 	}

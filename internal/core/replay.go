@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"repro/internal/cluster"
 	"repro/internal/lsh"
 	"repro/internal/wal"
 )
@@ -132,7 +131,7 @@ func (o *Online) ReplayRecords(recs []wal.Record) (applied, skipped, stale int) 
 				stale++
 				continue
 			}
-			o.pred.Insert(cluster.Sample{Point: r.Point, Plan: int(r.Plan), Cost: r.Cost})
+			o.pred.Insert(Sample{Point: r.Point, Plan: int(r.Plan), Cost: r.Cost})
 			if r.SelfLabeled {
 				o.selfLabeled.Add(1)
 			} else {

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/cluster"
 	"repro/internal/netproto"
 )
 
@@ -22,7 +21,7 @@ import (
 // before deciding whether to invoke the optimizer — the leader's predict
 // RPC and the replicas share it, which is what makes leader and replica
 // answers comparable bit for bit.
-func (o *Online) PredictModel(x []float64) (cluster.Prediction, float64, bool) {
+func (o *Online) PredictModel(x []float64) (Prediction, float64, bool) {
 	model := o.snap.Load()
 	sc := o.scratch.Get().(*PredictScratch)
 	pred, costEst, costOK := model.PredictWithCost(x, sc)

@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 
-	"repro/internal/cluster"
 	"repro/internal/lsh"
 	"repro/internal/stats"
 )
@@ -53,7 +52,7 @@ type retuneState struct {
 	observed    uint64
 	transforms  int
 	axes        int
-	reservoir   []cluster.Sample
+	reservoir   []Sample
 	resNext     int
 }
 
@@ -216,7 +215,7 @@ func decodeRetuneBody(r io.Reader) (*retuneState, error) {
 	if resLen > maxRetuneReservoir || int(resLen) > st.resCap {
 		return nil, fmt.Errorf("core: implausible retune reservoir length %d (cap %d)", resLen, st.resCap)
 	}
-	st.reservoir = make([]cluster.Sample, 0, resLen)
+	st.reservoir = make([]Sample, 0, resLen)
 	for i := 0; i < int(resLen); i++ {
 		var plan int64
 		var cost float64
@@ -230,7 +229,7 @@ func decodeRetuneBody(r io.Reader) (*retuneState, error) {
 		if err := binary.Read(r, le, pt); err != nil {
 			return nil, fmt.Errorf("core: retune sample %d point: %w", i, err)
 		}
-		st.reservoir = append(st.reservoir, cluster.Sample{Point: pt, Plan: int(plan), Cost: cost})
+		st.reservoir = append(st.reservoir, Sample{Point: pt, Plan: int(plan), Cost: cost})
 	}
 	var next int64
 	if err := binary.Read(r, le, &next); err != nil {

@@ -11,8 +11,6 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
-
-	"repro/internal/cluster"
 )
 
 // validRetuneTail encodes the tunable-LSH section of a trained, re-tuned
@@ -29,7 +27,7 @@ func validRetuneTail(tb testing.TB) []byte {
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 200; i++ {
 		x := []float64{rng.Float64() * 0.4, rng.Float64() * 0.4}
-		p.Insert(cluster.Sample{Point: x, Plan: i % 4, Cost: float64(i%10 + 1)})
+		p.Insert(Sample{Point: x, Plan: i % 4, Cost: float64(i%10 + 1)})
 	}
 	p.ApplyRetune(1, p.PrepareRetune())
 	var buf bytes.Buffer

@@ -16,7 +16,7 @@ import (
 	"strings"
 
 	"repro/internal/catalog"
-	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/executor"
 	"repro/internal/optimizer"
 	"repro/internal/queries"
@@ -173,9 +173,9 @@ func (o *Oracle) Reset() {
 }
 
 // SamplePlanSpace labels n uniform plan space points.
-func (o *Oracle) SamplePlanSpace(n int, seed int64) ([]cluster.Sample, error) {
+func (o *Oracle) SamplePlanSpace(n int, seed int64) ([]core.Sample, error) {
 	rng := rand.New(rand.NewSource(seed))
-	out := make([]cluster.Sample, 0, n)
+	out := make([]core.Sample, 0, n)
 	for i := 0; i < n; i++ {
 		x := make([]float64, o.tmpl.Degree())
 		for j := range x {
@@ -185,7 +185,7 @@ func (o *Oracle) SamplePlanSpace(n int, seed int64) ([]cluster.Sample, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, cluster.Sample{Point: x, Plan: plan, Cost: cost})
+		out = append(out, core.Sample{Point: x, Plan: plan, Cost: cost})
 	}
 	return out, nil
 }

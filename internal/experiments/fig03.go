@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/metrics"
 )
 
@@ -89,13 +90,13 @@ func RunFig3(env *Env, cfg Fig3Config) (*Fig3Result, error) {
 
 	type algo struct {
 		name string
-		mk   func(samples []cluster.Sample, d float64, rng *rand.Rand) cluster.Predictor
+		mk   func(samples []core.Sample, d float64, rng *rand.Rand) cluster.Predictor
 	}
 	algos := []algo{
-		{"kmeans(c=" + fmt.Sprint(cfg.KMeansClusters) + ")", func(s []cluster.Sample, d float64, rng *rand.Rand) cluster.Predictor {
+		{"kmeans(c=" + fmt.Sprint(cfg.KMeansClusters) + ")", func(s []core.Sample, d float64, rng *rand.Rand) cluster.Predictor {
 			return cluster.NewKMeans(s, cfg.KMeansClusters, d, rng)
 		}},
-		{"single-linkage", func(s []cluster.Sample, d float64, _ *rand.Rand) cluster.Predictor {
+		{"single-linkage", func(s []core.Sample, d float64, _ *rand.Rand) cluster.Predictor {
 			return cluster.NewSingleLinkage(s, d)
 		}},
 	}
@@ -103,7 +104,7 @@ func RunFig3(env *Env, cfg Fig3Config) (*Fig3Result, error) {
 		g := g
 		algos = append(algos, algo{
 			fmt.Sprintf("density(γ=%.2f)", g),
-			func(s []cluster.Sample, d float64, _ *rand.Rand) cluster.Predictor {
+			func(s []core.Sample, d float64, _ *rand.Rand) cluster.Predictor {
 				return cluster.NewDensity(s, d, g)
 			},
 		})

@@ -38,7 +38,7 @@ func (k predictorKind) String() string {
 }
 
 // buildPredictor trains one predictor kind on the samples.
-func buildPredictor(kind predictorKind, cfg core.Config, samples []cluster.Sample) (cluster.Predictor, error) {
+func buildPredictor(kind predictorKind, cfg core.Config, samples []core.Sample) (cluster.Predictor, error) {
 	switch kind {
 	case kindBaseline:
 		return cluster.NewDensity(samples, cfg.Radius, cfg.Gamma), nil
@@ -75,7 +75,7 @@ func buildPredictor(kind predictorKind, cfg core.Config, samples []cluster.Sampl
 
 // evalOffline measures Definition 4 precision and recall of a predictor
 // over ground-truth-labeled test points.
-func evalOffline(p cluster.Predictor, tests []cluster.Sample) metrics.Counter {
+func evalOffline(p cluster.Predictor, tests []core.Sample) metrics.Counter {
 	var c metrics.Counter
 	for _, tp := range tests {
 		got := p.Predict(tp.Point)
@@ -85,7 +85,7 @@ func evalOffline(p cluster.Predictor, tests []cluster.Sample) metrics.Counter {
 }
 
 // distinctPlans counts distinct plan labels in a sample set.
-func distinctPlans(samples []cluster.Sample) int {
+func distinctPlans(samples []core.Sample) int {
 	seen := make(map[int]bool)
 	for _, s := range samples {
 		seen[s.Plan] = true

@@ -6,10 +6,8 @@
 //
 // Two families are provided:
 //
-//   - Static construction from a sample (equi-width, equi-depth, and a
-//     max-diff builder that places boundaries at the largest value gaps,
-//     the classic error-minimizing heuristic). These also serve as the
-//     column statistics of the catalog substrate.
+//   - Static equi-depth construction from a sample: the column statistics
+//     of the catalog substrate.
 //
 //   - Dynamic, a bounded-bucket histogram supporting online insertion with
 //     split/merge maintenance, used by ONLINE-APPROXIMATE-LSH-HISTOGRAMS
@@ -281,44 +279,6 @@ func pairAndSort(values, costs []float64) ([]float64, []float64, error) {
 	return sv, sc, nil
 }
 
-// BuildEquiWidth builds a histogram with nbuckets equal-width buckets over
-// [lo, hi]. costs may be nil. Values outside [lo, hi] are clamped into the
-// first/last bucket.
-func BuildEquiWidth(values, costs []float64, nbuckets int, lo, hi float64) (*Histogram, error) {
-	if nbuckets <= 0 {
-		return nil, fmt.Errorf("histogram: nbuckets must be positive, got %d", nbuckets)
-	}
-	if hi <= lo {
-		return nil, fmt.Errorf("histogram: invalid domain [%v, %v]", lo, hi)
-	}
-	if costs != nil && len(costs) != len(values) {
-		return nil, fmt.Errorf("histogram: %d values but %d costs", len(values), len(costs))
-	}
-	width := (hi - lo) / float64(nbuckets)
-	buckets := make([]Bucket, nbuckets)
-	// Edges are clamped to hi so that they stay ordered when the domain is
-	// only a few ulps wide and lo + i·width rounds past it.
-	for i := range buckets {
-		buckets[i].Lo = math.Min(lo+float64(i)*width, hi)
-		buckets[i].Hi = math.Min(lo+float64(i+1)*width, hi)
-	}
-	buckets[nbuckets-1].Hi = hi
-	for i, v := range values {
-		j := int((v - lo) / width)
-		if j < 0 {
-			j = 0
-		}
-		if j >= nbuckets {
-			j = nbuckets - 1
-		}
-		buckets[j].Count++
-		if costs != nil {
-			buckets[j].CostSum += costs[i]
-		}
-	}
-	return newHistogram(buckets, float64(len(values))), nil
-}
-
 // BuildEquiDepth builds a histogram whose buckets each hold approximately
 // the same number of points. costs may be nil. It requires at least one
 // value.
@@ -345,65 +305,6 @@ func BuildEquiDepth(values, costs []float64, nbuckets int) (*Histogram, error) {
 		if k == nbuckets-1 {
 			end = n
 		}
-		if end <= start {
-			continue
-		}
-		b := Bucket{Lo: sv[start], Hi: sv[end-1]}
-		for i := start; i < end; i++ {
-			b.Count++
-			b.CostSum += sc[i]
-		}
-		buckets = append(buckets, b)
-		start = end
-	}
-	sealBoundaries(buckets)
-	return newHistogram(buckets, float64(n)), nil
-}
-
-// BuildMaxDiff builds a histogram placing bucket boundaries at the
-// (nbuckets-1) largest gaps between adjacent sorted values — a classic
-// heuristic for minimizing in-bucket estimation error that mimics the
-// "standard histogram construction techniques" of Section IV-C. costs may
-// be nil. It requires at least one value.
-func BuildMaxDiff(values, costs []float64, nbuckets int) (*Histogram, error) {
-	if nbuckets <= 0 {
-		return nil, fmt.Errorf("histogram: nbuckets must be positive, got %d", nbuckets)
-	}
-	if len(values) == 0 {
-		return nil, fmt.Errorf("histogram: no values")
-	}
-	sv, sc, err := pairAndSort(values, costs)
-	if err != nil {
-		return nil, err
-	}
-	n := len(sv)
-	type gap struct {
-		idx  int // boundary before sv[idx]
-		size float64
-	}
-	gaps := make([]gap, 0, n-1)
-	for i := 1; i < n; i++ {
-		gaps = append(gaps, gap{idx: i, size: sv[i] - sv[i-1]})
-	}
-	sort.Slice(gaps, func(a, b int) bool {
-		if gaps[a].size != gaps[b].size {
-			return gaps[a].size > gaps[b].size
-		}
-		return gaps[a].idx < gaps[b].idx
-	})
-	k := nbuckets - 1
-	if k > len(gaps) {
-		k = len(gaps)
-	}
-	cuts := make([]int, 0, k)
-	for i := 0; i < k; i++ {
-		cuts = append(cuts, gaps[i].idx)
-	}
-	sort.Ints(cuts)
-	buckets := make([]Bucket, 0, k+1)
-	start := 0
-	bounds := append(cuts, n)
-	for _, end := range bounds {
 		if end <= start {
 			continue
 		}

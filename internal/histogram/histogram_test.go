@@ -1,60 +1,13 @@
 package histogram
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
 )
-
-func TestBuildEquiWidthBasics(t *testing.T) {
-	values := []float64{0.05, 0.15, 0.15, 0.95}
-	costs := []float64{1, 2, 4, 8}
-	h, err := BuildEquiWidth(values, costs, 10, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.NumBuckets() != 10 {
-		t.Fatalf("NumBuckets = %d", h.NumBuckets())
-	}
-	if h.TotalCount() != 4 {
-		t.Fatalf("TotalCount = %v", h.TotalCount())
-	}
-	// Bucket [0.1,0.2) holds two points of costs 2 and 4.
-	avg, ok := h.RangeAvgCost(0.1, 0.2)
-	if !ok || !almost(avg, 3, 1e-9) {
-		t.Errorf("RangeAvgCost(0.1,0.2) = %v,%v want 3,true", avg, ok)
-	}
-	if got := h.RangeCount(0, 0.5); !almost(got, 3, 1e-9) {
-		t.Errorf("RangeCount(0,0.5) = %v, want 3", got)
-	}
-}
-
-func TestBuildEquiWidthValidation(t *testing.T) {
-	if _, err := BuildEquiWidth(nil, nil, 0, 0, 1); err == nil {
-		t.Error("expected error for 0 buckets")
-	}
-	if _, err := BuildEquiWidth(nil, nil, 4, 1, 1); err == nil {
-		t.Error("expected error for empty domain")
-	}
-	if _, err := BuildEquiWidth([]float64{1}, []float64{1, 2}, 4, 0, 2); err == nil {
-		t.Error("expected error for mismatched costs")
-	}
-}
-
-func TestEquiWidthClampsOutOfDomain(t *testing.T) {
-	h, err := BuildEquiWidth([]float64{-5, 5}, nil, 4, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := h.TotalCount(); got != 2 {
-		t.Fatalf("TotalCount = %v", got)
-	}
-	if got := h.RangeCount(0, 1); !almost(got, 2, 1e-9) {
-		t.Errorf("RangeCount over domain = %v, want 2", got)
-	}
-}
 
 func TestBuildEquiDepthBalance(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -89,26 +42,6 @@ func TestBuildEquiDepthFewValues(t *testing.T) {
 	}
 }
 
-func TestBuildMaxDiffBoundariesAtGaps(t *testing.T) {
-	// Two tight clusters with a big gap: with 2 buckets the cut must fall
-	// in the gap.
-	values := []float64{0.1, 0.11, 0.12, 0.9, 0.91, 0.92}
-	h, err := BuildMaxDiff(values, nil, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.NumBuckets() != 2 {
-		t.Fatalf("NumBuckets = %d", h.NumBuckets())
-	}
-	b := h.Buckets()
-	if b[0].Count != 3 || b[1].Count != 3 {
-		t.Errorf("counts = %v,%v want 3,3", b[0].Count, b[1].Count)
-	}
-	if got := h.RangeCount(0.5, 0.89); got > 0.3 {
-		t.Errorf("gap region count = %v, want ~0", got)
-	}
-}
-
 func TestHistogramQuantileRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	values := make([]float64, 5000)
@@ -136,8 +69,8 @@ func TestHistogramQuantileRoundTrip(t *testing.T) {
 }
 
 func TestRangeCountConservation(t *testing.T) {
-	// Full-domain range query must return the total count exactly for all
-	// builders.
+	// Full-domain range query must return the total count exactly at every
+	// resolution.
 	rng := rand.New(rand.NewSource(4))
 	values := make([]float64, 777)
 	costs := make([]float64, 777)
@@ -145,13 +78,9 @@ func TestRangeCountConservation(t *testing.T) {
 		values[i] = rng.Float64()
 		costs[i] = rng.Float64() * 10
 	}
-	builders := map[string]func() (*Histogram, error){
-		"equiwidth": func() (*Histogram, error) { return BuildEquiWidth(values, costs, 32, 0, 1) },
-		"equidepth": func() (*Histogram, error) { return BuildEquiDepth(values, costs, 32) },
-		"maxdiff":   func() (*Histogram, error) { return BuildMaxDiff(values, costs, 32) },
-	}
-	for name, build := range builders {
-		h, err := build()
+	for _, nbuckets := range []int{1, 7, 32, 777, 1000} {
+		name := fmt.Sprintf("%d buckets", nbuckets)
+		h, err := BuildEquiDepth(values, costs, nbuckets)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -201,20 +130,35 @@ func TestRangeCountAccuracy(t *testing.T) {
 }
 
 func TestRangeEmptyAndInverted(t *testing.T) {
-	h, err := BuildEquiWidth([]float64{0.5}, nil, 4, 0, 1)
+	// Two buckets, [0.1, 0.2] with costs 2 and 4 and [0.8, 0.9] with costs
+	// 8 and 8, and a gap between them.
+	h, err := BuildEquiDepth([]float64{0.1, 0.2, 0.8, 0.9}, []float64{2, 4, 8, 8}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := h.RangeCount(0.9, 0.1); got != 0 {
 		t.Errorf("inverted range count = %v", got)
 	}
-	if _, ok := h.RangeAvgCost(0.9, 0.95); ok {
+	if _, ok := h.RangeAvgCost(0.4, 0.6); ok {
 		t.Error("expected no avg cost in empty region")
+	}
+	if avg, ok := h.RangeAvgCost(0, 0.5); !ok || !almost(avg, 3, 1e-9) {
+		t.Errorf("RangeAvgCost(0,0.5) = %v,%v want 3,true", avg, ok)
+	}
+	if _, err := BuildEquiDepth([]float64{1}, nil, 0); err == nil {
+		t.Error("expected error for 0 buckets")
+	}
+	if _, err := BuildEquiDepth([]float64{1}, []float64{1, 2}, 4); err == nil {
+		t.Error("expected error for mismatched costs")
 	}
 }
 
 func TestMemoryAccounting(t *testing.T) {
-	h, err := BuildEquiWidth(nil, nil, 40, 0, 1)
+	values := make([]float64, 400)
+	for i := range values {
+		values[i] = float64(i)
+	}
+	h, err := BuildEquiDepth(values, nil, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +174,7 @@ func TestFractionLEMonotoneQuick(t *testing.T) {
 	for i := range values {
 		values[i] = rng.ExpFloat64()
 	}
-	h, err := BuildMaxDiff(values, nil, 16)
+	h, err := BuildEquiDepth(values, nil, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

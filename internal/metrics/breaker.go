@@ -107,7 +107,6 @@ type Breaker struct {
 	probes         atomic.Int64
 	failures       atomic.Int64
 	successes      atomic.Int64
-	degraded       atomic.Int64
 }
 
 // NewBreaker creates a closed breaker.
@@ -127,7 +126,6 @@ func (b *Breaker) Allow() bool {
 		return true
 	case BreakerOpen:
 		if b.cooldownLeft.Add(-1) > 0 {
-			b.degraded.Add(1)
 			return false
 		}
 		if b.state.CompareAndSwap(int32(BreakerOpen), int32(BreakerHalfOpen)) {
@@ -137,7 +135,6 @@ func (b *Breaker) Allow() bool {
 			return true
 		}
 		// Lost the transition race; serve this request degraded.
-		b.degraded.Add(1)
 		return false
 	default: // BreakerHalfOpen
 		b.probes.Add(1)
@@ -204,22 +201,23 @@ func (b *Breaker) trip(from BreakerState, cause *atomic.Int64) bool {
 	return true
 }
 
-// BreakerSnapshot is a copyable view of the breaker's health counters.
+// BreakerSnapshot is a copyable view of the breaker's state and counters,
+// and the breaker object of a metrics snapshot: the breaker is the one owner
+// of every number here. Failures counts learner errors reported to it (one
+// per run that then completes degraded-by-error); Trips, HalfOpens and
+// Recloses count the three edges, Trips split by cause. A request the open
+// breaker turns away is not counted here: it completes as a degraded run,
+// which the metrics registry counts.
 type BreakerSnapshot struct {
-	State          string
-	Trips          int
-	ErrorTrips     int
-	PrecisionTrips int
-	Probes         int
-	Failures       int
-	Successes      int
-	DegradedSteps  int
-	// HalfOpens and Recloses count the other two edges (Trips counts the
-	// edges into open). The metrics snapshot exports the three as
-	// counters.breaker_opens / _half_opens / _recloses, so they are not
-	// repeated in the breaker's own JSON object.
-	HalfOpens int `json:"-"`
-	Recloses  int `json:"-"`
+	State          string `json:"state"`
+	Trips          int    `json:"trips"`
+	ErrorTrips     int    `json:"error_trips"`
+	PrecisionTrips int    `json:"precision_trips"`
+	HalfOpens      int    `json:"half_opens"`
+	Recloses       int    `json:"recloses"`
+	Probes         int    `json:"probes"`
+	Failures       int    `json:"failures"`
+	Successes      int    `json:"successes"`
 }
 
 // Snapshot returns the current counters.
@@ -229,11 +227,10 @@ func (b *Breaker) Snapshot() BreakerSnapshot {
 		Trips:          int(b.trips.Load()),
 		ErrorTrips:     int(b.errorTrips.Load()),
 		PrecisionTrips: int(b.precisionTrips.Load()),
+		HalfOpens:      int(b.halfOpens.Load()),
+		Recloses:       int(b.recloses.Load()),
 		Probes:         int(b.probes.Load()),
 		Failures:       int(b.failures.Load()),
 		Successes:      int(b.successes.Load()),
-		DegradedSteps:  int(b.degraded.Load()),
-		HalfOpens:      int(b.halfOpens.Load()),
-		Recloses:       int(b.recloses.Load()),
 	}
 }

@@ -59,7 +59,7 @@ func TestBreakerCooldownAndProbeRecovery(t *testing.T) {
 	if b.State() != BreakerClosed {
 		t.Fatal("two probe successes did not close the breaker")
 	}
-	if s := b.Snapshot(); s.Probes < 2 || s.DegradedSteps != 3 {
+	if s := b.Snapshot(); s.Probes < 2 || s.HalfOpens != 1 || s.Recloses != 1 {
 		t.Errorf("snapshot = %+v", s)
 	}
 }

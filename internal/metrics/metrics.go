@@ -120,8 +120,8 @@ func (e *TemplateEstimator) RecordPrediction(plan int, correct bool) {
 // signals (breaker trips, drift recovery, eviction scoring, metrics
 // snapshots), where a fabricated "perfect" value would mask a template
 // that has never successfully predicted. Callers that need a number for
-// display must branch on ok, as ppc.Stats and ppc.MetricsSnapshot do with
-// their Known flags.
+// display must branch on ok, as ppc.LearnerMetrics does with its Known
+// flags.
 func (e *TemplateEstimator) Precision() (float64, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

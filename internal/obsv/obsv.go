@@ -136,25 +136,19 @@ type TemplateObs struct {
 	runErrors           atomic.Uint64
 	cacheHits           atomic.Uint64
 	predicted           atomic.Uint64
-	nullPredictions     atomic.Uint64
 	invocations         atomic.Uint64
 	randomInvocations   atomic.Uint64
 	feedbackCorrections atomic.Uint64
-	driftResets         atomic.Uint64
 	degradedRuns        atomic.Uint64
 	degradedByError     atomic.Uint64
-	learnerErrors       atomic.Uint64
 	retrainDrops        atomic.Uint64
 
 	// Feedback-pipeline health: points enqueued to the background applier,
 	// points applied synchronously because the mailbox was full or closed
-	// (deferred — never lost), points discarded as stale after a drift
-	// reset, apply-loop batches, and snapshot publications.
-	feedbackEnqueued  atomic.Uint64
-	feedbackDeferred  atomic.Uint64
-	feedbackDropped   atomic.Uint64
-	applyBatches      atomic.Uint64
-	snapshotPublishes atomic.Uint64
+	// (deferred — never lost), and apply-loop batches.
+	feedbackEnqueued atomic.Uint64
+	feedbackDeferred atomic.Uint64
+	applyBatches     atomic.Uint64
 
 	// Adaptive-statistics health: per-run estimation q-errors (estimated
 	// vs. observed operator cardinalities, attributed to predicate sites)
@@ -171,9 +165,6 @@ type TemplateObs struct {
 	ring *TraceRing
 }
 
-// Name returns the template name.
-func (t *TemplateObs) Name() string { return t.name }
-
 // Observe ingests one completed run: it assigns the record's sequence
 // number, updates every counter and histogram the record implies, and
 // appends the record to the trace ring. The caller passes a stack-built
@@ -185,8 +176,6 @@ func (t *TemplateObs) Observe(rec *TraceRecord) {
 	}
 	if rec.Predicted {
 		t.predicted.Add(1)
-	} else if !rec.Degraded {
-		t.nullPredictions.Add(1)
 	}
 	if rec.Invoked {
 		t.invocations.Add(1)
@@ -197,9 +186,6 @@ func (t *TemplateObs) Observe(rec *TraceRecord) {
 	}
 	if rec.FeedbackCorrection {
 		t.feedbackCorrections.Add(1)
-	}
-	if rec.DriftReset {
-		t.driftResets.Add(1)
 	}
 	if rec.Degraded {
 		t.degradedRuns.Add(1)
@@ -225,9 +211,6 @@ func (t *TemplateObs) Observe(rec *TraceRecord) {
 // path's accounting entirely).
 func (t *TemplateObs) CountRunError() { t.runErrors.Add(1) }
 
-// CountLearnerError records a learner-path Step failure.
-func (t *TemplateObs) CountLearnerError() { t.learnerErrors.Add(1) }
-
 // CountRetrainDrop records a degraded-mode retraining point the learner
 // rejected.
 func (t *TemplateObs) CountRetrainDrop() { t.retrainDrops.Add(1) }
@@ -241,18 +224,12 @@ func (t *TemplateObs) CountFeedbackEnqueued() { t.feedbackEnqueued.Add(1) }
 // points are never lost — backpressure degrades latency, not durability.
 func (t *TemplateObs) CountFeedbackDeferred() { t.feedbackDeferred.Add(1) }
 
-// RecordApply ingests one apply batch: its latency, how many points entered
-// the synopsis (a publish happened when any did), and how many were
-// discarded as stale after a drift reset.
-func (t *TemplateObs) RecordApply(d time.Duration, applied, dropped int) {
+// RecordApply ingests one apply batch and its latency. What the batch did to
+// the synopsis — points absorbed, a model published, points dropped as stale
+// — is the learner's to count (core.Online), not the registry's.
+func (t *TemplateObs) RecordApply(d time.Duration) {
 	t.applyBatches.Add(1)
 	t.apply.Record(d)
-	if applied > 0 {
-		t.snapshotPublishes.Add(1)
-	}
-	if dropped > 0 {
-		t.feedbackDropped.Add(uint64(dropped))
-	}
 }
 
 // RecordQError records one estimation q-error (estimated vs. observed rows
@@ -263,64 +240,49 @@ func (t *TemplateObs) RecordQError(q float64) { t.qerror.Record(q) }
 // statistics epoch moving past the one the memo was built at.
 func (t *TemplateObs) CountMemoInvalidation() { t.memoInvalidations.Add(1) }
 
-// MemoInvalidations returns the memo-rebuild count.
-func (t *TemplateObs) MemoInvalidations() uint64 { return t.memoInvalidations.Load() }
-
-// QError returns a snapshot of the estimation q-error histogram.
-func (t *TemplateObs) QError() QHistSnapshot { return t.qerror.Snapshot() }
-
 // Trace returns the template's recent trace records, oldest first (nil
 // when tracing is disabled).
 func (t *TemplateObs) Trace() []TraceRecord { return t.ring.Snapshot() }
 
-// CounterSnapshot is the JSON form of a template's counters. The registry
-// fills what it counts; the gauges and breaker edges below mirror state
-// another component owns, and the facade's MetricsSnapshot reads them from
-// that owner when it assembles the snapshot — the registry keeps no copy to
-// refresh (TemplateObs.Snapshot leaves them zero).
+// CounterSnapshot is the JSON form of a template's counters: what the
+// registry itself counts, each from completed runs (Observe) or from the
+// feedback pipeline's own calls. Facts another component owns — the
+// learner's NULL predictions, publications, drift resets and stale drops,
+// the breaker's failures and edges, the mailbox's depth — are read from that
+// owner by the facade's snapshot assembly and appear under learner.* and
+// breaker.*, never here: one counter per fact.
 type CounterSnapshot struct {
-	// Runs counts completed (successful) Runs; RunErrors counts Runs that
-	// returned a typed error after template resolution.
+	// Runs counts completed (successful) Runs, whichever path served them —
+	// a breaker-open run takes no learner step, so runs and learner.steps
+	// are different facts. RunErrors counts Runs that returned a typed error
+	// after template resolution.
 	Runs      uint64 `json:"runs"`
 	RunErrors uint64 `json:"run_errors"`
 	// CacheHits counts runs served from the cache without optimizing.
 	CacheHits uint64 `json:"cache_hits"`
-	// Predicted / NullPredictions split the learner's non-degraded
-	// decisions by whether a NULL-free prediction was emitted.
-	Predicted       uint64 `json:"predicted"`
-	NullPredictions uint64 `json:"null_predictions"`
+	// Predicted counts completed runs whose learner decision was a NULL-free
+	// prediction.
+	Predicted uint64 `json:"predicted"`
 	// OptimizerInvocations counts runs where the optimizer ran, with the
 	// Section IV-D/E causes broken out.
 	OptimizerInvocations uint64 `json:"optimizer_invocations"`
 	RandomInvocations    uint64 `json:"random_invocations"`
 	FeedbackCorrections  uint64 `json:"feedback_corrections"`
-	DriftResets          uint64 `json:"drift_resets"`
 	// DegradedRuns counts always-invoke-the-optimizer runs; DegradedByError
-	// is the subset forced by a same-run learner error.
+	// is the subset forced by a same-run learner error (the rest found the
+	// breaker open). RetrainDrops counts degraded-mode retraining points the
+	// learner rejected.
 	DegradedRuns    uint64 `json:"degraded_runs"`
 	DegradedByError uint64 `json:"degraded_by_error"`
-	LearnerErrors   uint64 `json:"learner_errors"`
 	RetrainDrops    uint64 `json:"retrain_drops"`
-	// Breaker state transition counts by destination state, counted by the
-	// breaker where its compare-and-swap performs the edge.
-	BreakerOpens     uint64 `json:"breaker_opens"`
-	BreakerHalfOpens uint64 `json:"breaker_half_opens"`
-	BreakerRecloses  uint64 `json:"breaker_recloses"`
 	// Feedback-pipeline counters: enqueued to the background applier,
-	// deferred to a synchronous apply under backpressure, dropped as stale
-	// after a drift reset, apply batches, snapshot publications, and the
-	// mailbox depth at snapshot time (the mailbox's own length).
-	FeedbackEnqueued  uint64 `json:"feedback_enqueued"`
-	FeedbackDeferred  uint64 `json:"feedback_deferred"`
-	FeedbackDropped   uint64 `json:"feedback_dropped"`
-	ApplyBatches      uint64 `json:"apply_batches"`
-	SnapshotPublishes uint64 `json:"snapshot_publishes"`
-	QueueDepth        int64  `json:"feedback_queue_depth"`
+	// deferred to a synchronous apply under backpressure, and apply batches.
+	FeedbackEnqueued uint64 `json:"feedback_enqueued"`
+	FeedbackDeferred uint64 `json:"feedback_deferred"`
+	ApplyBatches     uint64 `json:"apply_batches"`
 	// MemoInvalidations counts memo rebuilds forced by correction-epoch
 	// movement in the adaptive statistics layer.
 	MemoInvalidations uint64 `json:"memo_invalidations"`
-	// RetuneEpoch is the published model's tunable-LSH retune epoch.
-	RetuneEpoch uint64 `json:"retune_epoch"`
 }
 
 // TemplateSnapshot is the JSON form of one template's metrics.
@@ -338,36 +300,27 @@ type TemplateSnapshot struct {
 	EstimationQError QHistSnapshot `json:"estimation_qerror"`
 }
 
-// Counters copies the template's counters.
-func (t *TemplateObs) Counters() CounterSnapshot {
-	return CounterSnapshot{
+// Snapshot copies the template's counters and histograms.
+func (t *TemplateObs) Snapshot() TemplateSnapshot {
+	counters := CounterSnapshot{
 		Runs:                 t.runs.Load(),
 		RunErrors:            t.runErrors.Load(),
 		CacheHits:            t.cacheHits.Load(),
 		Predicted:            t.predicted.Load(),
-		NullPredictions:      t.nullPredictions.Load(),
 		OptimizerInvocations: t.invocations.Load(),
 		RandomInvocations:    t.randomInvocations.Load(),
 		FeedbackCorrections:  t.feedbackCorrections.Load(),
-		DriftResets:          t.driftResets.Load(),
 		DegradedRuns:         t.degradedRuns.Load(),
 		DegradedByError:      t.degradedByError.Load(),
-		LearnerErrors:        t.learnerErrors.Load(),
 		RetrainDrops:         t.retrainDrops.Load(),
 		FeedbackEnqueued:     t.feedbackEnqueued.Load(),
 		FeedbackDeferred:     t.feedbackDeferred.Load(),
-		FeedbackDropped:      t.feedbackDropped.Load(),
 		ApplyBatches:         t.applyBatches.Load(),
-		SnapshotPublishes:    t.snapshotPublishes.Load(),
 		MemoInvalidations:    t.memoInvalidations.Load(),
 	}
-}
-
-// Snapshot copies the template's counters and histograms.
-func (t *TemplateObs) Snapshot() TemplateSnapshot {
 	return TemplateSnapshot{
 		Template:         t.name,
-		Counters:         t.Counters(),
+		Counters:         counters,
 		PredictLatency:   t.predict.Snapshot(),
 		OptimizeLatency:  t.optimize.Snapshot(),
 		ExecuteLatency:   t.execute.Snapshot(),

@@ -210,8 +210,8 @@ func TestObserveCountersAndConcurrency(t *testing.T) {
 	if c.Runs != total {
 		t.Fatalf("runs = %d, want %d", c.Runs, total)
 	}
-	if c.Predicted != total/2 || c.CacheHits != total/2 || c.NullPredictions != total/2 {
-		t.Errorf("split = %d/%d/%d, want %d each", c.Predicted, c.CacheHits, c.NullPredictions, total/2)
+	if c.Predicted != total/2 || c.CacheHits != total/2 {
+		t.Errorf("split = %d/%d, want %d each", c.Predicted, c.CacheHits, total/2)
 	}
 	if c.OptimizerInvocations != total/2 {
 		t.Errorf("invocations = %d", c.OptimizerInvocations)

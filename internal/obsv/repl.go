@@ -111,8 +111,8 @@ func (o *ReplObs) LagRecords() uint64 {
 	return leader - applied
 }
 
-// ReplSnapshot is the JSON form of the replication metrics (part of
-// ppc-metrics/v1; all fields additive).
+// ReplSnapshot is the JSON form of the replication metrics (part of the
+// metrics snapshot).
 type ReplSnapshot struct {
 	// Leader side.
 	Followers        int64  `json:"followers"`

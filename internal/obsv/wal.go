@@ -68,8 +68,8 @@ func (w *WALObs) RecordCheckpoint(d time.Duration, seq uint64) {
 // CountCheckpointError records a failed checkpoint attempt.
 func (w *WALObs) CountCheckpointError() { w.checkpointErrors.Add(1) }
 
-// WALSnapshot is the JSON form of the durability metrics (part of
-// ppc-metrics/v1; all fields additive).
+// WALSnapshot is the JSON form of the durability metrics (part of the
+// metrics snapshot).
 type WALSnapshot struct {
 	Appends      uint64 `json:"appends"`
 	AppendBytes  uint64 `json:"append_bytes"`

@@ -1,0 +1,206 @@
+package ppc
+
+import (
+	"repro/internal/metrics"
+	"repro/internal/obsv"
+)
+
+// The metrics surface: one snapshot shape, assembled in one place, with one
+// counter per fact. A template's numbers come in three objects named after
+// who counts them — counters (the metrics registry: completed runs and the
+// feedback pipeline's own calls), learner (core.Online, its published model,
+// its estimator windows, the mailbox in front of it and the correction state
+// behind it) and breaker (metrics.Breaker) — and a fact is read from its one
+// owner when the snapshot is assembled: nothing is mirrored into a second
+// object, and no key name occurs in two of them (README "Observability" has
+// the table; TestMetricsOneCounterPerFact holds the shape).
+
+// LearnerMetrics is the learner-owned slice of a template's metrics: the
+// online driver's lifetime counters, the synopsis it publishes, the Section
+// IV-E sliding-window estimates, the feedback mailbox's depth and the
+// adaptive correction state. Estimates that do not exist (empty window) are
+// reported as value 0 with the matching Known flag false — never as the
+// vacuous-precision 1.0 that metrics.Counter.Precision uses for the paper's
+// plots: an operator reading "1.0" for a template that has never predicted
+// would conclude the opposite of the truth.
+type LearnerMetrics struct {
+	// Steps counts learner protocol steps — runs the breaker let through to
+	// the learner, whether or not they went on to complete (counters.runs
+	// counts completed runs, breaker-rejected ones included: different
+	// facts). NullPredictions is the subset of steps that emitted no plan.
+	// Both are lifetime totals, unlike the bounded estimator windows below.
+	Steps           int `json:"steps"`
+	NullPredictions int `json:"null_predictions"`
+	// SamplesAbsorbed and SynopsisBytes describe the published synopsis.
+	SamplesAbsorbed int `json:"samples_absorbed"`
+	SynopsisBytes   int `json:"synopsis_bytes"`
+	// Validated and SelfLabeled count insertions by provenance (lifetime,
+	// checkpoint-restored; crash-recovery audits compare them against the
+	// acknowledged feedback history); Resets counts drift recoveries.
+	Validated   int `json:"validated_points"`
+	SelfLabeled int `json:"self_labeled_points"`
+	Resets      int `json:"drift_resets"`
+	// SnapshotPublishes counts immutable model publications, whatever
+	// caused them (an apply batch, a drift reset, a re-tune, a restore);
+	// StaleFeedbackDrops counts feedback discarded because a drift reset
+	// intervened between its creation and its application.
+	SnapshotPublishes  int64 `json:"snapshot_publishes"`
+	StaleFeedbackDrops int64 `json:"stale_feedback_drops"`
+	// QueueDepth is the feedback mailbox's length when the snapshot was
+	// taken, read just before the flush that makes the rest of this struct
+	// current.
+	QueueDepth int `json:"feedback_queue_depth"`
+	// AppliedSeq is the WAL sequence number of the newest feedback point in
+	// the synopsis (0 when durability is disabled or nothing was logged).
+	AppliedSeq uint64 `json:"applied_seq"`
+	// RetuneEpoch is the published model's tunable-LSH re-tune epoch (0 =
+	// base mapping).
+	RetuneEpoch uint64 `json:"retune_epoch"`
+	// CorrectionEpoch and CorrectionSites report the adaptive statistics
+	// layer's state for this template: the correction epoch and the number
+	// of predicate sites whose factor is past cold start. Both zero when
+	// the layer is disabled.
+	CorrectionEpoch uint64 `json:"correction_epoch"`
+	CorrectionSites int    `json:"correction_sites"`
+	// WindowSamples is the number of predictions in the sliding window.
+	WindowSamples  int     `json:"window_samples"`
+	Precision      float64 `json:"precision"`
+	PrecisionKnown bool    `json:"precision_known"`
+	Recall         float64 `json:"recall"`
+	RecallKnown    bool    `json:"recall_known"`
+	Beta           float64 `json:"beta"`
+	BetaKnown      bool    `json:"beta_known"`
+}
+
+// TemplateMetrics is one template's slice of a MetricsSnapshot: the
+// registry's counters and latency histograms, the learner's state, and the
+// circuit breaker's state and counters.
+type TemplateMetrics struct {
+	obsv.TemplateSnapshot
+	Degree  int                     `json:"degree"`
+	Learner LearnerMetrics          `json:"learner"`
+	Breaker metrics.BreakerSnapshot `json:"breaker"`
+}
+
+// CacheMetrics is the shared plan cache's slice of a MetricsSnapshot.
+type CacheMetrics struct {
+	Len      int `json:"len"`
+	Capacity int `json:"capacity"`
+	obsv.CacheSnapshot
+}
+
+// MetricsSnapshotSchema identifies the MetricsSnapshot JSON format; bump
+// on incompatible changes. v2 removed every key that repeated a fact under a
+// second name (README "Observability" lists each and what replaces it).
+const MetricsSnapshotSchema = "ppc-metrics/v2"
+
+// MetricsSnapshot is a stable, JSON-serializable copy of the System's
+// serving-path metrics: per-template counters and latency histograms,
+// learner and breaker state, and the shared plan cache's counters.
+type MetricsSnapshot struct {
+	Schema    string            `json:"schema"`
+	Templates []TemplateMetrics `json:"templates"`
+	Cache     CacheMetrics      `json:"cache"`
+	// WAL carries the durability layer's counters; nil (omitted) when
+	// durability is disabled.
+	WAL *obsv.WALSnapshot `json:"wal,omitempty"`
+	// Replication carries the replication layer's counters (leader
+	// shipping gauges, or a replica's lag and stream counters); nil when
+	// the process neither ships nor consumes state.
+	Replication *obsv.ReplSnapshot `json:"replication,omitempty"`
+}
+
+// metrics assembles the template's metrics: the one place a TemplateMetrics
+// is built. The feedback mailbox is flushed first (its depth read just
+// before), so the learner numbers reflect every point already acknowledged
+// by Run; everything else is an atomic read, so assembling never stalls the
+// serving path. Each number is read from whoever owns it.
+func (st *templateState) metrics() TemplateMetrics {
+	depth := len(st.mail)
+	st.flush()
+	model := st.online.Model()
+	est := st.online.Estimator()
+	tm := TemplateMetrics{
+		TemplateSnapshot: st.obs.Snapshot(),
+		Degree:           st.tmpl.Degree(),
+		Breaker:          st.breaker.Snapshot(),
+		Learner: LearnerMetrics{
+			Steps:              st.online.Steps(),
+			NullPredictions:    st.online.NullPredictions(),
+			SamplesAbsorbed:    model.TotalPoints(),
+			SynopsisBytes:      model.MemoryBytes(),
+			Validated:          st.online.Validated(),
+			SelfLabeled:        st.online.SelfLabeled(),
+			Resets:             st.online.Resets(),
+			SnapshotPublishes:  st.online.Publishes(),
+			StaleFeedbackDrops: st.online.StaleFeedbackDrops(),
+			QueueDepth:         depth,
+			AppliedSeq:         st.online.AppliedSeq(),
+			RetuneEpoch:        model.RetuneEpoch(),
+			WindowSamples:      est.SampleCount(),
+		},
+	}
+	l := &tm.Learner
+	l.Precision, l.PrecisionKnown = est.Precision()
+	l.Recall, l.RecallKnown = est.Recall()
+	l.Beta, l.BetaKnown = est.Beta()
+	if st.corr != nil {
+		l.CorrectionEpoch = st.corr.Epoch()
+		l.CorrectionSites = st.corr.ActiveSites()
+	}
+	return tm
+}
+
+// MetricsSnapshot assembles the current metrics across all templates, plus
+// the shared plan cache's, the WAL's and the replication layer's.
+func (s *System) MetricsSnapshot() (snap MetricsSnapshot, err error) {
+	defer capturePanic("ppc.MetricsSnapshot", &err)
+	snap.Schema = MetricsSnapshotSchema
+	for _, st := range s.statesByName() {
+		snap.Templates = append(snap.Templates, st.metrics())
+	}
+	s.cacheMu.RLock()
+	snap.Cache.Len = s.cache.Len()
+	snap.Cache.Capacity = s.cache.Capacity()
+	s.cacheMu.RUnlock()
+	snap.Cache.CacheSnapshot = s.cacheObs.Snapshot()
+	snap.WAL = s.WALMetrics()
+	snap.Replication = s.ReplMetrics()
+	return snap, nil
+}
+
+// TemplateMetrics reports one template's metrics: exactly the element
+// MetricsSnapshot would carry for it. Like MetricsSnapshot it flushes the
+// template's feedback mailbox first, so the reported synopsis reflects every
+// point already acknowledged by Run.
+func (s *System) TemplateMetrics(template string) (tm TemplateMetrics, err error) {
+	defer capturePanic("ppc.TemplateMetrics", &err)
+	st, err := s.lookup(template)
+	if err != nil {
+		return TemplateMetrics{}, err
+	}
+	return st.metrics(), nil
+}
+
+// BreakerStates reports every registered template's circuit-breaker state
+// ("closed", "open", "half-open") by template name. It is the liveness read:
+// one atomic load per template, no mailbox flush and no lock beyond the
+// registry's, so it answers while an applier is stalled.
+func (s *System) BreakerStates() map[string]string {
+	states := s.statesByName()
+	out := make(map[string]string, len(states))
+	for _, st := range states {
+		out[st.tmpl.Name] = st.breaker.State().String()
+	}
+	return out
+}
+
+// TemplateTrace returns the template's most recent decision traces, oldest
+// first (nil when tracing is disabled via Options.TraceRingSize < 0).
+func (s *System) TemplateTrace(template string) ([]obsv.TraceRecord, error) {
+	st, err := s.lookup(template)
+	if err != nil {
+		return nil, err
+	}
+	return st.obs.Trace(), nil
+}

@@ -8,6 +8,9 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,6 +19,7 @@ import (
 	"repro/internal/obsv"
 	"repro/internal/queries"
 	"repro/internal/tpch"
+	"repro/internal/wal"
 )
 
 // sqlFor returns the SQL of one standard query template.
@@ -146,11 +150,9 @@ func TestMetricsSnapshotMatchesRunResults(t *testing.T) {
 			{"run_errors", c.RunErrors, 0},
 			{"cache_hits", c.CacheHits, tally.cacheHits},
 			{"predicted", c.Predicted, tally.predicted},
-			{"null_predictions", c.NullPredictions, tally.nulls},
 			{"optimizer_invocations", c.OptimizerInvocations, tally.invoked},
 			{"random_invocations", c.RandomInvocations, tally.random},
 			{"feedback_corrections", c.FeedbackCorrections, tally.feedback},
-			{"drift_resets", c.DriftResets, tally.drift},
 			{"degraded_runs", c.DegradedRuns, tally.degraded},
 			{"degraded_by_error", c.DegradedByError, tally.degradedByError},
 			{"predict_latency.count", tm.PredictLatency.Count, tally.predictObs},
@@ -168,13 +170,18 @@ func TestMetricsSnapshotMatchesRunResults(t *testing.T) {
 		if tally.cacheHits == 0 || tally.invoked == 0 {
 			t.Errorf("%s: degenerate workload (hits=%d invoked=%d)", tm.Template, tally.cacheHits, tally.invoked)
 		}
-		// Learner lifetime counters: every non-degraded run is one learner
-		// step, and the NULL split must match the registry's.
+		// The learner's own lifetime counters, held to the same ground
+		// truth: every run the breaker let through is one learner step, and
+		// with no run failing the learner's NULLs and drift resets are the
+		// runs that reported one.
 		if got, want := uint64(tm.Learner.Steps), tally.runs-tally.degraded+tally.degradedByError; got != want {
 			t.Errorf("%s: learner steps = %d, want %d", tm.Template, got, want)
 		}
 		if got := uint64(tm.Learner.NullPredictions); got != tally.nulls {
 			t.Errorf("%s: learner null_predictions = %d, want %d", tm.Template, got, tally.nulls)
+		}
+		if got := uint64(tm.Learner.Resets); got != tally.drift {
+			t.Errorf("%s: learner drift_resets = %d, want %d", tm.Template, got, tally.drift)
 		}
 	}
 
@@ -286,8 +293,8 @@ func TestRunLatencyAccounting(t *testing.T) {
 
 // TestErrorDegradeAccounting pins the decide() error-branch fix: a run
 // degraded by a same-run learner error must still carry the time spent in
-// the failed learner step, and the registry's learner-error counters must
-// agree with TemplateHealth.
+// the failed learner step, and the snapshot's degraded_by_error and
+// run_errors must be the runs that reported each.
 func TestErrorDegradeAccounting(t *testing.T) {
 	inj := faults.New(42).Enable(faults.OptimizerError, 0.5)
 	sys, err := Open(Options{
@@ -341,26 +348,99 @@ func TestErrorDegradeAccounting(t *testing.T) {
 		t.Error("no degraded-by-error run carried its failed learner step's time in PredictTime")
 	}
 
-	h, err := sys.TemplateHealth("Q1")
+	tm, err := sys.TemplateMetrics("Q1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := sys.MetricsSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := snap.Templates[0].Counters
-	if got, want := c.LearnerErrors, uint64(h.LearnerErrors); got != want {
-		t.Errorf("snapshot learner_errors = %d, health says %d", got, want)
-	}
-	if c.LearnerErrors < c.DegradedByError {
-		t.Errorf("learner_errors %d < degraded_by_error %d", c.LearnerErrors, c.DegradedByError)
-	}
+	c := tm.Counters
 	if got := c.DegradedByError; got != byError {
 		t.Errorf("snapshot degraded_by_error = %d, ground truth %d", got, byError)
 	}
 	if got := c.RunErrors; got != failed {
 		t.Errorf("snapshot run_errors = %d, ground truth %d", got, failed)
+	}
+}
+
+// TestMetricsQuiescentIdentities asserts, once, the relations README
+// "Observability" states between keys of different owners — what the
+// look-alike pairs of ppc-metrics/v1 (counters.learner_errors beside
+// breaker.Failures, breaker.DegradedSteps beside counters.degraded_runs, the
+// three counters.breaker_* mirrors) each restated with a second counter. The
+// workload trips, probes and re-closes the breaker under a seeded optimizer
+// fault, serially, so the ground truth is the RunResults and the injector's
+// own count of fired faults.
+func TestMetricsQuiescentIdentities(t *testing.T) {
+	inj := faults.New(7).Enable(faults.OptimizerError, 0.3)
+	sys, err := Open(Options{
+		TPCH:    tpch.Config{Scale: 1000, Seed: 5},
+		Online:  onlineForTest(),
+		Breaker: metrics.BreakerConfig{FailureThreshold: 2, Cooldown: 4, ProbeSuccesses: 1, PrecisionFloor: -1},
+		Faults:  inj,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if err := sys.Register("Q1", sqlFor(t, "Q1")); err != nil {
+		t.Fatal(err)
+	}
+	tmpl, _ := sys.Template("Q1")
+	rng := rand.New(rand.NewSource(9))
+	var completed, byError, rejected, failed uint64
+	for i := 0; i < 300; i++ {
+		point := []float64{0.3 + rng.Float64()*0.2, 0.3 + rng.Float64()*0.2}
+		inst, err := sys.Optimizer().InstanceAt(tmpl, point)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sys.Run("Q1", inst.Values)
+		switch {
+		case err != nil:
+			failed++
+		case res.DegradedByError:
+			completed, byError = completed+1, byError+1
+		case res.Degraded:
+			completed, rejected = completed+1, rejected+1
+		default:
+			completed++
+		}
+	}
+	tm, err := sys.TemplateMetrics("Q1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, l, b := tm.Counters, tm.Learner, tm.Breaker
+	if byError == 0 || rejected == 0 || failed == 0 || b.Trips == 0 || b.Recloses == 0 {
+		t.Fatalf("degenerate workload: by-error %d, rejected %d, failed %d, breaker %+v", byError, rejected, failed, b)
+	}
+	fired := uint64(inj.Fired(faults.OptimizerError))
+	for _, ck := range []struct {
+		identity  string
+		got, want uint64
+	}{
+		{"counters.runs = completed runs", c.Runs, completed},
+		{"counters.run_errors = runs that returned an error", c.RunErrors, failed},
+		{"counters.degraded_by_error = completed runs a learner error degraded", c.DegradedByError, byError},
+		{"counters.degraded_runs - degraded_by_error = completed runs the open breaker turned away", c.DegradedRuns - c.DegradedByError, rejected},
+		// A fired optimizer fault fails either a learner step (the breaker
+		// counts it) or a degraded run's own optimizer call (the run fails).
+		{"breaker.failures + counters.run_errors = injected optimizer faults", uint64(b.Failures) + c.RunErrors, fired},
+		// A run the breaker admits takes one learner step, completed or not.
+		{"learner.steps = breaker.successes + breaker.failures", uint64(l.Steps), uint64(b.Successes + b.Failures)},
+		{"breaker.trips = error_trips + precision_trips", uint64(b.Trips), uint64(b.ErrorTrips + b.PrecisionTrips)},
+	} {
+		if ck.got != ck.want {
+			t.Errorf("%s: %d != %d", ck.identity, ck.got, ck.want)
+		}
+	}
+	// breaker.failures = degraded_by_error when no run failed; a failure
+	// beyond that is a run whose degraded fallback failed as well.
+	if extra := uint64(b.Failures) - c.DegradedByError; uint64(b.Failures) < c.DegradedByError || extra > c.RunErrors {
+		t.Errorf("breaker.failures %d outside [degraded_by_error %d, degraded_by_error + run_errors %d]",
+			b.Failures, c.DegradedByError, c.DegradedByError+c.RunErrors)
+	}
+	if b.Recloses > b.HalfOpens || b.HalfOpens > b.Trips {
+		t.Errorf("breaker edges out of order: recloses %d <= half_opens %d <= trips %d", b.Recloses, b.HalfOpens, b.Trips)
 	}
 }
 
@@ -448,5 +528,194 @@ func TestTraceDisabled(t *testing.T) {
 	}
 	if snap.Templates[0].Counters.Runs != 1 {
 		t.Errorf("runs = %d, want 1", snap.Templates[0].Counters.Runs)
+	}
+}
+
+// metricsKeysV2 is the golden key list of one template's element of a
+// ppc-metrics/v2 snapshot: its top-level keys, and every key of the three
+// objects named after who counts what is in them. A key is added here on
+// purpose or not at all; a removal or a rename is a schema bump.
+var metricsKeysV2 = []string{
+	"apply_latency",
+	"breaker",
+	"breaker.error_trips",
+	"breaker.failures",
+	"breaker.half_opens",
+	"breaker.precision_trips",
+	"breaker.probes",
+	"breaker.recloses",
+	"breaker.state",
+	"breaker.successes",
+	"breaker.trips",
+	"counters",
+	"counters.apply_batches",
+	"counters.cache_hits",
+	"counters.degraded_by_error",
+	"counters.degraded_runs",
+	"counters.feedback_corrections",
+	"counters.feedback_deferred",
+	"counters.feedback_enqueued",
+	"counters.memo_invalidations",
+	"counters.optimizer_invocations",
+	"counters.predicted",
+	"counters.random_invocations",
+	"counters.retrain_drops",
+	"counters.run_errors",
+	"counters.runs",
+	"degraded_latency",
+	"degree",
+	"estimation_qerror",
+	"execute_latency",
+	"learner",
+	"learner.applied_seq",
+	"learner.beta",
+	"learner.beta_known",
+	"learner.correction_epoch",
+	"learner.correction_sites",
+	"learner.drift_resets",
+	"learner.feedback_queue_depth",
+	"learner.null_predictions",
+	"learner.precision",
+	"learner.precision_known",
+	"learner.recall",
+	"learner.recall_known",
+	"learner.retune_epoch",
+	"learner.samples_absorbed",
+	"learner.self_labeled_points",
+	"learner.snapshot_publishes",
+	"learner.stale_feedback_drops",
+	"learner.steps",
+	"learner.synopsis_bytes",
+	"learner.validated_points",
+	"learner.window_samples",
+	"optimize_latency",
+	"predict_latency",
+	"template",
+}
+
+// TestMetricsOneCounterPerFact is the schema guard: in a populated
+// snapshot's JSON, no key name occurs in more than one of a template's
+// counters, learner and breaker objects — ppc-metrics/v1 printed
+// null_predictions, snapshot_publishes and drift_resets twice per template,
+// with different values — and the key list is the golden above.
+func TestMetricsOneCounterPerFact(t *testing.T) {
+	if MetricsSnapshotSchema != "ppc-metrics/v2" {
+		t.Fatalf("schema %q: the golden key list below is ppc-metrics/v2's", MetricsSnapshotSchema)
+	}
+	sys := openSmall(t)
+	if err := sys.Register("Q1", sqlFor(t, "Q1")); err != nil {
+		t.Fatal(err)
+	}
+	drive(t, sys, "Q1", 100, 3)
+	snap, err := sys.MetricsSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(snap.Templates[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tmpl map[string]json.RawMessage
+	if err := json.Unmarshal(data, &tmpl); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	owner := map[string]string{}
+	for key, raw := range tmpl {
+		keys = append(keys, key)
+		if key != "counters" && key != "learner" && key != "breaker" {
+			continue
+		}
+		var object map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &object); err != nil {
+			t.Fatalf("%s is not an object: %v", key, err)
+		}
+		for leaf := range object {
+			keys = append(keys, key+"."+leaf)
+			if other, dup := owner[leaf]; dup {
+				t.Errorf("key %q occurs under both %s and %s: one counter per fact", leaf, other, key)
+			}
+			owner[leaf] = key
+		}
+	}
+	sort.Strings(keys)
+	if !reflect.DeepEqual(keys, metricsKeysV2) {
+		t.Errorf("ppc-metrics/v2 keys moved (update metricsKeysV2 and README \"Observability\" on purpose, or bump the schema):\n got %q\nwant %q", keys, metricsKeysV2)
+	}
+}
+
+// stalledLog is a wal.Appender whose Append blocks until release closes: a
+// disk that has stopped answering, seen from the feedback applier.
+type stalledLog struct {
+	entered chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func (l *stalledLog) Append(*wal.Record) (uint64, error) {
+	l.once.Do(func() { close(l.entered) })
+	<-l.release
+	return 0, nil
+}
+
+func (l *stalledLog) Commit() error { return nil }
+
+// TestBreakerStatesAnswerWhileApplierStalled: the liveness read (ppcserve's
+// /health) must not wait for a feedback applier. Everything that reports
+// learner state flushes the template's mailbox first — MetricsSnapshot and
+// TemplateMetrics do, and wait here — so a liveness probe built on them
+// would hang exactly when an operator needs it.
+func TestBreakerStatesAnswerWhileApplierStalled(t *testing.T) {
+	// The default feedback queue: a background applier per template.
+	sys, err := Open(Options{TPCH: tpch.Config{Scale: 1000, Seed: 5}, Online: onlineForTest()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Register("Q1", sqlFor(t, "Q1")); err != nil {
+		t.Fatal(err)
+	}
+	st, err := sys.lookup("Q1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := &stalledLog{entered: make(chan struct{}), release: make(chan struct{})}
+	st.online.AttachLog(log)
+	release := sync.OnceFunc(func() { close(log.release) })
+	defer sys.Close() // after the release below: Close drains the applier
+	defer release()
+
+	drive(t, sys, "Q1", 1, 3) // a cold run: one validated point for the applier
+	select {
+	case <-log.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the applier never reached the log")
+	}
+
+	states := make(chan map[string]string, 1)
+	go func() { states <- sys.BreakerStates() }()
+	select {
+	case got := <-states:
+		if got["Q1"] != "closed" || len(got) != 1 {
+			t.Errorf("BreakerStates = %v, want Q1 closed", got)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("BreakerStates waited for a stalled applier")
+	}
+
+	// The contrast that makes the above mean something: the flushing read
+	// does wait, and completes once the log answers again.
+	flushed := make(chan error, 1)
+	go func() {
+		_, err := sys.TemplateMetrics("Q1")
+		flushed <- err
+	}()
+	select {
+	case <-flushed:
+		t.Fatal("TemplateMetrics returned while the applier was stalled: the stall is not one")
+	case <-time.After(100 * time.Millisecond):
+	}
+	release()
+	if err := <-flushed; err != nil {
+		t.Fatal(err)
 	}
 }

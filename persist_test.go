@@ -53,8 +53,8 @@ func TestSaveLoadStateRoundTrip(t *testing.T) {
 	if err := warm.SaveState(&buf); err != nil {
 		t.Fatal(err)
 	}
-	warmStats, _ := warm.TemplateStats("Q1")
-	if warmStats.SamplesAbsorbed == 0 {
+	warmStats, _ := warm.TemplateMetrics("Q1")
+	if warmStats.Learner.SamplesAbsorbed == 0 {
 		t.Fatal("warm system absorbed nothing; test is vacuous")
 	}
 
@@ -69,12 +69,12 @@ func TestSaveLoadStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Templates and learned samples must be back.
-	restored, err := cold.TemplateStats("Q1")
+	restored, err := cold.TemplateMetrics("Q1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.SamplesAbsorbed != warmStats.SamplesAbsorbed {
-		t.Errorf("restored %d samples, want %d", restored.SamplesAbsorbed, warmStats.SamplesAbsorbed)
+	if restored.Learner.SamplesAbsorbed != warmStats.Learner.SamplesAbsorbed {
+		t.Errorf("restored %d samples, want %d", restored.Learner.SamplesAbsorbed, warmStats.Learner.SamplesAbsorbed)
 	}
 	if cold.CacheLen() == 0 {
 		t.Error("restored cache is empty")

@@ -103,7 +103,7 @@ func TestSaveStateUnderLoad(t *testing.T) {
 	}
 	st.flush()
 	wantAbsorbed := st.online.Validated() + st.online.SelfLabeled()
-	stats, err := sys.TemplateStats("Q1")
+	stats, err := sys.TemplateMetrics("Q1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,13 +118,13 @@ func TestSaveStateUnderLoad(t *testing.T) {
 	if err := cold2.LoadState(bytes.NewReader(final.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := cold2.TemplateStats("Q1")
+	restored, err := cold2.TemplateMetrics("Q1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.SamplesAbsorbed != stats.SamplesAbsorbed {
+	if restored.Learner.SamplesAbsorbed != stats.Learner.SamplesAbsorbed {
 		t.Errorf("restored SamplesAbsorbed = %d, saved system had %d",
-			restored.SamplesAbsorbed, stats.SamplesAbsorbed)
+			restored.Learner.SamplesAbsorbed, stats.Learner.SamplesAbsorbed)
 	}
 	rst, err := cold2.lookup("Q1")
 	if err != nil {
@@ -202,8 +202,8 @@ func TestNoFeedbackLossUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tm := range snap.Templates {
-		if tm.Counters.FeedbackDropped != 0 {
-			t.Errorf("%s: feedback_dropped = %d, want 0", tm.Template, tm.Counters.FeedbackDropped)
+		if tm.Learner.StaleFeedbackDrops != 0 {
+			t.Errorf("%s: stale_feedback_drops = %d, want 0", tm.Template, tm.Learner.StaleFeedbackDrops)
 		}
 	}
 }
@@ -278,11 +278,11 @@ func TestHotTemplateStress(t *testing.T) {
 		return
 	}
 
-	stats, err := sys.TemplateStats("Q1")
+	stats, err := sys.TemplateMetrics("Q1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.SamplesAbsorbed == 0 {
+	if stats.Learner.SamplesAbsorbed == 0 {
 		t.Error("hot template absorbed no samples under stress")
 	}
 }

@@ -415,8 +415,8 @@ func sortMessage(msg feedbackMsg, batch []core.Feedback, flushes []chan struct{}
 func (st *templateState) applyBatch(batch []core.Feedback, flushes []chan struct{}, cards []*cardBuf) {
 	if len(batch) > 0 {
 		t0 := time.Now()
-		applied, dropped := st.online.ApplyBatch(batch)
-		st.obs.RecordApply(time.Since(t0), applied, dropped)
+		st.online.ApplyBatch(batch)
+		st.obs.RecordApply(time.Since(t0))
 	}
 	for _, buf := range cards {
 		st.applyCards(buf)
@@ -1025,15 +1025,15 @@ func (r *run) decide() (degraded bool) {
 		res.PredictTime = 0
 	}
 	if lerr != nil {
-		// Learner-path failure: count it, trip the breaker toward
-		// degraded mode, and fall back to direct optimization for this
-		// run. The learner's state was not corrupted by the failed step.
+		// Learner-path failure: report it to the breaker (which counts it
+		// and trips toward degraded mode) and fall back to direct
+		// optimization for this run. The learner's state was not corrupted
+		// by the failed step.
 		// The time spent in the failed step stays in the run's accounting
 		// (PredictTime above; any successfully timed optimizer work inside
 		// the step stays in OptimizeTime, which degrade extends) and the
 		// run is marked degraded-by-error so traces and metrics can tell
 		// this fallback from an already-open breaker.
-		st.obs.CountLearnerError()
 		res.DegradedByError = true
 		st.breaker.RecordFailure()
 		return true
@@ -1178,239 +1178,6 @@ func (s *System) cachePlan(entry *cachedPlan) {
 	if s.cache.Put(entry.id, entry) >= 0 {
 		s.cacheObs.CountEviction()
 	}
-}
-
-// Stats summarizes a template's learner state.
-//
-// Precision and Recall are the Section IV-E sliding-window estimates.
-// When the window holds no (NULL-free) predictions the estimate does not
-// exist: the value is 0 and PrecisionKnown/RecallKnown are false. The
-// facade deliberately never substitutes the vacuous-precision 1.0 that
-// metrics.Counter.Precision uses for the paper's plots — an operator
-// reading "1.0" for a template that has never predicted would conclude
-// the opposite of the truth. MetricsSnapshot follows the same convention.
-type Stats struct {
-	Template        string
-	Degree          int
-	SamplesAbsorbed int
-	SynopsisBytes   int
-	Precision       float64
-	PrecisionKnown  bool
-	Recall          float64
-	RecallKnown     bool
-	Resets          int
-	// Validated and SelfLabeled count insertions by provenance (lifetime,
-	// checkpoint-restored). Crash-recovery audits compare them against the
-	// acknowledged feedback history.
-	Validated   int
-	SelfLabeled int
-	// AppliedSeq is the WAL sequence number of the newest feedback point in
-	// the synopsis (0 when durability is disabled or nothing was logged).
-	AppliedSeq uint64
-	// CorrectionEpoch and CorrectionSites report the adaptive statistics
-	// layer's state for this template: the correction epoch and the number
-	// of predicate sites whose factor is past cold start. Both zero when
-	// the layer is disabled.
-	CorrectionEpoch uint64
-	CorrectionSites int
-}
-
-// TemplateStats reports the online learner's state for one template. It
-// flushes the template's feedback mailbox first, so the reported synopsis
-// reflects every point already acknowledged by Run.
-func (s *System) TemplateStats(template string) (out Stats, err error) {
-	defer capturePanic("ppc.TemplateStats", &err)
-	st, err := s.lookup(template)
-	if err != nil {
-		return Stats{}, err
-	}
-	st.flush()
-	model := st.online.Model()
-	est := st.online.Estimator()
-	out = Stats{
-		Template:        template,
-		Degree:          st.tmpl.Degree(),
-		SamplesAbsorbed: model.TotalPoints(),
-		SynopsisBytes:   model.MemoryBytes(),
-		Resets:          st.online.Resets(),
-		Validated:       st.online.Validated(),
-		SelfLabeled:     st.online.SelfLabeled(),
-		AppliedSeq:      st.online.AppliedSeq(),
-	}
-	out.Precision, out.PrecisionKnown = est.Precision()
-	out.Recall, out.RecallKnown = est.Recall()
-	if st.corr != nil {
-		out.CorrectionEpoch = st.corr.Epoch()
-		out.CorrectionSites = st.corr.ActiveSites()
-	}
-	return out, nil
-}
-
-// Health summarizes the fault posture of one template's serving path.
-type Health struct {
-	Template string
-	// Breaker is the circuit breaker's state and counters.
-	Breaker metrics.BreakerSnapshot
-	// LearnerErrors counts Step failures on the learner path.
-	LearnerErrors int
-	// DegradedRuns counts completed Runs served by invoking the optimizer
-	// directly (breaker open, or a same-run fallback after a learner error).
-	DegradedRuns int
-	// RetrainDrops counts degraded-mode retraining points the learner
-	// rejected (dimensionality mismatch) instead of absorbing.
-	RetrainDrops int
-}
-
-// TemplateHealth reports breaker state and degraded-mode counters for one
-// template.
-func (s *System) TemplateHealth(template string) (h Health, err error) {
-	defer capturePanic("ppc.TemplateHealth", &err)
-	st, err := s.lookup(template)
-	if err != nil {
-		return Health{}, err
-	}
-	c := st.obs.Counters()
-	return Health{
-		Template:      template,
-		Breaker:       st.breaker.Snapshot(),
-		LearnerErrors: int(c.LearnerErrors),
-		DegradedRuns:  int(c.DegradedRuns),
-		RetrainDrops:  int(c.RetrainDrops),
-	}, nil
-}
-
-// LearnerMetrics is the learner-internal slice of a template's metrics
-// snapshot: lifetime step counters, synopsis size, and the Section IV-E
-// sliding-window estimates. Estimates that do not exist (empty window) are
-// reported as value 0 with the matching Known flag false — never as a
-// vacuous 1.0 (see Stats).
-type LearnerMetrics struct {
-	// Steps counts learner protocol steps; NullPredictions the subset that
-	// emitted no plan. Both are lifetime totals, unlike the bounded
-	// estimator windows below.
-	Steps           int `json:"steps"`
-	NullPredictions int `json:"null_predictions"`
-	// SamplesAbsorbed and SynopsisBytes describe the histogram synopsis.
-	SamplesAbsorbed int `json:"samples_absorbed"`
-	SynopsisBytes   int `json:"synopsis_bytes"`
-	// Validated and SelfLabeled count insertions by provenance; Resets
-	// counts drift recoveries.
-	Validated   int `json:"validated_points"`
-	SelfLabeled int `json:"self_labeled_points"`
-	Resets      int `json:"drift_resets"`
-	// SnapshotPublishes counts immutable model publications;
-	// StaleFeedbackDrops counts feedback discarded because a drift reset
-	// intervened between its creation and its application.
-	SnapshotPublishes  int64 `json:"snapshot_publishes"`
-	StaleFeedbackDrops int64 `json:"stale_feedback_drops"`
-	// WindowSamples is the number of predictions in the sliding window.
-	WindowSamples  int     `json:"window_samples"`
-	Precision      float64 `json:"precision"`
-	PrecisionKnown bool    `json:"precision_known"`
-	Recall         float64 `json:"recall"`
-	RecallKnown    bool    `json:"recall_known"`
-	Beta           float64 `json:"beta"`
-	BetaKnown      bool    `json:"beta_known"`
-}
-
-// TemplateMetrics is one template's slice of a MetricsSnapshot: the
-// registry's counters and latency histograms, the learner's state, and the
-// circuit breaker's counters.
-type TemplateMetrics struct {
-	obsv.TemplateSnapshot
-	Degree  int                     `json:"degree"`
-	Learner LearnerMetrics          `json:"learner"`
-	Breaker metrics.BreakerSnapshot `json:"breaker"`
-}
-
-// CacheMetrics is the shared plan cache's slice of a MetricsSnapshot.
-type CacheMetrics struct {
-	Len      int `json:"len"`
-	Capacity int `json:"capacity"`
-	obsv.CacheSnapshot
-}
-
-// MetricsSnapshotSchema identifies the MetricsSnapshot JSON format; bump
-// on incompatible changes.
-const MetricsSnapshotSchema = "ppc-metrics/v1"
-
-// MetricsSnapshot is a stable, JSON-serializable copy of the System's
-// serving-path metrics: per-template counters and latency histograms,
-// learner and breaker state, and the shared plan cache's counters.
-type MetricsSnapshot struct {
-	Schema    string            `json:"schema"`
-	Templates []TemplateMetrics `json:"templates"`
-	Cache     CacheMetrics      `json:"cache"`
-	// WAL carries the durability layer's counters; nil (omitted) when
-	// durability is disabled. Additive — the schema version is unchanged.
-	WAL *obsv.WALSnapshot `json:"wal,omitempty"`
-	// Replication carries the replication layer's counters (leader
-	// shipping gauges, or a replica's lag and stream counters); nil when
-	// the process neither ships nor consumes state. Additive.
-	Replication *obsv.ReplSnapshot `json:"replication,omitempty"`
-}
-
-// MetricsSnapshot assembles the current metrics across all templates. Each
-// template's feedback mailbox is flushed (its depth read just before the
-// flush) so the learner numbers reflect every point already acknowledged by
-// Run; all counters are atomics read without any lock, so a snapshot never
-// stalls the serving path. A number is read from whoever owns it: the
-// mailbox's length, the published model's retune epoch and the breaker's
-// edge counts are not copied anywhere between snapshots.
-func (s *System) MetricsSnapshot() (snap MetricsSnapshot, err error) {
-	defer capturePanic("ppc.MetricsSnapshot", &err)
-	snap.Schema = MetricsSnapshotSchema
-	for _, st := range s.statesByName() {
-		depth := len(st.mail)
-		st.flush()
-		tm := TemplateMetrics{
-			TemplateSnapshot: st.obs.Snapshot(),
-			Degree:           st.tmpl.Degree(),
-			Breaker:          st.breaker.Snapshot(),
-		}
-		c := &tm.Counters
-		c.QueueDepth = int64(depth)
-		c.RetuneEpoch = st.online.RetuneEpoch()
-		c.BreakerOpens = uint64(tm.Breaker.Trips)
-		c.BreakerHalfOpens = uint64(tm.Breaker.HalfOpens)
-		c.BreakerRecloses = uint64(tm.Breaker.Recloses)
-		est := st.online.Estimator()
-		model := st.online.Model()
-		tm.Learner = LearnerMetrics{
-			Steps:              st.online.Steps(),
-			NullPredictions:    st.online.NullPredictions(),
-			SamplesAbsorbed:    model.TotalPoints(),
-			SynopsisBytes:      model.MemoryBytes(),
-			Validated:          st.online.Validated(),
-			SelfLabeled:        st.online.SelfLabeled(),
-			Resets:             st.online.Resets(),
-			SnapshotPublishes:  st.online.Publishes(),
-			StaleFeedbackDrops: st.online.StaleFeedbackDrops(),
-			WindowSamples:      est.SampleCount(),
-		}
-		tm.Learner.Precision, tm.Learner.PrecisionKnown = est.Precision()
-		tm.Learner.Recall, tm.Learner.RecallKnown = est.Recall()
-		tm.Learner.Beta, tm.Learner.BetaKnown = est.Beta()
-		snap.Templates = append(snap.Templates, tm)
-	}
-	s.cacheMu.RLock()
-	snap.Cache.Len = s.cache.Len()
-	snap.Cache.Capacity = s.cache.Capacity()
-	s.cacheMu.RUnlock()
-	snap.Cache.CacheSnapshot = s.cacheObs.Snapshot()
-	snap.WAL = s.WALMetrics()
-	snap.Replication = s.ReplMetrics()
-	return snap, nil
-}
-
-// TemplateTrace returns the template's most recent decision traces, oldest
-// first (nil when tracing is disabled via Options.TraceRingSize < 0).
-func (s *System) TemplateTrace(template string) ([]obsv.TraceRecord, error) {
-	st, err := s.lookup(template)
-	if err != nil {
-		return nil, err
-	}
-	return st.obs.Trace(), nil
 }
 
 // CacheLen returns the number of plans currently cached.

@@ -248,7 +248,9 @@ func fuzzTemplate(rng *rand.Rand, sys *System) string {
 	return "SELECT " + sel + " FROM " + strings.Join(from, ", ") + " WHERE " + strings.Join(preds, " AND ") + groupBy
 }
 
-func TestTemplateStats(t *testing.T) {
+// TestTemplateMetrics: one template's metrics are exactly its element of the
+// whole snapshot, and an unknown name is an error.
+func TestTemplateMetrics(t *testing.T) {
 	sys := openSmall(t)
 	if err := sys.Register("Q0", queries.Defs[0].SQL); err != nil {
 		t.Fatal(err)
@@ -262,15 +264,22 @@ func TestTemplateStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st, err := sys.TemplateStats("Q0")
+	st, err := sys.TemplateMetrics("Q0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Degree != 2 || st.SamplesAbsorbed == 0 || st.SynopsisBytes == 0 {
-		t.Errorf("stats = %+v", st)
+	if st.Template != "Q0" || st.Degree != 2 || st.Learner.SamplesAbsorbed == 0 || st.Learner.SynopsisBytes == 0 {
+		t.Errorf("metrics = %+v", st)
 	}
-	if _, err := sys.TemplateStats("nope"); err == nil {
-		t.Error("unknown template stats should fail")
+	snap, err := sys.MetricsSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Templates) != 1 || !reflect.DeepEqual(snap.Templates[0], st) {
+		t.Errorf("TemplateMetrics(Q0) is not the snapshot's Q0 element:\n one: %+v\n all: %+v", st, snap.Templates)
+	}
+	if _, err := sys.TemplateMetrics("nope"); err == nil {
+		t.Error("unknown template metrics should fail")
 	}
 }
 

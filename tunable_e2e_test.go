@@ -35,17 +35,11 @@ func retuneEpoch(t *testing.T, sys *System, template string) uint64 {
 // retuneGauge reads the retune_epoch gauge of one template's metrics.
 func retuneGauge(t *testing.T, sys *System, template string) uint64 {
 	t.Helper()
-	snap, err := sys.MetricsSnapshot()
+	tm, err := sys.TemplateMetrics(template)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tm := range snap.Templates {
-		if tm.Template == template {
-			return tm.Counters.RetuneEpoch
-		}
-	}
-	t.Fatalf("no metrics for template %s", template)
-	return 0
+	return tm.Learner.RetuneEpoch
 }
 
 // TestRetuneEpochGaugeSynchronousFeedback: with FeedbackQueue < 0 there is
@@ -130,7 +124,7 @@ func TestRetuneCrashRecoveryTwice(t *testing.T) {
 	sys := openDurable(t, dir, mutTunable)
 	defer sys.Close() //nolint:errcheck
 	runDurableWorkload(t, sys, 200, 3)
-	if _, err := sys.TemplateStats("Q1"); err != nil { // flush the applier
+	if _, err := sys.TemplateMetrics("Q1"); err != nil { // flush the applier
 		t.Fatal(err)
 	}
 	epoch1 := retuneEpoch(t, sys, "Q1")
@@ -162,7 +156,7 @@ func TestRetuneCrashRecoveryTwice(t *testing.T) {
 	// of runs (floor InvocationProb/2), so the phase is long enough to cross
 	// the 40-insert re-tune threshold with margin.
 	runDurableWorkload(t, rec1, 400, 5)
-	if _, err := rec1.TemplateStats("Q1"); err != nil {
+	if _, err := rec1.TemplateMetrics("Q1"); err != nil {
 		t.Fatal(err)
 	}
 	epoch2 := retuneEpoch(t, rec1, "Q1")
@@ -199,7 +193,7 @@ func TestDurableReshapedTemplateReplay(t *testing.T) {
 	sys := openDurable(t, dir, mutTunable)
 	defer sys.Close() //nolint:errcheck
 	runDurableWorkload(t, sys, 200, 3)
-	if _, err := sys.TemplateStats("Q1"); err != nil { // flush the applier
+	if _, err := sys.TemplateMetrics("Q1"); err != nil { // flush the applier
 		t.Fatal(err)
 	}
 	if retuneEpoch(t, sys, "Q1") == 0 {
