@@ -64,10 +64,12 @@ crash:
 
 # Short fuzz smoke over every decoder that reads crash- or peer-shaped
 # bytes — the WAL frame decoder (all record kinds), the WAL directory
-# scanner/repairer, the snapshot envelope, the optional state-tail sections
-# (corrections + retune), and the seven wire message decoders — over the one
-# replay switch, fed decoded frames of every kind and held to no panic and a
-# learner state that still round-trips its own encoding, over the join
+# scanner/repairer, and FuzzDecode: one round-trip table over the checkpoint
+# envelope (held to its degrade contract), the learner state stream and its
+# tagged sections, the plan-tree codec and the seven wire messages, each
+# held to no panic and decode → encode → decode to the same bytes — over the
+# one replay switch, fed decoded frames of every kind and held to no panic
+# and a learner state that still round-trips its own encoding, over the join
 # enumerator, held to the node-building reference at
 # fuzzer-chosen templates and points, over the frozen-block predict
 # query, held to the map-walking reference at fuzzer-chosen synopsis states
@@ -78,14 +80,12 @@ crash:
 # itself, and to one NewTemplate takes without a panic, and over the catalog
 # histograms' running-count probes (FractionLE, RangeCount, Quantile), held
 # with == to the bucket scans they replaced at fuzzer-chosen values and
-# bucket counts. Go runs one fuzz target per invocation, hence eleven runs.
+# bucket counts. Go runs one fuzz target per invocation, hence nine runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzScan -fuzztime $(FUZZTIME) ./internal/wal
-	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime $(FUZZTIME) .
-	$(GO) test -run '^$$' -fuzz FuzzStateTailDecode -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz 'FuzzDecode$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzReplayRecords -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -run '^$$' -fuzz FuzzDecodeMessages -fuzztime $(FUZZTIME) ./internal/netproto
 	$(GO) test -run '^$$' -fuzz FuzzOptimizeMatchesReference -fuzztime $(FUZZTIME) ./internal/optimizer
 	$(GO) test -run '^$$' -fuzz FuzzModelPredictMatchesReference -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzCompiledMatchesTreeWalk -fuzztime $(FUZZTIME) ./internal/executor

@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"os"
 	"os/exec"
+	"path"
 	"strings"
 	"testing"
 
@@ -107,7 +108,8 @@ func TestDurableApplyAllocBudget(t *testing.T) {
 // binary under cmd/ may link it, or the testing package it drags in. The
 // two serving binaries are held tighter: what they link of repro/internal
 // is exactly the literal set below, so a new dependency fails here and the
-// set can only shrink.
+// set can only shrink; and they link no reflected gob codec, since
+// checkpoints and the wire share one hand-written snapshot codec.
 func TestCommandsLinkNoBenchHarness(t *testing.T) {
 	deps := func(patterns ...string) []string {
 		t.Helper()
@@ -147,6 +149,9 @@ func TestCommandsLinkNoBenchHarness(t *testing.T) {
 	}
 	linked := map[string]bool{}
 	for _, pkg := range deps("./cmd/ppcserve", "./cmd/ppcreplica") {
+		if path.Base(pkg) == "gob" {
+			t.Errorf("a serving binary links %s", pkg)
+		}
 		if name, ok := strings.CutPrefix(pkg, "repro/internal/"); ok {
 			linked[name] = true
 			if !serving[name] {

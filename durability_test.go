@@ -22,11 +22,13 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/netproto"
 	"repro/internal/stats"
 	"repro/internal/tpch"
 	"repro/internal/wal"
@@ -649,57 +651,64 @@ func TestRestoredPlansServeCompiled(t *testing.T) {
 	}
 }
 
-// TestDurableStateWrittenWithCandidateSets: state the parent build wrote
-// with candidate plan sets on (testdata/parent_candidates_on, its README has
-// the recipe) restores warm on a build that has no such thing — gob drops
-// the saved sets, and the plans they interned are ordinary cache entries.
-// The checkpoint is read both ways it can arrive: as a LoadState stream into
-// an in-memory System, and in place by a durable reopen, which finds the
-// WAL wholly covered by it.
+// TestDurableStateWrittenWithCandidateSets: testdata/parent_candidates_on
+// holds a version-1 (gob) checkpoint, a format this build no longer reads
+// (its README has the recipe). Read either way it can arrive — as a
+// LoadState stream into an in-memory System, and in place by a durable
+// reopen — it degrades cold with the version named. On reopen the WAL
+// beside it still replays: its frame format is unchanged, so every record
+// waits for Register and applies once Q0–Q3 are registered.
 func TestDurableStateWrittenWithCandidateSets(t *testing.T) {
 	const fixture = "testdata/parent_candidates_on"
-	checkpoint, err := os.ReadFile(filepath.Join(fixture, checkpointName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(checkpoint, []byte("CandFPs")) {
-		t.Fatal("the fixture carries no candidate set; the test is vacuous")
-	}
-	saved, reason := decodeSnapshot(bytes.NewReader(checkpoint))
-	if reason != "" {
-		t.Fatal(reason)
-	}
 	for _, mode := range []string{"snapshot", "reopen"} {
 		t.Run(mode, func(t *testing.T) {
-			online := onlineForTest()
-			online.InvocationProb = 1e-9 // no random audits: a warm point is a hit
-			opts := Options{
-				TPCH:          tpch.Config{Scale: saved.DBScale, Seed: saved.DBSeed},
-				Online:        online,
-				FeedbackQueue: -1,
+			sys := openFixture(t, fixture, mode, nil)
+			rep := sys.LoadStateReport()
+			if rep == nil || !rep.Corrupt || !strings.Contains(rep.Reason, "version 1 (gob) checkpoint, no longer read") ||
+				rep.Templates != 0 || rep.Plans != 0 {
+				t.Fatalf("a version-1 checkpoint restored %+v, want a cold degrade naming the version", rep)
 			}
-			if mode == "reopen" {
-				opts.Durability = Durability{Dir: crashImage(t, fixture), DisableCheckpointer: true}
+			if mode != "reopen" {
+				return
 			}
-			sys, err := Open(opts)
-			if err != nil {
-				t.Fatal(err)
+			pending := rep.WALPending
+			if pending == 0 {
+				t.Fatal("no WAL record waits for its template; the replay half is vacuous")
 			}
-			defer sys.Close() //nolint:errcheck
-			if mode == "snapshot" {
-				if err := sys.LoadState(bytes.NewReader(checkpoint)); err != nil {
+			for _, name := range []string{"Q0", "Q1", "Q2", "Q3"} {
+				if err := sys.Register(name, mustSQL(t, name)); err != nil {
 					t.Fatal(err)
 				}
 			}
+			if rep.WALPending != 0 || rep.WALReplayed == 0 || rep.WALReplayed+rep.WALSkipped+rep.WALStale != pending {
+				t.Errorf("after registering Q0–Q3: %d pending, %d replayed, %d skipped, %d stale of %d held",
+					rep.WALPending, rep.WALReplayed, rep.WALSkipped, rep.WALStale, pending)
+			}
+		})
+	}
+}
+
+// TestDurableStateWrittenAsVersion2: testdata/checkpoint_v2 is a durable
+// directory closed by the first build that wrote version-2 checkpoints (its
+// README has the recipe): the compatibility oracle for every later build.
+// Read both ways it can arrive, it restores warm — every template and plan
+// back, nothing damaged, a reopen that finds the WAL wholly covered — and a
+// first run at a trained point is a cache hit.
+func TestDurableStateWrittenAsVersion2(t *testing.T) {
+	const fixture = "testdata/checkpoint_v2"
+	tunable := func(o *Options) { o.TunableLSH = TunableLSHOptions{Enable: true, RetuneEvery: 15} }
+	for _, mode := range []string{"snapshot", "reopen"} {
+		t.Run(mode, func(t *testing.T) {
+			sys := openFixture(t, fixture, mode, tunable)
 			rep := sys.LoadStateReport()
-			if rep == nil || rep.Corrupt || rep.Templates != len(saved.Templates) || rep.Plans != len(saved.CacheMRU) {
-				t.Fatalf("restored %+v, the checkpoint holds %d templates and %d plans", rep, len(saved.Templates), len(saved.CacheMRU))
+			if rep == nil || rep.Corrupt || rep.Templates != 4 || rep.Plans == 0 {
+				t.Fatalf("restored %+v, want all four templates and their plans", rep)
 			}
 			if mode == "reopen" && (rep.WALReplayed != 0 || rep.WALSkipped == 0) {
 				t.Errorf("reopen replayed %d records and skipped %d; the checkpoint covers the whole log", rep.WALReplayed, rep.WALSkipped)
 			}
-			for _, st := range saved.Templates {
-				tmpl, err := sys.Template(st.Name)
+			for _, name := range []string{"Q0", "Q1", "Q2", "Q3"} {
+				tmpl, err := sys.Template(name)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -711,15 +720,162 @@ func TestDurableStateWrittenWithCandidateSets(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := sys.Run(st.Name, hot.Values)
+				res, err := sys.Run(name, hot.Values)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !res.CacheHit || res.Invoked || res.OptimizeTime != 0 {
 					t.Errorf("%s: first run at a trained point: hit=%v invoked=%v optimize=%v",
-						st.Name, res.CacheHit, res.Invoked, res.OptimizeTime)
+						name, res.CacheHit, res.Invoked, res.OptimizeTime)
 				}
 			}
+		})
+	}
+}
+
+// openFixture opens a System over a checked-in durable directory the way
+// its README's recipe wrote it: "snapshot" loads the checkpoint as a
+// LoadState stream into an in-memory System, "reopen" opens a durable System
+// over a copy of the directory.
+func openFixture(t *testing.T, fixture, mode string, mut func(*Options)) *System {
+	t.Helper()
+	online := onlineForTest()
+	online.InvocationProb = 1e-9 // no random audits: a warm point is a hit
+	opts := Options{TPCH: tpch.Config{Scale: 2000, Seed: 5}, Online: online, FeedbackQueue: -1}
+	if mut != nil {
+		mut(&opts)
+	}
+	if mode == "reopen" {
+		opts.Durability = Durability{Dir: crashImage(t, fixture), DisableCheckpointer: true}
+	}
+	sys, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sys.Close() }) //nolint:errcheck
+	if mode == "snapshot" {
+		f, err := os.Open(filepath.Join(fixture, checkpointName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close() //nolint:errcheck
+		if err := sys.LoadState(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sys
+}
+
+// TestDurableOpenDegradesInconsistentCheckpoint: a checkpoint whose
+// checksum holds but whose content cannot be restored as written must not
+// stop a durable Open. Each file below is CRC-valid. Open succeeds with a
+// named reason: wholly cold when the decoder rejects the snapshot, and cold
+// for the one template whose SQL no longer registers, or whose learner does
+// not decode, otherwise. The WAL records the lost state covered replay into
+// the cold learners, at Register for a template not yet registered.
+func TestDurableOpenDegradesInconsistentCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	sqlOf := map[string]string{"Q1": mustSQL(t, "Q1"), "QX": mustSQL(t, "Q0")}
+	sys := openDurable(t, dir, nil)
+	if err := sys.Register("QX", sqlOf["QX"]); err != nil {
+		t.Fatal(err)
+	}
+	runDurableWorkload(t, sys, 60, 3)
+	tmpl, _ := sys.Template("QX")
+	point := make([]float64, tmpl.Degree())
+	for i := 0; i < 30; i++ {
+		for j := range point {
+			point[j] = 0.2 + 0.01*float64(i)
+		}
+		inst, err := sys.Optimizer().InstanceAt(tmpl, point)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Run("QX", inst.Values); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.ReadFile(filepath.Join(dir, checkpointName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := len(mustScan(t, dir).Records)
+
+	for _, c := range []struct {
+		name   string
+		mutate func(s *netproto.Snapshot)
+		reason string
+		cold   []string // templates left cold while the rest restores
+	}{
+		{"sql the lexer rejects", func(s *netproto.Snapshot) { s.Templates[1].SQL = "SELECT \xff" },
+			"template QX: sqlparse: invalid UTF-8", []string{"QX"}},
+		{"a learner that does not decode", func(s *netproto.Snapshot) { s.Templates[0].State = s.Templates[0].State[:10] },
+			"template Q1 synopsis", []string{"Q1"}},
+		{"repeated template name", func(s *netproto.Snapshot) { s.Templates[1].Name = "Q1" }, "repeated template name", nil},
+		{"empty template name", func(s *netproto.Snapshot) { s.Templates[1].Name = "" }, "repeated template name", nil},
+		{"repeated fingerprint", func(s *netproto.Snapshot) { s.Fingerprints[1] = s.Fingerprints[0] }, "repeated plan fingerprint", nil},
+		{"empty fingerprint", func(s *netproto.Snapshot) { s.Fingerprints[0] = "" }, "repeated plan fingerprint", nil},
+		{"plan id out of range", func(s *netproto.Snapshot) { s.Plans[0].ID = len(s.Fingerprints) }, "out of range", nil},
+		{"plan of an unknown template", func(s *netproto.Snapshot) { s.Plans[0].Template = "Q9" }, "unknown template", nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			snap, err := netproto.ReadSnapshotFile(bytes.NewReader(file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(snap.Templates) != 2 || snap.Templates[1].Name != "QX" || len(snap.Fingerprints) < 2 || len(snap.Plans) == 0 {
+				t.Fatalf("the checkpoint holds %d templates, %d fingerprints, %d plans; the case is vacuous",
+					len(snap.Templates), len(snap.Fingerprints), len(snap.Plans))
+			}
+			c.mutate(snap)
+			bad, err := netproto.AppendSnapshotFile(nil, snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			crash := crashImage(t, dir)
+			if err := os.WriteFile(filepath.Join(crash, checkpointName), bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			sys, err := Open(durableOptions(crash, nil))
+			if err != nil {
+				t.Fatalf("durable Open over a checksummed but inconsistent checkpoint: %v", err)
+			}
+			defer sys.Close() //nolint:errcheck
+			rep := sys.LoadStateReport()
+			if !rep.Corrupt || !strings.Contains(rep.Reason, c.reason) || !reflect.DeepEqual(rep.ColdTemplates, c.cold) {
+				t.Fatalf("report %+v, want a degrade naming %q with cold templates %v", rep, c.reason, c.cold)
+			}
+			want := 0 // a rejected snapshot restores nothing
+			if c.cold != nil {
+				want = 2 - len(c.cold)
+			}
+			if rep.Templates != want {
+				t.Errorf("restored %d templates, want %d", rep.Templates, want)
+			}
+			unregistered := 0
+			for name := range sqlOf {
+				if _, err := sys.Template(name); err != nil {
+					unregistered++
+				}
+			}
+			if (rep.WALPending == 0) != (unregistered == 0) {
+				t.Errorf("%d WAL records wait with %d templates unregistered", rep.WALPending, unregistered)
+			}
+			for name, sql := range sqlOf {
+				if _, err := sys.Template(name); err != nil {
+					if err := sys.Register(name, sql); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if rep.WALPending != 0 || rep.WALReplayed+rep.WALSkipped+rep.WALStale != records {
+				t.Errorf("after Register: %d pending, replay accounts for %d of %d records",
+					rep.WALPending, rep.WALReplayed+rep.WALSkipped+rep.WALStale, records)
+			}
+			runDurableWorkload(t, sys, 5, 5)
 		})
 	}
 }

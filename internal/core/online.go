@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -612,14 +614,6 @@ func (o *Online) AttachCorrections(c *stats.Corrections) {
 	o.mu.Unlock()
 }
 
-// Corrections returns the attached correction state (nil when the adaptive
-// statistics layer is disabled).
-func (o *Online) Corrections() *stats.Corrections {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.corr
-}
-
 // AppliedSeq returns the WAL sequence number of the newest feedback point
 // reflected in the synopsis (0 when nothing was ever logged). Checkpoint
 // compaction uses it as the safe lower bound: every record at or below it
@@ -708,9 +702,8 @@ func (o *Online) Validated() int { return int(o.validated.Load()) }
 // The trailer is [4]int64{validated, selfLabeled, epoch, appliedSeq}.
 // Epoch and appliedSeq make a checkpoint self-describing for recovery: the
 // WAL replays only records past appliedSeq, interpreting their epochs
-// relative to the checkpoint's. Snapshots written by older builds carried
-// only the two insertion counters and fail to decode — the facade degrades
-// such templates to cold rather than guessing a watermark.
+// relative to the checkpoint's. The optional sections of stateSections
+// follow the trailer.
 func (o *Online) EncodeState(w io.Writer) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -724,20 +717,71 @@ func (o *Online) EncodeState(w io.Writer) error {
 	if err := binary.Write(w, binary.LittleEndian, trailer[:]); err != nil {
 		return err
 	}
-	// Optional correction section: present exactly when the adaptive
-	// statistics layer is attached. Decoders treat EOF here as "no
-	// corrections", which keeps pre-correction snapshots readable.
-	if o.corr != nil {
-		if err := o.corr.Encode(w); err != nil {
+	var body bytes.Buffer
+	for _, sec := range stateSections {
+		body.Reset()
+		if sec.encode != nil {
+			if err := sec.encode(o, &body); err != nil {
+				return err
+			}
+		}
+		if body.Len() == 0 {
+			continue // the learner has no such section
+		}
+		hdr := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, sec.tag), uint32(body.Len()))
+		if _, err := w.Write(append(hdr, body.Bytes()...)); err != nil {
 			return err
 		}
 	}
-	// Optional retune section: present exactly when tunable LSH is (or was)
-	// active on this template. Same additivity contract as corrections.
-	if o.pred.hasTuningState() {
-		return o.pred.encodeRetune(w)
-	}
 	return nil
+}
+
+// stateSection is one optional section of an EncodeState stream: encode
+// writes the learner's body (nothing when it has none), decode reads a body
+// into the state being decoded.
+type stateSection struct {
+	tag    uint32
+	encode func(o *Online, w *bytes.Buffer) error
+	decode func(st *onlineState, body []byte) error
+}
+
+// stateSections is the one table of an EncodeState stream's optional
+// sections. Each follows the counter trailer as `u32 tag | u32 len | body`,
+// in table order, when encode writes a body. The decoder reads every
+// section through this table: an unknown tag, or one out of order or
+// repeated, is an error; a retired tag — an entry whose encode and decode
+// are nil — is skipped by its length.
+var stateSections = [...]stateSection{
+	// Corrections: present exactly when the adaptive statistics layer is
+	// attached. A stream without the section restores correction-cold.
+	{tag: 1,
+		encode: func(o *Online, w *bytes.Buffer) error {
+			if o.corr != nil {
+				w.Write(o.corr.Encode(nil))
+			}
+			return nil
+		},
+		decode: func(st *onlineState, body []byte) (err error) {
+			st.corr, err = stats.DecodeCorrections(body)
+			return err
+		}},
+	// Retune: present exactly when tunable LSH is (or was) active on the
+	// template.
+	{tag: 2,
+		encode: func(o *Online, w *bytes.Buffer) error {
+			if o.pred.hasTuningState() {
+				return o.pred.encodeRetune(w)
+			}
+			return nil
+		},
+		decode: func(st *onlineState, body []byte) error {
+			ret, err := decodeRetune(body)
+			if err != nil {
+				return err
+			}
+			st.retuned = true
+			return st.pred.restoreRetune(ret)
+		}},
 }
 
 // onlineState is an EncodeState stream decoded and validated, not yet
@@ -770,23 +814,39 @@ func decodeOnlineState(r io.Reader) (*onlineState, error) {
 	if st.counters[3] < 0 {
 		return nil, fmt.Errorf("core: restored state has negative applied sequence %d", st.counters[3])
 	}
-	corr, ret, err := decodeStateTail(r)
-	if err != nil {
-		return nil, err
-	}
-	st.corr = corr
-	if ret != nil {
-		if err := pred.restoreRetune(ret); err != nil {
-			return nil, err
+	var last uint32
+	for {
+		var hdr [8]byte
+		if _, err := io.ReadFull(r, hdr[:]); err == io.EOF {
+			return st, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("core: state section header: %w", err)
 		}
-		st.retuned = true
+		tag, n := binary.LittleEndian.Uint32(hdr[:]), binary.LittleEndian.Uint32(hdr[4:])
+		i := slices.IndexFunc(stateSections[:], func(sec stateSection) bool { return sec.tag == tag })
+		if i < 0 || tag <= last {
+			return nil, fmt.Errorf("core: state section tag %d unknown, repeated or out of order", tag)
+		}
+		last = tag
+		body, err := io.ReadAll(io.LimitReader(r, int64(n)))
+		if err == nil && len(body) != int(n) {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, fmt.Errorf("core: state section %d: %w", tag, err)
+		}
+		if dec := stateSections[i].decode; dec != nil {
+			if err := dec(st, body); err != nil {
+				return nil, err
+			}
+		}
 	}
-	return st, nil
 }
 
 // DecodeState restores a driver state written by EncodeState and publishes
 // the restored model. The restored predictor must match this driver's plan
-// space dimensionality.
+// space dimensionality. The whole stream is decoded and checked before any
+// of it is installed, so a stream it rejects leaves the driver untouched.
 func (o *Online) DecodeState(r io.Reader) error {
 	st, err := decodeOnlineState(r)
 	if err != nil {

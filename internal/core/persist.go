@@ -131,8 +131,13 @@ func DecodeApproxLSHHist(r io.Reader) (*ApproxLSHHist, error) {
 	if err := binary.Read(r, le, &sum); err != nil {
 		return nil, fmt.Errorf("core: decode frame checksum: %w", err)
 	}
-	body := make([]byte, length)
-	if _, err := io.ReadFull(r, body); err != nil {
+	// Read what arrives rather than allocate what the header declares: a
+	// damaged length costs the bytes the stream holds, not a gigabyte.
+	body, err := io.ReadAll(io.LimitReader(r, int64(length)))
+	if err == nil && uint64(len(body)) != length {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return nil, fmt.Errorf("core: truncated synopsis frame: %w", err)
 	}
 	if got := crc32.Checksum(body, persistCRC); got != sum {

@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
 	"repro/internal/histogram"
+	"repro/internal/stats"
 )
 
 func TestApproxLSHHistEncodeDecodeIdenticalPredictions(t *testing.T) {
@@ -179,5 +181,61 @@ func TestDecodeDomainAndRaggedPlans(t *testing.T) {
 	}
 	if _, err := DecodeApproxLSHHist(&buf); err == nil {
 		t.Error("histogram over [0,2) accepted")
+	}
+}
+
+// TestStateSectionsReadThroughOneTable: the optional sections after the
+// counter trailer are `tag | len | body` entries read through stateSections.
+// A stream with both sections decodes and re-encodes to the same bytes; an
+// unknown tag, a repeated or out-of-order one, and a section cut short are
+// errors.
+func TestStateSectionsReadThroughOneTable(t *testing.T) {
+	o := MustNewOnline(OnlineConfig{Core: Config{Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5,
+		NoiseElimination: true, RetuneEvery: 50, RetuneReservoir: 64}}, nil)
+	o.AttachCorrections(stats.NewCorrections(2, stats.CorrConfig{}))
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 120; i++ {
+		if err := o.LearnValidated([]float64{rng.Float64(), rng.Float64()}, i%3, 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := o.EncodeState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	state := buf.Bytes()
+	back, err := NewReplicaOnline(bytes.NewReader(state))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := back.EncodeState(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(state, again.Bytes()) {
+		t.Fatal("decode → encode moved the state bytes")
+	}
+
+	// Locate the two sections: after the synopsis frame and the trailer.
+	first := 1 + 8 + 4 + int(binary.LittleEndian.Uint64(state[1:])) + 32
+	second := first + 8 + int(binary.LittleEndian.Uint32(state[first+4:]))
+	if got := binary.LittleEndian.Uint32(state[first:]); got != 1 || binary.LittleEndian.Uint32(state[second:]) != 2 {
+		t.Fatalf("section tags %d, %d; want corrections (1) then retune (2)", got, binary.LittleEndian.Uint32(state[second:]))
+	}
+	section := func(tag uint32, body []byte) []byte {
+		return append(binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, tag), uint32(len(body))), body...)
+	}
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	for name, bad := range map[string][]byte{
+		"unknown tag":        cat(state, section(9, []byte{1})),
+		"repeated section":   cat(state, state[second:]),
+		"out of order":       cat(state[:first], state[second:], state[first:second]),
+		"section cut short":  state[:len(state)-1],
+		"header cut short":   cat(state, []byte{2, 0}),
+		"body past the tail": cat(state[:first], section(1, nil)[:4], []byte{0xff, 0xff, 0, 0}),
+	} {
+		if _, err := NewReplicaOnline(bytes.NewReader(bad)); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
 	}
 }

@@ -4,24 +4,18 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/lsh"
-	"repro/internal/stats"
 )
 
 // Tunable-LSH persistence: the re-tune state — active warps, harvested
-// pre-warp coordinate counts, and the sample reservoir — travels in an
-// optional section appended after the corrections section of an Online
-// state stream. Like the corrections section, it is additive: old decoders
-// stop before it (restoring a tuning-cold predictor), and new decoders
-// treat EOF at the section start as "no retune state".
+// pre-warp coordinate counts, and the sample reservoir — is the body of an
+// Online state stream's retune section (see stateSections), present exactly
+// when tunable LSH is (or was) active on the template.
 //
 // Layout (little endian):
 //
-//	u32 magic "RTPC"
-//	u16 version (1)
 //	u64 retuneEpoch
 //	i64 retuneEvery, sinceRetune, resCap
 //	u16 transforms, axes, bins
@@ -32,13 +26,10 @@ import (
 //	i64 resNext
 //
 // Decay and smoothing are package constants of the tuner, not persisted.
-const (
-	retuneMagic   = uint32(0x43505452) // "RTPC"
-	retuneVersion = uint16(1)
-	// maxRetuneReservoir caps the declared reservoir length so a corrupted
-	// stream cannot drive a huge allocation.
-	maxRetuneReservoir = 1 << 20
-)
+
+// maxRetuneReservoir caps the declared reservoir capacity so a corrupted
+// section cannot arm a huge reservoir.
+const maxRetuneReservoir = 1 << 20
 
 // retuneState is the decoded form of the section, adopted into a predictor
 // by restoreRetune.
@@ -62,181 +53,125 @@ func (p *ApproxLSHHist) hasTuningState() bool {
 	return p.tuner != nil || p.warps != nil
 }
 
-// encodeRetune writes the predictor's tunable-LSH section.
-func (p *ApproxLSHHist) encodeRetune(w io.Writer) error {
-	le := binary.LittleEndian
-	var buf bytes.Buffer
-	for _, f := range []any{retuneMagic, retuneVersion, p.retuneEpoch,
-		int64(p.retuneEvery), int64(p.sinceRetune), int64(p.resCap),
-		uint16(p.cfg.Transforms), uint16(p.cfg.OutDims), uint16(lsh.WarpBins)} {
-		if err := binary.Write(&buf, le, f); err != nil {
-			return err
-		}
-	}
-	hasWarps := uint8(0)
-	if p.warps != nil {
-		hasWarps = 1
-	}
-	if err := binary.Write(&buf, le, hasWarps); err != nil {
-		return err
-	}
-	if p.warps != nil {
-		for _, row := range p.warps {
-			for _, wp := range row {
-				if err := binary.Write(&buf, le, wp.Knots()); err != nil {
-					return err
-				}
+// encodeRetune writes the predictor's tunable-LSH section body to buf.
+func (p *ApproxLSHHist) encodeRetune(buf *bytes.Buffer) error {
+	var err error
+	w := func(vs ...any) {
+		for _, v := range vs {
+			if err == nil {
+				err = binary.Write(buf, binary.LittleEndian, v)
 			}
 		}
 	}
-	hasTuner := uint8(0)
-	if p.tuner != nil {
-		hasTuner = 1
-	}
-	if err := binary.Write(&buf, le, hasTuner); err != nil {
-		return err
-	}
-	if p.tuner != nil {
-		if err := binary.Write(&buf, le, p.tuner.Observed()); err != nil {
-			return err
-		}
-		if err := binary.Write(&buf, le, p.tuner.Counts()); err != nil {
-			return err
+	w(p.retuneEpoch, int64(p.retuneEvery), int64(p.sinceRetune), int64(p.resCap),
+		uint16(p.cfg.Transforms), uint16(p.cfg.OutDims), uint16(lsh.WarpBins), flag(p.warps != nil))
+	for _, row := range p.warps {
+		for _, wp := range row {
+			w(wp.Knots())
 		}
 	}
-	if err := binary.Write(&buf, le, uint32(len(p.reservoir))); err != nil {
-		return err
+	w(flag(p.tuner != nil))
+	if p.tuner != nil {
+		w(p.tuner.Observed(), p.tuner.Counts())
 	}
-	if err := binary.Write(&buf, le, uint16(p.cfg.Dims)); err != nil {
-		return err
-	}
+	w(uint32(len(p.reservoir)), uint16(p.cfg.Dims))
 	// Stored in slot order (not ring order): resNext reconstructs the ring.
 	for _, s := range p.reservoir {
-		if err := binary.Write(&buf, le, int64(s.Plan)); err != nil {
-			return err
-		}
-		if err := binary.Write(&buf, le, s.Cost); err != nil {
-			return err
-		}
-		if err := binary.Write(&buf, le, s.Point); err != nil {
-			return err
-		}
+		w(int64(s.Plan), s.Cost, s.Point)
 	}
-	if err := binary.Write(&buf, le, int64(p.resNext)); err != nil {
-		return err
-	}
-	_, err := w.Write(buf.Bytes())
+	w(int64(p.resNext))
 	return err
 }
 
-// decodeRetuneBody reads the section after its magic has been consumed.
-func decodeRetuneBody(r io.Reader) (*retuneState, error) {
-	le := binary.LittleEndian
-	var version uint16
-	if err := binary.Read(r, le, &version); err != nil {
-		return nil, fmt.Errorf("core: retune section version: %w", err)
+func flag(b bool) uint8 {
+	if b {
+		return 1
 	}
-	if version != retuneVersion {
-		return nil, fmt.Errorf("core: unsupported retune section version %d", version)
+	return 0
+}
+
+// decodeRetune decodes a retune section body written by encodeRetune.
+func decodeRetune(b []byte) (*retuneState, error) {
+	r := bytes.NewReader(b)
+	var err error
+	rd := func(vs ...any) {
+		for _, v := range vs {
+			if err == nil {
+				err = binary.Read(r, binary.LittleEndian, v)
+			}
+		}
 	}
 	st := &retuneState{}
 	var every, since, cap64 int64
 	var transforms, axes, bins uint16
-	for _, p := range []any{&st.retuneEpoch, &every, &since, &cap64, &transforms, &axes, &bins} {
-		if err := binary.Read(r, le, p); err != nil {
-			return nil, fmt.Errorf("core: retune section header: %w", err)
-		}
-	}
-	if bins != lsh.WarpBins {
+	var hasWarps, hasTuner uint8
+	rd(&st.retuneEpoch, &every, &since, &cap64, &transforms, &axes, &bins, &hasWarps)
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("core: retune section header: %w", err)
+	case bins != lsh.WarpBins:
 		return nil, fmt.Errorf("core: retune section has %d warp bins, this build uses %d", bins, lsh.WarpBins)
-	}
-	if every < 0 || since < 0 || cap64 < 0 || cap64 > maxRetuneReservoir {
+	case every < 0 || since < 0 || cap64 < 0 || cap64 > maxRetuneReservoir:
 		return nil, fmt.Errorf("core: implausible retune counters (every=%d since=%d cap=%d)", every, since, cap64)
-	}
-	if transforms == 0 || axes == 0 {
-		return nil, fmt.Errorf("core: retune section shape %dx%d", transforms, axes)
+	// A section carries warps or tuner counts (else it is not written), and
+	// either holds transforms·axes·bins floats: a shape larger than the
+	// section cannot drive an allocation.
+	case transforms == 0 || axes == 0 || int(transforms)*int(axes)*lsh.WarpBins*8 > r.Len():
+		return nil, fmt.Errorf("core: retune section shape %dx%d in %d bytes", transforms, axes, r.Len())
+	case hasWarps > 1:
+		return nil, fmt.Errorf("core: bad retune warps flag %d", hasWarps)
 	}
 	st.retuneEvery, st.sinceRetune, st.resCap = int(every), int(since), int(cap64)
 	st.transforms, st.axes = int(transforms), int(axes)
 
-	var hasWarps uint8
-	if err := binary.Read(r, le, &hasWarps); err != nil {
-		return nil, fmt.Errorf("core: retune warps flag: %w", err)
-	}
 	if hasWarps == 1 {
 		st.warps = make([][]*lsh.Warp, st.transforms)
 		knots := make([]float64, lsh.WarpBins+1)
 		for i := range st.warps {
 			st.warps[i] = make([]*lsh.Warp, st.axes)
 			for a := range st.warps[i] {
-				if err := binary.Read(r, le, knots); err != nil {
+				if rd(knots); err != nil {
 					return nil, fmt.Errorf("core: retune warp knots: %w", err)
 				}
-				wp, err := lsh.WarpFromKnots(knots)
-				if err != nil {
+				if st.warps[i][a], err = lsh.WarpFromKnots(knots); err != nil {
 					return nil, fmt.Errorf("core: retune warp [%d][%d]: %w", i, a, err)
 				}
-				st.warps[i][a] = wp
 			}
 		}
-	} else if hasWarps != 0 {
-		return nil, fmt.Errorf("core: bad retune warps flag %d", hasWarps)
 	}
-
-	var hasTuner uint8
-	if err := binary.Read(r, le, &hasTuner); err != nil {
-		return nil, fmt.Errorf("core: retune tuner flag: %w", err)
-	}
-	if hasTuner == 1 {
-		if err := binary.Read(r, le, &st.observed); err != nil {
-			return nil, fmt.Errorf("core: retune tuner observed: %w", err)
-		}
+	if rd(&hasTuner); hasTuner == 1 {
 		st.tunerCounts = make([]float64, st.transforms*st.axes*lsh.WarpBins)
-		if err := binary.Read(r, le, st.tunerCounts); err != nil {
-			return nil, fmt.Errorf("core: retune tuner counts: %w", err)
-		}
+		rd(&st.observed, st.tunerCounts)
 		for _, c := range st.tunerCounts {
 			if math.IsNaN(c) || math.IsInf(c, 0) || c < 0 {
 				return nil, fmt.Errorf("core: invalid retune tuner count %v", c)
 			}
 		}
-	} else if hasTuner != 0 {
+	} else if hasTuner > 1 {
 		return nil, fmt.Errorf("core: bad retune tuner flag %d", hasTuner)
 	}
 
 	var resLen uint32
 	var dims uint16
-	if err := binary.Read(r, le, &resLen); err != nil {
-		return nil, fmt.Errorf("core: retune reservoir length: %w", err)
-	}
-	if err := binary.Read(r, le, &dims); err != nil {
-		return nil, fmt.Errorf("core: retune reservoir dims: %w", err)
-	}
-	if resLen > maxRetuneReservoir || int(resLen) > st.resCap {
+	rd(&resLen, &dims)
+	if err == nil && (int(resLen) > st.resCap || int(resLen)*(16+8*int(dims)) > r.Len()) {
 		return nil, fmt.Errorf("core: implausible retune reservoir length %d (cap %d)", resLen, st.resCap)
 	}
-	st.reservoir = make([]Sample, 0, resLen)
-	for i := 0; i < int(resLen); i++ {
+	for i := 0; i < int(resLen) && err == nil; i++ {
 		var plan int64
-		var cost float64
-		if err := binary.Read(r, le, &plan); err != nil {
-			return nil, fmt.Errorf("core: retune sample %d: %w", i, err)
-		}
-		if err := binary.Read(r, le, &cost); err != nil {
-			return nil, fmt.Errorf("core: retune sample %d cost: %w", i, err)
-		}
-		pt := make([]float64, dims)
-		if err := binary.Read(r, le, pt); err != nil {
-			return nil, fmt.Errorf("core: retune sample %d point: %w", i, err)
-		}
-		st.reservoir = append(st.reservoir, Sample{Point: pt, Plan: int(plan), Cost: cost})
+		s := Sample{Point: make([]float64, dims)}
+		rd(&plan, &s.Cost, s.Point)
+		s.Plan = int(plan)
+		st.reservoir = append(st.reservoir, s)
 	}
 	var next int64
-	if err := binary.Read(r, le, &next); err != nil {
-		return nil, fmt.Errorf("core: retune reservoir cursor: %w", err)
-	}
-	if next < 0 || (len(st.reservoir) > 0 && int(next) >= st.resCap) {
+	switch rd(&next); {
+	case err != nil:
+		return nil, fmt.Errorf("core: retune section: %w", err)
+	case next < 0 || (len(st.reservoir) > 0 && int(next) >= st.resCap):
 		return nil, fmt.Errorf("core: implausible retune reservoir cursor %d", next)
+	case r.Len() != 0:
+		return nil, fmt.Errorf("core: %d trailing retune section bytes", r.Len())
 	}
 	st.resNext = int(next)
 	return st, nil
@@ -273,46 +208,4 @@ func (p *ApproxLSHHist) restoreRetune(st *retuneState) error {
 	}
 	p.gen++
 	return nil
-}
-
-// decodeStateTail demultiplexes the optional sections that follow an Online
-// state's counter trailer: a corrections section ("CPPC"), then a retune
-// section ("RTPC"). Either, both, or neither may be present; clean EOF ends
-// the tail. Sections must appear at most once, in that order.
-func decodeStateTail(r io.Reader) (*stats.Corrections, *retuneState, error) {
-	le := binary.LittleEndian
-	var corr *stats.Corrections
-	var ret *retuneState
-	for {
-		var magic [4]byte
-		if _, err := io.ReadFull(r, magic[:]); err != nil {
-			if err == io.EOF {
-				return corr, ret, nil
-			}
-			return nil, nil, fmt.Errorf("core: state tail: %w", err)
-		}
-		switch le.Uint32(magic[:]) {
-		case stats.CorrectionsMagic:
-			if corr != nil || ret != nil {
-				return nil, nil, fmt.Errorf("core: corrections section out of order")
-			}
-			// DecodeCorrections expects the magic; hand it back.
-			dec, err := stats.DecodeCorrections(io.MultiReader(bytes.NewReader(magic[:]), r))
-			if err != nil {
-				return nil, nil, err
-			}
-			corr = dec
-		case retuneMagic:
-			if ret != nil {
-				return nil, nil, fmt.Errorf("core: duplicate retune section")
-			}
-			dec, err := decodeRetuneBody(r)
-			if err != nil {
-				return nil, nil, err
-			}
-			ret = dec
-		default:
-			return nil, nil, fmt.Errorf("core: unknown state section magic %08x", le.Uint32(magic[:]))
-		}
-	}
 }

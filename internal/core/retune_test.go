@@ -280,3 +280,42 @@ func TestResetKeepsWarpsDropsReservoir(t *testing.T) {
 		t.Fatalf("reset kept reservoir (%d samples, sinceRetune %d)", len(p.reservoir), p.sinceRetune)
 	}
 }
+
+// TestRetuneTailRoundTrip: the retune section of a trained, re-tuned
+// predictor must round-trip bit-identically — encode -> decode -> restore
+// -> encode gives the same warps, counts, reservoir and cursor bytes.
+func TestRetuneTailRoundTrip(t *testing.T) {
+	cfg := Config{
+		Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5, NoiseElimination: true,
+		RetuneEvery: 50, RetuneReservoir: 128,
+	}
+	p := MustNewApproxLSHHist(cfg)
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 200; i++ {
+		x := []float64{rng.Float64() * 0.4, rng.Float64() * 0.4}
+		p.Insert(Sample{Point: x, Plan: i % 4, Cost: float64(i%10 + 1)})
+	}
+	p.ApplyRetune(1, p.PrepareRetune())
+	var tail bytes.Buffer
+	if err := p.encodeRetune(&tail); err != nil {
+		t.Fatal(err)
+	}
+	ret, err := decodeRetune(tail.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := MustNewApproxLSHHist(cfg)
+	if err := back.restoreRetune(ret); err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := back.encodeRetune(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(tail.Bytes(), again.Bytes()) {
+		t.Fatalf("retune section round trip not byte-identical: %d vs %d bytes", tail.Len(), again.Len())
+	}
+	if _, err := decodeRetune(append(tail.Bytes(), 0)); err == nil {
+		t.Fatal("a retune section with a trailing byte decoded")
+	}
+}

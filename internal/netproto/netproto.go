@@ -3,12 +3,16 @@
 // leader's ship server (internal/replica.Server), the predict-only replicas
 // (internal/replica.Replica) and the Go client library (pkg/client).
 //
-// Framing reuses the conventions of the WAL segments and the snapshot
-// envelopes (persist.go) — Castagnoli CRC over a length-prefixed payload —
-// so a torn or corrupted frame is always detected, never misparsed:
+// Framing reuses the conventions of the WAL segments — Castagnoli CRC over
+// a length-prefixed payload — so a torn or corrupted frame is always
+// detected, never misparsed:
 //
 //	frame:   u32 payloadLen | u32 crc32c(payload) | payload
 //	payload: u8 msgType | body
+//
+// A checkpoint file is the same MsgSnapshot frame behind a file header
+// (AppendSnapshotFile), so the file and the wire share one frame reader, one
+// checksum, one size bound and one snapshot decoder.
 //
 // All integers are little-endian. The first frame on every connection is a
 // Hello carrying the protocol magic, version, the dialer's role, and — for
@@ -30,6 +34,7 @@ import (
 	"net"
 
 	"repro/internal/faults"
+	"repro/internal/wal"
 )
 
 const (
@@ -46,9 +51,12 @@ const (
 	// cannot drive a huge allocation. Snapshots are the largest messages; a
 	// full checkpoint of every template fits comfortably in 64 MiB.
 	MaxFrame = 64 << 20
+	// maxString bounds a u16-length-prefixed string: a template name is the
+	// longest one that must survive intact.
+	maxString = wal.MaxTemplateName
 )
 
-// crcTable is the Castagnoli polynomial table shared with wal and persist.
+// crcTable is the Castagnoli polynomial table shared with wal.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // MsgType tags a frame's payload.
@@ -82,29 +90,18 @@ const (
 	MsgPong MsgType = 10
 )
 
+// msgNames names every message type.
+var msgNames = [...]string{
+	MsgHello: "hello", MsgWelcome: "welcome", MsgError: "error",
+	MsgPredict: "predict", MsgPredictResult: "predict-result",
+	MsgSnapshot: "snapshot", MsgRecords: "records", MsgHeartbeat: "heartbeat",
+	MsgPing: "ping", MsgPong: "pong",
+}
+
 // String names the message type.
 func (t MsgType) String() string {
-	switch t {
-	case MsgHello:
-		return "hello"
-	case MsgWelcome:
-		return "welcome"
-	case MsgError:
-		return "error"
-	case MsgPredict:
-		return "predict"
-	case MsgPredictResult:
-		return "predict-result"
-	case MsgSnapshot:
-		return "snapshot"
-	case MsgRecords:
-		return "records"
-	case MsgHeartbeat:
-		return "heartbeat"
-	case MsgPing:
-		return "ping"
-	case MsgPong:
-		return "pong"
+	if int(t) < len(msgNames) && msgNames[t] != "" {
+		return msgNames[t]
 	}
 	return fmt.Sprintf("netproto.MsgType(%d)", int(t))
 }
@@ -163,10 +160,8 @@ var ErrVersionMismatch = errors.New("netproto: protocol version mismatch")
 // goroutine, one writer goroutine at most).
 type Conn struct {
 	c   net.Conn
-	br  *bufio.Reader
+	fr  frameReader
 	bw  *bufio.Writer
-	hdr [frameOverhead]byte
-	rb  []byte // read payload buffer, reused across ReadMsg calls
 	wb  []byte // write frame buffer, reused across WriteMsg calls
 	inj *faults.Injector
 }
@@ -176,7 +171,7 @@ type Conn struct {
 func NewConn(c net.Conn, inj *faults.Injector) *Conn {
 	return &Conn{
 		c:   c,
-		br:  bufio.NewReaderSize(c, 64<<10),
+		fr:  frameReader{r: bufio.NewReaderSize(c, 64<<10)},
 		bw:  bufio.NewWriterSize(c, 64<<10),
 		inj: inj,
 	}
@@ -185,26 +180,31 @@ func NewConn(c net.Conn, inj *faults.Injector) *Conn {
 // NetConn exposes the underlying connection (deadlines, close).
 func (c *Conn) NetConn() net.Conn { return c.c }
 
-// WriteMsg frames body under msgType and flushes it.
-func (c *Conn) WriteMsg(t MsgType, body []byte) error {
+// appendFrame appends body framed under t to dst.
+func appendFrame(dst []byte, t MsgType, body []byte) ([]byte, error) {
 	payLen := 1 + len(body)
 	if payLen > MaxFrame {
-		return fmt.Errorf("netproto: message of %d bytes exceeds MaxFrame", payLen)
+		return dst, fmt.Errorf("netproto: message of %d bytes exceeds MaxFrame", payLen)
 	}
-	need := frameOverhead + payLen
-	if cap(c.wb) < need {
-		c.wb = make([]byte, need)
-	}
-	frame := c.wb[:need]
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(payLen))
-	frame[frameOverhead] = byte(t)
-	copy(frame[frameOverhead+1:], body)
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(frame[frameOverhead:], crcTable))
+	start := len(dst)
+	dst = append(le.AppendUint32(le.AppendUint32(dst, uint32(payLen)), 0), byte(t)) // checksum filled below
+	dst = append(dst, body...)
+	le.PutUint32(dst[start+4:], crc32.Checksum(dst[start+frameOverhead:], crcTable))
+	return dst, nil
+}
 
-	if c.inj.Should(faults.NetCorruptFrame) && len(frame) > frameOverhead {
+// WriteMsg frames body under msgType and flushes it.
+func (c *Conn) WriteMsg(t MsgType, body []byte) error {
+	frame, err := appendFrame(c.wb[:0], t, body)
+	if err != nil {
+		return err
+	}
+	c.wb = frame
+
+	if c.inj.Should(faults.NetCorruptFrame) {
 		// Flip a payload byte after the CRC was computed: the peer must
 		// detect the mismatch and drop the connection.
-		frame[frameOverhead+c.inj.Intn(payLen)] ^= 0x40
+		frame[frameOverhead+c.inj.Intn(len(frame)-frameOverhead)] ^= 0x40
 	}
 	if c.inj.Should(faults.NetTornFrame) && len(frame) > 1 {
 		// Peer dies mid-write: a prefix lands, then the connection breaks.
@@ -225,20 +225,30 @@ func (c *Conn) WriteMsg(t MsgType, body []byte) error {
 // an internal buffer valid until the next ReadMsg. A CRC or structural
 // failure returns an error wrapping ErrBadFrame; a cleanly closed peer
 // returns io.EOF, a peer lost mid-frame io.ErrUnexpectedEOF.
-func (c *Conn) ReadMsg() (MsgType, []byte, error) {
-	if _, err := io.ReadFull(c.br, c.hdr[:]); err != nil {
+func (c *Conn) ReadMsg() (MsgType, []byte, error) { return c.fr.read() }
+
+// frameReader reads frames from r, reusing its header and payload buffers
+// across calls: the one frame reader behind Conn and ReadSnapshotFile.
+type frameReader struct {
+	r   io.Reader
+	hdr [frameOverhead]byte
+	buf []byte
+}
+
+func (f *frameReader) read() (MsgType, []byte, error) {
+	if _, err := io.ReadFull(f.r, f.hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	payLen := binary.LittleEndian.Uint32(c.hdr[0:4])
-	sum := binary.LittleEndian.Uint32(c.hdr[4:8])
+	payLen := le.Uint32(f.hdr[0:4])
+	sum := le.Uint32(f.hdr[4:8])
 	if payLen < 1 || payLen > MaxFrame {
 		return 0, nil, fmt.Errorf("%w: implausible frame length %d", ErrBadFrame, payLen)
 	}
-	if cap(c.rb) < int(payLen) {
-		c.rb = make([]byte, payLen)
+	if cap(f.buf) < int(payLen) {
+		f.buf = make([]byte, payLen)
 	}
-	payload := c.rb[:payLen]
-	if _, err := io.ReadFull(c.br, payload); err != nil {
+	payload := f.buf[:payLen]
+	if _, err := io.ReadFull(f.r, payload); err != nil {
 		if errors.Is(err, io.EOF) {
 			err = io.ErrUnexpectedEOF
 		}
@@ -268,34 +278,25 @@ type Hello struct {
 
 // Encode appends the hello body to dst.
 func (h Hello) Encode(dst []byte) []byte {
-	dst = append(dst, Magic...)
-	dst = appendU16(dst, h.Version)
-	dst = append(dst, byte(h.Role))
-	dst = appendU64(dst, h.Epoch)
-	return appendU64(dst, h.LastSeq)
+	dst = le.AppendUint16(append(dst, Magic...), h.Version)
+	return le.AppendUint64(le.AppendUint64(append(dst, byte(h.Role)), h.Epoch), h.LastSeq)
 }
 
 // DecodeHello parses a hello body. A wrong magic is a confused peer
 // (ErrBadFrame); a wrong version is ErrVersionMismatch — the caller replies
 // with CodeVersionMismatch so the peer can log both versions.
 func DecodeHello(b []byte) (Hello, error) {
-	if len(b) != len(Magic)+2+1+8+8 {
-		return Hello{}, fmt.Errorf("%w: hello body has %d bytes", ErrBadFrame, len(b))
-	}
-	if string(b[:len(Magic)]) != Magic {
+	r := reader{b: b}
+	magic := string(r.take(len(Magic)))
+	h := Hello{Version: r.u16(), Role: Role(r.u8()), Epoch: r.u64(), LastSeq: r.u64()}
+	switch {
+	case r.finish("hello") != nil:
+		return Hello{}, r.err
+	case magic != Magic:
 		return Hello{}, fmt.Errorf("%w: bad hello magic", ErrBadFrame)
-	}
-	b = b[len(Magic):]
-	h := Hello{
-		Version: binary.LittleEndian.Uint16(b),
-		Role:    Role(b[2]),
-		Epoch:   binary.LittleEndian.Uint64(b[3:]),
-		LastSeq: binary.LittleEndian.Uint64(b[11:]),
-	}
-	if h.Version != Version {
+	case h.Version != Version:
 		return h, fmt.Errorf("%w: peer speaks v%d, this node v%d", ErrVersionMismatch, h.Version, Version)
-	}
-	if h.Role != RoleClient && h.Role != RoleReplica {
+	case h.Role != RoleClient && h.Role != RoleReplica:
 		return h, fmt.Errorf("%w: unknown role %d", ErrBadFrame, h.Role)
 	}
 	return h, nil
@@ -314,27 +315,15 @@ type Welcome struct {
 
 // Encode appends the welcome body to dst.
 func (w Welcome) Encode(dst []byte) []byte {
-	dst = appendU16(dst, w.Version)
-	if w.Resume {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
-	}
-	dst = appendU64(dst, w.Epoch)
-	return appendU64(dst, w.LastSeq)
+	dst = append(le.AppendUint16(dst, w.Version), boolByte(w.Resume))
+	return le.AppendUint64(le.AppendUint64(dst, w.Epoch), w.LastSeq)
 }
 
 // DecodeWelcome parses a welcome body.
 func DecodeWelcome(b []byte) (Welcome, error) {
-	if len(b) != 2+1+8+8 {
-		return Welcome{}, fmt.Errorf("%w: welcome body has %d bytes", ErrBadFrame, len(b))
-	}
-	return Welcome{
-		Version: binary.LittleEndian.Uint16(b),
-		Resume:  b[2] != 0,
-		Epoch:   binary.LittleEndian.Uint64(b[3:]),
-		LastSeq: binary.LittleEndian.Uint64(b[11:]),
-	}, nil
+	r := reader{b: b}
+	w := Welcome{Version: r.u16(), Resume: r.u8() != 0, Epoch: r.u64(), LastSeq: r.u64()}
+	return w, r.finish("welcome")
 }
 
 // ErrorMsg is a typed protocol error.
@@ -351,20 +340,14 @@ func (e ErrorMsg) Error() string {
 
 // Encode appends the error body to dst.
 func (e ErrorMsg) Encode(dst []byte) []byte {
-	dst = appendU16(dst, e.Code)
-	return appendString(dst, e.Msg)
+	return appendString(le.AppendUint16(dst, e.Code), e.Msg)
 }
 
 // DecodeError parses an error body.
 func DecodeError(b []byte) (ErrorMsg, error) {
-	if len(b) < 2 {
-		return ErrorMsg{}, fmt.Errorf("%w: error body has %d bytes", ErrBadFrame, len(b))
-	}
-	msg, rest, err := takeString(b[2:])
-	if err != nil || len(rest) != 0 {
-		return ErrorMsg{}, fmt.Errorf("%w: malformed error body", ErrBadFrame)
-	}
-	return ErrorMsg{Code: binary.LittleEndian.Uint16(b), Msg: msg}, nil
+	r := reader{b: b}
+	e := ErrorMsg{Code: r.u16(), Msg: r.str()}
+	return e, r.finish("error")
 }
 
 // PredictRequest asks for a plan prediction at one plan-space point.
@@ -376,37 +359,27 @@ type PredictRequest struct {
 
 // Encode appends the request body to dst.
 func (p PredictRequest) Encode(dst []byte) []byte {
-	dst = appendU64(dst, p.ID)
-	dst = appendString(dst, p.Template)
-	dst = appendU16(dst, uint16(len(p.Point)))
+	dst = le.AppendUint16(appendString(le.AppendUint64(dst, p.ID), p.Template), uint16(len(p.Point)))
 	for _, v := range p.Point {
-		dst = appendU64(dst, math.Float64bits(v))
+		dst = le.AppendUint64(dst, math.Float64bits(v))
 	}
 	return dst
 }
 
 // DecodePredictRequest parses a predict request body.
 func DecodePredictRequest(b []byte) (PredictRequest, error) {
-	if len(b) < 8 {
-		return PredictRequest{}, fmt.Errorf("%w: predict body has %d bytes", ErrBadFrame, len(b))
+	r := reader{b: b}
+	p := PredictRequest{ID: r.u64(), Template: r.str()}
+	dims := int(r.u16())
+	if r.err == nil && len(r.b) != 8*dims {
+		r.err = fmt.Errorf("%w: predict dims %d disagree with body", ErrBadFrame, dims)
 	}
-	p := PredictRequest{ID: binary.LittleEndian.Uint64(b)}
-	tmpl, rest, err := takeString(b[8:])
-	if err != nil {
-		return PredictRequest{}, err
-	}
-	p.Template = tmpl
-	if len(rest) < 2 {
-		return PredictRequest{}, fmt.Errorf("%w: predict body truncated", ErrBadFrame)
-	}
-	dims := int(binary.LittleEndian.Uint16(rest))
-	rest = rest[2:]
-	if len(rest) != 8*dims {
-		return PredictRequest{}, fmt.Errorf("%w: predict dims %d disagree with body", ErrBadFrame, dims)
+	if r.err != nil {
+		return PredictRequest{}, r.err
 	}
 	p.Point = make([]float64, dims)
 	for i := range p.Point {
-		p.Point[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[8*i:]))
+		p.Point[i] = r.f64()
 	}
 	return p, nil
 }
@@ -432,49 +405,21 @@ type PredictResult struct {
 
 // Encode appends the result body to dst.
 func (p PredictResult) Encode(dst []byte) []byte {
-	dst = appendU64(dst, p.ID)
-	dst = append(dst, p.Status)
-	dst = appendU64(dst, uint64(p.Plan))
-	dst = appendU64(dst, math.Float64bits(p.Confidence))
-	dst = appendU64(dst, math.Float64bits(p.Cost))
-	if p.CostKnown {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
-	}
-	dst = appendU64(dst, uint64(p.Epoch))
-	dst = appendU64(dst, p.ModelVersion)
-	dst = appendString(dst, p.Fingerprint)
-	return appendString(dst, p.ErrMsg)
+	dst = le.AppendUint64(append(le.AppendUint64(dst, p.ID), p.Status), uint64(p.Plan))
+	dst = le.AppendUint64(le.AppendUint64(dst, math.Float64bits(p.Confidence)), math.Float64bits(p.Cost))
+	dst = le.AppendUint64(le.AppendUint64(append(dst, boolByte(p.CostKnown)), uint64(p.Epoch)), p.ModelVersion)
+	return appendString(appendString(dst, p.Fingerprint), p.ErrMsg)
 }
 
 // DecodePredictResult parses a predict result body.
 func DecodePredictResult(b []byte) (PredictResult, error) {
-	const fixed = 8 + 1 + 8 + 8 + 8 + 1 + 8 + 8
-	if len(b) < fixed {
-		return PredictResult{}, fmt.Errorf("%w: predict result body has %d bytes", ErrBadFrame, len(b))
-	}
-	le := binary.LittleEndian
-	p := PredictResult{
-		ID:           le.Uint64(b),
-		Status:       b[8],
-		Plan:         int64(le.Uint64(b[9:])),
-		Confidence:   math.Float64frombits(le.Uint64(b[17:])),
-		Cost:         math.Float64frombits(le.Uint64(b[25:])),
-		CostKnown:    b[33] != 0,
-		Epoch:        int64(le.Uint64(b[34:])),
-		ModelVersion: le.Uint64(b[42:]),
-	}
-	fp, rest, err := takeString(b[fixed:])
-	if err != nil {
-		return PredictResult{}, err
-	}
-	msg, rest, err := takeString(rest)
-	if err != nil || len(rest) != 0 {
-		return PredictResult{}, fmt.Errorf("%w: malformed predict result body", ErrBadFrame)
-	}
-	p.Fingerprint, p.ErrMsg = fp, msg
-	return p, nil
+	r := reader{b: b}
+	f := r.take(8 + 1 + 8 + 8 + 8 + 1 + 8 + 8) // the fixed part, read by offset
+	p := PredictResult{ID: le.Uint64(f), Status: f[8], Plan: int64(le.Uint64(f[9:])),
+		Confidence: math.Float64frombits(le.Uint64(f[17:])), Cost: math.Float64frombits(le.Uint64(f[25:])),
+		CostKnown: f[33] != 0, Epoch: int64(le.Uint64(f[34:])), ModelVersion: le.Uint64(f[42:]),
+		Fingerprint: r.str(), ErrMsg: r.str()}
+	return p, r.finish("predict result")
 }
 
 // Err converts a non-OK, non-NULL status into an error (nil for StatusOK
@@ -493,90 +438,144 @@ func (p PredictResult) Err() error {
 	return fmt.Errorf("netproto: predict status %d: %s", p.Status, p.ErrMsg)
 }
 
-// TemplateState is one template's learned state inside a Snapshot: the
-// core.Online EncodeState bytes, opaque to the wire layer.
+// TemplateState is one template inside a Snapshot: its name, its SQL and
+// its core.Online EncodeState bytes, which the wire layer treats as opaque.
 type TemplateState struct {
 	Name  string
+	SQL   string
 	State []byte
 }
 
-// Snapshot is the leader's full learned state: every template's learner
-// encoding plus the plan fingerprint table (dense plan id -> fingerprint).
-// BaseSeq is the WAL sequence floor the snapshot covers — the shipped tail
-// starts there, and per-template applied-sequence watermarks inside the
-// learner encodings make the overlap idempotent.
+// PlanState is one cached plan inside a checkpoint: its dense plan id (its
+// fingerprint is Fingerprints[ID]), the template that owns it, its estimated
+// cost, and its tree in the optimizer's plan codec — opaque here, like
+// learner bytes.
+type PlanState struct {
+	ID       int
+	Template string
+	Cost     float64
+	Tree     []byte
+}
+
+// Snapshot is a System's learned state, the one form a checkpoint file and
+// the replica ship stream both carry: the database it was learned on, every
+// template's SQL and learner encoding, and the plan fingerprint table (dense
+// plan id -> fingerprint). A checkpoint adds Plans, the plan cache least
+// recently used first; the ship stream leaves it empty and stamps Epoch, the
+// leader lineage epoch, and BaseSeq, the WAL sequence floor the snapshot
+// covers — the shipped tail starts there, and per-template applied-sequence
+// watermarks inside the learner encodings make the overlap idempotent.
 type Snapshot struct {
 	Epoch        uint64
 	BaseSeq      uint64
+	DBScale      int
+	DBSeed       int64
 	Templates    []TemplateState
 	Fingerprints []string
+	Plans        []PlanState
 }
 
 // Encode appends the snapshot body to dst.
-func (s Snapshot) Encode(dst []byte) []byte {
-	dst = appendU64(dst, s.Epoch)
-	dst = appendU64(dst, s.BaseSeq)
-	dst = appendU32(dst, uint32(len(s.Templates)))
+func (s *Snapshot) Encode(dst []byte) []byte {
+	dst = le.AppendUint64(le.AppendUint64(dst, s.Epoch), s.BaseSeq)
+	dst = le.AppendUint64(le.AppendUint64(dst, uint64(s.DBScale)), uint64(s.DBSeed))
+	dst = le.AppendUint32(dst, uint32(len(s.Templates)))
 	for _, t := range s.Templates {
-		dst = appendString(dst, t.Name)
-		dst = appendU32(dst, uint32(len(t.State)))
-		dst = append(dst, t.State...)
+		dst = appendBlob(appendBlob(appendString(dst, t.Name), t.SQL), t.State)
 	}
-	dst = appendU32(dst, uint32(len(s.Fingerprints)))
+	dst = le.AppendUint32(dst, uint32(len(s.Fingerprints)))
 	for _, fp := range s.Fingerprints {
-		dst = appendString(dst, fp)
+		dst = appendBlob(dst, fp)
+	}
+	dst = le.AppendUint32(dst, uint32(len(s.Plans)))
+	for _, p := range s.Plans {
+		dst = appendString(le.AppendUint32(dst, uint32(p.ID)), p.Template)
+		dst = appendBlob(le.AppendUint64(dst, math.Float64bits(p.Cost)), p.Tree)
 	}
 	return dst
 }
 
-// DecodeSnapshot parses a snapshot body. The returned state byte slices
-// are copies (safe to retain past the next ReadMsg).
+// DecodeSnapshot parses and validates a snapshot body: the one decoder
+// behind LoadState and a replica's install. Beyond the framing it checks
+// what a restore relies on — template names and fingerprints non-empty and
+// unique, a plan id indexing the fingerprint table at most once, a plan's
+// template present — so a checksummed but inconsistent snapshot is rejected
+// whole instead of failing half-restored. The returned byte slices are
+// copies (safe to retain past the next ReadMsg).
 func DecodeSnapshot(b []byte) (*Snapshot, error) {
-	if len(b) < 8+8+4 {
-		return nil, fmt.Errorf("%w: snapshot body has %d bytes", ErrBadFrame, len(b))
+	r := reader{b: b}
+	s := &Snapshot{Epoch: r.u64(), BaseSeq: r.u64(), DBScale: int(r.u64()), DBSeed: int64(r.u64())}
+	names, fps, ids := map[string]bool{}, map[string]bool{}, map[int]bool{}
+	for n := r.u32(); n > 0 && r.err == nil; n-- {
+		t := TemplateState{Name: r.str(), SQL: string(r.raw()), State: r.blob()}
+		r.expect(t.Name != "" && !names[t.Name], "empty or repeated template name %q", t.Name)
+		names[t.Name] = true
+		s.Templates = append(s.Templates, t)
 	}
-	s := &Snapshot{
-		Epoch:   binary.LittleEndian.Uint64(b),
-		BaseSeq: binary.LittleEndian.Uint64(b[8:]),
-	}
-	b = b[16:]
-	n := int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	for i := 0; i < n; i++ {
-		name, rest, err := takeString(b)
-		if err != nil {
-			return nil, err
-		}
-		if len(rest) < 4 {
-			return nil, fmt.Errorf("%w: snapshot template %d truncated", ErrBadFrame, i)
-		}
-		sl := int(binary.LittleEndian.Uint32(rest))
-		rest = rest[4:]
-		if len(rest) < sl {
-			return nil, fmt.Errorf("%w: snapshot template %q state truncated", ErrBadFrame, name)
-		}
-		state := make([]byte, sl)
-		copy(state, rest[:sl])
-		s.Templates = append(s.Templates, TemplateState{Name: name, State: state})
-		b = rest[sl:]
-	}
-	if len(b) < 4 {
-		return nil, fmt.Errorf("%w: snapshot fingerprint table truncated", ErrBadFrame)
-	}
-	nf := int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	for i := 0; i < nf; i++ {
-		fp, rest, err := takeString(b)
-		if err != nil {
-			return nil, err
-		}
+	for n := r.u32(); n > 0 && r.err == nil; n-- {
+		fp := string(r.raw())
+		r.expect(fp != "" && !fps[fp], "empty or repeated plan fingerprint %q", fp)
+		fps[fp] = true
 		s.Fingerprints = append(s.Fingerprints, fp)
-		b = rest
 	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing snapshot bytes", ErrBadFrame, len(b))
+	for n := r.u32(); n > 0 && r.err == nil; n-- {
+		p := PlanState{ID: int(r.u32()), Template: r.str(), Cost: r.f64(), Tree: r.blob()}
+		r.expect(p.ID < len(s.Fingerprints) && !ids[p.ID], "plan id %d out of range or repeated", p.ID)
+		r.expect(names[p.Template], "plan %d names unknown template %q", p.ID, p.Template)
+		ids[p.ID] = true
+		s.Plans = append(s.Plans, p)
+	}
+	if err := r.finish("snapshot"); err != nil {
+		return nil, err
 	}
 	return s, nil
+}
+
+// A checkpoint file is a file header — snapshotMagic, then a u16 version —
+// followed by the MsgSnapshot frame the ship stream carries. Version 1 held
+// a reflected (gob) payload; it is recognised by its header alone and not
+// read.
+const (
+	snapshotMagic          = "PPCSNAP\x00"
+	snapshotVersion uint16 = 2
+)
+
+// errSnapshotV1 reports a version-1 checkpoint file: recognised, not read.
+var errSnapshotV1 = errors.New("version 1 (gob) checkpoint, no longer read")
+
+// AppendSnapshotFile appends s to dst as a checkpoint file. It fails when
+// the snapshot exceeds MaxFrame: a file that could not be read back or
+// shipped is never written.
+func AppendSnapshotFile(dst []byte, s *Snapshot) ([]byte, error) {
+	dst = le.AppendUint16(append(dst, snapshotMagic...), snapshotVersion)
+	return appendFrame(dst, MsgSnapshot, s.Encode(nil))
+}
+
+// ReadSnapshotFile reads a checkpoint file written by AppendSnapshotFile:
+// the header, then one frame through the reader Conn uses, decoded by
+// DecodeSnapshot.
+func ReadSnapshotFile(r io.Reader) (*Snapshot, error) {
+	var hdr [len(snapshotMagic) + 2]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, fmt.Errorf("short snapshot header: %w", err)
+	}
+	if string(hdr[:len(snapshotMagic)]) != snapshotMagic {
+		return nil, errors.New("bad magic (not a PPC snapshot)")
+	}
+	if v := le.Uint16(hdr[len(snapshotMagic):]); v == 1 {
+		return nil, errSnapshotV1
+	} else if v != snapshotVersion {
+		return nil, fmt.Errorf("unsupported snapshot version %d", v)
+	}
+	f := frameReader{r: r}
+	t, body, err := f.read()
+	if err == nil && t != MsgSnapshot {
+		err = fmt.Errorf("%w: a %v message", ErrBadFrame, t)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("snapshot frame: %w", err)
+	}
+	return DecodeSnapshot(body)
 }
 
 // Heartbeat carries liveness plus a fenced sequence number: leader -> the
@@ -588,57 +587,101 @@ type Heartbeat struct {
 
 // Encode appends the heartbeat body to dst.
 func (h Heartbeat) Encode(dst []byte) []byte {
-	dst = appendU64(dst, h.Seq)
-	return appendU64(dst, h.Epoch)
+	return le.AppendUint64(le.AppendUint64(dst, h.Seq), h.Epoch)
 }
 
 // DecodeHeartbeat parses a heartbeat body.
 func DecodeHeartbeat(b []byte) (Heartbeat, error) {
-	if len(b) != 16 {
-		return Heartbeat{}, fmt.Errorf("%w: heartbeat body has %d bytes", ErrBadFrame, len(b))
-	}
-	return Heartbeat{
-		Seq:   binary.LittleEndian.Uint64(b),
-		Epoch: binary.LittleEndian.Uint64(b[8:]),
-	}, nil
+	r := reader{b: b}
+	h := Heartbeat{Seq: r.u64(), Epoch: r.u64()}
+	return h, r.finish("heartbeat")
 }
 
 // --- primitive append/take helpers ------------------------------------------
 
-func appendU16(dst []byte, v uint16) []byte {
-	return append(dst, byte(v), byte(v>>8))
-}
+var le = binary.LittleEndian
 
-func appendU32(dst []byte, v uint32) []byte {
-	return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func appendU64(dst []byte, v uint64) []byte {
-	return append(dst,
-		byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
+func boolByte(v bool) byte {
+	if v {
+		return 1
+	}
+	return 0
 }
 
 // appendString appends a u16-length-prefixed string (the WAL's template
-// name convention). Strings longer than 64 KiB are truncated — protocol
-// strings are names, fingerprints and diagnostics, all far shorter.
+// name convention). Strings longer than maxString are truncated: every name
+// is within it, and the longer strings a message carries are diagnostics.
 func appendString(dst []byte, s string) []byte {
-	if len(s) > math.MaxUint16 {
-		s = s[:math.MaxUint16]
+	if len(s) > maxString {
+		s = s[:maxString]
 	}
-	dst = appendU16(dst, uint16(len(s)))
-	return append(dst, s...)
+	return append(le.AppendUint16(dst, uint16(len(s))), s...)
 }
 
-// takeString consumes a u16-length-prefixed string from b.
-func takeString(b []byte) (string, []byte, error) {
-	if len(b) < 2 {
-		return "", nil, fmt.Errorf("%w: truncated string length", ErrBadFrame)
+// appendBlob appends a u32-length-prefixed byte string.
+func appendBlob[T string | []byte](dst []byte, b T) []byte {
+	return append(le.AppendUint32(dst, uint32(len(b))), b...)
+}
+
+// reader consumes a message body front to back: the one bounds check every
+// decoder shares. Its first error sticks and wraps ErrBadFrame, and it
+// empties the body, so every later read returns zeros and a decoder checks
+// once, at finish.
+type reader struct {
+	b   []byte
+	err error
+}
+
+// zeros backs the reads after an error: every fixed-width read, and the
+// predict result's fixed part, is within it.
+var zeros [64]byte
+
+// errTruncated is the error of a body shorter than its fields.
+var errTruncated = fmt.Errorf("%w: truncated body", ErrBadFrame)
+
+// take consumes n bytes, aliasing the body. It stays small enough to
+// inline (no call on either path), since the predict request and result
+// decode through it on every RPC.
+func (r *reader) take(n int) []byte {
+	if len(r.b) < n {
+		if r.err == nil {
+			r.err = errTruncated
+		}
+		r.b = nil
+		return zeros[:min(n, len(zeros))]
 	}
-	n := int(binary.LittleEndian.Uint16(b))
-	b = b[2:]
-	if len(b) < n {
-		return "", nil, fmt.Errorf("%w: truncated string body (%d of %d bytes)", ErrBadFrame, len(b), n)
+	out := r.b[:n]
+	r.b = r.b[n:]
+	return out
+}
+
+func (r *reader) u8() uint8    { return r.take(1)[0] }
+func (r *reader) u16() uint16  { return le.Uint16(r.take(2)) }
+func (r *reader) u32() uint32  { return le.Uint32(r.take(4)) }
+func (r *reader) u64() uint64  { return le.Uint64(r.take(8)) }
+func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
+
+// str consumes a u16-length-prefixed string.
+func (r *reader) str() string { return string(r.take(int(r.u16()))) }
+
+// raw consumes a u32-length-prefixed byte string, aliasing the body.
+func (r *reader) raw() []byte { return r.take(int(r.u32())) }
+
+// blob is raw, copied.
+func (r *reader) blob() []byte { return append([]byte(nil), r.raw()...) }
+
+// expect records a malformed body unless ok.
+func (r *reader) expect(ok bool, format string, args ...any) {
+	if !ok && r.err == nil {
+		r.err = fmt.Errorf("%w: "+format, append([]any{ErrBadFrame}, args...)...)
+		r.b = nil
 	}
-	return string(b[:n]), b[n:], nil
+}
+
+// finish reports the first error, or bytes left past a complete body.
+func (r *reader) finish(what string) error {
+	if r.err == nil && len(r.b) != 0 {
+		r.err = fmt.Errorf("%w: %d trailing %s bytes", ErrBadFrame, len(r.b), what)
+	}
+	return r.err
 }

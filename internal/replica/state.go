@@ -6,11 +6,12 @@
 //
 // Replication unit and invariants:
 //
-//   - The snapshot is the leader's per-template EncodeState bytes — the
-//     exact bytes a checkpoint writes — plus the dense plan fingerprint
-//     table. A replica that decodes them holds a learner state identical
-//     to the leader's at encode time, so predictions are bit-identical for
-//     the same snapshot epoch.
+//   - The snapshot is the one a checkpoint writes, without its plans: the
+//     leader's per-template EncodeState bytes plus the dense plan
+//     fingerprint table, read by netproto.DecodeSnapshot on both sides. A
+//     replica that decodes them holds a learner state identical to the
+//     leader's at encode time, so predictions are bit-identical for the
+//     same snapshot epoch.
 //   - The incremental stream is the leader's WAL records, shipped in their
 //     on-disk frame encoding. Replicas apply them through the same
 //     idempotent ReplayRecords crash recovery uses: per-template applied-
@@ -27,13 +28,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/netproto"
 	"repro/internal/obsv"
-	"repro/internal/stats"
 	"repro/internal/wal"
 )
 
@@ -194,28 +195,18 @@ func (s *State) ApplyRecords(recs []wal.Record) (applied, skipped int) {
 	return applied, skipped
 }
 
-// RetuneEpoch returns the tunable-LSH retune epoch of one installed
-// template's learner (0 when the template is absent or tuning never fired).
-// Parity audits compare it against the leader's.
-func (s *State) RetuneEpoch(template string) uint64 {
+// EncodeState writes one installed template's learner state — synopsis,
+// counters, corrections and retune sections — in core.Online's encoding.
+// Parity audits compare it byte for byte against the leader's: a replica
+// holds the leader's learned state exactly, not approximately.
+func (s *State) EncodeState(template string, w io.Writer) error {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if o := s.templates[template]; o != nil {
-		return o.RetuneEpoch()
+	o := s.templates[template]
+	s.mu.RUnlock()
+	if o == nil {
+		return fmt.Errorf("replica: template %s not installed", template)
 	}
-	return 0
-}
-
-// CorrectionState returns the correction state shipped for one template —
-// nil when the template is absent or its learner was shipped without a
-// corrections section. Parity audits compare it against the leader's.
-func (s *State) CorrectionState(template string) *stats.Corrections {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if o := s.templates[template]; o != nil {
-		return o.Corrections()
-	}
-	return nil
+	return o.EncodeState(w)
 }
 
 // PredictRPC serves one wire predict request from the installed state:

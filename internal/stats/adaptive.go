@@ -3,7 +3,6 @@ package stats
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -294,113 +293,49 @@ func (c *Corrections) ActiveSites() int {
 	return n
 }
 
-// corrMagic opens an encoded corrections section; corrVersion versions it.
-// The section rides behind the learner trailer inside EncodeState bytes:
-// old decoders stop before it (and stay correction-cold), new decoders
-// treat EOF at the section start as "no corrections".
-const (
-	corrMagic   = uint32(0x43505043) // "CPPC"
-	corrVersion = uint16(1)
-	// CorrectionsMagic exposes the section magic so multi-section decoders
-	// (core's optional persistence tail) can dispatch on a peeked magic
-	// before handing the stream to DecodeCorrections.
-	CorrectionsMagic = corrMagic
-	// maxCorrSites caps the declared site count so a corrupted length field
-	// cannot drive a huge allocation.
-	maxCorrSites = 1 << 20
-)
-
-// Encode writes the correction state (config, watermark, epoch and every
-// site's EWMA state) to w.
-func (c *Corrections) Encode(w io.Writer) error {
+// Encode appends the correction state — site count, config, epoch, WAL
+// watermark and every site's EWMA state — to dst: the body of the learner
+// state's corrections section (core.Online.EncodeState).
+func (c *Corrections) Encode(dst []byte) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	le := binary.LittleEndian
-	var hdr [4 + 2 + 4]byte
-	le.PutUint32(hdr[0:], corrMagic)
-	le.PutUint16(hdr[4:], corrVersion)
-	le.PutUint32(hdr[6:], uint32(len(c.sites)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	dst = le.AppendUint32(dst, uint32(len(c.sites)))
+	for _, v := range [...]float64{c.cfg.Alpha, c.cfg.ClampMin, c.cfg.ClampMax, float64(c.cfg.MinObs), c.cfg.EpochLogDelta} {
+		dst = le.AppendUint64(dst, math.Float64bits(v))
 	}
-	cfg := []float64{c.cfg.Alpha, c.cfg.ClampMin, c.cfg.ClampMax, float64(c.cfg.MinObs), c.cfg.EpochLogDelta}
-	if err := binary.Write(w, le, cfg); err != nil {
-		return err
+	dst = le.AppendUint64(le.AppendUint64(dst, c.epoch.Load()), c.appliedSeq.Load())
+	for _, s := range c.sites {
+		dst = le.AppendUint64(le.AppendUint64(le.AppendUint64(dst, math.Float64bits(s.logc)), s.n), math.Float64bits(s.ref))
 	}
-	if err := binary.Write(w, le, [2]uint64{c.epoch.Load(), c.appliedSeq.Load()}); err != nil {
-		return err
-	}
-	for i := range c.sites {
-		s := &c.sites[i]
-		if err := binary.Write(w, le, [3]uint64{math.Float64bits(s.logc), s.n, math.Float64bits(s.ref)}); err != nil {
-			return err
-		}
-	}
-	return nil
+	return dst
 }
 
-// DecodeCorrections reads a corrections section written by Encode and
-// returns freshly constructed state. A clean EOF before the first byte
-// returns (nil, nil): the stream predates corrections, the caller stays
-// cold. Anything else that fails to parse is an error.
-func DecodeCorrections(r io.Reader) (*Corrections, error) {
+// DecodeCorrections decodes a section body written by Encode into freshly
+// constructed state; a body with a byte more or less than its site count
+// declares is an error.
+func DecodeCorrections(b []byte) (*Corrections, error) {
+	const siteBytes, fixed = 24, 4 + 5*8 + 2*8
 	le := binary.LittleEndian
-	var hdr [4 + 2 + 4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("stats: corrections header: %w", err)
+	if len(b) < fixed || uint64(le.Uint32(b))*siteBytes != uint64(len(b)-fixed) {
+		return nil, fmt.Errorf("stats: corrections section of %d bytes does not match its site count", len(b))
 	}
-	if le.Uint32(hdr[0:]) != corrMagic {
-		return nil, fmt.Errorf("stats: bad corrections magic %08x", le.Uint32(hdr[0:]))
-	}
-	if v := le.Uint16(hdr[4:]); v != corrVersion {
-		return nil, fmt.Errorf("stats: unsupported corrections version %d", v)
-	}
-	nSites := le.Uint32(hdr[6:])
-	if nSites > maxCorrSites {
-		return nil, fmt.Errorf("stats: implausible corrections site count %d", nSites)
-	}
-	var cfgv [5]float64
-	if err := binary.Read(r, le, cfgv[:]); err != nil {
-		return nil, fmt.Errorf("stats: corrections config: %w", err)
-	}
-	cfg := CorrConfig{Alpha: cfgv[0], ClampMin: cfgv[1], ClampMax: cfgv[2], MinObs: uint64(cfgv[3]), EpochLogDelta: cfgv[4]}
-	c := NewCorrections(int(nSites), cfg)
-	var meta [2]uint64
-	if err := binary.Read(r, le, meta[:]); err != nil {
-		return nil, fmt.Errorf("stats: corrections state: %w", err)
-	}
-	c.epoch.Store(meta[0])
-	c.appliedSeq.Store(meta[1])
-	for i := 0; i < int(nSites); i++ {
-		var sv [3]uint64
-		if err := binary.Read(r, le, sv[:]); err != nil {
-			return nil, fmt.Errorf("stats: corrections site %d: %w", i+1, err)
-		}
-		c.sites[i] = siteState{logc: math.Float64frombits(sv[0]), n: sv[1], ref: math.Float64frombits(sv[2])}
+	f64 := func(off int) float64 { return math.Float64frombits(le.Uint64(b[off:])) }
+	c := NewCorrections(int(le.Uint32(b)), CorrConfig{Alpha: f64(4), ClampMin: f64(12), ClampMax: f64(20),
+		MinObs: uint64(f64(28)), EpochLogDelta: f64(36)})
+	c.epoch.Store(le.Uint64(b[44:]))
+	c.appliedSeq.Store(le.Uint64(b[52:]))
+	for i := range c.sites {
+		off := fixed + siteBytes*i
+		c.sites[i] = siteState{logc: f64(off), n: le.Uint64(b[off+8:]), ref: f64(off + 16)}
 		c.publishLocked(i)
 	}
 	return c, nil
 }
 
-// RestoreFrom replaces this state with one decoded from r, requiring the
-// same site count (a shape change between save and restore degrades the
-// template to correction-cold via the returned error). A stream with no
-// corrections section resets to cold.
-func (c *Corrections) RestoreFrom(r io.Reader) error {
-	dec, err := DecodeCorrections(r)
-	if err != nil {
-		return err
-	}
-	return c.Adopt(dec)
-}
-
-// Adopt replaces this state with an already-decoded one (nil resets to
-// cold), requiring the same site count. Split from RestoreFrom so callers
-// that demultiplex several optional persistence sections can decode the
-// corrections section themselves and hand over the result.
+// Adopt replaces this state with a decoded one (nil resets to cold),
+// requiring the same site count: a shape change between save and restore
+// degrades the template to correction-cold via the returned error.
 func (c *Corrections) Adopt(dec *Corrections) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -163,11 +163,8 @@ func TestCorrectionsEncodeDecodeRoundTrip(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		c.Apply([]Obs{{Site: 1, LogQ: math.Log(5)}, {Site: 2, LogQ: math.Log(0.5)}}, lg)
 	}
-	var buf bytes.Buffer
-	if err := c.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	dec, err := DecodeCorrections(bytes.NewReader(buf.Bytes()))
+	body := c.Encode(nil)
+	dec, err := DecodeCorrections(body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,35 +181,37 @@ func TestCorrectionsEncodeDecodeRoundTrip(t *testing.T) {
 	if dec.Factor(1) != c.Factor(1) || dec.Factor(2) != c.Factor(2) {
 		t.Fatal("decoded factors differ")
 	}
-
-	// Clean EOF at the section start means "no corrections": nil, nil.
-	if dec, err := DecodeCorrections(bytes.NewReader(nil)); dec != nil || err != nil {
-		t.Fatalf("empty stream decoded (%v, %v), want (nil, nil)", dec, err)
-	}
-	// Garbage is an error, not a silent cold start.
-	if _, err := DecodeCorrections(bytes.NewReader(make([]byte, 64))); err == nil {
-		t.Fatal("garbage decoded without error")
+	if !bytes.Equal(dec.Encode(nil), body) {
+		t.Fatal("decode -> encode moved the section bytes")
 	}
 
-	// RestoreFrom with a matching shape adopts the state; a shape mismatch
-	// is an error (the caller degrades to correction-cold).
+	// A body that disagrees with its declared site count is an error, not a
+	// silent cold start: empty, truncated, one byte long, garbage.
+	for _, bad := range [][]byte{nil, body[:len(body)-1], append(append([]byte(nil), body...), 0), make([]byte, 64)} {
+		if _, err := DecodeCorrections(bad); err == nil {
+			t.Fatalf("a %d-byte body decoded without error", len(bad))
+		}
+	}
+
+	// Adopt with a matching shape takes the state; a shape mismatch is an
+	// error (the caller degrades to correction-cold).
 	r2 := NewCorrections(2, CorrConfig{})
-	if err := r2.RestoreFrom(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := r2.Adopt(dec); err != nil {
 		t.Fatal(err)
 	}
 	if r2.Factor(1) != c.Factor(1) {
-		t.Fatal("RestoreFrom did not adopt factors")
+		t.Fatal("Adopt did not take the factors")
 	}
-	r3 := NewCorrections(5, CorrConfig{})
-	if err := r3.RestoreFrom(bytes.NewReader(buf.Bytes())); err == nil {
+	if err := NewCorrections(5, CorrConfig{}).Adopt(dec); err == nil {
 		t.Fatal("shape mismatch restored without error")
 	}
-	// Restoring from an empty stream resets warm state to cold.
-	if err := r2.RestoreFrom(bytes.NewReader(nil)); err != nil {
+	// Adopting nothing (a state without the section) resets warm state to
+	// cold.
+	if err := r2.Adopt(nil); err != nil {
 		t.Fatal(err)
 	}
 	if r2.Factor(1) != 1 || r2.Epoch() != 0 || r2.AppliedSeq() != 0 {
-		t.Fatal("empty-stream restore did not reset to cold")
+		t.Fatal("adopting no section did not reset to cold")
 	}
 }
 

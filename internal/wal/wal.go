@@ -153,6 +153,12 @@ type Record struct {
 	Warps       []float64
 }
 
+// MaxTemplateName bounds a template name in bytes: a record frames the name
+// under a u16 length, and the wire protocol and the snapshot envelope carry
+// it under the same prefix. Register rejects longer names, so encodeFrame
+// never wraps the length.
+const MaxTemplateName = math.MaxUint16
+
 // Appender is the seam a writer of learner events logs through: core's
 // learner and stats' corrections hand it the record they are about to
 // apply, under the lock that guards the state the record describes, and

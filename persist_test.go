@@ -6,7 +6,9 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/netproto"
 	"repro/internal/queries"
+	"repro/internal/replica"
 	"repro/internal/tpch"
 )
 
@@ -271,5 +273,109 @@ func TestRestoreIntoSmallerCache(t *testing.T) {
 	} else if snapm.Cache.Evictions != uint64(sys.CacheEvictions()) || snapm.Cache.Evictions < uint64(len(saved)-small) {
 		t.Errorf("metrics count %d evictions, the cache %d, the restore alone made %d",
 			snapm.Cache.Evictions, sys.CacheEvictions(), len(saved)-small)
+	}
+}
+
+// TestSnapshotRoundTripIsByteIdentical: the one snapshot is a fixed point.
+// A trained multi-template System with a full cache saves, restores into a
+// fresh System and saves again to the same bytes. The same snapshot
+// restored on a leader and installed on a replica yields byte-equal learner
+// state per template. Every restored plan comes back compiled, and the
+// first run at a trained point is a cache hit.
+func TestSnapshotRoundTripIsByteIdentical(t *testing.T) {
+	online := onlineForTest()
+	online.InvocationProb = 1e-9 // no random audits: a warm point is a hit
+	opts := Options{
+		TPCH: tpch.Config{Scale: 2000, Seed: 5}, Online: online, FeedbackQueue: -1, CacheCapacity: 6,
+		TunableLSH: TunableLSHOptions{Enable: true, RetuneEvery: 15},
+	}
+	warm, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"Q0", "Q1", "Q2", "Q3"}
+	for _, name := range names {
+		if err := warm.Register(name, mustSQL(t, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	probes := make(map[string][]float64)
+	for i := 0; i < 240+len(names); i++ {
+		name := names[i%len(names)]
+		tmpl, _ := warm.Template(name)
+		point := make([]float64, tmpl.Degree())
+		for j := range point {
+			point[j] = 0.25 + 0.1*rng.Float64()
+			if i >= 240 {
+				point[j] = 0.3
+			}
+		}
+		inst, err := warm.Optimizer().InstanceAt(tmpl, point)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := warm.Run(name, inst.Values)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i >= 240 {
+			if !res.CacheHit {
+				t.Fatalf("%s misses at its trained point before the save; the test is vacuous", name)
+			}
+			probes[name] = inst.Values
+		}
+	}
+	if warm.CacheLen() != opts.CacheCapacity {
+		t.Fatalf("the saver caches %d of %d plans; the cache is not full", warm.CacheLen(), opts.CacheCapacity)
+	}
+	var first bytes.Buffer
+	if err := warm.SaveState(&first); err != nil {
+		t.Fatal(err)
+	}
+
+	leader, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := leader.LoadState(bytes.NewReader(first.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if rep := leader.LoadStateReport(); rep.Corrupt || rep.Templates != len(names) || rep.Plans != opts.CacheCapacity {
+		t.Fatalf("restore report %+v", rep)
+	}
+	var second bytes.Buffer
+	if err := leader.SaveState(&second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatalf("SaveState → LoadState → SaveState moved the bytes (%d → %d)", first.Len(), second.Len())
+	}
+
+	snap, err := netproto.ReadSnapshotFile(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := replica.NewState(nil)
+	if err := rs.Install(snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		learnerParity(t, leader, rs, name)
+	}
+
+	for _, entry := range cachedPlans(leader) {
+		if entry.prog == nil || entry.rebind == nil {
+			t.Errorf("restored plan %d (%s) is not compiled", entry.id, entry.plan.Fingerprint)
+		}
+	}
+	for _, name := range names {
+		res, err := leader.Run(name, probes[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.CacheHit || res.Invoked {
+			t.Errorf("%s: first run at a trained point after restore: hit=%v invoked=%v", name, res.CacheHit, res.Invoked)
+		}
 	}
 }

@@ -602,6 +602,9 @@ func (s *System) Register(name, sql string) (err error) {
 
 // registerLocked implements Register; callers hold s.regMu.
 func (s *System) registerLocked(name, sql string) error {
+	if name == "" || len(name) > wal.MaxTemplateName {
+		return fmt.Errorf("ppc: template name of %d bytes, want 1 to %d", len(name), wal.MaxTemplateName)
+	}
 	if _, dup := s.templates[name]; dup {
 		return fmt.Errorf("ppc: template %s already registered", name)
 	}

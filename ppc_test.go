@@ -14,6 +14,7 @@ import (
 	"repro/internal/optimizer"
 	"repro/internal/queries"
 	"repro/internal/tpch"
+	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
@@ -484,5 +485,22 @@ func TestRegisterRejectsIllTypedTemplates(t *testing.T) {
 		if got, want := canonRows(res.Result), canonRows(direct); !reflect.DeepEqual(got, want) || got[0] == "0|0|" {
 			t.Errorf("selectivity %v: compiled string hash join returned %v, tree-walk reference %v", sel, got, want)
 		}
+	}
+}
+
+// TestRegisterBoundsTemplateName: a template name travels under a u16
+// length in WAL records, wire messages and snapshots, so Register refuses
+// one longer than wal.MaxTemplateName (and an empty one) rather than admit
+// a name whose records would frame with a wrapped length.
+func TestRegisterBoundsTemplateName(t *testing.T) {
+	sys := openSmall(t)
+	sql := mustSQL(t, "Q1")
+	for _, name := range []string{"", strings.Repeat("n", 1<<16)} {
+		if err := sys.Register(name, sql); err == nil {
+			t.Errorf("Register of a %d-byte name succeeded", len(name))
+		}
+	}
+	if err := sys.Register(strings.Repeat("n", wal.MaxTemplateName), sql); err != nil {
+		t.Errorf("Register of a name at the bound: %v", err)
 	}
 }

@@ -3,8 +3,8 @@ package ppc
 // Leader-side replication support: the System methods the ship server
 // (internal/replica.Server) drives. A leader is simply a durable System —
 // the WAL segments under the durability directory are the replication
-// stream, and ReplicationSnapshot reuses the same per-template EncodeState
-// bytes a checkpoint writes. Nothing here runs on the serving path.
+// stream, and ReplicationSnapshot is the snapshot a checkpoint writes,
+// minus its plans. Nothing here runs on the serving path.
 
 import (
 	"crypto/rand"
@@ -79,25 +79,23 @@ func loadOrMintLineage(dir string) (uint64, error) {
 }
 
 // ReplicationSnapshot assembles a full state transfer for a connecting
-// replica: every template's learner encoding (the same bytes a checkpoint
-// writes), the dense plan fingerprint table, and the WAL floor the
-// snapshot covers. The floor is taken BEFORE the learners are encoded —
-// applied-sequence watermarks only grow, so the encoded state reflects at
-// least every record below it and the overlap with the shipped tail is
-// deduplicated by per-template watermark replay on the replica.
+// replica: the snapshot a checkpoint writes, without its plans section,
+// stamped with the lineage epoch and the WAL floor it covers. The floor is
+// taken BEFORE the learners are encoded — applied-sequence watermarks only
+// grow, so the encoded state reflects at least every record below it and
+// the overlap with the shipped tail is deduplicated by per-template
+// watermark replay on the replica.
 func (s *System) ReplicationSnapshot() (*netproto.Snapshot, error) {
 	epoch, err := s.ReplicationEpoch()
 	if err != nil {
 		return nil, err
 	}
 	baseSeq := s.checkpointMinSeq()
-	snap := &netproto.Snapshot{Epoch: epoch, BaseSeq: baseSeq}
-	snap.Fingerprints, err = s.encodeLearners(func(st *templateState, learner []byte) {
-		snap.Templates = append(snap.Templates, netproto.TemplateState{Name: st.tmpl.Name, State: learner})
-	})
+	snap, err := s.snapshot(false)
 	if err != nil {
 		return nil, fmt.Errorf("ppc: encode for shipping: %w", err)
 	}
+	snap.Epoch, snap.BaseSeq = epoch, baseSeq
 	return snap, nil
 }
 

@@ -8,6 +8,7 @@ package ppc
 // restart on the same durability directory.
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -262,29 +263,32 @@ func TestLeaderReplicaCorrectionParity(t *testing.T) {
 	if lst.corr == nil {
 		t.Fatal("leader has no correction state; parity is vacuous")
 	}
-	lEpoch, lSeq, lSites := lst.corr.State()
-	if lSeq == 0 {
+	if _, lSeq, _ := lst.corr.State(); lSeq == 0 {
 		t.Fatal("leader logged no corrections; parity is vacuous")
 	}
-	rc := st.CorrectionState("Q1")
-	if rc == nil {
-		t.Fatal("replica shipped no correction state")
+	// The whole learner state — synopsis, counters and the corrections
+	// section — is byte-identical, so the factors an epoch's predictions
+	// cost through are too.
+	learnerParity(t, sys, st, "Q1")
+}
+
+// learnerParity holds a replica's learner state for one template byte-equal
+// to the leader's EncodeState.
+func learnerParity(t *testing.T, sys *System, st *replica.State, template string) {
+	t.Helper()
+	lst, err := sys.lookup(template)
+	if err != nil {
+		t.Fatal(err)
 	}
-	rEpoch, rSeq, rSites := rc.State()
-	if rEpoch != lEpoch || rSeq != lSeq {
-		t.Errorf("replica correction (epoch %d, seq %d), leader (%d, %d)", rEpoch, rSeq, lEpoch, lSeq)
+	var leader, rep bytes.Buffer
+	if err := lst.online.EncodeState(&leader); err != nil {
+		t.Fatal(err)
 	}
-	for i := range lSites {
-		if rSites[i] != lSites[i] {
-			t.Errorf("site %d: replica %+v, leader %+v", i+1, rSites[i], lSites[i])
-		}
+	if err := st.EncodeState(template, &rep); err != nil {
+		t.Fatal(err)
 	}
-	// The published factors — what an epoch's predictions cost through —
-	// are bit-identical per site.
-	for s := 1; s <= lst.corr.NSites(); s++ {
-		if rc.Factor(s) != lst.corr.Factor(s) {
-			t.Errorf("site %d factor: replica %v, leader %v", s, rc.Factor(s), lst.corr.Factor(s))
-		}
+	if !bytes.Equal(leader.Bytes(), rep.Bytes()) {
+		t.Errorf("%s: replica learner state (%d bytes) differs from the leader's (%d bytes)", template, rep.Len(), leader.Len())
 	}
 }
 
