@@ -18,7 +18,9 @@ PROFILE_DIR ?= profiles
 # TestDurableApplyAllocBudget holds the learner → sink → wal.Log write path
 # to what the same batch allocates with no log attached;
 # TestExecSteadyStateAllocs holds a warmed CompiledPlan.Exec to its result's
-# three allocations whichever kernel runs, and TestColumnFactsLearnedOnce a
+# three allocations whichever kernel runs, TestCountOnlyJoinRecordsNoPairs a
+# join under a bare COUNT(*) to no match pair, no group id and its result's
+# allocations on every join kernel, and TestColumnFactsLearnedOnce a
 # second Compile to no column scan and no bitmap build; TestFreezePublishCost
 # holds a model publish to the blocks one insert touched, and
 # TestPredictZeroAllocWithWarps predict under learned warps at zero;
@@ -33,7 +35,7 @@ tier1:
 		echo "gofmt -l . names:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -run 'TestServingPathZeroAlloc|TestRunPathAllocBudget|TestDurableApplyAllocBudget|TestExecSteadyStateAllocs|TestColumnFactsLearnedOnce|TestFreezePublishCost|TestPredictZeroAllocWithWarps|TestRunHandlerAllocBudget' -count=1 . ./internal/executor ./internal/core ./cmd/ppcserve
+	$(GO) test -run 'TestServingPathZeroAlloc|TestRunPathAllocBudget|TestDurableApplyAllocBudget|TestExecSteadyStateAllocs|TestCountOnlyJoinRecordsNoPairs|TestColumnFactsLearnedOnce|TestFreezePublishCost|TestPredictZeroAllocWithWarps|TestRunHandlerAllocBudget' -count=1 . ./internal/executor ./internal/core ./cmd/ppcserve
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench -short ./...
 
@@ -74,8 +76,9 @@ crash:
 # fuzzer-chosen templates and points, over the frozen-block predict
 # query, held to the map-walking reference at fuzzer-chosen synopsis states
 # and points, over the compiled executor's key-consuming kernels, held
-# to the tree-walk engine at fuzzer-chosen key-column shapes, operators and
-# parameters, over the template SQL parser — Register's outside input —
+# to the tree-walk engine at fuzzer-chosen key-column shapes, operators,
+# parameters and five tops (rows, a global aggregate, GROUP BY either key,
+# a bare COUNT(*) whose join only counts), over the template SQL parser — Register's outside input —
 # held to a query or an error, to a query that prints as SQL parsing back to
 # itself, and to one NewTemplate takes without a panic, and over the catalog
 # histograms' running-count probes (FractionLE, RangeCount, Quantile), held
@@ -123,9 +126,10 @@ loc:
 # CPU and heap profiles of the two Run paths, for chasing where the time
 # goes: run.* is the hit path (BenchmarkEndToEndRun: Q0 and Q1 alternating
 # in steady state, the mix bench/'s hit_exec gates; executor-bound), miss.*
-# the miss path (BenchmarkMissPathRun: Q3/Q4/Q8 at
-# uniform points, the miss_optimize workload's shape — NULL predict,
-# OptimizeMemo, intern/compile, feedback). Go profiles one benchmark run
+# the miss path (BenchmarkMissPathRun: Q3/Q4/Q8 at fresh uniform points on
+# the benchmark's database, the miss_optimize workload's shape — NULL
+# predict, OptimizeMemo, intern/compile, feedback — whose invoked/op stays
+# near miss_optimize's 0.93 at any -benchtime). Go profiles one benchmark run
 # per invocation. `go tool pprof $(PROFILE_DIR)/miss.cpu.pprof`, or
 # `-sample_index=alloc_space` on a mem profile for allocation sites.
 profile:

@@ -9,13 +9,14 @@ package ppc_test
 //	go test -bench=BenchmarkRunParallel -cpu 4
 
 import (
-	"math/rand"
 	"testing"
 
 	ppc "repro"
 	"repro/internal/benchsuite"
+	"repro/internal/optimizer"
 	"repro/internal/queries"
 	"repro/internal/tpch"
+	"repro/internal/workload"
 )
 
 func BenchmarkPredictApproxLSHHist(b *testing.B)  { benchsuite.PredictApproxLSHHist(b) }
@@ -45,19 +46,24 @@ func BenchmarkRunHotTemplateParallel(b *testing.B) { benchsuite.RunHotTemplatePa
 func BenchmarkReplicaPredict(b *testing.B) { benchsuite.ReplicaPredict(b) }
 
 // BenchmarkMissPathRun is the miss_optimize shape: Run on the multi-join
-// templates at uniform plan-space points, where the learner rarely has a
-// confident answer and nearly every run pays NULL-predict, OptimizeMemo,
-// intern/compile and feedback. `make profile` profiles it beside
-// BenchmarkEndToEndRun so a pass over the miss path starts from its own
-// profile, not from the hit path's.
+// templates at uniform plan-space points on the benchmark's database (scale
+// 1000, seed 2012), where the learner rarely has a confident answer and
+// nearly every run pays NULL-predict, OptimizeMemo, intern/compile and
+// feedback. Every run gets a fresh point, drawn 512 per template at a time
+// with the timer stopped: a pool cycled again is learned, and the share of
+// runs that invoke the optimizer (reported as invoked/op, about
+// miss_optimize's 0.93) would fall as -benchtime grows. `make profile`
+// profiles it beside BenchmarkEndToEndRun so a pass over the miss path
+// starts from its own profile, not from the hit path's.
 func BenchmarkMissPathRun(b *testing.B) {
-	sys, err := ppc.Open(ppc.Options{TPCH: tpch.Config{Scale: 1000, Seed: 1}})
+	sys, err := ppc.Open(ppc.Options{TPCH: tpch.Config{Scale: 1000, Seed: 2012}})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer sys.Close()
 	names := []string{"Q3", "Q4", "Q8"}
-	for _, name := range names {
+	tmpls := make([]*optimizer.Template, len(names))
+	for k, name := range names {
 		tm, err := queries.ByName(name)
 		if err != nil {
 			b.Fatal(err)
@@ -65,33 +71,41 @@ func BenchmarkMissPathRun(b *testing.B) {
 		if err := sys.Register(name, tm.SQL); err != nil {
 			b.Fatal(err)
 		}
-	}
-	rng := rand.New(rand.NewSource(1))
-	values := make([][][]float64, len(names))
-	for k, name := range names {
-		tm, err := sys.Template(name)
-		if err != nil {
+		if tmpls[k], err = sys.Template(name); err != nil {
 			b.Fatal(err)
 		}
-		values[k] = make([][]float64, 512)
-		for i := range values[k] {
-			point := make([]float64, tm.Degree())
-			for j := range point {
-				point[j] = rng.Float64()
+	}
+	const chunk = 512
+	values := make([][][]float64, len(names))
+	draw := func(round int) {
+		for k, tm := range tmpls {
+			values[k] = values[k][:0]
+			for _, point := range workload.Uniform(tm.Degree(), chunk, int64(round*len(names)+k)) {
+				inst, err := sys.Optimizer().InstanceAt(tm, point)
+				if err != nil {
+					b.Fatal(err)
+				}
+				values[k] = append(values[k], inst.Values)
 			}
-			inst, err := sys.Optimizer().InstanceAt(tm, point)
-			if err != nil {
-				b.Fatal(err)
-			}
-			values[k][i] = inst.Values
 		}
 	}
+	invoked := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k := i % len(names)
-		if _, err := sys.Run(names[k], values[k][(i/len(names))%512]); err != nil {
+		k, j := i%len(names), i/len(names)
+		if k == 0 && j%chunk == 0 {
+			b.StopTimer()
+			draw(j / chunk)
+			b.StartTimer()
+		}
+		res, err := sys.Run(names[k], values[k][j%chunk])
+		if err != nil {
 			b.Fatal(err)
 		}
+		if res.Invoked {
+			invoked++
+		}
 	}
+	b.ReportMetric(float64(invoked)/float64(b.N), "invoked/op")
 }

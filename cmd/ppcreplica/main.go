@@ -53,7 +53,7 @@ func run() error {
 	serveAddr := flag.String("serve", "", "binary-protocol listen address for predict clients (empty disables)")
 	ack := flag.Duration("ack", 500*time.Millisecond, "applied-sequence ack cadence")
 	idle := flag.Duration("idle", 5*time.Second, "reconnect after this long without leader traffic")
-	backoff := flag.Duration("backoff", 50*time.Millisecond, "initial reconnect backoff (doubles up to 3s)")
+	backoff := flag.Duration("backoff", 50*time.Millisecond, "reconnect backoff: an unanswered dial retries after it; after a failed session it doubles, up to 3s")
 	flag.Parse()
 	if *leader == "" {
 		return errors.New("-leader is required")

@@ -133,8 +133,11 @@ type cNode struct {
 
 	// gathers lists the output vectors something above this join reads — a
 	// join key, a residual filter, a group or aggregate column, the result.
-	// The other slots are dead: nothing is gathered into them.
-	gathers []gatherOp
+	// The other slots are dead: nothing is gathered into them. A join with
+	// none live is countOnly: it counts its matches into Arena.nrows and
+	// records no pair (a root join under a COUNT(*) that reads no column).
+	gathers   []gatherOp
+	countOnly bool
 
 	// Index-nested-loop joins: the inner relation's residual filters other
 	// than ranges; the probe index and table live in index/table above.
@@ -287,7 +290,8 @@ func (c *compiler) newNode(n cNode) *cNode {
 // turn marks the child vectors they are gathered from, and marks what the
 // join itself reads of its inputs — its keys and its residual filters'
 // columns. A scan always produces its one vector (the filter kernels write
-// it as they go), so only joins have dead slots.
+// it as they go), so only joins have dead slots, and a join whose slots are
+// all dead only counts.
 func (c *compiler) gathers(n *cNode) {
 	if n.left == nil {
 		return
@@ -308,6 +312,7 @@ func (c *compiler) gathers(n *cNode) {
 		}
 		n.gathers = append(n.gathers, g)
 	}
+	n.countOnly = len(n.gathers) == 0
 	if n.leftKey != nil {
 		c.live[n.leftSlot] = true
 	}

@@ -22,17 +22,19 @@ var fuzzKernelDB = sync.OnceValue(func() *kernelDB { return newKernelDB(2000) })
 func FuzzCompiledMatchesTreeWalk(f *testing.F) {
 	for shape := range keyShapes {
 		for op := uint8(0); op < 10; op++ {
-			// top's bits 3-4 choose the comparison, op/5 the second scan filter;
-			// the residual alternates with the shape, so every operator meets one
-			// with and without the second filter.
+			// top mod 5 chooses the top, its bit 2 the string key and its bits
+			// 3-4 the comparison (every combination of the three occurs among
+			// the 256 values), op/5 the second scan filter; the residual
+			// alternates with the shape, so every operator meets one with and
+			// without the second filter, and each operator meets top 4.
 			top := uint8(shape+int(op))%8 + 8*(uint8(shape+int(op))%4)
 			f.Add(uint8(shape), int64(shape), op, (shape+int(op))%2 == 0, top, uint16(40000), uint16(35000), uint16(45000))
 		}
 	}
-	f.Add(uint8(0), int64(1), uint8(0), true, uint8(5), uint16(0), uint16(65535), uint16(65535)) // string key, empty left input
+	f.Add(uint8(0), int64(1), uint8(0), true, uint8(6), uint16(0), uint16(65535), uint16(65535)) // string key, empty left input
 	f.Fuzz(func(t *testing.T, shape uint8, seed int64, op uint8, residual bool, top uint8, p0, p1, p2 uint16) {
 		k := fuzzKernelDB()
-		kc := kernelCase{residual: residual, multi: op/5%2 == 1, top: int(top % 4), strKey: top%8 >= 4, cmp: int(top / 8 % 4)}
+		kc := kernelCase{residual: residual, multi: op/5%2 == 1, top: int(top % 5), strKey: top%8 >= 4, cmp: int(top / 8 % 4)}
 		switch op % 5 {
 		case 0:
 			kc.op, kc.buildLeft = optimizer.OpHashJoin, true

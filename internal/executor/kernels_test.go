@@ -439,7 +439,7 @@ func (k *kernelDB) doctor(t testing.TB, shape keyShape, seed int64) *Executor {
 
 // kernelCase is one plan over the doctored database: a join of customer c
 // (left) and orders o (right) on the key columns, or no join at all, under
-// one of four tops. Parameter 0 bounds c.c_date, parameter 1 o.o_orderdate
+// one of five tops. Parameter 0 bounds c.c_date, parameter 1 o.o_orderdate
 // (the inner relation's filter under an index-nested-loop join), parameter 2
 // o.o_totalprice (which has no index), as the residual join filter and as a
 // second filter of the orders scan.
@@ -449,7 +449,7 @@ type kernelCase struct {
 	residual  bool
 	multi     bool // the orders scan filters on o_totalprice as well
 	strKey    bool // join and group on the string columns instead
-	top       int  // 0 rows, 1 global aggregate, 2 GROUP BY the left key, 3 the right key
+	top       int  // 0 rows, 1 global aggregate, 2 GROUP BY the left key, 3 the right key, 4 a bare COUNT(*)
 	cmp       int  // the parameter predicates' comparison, of rangeOps
 }
 
@@ -498,9 +498,11 @@ func (kc kernelCase) plan() (*optimizer.Plan, *optimizer.Query) {
 	}
 	price, bal := ref("o", "o_totalprice"), ref("c", "c_acctbal")
 	switch kc.top {
-	case 1:
+	case 1, 4:
+		// Top 1 reads a column of each relation beneath it; top 4 reads none,
+		// so the join below it only counts.
 		aggs := []optimizer.SelectItem{{Agg: optimizer.AggCount}}
-		if kc.op != optimizer.OpSeqScan {
+		if kc.op != optimizer.OpSeqScan && kc.top == 1 {
 			aggs = append(aggs, optimizer.SelectItem{Agg: optimizer.AggSum, Col: price}, optimizer.SelectItem{Agg: optimizer.AggAvg, Col: bal},
 				optimizer.SelectItem{Agg: optimizer.AggMin, Col: price}, optimizer.SelectItem{Agg: optimizer.AggMax, Col: bal})
 		}
@@ -553,7 +555,9 @@ func assertBitIdentical(t testing.TB, label string, want, got *Result) {
 
 // check compiles the case, runs it twice (the second run reuses the arena
 // the first one sized) against the tree-walk engine, and returns the kernels
-// Compile chose for the join and for the GROUP BY.
+// Compile chose for the join and for the GROUP BY. A join under a bare
+// COUNT(*) must be count-only and harvest the cardinalities the same join
+// harvests under top 1, which reads its vectors.
 func (kc kernelCase) check(t testing.TB, ex *Executor, label string, params []float64) (join, group kernel) {
 	t.Helper()
 	plan, q := kc.plan()
@@ -567,17 +571,55 @@ func (kc kernelCase) check(t testing.TB, ex *Executor, label string, params []fl
 	if err != nil {
 		t.Fatalf("%s: Run: %v", label, err)
 	}
+	var obs []CardObservation
 	for run := 0; run < 2; run++ {
-		got, err := cp.Exec(params)
+		obs = obs[:0]
+		got, err := cp.ExecObserve(params, &obs)
 		if err != nil {
 			t.Fatalf("%s: Exec: %v", label, err)
 		}
 		assertBitIdentical(t, fmt.Sprintf("%s run %d", label, run), want, got)
 	}
+	if kc.top == 4 && kc.op != optimizer.OpSeqScan {
+		if !cp.root.countOnly {
+			t.Fatalf("%s: the join under a bare COUNT(*) is not count-only", label)
+		}
+		twin := kc
+		twin.top = 1
+		tplan, tq := twin.plan()
+		tcp, err := ex.Compile(tplan, tq)
+		if err != nil {
+			t.Fatalf("%s: Compile top 1: %v", label, err)
+		}
+		if tcp.root.countOnly {
+			t.Fatalf("%s: the join under top 1 is count-only", label)
+		}
+		var want []CardObservation
+		if _, err := tcp.ExecObserve(params, &want); err != nil {
+			t.Fatalf("%s: Exec top 1: %v", label, err)
+		}
+		assertSameCards(t, label, obs, want)
+	}
 	if cp.agg != nil {
 		group = cp.agg.kernel
 	}
 	return cp.root.kernel, group
+}
+
+// assertSameCards holds two harvests of one plan shape (compiled from two
+// plans, so the nodes differ) to the same operators and counts.
+func assertSameCards(t testing.TB, label string, got, want []CardObservation) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d observations, want %d", label, len(got), len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.Node.Op != w.Node.Op || g.Rows != w.Rows || g.LeftRows != w.LeftRows || g.RightRows != w.RightRows || g.Lo != w.Lo || g.Hi != w.Hi {
+			t.Fatalf("%s: observation %d is %v rows=%v left=%v right=%v [%v, %v], want %v rows=%v left=%v right=%v [%v, %v]", label, i,
+				g.Node.Op, g.Rows, g.LeftRows, g.RightRows, g.Lo, g.Hi, w.Node.Op, w.Rows, w.LeftRows, w.RightRows, w.Lo, w.Hi)
+		}
+	}
 }
 
 // quantiles places each parameter at the given fraction of its column's
@@ -614,10 +656,12 @@ func TestKernelChoiceMatchesTreeWalk(t *testing.T) {
 			{kernelCase{op: optimizer.OpSeqScan}, kernGeneric},
 			{kernelCase{op: optimizer.OpSeqScan, multi: true}, kernGeneric},
 		} {
-			for top, group := range []kernel{kernGeneric, kernGeneric, shape.groupL, shape.groupR} {
+			for top, group := range []kernel{kernGeneric, kernGeneric, shape.groupL, shape.groupR, kernGeneric} {
 				kc := tc.kc
 				kc.top = top
-				if kc.op == optimizer.OpSeqScan && top == 0 {
+				// A scan runs under the aggregating tops only, and top 1 over a
+				// scan is already a bare COUNT(*).
+				if kc.op == optimizer.OpSeqScan && (top == 0 || top == 4) {
 					continue
 				}
 				for pi, p := range points {
@@ -656,9 +700,9 @@ func TestKernelChoiceMatchesTreeWalk(t *testing.T) {
 		{op: optimizer.OpHashJoin, strKey: true, residual: true},
 		{op: optimizer.OpSeqScan, strKey: true},
 	} {
-		for top := 0; top < 4; top++ {
+		for top := 0; top < 5; top++ {
 			kc.top = top
-			if kc.op == optimizer.OpSeqScan && top == 0 {
+			if kc.op == optimizer.OpSeqScan && (top == 0 || top == 4) {
 				continue
 			}
 			label := fmt.Sprintf("string key: %v", kc)
@@ -762,6 +806,72 @@ func TestExecSteadyStateAllocs(t *testing.T) {
 		exec()
 		if allocs := testing.AllocsPerRun(100, exec); allocs > 3 {
 			t.Errorf("%v: %v allocations per warmed Exec, want at most the result's 3", kc, allocs)
+		}
+	}
+}
+
+// TestCountOnlyJoinRecordsNoPairs: a join of which nothing above reads a
+// vector — here, under a bare COUNT(*) — counts its matches on every kernel,
+// with and without a residual filter. After warmed executions its arena has
+// never held a match pair or a group id, and an execution allocates its
+// result's three objects and nothing else.
+func TestCountOnlyJoinRecordsNoPairs(t *testing.T) {
+	k := newKernelDB(2000)
+	params := k.quantiles(0.6, 0.5, 0.7)
+	// Dense unique keys put every keyed operator on an addressed kernel, the
+	// sparse span on a generic one.
+	for _, shape := range []keyShape{keyShapes[0], keyShapes[10]} {
+		ex := k.doctor(t, shape, 2)
+		for _, tc := range []struct {
+			kc   kernelCase
+			join kernel
+		}{
+			{kernelCase{op: optimizer.OpHashJoin, buildLeft: true}, shape.hashL},
+			{kernelCase{op: optimizer.OpHashJoin}, shape.hashR},
+			{kernelCase{op: optimizer.OpHashJoin, strKey: true}, kernGeneric},
+			{kernelCase{op: optimizer.OpMergeJoin}, shape.merge},
+			{kernelCase{op: optimizer.OpIndexNLJoin}, shape.inl},
+			{kernelCase{op: optimizer.OpNLJoin}, kernGeneric},
+		} {
+			for _, residual := range []bool{false, true} {
+				kc := tc.kc
+				kc.residual, kc.top = residual, 4
+				label := fmt.Sprintf("%s: %v", shape.name, kc)
+				if join, _ := kc.check(t, ex, label, params); join != tc.join {
+					t.Errorf("%s: Compile chose the %v join kernel, want %v", label, join, tc.join)
+				}
+				plan, q := kc.plan()
+				cp, err := ex.Compile(plan, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Every execution checks out this one arena.
+				ar := newArena(cp)
+				cp.pool.New = func() any { return ar }
+				var obs []CardObservation
+				count := 0.0
+				exec := func() {
+					obs = obs[:0]
+					res, err := cp.ExecObserve(params[:cp.nParams], &obs)
+					if err != nil || len(res.Rows) != 1 {
+						t.Fatalf("%s: %d rows, err %v", label, len(res.Rows), err)
+					}
+					count = res.Rows[0][0].Num
+				}
+				exec()
+				exec()
+				if count == 0 || count != float64(ar.nrows[cp.root.ord]) {
+					t.Fatalf("%s: COUNT(*) %v, the arena's root count %d; want the same, above 0", label, count, ar.nrows[cp.root.ord])
+				}
+				if !raceEnabled {
+					if allocs := testing.AllocsPerRun(50, exec); allocs > 3 {
+						t.Errorf("%s: %v allocations per warmed ExecObserve, want at most the result's 3", label, allocs)
+					}
+				}
+				if cap(ar.matchL) != 0 || cap(ar.matchR) != 0 || cap(ar.gids) != 0 {
+					t.Errorf("%s: the arena holds match pairs (capacity %d, %d) and group ids (%d); want none", label, cap(ar.matchL), cap(ar.matchR), cap(ar.gids))
+				}
+			}
 		}
 	}
 }

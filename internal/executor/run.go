@@ -4,13 +4,14 @@
 // the set bits — row ids, ascending — into its vector, where an index scan
 // tests its candidates against them. A predicate of another kind runs over
 // the contiguous column when it is the scan's first and refines the vector in
-// place otherwise. Joins record their matched (left, right) tuple pairs and
-// gather, one relation at a time, the output vectors something above them
-// reads; rows are materialized exactly once, into the final Result (two
-// allocations: the Value backing array and the Row headers). Where Compile
-// found the keys to be dense integers (facts.go) a join or GROUP BY addresses
-// a direct table by key - lo; the hashed, sorted and searched kernels serve
-// every other input.
+// place otherwise. A join records its matched (left, right) tuple pairs and
+// gathers, one relation at a time, the output vectors something above it
+// reads; a join of which nothing above reads a vector (countOnly) records no
+// pair and counts its matches instead. Rows are materialized exactly once,
+// into the final Result (two allocations: the Value backing array and the Row
+// headers). Where Compile found the keys to be dense integers (facts.go) a
+// join or GROUP BY addresses a direct table by key - lo; the hashed, sorted
+// and searched kernels serve every other input.
 package executor
 
 import (
@@ -37,6 +38,7 @@ func (cp *CompiledPlan) run(n *cNode, ar *Arena, params []float64) {
 	if n.right != nil {
 		cp.run(n.right, ar, params)
 	}
+	ar.nrows[n.ord] = 0 // a count-only join counts into it
 	switch n.op {
 	case optimizer.OpHashJoin:
 		n.runHashJoin(ar, params)
@@ -47,7 +49,9 @@ func (cp *CompiledPlan) run(n *cNode, ar *Arena, params []float64) {
 	case optimizer.OpNLJoin:
 		n.runNLJoin(ar, params)
 	}
-	n.gatherOutput(ar)
+	if !n.countOnly {
+		n.gatherOutput(ar)
+	}
 }
 
 // testRow evaluates one compiled non-join predicate against a direct base
@@ -216,9 +220,14 @@ func joinRowID(ar *Arena, side, slot int, li, ri int32, rightDirect bool) int32 
 }
 
 // match records the (left li, right ri) tuple pair as a join match if it
-// passes the node's residual join filters.
+// passes the node's residual join filters, or only counts it in a
+// count-only join.
 func (n *cNode) match(ar *Arena, params []float64, li, ri int32) {
-	if n.evalJoinFilters(ar, params, li, ri) {
+	switch {
+	case !n.evalJoinFilters(ar, params, li, ri):
+	case n.countOnly:
+		ar.nrows[n.ord]++
+	default:
 		ar.matchL = append(ar.matchL, li)
 		ar.matchR = append(ar.matchR, ri)
 	}
@@ -277,6 +286,10 @@ func (n *cNode) runHashJoin(ar *Arena, params []float64) {
 		// A probe is a bounds check and a load.
 		ar.dirA = sized(ar.dirA, n.keySpan)
 		head, lo, pkeys := ar.dirA, n.keyLo, probeKey.Nums
+		if n.countOnly && !filtered {
+			ar.nrows[n.ord] = countByKey(head, buildVec, buildKey.Nums, probeVec, pkeys, lo)
+			return
+		}
 		chainByKey(head, next, buildVec, buildKey.Nums, lo)
 		if n.kernel == kernAddressedOnce && !filtered {
 			// At most one match per probe: store the pair unconditionally and
@@ -331,18 +344,42 @@ func (n *cNode) runHashJoin(ar *Arena, params []float64) {
 
 // probeChain appends probe tuple pi's matches along the build chain from b
 // (1 + a build tuple, 0 at the end), dropping those the residual join
-// filters reject.
+// filters reject; a count-only join counts them instead.
 func (n *cNode) probeChain(ar *Arena, params []float64, next []int32, b, pi int32, mp, mb []int32) ([]int32, []int32) {
 	for ; b != 0; b = next[b-1] {
 		li, ri := pi, b-1
 		if n.buildLeft {
 			li, ri = ri, li
 		}
-		if len(n.joinFilters) == 0 || n.evalJoinFilters(ar, params, li, ri) {
+		switch {
+		case len(n.joinFilters) > 0 && !n.evalJoinFilters(ar, params, li, ri):
+		case n.countOnly:
+			ar.nrows[n.ord]++
+		default:
 			mp, mb = append(mp, pi), append(mb, b-1)
 		}
 	}
 	return mp, mb
+}
+
+// countByKey is a count-only addressed join with no residual filter: it
+// counts the tuples of a per key into cnt (a direct table from lo, see
+// Arena.dirA), then sums the counts the keys of b address. The sum is the
+// number of pairs the join would record; no chain and no pair is built.
+func countByKey(cnt, a []int32, akeys []float64, b []int32, bkeys []float64, lo int) int {
+	clear(cnt)
+	for _, id := range a {
+		if k := uint(int(akeys[id]) - lo); k < uint(len(cnt)) {
+			cnt[k]++
+		}
+	}
+	m := 0
+	for _, id := range b {
+		if k := uint(int(bkeys[id]) - lo); k < uint(len(cnt)) {
+			m += int(cnt[k])
+		}
+	}
+	return m
 }
 
 func (n *cNode) runMergeJoin(ar *Arena, params []float64) {
@@ -351,12 +388,17 @@ func (n *cNode) runMergeJoin(ar *Arena, params []float64) {
 		// Dense integer keys: chain both inputs by key and walk the span in
 		// key order. Each chain is in input order, so the pairs come out as
 		// the stable sorts below would order them, and nothing is sorted.
-		ar.dirA, ar.nextA = sized(ar.dirA, n.keySpan), sized(ar.nextA, len(lvec))
+		filtered := len(n.joinFilters) > 0
+		ar.dirA = sized(ar.dirA, n.keySpan)
+		if n.countOnly && !filtered {
+			ar.nrows[n.ord] = countByKey(ar.dirA, lvec, n.leftKey.Nums, rvec, n.rightKey.Nums, n.keyLo)
+			return
+		}
+		ar.nextA = sized(ar.nextA, len(lvec))
 		ar.dirB, ar.nextB = sized(ar.dirB, n.keySpan), sized(ar.nextB, len(rvec))
 		nextL, headR, nextR := ar.nextA, ar.dirB, ar.nextB
 		chainByKey(ar.dirA, nextL, lvec, n.leftKey.Nums, n.keyLo)
 		chainByKey(headR, nextR, rvec, n.rightKey.Nums, n.keyLo)
-		filtered := len(n.joinFilters) > 0
 		ml, mr := ar.matchL, ar.matchR
 		for k, l := range ar.dirA {
 			if headR[k] == 0 {
@@ -364,7 +406,11 @@ func (n *cNode) runMergeJoin(ar *Arena, params []float64) {
 			}
 			for ; l != 0; l = nextL[l-1] {
 				for r := headR[k]; r != 0; r = nextR[r-1] {
-					if !filtered || n.evalJoinFilters(ar, params, l-1, r-1) {
+					switch {
+					case filtered && !n.evalJoinFilters(ar, params, l-1, r-1):
+					case n.countOnly:
+						ar.nrows[n.ord]++
+					default:
 						ml, mr = append(ml, l-1), append(mr, r-1)
 					}
 				}
@@ -521,17 +567,16 @@ func (cp *CompiledPlan) materializeAgg(ar *Arena) *Result {
 
 // assignGroups counts the tuples of every group into ar.counts, records the
 // first-seen group keys, and returns each tuple's dense group id. A plan
-// with no GROUP BY looks nothing up: every tuple is in group 0, which
-// exists even over zero tuples.
+// with no GROUP BY looks nothing up and returns no ids: every tuple is in
+// group 0, which exists even over zero tuples.
 func (a *cAgg) assignGroups(ar *Arena, nt int) []int32 {
-	ar.gids = sized(ar.gids, nt)
-	gids := ar.gids
 	ar.groupKeys = ar.groupKeys[:0]
 	if len(a.groupCols) == 0 {
-		clear(gids)
 		ar.counts = append(ar.counts[:0], float64(nt))
-		return gids
+		return nil
 	}
+	ar.gids = sized(ar.gids, nt)
+	gids := ar.gids
 	ar.counts = ar.counts[:0]
 	if a.kernel != kernGeneric && addressable(a.keySpan, nt) {
 		// Dense integer keys: dirA holds 1 + the key's group id. Whole numbers
@@ -596,18 +641,14 @@ func (a *cAgg) assignGroups(ar *Arena, nt int) []int32 {
 func (sp *aggColSpec) accumulate(ar *Arena, gids []int32, ng int) []float64 {
 	ar.acc = sized(ar.acc, ng)
 	acc, nums, vec := ar.acc, sp.col.Nums, ar.vecs[sp.slot]
+	if ng == 1 {
+		// One group, as every global aggregate has (with no gids): the fold
+		// stays in a register instead of going through memory on every tuple.
+		acc[0] = sp.fold(nums, vec)
+		return acc
+	}
 	switch sp.fn {
 	case optimizer.AggSum, optimizer.AggAvg:
-		if ng == 1 {
-			// One group: the addition chain stays in a register instead of
-			// going through memory on every tuple.
-			sum := 0.0
-			for _, id := range vec {
-				sum += nums[id]
-			}
-			acc[0] = sum
-			break
-		}
 		clear(acc)
 		for t, id := range vec {
 			acc[gids[t]] += nums[id]
@@ -632,4 +673,31 @@ func (sp *aggColSpec) accumulate(ar *Arena, gids []int32, ng int) []float64 {
 		}
 	}
 	return acc
+}
+
+// fold is accumulate's one group: the column folded over every tuple.
+func (sp *aggColSpec) fold(nums []float64, vec []int32) float64 {
+	switch sp.fn {
+	case optimizer.AggMin:
+		m := math.Inf(1)
+		for _, id := range vec {
+			if v := nums[id]; v < m {
+				m = v
+			}
+		}
+		return m
+	case optimizer.AggMax:
+		m := math.Inf(-1)
+		for _, id := range vec {
+			if v := nums[id]; v > m {
+				m = v
+			}
+		}
+		return m
+	}
+	sum := 0.0
+	for _, id := range vec {
+		sum += nums[id]
+	}
+	return sum
 }

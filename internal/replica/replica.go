@@ -25,8 +25,11 @@ type Options struct {
 	IdleTimeout time.Duration
 	// DialTimeout bounds one connection attempt (default 2s).
 	DialTimeout time.Duration
-	// BackoffMin/BackoffMax bound the exponential reconnect backoff
-	// (defaults 50ms / 3s).
+	// BackoffMin/BackoffMax bound the reconnect backoff (defaults 50ms /
+	// 3s). A dial nobody answers retries after BackoffMin. After a session
+	// the leader answered and then ended or refused, the wait doubles from
+	// BackoffMin up to BackoffMax; a session that was welcomed starts it
+	// over.
 	BackoffMin time.Duration
 	BackoffMax time.Duration
 	// Faults optionally injects wire faults into outbound frames.
@@ -105,8 +108,12 @@ func (r *Replica) Close() error {
 	return nil
 }
 
-// run is the reconnect loop: one session at a time, exponential backoff
-// between failures, reset after any session that got as far as a welcome.
+// run is the reconnect loop: one session at a time. A dial nobody answered
+// retries after BackoffMin, so a replica started beside its leader attaches
+// as soon as the leader listens. Once the leader has answered, the backoff
+// between sessions doubles up to BackoffMax, so a leader that turns the
+// replica away (CodeBusy) is not hammered, and it starts over after any
+// session that got as far as a welcome.
 func (r *Replica) run() {
 	defer close(r.done)
 	obs := r.state.Obs()
@@ -121,7 +128,16 @@ func (r *Replica) run() {
 		if !first {
 			obs.CountReconnect()
 		}
-		welcomed, err := r.session()
+		wait := r.opts.BackoffMin
+		conn, err := net.DialTimeout("tcp", r.opts.LeaderAddr, r.opts.DialTimeout)
+		if err == nil {
+			var welcomed bool
+			welcomed, err = r.session(conn)
+			if welcomed {
+				backoff = r.opts.BackoffMin
+			}
+			wait, backoff = backoff, min(2*backoff, r.opts.BackoffMax)
+		}
 		obs.SetConnected(false)
 		if err != nil {
 			r.opts.Logf("replica: session with %s: %v", r.opts.LeaderAddr, err)
@@ -132,30 +148,19 @@ func (r *Replica) run() {
 		default:
 		}
 		first = false
-		if welcomed {
-			backoff = r.opts.BackoffMin
-		}
 		select {
-		case <-time.After(backoff):
+		case <-time.After(wait):
 		case <-r.stop:
 			return
-		}
-		backoff *= 2
-		if backoff > r.opts.BackoffMax {
-			backoff = r.opts.BackoffMax
 		}
 	}
 }
 
-// session runs one connection to completion. welcomed reports whether the
-// handshake succeeded (resets the backoff); the error is nil only on a
-// deliberate stop.
-func (r *Replica) session() (welcomed bool, err error) {
+// session runs one connection to completion and closes it. welcomed
+// reports whether the handshake succeeded (resets the backoff); the error is
+// nil only on a deliberate stop.
+func (r *Replica) session(conn net.Conn) (welcomed bool, err error) {
 	obs := r.state.Obs()
-	conn, err := net.DialTimeout("tcp", r.opts.LeaderAddr, r.opts.DialTimeout)
-	if err != nil {
-		return false, err
-	}
 	defer conn.Close() //nolint:errcheck
 	// A stop while blocked in a read must tear the connection down.
 	closeOnStop := make(chan struct{})

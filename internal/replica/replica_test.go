@@ -294,6 +294,45 @@ func TestReplicaReconnectResume(t *testing.T) {
 	}
 }
 
+// TestReplicaAttachesWhenTheLeaderListens: a replica started before its
+// leader keeps dialing at BackoffMin while nobody answers, so it attaches
+// within a dial interval of the leader's listen. Had each unanswered dial
+// doubled the wait, the attempts at 10, 30, 70 and 150 ms would have found no
+// leader, and the next one would come at 310 ms.
+func TestReplicaAttachesWhenTheLeaderListens(t *testing.T) {
+	src := newFakeSource(t, 1)
+	src.feed(20)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	l.Close() //nolint:errcheck
+
+	rep, err := Start(fastOptions(addr, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close() //nolint:errcheck
+	time.Sleep(160 * time.Millisecond)
+	cfg := fastConfig(src)
+	cfg.Addr = addr
+	srv, err := Serve(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close() //nolint:errcheck
+	listening := time.Now()
+	for st := rep.State(); !st.Ready(); time.Sleep(time.Millisecond) {
+		if time.Since(listening) > 5*time.Second {
+			t.Fatal("timed out waiting for the snapshot install")
+		}
+	}
+	if d := time.Since(listening); d > 40*time.Millisecond {
+		t.Errorf("ready %v after the leader listened, want within 40ms", d)
+	}
+}
+
 // TestEpochFencedReconnect is the epoch-fencing satellite end to end: the
 // replica converges against lineage A, the leader is replaced by lineage B
 // on the same address (a drift-reset / fresh-durability restart), and the
