@@ -20,7 +20,9 @@ PROFILE_DIR ?= profiles
 # TestExecSteadyStateAllocs holds a warmed CompiledPlan.Exec to its result's
 # three allocations whichever kernel runs, TestCountOnlyJoinRecordsNoPairs a
 # join under a bare COUNT(*) to no match pair, no group id and its result's
-# allocations on every join kernel, and TestColumnFactsLearnedOnce a
+# allocations on every join kernel, TestUnorderedScanBuildsNoBitmap Q3's
+# scans under its bare COUNT(*) to the rows they are read off in place, no
+# range bitmap and the result's allocations, and TestColumnFactsLearnedOnce a
 # second Compile to no column scan and no bitmap build; TestFreezePublishCost
 # holds a model publish to the blocks one insert touched, and
 # TestPredictZeroAllocWithWarps predict under learned warps at zero;
@@ -35,7 +37,7 @@ tier1:
 		echo "gofmt -l . names:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -run 'TestServingPathZeroAlloc|TestRunPathAllocBudget|TestDurableApplyAllocBudget|TestExecSteadyStateAllocs|TestCountOnlyJoinRecordsNoPairs|TestColumnFactsLearnedOnce|TestFreezePublishCost|TestPredictZeroAllocWithWarps|TestRunHandlerAllocBudget' -count=1 . ./internal/executor ./internal/core ./cmd/ppcserve
+	$(GO) test -run 'TestServingPathZeroAlloc|TestRunPathAllocBudget|TestDurableApplyAllocBudget|TestExecSteadyStateAllocs|TestCountOnlyJoinRecordsNoPairs|TestUnorderedScanBuildsNoBitmap|TestColumnFactsLearnedOnce|TestFreezePublishCost|TestPredictZeroAllocWithWarps|TestRunHandlerAllocBudget' -count=1 . ./internal/executor ./internal/core ./cmd/ppcserve
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench -short ./...
 
@@ -78,7 +80,8 @@ crash:
 # and points, over the compiled executor's key-consuming kernels, held
 # to the tree-walk engine at fuzzer-chosen key-column shapes, operators,
 # parameters and five tops (rows, a global aggregate, GROUP BY either key,
-# a bare COUNT(*) whose join only counts), over the template SQL parser — Register's outside input —
+# a bare COUNT(*) whose join only counts and whose one-range scans read
+# their runs), over the template SQL parser — Register's outside input —
 # held to a query or an error, to a query that prints as SQL parsing back to
 # itself, and to one NewTemplate takes without a panic, and over the catalog
 # histograms' running-count probes (FractionLE, RangeCount, Quantile), held

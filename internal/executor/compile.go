@@ -18,6 +18,7 @@ package executor
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/optimizer"
@@ -94,6 +95,10 @@ type cNode struct {
 	// output tuple count, which is all a dead slot keeps.
 	ord int
 
+	// unordered: nothing above observes the order of the operator's output
+	// tuples (cNode.orderLiveness).
+	unordered bool
+
 	// lineage is the plan node this operator was compiled from. It ties
 	// observed cardinalities (ExecObserve) back to the optimizer's
 	// estimates and, through Node.IndexSite/JoinSite, to the template
@@ -106,12 +111,16 @@ type cNode struct {
 	// Scans (and the inner side of index-nested-loop joins). ranges holds the
 	// relation's range filters, evaluated on the columns' bitmaps; filters
 	// (innerFilters below for the join) the ones that read the column.
+	// fromRun marks an unordered sequential scan whose one range filter passes
+	// a run of its column's value order (cPred.isRun): it reads its rows off
+	// that run and builds no bitmap.
 	table   *tpch.Table
 	index   *tpch.Index
 	lo, hi  float64
 	derive  []optimizer.BoundDerive
 	ranges  []cPred
 	filters []cPred
+	fromRun bool
 
 	// Joins.
 	leftKey     *tpch.Column
@@ -255,6 +264,12 @@ func (e *Executor) Compile(plan *optimizer.Plan, q *optimizer.Query) (*CompiledP
 		}
 	}
 	c.gathers(cp.root)
+	// The root observes the order of its tuples — a bare result lists them,
+	// GROUP BY numbers its groups in first-seen order, SUM and AVG add in tuple
+	// order, MIN and MAX keep the first of two equal zeros — unless it is a
+	// global aggregate of COUNTs alone.
+	cp.root.orderLiveness(cp.agg == nil || len(cp.agg.groupCols) > 0 ||
+		slices.ContainsFunc(cp.agg.specs, func(sp aggColSpec) bool { return sp.fn != optimizer.AggCount }))
 	cp.nSlots, cp.nNodes = c.nSlots, c.nNodes
 	cp.pool.New = func() any { return newArena(cp) }
 	return cp, nil
@@ -331,6 +346,26 @@ func (c *compiler) gathers(n *cNode) {
 	c.gathers(n.left)
 	if n.right != nil {
 		c.gathers(n.right)
+	}
+}
+
+// orderLiveness decides, top down beside slot liveness, which operators'
+// output order something observes. A join observes its inputs' order when
+// something observes its own — which pairs match, and so the count, does not
+// depend on it — except a sort-based merge join, which always does: its
+// stable sort is no total order over NaN keys, so which keys meet depends on
+// the order they arrived in. An unordered sequential scan with one range
+// filter that passes a run of its column's value order takes the run.
+func (n *cNode) orderLiveness(observed bool) {
+	n.unordered = !observed
+	if n.left == nil {
+		n.fromRun = n.unordered && n.op == optimizer.OpSeqScan && len(n.ranges) == 1 && n.ranges[0].isRun()
+		return
+	}
+	observed = observed || n.op == optimizer.OpMergeJoin && n.kernel == kernGeneric
+	n.left.orderLiveness(observed)
+	if n.right != nil {
+		n.right.orderLiveness(observed)
 	}
 }
 

@@ -46,7 +46,7 @@ func FuzzCompiledMatchesTreeWalk(f *testing.F) {
 			kc.op = optimizer.OpIndexNLJoin
 		case 4:
 			kc.op = optimizer.OpSeqScan
-			kc.top = 1 + kc.top%3
+			kc.top = 1 + kc.top%4
 		}
 		if kc.strKey && (kc.op == optimizer.OpMergeJoin || kc.op == optimizer.OpIndexNLJoin) {
 			return // no such plan: the optimizer never costs one, the compiler refuses it

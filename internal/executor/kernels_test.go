@@ -442,7 +442,9 @@ func (k *kernelDB) doctor(t testing.TB, shape keyShape, seed int64) *Executor {
 // one of five tops. Parameter 0 bounds c.c_date, parameter 1 o.o_orderdate
 // (the inner relation's filter under an index-nested-loop join), parameter 2
 // o.o_totalprice (which has no index), as the residual join filter and as a
-// second filter of the orders scan.
+// second filter of the orders scan. A scan case aggregates the customer scan
+// under tops 1 and 2 (top 1 is a bare COUNT(*) there) and the orders scan
+// under tops 3 and 4.
 type kernelCase struct {
 	op        optimizer.OpKind // a join operator, or OpSeqScan: aggregate one scan
 	buildLeft bool
@@ -484,7 +486,7 @@ func (kc kernelCase) plan() (*optimizer.Plan, *optimizer.Query) {
 	switch kc.op {
 	case optimizer.OpSeqScan:
 		root = left
-		if kc.top == 3 {
+		if kc.top >= 3 {
 			root = right
 		}
 	default:
@@ -555,9 +557,12 @@ func assertBitIdentical(t testing.TB, label string, want, got *Result) {
 
 // check compiles the case, runs it twice (the second run reuses the arena
 // the first one sized) against the tree-walk engine, and returns the kernels
-// Compile chose for the join and for the GROUP BY. A join under a bare
-// COUNT(*) must be count-only and harvest the cardinalities the same join
-// harvests under top 1, which reads its vectors.
+// Compile chose for the join and for the GROUP BY. Under a bare COUNT(*) a
+// join must be count-only, a scan unordered unless a sort-based merge join is
+// above it, and an unordered scan must read its run exactly when it has one
+// range filter; the plan must harvest the cardinalities of the same operators
+// under a top that reads their vectors in order (top 1 for a join, top 3 for
+// the orders scan).
 func (kc kernelCase) check(t testing.TB, ex *Executor, label string, params []float64) (join, group kernel) {
 	t.Helper()
 	plan, q := kc.plan()
@@ -580,23 +585,38 @@ func (kc kernelCase) check(t testing.TB, ex *Executor, label string, params []fl
 		}
 		assertBitIdentical(t, fmt.Sprintf("%s run %d", label, run), want, got)
 	}
-	if kc.top == 4 && kc.op != optimizer.OpSeqScan {
-		if !cp.root.countOnly {
+	if kc.top == 4 {
+		isScan := kc.op == optimizer.OpSeqScan
+		if !isScan && !cp.root.countOnly {
 			t.Fatalf("%s: the join under a bare COUNT(*) is not count-only", label)
 		}
+		eachScan(cp.root, false, func(s *cNode, underSort bool) {
+			if s.unordered == underSort || s.fromRun != (s.unordered && len(s.ranges) == 1) {
+				t.Fatalf("%s: scan of %s with %d range filters (below a sort-based merge join: %v) is unordered = %v, reads its run = %v",
+					label, s.rels[0].alias, len(s.ranges), underSort, s.unordered, s.fromRun)
+			}
+		})
 		twin := kc
 		twin.top = 1
+		if isScan {
+			twin.top = 3
+		}
 		tplan, tq := twin.plan()
 		tcp, err := ex.Compile(tplan, tq)
 		if err != nil {
-			t.Fatalf("%s: Compile top 1: %v", label, err)
+			t.Fatalf("%s: Compile top %d: %v", label, twin.top, err)
 		}
 		if tcp.root.countOnly {
-			t.Fatalf("%s: the join under top 1 is count-only", label)
+			t.Fatalf("%s: the join under top %d is count-only", label, twin.top)
 		}
+		eachScan(tcp.root, false, func(s *cNode, _ bool) {
+			if s.unordered {
+				t.Fatalf("%s: scan of %s under top %d is unordered", label, s.rels[0].alias, twin.top)
+			}
+		})
 		var want []CardObservation
 		if _, err := tcp.ExecObserve(params, &want); err != nil {
-			t.Fatalf("%s: Exec top 1: %v", label, err)
+			t.Fatalf("%s: Exec top %d: %v", label, twin.top, err)
 		}
 		assertSameCards(t, label, obs, want)
 	}
@@ -659,9 +679,8 @@ func TestKernelChoiceMatchesTreeWalk(t *testing.T) {
 			for top, group := range []kernel{kernGeneric, kernGeneric, shape.groupL, shape.groupR, kernGeneric} {
 				kc := tc.kc
 				kc.top = top
-				// A scan runs under the aggregating tops only, and top 1 over a
-				// scan is already a bare COUNT(*).
-				if kc.op == optimizer.OpSeqScan && (top == 0 || top == 4) {
+				// A scan runs under the aggregating tops only.
+				if kc.op == optimizer.OpSeqScan && top == 0 {
 					continue
 				}
 				for pi, p := range points {
@@ -702,7 +721,7 @@ func TestKernelChoiceMatchesTreeWalk(t *testing.T) {
 	} {
 		for top := 0; top < 5; top++ {
 			kc.top = top
-			if kc.op == optimizer.OpSeqScan && (top == 0 || top == 4) {
+			if kc.op == optimizer.OpSeqScan && top == 0 {
 				continue
 			}
 			label := fmt.Sprintf("string key: %v", kc)

@@ -6,10 +6,13 @@
 // then finds its bound's position with one binary search and reads the
 // qualifying rows off the nearest checkpoint instead of off the column; a
 // conjunction is a word-wise AND; and the set bits come out in ascending
-// row-id order, which is the order a pass over the column produced — nothing
-// downstream of a scan can tell the difference. Like the column facts
-// (facts.go) the bitmaps are never re-learned: the database is immutable once
-// an Executor has compiled against it.
+// row-id order, which is the order a pass over the column produced, so no
+// operator that observes order can tell the difference. Where none does (a
+// scan under a global aggregate of COUNTs alone), one range predicate needs
+// no bitmap: the rows it passes are a run of the row ids in value order, read
+// off in place (cPred.run). Like the column facts (facts.go) the bitmaps are
+// never re-learned: the database is immutable once an Executor has compiled
+// against it.
 package executor
 
 import (
@@ -166,31 +169,52 @@ func (p *cPred) bindRange(rb *rangeBits) {
 	}
 }
 
-// narrow ANDs a range predicate into set. The row engine's positive
-// comparisons fail a NaN column value, and every row when the bound is NaN;
-// its BETWEEN, !(v < lo || v > hi), passes a NaN value.
-func (p *cPred) narrow(params []float64, set []uint64) {
+// span returns the positions [lo, hi) in value order of the values other than
+// NaN that a range predicate passes. The row engine's positive comparisons
+// fail every row when the bound is NaN; inverted BETWEEN bounds pass no value.
+func (p *cPred) span(params []float64) (lo, hi int) {
 	rb := p.rb
 	if p.kind == optimizer.PredBetween {
-		rb.keepFirst(set, rb.through(p.hi), true)
-		rb.dropFirst(set, rb.below(p.lo), true)
-		return
+		lo = rb.below(p.lo)
+		return lo, max(lo, rb.through(p.hi))
 	}
 	v := p.rhs(params)
-	if v != v {
-		clear(set)
-		return
+	switch {
+	case v != v:
+		return 0, 0
+	case p.op == optimizer.OpLE:
+		return 0, rb.through(v)
+	case p.op == optimizer.OpLT:
+		return 0, rb.below(v)
+	case p.op == optimizer.OpGE:
+		return rb.below(v), len(rb.rows)
 	}
-	switch p.op {
-	case optimizer.OpLE:
-		rb.keepFirst(set, rb.through(v), false)
-	case optimizer.OpLT:
-		rb.keepFirst(set, rb.below(v), false)
-	case optimizer.OpGE:
-		rb.dropFirst(set, rb.below(v), false)
-	case optimizer.OpGT:
-		rb.dropFirst(set, rb.through(v), false)
-	}
+	return rb.through(v), len(rb.rows) // OpGT
+}
+
+// narrow ANDs a range predicate into set: the rows of its span, and the NaN
+// rows for a BETWEEN, whose !(v < lo || v > hi) passes a NaN value where the
+// row engine's positive comparisons fail it.
+func (p *cPred) narrow(params []float64, set []uint64) {
+	lo, hi := p.span(params)
+	nan := p.kind == optimizer.PredBetween
+	p.rb.keepFirst(set, hi, nan)
+	p.rb.dropFirst(set, lo, nan)
+}
+
+// isRun reports whether the rows a range predicate passes are its span of
+// rb.rows. They are but for a BETWEEN over a column with NaN rows: it passes
+// them, and no sort places them.
+func (p *cPred) isRun() bool {
+	return p.kind != optimizer.PredBetween || p.rb.nan == nil
+}
+
+// run returns the predicate's span of rb.rows: where isRun, the rows it
+// passes, in value order. It aliases the bitmaps' row ids: the caller must not
+// write to it.
+func (p *cPred) run(params []float64) []int32 {
+	lo, hi := p.span(params)
+	return p.rb.rows[lo:hi:hi]
 }
 
 // rangeSet evaluates the conjunction of range predicates over an n-row table

@@ -2,7 +2,11 @@
 // vectors held in the arena. A scan's range predicates never read the column:
 // they AND the columns' bitmaps (rangebits.go), and a sequential scan extracts
 // the set bits — row ids, ascending — into its vector, where an index scan
-// tests its candidates against them. A predicate of another kind runs over
+// tests its candidates against them. Where nothing above observes a scan's
+// order (under a global aggregate of COUNTs alone, cNode.orderLiveness), a
+// sequential scan with one range predicate builds no bitmap: the rows it
+// passes are a run of the column's row ids in value order, which become its
+// vector in place. A predicate of another kind runs over
 // the contiguous column when it is the scan's first and refines the vector in
 // place otherwise. A join records its matched (left, right) tuple pairs and
 // gathers, one relation at a time, the output vectors something above it
@@ -72,27 +76,36 @@ func (p *cPred) testRow(params []float64, id int32) bool {
 	return false
 }
 
-// runScan produces the scan's selection vector, in row-id order for a
-// sequential scan and in index order for an index scan. The vector is sized
-// to the candidate count up front, so the kernels store without growing it.
+// runScan produces the scan's selection vector: in row-id order for a
+// sequential scan, in index order for an index scan, and in value order for a
+// scan that reads its range filter's run (fromRun). A scan with nothing left
+// to refine takes the run or the index's range as its vector, in place, and
+// nothing writes to it; otherwise the rows are copied into the slot's own
+// vector, which is sized to the candidate count up front, so the kernels
+// store without growing it.
 func (n *cNode) runScan(ar *Arena, params []float64) {
 	slot := n.slots[0]
 	filters := n.filters
-	var set []uint64
-	if len(n.ranges) > 0 {
-		set = ar.rangeSet(n.ranges, params, n.table.NumRows())
-	}
 	var sel []int32
-	if n.op == optimizer.OpIndexScan {
-		sel = append(ar.vecs[slot][:0], n.index.RangeRows(n.bounds(params))...)
-		if set != nil {
-			sel = sel[:refineSet(set, sel)]
+	switch {
+	case n.fromRun:
+		sel = n.ranges[0].run(params)
+		if len(filters) > 0 {
+			sel = append(ar.vecs[slot][:0], sel...)
 		}
-	} else {
+	case n.op == optimizer.OpIndexScan:
+		sel = n.index.RangeRows(n.bounds(params))
+		if len(n.ranges) > 0 || len(filters) > 0 {
+			sel = append(ar.vecs[slot][:0], sel...)
+		}
+		if len(n.ranges) > 0 {
+			sel = sel[:refineSet(ar.rangeSet(n.ranges, params, n.table.NumRows()), sel)]
+		}
+	default:
 		sel = sized(ar.vecs[slot], n.table.NumRows())
 		switch {
-		case set != nil:
-			sel = sel[:extract(set, sel)]
+		case len(n.ranges) > 0:
+			sel = sel[:extract(ar.rangeSet(n.ranges, params, n.table.NumRows()), sel)]
 		case len(filters) > 0:
 			sel = sel[:filters[0].selectAll(params, sel)]
 			filters = filters[1:]
