@@ -27,10 +27,15 @@ PROFILE_DIR ?= profiles
 # holds a model publish to the blocks one insert touched, and
 # TestPredictZeroAllocWithWarps predict under learned warps at zero;
 # TestRunHandlerAllocBudget holds ppcserve's /run handler to its Run's
-# allocations plus the request's own. The benchmark harness in bench/ is a
-# module of its own that imports this one's internal packages, so it is
-# vetted and self-tested here too: an internal refactor that breaks it must
-# fail the gate, not the next benchmark run.
+# allocations plus the request's own. The race line also runs
+# TestCommandsLinkNoBenchHarness, which holds what the serving binaries link
+# to an allow-list and keeps the paper's offline evaluation offline: the
+# bench/ module links neither internal/experiments nor internal/baselines,
+# and no non-test package but internal/experiments imports internal/baselines.
+# The benchmark harness in bench/ is a module of its own that imports this
+# one's internal packages, so it is vetted and self-tested here too: an
+# internal refactor that breaks it must fail the gate, not the next benchmark
+# run.
 tier1:
 	$(GO) build ./...
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \

@@ -14,6 +14,7 @@ import (
 	"os"
 	"os/exec"
 	"path"
+	"slices"
 	"strings"
 	"testing"
 
@@ -109,15 +110,32 @@ func TestDurableApplyAllocBudget(t *testing.T) {
 // two serving binaries are held tighter: what they link of repro/internal
 // is exactly the literal set below, so a new dependency fails here and the
 // set can only shrink; and they link no reflected gob codec, since
-// checkpoints and the wire share one hand-written snapshot codec.
+// checkpoints and the wire share one hand-written snapshot codec. The
+// paper's offline evaluation stays offline: the bench module links neither
+// internal/experiments nor internal/baselines, and no non-test package but
+// internal/experiments imports internal/baselines.
 func TestCommandsLinkNoBenchHarness(t *testing.T) {
-	deps := func(patterns ...string) []string {
+	goList := func(args ...string) string {
 		t.Helper()
-		out, err := exec.Command("go", append([]string{"list", "-deps"}, patterns...)...).CombinedOutput()
+		out, err := exec.Command("go", append([]string{"list"}, args...)...).CombinedOutput()
 		if err != nil {
-			t.Fatalf("go list -deps %v: %v\n%s", patterns, err, out)
+			t.Fatalf("go list %v: %v\n%s", args, err, out)
 		}
-		return strings.Fields(string(out))
+		return string(out)
+	}
+	deps := func(patterns ...string) []string {
+		return strings.Fields(goList(append([]string{"-deps"}, patterns...)...))
+	}
+	for _, pkg := range strings.Fields(goList("-C", "bench", "-deps", ".")) {
+		if pkg == "repro/internal/experiments" || pkg == "repro/internal/baselines" {
+			t.Errorf("the bench module links %s", pkg)
+		}
+	}
+	for _, line := range strings.Split(strings.TrimSpace(goList("-f", "{{.ImportPath}}{{range .Imports}} {{.}}{{end}}", "./...")), "\n") {
+		pkg, imports, _ := strings.Cut(line, " ")
+		if pkg != "repro/internal/experiments" && slices.Contains(strings.Fields(imports), "repro/internal/baselines") {
+			t.Errorf("%s imports repro/internal/baselines; only internal/experiments may", pkg)
+		}
 	}
 	for _, pkg := range deps("./cmd/...") {
 		if pkg == "testing" || pkg == "repro/internal/benchsuite" {

@@ -1,4 +1,4 @@
-package ppc
+package ppc_test
 
 // Benchmark harness: one benchmark per table and figure of the paper's
 // evaluation (each regenerates its experiment at a reduced workload size;
@@ -13,7 +13,7 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/cluster"
+	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/executor"
 	"repro/internal/experiments"
@@ -102,7 +102,7 @@ func benchOptimize(b *testing.B, name string) {
 }
 
 // trainedPredictors builds each algorithm on the same Q1 sample set.
-func trainedPredictors(b *testing.B, n int) (bl *cluster.Density, nv *core.Naive, al *core.ApproxLSH, hist *core.ApproxLSHHist, tests [][]float64) {
+func trainedPredictors(b *testing.B, n int) (bl *baselines.Density, nv *baselines.Naive, al *baselines.ApproxLSH, hist *core.ApproxLSHHist, tests [][]float64) {
 	e := env(b)
 	tmpl := e.Templates["Q1"]
 	oracle := experiments.NewOracle(e, tmpl)
@@ -111,15 +111,15 @@ func trainedPredictors(b *testing.B, n int) (bl *cluster.Density, nv *core.Naive
 		b.Fatal(err)
 	}
 	cfg := core.Config{Dims: tmpl.Degree(), Radius: 0.05, Gamma: 0.7, NoiseElimination: true, Seed: 5}
-	nv = core.MustNewNaive(cfg)
-	al = core.MustNewApproxLSH(cfg)
+	nv = baselines.MustNewNaive(baselines.Config{Config: cfg})
+	al = baselines.MustNewApproxLSH(baselines.Config{Config: cfg})
 	hist = core.MustNewApproxLSHHist(cfg)
 	for _, s := range samples {
 		nv.Insert(s)
 		al.Insert(s)
 		hist.Insert(s)
 	}
-	bl = cluster.NewDensity(samples, 0.05, 0.7)
+	bl = baselines.NewDensity(samples, 0.05, 0.7)
 	tests = workload.Uniform(tmpl.Degree(), 512, 11)
 	return
 }

@@ -3,22 +3,16 @@
 // clustering with locality-sensitive hashing and database-histogram
 // synopses (Sections IV and V).
 //
-// Three space-and-time-efficient approximations of the BASELINE
-// density predictor (package cluster) are provided:
-//
-//   - Naive (Section IV-B): a single fixed grid over the plan space with a
-//     per-plan count and average cost per bucket.
-//   - ApproxLSH (Section IV-B): t randomized locality-preserving
-//     transformations, each with its own grid; per-plan densities are the
-//     median across the transformations' estimates.
-//   - ApproxLSHHist (Section IV-C): the grids are linearized with a z-order
-//     curve and summarized in database histograms — one per (transform,
-//     plan) pair — with noise elimination.
-//
-// All three support online insertion (Section IV-D); Online wraps
-// ApproxLSHHist with the full online protocol: warm-up, randomized
-// optimizer invocations, negative feedback via the plan cost predictability
-// check, sliding-window precision/recall estimation and drift detection.
+// It holds the one predictor the system serves, ApproxLSHHist
+// (APPROXIMATE-LSH-HISTOGRAMS, Section IV-C): t randomized
+// locality-preserving transformations whose grids are linearized with a
+// z-order curve and summarized in database histograms — one per
+// (transform, plan) pair — with noise elimination. Online wraps it with the
+// full online protocol (Section IV-D): warm-up, randomized optimizer
+// invocations, negative feedback via the plan cost predictability check,
+// sliding-window precision/recall estimation and drift detection. The
+// offline references it approximates — BASELINE, NAÏVE, APPROXIMATE-LSH —
+// live in package baselines.
 package core
 
 import (
@@ -39,11 +33,7 @@ type Config struct {
 	OutDims int
 	// Transforms is the number of randomized transformations t (default 5).
 	Transforms int
-	// GridBuckets is the per-grid bucket budget b_g for Naive and
-	// ApproxLSH (default 4096).
-	GridBuckets int
-	// HistBuckets is the per-histogram bucket budget b_h for ApproxLSHHist
-	// (default 40).
+	// HistBuckets is the per-histogram bucket budget b_h (default 40).
 	HistBuckets int
 	// Radius is the query radius d (default 0.1).
 	Radius float64
@@ -72,8 +62,9 @@ type Config struct {
 	RetuneReservoir int
 }
 
-// withDefaults fills zero fields with the paper's defaults.
-func (c Config) withDefaults() (Config, error) {
+// WithDefaults fills zero fields with the paper's defaults, or reports the
+// first invalid field.
+func (c Config) WithDefaults() (Config, error) {
 	if c.Dims <= 0 {
 		return c, fmt.Errorf("core: Dims must be positive, got %d", c.Dims)
 	}
@@ -88,12 +79,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Transforms < 0 {
 		return c, fmt.Errorf("core: Transforms must be positive, got %d", c.Transforms)
-	}
-	if c.GridBuckets == 0 {
-		c.GridBuckets = 4096
-	}
-	if c.GridBuckets < 1 {
-		return c, fmt.Errorf("core: GridBuckets must be positive, got %d", c.GridBuckets)
 	}
 	if c.HistBuckets == 0 {
 		c.HistBuckets = 40
@@ -134,67 +119,10 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// Predictor is an online plan space predictor: it absorbs labeled samples
-// one at a time and answers plan predictions in time independent of the
-// number of absorbed samples.
-type Predictor interface {
-	// Insert folds one labeled plan space point into the synopsis. The
-	// sample's Point is not retained: callers may reuse its backing array.
-	Insert(s Sample)
-	// Predict returns the plan prediction at x (possibly NULL).
-	Predict(x []float64) Prediction
-	// TotalPoints returns the number of inserted samples.
-	TotalPoints() int
-	// MemoryBytes returns the storage footprint under the paper's
-	// accounting (Table I).
-	MemoryBytes() int
-	// Reset discards all absorbed samples (drift recovery).
-	Reset()
-}
-
-// CostPredictor additionally estimates the expected execution cost of the
-// predicted plan near x, enabling the negative-feedback error detector
-// (Section IV-E).
-type CostPredictor interface {
-	Predictor
-	// PredictWithCost returns the prediction and, when OK, the estimated
-	// average execution cost of that plan in the vicinity of x. costOK is
-	// false when no cost information is available.
-	PredictWithCost(x []float64) (pred Prediction, cost float64, costOK bool)
-}
-
-// gridCellsPerAxis returns the per-axis resolution of a grid of dims
-// dimensions within a total bucket budget.
-func gridCellsPerAxis(budget, dims int) int {
-	c := int(math.Floor(math.Pow(float64(budget), 1/float64(dims))))
-	if c < 1 {
-		c = 1
-	}
-	return c
-}
-
-// clampPoint copies x with every coordinate clamped into [0,1].
-func clampPoint(x []float64) []float64 {
-	out := make([]float64, len(x))
-	clampPointInto(out, x)
-	return out
-}
-
 // clampPointInto clamps x into [0,1] coordinate-wise, writing into dst
-// (which must have length len(x)) — the allocation-free serving variant.
+// (which must have length len(x)) without allocating.
 func clampPointInto(dst, x []float64) {
 	for i, v := range x {
 		dst[i] = math.Max(0, math.Min(1, v))
 	}
-}
-
-// applyTransform applies tr to a point whose dimensionality the caller has
-// already validated; an error here is a programming bug, reported as a
-// panic exactly like the pre-validation Insert contract.
-func applyTransform(tr *lsh.Transform, x []float64) []float64 {
-	y, err := tr.Apply(x)
-	if err != nil {
-		panic(err)
-	}
-	return y
 }

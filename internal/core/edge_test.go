@@ -76,20 +76,13 @@ func TestOnlineZeroCostObservationTriggersCorrection(t *testing.T) {
 // Insert with mismatched dimensionality must panic loudly (programming
 // error), not corrupt state.
 func TestInsertDimensionMismatchPanics(t *testing.T) {
-	for name, p := range map[string]Predictor{
-		"naive":   MustNewNaive(Config{Dims: 3}),
-		"lsh":     MustNewApproxLSH(Config{Dims: 3, Seed: 1}),
-		"lshhist": MustNewApproxLSHHist(Config{Dims: 3, Seed: 1}),
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic on dimension mismatch", name)
-				}
-			}()
-			p.Insert(Sample{Point: []float64{0.5, 0.5}, Plan: 1})
-		}()
-	}
+	p := MustNewApproxLSHHist(Config{Dims: 3, Seed: 1})
+	defer func() {
+		if recover() == nil {
+			t.Error("no panic on dimension mismatch")
+		}
+	}()
+	p.Insert(Sample{Point: []float64{0.5, 0.5}, Plan: 1})
 }
 
 // Predictions on out-of-range points must clamp, not panic.
@@ -178,10 +171,10 @@ func TestOnlineStepRejectsWrongDims(t *testing.T) {
 func TestOnlineInjectedMispredictionIsCorrected(t *testing.T) {
 	env := &quadrantEnv{wrongFactor: 5}
 	o := MustNewOnline(OnlineConfig{
-		Core:                  Config{Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5, NoiseElimination: true},
-		NegativeFeedback:      true,
-		DisablePrecisionFloor: true,
-		Seed:                  19,
+		Core:             Config{Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5, NoiseElimination: true},
+		NegativeFeedback: true,
+		PrecisionFloor:   -1,
+		Seed:             19,
 	}, env)
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 1200; i++ {

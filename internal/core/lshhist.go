@@ -135,7 +135,7 @@ func (p *ApproxLSHHist) scratch() *PredictScratch {
 
 // NewApproxLSHHist creates an APPROXIMATE-LSH-HISTOGRAMS predictor.
 func NewApproxLSHHist(cfg Config) (*ApproxLSHHist, error) {
-	cfg, err := cfg.withDefaults()
+	cfg, err := cfg.WithDefaults()
 	if err != nil {
 		return nil, err
 	}
@@ -204,11 +204,13 @@ func zBitsFor(s int) int {
 	return bits
 }
 
-// Insert implements Predictor: the point is pushed through every
-// transformation (and the current warps, when tunable LSH is armed) and its
-// z-order coordinate is inserted into the histogram of its plan in every
-// intermediate space. Live inserts additionally harvest the pre-warp
-// coordinate distribution and retain the sample in the re-tune reservoir.
+// Insert folds one labeled sample into the synopsis; its Point is not
+// retained, so callers may reuse the backing array. The point is pushed
+// through every transformation (and the current warps, when tunable LSH is
+// armed) and its z-order coordinate is inserted into the histogram of its
+// plan in every intermediate space. Live inserts additionally harvest the
+// pre-warp coordinate distribution and retain the sample in the re-tune
+// reservoir.
 func (p *ApproxLSHHist) Insert(s Sample) {
 	if len(s.Point) != p.cfg.Dims {
 		panic(fmt.Sprintf("core: expected %d dims, got %d", p.cfg.Dims, len(s.Point)))
@@ -363,14 +365,16 @@ func (p *ApproxLSHHist) Warps() [][]*lsh.Warp { return p.warps }
 // Tuner exposes the harvest state (nil when tunable LSH is disabled).
 func (p *ApproxLSHHist) Tuner() *lsh.Tuner { return p.tuner }
 
-// Predict implements Predictor.
+// Predict returns the plan prediction at x (possibly NULL).
 func (p *ApproxLSHHist) Predict(x []float64) Prediction {
 	pred, _, _ := p.PredictWithCost(x)
 	return pred
 }
 
-// PredictWithCost implements CostPredictor by asking the frozen image of
-// the current state — Model.PredictWithCost is the one implementation of
+// PredictWithCost returns the prediction and, when OK, the estimated
+// average execution cost of that plan near x (the negative-feedback
+// detector's estimate, Section IV-E), by asking the frozen image of the
+// current state — Model.PredictWithCost is the one implementation of
 // the query. Freeze is a pointer return until the next mutation, so a run
 // of predictions allocates nothing; a prediction right after an Insert pays
 // that insert's publish (the touched blocks), as the serving path does.
@@ -437,11 +441,11 @@ func (p *ApproxLSHHist) Freeze() *Model {
 	return m
 }
 
-// TotalPoints implements Predictor.
+// TotalPoints returns the number of inserted samples.
 func (p *ApproxLSHHist) TotalPoints() int { return p.total }
 
-// MemoryBytes implements Predictor with the paper's accounting — t·n·b_h·12
-// — plus one marginal histogram per transformation.
+// MemoryBytes is the storage footprint under the paper's accounting
+// (Table I), t·n·b_h·12, plus one marginal histogram per transformation.
 func (p *ApproxLSHHist) MemoryBytes() int {
 	n := len(p.plans)
 	if n == 0 {
@@ -450,7 +454,7 @@ func (p *ApproxLSHHist) MemoryBytes() int {
 	return p.cfg.Transforms * (n + 1) * p.cfg.HistBuckets * histogram.BytesPerBucket
 }
 
-// Reset implements Predictor: all histograms are dropped, matching the
+// Reset is drift recovery: all histograms are dropped, matching the
 // Section IV-E recovery action ("we drop all histograms created for that
 // query template and start accumulating sample points from scratch"). The
 // re-tune reservoir is dropped with them (its samples carry the stale plan

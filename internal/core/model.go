@@ -202,3 +202,23 @@ func queryRange(m *histogram.Frozen, valueDelta, ballFrac, z float64) (lo, hi fl
 	}
 	return lo, hi
 }
+
+// median returns the median of vs (vs is modified by sorting). The inputs
+// are one value per transform, so an insertion sort — with sort.Float64s'
+// ordering, NaNs first — beats the sort package's dispatch on the predict
+// path, which calls this once per plan.
+func median(vs []float64) float64 {
+	n := len(vs)
+	if n == 0 {
+		return 0
+	}
+	for i := 1; i < n; i++ {
+		for j := i; j > 0 && (vs[j] < vs[j-1] || (vs[j] != vs[j] && vs[j-1] == vs[j-1])); j-- {
+			vs[j], vs[j-1] = vs[j-1], vs[j]
+		}
+	}
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
+}

@@ -57,22 +57,19 @@ type OnlineConfig struct {
 	WindowK int
 	// PrecisionFloor triggers drift recovery: when the estimated template
 	// precision over a full window falls below this value, all histograms
-	// are dropped and sampling restarts (default 0.5; 0 disables).
+	// are dropped and sampling restarts (default 0.5; set negative to
+	// disable).
 	PrecisionFloor float64
-	// DisablePrecisionFloor turns drift recovery off explicitly.
-	DisablePrecisionFloor bool
 
 	// PositiveFeedback enables the extension sketched in the paper's
 	// Section VII: predictions the framework is highly confident about are
 	// inserted back into the histograms as if optimizer-validated,
 	// shortening the training period and improving recall. Two checks and
 	// balances prevent the feedback spiral the paper warns against:
-	// insertions require confidence >= PositiveConfidence, and the number
+	// insertions require confidence >= 0.95, and the number
 	// of self-labeled points may never exceed PositiveRatio times the
 	// number of optimizer-validated points.
 	PositiveFeedback bool
-	// PositiveConfidence is the confidence gate (default 0.95).
-	PositiveConfidence float64
 	// PositiveRatio caps self-labeled points relative to validated points
 	// (default 1.0).
 	PositiveRatio float64
@@ -80,9 +77,13 @@ type OnlineConfig struct {
 	Seed int64
 }
 
+// positiveConfidence is the confidence a prediction needs before
+// PositiveFeedback inserts it as a self-labeled point.
+const positiveConfidence = 0.95
+
 func (c OnlineConfig) withDefaults() (OnlineConfig, error) {
 	var err error
-	c.Core, err = c.Core.withDefaults()
+	c.Core, err = c.Core.WithDefaults()
 	if err != nil {
 		return c, err
 	}
@@ -98,17 +99,8 @@ func (c OnlineConfig) withDefaults() (OnlineConfig, error) {
 	if c.WindowK < 1 {
 		return c, fmt.Errorf("core: WindowK must be positive, got %d", c.WindowK)
 	}
-	if c.PrecisionFloor == 0 && !c.DisablePrecisionFloor {
+	if c.PrecisionFloor == 0 {
 		c.PrecisionFloor = 0.5
-	}
-	if c.DisablePrecisionFloor {
-		c.PrecisionFloor = 0
-	}
-	if c.PositiveConfidence == 0 {
-		c.PositiveConfidence = 0.95
-	}
-	if c.PositiveConfidence < 0 || c.PositiveConfidence > 1 {
-		return c, fmt.Errorf("core: PositiveConfidence %v out of [0,1]", c.PositiveConfidence)
 	}
 	if c.PositiveRatio == 0 {
 		c.PositiveRatio = 1.0
@@ -416,7 +408,7 @@ func (o *Online) StepConcurrent(x []float64, env Environment, sink FeedbackSink)
 	// Positive feedback (Section VII extension): reinforce very confident,
 	// cost-consistent predictions, within the self-labeling budget.
 	if o.cfg.PositiveFeedback && correct &&
-		pred.Confidence >= o.cfg.PositiveConfidence &&
+		pred.Confidence >= positiveConfidence &&
 		float64(o.selfLabeled.Load()) < o.cfg.PositiveRatio*float64(o.validated.Load()) {
 		o.deliver(o.feedback(x, pred.Plan, observed, true), sink)
 		d.PositiveInsertion = true

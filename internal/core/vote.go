@@ -31,7 +31,7 @@ type Prediction struct {
 // The area split is translated to the chord offset with the diameter-split
 // approximation — the chord at offset t divides the diameter in proportion
 // (1+t/d):(1−t/d), so sin(θ) ≈ 2·(countMax/countTotal) − 1. (The exact
-// circular-segment inversion, cluster.SegmentConfidence, is retained for
+// circular-segment inversion, baselines.SegmentConfidence, is retained for
 // reference; both agree at the endpoints, and the linear form is the
 // "reasonable simplification" consistent with the paper's reported
 // operating points.) The confidence is 1 when the ball is pure, 0 when the

@@ -281,32 +281,37 @@ func TestFig12ShapeAblations(t *testing.T) {
 		byName["without negative feedback"].Precision)
 }
 
+// Figure 13 on a real System. What holds on any host: the learner serves
+// hits; a precompiled optimal plan executes faster than optimizing before
+// executing it, and faster than PPC's decide-then-execute; and with inline
+// feedback and fixed seeds the decisions repeat exactly. PPC below
+// ALWAYS-OPTIMIZE is a wall-time ordering that flakes at this size, so it is
+// logged, not asserted, until ROADMAP 4(2) finds the regime where it holds.
 func TestFig13ShapeRuntimeOrdering(t *testing.T) {
-	r, err := RunFig13(testEnv, Fig13Config{Instances: 400})
+	cfg := Fig13Config{Instances: 400}
+	r, err := RunFig13(testEnv, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Sim.TotalIdeal > r.Sim.TotalPPC {
-		t.Errorf("IDEAL (%v) above PPC (%v)", r.Sim.TotalIdeal, r.Sim.TotalPPC)
+	t.Logf("always=%.4fs ppc=%.4fs ideal=%.4fs speedup=%.2fx hits=%d invocations=%d stale=%d",
+		r.TotalAlways, r.TotalPPC, r.TotalIdeal, r.Speedup, r.Hits, r.Invocations, r.StaleExecutions)
+	if r.Hits == 0 {
+		t.Error("no cache hits on a high-locality trajectory workload")
 	}
-	// The figure's claim is for queries whose optimization is a significant
-	// share of their time (paper Section I). Since the cost-first enumerator
-	// (PR 13) Q8 optimizes in ~25 µs: under a tenth of ALWAYS-OPTIMIZE's
-	// total here, less than stale plans cost PPC over 400 instances. The
-	// ordering is then reported (0.93–0.95x) but not asserted, until
-	// ROADMAP's "Figure 13 regime" item picks a template or threshold.
-	if share := 1 - r.Sim.TotalIdeal/r.Sim.TotalAlways; share < 0.25 {
-		t.Skipf("optimization is %.0f%% of ALWAYS-OPTIMIZE on %s: outside the figure's regime; always=%.4fs ppc=%.4fs ideal=%.4fs speedup=%.2fx",
-			100*share, r.Template, r.Sim.TotalAlways, r.Sim.TotalPPC, r.Sim.TotalIdeal, r.Speedup)
+	if r.TotalIdeal >= r.TotalAlways {
+		t.Errorf("IDEAL (%v) not below ALWAYS-OPTIMIZE (%v)", r.TotalIdeal, r.TotalAlways)
 	}
-	if r.Sim.TotalPPC >= r.Sim.TotalAlways {
-		t.Errorf("paper shape violated: PPC (%v) not below ALWAYS-OPTIMIZE (%v)",
-			r.Sim.TotalPPC, r.Sim.TotalAlways)
+	if r.TotalIdeal >= r.TotalPPC {
+		t.Errorf("IDEAL (%v) not below PPC (%v)", r.TotalIdeal, r.TotalPPC)
 	}
-	if r.Speedup <= 1 {
-		t.Errorf("speedup = %v", r.Speedup)
+	again, err := RunFig13(testEnv, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("always=%.4fs ppc=%.4fs ideal=%.4fs speedup=%.2fx", r.Sim.TotalAlways, r.Sim.TotalPPC, r.Sim.TotalIdeal, r.Speedup)
+	if again.Hits != r.Hits || again.Invocations != r.Invocations || again.StaleExecutions != r.StaleExecutions {
+		t.Errorf("decisions differ between two runs at one seed: hits %d/%d, invocations %d/%d, stale %d/%d",
+			r.Hits, again.Hits, r.Invocations, again.Invocations, r.StaleExecutions, again.StaleExecutions)
+	}
 }
 
 func TestFig14ShapePredictability(t *testing.T) {

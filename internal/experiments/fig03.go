@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/cluster"
+	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/metrics"
 )
@@ -90,22 +90,22 @@ func RunFig3(env *Env, cfg Fig3Config) (*Fig3Result, error) {
 
 	type algo struct {
 		name string
-		mk   func(samples []core.Sample, d float64, rng *rand.Rand) cluster.Predictor
+		mk   func(samples []core.Sample, d float64, rng *rand.Rand) baselines.Predictor
 	}
 	algos := []algo{
-		{"kmeans(c=" + fmt.Sprint(cfg.KMeansClusters) + ")", func(s []core.Sample, d float64, rng *rand.Rand) cluster.Predictor {
-			return cluster.NewKMeans(s, cfg.KMeansClusters, d, rng)
+		{"kmeans(c=" + fmt.Sprint(cfg.KMeansClusters) + ")", func(s []core.Sample, d float64, rng *rand.Rand) baselines.Predictor {
+			return baselines.NewKMeans(s, cfg.KMeansClusters, d, rng)
 		}},
-		{"single-linkage", func(s []core.Sample, d float64, _ *rand.Rand) cluster.Predictor {
-			return cluster.NewSingleLinkage(s, d)
+		{"single-linkage", func(s []core.Sample, d float64, _ *rand.Rand) baselines.Predictor {
+			return baselines.NewSingleLinkage(s, d)
 		}},
 	}
 	for _, g := range cfg.Gammas {
 		g := g
 		algos = append(algos, algo{
 			fmt.Sprintf("density(γ=%.2f)", g),
-			func(s []core.Sample, d float64, _ *rand.Rand) cluster.Predictor {
-				return cluster.NewDensity(s, d, g)
+			func(s []core.Sample, d float64, _ *rand.Rand) baselines.Predictor {
+				return baselines.NewDensity(s, d, g)
 			},
 		})
 	}

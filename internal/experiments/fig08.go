@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/metrics"
 )
@@ -103,17 +104,15 @@ func RunFig8(env *Env, cfg Fig8Config) (*Fig8Result, error) {
 			for _, kind := range []predictorKind{kindBaseline, kindNaive, kindApproxLSH} {
 				var agg metrics.Counter
 				for _, d := range cfg.Radii {
-					var pcfg core.Config
+					pcfg := baselines.Config{Config: core.Config{Dims: r, Radius: d, Gamma: cfg.Gamma}}
 					switch kind {
-					case kindBaseline:
-						pcfg = core.Config{Dims: r, Radius: d, Gamma: cfg.Gamma}
 					case kindNaive:
-						pcfg = core.Config{Dims: r, Radius: d, Gamma: cfg.Gamma,
-							GridBuckets: budgetBuckets(budget, 8*n), Seed: cfg.Seed}
+						pcfg.Seed = cfg.Seed
+						pcfg.GridBuckets = budgetBuckets(budget, 8*n)
 					case kindApproxLSH:
-						pcfg = core.Config{Dims: r, Radius: d, Gamma: cfg.Gamma,
-							Transforms:  cfg.Transforms,
-							GridBuckets: budgetBuckets(budget, 8*n*cfg.Transforms), Seed: cfg.Seed}
+						pcfg.Seed = cfg.Seed
+						pcfg.Transforms = cfg.Transforms
+						pcfg.GridBuckets = budgetBuckets(budget, 8*n*cfg.Transforms)
 					}
 					p, err := buildPredictor(kind, pcfg, samples)
 					if err != nil {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/metrics"
 )
@@ -99,14 +100,13 @@ func RunFig9(env *Env, cfg Fig9Config) (*Fig9Result, error) {
 		} {
 			var agg metrics.Counter
 			for _, d := range cfg.Radii {
-				var pcfg core.Config
+				pcfg := baselines.Config{Config: core.Config{Dims: r, Radius: d, Gamma: cfg.Gamma,
+					Transforms: cfg.Transforms, Seed: cfg.Seed}}
 				if spec.kind == kindApproxLSH {
-					pcfg = core.Config{Dims: r, Radius: d, Gamma: cfg.Gamma,
-						Transforms: cfg.Transforms, GridBuckets: bg, Seed: cfg.Seed}
+					pcfg.GridBuckets = bg
 				} else {
-					pcfg = core.Config{Dims: r, Radius: d, Gamma: cfg.Gamma,
-						Transforms: cfg.Transforms, HistBuckets: bh, Seed: cfg.Seed,
-						NoiseElimination: true}
+					pcfg.HistBuckets = bh
+					pcfg.NoiseElimination = true
 				}
 				p, err := buildPredictor(spec.kind, pcfg, samples)
 				if err != nil {

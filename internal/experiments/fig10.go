@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/metrics"
 )
@@ -84,11 +85,11 @@ func RunFig10a(env *Env, cfg Fig10aConfig) (*Fig10aResult, error) {
 		for _, t := range cfg.Transforms {
 			var agg metrics.Counter
 			for _, d := range cfg.Radii {
-				p, err := buildPredictor(kindApproxLSHHist, core.Config{
+				p, err := buildPredictor(kindApproxLSHHist, baselines.Config{Config: core.Config{
 					Dims: tmpl.Degree(), Radius: d, Gamma: cfg.Gamma,
 					Transforms: t, HistBuckets: cfg.HistBuckets,
 					NoiseElimination: true, Seed: cfg.Seed,
-				}, samples)
+				}}, samples)
 				if err != nil {
 					return nil, err
 				}
@@ -186,11 +187,11 @@ func RunFig10b(env *Env, cfg Fig10bConfig) (*Fig10bResult, error) {
 	for _, bh := range cfg.HistBuckets {
 		var agg metrics.Counter
 		for _, d := range cfg.Radii {
-			p, err := buildPredictor(kindApproxLSHHist, core.Config{
+			p, err := buildPredictor(kindApproxLSHHist, baselines.Config{Config: core.Config{
 				Dims: tmpl.Degree(), Radius: d, Gamma: cfg.Gamma,
 				Transforms: cfg.Transforms, HistBuckets: bh,
 				NoiseElimination: true, Seed: cfg.Seed,
-			}, samples)
+			}}, samples)
 			if err != nil {
 				return nil, err
 			}

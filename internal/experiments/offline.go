@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/cluster"
+	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/metrics"
 )
@@ -37,13 +37,14 @@ func (k predictorKind) String() string {
 	return "?"
 }
 
-// buildPredictor trains one predictor kind on the samples.
-func buildPredictor(kind predictorKind, cfg core.Config, samples []core.Sample) (cluster.Predictor, error) {
+// buildPredictor trains one predictor kind on the samples. Only NAÏVE and
+// APPROXIMATE-LSH read cfg.GridBuckets.
+func buildPredictor(kind predictorKind, cfg baselines.Config, samples []core.Sample) (baselines.Predictor, error) {
 	switch kind {
 	case kindBaseline:
-		return cluster.NewDensity(samples, cfg.Radius, cfg.Gamma), nil
+		return baselines.NewDensity(samples, cfg.Radius, cfg.Gamma), nil
 	case kindNaive:
-		p, err := core.NewNaive(cfg)
+		p, err := baselines.NewNaive(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -52,7 +53,7 @@ func buildPredictor(kind predictorKind, cfg core.Config, samples []core.Sample) 
 		}
 		return p, nil
 	case kindApproxLSH:
-		p, err := core.NewApproxLSH(cfg)
+		p, err := baselines.NewApproxLSH(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -61,7 +62,7 @@ func buildPredictor(kind predictorKind, cfg core.Config, samples []core.Sample) 
 		}
 		return p, nil
 	case kindApproxLSHHist:
-		p, err := core.NewApproxLSHHist(cfg)
+		p, err := core.NewApproxLSHHist(cfg.Config)
 		if err != nil {
 			return nil, err
 		}
@@ -75,7 +76,7 @@ func buildPredictor(kind predictorKind, cfg core.Config, samples []core.Sample) 
 
 // evalOffline measures Definition 4 precision and recall of a predictor
 // over ground-truth-labeled test points.
-func evalOffline(p cluster.Predictor, tests []core.Sample) metrics.Counter {
+func evalOffline(p baselines.Predictor, tests []core.Sample) metrics.Counter {
 	var c metrics.Counter
 	for _, tp := range tests {
 		got := p.Predict(tp.Point)

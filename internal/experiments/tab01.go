@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/workload"
 )
@@ -87,11 +88,11 @@ func RunTab1(env *Env, cfg Tab1Config) (*Tab1Result, error) {
 		return nil, err
 	}
 	r := tmpl.Degree()
-	coreCfg := core.Config{
+	coreCfg := baselines.Config{Config: core.Config{
 		Dims: r, Radius: cfg.Radius, Gamma: cfg.Gamma,
-		Transforms: cfg.Transforms, GridBuckets: cfg.GridBuckets,
-		HistBuckets: cfg.HistBuckets, NoiseElimination: true, Seed: cfg.Seed,
-	}
+		Transforms: cfg.Transforms, HistBuckets: cfg.HistBuckets,
+		NoiseElimination: true, Seed: cfg.Seed,
+	}, GridBuckets: cfg.GridBuckets}
 	tests := workload.Uniform(r, cfg.TestPoints, cfg.Seed+7)
 
 	res := &Tab1Result{Template: cfg.Template, SampleSize: cfg.SampleSize}

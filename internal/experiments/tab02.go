@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/metrics"
 )
@@ -85,11 +86,11 @@ func RunTab2(env *Env, cfg Tab2Config) (*Tab2Result, error) {
 	for _, gamma := range cfg.Gammas {
 		var agg metrics.Counter
 		for _, d := range cfg.Radii {
-			p, err := buildPredictor(kindApproxLSHHist, core.Config{
+			p, err := buildPredictor(kindApproxLSHHist, baselines.Config{Config: core.Config{
 				Dims: tmpl.Degree(), Radius: d, Gamma: gamma,
 				Transforms: cfg.Transforms, HistBuckets: cfg.HistBuckets,
 				NoiseElimination: true, Seed: cfg.Seed,
-			}, samples)
+			}}, samples)
 			if err != nil {
 				return nil, err
 			}

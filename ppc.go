@@ -52,8 +52,6 @@ type Options struct {
 	// TPCH configures the generated database; zero value uses
 	// tpch.DefaultConfig().
 	TPCH tpch.Config
-	// CatalogBuckets is the per-column histogram resolution (0 = default).
-	CatalogBuckets int
 	// CacheCapacity bounds the plan cache (default 64 plans).
 	CacheCapacity int
 	// Online configures the per-template learners; the Core.Dims field is
@@ -521,7 +519,7 @@ func Open(opts Options) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	cat, err := catalog.Build(db, opts.CatalogBuckets)
+	cat, err := catalog.Build(db, 0)
 	if err != nil {
 		return nil, err
 	}
