@@ -91,7 +91,10 @@ crash:
 # itself, and to one NewTemplate takes without a panic, and over the catalog
 # histograms' running-count probes (FractionLE, RangeCount, Quantile), held
 # with == to the bucket scans they replaced at fuzzer-chosen values and
-# bucket counts. Go runs one fuzz target per invocation, hence nine runs.
+# bucket counts, and over the learner's blocks' peak density, held to bound
+# what RangeCount counts at fuzzer-chosen blocks and ranges (the bound the
+# predict vote rules plans out by). Go runs one fuzz target per invocation,
+# hence ten runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzScan -fuzztime $(FUZZTIME) ./internal/wal
@@ -102,6 +105,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCompiledMatchesTreeWalk -fuzztime $(FUZZTIME) ./internal/executor
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/sqlparse
 	$(GO) test -run '^$$' -fuzz FuzzProbeMatchesScan -fuzztime $(FUZZTIME) ./internal/histogram
+	$(GO) test -run '^$$' -fuzz FuzzPeakBoundsRangeCount -fuzztime $(FUZZTIME) ./internal/histogram
 
 # The replication suite, bottom up: wire protocol and torn/corrupt frames,
 # WAL tailing, leader/replica servers under fault injection (epoch fencing,

@@ -209,6 +209,8 @@ func TestFacadeOnePathPerJob(t *testing.T) {
 	// assembles[f] counts f's calls of the one assembler, templateState.metrics;
 	// builds counts the functions that fill in a TemplateMetrics literal.
 	assembles := map[string]int{}
+	// optimizeSites[f] counts f's calls of the optimizer.
+	optimizeSites := map[string]int{}
 	var builds []string
 	ast.Inspect(pkg, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -225,8 +227,13 @@ func TestFacadeOnePathPerJob(t *testing.T) {
 			ast.Inspect(n, func(m ast.Node) bool {
 				switch m := m.(type) {
 				case *ast.CallExpr:
-					if sel, ok := m.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "metrics" {
-						assembles[n.Name.Name]++
+					if sel, ok := m.Fun.(*ast.SelectorExpr); ok {
+						switch sel.Sel.Name {
+						case "metrics":
+							assembles[n.Name.Name]++
+						case "OptimizeMemoHeld":
+							optimizeSites[n.Name.Name]++
+						}
 					}
 				case *ast.CompositeLit:
 					if id, ok := m.Type.(*ast.Ident); ok && id.Name == "TemplateMetrics" && len(m.Elts) > 0 {
@@ -260,8 +267,13 @@ func TestFacadeOnePathPerJob(t *testing.T) {
 	if n := calls["InstanceAt"]; n != 0 {
 		t.Errorf("%d calls of InstanceAt on the facade, want 0: a run serves the values it was given", n)
 	}
-	if n := calls["OptimizeMemo"]; n != 1 {
-		t.Errorf("%d calls of OptimizeMemo on the facade, want exactly 1 (run.optimize)", n)
+	if n := calls["OptimizeMemoHeld"]; n != 1 || optimizeSites["optimize"] != 1 {
+		t.Errorf("%d calls of OptimizeMemoHeld on the facade (in %v), want exactly 1, in run.optimize", n, optimizeSites)
+	}
+	for _, other := range []string{"OptimizeMemo", "Optimize"} {
+		if n := calls[other]; n != 0 {
+			t.Errorf("%d calls of %s on the facade, want 0: run.optimize's OptimizeMemoHeld is the one optimizer call", n, other)
+		}
 	}
 	// Spelled in two halves so that a grep for the old index's name over the
 	// tree's Go files comes back empty.

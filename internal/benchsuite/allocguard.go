@@ -55,7 +55,7 @@ func CheckZeroAlloc(progress io.Writer, names ...string) error {
 // allocates more than budget allocs/op. Unlike CheckZeroAlloc this is for
 // paths that legitimately allocate (the full Run path materializes result
 // rows) but whose allocation count is a budgeted contract: tier 1 holds
-// EndToEndRun to 32 allocs/op, down from ~6,800 in the per-row executor,
+// EndToEndRun to 10 allocs/op, down from ~6,800 in the per-row executor,
 // and this guard keeps the batched operators from backsliding.
 func CheckAllocBudget(progress io.Writer, name string, budget float64) error {
 	if progress != nil {

@@ -78,10 +78,14 @@ func trainOn(env *experiments.Env, name string) (*core.ApproxLSHHist, [][]float6
 	return hist, workload.Uniform(tmpl.Degree(), 512, 11), nil
 }
 
-// PredictApproxLSHHist measures one plan-cache lookup decision: O(t·log b_h)
-// per prediction (Table I row 4), asked of the live predictor, which
-// answers through its cached frozen Model and per-predictor scratch
-// buffers — allocation-free between mutations.
+// PredictApproxLSHHist measures one plan-cache lookup decision, asked of
+// the live predictor, which answers through its cached frozen Model and
+// per-predictor scratch buffers — allocation-free between mutations. Its
+// cost is constant in the sample count (Table I) but not in the plan count:
+// at most one binary search per (transform, plan) block, O(t·n·log b_h) for
+// n plans, and only the blocks of plans their peak bounds do not rule out
+// are searched. On this 2-plan model that is all of them; on
+// PredictModelManyPlans' several dozen, a fraction.
 func PredictApproxLSHHist(b *testing.B) {
 	hist, tests := predictorEnv(b)
 	b.ReportAllocs()
@@ -119,10 +123,12 @@ var (
 
 // PredictModelManyPlans is PredictModelSnapshot on a model the size the
 // miss path serves: Q8 (a five-way join) labeled at uniform plan-space
-// points, so the snapshot holds several dozen plans and one prediction
-// probes every one of them in every transform. The 2-plan Q1 model above
+// points, so the snapshot holds several dozen plans, most of them noise at
+// any one point — ruled out by their blocks' peak bounds, or by the first
+// searches that come back under the noise floor. The 2-plan Q1 model above
 // measures the fixed cost of a prediction; this one measures the per-plan
-// cost, which is what a NULL prediction on a multi-join template pays.
+// cost, which is what a NULL prediction on a multi-join template pays. It
+// reports the share of its predictions that are NULL as null/op.
 func PredictModelManyPlans(b *testing.B) {
 	env := mustSharedEnv(b)
 	manyOnce.Do(func() {
@@ -138,11 +144,15 @@ func PredictModelManyPlans(b *testing.B) {
 		b.Fatal(manyErr)
 	}
 	sc := core.NewPredictScratch(manyModel.Config())
+	nulls := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		manyModel.PredictWithCost(manyTests[i%len(manyTests)], sc)
+		if pred, _, _ := manyModel.PredictWithCost(manyTests[i%len(manyTests)], sc); !pred.OK {
+			nulls++
+		}
 	}
+	b.ReportMetric(float64(nulls)/float64(b.N), "null/op")
 }
 
 // InsertApproxLSHHist measures the online insertion path (Section IV-D

@@ -88,12 +88,13 @@ type ApproxLSHHist struct {
 // reused across calls so the steady-state serving path performs no heap
 // allocation. The live predictor owns one; lock-free snapshot readers draw
 // them from a sync.Pool. The per-plan buffers are dense — indexed like
-// Model.planIDs and overwritten whole by every call, so nothing is cleared
-// — and only grow while new plans appear.
+// Model.planIDs and written before they are read by every call, so nothing
+// is cleared — and only grow while new plans appear.
 type PredictScratch struct {
 	x         []float64 // clamped input point
 	proj      []float64 // one transform's projection output
 	cell      []uint32  // z-order cell coordinates
+	lo, end   []float64 // per-transform query range [lo, end)
 	localMass []float64 // per-transform marginal mass in the query range
 	tmp       []float64 // median working buffer (length t)
 	med       []float64 // [plan] median density
@@ -104,24 +105,33 @@ type PredictScratch struct {
 // NewPredictScratch allocates scratch buffers sized for cfg. cfg must be an
 // effective (defaulted) configuration, e.g. from Model.Config.
 func NewPredictScratch(cfg Config) *PredictScratch {
-	t := cfg.Transforms
-	return &PredictScratch{
-		x:         make([]float64, cfg.Dims),
-		proj:      make([]float64, cfg.OutDims),
-		cell:      make([]uint32, cfg.OutDims),
-		localMass: make([]float64, t),
-		tmp:       make([]float64, t),
-	}
+	s := new(PredictScratch)
+	s.fit(&cfg, 0)
+	return s
 }
 
-// fit sizes the per-plan buffers for a model of n plans and t transforms.
-func (s *PredictScratch) fit(n, t int) (med, counts, costs []float64) {
-	if cap(s.med) < n {
-		s.med = make([]float64, n)
-		s.counts = make([]float64, n*t)
-		s.costs = make([]float64, n*t)
+// fit sizes every buffer for a model of configuration cfg holding n plans.
+// A pooled scratch outlives the model it was made for — a restore installs
+// whatever transform count and output dimensionality the saved learner had
+// — so each call checks the buffers against the model it asks about. The
+// buffers of one kind are sized together, so one length stands for each.
+func (s *PredictScratch) fit(cfg *Config, n int) (med, counts, costs []float64) {
+	if t := cfg.Transforms; len(s.x) != cfg.Dims || len(s.proj) != cfg.OutDims || len(s.lo) != t || len(s.med) != n {
+		s.x = resize(s.x, cfg.Dims)
+		s.proj, s.cell = resize(s.proj, cfg.OutDims), resize(s.cell, cfg.OutDims)
+		s.lo, s.end = resize(s.lo, t), resize(s.end, t)
+		s.localMass, s.tmp = resize(s.localMass, t), resize(s.tmp, t)
+		s.med, s.counts, s.costs = resize(s.med, n), resize(s.counts, n*t), resize(s.costs, n*t)
 	}
-	return s.med[:n], s.counts[:n*t], s.costs[:n*t]
+	return s.med, s.counts, s.costs
+}
+
+// resize returns b at length n, reallocated only when it lacks the capacity.
+func resize[T float64 | uint32](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	return b[:n]
 }
 
 // scratch lazily creates the predictor's scratch buffers (decoded
@@ -385,9 +395,9 @@ func (p *ApproxLSHHist) PredictWithCost(x []float64) (Prediction, float64, bool)
 // Freeze publishes an immutable Model of the current state. Consecutive
 // calls without an intervening mutation return the SAME *Model. Otherwise
 // it is copy-on-write at histogram granularity: the new Model takes a copy
-// of the previous one's per-transform block index (t slices of one pointer
-// per plan) and re-freezes only the blocks of the plans inserted into since
-// — found through p.dirty, not by walking the synopsis — and the
+// of the previous one's block index (one pointer and its peak density per
+// plan and transform) and re-freezes only the blocks of the plans inserted
+// into since — found through p.dirty, not by walking the synopsis — and the
 // marginals; every other block is shared. The index is rebuilt from the
 // live maps only when there is no previous Model to patch (first freeze,
 // Reset, ApplyRetune, more inserts than plans since) or a plan appeared.
@@ -401,7 +411,6 @@ func (p *ApproxLSHHist) Freeze() *Model {
 		ensemble:    p.ensemble,
 		curves:      p.curves,
 		warps:       p.warps,
-		blocks:      make([][]*histogram.Frozen, t),
 		marginals:   make([]*histogram.Frozen, t),
 		valueDeltas: p.valueDeltas,
 		ballFrac:    p.ballFrac,
@@ -421,19 +430,20 @@ func (p *ApproxLSHHist) Freeze() *Model {
 		slices.Sort(m.planIDs)
 		refreeze = m.planIDs
 	}
-	for i := range m.blocks {
-		m.blocks[i] = make([]*histogram.Frozen, len(m.planIDs))
-		if prev != nil {
-			copy(m.blocks[i], prev.blocks[i])
-		}
+	m.blocks = make([]block, len(m.planIDs)*t)
+	if prev != nil {
+		copy(m.blocks, prev.blocks)
+	}
+	for i := range m.marginals {
 		m.marginals[i] = p.marginals[i].Freeze()
 	}
 	for _, plan := range refreeze {
 		j, _ := slices.BinarySearch(m.planIDs, plan)
-		for i, row := range m.blocks {
+		for i, hists := range p.hists {
 			// A decoded synopsis may hold a plan in some transforms only.
-			if h := p.hists[i][plan]; h != nil {
-				row[j] = h.Freeze()
+			if h := hists[plan]; h != nil {
+				f := h.Freeze()
+				m.blocks[j*t+i] = block{f: f, peak: f.Peak()}
 			}
 		}
 	}

@@ -19,7 +19,8 @@ import (
 // The freeze is copy-on-write at histogram granularity: Freeze shares the
 // frozen block of every (transform, plan) pair untouched since the previous
 // publication, so publish cost is the buckets a feedback batch actually
-// wrote plus one pointer per plan and transform, not the size of the model.
+// wrote plus one index entry (a pointer and its peak density) per plan and
+// transform, not the size of the model.
 type Model struct {
 	cfg      Config
 	ensemble *lsh.Ensemble
@@ -28,13 +29,14 @@ type Model struct {
 	// identity). Shared with the live predictor, which replaces — never
 	// mutates — it, so the snapshot stays immutable.
 	warps [][]*lsh.Warp
-	// planIDs lists the snapshot's plans in ascending order; blocks[i][j] is
-	// the frozen histogram of plan planIDs[j] in transform i (nil when that
-	// transform never saw the plan). Ascending order is the vote's
-	// accumulation and tie-breaking order, so predictions need no sort.
+	// planIDs lists the snapshot's plans in ascending order; blocks[j*t+i]
+	// holds the frozen histogram of plan planIDs[j] in transform i, so a
+	// plan's t blocks are contiguous in the order the vote reads them.
+	// Ascending order is the vote's accumulation and tie-breaking order, so
+	// predictions need no sort.
 	planIDs     []int
-	blocks      [][]*histogram.Frozen
-	marginals   []*histogram.Frozen
+	blocks      []block
+	marginals   []*histogram.Frozen // one per transform
 	valueDeltas []float64
 	ballFrac    float64
 	total       int
@@ -43,6 +45,13 @@ type Model struct {
 	version uint64
 	// retuneEpoch is the predictor's re-tune epoch at freeze time.
 	retuneEpoch uint64
+}
+
+// block is one (transform, plan) histogram with its peak density kept
+// beside the pointer, so the vote can rule a block out without loading it.
+type block struct {
+	f    *histogram.Frozen // nil when the transform never saw the plan
+	peak float64           // f.Peak(); 0 for nil
 }
 
 // TotalPoints returns the number of points the snapshot summarizes.
@@ -96,10 +105,10 @@ func (m *Model) PredictWithCost(x []float64, sc *PredictScratch) (Prediction, fl
 		// must not be bypassable through the predictor boundary.
 		return Prediction{}, 0, false
 	}
+	t := len(m.marginals)
+	med, counts, costs := sc.fit(&m.cfg, len(m.planIDs))
 	clampPointInto(sc.x, x)
-	t := len(m.blocks)
-	med, counts, costs := sc.fit(len(m.planIDs), t)
-	for i, blocks := range m.blocks {
+	for i := range m.marginals {
 		if err := m.ensemble.Transform(i).ApplyInto(sc.proj, sc.x); err != nil {
 			panic(err) // dims validated above
 		}
@@ -109,16 +118,8 @@ func (m *Model) PredictWithCost(x []float64, sc *PredictScratch) (Prediction, fl
 		z := m.curves[i].ValueWith(sc.cell, sc.proj)
 		lo, hi := queryRange(m.marginals[i], m.valueDeltas[i], m.ballFrac, z)
 		end := math.Nextafter(hi, math.Inf(1))
+		sc.lo[i], sc.end[i] = lo, end
 		sc.localMass[i] = m.marginals[i].RangeCount(lo, end)
-		for j, b := range blocks {
-			var count, cost float64
-			if b != nil {
-				if s, c := b.RangeCost(lo, end); !(c <= 0) {
-					count, cost = c, s
-				}
-			}
-			counts[j*t+i], costs[j*t+i] = count, cost
-		}
 	}
 	// Noise elimination (Section IV-C): plan densities below a fixed
 	// fraction of the plan space point mass found in the query range are
@@ -134,21 +135,46 @@ func (m *Model) PredictWithCost(x []float64, sc *PredictScratch) (Prediction, fl
 	// saw nothing of the plan contributing its zero. Most plans are noise
 	// at any one point, and that shows without sorting: once more than half
 	// of a plan's counts are under the floor, so is the upper middle one,
-	// and with it the median.
+	// and with it the median. A block whose peak density times the range
+	// width is under the floor counts under it too (histogram.PeakSlack), so
+	// a plan is ruled out before any search when more than half its blocks
+	// are bounded under the floor, and its search stops at the first light
+	// count past half. A plan that survives has all t counts searched, and
+	// its median is taken over exactly the values the full scan would sort.
+	lo, end := sc.lo[:t], sc.end[:t]
 	for j := range med {
-		row := counts[j*t : j*t+t]
-		light := 0
-		for i, c := range row {
-			sc.tmp[i] = c
-			if c < floor {
-				light++
+		med[j] = 0
+		blocks := m.blocks[j*t:][:t]
+		bounded := 0
+		for i, b := range blocks {
+			if b.peak*(end[i]-lo[i])*histogram.PeakSlack < floor {
+				bounded++
 			}
 		}
-		med[j] = 0
-		if light <= t/2 {
-			if c := median(sc.tmp); !(c < floor) {
-				med[j] = c
+		if bounded > t/2 {
+			continue
+		}
+		row, rowCost, light := counts[j*t:][:t], costs[j*t:][:t], 0
+		for i, b := range blocks {
+			var count, cost float64
+			if b.f != nil {
+				if s, c := b.f.RangeCost(lo[i], end[i]); !(c <= 0) {
+					count, cost = c, s
+				}
 			}
+			row[i], rowCost[i] = count, cost
+			if count < floor {
+				if light++; light > t/2 {
+					break
+				}
+			}
+		}
+		if light > t/2 {
+			continue
+		}
+		copy(sc.tmp, row)
+		if c := median(sc.tmp); !(c < floor) {
+			med[j] = c
 		}
 	}
 	pred := PredictFromDensityList(m.planIDs, med, m.cfg.Gamma)

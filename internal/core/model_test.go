@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
 	"testing"
 
+	"repro/internal/histogram"
 	"repro/internal/wal"
 )
 
@@ -30,6 +32,21 @@ type genState struct {
 	reset   bool  // Reset, then a few fresh inserts (possibly under MinSamples)
 	retune  bool  // tunable LSH armed and one re-tune applied mid-stream
 	skew    float64
+	// transforms and noise, when set, override the drawn transform count
+	// and force noise elimination on.
+	transforms int
+	noise      bool
+}
+
+// missState is the shape a miss-heavy template's learner takes: many plans
+// labelled at uniform points, noise elimination on, t transforms — where
+// most plans are noise at any one point and the vote rules them out.
+func missState(rng *rand.Rand, t int) genState {
+	g := genState{dims: 3 + rng.Intn(4), inserts: 6000, skew: 1, transforms: t, noise: true}
+	for n := 60 + rng.Intn(30); len(g.planIDs) < n; {
+		g.planIDs = append(g.planIDs, 7*len(g.planIDs)-40)
+	}
+	return g
 }
 
 func genStateFrom(rng *rand.Rand) genState {
@@ -68,6 +85,10 @@ func (g genState) build(tb testing.TB, rng *rand.Rand) *ApproxLSHHist {
 	if rng.Intn(3) == 0 {
 		cfg.Transforms = 1 + rng.Intn(8) // even counts average the two middle densities
 	}
+	if g.transforms > 0 {
+		cfg.Transforms = g.transforms
+	}
+	cfg.NoiseElimination = cfg.NoiseElimination || g.noise
 	if g.retune {
 		cfg.RetuneEvery, cfg.RetuneReservoir = 1<<30, 300
 	}
@@ -106,8 +127,9 @@ func (g genState) build(tb testing.TB, rng *rand.Rand) *ApproxLSHHist {
 
 // checkAgainstReference holds the frozen Model, and the live predictor that
 // answers through it, to the map-walking reference at the given points:
-// prediction, confidence, cost estimate and ok flag, bit for bit.
-func checkAgainstReference(tb testing.TB, p *ApproxLSHHist, points [][]float64) {
+// prediction, confidence, cost estimate and ok flag, bit for bit. It returns
+// how the votes went (voteShape, summed over the points).
+func checkAgainstReference(tb testing.TB, p *ApproxLSHHist, points [][]float64) (bounded, early int) {
 	tb.Helper()
 	m := p.Freeze()
 	sc := NewPredictScratch(p.Config())
@@ -116,6 +138,10 @@ func checkAgainstReference(tb testing.TB, p *ApproxLSHHist, points [][]float64) 
 		gp, gc, gok := m.PredictWithCost(x, sc)
 		if gok != wok || gp != wp || math.Float64bits(gc) != math.Float64bits(wc) {
 			tb.Fatalf("point %v: model (%+v, %v, %v) != reference (%+v, %v, %v)", x, gp, gc, gok, wp, wc, wok)
+		}
+		if m.total >= m.cfg.MinSamples && len(x) == m.cfg.Dims {
+			b, e := voteShape(m, sc)
+			bounded, early = bounded+b, early+e
 		}
 		lp, lc, lok := p.PredictWithCost(x)
 		if lok != wok || lp != wp || math.Float64bits(lc) != math.Float64bits(wc) {
@@ -126,6 +152,45 @@ func checkAgainstReference(tb testing.TB, p *ApproxLSHHist, points [][]float64) 
 		tb.Errorf("model accounting (%d pts, %d B, %d plans) != live (%d pts, %d B, %d plans)",
 			m.TotalPoints(), m.MemoryBytes(), m.Plans(), p.TotalPoints(), p.MemoryBytes(), len(p.plans))
 	}
+	return bounded, early
+}
+
+// voteShape reads how the vote of the query sc last answered on m went, from
+// the ranges and masses it left in sc: how many plans more than half their
+// blocks' peak bounds ruled out unsearched, and how many of the rest had
+// their search stopped before the last transform.
+func voteShape(m *Model, sc *PredictScratch) (bounded, early int) {
+	t := len(m.marginals)
+	floor := math.Inf(-1)
+	if m.cfg.NoiseElimination {
+		floor = m.cfg.NoiseFraction * median(append([]float64(nil), sc.localMass...))
+	}
+	for j := range m.planIDs {
+		blocks, under := m.blocks[j*t:j*t+t], 0
+		for i, b := range blocks {
+			if b.peak*(sc.end[i]-sc.lo[i])*histogram.PeakSlack < floor {
+				under++
+			}
+		}
+		if under > t/2 {
+			bounded++
+			continue
+		}
+		light := 0
+		for i, b := range blocks {
+			count := 0.0
+			if b.f != nil {
+				count = b.f.RangeCount(sc.lo[i], sc.end[i])
+			}
+			if count < floor {
+				if light++; light > t/2 && i < t-1 {
+					early++
+					break
+				}
+			}
+		}
+	}
+	return bounded, early
 }
 
 // queryPoints draws test points: uniform, on the training skew, at the
@@ -155,8 +220,11 @@ func queryPoints(rng *rand.Rand, g genState, n int) [][]float64 {
 // The block layout is not allowed to change a single prediction: over
 // generated states — dims 2–6, 1–60 sparse plan ids, before MinSamples,
 // after Reset, after a re-tune with non-identity warps, with mid-stream
-// publishes so freezes patch earlier indexes — Model.PredictWithCost equals
-// the map-walking reference bit for bit.
+// publishes so freezes patch earlier indexes — and over miss-shaped ones —
+// 60–90 plans at uniform points under noise elimination, odd and even t —
+// Model.PredictWithCost equals the map-walking reference bit for bit. The
+// vote's two shortcuts must both be taken: plans ruled out by their peak
+// bounds before any search, and searches stopped early.
 func TestModelPredictMatchesReference(t *testing.T) {
 	states := 120
 	if testing.Short() {
@@ -166,8 +234,16 @@ func TestModelPredictMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < int64(states); seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := genStateFrom(rng)
+		if seed%10 == 9 {
+			g = missState(rng, 4+int(seed/10)%2)
+		}
 		p := g.build(t, rng)
-		checkAgainstReference(t, p, queryPoints(rng, g, 60))
+		bounded, early := checkAgainstReference(t, p, queryPoints(rng, g, 60))
+		covered["ruled out by bound"] += bounded
+		covered["early exit"] += early
+		if g.transforms > 0 {
+			covered[fmt.Sprintf("miss-shaped, t=%d", g.transforms)]++
+		}
 		if p.TotalPoints() < p.Config().MinSamples {
 			covered["under MinSamples"]++
 		}
@@ -181,7 +257,8 @@ func TestModelPredictMatchesReference(t *testing.T) {
 			covered["40+ plans"]++
 		}
 	}
-	for _, want := range []string{"under MinSamples", "after Reset", "warped", "40+ plans"} {
+	for _, want := range []string{"under MinSamples", "after Reset", "warped", "40+ plans",
+		"ruled out by bound", "early exit", "miss-shaped, t=4", "miss-shaped, t=5"} {
 		if covered[want] == 0 {
 			t.Errorf("no generated state was %s", want)
 		}
@@ -268,9 +345,10 @@ func TestFreezeCopyOnWrite(t *testing.T) {
 	if &m3.planIDs[0] != &m1.planIDs[0] {
 		t.Error("plan index was copied although no plan appeared")
 	}
-	for i := range m3.blocks {
+	tr := len(m3.marginals)
+	for i := 0; i < tr; i++ {
 		for j, plan := range m3.planIDs {
-			b, old := m3.blocks[i][j], m1.blocks[i][j]
+			b, old := m3.blocks[j*tr+i], m1.blocks[j*tr+i]
 			if plan == 0 && b == old {
 				t.Errorf("transform %d: touched plan 0 block was not re-frozen", i)
 			}
@@ -289,23 +367,24 @@ func TestFreezeCopyOnWrite(t *testing.T) {
 	if m4.Plans() != m3.Plans()+1 || m4.planIDs[m4.Plans()-1] != 77 {
 		t.Fatalf("new plan not indexed: %v", m4.planIDs)
 	}
-	for i := range m4.blocks {
+	for i := 0; i < tr; i++ {
 		for j, plan := range m3.planIDs {
-			if m4.blocks[i][j] != m3.blocks[i][j] {
+			if m4.blocks[j*tr+i] != m3.blocks[j*tr+i] {
 				t.Errorf("transform %d plan %d: block copied when plan 77 appeared", i, plan)
 			}
 		}
 	}
 	// The earlier snapshots are untouched by all of this.
-	if m1.Plans() != 4 || len(m1.blocks[0]) != 4 || m3.Plans() != 4 {
+	if m1.Plans() != 4 || len(m1.blocks) != 4*tr || m3.Plans() != 4 {
 		t.Errorf("published snapshots changed: %d/%d plans", m1.Plans(), m3.Plans())
 	}
 }
 
 // The publish cost guard: after one Insert, Freeze allocates the Model, its
-// two per-transform slice headers, t index slices and 2t blocks (the plan's
-// and the marginal's in each transform, two allocations each) — nothing per
-// untouched plan but its t pointers.
+// per-transform marginal slice, the block index (one entry per plan and
+// transform, in one array) and 2t blocks (the plan's and the marginal's in
+// each transform, two allocations each) — nothing per untouched plan but its
+// t index entries.
 func TestFreezePublishCost(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -336,12 +415,14 @@ func TestFreezePublishCost(t *testing.T) {
 	const tr = 5
 	small, smallBytes := publish(10)
 	large, largeBytes := publish(50)
-	if budget := float64(3 + tr + 2*2*tr); large > budget || small > budget {
+	// The index used to be t slices (28 allocations at t = 5); it is one.
+	if budget := float64(3 + 2*2*tr); large > budget || small > budget {
 		t.Errorf("Freeze after one insert: %v allocs at 10 plans, %v at 50, budget %v", small, large, budget)
 	}
-	// 40 more plans may cost their 40 pointers per transform (rounded up to
-	// the allocator's size classes), not their histograms.
-	if extra := int64(largeBytes) - int64(smallBytes); extra > 2*tr*40*8 {
+	// 40 more plans may cost their 40 index entries per transform, not
+	// their histograms: a pointer (with 2× for the allocator's size
+	// classes) plus the one word of its peak density beside it.
+	if extra := int64(largeBytes) - int64(smallBytes); extra > 2*tr*40*8+tr*40*8 {
 		t.Errorf("Freeze bytes grew by %d for 40 untouched plans (10 plans: %d B, 50 plans: %d B)", extra, smallBytes, largeBytes)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -150,6 +151,52 @@ func TestOnlineEncodeDecodeState(t *testing.T) {
 	}
 }
 
+// DecodeState adopts the saved learner's shape, not the receiving Online's:
+// a state of seven transforms projecting to two dimensions, decoded into an
+// Online configured for five projecting to three, predicts through that
+// Online's pooled scratch bit-equal to the model it was saved from.
+func TestDecodeStateOfAnotherShapePredictsAsSaved(t *testing.T) {
+	src := MustNewOnline(OnlineConfig{
+		Core: Config{Dims: 3, OutDims: 2, Transforms: 7, Radius: 0.1, Gamma: 0.6, Seed: 9, NoiseElimination: true},
+		Seed: 3,
+	}, nil)
+	rng := rand.New(rand.NewSource(29))
+	for i := 0; i < 2000; i++ {
+		x := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+		if err := src.LearnValidated(x, 10*int(x[0]*2), 50+x[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := src.EncodeState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	dst := MustNewOnline(OnlineConfig{Core: Config{Dims: 3, Seed: 9, NoiseElimination: true}, Seed: 3}, nil)
+	if got := dst.Model().Config(); got.Transforms == 7 || got.OutDims == 2 {
+		t.Fatalf("the receiving shape (t=%d, s=%d) is the saved one; the test is vacuous", got.Transforms, got.OutDims)
+	}
+	dst.PredictModel([]float64{0.5, 0.5, 0.5}) // pool a scratch of the receiving shape
+	if err := dst.DecodeState(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	want, sc := src.Model(), NewPredictScratch(src.Model().Config())
+	hits := 0
+	for i := 0; i < 300; i++ {
+		x := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+		wp, wc, wok := want.PredictWithCost(x, sc)
+		gp, gc, gok := dst.PredictModel(x)
+		if gp != wp || gok != wok || math.Float64bits(gc) != math.Float64bits(wc) {
+			t.Fatalf("point %v: restored (%+v, %v, %v) != saved (%+v, %v, %v)", x, gp, gc, gok, wp, wc, wok)
+		}
+		if wp.OK {
+			hits++
+		}
+	}
+	if hits == 0 {
+		t.Error("the saved model never predicted; the comparison is vacuous")
+	}
+}
+
 // The predict query ranks from 0 and clamps quantiles to 1, so a synopsis
 // histogram over any other domain is a corrupt image, not a model. A plan
 // held by some transforms only is legal (and predicts like the reference).
@@ -164,8 +211,8 @@ func TestDecodeDomainAndRaggedPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := back.Freeze(); m.Plans() != 4 || m.blocks[1][2] != nil || m.blocks[0][2] == nil {
-		t.Fatalf("ragged plan set not preserved: %d plans, blocks[1][2]=%v", m.Plans(), m.blocks[1][2])
+	if m := back.Freeze(); m.Plans() != 4 || m.blocks[2*5+1] != (block{}) || m.blocks[2*5].f == nil {
+		t.Fatalf("ragged plan set not preserved: %d plans, plan 2's blocks %v", m.Plans(), m.blocks[2*5:3*5])
 	}
 	rng := rand.New(rand.NewSource(5))
 	var points [][]float64

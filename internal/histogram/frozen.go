@@ -26,7 +26,22 @@ type Frozen struct {
 	cost  []float64
 	cum   []float64
 	total float64
+	peak  float64
 }
+
+// PeakSlack is the rounding margin of the peak bound: for lo < end,
+//
+//	RangeCount(lo, end) <= Peak()·(end−lo)·PeakSlack
+//
+// In exact arithmetic the bound holds with no margin — every bucket adds
+// its count times the fraction of its width the range covers, at most
+// Peak() per unit of width covered, and the covered widths sum to at most
+// end−lo. The margin absorbs the few ulps by which RangeCost's
+// subtractions, divisions and sum, one per bucket, can exceed that, for any
+// bucket budget below a million, as long as no fraction underflows: the
+// range and the bucket widths are of the magnitudes a histogram over a
+// unit domain meets, not within a subnormal of each other.
+const PeakSlack = 1 + 1e-9
 
 // Freeze returns an immutable image of the current contents. Consecutive
 // calls without an intervening mutation return the SAME *Frozen, so a
@@ -51,6 +66,15 @@ func (d *Dynamic) Freeze() *Frozen {
 			f.hi[i], f.count[i], f.cost[i] = b.Hi, b.Count, b.CostSum
 			cum += b.Count
 			f.cum[i+1] = cum
+			if b.Count > 0 {
+				density := math.Inf(1) // a count on no width bounds nothing
+				if w := b.Hi - b.Lo; w > 0 {
+					density = b.Count / w
+				}
+				if density > f.peak {
+					f.peak = density
+				}
+			}
 		}
 		d.frozen, d.frozenGen = f, d.gen
 	}
@@ -59,6 +83,13 @@ func (d *Dynamic) Freeze() *Frozen {
 
 // NumBuckets returns the number of buckets.
 func (f *Frozen) NumBuckets() int { return len(f.hi) }
+
+// Peak returns the block's largest density, count ÷ width over its
+// buckets: +Inf when a bucket of zero width holds a count, 0 for an empty
+// block. Peak()·(end−lo) bounds what RangeCount(lo, end) can count (see
+// PeakSlack), so a caller holding a floor can rule a block out without
+// searching it.
+func (f *Frozen) Peak() float64 { return f.peak }
 
 // TotalCount returns the number of points summarized.
 func (f *Frozen) TotalCount() float64 { return f.total }

@@ -51,28 +51,39 @@ func newMissBench(tb testing.TB, name string) missBench {
 var benchPlan *optimizer.Plan
 
 // BenchmarkOptimizeMemo times one OptimizeMemo call on the templates the
-// miss_optimize workload runs (plus Q1, the two-relation case).
+// miss_optimize workload runs (plus Q1, the two-relation case), and, as
+// <template>/held, one OptimizeMemoHeld call whose caller holds every
+// winner: the enumeration and the winner's name without its tree, what a
+// miss pays for a plan the cache already has.
 func BenchmarkOptimizeMemo(b *testing.B) {
+	held := func(string) bool { return true }
 	for _, name := range []string{"Q1", "Q3", "Q4", "Q8"} {
-		b.Run(name, func(b *testing.B) {
-			mb := newMissBench(b, name)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				plan, err := mb.opt.OptimizeMemo(mb.memo, mb.values[i%len(mb.values)])
-				if err != nil {
-					b.Fatal(err)
-				}
-				benchPlan = plan
+		for _, h := range []func(string) bool{nil, held} {
+			sub := name
+			if h != nil {
+				sub += "/held"
 			}
-		})
+			b.Run(sub, func(b *testing.B) {
+				mb := newMissBench(b, name)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					plan, err := mb.opt.OptimizeMemoHeld(mb.memo, mb.values[i%len(mb.values)], h)
+					if err != nil {
+						b.Fatal(err)
+					}
+					benchPlan = plan
+				}
+			})
+		}
 	}
 }
 
 // TestOptimizeMemoAllocBudget holds the miss path to what a plan needs:
-// the winner's node array, its predicate array, the fingerprint and the
-// Plan — and nothing per candidate considered. The node-building
-// enumerator spent 939 allocations per Q3 call and 4,692 per Q8 call.
+// the winner's node array, its predicate array and the Plan (its
+// fingerprint is the shape's, rendered once per distinct winner) — and
+// nothing per candidate considered. The node-building enumerator spent 939
+// allocations per Q3 call and 4,692 per Q8 call.
 func TestOptimizeMemoAllocBudget(t *testing.T) {
 	if benchsuite.RaceEnabled {
 		t.Skip("race detector's shadow memory inflates allocation counts")

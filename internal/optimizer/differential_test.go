@@ -187,7 +187,10 @@ func samePlan(got, want *optimizer.Plan) error {
 	return nil
 }
 
-// diffAt compares production and reference at one point.
+// diffAt compares production and reference at one point: OptimizeMemo's
+// whole plan, and the plan OptimizeMemoHeld names when the caller holds
+// every winner — the reference's fingerprint, asked of held, and its cost
+// to the bit, with no tree.
 func diffAt(o *optimizer.Optimizer, tm *optimizer.Template, memo *optimizer.Memo, ref *optimizer.ReferenceMemo, point []float64) error {
 	inst, err := o.InstanceAt(tm, point)
 	if err != nil {
@@ -200,6 +203,20 @@ func diffAt(o *optimizer.Optimizer, tm *optimizer.Template, memo *optimizer.Memo
 	}
 	if err := samePlan(got, want); err != nil {
 		return fmt.Errorf("point %v: %w", point, err)
+	}
+	var asked []string
+	named, err := o.OptimizeMemoHeld(memo, inst.Values, func(fp string) bool {
+		asked = append(asked, fp)
+		return true
+	})
+	if err != nil {
+		return fmt.Errorf("point %v: held: %v", point, err)
+	}
+	if named.Root != nil || len(asked) != 1 || asked[0] != want.Fingerprint {
+		return fmt.Errorf("point %v: held winner built a tree (%v) or asked %q, want %q once", point, named.Root != nil, asked, want.Fingerprint)
+	}
+	if err := samePlan(named, &optimizer.Plan{Cost: want.Cost, Fingerprint: want.Fingerprint}); err != nil {
+		return fmt.Errorf("point %v: held: %w", point, err)
 	}
 	return nil
 }

@@ -155,8 +155,21 @@ type memoShape struct {
 	orders    []ColRef
 	orderRank []int16
 
+	// aggHead is the fingerprint header of the aggregate over the join
+	// tree, "Agg[cols](" ("" without one).
+	aggHead string
+	// prints memoizes a winner's fingerprint by its DP chain, which
+	// determines it as a function of the shape alone, like heads and print.
+	printsMu sync.RWMutex
+	prints   map[chainKey]string
+
 	scratch sync.Pool // *dpScratch
 }
+
+// chainKey identifies a plan of a shape by its DP chain, one word per entry
+// from the root down: relation, method, access path and driving step. Words
+// past the leaf scan are zero; no entry's word is (a scan's step is -1).
+type chainKey [maxJoinRelations]uint64
 
 // relShape is one FROM entry: its template predicates and access paths.
 type relShape struct {
@@ -262,7 +275,13 @@ func (o *Optimizer) NewMemo(q *Query) (*Memo, error) {
 	if n > maxJoinRelations {
 		return nil, &JoinLimitError{Relations: n, Limit: maxJoinRelations}
 	}
-	sh := &memoShape{q: q, hasAgg: len(q.GroupBy) > 0 || hasAggregates(q), groups: o.groupDistinct(q)}
+	sh := &memoShape{q: q, hasAgg: len(q.GroupBy) > 0 || hasAggregates(q), groups: o.groupDistinct(q),
+		prints: make(map[chainKey]string)}
+	if sh.hasAgg {
+		var b strings.Builder
+		writeAggHead(&b, q.GroupBy)
+		sh.aggHead = b.String()
+	}
 
 	orderIDs := map[ColRef]int16{{}: 0}
 	sh.orders = []ColRef{{}}
@@ -478,9 +497,51 @@ func (sh *memoShape) connecting(dst []int32, mask, r int) []int32 {
 // both run the same enumeration core — while skipping all per-call
 // template analysis.
 func (o *Optimizer) OptimizeMemo(m *Memo, params []float64) (*Plan, error) {
+	return o.OptimizeMemoHeld(m, params, nil)
+}
+
+// OptimizeMemoHeld is OptimizeMemo for a caller that may hold the winner
+// already: once the enumeration has picked it, its fingerprint is asked of
+// held, and when held answers true the plan comes back named and costed —
+// Fingerprint and Cost bit-equal to OptimizeMemo's — with a nil Root and no
+// tree built. A nil held builds every winner.
+func (o *Optimizer) OptimizeMemoHeld(m *Memo, params []float64, held func(fingerprint string) bool) (*Plan, error) {
 	o.faults.Sleep(faults.OptimizerLatency)
 	if err := o.faults.Fail(faults.OptimizerError); err != nil {
 		return nil, fmt.Errorf("optimizer: %w", err)
 	}
-	return o.optimizeCore(m, params)
+	return o.optimizeCore(m, params, held)
+}
+
+// fingerprint returns the fingerprint of the entry's plan: rendered from its
+// segments on the chain's first sight, read from the shape's memo after.
+func (sh *memoShape) fingerprint(sc *dpScratch, e *dpEntry) string {
+	var key chainKey
+	for d, x := 0, e; ; d++ {
+		key[d] = uint64(x.rel) | uint64(x.method)<<8 | uint64(uint16(x.path))<<16 | uint64(uint32(x.step))<<32
+		if x.parent < 0 {
+			break
+		}
+		x = &sc.entries[x.parent]
+	}
+	sh.printsMu.RLock()
+	fp, ok := sh.prints[key]
+	sh.printsMu.RUnlock()
+	if ok {
+		return fp
+	}
+	var b strings.Builder
+	b.WriteString(sh.aggHead)
+	var segs [maxPrintSegs]string
+	for _, s := range sc.printSegments(sh, segs[:0], e) {
+		b.WriteString(s)
+	}
+	if sh.hasAgg {
+		b.WriteByte(')')
+	}
+	fp = b.String()
+	sh.printsMu.Lock()
+	sh.prints[key] = fp
+	sh.printsMu.Unlock()
+	return fp
 }

@@ -77,7 +77,7 @@ func (o *Optimizer) Optimize(q *Query, params []float64) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return o.optimizeCore(m, params)
+	return o.optimizeCore(m, params, nil)
 }
 
 // nearTieFraction is the plan-stability window: two candidates whose costs
@@ -138,9 +138,10 @@ func instantiate(p Predicate, params []float64) Predicate {
 }
 
 // optimizeCore is the enumeration shared by Optimize and OptimizeMemo. No
-// plan node and no fingerprint string exists until the winner is known;
-// buildPlan then materialises its tree once.
-func (o *Optimizer) optimizeCore(m *Memo, params []float64) (*Plan, error) {
+// plan node exists until the winner is known, and no fingerprint string is
+// rendered but the winner's, once per shape; buildPlan then materialises
+// its tree once — unless held names it as a plan the caller has already.
+func (o *Optimizer) optimizeCore(m *Memo, params []float64, held func(string) bool) (*Plan, error) {
 	sh := m.shape
 	if got, want := len(params), sh.q.ParamDegree(); got != want {
 		return nil, fmt.Errorf("optimizer: got %d parameters, want %d", got, want)
@@ -148,8 +149,23 @@ func (o *Optimizer) optimizeCore(m *Memo, params []float64) (*Plan, error) {
 	sc := sh.scratch.Get().(*dpScratch)
 	defer sh.scratch.Put(sc)
 	o.enumerate(m, sc, params)
-	best := sc.best(sh, int(sc.setOff[1<<uint(len(sh.rels))-1]))
-	return o.buildPlan(m, sc, params, best), nil
+	best := &sc.entries[sc.best(sh, int(sc.setOff[1<<uint(len(sh.rels))-1]))]
+	fp := sh.fingerprint(sc, best)
+	if held != nil && held(fp) {
+		cost := best.cost
+		if sh.hasAgg {
+			_, cost = o.aggregate(sh, best.rows, best.cost)
+		}
+		return &Plan{Cost: cost, Fingerprint: fp}, nil
+	}
+	return o.buildPlan(m, sc, params, best, fp), nil
+}
+
+// aggregate estimates the shape's aggregate over a join tree of the given
+// rows and cumulative cost: its groups, and the plan's cost with it.
+func (o *Optimizer) aggregate(sh *memoShape, rows, cost float64) (groups, total float64) {
+	groups = math.Max(math.Min(sh.groups, rows), 1)
+	return groups, cost + o.model.hashAggCost(rows, groups)
 }
 
 // enumerate runs the left-deep dynamic programming over relation subsets,
@@ -433,14 +449,13 @@ func segmentsLess(a, b []string) bool {
 	}
 }
 
-// buildPlan materialises the winning entry: n scans, n-1 joins and the
-// optional aggregate in one node array, the instantiated predicates of all
-// scans in one predicate array.
-func (o *Optimizer) buildPlan(m *Memo, sc *dpScratch, params []float64, best int32) *Plan {
+// buildPlan materialises the winning entry, whose fingerprint is fp: n
+// scans, n-1 joins and the optional aggregate in one node array, the
+// instantiated predicates of all scans in one predicate array.
+func (o *Optimizer) buildPlan(m *Memo, sc *dpScratch, params []float64, e *dpEntry, fp string) *Plan {
 	sh := m.shape
 	var chain [maxJoinRelations]*dpEntry
 	depth := 0
-	e := &sc.entries[best]
 	for ; e.parent >= 0; e = &sc.entries[e.parent] {
 		chain[depth] = e
 		depth++
@@ -525,16 +540,15 @@ func (o *Optimizer) buildPlan(m *Memo, sc *dpScratch, params []float64, best int
 	}
 
 	if sh.hasAgg {
-		rows := root.EstRows
-		groups := math.Max(math.Min(sh.groups, rows), 1)
+		groups, cost := o.aggregate(sh, root.EstRows, root.EstCost)
 		root = newNode(Node{
 			Op:      OpHashAgg,
 			GroupBy: sh.q.GroupBy,
 			Aggs:    sh.q.Select,
 			Left:    root,
 			EstRows: groups,
-			EstCost: root.EstCost + o.model.hashAggCost(rows, groups),
+			EstCost: cost,
 		})
 	}
-	return &Plan{Root: root, Cost: root.EstCost, Fingerprint: FingerprintOf(root)}
+	return &Plan{Root: root, Cost: root.EstCost, Fingerprint: fp}
 }

@@ -123,6 +123,24 @@ func writeJoinHead(b *strings.Builder, tag string, l, r ColRef) {
 	b.WriteString("](")
 }
 
+// writeAggHead writes an aggregate's fingerprint header, "Agg[cols](" with
+// the grouping columns sorted. The memo interns it per template.
+func writeAggHead(b *strings.Builder, groupBy []ColRef) {
+	cols := make([]string, len(groupBy))
+	for i, c := range groupBy {
+		cols[i] = c.String()
+	}
+	sort.Strings(cols)
+	b.WriteString("Agg[")
+	for i, c := range cols {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(c)
+	}
+	b.WriteString("](")
+}
+
 // fingerprint appends the canonical structure string of a subtree.
 // Fingerprints are registry keys and are persisted in checkpoints and
 // replica snapshots: the rendering is a format, pinned by
@@ -154,19 +172,7 @@ func (n *Node) fingerprint(b *strings.Builder) {
 	case OpNLJoin:
 		b.WriteString(nlHead)
 	case OpHashAgg:
-		cols := make([]string, len(n.GroupBy))
-		for i, c := range n.GroupBy {
-			cols[i] = c.String()
-		}
-		sort.Strings(cols)
-		b.WriteString("Agg[")
-		for i, c := range cols {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(c)
-		}
-		b.WriteString("](")
+		writeAggHead(b, n.GroupBy)
 		n.Left.fingerprint(b)
 		b.WriteByte(')')
 		return

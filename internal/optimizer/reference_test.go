@@ -461,7 +461,9 @@ func instantiateSingle(tmpl []Predicate, params []float64) []Predicate {
 // CheckPrintOrder runs the production enumeration at params and holds the
 // structural near-tie order to the strings it stands for: for every pair of
 // surviving entries, printLess must agree with comparing the fingerprints
-// of the two materialised trees. It also returns how many pairs it checked.
+// of the two materialised trees. Every entry's fingerprint as the shape
+// names it (its segments, or the memo) must be its tree's. It also returns
+// how many pairs it checked.
 func (o *Optimizer) CheckPrintOrder(m *Memo, params []float64) (int, error) {
 	sh := m.shape
 	sc := sh.scratch.Get().(*dpScratch)
@@ -469,7 +471,11 @@ func (o *Optimizer) CheckPrintOrder(m *Memo, params []float64) (int, error) {
 	o.enumerate(m, sc, params)
 	prints := make([]string, len(sc.entries))
 	for i := range sc.entries {
-		root := o.buildPlan(m, sc, params, int32(i)).Root
+		e := &sc.entries[i]
+		root := o.buildPlan(m, sc, params, e, "").Root
+		if named, fp := sh.fingerprint(sc, e), FingerprintOf(root); named != fp {
+			return 0, fmt.Errorf("entry %d named %q, its tree prints %q", i, named, fp)
+		}
 		if root.Op == OpHashAgg {
 			root = root.Left
 		}

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/netproto"
 	"repro/internal/queries"
 	"repro/internal/replica"
@@ -14,9 +15,15 @@ import (
 
 func warmSystem(t *testing.T, seed int64) (*System, [][]float64) {
 	t.Helper()
+	return warmSystemWith(t, seed, onlineForTest())
+}
+
+// warmSystemWith is warmSystem over a learner configuration of the caller's.
+func warmSystemWith(t *testing.T, seed int64, online core.OnlineConfig) (*System, [][]float64) {
+	t.Helper()
 	sys, err := Open(Options{
 		TPCH:   tpch.Config{Scale: 2000, Seed: 5},
-		Online: onlineForTest(),
+		Online: online,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -175,6 +182,40 @@ func TestRestoredPredictionsIdentical(t *testing.T) {
 		}
 		if len(a.Result.Rows) > 0 && a.Result.Rows[0][1].Num != b.Result.Rows[0][1].Num {
 			t.Fatalf("results diverged at %d", i)
+		}
+	}
+}
+
+// A learner's saved state carries its own shape, and a restore adopts it
+// whatever the restoring System was configured with: state saved with seven
+// transforms projecting to one dimension loads cleanly into a default
+// System, whose pooled predict scratch was sized for five transforms
+// projecting to two, and every run after it is served, none degraded.
+func TestRestoreOtherTransformCount(t *testing.T) {
+	online := onlineForTest()
+	online.Core.Transforms, online.Core.OutDims = 7, 1
+	warm, values := warmSystemWith(t, 6, online)
+	var buf bytes.Buffer
+	if err := warm.SaveState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	cold, err := Open(Options{TPCH: tpch.Config{Scale: 2000, Seed: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cold.LoadState(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if rep := cold.LoadStateReport(); rep.Corrupt || len(rep.ColdTemplates) != 0 || rep.Templates != 2 {
+		t.Fatalf("restore report %+v, want both templates warm and no damage", rep)
+	}
+	for i, vals := range values[:50] {
+		res, err := cold.Run("Q1", vals)
+		if err != nil {
+			t.Fatalf("run %d after restore: %v", i, err)
+		}
+		if res.Degraded {
+			t.Fatalf("run %d after restore degraded (by error: %v)", i, res.DegradedByError)
 		}
 	}
 }

@@ -988,22 +988,30 @@ func (r *run) ExecuteCost(_ []float64, planID int) (float64, error) {
 // (and, first time, compile) the winner. The learner's invocation, a
 // degraded run and a cache-miss fallback all land here, so the label a run
 // feeds the synopsis is always the plan a system without a plan cache would
-// produce.
+// produce. The optimizer names its winner before building it: when the
+// cache holds that plan for this template, the run keeps the cached entry
+// (made most recent again, as internPlan would) and no tree is built; on
+// first sight, or after an eviction, the winner is built and interned.
 func (r *run) optimize() error {
 	s, st := r.st.sys, r.st
 	t0 := time.Now()
-	plan, err := s.opt.OptimizeMemo(s.memoFor(st), r.res.Values)
+	var entry *cachedPlan
+	plan, err := s.opt.OptimizeMemoHeld(s.memoFor(st), r.res.Values, func(fp string) bool {
+		entry = s.cachedPlanOf(st, s.reg.ID(fp))
+		return entry != nil
+	})
 	if err != nil {
 		return &PipelineError{Stage: "optimize", Template: r.res.Template, Err: err}
 	}
-	entry, err := s.internPlan(st, plan)
-	if err != nil {
+	if plan.Root == nil {
+		s.cachePlan(entry)
+	} else if entry, err = s.internPlan(st, plan); err != nil {
 		return err
 	}
 	r.res.OptimizeTime += time.Since(t0)
 	r.res.Invoked = true
 	r.res.CacheHit = false
-	// OptimizeMemo costs the plan at these values already.
+	// The optimizer costs the plan at these values already.
 	r.entry, r.res.EstimatedCost = entry, plan.Cost
 	return nil
 }

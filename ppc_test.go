@@ -395,6 +395,84 @@ func TestRunOptimizesAtItsOwnValues(t *testing.T) {
 	}
 }
 
+// TestNamedWinnerIsTheBuiltOne: run.optimize takes a winner the cache
+// holds by its name alone, building no tree. Through a four-plan cache that
+// three multi-join templates at uniform points keep churning, every invoked
+// run must still report the plan id, fingerprint and cost bits that
+// OptimizeMemo on the template's memo and Registry.ID give, and a winner
+// that was evicted must come back compiled.
+func TestNamedWinnerIsTheBuiltOne(t *testing.T) {
+	sys, err := Open(Options{
+		TPCH:          tpch.Config{Scale: 1000, Seed: 2012},
+		Online:        onlineForTest(),
+		CacheCapacity: 4,
+		FeedbackQueue: -1, // feedback applies inside the run that makes it
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"Q3", "Q4", "Q8"}
+	for _, name := range names {
+		if err := sys.Register(name, mustSQL(t, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(2012))
+	var held, returned int
+	seen := map[int]bool{}
+	for i := 0; i < 900; i++ {
+		st, err := sys.lookup(names[i%len(names)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		point := make([]float64, st.tmpl.Degree())
+		for j := range point {
+			point[j] = rng.Float64()
+		}
+		inst, err := sys.Optimizer().InstanceAt(st.tmpl, point)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// What the run's optimizer call will see: corrections move only
+		// with the run's own feedback, which follows it.
+		want, err := sys.opt.OptimizeMemo(sys.memoFor(st), inst.Values)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := map[int]bool{}
+		for _, id := range cachedPlanIDs(sys) {
+			before[id] = true
+		}
+		res, err := sys.Run(st.tmpl.Name, inst.Values)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Invoked {
+			continue
+		}
+		id := sys.reg.ID(want.Fingerprint)
+		if res.PlanID != id || res.Fingerprint != want.Fingerprint || math.Float64bits(res.EstimatedCost) != math.Float64bits(want.Cost) {
+			t.Fatalf("run %d (%s): plan %d %s at %v, OptimizeMemo says %d %s at %v",
+				i, st.tmpl.Name, res.PlanID, res.Fingerprint, res.EstimatedCost, id, want.Fingerprint, want.Cost)
+		}
+		entry := sys.cachedPlanOf(st, id)
+		if entry == nil || entry.prog == nil || entry.rebind == nil || entry.plan.Root == nil {
+			t.Fatalf("run %d (%s): winner %d is not cached compiled after the run", i, st.tmpl.Name, id)
+		}
+		switch {
+		case before[id]:
+			held++
+		case seen[id]:
+			returned++
+		}
+		seen[id] = true
+	}
+	t.Logf("%d winners named from the cache, %d evicted winners rebuilt, %d plans seen", held, returned, len(seen))
+	if held == 0 || returned == 0 {
+		t.Errorf("%d winners named from the cache, %d evicted winners rebuilt: both paths must run", held, returned)
+	}
+}
+
 // TestRegisterRejectsTooManyRelations: the FROM list comes straight from
 // caller SQL and the join enumeration's state grows as 2^relations, so
 // Register must refuse a list past the optimizer's limit with a typed
