@@ -80,7 +80,7 @@ func TestDurableApplyAllocBudget(t *testing.T) {
 		batch[i] = core.Feedback{Point: []float64{rng.Float64(), rng.Float64()}, Plan: i % 3, Cost: 10 + float64(i)}
 	}
 	measure := func(sink wal.Appender) float64 {
-		o, err := core.NewOnline(core.OnlineConfig{Core: core.Config{Dims: 2, Radius: 0.05, NoiseElimination: true, Seed: 5}}, nil)
+		o, err := core.NewOnline(core.OnlineConfig{Core: core.Config{Dims: 2, Radius: 0.05, Seed: 5}}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -110,7 +110,7 @@ func trainedPredictors(b *testing.B, n int) (bl *baselines.Density, nv *baseline
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := core.Config{Dims: tmpl.Degree(), Radius: 0.05, Gamma: 0.7, NoiseElimination: true, Seed: 5}
+	cfg := core.Config{Dims: tmpl.Degree(), Radius: 0.05, Gamma: 0.7, Seed: 5}
 	nv = baselines.MustNewNaive(baselines.Config{Config: cfg})
 	al = baselines.MustNewApproxLSH(baselines.Config{Config: cfg})
 	hist = core.MustNewApproxLSHHist(cfg)

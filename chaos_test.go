@@ -93,9 +93,9 @@ func TestChaosAllFaultClasses(t *testing.T) {
 			netClass := class == faults.NetTornFrame || class == faults.NetCorruptFrame
 			if walClass {
 				opts.Durability = Durability{
-					Dir:                 t.TempDir(),
-					Sync:                wal.SyncAlways,
-					DisableCheckpointer: true,
+					Dir:                t.TempDir(),
+					Sync:               wal.SyncAlways,
+					CheckpointInterval: -1,
 				}
 			}
 			sys, err := Open(opts)

@@ -89,7 +89,7 @@ func run() (err error) {
 	walDir := flag.String("wal-dir", "", "durability directory (empty disables the WAL)")
 	walSync := flag.String("wal-sync", "always", "WAL fsync policy: always, interval or never")
 	walSyncEvery := flag.Duration("wal-sync-interval", 100*time.Millisecond, "fsync cadence under -wal-sync=interval")
-	checkpointEvery := flag.Duration("checkpoint-every", time.Minute, "background checkpoint cadence (requires -wal-dir)")
+	checkpointEvery := flag.Duration("checkpoint-every", time.Minute, "background checkpoint cadence (requires -wal-dir; 0 means 1m, negative disables the checkpointer)")
 	shipAddr := flag.String("ship-addr", "", "binary-protocol listen address for replicas and clients (requires -wal-dir)")
 	shipMax := flag.Int("ship-max", 8, "max concurrent replica ship streams (admission cap)")
 	shipHeartbeat := flag.Duration("ship-heartbeat", 500*time.Millisecond, "leader->replica heartbeat cadence")

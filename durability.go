@@ -40,11 +40,10 @@ type Durability struct {
 	SegmentBytes int64
 	// CheckpointInterval is the background checkpointer's cadence (default
 	// 1 minute). The checkpointer calls Checkpoint: SaveState to a temp
-	// file, atomic rename, then WAL compaction.
+	// file, atomic rename, then WAL compaction. Negative turns the
+	// checkpointer off; the application drives Checkpoint itself (Close
+	// still takes a final one).
 	CheckpointInterval time.Duration
-	// DisableCheckpointer turns the background checkpointer off; the
-	// application drives Checkpoint itself (Close still takes a final one).
-	DisableCheckpointer bool
 }
 
 // defaultCheckpointInterval is the checkpointer cadence when unset.
@@ -147,9 +146,8 @@ func (s *System) openDurable() error {
 	// re-registers the saved templates above).
 	report.RecoveryDuration = time.Since(t0)
 
-	if !d.DisableCheckpointer {
-		every := d.CheckpointInterval
-		if every <= 0 {
+	if every := d.CheckpointInterval; every >= 0 {
+		if every == 0 {
 			every = defaultCheckpointInterval
 		}
 		s.checkpointStop = make(chan struct{})

@@ -46,9 +46,9 @@ func durableOptions(dir string, mut func(*Options)) Options {
 		TPCH:   tpch.Config{Scale: 2000, Seed: 5},
 		Online: online,
 		Durability: Durability{
-			Dir:                 dir,
-			Sync:                wal.SyncAlways,
-			DisableCheckpointer: true,
+			Dir:                dir,
+			Sync:               wal.SyncAlways,
+			CheckpointInterval: -1,
 		},
 	}
 	if mut != nil {
@@ -592,7 +592,7 @@ func TestRestoredPlansServeCompiled(t *testing.T) {
 				FeedbackQueue: -1,
 			}
 			if mode == "reopen" {
-				opts.Durability = Durability{Dir: t.TempDir(), DisableCheckpointer: true}
+				opts.Durability = Durability{Dir: t.TempDir(), CheckpointInterval: -1}
 			}
 			warm, err := Open(opts)
 			if err != nil {
@@ -696,7 +696,7 @@ func TestDurableStateWrittenWithCandidateSets(t *testing.T) {
 // first run at a trained point is a cache hit.
 func TestDurableStateWrittenAsVersion2(t *testing.T) {
 	const fixture = "testdata/checkpoint_v2"
-	tunable := func(o *Options) { o.TunableLSH = TunableLSHOptions{Enable: true, RetuneEvery: 15} }
+	tunable := func(o *Options) { o.Online.Core.RetuneEvery = 15 }
 	for _, mode := range []string{"snapshot", "reopen"} {
 		t.Run(mode, func(t *testing.T) {
 			sys := openFixture(t, fixture, mode, tunable)
@@ -746,7 +746,7 @@ func openFixture(t *testing.T, fixture, mode string, mut func(*Options)) *System
 		mut(&opts)
 	}
 	if mode == "reopen" {
-		opts.Durability = Durability{Dir: crashImage(t, fixture), DisableCheckpointer: true}
+		opts.Durability = Durability{Dir: crashImage(t, fixture), CheckpointInterval: -1}
 	}
 	sys, err := Open(opts)
 	if err != nil {

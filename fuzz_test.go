@@ -90,7 +90,7 @@ func decoderIndex(tb testing.TB, name string) uint8 {
 // the deep decode paths instead of dying at the synopsis frame.
 func learnerSeed(tb testing.TB) []byte {
 	o, err := core.NewOnline(core.OnlineConfig{Core: core.Config{
-		Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5, NoiseElimination: true,
+		Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5,
 		RetuneEvery: 50, RetuneReservoir: 128,
 	}}, nil)
 	if err != nil {

@@ -10,13 +10,13 @@ import (
 )
 
 // onlineForTest returns an online configuration suited to small test
-// workloads: modest radius, standard gamma, noise elimination on.
+// workloads: modest radius, standard gamma, noise elimination and negative
+// feedback at their defaults.
 func onlineForTest() core.OnlineConfig {
 	return core.OnlineConfig{
-		Core:             core.Config{Radius: 0.05, Gamma: 0.8, NoiseElimination: true, Seed: 7},
-		InvocationProb:   0.05,
-		NegativeFeedback: true,
-		Seed:             11,
+		Core:           core.Config{Radius: 0.05, Gamma: 0.8, Seed: 7},
+		InvocationProb: 0.05,
+		Seed:           11,
 	}
 }
 

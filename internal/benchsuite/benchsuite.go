@@ -71,7 +71,7 @@ func trainOn(env *experiments.Env, name string) (*core.ApproxLSHHist, [][]float6
 	if err != nil {
 		return nil, nil, err
 	}
-	hist := core.MustNewApproxLSHHist(core.Config{Dims: tmpl.Degree(), Radius: 0.05, Gamma: 0.7, NoiseElimination: true, Seed: 5})
+	hist := core.MustNewApproxLSHHist(core.Config{Dims: tmpl.Degree(), Radius: 0.05, Gamma: 0.7, Seed: 5})
 	for _, s := range samples {
 		hist.Insert(s)
 	}

@@ -39,11 +39,10 @@ type Config struct {
 	Radius float64
 	// Gamma is the confidence threshold γ (default 0.8).
 	Gamma float64
-	// NoiseElimination enables the Section IV-C sanity check that discards
-	// plan densities below a fixed fraction of the point mass in the query
-	// range.
-	NoiseElimination bool
-	// NoiseFraction is that fixed fraction (default 0.05).
+	// NoiseFraction is the Section IV-C noise elimination threshold: plan
+	// densities below this fraction of the point mass in the query range
+	// are discarded (default 0.05; negative disables the check, since a
+	// floor at or under zero discards no density).
 	NoiseFraction float64
 	// MinSamples delays predictions until at least this many labeled
 	// points have been absorbed (Section IV-D: "plan predictions are
@@ -100,6 +99,9 @@ func (c Config) WithDefaults() (Config, error) {
 	}
 	if c.NoiseFraction == 0 {
 		c.NoiseFraction = 0.05
+	}
+	if math.IsNaN(c.NoiseFraction) {
+		return c, fmt.Errorf("core: NoiseFraction is NaN")
 	}
 	if c.MinSamples == 0 {
 		c.MinSamples = 20

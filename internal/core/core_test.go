@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -80,7 +81,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestApproxLSHHistPredictQuadrants(t *testing.T) {
-	p := MustNewApproxLSHHist(Config{Dims: 2, Radius: 0.08, Gamma: 0.7, Seed: 5, NoiseElimination: true})
+	p := MustNewApproxLSHHist(Config{Dims: 2, Radius: 0.08, Gamma: 0.7, Seed: 5})
 	fillQuadrants(p, 4000, 8)
 	prec, rec := precisionRecall(p, 2000, 100, quadrantPlan)
 	if prec < 0.9 {
@@ -140,8 +141,8 @@ func TestApproxLSHHistReset(t *testing.T) {
 func TestNoiseEliminationSuppressesStragglers(t *testing.T) {
 	// A dense plan plus a single mislabeled point: with noise elimination
 	// the straggler cannot block predictions near it.
-	withNoise := MustNewApproxLSHHist(Config{Dims: 2, Radius: 0.1, Gamma: 0.9, Seed: 5, NoiseElimination: true, NoiseFraction: 0.005})
-	without := MustNewApproxLSHHist(Config{Dims: 2, Radius: 0.1, Gamma: 0.9, Seed: 5})
+	withNoise := MustNewApproxLSHHist(Config{Dims: 2, Radius: 0.1, Gamma: 0.9, Seed: 5, NoiseFraction: 0.005})
+	without := MustNewApproxLSHHist(Config{Dims: 2, Radius: 0.1, Gamma: 0.9, Seed: 5, NoiseFraction: -1})
 	rng := rand.New(rand.NewSource(12))
 	for i := 0; i < 3000; i++ {
 		x := []float64{rng.Float64(), rng.Float64()}
@@ -203,7 +204,7 @@ func mustStep(t *testing.T, o *Online, x []float64) Decision {
 func TestOnlineWarmUpAndSteadyState(t *testing.T) {
 	env := &quadrantEnv{wrongFactor: 3}
 	o := MustNewOnline(OnlineConfig{
-		Core:           Config{Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5, NoiseElimination: true},
+		Core:           Config{Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5},
 		InvocationProb: 0.05,
 		Seed:           17,
 	}, env)
@@ -241,9 +242,8 @@ func TestOnlineWarmUpAndSteadyState(t *testing.T) {
 func TestOnlinePredictionsAreAccurate(t *testing.T) {
 	env := &quadrantEnv{wrongFactor: 3}
 	o := MustNewOnline(OnlineConfig{
-		Core:             Config{Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5, NoiseElimination: true},
-		NegativeFeedback: true,
-		Seed:             18,
+		Core: Config{Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5},
+		Seed: 18,
 	}, env)
 	rng := rand.New(rand.NewSource(14))
 	correct, predicted := 0, 0
@@ -272,11 +272,10 @@ func TestOnlineNegativeFeedbackCorrects(t *testing.T) {
 	// driver may also drop the synopsis entirely via the precision floor.
 	env := &quadrantEnv{wrongFactor: 5}
 	o := MustNewOnline(OnlineConfig{
-		Core:             Config{Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5, NoiseElimination: true},
-		NegativeFeedback: true,
-		WindowK:          50,
-		PrecisionFloor:   0.5,
-		Seed:             19,
+		Core:           Config{Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5},
+		WindowK:        50,
+		PrecisionFloor: 0.5,
+		Seed:           19,
 	}, env)
 	rng := rand.New(rand.NewSource(15))
 	for i := 0; i < 1500; i++ {
@@ -318,6 +317,37 @@ func TestOnlineNegativeFeedbackCorrects(t *testing.T) {
 	}
 	if prec := float64(correct) / float64(predicted); prec < 0.9 {
 		t.Errorf("post-recovery precision = %v", prec)
+	}
+}
+
+// An ε of +Inf is never exceeded: the same label shift that makes negative
+// feedback fire above serves its stale plans uncorrected.
+func TestInfiniteCostEpsilonNeverCorrects(t *testing.T) {
+	env := &quadrantEnv{wrongFactor: 5}
+	o := MustNewOnline(OnlineConfig{
+		Core:           Config{Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5},
+		CostEpsilon:    math.Inf(1),
+		PrecisionFloor: -1,
+		Seed:           19,
+	}, env)
+	rng := rand.New(rand.NewSource(15))
+	for i := 0; i < 1500; i++ {
+		mustStep(t, o, []float64{rng.Float64(), rng.Float64()})
+	}
+	env.shift = true
+	stale := 0
+	for i := 0; i < 600; i++ {
+		x := []float64{rng.Float64(), rng.Float64()}
+		d := mustStep(t, o, x)
+		if d.FeedbackCorrection {
+			t.Fatalf("step %d: FeedbackCorrection under CostEpsilon = +Inf", i)
+		}
+		if d.CacheHit && d.Plan != env.plan(x) {
+			stale++
+		}
+	}
+	if stale == 0 {
+		t.Error("no stale plan was served after the shift; the test is vacuous")
 	}
 }
 
@@ -364,15 +394,27 @@ func TestOnlineConfigValidation(t *testing.T) {
 	if _, err := NewOnline(OnlineConfig{Core: Config{Dims: 2}, WindowK: -1}, env); err == nil {
 		t.Error("expected error for bad window")
 	}
+	// Each switch is a value of its parameter, so a value that means
+	// nothing is refused rather than read as on or off.
+	for name, cfg := range map[string]OnlineConfig{
+		"NaN NoiseFraction":      {Core: Config{Dims: 2, NoiseFraction: math.NaN()}},
+		"negative CostEpsilon":   {Core: Config{Dims: 2}, CostEpsilon: -0.25},
+		"NaN CostEpsilon":        {Core: Config{Dims: 2}, CostEpsilon: math.NaN()},
+		"negative PositiveRatio": {Core: Config{Dims: 2}, PositiveRatio: -1},
+		"NaN PositiveRatio":      {Core: Config{Dims: 2}, PositiveRatio: math.NaN()},
+	} {
+		if _, err := NewOnline(cfg, env); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
 }
 
 func TestOnlineEstimatorTracksPrecision(t *testing.T) {
 	env := &quadrantEnv{wrongFactor: 3}
 	o := MustNewOnline(OnlineConfig{
-		Core:             Config{Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5, NoiseElimination: true},
-		NegativeFeedback: true,
-		InvocationProb:   0.1,
-		Seed:             21,
+		Core:           Config{Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5},
+		InvocationProb: 0.1,
+		Seed:           21,
 	}, env)
 	rng := rand.New(rand.NewSource(17))
 	for i := 0; i < 2500; i++ {
@@ -395,11 +437,9 @@ func TestOnlineEstimatorTracksPrecision(t *testing.T) {
 func TestPositiveFeedbackBudgetAndSafety(t *testing.T) {
 	env := &quadrantEnv{wrongFactor: 3}
 	o := MustNewOnline(OnlineConfig{
-		Core:             Config{Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5, NoiseElimination: true},
-		NegativeFeedback: true,
-		PositiveFeedback: true,
-		PositiveRatio:    0.5,
-		Seed:             23,
+		Core:          Config{Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5},
+		PositiveRatio: 0.5,
+		Seed:          23,
 	}, env)
 	rng := rand.New(rand.NewSource(29))
 	insertions := 0

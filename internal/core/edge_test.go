@@ -24,9 +24,8 @@ func (e *degenerateEnv) ExecuteCost(x []float64, plan int) (float64, error) {
 func TestOnlineSinglePlanSpace(t *testing.T) {
 	env := &degenerateEnv{}
 	o := MustNewOnline(OnlineConfig{
-		Core:             Config{Dims: 2, Radius: 0.1, Gamma: 0.9, Seed: 5, NoiseElimination: true},
-		NegativeFeedback: true,
-		Seed:             41,
+		Core: Config{Dims: 2, Radius: 0.1, Gamma: 0.9, Seed: 5},
+		Seed: 41,
 	}, env)
 	rng := rand.New(rand.NewSource(43))
 	for i := 0; i < 800; i++ {
@@ -56,9 +55,8 @@ func (e *zeroCostEnv) ExecuteCost(x []float64, plan int) (float64, error) { retu
 func TestOnlineZeroCostObservationTriggersCorrection(t *testing.T) {
 	env := &zeroCostEnv{}
 	o := MustNewOnline(OnlineConfig{
-		Core:             Config{Dims: 2, Radius: 0.1, Gamma: 0.9, Seed: 5},
-		NegativeFeedback: true,
-		Seed:             47,
+		Core: Config{Dims: 2, Radius: 0.1, Gamma: 0.9, Seed: 5},
+		Seed: 47,
 	}, env)
 	rng := rand.New(rand.NewSource(53))
 	corrections := 0
@@ -171,10 +169,9 @@ func TestOnlineStepRejectsWrongDims(t *testing.T) {
 func TestOnlineInjectedMispredictionIsCorrected(t *testing.T) {
 	env := &quadrantEnv{wrongFactor: 5}
 	o := MustNewOnline(OnlineConfig{
-		Core:             Config{Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5, NoiseElimination: true},
-		NegativeFeedback: true,
-		PrecisionFloor:   -1,
-		Seed:             19,
+		Core:           Config{Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5},
+		PrecisionFloor: -1,
+		Seed:           19,
 	}, env)
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 1200; i++ {

@@ -126,11 +126,10 @@ func (m *Model) PredictWithCost(x []float64, sc *PredictScratch) (Prediction, fl
 	// assumed to be z-order false positives and are excluded from the
 	// vote. (The paper states the threshold as a constant factor of the
 	// total point count; we apply it to the local in-range mass so the
-	// check stays meaningful for sub-bucket interpolated queries.)
-	floor := math.Inf(-1)
-	if m.cfg.NoiseElimination {
-		floor = m.cfg.NoiseFraction * median(sc.localMass)
-	}
+	// check stays meaningful for sub-bucket interpolated queries.) A
+	// negative fraction puts the floor at or under zero, where no count,
+	// peak bound or median — all non-negative — falls below it.
+	floor := m.cfg.NoiseFraction * median(sc.localMass)
 	// Per-plan density: the median over the transforms, a transform that
 	// saw nothing of the plan contributing its zero. Most plans are noise
 	// at any one point, and that shows without sorting: once more than half

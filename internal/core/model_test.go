@@ -14,7 +14,7 @@ import (
 // trainedPredictor builds a live predictor over the quadrant plan space.
 func trainedPredictor(t *testing.T, n int) *ApproxLSHHist {
 	t.Helper()
-	p := MustNewApproxLSHHist(Config{Dims: 2, Radius: 0.05, Gamma: 0.7, NoiseElimination: true, Seed: 5})
+	p := MustNewApproxLSHHist(Config{Dims: 2, Radius: 0.05, Gamma: 0.7, Seed: 5})
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < n; i++ {
 		x := []float64{rng.Float64(), rng.Float64()}
@@ -80,15 +80,20 @@ func genStateFrom(rng *rand.Rand) genState {
 // on a boundary and some see noise only.
 func (g genState) build(tb testing.TB, rng *rand.Rand) *ApproxLSHHist {
 	tb.Helper()
-	cfg := Config{Dims: g.dims, Radius: 0.05 + 0.1*rng.Float64(), Gamma: 0.3 + 0.5*rng.Float64(),
-		NoiseElimination: rng.Intn(2) == 0, Seed: rng.Int63n(1 << 30)}
+	radius, gamma := 0.05+0.1*rng.Float64(), 0.3+0.5*rng.Float64()
+	noise := rng.Intn(2) == 0
+	cfg := Config{Dims: g.dims, Radius: radius, Gamma: gamma, Seed: rng.Int63n(1 << 30)}
 	if rng.Intn(3) == 0 {
 		cfg.Transforms = 1 + rng.Intn(8) // even counts average the two middle densities
 	}
 	if g.transforms > 0 {
 		cfg.Transforms = g.transforms
 	}
-	cfg.NoiseElimination = cfg.NoiseElimination || g.noise
+	if !noise && !g.noise {
+		// Noise elimination off: a negative fraction, of a magnitude the
+		// seed picks, so a floor under zero of any size is exercised.
+		cfg.NoiseFraction = -[]float64{0.05, 1, 1e-9}[cfg.Seed%3]
+	}
 	if g.retune {
 		cfg.RetuneEvery, cfg.RetuneReservoir = 1<<30, 300
 	}
@@ -161,10 +166,7 @@ func checkAgainstReference(tb testing.TB, p *ApproxLSHHist, points [][]float64) 
 // their search stopped before the last transform.
 func voteShape(m *Model, sc *PredictScratch) (bounded, early int) {
 	t := len(m.marginals)
-	floor := math.Inf(-1)
-	if m.cfg.NoiseElimination {
-		floor = m.cfg.NoiseFraction * median(append([]float64(nil), sc.localMass...))
-	}
+	floor := m.cfg.NoiseFraction * median(append([]float64(nil), sc.localMass...))
 	for j := range m.planIDs {
 		blocks, under := m.blocks[j*t:j*t+t], 0
 		for i, b := range blocks {
@@ -222,7 +224,8 @@ func queryPoints(rng *rand.Rand, g genState, n int) [][]float64 {
 // after Reset, after a re-tune with non-identity warps, with mid-stream
 // publishes so freezes patch earlier indexes — and over miss-shaped ones —
 // 60–90 plans at uniform points under noise elimination, odd and even t —
-// Model.PredictWithCost equals the map-walking reference bit for bit. The
+// and at both signs of the noise fraction, Model.PredictWithCost equals the
+// map-walking reference bit for bit. The
 // vote's two shortcuts must both be taken: plans ruled out by their peak
 // bounds before any search, and searches stopped early.
 func TestModelPredictMatchesReference(t *testing.T) {
@@ -256,9 +259,15 @@ func TestModelPredictMatchesReference(t *testing.T) {
 		if len(p.plans) >= 40 {
 			covered["40+ plans"]++
 		}
+		if p.Config().NoiseFraction > 0 {
+			covered["noise elimination on"]++
+		} else {
+			covered["noise elimination off"]++
+		}
 	}
 	for _, want := range []string{"under MinSamples", "after Reset", "warped", "40+ plans",
-		"ruled out by bound", "early exit", "miss-shaped, t=4", "miss-shaped, t=5"} {
+		"ruled out by bound", "early exit", "miss-shaped, t=4", "miss-shaped, t=5",
+		"noise elimination on", "noise elimination off"} {
 		if covered[want] == 0 {
 			t.Errorf("no generated state was %s", want)
 		}
@@ -269,7 +278,7 @@ func TestModelPredictMatchesReference(t *testing.T) {
 // logged re-tune switch replayed into an Online republishes a Model whose
 // answers equal the reference over the rebuilt synopsis.
 func TestModelMatchesReferenceAfterReplayRetune(t *testing.T) {
-	cfg := OnlineConfig{Core: Config{Dims: 3, Seed: 4, NoiseElimination: true, RetuneEvery: 1 << 30, RetuneReservoir: 256}, Seed: 2}
+	cfg := OnlineConfig{Core: Config{Dims: 3, Seed: 4, RetuneEvery: 1 << 30, RetuneReservoir: 256}, Seed: 2}
 	o, err := NewOnline(cfg, &quadrantEnv{})
 	if err != nil {
 		t.Fatal(err)

@@ -45,12 +45,11 @@ type OnlineConfig struct {
 	// InvocationProb is the mean random optimizer invocation probability
 	// (Section IV-D; the paper uses 5–10%). 0 disables random invocations.
 	InvocationProb float64
-	// NegativeFeedback enables the Section IV-E error detector: a
-	// prediction whose observed execution cost deviates from the histogram
-	// cost estimate by more than CostEpsilon triggers an immediate
-	// optimizer call and corrective insertion.
-	NegativeFeedback bool
-	// CostEpsilon is the relative cost error bound ε (default 0.25).
+	// CostEpsilon is the Section IV-E error detector's relative cost error
+	// bound ε: a prediction whose observed execution cost deviates from the
+	// histogram cost estimate by more than ε times that estimate triggers an
+	// immediate optimizer call and corrective insertion (default 0.25;
+	// math.Inf(1) disables the detector, since no deviation exceeds it).
 	CostEpsilon float64
 	// WindowK is the sliding-window length k for the precision/recall
 	// estimators (default 100).
@@ -61,24 +60,22 @@ type OnlineConfig struct {
 	// disable).
 	PrecisionFloor float64
 
-	// PositiveFeedback enables the extension sketched in the paper's
-	// Section VII: predictions the framework is highly confident about are
-	// inserted back into the histograms as if optimizer-validated,
-	// shortening the training period and improving recall. Two checks and
-	// balances prevent the feedback spiral the paper warns against:
-	// insertions require confidence >= 0.95, and the number
-	// of self-labeled points may never exceed PositiveRatio times the
-	// number of optimizer-validated points.
-	PositiveFeedback bool
-	// PositiveRatio caps self-labeled points relative to validated points
-	// (default 1.0).
+	// PositiveRatio is the self-labeling budget of the positive feedback
+	// extension sketched in the paper's Section VII: predictions the
+	// framework is highly confident about are inserted back into the
+	// histograms as if optimizer-validated, shortening the training period
+	// and improving recall. Two checks and balances prevent the feedback
+	// spiral the paper warns against: insertions require confidence >=
+	// 0.95, and the number of self-labeled points may never exceed
+	// PositiveRatio times the number of optimizer-validated points. The
+	// default 0 admits no self-label, which keeps the extension off.
 	PositiveRatio float64
 	// Seed drives the random invocation coin.
 	Seed int64
 }
 
-// positiveConfidence is the confidence a prediction needs before
-// PositiveFeedback inserts it as a self-labeled point.
+// positiveConfidence is the confidence a prediction needs before positive
+// feedback inserts it as a self-labeled point.
 const positiveConfidence = 0.95
 
 func (c OnlineConfig) withDefaults() (OnlineConfig, error) {
@@ -93,6 +90,9 @@ func (c OnlineConfig) withDefaults() (OnlineConfig, error) {
 	if c.CostEpsilon == 0 {
 		c.CostEpsilon = 0.25
 	}
+	if !(c.CostEpsilon > 0) {
+		return c, fmt.Errorf("core: CostEpsilon must be positive, got %v", c.CostEpsilon)
+	}
 	if c.WindowK == 0 {
 		c.WindowK = 100
 	}
@@ -102,10 +102,7 @@ func (c OnlineConfig) withDefaults() (OnlineConfig, error) {
 	if c.PrecisionFloor == 0 {
 		c.PrecisionFloor = 0.5
 	}
-	if c.PositiveRatio == 0 {
-		c.PositiveRatio = 1.0
-	}
-	if c.PositiveRatio < 0 {
+	if !(c.PositiveRatio >= 0) {
 		return c, fmt.Errorf("core: PositiveRatio must be non-negative, got %v", c.PositiveRatio)
 	}
 	return c, nil
@@ -293,9 +290,9 @@ func MustNewOnline(cfg OnlineConfig, env Environment) *Online {
 //     more than ε, assume a misprediction, invoke the optimizer now and
 //     insert the corrected point.
 //
-// By default only optimizer-validated points enter the histograms; the
-// optional PositiveFeedback extension additionally reinforces very
-// confident, cost-consistent predictions within a strict budget.
+// By default only optimizer-validated points enter the histograms; a
+// positive PositiveRatio additionally reinforces very confident,
+// cost-consistent predictions within that budget.
 //
 // Feedback is applied inline (nil sink), so the step's insertions are
 // visible to the very next prediction — serial callers see the exact
@@ -390,7 +387,7 @@ func (o *Online) StepConcurrent(x []float64, env Environment, sink FeedbackSink)
 		return d, err
 	}
 	correct := true
-	if o.cfg.NegativeFeedback && costOK && costEst > 0 {
+	if costOK && costEst > 0 {
 		if math.Abs(observed-costEst) > o.cfg.CostEpsilon*costEst {
 			// Plan cost predictability violated: treat as misprediction
 			// (Section IV-E contrapositive), correct immediately.
@@ -406,8 +403,9 @@ func (o *Online) StepConcurrent(x []float64, env Environment, sink FeedbackSink)
 		}
 	}
 	// Positive feedback (Section VII extension): reinforce very confident,
-	// cost-consistent predictions, within the self-labeling budget.
-	if o.cfg.PositiveFeedback && correct &&
+	// cost-consistent predictions, within the self-labeling budget (none
+	// at a ratio of 0).
+	if correct &&
 		pred.Confidence >= positiveConfidence &&
 		float64(o.selfLabeled.Load()) < o.cfg.PositiveRatio*float64(o.validated.Load()) {
 		o.deliver(o.feedback(x, pred.Plan, observed, true), sink)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"sort"
 
 	"repro/internal/histogram"
@@ -24,7 +25,8 @@ import (
 //	u64 body length, u32 CRC-32C of body
 //	body:
 //	  config: i64 dims, outDims, transforms, histBuckets; f64 radius, gamma,
-//	          noiseFraction; u8 noiseElim; i64 minSamples, seed
+//	          |noiseFraction|; u8 noiseElim (1 when the fraction is
+//	          positive); i64 minSamples, seed
 //	  i64 total points
 //	  u32 transform count; per transform:
 //	    marginal histogram
@@ -68,13 +70,15 @@ func (p *ApproxLSHHist) Encode(w io.Writer) error {
 // encodeBody writes the unframed predictor state.
 func (p *ApproxLSHHist) encodeBody(w io.Writer) error {
 	le := binary.LittleEndian
+	// The noise flag byte carries the fraction's sign and the fraction field
+	// its magnitude, so a disabled check writes the bytes it always has.
 	noise := uint8(0)
-	if p.cfg.NoiseElimination {
+	if p.cfg.NoiseFraction > 0 {
 		noise = 1
 	}
 	fields := []any{
 		int64(p.cfg.Dims), int64(p.cfg.OutDims), int64(p.cfg.Transforms), int64(p.cfg.HistBuckets),
-		p.cfg.Radius, p.cfg.Gamma, p.cfg.NoiseFraction, noise,
+		p.cfg.Radius, p.cfg.Gamma, math.Abs(p.cfg.NoiseFraction), noise,
 		int64(p.cfg.MinSamples), p.cfg.Seed,
 		int64(p.total), uint32(len(p.hists)),
 	}
@@ -159,11 +163,18 @@ func decodeBody(r io.Reader) (*ApproxLSHHist, error) {
 			return nil, err
 		}
 	}
+	if noise != 1 {
+		// Noise elimination was off: restore it off, whatever magnitude the
+		// stream stores (a zero would otherwise take the 0.05 default).
+		noiseFraction = -math.Abs(noiseFraction)
+		if noiseFraction == 0 {
+			noiseFraction = -1
+		}
+	}
 	cfg := Config{
 		Dims: int(dims), OutDims: int(outDims), Transforms: int(transforms),
 		HistBuckets: int(histBuckets), Radius: radius, Gamma: gamma,
-		NoiseElimination: noise == 1, NoiseFraction: noiseFraction,
-		MinSamples: int(minSamples), Seed: seed,
+		NoiseFraction: noiseFraction, MinSamples: int(minSamples), Seed: seed,
 	}
 	if cfg.MinSamples == 0 {
 		cfg.MinSamples = -1 // preserve "disabled" through the 0-default

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,7 +13,7 @@ import (
 )
 
 func TestApproxLSHHistEncodeDecodeIdenticalPredictions(t *testing.T) {
-	p := MustNewApproxLSHHist(Config{Dims: 3, Radius: 0.1, Gamma: 0.7, Seed: 13, NoiseElimination: true})
+	p := MustNewApproxLSHHist(Config{Dims: 3, Radius: 0.1, Gamma: 0.7, Seed: 13})
 	rng := rand.New(rand.NewSource(71))
 	for i := 0; i < 3000; i++ {
 		x := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
@@ -101,10 +102,77 @@ func TestDecodeRejectsUnchecksummedVersion(t *testing.T) {
 	}
 }
 
+// TestNoiseFlagZeroRestoresOff: the synopsis header's noise flag byte
+// carries the sign of NoiseFraction and the fraction field its magnitude. A
+// stream with the flag at 0 — written by a predictor with a negative
+// fraction, or over a stored positive or zero fraction — restores with noise
+// elimination off and predicts as the predictor that never had it.
+func TestNoiseFlagZeroRestoresOff(t *testing.T) {
+	const frameHeader = 1 + 8 + 4        // version, body length, CRC-32C
+	const fractionAt = frameHeader + 6*8 // after dims, outDims, transforms, histBuckets, radius, gamma
+	const flagAt = fractionAt + 8
+	// A dense plan plus one straggler of another: noise elimination is what
+	// lets the dense plan win at the straggler's point.
+	train := func(fraction float64) (*ApproxLSHHist, []byte) {
+		p := MustNewApproxLSHHist(Config{Dims: 2, Radius: 0.1, Gamma: 0.9, Seed: 5, NoiseFraction: fraction})
+		rng := rand.New(rand.NewSource(12))
+		for i := 0; i < 3000; i++ {
+			p.Insert(Sample{Point: []float64{rng.Float64(), rng.Float64()}, Plan: 0, Cost: 1})
+		}
+		p.Insert(Sample{Point: []float64{0.5, 0.5}, Plan: 1, Cost: 1})
+		var buf bytes.Buffer
+		if err := p.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return p, buf.Bytes()
+	}
+	on, onBytes := train(0.005)
+	off, offBytes := train(-0.005)
+	at := []float64{0.5, 0.5}
+	if on.Predict(at) == off.Predict(at) {
+		t.Fatal("noise elimination decides nothing at the straggler; the test is vacuous")
+	}
+	if onBytes[flagAt] != 1 || offBytes[flagAt] != 0 ||
+		!bytes.Equal(onBytes[frameHeader:flagAt], offBytes[frameHeader:flagAt]) ||
+		!bytes.Equal(onBytes[flagAt+1:], offBytes[flagAt+1:]) {
+		t.Fatal("the fraction's sign is not carried by the flag byte alone")
+	}
+	// rewrite stores a fraction and a flag over the noise-on stream.
+	rewrite := func(fraction float64, flag byte) []byte {
+		b := append([]byte(nil), onBytes...)
+		binary.LittleEndian.PutUint64(b[fractionAt:], math.Float64bits(fraction))
+		b[flagAt] = flag
+		binary.LittleEndian.PutUint32(b[1+8:], crc32.Checksum(b[frameHeader:], persistCRC))
+		return b
+	}
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+	}{
+		{"negative fraction", offBytes},
+		{"positive fraction, flag cleared", rewrite(0.005, 0)},
+		{"zero fraction, flag cleared", rewrite(0, 0)},
+	} {
+		back, err := DecodeApproxLSHHist(bytes.NewReader(tc.stream))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if f := back.Config().NoiseFraction; !(f < 0) {
+			t.Errorf("%s: restored NoiseFraction %v, want negative (off)", tc.name, f)
+		}
+		if got, want := back.Predict(at), off.Predict(at); got != want {
+			t.Errorf("%s: restored predicts %+v, noise-off predictor %+v", tc.name, got, want)
+		}
+	}
+	if back, err := DecodeApproxLSHHist(bytes.NewReader(rewrite(0.005, 1))); err != nil || back.Predict(at) != on.Predict(at) {
+		t.Errorf("flag at 1 did not restore noise elimination on (err %v)", err)
+	}
+}
+
 func TestOnlineEncodeDecodeState(t *testing.T) {
 	env := &quadrantEnv{wrongFactor: 3}
 	o := MustNewOnline(OnlineConfig{
-		Core: Config{Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5, NoiseElimination: true},
+		Core: Config{Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5},
 		Seed: 17,
 	}, env)
 	rng := rand.New(rand.NewSource(73))
@@ -116,7 +184,7 @@ func TestOnlineEncodeDecodeState(t *testing.T) {
 		t.Fatal(err)
 	}
 	o2 := MustNewOnline(OnlineConfig{
-		Core: Config{Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5, NoiseElimination: true},
+		Core: Config{Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5},
 		Seed: 17,
 	}, env)
 	if err := o2.DecodeState(bytes.NewReader(buf.Bytes())); err != nil {
@@ -157,7 +225,7 @@ func TestOnlineEncodeDecodeState(t *testing.T) {
 // Online's pooled scratch bit-equal to the model it was saved from.
 func TestDecodeStateOfAnotherShapePredictsAsSaved(t *testing.T) {
 	src := MustNewOnline(OnlineConfig{
-		Core: Config{Dims: 3, OutDims: 2, Transforms: 7, Radius: 0.1, Gamma: 0.6, Seed: 9, NoiseElimination: true},
+		Core: Config{Dims: 3, OutDims: 2, Transforms: 7, Radius: 0.1, Gamma: 0.6, Seed: 9},
 		Seed: 3,
 	}, nil)
 	rng := rand.New(rand.NewSource(29))
@@ -171,7 +239,7 @@ func TestDecodeStateOfAnotherShapePredictsAsSaved(t *testing.T) {
 	if err := src.EncodeState(&buf); err != nil {
 		t.Fatal(err)
 	}
-	dst := MustNewOnline(OnlineConfig{Core: Config{Dims: 3, Seed: 9, NoiseElimination: true}, Seed: 3}, nil)
+	dst := MustNewOnline(OnlineConfig{Core: Config{Dims: 3, Seed: 9}, Seed: 3}, nil)
 	if got := dst.Model().Config(); got.Transforms == 7 || got.OutDims == 2 {
 		t.Fatalf("the receiving shape (t=%d, s=%d) is the saved one; the test is vacuous", got.Transforms, got.OutDims)
 	}
@@ -238,7 +306,7 @@ func TestDecodeDomainAndRaggedPlans(t *testing.T) {
 // errors.
 func TestStateSectionsReadThroughOneTable(t *testing.T) {
 	o := MustNewOnline(OnlineConfig{Core: Config{Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5,
-		NoiseElimination: true, RetuneEvery: 50, RetuneReservoir: 64}}, nil)
+		RetuneEvery: 50, RetuneReservoir: 64}}, nil)
 	o.AttachCorrections(stats.NewCorrections(2, stats.CorrConfig{}))
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 120; i++ {

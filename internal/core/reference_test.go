@@ -115,7 +115,7 @@ func refPredictOn(cfg *Config, ens *lsh.Ensemble, curves []*zorder.Curve,
 		copy(sc.tmp, sc.counts[sc.planRow[plan]])
 		sc.med = append(sc.med, refMedian(sc.tmp))
 	}
-	if cfg.NoiseElimination {
+	if cfg.NoiseFraction > 0 {
 		floor := cfg.NoiseFraction * refMedian(sc.localMass)
 		for i, c := range sc.med {
 			if c < floor {

@@ -27,7 +27,7 @@ func identityKnots() []float64 {
 // panicked in warpInto (index out of range [1] with length 1) while the
 // reservoir was re-inserted.
 func TestReplayRejectsMisshapenRetune(t *testing.T) {
-	cfg := OnlineConfig{Core: Config{Dims: 3, Seed: 4, NoiseElimination: true, RetuneEvery: 1 << 30, RetuneReservoir: 64}, Seed: 2}
+	cfg := OnlineConfig{Core: Config{Dims: 3, Seed: 4, RetuneEvery: 1 << 30, RetuneReservoir: 64}, Seed: 2}
 	o := MustNewOnline(cfg, nil)
 	rng := rand.New(rand.NewSource(8))
 	for i := 0; i < 40; i++ {
@@ -71,7 +71,7 @@ func TestReplayRejectsMisshapenRetune(t *testing.T) {
 func fuzzLearner(tb testing.TB) *Online {
 	tb.Helper()
 	o := MustNewOnline(OnlineConfig{
-		Core: Config{Dims: 2, Radius: 0.08, Seed: 5, NoiseElimination: true, RetuneEvery: 25, RetuneReservoir: 32},
+		Core: Config{Dims: 2, Radius: 0.08, Seed: 5, RetuneEvery: 25, RetuneReservoir: 32},
 		Seed: 17,
 	}, nil)
 	o.AttachCorrections(stats.NewCorrections(2, stats.CorrConfig{}))

@@ -15,7 +15,7 @@ import (
 func TestReplicaOnlineBitIdenticalPredictions(t *testing.T) {
 	env := &quadrantEnv{wrongFactor: 3}
 	leader := MustNewOnline(OnlineConfig{
-		Core: Config{Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5, NoiseElimination: true},
+		Core: Config{Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5},
 		Seed: 17,
 	}, env)
 	rng := rand.New(rand.NewSource(211))
@@ -64,7 +64,7 @@ func TestReplicaOnlineBitIdenticalPredictions(t *testing.T) {
 func TestReplicaOnlineReplayAdvances(t *testing.T) {
 	env := &quadrantEnv{wrongFactor: 3}
 	leader := MustNewOnline(OnlineConfig{
-		Core: Config{Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5, NoiseElimination: true},
+		Core: Config{Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5},
 		Seed: 17,
 	}, env)
 	rng := rand.New(rand.NewSource(83))

@@ -40,7 +40,7 @@ func (l *memLog) count(kind uint8) int {
 func retuneTestConfig() OnlineConfig {
 	return OnlineConfig{
 		Core: Config{
-			Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5, NoiseElimination: true,
+			Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5,
 			RetuneEvery: 150, RetuneReservoir: 512,
 		},
 		Seed: 17,
@@ -286,7 +286,7 @@ func TestResetKeepsWarpsDropsReservoir(t *testing.T) {
 // -> encode gives the same warps, counts, reservoir and cursor bytes.
 func TestRetuneTailRoundTrip(t *testing.T) {
 	cfg := Config{
-		Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5, NoiseElimination: true,
+		Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5,
 		RetuneEvery: 50, RetuneReservoir: 128,
 	}
 	p := MustNewApproxLSHHist(cfg)

@@ -127,14 +127,13 @@ func RunDrift(env *Env, cfg DriftConfig) (*DriftResult, error) {
 	driver, err := core.NewOnline(core.OnlineConfig{
 		Core: core.Config{
 			Dims: tmpl.Degree(), Radius: cfg.Radius, Gamma: cfg.Gamma,
-			NoiseElimination: true, Seed: cfg.Seed,
+			Seed: cfg.Seed,
 		},
-		InvocationProb:   0.05,
-		NegativeFeedback: true,
-		CostEpsilon:      cfg.CostEpsilon,
-		WindowK:          cfg.WindowK,
-		PrecisionFloor:   cfg.PrecisionFloor,
-		Seed:             cfg.Seed + 1,
+		InvocationProb: 0.05,
+		CostEpsilon:    cfg.CostEpsilon,
+		WindowK:        cfg.WindowK,
+		PrecisionFloor: cfg.PrecisionFloor,
+		Seed:           cfg.Seed + 1,
 	}, driverEnv)
 	if err != nil {
 		return nil, err

@@ -214,9 +214,9 @@ func RunExtMem(env *Env, cfg ExtMemConfig) (*ExtMemResult, error) {
 	aware, err := core.NewOnline(core.OnlineConfig{
 		Core: core.Config{
 			Dims: r + 1, Radius: cfg.Radius, Gamma: cfg.Gamma,
-			NoiseElimination: true, Seed: cfg.Seed,
+			Seed: cfg.Seed,
 		},
-		InvocationProb: 0.05, NegativeFeedback: true, Seed: cfg.Seed + 1,
+		InvocationProb: 0.05, Seed: cfg.Seed + 1,
 	}, oracle)
 	if err != nil {
 		return nil, err
@@ -225,9 +225,9 @@ func RunExtMem(env *Env, cfg ExtMemConfig) (*ExtMemResult, error) {
 	blind, err := core.NewOnline(core.OnlineConfig{
 		Core: core.Config{
 			Dims: r, Radius: cfg.Radius, Gamma: cfg.Gamma,
-			NoiseElimination: true, Seed: cfg.Seed,
+			Seed: cfg.Seed,
 		},
-		InvocationProb: 0.05, NegativeFeedback: true, Seed: cfg.Seed + 1,
+		InvocationProb: 0.05, Seed: cfg.Seed + 1,
 	}, blindEnv)
 	if err != nil {
 		return nil, err

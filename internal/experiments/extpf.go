@@ -106,13 +106,11 @@ func RunExtPF(env *Env, cfg ExtPFConfig) (*ExtPFResult, error) {
 			driver, err := core.NewOnline(core.OnlineConfig{
 				Core: core.Config{
 					Dims: tmpl.Degree(), Radius: cfg.Radius, Gamma: cfg.Gamma,
-					NoiseElimination: true, Seed: cfg.Seed + int64(w),
+					Seed: cfg.Seed + int64(w),
 				},
-				InvocationProb:   0.05,
-				NegativeFeedback: true,
-				PositiveFeedback: ratio > 0,
-				PositiveRatio:    ratio,
-				Seed:             cfg.Seed + int64(w)*3,
+				InvocationProb: 0.05,
+				PositiveRatio:  ratio,
+				Seed:           cfg.Seed + int64(w)*3,
 			}, oracle)
 			if err != nil {
 				return nil, err

@@ -61,7 +61,7 @@ type DriftPrecision struct {
 // involved, so the outcome is the same on every host.
 func MeasureDriftPrecision() (DriftPrecision, error) {
 	cfg := core.OnlineConfig{
-		Core: core.Config{Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5, NoiseElimination: true},
+		Core: core.Config{Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5},
 		Seed: 17,
 	}
 	tcfg := cfg

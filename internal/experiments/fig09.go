@@ -106,7 +106,6 @@ func RunFig9(env *Env, cfg Fig9Config) (*Fig9Result, error) {
 					pcfg.GridBuckets = bg
 				} else {
 					pcfg.HistBuckets = bh
-					pcfg.NoiseElimination = true
 				}
 				p, err := buildPredictor(spec.kind, pcfg, samples)
 				if err != nil {

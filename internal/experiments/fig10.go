@@ -88,7 +88,7 @@ func RunFig10a(env *Env, cfg Fig10aConfig) (*Fig10aResult, error) {
 				p, err := buildPredictor(kindApproxLSHHist, baselines.Config{Config: core.Config{
 					Dims: tmpl.Degree(), Radius: d, Gamma: cfg.Gamma,
 					Transforms: t, HistBuckets: cfg.HistBuckets,
-					NoiseElimination: true, Seed: cfg.Seed,
+					Seed: cfg.Seed,
 				}}, samples)
 				if err != nil {
 					return nil, err
@@ -190,7 +190,7 @@ func RunFig10b(env *Env, cfg Fig10bConfig) (*Fig10bResult, error) {
 			p, err := buildPredictor(kindApproxLSHHist, baselines.Config{Config: core.Config{
 				Dims: tmpl.Degree(), Radius: d, Gamma: cfg.Gamma,
 				Transforms: cfg.Transforms, HistBuckets: bh,
-				NoiseElimination: true, Seed: cfg.Seed,
+				Seed: cfg.Seed,
 			}}, samples)
 			if err != nil {
 				return nil, err

@@ -145,11 +145,10 @@ func RunFig11(env *Env, cfg Fig11Config) (*Fig11Result, error) {
 				Core: core.Config{
 					Radius: d, Gamma: cfg.Gamma,
 					Transforms: cfg.Transforms, HistBuckets: cfg.HistBuckets,
-					NoiseElimination: true, Seed: cfg.Seed + int64(di),
+					Seed: cfg.Seed + int64(di),
 				},
-				InvocationProb:   cfg.InvocationProb,
-				NegativeFeedback: true,
-				Seed:             cfg.Seed + int64(di)*13,
+				InvocationProb: cfg.InvocationProb,
+				Seed:           cfg.Seed + int64(di)*13,
 			}
 			t, ws, err := onlineRun(env, cfg.Template, points, ocfg, cfg.WindowSize)
 			if err != nil {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -85,10 +86,8 @@ func RunFig12(env *Env, cfg Fig12Config) (*Fig12Result, error) {
 	base := core.OnlineConfig{
 		Core: core.Config{
 			Radius: cfg.Radius, Gamma: cfg.Gamma,
-			NoiseElimination: true,
 		},
-		InvocationProb:   0.05,
-		NegativeFeedback: true,
+		InvocationProb: 0.05,
 	}
 	type variant struct {
 		name string
@@ -97,11 +96,11 @@ func RunFig12(env *Env, cfg Fig12Config) (*Fig12Result, error) {
 	variants := []variant{
 		{"full (noise elim + neg feedback + 5% invocations)", func(c core.OnlineConfig) core.OnlineConfig { return c }},
 		{"without noise elimination", func(c core.OnlineConfig) core.OnlineConfig {
-			c.Core.NoiseElimination = false
+			c.Core.NoiseFraction = -1
 			return c
 		}},
 		{"without negative feedback", func(c core.OnlineConfig) core.OnlineConfig {
-			c.NegativeFeedback = false
+			c.CostEpsilon = math.Inf(1)
 			return c
 		}},
 	}

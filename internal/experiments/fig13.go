@@ -128,11 +128,10 @@ func RunFig13(env *Env, cfg Fig13Config) (*Fig13Result, error) {
 			Core: core.Config{
 				Radius: cfg.Radius, Gamma: cfg.Gamma,
 				Transforms: cfg.Transforms, HistBuckets: cfg.HistBuckets,
-				NoiseElimination: true, Seed: cfg.Seed,
+				Seed: cfg.Seed,
 			},
-			InvocationProb:   cfg.InvocationProb,
-			NegativeFeedback: true,
-			Seed:             cfg.Seed + 1,
+			InvocationProb: cfg.InvocationProb,
+			Seed:           cfg.Seed + 1,
 		},
 		FeedbackQueue: -1,
 	})

@@ -89,11 +89,10 @@ func RunSec5b(env *Env, cfg Sec5bConfig) (*Sec5bResult, error) {
 				Core: core.Config{
 					Radius: d, Gamma: cfg.Gamma,
 					Transforms: cfg.Transforms, HistBuckets: cfg.HistBuckets,
-					NoiseElimination: true, Seed: cfg.Seed + int64(di),
+					Seed: cfg.Seed + int64(di),
 				},
-				InvocationProb:   cfg.InvocationProb,
-				NegativeFeedback: true,
-				Seed:             cfg.Seed + int64(di)*13,
+				InvocationProb: cfg.InvocationProb,
+				Seed:           cfg.Seed + int64(di)*13,
 			}
 			t, _, err := onlineRun(env, name, points, ocfg, cfg.Instances)
 			if err != nil {

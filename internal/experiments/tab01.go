@@ -91,7 +91,7 @@ func RunTab1(env *Env, cfg Tab1Config) (*Tab1Result, error) {
 	coreCfg := baselines.Config{Config: core.Config{
 		Dims: r, Radius: cfg.Radius, Gamma: cfg.Gamma,
 		Transforms: cfg.Transforms, HistBuckets: cfg.HistBuckets,
-		NoiseElimination: true, Seed: cfg.Seed,
+		Seed: cfg.Seed,
 	}, GridBuckets: cfg.GridBuckets}
 	tests := workload.Uniform(r, cfg.TestPoints, cfg.Seed+7)
 

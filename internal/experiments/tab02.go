@@ -89,7 +89,7 @@ func RunTab2(env *Env, cfg Tab2Config) (*Tab2Result, error) {
 			p, err := buildPredictor(kindApproxLSHHist, baselines.Config{Config: core.Config{
 				Dims: tmpl.Degree(), Radius: d, Gamma: gamma,
 				Transforms: cfg.Transforms, HistBuckets: cfg.HistBuckets,
-				NoiseElimination: true, Seed: cfg.Seed,
+				Seed: cfg.Seed,
 			}}, samples)
 			if err != nil {
 				return nil, err

@@ -67,9 +67,6 @@ func (d *Dynamic) Reset() {
 	d.gen++
 }
 
-// MaxBuckets returns the configured bucket budget.
-func (d *Dynamic) MaxBuckets() int { return d.maxBuckets }
-
 // NumBuckets returns the current number of buckets.
 func (d *Dynamic) NumBuckets() int { return len(d.buckets) }
 

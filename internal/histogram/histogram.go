@@ -34,14 +34,6 @@ type Bucket struct {
 	CostSum float64
 }
 
-// AvgCost returns the bucket's average cost, or 0 if the bucket is empty.
-func (b Bucket) AvgCost() float64 {
-	if b.Count <= 0 {
-		return 0
-	}
-	return b.CostSum / b.Count
-}
-
 // Width returns Hi - Lo.
 func (b Bucket) Width() float64 { return b.Hi - b.Lo }
 

@@ -119,12 +119,6 @@ func MustNewTransform(r, s, gridRes int, rng *rand.Rand) *Transform {
 	return t
 }
 
-// InputDims returns r, the plan space dimensionality.
-func (t *Transform) InputDims() int { return t.inDims }
-
-// OutputDims returns s, the intermediate space dimensionality.
-func (t *Transform) OutputDims() int { return t.outDims }
-
 // Apply maps a plan space point in [0,1]^r to normalized intermediate
 // coordinates in [0,1]^s. Output coordinates are clamped to [0,1]; the
 // random shift can push points at the very top edge marginally past 1.

@@ -221,6 +221,3 @@ func (t *Tuner) SetCounts(flat []float64, observed uint64) error {
 	t.observed = observed
 	return nil
 }
-
-// Shape returns (transforms, axes).
-func (t *Tuner) Shape() (int, int) { return t.transforms, t.axes }

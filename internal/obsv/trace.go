@@ -68,9 +68,6 @@ func (r *TraceRecord) SetPoint(pt []float64) {
 // ValuesSlice returns the populated prefix of Values (aliases the record).
 func (r *TraceRecord) ValuesSlice() []float64 { return r.Values[:r.NumValues] }
 
-// PointSlice returns the populated prefix of Point (aliases the record).
-func (r *TraceRecord) PointSlice() []float64 { return r.Point[:r.NumPoint] }
-
 // MarshalJSON emits the fixed-size coordinate arrays as trimmed slices.
 // Marshaling allocates; it runs only on export paths, never while serving.
 func (r TraceRecord) MarshalJSON() ([]byte, error) {

@@ -60,7 +60,7 @@ func newFakeSource(t *testing.T, epoch uint64) *fakeSource {
 		log:   log,
 		epoch: epoch,
 		online: core.MustNewOnline(core.OnlineConfig{
-			Core: core.Config{Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5, NoiseElimination: true},
+			Core: core.Config{Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5},
 			Seed: 17,
 		}, stubEnv{}),
 		rng: rand.New(rand.NewSource(int64(epoch) + 101)),

@@ -39,6 +39,13 @@ type ShipSource interface {
 	ReplObs() *obsv.ReplObs
 }
 
+const (
+	// batchMax bounds records per MsgRecords frame.
+	batchMax = 512
+	// handshakeTimeout bounds the hello exchange.
+	handshakeTimeout = 5 * time.Second
+)
+
 // Config configures a Server.
 type Config struct {
 	// Addr is the TCP listen address (e.g. "127.0.0.1:0").
@@ -61,10 +68,6 @@ type Config struct {
 	WriteTimeout time.Duration
 	// PollInterval is the WAL tail poll cadence (default 20ms).
 	PollInterval time.Duration
-	// BatchMax bounds records per MsgRecords frame (default 512).
-	BatchMax int
-	// HandshakeTimeout bounds the hello exchange (default 5s).
-	HandshakeTimeout time.Duration
 	// Faults optionally injects wire faults into outbound frames.
 	Faults *faults.Injector
 }
@@ -84,12 +87,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PollInterval <= 0 {
 		c.PollInterval = 20 * time.Millisecond
-	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 512
-	}
-	if c.HandshakeTimeout <= 0 {
-		c.HandshakeTimeout = 5 * time.Second
 	}
 	return c
 }
@@ -232,7 +229,7 @@ func (s *Server) handle(conn net.Conn) {
 	defer conn.Close() //nolint:errcheck
 	c := netproto.NewConn(conn, s.cfg.Faults)
 
-	conn.SetReadDeadline(time.Now().Add(s.cfg.HandshakeTimeout)) //nolint:errcheck
+	conn.SetReadDeadline(time.Now().Add(handshakeTimeout)) //nolint:errcheck
 	t, body, err := c.ReadMsg()
 	if err != nil || t != netproto.MsgHello {
 		return
@@ -392,7 +389,7 @@ func (s *Server) serveReplica(c *netproto.Conn, hello netproto.Hello) {
 			}
 		case <-poll.C:
 			for {
-				recs, err := follower.Poll(s.cfg.BatchMax)
+				recs, err := follower.Poll(batchMax)
 				if len(recs) > 0 {
 					scratch = encodeRecords(scratch[:0], recs)
 					c.NetConn().SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)) //nolint:errcheck
@@ -412,7 +409,7 @@ func (s *Server) serveReplica(c *netproto.Conn, hello netproto.Hello) {
 					}
 					return
 				}
-				if len(recs) < s.cfg.BatchMax {
+				if len(recs) < batchMax {
 					break
 				}
 			}

@@ -30,9 +30,6 @@ type Config struct {
 	Scale int
 	// Seed drives all randomness; equal seeds produce identical databases.
 	Seed int64
-	// SkipIndexes suppresses index creation (used by tests and by
-	// experiments that want to force sequential plans).
-	SkipIndexes bool
 }
 
 // DefaultConfig is the configuration used throughout the experiments:
@@ -234,10 +231,8 @@ func Generate(cfg Config) (*Database, error) {
 			okey, pkey, skey, lnum, qty, price, disc, sdate, date)
 	}
 
-	if !cfg.SkipIndexes {
-		if err := buildStandardIndexes(db); err != nil {
-			return nil, err
-		}
+	if err := buildStandardIndexes(db); err != nil {
+		return nil, err
 	}
 	return db, nil
 }

@@ -161,11 +161,6 @@ func TestStandardIndexesBuilt(t *testing.T) {
 			}
 		}
 	}
-	// SkipIndexes must produce none.
-	bare := MustGenerate(Config{Scale: 400, Seed: 1, SkipIndexes: true})
-	if bare.MustTable("orders").HasIndex("o_orderkey") {
-		t.Error("SkipIndexes did not suppress index creation")
-	}
 }
 
 func TestIndexRangeRows(t *testing.T) {

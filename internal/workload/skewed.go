@@ -1,172 +1,15 @@
 package workload
 
-// Skewed and non-stationary workload generators for the candidate-routing
-// and tunable-LSH evaluations. A fixed LSH transform grid assumes roughly
-// uniform mass over [0,1]^r; these generators produce the parameter
-// distributions that break the assumption — heavy-tailed Zipf marginals,
-// multi-modal Gaussian mixtures, and distributions whose modes drift over
-// the stream — so the re-tune pass has something real to adapt to.
+// A non-stationary workload generator for the tunable-LSH evaluations. A
+// fixed LSH transform grid assumes roughly uniform mass over [0,1]^r; a
+// distribution whose mode drifts over the stream breaks the assumption, so
+// the re-tune pass has something real to adapt to.
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
 )
-
-// ZipfConfig configures the Zipf-skewed workload: each coordinate is a
-// Zipf-distributed rank over Buckets cells of [0,1], so most mass piles
-// onto a thin slice of the plan space (the head) with a long sparse tail.
-type ZipfConfig struct {
-	// Dims is the plan space dimensionality.
-	Dims int
-	// NumPoints is the number of instances (default 1000).
-	NumPoints int
-	// S is the Zipf exponent (> 1; default 1.5). Larger = heavier head.
-	S float64
-	// Buckets is the number of rank cells per axis (default 64).
-	Buckets int
-	// Seed drives all randomness.
-	Seed int64
-}
-
-func (c ZipfConfig) withDefaults() (ZipfConfig, error) {
-	if c.Dims <= 0 {
-		return c, fmt.Errorf("workload: Dims must be positive, got %d", c.Dims)
-	}
-	if c.NumPoints == 0 {
-		c.NumPoints = 1000
-	}
-	if c.NumPoints < 1 {
-		return c, fmt.Errorf("workload: NumPoints must be positive, got %d", c.NumPoints)
-	}
-	if c.S == 0 {
-		c.S = 1.5
-	}
-	if c.S <= 1 {
-		return c, fmt.Errorf("workload: Zipf exponent S must exceed 1, got %v", c.S)
-	}
-	if c.Buckets == 0 {
-		c.Buckets = 64
-	}
-	if c.Buckets < 2 {
-		return c, fmt.Errorf("workload: Buckets must be at least 2, got %d", c.Buckets)
-	}
-	return c, nil
-}
-
-// Zipf generates the Zipf-skewed workload: every coordinate is drawn as a
-// Zipf rank in [0, Buckets) and jittered uniformly within its cell, so the
-// marginal density decays polynomially from 0 toward 1.
-func Zipf(cfg ZipfConfig) ([][]float64, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	z := rand.NewZipf(rng, cfg.S, 1, uint64(cfg.Buckets-1))
-	cell := 1.0 / float64(cfg.Buckets)
-	out := make([][]float64, cfg.NumPoints)
-	for i := range out {
-		p := make([]float64, cfg.Dims)
-		for j := range p {
-			p[j] = clamp01((float64(z.Uint64()) + rng.Float64()) * cell)
-		}
-		out[i] = p
-	}
-	return out, nil
-}
-
-// MustZipf is like Zipf but panics on error.
-func MustZipf(cfg ZipfConfig) [][]float64 {
-	pts, err := Zipf(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return pts
-}
-
-// MixtureConfig configures the multi-modal workload: a mixture of Modes
-// isotropic Gaussians with random centers, each truncated to [0,1]^r.
-type MixtureConfig struct {
-	// Dims is the plan space dimensionality.
-	Dims int
-	// NumPoints is the number of instances (default 1000).
-	NumPoints int
-	// Modes is the number of mixture components (default 4).
-	Modes int
-	// Sigma is each component's standard deviation (default 0.05).
-	Sigma float64
-	// Seed drives all randomness (component centers and draws).
-	Seed int64
-}
-
-func (c MixtureConfig) withDefaults() (MixtureConfig, error) {
-	if c.Dims <= 0 {
-		return c, fmt.Errorf("workload: Dims must be positive, got %d", c.Dims)
-	}
-	if c.NumPoints == 0 {
-		c.NumPoints = 1000
-	}
-	if c.NumPoints < 1 {
-		return c, fmt.Errorf("workload: NumPoints must be positive, got %d", c.NumPoints)
-	}
-	if c.Modes == 0 {
-		c.Modes = 4
-	}
-	if c.Modes < 1 {
-		return c, fmt.Errorf("workload: Modes must be positive, got %d", c.Modes)
-	}
-	if c.Sigma == 0 {
-		c.Sigma = 0.05
-	}
-	if c.Sigma < 0 {
-		return c, fmt.Errorf("workload: Sigma must be non-negative, got %v", c.Sigma)
-	}
-	return c, nil
-}
-
-// Mixture generates the multi-modal workload: each point picks a component
-// uniformly and lands at a Gaussian offset from its center. Centers are
-// drawn once in [0.15, 0.85]^r so the clamp rarely distorts a mode.
-func Mixture(cfg MixtureConfig) ([][]float64, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	centers := mixtureCenters(cfg.Modes, cfg.Dims, rng)
-	out := make([][]float64, cfg.NumPoints)
-	for i := range out {
-		c := centers[rng.Intn(len(centers))]
-		p := make([]float64, cfg.Dims)
-		for j := range p {
-			p[j] = clamp01(c[j] + rng.NormFloat64()*cfg.Sigma)
-		}
-		out[i] = p
-	}
-	return out, nil
-}
-
-// MustMixture is like Mixture but panics on error.
-func MustMixture(cfg MixtureConfig) [][]float64 {
-	pts, err := Mixture(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return pts
-}
-
-func mixtureCenters(modes, dims int, rng *rand.Rand) [][]float64 {
-	centers := make([][]float64, modes)
-	for m := range centers {
-		c := make([]float64, dims)
-		for j := range c {
-			c[j] = 0.15 + 0.7*rng.Float64()
-		}
-		centers[m] = c
-	}
-	return centers
-}
 
 // DriftConfig configures the temporally drifting workload: a Gaussian whose
 // center translates linearly from Start to End over the stream, modelling a

@@ -19,74 +19,6 @@ func inUnitCube(t *testing.T, pts [][]float64, dims int) {
 	}
 }
 
-func TestZipfSkewsTowardHead(t *testing.T) {
-	pts, err := Zipf(ZipfConfig{Dims: 2, NumPoints: 2000, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2000 {
-		t.Fatalf("got %d points", len(pts))
-	}
-	inUnitCube(t, pts, 2)
-	// The head of a Zipf(1.5) over 64 cells holds far more than the uniform
-	// share: well over half the mass lands in the first quarter of the range.
-	head := 0
-	for _, p := range pts {
-		if p[0] < 0.25 {
-			head++
-		}
-	}
-	if frac := float64(head) / float64(len(pts)); frac < 0.6 {
-		t.Fatalf("head fraction %.2f, want skew >= 0.6", frac)
-	}
-}
-
-func TestZipfDeterministic(t *testing.T) {
-	a := MustZipf(ZipfConfig{Dims: 3, NumPoints: 50, Seed: 11})
-	b := MustZipf(ZipfConfig{Dims: 3, NumPoints: 50, Seed: 11})
-	for i := range a {
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				t.Fatalf("point %d diverged across runs", i)
-			}
-		}
-	}
-}
-
-func TestMixtureIsMultiModal(t *testing.T) {
-	cfg := MixtureConfig{Dims: 2, NumPoints: 3000, Modes: 3, Sigma: 0.03, Seed: 7}
-	pts, err := Mixture(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inUnitCube(t, pts, 2)
-	// With sigma 0.03, nearly every point sits within 0.12 of one of the 3
-	// centers — the space between modes stays almost empty.
-	var occupied [10][10]bool
-	for _, p := range pts {
-		x := int(p[0] * 10)
-		y := int(p[1] * 10)
-		if x > 9 {
-			x = 9
-		}
-		if y > 9 {
-			y = 9
-		}
-		occupied[x][y] = true
-	}
-	cells := 0
-	for _, row := range occupied {
-		for _, b := range row {
-			if b {
-				cells++
-			}
-		}
-	}
-	if cells > 40 {
-		t.Fatalf("3-mode mixture occupies %d/100 grid cells; not multi-modal", cells)
-	}
-}
-
 func TestDriftingMovesOverTime(t *testing.T) {
 	pts, err := Drifting(DriftConfig{Dims: 2, NumPoints: 1000, Sigma: 0.02, Seed: 13})
 	if err != nil {
@@ -118,14 +50,8 @@ func mean(pts [][]float64) []float64 {
 }
 
 func TestSkewedConfigValidation(t *testing.T) {
-	if _, err := Zipf(ZipfConfig{Dims: 0}); err == nil {
-		t.Error("Zipf accepted Dims=0")
-	}
-	if _, err := Zipf(ZipfConfig{Dims: 2, S: 0.5}); err == nil {
-		t.Error("Zipf accepted S<=1")
-	}
-	if _, err := Mixture(MixtureConfig{Dims: 2, Modes: -1}); err == nil {
-		t.Error("Mixture accepted negative Modes")
+	if _, err := Drifting(DriftConfig{Dims: 0}); err == nil {
+		t.Error("Drifting accepted Dims=0")
 	}
 	if _, err := Drifting(DriftConfig{Dims: 2, Start: []float64{0.1}}); err == nil {
 		t.Error("Drifting accepted mismatched Start length")

@@ -50,9 +50,6 @@ func MustNew(dims, bits int) *Curve {
 // Dims returns the dimensionality of the curve.
 func (c *Curve) Dims() int { return c.dims }
 
-// Bits returns the per-axis bit depth.
-func (c *Curve) Bits() int { return c.bits }
-
 // CellsPerAxis returns the number of grid cells along each axis, 2^bits.
 func (c *Curve) CellsPerAxis() uint32 { return 1 << uint(c.bits) }
 

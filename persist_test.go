@@ -188,12 +188,12 @@ func TestRestoredPredictionsIdentical(t *testing.T) {
 
 // A learner's saved state carries its own shape, and a restore adopts it
 // whatever the restoring System was configured with: state saved with seven
-// transforms projecting to one dimension loads cleanly into a default
-// System, whose pooled predict scratch was sized for five transforms
-// projecting to two, and every run after it is served, none degraded.
+// transforms loads cleanly into a default System, whose pooled predict
+// scratch was sized for five, and every run after it is served, none
+// degraded.
 func TestRestoreOtherTransformCount(t *testing.T) {
 	online := onlineForTest()
-	online.Core.Transforms, online.Core.OutDims = 7, 1
+	online.Core.Transforms = 7
 	warm, values := warmSystemWith(t, 6, online)
 	var buf bytes.Buffer
 	if err := warm.SaveState(&buf); err != nil {
@@ -326,9 +326,9 @@ func TestRestoreIntoSmallerCache(t *testing.T) {
 func TestSnapshotRoundTripIsByteIdentical(t *testing.T) {
 	online := onlineForTest()
 	online.InvocationProb = 1e-9 // no random audits: a warm point is a hit
+	online.Core.RetuneEvery = 15
 	opts := Options{
 		TPCH: tpch.Config{Scale: 2000, Seed: 5}, Online: online, FeedbackQueue: -1, CacheCapacity: 6,
-		TunableLSH: TunableLSHOptions{Enable: true, RetuneEvery: 15},
 	}
 	warm, err := Open(opts)
 	if err != nil {

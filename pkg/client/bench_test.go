@@ -58,7 +58,7 @@ func BenchmarkClientPing(b *testing.B) {
 // plan regions, and reports the share of NULL answers as null/op.
 func BenchmarkClientPredict(b *testing.B) {
 	o, err := core.NewOnline(core.OnlineConfig{
-		Core: core.Config{Dims: 2, Radius: 0.05, Gamma: 0.7, NoiseElimination: true, Seed: 5},
+		Core: core.Config{Dims: 2, Radius: 0.05, Gamma: 0.7, Seed: 5},
 	}, nil)
 	if err != nil {
 		b.Fatal(err)

@@ -54,8 +54,10 @@ type Options struct {
 	TPCH tpch.Config
 	// CacheCapacity bounds the plan cache (default 64 plans).
 	CacheCapacity int
-	// Online configures the per-template learners; the Core.Dims field is
-	// overridden per template with its parameter degree.
+	// Online configures the per-template learners. Core.Dims and
+	// Core.OutDims must be left 0: each template's learner takes its
+	// dimensionality from the template's parameter degree. Tunable LSH is
+	// Core.RetuneEvery / Core.RetuneReservoir (off by default).
 	Online core.OnlineConfig
 	// Breaker configures the per-template circuit breaker; the zero value
 	// uses the defaults documented on metrics.BreakerConfig.
@@ -97,26 +99,17 @@ type Options struct {
 	// tests use it to inject base-estimate error (stats.Distorted) and
 	// watch the corrections repair it; production systems leave it nil.
 	StatsWrap func(stats.Provider) stats.Provider
-	// TunableLSH configures the incremental LSH re-tune pass: per-axis
-	// transform grids adapt to the empirical parameter distribution
-	// harvested on the feedback path, republishing the synopsis under the
-	// retuned mapping. Off by default.
-	TunableLSH TunableLSHOptions
 }
 
-// TunableLSHOptions configures the tunable-LSH re-tune pass (see
-// core.Config.RetuneEvery).
-type TunableLSHOptions struct {
-	// Enable turns the subsystem on.
-	Enable bool
-	// RetuneEvery re-tunes after this many absorbed feedback points
-	// (default 200).
-	RetuneEvery int
-	// Reservoir is the rebuild reservoir capacity (default 256).
-	Reservoir int
-}
-
-func (o Options) withDefaults() Options {
+// withDefaults fills the facade's defaults, or reports a field the facade
+// would otherwise silently overwrite.
+func (o Options) withDefaults() (Options, error) {
+	if o.Online.Core.Dims != 0 {
+		return o, fmt.Errorf("ppc: Options.Online.Core.Dims is %d; it must be 0 (each template sets its own)", o.Online.Core.Dims)
+	}
+	if o.Online.Core.OutDims != 0 {
+		return o, fmt.Errorf("ppc: Options.Online.Core.OutDims is %d; it must be 0 (each template takes its default)", o.Online.Core.OutDims)
+	}
 	if o.TPCH.Scale == 0 {
 		o.TPCH = tpch.DefaultConfig()
 	}
@@ -126,22 +119,11 @@ func (o Options) withDefaults() Options {
 	if o.Online.Core.Radius == 0 {
 		o.Online.Core.Radius = 0.05
 	}
-	if o.Online.Core.NoiseFraction == 0 {
-		o.Online.Core.NoiseElimination = true
-	}
-	// The paper's online safety rails are always on: cost-based negative
-	// feedback (Section IV-E) and a low random audit rate.
-	o.Online.NegativeFeedback = true
+	// A low random audit rate is on by default (Section IV-D), beside the
+	// learner's own defaults: noise elimination and cost-based negative
+	// feedback (Section IV-E).
 	if o.Online.InvocationProb == 0 {
 		o.Online.InvocationProb = 0.05
-	}
-	if o.TunableLSH.Enable {
-		if o.TunableLSH.RetuneEvery == 0 {
-			o.TunableLSH.RetuneEvery = 200
-		}
-		if o.TunableLSH.Reservoir == 0 {
-			o.TunableLSH.Reservoir = 256
-		}
 	}
 	if o.TraceRingSize == 0 {
 		o.TraceRingSize = 64
@@ -149,7 +131,7 @@ func (o Options) withDefaults() Options {
 	if o.TraceRingSize < 0 {
 		o.TraceRingSize = 0
 	}
-	return o
+	return o, nil
 }
 
 // System is an open PPC-enabled database instance. Safe for concurrent use
@@ -514,7 +496,10 @@ func (st *templateState) shutdown() {
 // Open generates the database, builds statistics, and initializes the
 // optimizer, executor and plan cache.
 func Open(opts Options) (*System, error) {
-	opts = opts.withDefaults()
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	db, err := tpch.Generate(opts.TPCH)
 	if err != nil {
 		return nil, err
@@ -616,11 +601,6 @@ func (s *System) registerLocked(name, sql string) error {
 	}
 	cfg := s.opts.Online
 	cfg.Core.Dims = tmpl.Degree()
-	cfg.Core.OutDims = 0 // per-template default
-	if s.opts.TunableLSH.Enable {
-		cfg.Core.RetuneEvery = s.opts.TunableLSH.RetuneEvery
-		cfg.Core.RetuneReservoir = s.opts.TunableLSH.Reservoir
-	}
 	// No driver-level environment: every Run steps the learner against
 	// itself (see run).
 	online, err := core.NewOnline(cfg, nil)

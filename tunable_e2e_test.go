@@ -19,7 +19,7 @@ import (
 // mutTunable enables tunable LSH with a low re-tune threshold so the
 // durable test workloads cross it several times.
 func mutTunable(o *Options) {
-	o.TunableLSH = TunableLSHOptions{Enable: true, RetuneEvery: 40, Reservoir: 128}
+	o.Online.Core.RetuneEvery, o.Online.Core.RetuneReservoir = 40, 128
 }
 
 // retuneEpoch reads the leader-side re-tune epoch of one template.
@@ -61,12 +61,13 @@ func TestRetuneEpochGaugeSynchronousFeedback(t *testing.T) {
 		{"distorted estimates under correction", 1000, distortLineitem, runSkewed},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			online := onlineForTest()
+			online.Core.RetuneEvery, online.Core.RetuneReservoir = 10, 128
 			sys, err := Open(Options{
 				TPCH:          tpch.Config{Scale: tc.scale, Seed: 5},
-				Online:        onlineForTest(),
+				Online:        online,
 				FeedbackQueue: -1,
 				StatsWrap:     tc.statsWrap,
-				TunableLSH:    TunableLSHOptions{Enable: true, RetuneEvery: 10, Reservoir: 128},
 			})
 			if err != nil {
 				t.Fatal(err)
