@@ -24,8 +24,7 @@ PROFILE_DIR ?= profiles
 # scans under its bare COUNT(*) to the rows they are read off in place, no
 # range bitmap and the result's allocations, and TestColumnFactsLearnedOnce a
 # second Compile to no column scan and no bitmap build; TestFreezePublishCost
-# holds a model publish to the blocks one insert touched, and
-# TestPredictZeroAllocWithWarps predict under learned warps at zero;
+# holds a model publish to the blocks one insert touched;
 # TestRunHandlerAllocBudget holds ppcserve's /run handler to its Run's
 # allocations plus the request's own. The race line also runs
 # TestCommandsLinkNoBenchHarness, which holds what the serving binaries link
@@ -42,7 +41,7 @@ tier1:
 		echo "gofmt -l . names:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -run 'TestServingPathZeroAlloc|TestRunPathAllocBudget|TestDurableApplyAllocBudget|TestExecSteadyStateAllocs|TestCountOnlyJoinRecordsNoPairs|TestUnorderedScanBuildsNoBitmap|TestColumnFactsLearnedOnce|TestFreezePublishCost|TestPredictZeroAllocWithWarps|TestRunHandlerAllocBudget' -count=1 . ./internal/executor ./internal/core ./cmd/ppcserve
+	$(GO) test -run 'TestServingPathZeroAlloc|TestRunPathAllocBudget|TestDurableApplyAllocBudget|TestExecSteadyStateAllocs|TestCountOnlyJoinRecordsNoPairs|TestUnorderedScanBuildsNoBitmap|TestColumnFactsLearnedOnce|TestFreezePublishCost|TestRunHandlerAllocBudget' -count=1 . ./internal/executor ./internal/core ./cmd/ppcserve
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench -short ./...
 

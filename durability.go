@@ -128,9 +128,9 @@ func (s *System) openDurable() error {
 
 	// Replay the tail. Records are globally ordered by sequence number;
 	// grouping by template preserves each learner's relative order, which
-	// is the only order that matters (learners share no state). All three
-	// record kinds stay interleaved in a template's stream and replay through
-	// core.Online.ReplayRecords, the loop replicas run too.
+	// is the only order that matters (learners share no state). Every
+	// record kind stays interleaved in a template's stream and replays
+	// through core.Online.ReplayRecords, the loop replicas run too.
 	for name, recs := range wal.ByTemplate(recov.Records) {
 		if st, err := s.lookup(name); err == nil {
 			s.replayInto(st, recs)

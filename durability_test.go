@@ -27,6 +27,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/netproto"
 	"repro/internal/stats"
@@ -688,18 +689,90 @@ func TestDurableStateWrittenWithCandidateSets(t *testing.T) {
 	}
 }
 
-// TestDurableStateWrittenAsVersion2: testdata/checkpoint_v2 is a durable
-// directory closed by the first build that wrote version-2 checkpoints (its
-// README has the recipe): the compatibility oracle for every later build.
-// Read both ways it can arrive, it restores warm — every template and plan
-// back, nothing damaged, a reopen that finds the WAL wholly covered — and a
-// first run at a trained point is a cache hit.
-func TestDurableStateWrittenAsVersion2(t *testing.T) {
+// TestDurableStateWrittenWithTunableLSH: testdata/checkpoint_v2 holds a
+// version-2 checkpoint whose learners carry the retired tunable-LSH section
+// (state tag 2; its README has the recipe). Their histograms are keyed by
+// warped z-values, which this build cannot apply, so read either way it can
+// arrive — as a LoadState stream and in place by a durable reopen — every
+// template degrades cold with the section named. On reopen the WAL beside
+// it still replays: the re-tune records (the retired kind 3) are read whole
+// and counted stale, and the feedback around them applies.
+func TestDurableStateWrittenWithTunableLSH(t *testing.T) {
 	const fixture = "testdata/checkpoint_v2"
-	tunable := func(o *Options) { o.Online.Core.RetuneEvery = 15 }
+	records, retuneRecords := mustScan(t, fixture).Records, 0
+	for _, r := range records {
+		if r.Kind == wal.RecordRetiredRetune {
+			retuneRecords++
+		}
+	}
+	if retuneRecords == 0 {
+		t.Fatal("the fixture's WAL holds no re-tune record; the replay half is vacuous")
+	}
 	for _, mode := range []string{"snapshot", "reopen"} {
 		t.Run(mode, func(t *testing.T) {
-			sys := openFixture(t, fixture, mode, tunable)
+			sys := openFixture(t, fixture, mode, nil)
+			rep := sys.LoadStateReport()
+			if rep == nil || !rep.Corrupt || !strings.Contains(rep.Reason, "tunable-LSH re-tune state, retired and no longer read") ||
+				rep.Templates != 0 || len(rep.ColdTemplates) != 4 {
+				t.Fatalf("a checkpoint with tunable-LSH state restored %+v, want every template cold with the section named", rep)
+			}
+			if mode != "reopen" {
+				return
+			}
+			t.Logf("reopen: %d replayed, %d skipped, %d stale; the log holds %d re-tune records",
+				rep.WALReplayed, rep.WALSkipped, rep.WALStale, retuneRecords)
+			if rep.WALPending != 0 || rep.WALStale != retuneRecords || rep.WALReplayed != len(records)-retuneRecords {
+				t.Errorf("reopen: %d pending, %d replayed, %d skipped, %d stale of %d records; want the %d re-tune records stale and every other applied",
+					rep.WALPending, rep.WALReplayed, rep.WALSkipped, rep.WALStale, len(records), retuneRecords)
+			}
+			for _, name := range []string{"Q0", "Q1", "Q2", "Q3"} {
+				tm, err := sys.TemplateMetrics(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tm.Learner.SamplesAbsorbed == 0 {
+					t.Errorf("%s: the cold learner absorbed no replayed feedback", name)
+				}
+			}
+		})
+	}
+}
+
+// TestDurableStateWrittenAsVersion2: testdata/checkpoint_v2_untuned is a
+// durable directory closed by the last build with tunable LSH, which was
+// off (its README has the recipe): the version-2 compatibility oracle for
+// every later build. Each learner's saved state decodes and re-encodes to
+// the bytes that build wrote. Read both ways it can arrive, it restores
+// warm — every template and plan back, nothing damaged, a reopen that finds
+// the WAL wholly covered — and a first run at a trained point is a cache
+// hit.
+func TestDurableStateWrittenAsVersion2(t *testing.T) {
+	const fixture = "testdata/checkpoint_v2_untuned"
+	f, err := os.Open(filepath.Join(fixture, checkpointName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := netproto.ReadSnapshotFile(f)
+	f.Close() //nolint:errcheck
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ts := range snap.Templates {
+		o, err := core.NewReplicaOnline(bytes.NewReader(ts.State))
+		if err != nil {
+			t.Fatalf("%s: %v", ts.Name, err)
+		}
+		var again bytes.Buffer
+		if err := o.EncodeState(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), ts.State) {
+			t.Errorf("%s: the learner state re-encodes to %d bytes, not the %d it was read from", ts.Name, again.Len(), len(ts.State))
+		}
+	}
+	for _, mode := range []string{"snapshot", "reopen"} {
+		t.Run(mode, func(t *testing.T) {
+			sys := openFixture(t, fixture, mode, nil)
 			rep := sys.LoadStateReport()
 			if rep == nil || rep.Corrupt || rep.Templates != 4 || rep.Plans == 0 {
 				t.Fatalf("restored %+v, want all four templates and their plans", rep)
@@ -876,6 +949,67 @@ func TestDurableOpenDegradesInconsistentCheckpoint(t *testing.T) {
 					rep.WALPending, rep.WALReplayed+rep.WALSkipped+rep.WALStale, records)
 			}
 			runDurableWorkload(t, sys, 5, 5)
+		})
+	}
+}
+
+// TestDurableReshapedTemplateReplay: a durable leader crashes before any
+// checkpoint covers Q1 and, restarted from its WAL, is handed Q1 again with
+// a third parameter. Every feedback record the log holds for the old shape
+// — a two-coordinate point — is stale, and the template serves cold but
+// correct. The case once wedged a template: an insert that panicked under
+// the learner lock left it held (ApplyBatch did not defer its unlock), so
+// with FeedbackQueue -1 the first Run returned *InternalError and the
+// second never returned, and with the default mailbox the panic was the
+// applier goroutine's and killed the process. Both arms run 50 Runs and a
+// Close on the reshaped template.
+func TestDurableReshapedTemplateReplay(t *testing.T) {
+	dir := t.TempDir()
+	sys := openDurable(t, dir, nil)
+	defer sys.Close() //nolint:errcheck
+	runDurableWorkload(t, sys, 200, 3)
+	if _, err := sys.TemplateMetrics("Q1"); err != nil { // flush the applier
+		t.Fatal(err)
+	}
+	misfits := 0
+	for _, r := range mustScan(t, dir).Records {
+		if r.Kind == wal.RecordFeedback {
+			misfits++
+		}
+	}
+	if misfits == 0 {
+		t.Fatal("the log holds no feedback record to misfit")
+	}
+
+	const reshaped = `SELECT s.s_suppkey, COUNT(*)
+		FROM supplier s, lineitem l
+		WHERE l.l_suppkey = s.s_suppkey AND s.s_date <= ? AND l.l_partkey <= ? AND l.l_shipdate <= ?
+		GROUP BY s.s_suppkey`
+	for _, arm := range []struct {
+		name  string
+		queue int
+	}{{"synchronous feedback", -1}, {"applier goroutine", 0}} {
+		t.Run(arm.name, func(t *testing.T) {
+			rec, err := Open(durableOptions(crashImage(t, dir), func(o *Options) {
+				o.FeedbackQueue = arm.queue
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rec.Register("Q1", reshaped); err != nil {
+				t.Fatal(err)
+			}
+			rep := rec.LoadStateReport()
+			if rep.WALPending != 0 || rep.WALStale < misfits {
+				t.Errorf("replay left %d records pending and counted %d stale; the log holds %d points of the old shape",
+					rep.WALPending, rep.WALStale, misfits)
+			}
+			// A wedged learner lock shows as this hanging until the test
+			// binary's timeout.
+			runDurableWorkload(t, rec, 50, 7)
+			if err := rec.Close(); err != nil {
+				t.Fatal(err)
+			}
 		})
 	}
 }

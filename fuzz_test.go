@@ -14,6 +14,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -85,13 +86,12 @@ func decoderIndex(tb testing.TB, name string) uint8 {
 	return 0
 }
 
-// learnerSeed encodes the state of a trained learner that carries both
-// optional sections — corrections and a re-tuned LSH — so mutations explore
-// the deep decode paths instead of dying at the synopsis frame.
+// learnerSeed encodes the state of a trained learner that carries the
+// corrections section, so mutations explore the deep decode paths instead
+// of dying at the synopsis frame.
 func learnerSeed(tb testing.TB) []byte {
 	o, err := core.NewOnline(core.OnlineConfig{Core: core.Config{
 		Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5,
-		RetuneEvery: 50, RetuneReservoir: 128,
 	}}, nil)
 	if err != nil {
 		tb.Fatal(err)
@@ -104,9 +104,6 @@ func learnerSeed(tb testing.TB) []byte {
 			tb.Fatal(err)
 		}
 		o.ApplyCorrections([]stats.Obs{{Site: 1 + i%2, LogQ: math.Log(2)}})
-	}
-	if o.RetuneEpoch() == 0 {
-		tb.Fatal("the seed learner never re-tuned")
 	}
 	var buf bytes.Buffer
 	if err := o.EncodeState(&buf); err != nil {
@@ -185,23 +182,30 @@ func FuzzDecode(f *testing.F) {
 
 	// A learner state stream: whole, halved, cut inside the first section
 	// header, the counter trailer alone (no sections), a section of unknown
-	// tag, the last section repeated, a flipped byte a third of the way in.
+	// tag, the last section repeated, a flipped byte a third of the way in,
+	// and the retired re-tune section (tag 2) after the corrections.
 	learner := decoderIndex(f, "learner")
 	state := learnerSeed(f)
 	offs := sectionOffsets(state)
-	if len(offs) != 2 {
-		f.Fatalf("the seed learner's state has %d sections, want corrections and retune", len(offs))
+	if len(offs) != 1 {
+		f.Fatalf("the seed learner's state has %d sections, want corrections alone", len(offs))
 	}
 	flippedState := append([]byte(nil), state...)
 	flippedState[len(state)/3] ^= 0xff
+	retuned := binary.LittleEndian.AppendUint32(append([]byte(nil), state...), 2)
+	retuned = append(binary.LittleEndian.AppendUint32(retuned, 3), 1, 2, 3)
 	noSections := offs[0]
 	for _, b := range [][]byte{
 		state, state[:len(state)/2], state[:noSections+4], state[:noSections],
 		append(append([]byte(nil), state[:noSections]...), []byte("RTPCgarbage")...),
-		append(append([]byte(nil), state...), state[offs[1]:]...),
+		append(append([]byte(nil), state...), state[offs[0]:]...),
 		flippedState,
+		retuned,
 	} {
 		f.Add(learner, b)
+	}
+	if _, err := decoders[learner].recode(retuned); err == nil || !strings.Contains(err.Error(), "tunable-LSH re-tune state, retired and no longer read") {
+		f.Fatalf("a state stream with the retired re-tune section: %v, want it refused by name", err)
 	}
 
 	// A plan tree, whole and halved, and a version-1 checkpoint header.

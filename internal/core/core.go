@@ -51,14 +51,6 @@ type Config struct {
 	MinSamples int
 	// Seed drives the randomized transformations.
 	Seed int64
-	// RetuneEvery enables tunable LSH (Aluç's Tunable-LSH follow-up): after
-	// this many insertions since the last re-tune, the ensemble's per-axis
-	// warps are rebuilt from the harvested coordinate distribution and the
-	// synopsis is re-mapped from the sample reservoir. 0 disables.
-	RetuneEvery int
-	// RetuneReservoir bounds the sample reservoir replayed through a
-	// re-tuned mapping (default 256 when RetuneEvery > 0).
-	RetuneReservoir int
 }
 
 // WithDefaults fills zero fields with the paper's defaults, or reports the
@@ -108,15 +100,6 @@ func (c Config) WithDefaults() (Config, error) {
 	}
 	if c.MinSamples < 0 {
 		c.MinSamples = 0
-	}
-	if c.RetuneEvery < 0 {
-		return c, fmt.Errorf("core: RetuneEvery must be non-negative, got %d", c.RetuneEvery)
-	}
-	if c.RetuneEvery > 0 && c.RetuneReservoir == 0 {
-		c.RetuneReservoir = 256
-	}
-	if c.RetuneReservoir < 0 {
-		return c, fmt.Errorf("core: RetuneReservoir must be non-negative, got %d", c.RetuneReservoir)
 	}
 	return c, nil
 }

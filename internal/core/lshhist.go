@@ -53,23 +53,6 @@ type ApproxLSHHist struct {
 	// Model.PredictWithCost with pooled scratches.
 	scr *PredictScratch
 
-	// Tunable-LSH state (nil/zero when Config.RetuneEvery is 0). warps is
-	// the current per-(transform, axis) monotone re-mapping composed on top
-	// of the immutable base ensemble (nil = identity); it is replaced
-	// wholesale by ApplyRetune and shared with frozen Models, never mutated
-	// in place. tuner harvests the pre-warp coordinate distribution on every
-	// live insert; reservoir retains owned copies of the newest samples (a
-	// ring of resCap) so a re-tune can rebuild the synopsis under the new
-	// mapping; retuneEpoch stamps each published re-tune.
-	warps       [][]*lsh.Warp
-	tuner       *lsh.Tuner
-	retuneEpoch uint64
-	retuneEvery int
-	sinceRetune int
-	reservoir   []Sample
-	resNext     int
-	resCap      int
-
 	// gen counts mutations (Insert/Reset); frozen caches the Model
 	// published at frozenGen so Freeze after a quiet period is a pointer
 	// return, and otherwise copies only the histograms touched since the
@@ -79,8 +62,8 @@ type ApproxLSHHist struct {
 	frozenGen uint64
 	// dirty lists the plans inserted into since frozen was published (with
 	// repeats): the blocks the next Freeze must replace in its copy of
-	// frozen's index. Reset and ApplyRetune replace every histogram and
-	// drop frozen with it.
+	// frozen's index. Reset replaces every histogram and drops frozen with
+	// it.
 	dirty []int
 }
 
@@ -178,18 +161,7 @@ func NewApproxLSHHist(cfg Config) (*ApproxLSHHist, error) {
 		delta = math.Max(delta, curve.CellWidth())
 		p.valueDeltas[i] = math.Min(delta, 0.5)
 	}
-	if cfg.RetuneEvery > 0 {
-		p.initTuning(cfg)
-	}
 	return p, nil
-}
-
-// initTuning arms the tunable-LSH machinery for a predictor whose config
-// enables it (or whose restored state did, see restoreRetune).
-func (p *ApproxLSHHist) initTuning(cfg Config) {
-	p.tuner = lsh.NewTuner(cfg.Transforms, cfg.OutDims)
-	p.retuneEvery = cfg.RetuneEvery
-	p.resCap = cfg.RetuneReservoir
 }
 
 // MustNewApproxLSHHist is like NewApproxLSHHist but panics on error.
@@ -216,39 +188,17 @@ func zBitsFor(s int) int {
 
 // Insert folds one labeled sample into the synopsis; its Point is not
 // retained, so callers may reuse the backing array. The point is pushed
-// through every transformation (and the current warps, when tunable LSH is
-// armed) and its z-order coordinate is inserted into the histogram of its
-// plan in every intermediate space. Live inserts additionally harvest the
-// pre-warp coordinate distribution and retain the sample in the re-tune
-// reservoir.
+// through every transformation and its z-order coordinate is inserted into
+// the histogram of its plan in every intermediate space.
 func (p *ApproxLSHHist) Insert(s Sample) {
 	if len(s.Point) != p.cfg.Dims {
 		panic(fmt.Sprintf("core: expected %d dims, got %d", p.cfg.Dims, len(s.Point)))
 	}
-	p.insertSample(s, true)
-	if p.tuner != nil {
-		p.reservoirAdd(s)
-		p.sinceRetune++
-	}
-	p.gen++
-}
-
-// insertSample pushes one sample into the histograms. harvest selects
-// whether the tuner observes the pre-warp coordinates — true for live
-// inserts, false when ApplyRetune re-plays the reservoir (those points were
-// observed once already).
-func (p *ApproxLSHHist) insertSample(s Sample, harvest bool) {
 	sc := p.scratch()
 	clampPointInto(sc.x, s.Point)
 	for i := range p.hists {
 		if err := p.ensemble.Transform(i).ApplyInto(sc.proj, sc.x); err != nil {
-			panic(err) // dims validated by the caller
-		}
-		if harvest && p.tuner != nil {
-			p.tuner.Observe(i, sc.proj)
-		}
-		if p.warps != nil {
-			warpInto(p.warps[i], sc.proj)
+			panic(err) // dims validated above
 		}
 		z := p.curves[i].ValueWith(sc.cell, sc.proj)
 		h := p.hists[i][s.Plan]
@@ -271,6 +221,7 @@ func (p *ApproxLSHHist) insertSample(s Sample, harvest bool) {
 			p.dropFrozen()
 		}
 	}
+	p.gen++
 }
 
 // dropFrozen forgets the published Model, so the next Freeze rebuilds the
@@ -278,102 +229,6 @@ func (p *ApproxLSHHist) insertSample(s Sample, harvest bool) {
 func (p *ApproxLSHHist) dropFrozen() {
 	p.frozen, p.dirty = nil, p.dirty[:0]
 }
-
-// dropHistograms empties the synopsis: the Section IV-E recovery action,
-// and the first half of a re-tune's rebuild.
-func (p *ApproxLSHHist) dropHistograms() {
-	for i := range p.hists {
-		p.hists[i] = make(map[int]*histogram.Dynamic)
-		p.marginals[i].Reset()
-	}
-	p.plans = make(map[int]bool)
-	p.total = 0
-	p.dropFrozen()
-}
-
-// warpInto applies one transform's per-axis warps to a projected point in
-// place. Allocation-free — it runs on the serving path too
-// (Model.PredictWithCost).
-func warpInto(ws []*lsh.Warp, proj []float64) {
-	for a := range proj {
-		proj[a] = ws[a].Apply(proj[a])
-	}
-}
-
-// reservoirAdd retains an owned copy of the sample in the re-tune ring.
-func (p *ApproxLSHHist) reservoirAdd(s Sample) {
-	if p.resCap <= 0 {
-		return
-	}
-	pt := make([]float64, len(s.Point))
-	copy(pt, s.Point)
-	owned := Sample{Point: pt, Plan: s.Plan, Cost: s.Cost}
-	if len(p.reservoir) < p.resCap {
-		p.reservoir = append(p.reservoir, owned)
-		return
-	}
-	p.reservoir[p.resNext] = owned
-	p.resNext = (p.resNext + 1) % p.resCap
-}
-
-// RetuneDue reports whether enough insertions have accumulated since the
-// last re-tune for the tuner to rebuild the warps.
-func (p *ApproxLSHHist) RetuneDue() bool {
-	return p.tuner != nil && p.retuneEvery > 0 &&
-		p.sinceRetune >= p.retuneEvery && p.tuner.Observed() > 0
-}
-
-// PrepareRetune builds (without applying) the equalizing warps for the
-// harvested distribution. Pure: the same harvested counts always build
-// bit-identical warps, so the leader can log them before applying and a
-// replica replaying the log lands on the identical mapping.
-func (p *ApproxLSHHist) PrepareRetune() [][]*lsh.Warp {
-	if p.tuner == nil {
-		return nil
-	}
-	return p.tuner.BuildWarps()
-}
-
-// ApplyRetune switches the predictor to the given warps at the given epoch
-// and re-maps the synopsis: the histograms cannot be remapped in place (the
-// z-order linearization is lossy), so they are rebuilt from the retained
-// reservoir under the new mapping — a bounded, deterministic reconstruction
-// that keeps the freshest evidence and lets older history age out. The
-// harvested counts decay so the next pass weighs recent traffic.
-func (p *ApproxLSHHist) ApplyRetune(epoch uint64, warps [][]*lsh.Warp) {
-	p.warps = warps
-	if p.tuner != nil {
-		p.tuner.Decay()
-	}
-	p.dropHistograms()
-	p.eachReservoir(func(s Sample) { p.insertSample(s, false) })
-	p.retuneEpoch = epoch
-	p.sinceRetune = 0
-	p.gen++
-}
-
-// eachReservoir visits the retained samples oldest-first (ring order), the
-// deterministic order every rebuild — leader, replica, recovery — shares.
-func (p *ApproxLSHHist) eachReservoir(fn func(Sample)) {
-	if len(p.reservoir) < p.resCap {
-		for _, s := range p.reservoir {
-			fn(s)
-		}
-		return
-	}
-	for i := 0; i < len(p.reservoir); i++ {
-		fn(p.reservoir[(p.resNext+i)%len(p.reservoir)])
-	}
-}
-
-// RetuneEpoch returns the predictor's re-tune epoch (0 = the base mapping).
-func (p *ApproxLSHHist) RetuneEpoch() uint64 { return p.retuneEpoch }
-
-// Warps returns the current warp set (nil = identity base mapping).
-func (p *ApproxLSHHist) Warps() [][]*lsh.Warp { return p.warps }
-
-// Tuner exposes the harvest state (nil when tunable LSH is disabled).
-func (p *ApproxLSHHist) Tuner() *lsh.Tuner { return p.tuner }
 
 // Predict returns the plan prediction at x (possibly NULL).
 func (p *ApproxLSHHist) Predict(x []float64) Prediction {
@@ -400,7 +255,7 @@ func (p *ApproxLSHHist) PredictWithCost(x []float64) (Prediction, float64, bool)
 // into since — found through p.dirty, not by walking the synopsis — and the
 // marginals; every other block is shared. The index is rebuilt from the
 // live maps only when there is no previous Model to patch (first freeze,
-// Reset, ApplyRetune, more inserts than plans since) or a plan appeared.
+// Reset, more inserts than plans since) or a plan appeared.
 func (p *ApproxLSHHist) Freeze() *Model {
 	if p.frozen != nil && p.frozenGen == p.gen {
 		return p.frozen
@@ -410,13 +265,11 @@ func (p *ApproxLSHHist) Freeze() *Model {
 		cfg:         p.cfg,
 		ensemble:    p.ensemble,
 		curves:      p.curves,
-		warps:       p.warps,
 		marginals:   make([]*histogram.Frozen, t),
 		valueDeltas: p.valueDeltas,
 		ballFrac:    p.ballFrac,
 		total:       p.total,
 		version:     p.gen,
-		retuneEpoch: p.retuneEpoch,
 	}
 	prev, refreeze := p.frozen, p.dirty
 	if prev != nil && len(prev.planIDs) == len(p.plans) {
@@ -466,16 +319,15 @@ func (p *ApproxLSHHist) MemoryBytes() int {
 
 // Reset is drift recovery: all histograms are dropped, matching the
 // Section IV-E recovery action ("we drop all histograms created for that
-// query template and start accumulating sample points from scratch"). The
-// re-tune reservoir is dropped with them (its samples carry the stale plan
-// labels a drift reset exists to forget), but the warps and the harvested
-// coordinate distribution survive — the parameter distribution is
-// orthogonal to where the plan boundaries moved.
+// query template and start accumulating sample points from scratch").
 func (p *ApproxLSHHist) Reset() {
-	p.dropHistograms()
-	p.reservoir = p.reservoir[:0]
-	p.resNext = 0
-	p.sinceRetune = 0
+	for i := range p.hists {
+		p.hists[i] = make(map[int]*histogram.Dynamic)
+		p.marginals[i].Reset()
+	}
+	p.plans = make(map[int]bool)
+	p.total = 0
+	p.dropFrozen()
 	p.gen++
 }
 

@@ -25,10 +25,6 @@ type Model struct {
 	cfg      Config
 	ensemble *lsh.Ensemble
 	curves   []*zorder.Curve
-	// warps is the tunable-LSH re-mapping active at freeze time (nil =
-	// identity). Shared with the live predictor, which replaces — never
-	// mutates — it, so the snapshot stays immutable.
-	warps [][]*lsh.Warp
 	// planIDs lists the snapshot's plans in ascending order; blocks[j*t+i]
 	// holds the frozen histogram of plan planIDs[j] in transform i, so a
 	// plan's t blocks are contiguous in the order the vote reads them.
@@ -43,8 +39,6 @@ type Model struct {
 	// version is the predictor's mutation generation at freeze time; it
 	// increases with every publication of changed state.
 	version uint64
-	// retuneEpoch is the predictor's re-tune epoch at freeze time.
-	retuneEpoch uint64
 }
 
 // block is one (transform, plan) histogram with its peak density kept
@@ -62,10 +56,6 @@ func (m *Model) Plans() int { return len(m.planIDs) }
 
 // Version is the learner's mutation generation at freeze time.
 func (m *Model) Version() uint64 { return m.version }
-
-// RetuneEpoch is the tunable-LSH re-tune epoch at freeze time (0 when the
-// base mapping is still active or tuning is disabled).
-func (m *Model) RetuneEpoch() uint64 { return m.retuneEpoch }
 
 // Config returns the effective predictor configuration.
 func (m *Model) Config() Config { return m.cfg }
@@ -111,9 +101,6 @@ func (m *Model) PredictWithCost(x []float64, sc *PredictScratch) (Prediction, fl
 	for i := range m.marginals {
 		if err := m.ensemble.Transform(i).ApplyInto(sc.proj, sc.x); err != nil {
 			panic(err) // dims validated above
-		}
-		if m.warps != nil {
-			warpInto(m.warps[i], sc.proj)
 		}
 		z := m.curves[i].ValueWith(sc.cell, sc.proj)
 		lo, hi := queryRange(m.marginals[i], m.valueDeltas[i], m.ballFrac, z)

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/histogram"
-	"repro/internal/wal"
 )
 
 // trainedPredictor builds a live predictor over the quadrant plan space.
@@ -28,9 +27,8 @@ func trainedPredictor(t *testing.T, n int) *ApproxLSHHist {
 type genState struct {
 	dims    int
 	planIDs []int // sparse, non-contiguous, possibly negative
-	inserts int   // before the optional reset/retune
+	inserts int   // before the optional reset
 	reset   bool  // Reset, then a few fresh inserts (possibly under MinSamples)
-	retune  bool  // tunable LSH armed and one re-tune applied mid-stream
 	skew    float64
 	// transforms and noise, when set, override the drawn transform count
 	// and force noise elimination on.
@@ -54,7 +52,6 @@ func genStateFrom(rng *rand.Rand) genState {
 		dims:    2 + rng.Intn(5),
 		inserts: []int{0, 5, 19, 20, 60, 400, 1500, 6000}[rng.Intn(8)],
 		reset:   rng.Intn(4) == 0,
-		retune:  rng.Intn(3) == 0,
 		skew:    1 + 3*rng.Float64(),
 	}
 	seen := map[int]bool{}
@@ -94,9 +91,6 @@ func (g genState) build(tb testing.TB, rng *rand.Rand) *ApproxLSHHist {
 		// seed picks, so a floor under zero of any size is exercised.
 		cfg.NoiseFraction = -[]float64{0.05, 1, 1e-9}[cfg.Seed%3]
 	}
-	if g.retune {
-		cfg.RetuneEvery, cfg.RetuneReservoir = 1<<30, 300
-	}
 	p := MustNewApproxLSHHist(cfg)
 	insert := func(n int) {
 		for i := 0; i < n; i++ {
@@ -115,14 +109,6 @@ func (g genState) build(tb testing.TB, rng *rand.Rand) *ApproxLSHHist {
 		}
 	}
 	insert(g.inserts)
-	if g.retune && g.inserts > 0 {
-		warps := p.PrepareRetune()
-		if g.skew > 1.5 && g.inserts >= 400 && warps[0][0].Apply(0.25) == 0.25 {
-			tb.Fatalf("skewed harvest built an identity warp")
-		}
-		p.ApplyRetune(1, warps)
-		insert(g.inserts / 4)
-	}
 	if g.reset {
 		p.Reset()
 		insert([]int{0, 7, 30, 200}[rng.Intn(4)])
@@ -221,8 +207,7 @@ func queryPoints(rng *rand.Rand, g genState, n int) [][]float64 {
 
 // The block layout is not allowed to change a single prediction: over
 // generated states — dims 2–6, 1–60 sparse plan ids, before MinSamples,
-// after Reset, after a re-tune with non-identity warps, with mid-stream
-// publishes so freezes patch earlier indexes — and over miss-shaped ones —
+// after Reset, with mid-stream publishes so freezes patch earlier indexes — and over miss-shaped ones —
 // 60–90 plans at uniform points under noise elimination, odd and even t —
 // and at both signs of the noise fraction, Model.PredictWithCost equals the
 // map-walking reference bit for bit. The
@@ -253,9 +238,6 @@ func TestModelPredictMatchesReference(t *testing.T) {
 		if g.reset {
 			covered["after Reset"]++
 		}
-		if p.Warps() != nil {
-			covered["warped"]++
-		}
 		if len(p.plans) >= 40 {
 			covered["40+ plans"]++
 		}
@@ -265,46 +247,11 @@ func TestModelPredictMatchesReference(t *testing.T) {
 			covered["noise elimination off"]++
 		}
 	}
-	for _, want := range []string{"under MinSamples", "after Reset", "warped", "40+ plans",
+	for _, want := range []string{"under MinSamples", "after Reset", "40+ plans",
 		"ruled out by bound", "early exit", "miss-shaped, t=4", "miss-shaped, t=5",
 		"noise elimination on", "noise elimination off"} {
 		if covered[want] == 0 {
 			t.Errorf("no generated state was %s", want)
-		}
-	}
-}
-
-// The same identity one level up, through the path a replica takes: a
-// logged re-tune switch replayed into an Online republishes a Model whose
-// answers equal the reference over the rebuilt synopsis.
-func TestModelMatchesReferenceAfterReplayRetune(t *testing.T) {
-	cfg := OnlineConfig{Core: Config{Dims: 3, Seed: 4, RetuneEvery: 1 << 30, RetuneReservoir: 256}, Seed: 2}
-	o, err := NewOnline(cfg, &quadrantEnv{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(8))
-	for i := 0; i < 600; i++ {
-		x := []float64{math.Pow(rng.Float64(), 3), math.Pow(rng.Float64(), 2), rng.Float64()}
-		if err := o.LearnValidated(x, 100*(1+int(x[0]*7)), 50+x[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	warps := o.Predictor().PrepareRetune()
-	if warps[0][0].Apply(0.25) == 0.25 {
-		t.Fatal("skewed harvest built an identity warp")
-	}
-	rec := retuneRecord(1, warps)
-	if applied, _, _ := o.ReplayRecords([]wal.Record{rec}); applied != 1 {
-		t.Fatal("ReplayRecords rejected the switch")
-	}
-	sc := NewPredictScratch(o.Model().Config())
-	for i := 0; i < 300; i++ {
-		x := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-		wp, wc, wok := refPredict(o.Predictor(), x)
-		gp, gc, gok := o.Model().PredictWithCost(x, sc)
-		if gok != wok || gp != wp || math.Float64bits(gc) != math.Float64bits(wc) {
-			t.Fatalf("point %v: model (%+v, %v, %v) != reference (%+v, %v, %v)", x, gp, gc, gok, wp, wc, wok)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -205,11 +206,11 @@ type Online struct {
 	faults *faults.Injector
 
 	// log, when set, durably records every learner event — applied feedback
-	// points, re-tune switches and (through ApplyCorrections) correction
-	// site updates — before it takes effect. Written once at registration
-	// (before the template serves). rec is the record handed to it: a field,
-	// guarded by mu, so the record has a stable address and a durable apply
-	// allocates nothing for it.
+	// points and (through ApplyCorrections) correction site updates —
+	// before it takes effect. Written once at registration (before the
+	// template serves). rec is the record handed to it: a field, guarded by
+	// mu, so the record has a stable address and a durable apply allocates
+	// nothing for it.
 	log wal.Appender
 	rec wal.Record
 	// corr, when set, is the template's adaptive-statistics correction
@@ -512,30 +513,7 @@ func (o *Online) applyLocked(fb Feedback) bool {
 	} else {
 		o.validated.Add(1)
 	}
-	o.maybeRetuneLocked()
 	return true
-}
-
-// maybeRetuneLocked runs the tunable-LSH switch when enough insertions have
-// accumulated: build the equalizing warps from the harvested distribution,
-// log the switch (absolute warps, so replay is self-contained), then re-map
-// the synopsis. Live path only — replay and replicas re-apply logged
-// switches through ReplayRecords instead of deciding their own, which keeps
-// every copy of the learner on the identical mapping. Callers hold mu.
-func (o *Online) maybeRetuneLocked() {
-	if !o.pred.RetuneDue() {
-		return
-	}
-	epoch := o.pred.RetuneEpoch() + 1
-	warps := o.pred.PrepareRetune()
-	if warps == nil {
-		return
-	}
-	if o.log != nil {
-		o.rec = retuneRecord(epoch, warps)
-		o.logLocked()
-	}
-	o.pred.ApplyRetune(epoch, warps)
 }
 
 // logLocked appends o.rec — log before apply, under the same lock, so a
@@ -563,10 +541,6 @@ func (o *Online) ApplyCorrections(batch []stats.Obs) (epochBumped bool) {
 	o.commitWAL()
 	return epochBumped
 }
-
-// RetuneEpoch returns the re-tune epoch of the published model (0 = base
-// mapping). Lock-free.
-func (o *Online) RetuneEpoch() uint64 { return o.snap.Load().RetuneEpoch() }
 
 // commitWAL runs the group-commit barrier outside the learner lock (an
 // fsync must not stall concurrent writers). Commit errors are counted by
@@ -739,8 +713,8 @@ type stateSection struct {
 // sections. Each follows the counter trailer as `u32 tag | u32 len | body`,
 // in table order, when encode writes a body. The decoder reads every
 // section through this table: an unknown tag, or one out of order or
-// repeated, is an error; a retired tag — an entry whose encode and decode
-// are nil — is skipped by its length.
+// repeated, is an error; a retired tag — an entry with no encode — is
+// never written, and its decode names why a stream carrying it is refused.
 var stateSections = [...]stateSection{
 	// Corrections: present exactly when the adaptive statistics layer is
 	// attached. A stream without the section restores correction-cold.
@@ -755,37 +729,28 @@ var stateSections = [...]stateSection{
 			st.corr, err = stats.DecodeCorrections(body)
 			return err
 		}},
-	// Retune: present exactly when tunable LSH is (or was) active on the
-	// template.
+	// Retired: tunable LSH's re-tune state. A synopsis saved beside it keys
+	// its histograms by warped z-values; read without its warps it would
+	// answer from the wrong cells, so the stream is refused by name, never
+	// skipped.
 	{tag: 2,
-		encode: func(o *Online, w *bytes.Buffer) error {
-			if o.pred.hasTuningState() {
-				return o.pred.encodeRetune(w)
-			}
-			return nil
-		},
-		decode: func(st *onlineState, body []byte) error {
-			ret, err := decodeRetune(body)
-			if err != nil {
-				return err
-			}
-			st.retuned = true
-			return st.pred.restoreRetune(ret)
-		}},
+		decode: func(*onlineState, []byte) error { return errRetiredRetuneSection }},
 }
+
+// errRetiredRetuneSection names why a state stream carrying section 2 is
+// refused: a restore degrades that template cold and reports this reason.
+var errRetiredRetuneSection = errors.New("core: state section 2 is tunable-LSH re-tune state, retired and no longer read")
 
 // onlineState is an EncodeState stream decoded and validated, not yet
 // installed in a driver.
 type onlineState struct {
-	// pred is the synopsis, with the retune section (when present) restored.
+	// pred is the synopsis.
 	pred *ApproxLSHHist
 	// counters is the trailer: validated, selfLabeled, epoch, appliedSeq.
 	counters [4]int64
 	// corr is the corrections section (nil when the stream has none: a
-	// pre-correction build, or adaptive stats off at save time); retuned
-	// reports whether the stream had a retune section.
-	corr    *stats.Corrections
-	retuned bool
+	// pre-correction build, or adaptive stats off at save time).
+	corr *stats.Corrections
 }
 
 // decodeOnlineState reads one EncodeState stream. It is the one decoder
@@ -825,10 +790,8 @@ func decodeOnlineState(r io.Reader) (*onlineState, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: state section %d: %w", tag, err)
 		}
-		if dec := stateSections[i].decode; dec != nil {
-			if err := dec(st, body); err != nil {
-				return nil, err
-			}
+		if err := stateSections[i].decode(st, body); err != nil {
+			return nil, err
 		}
 	}
 }
@@ -860,16 +823,6 @@ func (o *Online) install(st *onlineState) error {
 		if err := o.corr.Adopt(st.corr); err != nil {
 			return err
 		}
-	}
-	if !st.retuned && o.cfg.Core.RetuneEvery > 0 {
-		// Snapshot predates tunable LSH (or it was off at save time) but the
-		// driver wants it on: arm the machinery cold with this driver's knobs
-		// on the restored predictor's shape.
-		c := pred.cfg
-		c.RetuneEvery = o.cfg.Core.RetuneEvery
-		c.RetuneReservoir = o.cfg.Core.RetuneReservoir
-		pred.cfg = c
-		pred.initTuning(c)
 	}
 	o.pred = pred
 	o.validated.Store(st.counters[0])

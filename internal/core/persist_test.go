@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"math"
 	"math/rand"
@@ -301,12 +302,12 @@ func TestDecodeDomainAndRaggedPlans(t *testing.T) {
 
 // TestStateSectionsReadThroughOneTable: the optional sections after the
 // counter trailer are `tag | len | body` entries read through stateSections.
-// A stream with both sections decodes and re-encodes to the same bytes; an
-// unknown tag, a repeated or out-of-order one, and a section cut short are
-// errors.
+// A stream with the corrections section decodes and re-encodes to the same
+// bytes; an unknown tag, a repeated one and a section cut short are errors,
+// and the retired re-tune section (tag 2) is refused by name — a synopsis
+// saved beside it is keyed by warped z-values this build cannot apply.
 func TestStateSectionsReadThroughOneTable(t *testing.T) {
-	o := MustNewOnline(OnlineConfig{Core: Config{Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5,
-		RetuneEvery: 50, RetuneReservoir: 64}}, nil)
+	o := MustNewOnline(OnlineConfig{Core: Config{Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5}}, nil)
 	o.AttachCorrections(stats.NewCorrections(2, stats.CorrConfig{}))
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 120; i++ {
@@ -331,11 +332,10 @@ func TestStateSectionsReadThroughOneTable(t *testing.T) {
 		t.Fatal("decode → encode moved the state bytes")
 	}
 
-	// Locate the two sections: after the synopsis frame and the trailer.
+	// Locate the section: after the synopsis frame and the trailer.
 	first := 1 + 8 + 4 + int(binary.LittleEndian.Uint64(state[1:])) + 32
-	second := first + 8 + int(binary.LittleEndian.Uint32(state[first+4:]))
-	if got := binary.LittleEndian.Uint32(state[first:]); got != 1 || binary.LittleEndian.Uint32(state[second:]) != 2 {
-		t.Fatalf("section tags %d, %d; want corrections (1) then retune (2)", got, binary.LittleEndian.Uint32(state[second:]))
+	if got, end := binary.LittleEndian.Uint32(state[first:]), first+8+int(binary.LittleEndian.Uint32(state[first+4:])); got != 1 || end != len(state) {
+		t.Fatalf("section tag %d ending at %d of %d bytes; want corrections (1) alone", got, end, len(state))
 	}
 	section := func(tag uint32, body []byte) []byte {
 		return append(binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, tag), uint32(len(body))), body...)
@@ -343,14 +343,21 @@ func TestStateSectionsReadThroughOneTable(t *testing.T) {
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	for name, bad := range map[string][]byte{
 		"unknown tag":        cat(state, section(9, []byte{1})),
-		"repeated section":   cat(state, state[second:]),
-		"out of order":       cat(state[:first], state[second:], state[first:second]),
+		"repeated section":   cat(state, state[first:]),
 		"section cut short":  state[:len(state)-1],
 		"header cut short":   cat(state, []byte{2, 0}),
 		"body past the tail": cat(state[:first], section(1, nil)[:4], []byte{0xff, 0xff, 0, 0}),
 	} {
 		if _, err := NewReplicaOnline(bytes.NewReader(bad)); err == nil {
 			t.Errorf("%s: decoded", name)
+		}
+	}
+	for name, retired := range map[string][]byte{
+		"after corrections": cat(state, section(2, []byte{1, 2, 3})),
+		"alone":             cat(state[:first], section(2, nil)),
+	} {
+		if _, err := NewReplicaOnline(bytes.NewReader(retired)); !errors.Is(err, errRetiredRetuneSection) {
+			t.Errorf("retune section %s: %v, want the retired section named", name, err)
 		}
 	}
 }

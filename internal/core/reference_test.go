@@ -75,12 +75,12 @@ func refPredict(p *ApproxLSHHist, x []float64) (Prediction, float64, bool) {
 	if p.total < p.cfg.MinSamples || len(x) != p.cfg.Dims {
 		return Prediction{}, 0, false
 	}
-	return refPredictOn(&p.cfg, p.ensemble, p.curves, p.warps, p.hists, p.marginals,
+	return refPredictOn(&p.cfg, p.ensemble, p.curves, p.hists, p.marginals,
 		p.valueDeltas, p.ballFrac, x, newRefScratch(p.cfg))
 }
 
 func refPredictOn(cfg *Config, ens *lsh.Ensemble, curves []*zorder.Curve,
-	warps [][]*lsh.Warp, hists []map[int]*histogram.Dynamic, marginals []*histogram.Dynamic, valueDeltas []float64,
+	hists []map[int]*histogram.Dynamic, marginals []*histogram.Dynamic, valueDeltas []float64,
 	ballFrac float64, x []float64, sc *refScratch) (Prediction, float64, bool) {
 	clampPointInto(sc.x, x)
 	t := len(hists)
@@ -89,9 +89,6 @@ func refPredictOn(cfg *Config, ens *lsh.Ensemble, curves []*zorder.Curve,
 	for i := range hists {
 		if err := ens.Transform(i).ApplyInto(sc.proj, sc.x); err != nil {
 			panic(err)
-		}
-		if warps != nil {
-			warpInto(warps[i], sc.proj)
 		}
 		z := curves[i].ValueWith(sc.cell, sc.proj)
 		lo, hi := refQueryRange(marginals[i], valueDeltas[i], ballFrac, z)

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"repro/internal/lsh"
 	"repro/internal/wal"
 )
 
@@ -24,50 +23,6 @@ func feedbackRecord(fb Feedback) wal.Record {
 	}
 }
 
-// retuneRecord is the durable form of one tunable-LSH switch: the epoch
-// after it and the absolute warp grid, row-major over transforms, then
-// axes, then knots — so replay rebuilds the identical mapping without the
-// harvested counts it was derived from.
-func retuneRecord(epoch uint64, warps [][]*lsh.Warp) wal.Record {
-	rec := wal.Record{
-		Kind: wal.RecordRetune, RetuneEpoch: epoch,
-		WarpT: uint16(len(warps)), WarpK: lsh.WarpBins + 1,
-	}
-	for _, row := range warps {
-		rec.WarpS = uint16(len(row))
-		for _, w := range row {
-			k := w.Knots()
-			rec.Warps = append(rec.Warps, k[:]...)
-		}
-	}
-	return rec
-}
-
-// retuneWarps is retuneRecord's inverse for a learner of transforms × axes
-// warps: the record's grid, bit-identical to the logged one, or nil when the
-// record does not fit — another shape, another build's knot count, or knots
-// that are not a warp (monotone, endpoint-anchored).
-func retuneWarps(r *wal.Record, transforms, axes int) [][]*lsh.Warp {
-	const knots = lsh.WarpBins + 1
-	if int(r.WarpT) != transforms || int(r.WarpS) != axes || r.WarpK != knots ||
-		len(r.Warps) != transforms*axes*knots {
-		return nil
-	}
-	warps := make([][]*lsh.Warp, transforms)
-	flat := r.Warps
-	for i := range warps {
-		warps[i] = make([]*lsh.Warp, axes)
-		for a := range warps[i] {
-			w, err := lsh.WarpFromKnots(flat[:knots])
-			if err != nil {
-				return nil
-			}
-			warps[i][a], flat = w, flat[knots:]
-		}
-	}
-	return warps
-}
-
 // ReplayRecords replays one template's WAL records, in log order, into the
 // learner and its attached correction state. It is the one replay loop
 // behind leader crash recovery, registration-time replay of held records,
@@ -76,10 +31,10 @@ func retuneWarps(r *wal.Record, transforms, axes int) [][]*lsh.Warp {
 // at most one snapshot is published, at the end.
 //
 // Every arm first asks whether the record fits this learner — the point's
-// dimensionality, the warp grid's shape, the site's index. One that does
-// not is stale: the template changed shape after the record was logged, and
-// a learned component must never leave the system worse off than a cold one
-// (on a replica the next snapshot reconciles). A record that fits is then
+// dimensionality, the site's index. One that does not is stale: the
+// template changed shape after the record was logged, and a learned
+// component must never leave the system worse off than a cold one (on a
+// replica the next snapshot reconciles). A record that fits is then
 // idempotent through the applied-sequence watermark: one at or below it is
 // already in the checkpoint — skipped, never double-applied — and the
 // watermark advances over stale-by-epoch records too, so a second replay of
@@ -89,11 +44,10 @@ func retuneWarps(r *wal.Record, transforms, axes int) [][]*lsh.Warp {
 //     resets happened between: they are performed first, reproducing the
 //     live insert-then-reset ordering. One from an older epoch was
 //     superseded by a reset before the crash: stale.
-//   - A retune record rebuilds the synopsis from the reservoir under the
-//     logged warps, so the feedback before it must already be in — which
-//     log order under one lock gives.
 //   - A correction record carries absolute post-update state and is
-//     independent of the other two kinds.
+//     independent of feedback.
+//   - A record of a retired kind (wal.RecordRetiredRetune) fits no learner:
+//     stale, like a kind this build does not declare.
 func (o *Online) ReplayRecords(recs []wal.Record) (applied, skipped, stale int) {
 	if len(recs) == 0 {
 		return 0, 0, 0
@@ -139,19 +93,6 @@ func (o *Online) ReplayRecords(recs []wal.Record) (applied, skipped, stale int) 
 			}
 			applied++
 			dirty = true
-		case wal.RecordRetune:
-			warps := retuneWarps(r, shape.Transforms, shape.OutDims)
-			if warps == nil {
-				stale++
-				continue
-			}
-			if !o.claimLocked(r.Seq) || r.RetuneEpoch <= o.pred.RetuneEpoch() {
-				skipped++
-				continue
-			}
-			o.pred.ApplyRetune(r.RetuneEpoch, warps)
-			applied++
-			dirty = true
 		case wal.RecordCorrection:
 			if o.corr == nil || r.Site < 1 || int(r.Site) > o.corr.NSites() {
 				stale++
@@ -163,7 +104,7 @@ func (o *Online) ReplayRecords(recs []wal.Record) (applied, skipped, stale int) 
 				skipped++
 			}
 		default:
-			stale++ // a kind this build does not declare fits no learner
+			stale++ // a retired or undeclared kind fits no learner
 		}
 	}
 	if dirty {

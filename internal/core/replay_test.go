@@ -6,72 +6,144 @@ import (
 	"hash/crc32"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
-	"repro/internal/lsh"
 	"repro/internal/stats"
 	"repro/internal/wal"
 )
 
-// identityKnots is one valid warp's knot vector.
-func identityKnots() []float64 {
-	k := lsh.IdentityWarp().Knots()
-	return append([]float64(nil), k[:]...)
+// memLog is an in-memory wal.Appender: it stamps one shared monotone
+// sequence the way the WAL does and keeps every record — feedback and
+// corrections interleaved in log order, the order a replica (or recovery)
+// must replay in — so what the learner logged replays through
+// ReplayRecords.
+type memLog struct {
+	seq  uint64
+	recs []wal.Record
 }
 
-// TestReplayRejectsMisshapenRetune: a retune record whose warp grid is not
-// the learner's is stale, like a feedback record of another dimensionality —
-// the template changed shape after the record was logged. Before every arm
-// of the replay switch asked that question, the retune arm applied any grid
-// with valid knots, and this 1×1 record replayed into a 5×3 learner
-// panicked in warpInto (index out of range [1] with length 1) while the
-// reservoir was re-inserted.
-func TestReplayRejectsMisshapenRetune(t *testing.T) {
-	cfg := OnlineConfig{Core: Config{Dims: 3, Seed: 4, RetuneEvery: 1 << 30, RetuneReservoir: 64}, Seed: 2}
-	o := MustNewOnline(cfg, nil)
-	rng := rand.New(rand.NewSource(8))
-	for i := 0; i < 40; i++ {
-		x := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-		if err := o.LearnValidated(x, i%3, 10+x[0]); err != nil {
-			t.Fatal(err)
+func (l *memLog) Append(rec *wal.Record) (uint64, error) {
+	l.seq++
+	rec.Seq = l.seq
+	l.recs = append(l.recs, *rec)
+	return l.seq, nil
+}
+
+func (l *memLog) Commit() error { return nil }
+
+// count returns how many records of the kind the log holds.
+func (l *memLog) count(kind uint8) int {
+	n := 0
+	for i := range l.recs {
+		if l.recs[i].Kind == kind {
+			n++
 		}
 	}
-	if len(o.Predictor().reservoir) == 0 {
-		t.Fatal("empty reservoir: a retune would re-insert nothing and the test be vacuous")
+	return n
+}
+
+// TestRetiredKindScansShipsAndReplaysStale: a log written by an older build
+// holds re-tune records (the retired kind 3) between feedback. Such a
+// segment scans, repairs and ships whole — a retired record is read by its
+// length, never a place a scan stops or a repair truncates — and replay
+// applies the feedback on both sides of it and counts it stale.
+func TestRetiredKindScansShipsAndReplaysStale(t *testing.T) {
+	dir := t.TempDir()
+	feedback := func(x float64) *wal.Record {
+		return &wal.Record{Kind: wal.RecordFeedback, Template: "Q1", Plan: 1, Cost: 10, Point: []float64{x, x}}
 	}
-	shape := o.Predictor().Config()
-	if shape.Transforms == 1 && shape.OutDims == 1 {
-		t.Fatal("the learner is 1×1 itself; pick another shape for the record")
+	l, _, err := wal.Open(wal.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(feedback(0.3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The retired record lands after it as the older build framed it: a
+	// one-warp grid of two knots.
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments %v, %v; want one", segs, err)
+	}
+	tail := []byte{1, 0, 1, 0, 2, 0}
+	tail = binary.LittleEndian.AppendUint64(tail, math.Float64bits(0))
+	tail = binary.LittleEndian.AppendUint64(tail, math.Float64bits(1))
+	retired := wal.Record{Kind: wal.RecordRetiredRetune, Seq: 2, Epoch: 1, Template: "Q1", Retired: tail}
+	f, err := os.OpenFile(segs[0], os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(wal.AppendFrame(nil, &retired)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
 
-	rec := wal.Record{Kind: wal.RecordRetune, Seq: 1, RetuneEpoch: 1, WarpT: 1, WarpS: 1, WarpK: lsh.WarpBins + 1, Warps: identityKnots()}
-	applied, skipped, stale := o.ReplayRecords([]wal.Record{rec})
-	if applied != 0 || skipped != 0 || stale != 1 {
-		t.Fatalf("misshapen retune replayed as %d applied, %d skipped, %d stale; want 0/0/1", applied, skipped, stale)
+	// Open's repair pass keeps it, and the next append follows it.
+	l, rec, err := wal.Open(wal.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := o.RetuneEpoch(); got != 0 {
-		t.Errorf("RetuneEpoch = %d after a stale retune, want 0", got)
+	if len(rec.Records) != 2 || rec.TornBytes != 0 || rec.Corrupt {
+		t.Fatalf("reopen recovered %d of 2 records (torn %d bytes, corrupt %v: %q)", len(rec.Records), rec.TornBytes, rec.Corrupt, rec.Reason)
 	}
-	if got := o.Validated(); got != 40 {
-		t.Errorf("Validated = %d after a stale retune, want 40", got)
+	if seq, err := l.Append(feedback(0.6)); err != nil || seq != 3 {
+		t.Fatalf("append after the retired record: seq %d, %v; want 3", seq, err)
 	}
-	o.PredictModel([]float64{0.5, 0.5, 0.5}) // answers: the synopsis is intact
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	scan, err := wal.Scan(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(scan.Records) != 3 || scan.TornBytes != 0 || scan.Corrupt {
+		t.Fatalf("scan found %d of 3 records (torn %d bytes, corrupt %v: %q)", len(scan.Records), scan.TornBytes, scan.Corrupt, scan.Reason)
+	}
+	if got := scan.Records[1]; !reflect.DeepEqual(got, retired) {
+		t.Fatalf("the retired record scans as %+v, want %+v", got, retired)
+	}
 
-	// The same record in the learner's own shape applies.
-	fit := retuneRecord(1, o.Predictor().PrepareRetune())
-	fit.Seq = 2
-	if applied, _, _ := o.ReplayRecords([]wal.Record{fit}); applied != 1 || o.RetuneEpoch() != 1 {
-		t.Fatalf("well-shaped retune: applied %d, epoch %d; want 1, 1", applied, o.RetuneEpoch())
+	// Shipped: a wire batch carries each record's frame.
+	var stream []byte
+	for i := range scan.Records {
+		stream = wal.AppendFrame(stream, &scan.Records[i])
+	}
+	var shipped []wal.Record
+	for len(stream) > 0 {
+		r, n, err := wal.DecodeFrame(stream)
+		if err != nil {
+			t.Fatalf("ship decode stopped after %d records: %v", len(shipped), err)
+		}
+		shipped, stream = append(shipped, r), stream[n:]
+	}
+	if !reflect.DeepEqual(shipped, scan.Records) {
+		t.Fatalf("shipped %+v, scanned %+v", shipped, scan.Records)
+	}
+
+	o := MustNewOnline(OnlineConfig{Core: Config{Dims: 2, Seed: 4}, Seed: 2}, nil)
+	if applied, skipped, stale := o.ReplayRecords(shipped); applied != 2 || skipped != 0 || stale != 1 {
+		t.Fatalf("replayed as %d applied, %d skipped, %d stale; want 2/0/1", applied, skipped, stale)
+	}
+	if got := o.Validated(); got != 2 {
+		t.Errorf("Validated = %d after replay, want both feedback points", got)
 	}
 }
 
 // fuzzLearner is the small learner FuzzReplayRecords replays into: two
-// dimensions, corrections attached, tuning armed, forty validated points in
-// the synopsis and the reservoir.
+// dimensions, corrections attached, forty validated points in the
+// synopsis.
 func fuzzLearner(tb testing.TB) *Online {
 	tb.Helper()
 	o := MustNewOnline(OnlineConfig{
-		Core: Config{Dims: 2, Radius: 0.08, Seed: 5, RetuneEvery: 25, RetuneReservoir: 32},
+		Core: Config{Dims: 2, Radius: 0.08, Seed: 5},
 		Seed: 17,
 	}, nil)
 	o.AttachCorrections(stats.NewCorrections(2, stats.CorrConfig{}))
@@ -103,8 +175,9 @@ func reseal(data []byte) []byte {
 // outside bytes get — and replayed into a warm learner; then EncodeState
 // must decode and re-encode to the same bytes.
 func FuzzReplayRecords(f *testing.F) {
-	// Seed with what a live learner logs (feedback, retunes, corrections,
-	// interleaved), and with records that do not fit it.
+	// Seed with what a live learner logs (feedback and corrections,
+	// interleaved), and with records that do not fit it: the retired kind
+	// among them.
 	leader := fuzzLearner(f)
 	log := &memLog{}
 	leader.AttachLog(log)
@@ -116,8 +189,8 @@ func FuzzReplayRecords(f *testing.F) {
 		}
 		leader.ApplyCorrections([]stats.Obs{{Site: 1 + i%2, LogQ: rng.NormFloat64()}})
 	}
-	if log.count(wal.RecordRetune) == 0 || log.count(wal.RecordCorrection) == 0 {
-		f.Fatal("seed log holds no retune or no correction record")
+	if log.count(wal.RecordFeedback) == 0 || log.count(wal.RecordCorrection) == 0 {
+		f.Fatal("seed log holds no feedback or no correction record")
 	}
 	var stream []byte
 	for i := range log.recs {
@@ -126,8 +199,8 @@ func FuzzReplayRecords(f *testing.F) {
 	f.Add(stream)
 	f.Add(stream[:len(stream)/2])
 	odd := []wal.Record{
-		{Kind: wal.RecordRetune, Seq: 1, RetuneEpoch: 1, WarpT: 1, WarpS: 1, WarpK: lsh.WarpBins + 1, Warps: identityKnots()},
-		{Kind: wal.RecordRetune, Seq: 2, RetuneEpoch: math.MaxUint64},
+		{Kind: wal.RecordRetiredRetune, Seq: 1, Epoch: 1, Retired: []byte{1, 0, 1, 0, 17, 0}},
+		{Kind: wal.RecordRetiredRetune, Seq: 2, Epoch: -1},
 		{Kind: wal.RecordFeedback, Seq: 3, Epoch: math.MaxInt64, Plan: -1, Cost: math.NaN(), Point: []float64{math.NaN(), math.Inf(1)}},
 		{Kind: wal.RecordFeedback, Seq: 4, Epoch: math.MinInt64, Point: []float64{-3, 7}},
 		{Kind: wal.RecordFeedback, Seq: 5, Point: []float64{0.5}},

@@ -152,14 +152,6 @@ var Registry = []Runner{
 			}
 			return r.Table(), nil
 		}},
-	{"exttune", "fixed vs tunable LSH precision/recall on a drifting workload (synthetic; ignores -scale, -seed, -frac)",
-		func(*Env, float64) (*Table, error) {
-			r, err := MeasureDriftPrecision()
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		}},
 }
 
 // Find returns the runner with the given id.

@@ -196,7 +196,7 @@ func (s *State) ApplyRecords(recs []wal.Record) (applied, skipped int) {
 }
 
 // EncodeState writes one installed template's learner state — synopsis,
-// counters, corrections and retune sections — in core.Online's encoding.
+// counters and the corrections section — in core.Online's encoding.
 // Parity audits compare it byte for byte against the leader's: a replica
 // holds the leader's learned state exactly, not approximately.
 func (s *State) EncodeState(template string, w io.Writer) error {

@@ -13,7 +13,9 @@ import (
 // before the kinds moved into one table (PR 19's tree). Every other format
 // test is a round trip, which a symmetric mistake in encode and decode
 // passes; these bytes are what segments on disk and replicas on the wire
-// already hold.
+// already hold. The retired kind's vector is a re-tune as that encoder
+// wrote it (one warp of three knots): it decodes to its prefix and its tail
+// unread, and re-encodes to the same bytes.
 func TestFrameGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -26,7 +28,8 @@ func TestFrameGolden(t *testing.T) {
 			"3000000079232587010800000000000000ffffffffffffffff02005133feffffffffffffff000000000000e03f000100000000000000c03f"},
 		{"correction", Record{Kind: RecordCorrection, Seq: 9, CorrEpoch: 3, Template: "Q1", Site: 2, LogC: -0.5, N: 11, Ref: 0.25},
 			"310000000ae839d302090000000000000003000000000000000200513102000000000000000000e0bf0b00000000000000000000000000d03f"},
-		{"retune", Record{Kind: RecordRetune, Seq: 10, RetuneEpoch: 4, Template: "Q8", WarpT: 1, WarpS: 1, WarpK: 3, Warps: []float64{0, 0.5, 1}},
+		{"retired retune", Record{Kind: RecordRetiredRetune, Seq: 10, Epoch: 4, Template: "Q8", Retired: mustHex(t,
+			"010001000300"+"0000000000000000"+"000000000000e03f"+"000000000000f03f")},
 			"33000000ee7867eb030a000000000000000400000000000000020051380100010003000000000000000000000000000000e03f000000000000f03f"},
 	} {
 		want, err := hex.DecodeString(tc.hex)
@@ -52,7 +55,7 @@ func TestFrameGolden(t *testing.T) {
 }
 
 // TestEveryKindRoundTripsItsSmallestRecord: a kind's minimum payload is its
-// own — empty template, no point, no knots — not the feedback kind's. Held
+// own — empty template, no point, no tail bytes — not the feedback kind's. Held
 // to one shared minimum, Append wrote a 25-byte (or, with a ten-byte
 // template name, 35-byte) retune payload that the next scan reported as an
 // implausible record length and truncated the log at.
@@ -69,7 +72,7 @@ func TestEveryKindRoundTripsItsSmallestRecord(t *testing.T) {
 				t.Errorf("kind %d, template %q: %d-byte payload does not decode: %v", kind, name, len(frame)-frameOverhead, err)
 				continue
 			}
-			if n != len(frame) || got.Kind != rec.Kind || got.Seq != 1 || got.Template != name || len(got.Point) != 0 || len(got.Warps) != 0 {
+			if n != len(frame) || got.Kind != rec.Kind || got.Seq != 1 || got.Template != name || len(got.Point) != 0 || len(got.Retired) != 0 {
 				t.Errorf("kind %d, template %q: round trip gave %+v (%d of %d bytes)", kind, name, got, n, len(frame))
 			}
 			// One byte short of the kind's minimum is not a record of it.
@@ -84,10 +87,11 @@ func TestEveryKindRoundTripsItsSmallestRecord(t *testing.T) {
 		}
 	}
 
-	// And through a real log: append each smallest record, scan them back.
+	// And through a real log: append each writable kind's smallest record,
+	// scan them back.
 	dir := t.TempDir()
 	l, _ := openTest(t, Options{Dir: dir})
-	for _, kind := range []uint8{RecordFeedback, RecordCorrection, RecordRetune} {
+	for _, kind := range []uint8{RecordFeedback, RecordCorrection} {
 		if _, err := l.Append(&Record{Kind: kind}); err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +103,40 @@ func TestEveryKindRoundTripsItsSmallestRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Records) != 3 || rec.TornBytes != 0 || rec.Corrupt {
-		t.Fatalf("scan found %d of 3 smallest records (torn %d bytes: %q)", len(rec.Records), rec.TornBytes, rec.Reason)
+	if len(rec.Records) != 2 || rec.TornBytes != 0 || rec.Corrupt {
+		t.Fatalf("scan found %d of 2 smallest records (torn %d bytes: %q)", len(rec.Records), rec.TornBytes, rec.Reason)
 	}
+}
+
+// TestAppendRefusesRetiredKind: no build writes a retired kind, so Append
+// returns an error for one and the log stays as it was — its next record
+// takes the sequence the refused one would have.
+func TestAppendRefusesRetiredKind(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openTest(t, Options{Dir: dir})
+	if seq, err := l.Append(&Record{Kind: RecordRetiredRetune, Template: "Q1", Retired: []byte{1}}); err == nil || seq != 0 {
+		t.Fatalf("Append of the retired kind: seq %d, err %v; want an error", seq, err)
+	}
+	if seq, err := l.Append(&Record{Kind: RecordFeedback, Template: "Q1", Point: []float64{0.5}}); err != nil || seq != 1 {
+		t.Fatalf("Append after the refusal: seq %d, err %v; want 1", seq, err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Scan(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Records) != 1 || rec.Records[0].Kind != RecordFeedback || rec.TornBytes != 0 || rec.Corrupt {
+		t.Fatalf("scan found %+v (torn %d bytes: %q); want the one feedback record", rec.Records, rec.TornBytes, rec.Reason)
+	}
+}
+
+func mustHex(t *testing.T, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

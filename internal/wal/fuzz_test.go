@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -21,9 +22,10 @@ func FuzzDecodeFrame(f *testing.F) {
 			Cost: -2.25, Point: []float64{0, 0, 0, 0, 0, 0, 0, 0}},
 		{Kind: RecordCorrection, Seq: 2, CorrEpoch: 3, Template: "Q1", Site: 2, LogC: -0.5, N: 11, Ref: 0.25},
 		{Kind: RecordCorrection, Seq: 3},
-		{Kind: RecordRetune, Seq: 4, RetuneEpoch: 1, Template: "Q8", WarpT: 1, WarpS: 2, WarpK: 3,
-			Warps: []float64{0, 0.5, 1, 0, 0.25, 1}},
-		{Kind: RecordRetune, Seq: 5},
+		// The retired kind as older builds wrote it: a re-tune's two warps of
+		// three knots (u16 t, s, k, then the knots), and one with no tail.
+		{Kind: RecordRetiredRetune, Seq: 4, Epoch: 1, Template: "Q8", Retired: retiredTail(1, 2, 3, 0, 0.5, 1, 0, 0.25, 1)},
+		{Kind: RecordRetiredRetune, Seq: 5},
 	}
 	for _, r := range seedRecs {
 		f.Add(encodeFrame(nil, r))
@@ -54,6 +56,18 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("decode/encode not inverse:\n in  %x\n out %x", data[:n], round)
 		}
 	})
+}
+
+// retiredTail is the tail of a retired re-tune record: the warp grid's
+// shape, then its knots.
+func retiredTail(t, s, k uint16, knots ...float64) []byte {
+	b := binary.LittleEndian.AppendUint16(nil, t)
+	b = binary.LittleEndian.AppendUint16(b, s)
+	b = binary.LittleEndian.AppendUint16(b, k)
+	for _, v := range knots {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
 }
 
 // FuzzScan feeds an arbitrary byte blob as a single segment file and checks

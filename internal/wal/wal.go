@@ -1,11 +1,11 @@
 // Package wal is the durability layer of the PPC runtime: an append-only,
 // segment-rotated write-ahead log of learner events. A learner logs every
-// event — a labeled plan space point, a correction site's new state, a
-// tunable-LSH switch — through the Appender seam before the event takes
-// effect in memory, so a crash loses no acknowledged training signal:
-// recovery loads the latest checkpoint and replays only the WAL tail
-// (records newer than what the checkpoint's learners had applied), and a
-// replica replays the same records as they are shipped.
+// event — a labeled plan space point, a correction site's new state —
+// through the Appender seam before the event takes effect in memory, so a
+// crash loses no acknowledged training signal: recovery loads the latest
+// checkpoint and replays only the WAL tail (records newer than what the
+// checkpoint's learners had applied), and a replica replays the same
+// records as they are shipped.
 //
 // Design constraints, in order:
 //
@@ -32,8 +32,8 @@
 //	         i64 plan | f64 cost | u8 selfLabeled | u16 dims | f64*dims
 //	tail (kind 2, correction; epoch = the correction epoch after the update):
 //	         u32 site | f64 logc | u64 n | f64 ref
-//	tail (kind 3, retune; epoch = the re-tune epoch after the switch):
-//	         u16 t | u16 s | u16 k | f64*(t*s*k) warp knots
+//	tail (kind 3, retired: an older build's tunable-LSH re-tune):
+//	         bytes, read by the payload length and never interpreted
 //
 // A record kind is declared once, as an entry of the kinds table: the size
 // of its tail's fixed part, the length of the variable part, an encoder and
@@ -84,10 +84,9 @@ const (
 	// template name: kind, seq, epoch, name length. A kind's own minimum is
 	// this plus its tail's fixed part (kinds).
 	minPayload = 1 + 8 + 8 + 2
-	// The fixed parts of the three tails (layouts in the package comment).
+	// The fixed parts of the live tails (layouts in the package comment).
 	feedbackFixed   = 8 + 8 + 1 + 2
 	correctionFixed = 4 + 8 + 8 + 8
-	retuneFixed     = 2 + 2 + 2
 
 	// DefaultSegmentBytes rotates segments at 4 MiB.
 	DefaultSegmentBytes = 4 << 20
@@ -102,17 +101,19 @@ var walCRC = crc32.MakeTable(crc32.Castagnoli)
 var le = binary.LittleEndian
 
 // Record kinds. The kind byte is first in every payload so the framing is
-// shared; unknown kinds stop a scan (they cannot be skipped trustably).
+// shared; unknown kinds stop a scan (they cannot be skipped trustably), so a
+// kind no build writes any more stays declared, as retired.
 const (
 	// RecordFeedback is one labeled plan space point for a learner.
 	RecordFeedback uint8 = 1
 	// RecordCorrection is one adaptive-statistics correction site update:
 	// the absolute post-update EWMA state, so replay is idempotent.
 	RecordCorrection uint8 = 2
-	// RecordRetune is one tunable-LSH re-tune event: the absolute warp knot
-	// vectors the learner switched to, so replay (and replicas) rebuild the
-	// identical mapping without re-deriving it from harvested counts.
-	RecordRetune uint8 = 3
+	// RecordRetiredRetune is retired: the tunable-LSH re-tune event older
+	// builds logged. A log or a ship stream may still hold one, so its
+	// frames are checksummed and read whole by their length, and replay
+	// counts it stale; Append refuses it.
+	RecordRetiredRetune uint8 = 3
 )
 
 // Record is the one durable form of a learner event: what a writer hands
@@ -127,6 +128,10 @@ const (
 //
 // Correction fields: CorrEpoch is the template's correction epoch after the
 // update; Site/LogC/N/Ref are the site's absolute post-update state.
+//
+// A retired kind's record keeps its frame unread: the prefix's epoch slot
+// in Epoch and the tail's bytes in Retired, so it re-encodes to the bytes
+// it was read from (a ship stream forwards what the log holds).
 type Record struct {
 	Kind        uint8
 	Seq         uint64
@@ -143,14 +148,7 @@ type Record struct {
 	N         uint64
 	Ref       float64
 
-	// Retune fields: RetuneEpoch is the learner's re-tune epoch after the
-	// switch; WarpT×WarpS warps of WarpK knots each, flattened row-major
-	// into Warps (transform-major, then axis, then knot).
-	RetuneEpoch uint64
-	WarpT       uint16
-	WarpS       uint16
-	WarpK       uint16
-	Warps       []float64
+	Retired []byte
 }
 
 // MaxTemplateName bounds a template name in bytes: a record frames the name
@@ -547,7 +545,8 @@ func (s *segTail) next(out *[]Record) (reason string) {
 // kindSpec declares one record kind: everything the codec knows about it.
 // A payload is the shared prefix `u8 kind | u64 seq | u64 epoch | u16
 // len(template) template` followed by the kind's tail — fixed bytes, then a
-// run of float64s whose count the fixed part states. The prefix, the frame,
+// run of float64s whose count the fixed part states (a retired kind's tail
+// is bytes, kept whole). The prefix, the frame,
 // the checksum and the length checks live in encodeFrame and decodePayload;
 // a new kind is one entry here plus its arm of core's replay switch.
 //
@@ -567,6 +566,9 @@ type kindSpec struct {
 	// which holds at least fixed bytes. A non-empty reason means the count
 	// in the fixed part disagrees with the tail's length.
 	decode func(epoch uint64, tail []byte) (r Record, reason string)
+	// retired marks a kind no build writes any more: read and re-encoded
+	// whole, refused by Append.
+	retired bool
 }
 
 // kinds is the record-kind table, indexed by the kind byte.
@@ -622,27 +624,19 @@ var kinds = [...]kindSpec{
 			return r, ""
 		},
 	},
-	RecordRetune: {
-		// u16 t | u16 s | u16 k | f64*(t*s*k) warp knots
-		fixed:    retuneFixed,
-		variable: func(r Record) int { return 8 * len(r.Warps) },
+	RecordRetiredRetune: {
+		// bytes, never interpreted
+		variable: func(r Record) int { return len(r.Retired) },
 		encode: func(r Record, p []byte) uint64 {
-			le.PutUint16(p[0:], r.WarpT)
-			le.PutUint16(p[2:], r.WarpS)
-			le.PutUint16(p[4:], r.WarpK)
-			putFloats(p[retuneFixed:], r.Warps)
-			return r.RetuneEpoch
+			copy(p, r.Retired)
+			return uint64(r.Epoch)
 		},
 		decode: func(epoch uint64, p []byte) (r Record, reason string) {
-			r.RetuneEpoch = epoch
-			r.WarpT, r.WarpS, r.WarpK = le.Uint16(p[0:]), le.Uint16(p[2:]), le.Uint16(p[4:])
-			n := int(r.WarpT) * int(r.WarpS) * int(r.WarpK)
-			if retuneFixed+8*n != len(p) {
-				return r, fmt.Sprintf("retune record knot count %d disagrees with payload length", n)
-			}
-			r.Warps = floats(p[retuneFixed:], n)
+			r.Epoch = int64(epoch)
+			r.Retired = append([]byte(nil), p...)
 			return r, ""
 		},
+		retired: true,
 	},
 }
 
@@ -751,8 +745,12 @@ func encodeFrame(buf []byte, rec *Record) []byte {
 // in the OS page cache; durability is Commit's job. On failure the segment
 // is truncated back to the last good record boundary so the log stays
 // well-formed, and the error is returned for the caller to count — the
-// in-memory learner keeps going either way.
+// in-memory learner keeps going either way. A record of a retired kind is
+// refused with an error and nothing is written.
 func (l *Log) Append(rec *Record) (uint64, error) {
+	if spec := specFor(rec.Kind); spec != nil && spec.retired {
+		return 0, fmt.Errorf("wal: append of retired record kind %d", rec.Kind)
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {

@@ -41,7 +41,7 @@ type LearnerMetrics struct {
 	SelfLabeled int `json:"self_labeled_points"`
 	Resets      int `json:"drift_resets"`
 	// SnapshotPublishes counts immutable model publications, whatever
-	// caused them (an apply batch, a drift reset, a re-tune, a restore);
+	// caused them (an apply batch, a drift reset, a restore);
 	// StaleFeedbackDrops counts feedback discarded because a drift reset
 	// intervened between its creation and its application.
 	SnapshotPublishes  int64 `json:"snapshot_publishes"`
@@ -53,9 +53,6 @@ type LearnerMetrics struct {
 	// AppliedSeq is the WAL sequence number of the newest feedback point in
 	// the synopsis (0 when durability is disabled or nothing was logged).
 	AppliedSeq uint64 `json:"applied_seq"`
-	// RetuneEpoch is the published model's tunable-LSH re-tune epoch (0 =
-	// base mapping).
-	RetuneEpoch uint64 `json:"retune_epoch"`
 	// CorrectionEpoch and CorrectionSites report the adaptive statistics
 	// layer's state for this template: the correction epoch and the number
 	// of predicate sites whose factor is past cold start. Both zero when
@@ -91,8 +88,9 @@ type CacheMetrics struct {
 
 // MetricsSnapshotSchema identifies the MetricsSnapshot JSON format; bump
 // on incompatible changes. v2 removed every key that repeated a fact under a
-// second name (README "Observability" lists each and what replaces it).
-const MetricsSnapshotSchema = "ppc-metrics/v2"
+// second name (README "Observability" lists each and what replaces it); v3
+// removed the learner's tunable-LSH epoch gauge with the feature.
+const MetricsSnapshotSchema = "ppc-metrics/v3"
 
 // MetricsSnapshot is a stable, JSON-serializable copy of the System's
 // serving-path metrics: per-template counters and latency histograms,
@@ -136,7 +134,6 @@ func (st *templateState) metrics() TemplateMetrics {
 			StaleFeedbackDrops: st.online.StaleFeedbackDrops(),
 			QueueDepth:         depth,
 			AppliedSeq:         st.online.AppliedSeq(),
-			RetuneEpoch:        model.RetuneEpoch(),
 			WindowSamples:      est.SampleCount(),
 		},
 	}

@@ -531,11 +531,11 @@ func TestTraceDisabled(t *testing.T) {
 	}
 }
 
-// metricsKeysV2 is the golden key list of one template's element of a
-// ppc-metrics/v2 snapshot: its top-level keys, and every key of the three
+// metricsKeysV3 is the golden key list of one template's element of a
+// ppc-metrics/v3 snapshot: its top-level keys, and every key of the three
 // objects named after who counts what is in them. A key is added here on
 // purpose or not at all; a removal or a rename is a schema bump.
-var metricsKeysV2 = []string{
+var metricsKeysV3 = []string{
 	"apply_latency",
 	"breaker",
 	"breaker.error_trips",
@@ -579,7 +579,6 @@ var metricsKeysV2 = []string{
 	"learner.precision_known",
 	"learner.recall",
 	"learner.recall_known",
-	"learner.retune_epoch",
 	"learner.samples_absorbed",
 	"learner.self_labeled_points",
 	"learner.snapshot_publishes",
@@ -599,8 +598,8 @@ var metricsKeysV2 = []string{
 // null_predictions, snapshot_publishes and drift_resets twice per template,
 // with different values — and the key list is the golden above.
 func TestMetricsOneCounterPerFact(t *testing.T) {
-	if MetricsSnapshotSchema != "ppc-metrics/v2" {
-		t.Fatalf("schema %q: the golden key list below is ppc-metrics/v2's", MetricsSnapshotSchema)
+	if MetricsSnapshotSchema != "ppc-metrics/v3" {
+		t.Fatalf("schema %q: the golden key list above is ppc-metrics/v3's", MetricsSnapshotSchema)
 	}
 	sys := openSmall(t)
 	if err := sys.Register("Q1", sqlFor(t, "Q1")); err != nil {
@@ -639,8 +638,8 @@ func TestMetricsOneCounterPerFact(t *testing.T) {
 		}
 	}
 	sort.Strings(keys)
-	if !reflect.DeepEqual(keys, metricsKeysV2) {
-		t.Errorf("ppc-metrics/v2 keys moved (update metricsKeysV2 and README \"Observability\" on purpose, or bump the schema):\n got %q\nwant %q", keys, metricsKeysV2)
+	if !reflect.DeepEqual(keys, metricsKeysV3) {
+		t.Errorf("ppc-metrics/v3 keys moved (update metricsKeysV3 and README \"Observability\" on purpose, or bump the schema):\n got %q\nwant %q", keys, metricsKeysV3)
 	}
 }
 

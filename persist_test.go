@@ -326,7 +326,6 @@ func TestRestoreIntoSmallerCache(t *testing.T) {
 func TestSnapshotRoundTripIsByteIdentical(t *testing.T) {
 	online := onlineForTest()
 	online.InvocationProb = 1e-9 // no random audits: a warm point is a hit
-	online.Core.RetuneEvery = 15
 	opts := Options{
 		TPCH: tpch.Config{Scale: 2000, Seed: 5}, Online: online, FeedbackQueue: -1, CacheCapacity: 6,
 	}

@@ -56,8 +56,7 @@ type Options struct {
 	CacheCapacity int
 	// Online configures the per-template learners. Core.Dims and
 	// Core.OutDims must be left 0: each template's learner takes its
-	// dimensionality from the template's parameter degree. Tunable LSH is
-	// Core.RetuneEvery / Core.RetuneReservoir (off by default).
+	// dimensionality from the template's parameter degree.
 	Online core.OnlineConfig
 	// Breaker configures the per-template circuit breaker; the zero value
 	// uses the defaults documented on metrics.BreakerConfig.
