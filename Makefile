@@ -14,7 +14,9 @@ PROFILE_DIR ?= profiles
 # allocation counts, so the guards skip themselves under -race).
 # TestServingPathZeroAlloc holds predict/insert/WAL-append and a hit's
 # recost (RebindRecost) at exactly zero allocs; TestRunPathAllocBudget holds
-# the full batched Run path under its 10 allocs/op budget;
+# the full batched Run path under its 10 allocs/op budget and
+# TestMissPathAllocBudget the miss path (NULL predict, OptimizeMemo, intern,
+# execute, feedback on Q3/Q4/Q8) under its 50;
 # TestDurableApplyAllocBudget holds the learner → sink → wal.Log write path
 # to what the same batch allocates with no log attached;
 # TestExecSteadyStateAllocs holds a warmed CompiledPlan.Exec to its result's
@@ -41,7 +43,7 @@ tier1:
 		echo "gofmt -l . names:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -run 'TestServingPathZeroAlloc|TestRunPathAllocBudget|TestDurableApplyAllocBudget|TestExecSteadyStateAllocs|TestCountOnlyJoinRecordsNoPairs|TestUnorderedScanBuildsNoBitmap|TestColumnFactsLearnedOnce|TestFreezePublishCost|TestRunHandlerAllocBudget' -count=1 . ./internal/executor ./internal/core ./cmd/ppcserve
+	$(GO) test -run 'TestServingPathZeroAlloc|TestRunPathAllocBudget|TestMissPathAllocBudget|TestDurableApplyAllocBudget|TestExecSteadyStateAllocs|TestCountOnlyJoinRecordsNoPairs|TestUnorderedScanBuildsNoBitmap|TestColumnFactsLearnedOnce|TestFreezePublishCost|TestRunHandlerAllocBudget' -count=1 . ./internal/executor ./internal/core ./cmd/ppcserve
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench -short ./...
 

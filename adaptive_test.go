@@ -139,8 +139,9 @@ func TestAdaptiveStatsReduceQError(t *testing.T) {
 // TestAdaptiveStatsFlipPlanChoice: the 6x overestimate pushes the
 // optimizer off the plan it would pick with truthful statistics; once the
 // corrections converge, the same optimizer at the same parameter values
-// must flip back to the undistorted choice — and memo caches must have
-// re-derived (invalidation counted) rather than serving stale costs.
+// must flip back to the undistorted choice — and so must the memo the
+// template has held since it registered, which reads the corrections per
+// call rather than serving costs from when it was built.
 func TestAdaptiveStatsFlipPlanChoice(t *testing.T) {
 	// Ground truth: no distortion.
 	truth, err := Open(Options{
@@ -169,6 +170,10 @@ func TestAdaptiveStatsFlipPlanChoice(t *testing.T) {
 		t.Fatal(err)
 	}
 	fingerprint := func(sys *System) string {
+		tmpl, err := sys.Template("Q1")
+		if err != nil {
+			t.Fatal(err)
+		}
 		plan, err := sys.Optimizer().Optimize(tmpl.Query, probe.Values)
 		if err != nil {
 			t.Fatal(err)
@@ -190,15 +195,18 @@ func TestAdaptiveStatsFlipPlanChoice(t *testing.T) {
 	if warmFP := fingerprint(adaptive); warmFP != truthFP {
 		t.Errorf("corrected optimizer picks %s, undistorted optimizer picks %s", warmFP, truthFP)
 	}
-	// The correction shift invalidated the template's memo.
-	snap, err := adaptive.MetricsSnapshot()
+	// The memo Run's optimizer call uses, held since registration, flips
+	// too: it reads the corrections as they are now.
+	st, err := adaptive.lookup("Q1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tm := range snap.Templates {
-		if tm.Template == "Q1" && tm.Counters.MemoInvalidations == 0 {
-			t.Error("plan crossover moved but no memo invalidation was counted")
-		}
+	held, err := adaptive.opt.OptimizeMemo(st.memo, probe.Values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if held.Fingerprint != truthFP {
+		t.Errorf("the held memo picks %s, undistorted optimizer picks %s", held.Fingerprint, truthFP)
 	}
 }
 

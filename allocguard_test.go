@@ -56,6 +56,26 @@ func TestRunPathAllocBudget(t *testing.T) {
 	}
 }
 
+// TestMissPathAllocBudget holds the Run path most miss_optimize runs take —
+// NULL predict, OptimizeMemo, naming or interning the winner, execute,
+// feedback — to 50 allocs/op. The measured steady state is 28–31 on a
+// 2-vCPU host (the run, its point and result, the executed result's
+// allocations, and the amortized model publishes and first-sight compiles
+// of a learner that is still absorbing misses), so the slack absorbs
+// publish timing and scheduler noise, while one allocation per DP entry or
+// per join candidate — hundreds per optimization — fails it.
+func TestMissPathAllocBudget(t *testing.T) {
+	if benchsuite.RaceEnabled {
+		t.Skip("race detector's shadow memory inflates allocation counts")
+	}
+	if testing.Short() {
+		t.Skip("allocation guard runs full benchmarks; skipped in -short")
+	}
+	if err := benchsuite.CheckAllocBudget(os.Stderr, "MissPathRun", 50); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestDurableApplyAllocBudget holds the whole durable write path — learner
 // → the facade's per-template sink → wal.Log — to what it allocated before
 // the three logger interfaces became one seam: 57 allocations for a batch of

@@ -27,9 +27,9 @@ func (c *countingProvider) Column(table, col string) (stats.Column, error) {
 // template registers (its memo), at its first run (its parameters) and when
 // a plan is compiled (its rebind program); after that a cache hit — point,
 // recost, cardinality attribution — asks the provider for no column, and
-// neither does a memo refresh after a correction-epoch bump, because the
-// memo's shape kept the joins' base selectivities. A plan that was evicted
-// and comes back is compiled, and bound, once.
+// neither does an optimizer call after the corrections move, because the
+// memo kept the joins' base selectivities and reads the factors per call. A
+// plan that was evicted and comes back is compiled, and bound, once.
 func TestHitsResolveNoColumns(t *testing.T) {
 	var counter *countingProvider
 	sys, err := Open(Options{
@@ -106,28 +106,38 @@ func TestHitsResolveNoColumns(t *testing.T) {
 	}
 	hits("warm", 200)
 
-	// A correction-epoch bump: the memo is refreshed from its shape.
+	// The corrections move on every site: the next optimizer call reads the
+	// new factors and resolves nothing.
 	for _, name := range names {
 		st, err := sys.lookup(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		epoch := st.corr.Epoch()
-		for i := 0; st.corr.Epoch() == epoch; i++ {
-			if i == 100 {
-				t.Fatalf("%s: the correction epoch never moved", name)
-			}
-			st.corr.Apply([]stats.Obs{{Site: 1, LogQ: 1.5}}, nil)
+		corr := st.tmpl.Query.Corr
+		obs := make([]stats.Obs, corr.NSites())
+		for i := range obs {
+			obs[i] = stats.Obs{Site: i + 1, LogQ: 1.5}
+		}
+		epoch := corr.Epoch()
+		for i := 0; i < 3; i++ {
+			corr.Apply(obs, nil)
+		}
+		if corr.Epoch() == epoch {
+			t.Fatalf("%s: the corrections did not move", name)
+		}
+		inst, err := sys.opt.InstanceAt(st.tmpl, make([]float64, st.tmpl.Degree()))
+		if err != nil {
+			t.Fatal(err)
 		}
 		before := counter.columns.Load()
-		if m := sys.memoFor(st); m.StatsEpoch != st.corr.Epoch() {
-			t.Fatalf("%s: memo at epoch %d after a bump to %d", name, m.StatsEpoch, st.corr.Epoch())
+		if _, err := sys.opt.OptimizeMemo(st.memo, inst.Values); err != nil {
+			t.Fatal(err)
 		}
 		if resolved := counter.columns.Load() - before; resolved != 0 {
-			t.Fatalf("%s: the memo refresh resolved %d columns", name, resolved)
+			t.Fatalf("%s: an optimizer call after the corrections moved resolved %d columns", name, resolved)
 		}
 	}
-	hits("after an epoch bump", 50)
+	hits("after the corrections move", 50)
 
 	// Evict everything (placeholder entries under ids no learner predicts),
 	// then come back: each plan that returns is compiled and bound once.

@@ -114,6 +114,23 @@ func TestMutatingEndpointsRequirePOST(t *testing.T) {
 	if resp.StatusCode == http.StatusMethodNotAllowed {
 		t.Error("POST /checkpoint rejected as a method error")
 	}
+	// A POST /run that names no instance is the client's error, never a run.
+	for query, want := range map[string]int{
+		"template=Q1&values=0.3":     http.StatusBadRequest, // wrong arity
+		"template=Q1&values=x,0.4":   http.StatusBadRequest, // not a number
+		"template=Q1&values=NaN,0.4": http.StatusBadRequest, // no plan-space point
+		"template=Q9&values=0.3,0.4": http.StatusNotFound,
+	} {
+		resp, err := http.Post(srv.URL+"/run?"+query, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		resp.Body.Close()              //nolint:errcheck
+		if resp.StatusCode != want {
+			t.Errorf("POST /run?%s = %d, want %d", query, resp.StatusCode, want)
+		}
+	}
 }
 
 // checkRunReply POSTs url and holds the reply to res, the twin's result for

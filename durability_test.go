@@ -360,10 +360,10 @@ func corrState(t *testing.T, sys *System) (epoch, seq uint64, sites []stats.Site
 		t.Fatal(err)
 	}
 	st.flush()
-	if st.corr == nil {
+	if st.tmpl.Query.Corr == nil {
 		t.Fatal("adaptive statistics layer is off; correction recovery is vacuous")
 	}
-	return st.corr.State()
+	return st.tmpl.Query.Corr.State()
 }
 
 // TestCorrectionCrashRecovery is the adaptive-statistics half of the

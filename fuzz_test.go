@@ -214,6 +214,16 @@ func FuzzDecode(f *testing.F) {
 	f.Add(decoderIndex(f, "plan-tree"), tree[:len(tree)/2])
 	f.Add(checkpoint, append([]byte("PPCSNAP\x00\x01\x00"), make([]byte, 22)...))
 
+	// A learner state whose corrections section holds a NaN site EWMA
+	// (section header, site count, five config words, epoch and watermark
+	// before it): refused, so the template restores correction-cold.
+	nanCorr := append([]byte(nil), state...)
+	binary.LittleEndian.PutUint64(nanCorr[offs[0]+8+4+5*8+2*8:], math.Float64bits(math.NaN()))
+	f.Add(learner, nanCorr)
+	if _, err := decoders[learner].recode(nanCorr); err == nil || !strings.Contains(err.Error(), "non-finite") {
+		f.Fatalf("a corrections section with a NaN site: %v, want it refused", err)
+	}
+
 	// Every whole seed is accepted, so the fuzzer starts inside each decoder.
 	whole := map[uint8][]byte{checkpoint: file, learner: state, decoderIndex(f, "plan-tree"): tree}
 	for which, body := range messages {

@@ -56,7 +56,8 @@ func CheckZeroAlloc(progress io.Writer, names ...string) error {
 // paths that legitimately allocate (the full Run path materializes result
 // rows) but whose allocation count is a budgeted contract: tier 1 holds
 // EndToEndRun to 10 allocs/op, down from ~6,800 in the per-row executor,
-// and this guard keeps the batched operators from backsliding.
+// and MissPathRun to 50, so neither the batched operators nor the join
+// enumeration backslides.
 func CheckAllocBudget(progress io.Writer, name string, budget float64) error {
 	if progress != nil {
 		fmt.Fprintf(progress, "alloc budget: %s (<= %.0f allocs/op)...\n", name, budget)
@@ -73,7 +74,8 @@ func CheckAllocBudget(progress io.Writer, name string, budget float64) error {
 }
 
 // guarded is every body an allocation guard may name: ZeroAllocBenchmarks
-// plus EndToEndRun, which TestRunPathAllocBudget holds to its budget.
+// plus EndToEndRun and MissPathRun, which TestRunPathAllocBudget and
+// TestMissPathAllocBudget hold to their budgets.
 var guarded = map[string]func(*testing.B){
 	"PredictApproxLSHHist":  PredictApproxLSHHist,
 	"PredictModelSnapshot":  PredictModelSnapshot,
@@ -83,6 +85,7 @@ var guarded = map[string]func(*testing.B){
 	"ReplicaPredict":        ReplicaPredict,
 	"RebindRecost":          RebindRecost,
 	"EndToEndRun":           EndToEndRun,
+	"MissPathRun":           MissPathRun,
 }
 
 // measure runs one guarded body under testing.Benchmark. A zero-iteration

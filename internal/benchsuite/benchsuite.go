@@ -1,5 +1,5 @@
 // Package benchsuite holds the serving-path benchmark bodies that tests
-// read: the eight bodies the allocation guards measure (allocguard.go), and
+// read: the nine bodies the allocation guards measure (allocguard.go), and
 // the Run-path bodies `go test -bench` and `make profile` drive through the
 // wrappers in bench_suite_test.go at the repo root. Timings are for working
 // with on one host; the benchmark that compares two builds is bench/.
@@ -263,6 +263,70 @@ func EndToEndRun(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// MissPathRun is the miss_optimize shape: Run on the multi-join templates at
+// uniform plan-space points on the benchmark's database (scale 1000, seed
+// 2012), where the learner rarely has a confident answer and nearly every
+// run pays NULL-predict, OptimizeMemo, intern/compile and feedback. Every
+// run gets a fresh point, drawn 512 per template at a time with the timer
+// stopped: a pool cycled again is learned, and the share of runs that
+// invoke the optimizer (reported as invoked/op, about miss_optimize's 0.93)
+// would fall as -benchtime grows. Each call opens its own System, so every
+// measurement starts cold and draws the same points.
+func MissPathRun(b *testing.B) {
+	sys, err := ppc.Open(ppc.Options{TPCH: tpch.Config{Scale: 1000, Seed: 2012}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sys.Close()
+	names := []string{"Q3", "Q4", "Q8"}
+	tmpls := make([]*optimizer.Template, len(names))
+	for k, name := range names {
+		tm, err := queries.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := sys.Register(name, tm.SQL); err != nil {
+			b.Fatal(err)
+		}
+		if tmpls[k], err = sys.Template(name); err != nil {
+			b.Fatal(err)
+		}
+	}
+	const chunk = 512
+	values := make([][][]float64, len(names))
+	draw := func(round int) {
+		for k, tm := range tmpls {
+			values[k] = values[k][:0]
+			for _, point := range workload.Uniform(tm.Degree(), chunk, int64(round*len(names)+k)) {
+				inst, err := sys.Optimizer().InstanceAt(tm, point)
+				if err != nil {
+					b.Fatal(err)
+				}
+				values[k] = append(values[k], inst.Values)
+			}
+		}
+	}
+	invoked := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k, j := i%len(names), i/len(names)
+		if k == 0 && j%chunk == 0 {
+			b.StopTimer()
+			draw(j / chunk)
+			b.StartTimer()
+		}
+		res, err := sys.Run(names[k], values[k][j%chunk])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Invoked {
+			invoked++
+		}
+	}
+	b.ReportMetric(float64(invoked)/float64(b.N), "invoked/op")
 }
 
 // RebindRecost measures what a cache hit pays to cost its plan: one

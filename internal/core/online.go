@@ -528,18 +528,16 @@ func (o *Online) logLocked() {
 
 // ApplyCorrections folds one run's attributed cardinality observations into
 // the attached correction state, logging each touched site's post-update
-// state before its factor publishes and group-committing the records. It
-// reports whether the template's correction epoch advanced; a no-op without
-// attached corrections.
-func (o *Online) ApplyCorrections(batch []stats.Obs) (epochBumped bool) {
+// state before its factor publishes and group-committing the records; a
+// no-op without attached corrections.
+func (o *Online) ApplyCorrections(batch []stats.Obs) {
 	if o.corr == nil || len(batch) == 0 {
-		return false
+		return
 	}
-	epochBumped = o.corr.Apply(batch, o.log)
+	o.corr.Apply(batch, o.log)
 	// An fsync error is counted by the log's own observer and retried with
 	// the next batch.
 	o.commitWAL()
-	return epochBumped
 }
 
 // commitWAL runs the group-commit barrier outside the learner lock (an

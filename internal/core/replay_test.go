@@ -208,6 +208,7 @@ func FuzzReplayRecords(f *testing.F) {
 		{Kind: wal.RecordCorrection, Seq: 7, Site: 99},
 		{Kind: wal.RecordCorrection, Seq: 0, Site: 0},
 		{Kind: wal.RecordFeedback, Seq: 1 << 63, Point: []float64{0.5, 0.5}},
+		{Kind: wal.RecordCorrection, Seq: 8, CorrEpoch: 2, Site: 2, LogC: math.NaN(), N: 5, Ref: 0.25},
 	}
 	for i := range odd {
 		f.Add(wal.AppendFrame(nil, &odd[i]))

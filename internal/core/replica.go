@@ -11,6 +11,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/netproto"
 )
@@ -33,8 +34,9 @@ func (o *Online) PredictModel(x []float64) (Prediction, float64, bool) {
 // the body the leader's and the replica's PredictRPC share once each has
 // resolved req.Template to its driver. fingerprint resolves a plan id
 // against the caller's copy of the dense fingerprint table ("" when the id
-// is unknown there). Never invokes the optimizer and never feeds the
-// learner: an RPC is a read.
+// is unknown there). A point of the wrong dimension, or with a NaN
+// coordinate — no plan-space point — is a StatusBadRequest. Never invokes
+// the optimizer and never feeds the learner: an RPC is a read.
 func (o *Online) AnswerPredict(req netproto.PredictRequest, fingerprint func(plan int) string) netproto.PredictResult {
 	res := netproto.PredictResult{ID: req.ID}
 	if len(req.Point) != o.Dims() {
@@ -42,6 +44,13 @@ func (o *Online) AnswerPredict(req netproto.PredictRequest, fingerprint func(pla
 		res.ErrMsg = fmt.Sprintf("point has %d coordinates, template %s expects %d",
 			len(req.Point), req.Template, o.Dims())
 		return res
+	}
+	for i, x := range req.Point {
+		if math.IsNaN(x) {
+			res.Status = netproto.StatusBadRequest
+			res.ErrMsg = fmt.Sprintf("point coordinate %d is NaN", i)
+			return res
+		}
 	}
 	pred, costEst, costOK := o.PredictModel(req.Point)
 	res.Epoch = o.Epoch()

@@ -151,10 +151,8 @@ type TemplateObs struct {
 	applyBatches     atomic.Uint64
 
 	// Adaptive-statistics health: per-run estimation q-errors (estimated
-	// vs. observed operator cardinalities, attributed to predicate sites)
-	// and memo rebuilds forced by correction-epoch movement.
-	memoInvalidations atomic.Uint64
-	qerror            QHist
+	// vs. observed operator cardinalities, attributed to predicate sites).
+	qerror QHist
 
 	predict  Hist
 	optimize Hist
@@ -236,10 +234,6 @@ func (t *TemplateObs) RecordApply(d time.Duration) {
 // for an operator attributed to a template predicate site).
 func (t *TemplateObs) RecordQError(q float64) { t.qerror.Record(q) }
 
-// CountMemoInvalidation records a memo rebuild forced by the adaptive
-// statistics epoch moving past the one the memo was built at.
-func (t *TemplateObs) CountMemoInvalidation() { t.memoInvalidations.Add(1) }
-
 // Trace returns the template's recent trace records, oldest first (nil
 // when tracing is disabled).
 func (t *TemplateObs) Trace() []TraceRecord { return t.ring.Snapshot() }
@@ -280,8 +274,9 @@ type CounterSnapshot struct {
 	FeedbackEnqueued uint64 `json:"feedback_enqueued"`
 	FeedbackDeferred uint64 `json:"feedback_deferred"`
 	ApplyBatches     uint64 `json:"apply_batches"`
-	// MemoInvalidations counts memo rebuilds forced by correction-epoch
-	// movement in the adaptive statistics layer.
+	// MemoInvalidations is always 0: a memo reads correction factors per
+	// call and is never rebuilt. The key stays in ppc-metrics/v3 for the
+	// readers that still name it (ROADMAP item 1).
 	MemoInvalidations uint64 `json:"memo_invalidations"`
 }
 
@@ -316,7 +311,6 @@ func (t *TemplateObs) Snapshot() TemplateSnapshot {
 		FeedbackEnqueued:     t.feedbackEnqueued.Load(),
 		FeedbackDeferred:     t.feedbackDeferred.Load(),
 		ApplyBatches:         t.applyBatches.Load(),
-		MemoInvalidations:    t.memoInvalidations.Load(),
 	}
 	return TemplateSnapshot{
 		Template:         t.name,

@@ -221,12 +221,20 @@ func diffAt(o *optimizer.Optimizer, tm *optimizer.Template, memo *optimizer.Memo
 	return nil
 }
 
+// correctedQuery returns a copy of q carrying fresh corrections that
+// publish from the first observation: the template's own query stays
+// uncorrected for the tests sharing it.
+func correctedQuery(q *optimizer.Query) *optimizer.Query {
+	cq := *q
+	cq.Corr = stats.NewCorrections(len(q.Preds), stats.CorrConfig{MinObs: 1})
+	return &cq
+}
+
 // TestOptimizeMatchesReference is the contract of the cost-first
 // enumerator: for every template and point it picks the plan the
 // node-building reference picks, field for field and bit for bit — under
-// the base provider and under a correcting provider whose factors (and
-// epoch) move between calls, where the production memo is only refreshed
-// (RefreshMemo) while the reference memo is rebuilt whole.
+// the base provider, and with corrections on the query whose factors move
+// before every call, which both read as they are at the call.
 func TestOptimizeMatchesReference(t *testing.T) {
 	for ti, tm := range diffTemplates() {
 		uniform := 300
@@ -242,55 +250,22 @@ func TestOptimizeMatchesReference(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(ti)))
 			points := diffPoints(rng, tm.Degree(), uniform)
 
-			memo, err := opt.NewMemo(tm.Query)
-			if err != nil {
-				t.Fatalf("%s: %v", tm.SQL, err)
-			}
-			ref, err := opt.NewReferenceMemo(tm.Query)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, p := range points {
-				if err := diffAt(opt, tm, memo, ref, p); err != nil {
-					t.Fatalf("base provider: %s: %v", tm.SQL, err)
+			for _, q := range []*optimizer.Query{tm.Query, correctedQuery(tm.Query)} {
+				memo, err := opt.NewMemo(q)
+				if err != nil {
+					t.Fatalf("%s: %v", tm.SQL, err)
 				}
-			}
-
-			adaptive := stats.NewAdaptive(stats.NewBase(testCat), stats.CorrConfig{})
-			corr := adaptive.Register(tm.Name, len(tm.Query.Preds))
-			oa := opt.WithStats(adaptive)
-			if memo, err = oa.NewMemo(tm.Query); err != nil {
-				t.Fatal(err)
-			}
-			if ref, err = oa.NewReferenceMemo(tm.Query); err != nil {
-				t.Fatal(err)
-			}
-			// Every point is visited once, and the loop goes round again for
-			// as long as no correction has moved the epoch (-short leaves a
-			// generated template too few points for one to), so the refresh
-			// path is compared at least once per template.
-			refreshes := 0
-			for i := 0; i < len(points) || refreshes == 0; i++ {
-				if i == 1000*len(points) {
-					t.Fatal("the correction epoch never moved: the refresh path went untested")
+				ref, err := opt.NewReferenceMemo(q)
+				if err != nil {
+					t.Fatal(err)
 				}
-				p := points[i%len(points)]
-				site := 1 + rng.Intn(len(tm.Query.Preds))
-				corr.Apply([]stats.Obs{{Site: site, LogQ: rng.NormFloat64() * 1.5}}, nil)
-				if memo.StatsEpoch != adaptive.Epoch(tm.Name) {
-					if memo, err = oa.RefreshMemo(memo); err != nil {
-						t.Fatal(err)
+				for _, p := range points {
+					if q.Corr != nil {
+						q.Corr.Apply([]stats.Obs{{Site: 1 + rng.Intn(len(q.Preds)), LogQ: rng.NormFloat64() * 1.5}}, nil)
 					}
-					if ref, err = oa.NewReferenceMemo(tm.Query); err != nil {
-						t.Fatal(err)
+					if err := diffAt(opt, tm, memo, ref, p); err != nil {
+						t.Fatalf("corrections %v: %s: %v", q.Corr != nil, tm.SQL, err)
 					}
-					if memo.StatsEpoch != ref.StatsEpoch {
-						t.Fatalf("refreshed memo at epoch %d, rebuilt reference at %d", memo.StatsEpoch, ref.StatsEpoch)
-					}
-					refreshes++
-				}
-				if err := diffAt(oa, tm, memo, ref, p); err != nil {
-					t.Fatalf("correcting provider, epoch %d: %s: %v", memo.StatsEpoch, tm.SQL, err)
 				}
 			}
 		})
@@ -357,36 +332,47 @@ func TestNearTieOrderMatchesFingerprints(t *testing.T) {
 	}
 }
 
-// FuzzOptimizeMatchesReference lets the fuzzer pick the template and the
-// point: two bytes per coordinate, missing bytes read as the center.
+// FuzzOptimizeMatchesReference lets the fuzzer pick the template, the
+// point and the corrections: two bytes per coordinate, missing bytes read as
+// the center, and one observation per factor byte — byte i moves site
+// 1 + i mod (predicates) by a log q-error of (b-128)/32, so a factor reaches
+// either clamp. Both enumerators read the corrections on the query.
 func FuzzOptimizeMatchesReference(f *testing.F) {
-	f.Add(uint8(3), []byte{})
-	f.Add(uint8(8), []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
-	f.Add(uint8(8), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
-	f.Add(uint8(4), []byte{0x10, 0x00, 0xf0, 0x00, 0x80, 0x00})
-	f.Add(uint8(1), []byte{0x02, 0x8f, 0x7a, 0xe1})
-	f.Add(uint8(20), []byte{0x33, 0x33, 0xcc, 0xcc})
-	f.Add(uint8(47), []byte{0x01})
+	f.Add(uint8(3), []byte{}, []byte{})
+	f.Add(uint8(8), []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, []byte{})
+	f.Add(uint8(8), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, []byte{0xff, 0, 0xff, 0, 0xff})
+	f.Add(uint8(4), []byte{0x10, 0x00, 0xf0, 0x00, 0x80, 0x00}, []byte{0x20, 0xe0, 0x40, 0xc0})
+	f.Add(uint8(1), []byte{0x02, 0x8f, 0x7a, 0xe1}, []byte{0x80})
+	f.Add(uint8(20), []byte{0x33, 0x33, 0xcc, 0xcc}, []byte{0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(uint8(47), []byte{0x01}, []byte{0xf0, 0x10})
+	f.Add(uint8(5), []byte{0x40, 0x00, 0xc0, 0x00}, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	type memos struct {
+		q    *optimizer.Query
 		memo *optimizer.Memo
 		ref  *optimizer.ReferenceMemo
 	}
 	var cache sync.Map // template index -> memos
-	f.Fuzz(func(t *testing.T, ti uint8, raw []byte) {
+	f.Fuzz(func(t *testing.T, ti uint8, raw, factors []byte) {
 		tms := diffTemplates()
 		k := int(ti) % len(tms)
 		tm := tms[k]
-		ms, ok := cache.Load(k)
+		v, ok := cache.Load(k)
 		if !ok {
-			memo, err := opt.NewMemo(tm.Query)
+			q := correctedQuery(tm.Query)
+			memo, err := opt.NewMemo(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := opt.NewReferenceMemo(tm.Query)
+			ref, err := opt.NewReferenceMemo(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ms, _ = cache.LoadOrStore(k, memos{memo, ref})
+			v, _ = cache.LoadOrStore(k, memos{q, memo, ref})
+		}
+		ms := v.(memos)
+		ms.q.Corr.Adopt(nil) //nolint:errcheck // nil always adopts
+		for i, b := range factors {
+			ms.q.Corr.Apply([]stats.Obs{{Site: 1 + i%len(ms.q.Preds), LogQ: (float64(b) - 128) / 32}}, nil)
 		}
 		point := make([]float64, tm.Degree())
 		for i := range point {
@@ -395,8 +381,8 @@ func FuzzOptimizeMatchesReference(f *testing.F) {
 				point[i] = float64(uint16(raw[2*i])<<8|uint16(raw[2*i+1])) / math.MaxUint16
 			}
 		}
-		if err := diffAt(opt, tm, ms.(memos).memo, ms.(memos).ref, point); err != nil {
-			t.Fatalf("%s: %v", tm.SQL, err)
+		if err := diffAt(opt, tm, ms.memo, ms.ref, point); err != nil {
+			t.Fatalf("%s at factors %x: %v", tm.SQL, factors, err)
 		}
 	})
 }

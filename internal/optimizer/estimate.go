@@ -10,10 +10,10 @@ import (
 // Estimation over bound column handles. Whoever estimates the same columns
 // again and again — a Template for its parameters, a Memo for its
 // predicates, a RebindProgram for its plan's filters and join keys —
-// resolves each column's stats.Column and the template's *stats.Corrections
-// once, with the string-keyed lookups below, and from then on an estimate is
-// a method call on the handle: no table, column or template name is looked
-// up per probe.
+// resolves each column's stats.Column once, with the string-keyed lookups
+// below, and from then on an estimate is a method call on the handle: no
+// table or column name is looked up per probe. The template's corrections
+// come with its query (Query.Corr) and are read at each estimate.
 
 // column resolves the statistics handle of a column of one of q's bindings.
 func (o *Optimizer) column(q *Query, c ColRef) (stats.Column, error) {
@@ -22,16 +22,6 @@ func (o *Optimizer) column(q *Query, c ColRef) (stats.Column, error) {
 		return nil, fmt.Errorf("optimizer: unbound alias %s", c.Alias)
 	}
 	return o.stats.Column(t.Table, c.Column)
-}
-
-// corrections resolves the correction state that estimates of q's sited
-// predicates pass through: nil (the identity) for a bare query outside a
-// template.
-func (o *Optimizer) corrections(q *Query) *stats.Corrections {
-	if q.Template == "" {
-		return nil
-	}
-	return o.stats.Corrections(q.Template)
 }
 
 // checkEstimable rejects a single-table predicate predSel has no estimate

@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"repro/internal/stats"
 )
 
 // ColRef names a column of a table binding in a query, e.g. l.l_shipdate.
@@ -178,10 +180,11 @@ type Query struct {
 	Preds   []Predicate
 	GroupBy []ColRef
 
-	// Template is the owning template's name, stamped by NewTemplate. The
-	// stats layer keys per-template correction factors on it; empty (a bare
-	// Query) estimates from the base provider only.
-	Template string
+	// Corr is the owning template's correction state, attached when the
+	// template is registered: every estimate of a sited predicate multiplies
+	// in its site's current factor. nil (a bare Query, or a template served
+	// without corrections) estimates from the base provider only.
+	Corr *stats.Corrections
 }
 
 // Binding resolves an alias to its TableRef, or nil.

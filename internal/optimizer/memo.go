@@ -95,49 +95,30 @@ func (o *Optimizer) checkTypes(q *Query) error {
 
 // Memo is the per-template optimization memo: every piece of the
 // Selinger-style enumeration that does not depend on parameter values is
-// computed once per template and reused across all of its optimizations.
-// It has two parts. The shape — table binding, access paths, the oriented
-// join steps with their fingerprint headers, the output-order table — is a
-// function of the query and the database alone and is shared by every
-// refresh of the memo. The join selectivities embed the template's
-// correction factors, so they are per correction epoch: RefreshMemo
-// re-derives them and nothing else.
+// computed once per template and reused across all of its optimizations —
+// table binding, access paths, the oriented join steps with their
+// fingerprint headers, the output-order table. All of it is a function of
+// the query and the database alone.
 //
-// A Memo is immutable; the pooled enumeration scratch hangs off the shape.
-// It is safe for concurrent OptimizeMemo calls (misses and audits on one
-// hot template race freely).
+// A Memo is immutable apart from its pooled enumeration scratch and its
+// fingerprint memo, both safe for concurrent use: concurrent OptimizeMemo
+// calls (misses and audits on one hot template) race freely.
 //
 // Everything parameter-free is read from the optimizer that calls NewMemo
-// and frozen in the shape: table row counts, distinct counts (base join
+// and frozen here: table row counts, distinct counts (base join
 // selectivities, matches per index-NL probe, the GROUP BY product), and the
-// handles the per-call estimates probe — each predicate's column and the
-// template's correction state. A memo therefore estimates through the
-// statistics provider that was in place at NewMemo; only the per-epoch join
-// correction factors are asked of the optimizer that refreshes it.
+// handles the per-call estimates probe, one per predicate's column. A memo
+// therefore estimates through the statistics provider that was in place at
+// NewMemo. Correction factors are not frozen: each call reads every site's
+// current factor from the query's corrections (Query.Corr), scans and joins
+// alike, exactly as RebindProgram.Recost does, so the cost a call gives its
+// winner is the cost a recost of that plan at the same values gives.
 type Memo struct {
-	shape *memoShape
-
-	// joinSel[j] is the corrected selectivity of shape.joins[j].
-	joinSel []float64
-
-	// StatsEpoch is the template's correction epoch captured when the join
-	// selectivities were derived. Every plan the memo produces embeds that
-	// epoch's join correction factors; holders compare it against
-	// Stats().Epoch(template) and call RefreshMemo when it moves.
-	StatsEpoch uint64
-}
-
-// memoShape is the parameter-free, epoch-free part of a Memo.
-type memoShape struct {
 	q      *Query
 	hasAgg bool
 	// groups is the product of the GROUP BY columns' distinct counts (1
 	// without GROUP BY): the parameter-free part of the group estimate.
 	groups float64
-
-	// corr is the template's correction state (nil: identity), resolved
-	// once so that neither a call's estimates nor a refresh look it up.
-	corr *stats.Corrections
 
 	rels  []relShape
 	joins []Predicate // join predicates in WHERE order
@@ -159,14 +140,14 @@ type memoShape struct {
 	// tree, "Agg[cols](" ("" without one).
 	aggHead string
 	// prints memoizes a winner's fingerprint by its DP chain, which
-	// determines it as a function of the shape alone, like heads and print.
+	// determines it as a function of the memo alone, like heads and print.
 	printsMu sync.RWMutex
 	prints   map[chainKey]string
 
 	scratch sync.Pool // *dpScratch
 }
 
-// chainKey identifies a plan of a shape by its DP chain, one word per entry
+// chainKey identifies a plan of a memo by its DP chain, one word per entry
 // from the root down: relation, method, access path and driving step. Words
 // past the leaf scan are zero; no entry's word is (a scan's step is -1).
 type chainKey [maxJoinRelations]uint64
@@ -197,7 +178,7 @@ type pathShape struct {
 // already-joined (left) side, pred.RightCol on the relation being attached.
 type joinStep struct {
 	pred       Predicate
-	join       int // index into memoShape.joins / Memo.joinSel
+	join       int // index into Memo.joins / dpScratch.joinSel
 	leftRel    int
 	rightRel   int
 	leftOrder  int16 // order id of pred.Col
@@ -260,6 +241,7 @@ type dpScratch struct {
 	relSort  []float64 // per relation: cost of sorting a scan's output
 	cheapest []int16   // per relation: its cheapest access path
 	probe    []float64 // per join step: index nested-loop cost per outer row
+	joinSel  []float64 // per join: its selectivity under the current corrections
 
 	conn  []int32 // joins connecting the current (subset, relation) step
 	visit []int32 // final set in canonical order
@@ -275,44 +257,44 @@ func (o *Optimizer) NewMemo(q *Query) (*Memo, error) {
 	if n > maxJoinRelations {
 		return nil, &JoinLimitError{Relations: n, Limit: maxJoinRelations}
 	}
-	sh := &memoShape{q: q, hasAgg: len(q.GroupBy) > 0 || hasAggregates(q), groups: o.groupDistinct(q),
+	m := &Memo{q: q, hasAgg: len(q.GroupBy) > 0 || hasAggregates(q), groups: o.groupDistinct(q),
 		prints: make(map[chainKey]string)}
-	if sh.hasAgg {
+	if m.hasAgg {
 		var b strings.Builder
 		writeAggHead(&b, q.GroupBy)
-		sh.aggHead = b.String()
+		m.aggHead = b.String()
 	}
 
 	orderIDs := map[ColRef]int16{{}: 0}
-	sh.orders = []ColRef{{}}
+	m.orders = []ColRef{{}}
 	orderID := func(c ColRef) int16 {
 		id, ok := orderIDs[c]
 		if !ok {
-			id = int16(len(sh.orders))
+			id = int16(len(m.orders))
 			orderIDs[c] = id
-			sh.orders = append(sh.orders, c)
+			m.orders = append(m.orders, c)
 		}
 		return id
 	}
 
 	aliasIdx := make(map[string]int, n)
-	sh.rels = make([]relShape, n)
+	m.rels = make([]relShape, n)
 	for i, t := range q.Tables {
 		aliasIdx[t.Alias] = i
-		sh.rels[i].ref = t
+		m.rels[i].ref = t
 	}
 	for _, p := range q.Preds {
 		if p.Kind == PredJoin {
-			sh.joins = append(sh.joins, p)
+			m.joins = append(m.joins, p)
 		} else {
-			r := &sh.rels[aliasIdx[p.Col.Alias]]
+			r := &m.rels[aliasIdx[p.Col.Alias]]
 			r.preds = append(r.preds, p)
 		}
 	}
 
 	npaths := 0
-	for i := range sh.rels {
-		r := &sh.rels[i]
+	for i := range m.rels {
+		r := &m.rels[i]
 		table := o.db.Table(r.ref.Table)
 		if table == nil {
 			return nil, fmt.Errorf("optimizer: unknown table %s", r.ref.Table)
@@ -348,12 +330,12 @@ func (o *Optimizer) NewMemo(q *Query) (*Memo, error) {
 	if err := o.checkTypes(q); err != nil {
 		return nil, err
 	}
-	if err := o.bindShape(sh); err != nil {
+	if err := o.bindMemo(m); err != nil {
 		return nil, err
 	}
 
-	sh.steps = make([]joinStep, 0, 2*len(sh.joins))
-	for j, p := range sh.joins {
+	m.steps = make([]joinStep, 0, 2*len(m.joins))
+	for j, p := range m.joins {
 		// The flipped copy carries the site along: a join predicate's
 		// correction identity does not depend on which side ends up left.
 		flipped := Predicate{Kind: PredJoin, Col: p.RightCol, RightCol: p.Col, ParamIdx: -1, Site: p.Site}
@@ -369,12 +351,12 @@ func (o *Optimizer) NewMemo(q *Query) (*Memo, error) {
 			if k, _ := o.colKind(q, pred.Col); k == tpch.KindString {
 				st.strKey = true
 			}
-			for m, tag := range [4]string{"HJ", "HJ^", "MJ", "INL"} {
+			for h, tag := range [4]string{"HJ", "HJ^", "MJ", "INL"} {
 				var b strings.Builder
 				writeJoinHead(&b, tag, pred.Col, pred.RightCol)
-				st.heads[m] = b.String()
+				st.heads[h] = b.String()
 			}
-			rr := &sh.rels[right]
+			rr := &m.rels[right]
 			for k, path := range rr.paths {
 				if k > 0 && path.col == pred.RightCol.Column {
 					col, err := o.stats.Column(rr.ref.Table, path.col)
@@ -385,25 +367,25 @@ func (o *Optimizer) NewMemo(q *Query) (*Memo, error) {
 					st.matchesPerOuter = rr.baseRows / math.Max(col.DistinctCount(), 1)
 				}
 			}
-			rr.steps = append(rr.steps, int32(len(sh.steps)))
-			sh.steps = append(sh.steps, st)
+			rr.steps = append(rr.steps, int32(len(m.steps)))
+			m.steps = append(m.steps, st)
 		}
 	}
 
-	byName := make([]int16, len(sh.orders))
+	byName := make([]int16, len(m.orders))
 	for i := range byName {
 		byName[i] = int16(i)
 	}
 	sort.SliceStable(byName, func(a, b int) bool {
-		return sh.orders[byName[a]].String() < sh.orders[byName[b]].String()
+		return m.orders[byName[a]].String() < m.orders[byName[b]].String()
 	})
-	sh.orderRank = make([]int16, len(sh.orders))
+	m.orderRank = make([]int16, len(m.orders))
 	for rank, id := range byName {
-		sh.orderRank[id] = int16(rank)
+		m.orderRank[id] = int16(rank)
 	}
 
-	nsteps := len(sh.steps)
-	sh.scratch.New = func() any {
+	nsteps := len(m.steps)
+	m.scratch.New = func() any {
 		return &dpScratch{
 			setOff:   make([]int32, (1<<uint(n))+1),
 			pathCost: make([]float64, npaths),
@@ -411,54 +393,30 @@ func (o *Optimizer) NewMemo(q *Query) (*Memo, error) {
 			relSort:  make([]float64, n),
 			cheapest: make([]int16, n),
 			probe:    make([]float64, nsteps),
+			joinSel:  make([]float64, len(m.joins)),
 		}
 	}
-	return o.deriveMemo(sh), nil
+	return m, nil
 }
 
-// bindShape resolves what the per-call estimates and the per-epoch join
-// selectivities read: each single-table predicate's column handle, each
-// join's base selectivity and the template's correction state. After it, no
-// OptimizeMemo or RefreshMemo looks a table, column or template up by name.
-func (o *Optimizer) bindShape(sh *memoShape) error {
-	sh.corr = o.corrections(sh.q)
+// bindMemo resolves what the per-call estimates read: each single-table
+// predicate's column handle and each join's base selectivity. After it, no
+// OptimizeMemo looks a table or column up by name.
+func (o *Optimizer) bindMemo(m *Memo) error {
 	var err error
-	for i := range sh.rels {
-		r := &sh.rels[i]
+	for i := range m.rels {
+		r := &m.rels[i]
 		if r.cols, err = o.predColumns(r.ref.Table, r.preds); err != nil {
 			return err
 		}
 	}
-	sh.joinBase = make([]float64, len(sh.joins))
-	for j := range sh.joins {
-		if sh.joinBase[j], err = o.baseJoinSelectivity(sh.q, &sh.joins[j]); err != nil {
+	m.joinBase = make([]float64, len(m.joins))
+	for j := range m.joins {
+		if m.joinBase[j], err = o.baseJoinSelectivity(m.q, &m.joins[j]); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// RefreshMemo returns a memo for the same template at the provider's
-// current correction epoch. It re-derives the join selectivities — the only
-// memoized state corrections reach — from the shape's base selectivities,
-// resolving no column, and shares the shape and the scratch pool with m,
-// which stays valid. The error is always nil.
-func (o *Optimizer) RefreshMemo(m *Memo) (*Memo, error) {
-	return o.deriveMemo(m.shape), nil
-}
-
-// deriveMemo computes the per-epoch half of a memo over a shape. Join
-// selectivities are parameter-free (the shape's 1/max distinct, corrected by
-// the site factor), so they hold until the correction epoch moves. The epoch
-// is read first: a correction landing mid-derivation leaves the memo stamped
-// older than its contents and it is refreshed once more, never served stale.
-func (o *Optimizer) deriveMemo(sh *memoShape) *Memo {
-	tmpl := sh.q.Template
-	m := &Memo{shape: sh, StatsEpoch: o.stats.Epoch(tmpl), joinSel: make([]float64, len(sh.joins))}
-	for j := range sh.joins {
-		m.joinSel[j] = o.stats.Correct(tmpl, sh.joins[j].Site, sh.joinBase[j])
-	}
-	return m
 }
 
 // sargable picks the predicate usable as an index range on col: the first
@@ -483,9 +441,9 @@ func sargable(preds []Predicate, col string) int {
 // connecting appends to dst the oriented joins linking relation r to the
 // subset mask, in WHERE order. The first is the step's driving predicate;
 // the rest filter its output.
-func (sh *memoShape) connecting(dst []int32, mask, r int) []int32 {
-	for _, s := range sh.rels[r].steps {
-		if mask&(1<<uint(sh.steps[s].leftRel)) != 0 {
+func (m *Memo) connecting(dst []int32, mask, r int) []int32 {
+	for _, s := range m.rels[r].steps {
+		if mask&(1<<uint(m.steps[s].leftRel)) != 0 {
 			dst = append(dst, s)
 		}
 	}
@@ -514,8 +472,8 @@ func (o *Optimizer) OptimizeMemoHeld(m *Memo, params []float64, held func(finger
 }
 
 // fingerprint returns the fingerprint of the entry's plan: rendered from its
-// segments on the chain's first sight, read from the shape's memo after.
-func (sh *memoShape) fingerprint(sc *dpScratch, e *dpEntry) string {
+// segments on the chain's first sight, read from the memo's prints after.
+func (m *Memo) fingerprint(sc *dpScratch, e *dpEntry) string {
 	var key chainKey
 	for d, x := 0, e; ; d++ {
 		key[d] = uint64(x.rel) | uint64(x.method)<<8 | uint64(uint16(x.path))<<16 | uint64(uint32(x.step))<<32
@@ -524,24 +482,24 @@ func (sh *memoShape) fingerprint(sc *dpScratch, e *dpEntry) string {
 		}
 		x = &sc.entries[x.parent]
 	}
-	sh.printsMu.RLock()
-	fp, ok := sh.prints[key]
-	sh.printsMu.RUnlock()
+	m.printsMu.RLock()
+	fp, ok := m.prints[key]
+	m.printsMu.RUnlock()
 	if ok {
 		return fp
 	}
 	var b strings.Builder
-	b.WriteString(sh.aggHead)
+	b.WriteString(m.aggHead)
 	var segs [maxPrintSegs]string
-	for _, s := range sc.printSegments(sh, segs[:0], e) {
+	for _, s := range sc.printSegments(m, segs[:0], e) {
 		b.WriteString(s)
 	}
-	if sh.hasAgg {
+	if m.hasAgg {
 		b.WriteByte(')')
 	}
 	fp = b.String()
-	sh.printsMu.Lock()
-	sh.prints[key] = fp
-	sh.printsMu.Unlock()
+	m.printsMu.Lock()
+	m.prints[key] = fp
+	m.printsMu.Unlock()
 	return fp
 }

@@ -16,10 +16,10 @@ import (
 // parameter values yield identical plans (including tie-breaking), which
 // the plan-space framework relies on.
 //
-// All selectivity estimation goes through the stats.Provider: the default
-// is the static base provider over the catalog, and the facade layers the
-// adaptive correction provider on top. Every estimate of a predicate that
-// carries a template site is passed through Provider.Correct, so learned
+// All base selectivity estimation goes through the stats.Provider, by
+// default the static base provider over the catalog. Every estimate of a
+// predicate that carries a template site is then multiplied by the site's
+// current factor in the template's corrections (Query.Corr), so learned
 // cardinality corrections move plan choice without touching the cost model.
 type Optimizer struct {
 	db     *tpch.Database
@@ -51,12 +51,10 @@ func (o *Optimizer) Model() CostModel { return o.model }
 // Catalog returns the statistics catalog the optimizer estimates from.
 func (o *Optimizer) Catalog() *catalog.Catalog { return o.cat }
 
-// SetStats replaces the selectivity provider. Set at construction time
-// (before any Memo is built); memos stamp the provider's correction epoch.
+// SetStats replaces the selectivity provider. Set at construction time,
+// before any Memo or RebindProgram is built: they hold the handles of the
+// provider that built them.
 func (o *Optimizer) SetStats(p stats.Provider) { o.stats = p }
-
-// Stats returns the selectivity provider.
-func (o *Optimizer) Stats() stats.Provider { return o.stats }
 
 // SetFaults attaches a fault injector (nil disables injection). Chaos tests
 // use it to simulate optimizer outages and latency spikes.
@@ -139,32 +137,31 @@ func instantiate(p Predicate, params []float64) Predicate {
 
 // optimizeCore is the enumeration shared by Optimize and OptimizeMemo. No
 // plan node exists until the winner is known, and no fingerprint string is
-// rendered but the winner's, once per shape; buildPlan then materialises
+// rendered but the winner's, once per memo; buildPlan then materialises
 // its tree once — unless held names it as a plan the caller has already.
 func (o *Optimizer) optimizeCore(m *Memo, params []float64, held func(string) bool) (*Plan, error) {
-	sh := m.shape
-	if got, want := len(params), sh.q.ParamDegree(); got != want {
+	if got, want := len(params), m.q.ParamDegree(); got != want {
 		return nil, fmt.Errorf("optimizer: got %d parameters, want %d", got, want)
 	}
-	sc := sh.scratch.Get().(*dpScratch)
-	defer sh.scratch.Put(sc)
+	sc := m.scratch.Get().(*dpScratch)
+	defer m.scratch.Put(sc)
 	o.enumerate(m, sc, params)
-	best := &sc.entries[sc.best(sh, int(sc.setOff[1<<uint(len(sh.rels))-1]))]
-	fp := sh.fingerprint(sc, best)
+	best := &sc.entries[sc.best(m, int(sc.setOff[1<<uint(len(m.rels))-1]))]
+	fp := m.fingerprint(sc, best)
 	if held != nil && held(fp) {
 		cost := best.cost
-		if sh.hasAgg {
-			_, cost = o.aggregate(sh, best.rows, best.cost)
+		if m.hasAgg {
+			_, cost = o.aggregate(m, best.rows, best.cost)
 		}
 		return &Plan{Cost: cost, Fingerprint: fp}, nil
 	}
 	return o.buildPlan(m, sc, params, best, fp), nil
 }
 
-// aggregate estimates the shape's aggregate over a join tree of the given
+// aggregate estimates the memo's aggregate over a join tree of the given
 // rows and cumulative cost: its groups, and the plan's cost with it.
-func (o *Optimizer) aggregate(sh *memoShape, rows, cost float64) (groups, total float64) {
-	groups = math.Max(math.Min(sh.groups, rows), 1)
+func (o *Optimizer) aggregate(m *Memo, rows, cost float64) (groups, total float64) {
+	groups = math.Max(math.Min(m.groups, rows), 1)
 	return groups, cost + o.model.hashAggCost(rows, groups)
 }
 
@@ -178,18 +175,20 @@ func (o *Optimizer) aggregate(sh *memoShape, rows, cost float64) (groups, total 
 // extend), left entries in slot order, then hash join building right, hash
 // join building left, merge join per right access path, index nested-loop.
 func (o *Optimizer) enumerate(m *Memo, sc *dpScratch, params []float64) {
-	sh := m.shape
 	sc.entries, sc.leftSort = sc.entries[:0], sc.leftSort[:0]
 	model := o.model
-	costAccessPaths(sh, sc, &model, params)
-	for s := range sh.steps {
-		if st := &sh.steps[s]; st.inlPath >= 0 {
-			inner := &sh.rels[st.rightRel]
+	costAccessPaths(m, sc, &model, params)
+	for j := range m.joins {
+		sc.joinSel[j] = m.q.Corr.CorrectSel(m.joins[j].Site, m.joinBase[j])
+	}
+	for s := range m.steps {
+		if st := &m.steps[s]; st.inlPath >= 0 {
+			inner := &m.rels[st.rightRel]
 			sc.probe[s] = model.indexProbeCost(inner.baseRows, st.matchesPerOuter, len(inner.preds), inner.paths[st.inlPath].clustered)
 		}
 	}
 
-	n := len(sh.rels)
+	n := len(m.rels)
 	full := 1<<uint(n) - 1
 	for T := 1; T <= full; T++ {
 		start := len(sc.entries)
@@ -197,9 +196,9 @@ func (o *Optimizer) enumerate(m *Memo, sc *dpScratch, params []float64) {
 		if T&(T-1) == 0 {
 			// Single relation: its access paths, one entry per output order.
 			i := bits.TrailingZeros(uint(T))
-			r := &sh.rels[i]
+			r := &m.rels[i]
 			for k := range r.paths {
-				sc.offer(sh, start, dpEntry{
+				sc.offer(m, start, dpEntry{
 					cost: sc.pathCost[r.pathOff+k], rows: sc.relRows[i], parent: -1, step: -1,
 					order: r.paths[k].order, path: int16(k), rel: uint8(i), method: methodScan,
 				})
@@ -222,16 +221,16 @@ func (o *Optimizer) enumerate(m *Memo, sc *dpScratch, params []float64) {
 
 // costAccessPaths fills the per-call, per-relation state: predicate
 // selectivities at the parameter values (the only estimates that depend on
-// them — one probe of the shape's bound handle each), output rows, the cost
+// them — one probe of the memo's bound handle each), output rows, the cost
 // of every access path and which is cheapest.
-func costAccessPaths(sh *memoShape, sc *dpScratch, model *CostModel, params []float64) {
-	for i := range sh.rels {
-		r := &sh.rels[i]
+func costAccessPaths(m *Memo, sc *dpScratch, model *CostModel, params []float64) {
+	for i := range m.rels {
+		r := &m.rels[i]
 		sels := sc.sels[:0]
 		selAll := 1.0
 		for j := range r.preds {
 			p := &r.preds[j]
-			s := sh.corr.CorrectSel(p.Site, predSel(r.cols[j], p, params))
+			s := m.q.Corr.CorrectSel(p.Site, predSel(r.cols[j], p, params))
 			sels = append(sels, s)
 			selAll *= s
 		}
@@ -265,13 +264,12 @@ func costAccessPaths(sh *memoShape, sc *dpScratch, model *CostModel, params []fl
 // joinCandidates offers to the set starting at arena index start every way
 // of attaching relation r to each entry of subset mask.
 func (o *Optimizer) joinCandidates(m *Memo, sc *dpScratch, model *CostModel, mask, r, start int) {
-	sh := m.shape
-	rel := &sh.rels[r]
+	rel := &m.rels[r]
 	rightRows, rightSort := sc.relRows[r], sc.relSort[r]
 	costs := sc.pathCost[rel.pathOff : rel.pathOff+len(rel.paths)]
 	cheap := sc.cheapest[r]
 	cheapCost := costs[cheap]
-	sc.conn = sh.connecting(sc.conn[:0], mask, r)
+	sc.conn = m.connecting(sc.conn[:0], mask, r)
 
 	for li := sc.setOff[mask]; li < sc.setOff[mask+1]; li++ {
 		left := sc.entries[li] // by value: offer may grow the arena
@@ -281,15 +279,15 @@ func (o *Optimizer) joinCandidates(m *Memo, sc *dpScratch, model *CostModel, mas
 			c.method = methodNLJoin
 			c.rows = math.Max(left.rows*rightRows, 1e-6)
 			c.cost = left.cost + cheapCost + model.nlJoinCost(left.rows, cheapCost, c.rows)
-			sc.offer(sh, start, c)
+			sc.offer(m, start, c)
 			continue
 		}
 		c.step = sc.conn[0]
-		st := &sh.steps[c.step]
-		c.rows = math.Max(left.rows*rightRows*m.joinSel[st.join], 1e-6)
+		st := &m.steps[c.step]
+		c.rows = math.Max(left.rows*rightRows*sc.joinSel[st.join], 1e-6)
 		// Additional join predicates between r and the subset filter the output.
 		for _, s := range sc.conn[1:] {
-			c.rows = math.Max(c.rows*m.joinSel[sh.steps[s].join], 1e-6)
+			c.rows = math.Max(c.rows*sc.joinSel[m.steps[s].join], 1e-6)
 		}
 
 		// Hash join over the cheapest right access path (order is destroyed
@@ -297,10 +295,10 @@ func (o *Optimizer) joinCandidates(m *Memo, sc *dpScratch, model *CostModel, mas
 		// the probe input's order.
 		c.method, c.order = methodHashJoin, left.order
 		c.cost = left.cost + cheapCost + model.hashJoinCost(rightRows, left.rows, c.rows)
-		sc.offer(sh, start, c)
+		sc.offer(m, start, c)
 		c.method, c.order = methodHashJoinBuildLeft, rel.paths[cheap].order
 		c.cost = left.cost + cheapCost + model.hashJoinCost(left.rows, rightRows, c.rows)
-		sc.offer(sh, start, c)
+		sc.offer(m, start, c)
 
 		// Merge join: requires both inputs ordered on the join columns;
 		// unsorted inputs pay an explicit sort. Numeric keys only.
@@ -318,7 +316,7 @@ func (o *Optimizer) joinCandidates(m *Memo, sc *dpScratch, model *CostModel, mas
 				}
 				c.path = int16(k)
 				c.cost = left.cost + costs[k] + sortLeft + sortRight + merge
-				sc.offer(sh, start, c)
+				sc.offer(m, start, c)
 			}
 		}
 
@@ -327,7 +325,7 @@ func (o *Optimizer) joinCandidates(m *Memo, sc *dpScratch, model *CostModel, mas
 		if st.inlPath >= 0 {
 			c.method, c.order, c.path = methodIndexNLJoin, left.order, int16(st.inlPath)
 			c.cost = left.cost + model.indexNLJoinCost(left.rows, sc.probe[c.step], c.rows)
-			sc.offer(sh, start, c)
+			sc.offer(m, start, c)
 		}
 	}
 }
@@ -335,11 +333,11 @@ func (o *Optimizer) joinCandidates(m *Memo, sc *dpScratch, model *CostModel, mas
 // offer adds a candidate to the set occupying the arena from start on: the
 // set keeps one entry per output order, replaced when the newcomer is
 // better.
-func (sc *dpScratch) offer(sh *memoShape, start int, c dpEntry) {
+func (sc *dpScratch) offer(m *Memo, start int, c dpEntry) {
 	set := sc.entries[start:]
 	for i := range set {
 		if set[i].order == c.order {
-			if sc.better(sh, &c, &set[i]) {
+			if sc.better(m, &c, &set[i]) {
 				set[i] = c
 			}
 			return
@@ -350,27 +348,27 @@ func (sc *dpScratch) offer(sh *memoShape, start int, c dpEntry) {
 
 // better is the candidate order: outside the near-tie window the cheaper
 // entry wins, inside it the one whose plan has the smaller fingerprint.
-func (sc *dpScratch) better(sh *memoShape, a, b *dpEntry) bool {
+func (sc *dpScratch) better(m *Memo, a, b *dpEntry) bool {
 	if !nearTie(a.cost, b.cost) {
 		return a.cost < b.cost
 	}
-	return sc.printLess(sh, a, b)
+	return sc.printLess(m, a, b)
 }
 
 // best picks the winner of the final set (arena from start on), visiting
 // its entries in canonical output-order rank.
-func (sc *dpScratch) best(sh *memoShape, start int) int32 {
+func (sc *dpScratch) best(m *Memo, start int) int32 {
 	sc.visit = sc.visit[:0]
 	for i := start; i < len(sc.entries); i++ {
 		sc.visit = append(sc.visit, int32(i))
-		rank := sh.orderRank[sc.entries[i].order]
-		for j := len(sc.visit) - 1; j > 0 && sh.orderRank[sc.entries[sc.visit[j-1]].order] > rank; j-- {
+		rank := m.orderRank[sc.entries[i].order]
+		for j := len(sc.visit) - 1; j > 0 && m.orderRank[sc.entries[sc.visit[j-1]].order] > rank; j-- {
 			sc.visit[j], sc.visit[j-1] = sc.visit[j-1], sc.visit[j]
 		}
 	}
 	best := sc.visit[0]
 	for _, i := range sc.visit[1:] {
-		if sc.better(sh, &sc.entries[i], &sc.entries[best]) {
+		if sc.better(m, &sc.entries[i], &sc.entries[best]) {
 			best = i
 		}
 	}
@@ -388,41 +386,41 @@ const maxPrintSegs = 4*(maxJoinRelations-1) + 1
 // BenchmarkOptimizeMemo/Q8 reads 27.5 instead of 21.5 µs (Q3 9.7 vs 8.2).
 // Otherwise both fingerprints are laid out as sequences of interned
 // segments and compared as the concatenations they stand for.
-func (sc *dpScratch) printLess(sh *memoShape, a, b *dpEntry) bool {
-	ha, hb := sh.head(a), sh.head(b)
+func (sc *dpScratch) printLess(m *Memo, a, b *dpEntry) bool {
+	ha, hb := m.head(a), m.head(b)
 	if n := min(len(ha), len(hb)); ha[:n] != hb[:n] {
 		return ha[:n] < hb[:n]
 	}
 	var bufA, bufB [maxPrintSegs]string
-	return segmentsLess(sc.printSegments(sh, bufA[:0], a), sc.printSegments(sh, bufB[:0], b))
+	return segmentsLess(sc.printSegments(m, bufA[:0], a), sc.printSegments(m, bufB[:0], b))
 }
 
 // head returns the entry's leading fingerprint segment: the join header,
 // or the whole fingerprint of a scan.
-func (sh *memoShape) head(e *dpEntry) string {
+func (m *Memo) head(e *dpEntry) string {
 	switch e.method {
 	case methodScan:
-		return sh.rels[e.rel].paths[e.path].print
+		return m.rels[e.rel].paths[e.path].print
 	case methodNLJoin:
 		return nlHead
 	}
-	return sh.steps[e.step].heads[e.method-methodHashJoin]
+	return m.steps[e.step].heads[e.method-methodHashJoin]
 }
 
 // printSegments appends the entry's fingerprint as segments: join headers
 // from the top down, the leaf scan, then each join's ",right)" bottom up.
-func (sc *dpScratch) printSegments(sh *memoShape, dst []string, e *dpEntry) []string {
+func (sc *dpScratch) printSegments(m *Memo, dst []string, e *dpEntry) []string {
 	var chain [maxJoinRelations]*dpEntry
 	depth := 0
 	for ; e.parent >= 0; e = &sc.entries[e.parent] {
-		dst = append(dst, sh.head(e))
+		dst = append(dst, m.head(e))
 		chain[depth] = e
 		depth++
 	}
-	dst = append(dst, sh.head(e))
+	dst = append(dst, m.head(e))
 	for depth--; depth >= 0; depth-- {
 		j := chain[depth]
-		dst = append(dst, ",", sh.rels[j.rel].paths[j.path].print, ")")
+		dst = append(dst, ",", m.rels[j.rel].paths[j.path].print, ")")
 	}
 	return dst
 }
@@ -453,7 +451,6 @@ func segmentsLess(a, b []string) bool {
 // scans, n-1 joins and the optional aggregate in one node array, the
 // instantiated predicates of all scans in one predicate array.
 func (o *Optimizer) buildPlan(m *Memo, sc *dpScratch, params []float64, e *dpEntry, fp string) *Plan {
-	sh := m.shape
 	var chain [maxJoinRelations]*dpEntry
 	depth := 0
 	for ; e.parent >= 0; e = &sc.entries[e.parent] {
@@ -466,8 +463,8 @@ func (o *Optimizer) buildPlan(m *Memo, sc *dpScratch, params []float64, e *dpEnt
 		return &nodes[len(nodes)-1]
 	}
 	npreds := 0
-	for i := range sh.rels {
-		npreds += len(sh.rels[i].preds)
+	for i := range m.rels {
+		npreds += len(m.rels[i].preds)
 	}
 	var filters []Predicate
 	if npreds > 0 {
@@ -489,11 +486,11 @@ func (o *Optimizer) buildPlan(m *Memo, sc *dpScratch, params []float64, e *dpEnt
 		return filters[from:len(filters):len(filters)]
 	}
 	scan := func(rel uint8, path int16) *Node {
-		r, p := &sh.rels[rel], &sh.rels[rel].paths[path]
+		r, p := &m.rels[rel], &m.rels[rel].paths[path]
 		n := Node{
 			Op: OpSeqScan, Table: r.ref.Table, Alias: r.ref.Alias,
 			Filters: scanFilters(r, p.driving), EstRows: sc.relRows[rel],
-			EstCost: sc.pathCost[r.pathOff+int(path)], SortedOn: sh.orders[p.order],
+			EstCost: sc.pathCost[r.pathOff+int(path)], SortedOn: m.orders[p.order],
 		}
 		if path > 0 {
 			n.Op, n.IndexCol = OpIndexScan, p.col
@@ -511,14 +508,14 @@ func (o *Optimizer) buildPlan(m *Memo, sc *dpScratch, params []float64, e *dpEnt
 	mask := 1 << uint(e.rel)
 	for depth--; depth >= 0; depth-- {
 		j := chain[depth]
-		n := Node{Left: root, EstRows: j.rows, EstCost: j.cost, SortedOn: sh.orders[j.order]}
+		n := Node{Left: root, EstRows: j.rows, EstCost: j.cost, SortedOn: m.orders[j.order]}
 		if j.method == methodNLJoin {
 			n.Op, n.Right = OpNLJoin, scan(j.rel, j.path)
 		} else {
-			st := &sh.steps[j.step]
+			st := &m.steps[j.step]
 			n.LeftCol, n.RightCol, n.JoinSite = st.pred.Col, st.pred.RightCol, st.pred.Site
-			for _, s := range sh.connecting(sc.conn[:0], mask, int(j.rel))[1:] {
-				n.Filters = append(n.Filters, sh.steps[s].pred)
+			for _, s := range m.connecting(sc.conn[:0], mask, int(j.rel))[1:] {
+				n.Filters = append(n.Filters, m.steps[s].pred)
 			}
 			switch j.method {
 			case methodHashJoin, methodHashJoinBuildLeft:
@@ -526,7 +523,7 @@ func (o *Optimizer) buildPlan(m *Memo, sc *dpScratch, params []float64, e *dpEnt
 			case methodMergeJoin:
 				n.Op, n.Right = OpMergeJoin, scan(j.rel, j.path)
 			case methodIndexNLJoin:
-				r := &sh.rels[j.rel]
+				r := &m.rels[j.rel]
 				n.Op = OpIndexNLJoin
 				n.Right = newNode(Node{
 					Op: OpIndexScan, Table: r.ref.Table, Alias: r.ref.Alias,
@@ -539,12 +536,12 @@ func (o *Optimizer) buildPlan(m *Memo, sc *dpScratch, params []float64, e *dpEnt
 		mask |= 1 << uint(j.rel)
 	}
 
-	if sh.hasAgg {
-		groups, cost := o.aggregate(sh, root.EstRows, root.EstCost)
+	if m.hasAgg {
+		groups, cost := o.aggregate(m, root.EstRows, root.EstCost)
 		root = newNode(Node{
 			Op:      OpHashAgg,
-			GroupBy: sh.q.GroupBy,
-			Aggs:    sh.q.Select,
+			GroupBy: m.q.GroupBy,
+			Aggs:    m.q.Select,
 			Left:    root,
 			EstRows: groups,
 			EstCost: cost,

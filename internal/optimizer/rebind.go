@@ -156,7 +156,7 @@ func countNodes(n *Node) int {
 func (o *Optimizer) bind(q *Query, root *Node) (*RebindProgram, error) {
 	rp := &RebindProgram{
 		degree: q.ParamDegree(),
-		corr:   o.corrections(q),
+		corr:   q.Corr,
 		// Exact capacity: nodes point at each other inside the slice.
 		nodes: make([]boundNode, 0, countNodes(root)),
 	}

@@ -83,28 +83,30 @@ func instAt(t *testing.T, tm *optimizer.Template, point []float64) optimizer.Ins
 // RebindProgram.Recost (the cost) — to the string-keyed walk it replaced,
 // bit for bit, for every standard-template plan at fuzzed points: through
 // the base provider, through a distorting one (selectivities and distinct
-// counts), and through an adaptive one whose correction factors keep moving
-// under the compiled programs.
+// counts), and through the distorting one with corrections on the query
+// whose factors keep moving under the compiled programs.
 func TestRecostMatchesReference(t *testing.T) {
 	distorted := &stats.Distorted{
 		Provider:   stats.NewBase(testCat),
 		Sel:        func(_, col string, sel float64) float64 { return sel * (1 + float64(len(col)%3)) },
 		DistinctFn: func(_, col string, d float64) float64 { return d / (1 + float64(len(col)%2)) },
 	}
-	adaptive := stats.NewAdaptive(distorted, stats.CorrConfig{})
 	for _, tc := range []struct {
-		name string
-		o    *optimizer.Optimizer
+		name    string
+		o       *optimizer.Optimizer
+		correct bool
 	}{
-		{"base", opt},
-		{"distorted", opt.WithStats(distorted)},
-		{"adaptive", opt.WithStats(adaptive)},
+		{"base", opt, false},
+		{"distorted", opt.WithStats(distorted), false},
+		{"correcting", opt.WithStats(distorted), true},
 	} {
 		rng := rand.New(rand.NewSource(35))
 		for _, d := range queries.Defs {
 			tm := tmpl(t, d.Name)
 			q := tm.Query
-			corr := adaptive.Register(tm.Name, len(q.Preds))
+			if tc.correct {
+				q.Corr = stats.NewCorrections(len(q.Preds), stats.CorrConfig{})
+			}
 			for trial := 0; trial < 10; trial++ {
 				plan, err := tc.o.Optimize(q, instAt(t, tm, randPoint(rng, tm.Degree())).Values)
 				if err != nil {
@@ -115,8 +117,8 @@ func TestRecostMatchesReference(t *testing.T) {
 					t.Fatalf("%s %s: CompileRebind: %v", tc.name, d.Name, err)
 				}
 				for probe := 0; probe < 10; probe++ {
-					if tc.o.Stats() == stats.Provider(adaptive) {
-						corr.Apply([]stats.Obs{{Site: 1 + rng.Intn(len(q.Preds)), LogQ: rng.NormFloat64()}}, nil)
+					if tc.correct {
+						q.Corr.Apply([]stats.Obs{{Site: 1 + rng.Intn(len(q.Preds)), LogQ: rng.NormFloat64()}}, nil)
 					}
 					next := instAt(t, tm, randPoint(rng, tm.Degree())).Values
 					want, err := tc.o.ReferenceRecost(q, plan, next)

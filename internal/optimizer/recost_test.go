@@ -7,10 +7,17 @@ import (
 
 	"repro/internal/optimizer"
 	"repro/internal/queries"
+	"repro/internal/stats"
 )
 
-// Recost at the same parameter values must reproduce the original estimate.
+// Recost at the same parameter values must reproduce the original estimate:
+// one estimate per plan. That holds for a memo held while the corrections
+// move, too. Every site of Q3/Q4/Q5/Q8 is moved by e^0.2 (three observations
+// of log q-error 0.2, the third publishing), below the epoch threshold, after
+// the memo was built and used: the winner the held memo costs must cost the
+// same under RebindProgram.Recost and under a fresh Optimize.
 func TestRecostIdentity(t *testing.T) {
+	within := func(a, b float64) bool { return math.Abs(a-b) <= 0.01*b+1e-6 }
 	for _, name := range []string{"Q0", "Q1", "Q5", "Q8"} {
 		tm := tmpl(t, name)
 		vals := midValues(t, tm)
@@ -25,8 +32,51 @@ func TestRecostIdentity(t *testing.T) {
 		if re.Fingerprint != plan.Fingerprint {
 			t.Errorf("%s: recost changed fingerprint:\n%s\n%s", name, plan.Fingerprint, re.Fingerprint)
 		}
-		if math.Abs(re.Cost-plan.Cost) > 0.01*plan.Cost+1e-6 {
+		if !within(re.Cost, plan.Cost) {
 			t.Errorf("%s: recost cost %v, original %v", name, re.Cost, plan.Cost)
+		}
+	}
+	for _, name := range []string{"Q3", "Q4", "Q5", "Q8"} {
+		tm := tmpl(t, name)
+		q := tm.Query
+		q.Corr = stats.NewCorrections(len(q.Preds), stats.CorrConfig{})
+		vals := midValues(t, tm)
+		memo, err := opt.NewMemo(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := opt.OptimizeMemo(memo, vals); err != nil {
+			t.Fatal(err)
+		}
+		obs := make([]stats.Obs, len(q.Preds))
+		for i := range obs {
+			obs[i] = stats.Obs{Site: i + 1, LogQ: 0.2}
+		}
+		for i := 0; i < 3; i++ {
+			q.Corr.Apply(obs, nil)
+		}
+		if f := q.Corr.Factor(1); math.Abs(f-math.Exp(0.2)) > 1e-12 || q.Corr.Epoch() != 0 {
+			t.Fatalf("%s: factor %v at epoch %d, want e^0.2 at epoch 0", name, f, q.Corr.Epoch())
+		}
+		held, err := opt.OptimizeMemo(memo, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rp, err := opt.CompileRebind(q, held)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recost, err := rp.Recost(opt, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := opt.Optimize(q, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !within(held.Cost, recost) || !within(held.Cost, fresh.Cost) {
+			t.Errorf("%s: held memo costs its winner %v, its recost %v, a fresh Optimize %v (%s)",
+				name, held.Cost, recost, fresh.Cost, fresh.Fingerprint)
 		}
 	}
 }

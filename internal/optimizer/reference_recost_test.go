@@ -2,8 +2,8 @@ package optimizer
 
 // The string-keyed estimators and the recost walk this package shipped
 // before estimation went through bound column handles, kept as test-only
-// references: every question resolves its table, column and template by
-// name, every time it is asked. The reference enumerator (reference_test.go)
+// references: every question resolves its table and column by name, and
+// reads the query's correction factor, every time it is asked. The reference enumerator (reference_test.go)
 // estimates through them, and TestRecostMatchesReference holds both Recost
 // and RebindProgram.Recost to ReferenceRecost bit for bit.
 
@@ -33,8 +33,9 @@ func (o *Optimizer) distinct(table, col string) (float64, error) {
 }
 
 // selectivity estimates one instantiated single-table predicate, then
-// applies the site's learned correction; tmpl == "" keeps the base estimate.
-func (o *Optimizer) selectivity(tmpl, table string, p Predicate) (float64, error) {
+// applies the site's learned correction; nil corrections keep the base
+// estimate.
+func (o *Optimizer) selectivity(corr *stats.Corrections, table string, p Predicate) (float64, error) {
 	if err := checkEstimable(&p); err != nil {
 		return 0, err
 	}
@@ -59,17 +60,14 @@ func (o *Optimizer) selectivity(tmpl, table string, p Predicate) (float64, error
 	case PredBetween:
 		s = c.SelectivityRange(p.Lo, p.Hi)
 	}
-	if tmpl == "" {
-		return s, nil
-	}
-	return o.stats.Correct(tmpl, p.Site, s), nil
+	return corr.CorrectSel(p.Site, s), nil
 }
 
 // selProduct multiplies the selectivities of single-table predicates.
-func (o *Optimizer) selProduct(tmpl, table string, preds []Predicate) (float64, error) {
+func (o *Optimizer) selProduct(corr *stats.Corrections, table string, preds []Predicate) (float64, error) {
 	sel := 1.0
 	for _, p := range preds {
-		s, err := o.selectivity(tmpl, table, p)
+		s, err := o.selectivity(corr, table, p)
 		if err != nil {
 			return 0, err
 		}
@@ -101,13 +99,13 @@ func (o *Optimizer) refBaseJoinSelectivity(q *Query, j Predicate) (float64, erro
 }
 
 // joinSelectivity is the base join selectivity corrected by the join
-// predicate's site factor when the query belongs to a template.
+// predicate's current site factor when the query carries corrections.
 func (o *Optimizer) joinSelectivity(q *Query, j Predicate) (float64, error) {
 	s, err := o.refBaseJoinSelectivity(q, j)
 	if err != nil {
 		return 0, err
 	}
-	return o.stats.Correct(q.Template, j.Site, s), nil
+	return q.Corr.CorrectSel(j.Site, s), nil
 }
 
 // refBaseRangeSelectivity estimates P(lo <= col <= hi) without corrections,
@@ -186,7 +184,7 @@ func (o *Optimizer) refRecostScan(n *Node, q *Query) (float64, float64, error) {
 		return 0, 0, fmt.Errorf("optimizer: unknown table %s", n.Table)
 	}
 	baseRows := float64(table.NumRows())
-	selResidual, err := o.selProduct(q.Template, n.Table, n.Filters)
+	selResidual, err := o.selProduct(q.Corr, n.Table, n.Filters)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -201,7 +199,7 @@ func (o *Optimizer) refRecostScan(n *Node, q *Query) (float64, float64, error) {
 			if err != nil {
 				return 0, 0, err
 			}
-			matchSel = o.stats.Correct(q.Template, n.IndexSite, s)
+			matchSel = q.Corr.CorrectSel(n.IndexSite, s)
 		}
 		matches := math.Max(baseRows*matchSel, 1e-6)
 		n.EstRows = math.Max(matches*selResidual, 1e-6)
@@ -235,7 +233,7 @@ func (o *Optimizer) refRecostJoin(n *Node, q *Query) (float64, float64, error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		innerSel, err := o.selProduct(q.Template, inner.Table, inner.Filters)
+		innerSel, err := o.selProduct(q.Corr, inner.Table, inner.Filters)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -16,6 +16,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/stats"
 	"repro/internal/tpch"
 )
 
@@ -56,13 +57,13 @@ func refConnecting(joins []Predicate, aliasIdx map[string]int, mask, r int) []Pr
 
 // refAccessPaths builds the scan candidates for one relation with its
 // instantiated single-table predicates.
-func (o *Optimizer) refAccessPaths(tmpl string, t TableRef, preds []Predicate) ([]refCandidate, error) {
+func (o *Optimizer) refAccessPaths(corr *stats.Corrections, t TableRef, preds []Predicate) ([]refCandidate, error) {
 	table := o.db.Table(t.Table)
 	if table == nil {
 		return nil, fmt.Errorf("optimizer: unknown table %s", t.Table)
 	}
 	baseRows := float64(table.NumRows())
-	selAll, err := o.selProduct(tmpl, t.Table, preds)
+	selAll, err := o.selProduct(corr, t.Table, preds)
 	if err != nil {
 		return nil, err
 	}
@@ -90,7 +91,7 @@ func (o *Optimizer) refAccessPaths(tmpl string, t TableRef, preds []Predicate) (
 		site := 0
 		if driving != nil {
 			lo, hi = sargBounds(*driving)
-			s, err := o.selectivity(tmpl, t.Table, *driving)
+			s, err := o.selectivity(corr, t.Table, *driving)
 			if err != nil {
 				return nil, err
 			}
@@ -137,7 +138,7 @@ func splitSargable(preds []Predicate, col string) (*Predicate, []Predicate) {
 }
 
 // refJoinCandidates enumerates join methods attaching relation r to the
-// partial plan `left`. sels carries the catalog join selectivities for conn.
+// partial plan `left`. sels carries conn's join selectivities, corrected.
 func (o *Optimizer) refJoinCandidates(q *Query, left refCandidate, r int, rightBase []refCandidate, conn []Predicate, sels []float64, rightPreds []Predicate) ([]refCandidate, error) {
 	tRef := q.Tables[r]
 	table := o.db.Table(tRef.Table)
@@ -248,8 +249,9 @@ func refCheapest(cands []refCandidate) refCandidate {
 }
 
 // ReferenceMemo is the reference enumerator's per-template memo: the
-// connectivity lists and join selectivities for every (subset, relation) DP
-// step, all derived at once — so it is rebuilt whole on an epoch bump.
+// connectivity lists for every (subset, relation) DP step. Every estimate,
+// join selectivities included, is made per call, reading the query's
+// corrections as they are then.
 type ReferenceMemo struct {
 	q *Query
 	n int
@@ -257,10 +259,7 @@ type ReferenceMemo struct {
 	joins      []Predicate
 	singleTmpl [][]Predicate // per relation: template single-table preds
 	conn       [][]Predicate // (mask*n + r) -> connecting join preds
-	connSel    [][]float64   // parallel join selectivities
 	hasAgg     bool
-
-	StatsEpoch uint64
 
 	scratch sync.Pool // *refScratch
 }
@@ -342,28 +341,12 @@ func (o *Optimizer) NewReferenceMemo(q *Query) (*ReferenceMemo, error) {
 			m.singleTmpl[i] = append(m.singleTmpl[i], p)
 		}
 	}
-	m.StatsEpoch = o.stats.Epoch(q.Template)
 	m.conn = make([][]Predicate, (1<<uint(n))*n)
-	m.connSel = make([][]float64, (1<<uint(n))*n)
 	for mask := 1; mask < 1<<uint(n); mask++ {
 		for r := 0; r < n; r++ {
-			if mask&(1<<uint(r)) != 0 {
-				continue
+			if mask&(1<<uint(r)) == 0 {
+				m.conn[mask*n+r] = refConnecting(m.joins, aliasIdx, mask, r)
 			}
-			conn := refConnecting(m.joins, aliasIdx, mask, r)
-			if len(conn) == 0 {
-				continue
-			}
-			sels := make([]float64, len(conn))
-			for i, j := range conn {
-				s, err := o.joinSelectivity(q, j)
-				if err != nil {
-					return nil, err
-				}
-				sels[i] = s
-			}
-			m.conn[mask*n+r] = conn
-			m.connSel[mask*n+r] = sels
 		}
 	}
 	m.scratch.New = func() any {
@@ -388,7 +371,7 @@ func (o *Optimizer) ReferenceOptimize(m *ReferenceMemo, params []float64) (*Plan
 	base := make([][]refCandidate, n)
 	for i, t := range m.q.Tables {
 		single[i] = instantiateSingle(m.singleTmpl[i], params)
-		cands, err := o.refAccessPaths(m.q.Template, t, single[i])
+		cands, err := o.refAccessPaths(m.q.Corr, t, single[i])
 		if err != nil {
 			return nil, err
 		}
@@ -408,7 +391,15 @@ func (o *Optimizer) ReferenceOptimize(m *ReferenceMemo, params []float64) (*Plan
 			if mask&bit != 0 {
 				continue
 			}
-			conn, sels := m.conn[mask*n+r], m.connSel[mask*n+r]
+			conn := m.conn[mask*n+r]
+			sels := make([]float64, len(conn))
+			for i, j := range conn {
+				s, err := o.joinSelectivity(m.q, j)
+				if err != nil {
+					return nil, err
+				}
+				sels[i] = s
+			}
 			for ci := range set.cands {
 				cands, err := o.refJoinCandidates(m.q, set.cands[ci], r, base[r], conn, sels, single[r])
 				if err != nil {
@@ -461,19 +452,18 @@ func instantiateSingle(tmpl []Predicate, params []float64) []Predicate {
 // CheckPrintOrder runs the production enumeration at params and holds the
 // structural near-tie order to the strings it stands for: for every pair of
 // surviving entries, printLess must agree with comparing the fingerprints
-// of the two materialised trees. Every entry's fingerprint as the shape
+// of the two materialised trees. Every entry's fingerprint as the memo
 // names it (its segments, or the memo) must be its tree's. It also returns
 // how many pairs it checked.
 func (o *Optimizer) CheckPrintOrder(m *Memo, params []float64) (int, error) {
-	sh := m.shape
-	sc := sh.scratch.Get().(*dpScratch)
-	defer sh.scratch.Put(sc)
+	sc := m.scratch.Get().(*dpScratch)
+	defer m.scratch.Put(sc)
 	o.enumerate(m, sc, params)
 	prints := make([]string, len(sc.entries))
 	for i := range sc.entries {
 		e := &sc.entries[i]
 		root := o.buildPlan(m, sc, params, e, "").Root
-		if named, fp := sh.fingerprint(sc, e), FingerprintOf(root); named != fp {
+		if named, fp := m.fingerprint(sc, e), FingerprintOf(root); named != fp {
 			return 0, fmt.Errorf("entry %d named %q, its tree prints %q", i, named, fp)
 		}
 		if root.Op == OpHashAgg {
@@ -484,7 +474,7 @@ func (o *Optimizer) CheckPrintOrder(m *Memo, params []float64) (int, error) {
 	pairs := 0
 	for i := range sc.entries {
 		for j := range sc.entries {
-			got := sc.printLess(sh, &sc.entries[i], &sc.entries[j])
+			got := sc.printLess(m, &sc.entries[i], &sc.entries[j])
 			if want := prints[i] < prints[j]; got != want {
 				return pairs, fmt.Errorf("printLess(%q, %q) = %v, strings order %v", prints[i], prints[j], got, want)
 			}

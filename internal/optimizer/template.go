@@ -51,14 +51,13 @@ func (o *Optimizer) paramColumns(t *Template) ([]stats.Column, error) {
 	return b.cols, nil
 }
 
-// NewTemplate wraps a validated query as a template. It stamps the query
-// with the template name and each predicate with its 1-based site — the
-// stable identities the adaptive statistics layer keys corrections on.
+// NewTemplate wraps a validated query as a template. It stamps each
+// predicate with its 1-based site — the stable identity a template's
+// corrections (Query.Corr) are kept per.
 func NewTemplate(name, sql string, q *Query) (*Template, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	q.Template = name
 	for i := range q.Preds {
 		q.Preds[i].Site = i + 1
 	}
@@ -95,10 +94,17 @@ type Instance struct {
 	Values   []float64
 }
 
-// Instantiate binds parameter values, validating the count.
+// Instantiate binds parameter values, validating the count. A NaN value is
+// no value: it compares false with every row, so it is rejected here rather
+// than served. ±Inf stays a legal bound.
 func (t *Template) Instantiate(values []float64) (Instance, error) {
 	if len(values) != t.Degree() {
 		return Instance{}, fmt.Errorf("optimizer: template %s needs %d values, got %d", t.Name, t.Degree(), len(values))
+	}
+	for i, v := range values {
+		if math.IsNaN(v) {
+			return Instance{}, fmt.Errorf("optimizer: template %s value %d is NaN", t.Name, i)
+		}
 	}
 	return Instance{Template: t, Values: values}, nil
 }
@@ -135,6 +141,11 @@ func (o *Optimizer) SelectivityPoint(inst Instance) ([]float64, error) {
 func (o *Optimizer) InstanceAt(t *Template, point []float64) (Instance, error) {
 	if len(point) != t.Degree() {
 		return Instance{}, fmt.Errorf("optimizer: point has %d coordinates, template degree %d", len(point), t.Degree())
+	}
+	for i, p := range point {
+		if math.IsNaN(p) {
+			return Instance{}, fmt.Errorf("optimizer: point coordinate %d is NaN", i)
+		}
 	}
 	cols, err := o.paramColumns(t)
 	if err != nil {

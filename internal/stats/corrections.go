@@ -21,10 +21,11 @@ type CorrConfig struct {
 	// MinObs is the cold-start passthrough: a site publishes the identity
 	// factor until it has seen this many observations (default 3).
 	MinObs uint64
-	// EpochLogDelta is the invalidation threshold: when a site's smoothed
+	// EpochLogDelta is the epoch threshold: when a site's smoothed
 	// log-q-error has moved this far from its value at the last epoch
-	// publish, the template's correction epoch advances and memo caches
-	// re-derive (default ln(1.25) — a 25% shift in the factor).
+	// publish, the template's correction epoch advances (default ln(1.25) —
+	// a 25% shift in the factor). The epoch is a gauge of how far the
+	// corrections have travelled; no estimate waits on it.
 	EpochLogDelta float64
 }
 
@@ -45,6 +46,21 @@ func (c CorrConfig) withDefaults() CorrConfig {
 		c.EpochLogDelta = math.Log(1.25)
 	}
 	return c
+}
+
+// check rejects a configuration no learner would run with: the bounds a
+// decoded stream must meet before its state is installed (DecodeCorrections
+// checks MinObs, which it reads as a float, before converting it).
+func (c CorrConfig) check() error {
+	switch {
+	case !(c.Alpha > 0 && c.Alpha <= 1):
+		return fmt.Errorf("stats: correction alpha %v outside (0, 1]", c.Alpha)
+	case !(c.ClampMin > 0 && c.ClampMin <= 1 && c.ClampMax >= 1 && finite(c.ClampMax)):
+		return fmt.Errorf("stats: correction clamps [%v, %v] do not bracket 1", c.ClampMin, c.ClampMax)
+	case !(c.EpochLogDelta > 0 && finite(c.EpochLogDelta)):
+		return fmt.Errorf("stats: correction epoch threshold %v not positive and finite", c.EpochLogDelta)
+	}
+	return nil
 }
 
 // Obs is one predicate-site cardinality observation on its way into the
@@ -82,8 +98,8 @@ type Corrections struct {
 	// factors publishes each site's clamped multiplicative factor as
 	// Float64bits; the zero value decodes as the identity (cold start).
 	factors []atomic.Uint64
-	// epoch advances when any site's correction moves past the
-	// invalidation threshold; memo caches compare against it.
+	// epoch advances when any site's correction moves past the epoch
+	// threshold: the learner.correction_epoch gauge.
 	epoch atomic.Uint64
 	// appliedSeq is the WAL watermark of the newest correction record
 	// reflected in the state (mirrors core.Online.appliedSeq for feedback).
@@ -109,7 +125,8 @@ func NewCorrections(nSites int, cfg CorrConfig) *Corrections {
 func (c *Corrections) NSites() int { return len(c.factors) }
 
 // Epoch returns the template's correction epoch (0 on a nil receiver: no
-// corrections).
+// corrections): how many batches have moved some site past the epoch
+// threshold.
 func (c *Corrections) Epoch() uint64 {
 	if c == nil {
 		return 0
@@ -164,19 +181,18 @@ func (c *Corrections) publishLocked(s int) {
 // Apply folds a batch of observations into the EWMA state, logs the
 // post-update state of every touched site (log-before-publish, so a
 // checkpoint's watermark never claims a record it does not contain), and
-// publishes the new factors. It returns whether the template's correction
-// epoch advanced — the signal that memo caches must re-derive. lg may be
-// nil (no durability).
-func (c *Corrections) Apply(batch []Obs, lg wal.Appender) (epochBumped bool) {
+// publishes the new factors; the next estimate of a site reads its new
+// factor. lg may be nil (no durability).
+func (c *Corrections) Apply(batch []Obs, lg wal.Appender) {
 	if len(batch) == 0 {
-		return false
+		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.stampGen++
 	c.touched = c.touched[:0]
 	for _, ob := range batch {
-		if ob.Site < 1 || ob.Site > len(c.sites) || math.IsNaN(ob.LogQ) || math.IsInf(ob.LogQ, 0) {
+		if ob.Site < 1 || ob.Site > len(c.sites) || !finite(ob.LogQ) {
 			continue
 		}
 		st := &c.sites[ob.Site-1]
@@ -192,11 +208,12 @@ func (c *Corrections) Apply(batch []Obs, lg wal.Appender) (epochBumped bool) {
 		}
 	}
 	if len(c.touched) == 0 {
-		return false
+		return
 	}
 	// Epoch decision: any touched site whose smoothed correction moved past
 	// the threshold (relative to its last published reference) bumps the
 	// epoch once for the whole batch, and re-anchors its reference.
+	epochBumped := false
 	for _, site := range c.touched {
 		st := &c.sites[site-1]
 		if st.n >= c.cfg.MinObs && math.Abs(st.logc-st.ref) >= c.cfg.EpochLogDelta {
@@ -229,7 +246,6 @@ func (c *Corrections) Apply(batch []Obs, lg wal.Appender) (epochBumped bool) {
 	if epochBumped {
 		c.epoch.Store(epoch)
 	}
-	return epochBumped
 }
 
 // Replay re-applies one correction record — the durable form of one site
@@ -237,9 +253,9 @@ func (c *Corrections) Apply(batch []Obs, lg wal.Appender) (epochBumped bool) {
 // from the WAL (crash recovery) or shipped over a replication stream.
 // Idempotent via the applied-sequence watermark; records carry absolute
 // state, so replay in sequence order reconstructs exactly the pre-crash
-// factors. Records for sites beyond the template's shape are skipped (the
-// template changed between crash and restart) but still advance the
-// watermark.
+// factors. Records for sites beyond the template's shape (the template
+// changed between crash and restart) and records whose state is not finite
+// (no Apply writes one) are skipped but still advance the watermark.
 func (c *Corrections) Replay(rec *wal.Record) (applied bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -249,7 +265,7 @@ func (c *Corrections) Replay(rec *wal.Record) (applied bool) {
 	if rec.Seq != 0 {
 		c.appliedSeq.Store(rec.Seq)
 	}
-	if rec.Site < 1 || int(rec.Site) > len(c.sites) {
+	if rec.Site < 1 || int(rec.Site) > len(c.sites) || !finite(rec.LogC) || !finite(rec.Ref) {
 		return false
 	}
 	st := &c.sites[rec.Site-1]
@@ -260,6 +276,10 @@ func (c *Corrections) Replay(rec *wal.Record) (applied bool) {
 	}
 	return true
 }
+
+// finite reports whether v is neither NaN nor infinite: a site's EWMA and
+// reference always are, since Apply folds in finite observations only.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // SiteState is the exported copy of one site's learned state.
 type SiteState struct {
@@ -312,8 +332,10 @@ func (c *Corrections) Encode(dst []byte) []byte {
 }
 
 // DecodeCorrections decodes a section body written by Encode into freshly
-// constructed state; a body with a byte more or less than its site count
-// declares is an error.
+// constructed state. A body with a byte more or less than its site count
+// declares is an error, and so is one whose configuration fails
+// CorrConfig.check or whose site state is not finite: nothing from outside
+// the process publishes a factor Apply could not have.
 func DecodeCorrections(b []byte) (*Corrections, error) {
 	const siteBytes, fixed = 24, 4 + 5*8 + 2*8
 	le := binary.LittleEndian
@@ -321,13 +343,23 @@ func DecodeCorrections(b []byte) (*Corrections, error) {
 		return nil, fmt.Errorf("stats: corrections section of %d bytes does not match its site count", len(b))
 	}
 	f64 := func(off int) float64 { return math.Float64frombits(le.Uint64(b[off:])) }
-	c := NewCorrections(int(le.Uint32(b)), CorrConfig{Alpha: f64(4), ClampMin: f64(12), ClampMax: f64(20),
-		MinObs: uint64(f64(28)), EpochLogDelta: f64(36)})
+	minObs := f64(28)
+	if !(minObs >= 1 && minObs < 1<<63 && minObs == math.Trunc(minObs)) {
+		return nil, fmt.Errorf("stats: correction MinObs %v is not a whole number of at least 1", minObs)
+	}
+	cfg := CorrConfig{Alpha: f64(4), ClampMin: f64(12), ClampMax: f64(20), MinObs: uint64(minObs), EpochLogDelta: f64(36)}
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
+	c := NewCorrections(int(le.Uint32(b)), cfg)
 	c.epoch.Store(le.Uint64(b[44:]))
 	c.appliedSeq.Store(le.Uint64(b[52:]))
 	for i := range c.sites {
 		off := fixed + siteBytes*i
 		c.sites[i] = siteState{logc: f64(off), n: le.Uint64(b[off+8:]), ref: f64(off + 16)}
+		if !finite(c.sites[i].logc) || !finite(c.sites[i].ref) {
+			return nil, fmt.Errorf("stats: correction site %d holds non-finite state", i+1)
+		}
 		c.publishLocked(i)
 	}
 	return c, nil
@@ -360,81 +392,3 @@ func (c *Corrections) Adopt(dec *Corrections) error {
 	c.appliedSeq.Store(dec.appliedSeq.Load())
 	return nil
 }
-
-// Adaptive layers per-template corrections over a base provider. The
-// template map is copy-on-write: Corrections, Correct and Epoch are a
-// lock-free map read plus atomics (the serving path keeps the *Corrections
-// it resolved when it bound a plan and skips the map); Register is rare and
-// serializes on a mutex.
-type Adaptive struct {
-	Provider
-	cfg CorrConfig
-
-	mu     sync.Mutex
-	byTmpl atomic.Pointer[map[string]*Corrections]
-}
-
-// NewAdaptive layers correction state over base. The zero CorrConfig takes
-// the package defaults.
-func NewAdaptive(base Provider, cfg CorrConfig) *Adaptive {
-	a := &Adaptive{Provider: base, cfg: cfg.withDefaults()}
-	m := make(map[string]*Corrections)
-	a.byTmpl.Store(&m)
-	return a
-}
-
-// Register creates (or returns) the correction state for a template with
-// nSites predicate sites.
-func (a *Adaptive) Register(template string, nSites int) *Corrections {
-	if c := a.Corrections(template); c != nil {
-		return c
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	old := *a.byTmpl.Load()
-	if c, ok := old[template]; ok {
-		return c
-	}
-	c := NewCorrections(nSites, a.cfg)
-	next := make(map[string]*Corrections, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[template] = c
-	a.byTmpl.Store(&next)
-	return c
-}
-
-// Drop removes a template's correction state (re-registration after a
-// corrupt snapshot starts cold).
-func (a *Adaptive) Drop(template string) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	old := *a.byTmpl.Load()
-	if _, ok := old[template]; !ok {
-		return
-	}
-	next := make(map[string]*Corrections, len(old))
-	for k, v := range old {
-		if k != template {
-			next[k] = v
-		}
-	}
-	a.byTmpl.Store(&next)
-}
-
-// Corrections returns a template's correction state, nil when unregistered.
-func (a *Adaptive) Corrections(template string) *Corrections {
-	return (*a.byTmpl.Load())[template]
-}
-
-// Correct applies the template's learned factor for a predicate site.
-func (a *Adaptive) Correct(template string, site int, sel float64) float64 {
-	if template == "" {
-		return sel
-	}
-	return a.Corrections(template).CorrectSel(site, sel)
-}
-
-// Epoch returns the template's correction epoch (0 when unregistered).
-func (a *Adaptive) Epoch(template string) uint64 { return a.Corrections(template).Epoch() }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -88,15 +89,14 @@ func TestCorrectionsEpochAdvancesOnDrift(t *testing.T) {
 	}
 	// One big observation moves the smoothed correction well past the
 	// threshold: epoch bumps and the reference re-anchors.
-	if !c.Apply([]Obs{{Site: 1, LogQ: math.Log(4)}}, nil) {
-		t.Fatal("large shift did not bump the epoch")
-	}
+	c.Apply([]Obs{{Site: 1, LogQ: math.Log(4)}}, nil)
 	if c.Epoch() != 1 {
-		t.Fatalf("epoch = %d, want 1", c.Epoch())
+		t.Fatalf("epoch = %d after a large shift, want 1", c.Epoch())
 	}
 	// Repeating the same observation keeps the EWMA where it is — no bump.
-	if c.Apply([]Obs{{Site: 1, LogQ: math.Log(4)}}, nil) {
-		t.Fatal("steady state bumped the epoch")
+	c.Apply([]Obs{{Site: 1, LogQ: math.Log(4)}}, nil)
+	if c.Epoch() != 1 {
+		t.Fatalf("epoch = %d in steady state, want 1", c.Epoch())
 	}
 	// A reversal large enough to cross the threshold bumps again.
 	for i := 0; i < 20 && c.Epoch() == 1; i++ {
@@ -215,42 +215,61 @@ func TestCorrectionsEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAdaptiveRegisterCorrectDrop(t *testing.T) {
-	a := NewAdaptive(&Base{}, CorrConfig{MinObs: 1})
-	// Unregistered template and non-positive sites are the identity.
-	if got := a.Correct("q", 1, 0.5); got != 0.5 {
-		t.Fatalf("unregistered Correct = %v, want identity", got)
+// TestCorrectionsRefuseNonFiniteState holds what comes from outside the
+// process to the state Apply can produce: a decoded section with a
+// configuration out of range or a non-finite site is an error (the template
+// restores correction-cold), and a replayed record with non-finite state is
+// skipped with the watermark advanced.
+func TestCorrectionsRefuseNonFiniteState(t *testing.T) {
+	c := NewCorrections(2, CorrConfig{})
+	for i := 0; i < 4; i++ {
+		c.Apply([]Obs{{Site: 1, LogQ: math.Log(3)}, {Site: 2, LogQ: -1}}, nil)
 	}
-	if got := a.Correct("", 1, 0.5); got != 0.5 {
-		t.Fatal("empty-template Correct not identity")
+	body := c.Encode(nil)
+	patch := func(off int, v float64) []byte {
+		b := append([]byte(nil), body...)
+		binary.LittleEndian.PutUint64(b[off:], math.Float64bits(v))
+		return b
 	}
-	c := a.Register("q", 2)
-	if a.Register("q", 7) != c {
-		t.Fatal("Register is not idempotent")
+	const site1 = 4 + 5*8 + 2*8 // first site's logc; ref is 16 bytes on
+	for name, bad := range map[string][]byte{
+		"alpha 0":           patch(4, 0),
+		"alpha above 1":     patch(4, 1.5),
+		"alpha NaN":         patch(4, math.NaN()),
+		"clamp min 0":       patch(12, 0),
+		"clamp min above 1": patch(12, 2),
+		"clamp max below 1": patch(20, 0.5),
+		"clamp max +Inf":    patch(20, math.Inf(1)),
+		"MinObs 0":          patch(28, 0),
+		"MinObs 2.5":        patch(28, 2.5),
+		"MinObs NaN":        patch(28, math.NaN()),
+		"MinObs 1e300":      patch(28, 1e300),
+		"epoch delta 0":     patch(36, 0),
+		"epoch delta NaN":   patch(36, math.NaN()),
+		"logc NaN":          patch(site1, math.NaN()),
+		"logc +Inf":         patch(site1, math.Inf(1)),
+		"ref -Inf":          patch(site1+16, math.Inf(-1)),
+	} {
+		if _, err := DecodeCorrections(bad); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
 	}
-	if a.Corrections("q") != c {
-		t.Fatal("For does not return the registered state")
+	if _, err := DecodeCorrections(patch(28, 1)); err != nil {
+		t.Fatalf("MinObs 1 rejected: %v", err)
 	}
-	c.Apply([]Obs{{Site: 1, LogQ: math.Log(2)}}, nil)
-	if got := a.Correct("q", 1, 0.1); math.Abs(got-0.2) > 1e-12 {
-		t.Fatalf("Correct = %v, want 0.2", got)
+
+	_, seq, want := c.State()
+	for i, rec := range []wal.Record{
+		{Site: 1, LogC: math.NaN(), N: 9},
+		{Site: 2, LogC: 0.5, N: 9, Ref: math.Inf(1)},
+	} {
+		rec.Kind, rec.Seq = wal.RecordCorrection, seq+uint64(i)+1
+		if c.Replay(&rec) {
+			t.Fatalf("record %d with non-finite state applied", i)
+		}
 	}
-	if got := a.Correct("q", 0, 0.1); got != 0.1 {
-		t.Fatal("site 0 not identity")
-	}
-	if a.Epoch("q") != c.Epoch() {
-		t.Fatal("Epoch does not delegate")
-	}
-	a.Drop("q")
-	if a.Corrections("q") != nil {
-		t.Fatal("Drop did not remove the template")
-	}
-	if got := a.Correct("q", 1, 0.1); got != 0.1 {
-		t.Fatal("dropped template still corrects")
-	}
-	// Re-registration starts cold.
-	if a.Register("q", 2).Factor(1) != 1 {
-		t.Fatal("re-registered state is not cold")
+	if _, got, sites := c.State(); got != seq+2 || sites[0] != want[0] || sites[1] != want[1] {
+		t.Fatalf("after skipped records: watermark %d (want %d), sites %+v (want %+v)", got, seq+2, sites, want)
 	}
 }
 

@@ -1,23 +1,24 @@
 // Package stats is the optimizer's statistics layer: a Provider interface
-// that answers the selectivity questions the cost model asks, layered so
-// the answers can be corrected from observed execution.
+// that answers the selectivity questions the cost model asks, and the
+// per-template correction state that adjusts those answers from observed
+// execution.
 //
 // The base provider hands out the catalog's column statistics as handles
 // (Column) — exactly the estimates the optimizer used before this layer
-// existed, resolved once by whoever asks a column repeatedly. On top of it the
-// Adaptive provider maintains per-(template, predicate-site) multiplicative
-// correction factors learned from true operator cardinalities (Ivanov &
-// Bartunov's adaptive cardinality estimation, specialized to the template
-// world: a predicate site inside a template IS a query class). The
-// optimizer applies the template's correction (Corrections.CorrectSel) after
-// every base estimate; a site with no evidence passes through unchanged, so
-// a cold system is bit-identical to the static one.
+// existed, resolved once by whoever asks a column repeatedly. Corrections
+// holds one template's multiplicative correction factor per predicate site,
+// learned from true operator cardinalities (Ivanov & Bartunov's adaptive
+// cardinality estimation, specialized to the template world: a predicate
+// site inside a template IS a query class). A template's query carries its
+// Corrections, and the optimizer multiplies a site's factor into every base
+// estimate it makes for that site (Corrections.CorrectSel), at the moment
+// it makes it; a site with no evidence passes through unchanged, so a cold
+// system is bit-identical to the static one.
 //
 // Lock-hierarchy position (DESIGN.md §9/§14): Correction state is a leaf.
-// The read path (Factor/Correct/Epoch) is lock-free atomics plus a
-// copy-on-write template map; the write path (Apply/Replay) serializes on a
-// per-template mutex that calls nothing but the WAL logger, which sits
-// below every learner lock.
+// The read path (Factor/CorrectSel/Epoch) is lock-free atomics; the write
+// path (Apply/Replay) serializes on a per-template mutex that calls nothing
+// but the WAL logger, which sits below every learner lock.
 package stats
 
 import (
@@ -51,29 +52,17 @@ type Column interface {
 	Bounds() (lo, hi float64)
 }
 
-// Provider is where the optimizer's statistics come from: column handles
-// for the base estimates, and the adaptive layer's learned corrections per
-// template. Implementations must be comparable (pointers): a holder of bound
-// handles remembers which provider resolved them.
+// Provider is where the optimizer's base statistics come from: one column
+// handle per (table, column). Implementations must be comparable (pointers):
+// a holder of bound handles remembers which provider resolved them.
 type Provider interface {
 	// Column resolves the handle that answers every question about
 	// table.col.
 	Column(table, col string) (Column, error)
-	// Corrections returns the template's correction state, nil when it has
-	// none (all of a nil *Corrections' read methods are the identity).
-	// Holders of bound handles keep it beside them.
-	Corrections(template string) *Corrections
-	// Correct applies the learned correction for a template's predicate
-	// site to a base selectivity estimate: Corrections(template).CorrectSel.
-	// site <= 0 or an unknown template is the identity.
-	Correct(template string, site int, sel float64) float64
-	// Epoch returns the template's correction epoch (0 = no corrections) —
-	// memo caches stamp it at build time and re-derive when it moves.
-	Epoch(template string) uint64
 }
 
 // Base is the static provider over the catalog's histograms: the estimates
-// the optimizer has always used, with the identity correction.
+// the optimizer has always used.
 type Base struct {
 	cat *catalog.Catalog
 }
@@ -90,21 +79,12 @@ func (b *Base) Column(table, col string) (Column, error) {
 	return cs, nil
 }
 
-// Corrections on the base provider is always nil: no adaptive layer.
-func (b *Base) Corrections(string) *Corrections { return nil }
-
-// Correct on the base provider is the identity.
-func (b *Base) Correct(_ string, _ int, sel float64) float64 { return sel }
-
-// Epoch on the base provider is always 0.
-func (b *Base) Epoch(string) uint64 { return 0 }
-
 // Distorted wraps a provider and perturbs its selectivity answers — the
 // controlled way to make base estimates diverge from execution truth, for
-// experiments and for the adaptive layer's tests. Sel, when set, rewrites
+// experiments and for the corrections' tests. Sel, when set, rewrites
 // every Selectivity* answer; DistinctFn rewrites DistinctCount (join
 // selectivities). The column handle is wrapped once, when it is resolved;
-// Quantile, Bounds and the corrections pass through untouched.
+// Quantile and Bounds pass through untouched.
 type Distorted struct {
 	Provider
 	// Sel rewrites a base selectivity estimate for (table, col).

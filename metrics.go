@@ -141,9 +141,9 @@ func (st *templateState) metrics() TemplateMetrics {
 	l.Precision, l.PrecisionKnown = est.Precision()
 	l.Recall, l.RecallKnown = est.Recall()
 	l.Beta, l.BetaKnown = est.Beta()
-	if st.corr != nil {
-		l.CorrectionEpoch = st.corr.Epoch()
-		l.CorrectionSites = st.corr.ActiveSites()
+	if corr := st.tmpl.Query.Corr; corr != nil {
+		l.CorrectionEpoch = corr.Epoch()
+		l.CorrectionSites = corr.ActiveSites()
 	}
 	return tm
 }

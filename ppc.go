@@ -88,15 +88,17 @@ type Options struct {
 	// tail, and every applied feedback point is logged before it enters the
 	// synopsis. See the Durability type for the recovery contract.
 	Durability Durability
-	// DisableAdaptiveStats turns the adaptive statistics layer off: the
-	// optimizer estimates selectivities from catalog histograms alone, with
-	// no per-site correction factors learned from executed cardinalities.
-	// On by default (DESIGN.md "Adaptive statistics").
+	// DisableAdaptiveStats attaches no corrections to the templates: the
+	// optimizer estimates selectivities from the statistics provider alone,
+	// with no per-site correction factors learned from executed
+	// cardinalities. Corrections are on by default (DESIGN.md "Adaptive
+	// statistics").
 	DisableAdaptiveStats bool
-	// StatsWrap, when non-nil, wraps the base statistics provider before
-	// the adaptive correction layer is stacked on top. Experiments and
-	// tests use it to inject base-estimate error (stats.Distorted) and
-	// watch the corrections repair it; production systems leave it nil.
+	// StatsWrap, when non-nil, wraps the base statistics provider the
+	// optimizer estimates through; the templates' corrections apply on top
+	// of its answers. Experiments and tests use it to inject base-estimate
+	// error (stats.Distorted) and watch the corrections repair it;
+	// production systems leave it nil.
 	StatsWrap func(stats.Provider) stats.Provider
 }
 
@@ -159,12 +161,6 @@ type System struct {
 	opt  *optimizer.Optimizer
 	exec *executor.Executor
 	reg  *optimizer.Registry
-
-	// stats is the adaptive statistics layer the optimizer estimates
-	// through: per-(template, predicate-site) correction factors learned
-	// from executed cardinalities, over the catalog's base histograms.
-	// nil when Options.DisableAdaptiveStats is set.
-	stats *stats.Adaptive
 
 	// regMu guards the templates map. Per-template state has its own lock.
 	regMu     sync.RWMutex
@@ -262,16 +258,11 @@ type templateState struct {
 
 	// memo is the template's optimization memo: the parameter-independent
 	// part of plan enumeration, computed at registration and shared by
-	// every optimizer invocation for this template (each memo is immutable
-	// apart from its internal scratch pool, which is concurrency-safe).
-	// The pointer is atomic because the memo embeds correction factors in
-	// its join selectivities: when the adaptive statistics epoch moves past
-	// the one the memo captured, memoFor swaps in a refreshed memo.
-	memo atomic.Pointer[optimizer.Memo]
-
-	// corr is the template's adaptive correction state (nil when the layer
-	// is disabled), immutable after registration.
-	corr *stats.Corrections
+	// every optimizer invocation for this template (it is immutable apart
+	// from its internal scratch pool, which is concurrency-safe). It reads
+	// the template's corrections (tmpl.Query.Corr, nil when they are
+	// disabled) at each invocation, so nothing in it goes stale.
+	memo *optimizer.Memo
 
 	online *core.Online
 	// breaker quarantines the learner when it misbehaves. While open, Run
@@ -407,13 +398,11 @@ func (st *templateState) applyBatch(batch []core.Feedback, flushes []chan struct
 
 // applyCards folds one run's attributed observations into the template's
 // correction state (logging each touched site's post-update state to the
-// WAL before the factors publish) and returns the buffer to the pool. An
-// epoch bump needs no eager notification: memoFor observes it lazily on
-// the next optimizer invocation.
+// WAL before the factors publish) and returns the buffer to the pool. The
+// next estimate of a touched site, by the optimizer or a recost, reads its
+// new factor.
 func (st *templateState) applyCards(buf *cardBuf) {
-	if st.corr != nil && len(buf.obs) > 0 {
-		st.online.ApplyCorrections(buf.obs)
-	}
+	st.online.ApplyCorrections(buf.obs)
 	releaseCards(buf)
 }
 
@@ -520,20 +509,14 @@ func Open(opts Options) (*System, error) {
 	s.cacheObs = s.obs.Cache()
 	s.opt.SetFaults(opts.Faults)
 	s.exec.SetFaults(opts.Faults)
-	// Stack the statistics layers under the optimizer: catalog histograms,
-	// an optional experiment wrapper, and (unless disabled) the adaptive
-	// correction layer. Installed before any template registers, so every
+	// The optimizer's statistics: catalog histograms under an optional
+	// experiment wrapper. Installed before any template registers, so every
 	// memo is built through the final provider.
 	var provider stats.Provider = stats.NewBase(cat)
 	if opts.StatsWrap != nil {
 		provider = opts.StatsWrap(provider)
 	}
-	if opts.DisableAdaptiveStats {
-		s.opt.SetStats(provider)
-	} else {
-		s.stats = stats.NewAdaptive(provider, stats.CorrConfig{})
-		s.opt.SetStats(s.stats)
-	}
+	s.opt.SetStats(provider)
 	cache, err := plancache.New(opts.CacheCapacity, s.planPrecision)
 	if err != nil {
 		return nil, err
@@ -612,24 +595,20 @@ func (s *System) registerLocked(name, sql string) error {
 		breaker: metrics.NewBreaker(s.opts.Breaker),
 		obs:     s.obs.Template(name),
 	}
-	if s.stats != nil {
+	if !s.opts.DisableAdaptiveStats {
 		// One correction site per WHERE predicate (1-based, as stamped by
-		// NewTemplate). Attached to the learner before any state decode so
+		// NewTemplate), owned by the template's query so every estimate of
+		// it reads them. Attached to the learner before any state decode so
 		// checkpoint restores flow into it.
-		st.corr = s.stats.Register(name, len(tmpl.Query.Preds))
-		online.AttachCorrections(st.corr)
+		tmpl.Query.Corr = stats.NewCorrections(len(tmpl.Query.Preds), stats.CorrConfig{})
+		online.AttachCorrections(tmpl.Query.Corr)
 	}
 	if s.wal != nil {
 		online.AttachLog(&walSink{log: s.wal, template: name})
 	}
-	memo, err := s.opt.NewMemo(tmpl.Query)
-	if err != nil {
-		if s.stats != nil {
-			s.stats.Drop(name)
-		}
+	if st.memo, err = s.opt.NewMemo(tmpl.Query); err != nil {
 		return fmt.Errorf("ppc: register %s: %w", name, err)
 	}
-	st.memo.Store(memo)
 	if s.opts.FeedbackQueue >= 0 {
 		q := s.opts.FeedbackQueue
 		if q == 0 {
@@ -829,8 +808,8 @@ func (s *System) Run(template string, values []float64) (res *RunResult, err err
 	}
 	// Execute: batched columnar execution over pooled arenas. Every run also
 	// harvests true per-operator cardinalities — for the estimation q-error
-	// histogram always, and for the correction learner when the adaptive
-	// layer is on.
+	// histogram always, and for the correction learner when the template
+	// has corrections.
 	t1 := time.Now()
 	out, xerr := s.execObserved(st, r.entry, values)
 	if xerr != nil {
@@ -866,16 +845,13 @@ func (s *System) execObserved(st *templateState, entry *cachedPlan, values []flo
 		// The exported q-error histogram tracks the estimate the optimizer
 		// actually serves — base estimate times the learned factor — so it
 		// converges toward 1 as corrections absorb the base estimator's bias
-		// (and measures the raw base error when the adaptive layer is off).
+		// (and measures the raw base error when corrections are off).
 		// The learner itself always consumes the base-estimate error: the
 		// factor corrects the base, so feeding it corrected errors would make
 		// the EWMA chase its own output.
-		est := so.Est
-		if st.corr != nil {
-			est = st.corr.CorrectSel(so.Site, so.Est)
-		}
-		st.obs.RecordQError(stats.QError(est, so.Obs))
-		if st.corr != nil {
+		corr := st.tmpl.Query.Corr
+		st.obs.RecordQError(stats.QError(corr.CorrectSel(so.Site, so.Est), so.Obs))
+		if corr != nil {
 			buf.obs = append(buf.obs, stats.Obs{Site: so.Site, LogQ: stats.LogQ(so.Est, so.Obs)})
 		}
 	}
@@ -975,7 +951,7 @@ func (r *run) optimize() error {
 	s, st := r.st.sys, r.st
 	t0 := time.Now()
 	var entry *cachedPlan
-	plan, err := s.opt.OptimizeMemoHeld(s.memoFor(st), r.res.Values, func(fp string) bool {
+	plan, err := s.opt.OptimizeMemoHeld(st.memo, r.res.Values, func(fp string) bool {
 		entry = s.cachedPlanOf(st, s.reg.ID(fp))
 		return entry != nil
 	})
@@ -1094,29 +1070,6 @@ func (r *run) resolve() error {
 	r.res.PlanID = r.entry.id
 	r.res.Fingerprint = r.entry.plan.Fingerprint
 	return nil
-}
-
-// memoFor returns the template's current memo, refreshing it first when
-// the adaptive statistics epoch has moved past the one the memo captured —
-// the memo's join selectivities embed correction factors, so an epoch bump
-// makes its costs stale (plans it enumerates stay valid). The refresh
-// re-derives those selectivities only; the template's shape is shared. The
-// epoch comparison is two atomic loads on the hot path; concurrent
-// refreshes are benign (both derive from the current or a newer epoch, last
-// store wins). A refresh failure keeps serving the stale memo: lagging
-// costs beat a failed query.
-func (s *System) memoFor(st *templateState) *optimizer.Memo {
-	m := st.memo.Load()
-	if st.corr == nil || m.StatsEpoch == st.corr.Epoch() {
-		return m
-	}
-	fresh, err := s.opt.RefreshMemo(m)
-	if err != nil {
-		return m
-	}
-	st.memo.Store(fresh)
-	st.obs.CountMemoInvalidation()
-	return fresh
 }
 
 // cachedPlanOf returns st's cache entry under the given plan id, or nil when

@@ -327,6 +327,33 @@ func TestRunValidation(t *testing.T) {
 	if _, err := sys.Run("Q0", []float64{1}); err == nil {
 		t.Error("wrong arity should fail")
 	}
+	// NaN is neither a parameter value nor a plan-space point; ±Inf is a
+	// bound like any other, past every row.
+	if err := sys.Register("Q1", queries.Defs[1].SQL); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Run("Q1", []float64{math.NaN(), 1200}); err == nil {
+		t.Error("a NaN value should fail")
+	}
+	tmpl, err := sys.Template("Q1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inst, err := sys.Optimizer().InstanceAt(tmpl, []float64{math.NaN(), 0.4}); err == nil {
+		t.Errorf("a NaN coordinate became values %v", inst.Values)
+	}
+	inf, err := sys.Run("Q1", []float64{math.Inf(1), 1200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, err := sys.Run("Q1", []float64{1e9, 1200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(inf.Point, big.Point) || len(inf.Result.Rows) != len(big.Result.Rows) {
+		t.Errorf("[+Inf, 1200] ran at %v with %d rows, [1e9, 1200] at %v with %d",
+			inf.Point, len(inf.Result.Rows), big.Point, len(big.Result.Rows))
+	}
 }
 
 // TestRunOptimizesAtItsOwnValues: when a run invokes the optimizer — on the
@@ -435,7 +462,7 @@ func TestNamedWinnerIsTheBuiltOne(t *testing.T) {
 		}
 		// What the run's optimizer call will see: corrections move only
 		// with the run's own feedback, which follows it.
-		want, err := sys.opt.OptimizeMemo(sys.memoFor(st), inst.Values)
+		want, err := sys.opt.OptimizeMemo(st.memo, inst.Values)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,6 +9,7 @@ package ppc
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"time"
 
@@ -157,6 +158,11 @@ func TestLeaderReplicaEquivalenceEndToEnd(t *testing.T) {
 	if hits == 0 {
 		t.Fatal("no OK predictions across the probe grid; equivalence vacuous")
 	}
+	// A NaN coordinate is no plan-space point, on either side.
+	nan := netproto.PredictRequest{Template: "Q1", Point: []float64{math.NaN(), math.NaN()}}
+	if l, r := sys.PredictRPC(nan), st.PredictRPC(nan); l.Status != netproto.StatusBadRequest || r.Status != netproto.StatusBadRequest {
+		t.Errorf("a NaN point answered %d by the leader, %d by the replica; want %d", l.Status, r.Status, netproto.StatusBadRequest)
+	}
 	if lag := st.Obs().LagRecords(); lag != 0 {
 		t.Errorf("converged replica reports lag %d", lag)
 	}
@@ -260,10 +266,10 @@ func TestLeaderReplicaCorrectionParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lst.corr == nil {
+	if lst.tmpl.Query.Corr == nil {
 		t.Fatal("leader has no correction state; parity is vacuous")
 	}
-	if _, lSeq, _ := lst.corr.State(); lSeq == 0 {
+	if _, lSeq, _ := lst.tmpl.Query.Corr.State(); lSeq == 0 {
 		t.Fatal("leader logged no corrections; parity is vacuous")
 	}
 	// The whole learner state — synopsis, counters and the corrections
