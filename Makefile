@@ -24,7 +24,10 @@ PROFILE_DIR ?= profiles
 # join under a bare COUNT(*) to no match pair, no group id and its result's
 # allocations on every join kernel, TestUnorderedScanBuildsNoBitmap Q3's
 # scans under its bare COUNT(*) to the rows they are read off in place, no
-# range bitmap and the result's allocations, and TestColumnFactsLearnedOnce a
+# range bitmap and the result's allocations, TestOrderedScanWritesNoVector
+# Q0's and Q1's scans that hand their aggregate or hash-join probe the range
+# bitmap to no slot vector, the extracting plan's cardinalities and the
+# result's allocations, and TestColumnFactsLearnedOnce a
 # second Compile to no column scan and no bitmap build; TestFreezePublishCost
 # holds a model publish to the blocks one insert touched;
 # TestRunHandlerAllocBudget holds ppcserve's /run handler to its Run's
@@ -43,7 +46,7 @@ tier1:
 		echo "gofmt -l . names:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -run 'TestServingPathZeroAlloc|TestRunPathAllocBudget|TestMissPathAllocBudget|TestDurableApplyAllocBudget|TestExecSteadyStateAllocs|TestCountOnlyJoinRecordsNoPairs|TestUnorderedScanBuildsNoBitmap|TestColumnFactsLearnedOnce|TestFreezePublishCost|TestRunHandlerAllocBudget' -count=1 . ./internal/executor ./internal/core ./cmd/ppcserve
+	$(GO) test -run 'TestServingPathZeroAlloc|TestRunPathAllocBudget|TestMissPathAllocBudget|TestDurableApplyAllocBudget|TestExecSteadyStateAllocs|TestCountOnlyJoinRecordsNoPairs|TestUnorderedScanBuildsNoBitmap|TestOrderedScanWritesNoVector|TestColumnFactsLearnedOnce|TestFreezePublishCost|TestRunHandlerAllocBudget' -count=1 . ./internal/executor ./internal/core ./cmd/ppcserve
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench -short ./...
 
@@ -87,7 +90,8 @@ crash:
 # to the tree-walk engine at fuzzer-chosen key-column shapes, operators,
 # parameters and five tops (rows, a global aggregate, GROUP BY either key,
 # a bare COUNT(*) whose join only counts and whose one-range scans read
-# their runs), over the template SQL parser — Register's outside input —
+# their runs), with scans that hand a global aggregate or a hash-join probe
+# their bitmap and probes read above that extract it, over the template SQL parser — Register's outside input —
 # held to a query or an error, to a query that prints as SQL parsing back to
 # itself, and to one NewTemplate takes without a panic, and over the catalog
 # histograms' running-count probes (FractionLE, RangeCount, Quantile), held
@@ -137,8 +141,9 @@ loc:
 		END { printf "%6d %6d  non-test Go outside bench/: net %+d\n", a, d, a - d }'
 
 # CPU and heap profiles of the two Run paths, for chasing where the time
-# goes: run.* is the hit path (BenchmarkEndToEndRun: Q0 and Q1 alternating
-# in steady state, the mix bench/'s hit_exec gates; executor-bound), miss.*
+# goes: run.* is the hit path (BenchmarkEndToEndRun: hit_exec's shape — Q0
+# and Q1 alternating on the benchmark's database along 100-point trajectory
+# paths at sigma 0.02, each point run once; executor-bound), miss.*
 # the miss path (BenchmarkMissPathRun: Q3/Q4/Q8 at fresh uniform points on
 # the benchmark's database, the miss_optimize workload's shape — NULL
 # predict, OptimizeMemo, intern/compile, feedback — whose invoked/op stays

@@ -18,9 +18,14 @@ func BenchmarkPredictApproxLSHHist(b *testing.B)  { benchsuite.PredictApproxLSHH
 func BenchmarkPredictModelSnapshot(b *testing.B)  { benchsuite.PredictModelSnapshot(b) }
 func BenchmarkPredictModelManyPlans(b *testing.B) { benchsuite.PredictModelManyPlans(b) }
 func BenchmarkInsertApproxLSHHist(b *testing.B)   { benchsuite.InsertApproxLSHHist(b) }
-func BenchmarkEndToEndRun(b *testing.B)           { benchsuite.EndToEndRun(b) }
 func BenchmarkRebindRecost(b *testing.B)          { benchsuite.RebindRecost(b) }
 func BenchmarkRunMixedSerial(b *testing.B)        { benchsuite.RunMixedSerial(b) }
+
+// BenchmarkEndToEndRun is the hit_exec shape: Run alternating Q0 and Q1 on
+// the benchmark's database along 100-point trajectory paths, each point run
+// once, so that `make profile`'s run.cpu.pprof ranks what hit_exec times.
+// TestRunPathAllocBudget holds it to its allocation budget.
+func BenchmarkEndToEndRun(b *testing.B) { benchsuite.EndToEndRun(b) }
 
 // BenchmarkRunParallel serves the mixed four-template workload from
 // GOMAXPROCS goroutines, each pinned to one template. Against
@@ -30,7 +35,7 @@ func BenchmarkRunParallel(b *testing.B) { benchsuite.RunParallel(b) }
 
 // BenchmarkRunHotTemplateParallel serves ONE template from GOMAXPROCS
 // goroutines — the contention pattern per-template sharding cannot help
-// with. Against BenchmarkEndToEndRun it measures the scaling of the
+// with. Its ns/op at -cpu 2 against -cpu 1 measures the scaling of the
 // lock-free snapshot serving path introduced in PR 4.
 func BenchmarkRunHotTemplateParallel(b *testing.B) { benchsuite.RunHotTemplateParallel(b) }
 

@@ -247,21 +247,48 @@ func runEnv(b *testing.B) (*ppc.System, map[string][][]float64) {
 	return runSys, runVals
 }
 
-// EndToEndRun measures the facade's full Run path (predict or optimize,
-// rebind, execute) in steady state, alternating Q0 and Q1 along tight
-// trajectories — the mix bench/'s hit_exec workload gates, so that the
-// profile `make profile` takes of it ranks what the benchmark measures.
+// EndToEndRun is the hit_exec shape: the facade's full Run path (predict or
+// optimize, rebind, execute) alternating Q0 and Q1 on the benchmark's
+// database (scale 1000, seed 2012) along trajectory paths of 100 points at
+// sigma 0.02, each point run once — the mix bench/'s hit_exec workload
+// gates, so that the profile `make profile` takes of it ranks what the
+// benchmark measures. Points come 1,000 per template at a time, drawn with
+// the timer stopped; the first draw warms the learner and the plan cache
+// untimed, as hit_exec's warm-up does. Each call opens its own System, so
+// every measurement starts from the same state and draws the same points.
 func EndToEndRun(b *testing.B) {
-	sys, vals := runEnv(b)
-	names := [2]string{"Q0", "Q1"}
-	pts := [2][][]float64{vals["Q0"], vals["Q1"]}
+	names := []string{"Q0", "Q1"}
+	sys, tmpls := benchSystem(b, names)
+	defer sys.Close()
+	const chunk = 1000
+	values := make([][][]float64, len(names))
+	draw := func(round int) {
+		for k, tm := range tmpls {
+			points := workload.MustTrajectories(workload.TrajectoryConfig{
+				Dims: tm.Degree(), NumPoints: chunk, NumTrajectories: chunk / 100, Sigma: 0.02, Seed: int64(round*len(names) + k),
+			})
+			values[k] = instanceValues(b, sys, tm, points, values[k][:0])
+		}
+	}
+	run := func(i int) {
+		k, j := i&1, i>>1
+		if _, err := sys.Run(names[k], values[k][j%chunk]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	draw(0)
+	for i := 0; i < 2*chunk; i++ {
+		run(i)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k := i & 1
-		if _, err := sys.Run(names[k], pts[k][(i>>1)%len(pts[k])]); err != nil {
-			b.Fatal(err)
+		if i%(2*chunk) == 0 {
+			b.StopTimer()
+			draw(1 + i/(2*chunk))
+			b.StartTimer()
 		}
+		run(i)
 	}
 }
 
@@ -275,37 +302,14 @@ func EndToEndRun(b *testing.B) {
 // would fall as -benchtime grows. Each call opens its own System, so every
 // measurement starts cold and draws the same points.
 func MissPathRun(b *testing.B) {
-	sys, err := ppc.Open(ppc.Options{TPCH: tpch.Config{Scale: 1000, Seed: 2012}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sys.Close()
 	names := []string{"Q3", "Q4", "Q8"}
-	tmpls := make([]*optimizer.Template, len(names))
-	for k, name := range names {
-		tm, err := queries.ByName(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := sys.Register(name, tm.SQL); err != nil {
-			b.Fatal(err)
-		}
-		if tmpls[k], err = sys.Template(name); err != nil {
-			b.Fatal(err)
-		}
-	}
+	sys, tmpls := benchSystem(b, names)
+	defer sys.Close()
 	const chunk = 512
 	values := make([][][]float64, len(names))
 	draw := func(round int) {
 		for k, tm := range tmpls {
-			values[k] = values[k][:0]
-			for _, point := range workload.Uniform(tm.Degree(), chunk, int64(round*len(names)+k)) {
-				inst, err := sys.Optimizer().InstanceAt(tm, point)
-				if err != nil {
-					b.Fatal(err)
-				}
-				values[k] = append(values[k], inst.Values)
-			}
+			values[k] = instanceValues(b, sys, tm, workload.Uniform(tm.Degree(), chunk, int64(round*len(names)+k)), values[k][:0])
 		}
 	}
 	invoked := 0
@@ -327,6 +331,45 @@ func MissPathRun(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(invoked)/float64(b.N), "invoked/op")
+}
+
+// benchSystem opens a System on the benchmark's database (scale 1000, seed
+// 2012) with the named standard templates registered, and returns it with
+// their templates in that order.
+func benchSystem(b *testing.B, names []string) (*ppc.System, []*optimizer.Template) {
+	b.Helper()
+	sys, err := ppc.Open(ppc.Options{TPCH: tpch.Config{Scale: 1000, Seed: 2012}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tmpls := make([]*optimizer.Template, len(names))
+	for k, name := range names {
+		tm, err := queries.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := sys.Register(name, tm.SQL); err != nil {
+			b.Fatal(err)
+		}
+		if tmpls[k], err = sys.Template(name); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return sys, tmpls
+}
+
+// instanceValues appends to dst the parameter values of the template's
+// instance at each plan-space point.
+func instanceValues(b *testing.B, sys *ppc.System, tm *optimizer.Template, points [][]float64, dst [][]float64) [][]float64 {
+	b.Helper()
+	for _, point := range points {
+		inst, err := sys.Optimizer().InstanceAt(tm, point)
+		if err != nil {
+			b.Fatal(err)
+		}
+		dst = append(dst, inst.Values)
+	}
+	return dst
 }
 
 // RebindRecost measures what a cache hit pays to cost its plan: one
@@ -421,9 +464,9 @@ func RunMixedSerial(b *testing.B) {
 // goroutines — the worst case for any per-template lock, and the case the
 // PR 4 read/write split is for. With the PR 3 per-template mutex every
 // goroutine serialized on Q1's learner lock, so this benchmark could not
-// beat EndToEndRun; with lock-free predict on an immutable model snapshot
-// it scales with GOMAXPROCS. Compare its ns/op against EndToEndRun, the
-// serial single-template baseline.
+// beat a serial run; with lock-free predict on an immutable model snapshot
+// it scales with GOMAXPROCS. Compare its ns/op at -cpu 1, the serial
+// single-template baseline, with its ns/op at -cpu N.
 func RunHotTemplateParallel(b *testing.B) {
 	sys, vals := runEnv(b)
 	pts := vals["Q1"]

@@ -10,7 +10,8 @@ import (
 )
 
 // Arena is the per-execution scratch of one CompiledPlan: tuple selection
-// vectors, join match pairs, hash tables and sort permutations, and
+// vectors (or, for a scan that hands its reader the range bitmap, that
+// bitmap), join match pairs, hash tables and sort permutations, and
 // aggregation accumulators. Arenas are checked out of the plan's
 // sync.Pool for the duration of one Exec, so concurrent executions never
 // share one; all slices retain their capacity across executions, which is
@@ -33,6 +34,12 @@ type Arena struct {
 	// once the scan has extracted its vector, so every scan of the plan
 	// shares it.
 	bits []uint64
+
+	// sets holds, by slot, the conjunction of a streamed scan's range
+	// predicates (cNode.streamed) in place of its vector: the scan's one
+	// reader walks the set bits after the scans beneath its other input
+	// have overwritten bits. Every other slot's entry stays nil.
+	sets [][]uint64
 
 	// nrows holds every operator's output tuple count, by cNode.ord: a join
 	// gathers vectors only for its live slots, so no vector's length can be
@@ -81,7 +88,7 @@ type Arena struct {
 
 // newArena sizes an arena for one compiled plan.
 func newArena(cp *CompiledPlan) *Arena {
-	ar := &Arena{vecs: make([][]int32, cp.nSlots), nrows: make([]int, cp.nNodes)}
+	ar := &Arena{vecs: make([][]int32, cp.nSlots), sets: make([][]uint64, cp.nSlots), nrows: make([]int, cp.nNodes)}
 	if cp.needHTStr {
 		ar.htS = make(map[string]int32)
 	}

@@ -113,14 +113,18 @@ type cNode struct {
 	// (innerFilters below for the join) the ones that read the column.
 	// fromRun marks an unordered sequential scan whose one range filter passes
 	// a run of its column's value order (cPred.isRun): it reads its rows off
-	// that run and builds no bitmap.
-	table   *tpch.Table
-	index   *tpch.Index
-	lo, hi  float64
-	derive  []optimizer.BoundDerive
-	ranges  []cPred
-	filters []cPred
-	fromRun bool
+	// that run and builds no bitmap. streamed marks a sequential scan whose
+	// rows are its range filters' bitmap and whose one reader reads them once,
+	// in ascending order (cNode.streams): it hands that reader the bitmap
+	// (Arena.sets) and extracts no vector.
+	table    *tpch.Table
+	index    *tpch.Index
+	lo, hi   float64
+	derive   []optimizer.BoundDerive
+	ranges   []cPred
+	filters  []cPred
+	fromRun  bool
+	streamed bool
 
 	// Joins.
 	leftKey     *tpch.Column
@@ -270,6 +274,9 @@ func (e *Executor) Compile(plan *optimizer.Plan, q *optimizer.Query) (*CompiledP
 	// global aggregate of COUNTs alone.
 	cp.root.orderLiveness(cp.agg == nil || len(cp.agg.groupCols) > 0 ||
 		slices.ContainsFunc(cp.agg.specs, func(sp aggColSpec) bool { return sp.fn != optimizer.AggCount }))
+	// A global aggregate folds its input's tuples once, in order, and COUNT is
+	// their number: a scan beneath it can hand it the bitmap.
+	cp.root.streams(cp.agg != nil && len(cp.agg.groupCols) == 0)
 	cp.nSlots, cp.nNodes = c.nSlots, c.nNodes
 	cp.pool.New = func() any { return newArena(cp) }
 	return cp, nil
@@ -366,6 +373,35 @@ func (n *cNode) orderLiveness(observed bool) {
 	n.left.orderLiveness(observed)
 	if n.right != nil {
 		n.right.orderLiveness(observed)
+	}
+}
+
+// streams decides, top down after slot and order liveness, which sequential
+// scans hand their reader the range bitmap instead of extracting it: a scan
+// whose rows are exactly the bitmap — range filters, no other filter, no run
+// — when its vector has one reader, which reads it once in ascending row
+// order. readOnce says the operator's output has such a reader: the root,
+// when it is a global aggregate, which folds its input, or a hash join's
+// probe loop, when the join neither gathers from nor filters on the probe
+// side's vector, so the probe key is all it reads of it. Every other scan
+// extracts its vector.
+func (n *cNode) streams(readOnce bool) {
+	if n.left == nil {
+		n.streamed = readOnce && n.op == optimizer.OpSeqScan && len(n.ranges) > 0 && len(n.filters) == 0 && !n.fromRun
+		return
+	}
+	probe, slot := n.left, n.leftSlot
+	if n.buildLeft {
+		probe, slot = n.right, n.rightSlot
+	}
+	readsProbe := n.op != optimizer.OpHashJoin ||
+		slices.ContainsFunc(n.gathers, func(g gatherOp) bool { return g.src == slot }) ||
+		slices.ContainsFunc(n.joinFilters, func(p cPred) bool {
+			return p.slot == slot || p.kind == optimizer.PredJoin && p.slot2 == slot
+		})
+	n.left.streams(n.left == probe && !readsProbe)
+	if n.right != nil {
+		n.right.streams(n.right == probe && !readsProbe)
 	}
 }
 

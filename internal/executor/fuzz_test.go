@@ -32,6 +32,29 @@ func FuzzCompiledMatchesTreeWalk(f *testing.F) {
 		}
 	}
 	f.Add(uint8(0), int64(1), uint8(0), true, uint8(6), uint16(0), uint16(65535), uint16(65535)) // string key, empty left input
+	// topByte is a top argument that decodes to the given top, key kind and
+	// comparison (every combination occurs below 160).
+	topByte := func(top int, strKey bool, cmp int) uint8 {
+		b := 0
+		for b%5 != top || b%8 >= 4 != strKey || b/8%4 != cmp {
+			b++
+		}
+		return uint8(b)
+	}
+	for shape := range keyShapes {
+		cmp, seed := shape%4, int64(shape)
+		// SUM, AVG, MIN and MAX folded over the customer scan's bitmap (a scan
+		// case's top 1; its doctored c_date on odd seeds).
+		f.Add(uint8(shape), seed, uint8(4), false, topByte(0, false, cmp), uint16(40000), uint16(35000), uint16(45000))
+		// The probe side's vector read above, so the scan extracts it: gathered
+		// by GROUP BY its key (orders probes a left build, customer a right
+		// one), or read by the residual filter under a top that would
+		// otherwise stream it.
+		f.Add(uint8(shape), seed, uint8(0), false, topByte(3, shape%2 == 0, cmp), uint16(40000), uint16(35000), uint16(45000))
+		f.Add(uint8(shape), seed, uint8(1), false, topByte(2, shape%2 == 1, cmp), uint16(40000), uint16(35000), uint16(45000))
+		f.Add(uint8(shape), seed, uint8(5), true, topByte(2, false, cmp), uint16(40000), uint16(35000), uint16(45000))
+		f.Add(uint8(shape), seed, uint8(1), true, topByte(3, false, cmp), uint16(40000), uint16(35000), uint16(45000))
+	}
 	f.Fuzz(func(t *testing.T, shape uint8, seed int64, op uint8, residual bool, top uint8, p0, p1, p2 uint16) {
 		k := fuzzKernelDB()
 		kc := kernelCase{residual: residual, multi: op/5%2 == 1, top: int(top % 5), strKey: top%8 >= 4, cmp: int(top / 8 % 4)}

@@ -217,6 +217,11 @@ func TestCompiledMatchesTreeWalkAggregateEdges(t *testing.T) {
 			region[i] = math.Copysign(0, float64(i%2)-0.5) // -0 on even rows, +0 on odd
 		}
 	}
+	// The range bitmaps alias the column's ordered index: it must hold the
+	// doctored values.
+	if err := db.MustTable("nation").BuildIndex("n_regionkey"); err != nil {
+		t.Fatal(err)
+	}
 	col := func(name string) optimizer.ColRef { return optimizer.ColRef{Alias: "n", Column: name} }
 	aggs := []optimizer.SelectItem{
 		{Agg: optimizer.AggCount},
@@ -224,8 +229,11 @@ func TestCompiledMatchesTreeWalkAggregateEdges(t *testing.T) {
 		{Agg: optimizer.AggAvg, Col: col("n_nationkey")},
 		{Agg: optimizer.AggMin, Col: col("n_date")},
 		{Agg: optimizer.AggMax, Col: col("n_date")},
+		{Agg: optimizer.AggMin, Col: col("n_regionkey")},
+		{Agg: optimizer.AggMax, Col: col("n_regionkey")},
 	}
 	none := optimizer.Predicate{Kind: optimizer.PredCmpNum, Col: col("n_nationkey"), Op: optimizer.OpLT, Value: 0, ParamIdx: -1}
+	zeros := optimizer.Predicate{Kind: optimizer.PredCmpNum, Col: col("n_regionkey"), Op: optimizer.OpLE, Value: 0, ParamIdx: -1}
 
 	for _, tc := range []struct {
 		name    string
@@ -235,6 +243,9 @@ func TestCompiledMatchesTreeWalkAggregateEdges(t *testing.T) {
 	}{
 		{"global aggregate over zero rows", nil, []optimizer.Predicate{none}, 1},
 		{"global aggregate", nil, nil, 1},
+		// The scan hands the aggregate its bitmap: MIN and MAX must keep the
+		// first zero in row order, as a fold over the extracted rows does.
+		{"global aggregate over both zeros", nil, []optimizer.Predicate{zeros}, 1},
 		{"grouped aggregate over zero rows", []optimizer.ColRef{col("n_regionkey")}, []optimizer.Predicate{none}, 0},
 		{"group key with +0 and -0", []optimizer.ColRef{col("n_regionkey")}, nil, 5},
 	} {
@@ -443,7 +454,8 @@ func (k *kernelDB) doctor(t testing.TB, shape keyShape, seed int64) *Executor {
 // (the inner relation's filter under an index-nested-loop join), parameter 2
 // o.o_totalprice (which has no index), as the residual join filter and as a
 // second filter of the orders scan. A scan case aggregates the customer scan
-// under tops 1 and 2 (top 1 is a bare COUNT(*) there) and the orders scan
+// under tops 1 and 2 (top 1 folds c_acctbal and the filter column c_date,
+// whose doctored zeros MIN and MAX keep the first of) and the orders scan
 // under tops 3 and 4.
 type kernelCase struct {
 	op        optimizer.OpKind // a join operator, or OpSeqScan: aggregate one scan
@@ -504,9 +516,15 @@ func (kc kernelCase) plan() (*optimizer.Plan, *optimizer.Query) {
 		// Top 1 reads a column of each relation beneath it; top 4 reads none,
 		// so the join below it only counts.
 		aggs := []optimizer.SelectItem{{Agg: optimizer.AggCount}}
-		if kc.op != optimizer.OpSeqScan && kc.top == 1 {
+		switch {
+		case kc.top == 4:
+		case kc.op != optimizer.OpSeqScan:
 			aggs = append(aggs, optimizer.SelectItem{Agg: optimizer.AggSum, Col: price}, optimizer.SelectItem{Agg: optimizer.AggAvg, Col: bal},
 				optimizer.SelectItem{Agg: optimizer.AggMin, Col: price}, optimizer.SelectItem{Agg: optimizer.AggMax, Col: bal})
+		default:
+			date := ref("c", "c_date")
+			aggs = append(aggs, optimizer.SelectItem{Agg: optimizer.AggSum, Col: bal}, optimizer.SelectItem{Agg: optimizer.AggAvg, Col: bal},
+				optimizer.SelectItem{Agg: optimizer.AggMin, Col: date}, optimizer.SelectItem{Agg: optimizer.AggMax, Col: date})
 		}
 		root = &optimizer.Node{Op: optimizer.OpHashAgg, Left: root, Aggs: aggs}
 	case 2, 3:
@@ -571,6 +589,11 @@ func (kc kernelCase) check(t testing.TB, ex *Executor, label string, params []fl
 	if err != nil {
 		t.Fatalf("%s: Compile: %v", label, err)
 	}
+	eachScan(cp.root, false, func(s *cNode, _ bool) {
+		if want := kc.streamed(s.rels[0].alias); s.streamed != want {
+			t.Fatalf("%s: scan of %s hands its reader the bitmap = %v, want %v", label, s.rels[0].alias, s.streamed, want)
+		}
+	})
 	bindLiterals(plan.Root, params)
 	want, err := ex.Run(plan)
 	if err != nil {
@@ -626,6 +649,35 @@ func (kc kernelCase) check(t testing.TB, ex *Executor, label string, params []fl
 	return cp.root.kernel, group
 }
 
+// streamed reports whether the case's scan of alias hands its one reader the
+// bitmap instead of a vector (cNode.streams): the scan under a global
+// aggregate, unless it reads a run — a bare COUNT(*) over one range filter
+// does — and a hash join's probe side when no residual filter reads it and
+// the top reads only the build side's columns, or none.
+func (kc kernelCase) streamed(alias string) bool {
+	switch kc.op {
+	case optimizer.OpSeqScan:
+		return kc.top == 1 || kc.top == 4 && kc.multi
+	case optimizer.OpHashJoin:
+		probe := "c"
+		if kc.buildLeft {
+			probe = "o"
+		}
+		if alias != probe || kc.residual {
+			return false
+		}
+		switch kc.top {
+		case 2:
+			return probe == "o"
+		case 3:
+			return probe == "c"
+		case 4:
+			return probe == "o" && kc.multi
+		}
+	}
+	return false
+}
+
 // assertSameCards holds two harvests of one plan shape (compiled from two
 // plans, so the nodes differ) to the same operators and counts.
 func assertSameCards(t testing.TB, label string, got, want []CardObservation) {
@@ -665,6 +717,7 @@ func TestKernelChoiceMatchesTreeWalk(t *testing.T) {
 		}{
 			{kernelCase{op: optimizer.OpHashJoin, buildLeft: true}, shape.hashL},
 			{kernelCase{op: optimizer.OpHashJoin, buildLeft: true, residual: true}, shape.hashL},
+			{kernelCase{op: optimizer.OpHashJoin, buildLeft: true, multi: true}, shape.hashL},
 			{kernelCase{op: optimizer.OpHashJoin}, shape.hashR},
 			{kernelCase{op: optimizer.OpHashJoin, residual: true}, shape.hashR},
 			{kernelCase{op: optimizer.OpHashJoin, multi: true}, shape.hashR},

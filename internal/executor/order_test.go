@@ -269,3 +269,95 @@ func TestUnorderedScanBuildsNoBitmap(t *testing.T) {
 		t.Fatal("no scan slot was checked")
 	}
 }
+
+// TestOrderedScanWritesNoVector: a sequential scan whose one reader reads its
+// rows once, in ascending order — Q0's global aggregate, Q1's hash-join probe
+// — hands that reader its range bitmap. Over the plans the optimizer picks for
+// Q0 and Q1 on a seeded grid, every plan with such a scan runs warmed through
+// ExecObserve: the scan's slot vector is never written, the result and the
+// observed cardinalities are those of the same plan compiled to extract every
+// scan, and an execution allocates its result and nothing else.
+func TestOrderedScanWritesNoVector(t *testing.T) {
+	ex := New(testDB)
+	for _, name := range []string{"Q0", "Q1"} {
+		tm, err := queries.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(38))
+		seen := map[string]bool{}
+		streamedPlans := 0
+		for trial := 0; trial < 40; trial++ {
+			point := make([]float64, tm.Degree())
+			for j := range point {
+				point[j] = 0.05 + 0.9*rng.Float64()
+			}
+			inst, err := opt.InstanceAt(tm, point)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := opt.OptimizeInstance(inst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seen[plan.Fingerprint] {
+				continue
+			}
+			seen[plan.Fingerprint] = true
+			cp, err := ex.Compile(plan, tm.Query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var streamed []*cNode
+			eachScan(cp.root, false, func(s *cNode, _ bool) {
+				if s.streamed {
+					streamed = append(streamed, s)
+				}
+			})
+			if len(streamed) == 0 {
+				continue
+			}
+			streamedPlans++
+			label := fmt.Sprintf("%s %s at %v", name, plan.Fingerprint, point)
+			// Every execution checks out this one arena.
+			ar := newArena(cp)
+			cp.pool.New = func() any { return ar }
+			var obs []CardObservation
+			var got *Result
+			exec := func() {
+				obs = obs[:0]
+				if got, err = cp.ExecObserve(inst.Values, &obs); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+			}
+			exec()
+			exec()
+			if !raceEnabled {
+				if allocs := testing.AllocsPerRun(50, exec); allocs > 3 {
+					t.Errorf("%s: %v allocations per warmed ExecObserve, want at most the result's 3", label, allocs)
+				}
+			}
+			for _, s := range streamed {
+				if vec := ar.vecs[s.slots[0]]; cap(vec) != 0 {
+					t.Errorf("%s: the streamed scan of %s wrote a vector of capacity %d", label, s.rels[0].alias, cap(vec))
+				}
+			}
+			extracting, err := ex.Compile(plan, tm.Query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eachScan(extracting.root, false, func(s *cNode, _ bool) { s.streamed = false })
+			var want []CardObservation
+			res, err := extracting.ExecObserve(inst.Values, &want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertBitIdentical(t, label, res, got)
+			assertSameCards(t, label, obs, want)
+			t.Logf("%s: %d streamed scan(s)", label, len(streamed))
+		}
+		if streamedPlans == 0 {
+			t.Errorf("%s: no plan on the grid streams a scan", name)
+		}
+	}
+}

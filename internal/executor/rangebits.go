@@ -7,7 +7,10 @@
 // qualifying rows off the nearest checkpoint instead of off the column; a
 // conjunction is a word-wise AND; and the set bits come out in ascending
 // row-id order, which is the order a pass over the column produced, so no
-// operator that observes order can tell the difference. Where none does (a
+// operator that observes order can tell the difference. A scan extracts them
+// into a row-id vector only when some reader needs the vector: a reader that
+// reads the rows once, in that order — a global aggregate's fold, a hash
+// join's probe — walks the set bits itself. Where no operator observes order (a
 // scan under a global aggregate of COUNTs alone), one range predicate needs
 // no bitmap: the rows it passes are a run of the row ids in value order, read
 // off in place (cPred.run). Like the column facts (facts.go) the bitmaps are
@@ -218,10 +221,17 @@ func (p *cPred) run(params []float64) []int32 {
 }
 
 // rangeSet evaluates the conjunction of range predicates over an n-row table
-// into the arena's bitmap: bit id is set when row id passes them all.
+// into the arena's shared bitmap.
 func (ar *Arena) rangeSet(ranges []cPred, params []float64, n int) []uint64 {
-	ar.bits = sized(ar.bits, (n+63)/64)
-	set := ar.bits
+	ar.bits = fillRangeSet(ar.bits, ranges, params, n)
+	return ar.bits
+}
+
+// fillRangeSet evaluates the conjunction of range predicates over an n-row
+// table into set, resized to the table, and returns it: bit id is set when row
+// id passes them all.
+func fillRangeSet(set []uint64, ranges []cPred, params []float64, n int) []uint64 {
+	set = sized(set, (n+63)/64)
 	for w := range set {
 		set[w] = ^uint64(0)
 	}
@@ -243,6 +253,16 @@ func extract(set []uint64, out []int32) int {
 			out[k] = int32(w<<6 + bits.TrailingZeros64(x))
 			k++
 		}
+	}
+	return k
+}
+
+// popcount returns how many bits of the set are set: the number of rows
+// extract would write.
+func popcount(set []uint64) int {
+	k := 0
+	for _, x := range set {
+		k += bits.OnesCount64(x)
 	}
 	return k
 }

@@ -2,7 +2,11 @@
 // vectors held in the arena. A scan's range predicates never read the column:
 // they AND the columns' bitmaps (rangebits.go), and a sequential scan extracts
 // the set bits — row ids, ascending — into its vector, where an index scan
-// tests its candidates against them. Where nothing above observes a scan's
+// tests its candidates against them. It extracts only when some reader needs
+// the vector: where its one reader reads the rows once in ascending order — a
+// global aggregate folding them (COUNT is the bitmap's popcount), or a hash
+// join's probe loop when nothing above reads the probe side (cNode.streams)
+// — that reader walks the set bits instead. Where nothing above observes a scan's
 // order (under a global aggregate of COUNTs alone, cNode.orderLiveness), a
 // sequential scan with one range predicate builds no bitmap: the rows it
 // passes are a run of the column's row ids in value order, which become its
@@ -20,6 +24,7 @@ package executor
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/optimizer"
 	"repro/internal/tpch"
@@ -93,6 +98,11 @@ func (n *cNode) runScan(ar *Arena, params []float64) {
 		if len(filters) > 0 {
 			sel = append(ar.vecs[slot][:0], sel...)
 		}
+	case n.streamed:
+		// Its one reader walks the bitmap's set bits (cNode.streams).
+		set := fillRangeSet(ar.sets[slot], n.ranges, params, n.table.NumRows())
+		ar.sets[slot], ar.nrows[n.ord] = set, popcount(set)
+		return
 	case n.op == optimizer.OpIndexScan:
 		sel = n.index.RangeRows(n.bounds(params))
 		if len(n.ranges) > 0 || len(filters) > 0 {
@@ -279,51 +289,60 @@ func gather(out, in, idx []int32) []int32 {
 // order within one probe. The table the chains hang from is a direct table
 // spanning the build column where Compile found dense integer keys, an
 // open-addressed float table or a string map otherwise; the chains are the
-// same (see Arena.dirA).
+// same (see Arena.dirA). A streamed probe side (cNode.streams) is its scan's
+// bitmap, which every kernel walks in place of the vector: probe tuple pi is
+// its pi-th set bit.
 func (n *cNode) runHashJoin(ar *Arena, params []float64) {
+	probe := n.left
 	buildSlot, probeSlot := n.rightSlot, n.leftSlot
 	buildKey, probeKey := n.rightKey, n.leftKey
 	if n.buildLeft {
+		probe = n.right
 		buildSlot, probeSlot = n.leftSlot, n.rightSlot
 		buildKey, probeKey = n.leftKey, n.rightKey
 	}
 	buildVec := ar.vecs[buildSlot]
-	probeVec := ar.vecs[probeSlot]
+	probeVec, nProbe := ar.vecs[probeSlot], ar.nrows[probe.ord]
+	var probeSet []uint64
+	if probe.streamed {
+		probeSet = ar.sets[probeSlot]
+	}
 	ar.nextA = sized(ar.nextA, len(buildVec))
 	next := ar.nextA
 	filtered := len(n.joinFilters) > 0
 	mp, mb := ar.matchL, ar.matchR // (probe, build) pairs
 
 	switch {
-	case n.kernel != kernGeneric && addressable(n.keySpan, len(buildVec)+len(probeVec)):
+	case n.kernel != kernGeneric && addressable(n.keySpan, len(buildVec)+nProbe):
 		// A probe is a bounds check and a load.
 		ar.dirA = sized(ar.dirA, n.keySpan)
 		head, lo, pkeys := ar.dirA, n.keyLo, probeKey.Nums
 		if n.countOnly && !filtered {
-			ar.nrows[n.ord] = countByKey(head, buildVec, buildKey.Nums, probeVec, pkeys, lo)
+			ar.nrows[n.ord] = countByKey(head, buildVec, buildKey.Nums, probeVec, probeSet, pkeys, lo)
 			return
 		}
 		chainByKey(head, next, buildVec, buildKey.Nums, lo)
 		if n.kernel == kernAddressedOnce && !filtered {
-			// At most one match per probe: store the pair unconditionally and
-			// advance only on a hit, so nothing branches on the data but the
-			// bounds check (which a foreign key never fails).
-			mp, mb = sized(mp, len(probeVec)), sized(mb, len(probeVec))
-			m := 0
-			for pi, id := range probeVec {
-				var b int32
-				if k := uint(int(pkeys[id]) - lo); k < uint(len(head)) {
-					b = head[k]
-				}
-				mp[m], mb[m] = int32(pi), b-1
-				m += b2i(b != 0)
-			}
+			mp, mb = sized(mp, nProbe), sized(mb, nProbe)
+			m := probeOnce(head, lo, pkeys, probeVec, probeSet, mp, mb)
 			mp, mb = mp[:m], mb[:m]
 			break
 		}
+		if probeSet != nil {
+			pi := int32(0)
+			for w, x := range probeSet {
+				for ; x != 0; x &= x - 1 {
+					if b := at(head, pkeys[w<<6+bits.TrailingZeros64(x)], lo); b != 0 {
+						mp, mb = n.probeChain(ar, params, next, b, pi, mp, mb)
+					}
+					pi++
+				}
+			}
+			break
+		}
 		for pi, id := range probeVec {
-			if k := uint(int(pkeys[id]) - lo); k < uint(len(head)) && head[k] != 0 {
-				mp, mb = n.probeChain(ar, params, next, head[k], int32(pi), mp, mb)
+			if b := at(head, pkeys[id], lo); b != 0 {
+				mp, mb = n.probeChain(ar, params, next, b, int32(pi), mp, mb)
 			}
 		}
 	case n.strKey:
@@ -335,6 +354,16 @@ func (n *cNode) runHashJoin(ar *Arena, params []float64) {
 			next[i] = ht[k]
 			ht[k] = int32(i + 1)
 		}
+		if probeSet != nil {
+			pi := int32(0)
+			for w, x := range probeSet {
+				for ; x != 0; x &= x - 1 {
+					mp, mb = n.probeChain(ar, params, next, ht[pkeys[w<<6+bits.TrailingZeros64(x)]], pi, mp, mb)
+					pi++
+				}
+			}
+			break
+		}
 		for pi, id := range probeVec {
 			mp, mb = n.probeChain(ar, params, next, ht[pkeys[id]], int32(pi), mp, mb)
 		}
@@ -345,6 +374,16 @@ func (n *cNode) runHashJoin(ar *Arena, params []float64) {
 		for i := len(buildVec) - 1; i >= 0; i-- {
 			ht.insert(keys[buildVec[i]], int32(i), next)
 		}
+		if probeSet != nil {
+			pi := int32(0)
+			for w, x := range probeSet {
+				for ; x != 0; x &= x - 1 {
+					mp, mb = n.probeChain(ar, params, next, ht.lookup(pkeys[w<<6+bits.TrailingZeros64(x)]), pi, mp, mb)
+					pi++
+				}
+			}
+			break
+		}
 		for pi, id := range probeVec {
 			mp, mb = n.probeChain(ar, params, next, ht.lookup(pkeys[id]), int32(pi), mp, mb)
 		}
@@ -353,6 +392,45 @@ func (n *cNode) runHashJoin(ar *Arena, params []float64) {
 		mp, mb = mb, mp
 	}
 	ar.matchL, ar.matchR = mp, mb
+}
+
+// probeOnce is the addressed-once probe with no residual filter. At most one
+// build tuple matches a probe tuple, so it stores the (probe, build) pair
+// unconditionally and advances only on a hit: nothing branches on the data
+// but the bounds check, which a foreign key never fails. The probe tuples are
+// vec's, or set's rows when set is non-nil; it returns the pair count. It is
+// a function of its own, and mb is resliced to mp's length so that one bounds
+// check covers both stores: that keeps the loops' counters in registers.
+func probeOnce(head []int32, lo int, pkeys []float64, vec []int32, set []uint64, mp, mb []int32) int {
+	m := 0
+	mb = mb[:len(mp)]
+	if set != nil {
+		pi := int32(0)
+		for w, x := range set {
+			for ; x != 0; x &= x - 1 {
+				b := at(head, pkeys[w<<6+bits.TrailingZeros64(x)], lo)
+				mp[m], mb[m] = pi, b-1
+				m += b2i(b != 0)
+				pi++
+			}
+		}
+		return m
+	}
+	for pi, id := range vec {
+		b := at(head, pkeys[id], lo)
+		mp[m], mb[m] = int32(pi), b-1
+		m += b2i(b != 0)
+	}
+	return m
+}
+
+// at returns the entry of a direct table from lo (see Arena.dirA) for key v,
+// 0 when v falls outside it.
+func at(head []int32, v float64, lo int) int32 {
+	if k := uint(int(v) - lo); k < uint(len(head)) {
+		return head[k]
+	}
+	return 0
 }
 
 // probeChain appends probe tuple pi's matches along the build chain from b
@@ -377,9 +455,10 @@ func (n *cNode) probeChain(ar *Arena, params []float64, next []int32, b, pi int3
 
 // countByKey is a count-only addressed join with no residual filter: it
 // counts the tuples of a per key into cnt (a direct table from lo, see
-// Arena.dirA), then sums the counts the keys of b address. The sum is the
-// number of pairs the join would record; no chain and no pair is built.
-func countByKey(cnt, a []int32, akeys []float64, b []int32, bkeys []float64, lo int) int {
+// Arena.dirA), then sums the counts the keys of b address — the rows of bset
+// instead when it is non-nil (a streamed probe side). The sum is the number
+// of pairs the join would record; no chain and no pair is built.
+func countByKey(cnt, a []int32, akeys []float64, b []int32, bset []uint64, bkeys []float64, lo int) int {
 	clear(cnt)
 	for _, id := range a {
 		if k := uint(int(akeys[id]) - lo); k < uint(len(cnt)) {
@@ -387,10 +466,16 @@ func countByKey(cnt, a []int32, akeys []float64, b []int32, bkeys []float64, lo 
 		}
 	}
 	m := 0
-	for _, id := range b {
-		if k := uint(int(bkeys[id]) - lo); k < uint(len(cnt)) {
-			m += int(cnt[k])
+	if bset != nil {
+		for w, x := range bset {
+			for ; x != 0; x &= x - 1 {
+				m += int(at(cnt, bkeys[w<<6+bits.TrailingZeros64(x)], lo))
+			}
 		}
+		return m
+	}
+	for _, id := range b {
+		m += int(at(cnt, bkeys[id], lo))
 	}
 	return m
 }
@@ -404,7 +489,7 @@ func (n *cNode) runMergeJoin(ar *Arena, params []float64) {
 		filtered := len(n.joinFilters) > 0
 		ar.dirA = sized(ar.dirA, n.keySpan)
 		if n.countOnly && !filtered {
-			ar.nrows[n.ord] = countByKey(ar.dirA, lvec, n.leftKey.Nums, rvec, n.rightKey.Nums, n.keyLo)
+			ar.nrows[n.ord] = countByKey(ar.dirA, lvec, n.leftKey.Nums, rvec, nil, n.rightKey.Nums, n.keyLo)
 			return
 		}
 		ar.nextA = sized(ar.nextA, len(lvec))
@@ -563,7 +648,13 @@ func (cp *CompiledPlan) materializeAgg(ar *Arena) *Result {
 	for s := range agg.specs {
 		sp := &agg.specs[s]
 		acc := ar.counts
-		if sp.fn != optimizer.AggCount {
+		switch {
+		case sp.fn == optimizer.AggCount:
+		case cp.root.streamed:
+			// One group, over the scan's bitmap.
+			ar.acc = append(ar.acc[:0], sp.foldSet(sp.col.Nums, ar.sets[sp.slot]))
+			acc = ar.acc
+		default:
 			acc = sp.accumulate(ar, gids, ng)
 		}
 		for g, v := range acc {
@@ -711,6 +802,40 @@ func (sp *aggColSpec) fold(nums []float64, vec []int32) float64 {
 	sum := 0.0
 	for _, id := range vec {
 		sum += nums[id]
+	}
+	return sum
+}
+
+// foldSet is fold over the rows of a bitmap, walked in ascending order — the
+// order extract writes them in, so the sum adds in the same order.
+func (sp *aggColSpec) foldSet(nums []float64, set []uint64) float64 {
+	switch sp.fn {
+	case optimizer.AggMin:
+		m := math.Inf(1)
+		for w, x := range set {
+			for ; x != 0; x &= x - 1 {
+				if v := nums[w<<6+bits.TrailingZeros64(x)]; v < m {
+					m = v
+				}
+			}
+		}
+		return m
+	case optimizer.AggMax:
+		m := math.Inf(-1)
+		for w, x := range set {
+			for ; x != 0; x &= x - 1 {
+				if v := nums[w<<6+bits.TrailingZeros64(x)]; v > m {
+					m = v
+				}
+			}
+		}
+		return m
+	}
+	sum := 0.0
+	for w, x := range set {
+		for ; x != 0; x &= x - 1 {
+			sum += nums[w<<6+bits.TrailingZeros64(x)]
+		}
 	}
 	return sum
 }

@@ -194,7 +194,9 @@ const (
 	// group commit already amortizes the cost across the batch).
 	SyncAlways SyncPolicy = iota
 	// SyncInterval fsyncs on the first Commit after SyncInterval has
-	// elapsed since the previous sync.
+	// elapsed since the previous sync, and a Commit that skips its fsync
+	// arms a timer that fsyncs when the interval is up, so a batch is
+	// durable within one interval whether or not another Commit follows.
 	SyncInterval
 	// SyncNever leaves flushing to the OS page cache (Close still syncs).
 	SyncNever
@@ -310,8 +312,11 @@ type Log struct {
 	seq      uint64 // last assigned sequence number
 	segFirst uint64 // first seq of the current segment (its name)
 	lastSync time.Time
-	dead     bool // an injected torn tail "crashed" the log: drop appends
-	closed   bool
+	// tail is armed by a Commit that skipped its fsync under SyncInterval
+	// and fsyncs when the interval is up; any sync and Close disarm it.
+	tail   *time.Timer
+	dead   bool // an injected torn tail "crashed" the log: drop appends
+	closed bool
 
 	scratch []byte // reusable frame encode buffer
 }
@@ -830,7 +835,8 @@ func (l *Log) repairLocked() error {
 
 // Commit is the group-commit barrier the applier calls once per apply
 // batch: under SyncAlways it fsyncs now, under SyncInterval it fsyncs when
-// the interval has elapsed, under SyncNever it is a no-op.
+// the interval has elapsed and otherwise leaves a timer to fsync when it
+// does, under SyncNever it is a no-op.
 func (l *Log) Commit() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -838,8 +844,22 @@ func (l *Log) Commit() error {
 	case SyncAlways:
 		return l.syncLocked()
 	case SyncInterval:
-		if time.Since(l.lastSync) >= l.opts.SyncInterval {
+		since := time.Since(l.lastSync)
+		if since >= l.opts.SyncInterval {
 			return l.syncLocked()
+		}
+		if l.tail == nil && !l.closed {
+			var t *time.Timer
+			t = time.AfterFunc(l.opts.SyncInterval-since, func() {
+				l.mu.Lock()
+				defer l.mu.Unlock()
+				if l.tail == t {
+					// A failure is counted by the observer; the next Commit,
+					// or Close, syncs again.
+					l.syncLocked() //nolint:errcheck
+				}
+			})
+			l.tail = t
 		}
 	}
 	return nil
@@ -853,6 +873,7 @@ func (l *Log) Sync() error {
 }
 
 func (l *Log) syncLocked() error {
+	l.disarmLocked()
 	if l.closed || l.dead || l.f == nil {
 		return nil
 	}
@@ -868,6 +889,15 @@ func (l *Log) syncLocked() error {
 	l.lastSync = time.Now()
 	l.observer().WALSync(time.Since(t0))
 	return nil
+}
+
+// disarmLocked stops the timer a skipped Commit left, if any; a callback
+// already waiting for the lock finds it replaced and does nothing.
+func (l *Log) disarmLocked() {
+	if l.tail != nil {
+		l.tail.Stop()
+		l.tail = nil
+	}
 }
 
 // rotateLocked closes the current segment and opens a fresh one named by
@@ -959,6 +989,7 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
+	l.disarmLocked()
 	if l.f == nil {
 		return nil
 	}

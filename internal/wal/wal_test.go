@@ -427,6 +427,57 @@ func TestSyncPolicies(t *testing.T) {
 	}
 }
 
+// TestIntervalCommitSyncsItsTail: under SyncInterval a Commit inside the
+// interval skips its fsync, and with no Commit after it the batch is still
+// fsynced within about one interval — the bounded loss window the policy
+// promises. The timer it leaves fires once; Close disarms one it finds armed.
+func TestIntervalCommitSyncsItsTail(t *testing.T) {
+	const interval = 20 * time.Millisecond
+	obs := &countObserver{}
+	l, _ := openTest(t, Options{Dir: t.TempDir(), Sync: SyncInterval, SyncInterval: interval, Observer: obs})
+	// skippedCommit syncs, then appends and commits at once, so that the
+	// Commit falls inside the interval; it retries on a host slow enough to
+	// let the interval pass in between. It returns the sync count.
+	skippedCommit := func() int64 {
+		for try := 0; try < 10; try++ {
+			if err := l.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			synced := obs.syncs.Load()
+			if _, err := l.Append(testRecord("Q0", try)); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if obs.syncs.Load() == synced {
+				return synced
+			}
+		}
+		t.Fatal("every Commit came after the interval had passed")
+		return 0
+	}
+	synced := skippedCommit()
+	for deadline := time.Now().Add(50 * interval); obs.syncs.Load() == synced; time.Sleep(interval / 4) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no fsync %v after a Commit that skipped it, with a %v interval", 50*interval, interval)
+		}
+	}
+	time.Sleep(3 * interval)
+	if got := obs.syncs.Load() - synced; got != 1 {
+		t.Errorf("the skipped Commit's tail was fsynced %d times, want once", got)
+	}
+
+	synced = skippedCommit()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(3 * interval)
+	if got := obs.syncs.Load() - synced; got != 0 {
+		t.Errorf("a closed log recorded %d more syncs", got)
+	}
+}
+
 func TestAppendAfterClose(t *testing.T) {
 	l, _ := openTest(t, Options{Dir: t.TempDir()})
 	l.Close()

@@ -9,7 +9,10 @@
 // z-value by bit interleaving, and normalizes z-values onto [0,1).
 package zorder
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // MaxTotalBits is the largest product dims*bits a Curve supports; z-values
 // must fit in an int64-safe uint64.
@@ -20,6 +23,32 @@ const MaxTotalBits = 62
 type Curve struct {
 	dims int
 	bits int
+	// spread is the spreading table of every curve of dims dimensions.
+	spread *[256]uint64
+}
+
+// spreads holds, per dimensionality, the table that spreads one byte of a
+// coordinate onto the positions its bits take in a z-value: entry v has bit k
+// of v at position k*dims. Built the first time a curve of that
+// dimensionality is, and shared by every such curve.
+var spreads [MaxTotalBits + 1]struct {
+	once  sync.Once
+	table *[256]uint64
+}
+
+// spreadFor returns the spreading table of dims dimensions.
+func spreadFor(dims int) *[256]uint64 {
+	sp := &spreads[dims]
+	sp.once.Do(func() {
+		t := new([256]uint64)
+		for v := range t {
+			for k := 0; k < 8; k++ {
+				t[v] |= uint64(v>>k&1) << (k * dims)
+			}
+		}
+		sp.table = t
+	})
+	return sp.table
 }
 
 // New returns a z-order curve for the given dimensionality and per-axis bit
@@ -35,7 +64,7 @@ func New(dims, bits int) (*Curve, error) {
 	if dims*bits > MaxTotalBits {
 		return nil, fmt.Errorf("zorder: dims*bits = %d exceeds %d", dims*bits, MaxTotalBits)
 	}
-	return &Curve{dims: dims, bits: bits}, nil
+	return &Curve{dims: dims, bits: bits, spread: spreadFor(dims)}, nil
 }
 
 // MustNew is like New but panics on error. Intended for static configurations.
@@ -59,7 +88,9 @@ func (c *Curve) TotalCells() uint64 { return 1 << uint(c.dims*c.bits) }
 // Encode interleaves the bits of the cell coordinates into a single
 // z-value. Coordinate i contributes its bit k to position k*dims + i, so
 // the most significant interleaved bits come from the most significant
-// coordinate bits of every axis — the standard Morton order.
+// coordinate bits of every axis — the standard Morton order. A coordinate is
+// spread a byte at a time through the curve's table: byte j's bits land
+// 8*j*dims positions above byte 0's.
 //
 // Encode panics if len(cell) != Dims() or any coordinate is out of range.
 func (c *Curve) Encode(cell []uint32) uint64 {
@@ -67,14 +98,14 @@ func (c *Curve) Encode(cell []uint32) uint64 {
 		panic(fmt.Sprintf("zorder: expected %d coordinates, got %d", c.dims, len(cell)))
 	}
 	limit := c.CellsPerAxis()
+	stride := uint(8 * c.dims)
 	var z uint64
 	for i, x := range cell {
 		if x >= limit {
 			panic(fmt.Sprintf("zorder: coordinate %d = %d out of range [0,%d)", i, x, limit))
 		}
-		for k := 0; k < c.bits; k++ {
-			bit := uint64(x>>uint(k)) & 1
-			z |= bit << uint(k*c.dims+i)
+		for shift := uint(i); x != 0; x, shift = x>>8, shift+stride {
+			z |= c.spread[x&0xff] << shift
 		}
 	}
 	return z

@@ -1,6 +1,7 @@
 package zorder
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -202,4 +203,59 @@ func TestEncodePanicsWrongDims(t *testing.T) {
 		}
 	}()
 	c.Encode([]uint32{1})
+}
+
+// encodeBitByBit is the per-bit interleaving Encode replaced: coordinate i's
+// bit k goes to position k*dims + i, one shift per bit.
+func encodeBitByBit(c *Curve, cell []uint32) uint64 {
+	if len(cell) != c.dims {
+		panic(fmt.Sprintf("zorder: expected %d coordinates, got %d", c.dims, len(cell)))
+	}
+	limit := c.CellsPerAxis()
+	var z uint64
+	for i, x := range cell {
+		if x >= limit {
+			panic(fmt.Sprintf("zorder: coordinate %d = %d out of range [0,%d)", i, x, limit))
+		}
+		for k := 0; k < c.bits; k++ {
+			z |= uint64(x>>uint(k)&1) << uint(k*c.dims+i)
+		}
+	}
+	return z
+}
+
+// TestEncodeMatchesBitByBit holds the table-driven Encode to the per-bit loop
+// at random cells — the corners of the grid among them — of every curve New
+// accepts: the same z-value, or the same panic. A coordinate of a curve with
+// 32 or more bits per axis is out of range by CellsPerAxis, which wraps to 0.
+func TestEncodeMatchesBitByBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	outcome := func(encode func() uint64) (z uint64, panicked any) {
+		defer func() { panicked = recover() }()
+		return encode(), nil
+	}
+	for dims := 1; dims <= MaxTotalBits; dims++ {
+		for bits := 1; dims*bits <= MaxTotalBits; bits++ {
+			c := MustNew(dims, bits)
+			mask := uint32(1<<min(bits, 32) - 1)
+			cell := make([]uint32, dims)
+			for trial := 0; trial < 64; trial++ {
+				for j := range cell {
+					switch trial {
+					case 0:
+						cell[j] = 0
+					case 1:
+						cell[j] = mask
+					default:
+						cell[j] = rng.Uint32() & mask
+					}
+				}
+				got, gotPanic := outcome(func() uint64 { return c.Encode(cell) })
+				want, wantPanic := outcome(func() uint64 { return encodeBitByBit(c, cell) })
+				if got != want || fmt.Sprint(gotPanic) != fmt.Sprint(wantPanic) {
+					t.Fatalf("dims=%d bits=%d cell=%v: Encode = %#x (panic %v), per-bit loop %#x (panic %v)", dims, bits, cell, got, gotPanic, want, wantPanic)
+				}
+			}
+		}
+	}
 }
