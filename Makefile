@@ -17,8 +17,9 @@ PROFILE_DIR ?= profiles
 # the full batched Run path under its 10 allocs/op budget and
 # TestMissPathAllocBudget the miss path (NULL predict, OptimizeMemo, intern,
 # execute, feedback on Q3/Q4/Q8) under its 50;
-# TestDurableApplyAllocBudget holds the learner → sink → wal.Log write path
-# to what the same batch allocates with no log attached;
+# TestDurableApplyAllocBudget holds the learner → sink → wal.Log write path,
+# for a batch of points with and without correction observations, to what
+# the same batch allocates with no log attached;
 # TestExecSteadyStateAllocs holds a warmed CompiledPlan.Exec to its result's
 # three allocations whichever kernel runs, TestCountOnlyJoinRecordsNoPairs a
 # join under a bare COUNT(*) to no match pair, no group id and its result's
@@ -35,7 +36,9 @@ PROFILE_DIR ?= profiles
 # TestCommandsLinkNoBenchHarness, which holds what the serving binaries link
 # to an allow-list and keeps the paper's offline evaluation offline: the
 # bench/ module links neither internal/experiments nor internal/baselines,
-# and no non-test package but internal/experiments imports internal/baselines.
+# and no non-test package but internal/experiments imports internal/baselines;
+# it also keeps the durability protocol in core: internal/stats links no
+# internal/wal.
 # The benchmark harness in bench/ is a module of its own that imports this
 # one's internal packages, so it is vetted and self-tested here too: an
 # internal refactor that breaks it must fail the gate, not the next benchmark
@@ -67,7 +70,9 @@ chaos:
 	$(GO) test -race -run 'TestChaos|TestConcurrent|TestParallel' -v .
 
 # The durability suite: crash-image recovery properties (a template that
-# comes back in another shape among them), degrade-to-cold triples,
+# comes back in another shape among them, and WAL records pending a late
+# Register surviving a checkpoint), one fsync per apply batch,
+# degrade-to-cold triples,
 # restored plans coming back compiled (a restart must not serve
 # its cache slower than the process it replaced), and the kill-and-restart
 # integration test against the real ppcserve binary.

@@ -21,6 +21,7 @@ import (
 	ppc "repro"
 	"repro/internal/benchsuite"
 	"repro/internal/core"
+	"repro/internal/stats"
 	"repro/internal/wal"
 )
 
@@ -80,11 +81,12 @@ func TestMissPathAllocBudget(t *testing.T) {
 // → the facade's per-template sink → wal.Log — to what it allocated before
 // the three logger interfaces became one seam: 57 allocations for a batch of
 // eight points, all of them the in-memory apply's (histogram growth and the
-// snapshot publication; this tree measures 49). The record handed to the log
-// lives in a field under the learner's lock, so logging adds none: a durable
-// batch allocates exactly what the same batch allocates with no log
-// attached. WALAppend in the zero-alloc guard covers only a bare
-// wal.Log.Append.
+// snapshot publication; this tree measures 49). The records handed to the
+// log live in a field under the learner's lock, so logging adds none: a
+// durable batch allocates exactly what the same batch allocates with no log
+// attached, whether it carries points alone or points and three runs'
+// correction observations (folded and logged once per touched site).
+// WALAppend in the zero-alloc guard covers only a bare wal.Log.Append.
 func TestDurableApplyAllocBudget(t *testing.T) {
 	if benchsuite.RaceEnabled {
 		t.Skip("race detector's shadow memory inflates allocation counts")
@@ -99,28 +101,38 @@ func TestDurableApplyAllocBudget(t *testing.T) {
 	for i := range batch {
 		batch[i] = core.Feedback{Point: []float64{rng.Float64(), rng.Float64()}, Plan: i % 3, Cost: 10 + float64(i)}
 	}
-	measure := func(sink wal.Appender) float64 {
+	obs := make([]stats.Obs, 3*4) // three runs over a four-site template
+	for i := range obs {
+		obs[i] = stats.Obs{Site: 1 + i%4, LogQ: rng.NormFloat64()}
+	}
+	measure := func(sink wal.Appender, obs []stats.Obs) float64 {
 		o, err := core.NewOnline(core.OnlineConfig{Core: core.Config{Dims: 2, Radius: 0.05, Seed: 5}}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		o.AttachCorrections(stats.NewCorrections(4, stats.CorrConfig{}))
 		o.AttachLog(sink)
 		for i := 0; i < 300; i++ { // past histogram warm-up
-			o.ApplyBatch(batch)
+			o.ApplyBatch(batch, obs)
 		}
-		return testing.AllocsPerRun(500, func() { o.ApplyBatch(batch) })
+		return testing.AllocsPerRun(500, func() { o.ApplyBatch(batch, obs) })
 	}
-	before := log.LastSeq()
-	durable, inMemory := measure(ppc.TemplateLog(log, "Q1")), measure(nil)
-	if log.LastSeq() == before {
-		t.Fatal("the durable arm logged nothing; the guard is vacuous")
-	}
-	t.Logf("ApplyBatch of %d points: %.0f allocs durable, %.0f in memory", len(batch), durable, inMemory)
-	if durable > 57 {
-		t.Errorf("a durable ApplyBatch of %d points allocates %.0f times, budget 57", len(batch), durable)
-	}
-	if durable > inMemory {
-		t.Errorf("logging adds %.0f allocations to an ApplyBatch of %d points, want none", durable-inMemory, len(batch))
+	for _, arm := range []struct {
+		name string
+		obs  []stats.Obs
+	}{{"points", nil}, {"points and observations", obs}} {
+		before := log.LastSeq()
+		durable, inMemory := measure(ppc.TemplateLog(log, "Q1"), arm.obs), measure(nil, arm.obs)
+		if logged := log.LastSeq() - before; logged == 0 || (arm.obs != nil && logged < 800*4) {
+			t.Fatalf("%s: the durable arm logged %d records; the guard is vacuous", arm.name, logged)
+		}
+		t.Logf("ApplyBatch of %d %s: %.0f allocs durable, %.0f in memory", len(batch), arm.name, durable, inMemory)
+		if durable > 57 {
+			t.Errorf("a durable ApplyBatch of %d %s allocates %.0f times, budget 57", len(batch), arm.name, durable)
+		}
+		if durable > inMemory {
+			t.Errorf("logging adds %.0f allocations to an ApplyBatch of %d %s, want none", durable-inMemory, len(batch), arm.name)
+		}
 	}
 }
 
@@ -133,7 +145,9 @@ func TestDurableApplyAllocBudget(t *testing.T) {
 // checkpoints and the wire share one hand-written snapshot codec. The
 // paper's offline evaluation stays offline: the bench module links neither
 // internal/experiments nor internal/baselines, and no non-test package but
-// internal/experiments imports internal/baselines.
+// internal/experiments imports internal/baselines. The durability protocol
+// stays in core: internal/stats, whose corrections core's learner logs,
+// links no internal/wal.
 func TestCommandsLinkNoBenchHarness(t *testing.T) {
 	goList := func(args ...string) string {
 		t.Helper()
@@ -156,6 +170,9 @@ func TestCommandsLinkNoBenchHarness(t *testing.T) {
 		if pkg != "repro/internal/experiments" && slices.Contains(strings.Fields(imports), "repro/internal/baselines") {
 			t.Errorf("%s imports repro/internal/baselines; only internal/experiments may", pkg)
 		}
+	}
+	if slices.Contains(deps("./internal/stats"), "repro/internal/wal") {
+		t.Error("internal/stats links repro/internal/wal; logging its corrections is core's")
 	}
 	for _, pkg := range deps("./cmd/...") {
 		if pkg == "testing" || pkg == "repro/internal/benchsuite" {

@@ -118,9 +118,12 @@ func TestHitsResolveNoColumns(t *testing.T) {
 		for i := range obs {
 			obs[i] = stats.Obs{Site: i + 1, LogQ: 1.5}
 		}
+		// The learner is the corrections' one writer: fold through it, after
+		// whatever its applier still holds.
+		st.flush()
 		epoch := corr.Epoch()
 		for i := 0; i < 3; i++ {
-			corr.Apply(obs, nil)
+			st.online.ApplyBatch(nil, obs)
 		}
 		if corr.Epoch() == epoch {
 			t.Fatalf("%s: the corrections did not move", name)

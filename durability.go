@@ -53,12 +53,12 @@ const defaultCheckpointInterval = time.Minute
 const checkpointName = "checkpoint.ppc"
 
 // walSink is one template's view of the shared WAL: the wal.Appender its
-// learner logs every durable event through. Append runs under the lock that
-// guards the state the record describes (core.Online.mu, or the leaf
-// stats.Corrections.mu below it), before the event applies — so recovery and
+// learner logs every durable event through. Append runs under the learner
+// lock (core.Online.mu), which guards both the synopsis and the corrections
+// the records describe, before that lock is released — so recovery and
 // replicas see each record ordered exactly against the others, the order
 // that makes the rebuilt state bit-identical; the log serializes on its own
-// mutex below both.
+// mutex below it. Commit runs once per apply batch, outside the lock.
 type walSink struct {
 	log      *wal.Log
 	template string
@@ -276,23 +276,27 @@ func (s *System) Checkpoint() (err error) {
 
 // checkpointMinSeq returns the conservative WAL compaction bound: the
 // smallest applied-sequence watermark across templates that have logged
-// anything. Records at or below it are reflected in every learner a
-// subsequent SaveState encodes.
+// anything, held below the first record still waiting in walPending for
+// its template's Register. Records at or below it are reflected in every
+// learner a subsequent SaveState encodes; pending records are in none, so
+// they pin compaction until their template registers and replays them.
 func (s *System) checkpointMinSeq() uint64 {
 	s.regMu.RLock()
 	defer s.regMu.RUnlock()
 	min := ^uint64(0)
-	any := false
 	for _, st := range s.templates {
-		if seq := st.online.AppliedSeq(); seq > 0 {
-			if seq < min {
-				min = seq
-			}
-			any = true
+		if seq := st.online.AppliedSeq(); seq > 0 && seq < min {
+			min = seq
 		}
 	}
-	if !any {
+	if min == ^uint64(0) {
 		return 0
+	}
+	for _, recs := range s.walPending {
+		// Held in log order: the first is the template's lowest.
+		if len(recs) > 0 && recs[0].Seq <= min {
+			min = recs[0].Seq - 1
+		}
 	}
 	return min
 }

@@ -78,7 +78,13 @@ func openDurable(t *testing.T, dir string, mut func(*Options)) *System {
 // learner validates points and the applier logs them.
 func runDurableWorkload(t *testing.T, sys *System, n int, seed int64) {
 	t.Helper()
-	tmpl, err := sys.Template("Q1")
+	runWarm(t, sys, "Q1", n, seed)
+}
+
+// runWarm issues n warm-neighborhood runs against a registered template.
+func runWarm(t *testing.T, sys *System, name string, n int, seed int64) {
+	t.Helper()
+	tmpl, err := sys.Template(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +98,7 @@ func runDurableWorkload(t *testing.T, sys *System, n int, seed int64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sys.Run("Q1", inst.Values); err != nil {
+		if _, err := sys.Run(name, inst.Values); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -226,6 +232,77 @@ func TestDurableCloseReopenRestoresState(t *testing.T) {
 	runDurableWorkload(t, sys2, 20, 4)
 	if after := triple(t, sys2); after.appliedSeq <= before.appliedSeq {
 		t.Errorf("sequence did not advance after reopen: %+v vs %+v", after, before)
+	}
+}
+
+// TestDurableSyncsEqualApplyBatches: the learner is its template's one
+// writer, so under SyncAlways every apply batch — feedback points, runs'
+// correction observations, or both, from the applier or inline on a full
+// mailbox — is exactly one fsync, and nothing else the workload does
+// syncs.
+func TestDurableSyncsEqualApplyBatches(t *testing.T) {
+	sys := openDurable(t, t.TempDir(), nil)
+	defer sys.Close() //nolint:errcheck
+	runDurableWorkload(t, sys, 400, 3)
+	m, err := sys.TemplateMetrics("Q1") // flushes the applier first
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := sys.WALMetrics()
+	t.Logf("400 runs: %d apply batches, %d feedback deferred, %d WAL appends, %d syncs",
+		m.Counters.ApplyBatches, m.Counters.FeedbackDeferred, w.Appends, w.Syncs)
+	if m.Counters.ApplyBatches == 0 || w.Appends == 0 {
+		t.Fatal("the workload applied or logged nothing; test is vacuous")
+	}
+	if w.Syncs != m.Counters.ApplyBatches {
+		t.Errorf("%d WAL syncs for %d apply batches, want one each", w.Syncs, m.Counters.ApplyBatches)
+	}
+}
+
+// TestDurablePendingRecordsSurviveCheckpoint: WAL records recovered for a
+// template nothing has registered yet are in no learner a checkpoint
+// encodes, so they pin compaction until Register replays them. A crash
+// image with Q1 and Q2 logged over small segments reopens with Q1 alone;
+// Q1 serves on and Close checkpoints and compacts; Q2, registered after the
+// next reopen, must come back with every point it had validated.
+func TestDurablePendingRecordsSurviveCheckpoint(t *testing.T) {
+	small := func(o *Options) { o.Durability.SegmentBytes = 4 << 10 }
+	sys := openDurable(t, t.TempDir(), small)
+	defer sys.Close() //nolint:errcheck
+	if err := sys.Register("Q2", mustSQL(t, "Q2")); err != nil {
+		t.Fatal(err)
+	}
+	runWarm(t, sys, "Q1", 150, 3)
+	runWarm(t, sys, "Q2", 150, 4)
+	q2, err := sys.TemplateMetrics("Q2") // flushes the applier first
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q2.Learner.Validated == 0 {
+		t.Fatal("Q2 validated nothing; test is vacuous")
+	}
+	dir := crashImage(t, sys.opts.Durability.Dir)
+
+	sys2 := openDurable(t, dir, small)
+	if rep := sys2.LoadStateReport(); rep.WALPending == 0 || rep.WALReplayed == 0 {
+		t.Fatalf("reopen with Q1 alone: %d records pending, %d replayed; want both", rep.WALPending, rep.WALReplayed)
+	}
+	runDurableWorkload(t, sys2, 150, 5)
+	if err := sys2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	sys3 := openDurable(t, dir, small)
+	defer sys3.Close() //nolint:errcheck
+	if err := sys3.Register("Q2", mustSQL(t, "Q2")); err != nil {
+		t.Fatal(err)
+	}
+	got, err := sys3.TemplateMetrics("Q2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Learner.Validated != q2.Learner.Validated {
+		t.Errorf("Q2 restored %d of its %d validated points", got.Learner.Validated, q2.Learner.Validated)
 	}
 }
 

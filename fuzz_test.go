@@ -103,7 +103,7 @@ func learnerSeed(tb testing.TB) []byte {
 		if err := o.LearnValidated([]float64{rng.Float64() * 0.4, rng.Float64() * 0.4}, i%4, float64(i%10+1)); err != nil {
 			tb.Fatal(err)
 		}
-		o.ApplyCorrections([]stats.Obs{{Site: 1 + i%2, LogQ: math.Log(2)}})
+		o.ApplyBatch(nil, []stats.Obs{{Site: 1 + i%2, LogQ: math.Log(2)}})
 	}
 	var buf bytes.Buffer
 	if err := o.EncodeState(&buf); err != nil {

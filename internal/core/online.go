@@ -170,10 +170,11 @@ type FeedbackSink interface {
 //     atomic pointer and predict with scratch buffers drawn from a pool —
 //     no lock is taken on the serving path, so any number of goroutines can
 //     predict on one template concurrently.
-//   - Writers (Apply/ApplyBatch/DecodeState/drift reset) serialize on mu,
-//     mutate the live ApproxLSHHist, and publish a fresh snapshot with
-//     copy-on-write at histogram granularity (Freeze reuses every frozen
-//     histogram untouched since the previous publication).
+//   - Writers (Apply/ApplyBatch/ReplayRecords/DecodeState/drift reset)
+//     serialize on mu, mutate the live ApproxLSHHist and the attached
+//     corrections, and publish a fresh snapshot with copy-on-write at
+//     histogram granularity (Freeze reuses every frozen histogram untouched
+//     since the previous publication).
 //
 // Step (the serial entry point used by experiments) is StepConcurrent with
 // an inline sink: every feedback point is applied and published before the
@@ -184,9 +185,9 @@ type Online struct {
 	env Environment
 	est *metrics.TemplateEstimator
 
-	// mu serializes the write path: pred mutation, snapshot publication,
-	// and state encode/decode. It is never taken by StepConcurrent's
-	// serving path (predict, coin, feedback creation).
+	// mu serializes the write path: pred and corr mutation, snapshot
+	// publication, and state encode/decode. It is never taken by
+	// StepConcurrent's serving path (predict, coin, feedback creation).
 	mu   sync.Mutex
 	pred *ApproxLSHHist
 
@@ -206,16 +207,16 @@ type Online struct {
 	faults *faults.Injector
 
 	// log, when set, durably records every learner event — applied feedback
-	// points and (through ApplyCorrections) correction site updates —
-	// before it takes effect. Written once at registration (before the
-	// template serves). rec is the record handed to it: a field, guarded by
-	// mu, so the record has a stable address and a durable apply allocates
-	// nothing for it.
+	// points and correction site updates — before the learner lock is
+	// released. Written once at registration (before the template serves).
+	// rec is the record handed to it: a field, guarded by mu, so the record
+	// has a stable address and a durable apply allocates nothing for it.
 	log wal.Appender
 	rec wal.Record
 	// corr, when set, is the template's adaptive-statistics correction
-	// state. The driver does not consult it for predictions — corrections
-	// move optimizer costing, not plan-space points — but it rides along in
+	// state, written only under mu (ApplyBatch, ReplayRecords, install). The
+	// driver does not consult it for predictions — corrections move
+	// optimizer costing, not plan-space points — but it rides along in
 	// EncodeState/DecodeState so checkpoints and replica state shipping
 	// carry one self-contained learned state per template. Written once at
 	// registration, before the template serves.
@@ -470,30 +471,49 @@ func (o *Online) LearnValidated(x []float64, plan int, cost float64) error {
 // point's epoch predates the current drift-reset epoch. Safe for concurrent
 // use; writers serialize on the learner lock.
 func (o *Online) Apply(fb Feedback) bool {
-	return o.ApplyBatch([]Feedback{fb}) == 1
+	return o.ApplyBatch([]Feedback{fb}, nil) == 1
 }
 
-// ApplyBatch applies a batch of feedback points and publishes at most one
-// snapshot, amortizing the copy-on-write cost over the whole batch. One
-// WAL group commit covers the batch. It returns how many points entered the
-// synopsis; the rest were stale (StaleFeedbackDrops counts them).
-func (o *Online) ApplyBatch(batch []Feedback) (applied int) {
-	if len(batch) == 0 {
+// ApplyBatch is the learner's one write path for what serving learned: it
+// inserts a batch of feedback points and folds a batch of cardinality
+// observations (runs' observations concatenated in arrival order) into the
+// attached corrections, under one hold of the learner lock. Every event is
+// logged before the lock is released: each point before it enters the
+// synopsis, and each site the observations touched once, with its
+// post-batch state. At most one snapshot is published, amortizing the
+// copy-on-write cost over the whole batch, and one WAL group commit covers
+// it all. It returns how many points entered the synopsis; the rest were
+// stale (StaleFeedbackDrops counts them). Observations are ignored without
+// attached corrections.
+func (o *Online) ApplyBatch(points []Feedback, obs []stats.Obs) (applied int) {
+	if len(points) == 0 && len(obs) == 0 {
 		return 0
 	}
 	// Deferred first, so it runs last: the group commit stays outside the
-	// lock, and the lock is released even when an insert panics (Run absorbs
-	// the panic; a lock left held would wedge the template).
-	defer o.commitWAL()
+	// lock (an fsync must not stall concurrent writers), and the lock is
+	// released even when an insert panics (Run absorbs the panic; a lock left
+	// held would wedge the template). Commit errors are counted by the log's
+	// observer and retried with the next batch; the state is already applied.
+	if o.log != nil {
+		defer o.log.Commit() //nolint:errcheck
+	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	for _, fb := range batch {
+	for _, fb := range points {
 		if o.applyLocked(fb) {
 			applied++
 		}
 	}
 	if applied > 0 {
 		o.publishLocked()
+	}
+	if o.corr != nil && len(obs) > 0 {
+		for _, site := range o.corr.Apply(obs) {
+			if o.log != nil {
+				o.rec = correctionRecord(site, o.corr.Site(site), o.corr.Epoch())
+				o.logLocked(o.corr.Watermark())
+			}
+		}
 	}
 	return applied
 }
@@ -505,7 +525,7 @@ func (o *Online) applyLocked(fb Feedback) bool {
 	}
 	if o.log != nil {
 		o.rec = feedbackRecord(fb)
-		o.logLocked()
+		o.logLocked(&o.appliedSeq)
 	}
 	o.pred.Insert(Sample{Point: fb.Point, Plan: fb.Plan, Cost: fb.Cost})
 	if fb.SelfLabeled {
@@ -516,36 +536,14 @@ func (o *Online) applyLocked(fb Feedback) bool {
 	return true
 }
 
-// logLocked appends o.rec — log before apply, under the same lock, so a
-// checkpoint's appliedSeq watermark and its synopsis always agree. Append
-// failures are counted by the log's observer and degrade durability only:
-// the event still applies in memory. Callers hold mu.
-func (o *Online) logLocked() {
+// logLocked appends o.rec and advances the watermark of the state it
+// describes — under the same lock as the change, so a checkpoint's
+// watermarks and its state always agree. Append failures are counted by
+// the log's observer and degrade durability only: the event still applies
+// in memory. Callers hold mu.
+func (o *Online) logLocked(w *atomic.Uint64) {
 	if seq, err := o.log.Append(&o.rec); err == nil && seq > 0 {
-		o.appliedSeq.Store(seq)
-	}
-}
-
-// ApplyCorrections folds one run's attributed cardinality observations into
-// the attached correction state, logging each touched site's post-update
-// state before its factor publishes and group-committing the records; a
-// no-op without attached corrections.
-func (o *Online) ApplyCorrections(batch []stats.Obs) {
-	if o.corr == nil || len(batch) == 0 {
-		return
-	}
-	o.corr.Apply(batch, o.log)
-	// An fsync error is counted by the log's own observer and retried with
-	// the next batch.
-	o.commitWAL()
-}
-
-// commitWAL runs the group-commit barrier outside the learner lock (an
-// fsync must not stall concurrent writers). Commit errors are counted by
-// the log's observer; the in-memory state is already applied.
-func (o *Online) commitWAL() {
-	if o.log != nil {
-		o.log.Commit() //nolint:errcheck
+		w.Store(seq)
 	}
 }
 

@@ -2,16 +2,16 @@ package core
 
 import (
 	"math"
+	"sync/atomic"
 
+	"repro/internal/stats"
 	"repro/internal/wal"
 )
 
 // A durable learner event is a wal.Record. Each kind's constructor — what
-// the live write path logs before it applies the event — sits here beside
-// its arm of the one replay switch, which is what recovery and replicas do
-// with the record afterwards. (The correction kind's constructor is in
-// stats.Corrections.Apply, next to Corrections.Replay: core imports stats,
-// not the reverse.)
+// the live write path logs as it applies the event — sits here beside its
+// arm of the one replay switch, which is what recovery and replicas do with
+// the record afterwards.
 
 // feedbackRecord is the durable form of one labeled point on its way into
 // the synopsis. The epoch makes replay reproduce reset semantics: a stale
@@ -20,6 +20,17 @@ func feedbackRecord(fb Feedback) wal.Record {
 	return wal.Record{
 		Kind: wal.RecordFeedback, Epoch: fb.Epoch,
 		Plan: int64(fb.Plan), Cost: fb.Cost, SelfLabeled: fb.SelfLabeled, Point: fb.Point,
+	}
+}
+
+// correctionRecord is the durable form of one correction site after an
+// apply batch folded observations into it: the site's absolute state and
+// the correction epoch the batch left, so replay installs the state rather
+// than folding again.
+func correctionRecord(site int, s stats.SiteState, epoch uint64) wal.Record {
+	return wal.Record{
+		Kind: wal.RecordCorrection, CorrEpoch: epoch,
+		Site: uint32(site), LogC: s.LogC, N: s.N, Ref: s.Ref,
 	}
 }
 
@@ -44,8 +55,10 @@ func feedbackRecord(fb Feedback) wal.Record {
 //     resets happened between: they are performed first, reproducing the
 //     live insert-then-reset ordering. One from an older epoch was
 //     superseded by a reset before the crash: stale.
-//   - A correction record carries absolute post-update state and is
-//     independent of feedback.
+//   - A correction record carries a site's absolute post-batch state and is
+//     independent of feedback: it is claimed against the corrections' own
+//     watermark. One whose state is not finite is skipped, the watermark
+//     advanced over it.
 //   - A record of a retired kind (wal.RecordRetiredRetune) fits no learner:
 //     stale, like a kind this build does not declare.
 func (o *Online) ReplayRecords(recs []wal.Record) (applied, skipped, stale int) {
@@ -71,7 +84,7 @@ func (o *Online) ReplayRecords(recs []wal.Record) (applied, skipped, stale int) 
 				stale++
 				continue
 			}
-			if !o.claimLocked(r.Seq) {
+			if !claim(&o.appliedSeq, r.Seq) {
 				skipped++
 				continue
 			}
@@ -98,11 +111,12 @@ func (o *Online) ReplayRecords(recs []wal.Record) (applied, skipped, stale int) 
 				stale++
 				continue
 			}
-			if o.corr.Replay(r) {
-				applied++
-			} else {
+			if !claim(o.corr.Watermark(), r.Seq) ||
+				!o.corr.Install(int(r.Site), stats.SiteState{LogC: r.LogC, N: r.N, Ref: r.Ref}, r.CorrEpoch) {
 				skipped++
+				continue
 			}
+			applied++
 		default:
 			stale++ // a retired or undeclared kind fits no learner
 		}
@@ -113,17 +127,18 @@ func (o *Online) ReplayRecords(recs []wal.Record) (applied, skipped, stale int) 
 	return applied, skipped, stale
 }
 
-// claimLocked advances the applied-sequence watermark over a replayed
-// record and reports whether the record is news: false means the state
-// already reflects it. Seq 0 is an unsequenced record — always news, and
-// the watermark stays. Callers hold mu.
-func (o *Online) claimLocked(seq uint64) bool {
+// claim advances an applied-sequence watermark — the synopsis's or the
+// corrections' — over a replayed record and reports whether the record is
+// news: false means the state already reflects it. Seq 0 is an unsequenced
+// record — always news, and the watermark stays. Callers hold the learner
+// lock.
+func claim(w *atomic.Uint64, seq uint64) bool {
 	if seq == 0 {
 		return true
 	}
-	if seq <= o.appliedSeq.Load() {
+	if seq <= w.Load() {
 		return false
 	}
-	o.appliedSeq.Store(seq)
+	w.Store(seq)
 	return true
 }

@@ -19,10 +19,11 @@ import (
 // sequence the way the WAL does and keeps every record — feedback and
 // corrections interleaved in log order, the order a replica (or recovery)
 // must replay in — so what the learner logged replays through
-// ReplayRecords.
+// ReplayRecords. It counts group commits.
 type memLog struct {
-	seq  uint64
-	recs []wal.Record
+	seq     uint64
+	recs    []wal.Record
+	commits int
 }
 
 func (l *memLog) Append(rec *wal.Record) (uint64, error) {
@@ -32,7 +33,10 @@ func (l *memLog) Append(rec *wal.Record) (uint64, error) {
 	return l.seq, nil
 }
 
-func (l *memLog) Commit() error { return nil }
+func (l *memLog) Commit() error {
+	l.commits++
+	return nil
+}
 
 // count returns how many records of the kind the log holds.
 func (l *memLog) count(kind uint8) int {
@@ -137,6 +141,117 @@ func TestRetiredKindScansShipsAndReplaysStale(t *testing.T) {
 	}
 }
 
+// TestApplyBatchIsOneWrite: one apply batch carrying feedback points and
+// several runs' observations is one write of the learner — one group
+// commit, each point logged, and one correction record per touched site
+// holding its post-batch state — and folds the observations exactly as
+// applying the runs one by one would: every site's EWMA and count, and so
+// its factor, bit-equal.
+func TestApplyBatchIsOneWrite(t *testing.T) {
+	runs := [][]stats.Obs{
+		{{Site: 1, LogQ: 0.7}, {Site: 2, LogQ: -0.3}},
+		{{Site: 2, LogQ: 1.9}, {Site: 1, LogQ: 0.1}, {Site: 2, LogQ: math.NaN()}},
+		{{Site: 1, LogQ: -2.2}, {Site: 9, LogQ: 1}},
+	}
+	var obs []stats.Obs
+	for _, run := range runs {
+		obs = append(obs, run...)
+	}
+	points := []Feedback{
+		{Point: []float64{0.2, 0.3}, Plan: 1, Cost: 10},
+		{Point: []float64{0.6, 0.1}, Plan: 2, Cost: 20},
+	}
+
+	batched, log := fuzzLearner(t), &memLog{}
+	batched.AttachLog(log)
+	for i := 0; i < 3; i++ { // past the cold-start passthrough
+		batched.ApplyBatch(nil, obs)
+	}
+	log.recs, log.commits = nil, 0
+	if applied := batched.ApplyBatch(points, obs); applied != len(points) {
+		t.Fatalf("%d of %d points applied", applied, len(points))
+	}
+	if log.commits != 1 {
+		t.Errorf("one apply batch made %d commits, want 1", log.commits)
+	}
+	if fb, corr := log.count(wal.RecordFeedback), log.count(wal.RecordCorrection); fb != 2 || corr != 2 {
+		t.Errorf("one apply batch logged %d feedback and %d correction records, want 2 and one per touched site (2)", fb, corr)
+	}
+
+	oneByOne := fuzzLearner(t)
+	for i := 0; i < 4; i++ {
+		for _, run := range runs {
+			oneByOne.ApplyBatch(nil, run)
+		}
+	}
+	_, _, want := oneByOne.corr.State()
+	_, _, got := batched.corr.State()
+	for i := range want {
+		if math.Float64bits(got[i].LogC) != math.Float64bits(want[i].LogC) || got[i].N != want[i].N {
+			t.Errorf("site %d batched to logc %v n %d, run by run to logc %v n %d", i+1, got[i].LogC, got[i].N, want[i].LogC, want[i].N)
+		}
+		if f, w := batched.corr.Factor(i+1), oneByOne.corr.Factor(i+1); math.Float64bits(f) != math.Float64bits(w) {
+			t.Errorf("site %d factor %v batched, %v run by run", i+1, f, w)
+		}
+	}
+	for _, r := range log.recs {
+		if r.Kind == wal.RecordCorrection && (r.LogC != got[r.Site-1].LogC || r.N != got[r.Site-1].N || r.Ref != got[r.Site-1].Ref) {
+			t.Errorf("site %d logged %+v, holds %+v", r.Site, r, got[r.Site-1])
+		}
+	}
+}
+
+// TestCorrectionsReplayReconstructsState: the correction records a learner
+// logs replay, in log order, into a fresh learner's corrections as exactly
+// the pre-crash state — epoch, watermark, every site, every factor — since
+// each carries absolute state. A second replay applies nothing; a record
+// for a site beyond the shape is stale and leaves the watermark; one with
+// non-finite state is skipped with the watermark advanced over it.
+func TestCorrectionsReplayReconstructsState(t *testing.T) {
+	lg := &memLog{}
+	leader := fuzzLearner(t)
+	leader.AttachLog(lg)
+	for i := 0; i < 10; i++ {
+		leader.ApplyBatch(nil, []stats.Obs{
+			{Site: 1, LogQ: math.Log(3)},
+			{Site: 2, LogQ: -math.Log(2) * float64(i%3)},
+		})
+	}
+	wantEpoch, wantSeq, wantSites := leader.corr.State()
+	if wantSeq == 0 || wantEpoch == 0 || lg.count(wal.RecordCorrection) != 20 {
+		t.Fatalf("logged %d correction records to watermark %d at epoch %d; test is vacuous", lg.count(wal.RecordCorrection), wantSeq, wantEpoch)
+	}
+
+	fresh := fuzzLearner(t)
+	if applied, skipped, stale := fresh.ReplayRecords(lg.recs); applied != 20 || skipped != 0 || stale != 0 {
+		t.Fatalf("replayed as %d applied, %d skipped, %d stale; want 20/0/0", applied, skipped, stale)
+	}
+	gotEpoch, gotSeq, gotSites := fresh.corr.State()
+	if gotEpoch != wantEpoch || gotSeq != wantSeq || !reflect.DeepEqual(gotSites, wantSites) {
+		t.Fatalf("replayed (epoch %d, seq %d, %+v), want (%d, %d, %+v)", gotEpoch, gotSeq, gotSites, wantEpoch, wantSeq, wantSites)
+	}
+	for s := 1; s <= 2; s++ {
+		if fresh.corr.Factor(s) != leader.corr.Factor(s) {
+			t.Fatalf("site %d factor %v, want %v", s, fresh.corr.Factor(s), leader.corr.Factor(s))
+		}
+	}
+
+	if applied, skipped, _ := fresh.ReplayRecords(lg.recs); applied != 0 || skipped != 20 {
+		t.Fatalf("second replay: %d applied, %d skipped; the watermark was not honored", applied, skipped)
+	}
+	odd := []wal.Record{
+		{Kind: wal.RecordCorrection, Seq: wantSeq + 1, Site: 99, LogC: 1, N: 5},
+		{Kind: wal.RecordCorrection, Seq: wantSeq + 2, Site: 1, LogC: math.NaN(), N: 9},
+		{Kind: wal.RecordCorrection, Seq: wantSeq + 3, Site: 2, LogC: 0.5, N: 9, Ref: math.Inf(1)},
+	}
+	if applied, skipped, stale := fresh.ReplayRecords(odd); applied != 0 || skipped != 2 || stale != 1 {
+		t.Fatalf("odd records replayed as %d applied, %d skipped, %d stale; want 0/2/1", applied, skipped, stale)
+	}
+	if _, seq, sites := fresh.corr.State(); seq != wantSeq+3 || !reflect.DeepEqual(sites, wantSites) {
+		t.Fatalf("after odd records: watermark %d (want %d), sites %+v (want %+v)", seq, wantSeq+3, sites, wantSites)
+	}
+}
+
 // fuzzLearner is the small learner FuzzReplayRecords replays into: two
 // dimensions, corrections attached, forty validated points in the
 // synopsis.
@@ -187,7 +302,7 @@ func FuzzReplayRecords(f *testing.F) {
 		if err := leader.LearnValidated(x, quadrantPlan(x), quadrantCost(x)); err != nil {
 			f.Fatal(err)
 		}
-		leader.ApplyCorrections([]stats.Obs{{Site: 1 + i%2, LogQ: rng.NormFloat64()}})
+		leader.ApplyBatch(nil, []stats.Obs{{Site: 1 + i%2, LogQ: rng.NormFloat64()}})
 	}
 	if log.count(wal.RecordFeedback) == 0 || log.count(wal.RecordCorrection) == 0 {
 		f.Fatal("seed log holds no feedback or no correction record")

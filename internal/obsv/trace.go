@@ -13,8 +13,8 @@ const MaxTraceDims = 8
 
 // TraceRecord is one completed Run through the serving path, in the shape
 // of a ppc.RunResult but flattened to a fixed-size value type: appending it
-// to a ring or passing it to a TraceHook copies plain memory and never
-// allocates. Durations are raw nanoseconds to keep the JSON form explicit.
+// to a ring copies plain memory and never allocates. Durations are raw
+// nanoseconds to keep the JSON form explicit.
 type TraceRecord struct {
 	// Seq is the per-template completion sequence number (1-based).
 	Seq      uint64 `json:"seq"`
@@ -82,11 +82,6 @@ func (r TraceRecord) MarshalJSON() ([]byte, error) {
 		Point:  r.Point[:r.NumPoint],
 	})
 }
-
-// TraceHook observes every completed Run, after the run has finished and
-// outside all serving-path locks. It runs synchronously on the serving
-// goroutine, so it must be fast and must not call back into the System.
-type TraceHook func(TraceRecord)
 
 // TraceRing is a fixed-capacity ring of the most recent trace records. Its
 // mutex guards only plain-memory copies in and out of the preallocated

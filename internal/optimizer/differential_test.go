@@ -261,7 +261,7 @@ func TestOptimizeMatchesReference(t *testing.T) {
 				}
 				for _, p := range points {
 					if q.Corr != nil {
-						q.Corr.Apply([]stats.Obs{{Site: 1 + rng.Intn(len(q.Preds)), LogQ: rng.NormFloat64() * 1.5}}, nil)
+						q.Corr.Apply([]stats.Obs{{Site: 1 + rng.Intn(len(q.Preds)), LogQ: rng.NormFloat64() * 1.5}})
 					}
 					if err := diffAt(opt, tm, memo, ref, p); err != nil {
 						t.Fatalf("corrections %v: %s: %v", q.Corr != nil, tm.SQL, err)
@@ -372,7 +372,7 @@ func FuzzOptimizeMatchesReference(f *testing.F) {
 		ms := v.(memos)
 		ms.q.Corr.Adopt(nil) //nolint:errcheck // nil always adopts
 		for i, b := range factors {
-			ms.q.Corr.Apply([]stats.Obs{{Site: 1 + i%len(ms.q.Preds), LogQ: (float64(b) - 128) / 32}}, nil)
+			ms.q.Corr.Apply([]stats.Obs{{Site: 1 + i%len(ms.q.Preds), LogQ: (float64(b) - 128) / 32}})
 		}
 		point := make([]float64, tm.Degree())
 		for i := range point {

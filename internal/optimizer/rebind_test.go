@@ -118,7 +118,7 @@ func TestRecostMatchesReference(t *testing.T) {
 				}
 				for probe := 0; probe < 10; probe++ {
 					if tc.correct {
-						q.Corr.Apply([]stats.Obs{{Site: 1 + rng.Intn(len(q.Preds)), LogQ: rng.NormFloat64()}}, nil)
+						q.Corr.Apply([]stats.Obs{{Site: 1 + rng.Intn(len(q.Preds)), LogQ: rng.NormFloat64()}})
 					}
 					next := instAt(t, tm, randPoint(rng, tm.Degree())).Values
 					want, err := tc.o.ReferenceRecost(q, plan, next)

@@ -53,7 +53,7 @@ func TestRecostIdentity(t *testing.T) {
 			obs[i] = stats.Obs{Site: i + 1, LogQ: 0.2}
 		}
 		for i := 0; i < 3; i++ {
-			q.Corr.Apply(obs, nil)
+			q.Corr.Apply(obs)
 		}
 		if f := q.Corr.Factor(1); math.Abs(f-math.Exp(0.2)) > 1e-12 || q.Corr.Epoch() != 0 {
 			t.Fatalf("%s: factor %v at epoch %d, want e^0.2 at epoch 0", name, f, q.Corr.Epoch())

@@ -4,10 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
-
-	"repro/internal/wal"
 )
 
 // CorrConfig tunes one template's correction learner.
@@ -71,29 +68,27 @@ type Obs struct {
 	LogQ float64
 }
 
-// siteState is one predicate site's learned correction, guarded by
-// Corrections.mu.
+// siteState is one predicate site's learned correction.
 type siteState struct {
 	logc float64 // EWMA of log q-error
 	n    uint64  // observations seen
 	ref  float64 // logc at the last epoch publish (0 = identity)
 }
 
-// Corrections is one template's per-predicate-site correction state. Reads
-// (Factor/CorrectSel/Epoch) are lock-free; writes (Apply/Replay/decode)
-// serialize on an internal leaf mutex.
+// Corrections is one template's per-predicate-site correction state and its
+// arithmetic. Reads (Factor/CorrectSel/Epoch/ActiveSites) are lock-free
+// atomics. It takes no lock of its own: writes (Apply/Install/Adopt) and the
+// reads of the whole state (State/Encode) are serialized by its owner — the
+// template's learner lock (core.Online), which also logs what Apply changed.
 type Corrections struct {
 	cfg CorrConfig
 
-	mu    sync.Mutex
 	sites []siteState
-	// Apply scratch, guarded by mu: per-site batch stamps and the touched
-	// list keep the hot write path allocation-free, and rec gives the
-	// logger call a stable address so the record never escapes per site.
+	// Apply scratch: per-site batch stamps and the touched list keep the
+	// hot write path allocation-free.
 	stamp    []uint64
 	stampGen uint64
 	touched  []int
-	rec      wal.Record
 
 	// factors publishes each site's clamped multiplicative factor as
 	// Float64bits; the zero value decodes as the identity (cold start).
@@ -134,9 +129,10 @@ func (c *Corrections) Epoch() uint64 {
 	return c.epoch.Load()
 }
 
-// AppliedSeq returns the WAL watermark of the newest correction reflected
-// in the state.
-func (c *Corrections) AppliedSeq() uint64 { return c.appliedSeq.Load() }
+// Watermark is the WAL sequence of the newest correction record reflected in
+// the state. The owning learner claims records against it and advances it
+// as it logs, under its lock.
+func (c *Corrections) Watermark() *atomic.Uint64 { return &c.appliedSeq }
 
 // Factor returns the published multiplicative factor for a 1-based site:
 // lock-free, identity for unknown sites, cold sites and a nil receiver.
@@ -161,8 +157,8 @@ func (c *Corrections) CorrectSel(site int, sel float64) float64 {
 	return clamp01(sel * f)
 }
 
-// publishLocked computes and publishes site s's factor. Callers hold mu.
-func (c *Corrections) publishLocked(s int) {
+// publish computes and publishes site s's factor.
+func (c *Corrections) publish(s int) {
 	st := &c.sites[s]
 	if st.n < c.cfg.MinObs {
 		c.factors[s].Store(0) // cold-start passthrough
@@ -178,17 +174,12 @@ func (c *Corrections) publishLocked(s int) {
 	c.factors[s].Store(math.Float64bits(f))
 }
 
-// Apply folds a batch of observations into the EWMA state, logs the
-// post-update state of every touched site (log-before-publish, so a
-// checkpoint's watermark never claims a record it does not contain), and
-// publishes the new factors; the next estimate of a site reads its new
-// factor. lg may be nil (no durability).
-func (c *Corrections) Apply(batch []Obs, lg wal.Appender) {
-	if len(batch) == 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// Apply folds a batch of observations, in order, into the EWMA state and
+// publishes the touched sites' new factors; the next estimate of a site
+// reads its new factor. The epoch anchor is checked once for the whole
+// batch. It returns the touched sites in first-touch order — scratch, valid
+// until the next Apply — whose post-batch state (Site) the owner logs.
+func (c *Corrections) Apply(batch []Obs) (touched []int) {
 	c.stampGen++
 	c.touched = c.touched[:0]
 	for _, ob := range batch {
@@ -207,9 +198,6 @@ func (c *Corrections) Apply(batch []Obs, lg wal.Appender) {
 			c.touched = append(c.touched, ob.Site)
 		}
 	}
-	if len(c.touched) == 0 {
-		return
-	}
 	// Epoch decision: any touched site whose smoothed correction moved past
 	// the threshold (relative to its last published reference) bumps the
 	// epoch once for the whole batch, and re-anchors its reference.
@@ -220,59 +208,35 @@ func (c *Corrections) Apply(batch []Obs, lg wal.Appender) {
 			st.ref = st.logc
 			epochBumped = true
 		}
-	}
-	epoch := c.epoch.Load()
-	if epochBumped {
-		epoch++
-	}
-	// Log before publish: each touched site's absolute post-update state,
-	// in batch order (deterministic, unlike a map walk). Append failures
-	// degrade durability only — the factors publish anyway.
-	if lg != nil {
-		for _, site := range c.touched {
-			st := &c.sites[site-1]
-			c.rec = wal.Record{
-				Kind: wal.RecordCorrection, CorrEpoch: epoch,
-				Site: uint32(site), LogC: st.logc, N: st.n, Ref: st.ref,
-			}
-			if seq, err := lg.Append(&c.rec); err == nil && seq > 0 {
-				c.appliedSeq.Store(seq)
-			}
-		}
-	}
-	for _, site := range c.touched {
-		c.publishLocked(site - 1)
+		c.publish(site - 1)
 	}
 	if epochBumped {
-		c.epoch.Store(epoch)
+		c.epoch.Add(1)
 	}
+	return c.touched
 }
 
-// Replay re-applies one correction record — the durable form of one site
-// update that Apply logs: the post-update absolute EWMA state — read back
-// from the WAL (crash recovery) or shipped over a replication stream.
-// Idempotent via the applied-sequence watermark; records carry absolute
-// state, so replay in sequence order reconstructs exactly the pre-crash
-// factors. Records for sites beyond the template's shape (the template
-// changed between crash and restart) and records whose state is not finite
-// (no Apply writes one) are skipped but still advance the watermark.
-func (c *Corrections) Replay(rec *wal.Record) (applied bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if rec.Seq != 0 && rec.Seq <= c.appliedSeq.Load() {
+// Site returns a 1-based site's absolute learned state: what a correction
+// record carries.
+func (c *Corrections) Site(site int) SiteState {
+	s := c.sites[site-1]
+	return SiteState{LogC: s.logc, N: s.n, Ref: s.ref}
+}
+
+// Install sets a 1-based site's absolute learned state — a correction
+// record read back from the WAL or a replication stream — and publishes its
+// factor; the epoch only moves forward. Records carry absolute state, so
+// installing them in sequence order reconstructs exactly the factors Apply
+// published. A site beyond the template's shape, or state that is not
+// finite (no Apply writes one), is refused.
+func (c *Corrections) Install(site int, s SiteState, epoch uint64) bool {
+	if site < 1 || site > len(c.sites) || !finite(s.LogC) || !finite(s.Ref) {
 		return false
 	}
-	if rec.Seq != 0 {
-		c.appliedSeq.Store(rec.Seq)
-	}
-	if rec.Site < 1 || int(rec.Site) > len(c.sites) || !finite(rec.LogC) || !finite(rec.Ref) {
-		return false
-	}
-	st := &c.sites[rec.Site-1]
-	st.logc, st.n, st.ref = rec.LogC, rec.N, rec.Ref
-	c.publishLocked(int(rec.Site) - 1)
-	if rec.CorrEpoch > c.epoch.Load() {
-		c.epoch.Store(rec.CorrEpoch)
+	c.sites[site-1] = siteState{logc: s.LogC, n: s.N, ref: s.Ref}
+	c.publish(site - 1)
+	if epoch > c.epoch.Load() {
+		c.epoch.Store(epoch)
 	}
 	return true
 }
@@ -288,25 +252,22 @@ type SiteState struct {
 	Ref  float64
 }
 
-// State copies the full correction state (tests, parity checks).
+// State copies the full correction state (tests, parity checks). Callers
+// serialize it with writes.
 func (c *Corrections) State() (epoch, appliedSeq uint64, sites []SiteState) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	sites = make([]SiteState, len(c.sites))
-	for i, s := range c.sites {
-		sites[i] = SiteState{LogC: s.logc, N: s.n, Ref: s.ref}
+	for i := range sites {
+		sites[i] = c.Site(i + 1)
 	}
 	return c.epoch.Load(), c.appliedSeq.Load(), sites
 }
 
-// ActiveSites counts sites past the cold-start threshold (publishing a
-// non-identity-capable factor).
+// ActiveSites counts sites past the cold-start threshold: the ones whose
+// published factor is not the cold-start passthrough. Lock-free.
 func (c *Corrections) ActiveSites() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	n := 0
-	for i := range c.sites {
-		if c.sites[i].n >= c.cfg.MinObs {
+	for i := range c.factors {
+		if c.factors[i].Load() != 0 {
 			n++
 		}
 	}
@@ -317,8 +278,6 @@ func (c *Corrections) ActiveSites() int {
 // watermark and every site's EWMA state — to dst: the body of the learner
 // state's corrections section (core.Online.EncodeState).
 func (c *Corrections) Encode(dst []byte) []byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	le := binary.LittleEndian
 	dst = le.AppendUint32(dst, uint32(len(c.sites)))
 	for _, v := range [...]float64{c.cfg.Alpha, c.cfg.ClampMin, c.cfg.ClampMax, float64(c.cfg.MinObs), c.cfg.EpochLogDelta} {
@@ -360,7 +319,7 @@ func DecodeCorrections(b []byte) (*Corrections, error) {
 		if !finite(c.sites[i].logc) || !finite(c.sites[i].ref) {
 			return nil, fmt.Errorf("stats: correction site %d holds non-finite state", i+1)
 		}
-		c.publishLocked(i)
+		c.publish(i)
 	}
 	return c, nil
 }
@@ -369,8 +328,6 @@ func DecodeCorrections(b []byte) (*Corrections, error) {
 // requiring the same site count: a shape change between save and restore
 // degrades the template to correction-cold via the returned error.
 func (c *Corrections) Adopt(dec *Corrections) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if dec == nil {
 		for i := range c.sites {
 			c.sites[i] = siteState{}
@@ -386,7 +343,7 @@ func (c *Corrections) Adopt(dec *Corrections) error {
 	c.cfg = dec.cfg
 	copy(c.sites, dec.sites)
 	for i := range c.sites {
-		c.publishLocked(i)
+		c.publish(i)
 	}
 	c.epoch.Store(dec.epoch.Load())
 	c.appliedSeq.Store(dec.appliedSeq.Load())

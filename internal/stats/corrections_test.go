@@ -5,25 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"testing"
-
-	"repro/internal/wal"
 )
-
-// memLog is an in-memory wal.Appender: it stamps sequences the way the WAL
-// does and keeps every record, so what Apply logged replays through Replay.
-type memLog struct {
-	seq  uint64
-	recs []wal.Record
-}
-
-func (m *memLog) Append(rec *wal.Record) (uint64, error) {
-	m.seq++
-	rec.Seq = m.seq
-	m.recs = append(m.recs, *rec)
-	return m.seq, nil
-}
-
-func (m *memLog) Commit() error { return nil }
 
 func TestCorrectionsColdStartPassthrough(t *testing.T) {
 	c := NewCorrections(2, CorrConfig{MinObs: 3})
@@ -31,8 +13,8 @@ func TestCorrectionsColdStartPassthrough(t *testing.T) {
 		t.Fatalf("cold factor = %v, want identity", f)
 	}
 	// Two observations: still below MinObs, still identity.
-	c.Apply([]Obs{{Site: 1, LogQ: math.Log(4)}}, nil)
-	c.Apply([]Obs{{Site: 1, LogQ: math.Log(4)}}, nil)
+	c.Apply([]Obs{{Site: 1, LogQ: math.Log(4)}})
+	c.Apply([]Obs{{Site: 1, LogQ: math.Log(4)}})
 	if f := c.Factor(1); f != 1 {
 		t.Fatalf("factor after 2 obs = %v, want cold identity (MinObs 3)", f)
 	}
@@ -40,7 +22,7 @@ func TestCorrectionsColdStartPassthrough(t *testing.T) {
 		t.Fatalf("CorrectSel while cold = %v, want passthrough", got)
 	}
 	// Third observation crosses the threshold and publishes.
-	c.Apply([]Obs{{Site: 1, LogQ: math.Log(4)}}, nil)
+	c.Apply([]Obs{{Site: 1, LogQ: math.Log(4)}})
 	if f := c.Factor(1); f <= 1 {
 		t.Fatalf("factor after warmup = %v, want > 1 (estimates too low)", f)
 	}
@@ -58,14 +40,14 @@ func TestCorrectionsClampAndBounds(t *testing.T) {
 	// Feed a huge consistent underestimate: the EWMA converges toward
 	// ln(1000) but the published factor must clamp at 8.
 	for i := 0; i < 50; i++ {
-		c.Apply([]Obs{{Site: 1, LogQ: math.Log(1000)}}, nil)
+		c.Apply([]Obs{{Site: 1, LogQ: math.Log(1000)}})
 	}
 	if f := c.Factor(1); f != 8 {
 		t.Fatalf("factor = %v, want clamped to 8", f)
 	}
 	// Swing the other way: clamp at 1/8.
 	for i := 0; i < 200; i++ {
-		c.Apply([]Obs{{Site: 1, LogQ: math.Log(1.0 / 1000)}}, nil)
+		c.Apply([]Obs{{Site: 1, LogQ: math.Log(1.0 / 1000)}})
 	}
 	if f := c.Factor(1); f != 1.0/8 {
 		t.Fatalf("factor = %v, want clamped to 1/8", f)
@@ -75,7 +57,7 @@ func TestCorrectionsClampAndBounds(t *testing.T) {
 		t.Fatalf("CorrectSel out of range: %v", got)
 	}
 	// Out-of-shape and non-finite observations are ignored, not applied.
-	c.Apply([]Obs{{Site: 0, LogQ: 1}, {Site: 2, LogQ: 1}, {Site: 1, LogQ: math.NaN()}, {Site: 1, LogQ: math.Inf(1)}}, nil)
+	c.Apply([]Obs{{Site: 0, LogQ: 1}, {Site: 2, LogQ: 1}, {Site: 1, LogQ: math.NaN()}, {Site: 1, LogQ: math.Inf(1)}})
 	_, _, sites := c.State()
 	if sites[0].N != 250 {
 		t.Fatalf("bad observations mutated state: n = %d, want 250", sites[0].N)
@@ -89,79 +71,29 @@ func TestCorrectionsEpochAdvancesOnDrift(t *testing.T) {
 	}
 	// One big observation moves the smoothed correction well past the
 	// threshold: epoch bumps and the reference re-anchors.
-	c.Apply([]Obs{{Site: 1, LogQ: math.Log(4)}}, nil)
+	c.Apply([]Obs{{Site: 1, LogQ: math.Log(4)}})
 	if c.Epoch() != 1 {
 		t.Fatalf("epoch = %d after a large shift, want 1", c.Epoch())
 	}
 	// Repeating the same observation keeps the EWMA where it is — no bump.
-	c.Apply([]Obs{{Site: 1, LogQ: math.Log(4)}}, nil)
+	c.Apply([]Obs{{Site: 1, LogQ: math.Log(4)}})
 	if c.Epoch() != 1 {
 		t.Fatalf("epoch = %d in steady state, want 1", c.Epoch())
 	}
 	// A reversal large enough to cross the threshold bumps again.
 	for i := 0; i < 20 && c.Epoch() == 1; i++ {
-		c.Apply([]Obs{{Site: 1, LogQ: -math.Log(4)}}, nil)
+		c.Apply([]Obs{{Site: 1, LogQ: -math.Log(4)}})
 	}
 	if c.Epoch() < 2 {
 		t.Fatalf("epoch = %d after reversal, want >= 2", c.Epoch())
 	}
 }
 
-func TestCorrectionsReplayReconstructsState(t *testing.T) {
-	lg := &memLog{}
-	c := NewCorrections(3, CorrConfig{})
-	for i := 0; i < 10; i++ {
-		c.Apply([]Obs{
-			{Site: 1, LogQ: math.Log(3)},
-			{Site: 2, LogQ: -math.Log(2)},
-		}, lg)
-	}
-	wantEpoch, wantSeq, wantSites := c.State()
-	if wantSeq == 0 || len(lg.recs) == 0 {
-		t.Fatal("nothing logged; test is vacuous")
-	}
-
-	// Replaying the log in sequence order into fresh state reconstructs
-	// exactly the pre-crash factors (records carry absolute state).
-	fresh := NewCorrections(3, CorrConfig{})
-	for i := range lg.recs {
-		fresh.Replay(&lg.recs[i])
-	}
-	gotEpoch, gotSeq, gotSites := fresh.State()
-	if gotEpoch != wantEpoch || gotSeq != wantSeq {
-		t.Fatalf("replayed (epoch %d, seq %d), want (%d, %d)", gotEpoch, gotSeq, wantEpoch, wantSeq)
-	}
-	for i := range wantSites {
-		if gotSites[i] != wantSites[i] {
-			t.Fatalf("site %d replayed %+v, want %+v", i+1, gotSites[i], wantSites[i])
-		}
-	}
-	for s := 1; s <= 3; s++ {
-		if fresh.Factor(s) != c.Factor(s) {
-			t.Fatalf("site %d factor %v, want %v", s, fresh.Factor(s), c.Factor(s))
-		}
-	}
-
-	// Idempotence: replaying the same records again applies nothing.
-	for i := range lg.recs {
-		if fresh.Replay(&lg.recs[i]) {
-			t.Fatalf("record seq %d re-applied; watermark not honored", lg.recs[i].Seq)
-		}
-	}
-	// Records for sites beyond the shape advance the watermark but skip.
-	if fresh.Replay(&wal.Record{Kind: wal.RecordCorrection, Seq: wantSeq + 1, Site: 99, LogC: 1, N: 5}) {
-		t.Fatal("out-of-shape record applied")
-	}
-	if fresh.AppliedSeq() != wantSeq+1 {
-		t.Fatalf("watermark %d, want %d", fresh.AppliedSeq(), wantSeq+1)
-	}
-}
-
 func TestCorrectionsEncodeDecodeRoundTrip(t *testing.T) {
 	c := NewCorrections(2, CorrConfig{})
-	lg := &memLog{}
 	for i := 0; i < 8; i++ {
-		c.Apply([]Obs{{Site: 1, LogQ: math.Log(5)}, {Site: 2, LogQ: math.Log(0.5)}}, lg)
+		c.Apply([]Obs{{Site: 1, LogQ: math.Log(5)}, {Site: 2, LogQ: math.Log(0.5)}})
+		c.Watermark().Store(uint64(2*i + 2)) // as the learner logging two sites would
 	}
 	body := c.Encode(nil)
 	dec, err := DecodeCorrections(body)
@@ -210,7 +142,7 @@ func TestCorrectionsEncodeDecodeRoundTrip(t *testing.T) {
 	if err := r2.Adopt(nil); err != nil {
 		t.Fatal(err)
 	}
-	if r2.Factor(1) != 1 || r2.Epoch() != 0 || r2.AppliedSeq() != 0 {
+	if r2.Factor(1) != 1 || r2.Epoch() != 0 || r2.Watermark().Load() != 0 {
 		t.Fatal("adopting no section did not reset to cold")
 	}
 }
@@ -218,12 +150,12 @@ func TestCorrectionsEncodeDecodeRoundTrip(t *testing.T) {
 // TestCorrectionsRefuseNonFiniteState holds what comes from outside the
 // process to the state Apply can produce: a decoded section with a
 // configuration out of range or a non-finite site is an error (the template
-// restores correction-cold), and a replayed record with non-finite state is
-// skipped with the watermark advanced.
+// restores correction-cold), and installing a replayed site with non-finite
+// state is refused.
 func TestCorrectionsRefuseNonFiniteState(t *testing.T) {
 	c := NewCorrections(2, CorrConfig{})
 	for i := 0; i < 4; i++ {
-		c.Apply([]Obs{{Site: 1, LogQ: math.Log(3)}, {Site: 2, LogQ: -1}}, nil)
+		c.Apply([]Obs{{Site: 1, LogQ: math.Log(3)}, {Site: 2, LogQ: -1}})
 	}
 	body := c.Encode(nil)
 	patch := func(off int, v float64) []byte {
@@ -258,18 +190,25 @@ func TestCorrectionsRefuseNonFiniteState(t *testing.T) {
 		t.Fatalf("MinObs 1 rejected: %v", err)
 	}
 
-	_, seq, want := c.State()
-	for i, rec := range []wal.Record{
-		{Site: 1, LogC: math.NaN(), N: 9},
-		{Site: 2, LogC: 0.5, N: 9, Ref: math.Inf(1)},
+	// Installing a site's state — what replay does with a correction
+	// record — refuses state that is not finite, or a site beyond the
+	// shape, and leaves the state as it was.
+	epoch, _, want := c.State()
+	for i, bad := range []struct {
+		site int
+		s    SiteState
+	}{
+		{1, SiteState{LogC: math.NaN(), N: 9}},
+		{2, SiteState{LogC: 0.5, N: 9, Ref: math.Inf(1)}},
+		{3, SiteState{LogC: 0.5, N: 9}},
+		{0, SiteState{LogC: 0.5, N: 9}},
 	} {
-		rec.Kind, rec.Seq = wal.RecordCorrection, seq+uint64(i)+1
-		if c.Replay(&rec) {
-			t.Fatalf("record %d with non-finite state applied", i)
+		if c.Install(bad.site, bad.s, epoch+1) {
+			t.Fatalf("install %d (site %d, %+v) applied", i, bad.site, bad.s)
 		}
 	}
-	if _, got, sites := c.State(); got != seq+2 || sites[0] != want[0] || sites[1] != want[1] {
-		t.Fatalf("after skipped records: watermark %d (want %d), sites %+v (want %+v)", got, seq+2, sites, want)
+	if got, _, sites := c.State(); got != epoch || sites[0] != want[0] || sites[1] != want[1] {
+		t.Fatalf("after refused installs: epoch %d (want %d), sites %+v (want %+v)", got, epoch, sites, want)
 	}
 }
 

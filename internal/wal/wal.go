@@ -190,8 +190,10 @@ func ByTemplate(recs []Record) map[string][]Record {
 type SyncPolicy int
 
 const (
-	// SyncAlways fsyncs on every Commit (one Commit per apply batch, so
-	// group commit already amortizes the cost across the batch).
+	// SyncAlways fsyncs on every Commit. A template's learner commits once
+	// per apply batch — its feedback points and its runs' correction
+	// observations together — so group commit amortizes the cost across
+	// the batch.
 	SyncAlways SyncPolicy = iota
 	// SyncInterval fsyncs on the first Commit after SyncInterval has
 	// elapsed since the previous sync, and a Commit that skips its fsync

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/metrics"
-	"repro/internal/obsv"
 	"repro/internal/queries"
 	"repro/internal/tpch"
 	"repro/internal/wal"
@@ -444,17 +443,14 @@ func TestMetricsQuiescentIdentities(t *testing.T) {
 	}
 }
 
-func TestTraceHookAndRingOptions(t *testing.T) {
-	var hooked int
-	var lastSeq uint64
+// TestTraceRingOption: a custom ring size keeps that many of the most
+// recent records, numbered by completion: the last one's Seq is the run
+// count.
+func TestTraceRingOption(t *testing.T) {
 	sys, err := Open(Options{
 		TPCH:          tpch.Config{Scale: 1000, Seed: 5},
 		Online:        onlineForTest(),
 		TraceRingSize: 8,
-		TraceHook: func(rec obsv.TraceRecord) {
-			hooked++
-			lastSeq = rec.Seq
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -475,18 +471,15 @@ func TestTraceHookAndRingOptions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if hooked != runs {
-		t.Errorf("trace hook fired %d times, want %d", hooked, runs)
-	}
-	if lastSeq != runs {
-		t.Errorf("last hook seq = %d, want %d", lastSeq, runs)
-	}
 	trace, err := sys.TemplateTrace("Q1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(trace) != 8 {
-		t.Errorf("custom ring size: trace length = %d, want 8", len(trace))
+		t.Fatalf("custom ring size: trace length = %d, want 8", len(trace))
+	}
+	if last := trace[len(trace)-1].Seq; last != runs {
+		t.Errorf("last trace seq = %d, want %d", last, runs)
 	}
 }
 

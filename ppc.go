@@ -70,11 +70,6 @@ type Options struct {
 	// appends are plain-memory copies, so tracing never allocates on the
 	// serving path.
 	TraceRingSize int
-	// TraceHook, when non-nil, receives a copy of every completed Run's
-	// trace record, after the run finishes and outside all locks. It runs
-	// synchronously on the serving goroutine: keep it fast and do not call
-	// back into the System from it.
-	TraceHook obsv.TraceHook
 	// FeedbackQueue bounds each template's feedback mailbox — the channel
 	// between the lock-free serving path and the background apply goroutine
 	// (default 256). When the mailbox is full, feedback is applied
@@ -147,14 +142,15 @@ func (o Options) withDefaults() (Options, error) {
 //	regMu  > core.Online.mu > cacheMu > TemplateEstimator.mu
 //
 // regMu guards the template registry map; each core.Online.mu serializes
-// that template's learner write path (feedback application, snapshot
-// publication, drift reset, state encode/decode) — the read path takes no
-// lock at all; cacheMu guards the shared plan cache, the only index of
-// compiled plans; the estimator is an internally synchronized leaf so
-// cache eviction can score plans without any template lock. The circuit
-// breaker and all health counters are atomics. The optimizer, executor,
-// catalog and plan registry are read-only or internally synchronized and
-// are used outside all facade locks.
+// that template's learner write path (feedback application, correction
+// folds, WAL appends, snapshot publication, drift reset, state
+// encode/decode) — the read path takes no lock at all; cacheMu guards the
+// shared plan cache, the only index of compiled plans; the estimator is an
+// internally synchronized leaf so cache eviction can score plans without
+// any template lock. The circuit breaker and all health counters are
+// atomics. The optimizer, executor, catalog and plan registry are
+// read-only or internally synchronized and are used outside all facade
+// locks.
 type System struct {
 	db   *tpch.Database
 	cat  *catalog.Catalog
@@ -313,37 +309,76 @@ func releaseCards(buf *cardBuf) {
 }
 
 // Deliver implements core.FeedbackSink: hand the point to the background
-// applier, or — when the mailbox is full, closed or absent — apply it
-// synchronously on the serving goroutine. Backpressure degrades latency,
-// never durability: a validated point is never silently dropped.
+// applier, or apply it on the serving goroutine when the mailbox cannot
+// take it (counted as deferred).
 func (st *templateState) Deliver(fb core.Feedback) {
+	if st.send(feedbackMsg{fb: fb}) {
+		st.obs.CountFeedbackEnqueued()
+	} else {
+		st.obs.CountFeedbackDeferred()
+	}
+}
+
+// send hands a point or a run's observations to the background applier
+// and reports whether it queued them. When the mailbox is full, closed or
+// absent it applies them synchronously on the calling goroutine, as a
+// batch of their own, instead: backpressure degrades latency, never
+// durability — nothing the learner should see is silently dropped.
+func (st *templateState) send(msg feedbackMsg) bool {
 	if st.mail != nil && !st.closed.Load() {
 		select {
-		case st.mail <- feedbackMsg{fb: fb}:
-			st.obs.CountFeedbackEnqueued()
-			return
+		case st.mail <- msg:
+			return true
 		default:
 		}
 	}
-	st.obs.CountFeedbackDeferred()
-	st.applyBatch([]core.Feedback{fb}, nil, nil)
+	if msg.cards != nil {
+		st.apply(&applyBatch{obs: msg.cards.obs})
+		releaseCards(msg.cards)
+	} else {
+		st.apply(&applyBatch{points: []core.Feedback{msg.fb}})
+	}
+	return false
+}
+
+// applyBatch is one apply batch under assembly: the feedback points and
+// the runs' observations the learner takes in one call, each in mailbox
+// order, and the flush tokens released once they are applied. An applier
+// reuses one across batches, so collecting allocates nothing in steady
+// state.
+type applyBatch struct {
+	points  []core.Feedback
+	obs     []stats.Obs
+	flushes []chan struct{}
+}
+
+// add files one mailbox message under what it carries. A run's
+// observations are copied into the batch and their buffer goes back to the
+// pool.
+func (b *applyBatch) add(msg feedbackMsg) {
+	switch {
+	case msg.flush != nil:
+		b.flushes = append(b.flushes, msg.flush)
+	case msg.cards != nil:
+		b.obs = append(b.obs, msg.cards.obs...)
+		releaseCards(msg.cards)
+	default:
+		b.points = append(b.points, msg.fb)
+	}
 }
 
 // applyLoop is the template's background learner: it drains the mailbox in
-// batches (publishing one snapshot per batch) until stop closes, then
-// drains whatever is left and exits.
+// batches until stop closes, then drains whatever is left and exits.
 func (st *templateState) applyLoop() {
 	defer close(st.applyDone)
-	batch := make([]core.Feedback, 0, applyBatchMax)
-	flushes := make([]chan struct{}, 0, 4)
-	cards := make([]*cardBuf, 0, 8)
+	b := &applyBatch{points: make([]core.Feedback, 0, applyBatchMax)}
 	for {
 		select {
 		case msg := <-st.mail:
-			batch, flushes, cards = st.collect(msg, batch[:0], flushes[:0], cards[:0])
-			st.applyBatch(batch, flushes, cards)
+			st.collect(msg, b)
+			st.apply(b)
 		case <-st.stop:
-			st.drainMailbox(batch[:0], flushes[:0], cards[:0])
+			st.drainMailbox(b)
 			return
 		}
 	}
@@ -351,94 +386,52 @@ func (st *templateState) applyLoop() {
 
 // collect gathers one batch: the triggering message plus whatever else is
 // immediately available, up to applyBatchMax points.
-func (st *templateState) collect(msg feedbackMsg, batch []core.Feedback, flushes []chan struct{}, cards []*cardBuf) ([]core.Feedback, []chan struct{}, []*cardBuf) {
+func (st *templateState) collect(msg feedbackMsg, b *applyBatch) {
 	for {
-		batch, flushes, cards = sortMessage(msg, batch, flushes, cards)
-		if len(batch) >= applyBatchMax {
-			return batch, flushes, cards
+		b.add(msg)
+		if len(b.points) >= applyBatchMax {
+			return
 		}
 		select {
 		case msg = <-st.mail:
 		default:
-			return batch, flushes, cards
+			return
 		}
 	}
 }
 
-// sortMessage files one mailbox message under what it carries.
-func sortMessage(msg feedbackMsg, batch []core.Feedback, flushes []chan struct{}, cards []*cardBuf) ([]core.Feedback, []chan struct{}, []*cardBuf) {
-	switch {
-	case msg.flush != nil:
-		flushes = append(flushes, msg.flush)
-	case msg.cards != nil:
-		cards = append(cards, msg.cards)
-	default:
-		batch = append(batch, msg.fb)
-	}
-	return batch, flushes, cards
-}
-
-// applyBatch applies the batch (one snapshot publication) and the queued
-// cardinality observations, then releases the flush tokens — the mailbox
-// is FIFO, so a token completes only after every point enqueued before it
-// is in the synopsis.
-func (st *templateState) applyBatch(batch []core.Feedback, flushes []chan struct{}, cards []*cardBuf) {
-	if len(batch) > 0 {
+// apply hands the batch to the learner in one call — one lock hold, at
+// most one model publication, one WAL group commit — and counts it, then
+// releases its flush tokens (the mailbox is FIFO, so a token completes only
+// after everything enqueued before it is in the learner) and empties the
+// batch for reuse.
+func (st *templateState) apply(b *applyBatch) {
+	if len(b.points) > 0 || len(b.obs) > 0 {
 		t0 := time.Now()
-		st.online.ApplyBatch(batch)
+		st.online.ApplyBatch(b.points, b.obs)
 		st.obs.RecordApply(time.Since(t0))
 	}
-	for _, buf := range cards {
-		st.applyCards(buf)
-	}
-	for _, f := range flushes {
+	for _, f := range b.flushes {
 		close(f)
 	}
-}
-
-// applyCards folds one run's attributed observations into the template's
-// correction state (logging each touched site's post-update state to the
-// WAL before the factors publish) and returns the buffer to the pool. The
-// next estimate of a touched site, by the optimizer or a recost, reads its
-// new factor.
-func (st *templateState) applyCards(buf *cardBuf) {
-	st.online.ApplyCorrections(buf.obs)
-	releaseCards(buf)
+	b.points, b.obs, b.flushes = b.points[:0], b.obs[:0], b.flushes[:0]
 }
 
 // drainMailbox empties the mailbox without blocking and applies what it
-// finds. Called by the exiting applier, and inline by flushers/shutdown
-// once the applier is gone (concurrent inline drains are safe — ApplyBatch
-// serializes on the learner lock and competing receives just split the
-// backlog).
-func (st *templateState) drainMailbox(batch []core.Feedback, flushes []chan struct{}, cards []*cardBuf) {
+// finds as one batch. Called by the exiting applier, and inline by
+// flushers/shutdown once the applier is gone (concurrent inline drains are
+// safe — ApplyBatch serializes on the learner lock and competing receives
+// just split the backlog).
+func (st *templateState) drainMailbox(b *applyBatch) {
 	for {
 		select {
 		case msg := <-st.mail:
-			batch, flushes, cards = sortMessage(msg, batch, flushes, cards)
+			b.add(msg)
 		default:
-			st.applyBatch(batch, flushes, cards)
+			st.apply(b)
 			return
 		}
 	}
-}
-
-// deliverCards hands one run's attributed observations to the background
-// applier, falling back — like Deliver — to a synchronous apply when the
-// mailbox is full, closed or absent.
-func (st *templateState) deliverCards(buf *cardBuf) {
-	if len(buf.obs) == 0 {
-		releaseCards(buf)
-		return
-	}
-	if st.mail != nil && !st.closed.Load() {
-		select {
-		case st.mail <- feedbackMsg{cards: buf}:
-			return
-		default:
-		}
-	}
-	st.applyCards(buf)
 }
 
 // flush blocks until every feedback point enqueued before the call has been
@@ -454,7 +447,7 @@ func (st *templateState) flush() {
 	select {
 	case st.mail <- feedbackMsg{flush: done}:
 	case <-st.applyDone:
-		st.drainMailbox(nil, nil, nil)
+		st.drainMailbox(&applyBatch{})
 		return
 	}
 	select {
@@ -464,7 +457,7 @@ func (st *templateState) flush() {
 		// drain may or may not have seen the token — drain inline either
 		// way (closing an already-closed token cannot happen: exactly one
 		// drain receives it from the FIFO mailbox).
-		st.drainMailbox(nil, nil, nil)
+		st.drainMailbox(&applyBatch{})
 	}
 }
 
@@ -478,7 +471,7 @@ func (st *templateState) shutdown() {
 	st.closeOnce.Do(func() { close(st.stop) })
 	<-st.applyDone
 	// Recover any message that raced past the closed flag.
-	st.drainMailbox(nil, nil, nil)
+	st.drainMailbox(&applyBatch{})
 }
 
 // Open generates the database, builds statistics, and initializes the
@@ -855,15 +848,18 @@ func (s *System) execObserved(st *templateState, entry *cachedPlan, values []flo
 			buf.obs = append(buf.obs, stats.Obs{Site: so.Site, LogQ: stats.LogQ(so.Est, so.Obs)})
 		}
 	}
-	st.deliverCards(buf)
+	if len(buf.obs) == 0 {
+		releaseCards(buf)
+	} else {
+		st.send(feedbackMsg{cards: buf})
+	}
 	return out, nil
 }
 
-// observeRun feeds one completed run into the metrics registry, the
-// template's trace ring, and the optional user trace hook. It runs after
-// the run has finished, outside all locks; the record is built on the
-// stack and copied, so the observability layer adds no allocations to the
-// serving path.
+// observeRun feeds one completed run into the metrics registry and the
+// template's trace ring. It runs after the run has finished, outside all
+// locks; the record is built on the stack and copied, so the observability
+// layer adds no allocations to the serving path.
 func (s *System) observeRun(st *templateState, res *RunResult) {
 	var rec obsv.TraceRecord
 	rec.Template = res.Template
@@ -885,9 +881,6 @@ func (s *System) observeRun(st *templateState, res *RunResult) {
 	rec.SetValues(res.Values)
 	rec.SetPoint(res.Point)
 	st.obs.Observe(&rec)
-	if s.opts.TraceHook != nil {
-		s.opts.TraceHook(rec)
-	}
 }
 
 // run is one bound query instance on its way through Run: the template
