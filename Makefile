@@ -30,7 +30,9 @@ PROFILE_DIR ?= profiles
 # bitmap to no slot vector, the extracting plan's cardinalities and the
 # result's allocations, and TestColumnFactsLearnedOnce a
 # second Compile to no column scan and no bitmap build; TestFreezePublishCost
-# holds a model publish to the blocks one insert touched;
+# holds a model publish to the blocks one insert touched, and
+# TestNullStepZeroAlloc a NULL learner step — the model query and the
+# optimizer call, its label aliasing the step's point — to zero;
 # TestRunHandlerAllocBudget holds ppcserve's /run handler to its Run's
 # allocations plus the request's own. The race line also runs
 # TestCommandsLinkNoBenchHarness, which holds what the serving binaries link
@@ -49,7 +51,7 @@ tier1:
 		echo "gofmt -l . names:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -run 'TestServingPathZeroAlloc|TestRunPathAllocBudget|TestMissPathAllocBudget|TestDurableApplyAllocBudget|TestExecSteadyStateAllocs|TestCountOnlyJoinRecordsNoPairs|TestUnorderedScanBuildsNoBitmap|TestOrderedScanWritesNoVector|TestColumnFactsLearnedOnce|TestFreezePublishCost|TestRunHandlerAllocBudget' -count=1 . ./internal/executor ./internal/core ./cmd/ppcserve
+	$(GO) test -run 'TestServingPathZeroAlloc|TestRunPathAllocBudget|TestMissPathAllocBudget|TestDurableApplyAllocBudget|TestExecSteadyStateAllocs|TestCountOnlyJoinRecordsNoPairs|TestUnorderedScanBuildsNoBitmap|TestOrderedScanWritesNoVector|TestColumnFactsLearnedOnce|TestFreezePublishCost|TestNullStepZeroAlloc|TestRunHandlerAllocBudget' -count=1 . ./internal/executor ./internal/core ./cmd/ppcserve
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench -short ./...
 
@@ -65,9 +67,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Just the fault-injection / breaker / snapshot-damage suite.
+# The fault-injection / breaker / snapshot-damage suite, and the feedback
+# mailbox under load: every label sent through a two-slot mailbox lands
+# (TestNoFeedbackLossUnderLoad), SaveState under concurrent runs captures
+# every acknowledged label (TestSaveStateUnderLoad), and runs, SaveState and
+# MetricsSnapshot interleave on one hot template (TestHotTemplateStress).
 chaos:
-	$(GO) test -race -run 'TestChaos|TestConcurrent|TestParallel' -v .
+	$(GO) test -race -run 'TestChaos|TestConcurrent|TestParallel|TestNoFeedbackLossUnderLoad|TestSaveStateUnderLoad|TestHotTemplateStress' -v .
 
 # The durability suite: crash-image recovery properties (a template that
 # comes back in another shape among them, and WAL records pending a late

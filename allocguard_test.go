@@ -110,7 +110,7 @@ func TestDurableApplyAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o.AttachCorrections(stats.NewCorrections(4, stats.CorrConfig{}))
+		o.AttachCorrections(stats.NewCorrections(4))
 		o.AttachLog(sink)
 		for i := 0; i < 300; i++ { // past histogram warm-up
 			o.ApplyBatch(batch, obs)
@@ -229,7 +229,9 @@ func TestCommandsLinkNoBenchHarness(t *testing.T) {
 // beside it; the plan cache is the only plan index; and a template's metrics
 // are assembled in one place, which MetricsSnapshot and TemplateMetrics both
 // go through — the Stats / Health shapes hand-copied from the same learner
-// left with ppc-metrics/v1 and stay out.
+// left with ppc-metrics/v1 and stay out. A run hands its learner one
+// message: Run calls templateState.send once, and send holds the one
+// mailbox send that is not a flush token.
 func TestFacadeOnePathPerJob(t *testing.T) {
 	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi os.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -249,6 +251,9 @@ func TestFacadeOnePathPerJob(t *testing.T) {
 	// optimizeSites[f] counts f's calls of the optimizer.
 	optimizeSites := map[string]int{}
 	var builds []string
+	// sends names the function of each non-flush send on a mailbox, senders
+	// each caller of templateState.send.
+	var sends, senders []string
 	ast.Inspect(pkg, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
@@ -270,11 +275,17 @@ func TestFacadeOnePathPerJob(t *testing.T) {
 							assembles[n.Name.Name]++
 						case "OptimizeMemoHeld":
 							optimizeSites[n.Name.Name]++
+						case "send":
+							senders = append(senders, n.Name.Name)
 						}
 					}
 				case *ast.CompositeLit:
 					if id, ok := m.Type.(*ast.Ident); ok && id.Name == "TemplateMetrics" && len(m.Elts) > 0 {
 						builds = append(builds, n.Name.Name)
+					}
+				case *ast.SendStmt:
+					if !isFlushToken(m.Value) {
+						sends = append(sends, n.Name.Name)
 					}
 				}
 				return true
@@ -312,6 +323,16 @@ func TestFacadeOnePathPerJob(t *testing.T) {
 			t.Errorf("%d calls of %s on the facade, want 0: run.optimize's OptimizeMemoHeld is the one optimizer call", n, other)
 		}
 	}
+	// The label has no route of its own beside the run's one message.
+	if len(sends) != 1 || sends[0] != "send" {
+		t.Errorf("non-flush mailbox sends in %v, want exactly one, in templateState.send", sends)
+	}
+	if len(senders) != 1 || senders[0] != "Run" {
+		t.Errorf("templateState.send called from %v, want once, from Run", senders)
+	}
+	if n := idents["Deliver"]; n != 0 {
+		t.Errorf("identifier Deliver occurs %d times: a run's label rides its one message", n)
+	}
 	// Spelled in two halves so that a grep for the old index's name over the
 	// tree's Go files comes back empty.
 	old := "plan" + "ByID"
@@ -325,4 +346,21 @@ func TestFacadeOnePathPerJob(t *testing.T) {
 			t.Errorf("identifier %s: only the optimizer answers run.optimize", name)
 		}
 	}
+}
+
+// isFlushToken reports whether a sent value is a feedbackMsg literal
+// carrying a flush token.
+func isFlushToken(v ast.Expr) bool {
+	lit, ok := v.(*ast.CompositeLit)
+	if !ok {
+		return false
+	}
+	for _, elt := range lit.Elts {
+		if kv, ok := elt.(*ast.KeyValueExpr); ok {
+			if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "flush" {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -493,3 +493,51 @@ func flipByte(b []byte, off int) []byte {
 	out[off] ^= 0xFF
 	return out
 }
+
+// TestChaosLabelSurvivesFailedExecute: a run's label travels in the same
+// message as its observations, sent once the run is over — also when its
+// execute failed after the learner step. A cold template's NULL step labels
+// its point with the optimizer's plan; with every execute failing, that
+// label must still reach the learner, applied inline or through the
+// mailbox.
+func TestChaosLabelSurvivesFailedExecute(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		queue int
+	}{{"inline", -1}, {"mailbox", 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := Open(Options{
+				TPCH:          tpch.Config{Scale: 2000, Seed: 5},
+				Online:        onlineForTest(),
+				Faults:        faults.New(3).Enable(faults.ExecutorError, 1),
+				FeedbackQueue: tc.queue,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close() //nolint:errcheck
+			if err := sys.RegisterStandard(); err != nil {
+				t.Fatal(err)
+			}
+			st, err := sys.lookup("Q1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			point := []float64{0.3, 0.4}
+			inst, err := sys.Optimizer().InstanceAt(st.tmpl, point)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := st.online.Validated()
+			_, err = sys.Run("Q1", inst.Values)
+			var pe *PipelineError
+			if !errors.As(err, &pe) || pe.Stage != "execute" {
+				t.Fatalf("Run with every execute failing returned %v, want a *PipelineError at stage execute", err)
+			}
+			st.flush()
+			if got := st.online.Validated() - before; got != 1 {
+				t.Fatalf("validated points rose by %d after the failed run, want 1: its label was lost", got)
+			}
+		})
+	}
+}

@@ -236,26 +236,38 @@ func TestDurableCloseReopenRestoresState(t *testing.T) {
 }
 
 // TestDurableSyncsEqualApplyBatches: the learner is its template's one
-// writer, so under SyncAlways every apply batch — feedback points, runs'
+// writer, so under SyncAlways every apply batch — runs' labels, their
 // correction observations, or both, from the applier or inline on a full
 // mailbox — is exactly one fsync, and nothing else the workload does
-// syncs.
+// syncs. A run sends its learner one message, so with no applier
+// (FeedbackQueue -1) a run is at most one apply batch.
 func TestDurableSyncsEqualApplyBatches(t *testing.T) {
-	sys := openDurable(t, t.TempDir(), nil)
-	defer sys.Close() //nolint:errcheck
-	runDurableWorkload(t, sys, 400, 3)
-	m, err := sys.TemplateMetrics("Q1") // flushes the applier first
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := sys.WALMetrics()
-	t.Logf("400 runs: %d apply batches, %d feedback deferred, %d WAL appends, %d syncs",
-		m.Counters.ApplyBatches, m.Counters.FeedbackDeferred, w.Appends, w.Syncs)
-	if m.Counters.ApplyBatches == 0 || w.Appends == 0 {
-		t.Fatal("the workload applied or logged nothing; test is vacuous")
-	}
-	if w.Syncs != m.Counters.ApplyBatches {
-		t.Errorf("%d WAL syncs for %d apply batches, want one each", w.Syncs, m.Counters.ApplyBatches)
+	const runs = 400
+	for _, tc := range []struct {
+		name  string
+		queue int
+	}{{"mailbox", 0}, {"inline", -1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := openDurable(t, t.TempDir(), func(o *Options) { o.FeedbackQueue = tc.queue })
+			defer sys.Close() //nolint:errcheck
+			runDurableWorkload(t, sys, runs, 3)
+			m, err := sys.TemplateMetrics("Q1") // flushes the applier first
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := sys.WALMetrics()
+			t.Logf("%d runs: %d apply batches, %d feedback deferred, %d WAL appends, %d syncs",
+				runs, m.Counters.ApplyBatches, m.Counters.FeedbackDeferred, w.Appends, w.Syncs)
+			if m.Counters.ApplyBatches == 0 || w.Appends == 0 {
+				t.Fatal("the workload applied or logged nothing; test is vacuous")
+			}
+			if w.Syncs != m.Counters.ApplyBatches {
+				t.Errorf("%d WAL syncs for %d apply batches, want one each", w.Syncs, m.Counters.ApplyBatches)
+			}
+			if tc.queue < 0 && m.Counters.ApplyBatches > runs {
+				t.Errorf("%d apply batches for %d inline runs, want at most one per run", m.Counters.ApplyBatches, runs)
+			}
+		})
 	}
 }
 

@@ -96,7 +96,7 @@ func learnerSeed(tb testing.TB) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	corr := stats.NewCorrections(2, stats.CorrConfig{})
+	corr := stats.NewCorrections(2)
 	o.AttachCorrections(corr)
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 200; i++ {

@@ -483,3 +483,38 @@ func TestPositiveFeedbackDisabledByDefault(t *testing.T) {
 		t.Errorf("SelfLabeled = %d", o.SelfLabeled())
 	}
 }
+
+// fixedEnv answers every optimizer call with one plan and cost. A driver
+// whose labels are never applied learns nothing from it, so every step it
+// takes predicts NULL.
+type fixedEnv struct{}
+
+func (fixedEnv) Optimize([]float64) (int, float64, error)    { return 1, 10, nil }
+func (fixedEnv) ExecuteCost([]float64, int) (float64, error) { return 10, nil }
+
+// TestNullStepZeroAlloc: a NULL step is the model query and the optimizer
+// call. Its label comes back in the Decision aliasing the step's point —
+// no owned copy, no delivery — so the step allocates nothing.
+func TestNullStepZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector's shadow memory inflates allocation counts")
+	}
+	o := MustNewOnline(OnlineConfig{Core: Config{Dims: 2, Seed: 5}}, nil)
+	x := []float64{0.3, 0.4}
+	var d Decision
+	var err error
+	step := func() { d, err = o.StepConcurrent(x, fixedEnv{}) }
+	step()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Predicted || !d.Invoked || d.Label.Point == nil || &d.Label.Point[0] != &x[0] || d.Label.Plan != 1 || d.Label.SelfLabeled {
+		t.Fatalf("NULL step decided %+v, want an invocation labeled at plan 1 whose point aliases x", d)
+	}
+	if allocs := testing.AllocsPerRun(500, step); allocs != 0 {
+		t.Errorf("NULL StepConcurrent allocates %v per step, want 0", allocs)
+	}
+	if o.Validated() != 0 || o.NullPredictions() != o.Steps() {
+		t.Errorf("StepConcurrent applied a label (validated %d) or predicted (%d NULLs of %d steps)", o.Validated(), o.NullPredictions(), o.Steps())
+	}
+}

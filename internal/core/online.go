@@ -134,32 +134,30 @@ type Decision struct {
 	// Reset is true when drift recovery dropped the template's histograms
 	// during this step.
 	Reset bool
-	// PositiveInsertion marks a high-confidence prediction that was fed
-	// back into the histograms as a self-labeled point. With an
-	// asynchronous FeedbackSink it marks delivery, not application.
+	// PositiveInsertion marks a high-confidence prediction returned as a
+	// self-labeled Label. It enters the histograms when the caller applies
+	// the label (Step does before it returns).
 	PositiveInsertion bool
+	// Label is the labeled point the step produced, for the caller to apply:
+	// the optimizer's answer on a NULL, an audit or a cost-check
+	// correction, or a positive self-label — at most one per step. Its
+	// Point aliases the step's x, and is nil when the step produced none.
+	Label Feedback
 }
 
 // Feedback is one labeled plan space point on its way into the histograms.
-// Point is an owned copy (safe to retain and to apply on another
-// goroutine). Epoch is the learner's drift-reset epoch at creation time: a
-// point queued before a drift reset must not pollute the fresh synopsis, so
-// Apply drops feedback whose epoch is stale — the asynchronous analogue of
-// the serial insert-then-reset ordering.
+// Point aliases the point the label was made at: whoever retains it beyond
+// the call that produced it (the facade's mailbox does) copies it. Epoch is
+// the learner's drift-reset epoch at creation time: a point labeled before a
+// drift reset must not pollute the fresh synopsis, so Apply drops feedback
+// whose epoch is stale — also the label of the very step whose verdict
+// tripped the reset, which the reset would erase anyway.
 type Feedback struct {
 	Point       []float64
 	Plan        int
 	Cost        float64
 	SelfLabeled bool
 	Epoch       int64
-}
-
-// FeedbackSink receives feedback points produced by StepConcurrent. The
-// facade implements it with a bounded per-template mailbox drained by a
-// background apply goroutine; Deliver must not block indefinitely (degrade
-// to a synchronous Apply instead of dropping validated points).
-type FeedbackSink interface {
-	Deliver(fb Feedback)
 }
 
 // Online is the ONLINE-APPROXIMATE-LSH-HISTOGRAMS driver for one query
@@ -169,17 +167,17 @@ type FeedbackSink interface {
 //   - Readers (StepConcurrent) load the current immutable *Model from an
 //     atomic pointer and predict with scratch buffers drawn from a pool —
 //     no lock is taken on the serving path, so any number of goroutines can
-//     predict on one template concurrently.
+//     predict on one template concurrently. A step returns its label; it
+//     never writes.
 //   - Writers (Apply/ApplyBatch/ReplayRecords/DecodeState/drift reset)
 //     serialize on mu, mutate the live ApproxLSHHist and the attached
 //     corrections, and publish a fresh snapshot with copy-on-write at
 //     histogram granularity (Freeze reuses every frozen histogram untouched
 //     since the previous publication).
 //
-// Step (the serial entry point used by experiments) is StepConcurrent with
-// an inline sink: every feedback point is applied and published before the
-// call returns, which makes single-threaded behaviour — predictions,
-// counters, rng sequence — identical to the pre-split driver.
+// Step (the serial entry point used by experiments) is StepConcurrent
+// followed by Apply of the returned label: the label is applied and
+// published before the call returns, so the next step predicts on it.
 type Online struct {
 	cfg OnlineConfig
 	env Environment
@@ -187,7 +185,7 @@ type Online struct {
 
 	// mu serializes the write path: pred and corr mutation, snapshot
 	// publication, and state encode/decode. It is never taken by
-	// StepConcurrent's serving path (predict, coin, feedback creation).
+	// StepConcurrent's serving path (predict, coin, labeling).
 	mu   sync.Mutex
 	pred *ApproxLSHHist
 
@@ -296,9 +294,10 @@ func MustNewOnline(cfg OnlineConfig, env Environment) *Online {
 // positive PositiveRatio additionally reinforces very confident,
 // cost-consistent predictions within that budget.
 //
-// Feedback is applied inline (nil sink), so the step's insertions are
-// visible to the very next prediction — serial callers see the exact
-// behaviour of the pre-split driver.
+// The step's label is applied before the call returns, so its insertion is
+// visible to the very next prediction. A label whose step tripped a drift
+// reset is stale by then and dropped (StaleFeedbackDrops counts it): the
+// reset would have erased it from the synopsis anyway.
 //
 // A non-nil error reports a failed Environment call (optimizer or
 // recosting); the returned Decision describes how far the step got. The
@@ -309,16 +308,20 @@ func (o *Online) Step(x []float64) (Decision, error) {
 	if o.env == nil {
 		return Decision{}, fmt.Errorf("core: Step on a driver built without an environment")
 	}
-	return o.StepConcurrent(x, o.env, nil)
+	d, err := o.StepConcurrent(x, o.env)
+	if d.Label.Point != nil {
+		o.Apply(d.Label)
+	}
+	return d, err
 }
 
-// StepConcurrent is Step against an explicit environment and feedback sink.
-// It is safe for any number of concurrent callers: the prediction runs
-// lock-free on the published snapshot with pooled scratch buffers, and
-// every labeled point is handed to sink instead of being inserted inline.
-// A nil sink applies feedback synchronously (and publishes), which is the
-// serial Step behaviour.
-func (o *Online) StepConcurrent(x []float64, env Environment, sink FeedbackSink) (Decision, error) {
+// StepConcurrent is the prediction protocol of Step against an explicit
+// environment, without the apply: the step's label comes back in the
+// Decision for the caller to apply. It is safe for any number of concurrent
+// callers — the prediction runs lock-free on the published snapshot with
+// pooled scratch buffers — and a NULL step costs the model query and the
+// optimizer call alone: it allocates nothing.
+func (o *Online) StepConcurrent(x []float64, env Environment) (Decision, error) {
 	var d Decision
 	if len(x) != o.cfg.Core.Dims {
 		return d, fmt.Errorf("core: point has %d coordinates, driver expects %d", len(x), o.cfg.Core.Dims)
@@ -341,12 +344,9 @@ func (o *Online) StepConcurrent(x []float64, env Environment, sink FeedbackSink)
 	if !pred.OK {
 		o.nulls.Add(1)
 		o.est.RecordNull()
-		plan, err := o.optimizeAndDeliver(x, env, sink)
-		if err != nil {
+		if err := o.optimize(&d, x, env); err != nil {
 			return d, err
 		}
-		d.Plan = plan
-		d.Invoked = true
 		o.maybeReset(&d)
 		return d, nil
 	}
@@ -367,15 +367,12 @@ func (o *Online) StepConcurrent(x []float64, env Environment, sink FeedbackSink)
 		coin := o.rng.Float64()
 		o.rngMu.Unlock()
 		if coin < p {
-			plan, err := o.optimizeAndDeliver(x, env, sink)
-			if err != nil {
+			if err := o.optimize(&d, x, env); err != nil {
 				return d, err
 			}
-			d.Plan = plan
-			d.Invoked = true
 			d.RandomInvocation = true
 			// The audit reveals ground truth for the estimator.
-			o.est.RecordPrediction(pred.Plan, plan == pred.Plan)
+			o.est.RecordPrediction(pred.Plan, d.Plan == pred.Plan)
 			o.maybeReset(&d)
 			return d, nil
 		}
@@ -394,12 +391,9 @@ func (o *Online) StepConcurrent(x []float64, env Environment, sink FeedbackSink)
 			// Plan cost predictability violated: treat as misprediction
 			// (Section IV-E contrapositive), correct immediately.
 			correct = false
-			plan, err := o.optimizeAndDeliver(x, env, sink)
-			if err != nil {
+			if err := o.optimize(&d, x, env); err != nil {
 				return d, err
 			}
-			d.Plan = plan
-			d.Invoked = true
 			d.FeedbackCorrection = true
 			d.CacheHit = false
 		}
@@ -410,7 +404,7 @@ func (o *Online) StepConcurrent(x []float64, env Environment, sink FeedbackSink)
 	if correct &&
 		pred.Confidence >= positiveConfidence &&
 		float64(o.selfLabeled.Load()) < o.cfg.PositiveRatio*float64(o.validated.Load()) {
-		o.deliver(o.feedback(x, pred.Plan, observed, true), sink)
+		d.Label = o.label(x, pred.Plan, observed, true)
 		d.PositiveInsertion = true
 	}
 	o.est.RecordPrediction(pred.Plan, correct)
@@ -418,40 +412,32 @@ func (o *Online) StepConcurrent(x []float64, env Environment, sink FeedbackSink)
 	return d, nil
 }
 
-// optimizeAndDeliver invokes the optimizer at x and routes the labeled
-// point to the sink (inline apply when sink is nil).
-func (o *Online) optimizeAndDeliver(x []float64, env Environment, sink FeedbackSink) (int, error) {
+// optimize invokes the optimizer at x and makes its answer the step's plan
+// and its label.
+func (o *Online) optimize(d *Decision, x []float64, env Environment) error {
 	plan, cost, err := env.Optimize(x)
 	if err != nil {
-		return 0, fmt.Errorf("core: optimize at %v: %w", x, err)
+		return fmt.Errorf("core: optimize at %v: %w", x, err)
 	}
-	o.deliver(o.feedback(x, plan, cost, false), sink)
-	return plan, nil
+	d.Plan, d.Invoked = plan, true
+	d.Label = o.label(x, plan, cost, false)
+	return nil
 }
 
-// feedback builds an owned, epoch-stamped feedback point.
-func (o *Online) feedback(x []float64, plan int, cost float64, selfLabeled bool) Feedback {
-	pt := make([]float64, len(x))
-	copy(pt, x)
-	return Feedback{Point: pt, Plan: plan, Cost: cost, SelfLabeled: selfLabeled, Epoch: o.resets.Load()}
-}
-
-func (o *Online) deliver(fb Feedback, sink FeedbackSink) {
-	if sink == nil {
-		o.Apply(fb)
-		return
-	}
-	sink.Deliver(fb)
+// label stamps a labeled point at x with the current drift-reset epoch. Its
+// Point aliases x.
+func (o *Online) label(x []float64, plan int, cost float64, selfLabeled bool) Feedback {
+	return Feedback{Point: x, Plan: plan, Cost: cost, SelfLabeled: selfLabeled, Epoch: o.resets.Load()}
 }
 
 // ValidatedFeedback builds an optimizer-validated feedback point for x,
-// checking dimensionality. Degraded-mode callers (circuit breaker open)
-// use it to keep retraining the quarantined learner through the sink.
+// checking dimensionality; its Point aliases x. Degraded-mode callers
+// (circuit breaker open) use it to keep retraining the quarantined learner.
 func (o *Online) ValidatedFeedback(x []float64, plan int, cost float64) (Feedback, error) {
 	if len(x) != o.cfg.Core.Dims {
 		return Feedback{}, fmt.Errorf("core: point has %d coordinates, driver expects %d", len(x), o.cfg.Core.Dims)
 	}
-	return o.feedback(x, plan, cost, false), nil
+	return o.label(x, plan, cost, false), nil
 }
 
 // LearnValidated inserts an optimizer-validated labeled point synchronously,
@@ -656,8 +642,8 @@ func (o *Online) Validated() int { return int(o.validated.Load()) }
 // insertion counters, drift epoch and WAL watermark) to w. The sliding
 // estimator windows are deliberately not persisted — after a restart the
 // framework re-estimates precision from fresh predictions. Callers that
-// feed the driver through an asynchronous sink must drain it first so
-// queued feedback is included.
+// queue labels for an asynchronous apply must drain the queue first so
+// they are included.
 //
 // The trailer is [4]int64{validated, selfLabeled, epoch, appliedSeq}.
 // Epoch and appliedSeq make a checkpoint self-describing for recovery: the

@@ -308,7 +308,7 @@ func TestDecodeDomainAndRaggedPlans(t *testing.T) {
 // saved beside it is keyed by warped z-values this build cannot apply.
 func TestStateSectionsReadThroughOneTable(t *testing.T) {
 	o := MustNewOnline(OnlineConfig{Core: Config{Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5}}, nil)
-	o.AttachCorrections(stats.NewCorrections(2, stats.CorrConfig{}))
+	o.AttachCorrections(stats.NewCorrections(2))
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 120; i++ {
 		if err := o.LearnValidated([]float64{rng.Float64(), rng.Float64()}, i%3, 10); err != nil {

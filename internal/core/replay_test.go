@@ -261,7 +261,7 @@ func fuzzLearner(tb testing.TB) *Online {
 		Core: Config{Dims: 2, Radius: 0.08, Seed: 5},
 		Seed: 17,
 	}, nil)
-	o.AttachCorrections(stats.NewCorrections(2, stats.CorrConfig{}))
+	o.AttachCorrections(stats.NewCorrections(2))
 	return o
 }
 
@@ -372,4 +372,68 @@ func FuzzReplayRecords(f *testing.F) {
 			t.Fatalf("state does not round-trip after replaying %d records: %d bytes became %d", len(recs), first.Len(), second.Len())
 		}
 	})
+}
+
+// TestDriftResetLabelIsStale: the label of the step whose verdict trips the
+// precision floor carries the epoch the reset just ended, so Step's apply
+// drops it as stale — StaleFeedbackDrops counts it, Validated does not —
+// rather than inserting a point the reset then erases. The log holds what
+// the learner applied, so replaying it into a fresh learner rebuilds the
+// same state, byte for byte.
+func TestDriftResetLabelIsStale(t *testing.T) {
+	cfg := OnlineConfig{
+		Core:           Config{Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5},
+		WindowK:        50,
+		PrecisionFloor: 0.5,
+		Seed:           19,
+	}
+	env := &quadrantEnv{wrongFactor: 5}
+	o := MustNewOnline(cfg, env)
+	log := &memLog{}
+	o.AttachLog(log)
+	rng := rand.New(rand.NewSource(15))
+	step := func() Decision {
+		return mustStep(t, o, []float64{rng.Float64(), rng.Float64()})
+	}
+	for i := 0; i < 1500; i++ {
+		step()
+	}
+	env.shift = true
+	resets := 0
+	for i := 0; i < 600; i++ {
+		validated, drops := o.Validated(), o.StaleFeedbackDrops()
+		d := step()
+		if !d.Reset {
+			continue
+		}
+		resets++
+		if d.Label.Point == nil || d.Label.Epoch != int64(o.Resets()-1) {
+			t.Fatalf("the tripping step's label is %+v, want one from epoch %d", d.Label, o.Resets()-1)
+		}
+		if o.Validated() != validated || o.StaleFeedbackDrops() != drops+1 {
+			t.Fatalf("tripping step: validated %d → %d, stale drops %d → %d; want the label counted stale",
+				validated, o.Validated(), drops, o.StaleFeedbackDrops())
+		}
+	}
+	if resets == 0 {
+		t.Fatal("drift recovery never fired after the plan space shifted")
+	}
+	// Learn past the last reset, so the log's newest epoch is the learner's.
+	for d := step(); !d.Invoked || d.Reset; d = step() {
+	}
+
+	replayed := MustNewOnline(cfg, nil)
+	if _, _, stale := replayed.ReplayRecords(log.recs); stale != 0 {
+		t.Fatalf("replay counted %d records stale, want 0: no stale label is logged", stale)
+	}
+	var live, back bytes.Buffer
+	if err := o.EncodeState(&live); err != nil {
+		t.Fatal(err)
+	}
+	if err := replayed.EncodeState(&back); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(live.Bytes(), back.Bytes()) {
+		t.Fatalf("live state (%d bytes) differs from the replay of its log (%d bytes)", live.Len(), back.Len())
+	}
 }

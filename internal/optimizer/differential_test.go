@@ -221,13 +221,25 @@ func diffAt(o *optimizer.Optimizer, tm *optimizer.Template, memo *optimizer.Memo
 	return nil
 }
 
-// correctedQuery returns a copy of q carrying fresh corrections that
-// publish from the first observation: the template's own query stays
+// correctedQuery returns a copy of q carrying fresh corrections, warmed so
+// they publish from the next observation: the template's own query stays
 // uncorrected for the tests sharing it.
 func correctedQuery(q *optimizer.Query) *optimizer.Query {
 	cq := *q
-	cq.Corr = stats.NewCorrections(len(q.Preds), stats.CorrConfig{MinObs: 1})
+	cq.Corr = stats.NewCorrections(len(q.Preds))
+	warm(cq.Corr)
 	return &cq
+}
+
+// warm feeds every site of c three exact observations: past the cold-start
+// passthrough, at the identity factor, so each later observation moves a
+// published factor.
+func warm(c *stats.Corrections) {
+	for i := 0; i < 3; i++ {
+		for site := 1; site <= c.NSites(); site++ {
+			c.Apply([]stats.Obs{{Site: site}})
+		}
+	}
 }
 
 // TestOptimizeMatchesReference is the contract of the cost-first
@@ -371,6 +383,7 @@ func FuzzOptimizeMatchesReference(f *testing.F) {
 		}
 		ms := v.(memos)
 		ms.q.Corr.Adopt(nil) //nolint:errcheck // nil always adopts
+		warm(ms.q.Corr)
 		for i, b := range factors {
 			ms.q.Corr.Apply([]stats.Obs{{Site: 1 + i%len(ms.q.Preds), LogQ: (float64(b) - 128) / 32}})
 		}

@@ -105,7 +105,7 @@ func TestRecostMatchesReference(t *testing.T) {
 			tm := tmpl(t, d.Name)
 			q := tm.Query
 			if tc.correct {
-				q.Corr = stats.NewCorrections(len(q.Preds), stats.CorrConfig{})
+				q.Corr = stats.NewCorrections(len(q.Preds))
 			}
 			for trial := 0; trial < 10; trial++ {
 				plan, err := tc.o.Optimize(q, instAt(t, tm, randPoint(rng, tm.Degree())).Values)

@@ -39,7 +39,7 @@ func TestRecostIdentity(t *testing.T) {
 	for _, name := range []string{"Q3", "Q4", "Q5", "Q8"} {
 		tm := tmpl(t, name)
 		q := tm.Query
-		q.Corr = stats.NewCorrections(len(q.Preds), stats.CorrConfig{})
+		q.Corr = stats.NewCorrections(len(q.Preds))
 		vals := midValues(t, tm)
 		memo, err := opt.NewMemo(q)
 		if err != nil {

@@ -7,58 +7,30 @@ import (
 	"sync/atomic"
 )
 
-// CorrConfig tunes one template's correction learner.
-type CorrConfig struct {
-	// Alpha is the EWMA weight of a new log-q-error observation.
-	Alpha float64
-	// ClampMin/ClampMax bound the published multiplicative factor, so a
-	// burst of pathological observations cannot swing estimates by more
-	// than a constant (default [1/8, 8]).
-	ClampMin, ClampMax float64
-	// MinObs is the cold-start passthrough: a site publishes the identity
-	// factor until it has seen this many observations (default 3).
-	MinObs uint64
-	// EpochLogDelta is the epoch threshold: when a site's smoothed
-	// log-q-error has moved this far from its value at the last epoch
-	// publish, the template's correction epoch advances (default ln(1.25) —
-	// a 25% shift in the factor). The epoch is a gauge of how far the
-	// corrections have travelled; no estimate waits on it.
-	EpochLogDelta float64
-}
+// The correction learner's constants.
+const (
+	// corrAlpha is the EWMA weight of a new log-q-error observation.
+	corrAlpha = 0.25
+	// corrClampMin and corrClampMax bound the published multiplicative
+	// factor, so a burst of pathological observations cannot swing
+	// estimates by more than a constant.
+	corrClampMin, corrClampMax = 1.0 / 8, 8
+	// corrMinObs is the cold-start passthrough: a site publishes the
+	// identity factor until it has seen this many observations.
+	corrMinObs = 3
+)
 
-func (c CorrConfig) withDefaults() CorrConfig {
-	if c.Alpha == 0 {
-		c.Alpha = 0.25
-	}
-	if c.ClampMin == 0 {
-		c.ClampMin = 1.0 / 8
-	}
-	if c.ClampMax == 0 {
-		c.ClampMax = 8
-	}
-	if c.MinObs == 0 {
-		c.MinObs = 3
-	}
-	if c.EpochLogDelta == 0 {
-		c.EpochLogDelta = math.Log(1.25)
-	}
-	return c
-}
+// corrEpochLogDelta is the epoch threshold: when a site's smoothed
+// log-q-error has moved this far from its value at the last epoch publish,
+// the template's correction epoch advances (ln 1.25 — a 25% shift in the
+// factor). The epoch is a gauge of how far the corrections have travelled;
+// no estimate waits on it.
+var corrEpochLogDelta = math.Log(1.25)
 
-// check rejects a configuration no learner would run with: the bounds a
-// decoded stream must meet before its state is installed (DecodeCorrections
-// checks MinObs, which it reads as a float, before converting it).
-func (c CorrConfig) check() error {
-	switch {
-	case !(c.Alpha > 0 && c.Alpha <= 1):
-		return fmt.Errorf("stats: correction alpha %v outside (0, 1]", c.Alpha)
-	case !(c.ClampMin > 0 && c.ClampMin <= 1 && c.ClampMax >= 1 && finite(c.ClampMax)):
-		return fmt.Errorf("stats: correction clamps [%v, %v] do not bracket 1", c.ClampMin, c.ClampMax)
-	case !(c.EpochLogDelta > 0 && finite(c.EpochLogDelta)):
-		return fmt.Errorf("stats: correction epoch threshold %v not positive and finite", c.EpochLogDelta)
-	}
-	return nil
-}
+// corrSlots are the constants as a corrections section carries them, in
+// its five configuration slots: Encode writes them, and DecodeCorrections
+// refuses a section whose slots hold anything else.
+var corrSlots = [5]float64{corrAlpha, corrClampMin, corrClampMax, corrMinObs, corrEpochLogDelta}
 
 // Obs is one predicate-site cardinality observation on its way into the
 // corrections: the signed log q-error of the base estimate at an executed
@@ -81,8 +53,6 @@ type siteState struct {
 // reads of the whole state (State/Encode) are serialized by its owner — the
 // template's learner lock (core.Online), which also logs what Apply changed.
 type Corrections struct {
-	cfg CorrConfig
-
 	sites []siteState
 	// Apply scratch: per-site batch stamps and the touched list keep the
 	// hot write path allocation-free.
@@ -103,12 +73,11 @@ type Corrections struct {
 
 // NewCorrections creates correction state for a template with nSites
 // predicate sites (sites are 1-based; site s lives at index s-1).
-func NewCorrections(nSites int, cfg CorrConfig) *Corrections {
+func NewCorrections(nSites int) *Corrections {
 	if nSites < 0 {
 		nSites = 0
 	}
 	return &Corrections{
-		cfg:     cfg.withDefaults(),
 		sites:   make([]siteState, nSites),
 		stamp:   make([]uint64, nSites),
 		touched: make([]int, 0, nSites),
@@ -160,17 +129,11 @@ func (c *Corrections) CorrectSel(site int, sel float64) float64 {
 // publish computes and publishes site s's factor.
 func (c *Corrections) publish(s int) {
 	st := &c.sites[s]
-	if st.n < c.cfg.MinObs {
+	if st.n < corrMinObs {
 		c.factors[s].Store(0) // cold-start passthrough
 		return
 	}
-	f := math.Exp(st.logc)
-	if f < c.cfg.ClampMin {
-		f = c.cfg.ClampMin
-	}
-	if f > c.cfg.ClampMax {
-		f = c.cfg.ClampMax
-	}
+	f := min(max(math.Exp(st.logc), corrClampMin), corrClampMax)
 	c.factors[s].Store(math.Float64bits(f))
 }
 
@@ -191,7 +154,7 @@ func (c *Corrections) Apply(batch []Obs) (touched []int) {
 		if st.n == 1 {
 			st.logc = ob.LogQ
 		} else {
-			st.logc = (1-c.cfg.Alpha)*st.logc + c.cfg.Alpha*ob.LogQ
+			st.logc = (1-corrAlpha)*st.logc + corrAlpha*ob.LogQ
 		}
 		if c.stamp[ob.Site-1] != c.stampGen {
 			c.stamp[ob.Site-1] = c.stampGen
@@ -204,7 +167,7 @@ func (c *Corrections) Apply(batch []Obs) (touched []int) {
 	epochBumped := false
 	for _, site := range c.touched {
 		st := &c.sites[site-1]
-		if st.n >= c.cfg.MinObs && math.Abs(st.logc-st.ref) >= c.cfg.EpochLogDelta {
+		if st.n >= corrMinObs && math.Abs(st.logc-st.ref) >= corrEpochLogDelta {
 			st.ref = st.logc
 			epochBumped = true
 		}
@@ -274,13 +237,14 @@ func (c *Corrections) ActiveSites() int {
 	return n
 }
 
-// Encode appends the correction state — site count, config, epoch, WAL
-// watermark and every site's EWMA state — to dst: the body of the learner
-// state's corrections section (core.Online.EncodeState).
+// Encode appends the correction state — site count, the learner's
+// constants, epoch, WAL watermark and every site's EWMA state — to dst: the
+// body of the learner state's corrections section
+// (core.Online.EncodeState).
 func (c *Corrections) Encode(dst []byte) []byte {
 	le := binary.LittleEndian
 	dst = le.AppendUint32(dst, uint32(len(c.sites)))
-	for _, v := range [...]float64{c.cfg.Alpha, c.cfg.ClampMin, c.cfg.ClampMax, float64(c.cfg.MinObs), c.cfg.EpochLogDelta} {
+	for _, v := range corrSlots {
 		dst = le.AppendUint64(dst, math.Float64bits(v))
 	}
 	dst = le.AppendUint64(le.AppendUint64(dst, c.epoch.Load()), c.appliedSeq.Load())
@@ -292,9 +256,10 @@ func (c *Corrections) Encode(dst []byte) []byte {
 
 // DecodeCorrections decodes a section body written by Encode into freshly
 // constructed state. A body with a byte more or less than its site count
-// declares is an error, and so is one whose configuration fails
-// CorrConfig.check or whose site state is not finite: nothing from outside
-// the process publishes a factor Apply could not have.
+// declares is an error, and so is one whose configuration slots differ from
+// this learner's constants (its factors were learned by another rule) or
+// whose site state is not finite: nothing from outside the process
+// publishes a factor Apply could not have.
 func DecodeCorrections(b []byte) (*Corrections, error) {
 	const siteBytes, fixed = 24, 4 + 5*8 + 2*8
 	le := binary.LittleEndian
@@ -302,15 +267,12 @@ func DecodeCorrections(b []byte) (*Corrections, error) {
 		return nil, fmt.Errorf("stats: corrections section of %d bytes does not match its site count", len(b))
 	}
 	f64 := func(off int) float64 { return math.Float64frombits(le.Uint64(b[off:])) }
-	minObs := f64(28)
-	if !(minObs >= 1 && minObs < 1<<63 && minObs == math.Trunc(minObs)) {
-		return nil, fmt.Errorf("stats: correction MinObs %v is not a whole number of at least 1", minObs)
+	for i, want := range corrSlots {
+		if got := le.Uint64(b[4+8*i:]); got != math.Float64bits(want) {
+			return nil, fmt.Errorf("stats: corrections section configuration slot %d holds %v, the learner's constant is %v", i, math.Float64frombits(got), want)
+		}
 	}
-	cfg := CorrConfig{Alpha: f64(4), ClampMin: f64(12), ClampMax: f64(20), MinObs: uint64(minObs), EpochLogDelta: f64(36)}
-	if err := cfg.check(); err != nil {
-		return nil, err
-	}
-	c := NewCorrections(int(le.Uint32(b)), cfg)
+	c := NewCorrections(int(le.Uint32(b)))
 	c.epoch.Store(le.Uint64(b[44:]))
 	c.appliedSeq.Store(le.Uint64(b[52:]))
 	for i := range c.sites {
@@ -340,7 +302,6 @@ func (c *Corrections) Adopt(dec *Corrections) error {
 	if dec.NSites() != len(c.sites) {
 		return fmt.Errorf("stats: restored corrections have %d sites, template has %d", dec.NSites(), len(c.sites))
 	}
-	c.cfg = dec.cfg
 	copy(c.sites, dec.sites)
 	for i := range c.sites {
 		c.publish(i)

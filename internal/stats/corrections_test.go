@@ -8,7 +8,7 @@ import (
 )
 
 func TestCorrectionsColdStartPassthrough(t *testing.T) {
-	c := NewCorrections(2, CorrConfig{MinObs: 3})
+	c := NewCorrections(2)
 	if f := c.Factor(1); f != 1 {
 		t.Fatalf("cold factor = %v, want identity", f)
 	}
@@ -36,7 +36,7 @@ func TestCorrectionsColdStartPassthrough(t *testing.T) {
 }
 
 func TestCorrectionsClampAndBounds(t *testing.T) {
-	c := NewCorrections(1, CorrConfig{})
+	c := NewCorrections(1)
 	// Feed a huge consistent underestimate: the EWMA converges toward
 	// ln(1000) but the published factor must clamp at 8.
 	for i := 0; i < 50; i++ {
@@ -65,13 +65,16 @@ func TestCorrectionsClampAndBounds(t *testing.T) {
 }
 
 func TestCorrectionsEpochAdvancesOnDrift(t *testing.T) {
-	c := NewCorrections(1, CorrConfig{MinObs: 1, EpochLogDelta: math.Log(1.25)})
+	c := NewCorrections(1)
 	if c.Epoch() != 0 {
 		t.Fatal("fresh state has nonzero epoch")
 	}
-	// One big observation moves the smoothed correction well past the
-	// threshold: epoch bumps and the reference re-anchors.
-	c.Apply([]Obs{{Site: 1, LogQ: math.Log(4)}})
+	// Three big observations warm the site, and move the smoothed
+	// correction well past the threshold: epoch bumps and the reference
+	// re-anchors.
+	for i := 0; i < 3; i++ {
+		c.Apply([]Obs{{Site: 1, LogQ: math.Log(4)}})
+	}
 	if c.Epoch() != 1 {
 		t.Fatalf("epoch = %d after a large shift, want 1", c.Epoch())
 	}
@@ -90,7 +93,7 @@ func TestCorrectionsEpochAdvancesOnDrift(t *testing.T) {
 }
 
 func TestCorrectionsEncodeDecodeRoundTrip(t *testing.T) {
-	c := NewCorrections(2, CorrConfig{})
+	c := NewCorrections(2)
 	for i := 0; i < 8; i++ {
 		c.Apply([]Obs{{Site: 1, LogQ: math.Log(5)}, {Site: 2, LogQ: math.Log(0.5)}})
 		c.Watermark().Store(uint64(2*i + 2)) // as the learner logging two sites would
@@ -127,14 +130,14 @@ func TestCorrectionsEncodeDecodeRoundTrip(t *testing.T) {
 
 	// Adopt with a matching shape takes the state; a shape mismatch is an
 	// error (the caller degrades to correction-cold).
-	r2 := NewCorrections(2, CorrConfig{})
+	r2 := NewCorrections(2)
 	if err := r2.Adopt(dec); err != nil {
 		t.Fatal(err)
 	}
 	if r2.Factor(1) != c.Factor(1) {
 		t.Fatal("Adopt did not take the factors")
 	}
-	if err := NewCorrections(5, CorrConfig{}).Adopt(dec); err == nil {
+	if err := NewCorrections(5).Adopt(dec); err == nil {
 		t.Fatal("shape mismatch restored without error")
 	}
 	// Adopting nothing (a state without the section) resets warm state to
@@ -148,12 +151,12 @@ func TestCorrectionsEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 // TestCorrectionsRefuseNonFiniteState holds what comes from outside the
-// process to the state Apply can produce: a decoded section with a
-// configuration out of range or a non-finite site is an error (the template
-// restores correction-cold), and installing a replayed site with non-finite
-// state is refused.
+// process to the state Apply can produce: a decoded section whose
+// configuration slots are not this learner's constants, or with a
+// non-finite site, is an error (the template restores correction-cold),
+// and installing a replayed site with non-finite state is refused.
 func TestCorrectionsRefuseNonFiniteState(t *testing.T) {
-	c := NewCorrections(2, CorrConfig{})
+	c := NewCorrections(2)
 	for i := 0; i < 4; i++ {
 		c.Apply([]Obs{{Site: 1, LogQ: math.Log(3)}, {Site: 2, LogQ: -1}})
 	}
@@ -166,17 +169,22 @@ func TestCorrectionsRefuseNonFiniteState(t *testing.T) {
 	const site1 = 4 + 5*8 + 2*8 // first site's logc; ref is 16 bytes on
 	for name, bad := range map[string][]byte{
 		"alpha 0":           patch(4, 0),
+		"alpha 0.5":         patch(4, 0.5),
 		"alpha above 1":     patch(4, 1.5),
 		"alpha NaN":         patch(4, math.NaN()),
 		"clamp min 0":       patch(12, 0),
+		"clamp min 1/4":     patch(12, 0.25),
 		"clamp min above 1": patch(12, 2),
 		"clamp max below 1": patch(20, 0.5),
+		"clamp max 16":      patch(20, 16),
 		"clamp max +Inf":    patch(20, math.Inf(1)),
 		"MinObs 0":          patch(28, 0),
+		"MinObs 1":          patch(28, 1),
 		"MinObs 2.5":        patch(28, 2.5),
 		"MinObs NaN":        patch(28, math.NaN()),
 		"MinObs 1e300":      patch(28, 1e300),
 		"epoch delta 0":     patch(36, 0),
+		"epoch delta ln 2":  patch(36, math.Log(2)),
 		"epoch delta NaN":   patch(36, math.NaN()),
 		"logc NaN":          patch(site1, math.NaN()),
 		"logc +Inf":         patch(site1, math.Inf(1)),
@@ -186,8 +194,8 @@ func TestCorrectionsRefuseNonFiniteState(t *testing.T) {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
-	if _, err := DecodeCorrections(patch(28, 1)); err != nil {
-		t.Fatalf("MinObs 1 rejected: %v", err)
+	if _, err := DecodeCorrections(patch(28, 3)); err != nil {
+		t.Fatalf("the section's own MinObs rejected: %v", err)
 	}
 
 	// Installing a site's state — what replay does with a correction

@@ -18,7 +18,7 @@ import (
 // funcs, pointers or interfaces.
 func TestConfigHasNoSwitches(t *testing.T) {
 	allowed := map[string]bool{
-		// ROADMAP 5(d): folds into stats.CorrConfig once item 13 lands.
+		// ROADMAP 5(d): goes once item 13 lands.
 		"ppc.Options.DisableAdaptiveStats": true,
 	}
 	var walk func(path string, typ reflect.Type)

@@ -136,16 +136,17 @@ func TestSaveStateUnderLoad(t *testing.T) {
 	}
 }
 
-// Every validated feedback point delivered to the mailbox must be applied
+// Every validated label sent to the mailbox must be applied
 // (asynchronously or, under backpressure, synchronously) — never silently
 // dropped. The only sanctioned loss is a stale-epoch drop after a drift
-// reset, which this test keeps at zero by not running the drift path.
+// reset, which this test keeps at zero by not running the drift path. Each
+// worker reuses one point slice, so a label must be copied when it is sent.
 func TestNoFeedbackLossUnderLoad(t *testing.T) {
 	sys, err := Open(Options{
 		TPCH:   tpch.Config{Scale: 2000, Seed: 5},
 		Online: onlineForTest(),
-		// A tiny mailbox forces the backpressure path: some deliveries
-		// must degrade to synchronous apply rather than vanish.
+		// A tiny mailbox forces the backpressure path: some sends must
+		// degrade to synchronous apply rather than vanish.
 		FeedbackQueue: 2,
 	})
 	if err != nil {
@@ -181,7 +182,9 @@ func TestNoFeedbackLossUnderLoad(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				st.Deliver(fb)
+				buf := runBufPool.Get().(*runBuf)
+				buf.keep(fb)
+				st.send(buf)
 			}
 		}(w)
 	}

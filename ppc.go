@@ -72,11 +72,14 @@ type Options struct {
 	TraceRingSize int
 	// FeedbackQueue bounds each template's feedback mailbox — the channel
 	// between the lock-free serving path and the background apply goroutine
-	// (default 256). When the mailbox is full, feedback is applied
-	// synchronously on the serving goroutine (counted as deferred; never
-	// dropped). Negative disables the background applier entirely: every
-	// feedback point applies inline before its Run returns, restoring
-	// strictly deterministic serial behaviour for experiments.
+	// (default 256). A run that learned something — its learner step's
+	// label, its attributed cardinality observations, or both — sends the
+	// applier one message carrying all of it. When the mailbox is full, the
+	// run applies its message synchronously on the serving goroutine
+	// (counted as deferred; never dropped). Negative disables the
+	// background applier entirely: every run applies its message inline, as
+	// one apply batch, before it returns, restoring strictly deterministic
+	// serial behaviour for experiments.
 	FeedbackQueue int
 	// Durability enables the write-ahead log and checkpoint layer when its
 	// Dir is non-empty: Open recovers the latest checkpoint plus the WAL
@@ -234,7 +237,7 @@ func (s *System) newCachedPlan(st *templateState, id int, plan *optimizer.Plan) 
 	return &cachedPlan{id: id, owner: st, plan: plan, prog: prog, rebind: rebind}, nil
 }
 
-// applyBatchMax bounds how many queued feedback points one apply batch
+// applyBatchMax bounds how many queued runs' messages one apply batch
 // absorbs before publishing a snapshot, bounding publish latency under a
 // flood.
 const applyBatchMax = 64
@@ -268,7 +271,7 @@ type templateState struct {
 	// mail is the bounded feedback mailbox drained by applyLoop (nil when
 	// Options.FeedbackQueue < 0 — synchronous mode). stop asks the applier
 	// to drain and exit; applyDone closes when it has. closed flags the
-	// mailbox as closing so Deliver falls back to synchronous apply.
+	// mailbox as closing so send falls back to synchronous apply.
 	mail      chan feedbackMsg
 	stop      chan struct{}
 	applyDone chan struct{}
@@ -281,97 +284,106 @@ type templateState struct {
 	obs *obsv.TemplateObs
 }
 
-// feedbackMsg is one mailbox message: a feedback point, a run's attributed
-// cardinality observations (when cards is non-nil), or (when flush is
-// non-nil) a flush token the applier closes once everything queued before
-// it has been applied.
+// feedbackMsg is one mailbox message: what one run learned, or (when flush
+// is non-nil) a flush token the applier closes once everything queued
+// before it has been applied.
 type feedbackMsg struct {
-	fb    core.Feedback
-	cards *cardBuf
+	run   *runBuf
 	flush chan struct{}
 }
 
-// cardBuf is a pooled pair of scratch slices for one run's cardinality
-// harvest: the raw per-operator observations and the site-attributed
-// log-q-error samples distilled from them. Pooling keeps the observed
-// execution path allocation-free in steady state.
-type cardBuf struct {
+// runBuf is what one run hands its template's learner: the learner step's
+// label, when it produced one, and the scratch for the run's cardinality
+// harvest — the raw per-operator observations and the site-attributed
+// log-q-error samples distilled from them. Run takes one from the pool and
+// sends it once; it returns to the pool only after the apply batch holding
+// it is applied, so the label's point lives in the buffer and the whole
+// exchange is allocation-free in steady state.
+type runBuf struct {
+	label []core.Feedback // none or one; label[0].Point is point
+	point []float64
 	cards []executor.CardObservation
 	obs   []stats.Obs
 }
 
-var cardBufPool = sync.Pool{New: func() any { return &cardBuf{} }}
+var runBufPool = sync.Pool{New: func() any { return &runBuf{label: make([]core.Feedback, 0, 1)} }}
 
-func releaseCards(buf *cardBuf) {
-	buf.cards = buf.cards[:0]
-	buf.obs = buf.obs[:0]
-	cardBufPool.Put(buf)
+// keep files the run's label, its point copied into the buffer: the slice
+// it was made at is the caller's (RunResult.Point) once Run returns.
+func (b *runBuf) keep(fb core.Feedback) {
+	b.point = append(b.point[:0], fb.Point...)
+	fb.Point = b.point
+	b.label = append(b.label[:0], fb)
 }
 
-// Deliver implements core.FeedbackSink: hand the point to the background
-// applier, or apply it on the serving goroutine when the mailbox cannot
-// take it (counted as deferred).
-func (st *templateState) Deliver(fb core.Feedback) {
-	if st.send(feedbackMsg{fb: fb}) {
-		st.obs.CountFeedbackEnqueued()
-	} else {
-		st.obs.CountFeedbackDeferred()
+func (b *runBuf) release() {
+	b.label, b.cards, b.obs = b.label[:0], b.cards[:0], b.obs[:0]
+	runBufPool.Put(b)
+}
+
+// send is a run's one message to its template's learner: it hands the
+// run's label and observations to the background applier, or applies them
+// on the calling goroutine, as a batch of their own, when the mailbox is
+// full, closed or absent (counted as deferred) — backpressure degrades
+// latency, never durability: nothing the learner should see is silently
+// dropped. A run that learned nothing sends nothing.
+func (st *templateState) send(buf *runBuf) {
+	if len(buf.label) == 0 && len(buf.obs) == 0 {
+		buf.release()
+		return
 	}
-}
-
-// send hands a point or a run's observations to the background applier
-// and reports whether it queued them. When the mailbox is full, closed or
-// absent it applies them synchronously on the calling goroutine, as a
-// batch of their own, instead: backpressure degrades latency, never
-// durability — nothing the learner should see is silently dropped.
-func (st *templateState) send(msg feedbackMsg) bool {
 	if st.mail != nil && !st.closed.Load() {
 		select {
-		case st.mail <- msg:
-			return true
+		case st.mail <- feedbackMsg{run: buf}:
+			st.obs.CountFeedbackEnqueued()
+			return
 		default:
 		}
 	}
-	if msg.cards != nil {
-		st.apply(&applyBatch{obs: msg.cards.obs})
-		releaseCards(msg.cards)
-	} else {
-		st.apply(&applyBatch{points: []core.Feedback{msg.fb}})
-	}
-	return false
+	st.obs.CountFeedbackDeferred()
+	st.learn(buf.label, buf.obs)
+	buf.release()
 }
 
-// applyBatch is one apply batch under assembly: the feedback points and
-// the runs' observations the learner takes in one call, each in mailbox
-// order, and the flush tokens released once they are applied. An applier
-// reuses one across batches, so collecting allocates nothing in steady
-// state.
+// learn hands the learner points and observations in one call — one lock
+// hold, at most one model publication, one WAL group commit — and counts it.
+func (st *templateState) learn(points []core.Feedback, obs []stats.Obs) {
+	if len(points) == 0 && len(obs) == 0 {
+		return
+	}
+	t0 := time.Now()
+	st.online.ApplyBatch(points, obs)
+	st.obs.RecordApply(time.Since(t0))
+}
+
+// applyBatch is one apply batch under assembly: the runs' labels and
+// observations the learner takes in one call, each in mailbox order, the
+// runs' buffers (their labels' points live there until the batch is
+// applied) and the flush tokens released once it is. An applier reuses one
+// across batches, so collecting allocates nothing in steady state.
 type applyBatch struct {
 	points  []core.Feedback
 	obs     []stats.Obs
+	runs    []*runBuf
 	flushes []chan struct{}
 }
 
-// add files one mailbox message under what it carries. A run's
-// observations are copied into the batch and their buffer goes back to the
-// pool.
+// add files one mailbox message under what it carries.
 func (b *applyBatch) add(msg feedbackMsg) {
-	switch {
-	case msg.flush != nil:
+	if msg.flush != nil {
 		b.flushes = append(b.flushes, msg.flush)
-	case msg.cards != nil:
-		b.obs = append(b.obs, msg.cards.obs...)
-		releaseCards(msg.cards)
-	default:
-		b.points = append(b.points, msg.fb)
+		return
 	}
+	b.points = append(b.points, msg.run.label...)
+	b.obs = append(b.obs, msg.run.obs...)
+	b.runs = append(b.runs, msg.run)
 }
 
 // applyLoop is the template's background learner: it drains the mailbox in
 // batches until stop closes, then drains whatever is left and exits.
 func (st *templateState) applyLoop() {
 	defer close(st.applyDone)
-	b := &applyBatch{points: make([]core.Feedback, 0, applyBatchMax)}
+	b := &applyBatch{runs: make([]*runBuf, 0, applyBatchMax)}
 	for {
 		select {
 		case msg := <-st.mail:
@@ -385,11 +397,11 @@ func (st *templateState) applyLoop() {
 }
 
 // collect gathers one batch: the triggering message plus whatever else is
-// immediately available, up to applyBatchMax points.
+// immediately available, up to applyBatchMax runs.
 func (st *templateState) collect(msg feedbackMsg, b *applyBatch) {
 	for {
 		b.add(msg)
-		if len(b.points) >= applyBatchMax {
+		if len(b.runs) >= applyBatchMax {
 			return
 		}
 		select {
@@ -400,21 +412,19 @@ func (st *templateState) collect(msg feedbackMsg, b *applyBatch) {
 	}
 }
 
-// apply hands the batch to the learner in one call — one lock hold, at
-// most one model publication, one WAL group commit — and counts it, then
-// releases its flush tokens (the mailbox is FIFO, so a token completes only
-// after everything enqueued before it is in the learner) and empties the
-// batch for reuse.
+// apply hands the batch to the learner in one call, returns its runs'
+// buffers to the pool, then releases its flush tokens (the mailbox is FIFO,
+// so a token completes only after everything enqueued before it is in the
+// learner) and empties the batch for reuse.
 func (st *templateState) apply(b *applyBatch) {
-	if len(b.points) > 0 || len(b.obs) > 0 {
-		t0 := time.Now()
-		st.online.ApplyBatch(b.points, b.obs)
-		st.obs.RecordApply(time.Since(t0))
+	st.learn(b.points, b.obs)
+	for _, r := range b.runs {
+		r.release()
 	}
 	for _, f := range b.flushes {
 		close(f)
 	}
-	b.points, b.obs, b.flushes = b.points[:0], b.obs[:0], b.flushes[:0]
+	b.points, b.obs, b.runs, b.flushes = b.points[:0], b.obs[:0], b.runs[:0], b.flushes[:0]
 }
 
 // drainMailbox empties the mailbox without blocking and applies what it
@@ -434,7 +444,7 @@ func (st *templateState) drainMailbox(b *applyBatch) {
 	}
 }
 
-// flush blocks until every feedback point enqueued before the call has been
+// flush blocks until every run's message enqueued before the call has been
 // applied to the synopsis, linearizing the caller with the background
 // applier. Readers of learned state (stats, metrics, SaveState) flush first
 // so they observe a model equivalent to all acknowledged feedback. No-op in
@@ -462,7 +472,7 @@ func (st *templateState) flush() {
 }
 
 // shutdown stops the background applier after draining the mailbox.
-// Idempotent; subsequent Delivers apply synchronously.
+// Idempotent; subsequent sends apply synchronously.
 func (st *templateState) shutdown() {
 	if st.mail == nil {
 		return
@@ -593,7 +603,7 @@ func (s *System) registerLocked(name, sql string) error {
 		// NewTemplate), owned by the template's query so every estimate of
 		// it reads them. Attached to the learner before any state decode so
 		// checkpoint restores flow into it.
-		tmpl.Query.Corr = stats.NewCorrections(len(tmpl.Query.Preds), stats.CorrConfig{})
+		tmpl.Query.Corr = stats.NewCorrections(len(tmpl.Query.Preds))
 		online.AttachCorrections(tmpl.Query.Corr)
 	}
 	if s.wal != nil {
@@ -785,49 +795,55 @@ func (s *System) Run(template string, values []float64) (res *RunResult, err err
 		return nil, err
 	}
 	res = &RunResult{Template: template, Values: values, Point: point}
-	r := &run{st: st, res: res}
+	r := &run{st: st, res: res, buf: runBufPool.Get().(*runBuf)}
+	err = r.serve()
+	// Learn: one message to the learner carries what the run learned — the
+	// step's label and the execution's observations — sent also when the
+	// run failed after its learner step, so a validated label is never lost.
+	st.send(r.buf)
+	if err != nil {
+		return nil, err
+	}
+	s.observeRun(st, res)
+	return res, nil
+}
 
+// serve takes a bound run through decide, resolve and execute, filing what
+// it learns in the run's buffer.
+func (r *run) serve() error {
 	// Decide: the learner picks a cached plan or asks for the optimizer —
 	// unless the breaker has quarantined it (or it just failed), in which
 	// case the optimizer is invoked directly.
 	if r.decide() {
 		if err := r.degrade(); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	// Resolve: the compiled plan to execute, costed at this instance.
 	if err := r.resolve(); err != nil {
-		return nil, err
+		return err
 	}
-	// Execute: batched columnar execution over pooled arenas. Every run also
-	// harvests true per-operator cardinalities — for the estimation q-error
-	// histogram always, and for the correction learner when the template
-	// has corrections.
-	t1 := time.Now()
-	out, xerr := s.execObserved(st, r.entry, values)
-	if xerr != nil {
-		return nil, &PipelineError{Stage: "execute", Template: template, Err: xerr}
-	}
-	res.ExecuteTime = time.Since(t1)
-	res.Result = out
-	s.observeRun(st, res)
-	return res, nil
+	// Execute: the plan runs, and its cardinalities are harvested.
+	return r.execute()
 }
 
-// execObserved executes the compiled plan while harvesting per-operator
-// observed cardinalities, attributes each unambiguous one to its template
-// predicate site, records the estimation q-errors, and queues the
-// attributed log-q-error samples to the template's background applier. The
-// serving-goroutine cost is O(plan nodes) — vector-length reads plus a few
-// histogram probes for the base estimates, through the column handles the
-// plan's rebind program bound when it was compiled; the EWMA updates and
-// WAL appends run on the applier.
-func (s *System) execObserved(st *templateState, entry *cachedPlan, values []float64) (*executor.Result, error) {
-	buf := cardBufPool.Get().(*cardBuf)
+// execute runs the compiled plan — batched columnar execution over pooled
+// arenas — while harvesting its per-operator observed cardinalities into
+// the run's buffer: for the estimation q-error histogram always, and for
+// the correction learner when the template has corrections. It attributes
+// each unambiguous one to its template predicate site, records the
+// estimation q-errors, and files the attributed log-q-error samples in the
+// buffer for the run's message to the learner. The serving-goroutine cost
+// is O(plan nodes) — vector-length reads plus a few histogram probes for
+// the base estimates, through the column handles the plan's rebind program
+// bound when it was compiled; the EWMA updates and WAL appends run on the
+// applier.
+func (r *run) execute() error {
+	st, entry, values, buf := r.st, r.entry, r.res.Values, r.buf
+	t0 := time.Now()
 	out, err := entry.prog.ExecObserve(values, &buf.cards)
 	if err != nil {
-		releaseCards(buf)
-		return nil, err
+		return &PipelineError{Stage: "execute", Template: r.res.Template, Err: err}
 	}
 	for i := range buf.cards {
 		c := &buf.cards[i]
@@ -848,12 +864,9 @@ func (s *System) execObserved(st *templateState, entry *cachedPlan, values []flo
 			buf.obs = append(buf.obs, stats.Obs{Site: so.Site, LogQ: stats.LogQ(so.Est, so.Obs)})
 		}
 	}
-	if len(buf.obs) == 0 {
-		releaseCards(buf)
-	} else {
-		st.send(feedbackMsg{cards: buf})
-	}
-	return out, nil
+	r.res.ExecuteTime = time.Since(t0)
+	r.res.Result = out
+	return nil
 }
 
 // observeRun feeds one completed run into the metrics registry and the
@@ -885,13 +898,13 @@ func (s *System) observeRun(st *templateState, res *RunResult) {
 
 // run is one bound query instance on its way through Run: the template
 // state, the result under construction (which carries the caller's values
-// and the plan space point) and the cache entry the run has resolved so
-// far. It is also the core.Environment the learner steps against, so the
-// learner's optimizer call and its cost observation work at the run's own
-// values — the point→values inverse (Optimizer.InstanceAt) belongs to
-// workload generation, not to serving — and whatever entry and cost they
-// produce is what the run goes on to execute and report, not a second
-// lookup and a second recost. One value per Run, never shared: concurrent
+// and the plan space point), the cache entry the run has resolved so far
+// and the buffer of what it learned. It is also the core.Environment the
+// learner steps against, so the learner's optimizer call and its cost
+// observation work at the run's own values — the point→values inverse
+// (Optimizer.InstanceAt) belongs to workload generation, not to serving —
+// and whatever entry and cost they produce is what the run goes on to
+// execute and report, not a second lookup and a second recost. One value per Run, never shared: concurrent
 // runs on one template cannot cross-contaminate each other's accounting.
 type run struct {
 	st  *templateState
@@ -900,6 +913,9 @@ type run struct {
 	// ExecuteCost or resolve finds one); res.EstimatedCost is its cost at
 	// res.Values.
 	entry *cachedPlan
+	// buf holds the learner step's label and the execution's observations
+	// until Run sends them.
+	buf *runBuf
 }
 
 // Optimize implements core.Environment: the optimizer's choice for this
@@ -974,12 +990,15 @@ func (r *run) decide() (degraded bool) {
 		return true
 	}
 	t0 := time.Now()
-	decision, lerr := st.online.StepConcurrent(res.Point, r, st)
+	decision, lerr := st.online.StepConcurrent(res.Point, r)
 	// The step's latency splits into predict and optimize components: the
 	// optimizer work it triggered was timed by optimize.
 	res.PredictTime = time.Since(t0) - res.OptimizeTime
 	if res.PredictTime < 0 {
 		res.PredictTime = 0
+	}
+	if decision.Label.Point != nil {
+		r.buf.keep(decision.Label)
 	}
 	if lerr != nil {
 		// Learner-path failure: report it to the breaker (which counts it
@@ -1016,7 +1035,7 @@ func (r *run) decide() (degraded bool) {
 
 // degrade serves a run in always-invoke-the-optimizer mode: the same plan
 // (and answer) a system without a plan cache would produce. The retraining
-// point flows through the same feedback pipeline as healthy runs.
+// point is the run's label, sent like a healthy run's.
 func (r *run) degrade() error {
 	st, res := r.st, r.res
 	res.Degraded = true
@@ -1031,7 +1050,7 @@ func (r *run) degrade() error {
 		st.obs.CountRetrainDrop()
 		return nil
 	}
-	st.Deliver(fb)
+	r.buf.keep(fb)
 	return nil
 }
 
