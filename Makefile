@@ -23,7 +23,10 @@ PROFILE_DIR ?= profiles
 # TestExecSteadyStateAllocs holds a warmed CompiledPlan.Exec to its result's
 # three allocations whichever kernel runs, TestCountOnlyJoinRecordsNoPairs a
 # join under a bare COUNT(*) to no match pair, no group id and its result's
-# allocations on every join kernel, TestUnorderedScanBuildsNoBitmap Q3's
+# allocations on every join kernel, TestCountedJoinRecordsNoPairs Q1's join
+# under its COUNT-only GROUP BY, above the counted join's guard, to one tuple,
+# multiplicity and group id per build tuple and its result's allocations, and
+# below it to the pair path's answer, TestUnorderedScanBuildsNoBitmap Q3's
 # scans under its bare COUNT(*) to the rows they are read off in place, no
 # range bitmap and the result's allocations, TestOrderedScanWritesNoVector
 # Q0's and Q1's scans that hand their aggregate or hash-join probe the range
@@ -51,7 +54,7 @@ tier1:
 		echo "gofmt -l . names:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -run 'TestServingPathZeroAlloc|TestRunPathAllocBudget|TestMissPathAllocBudget|TestDurableApplyAllocBudget|TestExecSteadyStateAllocs|TestCountOnlyJoinRecordsNoPairs|TestUnorderedScanBuildsNoBitmap|TestOrderedScanWritesNoVector|TestColumnFactsLearnedOnce|TestFreezePublishCost|TestNullStepZeroAlloc|TestRunHandlerAllocBudget' -count=1 . ./internal/executor ./internal/core ./cmd/ppcserve
+	$(GO) test -run 'TestServingPathZeroAlloc|TestRunPathAllocBudget|TestMissPathAllocBudget|TestDurableApplyAllocBudget|TestExecSteadyStateAllocs|TestCountOnlyJoinRecordsNoPairs|TestCountedJoinRecordsNoPairs|TestUnorderedScanBuildsNoBitmap|TestOrderedScanWritesNoVector|TestColumnFactsLearnedOnce|TestFreezePublishCost|TestNullStepZeroAlloc|TestRunHandlerAllocBudget' -count=1 . ./internal/executor ./internal/core ./cmd/ppcserve
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench -short ./...
 
@@ -99,9 +102,10 @@ crash:
 # query, held to the map-walking reference at fuzzer-chosen synopsis states
 # and points, over the compiled executor's key-consuming kernels, held
 # to the tree-walk engine at fuzzer-chosen key-column shapes, operators,
-# parameters and five tops (rows, a global aggregate, GROUP BY either key,
+# parameters and six tops (rows, a global aggregate, GROUP BY either key,
 # a bare COUNT(*) whose join only counts and whose one-range scans read
-# their runs), with scans that hand a global aggregate or a hash-join probe
+# their runs, GROUP BY the build key with COUNTs alone, whose addressed-once
+# hash join counts by bitmap), with scans that hand a global aggregate or a hash-join probe
 # their bitmap and probes read above that extract it, over the template SQL parser — Register's outside input —
 # held to a query or an error, to a query that prints as SQL parsing back to
 # itself, and to one NewTemplate takes without a panic, and over the catalog

@@ -399,6 +399,9 @@ func TestCrashRecoveryUnderAppendFaults(t *testing.T) {
 	sys := openDurable(t, dir, func(o *Options) { o.Faults = inj })
 	defer sys.Close() //nolint:errcheck
 	runDurableWorkload(t, sys, 150, 3)
+	// The applier logs the runs' feedback asynchronously: flush it while the
+	// faults are armed, or its appends may all come after DisableAll.
+	triple(t, sys)
 	inj.DisableAll()
 	acked := triple(t, sys)
 	m := sys.WALMetrics()

@@ -51,6 +51,11 @@ type Arena struct {
 	matchL []int32
 	matchR []int32
 
+	// mult holds, when the root join counted by bitmap (cNode.counted), the
+	// multiplicity of each of its output tuples: how many probe tuples its
+	// build tuple matched. It is empty when every output tuple is one match.
+	mult []int32
+
 	// Hash join scratch: the build side chained by key, in input order.
 	// nextA[t] is 1 + the next build tuple holding tuple t's key, 0 at the
 	// end; the table holds 1 + the first. The table is dirA, addressed by

@@ -152,6 +152,10 @@ type cNode struct {
 	gathers   []gatherOp
 	countOnly bool
 
+	// counted is the probe key column's equality bitmaps when the join counts
+	// its matches per build tuple by bitmap (compiler.counts), nil otherwise.
+	counted *eqBits
+
 	// Index-nested-loop joins: the inner relation's residual filters other
 	// than ranges; the probe index and table live in index/table above.
 	innerFilters []cPred
@@ -272,11 +276,14 @@ func (e *Executor) Compile(plan *optimizer.Plan, q *optimizer.Query) (*CompiledP
 	// GROUP BY numbers its groups in first-seen order, SUM and AVG add in tuple
 	// order, MIN and MAX keep the first of two equal zeros — unless it is a
 	// global aggregate of COUNTs alone.
-	cp.root.orderLiveness(cp.agg == nil || len(cp.agg.groupCols) > 0 ||
-		slices.ContainsFunc(cp.agg.specs, func(sp aggColSpec) bool { return sp.fn != optimizer.AggCount }))
+	countsOnly := cp.agg != nil && !slices.ContainsFunc(cp.agg.specs, func(sp aggColSpec) bool { return sp.fn != optimizer.AggCount })
+	cp.root.orderLiveness(!countsOnly || len(cp.agg.groupCols) > 0)
 	// A global aggregate folds its input's tuples once, in order, and COUNT is
 	// their number: a scan beneath it can hand it the bitmap.
 	cp.root.streams(cp.agg != nil && len(cp.agg.groupCols) == 0)
+	if countsOnly {
+		c.counts(cp.root)
+	}
 	cp.nSlots, cp.nNodes = c.nSlots, c.nNodes
 	cp.pool.New = func() any { return newArena(cp) }
 	return cp, nil
@@ -402,6 +409,25 @@ func (n *cNode) streams(readOnce bool) {
 	n.left.streams(n.left == probe && !readsProbe)
 	if n.right != nil {
 		n.right.streams(n.right == probe && !readsProbe)
+	}
+}
+
+// counts decides, last, whether the root join under an aggregate of COUNTs
+// alone counts its matches per build tuple by bitmap: an addressed-once hash
+// join with no residual filter, which gathers (it is not countOnly) and whose
+// probe side is a streamed scan — so it gathers from its build side only —
+// keyed on a column that has equality bitmaps. Exec still runs the pair path
+// below the guard (countable).
+func (c *compiler) counts(n *cNode) {
+	if n.op != optimizer.OpHashJoin || n.kernel != kernAddressedOnce || len(n.joinFilters) > 0 || n.countOnly {
+		return
+	}
+	probe, key := n.left, n.leftKey
+	if n.buildLeft {
+		probe, key = n.right, n.rightKey
+	}
+	if probe.streamed {
+		n.counted = c.e.eqFor(key)
 	}
 }
 

@@ -51,20 +51,22 @@ type Result struct {
 
 // Executor evaluates plans against a database. The database must not change
 // once the executor has compiled a plan against it: Compile learns facts
-// about the key columns (facts.go) and builds bitmaps of the filtered ones
-// (rangebits.go) that every later execution relies on.
+// about the key columns (facts.go) and builds bitmaps of the filtered ones and
+// of a counted join's probe keys (rangebits.go) that every later execution
+// relies on.
 type Executor struct {
 	db     *tpch.Database
 	faults *faults.Injector
 
-	// Column facts, index key directories and range bitmaps, learned by the
-	// first Compile that keys or filters on the column and kept for the
-	// executor's life. factScans counts the scans made, so a test can show a
-	// second Compile makes none.
+	// Column facts, index key directories, range bitmaps and equality
+	// bitmaps, learned by the first Compile that keys, filters or counts on
+	// the column and kept for the executor's life. factScans counts the scans
+	// made, so a test can show a second Compile makes none.
 	factMu    sync.Mutex
 	facts     map[*tpch.Column]colFacts
 	dirs      map[*tpch.Index]keyDir
 	ranges    map[*tpch.Column]*rangeBits
+	eqs       map[*tpch.Column]*eqBits
 	factScans int
 }
 
@@ -75,6 +77,7 @@ func New(db *tpch.Database) *Executor {
 		facts:  make(map[*tpch.Column]colFacts),
 		dirs:   make(map[*tpch.Index]keyDir),
 		ranges: make(map[*tpch.Column]*rangeBits),
+		eqs:    make(map[*tpch.Column]*eqBits),
 	}
 }
 

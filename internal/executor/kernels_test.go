@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/optimizer"
 	"repro/internal/queries"
 	"repro/internal/tpch"
@@ -302,6 +303,10 @@ type keyShape struct {
 	// the index on the right column, and GROUP BY the left and the right
 	// column.
 	hashL, hashR, merge, inl, groupL, groupR kernel
+	// Whether the left and the right column get equality bitmaps (integral,
+	// dense, at most maxEqKeys keys), so that an addressed-once hash join
+	// probing it under top 5 counts by bitmap.
+	eqL, eqR bool
 }
 
 // fillRange fills col with whole numbers drawn from [lo, hi]: a shuffled run
@@ -330,11 +335,12 @@ func withSpecial(name string, v float64, inLeft bool) keyShape {
 		}
 		col[rng.Intn(len(col))] = v
 	}}
-	// Every join reads both columns; only GROUP BY the untouched one addresses.
+	// Every join reads both columns; only GROUP BY the untouched one addresses,
+	// and only the untouched one, of 41 keys, has equality bitmaps.
 	if inLeft {
-		s.groupR = kernAddressed
+		s.groupR, s.eqR = kernAddressed, true
 	} else {
-		s.groupL = kernAddressed
+		s.groupL, s.eqL = kernAddressed, true
 	}
 	return s
 }
@@ -343,19 +349,19 @@ var keyShapes = []keyShape{
 	{"dense unique", func(rng *rand.Rand, left, right []float64) {
 		fillRange(rng, left, 1, len(left), true)
 		fillRange(rng, right, 1, len(left), false)
-	}, kernAddressedOnce, kernAddressed, kernAddressed, kernAddressed, kernAddressed, kernAddressed},
+	}, kernAddressedOnce, kernAddressed, kernAddressed, kernAddressed, kernAddressed, kernAddressed, false, false},
 	{"dense with duplicates on both sides", func(rng *rand.Rand, left, right []float64) {
 		fillRange(rng, left, 1, 20, false)
 		fillRange(rng, right, 1, 25, false)
-	}, kernAddressed, kernAddressed, kernAddressed, kernAddressed, kernAddressed, kernAddressed},
+	}, kernAddressed, kernAddressed, kernAddressed, kernAddressed, kernAddressed, kernAddressed, true, true},
 	{"negative integers", func(rng *rand.Rand, left, right []float64) {
 		fillRange(rng, left, -40, len(left)-41, true)
 		fillRange(rng, right, -50, 50, false)
-	}, kernAddressedOnce, kernAddressed, kernAddressed, kernAddressed, kernAddressed, kernAddressed},
+	}, kernAddressedOnce, kernAddressed, kernAddressed, kernAddressed, kernAddressed, kernAddressed, false, false},
 	{"probe keys outside the build span", func(rng *rand.Rand, left, right []float64) {
 		fillRange(rng, left, 100, 99+len(left), true)
 		fillRange(rng, right, 0, 300, false)
-	}, kernAddressedOnce, kernAddressed, kernAddressed, kernAddressed, kernAddressed, kernAddressed},
+	}, kernAddressedOnce, kernAddressed, kernAddressed, kernAddressed, kernAddressed, kernAddressed, false, false},
 	withSpecial("-0 in the left column", math.Copysign(0, -1), true),
 	withSpecial("-0 in the right column", math.Copysign(0, -1), false),
 	withSpecial("NaN in the left column", math.NaN(), true),
@@ -368,7 +374,7 @@ var keyShapes = []keyShape{
 				col[i] = 7 + 1e7*float64(rng.Intn(2))
 			}
 		}
-	}, kernGeneric, kernGeneric, kernGeneric, kernGeneric, kernGeneric, kernGeneric},
+	}, kernGeneric, kernGeneric, kernGeneric, kernGeneric, kernGeneric, kernGeneric, false, false},
 	// The left column's span is too wide for a table, but its values are
 	// whole, so it can probe one built over the dense right column.
 	{"sparse left, dense right", func(rng *rand.Rand, left, right []float64) {
@@ -376,7 +382,30 @@ var keyShapes = []keyShape{
 			left[i] = 7 + 1e7*float64(rng.Intn(2))
 		}
 		fillRange(rng, right, 1, 40, false)
-	}, kernGeneric, kernAddressed, kernAddressed, kernAddressed, kernGeneric, kernAddressed},
+	}, kernGeneric, kernAddressed, kernAddressed, kernAddressed, kernGeneric, kernAddressed, false, true},
+	// A unique build column probed by a column of at most maxEqKeys keys from
+	// an overlapping range: the hash join building on the unique side counts
+	// by bitmap under top 5. Building on the left, 75 build tuples probe 12
+	// words of orders, so the guard passes when enough orders do; building on
+	// the right, 750 probe 2 words of customers, so it passes only when almost
+	// no orders do.
+	{"few probe keys over a unique left build", func(rng *rand.Rand, left, right []float64) {
+		fillRange(rng, left, 1, len(left), true)
+		fillRange(rng, right, len(left)-30, len(left)+30, false)
+	}, kernAddressedOnce, kernAddressed, kernAddressed, kernAddressed, kernAddressed, kernAddressed, false, true},
+	{"few probe keys over a unique right build", func(rng *rand.Rand, left, right []float64) {
+		fillRange(rng, left, len(right)-30, len(right)+30, false)
+		fillRange(rng, right, 1, len(right), true)
+	}, kernAddressed, kernAddressedOnce, kernAddressed, kernAddressed, kernAddressed, kernAddressed, true, false},
+	// The same over a probe column holding a NaN, a -0 and a fraction: it has
+	// no equality bitmaps, and no addressed kernel reads it.
+	{"NaN, -0 and a fraction among few probe keys", func(rng *rand.Rand, left, right []float64) {
+		fillRange(rng, left, 1, len(left), true)
+		fillRange(rng, right, len(left)-30, len(left)+30, false)
+		for _, v := range []float64{math.NaN(), math.Copysign(0, -1), float64(len(left)) + 0.5} {
+			right[rng.Intn(len(right))] = v
+		}
+	}, kernGeneric, kernGeneric, kernGeneric, kernGeneric, kernAddressed, kernGeneric, false, false},
 }
 
 // kernelDB is the suite's private database: the key columns are rewritten
@@ -450,20 +479,21 @@ func (k *kernelDB) doctor(t testing.TB, shape keyShape, seed int64) *Executor {
 
 // kernelCase is one plan over the doctored database: a join of customer c
 // (left) and orders o (right) on the key columns, or no join at all, under
-// one of five tops. Parameter 0 bounds c.c_date, parameter 1 o.o_orderdate
+// one of six tops. Parameter 0 bounds c.c_date, parameter 1 o.o_orderdate
 // (the inner relation's filter under an index-nested-loop join), parameter 2
 // o.o_totalprice (which has no index), as the residual join filter and as a
 // second filter of the orders scan. A scan case aggregates the customer scan
 // under tops 1 and 2 (top 1 folds c_acctbal and the filter column c_date,
 // whose doctored zeros MIN and MAX keep the first of) and the orders scan
-// under tops 3 and 4.
+// under tops 3 to 5.
 type kernelCase struct {
 	op        optimizer.OpKind // a join operator, or OpSeqScan: aggregate one scan
 	buildLeft bool
 	residual  bool
+	priceOnly bool // the residual filter is o.o_totalprice alone, without the key equality
 	multi     bool // the orders scan filters on o_totalprice as well
 	strKey    bool // join and group on the string columns instead
-	top       int  // 0 rows, 1 global aggregate, 2 GROUP BY the left key, 3 the right key, 4 a bare COUNT(*)
+	top       int  // 0 rows, 1 global aggregate, 2 GROUP BY the left key, 3 the right key, 4 a bare COUNT(*), 5 GROUP BY the build key with COUNTs alone
 	cmp       int  // the parameter predicates' comparison, of rangeOps
 }
 
@@ -471,9 +501,16 @@ type kernelCase struct {
 // by; the zero kernelCase uses <=, as the standard templates do.
 var rangeOps = [4]optimizer.CmpOp{optimizer.OpLE, optimizer.OpGE, optimizer.OpLT, optimizer.OpGT}
 
+// groupsRight reports whether top 5 groups by the right key: a hash join's
+// build key is the right one unless it builds on the left, a scan case's
+// top 5 aggregates the orders scan, and the other joins group by the left.
+func (kc kernelCase) groupsRight() bool {
+	return kc.op == optimizer.OpSeqScan || kc.op == optimizer.OpHashJoin && !kc.buildLeft
+}
+
 func (kc kernelCase) String() string {
-	return fmt.Sprintf("%v buildLeft=%v residual=%v multi=%v strKey=%v top=%d cmp=%v",
-		kc.op, kc.buildLeft, kc.residual, kc.multi, kc.strKey, kc.top, rangeOps[kc.cmp])
+	return fmt.Sprintf("%v buildLeft=%v residual=%v priceOnly=%v multi=%v strKey=%v top=%d cmp=%v",
+		kc.op, kc.buildLeft, kc.residual, kc.priceOnly, kc.multi, kc.strKey, kc.top, rangeOps[kc.cmp])
 }
 
 func (kc kernelCase) plan() (*optimizer.Plan, *optimizer.Query) {
@@ -508,6 +545,9 @@ func (kc kernelCase) plan() (*optimizer.Plan, *optimizer.Query) {
 		root = &optimizer.Node{Op: kc.op, Left: left, Right: right, LeftCol: lkey, RightCol: rkey, BuildLeft: kc.buildLeft}
 		if kc.residual {
 			root.Filters = []optimizer.Predicate{q.Preds[2], {Kind: optimizer.PredJoin, Col: lkey, RightCol: rkey}}
+			if kc.priceOnly {
+				root.Filters = root.Filters[:1]
+			}
 		}
 	}
 	price, bal := ref("o", "o_totalprice"), ref("c", "c_acctbal")
@@ -534,6 +574,13 @@ func (kc kernelCase) plan() (*optimizer.Plan, *optimizer.Query) {
 		}
 		root = &optimizer.Node{Op: optimizer.OpHashAgg, Left: root, GroupBy: []optimizer.ColRef{g},
 			Aggs: []optimizer.SelectItem{{Col: g}, {Agg: optimizer.AggCount}, {Agg: optimizer.AggSum, Col: sum}}}
+	case 5:
+		g := lkey
+		if kc.groupsRight() {
+			g = rkey
+		}
+		root = &optimizer.Node{Op: optimizer.OpHashAgg, Left: root, GroupBy: []optimizer.ColRef{g},
+			Aggs: []optimizer.SelectItem{{Col: g}, {Agg: optimizer.AggCount}, {Agg: optimizer.AggCount, Col: g}}}
 	}
 	return &optimizer.Plan{Root: root}, q
 }
@@ -573,15 +620,28 @@ func assertBitIdentical(t testing.TB, label string, want, got *Result) {
 	}
 }
 
+// checked is what check found Compile and Exec to choose: the kernels of the
+// join and of the GROUP BY, whether Compile marked the join counted, and of
+// its two runs how many passed the counted join's guard with a match
+// (byBitmap) and how many fell below it (byPairs).
+type checked struct {
+	join, group       kernel
+	counted           bool
+	byBitmap, byPairs int
+}
+
 // check compiles the case, runs it twice (the second run reuses the arena
-// the first one sized) against the tree-walk engine, and returns the kernels
-// Compile chose for the join and for the GROUP BY. Under a bare COUNT(*) a
-// join must be count-only, a scan unordered unless a sort-based merge join is
-// above it, and an unordered scan must read its run exactly when it has one
-// range filter; the plan must harvest the cardinalities of the same operators
-// under a top that reads their vectors in order (top 1 for a join, top 3 for
-// the orders scan).
-func (kc kernelCase) check(t testing.TB, ex *Executor, label string, params []float64) (join, group kernel) {
+// the first one sized) against the tree-walk engine, and returns what
+// Compile and Exec chose. Under a bare COUNT(*) a join must be count-only, a
+// scan unordered unless a sort-based merge join is above it, and an unordered
+// scan must read its run exactly when it has one range filter. A counted join
+// must have recorded multiplicities exactly when it passed its guard
+// (countable) and matched: at most one tuple per build tuple, summing to its
+// output count. Under tops 4 and 5 the plan must harvest the cardinalities of
+// the same operators under a top that reads their vectors in order, whose
+// join neither only counts nor counts by bitmap: top 1 for a join and 3 for
+// the orders scan under top 4, the same GROUP BY with a SUM under top 5.
+func (kc kernelCase) check(t testing.TB, ex *Executor, label string, params []float64) (res checked) {
 	t.Helper()
 	plan, q := kc.plan()
 	params = params[:q.ParamDegree()]
@@ -589,6 +649,10 @@ func (kc kernelCase) check(t testing.TB, ex *Executor, label string, params []fl
 	if err != nil {
 		t.Fatalf("%s: Compile: %v", label, err)
 	}
+	res.counted = cp.root.counted != nil
+	// Every execution checks out this one arena.
+	ar := newArena(cp)
+	cp.pool.New = func() any { return ar }
 	eachScan(cp.root, false, func(s *cNode, _ bool) {
 		if want := kc.streamed(s.rels[0].alias); s.streamed != want {
 			t.Fatalf("%s: scan of %s hands its reader the bitmap = %v, want %v", label, s.rels[0].alias, s.streamed, want)
@@ -607,10 +671,36 @@ func (kc kernelCase) check(t testing.TB, ex *Executor, label string, params []fl
 			t.Fatalf("%s: Exec: %v", label, err)
 		}
 		assertBitIdentical(t, fmt.Sprintf("%s run %d", label, run), want, got)
+		if res.counted {
+			n := cp.root
+			build, probe := n.right, n.left
+			if n.buildLeft {
+				build, probe = probe, build
+			}
+			nb, words, matches := ar.nrows[build.ord], len(ar.sets[probe.slots[0]]), ar.nrows[n.ord]
+			above := nb*words <= countedWordsPerProbe*ar.nrows[probe.ord]
+			if ran := len(ar.mult) > 0; ran != (above && matches > 0) {
+				t.Fatalf("%s run %d: %d build tuples × %d words over %d probe tuples, %d matches: counted by bitmap = %v",
+					label, run, nb, words, ar.nrows[probe.ord], matches, ran)
+			}
+			sum := 0
+			for _, m := range ar.mult {
+				sum += int(m)
+			}
+			if len(ar.mult) > 0 && (len(ar.mult) > nb || sum != matches) {
+				t.Fatalf("%s run %d: %d multiplicities summing to %d over %d build tuples and %d matches", label, run, len(ar.mult), sum, nb, matches)
+			}
+			switch {
+			case matches == 0:
+			case above:
+				res.byBitmap++
+			default:
+				res.byPairs++
+			}
+		}
 	}
 	if kc.top == 4 {
-		isScan := kc.op == optimizer.OpSeqScan
-		if !isScan && !cp.root.countOnly {
+		if kc.op != optimizer.OpSeqScan && !cp.root.countOnly {
 			t.Fatalf("%s: the join under a bare COUNT(*) is not count-only", label)
 		}
 		eachScan(cp.root, false, func(s *cNode, underSort bool) {
@@ -619,18 +709,26 @@ func (kc kernelCase) check(t testing.TB, ex *Executor, label string, params []fl
 					label, s.rels[0].alias, len(s.ranges), underSort, s.unordered, s.fromRun)
 			}
 		})
+	}
+	if kc.top >= 4 {
 		twin := kc
-		twin.top = 1
-		if isScan {
+		switch {
+		case kc.top == 4 && kc.op == optimizer.OpSeqScan:
 			twin.top = 3
+		case kc.top == 4:
+			twin.top = 1
+		case kc.groupsRight():
+			twin.top = 3
+		default:
+			twin.top = 2
 		}
 		tplan, tq := twin.plan()
 		tcp, err := ex.Compile(tplan, tq)
 		if err != nil {
 			t.Fatalf("%s: Compile top %d: %v", label, twin.top, err)
 		}
-		if tcp.root.countOnly {
-			t.Fatalf("%s: the join under top %d is count-only", label, twin.top)
+		if tcp.root.countOnly || tcp.root.counted != nil {
+			t.Fatalf("%s: the join under top %d is count-only = %v, counted = %v", label, twin.top, tcp.root.countOnly, tcp.root.counted != nil)
 		}
 		eachScan(tcp.root, false, func(s *cNode, _ bool) {
 			if s.unordered {
@@ -643,10 +741,11 @@ func (kc kernelCase) check(t testing.TB, ex *Executor, label string, params []fl
 		}
 		assertSameCards(t, label, obs, want)
 	}
+	res.join = cp.root.kernel
 	if cp.agg != nil {
-		group = cp.agg.kernel
+		res.group = cp.agg.kernel
 	}
-	return cp.root.kernel, group
+	return res
 }
 
 // streamed reports whether the case's scan of alias hands its one reader the
@@ -663,7 +762,9 @@ func (kc kernelCase) streamed(alias string) bool {
 		if kc.buildLeft {
 			probe = "o"
 		}
-		if alias != probe || kc.residual {
+		// A residual filter reads the probe side unless it is o_totalprice
+		// alone over a join that builds on orders.
+		if alias != probe || kc.residual && !(kc.priceOnly && probe == "c") {
 			return false
 		}
 		switch kc.top {
@@ -673,6 +774,8 @@ func (kc kernelCase) streamed(alias string) bool {
 			return probe == "c"
 		case 4:
 			return probe == "o" && kc.multi
+		case 5:
+			return true
 		}
 	}
 	return false
@@ -707,6 +810,7 @@ func TestKernelChoiceMatchesTreeWalk(t *testing.T) {
 	// nothing on the other.
 	points := [][3]float64{{0.6, 0.5, 0.7}, {1, 1, 1}, {-0.1, 0.5, 0.5}, {0.5, -0.1, 0.5}}
 	sawRows := false
+	byBitmap, byPairs := 0, 0
 	for si, shape := range keyShapes {
 		// The seeds alternate, and with them doctored and generated filter
 		// columns.
@@ -720,6 +824,7 @@ func TestKernelChoiceMatchesTreeWalk(t *testing.T) {
 			{kernelCase{op: optimizer.OpHashJoin, buildLeft: true, multi: true}, shape.hashL},
 			{kernelCase{op: optimizer.OpHashJoin}, shape.hashR},
 			{kernelCase{op: optimizer.OpHashJoin, residual: true}, shape.hashR},
+			{kernelCase{op: optimizer.OpHashJoin, residual: true, priceOnly: true}, shape.hashR},
 			{kernelCase{op: optimizer.OpHashJoin, multi: true}, shape.hashR},
 			{kernelCase{op: optimizer.OpMergeJoin}, shape.merge},
 			{kernelCase{op: optimizer.OpMergeJoin, residual: true}, shape.merge},
@@ -729,9 +834,23 @@ func TestKernelChoiceMatchesTreeWalk(t *testing.T) {
 			{kernelCase{op: optimizer.OpSeqScan}, kernGeneric},
 			{kernelCase{op: optimizer.OpSeqScan, multi: true}, kernGeneric},
 		} {
-			for top, group := range []kernel{kernGeneric, kernGeneric, shape.groupL, shape.groupR, kernGeneric} {
+			for top, group := range []kernel{kernGeneric, kernGeneric, shape.groupL, shape.groupR, kernGeneric, shape.groupL} {
 				kc := tc.kc
 				kc.top = top
+				// Top 5 groups by the build key and counts by bitmap where the
+				// join is addressed-once, unfiltered and probes a column with
+				// equality bitmaps.
+				counted := false
+				if top == 5 {
+					if kc.groupsRight() {
+						group = shape.groupR
+					}
+					eq := shape.eqL
+					if kc.buildLeft {
+						eq = shape.eqR
+					}
+					counted = kc.op == optimizer.OpHashJoin && !kc.residual && tc.join == kernAddressedOnce && eq
+				}
 				// A scan runs under the aggregating tops only.
 				if kc.op == optimizer.OpSeqScan && top == 0 {
 					continue
@@ -740,10 +859,12 @@ func TestKernelChoiceMatchesTreeWalk(t *testing.T) {
 					// Every (case, top) meets all four comparisons over its points.
 					kc.cmp = (ci + top + pi) % len(rangeOps)
 					label := fmt.Sprintf("%s: %v at %v", shape.name, kc, p)
-					join, grp := kc.check(t, ex, label, k.quantiles(p[0], p[1], p[2]))
-					if join != tc.join || grp != group {
-						t.Errorf("%s: Compile chose the %v join kernel and the %v group kernel, want %v and %v", label, join, grp, tc.join, group)
+					got := kc.check(t, ex, label, k.quantiles(p[0], p[1], p[2]))
+					if got.join != tc.join || got.group != group || got.counted != counted {
+						t.Errorf("%s: Compile chose the %v join kernel and the %v group kernel, counted = %v; want %v, %v and %v",
+							label, got.join, got.group, got.counted, tc.join, group, counted)
 					}
+					byBitmap, byPairs = byBitmap+got.byBitmap, byPairs+got.byPairs
 				}
 			}
 		}
@@ -761,6 +882,11 @@ func TestKernelChoiceMatchesTreeWalk(t *testing.T) {
 	if !sawRows {
 		t.Error("no shape's join produced a row")
 	}
+	// Both sides of the counted join's guard, with matches.
+	if byBitmap == 0 || byPairs == 0 {
+		t.Errorf("counted joins ran %d times by bitmap and %d times below the guard, over matches; want both", byBitmap, byPairs)
+	}
+	t.Logf("counted joins: %d runs by bitmap, %d below the guard", byBitmap, byPairs)
 
 	// A string key has no facts: hash join and GROUP BY stay generic, and
 	// the compiler refuses the other two operators.
@@ -772,14 +898,14 @@ func TestKernelChoiceMatchesTreeWalk(t *testing.T) {
 		{op: optimizer.OpHashJoin, strKey: true, residual: true},
 		{op: optimizer.OpSeqScan, strKey: true},
 	} {
-		for top := 0; top < 5; top++ {
+		for top := 0; top < 6; top++ {
 			kc.top = top
 			if kc.op == optimizer.OpSeqScan && top == 0 {
 				continue
 			}
 			label := fmt.Sprintf("string key: %v", kc)
-			if join, grp := kc.check(t, ex, label, k.quantiles(0.6, 0.5, 0.7)); join != kernGeneric || grp != kernGeneric {
-				t.Errorf("%s: Compile chose the %v join kernel and the %v group kernel, want generic", label, join, grp)
+			if got := kc.check(t, ex, label, k.quantiles(0.6, 0.5, 0.7)); got.join != kernGeneric || got.group != kernGeneric || got.counted {
+				t.Errorf("%s: Compile chose the %v join kernel and the %v group kernel, counted = %v; want generic, not counted", label, got.join, got.group, got.counted)
 			}
 		}
 	}
@@ -909,8 +1035,8 @@ func TestCountOnlyJoinRecordsNoPairs(t *testing.T) {
 				kc := tc.kc
 				kc.residual, kc.top = residual, 4
 				label := fmt.Sprintf("%s: %v", shape.name, kc)
-				if join, _ := kc.check(t, ex, label, params); join != tc.join {
-					t.Errorf("%s: Compile chose the %v join kernel, want %v", label, join, tc.join)
+				if got := kc.check(t, ex, label, params); got.join != tc.join {
+					t.Errorf("%s: Compile chose the %v join kernel, want %v", label, got.join, tc.join)
 				}
 				plan, q := kc.plan()
 				cp, err := ex.Compile(plan, q)
@@ -948,11 +1074,137 @@ func TestCountOnlyJoinRecordsNoPairs(t *testing.T) {
 	}
 }
 
-// TestColumnFactsLearnedOnce: the facts of a key column, and the range
-// bitmaps of a filtered one, cost one scan (or sort) per Executor, paid by the
-// first plan that keys or filters on it — one, also when the first plans
-// compile at once, as interned plans do. Compiling the standard templates'
-// plans again scans nothing and builds nothing.
+// TestCountedJoinRecordsNoPairs: Q1's root hash join, under GROUP BY
+// s_suppkey with COUNT(*) alone, counts its matches per build tuple by bitmap.
+// Every distinct plan the optimizer picks over a seeded grid on the
+// benchmark's database (scale 1000, seed 2012) runs warmed through
+// ExecObserve at every point of the grid, as a cached plan serves the points
+// around the one it was chosen at. Where the join passes its guard
+// (countable) the arena holds at most one tuple, multiplicity and group id
+// per build tuple — no pair and no group id per match — and an execution
+// allocates its result's three objects and nothing else; below the guard it
+// records its pairs and no multiplicity. Everywhere the result and the
+// observed cardinalities are those of the same plan compiled without the
+// counted join, the pair path, also on one arena that serves every point in
+// turn, crossing the guard both ways.
+func TestCountedJoinRecordsNoPairs(t *testing.T) {
+	db := tpch.MustGenerate(tpch.Config{Scale: 1000, Seed: 2012})
+	o := optimizer.New(db, catalog.MustBuild(db, 0))
+	ex := New(db)
+	tm, err := queries.ByName("Q1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(41))
+	seen := map[string]bool{}
+	var plans []*optimizer.Plan
+	var values [][]float64
+	fracs := []float64{0.01, 0.03, 0.1, 0.3, 0.6, 0.95}
+	for _, f0 := range fracs {
+		for _, f1 := range fracs {
+			inst, err := o.InstanceAt(tm, []float64{f0 * (0.8 + 0.4*rng.Float64()), f1 * (0.8 + 0.4*rng.Float64())})
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := o.OptimizeInstance(inst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !seen[plan.Fingerprint] {
+				seen[plan.Fingerprint], plans = true, append(plans, plan)
+			}
+			values = append(values, inst.Values)
+		}
+	}
+	countedPlans, above, below := 0, 0, 0
+	for _, plan := range plans {
+		if cp, err := ex.Compile(plan, tm.Query); err != nil {
+			t.Fatal(err)
+		} else if cp.root.counted == nil {
+			continue
+		}
+		countedPlans++
+		shared, err := ex.Compile(plan, tm.Query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sharedAr := newArena(shared)
+		shared.pool.New = func() any { return sharedAr }
+		for _, params := range values {
+			label := fmt.Sprintf("%s at %.4g", plan.Fingerprint, params)
+			cp, err := ex.Compile(plan, tm.Query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Every execution checks out this one arena.
+			ar := newArena(cp)
+			cp.pool.New = func() any { return ar }
+			var obs []CardObservation
+			var got *Result
+			exec := func() {
+				obs = obs[:0]
+				if got, err = cp.ExecObserve(params, &obs); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+			}
+			exec()
+			exec()
+			n := cp.root
+			build, probe := n.right, n.left
+			if n.buildLeft {
+				build, probe = probe, build
+			}
+			nb := ar.nrows[build.ord]
+			if nb*len(ar.sets[probe.slots[0]]) <= countedWordsPerProbe*ar.nrows[probe.ord] {
+				above++
+				limit := cap(sized([]int32(nil), nb))
+				if len(ar.mult) > nb || cap(ar.matchL) > limit || cap(ar.matchR) > limit || cap(ar.mult) > limit || cap(ar.gids) > limit {
+					t.Errorf("%s: over %d build tuples and %d matches the arena holds %d multiplicities, pair capacity %d and %d, multiplicity capacity %d and group id capacity %d; want at most %d",
+						label, nb, ar.nrows[n.ord], len(ar.mult), cap(ar.matchL), cap(ar.matchR), cap(ar.mult), cap(ar.gids), limit)
+				}
+				if !raceEnabled {
+					if allocs := testing.AllocsPerRun(50, exec); allocs > 3 {
+						t.Errorf("%s: %v allocations per warmed ExecObserve, want at most the result's 3", label, allocs)
+					}
+				}
+			} else {
+				below++
+				if len(ar.mult) != 0 {
+					t.Errorf("%s: below the guard the join recorded %d multiplicities", label, len(ar.mult))
+				}
+			}
+			pairs, err := ex.Compile(plan, tm.Query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pairs.root.counted = nil
+			var want []CardObservation
+			res, err := pairs.ExecObserve(params, &want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertBitIdentical(t, label, res, got)
+			assertSameCards(t, label, obs, want)
+			obs = obs[:0]
+			if got, err = shared.ExecObserve(params, &obs); err != nil {
+				t.Fatal(err)
+			}
+			assertBitIdentical(t, label+" on the shared arena", res, got)
+			assertSameCards(t, label+" on the shared arena", obs, want)
+		}
+	}
+	t.Logf("%d distinct plans, %d counted; %d runs above the guard, %d below", len(plans), countedPlans, above, below)
+	if above == 0 || below == 0 {
+		t.Errorf("Q1's counted plans ran %d points above the guard and %d below; want both", above, below)
+	}
+}
+
+// TestColumnFactsLearnedOnce: the facts of a key column, the range bitmaps of
+// a filtered one and the equality bitmaps of a counted join's probe key cost
+// one scan (or sort) per Executor, paid by the first plan that keys, filters
+// or counts on it — one, also when the first plans compile at once, as
+// interned plans do. Compiling the standard templates' plans again scans
+// nothing and builds nothing.
 func TestColumnFactsLearnedOnce(t *testing.T) {
 	var plans []*optimizer.Plan
 	var tmpls []*optimizer.Template
@@ -992,11 +1244,12 @@ func TestColumnFactsLearnedOnce(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	first, bitmaps := ex.factScans, maps.Clone(ex.ranges)
-	if len(ex.facts) == 0 || len(bitmaps) == 0 {
-		t.Fatalf("compiling Q0..Q8 learned the facts of %d columns and the bitmaps of %d; want both", len(ex.facts), len(bitmaps))
+	first, bitmaps, eqs := ex.factScans, maps.Clone(ex.ranges), maps.Clone(ex.eqs)
+	if len(ex.facts) == 0 || len(bitmaps) == 0 || len(eqs) == 0 {
+		t.Fatalf("compiling Q0..Q8 learned the facts of %d columns, the range bitmaps of %d and the equality bitmaps of %d; want all three",
+			len(ex.facts), len(bitmaps), len(eqs))
 	}
-	if learned := len(ex.facts) + len(ex.dirs) + len(bitmaps); first != learned {
+	if learned := len(ex.facts) + len(ex.dirs) + len(bitmaps) + len(ex.eqs); first != learned {
 		t.Errorf("four concurrent compilations of Q0..Q8 made %d scans for %d facts, directories and bitmaps", first, learned)
 	}
 	compileAll()
@@ -1006,12 +1259,18 @@ func TestColumnFactsLearnedOnce(t *testing.T) {
 	if !maps.Equal(ex.ranges, bitmaps) {
 		t.Errorf("another Compile of the same plans rebuilt range bitmaps: %d columns, were %d", len(ex.ranges), len(bitmaps))
 	}
+	if !maps.Equal(ex.eqs, eqs) {
+		t.Errorf("another Compile of the same plans rebuilt equality bitmaps: %d columns, were %d", len(ex.eqs), len(eqs))
+	}
 }
 
 // TestRangeBitsFootprint: the bitmaps of a column cost its own size — 64
 // checkpoints of one bit per row, 8 bytes per row — when the column has an
 // ordered index free of NaN to alias, and 12 bytes per row more for a sorted
-// copy of the values and their row ids when it has not.
+// copy of the values and their row ids when it has not. Its equality bitmaps,
+// one bit per row for each of at most maxEqKeys keys, cost its size too: each
+// row's bit is set in its key's bitmap alone, and a column of more keys (all
+// but the 10 suppliers' part keys) gets none.
 func TestRangeBitsFootprint(t *testing.T) {
 	li := testDB.MustTable("lineitem")
 	n := li.NumRows()
@@ -1039,6 +1298,26 @@ func TestRangeBitsFootprint(t *testing.T) {
 		}
 		if len(rb.keys) != n || len(rb.rows) != n || rb.nan != nil {
 			t.Errorf("%s: %d keys, %d rows, NaN bitmap %v over a NaN-free column of %d rows", tc.col, len(rb.keys), len(rb.rows), rb.nan != nil, n)
+		}
+	}
+
+	ex := New(testDB)
+	if eb := ex.eqFor(li.MustColumn("l_partkey")); eb != nil {
+		t.Errorf("l_partkey: equality bitmaps over %d keys, more than %d", eb.span, maxEqKeys)
+	}
+	col := li.MustColumn("l_suppkey")
+	eb := ex.eqFor(col)
+	if eb == nil {
+		t.Fatal("l_suppkey: no equality bitmaps")
+	}
+	if size := 8 * len(eb.bits); eb.span > maxEqKeys || size > 8*n+8*maxEqKeys {
+		t.Errorf("l_suppkey: equality bitmaps of %d keys take %d bytes over %d rows, want at most %d keys and 8 bytes per row", eb.span, size, n, maxEqKeys)
+	}
+	for i, v := range col.Nums {
+		for k := 0; k < eb.span; k++ {
+			if set := eb.bits[k*eb.words+i>>6]>>(i&63)&1 != 0; set != (int(v) == eb.lo+k) {
+				t.Fatalf("l_suppkey: row %d holds %v; its bit in key %d's bitmap is %v", i, v, eb.lo+k, set)
+			}
 		}
 	}
 }

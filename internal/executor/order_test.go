@@ -180,6 +180,60 @@ func TestScanOrderLivenessOfStandardTemplates(t *testing.T) {
 	}
 }
 
+// TestCountedJoinOfStandardTemplates pins which standard templates count a
+// grouped join by bitmap (cNode.counted) at the plans the optimizer picks over
+// a seeded grid: Q1, whose GROUP BY s_suppkey with COUNT(*) alone sits on a
+// hash join building on supplier's unique keys, at every plan where that join
+// probes a sequential scan of lineitem (whose ten supplier keys have equality
+// bitmaps), and no other template — the rest fold a SUM or an AVG or, under a
+// bare COUNT(*), join count-only. A template or rule that changes this
+// changes which workloads count by bitmap.
+func TestCountedJoinOfStandardTemplates(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	ex := New(testDB)
+	for _, d := range queries.Defs {
+		tm, err := queries.ByName(d.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans, counted := map[string]bool{}, 0
+		for trial := 0; trial < 24; trial++ {
+			point := make([]float64, tm.Degree())
+			for j := range point {
+				point[j] = 0.05 + 0.9*rng.Float64()
+			}
+			inst, err := opt.InstanceAt(tm, point)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := opt.OptimizeInstance(inst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp, err := ex.Compile(plan, tm.Query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plans[plan.Fingerprint] {
+				continue
+			}
+			plans[plan.Fingerprint] = true
+			n := cp.root
+			if n.counted != nil {
+				counted++
+			}
+			shape := d.Name == "Q1" && n.op == optimizer.OpHashJoin && !n.buildLeft && n.left.op == optimizer.OpSeqScan
+			if (n.counted != nil) != shape {
+				t.Errorf("%s at %v: counted = %v\n%s", d.Name, point, n.counted != nil, plan)
+			}
+		}
+		t.Logf("%s: %d distinct plans, %d counted", d.Name, len(plans), counted)
+		if d.Name == "Q1" && counted == 0 {
+			t.Error("Q1: no plan on the grid counts by bitmap")
+		}
+	}
+}
+
 // TestUnorderedScanBuildsNoBitmap: under Q3's bare COUNT(*) every scan's
 // vector is rows that already exist. A sequential scan of one range filter
 // takes the run of its column's row ids, an index scan with no residual

@@ -13,9 +13,11 @@
 // join's probe — walks the set bits itself. Where no operator observes order (a
 // scan under a global aggregate of COUNTs alone), one range predicate needs
 // no bitmap: the rows it passes are a run of the row ids in value order, read
-// off in place (cPred.run). Like the column facts (facts.go) the bitmaps are
-// never re-learned: the database is immutable once an Executor has compiled
-// against it.
+// off in place (cPred.run). A join key column of at most 64 keys keeps one
+// more kind, for the join that counts its matches by bitmap (cNode.counted):
+// one bitmap per key, of the rows holding it. Like the column facts (facts.go)
+// the bitmaps are never re-learned: the database is immutable once an
+// Executor has compiled against it.
 package executor
 
 import (
@@ -103,6 +105,67 @@ func (e *Executor) rangeFor(t *tpch.Table, col *tpch.Column) *rangeBits {
 		e.factScans++
 	}
 	return rb
+}
+
+// maxEqKeys bounds the keys a column gets equality bitmaps for. Each is one
+// bit per row, so together they take at most 8 bytes per row, rangeBits'
+// budget.
+const maxEqKeys = 64
+
+// countedWordsPerProbe is a counted join's guard (countable): it counts by
+// bitmap while its build tuples times the probe bitmap's words are at most
+// this many per probe tuple. Q1's plan run both ways on a 2-vCPU host broke
+// even at 4–6 words per probe tuple over 94-word bitmaps (4 and 10 build
+// tuples) and below 7 over 469-word ones; the guard takes the low end.
+const countedWordsPerProbe = 4
+
+// eqBits is the equality-encoded bitmap index of an integral column of at most
+// maxEqKeys keys: one bitmap per key of its span, of the rows holding it. A
+// counted join (cNode.counted) ANDs its probe side's bitmap with them, one key
+// at a time.
+type eqBits struct {
+	lo, span, words int
+	// bits holds the bitmaps back to back: key lo+k's is bits[k*words:][:words].
+	bits []uint64
+}
+
+// newEqBits builds the equality bitmaps of a column whose facts are f.
+func newEqBits(nums []float64, f colFacts) *eqBits {
+	eb := &eqBits{lo: f.lo, span: f.span(), words: (len(nums) + 63) / 64}
+	eb.bits = make([]uint64, eb.span*eb.words)
+	for i, v := range nums {
+		eb.bits[(int(v)-eb.lo)*eb.words+i>>6] |= 1 << (i & 63)
+	}
+	return eb
+}
+
+// of returns the bitmap of the rows holding v, a whole number; nil when v lies
+// outside the column's span.
+func (eb *eqBits) of(v float64) []uint64 {
+	k := uint(int(v) - eb.lo)
+	if k >= uint(eb.span) {
+		return nil
+	}
+	return eb.bits[int(k)*eb.words:][:eb.words]
+}
+
+// eqFor returns the equality bitmaps of a numeric column, building them the
+// first time a counted join probes it; nil when its facts are not dense or its
+// span is wider than maxEqKeys.
+func (e *Executor) eqFor(col *tpch.Column) *eqBits {
+	f := e.factsFor(col)
+	if !f.dense || f.span() > maxEqKeys {
+		return nil
+	}
+	e.factMu.Lock()
+	defer e.factMu.Unlock()
+	eb := e.eqs[col]
+	if eb == nil {
+		eb = newEqBits(col.Nums, f)
+		e.eqs[col] = eb
+		e.factScans++
+	}
+	return eb
 }
 
 // below and through are the positions of a bound in value order: how many

@@ -15,9 +15,12 @@
 // place otherwise. A join records its matched (left, right) tuple pairs and
 // gathers, one relation at a time, the output vectors something above it
 // reads; a join of which nothing above reads a vector (countOnly) records no
-// pair and counts its matches instead. Rows are materialized exactly once,
-// into the final Result (two allocations: the Value backing array and the Row
-// headers). Where Compile found the keys to be dense integers (facts.go) a
+// pair and counts its matches instead, and a root hash join under COUNTs
+// alone whose probe side hands it a bitmap (counted) ANDs that bitmap with the
+// probe key's equality bitmap of each build tuple's key, recording each
+// matched build tuple once with its multiplicity. Rows are materialized
+// exactly once, into the final Result (two allocations: the Value backing
+// array and the Row headers). Where Compile found the keys to be dense integers (facts.go) a
 // join or GROUP BY addresses a direct table by key - lo; the hashed, sorted
 // and searched kernels serve every other input.
 package executor
@@ -47,7 +50,8 @@ func (cp *CompiledPlan) run(n *cNode, ar *Arena, params []float64) {
 	if n.right != nil {
 		cp.run(n.right, ar, params)
 	}
-	ar.nrows[n.ord] = 0 // a count-only join counts into it
+	// A count-only join counts into nrows, a counted one into mult.
+	ar.nrows[n.ord], ar.mult = 0, ar.mult[:0]
 	switch n.op {
 	case optimizer.OpHashJoin:
 		n.runHashJoin(ar, params)
@@ -257,8 +261,9 @@ func (n *cNode) match(ar *Arena, params []float64, li, ri int32) {
 }
 
 // gatherOutput builds the join's live output vectors from the recorded
-// match pairs, one relation at a time, records the output tuple count and
-// empties the pair vectors for the next join.
+// match pairs, one relation at a time, records the output tuple count — the
+// pairs', unless the join counted by bitmap and recorded the sum of its
+// multiplicities itself — and empties the pair vectors for the next join.
 func (n *cNode) gatherOutput(ar *Arena) {
 	for _, g := range n.gathers {
 		idx := ar.matchL
@@ -271,7 +276,9 @@ func (n *cNode) gatherOutput(ar *Arena) {
 			ar.vecs[g.dst] = gather(ar.vecs[g.dst], ar.vecs[g.src], idx)
 		}
 	}
-	ar.nrows[n.ord] = len(ar.matchL)
+	if len(ar.mult) == 0 {
+		ar.nrows[n.ord] = len(ar.matchL)
+	}
 	ar.matchL, ar.matchR = ar.matchL[:0], ar.matchR[:0]
 }
 
@@ -291,7 +298,9 @@ func gather(out, in, idx []int32) []int32 {
 // open-addressed float table or a string map otherwise; the chains are the
 // same (see Arena.dirA). A streamed probe side (cNode.streams) is its scan's
 // bitmap, which every kernel walks in place of the vector: probe tuple pi is
-// its pi-th set bit.
+// its pi-th set bit. A counted join (cNode.counted) that passes its guard
+// records one (first matching probe row, build tuple) pair per build tuple
+// that matches, and the build tuple's multiplicity in Arena.mult.
 func (n *cNode) runHashJoin(ar *Arena, params []float64) {
 	probe := n.left
 	buildSlot, probeSlot := n.rightSlot, n.leftSlot
@@ -313,6 +322,13 @@ func (n *cNode) runHashJoin(ar *Arena, params []float64) {
 	mp, mb := ar.matchL, ar.matchR // (probe, build) pairs
 
 	switch {
+	case n.counted != nil && probeSet != nil && countable(len(buildVec), len(probeSet), nProbe):
+		// One AND per build tuple and probe word; no chain, no pair per match.
+		mp, mb = sized(mp, len(buildVec)), sized(mb, len(buildVec))
+		ar.mult = sized(ar.mult, len(buildVec))
+		m, pairs := countByBitmap(n.counted, probeSet, buildVec, buildKey.Nums, mp, mb, ar.mult)
+		mp, mb, ar.mult = mp[:m], mb[:m], ar.mult[:m]
+		ar.nrows[n.ord] = pairs
 	case n.kernel != kernGeneric && addressable(n.keySpan, len(buildVec)+nProbe):
 		// A probe is a bounds check and a load.
 		ar.dirA = sized(ar.dirA, n.keySpan)
@@ -422,6 +438,54 @@ func probeOnce(head []int32, lo int, pkeys []float64, vec []int32, set []uint64,
 		m += b2i(b != 0)
 	}
 	return m
+}
+
+// countable is the Exec-time half of a counted join (cNode.counted): ANDing
+// the probe bitmap with every build tuple's key bitmap costs build × words
+// word operations, where the pair path costs a probe step per probe tuple
+// and a gather and a group lookup per match. It counts by bitmap while the
+// words are at most countedWordsPerProbe per probe tuple.
+func countable(build, words, probes int) bool {
+	return build*words <= countedWordsPerProbe*probes
+}
+
+// countByBitmap is the counted join's kernel. The probe tuples holding build
+// tuple b's key are the bits of set AND that key's equality bitmap, so their
+// popcount is b's multiplicity and the lowest set bit its first match. It
+// writes the build tuples that match to tup in first-match order — the order
+// their first pairs come in on the pair path, as build keys are unique — with
+// their first match's probe row in first and their multiplicity in mult, and
+// returns how many match and the sum of their multiplicities, the number of
+// pairs the pair path records.
+func countByBitmap(eq *eqBits, set []uint64, build []int32, bkeys []float64, first, tup, mult []int32) (m, pairs int) {
+	for b, id := range build {
+		bm := eq.of(bkeys[id])
+		if bm == nil {
+			continue
+		}
+		bm = bm[:len(set)]
+		w := 0
+		for w < len(set) && set[w]&bm[w] == 0 {
+			w++
+		}
+		if w == len(set) {
+			continue
+		}
+		f := int32(w<<6 + bits.TrailingZeros64(set[w]&bm[w]))
+		c := 0
+		for ; w < len(set); w++ {
+			c += bits.OnesCount64(set[w] & bm[w])
+		}
+		// An insertion: at most maxEqKeys build tuples match.
+		j := m
+		for ; j > 0 && first[j-1] > f; j-- {
+			first[j], tup[j], mult[j] = first[j-1], tup[j-1], mult[j-1]
+		}
+		first[j], tup[j], mult[j] = f, int32(b), int32(c)
+		m++
+		pairs += c
+	}
+	return m, pairs
 }
 
 // at returns the entry of a direct table from lo (see Arena.dirA) for key v,
@@ -672,8 +736,29 @@ func (cp *CompiledPlan) materializeAgg(ar *Arena) *Result {
 // assignGroups counts the tuples of every group into ar.counts, records the
 // first-seen group keys, and returns each tuple's dense group id. A plan
 // with no GROUP BY looks nothing up and returns no ids: every tuple is in
-// group 0, which exists even over zero tuples.
+// group 0, which exists even over zero tuples. The tuples of a join that
+// counted by bitmap are its matched build tuples, each standing for its
+// multiplicity (Arena.mult) of the nt matches, in first-match order: each
+// group counts their multiplicities, and the groups, in first-seen order,
+// are those of the pairs.
 func (a *cAgg) assignGroups(ar *Arena, nt int) []int32 {
+	if len(ar.mult) == 0 {
+		return a.group(ar, nt)
+	}
+	gids := a.group(ar, len(ar.mult))
+	clear(ar.counts)
+	for t, m := range ar.mult {
+		g := int32(0)
+		if gids != nil {
+			g = gids[t]
+		}
+		ar.counts[g] += float64(m)
+	}
+	return gids
+}
+
+// group is assignGroups over nt tuples of one match each.
+func (a *cAgg) group(ar *Arena, nt int) []int32 {
 	ar.groupKeys = ar.groupKeys[:0]
 	if len(a.groupCols) == 0 {
 		ar.counts = append(ar.counts[:0], float64(nt))
