@@ -36,6 +36,9 @@ PROFILE_DIR ?= profiles
 # holds a model publish to the blocks one insert touched, and
 # TestNullStepZeroAlloc a NULL learner step — the model query and the
 # optimizer call, its label aliasing the step's point — to zero;
+# TestCatalogBuildAllocBudget holds catalog.Build on the benchmark's database
+# to 300 allocations and 0.5 MB (212 and 0.32 MB measured: no per-row set of
+# distinct values, no copy of a column its index already orders);
 # TestRunHandlerAllocBudget holds ppcserve's /run handler to its Run's
 # allocations plus the request's own. The race line also runs
 # TestCommandsLinkNoBenchHarness, which holds what the serving binaries link
@@ -54,7 +57,7 @@ tier1:
 		echo "gofmt -l . names:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -run 'TestServingPathZeroAlloc|TestRunPathAllocBudget|TestMissPathAllocBudget|TestDurableApplyAllocBudget|TestExecSteadyStateAllocs|TestCountOnlyJoinRecordsNoPairs|TestCountedJoinRecordsNoPairs|TestUnorderedScanBuildsNoBitmap|TestOrderedScanWritesNoVector|TestColumnFactsLearnedOnce|TestFreezePublishCost|TestNullStepZeroAlloc|TestRunHandlerAllocBudget' -count=1 . ./internal/executor ./internal/core ./cmd/ppcserve
+	$(GO) test -run 'TestServingPathZeroAlloc|TestRunPathAllocBudget|TestMissPathAllocBudget|TestDurableApplyAllocBudget|TestExecSteadyStateAllocs|TestCountOnlyJoinRecordsNoPairs|TestCountedJoinRecordsNoPairs|TestUnorderedScanBuildsNoBitmap|TestOrderedScanWritesNoVector|TestColumnFactsLearnedOnce|TestFreezePublishCost|TestNullStepZeroAlloc|TestCatalogBuildAllocBudget|TestRunHandlerAllocBudget' -count=1 . ./internal/executor ./internal/core ./internal/catalog ./cmd/ppcserve
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench -short ./...
 
@@ -111,10 +114,12 @@ crash:
 # itself, and to one NewTemplate takes without a panic, and over the catalog
 # histograms' running-count probes (FractionLE, RangeCount, Quantile), held
 # with == to the bucket scans they replaced at fuzzer-chosen values and
-# bucket counts, and over the learner's blocks' peak density, held to bound
+# bucket counts, over the learner's blocks' peak density, held to bound
 # what RangeCount counts at fuzzer-chosen blocks and ranges (the bound the
-# predict vote rules plans out by). Go runs one fuzz target per invocation,
-# hence ten runs.
+# predict vote rules plans out by), and over the catalog's statistics, held
+# at fuzzer-chosen columns (ties, -0, infinities, NaN), indexed or not, to
+# the sort.Slice index and the hashing, re-sorting catalog they replaced.
+# Go runs one fuzz target per invocation, hence eleven runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzScan -fuzztime $(FUZZTIME) ./internal/wal
@@ -126,6 +131,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/sqlparse
 	$(GO) test -run '^$$' -fuzz FuzzProbeMatchesScan -fuzztime $(FUZZTIME) ./internal/histogram
 	$(GO) test -run '^$$' -fuzz FuzzPeakBoundsRangeCount -fuzztime $(FUZZTIME) ./internal/histogram
+	$(GO) test -run '^$$' -fuzz FuzzColumnStatsMatchReference -fuzztime $(FUZZTIME) ./internal/catalog
 
 # The replication suite, bottom up: wire protocol and torn/corrupt frames,
 # WAL tailing, leader/replica servers under fault injection (epoch fencing,
@@ -155,16 +161,19 @@ loc:
 		awk '{ a += $$1; d += $$2; printf "%6d %6d  %s\n", $$1, $$2, $$3 } \
 		END { printf "%6d %6d  non-test Go outside bench/: net %+d\n", a, d, a - d }'
 
-# CPU and heap profiles of the two Run paths, for chasing where the time
-# goes: run.* is the hit path (BenchmarkEndToEndRun: hit_exec's shape — Q0
-# and Q1 alternating on the benchmark's database along 100-point trajectory
-# paths at sigma 0.02, each point run once; executor-bound), miss.*
-# the miss path (BenchmarkMissPathRun: Q3/Q4/Q8 at fresh uniform points on
-# the benchmark's database, the miss_optimize workload's shape — NULL
-# predict, OptimizeMemo, intern/compile, feedback — whose invoked/op stays
-# near miss_optimize's 0.93 at any -benchtime). Go profiles one benchmark run
-# per invocation. `go tool pprof $(PROFILE_DIR)/miss.cpu.pprof`, or
-# `-sample_index=alloc_space` on a mem profile for allocation sites.
+# CPU and heap profiles of the two Run paths and of opening a System, for
+# chasing where the time goes: run.* is the hit path (BenchmarkEndToEndRun:
+# hit_exec's shape — Q0 and Q1 alternating on the benchmark's database along
+# 100-point trajectory paths at sigma 0.02, each point run once;
+# executor-bound), miss.* the miss path (BenchmarkMissPathRun: Q3/Q4/Q8 at
+# fresh uniform points on the benchmark's database, the miss_optimize
+# workload's shape — NULL predict, OptimizeMemo, intern/compile, feedback —
+# whose invoked/op stays near miss_optimize's 0.93 at any -benchtime), and
+# open.* the open path every process takes before it serves (BenchmarkOpen:
+# Open on the benchmark's database — generate, index, catalog — plus
+# RegisterStandard). Go profiles one benchmark run per invocation. `go tool
+# pprof $(PROFILE_DIR)/miss.cpu.pprof`, or `-sample_index=alloc_space` on a
+# mem profile for allocation sites.
 profile:
 	mkdir -p $(PROFILE_DIR)
 	$(GO) test -run '^$$' -bench 'BenchmarkEndToEndRun$$' -benchmem \
@@ -174,6 +183,10 @@ profile:
 	$(GO) test -run '^$$' -bench 'BenchmarkMissPathRun$$' -benchmem \
 		-cpuprofile $(PROFILE_DIR)/miss.cpu.pprof \
 		-memprofile $(PROFILE_DIR)/miss.mem.pprof \
+		-o $(PROFILE_DIR)/ppc.test .
+	$(GO) test -run '^$$' -bench 'BenchmarkOpen$$' -benchmem \
+		-cpuprofile $(PROFILE_DIR)/open.cpu.pprof \
+		-memprofile $(PROFILE_DIR)/open.mem.pprof \
 		-o $(PROFILE_DIR)/ppc.test .
 	@echo "profiles written to $(PROFILE_DIR)/"
 

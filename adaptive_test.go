@@ -1,7 +1,7 @@
 package ppc
 
 // End-to-end tests for the adaptive statistics layer: a deliberately
-// distorted base estimator (stats.Distorted via Options.StatsWrap) makes
+// distorted base estimator (stats.Distorted via Options.statsWrap) makes
 // the optimizer's selectivity estimates diverge from execution truth, and
 // the correction learner must pull them back — shrinking the measured
 // estimation q-error, flipping plan choices back to the ones an
@@ -41,7 +41,7 @@ func openDistorted(t *testing.T, disableAdaptive bool) *System {
 		TPCH:                 tpch.Config{Scale: 1000, Seed: 5},
 		Online:               onlineForTest(),
 		FeedbackQueue:        -1,
-		StatsWrap:            distortLineitem,
+		statsWrap:            distortLineitem,
 		DisableAdaptiveStats: disableAdaptive,
 	})
 	if err != nil {
@@ -270,7 +270,7 @@ func TestAdaptiveDriftInteraction(t *testing.T) {
 
 // TestCorrectionsHoldQErrorOnUndistortedCatalog is ROADMAP 4(4)'s guard:
 // the corrections repair a distorted catalog, so where the catalog is the
-// truth (no StatsWrap) they must leave the estimates alone. The nine
+// truth (no statsWrap) they must leave the estimates alone. The nine
 // standard templates each take the same 300 seeded runs on a system with
 // the layer on and on its control arm (DisableAdaptiveStats), and per
 // template the p95 estimation q-error with corrections on is held to the

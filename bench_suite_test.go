@@ -53,3 +53,9 @@ func BenchmarkReplicaPredict(b *testing.B) { benchsuite.ReplicaPredict(b) }
 // its own profile, not from the hit path's; TestMissPathAllocBudget holds it
 // to its allocation budget.
 func BenchmarkMissPathRun(b *testing.B) { benchsuite.MissPathRun(b) }
+
+// BenchmarkOpen is the open path every process takes before it serves — a
+// ppcserve, a restarted leader, each bench workload's set-up: Open on the
+// benchmark's database plus RegisterStandard. `make profile` profiles it
+// into open.cpu.pprof and open.mem.pprof.
+func BenchmarkOpen(b *testing.B) { benchsuite.Open(b) }

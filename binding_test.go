@@ -36,7 +36,7 @@ func TestHitsResolveNoColumns(t *testing.T) {
 		TPCH:          tpch.Config{Scale: 1000, Seed: 5},
 		Online:        onlineForTest(),
 		FeedbackQueue: -1,
-		StatsWrap: func(p stats.Provider) stats.Provider {
+		statsWrap: func(p stats.Provider) stats.Provider {
 			counter = &countingProvider{Provider: p}
 			return counter
 		},

@@ -286,6 +286,12 @@ func TestDurablePendingRecordsSurviveCheckpoint(t *testing.T) {
 	}
 	runWarm(t, sys, "Q1", 150, 3)
 	runWarm(t, sys, "Q2", 150, 4)
+	// Both appliers are flushed before the image is taken: Q1's can still
+	// hold every one of its runs' messages after Q2's 150 runs, and then
+	// the image has nothing of Q1's to replay.
+	if _, err := sys.TemplateMetrics("Q1"); err != nil {
+		t.Fatal(err)
+	}
 	q2, err := sys.TemplateMetrics("Q2") // flushes the applier first
 	if err != nil {
 		t.Fatal(err)

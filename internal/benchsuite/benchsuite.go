@@ -333,6 +333,26 @@ func MissPathRun(b *testing.B) {
 	b.ReportMetric(float64(invoked)/float64(b.N), "invoked/op")
 }
 
+// Open is what a process pays before it serves: ppc.Open on the
+// benchmark's database (scale 1000, seed 2012) — generate, index, catalog —
+// and RegisterStandard's nine templates, the System each bench workload sets
+// up. Nothing is shared between iterations, so each one opens cold.
+func Open(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sys, err := ppc.Open(ppc.Options{TPCH: tpch.Config{Scale: 1000, Seed: 2012}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := sys.RegisterStandard(); err != nil {
+			b.Fatal(err)
+		}
+		if err := sys.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // benchSystem opens a System on the benchmark's database (scale 1000, seed
 // 2012) with the named standard templates registered, and returns it with
 // their templates in that order.

@@ -16,6 +16,7 @@ package catalog
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/histogram"
 	"repro/internal/tpch"
@@ -115,8 +116,11 @@ type Catalog struct {
 	tables map[string]*TableStats
 }
 
-// Build scans every table of db and constructs statistics. buckets controls
-// the per-column histogram resolution; pass 0 for DefaultColumnBuckets.
+// Build constructs statistics for every table of db. A numeric column's
+// statistics are read off its values in ascending order — its index's keys
+// when it has an index, which must be current (BuildIndex after the column
+// was written), otherwise a sorted copy. buckets controls the per-column
+// histogram resolution; pass 0 for DefaultColumnBuckets.
 func Build(db *tpch.Database, buckets int) (*Catalog, error) {
 	if buckets <= 0 {
 		buckets = DefaultColumnBuckets
@@ -126,7 +130,7 @@ func Build(db *tpch.Database, buckets int) (*Catalog, error) {
 		t := db.MustTable(name)
 		ts := &TableStats{Table: name, RowCount: t.NumRows(), Columns: make(map[string]*ColumnStats)}
 		for _, col := range t.Columns {
-			cs, err := buildColumn(name, col, buckets)
+			cs, err := buildColumn(name, col, t.Indexes[col.Name], buckets)
 			if err != nil {
 				return nil, err
 			}
@@ -146,28 +150,22 @@ func MustBuild(db *tpch.Database, buckets int) *Catalog {
 	return c
 }
 
-func buildColumn(table string, col *tpch.Column, buckets int) (*ColumnStats, error) {
+func buildColumn(table string, col *tpch.Column, ix *tpch.Index, buckets int) (*ColumnStats, error) {
 	cs := &ColumnStats{Table: table, Column: col.Name, Kind: col.Kind, RowCount: col.Len()}
 	switch col.Kind {
 	case tpch.KindNumeric:
 		if len(col.Nums) == 0 {
 			return cs, nil
 		}
-		cs.Min, cs.Max = math.Inf(1), math.Inf(-1)
-		distinct := make(map[float64]struct{})
-		for _, v := range col.Nums {
-			if v < cs.Min {
-				cs.Min = v
-			}
-			if v > cs.Max {
-				cs.Max = v
-			}
-			if len(distinct) < 1<<20 {
-				distinct[v] = struct{}{}
-			}
+		sorted, distinct := ascending(col.Nums, ix)
+		cs.Distinct = distinct
+		if len(sorted) == 0 {
+			// Only NaNs: Min and Max are those of a scan that ignores them.
+			cs.Min, cs.Max = math.Inf(1), math.Inf(-1)
+			return cs, nil
 		}
-		cs.Distinct = len(distinct)
-		h, err := histogram.BuildEquiDepth(col.Nums, nil, buckets)
+		cs.Min, cs.Max = sorted[0], sorted[len(sorted)-1]
+		h, err := histogram.BuildEquiDepth(sorted, buckets)
 		if err != nil {
 			return nil, fmt.Errorf("catalog: %s.%s: %w", table, col.Name, err)
 		}
@@ -182,6 +180,48 @@ func buildColumn(table string, col *tpch.Column, buckets int) (*ColumnStats, err
 		return nil, fmt.Errorf("catalog: %s.%s: unknown column kind %d", table, col.Name, col.Kind)
 	}
 	return cs, nil
+}
+
+// ascending returns a numeric column's values that are not NaN, in
+// ascending order, and its distinct count: the runs of that order, plus one
+// per NaN, as a set of float64 counts them. An index over the column holds
+// the order in its keys, which are read in place when they are ascending and
+// hold no NaN (a comparison sort cannot place a NaN); otherwise the values
+// are sorted in a copy, where slices.Sort puts the NaNs first.
+func ascending(nums []float64, ix *tpch.Index) (sorted []float64, distinct int) {
+	if ix != nil && len(ix.Keys) == len(nums) {
+		if runs, ok := countRuns(ix.Keys); ok {
+			return ix.Keys, runs
+		}
+	}
+	sorted = slices.Clone(nums)
+	slices.Sort(sorted)
+	nans := 0
+	for nans < len(sorted) && sorted[nans] != sorted[nans] {
+		nans++
+	}
+	runs, _ := countRuns(sorted[nans:])
+	return sorted[nans:], nans + runs
+}
+
+// countRuns counts the runs of equal values in s, which is its distinct
+// count when s is ascending; ok reports whether it is, with no NaN.
+func countRuns(s []float64) (runs int, ok bool) {
+	if len(s) == 0 {
+		return 0, true
+	}
+	if s[0] != s[0] {
+		return 0, false
+	}
+	runs = 1
+	for i := 1; i < len(s); i++ {
+		if s[i-1] < s[i] {
+			runs++
+		} else if s[i-1] != s[i] {
+			return 0, false
+		}
+	}
+	return runs, true
 }
 
 // Table returns statistics for the named table, or nil.

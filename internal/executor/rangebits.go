@@ -21,7 +21,6 @@
 package executor
 
 import (
-	"cmp"
 	"math"
 	"math/bits"
 	"slices"
@@ -74,11 +73,7 @@ func newRangeBits(nums []float64, ix *tpch.Index) *rangeBits {
 			}
 			rb.rows = append(rb.rows, int32(i))
 		}
-		slices.SortFunc(rb.rows, func(a, b int32) int { return cmp.Compare(nums[a], nums[b]) })
-		rb.keys = make([]float64, len(rb.rows))
-		for i, id := range rb.rows {
-			rb.keys[i] = nums[id]
-		}
+		rb.keys = tpch.SortRows(nums, rb.rows)
 	}
 	rb.cps = make([]uint64, rangeCheckpoints*rb.words)
 	for c := 0; c < rangeCheckpoints; c++ {

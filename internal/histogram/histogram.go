@@ -6,8 +6,9 @@
 //
 // Two families are provided:
 //
-//   - Static equi-depth construction from a sample: the column statistics
-//     of the catalog substrate.
+//   - Static equi-depth construction from values already in ascending
+//     order: the column statistics of the catalog substrate, which count
+//     points and carry no costs.
 //
 //   - Dynamic, a bounded-bucket histogram supporting online insertion with
 //     split/merge maintenance, used by ONLINE-APPROXIMATE-LSH-HISTOGRAMS
@@ -22,7 +23,6 @@ package histogram
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Bucket is a half-open interval [Lo, Hi) with a point count and the sum of
@@ -112,22 +112,6 @@ func (h *Histogram) RangeCount(lo, hi float64) float64 {
 		sum += bs[i].Count * overlapFrac(bs[i], lo, end)
 	}
 	return sum
-}
-
-// RangeCost estimates the total cost and count of points in [lo, hi]; the
-// average cost over the range is cost/count when count > 0.
-func (h *Histogram) RangeCost(lo, hi float64) (cost, count float64) {
-	return rangeCost(h.buckets, lo, hi)
-}
-
-// RangeAvgCost estimates the average cost of points in [lo, hi]. The second
-// return value is false when the estimated count is zero.
-func (h *Histogram) RangeAvgCost(lo, hi float64) (float64, bool) {
-	cost, count := h.RangeCost(lo, hi)
-	if count <= 0 {
-		return 0, false
-	}
-	return cost / count, true
 }
 
 // FractionLE estimates the fraction of points with value <= v — the
@@ -241,51 +225,25 @@ func bucketSearch(buckets []Bucket, lo float64) int {
 	return i
 }
 
-// --- Static builders -------------------------------------------------------
+// --- Static builder --------------------------------------------------------
 
-// sample pairs a value with its cost; builders accept nil costs.
-func pairAndSort(values, costs []float64) ([]float64, []float64, error) {
-	if costs != nil && len(costs) != len(values) {
-		return nil, nil, fmt.Errorf("histogram: %d values but %d costs", len(values), len(costs))
-	}
-	vs := make([]float64, len(values))
-	copy(vs, values)
-	var cs []float64
-	if costs == nil {
-		cs = make([]float64, len(values))
-	} else {
-		cs = make([]float64, len(costs))
-		copy(cs, costs)
-	}
-	idx := make([]int, len(vs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return vs[idx[a]] < vs[idx[b]] })
-	sv := make([]float64, len(vs))
-	sc := make([]float64, len(vs))
-	for i, j := range idx {
-		sv[i] = vs[j]
-		sc[i] = cs[j]
-	}
-	return sv, sc, nil
-}
-
-// BuildEquiDepth builds a histogram whose buckets each hold approximately
-// the same number of points. costs may be nil. It requires at least one
-// value.
-func BuildEquiDepth(values, costs []float64, nbuckets int) (*Histogram, error) {
+// BuildEquiDepth builds a histogram over sorted — values in ascending order,
+// with no NaN — whose buckets each hold approximately the same number of
+// points: it cuts the order into nbuckets runs. It requires at least one
+// value and returns an error on a NaN or on values out of order.
+func BuildEquiDepth(sorted []float64, nbuckets int) (*Histogram, error) {
 	if nbuckets <= 0 {
 		return nil, fmt.Errorf("histogram: nbuckets must be positive, got %d", nbuckets)
 	}
-	if len(values) == 0 {
+	n := len(sorted)
+	if n == 0 {
 		return nil, fmt.Errorf("histogram: no values")
 	}
-	sv, sc, err := pairAndSort(values, costs)
-	if err != nil {
-		return nil, err
+	for i, v := range sorted {
+		if v != v || i > 0 && v < sorted[i-1] {
+			return nil, fmt.Errorf("histogram: value %d (%v) is NaN or below its predecessor", i, v)
+		}
 	}
-	n := len(sv)
 	if nbuckets > n {
 		nbuckets = n
 	}
@@ -300,12 +258,7 @@ func BuildEquiDepth(values, costs []float64, nbuckets int) (*Histogram, error) {
 		if end <= start {
 			continue
 		}
-		b := Bucket{Lo: sv[start], Hi: sv[end-1]}
-		for i := start; i < end; i++ {
-			b.Count++
-			b.CostSum += sc[i]
-		}
-		buckets = append(buckets, b)
+		buckets = append(buckets, Bucket{Lo: sorted[start], Hi: sorted[end-1], Count: float64(end - start)})
 		start = end
 	}
 	sealBoundaries(buckets)

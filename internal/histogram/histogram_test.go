@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -15,7 +16,8 @@ func TestBuildEquiDepthBalance(t *testing.T) {
 	for i := range values {
 		values[i] = rng.NormFloat64() // skewed vs uniform buckets
 	}
-	h, err := BuildEquiDepth(values, nil, 20)
+	slices.Sort(values)
+	h, err := BuildEquiDepth(values, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,14 +32,14 @@ func TestBuildEquiDepthBalance(t *testing.T) {
 }
 
 func TestBuildEquiDepthFewValues(t *testing.T) {
-	h, err := BuildEquiDepth([]float64{1, 2}, nil, 10)
+	h, err := BuildEquiDepth([]float64{1, 2}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h.NumBuckets() > 2 {
 		t.Errorf("NumBuckets = %d, want <= 2", h.NumBuckets())
 	}
-	if _, err := BuildEquiDepth(nil, nil, 10); err == nil {
+	if _, err := BuildEquiDepth(nil, 10); err == nil {
 		t.Error("expected error for no values")
 	}
 }
@@ -48,7 +50,8 @@ func TestHistogramQuantileRoundTrip(t *testing.T) {
 	for i := range values {
 		values[i] = rng.Float64() * 100
 	}
-	h, err := BuildEquiDepth(values, nil, 50)
+	slices.Sort(values)
+	h, err := BuildEquiDepth(values, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,28 +76,22 @@ func TestRangeCountConservation(t *testing.T) {
 	// resolution.
 	rng := rand.New(rand.NewSource(4))
 	values := make([]float64, 777)
-	costs := make([]float64, 777)
 	for i := range values {
 		values[i] = rng.Float64()
-		costs[i] = rng.Float64() * 10
 	}
+	slices.Sort(values)
 	for _, nbuckets := range []int{1, 7, 32, 777, 1000} {
 		name := fmt.Sprintf("%d buckets", nbuckets)
-		h, err := BuildEquiDepth(values, costs, nbuckets)
+		h, err := BuildEquiDepth(values, nbuckets)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		lo, hi := h.Domain()
+		if lo != values[0] || hi < values[776] {
+			t.Errorf("%s: domain [%v, %v] does not cover [%v, %v]", name, lo, hi, values[0], values[776])
+		}
 		if got := h.RangeCount(lo-1, hi+1); !almost(got, 777, 1e-6) {
 			t.Errorf("%s: full range count = %v, want 777", name, got)
-		}
-		cost, count := h.RangeCost(lo-1, hi+1)
-		var wantCost float64
-		for _, c := range costs {
-			wantCost += c
-		}
-		if !almost(count, 777, 1e-6) || !almost(cost, wantCost, 1e-6) {
-			t.Errorf("%s: full range cost = %v,%v want %v,777", name, cost, count, wantCost)
 		}
 	}
 }
@@ -107,15 +104,14 @@ func TestRangeCountAccuracy(t *testing.T) {
 	for i := range values {
 		values[i] = rng.Float64()
 	}
-	h, err := BuildEquiDepth(values, nil, 40)
+	slices.Sort(values)
+	h, err := BuildEquiDepth(values, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
 	trueCount := func(lo, hi float64) float64 {
-		l := sort.SearchFloat64s(sorted, lo)
-		r := sort.SearchFloat64s(sorted, hi)
+		l := sort.SearchFloat64s(values, lo)
+		r := sort.SearchFloat64s(values, hi)
 		return float64(r - l)
 	}
 	for i := 0; i < 100; i++ {
@@ -130,26 +126,43 @@ func TestRangeCountAccuracy(t *testing.T) {
 }
 
 func TestRangeEmptyAndInverted(t *testing.T) {
-	// Two buckets, [0.1, 0.2] with costs 2 and 4 and [0.8, 0.9] with costs
-	// 8 and 8, and a gap between them.
-	h, err := BuildEquiDepth([]float64{0.1, 0.2, 0.8, 0.9}, []float64{2, 4, 8, 8}, 2)
+	// Two buckets, [0.1, 0.2] and [0.8, 0.9], and a gap between them.
+	h, err := BuildEquiDepth([]float64{0.1, 0.2, 0.8, 0.9}, 2)
 	if err != nil {
 		t.Fatal(err)
+	}
+	want := []Bucket{{Lo: 0.1, Hi: 0.2, Count: 2}, {Lo: 0.8, Hi: 0.9, Count: 2}}
+	if got := h.Buckets(); !slices.Equal(got, want) {
+		t.Errorf("buckets = %v, want %v", got, want)
 	}
 	if got := h.RangeCount(0.9, 0.1); got != 0 {
 		t.Errorf("inverted range count = %v", got)
 	}
-	if _, ok := h.RangeAvgCost(0.4, 0.6); ok {
-		t.Error("expected no avg cost in empty region")
+	if got := h.RangeCount(0.4, 0.6); got != 0 {
+		t.Errorf("RangeCount over the gap = %v, want 0", got)
 	}
-	if avg, ok := h.RangeAvgCost(0, 0.5); !ok || !almost(avg, 3, 1e-9) {
-		t.Errorf("RangeAvgCost(0,0.5) = %v,%v want 3,true", avg, ok)
+	if got := h.RangeCount(0, 0.5); !almost(got, 2, 1e-9) {
+		t.Errorf("RangeCount(0,0.5) = %v, want 2", got)
 	}
-	if _, err := BuildEquiDepth([]float64{1}, nil, 0); err == nil {
+	if _, err := BuildEquiDepth([]float64{1}, 0); err == nil {
 		t.Error("expected error for 0 buckets")
 	}
-	if _, err := BuildEquiDepth([]float64{1}, []float64{1, 2}, 4); err == nil {
-		t.Error("expected error for mismatched costs")
+}
+
+// TestBuildEquiDepthWantsAscending: the builder cuts the order it is given,
+// so it refuses values out of order and NaN wherever it stands, and takes
+// ties, -0 beside +0 and the infinities.
+func TestBuildEquiDepthWantsAscending(t *testing.T) {
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	for _, bad := range [][]float64{{2, 1}, {1, 3, 2}, {nan}, {nan, 1}, {1, nan}, {1, nan, 2}} {
+		if _, err := BuildEquiDepth(bad, 4); err == nil {
+			t.Errorf("BuildEquiDepth(%v) took values not in ascending order", bad)
+		}
+	}
+	for _, good := range [][]float64{{1}, {1, 1, 1}, {negZero, 0, negZero}, {math.Inf(-1), 0, math.Inf(1)}} {
+		if _, err := BuildEquiDepth(good, 4); err != nil {
+			t.Errorf("BuildEquiDepth(%v): %v", good, err)
+		}
 	}
 }
 
@@ -158,7 +171,7 @@ func TestMemoryAccounting(t *testing.T) {
 	for i := range values {
 		values[i] = float64(i)
 	}
-	h, err := BuildEquiDepth(values, nil, 40)
+	h, err := BuildEquiDepth(values, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +187,8 @@ func TestFractionLEMonotoneQuick(t *testing.T) {
 	for i := range values {
 		values[i] = rng.ExpFloat64()
 	}
-	h, err := BuildEquiDepth(values, nil, 16)
+	slices.Sort(values)
+	h, err := BuildEquiDepth(values, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +213,7 @@ func TestFractionLEMonotoneQuick(t *testing.T) {
 // either end, and no buckets at all.
 func TestBucketSearchBoundaries(t *testing.T) {
 	up := func(v float64) float64 { return math.Nextafter(v, math.Inf(1)) }
-	dup, err := BuildEquiDepth([]float64{2, 2, 2, 5, 5, 5, 9, 9, 9}, nil, 3) // three one-ulp buckets
+	dup, err := BuildEquiDepth([]float64{2, 2, 2, 5, 5, 5, 9, 9, 9}, 3) // three one-ulp buckets
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -87,7 +88,8 @@ func TestProbesMatchScan(t *testing.T) {
 		for i := range values {
 			values[i] = math.Floor(rng.Float64()*float64(distinct)) * 0.37
 		}
-		h, err := BuildEquiDepth(values, nil, 1+rng.Intn(64))
+		slices.Sort(values)
+		h, err := BuildEquiDepth(values, 1+rng.Intn(64))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +172,8 @@ func FuzzProbeMatchesScan(f *testing.F) {
 		if len(values) == 0 {
 			return
 		}
-		h, err := BuildEquiDepth(values, nil, 1+int(nbuckets%64))
+		slices.Sort(values)
+		h, err := BuildEquiDepth(values, 1+int(nbuckets%64))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,6 +18,7 @@ package tpch
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -112,18 +113,47 @@ func (t *Table) BuildIndex(col string) error {
 	if c.Kind != KindNumeric {
 		return fmt.Errorf("tpch: cannot index string column %s.%s", t.Name, col)
 	}
-	n := c.Len()
-	rows := make([]int32, n)
+	rows := make([]int32, c.Len())
 	for i := range rows {
 		rows[i] = int32(i)
 	}
-	sort.Slice(rows, func(a, b int) bool { return c.Nums[rows[a]] < c.Nums[rows[b]] })
-	keys := make([]float64, n)
-	for i, r := range rows {
-		keys[i] = c.Nums[r]
-	}
+	keys := SortRows(c.Nums, rows)
 	t.Indexes[col] = &Index{Column: col, Keys: keys, Rows: rows}
 	return nil
+}
+
+// keyRow is one row of a column while it sorts: its value beside its id, so
+// a comparison reads both operands from the slice being sorted.
+type keyRow struct {
+	key float64
+	row int32
+}
+
+// SortRows orders rows ascending by their values in nums and returns those
+// values, parallel to the rows. It compares with < in slices.SortFunc,
+// which runs the same pattern-defeating quicksort as sort.Slice, so the
+// permutation, ties and NaNs included, is the one sort.Slice over the row
+// ids with that comparison gives: an index is byte-identical to one built
+// that way.
+func SortRows(nums []float64, rows []int32) []float64 {
+	pairs := make([]keyRow, len(rows))
+	for i, r := range rows {
+		pairs[i] = keyRow{nums[r], r}
+	}
+	slices.SortFunc(pairs, func(a, b keyRow) int {
+		if a.key < b.key {
+			return -1
+		}
+		if b.key < a.key {
+			return 1
+		}
+		return 0
+	})
+	keys := make([]float64, len(pairs))
+	for i, p := range pairs {
+		keys[i], rows[i] = p.key, p.row
+	}
+	return keys
 }
 
 // NewTable returns a table over the given columns, with no indexes.

@@ -1,7 +1,11 @@
 package tpch
 
 import (
+	"cmp"
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -246,4 +250,55 @@ func TestColumnAccessors(t *testing.T) {
 		}
 	}()
 	tb.MustColumn("nope")
+}
+
+// TestSortRowsMatchesItsCallersOldSorts: SortRows is the one sort of an
+// index and of the executor's range bitmaps, and each sorted with its own
+// call before — BuildIndex with sort.Slice over the row ids (NaNs and all),
+// the bitmaps with slices.SortFunc over the NaN-free row ids by
+// cmp.Compare. The permutation must be the one each produced, ties, -0
+// beside +0 and NaN included.
+func TestSortRowsMatchesItsCallersOldSorts(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 1, 1, 2}
+	for _, n := range []int{0, 1, 2, 12, 13, 50, 1000, 6000} {
+		for trial := 0; trial < 4; trial++ {
+			nums := make([]float64, n)
+			for i := range nums {
+				switch trial {
+				case 0:
+					nums[i] = rng.Float64()
+				case 1:
+					nums[i] = float64(rng.Intn(1 + n/8))
+				default:
+					nums[i] = specials[rng.Intn(len(specials))]
+				}
+			}
+			all := make([]int32, n)
+			var finite []int32
+			for i := range all {
+				all[i] = int32(i)
+				if nums[i] == nums[i] {
+					finite = append(finite, int32(i))
+				}
+			}
+			want := slices.Clone(all)
+			sort.Slice(want, func(a, b int) bool { return nums[want[a]] < nums[want[b]] })
+			wantFinite := slices.Clone(finite)
+			slices.SortFunc(wantFinite, func(a, b int32) int { return cmp.Compare(nums[a], nums[b]) })
+			for _, c := range []struct {
+				rows, want []int32
+			}{{all, want}, {finite, wantFinite}} {
+				keys := SortRows(nums, c.rows)
+				if !slices.Equal(c.rows, c.want) {
+					t.Fatalf("n=%d trial %d: SortRows over %d rows moved them as no old sort did", n, trial, len(c.rows))
+				}
+				for i, r := range c.rows {
+					if math.Float64bits(keys[i]) != math.Float64bits(nums[r]) {
+						t.Fatalf("n=%d trial %d: key %d is not its row's value", n, trial, i)
+					}
+				}
+			}
+		}
+	}
 }

@@ -92,12 +92,13 @@ type Options struct {
 	// cardinalities. Corrections are on by default (DESIGN.md "Adaptive
 	// statistics").
 	DisableAdaptiveStats bool
-	// StatsWrap, when non-nil, wraps the base statistics provider the
+	// statsWrap, when non-nil, wraps the base statistics provider the
 	// optimizer estimates through; the templates' corrections apply on top
-	// of its answers. Experiments and tests use it to inject base-estimate
-	// error (stats.Distorted) and watch the corrections repair it;
-	// production systems leave it nil.
-	StatsWrap func(stats.Provider) stats.Provider
+	// of its answers. It is a test seam, settable only inside this package:
+	// the adaptive-statistics tests inject base-estimate error through it
+	// (stats.Distorted) and watch the corrections repair it, and the
+	// binding tests count the columns a run resolves.
+	statsWrap func(stats.Provider) stats.Provider
 }
 
 // withDefaults fills the facade's defaults, or reports a field the facade
@@ -512,12 +513,12 @@ func Open(opts Options) (*System, error) {
 	s.cacheObs = s.obs.Cache()
 	s.opt.SetFaults(opts.Faults)
 	s.exec.SetFaults(opts.Faults)
-	// The optimizer's statistics: catalog histograms under an optional
-	// experiment wrapper. Installed before any template registers, so every
+	// The optimizer's statistics: catalog histograms under a test's
+	// wrapper, if any. Installed before any template registers, so every
 	// memo is built through the final provider.
 	var provider stats.Provider = stats.NewBase(cat)
-	if opts.StatsWrap != nil {
-		provider = opts.StatsWrap(provider)
+	if opts.statsWrap != nil {
+		provider = opts.statsWrap(provider)
 	}
 	s.opt.SetStats(provider)
 	cache, err := plancache.New(opts.CacheCapacity, s.planPrecision)
