@@ -67,33 +67,44 @@ func (m CostModel) WithMemoryRows(rows float64) CostModel {
 }
 
 // pages returns the page count of a relation with the given cardinality.
-func (m CostModel) pages(rows float64) float64 {
+func (m *CostModel) pages(rows float64) float64 {
 	return math.Ceil(rows / m.RowsPerPage)
 }
 
 // seqScanCost is the cost of scanning rows tuples with nfilters residual
 // predicates each.
-func (m CostModel) seqScanCost(rows float64, nfilters int) float64 {
+func (m *CostModel) seqScanCost(rows float64, nfilters int) float64 {
 	return m.pages(rows)*m.SeqPage + rows*(m.CPUTuple+float64(nfilters)*m.CPUFilter)
 }
 
 // indexScanCost is the cost of an index range scan matching `matches` of
 // `rows` tuples. correlated marks clustered-like indexes whose matches are
 // physically adjacent.
-func (m CostModel) indexScanCost(rows, matches float64, nfilters int, correlated bool) float64 {
+func (m *CostModel) indexScanCost(rows, matches float64, nfilters int, correlated bool) float64 {
+	return m.indexCost(descendDepth(rows), matches, nfilters, correlated)
+}
+
+// descendDepth is the depth factor of a B-tree descend into rows tuples. It
+// depends on no cost constant, so the enumeration reads each relation's
+// from its memo.
+func descendDepth(rows float64) float64 { return math.Log2(rows + 2) }
+
+// indexCost is the cost of one B-tree descend of the given depth
+// (descendDepth) plus fetching matches tuples through nfilters residual
+// filters: an index range scan, or one probe of an index nested-loop join.
+func (m *CostModel) indexCost(depth, matches float64, nfilters int, correlated bool) float64 {
 	perMatch := m.RandPage
 	if correlated {
 		perMatch = m.CorrPage
 	}
-	descend := m.IndexLookup * math.Log2(rows+2)
-	return descend + matches*(perMatch+m.CPUTuple+float64(nfilters)*m.CPUFilter)
+	return m.IndexLookup*depth + matches*(perMatch+m.CPUTuple+float64(nfilters)*m.CPUFilter)
 }
 
 // hashJoinCost is the incremental cost of a hash join with the given build
 // and probe cardinalities producing out rows (children costs excluded).
 // Builds beyond MemoryRows spill: the overflow fraction of both inputs
 // pays SpillPage IO (Grace-hash-style partitioning).
-func (m CostModel) hashJoinCost(build, probe, out float64) float64 {
+func (m *CostModel) hashJoinCost(build, probe, out float64) float64 {
 	cost := build*m.CPUHash + probe*m.CPUProbe + out*m.CPUOutput
 	if m.MemoryRows > 0 && build > m.MemoryRows {
 		overflow := (build - m.MemoryRows) / build
@@ -103,7 +114,7 @@ func (m CostModel) hashJoinCost(build, probe, out float64) float64 {
 }
 
 // sortCost is the cost of sorting n tuples.
-func (m CostModel) sortCost(n float64) float64 {
+func (m *CostModel) sortCost(n float64) float64 {
 	if n <= 1 {
 		return 0
 	}
@@ -112,7 +123,7 @@ func (m CostModel) sortCost(n float64) float64 {
 
 // mergeJoinCost is the incremental cost of merging two sorted inputs.
 // Unsorted inputs pay sortCost first (added by the caller).
-func (m CostModel) mergeJoinCost(left, right, out float64) float64 {
+func (m *CostModel) mergeJoinCost(left, right, out float64) float64 {
 	return (left+right)*m.CPUMerge + out*m.CPUOutput
 }
 
@@ -120,31 +131,26 @@ func (m CostModel) mergeJoinCost(left, right, out float64) float64 {
 // a B-tree descend sized by innerRows plus fetching matchesPerOuter inner
 // tuples through nfilters residual inner filters. It does not depend on the
 // outer input, so the enumeration computes it once per join step.
-func (m CostModel) indexProbeCost(innerRows, matchesPerOuter float64, nfilters int, correlated bool) float64 {
-	perMatch := m.RandPage
-	if correlated {
-		perMatch = m.CorrPage
-	}
-	return m.IndexLookup*math.Log2(innerRows+2) +
-		matchesPerOuter*(perMatch+m.CPUTuple+float64(nfilters)*m.CPUFilter)
+func (m *CostModel) indexProbeCost(innerRows, matchesPerOuter float64, nfilters int, correlated bool) float64 {
+	return m.indexCost(descendDepth(innerRows), matchesPerOuter, nfilters, correlated)
 }
 
 // indexNLJoinCost is the incremental cost of probing an inner index once
 // per outer row at perProbe (indexProbeCost) each, producing out rows.
-func (m CostModel) indexNLJoinCost(outer, perProbe, out float64) float64 {
+func (m *CostModel) indexNLJoinCost(outer, perProbe, out float64) float64 {
 	return outer*perProbe + out*m.CPUOutput
 }
 
 // nlJoinCost is the cost of a naive nested-loop join that rescans the inner
 // once per outer row. rescan is the inner's scan cost.
-func (m CostModel) nlJoinCost(outer, rescan, out float64) float64 {
+func (m *CostModel) nlJoinCost(outer, rescan, out float64) float64 {
 	return outer*rescan + out*m.CPUOutput
 }
 
 // hashAggCost is the cost of hash aggregation over rows input tuples into
 // groups output groups. Group states beyond MemoryRows spill like a hash
 // join build.
-func (m CostModel) hashAggCost(rows, groups float64) float64 {
+func (m *CostModel) hashAggCost(rows, groups float64) float64 {
 	cost := rows*m.CPUHash + groups*m.CPUGroup
 	if m.MemoryRows > 0 && groups > m.MemoryRows {
 		cost += rows * ((groups - m.MemoryRows) / groups) * m.SpillPage

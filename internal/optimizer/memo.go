@@ -3,6 +3,7 @@ package optimizer
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -139,6 +140,15 @@ type Memo struct {
 	// aggHead is the fingerprint header of the aggregate over the join
 	// tree, "Agg[cols](" ("" without one).
 	aggHead string
+	// segs lists every distinct segment of the join tree's fingerprints —
+	// access path prints, join headers, "NL(", "," and ")" — in ascending
+	// string order; a segment's index is its rank. No segment is a proper
+	// prefix of another (NewMemo refuses the query otherwise; identifiers
+	// as the parser reads them never make one), so two fingerprints order
+	// as their rank sequences do: the first segments that differ differ
+	// within the shorter one.
+	segs                         []string
+	nlRank, commaRank, closeRank uint32
 	// prints memoizes a winner's fingerprint by its DP chain, which
 	// determines it as a function of the memo alone, like heads and print.
 	printsMu sync.RWMutex
@@ -156,6 +166,7 @@ type chainKey [maxJoinRelations]uint64
 type relShape struct {
 	ref      TableRef
 	baseRows float64
+	depth    float64        // descendDepth(baseRows), for its index scans and probes
 	preds    []Predicate    // single-table template predicates, WHERE order
 	cols     []stats.Column // statistics handle of each pred's column
 	paths    []pathShape    // [0] sequential scan, then one per index column ascending
@@ -172,6 +183,7 @@ type pathShape struct {
 	driving   int    // index into relShape.preds of the sargable predicate driving the index range, -1 if none
 	clustered bool   // index on the column the table is physically ordered by
 	print     string // the scan's fingerprint, "Seq(a)" or "Idx(a.col)"
+	rank      uint32 // print's rank in Memo.segs
 }
 
 // joinStep is a join predicate oriented for one DP step: pred.Col is on the
@@ -186,10 +198,10 @@ type joinStep struct {
 	// strKey marks a join on string columns: it hashes but never merges
 	// (merge join compares numeric keys).
 	strKey bool
-	// heads are the fingerprint headers of the step's join methods,
-	// indexed by method-methodHashJoin: "HJ[l=r](", "HJ^[l=r](",
-	// "MJ[l=r](", "INL[l=r](".
-	heads [4]string
+	// heads are the ranks in Memo.segs of the fingerprint headers of the
+	// step's join methods, indexed by method-methodHashJoin: "HJ[l=r](",
+	// "HJ^[l=r](", "MJ[l=r](", "INL[l=r](".
+	heads [4]uint32
 	// Index nested-loop: inlPath is the attached relation's access path
 	// over pred.RightCol's index (-1 when the column has none).
 	inlPath         int
@@ -231,9 +243,12 @@ type dpScratch struct {
 	// set is entries[setOff[T]:setOff[T+1]].
 	entries []dpEntry
 	setOff  []int32
-	// leftSort[i] is the cost of sorting entries[i]'s output, for merge
-	// joins that take it as an unsorted left input.
-	leftSort []float64
+	// slot[order] is the arena index of the filling set's entry in that
+	// output order, -1 when it has none yet.
+	slot []int32
+	// sortRows and sortCost are the last sortCost computed for an unsorted
+	// merge-join left input, and the rows it was computed for.
+	sortRows, sortCost float64
 
 	sels     []float64 // selectivities of the predicates of the relation being costed
 	pathCost []float64 // per access path (relShape.pathOff)
@@ -245,6 +260,10 @@ type dpScratch struct {
 
 	conn  []int32 // joins connecting the current (subset, relation) step
 	visit []int32 // final set in canonical order
+
+	// offers and segCmps count the enumeration's candidates offered and the
+	// fingerprint-segment comparisons its near-ties made, for tests.
+	offers, segCmps int
 }
 
 // NewMemo validates the query once and precomputes its parameter-
@@ -300,6 +319,7 @@ func (o *Optimizer) NewMemo(q *Query) (*Memo, error) {
 			return nil, fmt.Errorf("optimizer: unknown table %s", r.ref.Table)
 		}
 		r.baseRows = float64(table.NumRows())
+		r.depth = descendDepth(r.baseRows)
 		r.pathOff = npaths
 		clustered := clusteredColumn(table)
 		// Generated tables are physically ordered by their first (key)
@@ -335,6 +355,7 @@ func (o *Optimizer) NewMemo(q *Query) (*Memo, error) {
 	}
 
 	m.steps = make([]joinStep, 0, 2*len(m.joins))
+	heads := make([][4]string, 0, 2*len(m.joins))
 	for j, p := range m.joins {
 		// The flipped copy carries the site along: a join predicate's
 		// correction identity does not depend on which side ends up left.
@@ -351,11 +372,13 @@ func (o *Optimizer) NewMemo(q *Query) (*Memo, error) {
 			if k, _ := o.colKind(q, pred.Col); k == tpch.KindString {
 				st.strKey = true
 			}
+			var head [4]string
 			for h, tag := range [4]string{"HJ", "HJ^", "MJ", "INL"} {
 				var b strings.Builder
 				writeJoinHead(&b, tag, pred.Col, pred.RightCol)
-				st.heads[h] = b.String()
+				head[h] = b.String()
 			}
+			heads = append(heads, head)
 			rr := &m.rels[right]
 			for k, path := range rr.paths {
 				if k > 0 && path.col == pred.RightCol.Column {
@@ -370,6 +393,10 @@ func (o *Optimizer) NewMemo(q *Query) (*Memo, error) {
 			rr.steps = append(rr.steps, int32(len(m.steps)))
 			m.steps = append(m.steps, st)
 		}
+	}
+
+	if err := m.rankSegments(heads); err != nil {
+		return nil, err
 	}
 
 	byName := make([]int16, len(m.orders))
@@ -388,6 +415,7 @@ func (o *Optimizer) NewMemo(q *Query) (*Memo, error) {
 	m.scratch.New = func() any {
 		return &dpScratch{
 			setOff:   make([]int32, (1<<uint(n))+1),
+			slot:     make([]int32, len(m.orders)),
 			pathCost: make([]float64, npaths),
 			relRows:  make([]float64, n),
 			relSort:  make([]float64, n),
@@ -397,6 +425,48 @@ func (o *Optimizer) NewMemo(q *Query) (*Memo, error) {
 		}
 	}
 	return m, nil
+}
+
+// rankSegments fills segs and gives every access path and join step
+// (heads[s] holds step s's headers) its segments' ranks. It fails when one
+// segment is a proper prefix of another, as with an alias that ends a join
+// header itself: ranks would then not order fingerprints.
+func (m *Memo) rankSegments(heads [][4]string) error {
+	segs := []string{nlHead, ",", ")"}
+	for i := range m.rels {
+		for _, p := range m.rels[i].paths {
+			segs = append(segs, p.print)
+		}
+	}
+	for _, h := range heads {
+		segs = append(segs, h[:]...)
+	}
+	slices.Sort(segs)
+	m.segs = slices.Compact(segs)
+	// In ascending order a string that others extend sorts right before
+	// the first of them, so neighbours tell.
+	for i := 1; i < len(m.segs); i++ {
+		if strings.HasPrefix(m.segs[i], m.segs[i-1]) {
+			return fmt.Errorf("optimizer: plan fingerprint segment %q is a prefix of %q", m.segs[i-1], m.segs[i])
+		}
+	}
+	rank := func(seg string) uint32 {
+		r, _ := slices.BinarySearch(m.segs, seg)
+		return uint32(r)
+	}
+	m.nlRank, m.commaRank, m.closeRank = rank(nlHead), rank(","), rank(")")
+	for i := range m.rels {
+		for k := range m.rels[i].paths {
+			p := &m.rels[i].paths[k]
+			p.rank = rank(p.print)
+		}
+	}
+	for s := range m.steps {
+		for h, seg := range heads[s] {
+			m.steps[s].heads[h] = rank(seg)
+		}
+	}
+	return nil
 }
 
 // bindMemo resolves what the per-call estimates read: each single-table
@@ -490,9 +560,9 @@ func (m *Memo) fingerprint(sc *dpScratch, e *dpEntry) string {
 	}
 	var b strings.Builder
 	b.WriteString(m.aggHead)
-	var segs [maxPrintSegs]string
-	for _, s := range sc.printSegments(m, segs[:0], e) {
-		b.WriteString(s)
+	var ranks [maxPrintSegs]uint32
+	for _, r := range sc.printRanks(m, ranks[:0], e) {
+		b.WriteString(m.segs[r])
 	}
 	if m.hasAgg {
 		b.WriteByte(')')

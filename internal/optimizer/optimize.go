@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/catalog"
 	"repro/internal/faults"
@@ -175,7 +176,9 @@ func (o *Optimizer) aggregate(m *Memo, rows, cost float64) (groups, total float6
 // extend), left entries in slot order, then hash join building right, hash
 // join building left, merge join per right access path, index nested-loop.
 func (o *Optimizer) enumerate(m *Memo, sc *dpScratch, params []float64) {
-	sc.entries, sc.leftSort = sc.entries[:0], sc.leftSort[:0]
+	sc.entries = sc.entries[:0]
+	sc.sortRows = math.NaN() // equal to no rows: the model may have changed
+	sc.offers, sc.segCmps = 0, 0
 	model := o.model
 	costAccessPaths(m, sc, &model, params)
 	for j := range m.joins {
@@ -184,21 +187,27 @@ func (o *Optimizer) enumerate(m *Memo, sc *dpScratch, params []float64) {
 	for s := range m.steps {
 		if st := &m.steps[s]; st.inlPath >= 0 {
 			inner := &m.rels[st.rightRel]
-			sc.probe[s] = model.indexProbeCost(inner.baseRows, st.matchesPerOuter, len(inner.preds), inner.paths[st.inlPath].clustered)
+			sc.probe[s] = model.indexCost(inner.depth, st.matchesPerOuter, len(inner.preds), inner.paths[st.inlPath].clustered)
 		}
 	}
 
 	n := len(m.rels)
 	full := 1<<uint(n) - 1
 	for T := 1; T <= full; T++ {
-		start := len(sc.entries)
-		sc.setOff[T] = int32(start)
+		sc.setOff[T] = int32(len(sc.entries))
+		// A set holds at most one entry per output order. With that much
+		// room reserved nothing appends past the capacity while it fills,
+		// so entries of earlier sets are read in place.
+		sc.entries = slices.Grow(sc.entries, len(m.orders))
+		for i := range sc.slot {
+			sc.slot[i] = -1
+		}
 		if T&(T-1) == 0 {
 			// Single relation: its access paths, one entry per output order.
 			i := bits.TrailingZeros(uint(T))
 			r := &m.rels[i]
 			for k := range r.paths {
-				sc.offer(m, start, dpEntry{
+				sc.offer(m, &dpEntry{
 					cost: sc.pathCost[r.pathOff+k], rows: sc.relRows[i], parent: -1, step: -1,
 					order: r.paths[k].order, path: int16(k), rel: uint8(i), method: methodScan,
 				})
@@ -206,17 +215,22 @@ func (o *Optimizer) enumerate(m *Memo, sc *dpScratch, params []float64) {
 		} else {
 			for r := n - 1; r >= 0; r-- {
 				if T&(1<<uint(r)) != 0 {
-					o.joinCandidates(m, sc, &model, T&^(1<<uint(r)), r, start)
+					o.joinCandidates(m, sc, &model, T&^(1<<uint(r)), r)
 				}
-			}
-		}
-		if T != full {
-			for _, e := range sc.entries[start:] {
-				sc.leftSort = append(sc.leftSort, model.sortCost(e.rows))
 			}
 		}
 	}
 	sc.setOff[full+1] = int32(len(sc.entries))
+}
+
+// floorRows is math.Max(rows, 1e-6) as one comparison on the path every
+// estimate takes; rows below the floor, and NaNs, take math.Max itself, so
+// the result is its bits on every architecture.
+func floorRows(rows float64) float64 {
+	if rows >= 1e-6 {
+		return rows
+	}
+	return math.Max(rows, 1e-6)
 }
 
 // costAccessPaths fills the per-call, per-relation state: predicate
@@ -235,7 +249,7 @@ func costAccessPaths(m *Memo, sc *dpScratch, model *CostModel, params []float64)
 			selAll *= s
 		}
 		sc.sels = sels
-		sc.relRows[i] = math.Max(r.baseRows*selAll, 1e-6)
+		sc.relRows[i] = floorRows(r.baseRows * selAll)
 		sc.relSort[i] = model.sortCost(sc.relRows[i])
 
 		costs := sc.pathCost[r.pathOff : r.pathOff+len(r.paths)]
@@ -247,8 +261,8 @@ func costAccessPaths(m *Memo, sc *dpScratch, model *CostModel, params []float64)
 			if path.driving >= 0 {
 				matchSel, residual = sels[path.driving], residual-1
 			}
-			matches := math.Max(r.baseRows*matchSel, 1e-6)
-			costs[k] = model.indexScanCost(r.baseRows, matches, residual, path.clustered)
+			matches := floorRows(r.baseRows * matchSel)
+			costs[k] = model.indexCost(r.depth, matches, residual, path.clustered)
 			if nearTie(costs[k], costs[cheapest]) {
 				if path.print < r.paths[cheapest].print {
 					cheapest = k
@@ -261,9 +275,9 @@ func costAccessPaths(m *Memo, sc *dpScratch, model *CostModel, params []float64)
 	}
 }
 
-// joinCandidates offers to the set starting at arena index start every way
-// of attaching relation r to each entry of subset mask.
-func (o *Optimizer) joinCandidates(m *Memo, sc *dpScratch, model *CostModel, mask, r, start int) {
+// joinCandidates offers to the filling set every way of attaching relation
+// r to each entry of subset mask.
+func (o *Optimizer) joinCandidates(m *Memo, sc *dpScratch, model *CostModel, mask, r int) {
 	rel := &m.rels[r]
 	rightRows, rightSort := sc.relRows[r], sc.relSort[r]
 	costs := sc.pathCost[rel.pathOff : rel.pathOff+len(rel.paths)]
@@ -272,22 +286,22 @@ func (o *Optimizer) joinCandidates(m *Memo, sc *dpScratch, model *CostModel, mas
 	sc.conn = m.connecting(sc.conn[:0], mask, r)
 
 	for li := sc.setOff[mask]; li < sc.setOff[mask+1]; li++ {
-		left := sc.entries[li] // by value: offer may grow the arena
+		left := &sc.entries[li] // in place: the filling set's room is reserved
 		c := dpEntry{parent: li, step: -1, path: cheap, rel: uint8(r)}
 		if len(sc.conn) == 0 {
 			// Cross product: nested-loop join over the cheapest right scan.
 			c.method = methodNLJoin
-			c.rows = math.Max(left.rows*rightRows, 1e-6)
+			c.rows = floorRows(left.rows * rightRows)
 			c.cost = left.cost + cheapCost + model.nlJoinCost(left.rows, cheapCost, c.rows)
-			sc.offer(m, start, c)
+			sc.offer(m, &c)
 			continue
 		}
 		c.step = sc.conn[0]
 		st := &m.steps[c.step]
-		c.rows = math.Max(left.rows*rightRows*sc.joinSel[st.join], 1e-6)
+		c.rows = floorRows(left.rows * rightRows * sc.joinSel[st.join])
 		// Additional join predicates between r and the subset filter the output.
 		for _, s := range sc.conn[1:] {
-			c.rows = math.Max(c.rows*sc.joinSel[m.steps[s].join], 1e-6)
+			c.rows = floorRows(c.rows * sc.joinSel[m.steps[s].join])
 		}
 
 		// Hash join over the cheapest right access path (order is destroyed
@@ -295,10 +309,10 @@ func (o *Optimizer) joinCandidates(m *Memo, sc *dpScratch, model *CostModel, mas
 		// the probe input's order.
 		c.method, c.order = methodHashJoin, left.order
 		c.cost = left.cost + cheapCost + model.hashJoinCost(rightRows, left.rows, c.rows)
-		sc.offer(m, start, c)
+		sc.offer(m, &c)
 		c.method, c.order = methodHashJoinBuildLeft, rel.paths[cheap].order
 		c.cost = left.cost + cheapCost + model.hashJoinCost(left.rows, rightRows, c.rows)
-		sc.offer(m, start, c)
+		sc.offer(m, &c)
 
 		// Merge join: requires both inputs ordered on the join columns;
 		// unsorted inputs pay an explicit sort. Numeric keys only.
@@ -306,7 +320,7 @@ func (o *Optimizer) joinCandidates(m *Memo, sc *dpScratch, model *CostModel, mas
 			c.method, c.order = methodMergeJoin, st.leftOrder
 			sortLeft := 0.0
 			if left.order != st.leftOrder {
-				sortLeft = sc.leftSort[li]
+				sortLeft = sc.leftSortCost(model, left.rows)
 			}
 			merge := model.mergeJoinCost(left.rows, rightRows, c.rows)
 			for k := range rel.paths {
@@ -316,7 +330,7 @@ func (o *Optimizer) joinCandidates(m *Memo, sc *dpScratch, model *CostModel, mas
 				}
 				c.path = int16(k)
 				c.cost = left.cost + costs[k] + sortLeft + sortRight + merge
-				sc.offer(m, start, c)
+				sc.offer(m, &c)
 			}
 		}
 
@@ -325,25 +339,45 @@ func (o *Optimizer) joinCandidates(m *Memo, sc *dpScratch, model *CostModel, mas
 		if st.inlPath >= 0 {
 			c.method, c.order, c.path = methodIndexNLJoin, left.order, int16(st.inlPath)
 			c.cost = left.cost + model.indexNLJoinCost(left.rows, sc.probe[c.step], c.rows)
-			sc.offer(m, start, c)
+			sc.offer(m, &c)
 		}
 	}
 }
 
-// offer adds a candidate to the set occupying the arena from start on: the
-// set keeps one entry per output order, replaced when the newcomer is
-// better.
-func (sc *dpScratch) offer(m *Memo, start int, c dpEntry) {
-	set := sc.entries[start:]
-	for i := range set {
-		if set[i].order == c.order {
-			if sc.better(m, &c, &set[i]) {
-				set[i] = c
-			}
-			return
-		}
+// leftSortCost is model.sortCost(rows) for an unsorted merge-join left
+// input, computed again only when rows differ from the last call's: a
+// joinCandidates call reads the entries of one subset, which mostly share
+// their rows.
+func (sc *dpScratch) leftSortCost(model *CostModel, rows float64) float64 {
+	if rows != sc.sortRows {
+		sc.sortRows, sc.sortCost = rows, model.sortCost(rows)
 	}
-	sc.entries = append(sc.entries, c)
+	return sc.sortCost
+}
+
+// offer adds a candidate to the filling set: the set keeps one entry per
+// output order, replaced when the newcomer is better (as better decides).
+func (sc *dpScratch) offer(m *Memo, c *dpEntry) {
+	sc.offers++
+	i := sc.slot[c.order]
+	if i < 0 {
+		sc.slot[c.order] = int32(len(sc.entries))
+		sc.entries = append(sc.entries, *c)
+		return
+	}
+	// better's rule, written out: better does not inline (its cost is 104
+	// of the compiler's 80), and calling it here reads
+	// BenchmarkOptimizeMemo/{Q3,Q4,Q8}/held 2,204 / 1,560 / 6,215 ns against
+	// 2,070 / 1,519 / 5,785 inline (medians of six alternated runs, 2-vCPU
+	// host).
+	x := &sc.entries[i]
+	if !nearTie(c.cost, x.cost) {
+		if c.cost < x.cost {
+			*x = *c
+		}
+	} else if sc.printLess(m, c, x) {
+		*x = *c
+	}
 }
 
 // better is the candidate order: outside the near-tie window the cheaper
@@ -381,35 +415,44 @@ const maxPrintSegs = 4*(maxJoinRelations-1) + 1
 
 // printLess orders two entries exactly as FingerprintOf(a) <
 // FingerprintOf(b) orders their plans, without building either string.
-// The top-level header decides first: it differs in 70% of Q8's near-ties
-// (99 per call; Q3 67%, Q4 58%, Q1 39%), and without the shortcut
-// BenchmarkOptimizeMemo/Q8 reads 27.5 instead of 21.5 µs (Q3 9.7 vs 8.2).
-// Otherwise both fingerprints are laid out as sequences of interned
-// segments and compared as the concatenations they stand for.
+// NewMemo refuses a query one of whose segments prefixes another, so
+// fingerprints order as their sequences of segment ranks do. The top-level
+// header's rank decides first: it differs in 70% of Q8's near-ties (99 per
+// call; Q3 67%, Q4 58%, Q1 39%), and without the shortcut
+// BenchmarkOptimizeMemo/Q8/held reads 7.9 instead of 5.9 µs on a 2-vCPU
+// host (Q3/held 2.27 vs 2.10). Otherwise both fingerprints are laid out as
+// rank sequences and compared as integers.
 func (sc *dpScratch) printLess(m *Memo, a, b *dpEntry) bool {
-	ha, hb := m.head(a), m.head(b)
-	if n := min(len(ha), len(hb)); ha[:n] != hb[:n] {
-		return ha[:n] < hb[:n]
+	sc.segCmps++
+	if ha, hb := m.head(a), m.head(b); ha != hb {
+		return ha < hb
 	}
-	var bufA, bufB [maxPrintSegs]string
-	return segmentsLess(sc.printSegments(m, bufA[:0], a), sc.printSegments(m, bufB[:0], b))
+	var bufA, bufB [maxPrintSegs]uint32
+	ra, rb := sc.printRanks(m, bufA[:0], a), sc.printRanks(m, bufB[:0], b)
+	for i := 1; i < min(len(ra), len(rb)); i++ {
+		sc.segCmps++
+		if ra[i] != rb[i] {
+			return ra[i] < rb[i]
+		}
+	}
+	return len(ra) < len(rb)
 }
 
-// head returns the entry's leading fingerprint segment: the join header,
-// or the whole fingerprint of a scan.
-func (m *Memo) head(e *dpEntry) string {
+// head returns the rank of the entry's leading fingerprint segment: the
+// join header, or the whole fingerprint of a scan.
+func (m *Memo) head(e *dpEntry) uint32 {
 	switch e.method {
 	case methodScan:
-		return m.rels[e.rel].paths[e.path].print
+		return m.rels[e.rel].paths[e.path].rank
 	case methodNLJoin:
-		return nlHead
+		return m.nlRank
 	}
 	return m.steps[e.step].heads[e.method-methodHashJoin]
 }
 
-// printSegments appends the entry's fingerprint as segments: join headers
+// printRanks appends the entry's fingerprint as segment ranks: join headers
 // from the top down, the leaf scan, then each join's ",right)" bottom up.
-func (sc *dpScratch) printSegments(m *Memo, dst []string, e *dpEntry) []string {
+func (sc *dpScratch) printRanks(m *Memo, dst []uint32, e *dpEntry) []uint32 {
 	var chain [maxJoinRelations]*dpEntry
 	depth := 0
 	for ; e.parent >= 0; e = &sc.entries[e.parent] {
@@ -420,31 +463,9 @@ func (sc *dpScratch) printSegments(m *Memo, dst []string, e *dpEntry) []string {
 	dst = append(dst, m.head(e))
 	for depth--; depth >= 0; depth-- {
 		j := chain[depth]
-		dst = append(dst, ",", m.rels[j.rel].paths[j.path].print, ")")
+		dst = append(dst, m.commaRank, m.rels[j.rel].paths[j.path].rank, m.closeRank)
 	}
 	return dst
-}
-
-// segmentsLess reports whether the concatenation of a sorts before the
-// concatenation of b.
-func segmentsLess(a, b []string) bool {
-	var sa, sb string
-	for {
-		for sa == "" && len(a) > 0 {
-			sa, a = a[0], a[1:]
-		}
-		for sb == "" && len(b) > 0 {
-			sb, b = b[0], b[1:]
-		}
-		if sa == "" || sb == "" {
-			return sa == "" && sb != ""
-		}
-		n := min(len(sa), len(sb))
-		if sa[:n] != sb[:n] {
-			return sa[:n] < sb[:n]
-		}
-		sa, sb = sa[n:], sb[n:]
-	}
 }
 
 // buildPlan materialises the winning entry, whose fingerprint is fp: n

@@ -483,3 +483,15 @@ func (o *Optimizer) CheckPrintOrder(m *Memo, params []float64) (int, error) {
 	}
 	return pairs, nil
 }
+
+// CountOffers runs the production enumeration and final pick at params and
+// returns how many candidates the sets were offered and how many
+// fingerprint-segment comparisons (printLess's head comparison and each
+// rank it compares after) the near-ties made.
+func (o *Optimizer) CountOffers(m *Memo, params []float64) (offers, segCmps int) {
+	sc := m.scratch.Get().(*dpScratch)
+	defer m.scratch.Put(sc)
+	o.enumerate(m, sc, params)
+	sc.best(m, int(sc.setOff[1<<uint(len(m.rels))-1]))
+	return sc.offers, sc.segCmps
+}
