@@ -76,7 +76,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The fault-injection / breaker / snapshot-damage suite, and the feedback
+# The fault-injection / breaker / snapshot-damage suite, a precision
+# collapse answered by the learner's drift reset and never by the breaker
+# (TestChaosMispredictionResetsLearner under injected mispredictions,
+# TestChaosServedDriftResets under a cost-model shift), and the feedback
 # mailbox under load: every label sent through a two-slot mailbox lands
 # (TestNoFeedbackLossUnderLoad), SaveState under concurrent runs captures
 # every acknowledged label (TestSaveStateUnderLoad), and runs, SaveState and

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/netproto"
+	"repro/internal/stats"
 	"repro/internal/tpch"
 	"repro/internal/wal"
 )
@@ -32,7 +34,6 @@ import (
 func chaosBreaker() metrics.BreakerConfig {
 	return metrics.BreakerConfig{
 		FailureThreshold: 3,
-		PrecisionFloor:   -1, // error trips only; precision has its own test
 		Cooldown:         3,
 		ProbeSuccesses:   1,
 	}
@@ -266,7 +267,7 @@ func TestChaosBreakerTripAndRecover(t *testing.T) {
 	sys, err := Open(Options{
 		TPCH:    tpch.Config{Scale: 2000, Seed: 5},
 		Online:  onlineForTest(),
-		Breaker: metrics.BreakerConfig{FailureThreshold: 3, PrecisionFloor: -1, Cooldown: 4, ProbeSuccesses: 2},
+		Breaker: metrics.BreakerConfig{FailureThreshold: 3, Cooldown: 4, ProbeSuccesses: 2},
 		Faults:  inj,
 	})
 	if err != nil {
@@ -299,7 +300,7 @@ func TestChaosBreakerTripAndRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Breaker.ErrorTrips == 0 {
+	if h.Breaker.Trips == 0 {
 		t.Fatalf("breaker never tripped on errors: %+v", h.Breaker)
 	}
 	if h.Breaker.Failures == 0 {
@@ -340,20 +341,19 @@ func TestChaosBreakerTripAndRecover(t *testing.T) {
 	}
 }
 
-// TestChaosPrecisionCollapseTrips verifies the second trip signal: a warm
-// learner whose predictions go bad (injected mispredictions caught by the
-// Section IV-E cost detector) collapses the sliding-window precision and
-// trips the breaker — queries keep succeeding via the optimizer.
-func TestChaosPrecisionCollapseTrips(t *testing.T) {
+// TestChaosMispredictionResetsLearner pins the one reaction to a precision
+// collapse: a warm learner whose predictions go bad (injected
+// mispredictions caught by the Section IV-E cost detector) is reset by the
+// paper's drift recovery, never quarantined by the breaker — every query
+// keeps succeeding, and once the faults stop the refilled window reads a
+// healthy learner again.
+func TestChaosMispredictionResetsLearner(t *testing.T) {
 	inj := faults.New(8)
 	sys, err := Open(Options{
-		TPCH:   tpch.Config{Scale: 2000, Seed: 5},
-		Online: onlineForTest(),
-		Breaker: metrics.BreakerConfig{
-			FailureThreshold: 3, PrecisionFloor: 0.2, PrecisionMinSamples: 15,
-			Cooldown: 5, ProbeSuccesses: 1,
-		},
-		Faults: inj,
+		TPCH:    tpch.Config{Scale: 2000, Seed: 5},
+		Online:  onlineForTest(),
+		Breaker: chaosBreaker(),
+		Faults:  inj,
 		// Synchronous feedback: the assertions below track precision run by
 		// run, which requires each run's feedback applied before the next
 		// decision. With the background applier the outcome depends on how
@@ -391,31 +391,116 @@ func TestChaosPrecisionCollapseTrips(t *testing.T) {
 	}
 
 	// Garble every prediction. The cost detector flags the mispredictions,
-	// the window precision collapses, the breaker trips — and every query
-	// still succeeds (wrong predictions are recovered by re-optimizing).
+	// the window precision collapses, drift recovery drops the synopsis —
+	// and every query still succeeds (wrong predictions are recovered by
+	// re-optimizing).
 	inj.Enable(faults.LearnerMisprediction, 1)
-	tripped := false
-	for i := 0; i < 300 && !tripped; i++ {
-		runOne()
-		h, err := sys.TemplateMetrics("Q1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		tripped = h.Breaker.PrecisionTrips > 0
+	reset := false
+	garbled := 0
+	for ; garbled < 300 && !reset; garbled++ {
+		reset = runOne().DriftReset
 	}
-	if !tripped {
-		t.Fatal("precision collapse never tripped the breaker")
+	h, err := sys.TemplateMetrics("Q1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reset || h.Learner.Resets == 0 {
+		t.Fatalf("precision collapse never reset the learner: %+v", h.Learner)
+	}
+	t.Logf("drift reset after %d garbled runs", garbled)
+	if h.Breaker.Trips != 0 || h.Counters.DegradedRuns != 0 {
+		t.Fatalf("a precision collapse reached the breaker: %+v, %d degraded runs", h.Breaker, h.Counters.DegradedRuns)
 	}
 
-	// Mispredictions stop; the learner still holds valid histograms, so
-	// probe traffic succeeds and the breaker re-closes.
+	// Mispredictions stop; the learner retrains on optimizer-validated
+	// points and the refilled window reads it healthy.
 	inj.DisableAll()
 	for i := 0; i < 60; i++ {
 		runOne()
 	}
-	h, _ := sys.TemplateMetrics("Q1")
-	if h.Breaker.State != "closed" {
-		t.Fatalf("breaker did not recover from precision trip: %+v", h.Breaker)
+	h, _ = sys.TemplateMetrics("Q1")
+	if l := h.Learner; !l.PrecisionKnown || l.Precision < 0.5 {
+		t.Fatalf("precision %.2f (known=%v) after the faults stopped", l.Precision, l.PrecisionKnown)
+	}
+	t.Logf("precision %.2f over %d samples after 60 clean runs", h.Learner.Precision, h.Learner.WindowSamples)
+	if h.Breaker.Trips != 0 {
+		t.Fatalf("breaker tripped: %+v", h.Breaker)
+	}
+}
+
+// TestChaosServedDriftResets runs the served system through a shift of its
+// own cost model: Q1's l_partkey estimates are scaled ×40 for 3,000 runs,
+// then ×0.2 for 3,000 more. The collapse in precision that follows gets
+// the paper's drift reset and nothing else — the breaker stays closed and
+// no run is degraded — and the plans served after the flip cost within
+// 5 % of the optimizer's own (geometric mean over every 10th run).
+func TestChaosServedDriftResets(t *testing.T) {
+	for _, seed := range []int64{5, 6} {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			scale := 40.0
+			sys, err := Open(Options{
+				TPCH:                 tpch.Config{Scale: 1000, Seed: 5},
+				Online:               onlineForTest(),
+				FeedbackQueue:        -1,
+				DisableAdaptiveStats: true,
+				statsWrap: func(p stats.Provider) stats.Provider {
+					return &stats.Distorted{Provider: p, Sel: func(table, col string, sel float64) float64 {
+						if table == "lineitem" && col == "l_partkey" {
+							return sel * scale
+						}
+						return sel
+					}}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { sys.Close() }) //nolint:errcheck
+			if err := sys.Register("Q1", sqlFor(t, "Q1")); err != nil {
+				t.Fatal(err)
+			}
+			tmpl, _ := sys.Template("Q1")
+			rng := rand.New(rand.NewSource(seed))
+			var logRatio float64
+			var ratios int
+			for i := 0; i < 6000; i++ {
+				if i == 3000 {
+					scale = 0.2
+				}
+				point := []float64{0.25 + rng.Float64()*0.1, 0.005 + rng.Float64()*0.06}
+				inst, err := sys.Optimizer().InstanceAt(tmpl, point)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := sys.Run("Q1", inst.Values)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i >= 3000 && i%10 == 0 {
+					best, err := sys.Optimizer().OptimizeInstance(inst)
+					if err != nil {
+						t.Fatal(err)
+					}
+					logRatio += math.Log(res.EstimatedCost / best.Cost)
+					ratios++
+				}
+			}
+			h, err := sys.TemplateMetrics("Q1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h.Learner.Resets == 0 {
+				t.Errorf("no drift reset after the flip: %+v", h.Learner)
+			}
+			if h.Breaker.Trips != 0 || h.Counters.DegradedRuns != 0 {
+				t.Errorf("the breaker reacted: %+v, %d degraded runs", h.Breaker, h.Counters.DegradedRuns)
+			}
+			g := math.Exp(logRatio / float64(ratios))
+			t.Logf("after the flip: %d resets, %d trips, served plan-cost geomean %.4f", h.Learner.Resets, h.Breaker.Trips, g)
+			if g > 1.05 {
+				t.Errorf("served plan-cost geomean %.4f after the flip, want ≤ 1.05", g)
+			}
+		})
 	}
 }
 

@@ -25,7 +25,7 @@
 //
 // Endpoints:
 //
-//	GET  /metrics                 MetricsSnapshot as indented JSON (ppc-metrics/v3)
+//	GET  /metrics                 MetricsSnapshot as indented JSON (ppc-metrics/v4)
 //	GET  /metrics?template=Q1     that template's element of the snapshot, alone
 //	GET  /trace?template=Q1       recent decision traces, oldest first
 //	GET  /health                  liveness: 200 and each template's breaker state (never flushes)

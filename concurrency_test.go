@@ -127,9 +127,8 @@ func TestParallelTemplateIsolation(t *testing.T) {
 		TPCH:   tpch.Config{Scale: 2000, Seed: 5},
 		Online: onlineForTest(),
 		// A cooldown far beyond the run count keeps Q0's breaker
-		// deterministically open; the negative floor disables
-		// precision trips so no other template can degrade.
-		Breaker: metrics.BreakerConfig{FailureThreshold: 3, Cooldown: 1_000_000, PrecisionFloor: -1},
+		// deterministically open.
+		Breaker: metrics.BreakerConfig{FailureThreshold: 3, Cooldown: 1_000_000},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -8,11 +8,12 @@ import (
 // Circuit breaker for one template's online learner. The PPC stance is the
 // same as Kepler's for learned parametric optimization: a misbehaving
 // learner must never make a query fail or return a worse answer than "just
-// call the optimizer". The breaker watches two health signals — learner
-// errors surfaced by the Environment, and the sliding-window precision
-// estimate of Section IV-E — and, when either collapses, trips the template
-// into a degraded always-invoke-the-optimizer mode. Degraded traffic still
-// feeds optimizer-validated points back into the histograms, so the learner
+// call the optimizer". The breaker watches one health signal — learner
+// errors surfaced by the Environment — and, when they persist, trips the
+// template into a degraded always-invoke-the-optimizer mode. (A collapse of
+// the Section IV-E precision estimate is the learner's own business: its
+// drift recovery drops the synopsis.) Degraded traffic still feeds
+// optimizer-validated points back into the histograms, so the learner
 // retrains while quarantined; after a cooldown the breaker lets probe
 // traffic through and re-closes once probes succeed.
 
@@ -48,12 +49,6 @@ type BreakerConfig struct {
 	// FailureThreshold is the number of consecutive learner errors that
 	// trips the breaker (default 3).
 	FailureThreshold int
-	// PrecisionFloor trips the breaker when the sliding-window precision
-	// falls below it (default 0.2; <0 disables the precision trip).
-	PrecisionFloor float64
-	// PrecisionMinSamples is how many window samples must exist before the
-	// floor applies (default 20).
-	PrecisionMinSamples int
 	// Cooldown is how many degraded requests the breaker absorbs while
 	// open before letting a probe through (default 25).
 	Cooldown int
@@ -65,12 +60,6 @@ type BreakerConfig struct {
 func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.FailureThreshold == 0 {
 		c.FailureThreshold = 3
-	}
-	if c.PrecisionFloor == 0 {
-		c.PrecisionFloor = 0.2
-	}
-	if c.PrecisionMinSamples == 0 {
-		c.PrecisionMinSamples = 20
 	}
 	if c.Cooldown == 0 {
 		c.Cooldown = 25
@@ -99,14 +88,12 @@ type Breaker struct {
 	// Edge counters, each incremented by the one racer whose CAS performed
 	// the transition — exact under races, where a poll of State around a
 	// call can miss an edge or see one it did not make.
-	trips          atomic.Int64 // → open, by cause below
-	errorTrips     atomic.Int64
-	precisionTrips atomic.Int64
-	halfOpens      atomic.Int64 // open → half-open
-	recloses       atomic.Int64 // half-open → closed
-	probes         atomic.Int64
-	failures       atomic.Int64
-	successes      atomic.Int64
+	trips     atomic.Int64 // → open
+	halfOpens atomic.Int64 // open → half-open
+	recloses  atomic.Int64 // half-open → closed
+	probes    atomic.Int64
+	failures  atomic.Int64
+	successes atomic.Int64
 }
 
 // NewBreaker creates a closed breaker.
@@ -164,73 +151,52 @@ func (b *Breaker) RecordFailure() {
 	n := b.consecFails.Add(1)
 	switch BreakerState(b.state.Load()) {
 	case BreakerHalfOpen:
-		b.trip(BreakerHalfOpen, &b.errorTrips)
+		b.trip(BreakerHalfOpen)
 	case BreakerClosed:
 		if n >= int64(b.cfg.FailureThreshold) {
-			b.trip(BreakerClosed, &b.errorTrips)
+			b.trip(BreakerClosed)
 		}
 	}
 }
 
-// ObservePrecision feeds the sliding-window precision estimate. A collapsed
-// window trips a closed breaker. Returns true when this observation tripped
-// it, so the caller can drop the stale estimator evidence.
-func (b *Breaker) ObservePrecision(prec float64, samples int) bool {
-	if BreakerState(b.state.Load()) != BreakerClosed || b.cfg.PrecisionFloor < 0 {
-		return false
-	}
-	if samples < b.cfg.PrecisionMinSamples || prec >= b.cfg.PrecisionFloor {
-		return false
-	}
-	return b.trip(BreakerClosed, &b.precisionTrips)
-}
-
 // trip moves the breaker from the observed state to open. The cooldown is
 // armed before the state flips so a racing Allow can never observe an open
-// breaker with a stale countdown. Returns true when this call won the
-// transition.
-func (b *Breaker) trip(from BreakerState, cause *atomic.Int64) bool {
+// breaker with a stale countdown.
+func (b *Breaker) trip(from BreakerState) {
 	b.cooldownLeft.Store(int64(b.cfg.Cooldown))
-	if !b.state.CompareAndSwap(int32(from), int32(BreakerOpen)) {
-		return false
+	if b.state.CompareAndSwap(int32(from), int32(BreakerOpen)) {
+		b.probeWins.Store(0)
+		b.consecFails.Store(0)
+		b.trips.Add(1)
 	}
-	b.probeWins.Store(0)
-	b.consecFails.Store(0)
-	b.trips.Add(1)
-	cause.Add(1)
-	return true
 }
 
 // BreakerSnapshot is a copyable view of the breaker's state and counters,
 // and the breaker object of a metrics snapshot: the breaker is the one owner
 // of every number here. Failures counts learner errors reported to it (one
 // per run that then completes degraded-by-error); Trips, HalfOpens and
-// Recloses count the three edges, Trips split by cause. A request the open
-// breaker turns away is not counted here: it completes as a degraded run,
-// which the metrics registry counts.
+// Recloses count the three edges. A request the open breaker turns away is
+// not counted here: it completes as a degraded run, which the metrics
+// registry counts.
 type BreakerSnapshot struct {
-	State          string `json:"state"`
-	Trips          int    `json:"trips"`
-	ErrorTrips     int    `json:"error_trips"`
-	PrecisionTrips int    `json:"precision_trips"`
-	HalfOpens      int    `json:"half_opens"`
-	Recloses       int    `json:"recloses"`
-	Probes         int    `json:"probes"`
-	Failures       int    `json:"failures"`
-	Successes      int    `json:"successes"`
+	State     string `json:"state"`
+	Trips     int    `json:"trips"`
+	HalfOpens int    `json:"half_opens"`
+	Recloses  int    `json:"recloses"`
+	Probes    int    `json:"probes"`
+	Failures  int    `json:"failures"`
+	Successes int    `json:"successes"`
 }
 
 // Snapshot returns the current counters.
 func (b *Breaker) Snapshot() BreakerSnapshot {
 	return BreakerSnapshot{
-		State:          b.State().String(),
-		Trips:          int(b.trips.Load()),
-		ErrorTrips:     int(b.errorTrips.Load()),
-		PrecisionTrips: int(b.precisionTrips.Load()),
-		HalfOpens:      int(b.halfOpens.Load()),
-		Recloses:       int(b.recloses.Load()),
-		Probes:         int(b.probes.Load()),
-		Failures:       int(b.failures.Load()),
-		Successes:      int(b.successes.Load()),
+		State:     b.State().String(),
+		Trips:     int(b.trips.Load()),
+		HalfOpens: int(b.halfOpens.Load()),
+		Recloses:  int(b.recloses.Load()),
+		Probes:    int(b.probes.Load()),
+		Failures:  int(b.failures.Load()),
+		Successes: int(b.successes.Load()),
 	}
 }

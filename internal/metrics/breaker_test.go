@@ -25,7 +25,7 @@ func TestBreakerTripsOnConsecutiveFailures(t *testing.T) {
 	if b.State() != BreakerOpen {
 		t.Fatal("threshold reached but breaker still closed")
 	}
-	if s := b.Snapshot(); s.Trips != 1 || s.ErrorTrips != 1 {
+	if s := b.Snapshot(); s.Trips != 1 {
 		t.Errorf("snapshot = %+v", s)
 	}
 }
@@ -80,45 +80,12 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 	}
 }
 
-func TestBreakerPrecisionTrip(t *testing.T) {
-	b := NewBreaker(BreakerConfig{PrecisionFloor: 0.3, PrecisionMinSamples: 10})
-	if b.ObservePrecision(0.1, 5) {
-		t.Fatal("tripped below minimum samples")
-	}
-	if b.ObservePrecision(0.5, 50) {
-		t.Fatal("tripped above the floor")
-	}
-	if !b.ObservePrecision(0.1, 50) {
-		t.Fatal("collapsed precision did not trip")
-	}
-	if b.State() != BreakerOpen {
-		t.Fatal("not open after precision trip")
-	}
-	if s := b.Snapshot(); s.PrecisionTrips != 1 {
-		t.Errorf("snapshot = %+v", s)
-	}
-	// While open, further observations are ignored.
-	if b.ObservePrecision(0.0, 100) {
-		t.Error("open breaker re-tripped on precision")
-	}
-}
-
-func TestBreakerPrecisionDisabled(t *testing.T) {
-	b := NewBreaker(BreakerConfig{PrecisionFloor: -1})
-	if b.ObservePrecision(0, 1000) {
-		t.Fatal("disabled precision floor tripped")
-	}
-	if b.State() != BreakerClosed {
-		t.Fatal("state changed")
-	}
-}
-
 // The breaker counts its own edges where the compare-and-swap performs
 // them: the same closed → open → half-open → open → half-open → closed walk
 // the registry's poll-based counter was tested on reads 2/2/1, and a call
 // that moves nothing counts nothing.
 func TestBreakerCountsItsEdges(t *testing.T) {
-	b := NewBreaker(BreakerConfig{FailureThreshold: 1, Cooldown: 1, ProbeSuccesses: 1, PrecisionFloor: -1})
+	b := NewBreaker(BreakerConfig{FailureThreshold: 1, Cooldown: 1, ProbeSuccesses: 1})
 	b.Allow()
 	b.RecordSuccess() // closed → closed: no edge
 	b.RecordFailure() // closed → open
@@ -137,7 +104,7 @@ func TestBreakerCountsItsEdges(t *testing.T) {
 // twice: n goroutines hammering a breaker through its whole cycle leave
 // Trips == HalfOpens + (1 if it ends open) and Recloses ≤ HalfOpens.
 func TestBreakerEdgeCountsUnderRaces(t *testing.T) {
-	b := NewBreaker(BreakerConfig{FailureThreshold: 2, Cooldown: 3, ProbeSuccesses: 1, PrecisionFloor: -1})
+	b := NewBreaker(BreakerConfig{FailureThreshold: 2, Cooldown: 3, ProbeSuccesses: 1})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

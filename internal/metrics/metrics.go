@@ -117,11 +117,10 @@ func (e *TemplateEstimator) RecordPrediction(plan int, correct bool) {
 // No-data convention: an empty window means the estimate does not exist,
 // reported as (0, false). This is deliberately the opposite of
 // Counter.Precision's vacuous 1.0 — the estimator feeds operational
-// signals (breaker trips, drift recovery, eviction scoring, metrics
-// snapshots), where a fabricated "perfect" value would mask a template
-// that has never successfully predicted. Callers that need a number for
-// display must branch on ok, as ppc.LearnerMetrics does with its Known
-// flags.
+// signals (drift recovery, eviction scoring, metrics snapshots), where a
+// fabricated "perfect" value would mask a template that has never
+// successfully predicted. Callers that need a number for display must
+// branch on ok, as ppc.LearnerMetrics does with its Known flags.
 func (e *TemplateEstimator) Precision() (float64, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

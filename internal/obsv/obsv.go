@@ -275,7 +275,7 @@ type CounterSnapshot struct {
 	FeedbackDeferred uint64 `json:"feedback_deferred"`
 	ApplyBatches     uint64 `json:"apply_batches"`
 	// MemoInvalidations is always 0: a memo reads correction factors per
-	// call and is never rebuilt. The key stays in ppc-metrics/v3 for the
+	// call and is never rebuilt. The key stays in ppc-metrics/v4 for the
 	// readers that still name it (ROADMAP item 1).
 	MemoInvalidations uint64 `json:"memo_invalidations"`
 }

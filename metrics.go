@@ -89,8 +89,10 @@ type CacheMetrics struct {
 // MetricsSnapshotSchema identifies the MetricsSnapshot JSON format; bump
 // on incompatible changes. v2 removed every key that repeated a fact under a
 // second name (README "Observability" lists each and what replaces it); v3
-// removed the learner's tunable-LSH epoch gauge with the feature.
-const MetricsSnapshotSchema = "ppc-metrics/v3"
+// removed the learner's tunable-LSH epoch gauge with the feature; v4 removed
+// the breaker's per-cause trip counters with its precision trip, leaving
+// trips as the one count of that fact.
+const MetricsSnapshotSchema = "ppc-metrics/v4"
 
 // MetricsSnapshot is a stable, JSON-serializable copy of the System's
 // serving-path metrics: per-template counters and latency histograms,

@@ -301,7 +301,7 @@ func TestErrorDegradeAccounting(t *testing.T) {
 		Online: onlineForTest(),
 		// A breaker that never trips: every learner error degrades its own
 		// run and nothing else.
-		Breaker: metrics.BreakerConfig{FailureThreshold: math.MaxInt, PrecisionFloor: -1},
+		Breaker: metrics.BreakerConfig{FailureThreshold: math.MaxInt},
 		Faults:  inj,
 	})
 	if err != nil {
@@ -373,7 +373,7 @@ func TestMetricsQuiescentIdentities(t *testing.T) {
 	sys, err := Open(Options{
 		TPCH:    tpch.Config{Scale: 1000, Seed: 5},
 		Online:  onlineForTest(),
-		Breaker: metrics.BreakerConfig{FailureThreshold: 2, Cooldown: 4, ProbeSuccesses: 1, PrecisionFloor: -1},
+		Breaker: metrics.BreakerConfig{FailureThreshold: 2, Cooldown: 4, ProbeSuccesses: 1},
 		Faults:  inj,
 	})
 	if err != nil {
@@ -426,7 +426,6 @@ func TestMetricsQuiescentIdentities(t *testing.T) {
 		{"breaker.failures + counters.run_errors = injected optimizer faults", uint64(b.Failures) + c.RunErrors, fired},
 		// A run the breaker admits takes one learner step, completed or not.
 		{"learner.steps = breaker.successes + breaker.failures", uint64(l.Steps), uint64(b.Successes + b.Failures)},
-		{"breaker.trips = error_trips + precision_trips", uint64(b.Trips), uint64(b.ErrorTrips + b.PrecisionTrips)},
 	} {
 		if ck.got != ck.want {
 			t.Errorf("%s: %d != %d", ck.identity, ck.got, ck.want)
@@ -524,17 +523,15 @@ func TestTraceDisabled(t *testing.T) {
 	}
 }
 
-// metricsKeysV3 is the golden key list of one template's element of a
-// ppc-metrics/v3 snapshot: its top-level keys, and every key of the three
+// metricsKeysV4 is the golden key list of one template's element of a
+// ppc-metrics/v4 snapshot: its top-level keys, and every key of the three
 // objects named after who counts what is in them. A key is added here on
 // purpose or not at all; a removal or a rename is a schema bump.
-var metricsKeysV3 = []string{
+var metricsKeysV4 = []string{
 	"apply_latency",
 	"breaker",
-	"breaker.error_trips",
 	"breaker.failures",
 	"breaker.half_opens",
-	"breaker.precision_trips",
 	"breaker.probes",
 	"breaker.recloses",
 	"breaker.state",
@@ -591,8 +588,8 @@ var metricsKeysV3 = []string{
 // null_predictions, snapshot_publishes and drift_resets twice per template,
 // with different values — and the key list is the golden above.
 func TestMetricsOneCounterPerFact(t *testing.T) {
-	if MetricsSnapshotSchema != "ppc-metrics/v3" {
-		t.Fatalf("schema %q: the golden key list above is ppc-metrics/v3's", MetricsSnapshotSchema)
+	if MetricsSnapshotSchema != "ppc-metrics/v4" {
+		t.Fatalf("schema %q: the golden key list above is ppc-metrics/v4's", MetricsSnapshotSchema)
 	}
 	sys := openSmall(t)
 	if err := sys.Register("Q1", sqlFor(t, "Q1")); err != nil {
@@ -631,8 +628,8 @@ func TestMetricsOneCounterPerFact(t *testing.T) {
 		}
 	}
 	sort.Strings(keys)
-	if !reflect.DeepEqual(keys, metricsKeysV3) {
-		t.Errorf("ppc-metrics/v3 keys moved (update metricsKeysV3 and README \"Observability\" on purpose, or bump the schema):\n got %q\nwant %q", keys, metricsKeysV3)
+	if !reflect.DeepEqual(keys, metricsKeysV4) {
+		t.Errorf("ppc-metrics/v4 keys moved (update metricsKeysV4 and README \"Observability\" on purpose, or bump the schema):\n got %q\nwant %q", keys, metricsKeysV4)
 	}
 }
 

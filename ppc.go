@@ -265,8 +265,9 @@ type templateState struct {
 	memo *optimizer.Memo
 
 	online *core.Online
-	// breaker quarantines the learner when it misbehaves. While open, Run
-	// bypasses the learner entirely and invokes the optimizer directly.
+	// breaker quarantines the learner when its steps keep failing. While
+	// open, Run bypasses the learner entirely and invokes the optimizer
+	// directly.
 	breaker *metrics.Breaker
 
 	// mail is the bounded feedback mailbox drained by applyLoop (nil when
@@ -1016,15 +1017,6 @@ func (r *run) decide() (degraded bool) {
 		return true
 	}
 	st.breaker.RecordSuccess()
-	if prec, ok := st.online.Estimator().Precision(); ok {
-		if st.breaker.ObservePrecision(prec, st.online.Estimator().SampleCount()) {
-			// Precision collapse tripped the breaker (the CAS admits
-			// exactly one winner under races): drop the stale window
-			// so recovery is judged on fresh evidence once probes
-			// resume.
-			st.online.Estimator().Reset()
-		}
-	}
 	res.CacheHit = decision.CacheHit
 	res.Predicted = decision.Predicted
 	res.Invoked = decision.Invoked
