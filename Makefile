@@ -102,9 +102,10 @@ crash:
 # bytes — the WAL frame decoder (all record kinds), the WAL directory
 # scanner/repairer, and FuzzDecode: one round-trip table over the checkpoint
 # envelope (held to its degrade contract), the learner state stream and its
-# tagged sections, the plan-tree codec and the seven wire messages, each
-# held to no panic and decode → encode → decode to the same bytes — over the
-# one replay switch, fed decoded frames of every kind and held to no panic
+# tagged sections, the synopsis body (framed with a computed CRC, so
+# mutations reach its bucket, transform and plan loops), the plan-tree codec
+# and the seven wire messages, each held to no panic and decode → encode →
+# decode to the same bytes — over the one replay switch, fed decoded frames of every kind and held to no panic
 # and a learner state that still round-trips its own encoding, over the join
 # enumerator, held to the node-building reference at
 # fuzzer-chosen templates and points, over the frozen-block predict

@@ -42,7 +42,7 @@ func openDistorted(t *testing.T, disableAdaptive bool) *System {
 		Online:               onlineForTest(),
 		FeedbackQueue:        -1,
 		statsWrap:            distortLineitem,
-		DisableAdaptiveStats: disableAdaptive,
+		disableAdaptiveStats: disableAdaptive,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +272,7 @@ func TestAdaptiveDriftInteraction(t *testing.T) {
 // the corrections repair a distorted catalog, so where the catalog is the
 // truth (no statsWrap) they must leave the estimates alone. The nine
 // standard templates each take the same 300 seeded runs on a system with
-// the layer on and on its control arm (DisableAdaptiveStats), and per
+// the layer on and on its control arm (disableAdaptiveStats), and per
 // template the p95 estimation q-error with corrections on is held to the
 // control's × 1.05 — the q-error histogram's buckets double, so in effect to
 // no higher bucket.
@@ -282,7 +282,7 @@ func TestCorrectionsHoldQErrorOnUndistortedCatalog(t *testing.T) {
 			TPCH:                 tpch.Config{Scale: 2000, Seed: 5},
 			Online:               onlineForTest(),
 			FeedbackQueue:        -1,
-			DisableAdaptiveStats: disable,
+			disableAdaptiveStats: disable,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -442,7 +442,7 @@ func TestChaosServedDriftResets(t *testing.T) {
 				TPCH:                 tpch.Config{Scale: 1000, Seed: 5},
 				Online:               onlineForTest(),
 				FeedbackQueue:        -1,
-				DisableAdaptiveStats: true,
+				disableAdaptiveStats: true,
 				statsWrap: func(p stats.Provider) stats.Provider {
 					return &stats.Distorted{Provider: p, Sel: func(table, col string, sel float64) float64 {
 						if table == "lineitem" && col == "l_partkey" {

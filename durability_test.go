@@ -856,16 +856,12 @@ func TestDurableStateWrittenAsVersion2(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, ts := range snap.Templates {
-		o, err := core.NewReplicaOnline(bytes.NewReader(ts.State))
+		o, err := core.NewReplicaOnline(ts.State)
 		if err != nil {
 			t.Fatalf("%s: %v", ts.Name, err)
 		}
-		var again bytes.Buffer
-		if err := o.EncodeState(&again); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(again.Bytes(), ts.State) {
-			t.Errorf("%s: the learner state re-encodes to %d bytes, not the %d it was read from", ts.Name, again.Len(), len(ts.State))
+		if again := o.EncodeState(nil); !bytes.Equal(again, ts.State) {
+			t.Errorf("%s: the learner state re-encodes to %d bytes, not the %d it was read from", ts.Name, len(again), len(ts.State))
 		}
 	}
 	for _, mode := range []string{"snapshot", "reopen"} {

@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"strings"
@@ -54,13 +55,11 @@ var decoders = []struct {
 		return netproto.AppendSnapshotFile(nil, snap)
 	}},
 	{"learner", func(b []byte) ([]byte, error) {
-		o, err := core.NewReplicaOnline(bytes.NewReader(b))
+		o, err := core.NewReplicaOnline(b)
 		if err != nil {
 			return nil, err
 		}
-		var buf bytes.Buffer
-		err = o.EncodeState(&buf)
-		return buf.Bytes(), err
+		return o.EncodeState(nil), nil
 	}},
 	{"plan-tree", func(b []byte) ([]byte, error) {
 		n, err := optimizer.DecodeTree(b)
@@ -69,6 +68,30 @@ var decoders = []struct {
 		}
 		return optimizer.AppendTree(nil, n), nil
 	}},
+	// A synopsis body, framed here as a learner state so mutations reach the
+	// bucket, transform and plan loops the frame's checksum otherwise stops
+	// at; the recode gives back the re-encoded body alone.
+	{"synopsis-body", func(b []byte) ([]byte, error) {
+		o, err := core.NewReplicaOnline(frameSynopsis(b))
+		if err != nil {
+			return nil, err
+		}
+		return synopsisBody(o.EncodeState(nil)), nil
+	}},
+}
+
+// frameSynopsis frames a synopsis body as a learner state: the version-2
+// frame (version, body length, CRC-32C of the body), the body, and a zero
+// counter trailer.
+func frameSynopsis(body []byte) []byte {
+	le := binary.LittleEndian
+	state := le.AppendUint32(le.AppendUint64([]byte{2}, uint64(len(body))), crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+	return append(append(state, body...), make([]byte, 32)...)
+}
+
+// synopsisBody returns the synopsis body inside a learner state.
+func synopsisBody(state []byte) []byte {
+	return state[1+8+4 : 1+8+4+binary.LittleEndian.Uint64(state[1:])]
 }
 
 // errDegradeContract marks a checkpoint read that returned both a snapshot
@@ -105,11 +128,7 @@ func learnerSeed(tb testing.TB) []byte {
 		}
 		o.ApplyBatch(nil, []stats.Obs{{Site: 1 + i%2, LogQ: math.Log(2)}})
 	}
-	var buf bytes.Buffer
-	if err := o.EncodeState(&buf); err != nil {
-		tb.Fatal(err)
-	}
-	return buf.Bytes()
+	return o.EncodeState(nil)
 }
 
 // treeSeed is a plan tree that sets every kind of field the codec carries.
@@ -224,8 +243,23 @@ func FuzzDecode(f *testing.F) {
 		f.Fatalf("a corrections section with a NaN site: %v, want it refused", err)
 	}
 
+	// The seed learner's synopsis body, whole and halved, and cut to one
+	// transform whose marginal's header declares 2^20 buckets.
+	synopsis := decoderIndex(f, "synopsis-body")
+	body := synopsisBody(state)
+	const fixed, header = 85, 33 // the body's config block; a histogram's block before its buckets
+	// Padded to the least one transform takes, so the bucket count is what
+	// the decoder refuses.
+	huge := append(binary.LittleEndian.AppendUint32(append([]byte(nil), body[:fixed+header-4]...), 1<<20), make([]byte, 36)...)
+	binary.LittleEndian.PutUint64(huge[16:], 1)      // config: one transform
+	binary.LittleEndian.PutUint32(huge[fixed-4:], 1) // transform count
+	binary.LittleEndian.PutUint32(huge[fixed+1:], 1<<20)
+	for _, b := range [][]byte{body, body[:len(body)/2], huge} {
+		f.Add(synopsis, b)
+	}
+
 	// Every whole seed is accepted, so the fuzzer starts inside each decoder.
-	whole := map[uint8][]byte{checkpoint: file, learner: state, decoderIndex(f, "plan-tree"): tree}
+	whole := map[uint8][]byte{checkpoint: file, learner: state, decoderIndex(f, "plan-tree"): tree, synopsis: body}
 	for which, body := range messages {
 		whole[uint8(which)] = body
 	}

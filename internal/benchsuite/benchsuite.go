@@ -40,7 +40,7 @@ var (
 	predOnce  sync.Once
 	predErr   error
 	predEnv   *experiments.Env
-	predHist  *core.ApproxLSHHist
+	predOn    *core.Online
 	predTests [][]float64
 )
 
@@ -55,27 +55,32 @@ func predictorEnv(b *testing.B) (*core.ApproxLSHHist, [][]float64) {
 			return
 		}
 		predEnv = env
-		predHist, predTests, predErr = trainOn(env, "Q1")
+		predOn, predTests, predErr = trainOn(env, "Q1")
 	})
 	if predErr != nil {
 		b.Fatal(predErr)
 	}
-	return predHist, predTests
+	return predOn.Predictor(), predTests
 }
 
-// trainOn trains a predictor on 3200 optimizer-labeled uniform points of
-// one template and draws 512 uniform test points for it.
-func trainOn(env *experiments.Env, name string) (*core.ApproxLSHHist, [][]float64, error) {
+// trainOn trains a learner on 3200 optimizer-labeled uniform points of one
+// template and draws 512 uniform test points for it.
+func trainOn(env *experiments.Env, name string) (*core.Online, [][]float64, error) {
 	tmpl := env.Templates[name]
 	samples, err := experiments.NewOracle(env, tmpl).SamplePlanSpace(3200, 3)
 	if err != nil {
 		return nil, nil, err
 	}
-	hist := core.MustNewApproxLSHHist(core.Config{Dims: tmpl.Degree(), Radius: 0.05, Gamma: 0.7, Seed: 5})
-	for _, s := range samples {
-		hist.Insert(s)
+	on, err := core.NewOnline(core.OnlineConfig{Core: core.Config{Dims: tmpl.Degree(), Radius: 0.05, Gamma: 0.7, Seed: 5}}, nil)
+	if err != nil {
+		return nil, nil, err
 	}
-	return hist, workload.Uniform(tmpl.Degree(), 512, 11), nil
+	for _, s := range samples {
+		if err := on.LearnValidated(s.Point, s.Plan, s.Cost); err != nil {
+			return nil, nil, err
+		}
+	}
+	return on, workload.Uniform(tmpl.Degree(), 512, 11), nil
 }
 
 // PredictApproxLSHHist measures one plan-cache lookup decision, asked of
@@ -132,11 +137,11 @@ var (
 func PredictModelManyPlans(b *testing.B) {
 	env := mustSharedEnv(b)
 	manyOnce.Do(func() {
-		var hist *core.ApproxLSHHist
-		if hist, manyTests, manyErr = trainOn(env, "Q8"); manyErr != nil {
+		var on *core.Online
+		if on, manyTests, manyErr = trainOn(env, "Q8"); manyErr != nil {
 			return
 		}
-		if manyModel = hist.Freeze(); manyModel.Plans() < 40 {
+		if manyModel = on.Model(); manyModel.Plans() < 40 {
 			manyErr = fmt.Errorf("benchsuite: Q8 model has %d plans, want >= 40", manyModel.Plans())
 		}
 	})

@@ -5,8 +5,6 @@ package benchsuite
 // pair are bench/'s replica.catchup_ms and replica.lag_records_max.
 
 import (
-	"bytes"
-	"encoding/binary"
 	"sync"
 	"testing"
 
@@ -20,27 +18,16 @@ var (
 )
 
 // replicaPredictEnv ships the predictor-microbenchmark state through the
-// replication encoding: the same trained Q1 synopsis PredictApproxLSHHist
-// measures, encoded as a checkpoint (predictor bytes + counter trailer) and
-// decoded into a predict-only replica driver. Using identical state keeps
-// the three predict benchmarks — raw predictor, leader model snapshot,
-// replica — directly comparable.
+// replication encoding: the trained Q1 learner whose synopsis
+// PredictApproxLSHHist measures, encoded by EncodeState (synopsis and
+// counter trailer) and decoded into a predict-only replica driver. Using
+// identical state keeps the three predict benchmarks — raw predictor,
+// leader model snapshot, replica — directly comparable.
 func replicaPredictEnv(b *testing.B) (*core.Online, [][]float64) {
 	b.Helper()
-	hist, tests := predictorEnv(b)
+	_, tests := predictorEnv(b)
 	replicaOnce.Do(func() {
-		var buf bytes.Buffer
-		if err := hist.Encode(&buf); err != nil {
-			replicaErr = err
-			return
-		}
-		// EncodeState trailer: validated, self-labeled, epoch, applied seq.
-		trailer := [4]int64{int64(hist.TotalPoints()), 0, 0, 0}
-		if err := binary.Write(&buf, binary.LittleEndian, trailer[:]); err != nil {
-			replicaErr = err
-			return
-		}
-		replicaOn, replicaErr = core.NewReplicaOnline(&buf)
+		replicaOn, replicaErr = core.NewReplicaOnline(predOn.EncodeState(nil))
 	})
 	if replicaErr != nil {
 		b.Fatal(replicaErr)

@@ -53,11 +53,21 @@ type Config struct {
 	Seed int64
 }
 
+// maxProjectionWeights bounds Transforms × OutDims × Dims, the weights the
+// LSH ensemble draws (8 MB of them); the paper's configurations use a few
+// hundred.
+const maxProjectionWeights = 1 << 20
+
 // WithDefaults fills zero fields with the paper's defaults, or reports the
 // first invalid field.
 func (c Config) WithDefaults() (Config, error) {
 	if c.Dims <= 0 {
 		return c, fmt.Errorf("core: Dims must be positive, got %d", c.Dims)
+	}
+	// A point is at most as wide as the u16 dimension count the WAL's
+	// feedback record and a predict request carry.
+	if c.Dims > math.MaxUint16 {
+		return c, fmt.Errorf("core: Dims %d exceeds %d", c.Dims, math.MaxUint16)
 	}
 	if c.OutDims == 0 {
 		c.OutDims = lsh.DefaultOutputDims(c.Dims)
@@ -70,6 +80,12 @@ func (c Config) WithDefaults() (Config, error) {
 	}
 	if c.Transforms < 0 {
 		return c, fmt.Errorf("core: Transforms must be positive, got %d", c.Transforms)
+	}
+	// The transforms' projection weights are drawn from the seed, never
+	// stored, so this bound is what keeps a decoded synopsis from sizing
+	// them by its config alone.
+	if c.Transforms > maxProjectionWeights/(c.Dims*c.OutDims) {
+		return c, fmt.Errorf("core: %d transforms of %d×%d projection weights exceed %d", c.Transforms, c.OutDims, c.Dims, maxProjectionWeights)
 	}
 	if c.HistBuckets == 0 {
 		c.HistBuckets = 40

@@ -72,6 +72,8 @@ func TestConfigValidation(t *testing.T) {
 		{Dims: 2, Radius: 1.5},
 		{Dims: 2, Gamma: 2},
 		{Dims: 2, HistBuckets: -1},
+		{Dims: 1 << 16},
+		{Dims: 1 << 10, OutDims: 2, Transforms: 1 << 10},
 	}
 	for i, cfg := range bad {
 		if _, err := cfg.WithDefaults(); err == nil {

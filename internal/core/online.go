@@ -1,11 +1,9 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"slices"
@@ -638,8 +636,8 @@ func (o *Online) SelfLabeled() int { return int(o.selfLabeled.Load()) }
 // Validated returns how many optimizer-validated points were inserted.
 func (o *Online) Validated() int { return int(o.validated.Load()) }
 
-// EncodeState persists the driver's learned state (the histogram synopsis,
-// insertion counters, drift epoch and WAL watermark) to w. The sliding
+// EncodeState appends the driver's learned state (the histogram synopsis,
+// insertion counters, drift epoch and WAL watermark) to dst. The sliding
 // estimator windows are deliberately not persisted — after a restart the
 // framework re-estimates precision from fresh predictions. Callers that
 // queue labels for an asynchronous apply must drain the queue first so
@@ -650,44 +648,36 @@ func (o *Online) Validated() int { return int(o.validated.Load()) }
 // WAL replays only records past appliedSeq, interpreting their epochs
 // relative to the checkpoint's. The optional sections of stateSections
 // follow the trailer.
-func (o *Online) EncodeState(w io.Writer) error {
+func (o *Online) EncodeState(dst []byte) []byte {
+	le := binary.LittleEndian
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if err := o.pred.Encode(w); err != nil {
-		return err
+	dst = o.pred.Encode(dst)
+	for _, v := range [...]int64{o.validated.Load(), o.selfLabeled.Load(), o.resets.Load(), int64(o.appliedSeq.Load())} {
+		dst = le.AppendUint64(dst, uint64(v))
 	}
-	trailer := [4]int64{
-		o.validated.Load(), o.selfLabeled.Load(),
-		o.resets.Load(), int64(o.appliedSeq.Load()),
-	}
-	if err := binary.Write(w, binary.LittleEndian, trailer[:]); err != nil {
-		return err
-	}
-	var body bytes.Buffer
 	for _, sec := range stateSections {
-		body.Reset()
-		if sec.encode != nil {
-			if err := sec.encode(o, &body); err != nil {
-				return err
-			}
+		if sec.encode == nil {
+			continue
 		}
-		if body.Len() == 0 {
-			continue // the learner has no such section
+		start := len(dst)
+		dst = sec.encode(o, le.AppendUint64(dst, 0)) // tag and length, set below
+		if len(dst) == start+8 {
+			dst = dst[:start] // the learner has no such section
+			continue
 		}
-		hdr := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, sec.tag), uint32(body.Len()))
-		if _, err := w.Write(append(hdr, body.Bytes()...)); err != nil {
-			return err
-		}
+		le.PutUint32(dst[start:], sec.tag)
+		le.PutUint32(dst[start+4:], uint32(len(dst)-start-8))
 	}
-	return nil
+	return dst
 }
 
 // stateSection is one optional section of an EncodeState stream: encode
-// writes the learner's body (nothing when it has none), decode reads a body
-// into the state being decoded.
+// appends the learner's body to dst (nothing when it has none), decode
+// reads a body into the state being decoded.
 type stateSection struct {
 	tag    uint32
-	encode func(o *Online, w *bytes.Buffer) error
+	encode func(o *Online, dst []byte) []byte
 	decode func(st *onlineState, body []byte) error
 }
 
@@ -701,11 +691,11 @@ var stateSections = [...]stateSection{
 	// Corrections: present exactly when the adaptive statistics layer is
 	// attached. A stream without the section restores correction-cold.
 	{tag: 1,
-		encode: func(o *Online, w *bytes.Buffer) error {
+		encode: func(o *Online, dst []byte) []byte {
 			if o.corr != nil {
-				w.Write(o.corr.Encode(nil))
+				dst = o.corr.Encode(dst)
 			}
-			return nil
+			return dst
 		},
 		decode: func(st *onlineState, body []byte) (err error) {
 			st.corr, err = stats.DecodeCorrections(body)
@@ -735,55 +725,56 @@ type onlineState struct {
 	corr *stats.Corrections
 }
 
-// decodeOnlineState reads one EncodeState stream. It is the one decoder
+// decodeOnlineState decodes one EncodeState stream. It is the one decoder
 // behind DecodeState (checkpoint restore on the leader) and
 // NewReplicaOnline (snapshot install on a replica), so both sides accept
 // and reject exactly the same bytes.
-func decodeOnlineState(r io.Reader) (*onlineState, error) {
-	pred, err := DecodeApproxLSHHist(r)
+func decodeOnlineState(b []byte) (*onlineState, error) {
+	le := binary.LittleEndian
+	pred, n, err := DecodeApproxLSHHist(b)
 	if err != nil {
 		return nil, err
 	}
 	st := &onlineState{pred: pred}
-	if err := binary.Read(r, binary.LittleEndian, st.counters[:]); err != nil {
-		return nil, fmt.Errorf("core: state trailer: %w", err)
+	b = b[n:]
+	if len(b) < 8*len(st.counters) {
+		return nil, fmt.Errorf("core: truncated state trailer (%d of %d bytes)", len(b), 8*len(st.counters))
 	}
+	for i := range st.counters {
+		st.counters[i] = int64(le.Uint64(b[8*i:]))
+	}
+	b = b[8*len(st.counters):]
 	if st.counters[3] < 0 {
 		return nil, fmt.Errorf("core: restored state has negative applied sequence %d", st.counters[3])
 	}
 	var last uint32
-	for {
-		var hdr [8]byte
-		if _, err := io.ReadFull(r, hdr[:]); err == io.EOF {
-			return st, nil
-		} else if err != nil {
-			return nil, fmt.Errorf("core: state section header: %w", err)
+	for len(b) > 0 {
+		if len(b) < 8 {
+			return nil, fmt.Errorf("core: truncated state section header (%d of 8 bytes)", len(b))
 		}
-		tag, n := binary.LittleEndian.Uint32(hdr[:]), binary.LittleEndian.Uint32(hdr[4:])
+		tag, n := le.Uint32(b), le.Uint32(b[4:])
 		i := slices.IndexFunc(stateSections[:], func(sec stateSection) bool { return sec.tag == tag })
 		if i < 0 || tag <= last {
 			return nil, fmt.Errorf("core: state section tag %d unknown, repeated or out of order", tag)
 		}
 		last = tag
-		body, err := io.ReadAll(io.LimitReader(r, int64(n)))
-		if err == nil && len(body) != int(n) {
-			err = io.ErrUnexpectedEOF
+		if uint64(n) > uint64(len(b)-8) {
+			return nil, fmt.Errorf("core: state section %d: truncated body (%d of %d bytes)", tag, len(b)-8, n)
 		}
-		if err != nil {
-			return nil, fmt.Errorf("core: state section %d: %w", tag, err)
-		}
-		if err := stateSections[i].decode(st, body); err != nil {
+		if err := stateSections[i].decode(st, b[8:8+n]); err != nil {
 			return nil, err
 		}
+		b = b[8+n:]
 	}
+	return st, nil
 }
 
 // DecodeState restores a driver state written by EncodeState and publishes
 // the restored model. The restored predictor must match this driver's plan
-// space dimensionality. The whole stream is decoded and checked before any
-// of it is installed, so a stream it rejects leaves the driver untouched.
-func (o *Online) DecodeState(r io.Reader) error {
-	st, err := decodeOnlineState(r)
+// space dimensionality. The whole state is decoded and checked before any
+// of it is installed, so a state it rejects leaves the driver untouched.
+func (o *Online) DecodeState(b []byte) error {
+	st, err := decodeOnlineState(b)
 	if err != nil {
 		return err
 	}

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"sort"
 
@@ -39,36 +37,32 @@ import (
 // history writes it.
 const (
 	persistVersion = 2
-	// maxPersistBody bounds the declared body length so a corrupted header
-	// cannot trigger a giant allocation.
-	maxPersistBody = 1 << 30
+	// frameBytes is the version, body length and checksum ahead of the body.
+	frameBytes = 1 + 8 + 4
+	// bodyFixedBytes is the body's block ahead of its first histogram: the
+	// config, the total and the transform count.
+	bodyFixedBytes = 4*8 + 3*8 + 1 + 3*8 + 4
+	// minTransformBytes is the least one transform takes in the body: its
+	// marginal histogram and its plan count.
+	minTransformBytes = histogram.MinEncodedBytes + 4
 )
 
 var persistCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// Encode writes the predictor's full state to w, framed with a length and
-// CRC-32C checksum.
-func (p *ApproxLSHHist) Encode(w io.Writer) error {
+// Encode appends the predictor's full state to dst, framed with a length
+// and CRC-32C checksum.
+func (p *ApproxLSHHist) Encode(dst []byte) []byte {
 	le := binary.LittleEndian
-	var body bytes.Buffer
-	if err := p.encodeBody(&body); err != nil {
-		return err
-	}
-	if err := binary.Write(w, le, uint8(persistVersion)); err != nil {
-		return err
-	}
-	if err := binary.Write(w, le, uint64(body.Len())); err != nil {
-		return err
-	}
-	if err := binary.Write(w, le, crc32.Checksum(body.Bytes(), persistCRC)); err != nil {
-		return err
-	}
-	_, err := w.Write(body.Bytes())
-	return err
+	start := len(dst)
+	dst = p.encodeBody(le.AppendUint32(le.AppendUint64(append(dst, persistVersion), 0), 0))
+	body := dst[start+frameBytes:]
+	le.PutUint64(dst[start+1:], uint64(len(body)))
+	le.PutUint32(dst[start+9:], crc32.Checksum(body, persistCRC))
+	return dst
 }
 
-// encodeBody writes the unframed predictor state.
-func (p *ApproxLSHHist) encodeBody(w io.Writer) error {
+// encodeBody appends the unframed predictor state to dst.
+func (p *ApproxLSHHist) encodeBody(dst []byte) []byte {
 	le := binary.LittleEndian
 	// The noise flag byte carries the fraction's sign and the fraction field
 	// its magnitude, so a disabled check writes the bytes it always has.
@@ -76,94 +70,72 @@ func (p *ApproxLSHHist) encodeBody(w io.Writer) error {
 	if p.cfg.NoiseFraction > 0 {
 		noise = 1
 	}
-	fields := []any{
-		int64(p.cfg.Dims), int64(p.cfg.OutDims), int64(p.cfg.Transforms), int64(p.cfg.HistBuckets),
-		p.cfg.Radius, p.cfg.Gamma, math.Abs(p.cfg.NoiseFraction), noise,
-		int64(p.cfg.MinSamples), p.cfg.Seed,
-		int64(p.total), uint32(len(p.hists)),
+	for _, v := range [...]int{p.cfg.Dims, p.cfg.OutDims, p.cfg.Transforms, p.cfg.HistBuckets} {
+		dst = le.AppendUint64(dst, uint64(v))
 	}
-	for _, f := range fields {
-		if err := binary.Write(w, le, f); err != nil {
-			return err
-		}
+	for _, v := range [...]float64{p.cfg.Radius, p.cfg.Gamma, math.Abs(p.cfg.NoiseFraction)} {
+		dst = le.AppendUint64(dst, math.Float64bits(v))
 	}
+	dst = append(dst, noise)
+	for _, v := range [...]int64{int64(p.cfg.MinSamples), p.cfg.Seed, int64(p.total)} {
+		dst = le.AppendUint64(dst, uint64(v))
+	}
+	dst = le.AppendUint32(dst, uint32(len(p.hists)))
 	for i := range p.hists {
-		if err := p.marginals[i].Encode(w); err != nil {
-			return err
-		}
+		dst = p.marginals[i].Encode(dst)
 		plans := make([]int, 0, len(p.hists[i]))
 		for plan := range p.hists[i] {
 			plans = append(plans, plan)
 		}
 		sort.Ints(plans)
-		if err := binary.Write(w, le, uint32(len(plans))); err != nil {
-			return err
-		}
+		dst = le.AppendUint32(dst, uint32(len(plans)))
 		for _, plan := range plans {
-			if err := binary.Write(w, le, int64(plan)); err != nil {
-				return err
-			}
-			if err := p.hists[i][plan].Encode(w); err != nil {
-				return err
-			}
+			dst = p.hists[i][plan].Encode(le.AppendUint64(dst, uint64(plan)))
 		}
 	}
-	return nil
+	return dst
 }
 
-// DecodeApproxLSHHist reconstructs a predictor previously written by
-// Encode, verifying the frame's length and checksum first. The randomized
-// transformations are regenerated from the stored seed, so predictions
-// after a round trip are bit-identical.
-func DecodeApproxLSHHist(r io.Reader) (*ApproxLSHHist, error) {
+// DecodeApproxLSHHist decodes a predictor written by Encode from the front
+// of b, verifying the frame's length and checksum first, and returns it
+// with the number of bytes it read. The randomized transformations are
+// regenerated from the stored seed, so predictions after a round trip are
+// bit-identical.
+func DecodeApproxLSHHist(b []byte) (*ApproxLSHHist, int, error) {
 	le := binary.LittleEndian
-	var version uint8
-	if err := binary.Read(r, le, &version); err != nil {
-		return nil, fmt.Errorf("core: decode: %w", err)
+	if len(b) < frameBytes {
+		return nil, 0, fmt.Errorf("core: truncated synopsis frame header (%d of %d bytes)", len(b), frameBytes)
 	}
-	if version != persistVersion {
-		return nil, fmt.Errorf("core: unsupported persistence version %d", version)
+	if b[0] != persistVersion {
+		return nil, 0, fmt.Errorf("core: unsupported persistence version %d", b[0])
 	}
-	var length uint64
-	if err := binary.Read(r, le, &length); err != nil {
-		return nil, fmt.Errorf("core: decode frame length: %w", err)
+	length, sum := le.Uint64(b[1:]), le.Uint32(b[9:])
+	if length > uint64(len(b)-frameBytes) {
+		return nil, 0, fmt.Errorf("core: truncated synopsis frame (%d of %d body bytes)", len(b)-frameBytes, length)
 	}
-	if length > maxPersistBody {
-		return nil, fmt.Errorf("core: frame length %d exceeds limit", length)
-	}
-	var sum uint32
-	if err := binary.Read(r, le, &sum); err != nil {
-		return nil, fmt.Errorf("core: decode frame checksum: %w", err)
-	}
-	// Read what arrives rather than allocate what the header declares: a
-	// damaged length costs the bytes the stream holds, not a gigabyte.
-	body, err := io.ReadAll(io.LimitReader(r, int64(length)))
-	if err == nil && uint64(len(body)) != length {
-		err = io.ErrUnexpectedEOF
-	}
-	if err != nil {
-		return nil, fmt.Errorf("core: truncated synopsis frame: %w", err)
-	}
+	body := b[frameBytes : frameBytes+int(length)]
 	if got := crc32.Checksum(body, persistCRC); got != sum {
-		return nil, fmt.Errorf("core: synopsis checksum mismatch: stored %08x, computed %08x", sum, got)
+		return nil, 0, fmt.Errorf("core: synopsis checksum mismatch: stored %08x, computed %08x", sum, got)
 	}
-	return decodeBody(bytes.NewReader(body))
+	p, err := decodeBody(body)
+	if err != nil {
+		return nil, 0, err
+	}
+	return p, frameBytes + len(body), nil
 }
 
-// decodeBody reconstructs a predictor from the unframed state stream.
-func decodeBody(r io.Reader) (*ApproxLSHHist, error) {
+// decodeBody reconstructs a predictor from the unframed state. Every count
+// it reads is checked against the bytes left before anything is sized by
+// it, and the body must end with its last histogram.
+func decodeBody(b []byte) (*ApproxLSHHist, error) {
 	le := binary.LittleEndian
-	var dims, outDims, transforms, histBuckets, minSamples, seed, total int64
-	var radius, gamma, noiseFraction float64
-	var noise uint8
-	var tCount uint32
-	for _, p := range []any{&dims, &outDims, &transforms, &histBuckets,
-		&radius, &gamma, &noiseFraction, &noise, &minSamples, &seed, &total, &tCount} {
-		if err := binary.Read(r, le, p); err != nil {
-			return nil, err
-		}
+	if len(b) < bodyFixedBytes {
+		return nil, fmt.Errorf("core: truncated synopsis body (%d of %d fixed bytes)", len(b), bodyFixedBytes)
 	}
-	if noise != 1 {
+	i64 := func(off int) int64 { return int64(le.Uint64(b[off:])) }
+	f64 := func(off int) float64 { return math.Float64frombits(le.Uint64(b[off:])) }
+	noiseFraction, total, tCount := f64(48), i64(73), le.Uint32(b[81:])
+	if b[56] != 1 {
 		// Noise elimination was off: restore it off, whatever magnitude the
 		// stream stores (a zero would otherwise take the 0.05 default).
 		noiseFraction = -math.Abs(noiseFraction)
@@ -172,22 +144,32 @@ func decodeBody(r io.Reader) (*ApproxLSHHist, error) {
 		}
 	}
 	cfg := Config{
-		Dims: int(dims), OutDims: int(outDims), Transforms: int(transforms),
-		HistBuckets: int(histBuckets), Radius: radius, Gamma: gamma,
-		NoiseFraction: noiseFraction, MinSamples: int(minSamples), Seed: seed,
+		Dims: int(i64(0)), OutDims: int(i64(8)), Transforms: int(i64(16)),
+		HistBuckets: int(i64(24)), Radius: f64(32), Gamma: f64(40),
+		NoiseFraction: noiseFraction, MinSamples: int(i64(57)), Seed: i64(65),
 	}
 	if cfg.MinSamples == 0 {
 		cfg.MinSamples = -1 // preserve "disabled" through the 0-default
+	}
+	// WithDefaults bounds Dims by the u16 point width and the transforms'
+	// projection weights, which the body does not store.
+	defaulted, err := cfg.WithDefaults()
+	if err != nil {
+		return nil, err
+	}
+	if int(tCount) != defaulted.Transforms {
+		return nil, fmt.Errorf("core: transform count mismatch: stored %d, config %d", tCount, defaulted.Transforms)
+	}
+	rest := b[bodyFixedBytes:]
+	if uint64(len(rest)) < uint64(tCount)*minTransformBytes {
+		return nil, fmt.Errorf("core: %d transforms declared in %d bytes", tCount, len(rest))
 	}
 	p, err := NewApproxLSHHist(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if int(tCount) != len(p.hists) {
-		return nil, fmt.Errorf("core: transform count mismatch: stored %d, config %d", tCount, len(p.hists))
-	}
-	for i := 0; i < int(tCount); i++ {
-		m, err := histogram.DecodeDynamic(r)
+	for i := range p.hists {
+		m, n, err := histogram.DecodeDynamic(rest)
 		if err != nil {
 			return nil, fmt.Errorf("core: marginal %d: %w", i, err)
 		}
@@ -195,25 +177,34 @@ func decodeBody(r io.Reader) (*ApproxLSHHist, error) {
 			return nil, fmt.Errorf("core: marginal %d does not span [0,1)", i)
 		}
 		p.marginals[i] = m
-		var nPlans uint32
-		if err := binary.Read(r, le, &nPlans); err != nil {
-			return nil, err
+		rest = rest[n:]
+		if len(rest) < 4 {
+			return nil, fmt.Errorf("core: transform %d: truncated plan count", i)
+		}
+		nPlans := le.Uint32(rest)
+		rest = rest[4:]
+		if uint64(len(rest)) < uint64(nPlans)*(8+histogram.MinEncodedBytes) {
+			return nil, fmt.Errorf("core: transform %d: %d plans declared in %d bytes", i, nPlans, len(rest))
 		}
 		for j := 0; j < int(nPlans); j++ {
-			var plan int64
-			if err := binary.Read(r, le, &plan); err != nil {
-				return nil, err
+			if len(rest) < 8 {
+				return nil, fmt.Errorf("core: transform %d: truncated plan id", i)
 			}
-			h, err := histogram.DecodeDynamic(r)
+			plan := int(int64(le.Uint64(rest)))
+			h, n, err := histogram.DecodeDynamic(rest[8:])
 			if err != nil {
 				return nil, fmt.Errorf("core: histogram (%d, plan %d): %w", i, plan, err)
 			}
 			if !unitDomain(h) {
 				return nil, fmt.Errorf("core: histogram (%d, plan %d) does not span [0,1)", i, plan)
 			}
-			p.hists[i][int(plan)] = h
-			p.plans[int(plan)] = true
+			p.hists[i][plan] = h
+			p.plans[plan] = true
+			rest = rest[8+n:]
 		}
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("core: synopsis body has %d bytes past its last histogram", len(rest))
 	}
 	p.total = int(total)
 	return p, nil

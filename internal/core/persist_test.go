@@ -7,6 +7,8 @@ import (
 	"hash/crc32"
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/histogram"
@@ -27,11 +29,7 @@ func TestApproxLSHHistEncodeDecodeIdenticalPredictions(t *testing.T) {
 		}
 		p.Insert(Sample{Point: x, Plan: plan, Cost: 5 + x[2]})
 	}
-	var buf bytes.Buffer
-	if err := p.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeApproxLSHHist(&buf)
+	back, _, err := DecodeApproxLSHHist(p.Encode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,18 +55,14 @@ func TestApproxLSHHistEncodeDecodeIdenticalPredictions(t *testing.T) {
 }
 
 func TestApproxLSHHistDecodeRejectsGarbage(t *testing.T) {
-	if _, err := DecodeApproxLSHHist(bytes.NewReader([]byte{9, 9, 9})); err == nil {
+	if _, _, err := DecodeApproxLSHHist([]byte{9, 9, 9}); err == nil {
 		t.Error("garbage accepted")
 	}
 	p := MustNewApproxLSHHist(Config{Dims: 2, Seed: 1})
 	p.Insert(Sample{Point: []float64{0.5, 0.5}, Plan: 1, Cost: 1})
-	var buf bytes.Buffer
-	if err := p.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
+	good := p.Encode(nil)
 	for _, cut := range []int{1, 10, len(good) / 2} {
-		if _, err := DecodeApproxLSHHist(bytes.NewReader(good[:cut])); err == nil {
+		if _, _, err := DecodeApproxLSHHist(good[:cut]); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
@@ -84,21 +78,17 @@ func TestApproxLSHHistDecodeRejectsGarbage(t *testing.T) {
 func TestDecodeRejectsUnchecksummedVersion(t *testing.T) {
 	p := MustNewApproxLSHHist(Config{Dims: 2, Seed: 1})
 	p.Insert(Sample{Point: []float64{0.5, 0.5}, Plan: 1, Cost: 1})
-	var buf bytes.Buffer
-	if err := p.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-	if _, err := DecodeApproxLSHHist(bytes.NewReader(good)); err != nil {
+	good := p.Encode(nil)
+	if _, _, err := DecodeApproxLSHHist(good); err != nil {
 		t.Fatalf("the fixture itself does not decode: %v", err)
 	}
 	rewritten := append([]byte{1}, good[1:]...)
-	if _, err := DecodeApproxLSHHist(bytes.NewReader(rewritten)); err == nil {
+	if _, _, err := DecodeApproxLSHHist(rewritten); err == nil {
 		t.Error("a version-2 stream with its version byte rewritten to 1 was accepted")
 	}
 	const frameHeader = 1 + 8 + 4 // version, body length, CRC-32C
 	unframed := append([]byte{1}, good[frameHeader:]...)
-	if _, err := DecodeApproxLSHHist(bytes.NewReader(unframed)); err == nil {
+	if _, _, err := DecodeApproxLSHHist(unframed); err == nil {
 		t.Error("an unframed, unchecksummed version-1 body was accepted")
 	}
 }
@@ -121,11 +111,7 @@ func TestNoiseFlagZeroRestoresOff(t *testing.T) {
 			p.Insert(Sample{Point: []float64{rng.Float64(), rng.Float64()}, Plan: 0, Cost: 1})
 		}
 		p.Insert(Sample{Point: []float64{0.5, 0.5}, Plan: 1, Cost: 1})
-		var buf bytes.Buffer
-		if err := p.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return p, buf.Bytes()
+		return p, p.Encode(nil)
 	}
 	on, onBytes := train(0.005)
 	off, offBytes := train(-0.005)
@@ -154,7 +140,7 @@ func TestNoiseFlagZeroRestoresOff(t *testing.T) {
 		{"positive fraction, flag cleared", rewrite(0.005, 0)},
 		{"zero fraction, flag cleared", rewrite(0, 0)},
 	} {
-		back, err := DecodeApproxLSHHist(bytes.NewReader(tc.stream))
+		back, _, err := DecodeApproxLSHHist(tc.stream)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -165,7 +151,7 @@ func TestNoiseFlagZeroRestoresOff(t *testing.T) {
 			t.Errorf("%s: restored predicts %+v, noise-off predictor %+v", tc.name, got, want)
 		}
 	}
-	if back, err := DecodeApproxLSHHist(bytes.NewReader(rewrite(0.005, 1))); err != nil || back.Predict(at) != on.Predict(at) {
+	if back, _, err := DecodeApproxLSHHist(rewrite(0.005, 1)); err != nil || back.Predict(at) != on.Predict(at) {
 		t.Errorf("flag at 1 did not restore noise elimination on (err %v)", err)
 	}
 }
@@ -180,15 +166,12 @@ func TestOnlineEncodeDecodeState(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		mustStep(t, o, []float64{rng.Float64(), rng.Float64()})
 	}
-	var buf bytes.Buffer
-	if err := o.EncodeState(&buf); err != nil {
-		t.Fatal(err)
-	}
+	buf := o.EncodeState(nil)
 	o2 := MustNewOnline(OnlineConfig{
 		Core: Config{Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5},
 		Seed: 17,
 	}, env)
-	if err := o2.DecodeState(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := o2.DecodeState(buf); err != nil {
 		t.Fatal(err)
 	}
 	if o2.Validated() != o.Validated() || o2.Predictor().TotalPoints() != o.Predictor().TotalPoints() {
@@ -215,7 +198,7 @@ func TestOnlineEncodeDecodeState(t *testing.T) {
 	}
 	// Dimension mismatch must be rejected.
 	o3 := MustNewOnline(OnlineConfig{Core: Config{Dims: 3, Seed: 5}, Seed: 17}, env)
-	if err := o3.DecodeState(bytes.NewReader(buf.Bytes())); err == nil {
+	if err := o3.DecodeState(buf); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
 }
@@ -236,16 +219,13 @@ func TestDecodeStateOfAnotherShapePredictsAsSaved(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var buf bytes.Buffer
-	if err := src.EncodeState(&buf); err != nil {
-		t.Fatal(err)
-	}
+	buf := src.EncodeState(nil)
 	dst := MustNewOnline(OnlineConfig{Core: Config{Dims: 3, Seed: 9}, Seed: 3}, nil)
 	if got := dst.Model().Config(); got.Transforms == 7 || got.OutDims == 2 {
 		t.Fatalf("the receiving shape (t=%d, s=%d) is the saved one; the test is vacuous", got.Transforms, got.OutDims)
 	}
 	dst.PredictModel([]float64{0.5, 0.5, 0.5}) // pool a scratch of the receiving shape
-	if err := dst.DecodeState(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := dst.DecodeState(buf); err != nil {
 		t.Fatal(err)
 	}
 	want, sc := src.Model(), NewPredictScratch(src.Model().Config())
@@ -272,11 +252,7 @@ func TestDecodeStateOfAnotherShapePredictsAsSaved(t *testing.T) {
 func TestDecodeDomainAndRaggedPlans(t *testing.T) {
 	p := trainedPredictor(t, 300)
 	delete(p.hists[1], 2) // transform 1 never saw plan 2
-	var buf bytes.Buffer
-	if err := p.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeApproxLSHHist(&buf)
+	back, _, err := DecodeApproxLSHHist(p.Encode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,11 +267,7 @@ func TestDecodeDomainAndRaggedPlans(t *testing.T) {
 	checkAgainstReference(t, back, points)
 
 	p.hists[0][0] = histogram.MustNewDynamic(40, 0, 2)
-	buf.Reset()
-	if err := p.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeApproxLSHHist(&buf); err == nil {
+	if _, _, err := DecodeApproxLSHHist(p.Encode(nil)); err == nil {
 		t.Error("histogram over [0,2) accepted")
 	}
 }
@@ -315,20 +287,12 @@ func TestStateSectionsReadThroughOneTable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var buf bytes.Buffer
-	if err := o.EncodeState(&buf); err != nil {
-		t.Fatal(err)
-	}
-	state := buf.Bytes()
-	back, err := NewReplicaOnline(bytes.NewReader(state))
+	state := o.EncodeState(nil)
+	back, err := NewReplicaOnline(state)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var again bytes.Buffer
-	if err := back.EncodeState(&again); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(state, again.Bytes()) {
+	if !bytes.Equal(state, back.EncodeState(nil)) {
 		t.Fatal("decode → encode moved the state bytes")
 	}
 
@@ -348,7 +312,7 @@ func TestStateSectionsReadThroughOneTable(t *testing.T) {
 		"header cut short":   cat(state, []byte{2, 0}),
 		"body past the tail": cat(state[:first], section(1, nil)[:4], []byte{0xff, 0xff, 0, 0}),
 	} {
-		if _, err := NewReplicaOnline(bytes.NewReader(bad)); err == nil {
+		if _, err := NewReplicaOnline(bad); err == nil {
 			t.Errorf("%s: decoded", name)
 		}
 	}
@@ -356,8 +320,85 @@ func TestStateSectionsReadThroughOneTable(t *testing.T) {
 		"after corrections": cat(state, section(2, []byte{1, 2, 3})),
 		"alone":             cat(state[:first], section(2, nil)),
 	} {
-		if _, err := NewReplicaOnline(bytes.NewReader(retired)); !errors.Is(err, errRetiredRetuneSection) {
+		if _, err := NewReplicaOnline(retired); !errors.Is(err, errRetiredRetuneSection) {
 			t.Errorf("retune section %s: %v, want the retired section named", name, err)
+		}
+	}
+}
+
+// TestDecodeChecksDeclaredCountsBeforeAllocating: a synopsis body's counts
+// are u32s read before the data they count, and a checksum only proves the
+// bytes arrived as written. Each stream here is CRC-valid and declares more
+// than it holds — 2^20 buckets, 2^14 transforms, 2^30 plans — or a point
+// wider than the u16 dimension count the WAL and the wire carry, or more
+// projection weights than Config allows, which the body never stores. Each
+// is refused by the check its count meets, and none allocates as if its
+// count were true: the decoder that sized by the count allocated 33.6 MB
+// for the buckets and 5.9 MB for the transforms before it hit the end of
+// the stream.
+func TestDecodeChecksDeclaredCountsBeforeAllocating(t *testing.T) {
+	le := binary.LittleEndian
+	// synopsis frames a body of the given dims and transform count (config
+	// and declared count alike) followed by tail.
+	synopsis := func(dims int64, transforms uint32, tail []byte) []byte {
+		var body []byte
+		for _, v := range []int64{dims, 2, int64(transforms), 40} {
+			body = le.AppendUint64(body, uint64(v))
+		}
+		for _, v := range []float64{0.1, 0.8, 0.05} {
+			body = le.AppendUint64(body, math.Float64bits(v))
+		}
+		body = append(body, 1)
+		for _, v := range []int64{20, 5, 0} {
+			body = le.AppendUint64(body, uint64(v))
+		}
+		body = append(le.AppendUint32(body, transforms), tail...)
+		frame := le.AppendUint32(le.AppendUint64([]byte{persistVersion}, uint64(len(body))), crc32.Checksum(body, persistCRC))
+		return append(frame, body...)
+	}
+	// histHeader is a histogram's fixed block declaring n buckets.
+	histHeader := func(n uint32) []byte {
+		b := le.AppendUint32([]byte{1}, n)
+		for _, v := range []float64{0, 1, 0} {
+			b = le.AppendUint64(b, math.Float64bits(v))
+		}
+		return le.AppendUint32(b, n)
+	}
+	// oneTransform is a marginal of one empty bucket over [0,1) and a plan
+	// count of n.
+	oneTransform := func(n uint32) []byte {
+		b := histHeader(1)
+		for _, v := range []float64{0, 1, 0, 0} {
+			b = le.AppendUint64(b, math.Float64bits(v))
+		}
+		return le.AppendUint32(b, n)
+	}
+	if _, _, err := DecodeApproxLSHHist(synopsis(2, 1, oneTransform(0))); err != nil {
+		t.Fatalf("the well-formed stream the cases are cut from does not decode: %v", err)
+	}
+	for _, c := range []struct {
+		name, refusal string
+		stream        []byte
+	}{
+		// Padded to the least one transform takes, so the bucket count is
+		// what is refused.
+		{"2^20 buckets", "buckets declared", synopsis(2, 1, append(histHeader(1<<20), make([]byte, 36)...))},
+		{"2^14 transforms", "transforms declared", synopsis(2, 1<<14, histHeader(1))},
+		{"2^30 plans", "plans declared", synopsis(2, 1, oneTransform(1<<30))},
+		{"2^16 dims", "Dims", synopsis(1<<16, 1, oneTransform(0))},
+		{"2^21 projection weights", "projection weights", synopsis(1<<16-1, 16, oneTransform(0))},
+	} {
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, _, err := DecodeApproxLSHHist(c.stream); err == nil || !strings.Contains(err.Error(), c.refusal) {
+				t.Fatalf("%s: a %d-byte stream decoded with error %v, want one naming %q", c.name, len(c.stream), err, c.refusal)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 64<<10 {
+			t.Errorf("%s: rejecting a %d-byte stream allocated %d bytes", c.name, len(c.stream), per)
 		}
 	}
 }

@@ -353,11 +353,8 @@ func FuzzReplayRecords(f *testing.F) {
 		}
 		o.PredictModel([]float64{0.3, 0.7})
 
-		var first, second bytes.Buffer
-		if err := o.EncodeState(&first); err != nil {
-			t.Fatalf("EncodeState after replay: %v", err)
-		}
-		st, err := decodeOnlineState(bytes.NewReader(first.Bytes()))
+		first := o.EncodeState(nil)
+		st, err := decodeOnlineState(first)
 		if err != nil {
 			t.Fatalf("the replayed learner's own state does not decode: %v", err)
 		}
@@ -365,11 +362,9 @@ func FuzzReplayRecords(f *testing.F) {
 		if err := back.install(st); err != nil {
 			t.Fatalf("the replayed learner's own state does not install: %v", err)
 		}
-		if err := back.EncodeState(&second); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(first.Bytes(), second.Bytes()) {
-			t.Fatalf("state does not round-trip after replaying %d records: %d bytes became %d", len(recs), first.Len(), second.Len())
+		second := back.EncodeState(nil)
+		if !bytes.Equal(first, second) {
+			t.Fatalf("state does not round-trip after replaying %d records: %d bytes became %d", len(recs), len(first), len(second))
 		}
 	})
 }
@@ -426,14 +421,8 @@ func TestDriftResetLabelIsStale(t *testing.T) {
 	if _, _, stale := replayed.ReplayRecords(log.recs); stale != 0 {
 		t.Fatalf("replay counted %d records stale, want 0: no stale label is logged", stale)
 	}
-	var live, back bytes.Buffer
-	if err := o.EncodeState(&live); err != nil {
-		t.Fatal(err)
-	}
-	if err := replayed.EncodeState(&back); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(live.Bytes(), back.Bytes()) {
-		t.Fatalf("live state (%d bytes) differs from the replay of its log (%d bytes)", live.Len(), back.Len())
+	live, back := o.EncodeState(nil), replayed.EncodeState(nil)
+	if !bytes.Equal(live, back) {
+		t.Fatalf("live state (%d bytes) differs from the replay of its log (%d bytes)", len(live), len(back))
 	}
 }

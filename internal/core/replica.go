@@ -10,7 +10,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/netproto"
@@ -70,14 +69,14 @@ func (o *Online) AnswerPredict(req netproto.PredictRequest, fingerprint func(pla
 // Dims returns the plan-space dimensionality the driver expects.
 func (o *Online) Dims() int { return o.cfg.Core.Dims }
 
-// NewReplicaOnline constructs a predict-only driver directly from an
-// EncodeState stream, with no prior knowledge of the template's
+// NewReplicaOnline constructs a predict-only driver directly from
+// EncodeState bytes, with no prior knowledge of the template's
 // configuration — the predictor's own encoded config is the source of
 // truth. The driver has no environment: it can install state, replay
 // shipped WAL records and predict, and Step — the one path that would
 // invoke an optimizer or executor a replica does not have — is an error.
-func NewReplicaOnline(r io.Reader) (*Online, error) {
-	st, err := decodeOnlineState(r)
+func NewReplicaOnline(b []byte) (*Online, error) {
+	st, err := decodeOnlineState(b)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
@@ -23,11 +22,7 @@ func TestReplicaOnlineBitIdenticalPredictions(t *testing.T) {
 		mustStep(t, leader, []float64{rng.Float64(), rng.Float64()})
 	}
 
-	var buf bytes.Buffer
-	if err := leader.EncodeState(&buf); err != nil {
-		t.Fatal(err)
-	}
-	replica, err := NewReplicaOnline(bytes.NewReader(buf.Bytes()))
+	replica, err := NewReplicaOnline(leader.EncodeState(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +66,7 @@ func TestReplicaOnlineReplayAdvances(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		mustStep(t, leader, []float64{rng.Float64(), rng.Float64()})
 	}
-	var buf bytes.Buffer
-	if err := leader.EncodeState(&buf); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := NewReplicaOnline(bytes.NewReader(buf.Bytes()))
+	rep, err := NewReplicaOnline(leader.EncodeState(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,19 +91,15 @@ func TestReplicaOnlineReplayAdvances(t *testing.T) {
 }
 
 func TestNewReplicaOnlineRejectsGarbage(t *testing.T) {
-	if _, err := NewReplicaOnline(bytes.NewReader([]byte{9, 9, 9})); err == nil {
+	if _, err := NewReplicaOnline([]byte{9, 9, 9}); err == nil {
 		t.Error("garbage accepted")
 	}
 	env := &quadrantEnv{wrongFactor: 3}
 	o := MustNewOnline(OnlineConfig{Core: Config{Dims: 2, Seed: 1}, Seed: 1}, env)
 	mustStep(t, o, []float64{0.5, 0.5})
-	var buf bytes.Buffer
-	if err := o.EncodeState(&buf); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
+	good := o.EncodeState(nil)
 	for _, cut := range []int{1, len(good) / 2, len(good) - 1} {
-		if _, err := NewReplicaOnline(bytes.NewReader(good[:cut])); err == nil {
+		if _, err := NewReplicaOnline(good[:cut]); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}

@@ -1,7 +1,6 @@
 package histogram
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -13,13 +12,14 @@ func TestDynamicEncodeDecodeRoundTrip(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		d.Insert(rng.Float64(), rng.Float64()*10)
 	}
-	var buf bytes.Buffer
-	if err := d.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeDynamic(&buf)
+	enc := d.Encode(nil)
+	// The encoding is self-delimiting: what follows it is not read.
+	back, n, err := DecodeDynamic(append(enc, 0xAA))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n != len(enc) {
+		t.Fatalf("decode read %d bytes of a %d-byte encoding", n, len(enc))
 	}
 	if back.TotalCount() != d.TotalCount() || back.NumBuckets() != d.NumBuckets() {
 		t.Fatalf("shape changed: %v/%d vs %v/%d",
@@ -50,28 +50,24 @@ func TestDecodeDynamicRejectsCorruption(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		d.Insert(float64(i)/100, 1)
 	}
-	var buf bytes.Buffer
-	if err := d.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
+	good := d.Encode(nil)
 
 	// Truncations anywhere must fail, not panic.
 	for _, cut := range []int{0, 1, 5, len(good) / 2, len(good) - 3} {
-		if _, err := DecodeDynamic(bytes.NewReader(good[:cut])); err == nil {
+		if _, _, err := DecodeDynamic(good[:cut]); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
 	// A flipped count byte must fail the checksum-style validation.
 	bad := append([]byte(nil), good...)
 	bad[len(bad)-10] ^= 0xFF
-	if _, err := DecodeDynamic(bytes.NewReader(bad)); err == nil {
+	if _, _, err := DecodeDynamic(bad); err == nil {
 		t.Error("corrupt payload accepted")
 	}
 	// Wrong version must be rejected.
 	bad2 := append([]byte(nil), good...)
 	bad2[0] = 99
-	if _, err := DecodeDynamic(bytes.NewReader(bad2)); err == nil {
+	if _, _, err := DecodeDynamic(bad2); err == nil {
 		t.Error("unknown version accepted")
 	}
 }
@@ -81,19 +77,15 @@ func TestDecodeDynamicRejectsCorruption(t *testing.T) {
 // at hi, and counts are finite. Each violation is its own corrupt image.
 func TestDecodeDynamicRejectsBrokenTiling(t *testing.T) {
 	good := []Bucket{{Lo: 0, Hi: 0.5, Count: 3, CostSum: 6}, {Lo: 0.5, Hi: 1, Count: 1, CostSum: 2}}
-	encode := func(buckets []Bucket) *bytes.Buffer {
+	encode := func(buckets []Bucket) []byte {
 		d := MustNewDynamic(8, 0, 1)
 		d.buckets, d.total = buckets, 0
 		for _, b := range buckets {
 			d.total += b.Count
 		}
-		var buf bytes.Buffer
-		if err := d.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return &buf
+		return d.Encode(nil)
 	}
-	if _, err := DecodeDynamic(encode(good)); err != nil {
+	if _, _, err := DecodeDynamic(encode(good)); err != nil {
 		t.Fatalf("well-formed image rejected: %v", err)
 	}
 	for name, buckets := range map[string][]Bucket{
@@ -106,7 +98,7 @@ func TestDecodeDynamicRejectsBrokenTiling(t *testing.T) {
 		"negative count":   {{Lo: 0, Hi: 0.5, Count: -1}, {Lo: 0.5, Hi: 1, Count: 1}},
 		"not-a-number cnt": {{Lo: 0, Hi: 0.5, Count: math.NaN()}, {Lo: 0.5, Hi: 1, Count: 1}},
 	} {
-		if _, err := DecodeDynamic(encode(buckets)); err == nil {
+		if _, _, err := DecodeDynamic(encode(buckets)); err == nil {
 			t.Errorf("%s: corrupt image accepted", name)
 		}
 	}
@@ -114,11 +106,7 @@ func TestDecodeDynamicRejectsBrokenTiling(t *testing.T) {
 
 func TestDynamicEncodeEmpty(t *testing.T) {
 	d := MustNewDynamic(8, 0, 1)
-	var buf bytes.Buffer
-	if err := d.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeDynamic(&buf)
+	back, _, err := DecodeDynamic(d.Encode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package histogram
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -61,11 +60,7 @@ func genFrozen(tb testing.TB, rng *rand.Rand) *Frozen {
 			d.total += d.buckets[i].Count
 			at = next
 		}
-		var buf bytes.Buffer
-		if err := d.Encode(&buf); err != nil {
-			tb.Fatal(err)
-		}
-		back, err := DecodeDynamic(&buf)
+		back, _, err := DecodeDynamic(d.Encode(nil))
 		if err != nil {
 			tb.Fatal(err)
 		}

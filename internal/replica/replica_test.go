@@ -135,14 +135,10 @@ func (f *fakeSource) ReplicationSnapshot() (*netproto.Snapshot, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	base := f.online.AppliedSeq()
-	var buf writerBuf
-	if err := f.online.EncodeState(&buf); err != nil {
-		return nil, err
-	}
 	return &netproto.Snapshot{
 		Epoch:        f.epoch,
 		BaseSeq:      base,
-		Templates:    []netproto.TemplateState{{Name: "Q1", State: buf.b}},
+		Templates:    []netproto.TemplateState{{Name: "Q1", State: f.online.EncodeState(nil)}},
 		Fingerprints: append([]string(nil), testFingerprints...),
 	}, nil
 }
@@ -151,13 +147,6 @@ func (f *fakeSource) WALDir() string         { return f.log.Dir() }
 func (f *fakeSource) WALFirstSeq() uint64    { return f.log.FirstSeq() }
 func (f *fakeSource) WALLastSeq() uint64     { return f.log.LastSeq() }
 func (f *fakeSource) ReplObs() *obsv.ReplObs { return &f.obs }
-
-type writerBuf struct{ b []byte }
-
-func (w *writerBuf) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
-}
 
 // fastConfig returns server settings tightened for tests.
 func fastConfig(src ShipSource) Config {

@@ -25,10 +25,8 @@
 package replica
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -143,7 +141,7 @@ func (s *State) Install(snap *netproto.Snapshot) error {
 	}
 	fresh := make(map[string]*core.Online, len(snap.Templates))
 	for _, t := range snap.Templates {
-		o, err := core.NewReplicaOnline(bytes.NewReader(t.State))
+		o, err := core.NewReplicaOnline(t.State)
 		if err != nil {
 			return fmt.Errorf("replica: install template %s: %w", t.Name, err)
 		}
@@ -195,18 +193,18 @@ func (s *State) ApplyRecords(recs []wal.Record) (applied, skipped int) {
 	return applied, skipped
 }
 
-// EncodeState writes one installed template's learner state — synopsis,
-// counters and the corrections section — in core.Online's encoding.
+// EncodeState appends one installed template's learner state — synopsis,
+// counters and the corrections section — to dst in core.Online's encoding.
 // Parity audits compare it byte for byte against the leader's: a replica
 // holds the leader's learned state exactly, not approximately.
-func (s *State) EncodeState(template string, w io.Writer) error {
+func (s *State) EncodeState(dst []byte, template string) ([]byte, error) {
 	s.mu.RLock()
 	o := s.templates[template]
 	s.mu.RUnlock()
 	if o == nil {
-		return fmt.Errorf("replica: template %s not installed", template)
+		return dst, fmt.Errorf("replica: template %s not installed", template)
 	}
-	return o.EncodeState(w)
+	return o.EncodeState(dst), nil
 }
 
 // PredictRPC serves one wire predict request from the installed state:

@@ -17,10 +17,6 @@ import (
 // on/off switch beside it. The walk recurses into nested structs, not into
 // funcs, pointers or interfaces.
 func TestConfigHasNoSwitches(t *testing.T) {
-	allowed := map[string]bool{
-		// ROADMAP 5(d): goes once item 13 lands.
-		"ppc.Options.DisableAdaptiveStats": true,
-	}
 	var walk func(path string, typ reflect.Type)
 	walk = func(path string, typ reflect.Type) {
 		for i := 0; i < typ.NumField(); i++ {
@@ -31,9 +27,7 @@ func TestConfigHasNoSwitches(t *testing.T) {
 			name := path + "." + f.Name
 			switch f.Type.Kind() {
 			case reflect.Bool:
-				if !allowed[name] {
-					t.Errorf("%s is an on/off switch: make it a value of the parameter it gates", name)
-				}
+				t.Errorf("%s is an on/off switch: make it a value of the parameter it gates", name)
 			case reflect.Struct:
 				walk(name, f.Type)
 			}

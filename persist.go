@@ -1,7 +1,6 @@
 package ppc
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"time"
@@ -97,11 +96,7 @@ func (s *System) LoadStateReport() *LoadReport {
 // *SnapshotError rather than write a file that could not be read back.
 func (s *System) SaveState(w io.Writer) (err error) {
 	defer capturePanic("ppc.SaveState", &err)
-	snap, err := s.snapshot(true)
-	if err != nil {
-		return &SnapshotError{Op: "save", Err: err}
-	}
-	file, err := netproto.AppendSnapshotFile(nil, snap)
+	file, err := netproto.AppendSnapshotFile(nil, s.snapshot(true))
 	if err != nil {
 		return &SnapshotError{Op: "save", Err: err}
 	}
@@ -129,7 +124,7 @@ func (s *System) SaveState(w io.Writer) (err error) {
 // registry is append-only, so it names every plan id a cached plan or a
 // synopsis references. A referenced id whose tree is not in the cache
 // re-optimizes on demand after restore, exactly like an evicted plan.
-func (s *System) snapshot(plans bool) (*netproto.Snapshot, error) {
+func (s *System) snapshot(plans bool) *netproto.Snapshot {
 	snap := &netproto.Snapshot{DBScale: s.opts.TPCH.Scale, DBSeed: s.opts.TPCH.Seed}
 	if plans {
 		s.cacheMu.RLock()
@@ -142,16 +137,12 @@ func (s *System) snapshot(plans bool) (*netproto.Snapshot, error) {
 	}
 	for _, st := range s.statesByName() {
 		st.flush()
-		var buf bytes.Buffer
-		if err := st.online.EncodeState(&buf); err != nil {
-			return nil, fmt.Errorf("template %s: %w", st.tmpl.Name, err)
-		}
-		snap.Templates = append(snap.Templates, netproto.TemplateState{Name: st.tmpl.Name, SQL: st.tmpl.SQL, State: buf.Bytes()})
+		snap.Templates = append(snap.Templates, netproto.TemplateState{Name: st.tmpl.Name, SQL: st.tmpl.SQL, State: st.online.EncodeState(nil)})
 	}
 	for id := 0; s.reg.Fingerprint(id) != ""; id++ {
 		snap.Fingerprints = append(snap.Fingerprints, s.reg.Fingerprint(id))
 	}
-	return snap, nil
+	return snap
 }
 
 // LoadState restores state written by SaveState into a freshly opened
@@ -205,7 +196,7 @@ func (s *System) LoadState(r io.Reader) (err error) {
 		}
 		// DecodeState decodes the whole state before it installs any of it,
 		// so a learner it rejects is still the cold one Register made.
-		if derr := s.templates[t.Name].online.DecodeState(bytes.NewReader(t.State)); derr != nil {
+		if derr := s.templates[t.Name].online.DecodeState(t.State); derr != nil {
 			report.damaged("template %s synopsis: %v", t.Name, derr)
 			report.ColdTemplates = append(report.ColdTemplates, t.Name)
 			continue

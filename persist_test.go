@@ -2,8 +2,11 @@ package ppc
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -417,5 +420,62 @@ func TestSnapshotRoundTripIsByteIdentical(t *testing.T) {
 		if !res.CacheHit || res.Invoked {
 			t.Errorf("%s: first run at a trained point after restore: hit=%v invoked=%v", name, res.CacheHit, res.Invoked)
 		}
+	}
+}
+
+// A checkpoint whose learner state is checksummed but declares more than it
+// holds — one transform whose marginal declares 2^20 buckets, or 2^14
+// transforms — restores that template cold through LoadState and names it,
+// while the other template restores warm.
+func TestLoadStateDegradesOverdeclaredLearner(t *testing.T) {
+	warm, _ := warmSystem(t, 4)
+	defer warm.Close() //nolint:errcheck
+	var saved bytes.Buffer
+	if err := warm.SaveState(&saved); err != nil {
+		t.Fatal(err)
+	}
+	// overdeclared keeps Q1's saved config block (85 bytes), declares the
+	// transform count in it and after it, and ends in one histogram header
+	// (33 bytes) declaring the bucket count, padded to the least one
+	// transform takes.
+	overdeclared := func(state []byte, transforms, buckets uint32) []byte {
+		le := binary.LittleEndian
+		body := append([]byte(nil), synopsisBody(state)[:85]...)
+		le.PutUint64(body[16:], uint64(transforms))
+		le.PutUint32(body[81:], transforms)
+		// The histogram: version, max buckets, lo 0, hi 1, total 0, buckets.
+		body = le.AppendUint32(append(body, 1), buckets)
+		body = le.AppendUint64(le.AppendUint64(le.AppendUint64(body, 0), math.Float64bits(1)), 0)
+		body = le.AppendUint32(body, buckets)
+		return frameSynopsis(append(body, make([]byte, 36)...))
+	}
+	for name, counts := range map[string][2]uint32{"2^20 buckets": {1, 1 << 20}, "2^14 transforms": {1 << 14, 1}} {
+		t.Run(name, func(t *testing.T) {
+			snap, err := netproto.ReadSnapshotFile(bytes.NewReader(saved.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snap.Templates[1].Name != "Q1" {
+				t.Fatalf("the checkpoint's second template is %q, want Q1", snap.Templates[1].Name)
+			}
+			snap.Templates[1].State = overdeclared(snap.Templates[1].State, counts[0], counts[1])
+			file, err := netproto.AppendSnapshotFile(nil, snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := Open(Options{TPCH: tpch.Config{Scale: 2000, Seed: 5}, Online: onlineForTest()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cold.Close() //nolint:errcheck
+			if err := cold.LoadState(bytes.NewReader(file)); err != nil {
+				t.Fatalf("LoadState must degrade, not fail: %v", err)
+			}
+			rep := cold.LoadStateReport()
+			if !rep.Corrupt || !strings.Contains(rep.Reason, "template Q1 synopsis") || !strings.Contains(rep.Reason, "declared") ||
+				!reflect.DeepEqual(rep.ColdTemplates, []string{"Q1"}) || rep.Templates != 1 {
+				t.Fatalf("report %+v, want Q1 cold and named, Q0 restored", rep)
+			}
+		})
 	}
 }

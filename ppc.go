@@ -86,12 +86,14 @@ type Options struct {
 	// tail, and every applied feedback point is logged before it enters the
 	// synopsis. See the Durability type for the recovery contract.
 	Durability Durability
-	// DisableAdaptiveStats attaches no corrections to the templates: the
+	// disableAdaptiveStats attaches no corrections to the templates: the
 	// optimizer estimates selectivities from the statistics provider alone,
 	// with no per-site correction factors learned from executed
-	// cardinalities. Corrections are on by default (DESIGN.md "Adaptive
-	// statistics").
-	DisableAdaptiveStats bool
+	// cardinalities. Corrections are always on outside this package's
+	// tests; it is a test seam, like statsWrap: the control arms of the
+	// adaptive-statistics tests set it, and so do tests whose costs must
+	// depend on the values alone.
+	disableAdaptiveStats bool
 	// statsWrap, when non-nil, wraps the base statistics provider the
 	// optimizer estimates through; the templates' corrections apply on top
 	// of its answers. It is a test seam, settable only inside this package:
@@ -600,7 +602,7 @@ func (s *System) registerLocked(name, sql string) error {
 		breaker: metrics.NewBreaker(s.opts.Breaker),
 		obs:     s.obs.Template(name),
 	}
-	if !s.opts.DisableAdaptiveStats {
+	if !s.opts.disableAdaptiveStats {
 		// One correction site per WHERE predicate (1-based, as stamped by
 		// NewTemplate), owned by the template's query so every estimate of
 		// it reads them. Attached to the learner before any state decode so

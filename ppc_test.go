@@ -369,7 +369,7 @@ func TestRunOptimizesAtItsOwnValues(t *testing.T) {
 		TPCH:                 tpch.Config{Scale: 1000, Seed: 5},
 		Online:               onlineForTest(),
 		FeedbackQueue:        -1,
-		DisableAdaptiveStats: true, // costs depend on the values alone
+		disableAdaptiveStats: true, // costs depend on the values alone
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -91,10 +91,7 @@ func (s *System) ReplicationSnapshot() (*netproto.Snapshot, error) {
 		return nil, err
 	}
 	baseSeq := s.checkpointMinSeq()
-	snap, err := s.snapshot(false)
-	if err != nil {
-		return nil, fmt.Errorf("ppc: encode for shipping: %w", err)
-	}
+	snap := s.snapshot(false)
 	snap.Epoch, snap.BaseSeq = epoch, baseSeq
 	return snap, nil
 }

@@ -286,15 +286,13 @@ func learnerParity(t *testing.T, sys *System, st *replica.State, template string
 	if err != nil {
 		t.Fatal(err)
 	}
-	var leader, rep bytes.Buffer
-	if err := lst.online.EncodeState(&leader); err != nil {
+	leader := lst.online.EncodeState(nil)
+	rep, err := st.EncodeState(nil, template)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.EncodeState(template, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(leader.Bytes(), rep.Bytes()) {
-		t.Errorf("%s: replica learner state (%d bytes) differs from the leader's (%d bytes)", template, rep.Len(), leader.Len())
+	if !bytes.Equal(leader, rep) {
+		t.Errorf("%s: replica learner state (%d bytes) differs from the leader's (%d bytes)", template, len(rep), len(leader))
 	}
 }
 
