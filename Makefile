@@ -76,9 +76,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The fault-injection / breaker / snapshot-damage suite, a precision
-# collapse answered by the learner's drift reset and never by the breaker
-# (TestChaosMispredictionResetsLearner under injected mispredictions,
+# The fault-injection / optimizer-outage-keeps-hits / snapshot-damage suite
+# (TestChaosOptimizerOutageKeepsHits: a failed learner step falls back to
+# the optimizer for its own run, so a warm template keeps its cache hits
+# through an outage), a precision collapse answered by the learner's drift
+# reset and nothing else (TestChaosMispredictionResetsLearner under injected
+# mispredictions,
 # TestChaosServedDriftResets under a cost-model shift), and the feedback
 # mailbox under load: every label sent through a two-slot mailbox lands
 # (TestNoFeedbackLossUnderLoad), SaveState under concurrent runs captures

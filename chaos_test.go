@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/faults"
-	"repro/internal/metrics"
 	"repro/internal/netproto"
 	"repro/internal/stats"
 	"repro/internal/tpch"
@@ -25,19 +24,12 @@ import (
 //   - every Run either succeeds with a correct result or returns a typed
 //     error (an injected *PipelineError — never an *InternalError, which
 //     would mean a recovered panic, i.e. a bug);
-//   - circuit breakers trip under sustained failure and re-close once the
-//     faults stop;
+//   - an optimizer outage fails only the runs that need the optimizer: a
+//     failed learner step falls back to the optimizer for its own run, so
+//     cache hits keep succeeding, and every run succeeds once the faults
+//     stop;
 //   - corrupted snapshots are detected at load and degrade the System to a
 //     cold learner instead of failing.
-
-// chaosBreaker is a fast-recovery breaker configuration for tests.
-func chaosBreaker() metrics.BreakerConfig {
-	return metrics.BreakerConfig{
-		FailureThreshold: 3,
-		Cooldown:         3,
-		ProbeSuccesses:   1,
-	}
-}
 
 // assertTyped fails the test unless err is nil or a typed, injected error.
 func assertTyped(t *testing.T, err error) {
@@ -59,7 +51,7 @@ func assertTyped(t *testing.T, err error) {
 }
 
 // TestChaosAllFaultClasses drives Q0–Q8 under each fault class in turn,
-// then disables injection and verifies every tripped breaker re-closes.
+// then disables injection and verifies every run succeeds undegraded.
 func TestChaosAllFaultClasses(t *testing.T) {
 	// A clean reference system answers "what rows should this instance
 	// return"; it shares the deterministic TPC-H configuration.
@@ -76,10 +68,9 @@ func TestChaosAllFaultClasses(t *testing.T) {
 			inj := faults.New(42).Enable(class, 0.3)
 			inj.SetLatency(200 * time.Microsecond)
 			opts := Options{
-				TPCH:    tpch.Config{Scale: 2000, Seed: 5},
-				Online:  onlineForTest(),
-				Breaker: chaosBreaker(),
-				Faults:  inj,
+				TPCH:   tpch.Config{Scale: 2000, Seed: 5},
+				Online: onlineForTest(),
+				Faults: inj,
 			}
 			// The WAL classes live on the durability layer's disk path and
 			// only fire with a WAL open. Their contract inverts the Run-path
@@ -134,6 +125,11 @@ func TestChaosAllFaultClasses(t *testing.T) {
 				}
 				if err != nil {
 					return
+				}
+				// A degraded run is a failed learner step; with no fault
+				// firing on the Run path no step can fail.
+				if !faulted && res.Degraded {
+					t.Fatalf("%s: run degraded with no Run-path fault firing", name)
 				}
 				// Successful runs must be correct: same rows as the clean
 				// reference system for the same instance.
@@ -240,120 +236,141 @@ func TestChaosAllFaultClasses(t *testing.T) {
 				}
 			}
 
-			// Faults off: the system must heal. Every breaker that tripped
-			// has to walk open → half-open → closed on healthy traffic.
+			// Faults off: the system heals at once. Nothing a failed step
+			// did carries over, so every run succeeds undegraded.
 			inj.DisableAll()
 			for i := 0; i < 6*len(names); i++ {
 				run(i, false)
-			}
-			for _, name := range names {
-				h, err := sys.TemplateMetrics(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if h.Breaker.State != "closed" {
-					t.Errorf("%s breaker stuck %s after recovery: %+v", name, h.Breaker.State, h.Breaker)
-				}
 			}
 		})
 	}
 }
 
-// TestChaosBreakerTripAndRecover pins the breaker lifecycle on one template
-// under a hard optimizer outage: trip on consecutive learner errors, serve
-// typed errors while the optimizer is down, then recover through probes.
-func TestChaosBreakerTripAndRecover(t *testing.T) {
-	inj := faults.New(1).Enable(faults.OptimizerError, 1)
-	sys, err := Open(Options{
-		TPCH:    tpch.Config{Scale: 2000, Seed: 5},
-		Online:  onlineForTest(),
-		Breaker: metrics.BreakerConfig{FailureThreshold: 3, Cooldown: 4, ProbeSuccesses: 2},
-		Faults:  inj,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.RegisterStandard(); err != nil {
-		t.Fatal(err)
-	}
-	tmpl, _ := sys.Template("Q1")
-	rng := rand.New(rand.NewSource(3))
-	instance := func() []float64 {
-		point := []float64{0.25 + rng.Float64()*0.1, 0.25 + rng.Float64()*0.1}
-		inst, err := sys.Optimizer().InstanceAt(tmpl, point)
+// TestChaosOptimizerOutageKeepsHits pins what an optimizer outage costs:
+// the runs that need the optimizer fail with a typed error, and only those.
+// A failed learner step falls back to the optimizer for its own run and
+// leaves nothing behind, so a warm template keeps serving cache hits
+// through the outage, and every run succeeds once it ends.
+func TestChaosOptimizerOutageKeepsHits(t *testing.T) {
+	open := func(t *testing.T) (*System, *faults.Injector) {
+		inj := faults.New(1)
+		sys, err := Open(Options{
+			TPCH:          tpch.Config{Scale: 2000, Seed: 5},
+			Online:        onlineForTest(),
+			FeedbackQueue: -1,
+			Faults:        inj,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return inst.Values
-	}
-
-	// With the optimizer hard-down and a cold learner, every Run must fail
-	// with a typed injected error — and never a panic.
-	for i := 0; i < 20; i++ {
-		_, err := sys.Run("Q1", instance())
-		if err == nil {
-			t.Fatalf("run %d succeeded with optimizer hard-down", i)
+		if err := sys.RegisterStandard(); err != nil {
+			t.Fatal(err)
 		}
-		assertTyped(t, err)
+		return sys, inj
 	}
-	h, err := sys.TemplateMetrics("Q1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Breaker.Trips == 0 {
-		t.Fatalf("breaker never tripped on errors: %+v", h.Breaker)
-	}
-	if h.Breaker.Failures == 0 {
-		t.Fatalf("no learner errors counted: %+v", h.Breaker)
-	}
-
-	// Outage over: the breaker must finish its cooldown in degraded mode
-	// (optimizer-direct, successful) and re-close via probes.
-	inj.DisableAll()
-	sawDegraded := false
-	for i := 0; i < 20; i++ {
-		res, err := sys.Run("Q1", instance())
+	// instances draws uniform plan-space points of one template.
+	instances := func(t *testing.T, sys *System, name string, seed int64) func() []float64 {
+		tmpl, err := sys.Template(name)
 		if err != nil {
-			t.Fatalf("run %d failed after outage ended: %v", i, err)
+			t.Fatal(err)
 		}
-		if res.Degraded {
-			sawDegraded = true
+		rng := rand.New(rand.NewSource(seed))
+		return func() []float64 {
+			point := make([]float64, tmpl.Degree())
+			for j := range point {
+				point[j] = rng.Float64()
+			}
+			inst, err := sys.Optimizer().InstanceAt(tmpl, point)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return inst.Values
 		}
 	}
-	if !sawDegraded {
-		t.Error("no degraded (optimizer-direct) runs during recovery")
-	}
-	h, _ = sys.TemplateMetrics("Q1")
-	if h.Breaker.State != "closed" {
-		t.Fatalf("breaker did not re-close: %+v", h.Breaker)
-	}
-	if h.Counters.DegradedRuns == 0 {
-		t.Fatalf("degraded runs not counted: %+v", h.Counters)
+	// recovers runs the template with the faults off: every run succeeds.
+	recovers := func(t *testing.T, sys *System, name string, next func() []float64) {
+		for i := 0; i < 50; i++ {
+			if _, err := sys.Run(name, next()); err != nil {
+				t.Fatalf("run %d failed after the outage ended: %v", i, err)
+			}
+		}
 	}
 
-	// Closed again: normal serving, no degradation.
-	res, err := sys.Run("Q1", instance())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Degraded {
-		t.Error("still degraded after breaker closed")
+	// A cold learner has no plan to serve: with the optimizer down every
+	// run fails, each with a typed injected error and never a panic.
+	t.Run("cold", func(t *testing.T) {
+		sys, inj := open(t)
+		next := instances(t, sys, "Q1", 3)
+		inj.Enable(faults.OptimizerError, 1)
+		for i := 0; i < 20; i++ {
+			_, err := sys.Run("Q1", next())
+			if err == nil {
+				t.Fatalf("run %d succeeded with the optimizer down and a cold learner", i)
+			}
+			assertTyped(t, err)
+		}
+		inj.DisableAll()
+		recovers(t, sys, "Q1", next)
+	})
+
+	// A warm Q3 (3,000 runs) under an outage keeps serving hits. With the
+	// optimizer hard down, every hit is a run that succeeds; at half the
+	// calls failing, a run fails only when both its learner step and its
+	// fallback needed the optimizer and both calls failed.
+	for _, c := range []struct {
+		rate      float64
+		minHits   int
+		maxFailed int
+	}{{1, 40, 400}, {0.5, 0, 100}} {
+		t.Run(fmt.Sprint(c.rate), func(t *testing.T) {
+			sys, inj := open(t)
+			next := instances(t, sys, "Q3", 3)
+			for i := 0; i < 3000; i++ {
+				if _, err := sys.Run("Q3", next()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			inj.Enable(faults.OptimizerError, c.rate)
+			failed, hits, degraded := 0, 0, 0
+			for i := 0; i < 400; i++ {
+				res, err := sys.Run("Q3", next())
+				if err != nil {
+					assertTyped(t, err)
+					failed++
+					continue
+				}
+				if res.CacheHit {
+					hits++
+				}
+				if res.Degraded {
+					degraded++
+				}
+			}
+			t.Logf("optimizer fault rate %v: %d of 400 runs failed, %d hits, %d degraded", c.rate, failed, hits, degraded)
+			if hits < c.minHits {
+				t.Errorf("%d cache hits during the outage, want at least %d", hits, c.minHits)
+			}
+			if failed > c.maxFailed {
+				t.Errorf("%d of 400 runs failed, want at most %d", failed, c.maxFailed)
+			}
+			inj.DisableAll()
+			recovers(t, sys, "Q3", next)
+		})
 	}
 }
 
 // TestChaosMispredictionResetsLearner pins the one reaction to a precision
 // collapse: a warm learner whose predictions go bad (injected
 // mispredictions caught by the Section IV-E cost detector) is reset by the
-// paper's drift recovery, never quarantined by the breaker — every query
+// paper's drift recovery and nothing else — no run is degraded, every query
 // keeps succeeding, and once the faults stop the refilled window reads a
 // healthy learner again.
 func TestChaosMispredictionResetsLearner(t *testing.T) {
 	inj := faults.New(8)
 	sys, err := Open(Options{
-		TPCH:    tpch.Config{Scale: 2000, Seed: 5},
-		Online:  onlineForTest(),
-		Breaker: chaosBreaker(),
-		Faults:  inj,
+		TPCH:   tpch.Config{Scale: 2000, Seed: 5},
+		Online: onlineForTest(),
+		Faults: inj,
 		// Synchronous feedback: the assertions below track precision run by
 		// run, which requires each run's feedback applied before the next
 		// decision. With the background applier the outcome depends on how
@@ -408,8 +425,8 @@ func TestChaosMispredictionResetsLearner(t *testing.T) {
 		t.Fatalf("precision collapse never reset the learner: %+v", h.Learner)
 	}
 	t.Logf("drift reset after %d garbled runs", garbled)
-	if h.Breaker.Trips != 0 || h.Counters.DegradedRuns != 0 {
-		t.Fatalf("a precision collapse reached the breaker: %+v, %d degraded runs", h.Breaker, h.Counters.DegradedRuns)
+	if h.Counters.DegradedRuns != 0 {
+		t.Fatalf("a precision collapse degraded %d runs", h.Counters.DegradedRuns)
 	}
 
 	// Mispredictions stop; the learner retrains on optimizer-validated
@@ -423,16 +440,12 @@ func TestChaosMispredictionResetsLearner(t *testing.T) {
 		t.Fatalf("precision %.2f (known=%v) after the faults stopped", l.Precision, l.PrecisionKnown)
 	}
 	t.Logf("precision %.2f over %d samples after 60 clean runs", h.Learner.Precision, h.Learner.WindowSamples)
-	if h.Breaker.Trips != 0 {
-		t.Fatalf("breaker tripped: %+v", h.Breaker)
-	}
 }
 
 // TestChaosServedDriftResets runs the served system through a shift of its
 // own cost model: Q1's l_partkey estimates are scaled ×40 for 3,000 runs,
 // then ×0.2 for 3,000 more. The collapse in precision that follows gets
-// the paper's drift reset and nothing else — the breaker stays closed and
-// no run is degraded — and the plans served after the flip cost within
+// the paper's drift reset and nothing else — no run is degraded — and the plans served after the flip cost within
 // 5 % of the optimizer's own (geometric mean over every 10th run).
 func TestChaosServedDriftResets(t *testing.T) {
 	for _, seed := range []int64{5, 6} {
@@ -492,11 +505,11 @@ func TestChaosServedDriftResets(t *testing.T) {
 			if h.Learner.Resets == 0 {
 				t.Errorf("no drift reset after the flip: %+v", h.Learner)
 			}
-			if h.Breaker.Trips != 0 || h.Counters.DegradedRuns != 0 {
-				t.Errorf("the breaker reacted: %+v, %d degraded runs", h.Breaker, h.Counters.DegradedRuns)
+			if h.Counters.DegradedRuns != 0 {
+				t.Errorf("%d degraded runs", h.Counters.DegradedRuns)
 			}
 			g := math.Exp(logRatio / float64(ratios))
-			t.Logf("after the flip: %d resets, %d trips, served plan-cost geomean %.4f", h.Learner.Resets, h.Breaker.Trips, g)
+			t.Logf("after the flip: %d resets, served plan-cost geomean %.4f", h.Learner.Resets, g)
 			if g > 1.05 {
 				t.Errorf("served plan-cost geomean %.4f after the flip, want ≤ 1.05", g)
 			}

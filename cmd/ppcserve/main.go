@@ -25,10 +25,10 @@
 //
 // Endpoints:
 //
-//	GET  /metrics                 MetricsSnapshot as indented JSON (ppc-metrics/v4)
+//	GET  /metrics                 MetricsSnapshot as indented JSON (ppc-metrics/v5)
 //	GET  /metrics?template=Q1     that template's element of the snapshot, alone
 //	GET  /trace?template=Q1       recent decision traces, oldest first
-//	GET  /health                  liveness: 200 and each template's breaker state (never flushes)
+//	GET  /health                  liveness: 200 and the registered template names (never flushes)
 //	POST /run?template=Q1&values=0.3,0.4   run one instance at a plan-space point (compact JSON reply)
 //	GET  /recovery                LoadReport from startup recovery (404 when cold-started)
 //	GET  /replication             leader-side replication gauges (404 without -wal-dir)
@@ -232,11 +232,11 @@ func newMux(sys *ppc.System) *http.ServeMux {
 		}
 		writeJSON(w, trace)
 	})
-	// Liveness: breaker states are single atomic loads, so this answers even
-	// while a template's applier is stalled (everything under /metrics
-	// flushes the feedback mailboxes first and would wait).
+	// Liveness: the template names take only the registry's read lock, so
+	// this answers even while a template's applier is stalled (everything
+	// under /metrics flushes the feedback mailboxes first and would wait).
 	mux.HandleFunc("/health", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, sys.BreakerStates())
+		writeJSON(w, sys.TemplateNames())
 	})
 	mux.HandleFunc("/run", postOnly(func(w http.ResponseWriter, r *http.Request) {
 		name, values := runParams(r)

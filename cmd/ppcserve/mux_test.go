@@ -17,7 +17,6 @@ import (
 
 	"repro"
 	"repro/internal/faults"
-	"repro/internal/metrics"
 	"repro/internal/tpch"
 )
 
@@ -169,16 +168,16 @@ func checkRunReply(t *testing.T, url string, res *ppc.RunResult) {
 	}
 }
 
-// TestRunReplyDegraded: a reply written while the breaker holds the
-// template in always-optimize mode says so, like its twin's Run.
+// TestRunReplyDegraded: a run whose learner step failed falls back to the
+// optimizer for that run and says so in its reply, like its twin's Run. The
+// injector's seed fails the first optimizer call, the cold learner's step,
+// and lets the second, the fallback's, through.
 func TestRunReplyDegraded(t *testing.T) {
-	open := func() (*ppc.System, *faults.Injector) {
-		inj := faults.New(3).Enable(faults.OptimizerError, 1)
+	open := func() *ppc.System {
 		sys, err := ppc.Open(ppc.Options{
 			TPCH:          tpch.Config{Scale: 2000, Seed: 5},
 			FeedbackQueue: -1,
-			Faults:        inj,
-			Breaker:       metrics.BreakerConfig{FailureThreshold: 1, Cooldown: 8},
+			Faults:        faults.New(6).Enable(faults.OptimizerError, 0.5),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -187,13 +186,11 @@ func TestRunReplyDegraded(t *testing.T) {
 		if err := sys.RegisterStandard(); err != nil {
 			t.Fatal(err)
 		}
-		return sys, inj
+		return sys
 	}
-	sys, sysFaults := open()
-	twin, twinFaults := open()
+	sys, twin := open(), open()
 	srv := httptest.NewServer(newMux(sys))
 	defer srv.Close()
-	runURL := srv.URL + "/run?template=Q0&values=0.4,0.4"
 	tmpl, err := twin.Template("Q0")
 	if err != nil {
 		t.Fatal(err)
@@ -202,27 +199,14 @@ func TestRunReplyDegraded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// The optimizer is down: the run fails on both and trips both breakers.
-	resp, err := http.Post(runURL, "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck
-	resp.Body.Close()              //nolint:errcheck
-	if _, err := twin.Run("Q0", inst.Values); err == nil || resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("with the optimizer down the twin's Run returned %v and POST /run %d", err, resp.StatusCode)
-	}
-	sysFaults.DisableAll()
-	twinFaults.DisableAll()
 	res, err := twin.Run("Q0", inst.Values)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Degraded || !res.Invoked {
-		t.Fatalf("the twin's run under an open breaker: degraded %v, invoked %v", res.Degraded, res.Invoked)
+		t.Fatalf("the twin's run after a failed learner step: degraded %v, invoked %v", res.Degraded, res.Invoked)
 	}
-	checkRunReply(t, runURL, res)
+	checkRunReply(t, srv.URL+"/run?template=Q0&values=0.4,0.4", res)
 }
 
 // TestRunHandlerAllocBudget holds a warm /run — parse, InstanceAt, Run,
@@ -306,9 +290,9 @@ func TestReadEndpointsServeOnDedicatedMux(t *testing.T) {
 
 // TestMetricsOfOneTemplateIsItsSnapshotElement: /metrics?template=Q1 returns
 // exactly the Q1 element of /metrics — one assembly, two framings — and
-// /health is the facade's breaker states and nothing that needs a flush
-// (TestBreakerStatesAnswerWhileApplierStalled, in the root package, stalls
-// an applier under that read).
+// /health is the registered template names and nothing that needs a flush
+// (TestHealthAnswersWhileApplierStalled, in the root package, stalls an
+// applier under that read).
 func TestMetricsOfOneTemplateIsItsSnapshotElement(t *testing.T) {
 	sys := testSystem(t)
 	srv := httptest.NewServer(newMux(sys))
@@ -370,9 +354,9 @@ func TestMetricsOfOneTemplateIsItsSnapshotElement(t *testing.T) {
 		t.Errorf("counters.runs = %v after 5 runs", runs)
 	}
 
-	var health map[string]string
+	var health []string
 	get("/health", &health)
-	if want := sys.BreakerStates(); !reflect.DeepEqual(health, want) || health["Q1"] != "closed" {
-		t.Errorf("/health = %v, want the breaker states %v", health, want)
+	if want := sys.TemplateNames(); !reflect.DeepEqual(health, want) || len(health) != 9 {
+		t.Errorf("/health = %v, want the template names %v", health, want)
 	}
 }

@@ -23,8 +23,8 @@ import (
 //
 // Both calls return real errors: an optimizer or recosting failure
 // propagates out of Step instead of being smuggled through a side channel,
-// so callers (in particular the ppc.System circuit breaker) can observe
-// learner-path failures and fall back to direct optimization.
+// so callers (in particular ppc.System's Run) can observe learner-path
+// failures and fall back to direct optimization for that run.
 type Environment interface {
 	// Optimize returns the optimizer's plan choice at point x and that
 	// plan's execution cost at x.
@@ -330,7 +330,7 @@ func (o *Online) StepConcurrent(x []float64, env Environment) (Decision, error) 
 	pred, costEst, costOK := model.PredictWithCost(x, sc)
 	o.scratch.Put(sc)
 	// Injected learner misprediction: garble the plan choice, simulating a
-	// corrupted synopsis. The safety rails (negative feedback, breaker)
+	// corrupted synopsis. The safety rails (negative feedback, drift reset)
 	// must contain it.
 	if pred.OK && o.faults.Should(faults.LearnerMisprediction) {
 		pred.Plan += 1 + o.faults.Intn(7)
@@ -429,8 +429,8 @@ func (o *Online) label(x []float64, plan int, cost float64, selfLabeled bool) Fe
 }
 
 // ValidatedFeedback builds an optimizer-validated feedback point for x,
-// checking dimensionality; its Point aliases x. Degraded-mode callers
-// (circuit breaker open) use it to keep retraining the quarantined learner.
+// checking dimensionality; its Point aliases x. A run whose learner step
+// failed uses it to label the plan the optimizer chose for it instead.
 func (o *Online) ValidatedFeedback(x []float64, plan int, cost float64) (Feedback, error) {
 	if len(x) != o.cfg.Core.Dims {
 		return Feedback{}, fmt.Errorf("core: point has %d coordinates, driver expects %d", len(x), o.cfg.Core.Dims)

@@ -163,17 +163,6 @@ func (e *TemplateEstimator) PlanPrecision(plan int) (float64, bool) {
 	return w.Rate()
 }
 
-// Plans returns the identifiers of plans with recorded predictions.
-func (e *TemplateEstimator) Plans() []int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]int, 0, len(e.perPlan))
-	for p := range e.perPlan {
-		out = append(out, p)
-	}
-	return out
-}
-
 // SampleCount returns how many predictions (NULL or not) are in the window.
 func (e *TemplateEstimator) SampleCount() int {
 	e.mu.Lock()
@@ -218,27 +207,15 @@ func (c *Counter) RecordTruth(ok, correct bool) {
 // use for empty cells ("no NULL-free predictions" literally means no
 // prediction was wrong), and the experiment harness relies on it when
 // aggregating sparse sweeps. It is a plotting convention only: operational
-// consumers must not interpret it as evidence of a healthy predictor. Use
-// PrecisionOK where the no-data case has to be distinguished — the serving
-// path's estimator (TemplateEstimator.Precision) makes the same
-// distinction with its ok=false return.
+// consumers must not interpret it as evidence of a healthy predictor: the
+// serving path's estimator (TemplateEstimator.Precision) distinguishes the
+// no-data case with its ok=false return.
 func (c *Counter) Precision() float64 {
 	nf := c.Correct + c.Incorrect
 	if nf == 0 {
 		return 1
 	}
 	return float64(c.Correct) / float64(nf)
-}
-
-// PrecisionOK is Precision with the no-data case made explicit: ok=false
-// (and value 0) when no NULL-free predictions were recorded, instead of
-// the vacuous 1.0.
-func (c *Counter) PrecisionOK() (float64, bool) {
-	nf := c.Correct + c.Incorrect
-	if nf == 0 {
-		return 0, false
-	}
-	return float64(c.Correct) / float64(nf), true
 }
 
 // Recall is correct / total predictions (Definition 4).

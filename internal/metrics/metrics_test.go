@@ -89,14 +89,11 @@ func TestTemplateEstimatorPerPlan(t *testing.T) {
 	if _, ok := e.PlanPrecision(1); ok {
 		t.Error("unknown plan should report no precision")
 	}
-	if len(e.Plans()) != 2 {
-		t.Errorf("Plans = %v", e.Plans())
-	}
 	e.Reset()
 	if _, ok := e.Precision(); ok {
 		t.Error("reset failed")
 	}
-	if len(e.Plans()) != 0 {
+	if _, ok := e.PlanPrecision(7); ok {
 		t.Error("reset did not clear plans")
 	}
 }
@@ -184,31 +181,25 @@ func TestWindowProperty(t *testing.T) {
 }
 
 // TestPrecisionConventions pins the two no-data conventions against each
-// other: Counter reports the vacuous 1.0 (paper plots), PrecisionOK and the
-// estimator report "does not exist".
+// other: Counter reports the vacuous 1.0 (paper plots), the estimator
+// reports "does not exist".
 func TestPrecisionConventions(t *testing.T) {
 	var c Counter
 	if c.Precision() != 1 {
 		t.Errorf("empty Counter.Precision = %f, want vacuous 1", c.Precision())
-	}
-	if v, ok := c.PrecisionOK(); ok || v != 0 {
-		t.Errorf("empty Counter.PrecisionOK = %f,%v, want 0,false", v, ok)
 	}
 	if _, ok := NewTemplateEstimator(4).Precision(); ok {
 		t.Error("empty estimator must report no precision")
 	}
 	c.RecordTruth(true, true)
 	c.RecordTruth(true, false)
-	if v, ok := c.PrecisionOK(); !ok || v != 0.5 {
-		t.Errorf("PrecisionOK = %f,%v, want 0.5,true", v, ok)
-	}
 	if c.Precision() != 0.5 {
 		t.Errorf("Precision = %f, want 0.5", c.Precision())
 	}
-	// NULL-only data: still no NULL-free predictions, so no precision.
+	// NULL-only data: still no NULL-free predictions, so the vacuous 1.
 	var n Counter
 	n.RecordTruth(false, false)
-	if _, ok := n.PrecisionOK(); ok {
-		t.Error("NULL-only Counter must report no precision")
+	if n.Precision() != 1 {
+		t.Errorf("NULL-only Counter.Precision = %f, want vacuous 1", n.Precision())
 	}
 }

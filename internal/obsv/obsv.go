@@ -5,7 +5,7 @@
 //
 // The paper's online framework (Section IV-E) is driven entirely by
 // feedback signals — sliding-window precision/recall, negative feedback,
-// drift recovery, and (in this runtime) circuit-breaker state. This
+// drift recovery, and (in this runtime) the per-run optimizer fallback. This
 // package makes those signals continuously observable instead of
 // poll-only: every counter and histogram is updated with a single atomic
 // operation, so instrumentation may run under any serving-path lock
@@ -140,7 +140,6 @@ type TemplateObs struct {
 	randomInvocations   atomic.Uint64
 	feedbackCorrections atomic.Uint64
 	degradedRuns        atomic.Uint64
-	degradedByError     atomic.Uint64
 	retrainDrops        atomic.Uint64
 
 	// Feedback-pipeline health: points enqueued to the background applier,
@@ -190,14 +189,7 @@ func (t *TemplateObs) Observe(rec *TraceRecord) {
 		// Degraded-path service time: decide + direct optimize + execute.
 		t.degraded.Record(time.Duration(rec.PredictNs + rec.OptimizeNs + rec.ExecuteNs))
 	}
-	if rec.DegradedByError {
-		t.degradedByError.Add(1)
-	}
-	// The predict histogram covers runs where the learner actually decided:
-	// everything except breaker-open degraded runs (which bypass it).
-	if !rec.Degraded || rec.DegradedByError {
-		t.predict.Record(time.Duration(rec.PredictNs))
-	}
+	t.predict.Record(time.Duration(rec.PredictNs))
 	if rec.Executed {
 		t.execute.Record(time.Duration(rec.ExecuteNs))
 	}
@@ -242,14 +234,13 @@ func (t *TemplateObs) Trace() []TraceRecord { return t.ring.Snapshot() }
 // registry itself counts, each from completed runs (Observe) or from the
 // feedback pipeline's own calls. Facts another component owns — the
 // learner's NULL predictions, publications, drift resets and stale drops,
-// the breaker's failures and edges, the mailbox's depth — are read from that
-// owner by the facade's snapshot assembly and appear under learner.* and
-// breaker.*, never here: one counter per fact.
+// the mailbox's depth — are read from that owner by the facade's snapshot
+// assembly and appear under learner.*, never here: one counter per fact.
 type CounterSnapshot struct {
 	// Runs counts completed (successful) Runs, whichever path served them —
-	// a breaker-open run takes no learner step, so runs and learner.steps
-	// are different facts. RunErrors counts Runs that returned a typed error
-	// after template resolution.
+	// a run that fails after its learner step is a step without a completed
+	// run, so runs and learner.steps are different facts. RunErrors counts
+	// Runs that returned a typed error after template resolution.
 	Runs      uint64 `json:"runs"`
 	RunErrors uint64 `json:"run_errors"`
 	// CacheHits counts runs served from the cache without optimizing.
@@ -262,20 +253,18 @@ type CounterSnapshot struct {
 	OptimizerInvocations uint64 `json:"optimizer_invocations"`
 	RandomInvocations    uint64 `json:"random_invocations"`
 	FeedbackCorrections  uint64 `json:"feedback_corrections"`
-	// DegradedRuns counts always-invoke-the-optimizer runs; DegradedByError
-	// is the subset forced by a same-run learner error (the rest found the
-	// breaker open). RetrainDrops counts degraded-mode retraining points the
-	// learner rejected.
-	DegradedRuns    uint64 `json:"degraded_runs"`
-	DegradedByError uint64 `json:"degraded_by_error"`
-	RetrainDrops    uint64 `json:"retrain_drops"`
+	// DegradedRuns counts runs whose learner step failed and that invoked
+	// the optimizer directly instead. RetrainDrops counts degraded runs'
+	// labels the learner rejected.
+	DegradedRuns uint64 `json:"degraded_runs"`
+	RetrainDrops uint64 `json:"retrain_drops"`
 	// Feedback-pipeline counters: enqueued to the background applier,
 	// deferred to a synchronous apply under backpressure, and apply batches.
 	FeedbackEnqueued uint64 `json:"feedback_enqueued"`
 	FeedbackDeferred uint64 `json:"feedback_deferred"`
 	ApplyBatches     uint64 `json:"apply_batches"`
 	// MemoInvalidations is always 0: a memo reads correction factors per
-	// call and is never rebuilt. The key stays in ppc-metrics/v4 for the
+	// call and is never rebuilt. The key stays in ppc-metrics/v5 for the
 	// readers that still name it (ROADMAP item 1).
 	MemoInvalidations uint64 `json:"memo_invalidations"`
 }
@@ -306,7 +295,6 @@ func (t *TemplateObs) Snapshot() TemplateSnapshot {
 		RandomInvocations:    t.randomInvocations.Load(),
 		FeedbackCorrections:  t.feedbackCorrections.Load(),
 		DegradedRuns:         t.degradedRuns.Load(),
-		DegradedByError:      t.degradedByError.Load(),
 		RetrainDrops:         t.retrainDrops.Load(),
 		FeedbackEnqueued:     t.feedbackEnqueued.Load(),
 		FeedbackDeferred:     t.feedbackDeferred.Load(),

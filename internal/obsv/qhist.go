@@ -101,14 +101,6 @@ func (h *QHist) Snapshot() QHistSnapshot {
 	return s
 }
 
-// Mean is the mean observed q-error (0 when empty).
-func (s QHistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
-}
-
 // Quantile returns an upper bound for the q-quantile (q in [0,1]) from the
 // bucket boundaries, mirroring HistSnapshot.Quantile. The overflow bucket
 // reports the observed maximum. Returns 0 when empty.
@@ -137,29 +129,4 @@ func (s QHistSnapshot) Quantile(q float64) float64 {
 		}
 	}
 	return s.Max
-}
-
-// Merge folds another snapshot into this one (bucket-wise sum), letting
-// callers aggregate per-template q-error distributions into a system-wide
-// one before taking quantiles.
-func (s QHistSnapshot) Merge(o QHistSnapshot) QHistSnapshot {
-	s.Count += o.Count
-	s.Sum += o.Sum
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
-	merged := make(map[float64]uint64, len(s.Buckets)+len(o.Buckets))
-	for _, b := range s.Buckets {
-		merged[b.Upper] += b.Count
-	}
-	for _, b := range o.Buckets {
-		merged[b.Upper] += b.Count
-	}
-	s.Buckets = s.Buckets[:0]
-	for i := 0; i < qhistBuckets; i++ {
-		if n := merged[QBucketUpper(i)]; n > 0 {
-			s.Buckets = append(s.Buckets, QHistBucket{Upper: QBucketUpper(i), Count: n})
-		}
-	}
-	return s
 }

@@ -33,11 +33,9 @@ type TraceRecord struct {
 	RandomInvocation   bool `json:"random_invocation"`
 	FeedbackCorrection bool `json:"feedback_correction"`
 	DriftReset         bool `json:"drift_reset"`
-	// Degraded marks an always-invoke-the-optimizer run; DegradedByError
-	// marks the subset forced by a same-run learner error (as opposed to an
-	// already-open breaker).
-	Degraded        bool `json:"degraded"`
-	DegradedByError bool `json:"degraded_by_error"`
+	// Degraded marks a run whose learner step failed and that invoked the
+	// optimizer directly.
+	Degraded bool `json:"degraded"`
 	// Executed is true when the plan ran against the database.
 	Executed bool `json:"executed"`
 	// Stage latencies in nanoseconds.

@@ -7,9 +7,13 @@ package replica
 // ppc.System (the root package has the end-to-end variant).
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"net"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -575,5 +579,63 @@ func TestChaosCorruptAndTornFrames(t *testing.T) {
 	// Applied records must never exceed what the leader wrote.
 	if st.ReceivedSeq() > src.log.LastSeq() {
 		t.Errorf("receivedSeq %d beyond leader tail %d", st.ReceivedSeq(), src.log.LastSeq())
+	}
+}
+
+// TestShippedBatchIsTheSegment pins what the ship loop sends: it decodes
+// each record Follower.Poll reads and re-encodes it through wal.AppendFrame,
+// and the batch body that builds is u32 count followed by the segment's
+// bytes after its header — a feedback, a correction and a retired kind-3
+// frame alike. Forwarding the frames as read would skip the decode and the
+// re-encode; until then this equality is what a replica relies on.
+func TestShippedBatchIsTheSegment(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := wal.Open(wal.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []*wal.Record{
+		{Kind: wal.RecordFeedback, Template: "Q1", Plan: 3, Cost: 12.5, SelfLabeled: true, Point: []float64{0.25, 0.5}},
+		{Kind: wal.RecordCorrection, CorrEpoch: 3, Template: "Q1", Site: 2, LogC: -0.5, N: 11, Ref: 0.25},
+	} {
+		if _, err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments %v, %v; want one", segs, err)
+	}
+	// Append refuses the retired kind, so it lands as an older build framed
+	// it: a one-warp re-tune grid of two knots.
+	grid := []byte{1, 0, 1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f}
+	retired := wal.Record{Kind: wal.RecordRetiredRetune, Seq: 3, Epoch: 1, Template: "Q1", Retired: grid}
+	f, err := os.OpenFile(segs[0], os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(wal.AppendFrame(nil, &retired)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	recs, err := wal.NewFollower(dir, 0).Poll(0)
+	if err != nil || len(recs) != 3 {
+		t.Fatalf("poll read %d records, %v; want 3", len(recs), err)
+	}
+	seg, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	const header = len("PPCWAL\x00") + 2 // magic, u16 version
+	want := binary.LittleEndian.AppendUint32(nil, 3)
+	want = append(want, seg[header:]...)
+	if got := encodeRecords(nil, recs); !bytes.Equal(got, want) {
+		t.Fatalf("shipped batch differs from the segment's frames:\n got %x\nwant %x", got, want)
 	}
 }

@@ -417,8 +417,8 @@ func (s *Server) serveReplica(c *netproto.Conn, hello netproto.Hello) {
 	}
 }
 
-// encodeRecords frames a WAL record batch: u32 count, then each record's
-// on-disk frame encoding verbatim.
+// encodeRecords frames a WAL record batch: u32 count, then each record
+// re-encoded in its on-disk frame form (wal.AppendFrame).
 func encodeRecords(dst []byte, recs []wal.Record) []byte {
 	var cnt [4]byte
 	binary.LittleEndian.PutUint32(cnt[:], uint32(len(recs)))

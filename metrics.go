@@ -1,18 +1,15 @@
 package ppc
 
-import (
-	"repro/internal/metrics"
-	"repro/internal/obsv"
-)
+import "repro/internal/obsv"
 
 // The metrics surface: one snapshot shape, assembled in one place, with one
-// counter per fact. A template's numbers come in three objects named after
+// counter per fact. A template's numbers come in two objects named after
 // who counts them — counters (the metrics registry: completed runs and the
-// feedback pipeline's own calls), learner (core.Online, its published model,
-// its estimator windows, the mailbox in front of it and the correction state
-// behind it) and breaker (metrics.Breaker) — and a fact is read from its one
-// owner when the snapshot is assembled: nothing is mirrored into a second
-// object, and no key name occurs in two of them (README "Observability" has
+// feedback pipeline's own calls) and learner (core.Online, its published
+// model, its estimator windows, the mailbox in front of it and the
+// correction state behind it) — and a fact is read from its one owner when
+// the snapshot is assembled: nothing is mirrored into a second object, and
+// no key name occurs in both (README "Observability" has
 // the table; TestMetricsOneCounterPerFact holds the shape).
 
 // LearnerMetrics is the learner-owned slice of a template's metrics: the
@@ -24,10 +21,10 @@ import (
 // plots: an operator reading "1.0" for a template that has never predicted
 // would conclude the opposite of the truth.
 type LearnerMetrics struct {
-	// Steps counts learner protocol steps — runs the breaker let through to
-	// the learner, whether or not they went on to complete (counters.runs
-	// counts completed runs, breaker-rejected ones included: different
-	// facts). NullPredictions is the subset of steps that emitted no plan.
+	// Steps counts learner protocol steps — one per run that reached its
+	// learner, whether or not it went on to complete (counters.runs counts
+	// completed runs: different facts). NullPredictions is the subset of
+	// steps that emitted no plan.
 	// Both are lifetime totals, unlike the bounded estimator windows below.
 	Steps           int `json:"steps"`
 	NullPredictions int `json:"null_predictions"`
@@ -70,13 +67,11 @@ type LearnerMetrics struct {
 }
 
 // TemplateMetrics is one template's slice of a MetricsSnapshot: the
-// registry's counters and latency histograms, the learner's state, and the
-// circuit breaker's state and counters.
+// registry's counters and latency histograms and the learner's state.
 type TemplateMetrics struct {
 	obsv.TemplateSnapshot
-	Degree  int                     `json:"degree"`
-	Learner LearnerMetrics          `json:"learner"`
-	Breaker metrics.BreakerSnapshot `json:"breaker"`
+	Degree  int            `json:"degree"`
+	Learner LearnerMetrics `json:"learner"`
 }
 
 // CacheMetrics is the shared plan cache's slice of a MetricsSnapshot.
@@ -90,13 +85,15 @@ type CacheMetrics struct {
 // on incompatible changes. v2 removed every key that repeated a fact under a
 // second name (README "Observability" lists each and what replaces it); v3
 // removed the learner's tunable-LSH epoch gauge with the feature; v4 removed
-// the breaker's per-cause trip counters with its precision trip, leaving
-// trips as the one count of that fact.
-const MetricsSnapshotSchema = "ppc-metrics/v4"
+// two per-cause trip counters with the precision trip; v5 removed the
+// per-template trip state with the trip itself, and
+// counters.degraded_by_error, which equals counters.degraded_runs now that
+// every degraded run is a failed learner step.
+const MetricsSnapshotSchema = "ppc-metrics/v5"
 
 // MetricsSnapshot is a stable, JSON-serializable copy of the System's
 // serving-path metrics: per-template counters and latency histograms,
-// learner and breaker state, and the shared plan cache's counters.
+// learner state, and the shared plan cache's counters.
 type MetricsSnapshot struct {
 	Schema    string            `json:"schema"`
 	Templates []TemplateMetrics `json:"templates"`
@@ -123,7 +120,6 @@ func (st *templateState) metrics() TemplateMetrics {
 	tm := TemplateMetrics{
 		TemplateSnapshot: st.obs.Snapshot(),
 		Degree:           st.tmpl.Degree(),
-		Breaker:          st.breaker.Snapshot(),
 		Learner: LearnerMetrics{
 			Steps:              st.online.Steps(),
 			NullPredictions:    st.online.NullPredictions(),
@@ -179,19 +175,6 @@ func (s *System) TemplateMetrics(template string) (tm TemplateMetrics, err error
 		return TemplateMetrics{}, err
 	}
 	return st.metrics(), nil
-}
-
-// BreakerStates reports every registered template's circuit-breaker state
-// ("closed", "open", "half-open") by template name. It is the liveness read:
-// one atomic load per template, no mailbox flush and no lock beyond the
-// registry's, so it answers while an applier is stalled.
-func (s *System) BreakerStates() map[string]string {
-	states := s.statesByName()
-	out := make(map[string]string, len(states))
-	for _, st := range states {
-		out[st.tmpl.Name] = st.breaker.State().String()
-	}
-	return out
 }
 
 // TemplateTrace returns the template's most recent decision traces, oldest

@@ -6,7 +6,6 @@ package ppc
 
 import (
 	"encoding/json"
-	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -15,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/faults"
-	"repro/internal/metrics"
 	"repro/internal/queries"
 	"repro/internal/tpch"
 	"repro/internal/wal"
@@ -38,8 +36,7 @@ func sqlFor(t *testing.T, name string) string {
 type runTally struct {
 	runs, cacheHits, predicted, nulls uint64
 	invoked, random, feedback, drift  uint64
-	degraded, degradedByError         uint64
-	predictObs, executed              uint64
+	degraded, executed                uint64
 	last                              *RunResult
 }
 
@@ -67,12 +64,6 @@ func (c *runTally) add(res *RunResult) {
 	}
 	if res.Degraded {
 		c.degraded++
-	}
-	if res.DegradedByError {
-		c.degradedByError++
-	}
-	if !res.Degraded || res.DegradedByError {
-		c.predictObs++
 	}
 	if res.Result != nil {
 		c.executed++
@@ -153,8 +144,7 @@ func TestMetricsSnapshotMatchesRunResults(t *testing.T) {
 			{"random_invocations", c.RandomInvocations, tally.random},
 			{"feedback_corrections", c.FeedbackCorrections, tally.feedback},
 			{"degraded_runs", c.DegradedRuns, tally.degraded},
-			{"degraded_by_error", c.DegradedByError, tally.degradedByError},
-			{"predict_latency.count", tm.PredictLatency.Count, tally.predictObs},
+			{"predict_latency.count", tm.PredictLatency.Count, tally.runs},
 			{"optimize_latency.count", tm.OptimizeLatency.Count, tally.invoked},
 			{"execute_latency.count", tm.ExecuteLatency.Count, tally.executed},
 			{"degraded_latency.count", tm.DegradedLatency.Count, tally.degraded},
@@ -170,10 +160,9 @@ func TestMetricsSnapshotMatchesRunResults(t *testing.T) {
 			t.Errorf("%s: degenerate workload (hits=%d invoked=%d)", tm.Template, tally.cacheHits, tally.invoked)
 		}
 		// The learner's own lifetime counters, held to the same ground
-		// truth: every run the breaker let through is one learner step, and
-		// with no run failing the learner's NULLs and drift resets are the
-		// runs that reported one.
-		if got, want := uint64(tm.Learner.Steps), tally.runs-tally.degraded+tally.degradedByError; got != want {
+		// truth: every run is one learner step, and with no run failing the
+		// learner's NULLs and drift resets are the runs that reported one.
+		if got, want := uint64(tm.Learner.Steps), tally.runs; got != want {
 			t.Errorf("%s: learner steps = %d, want %d", tm.Template, got, want)
 		}
 		if got := uint64(tm.Learner.NullPredictions); got != tally.nulls {
@@ -290,19 +279,16 @@ func TestRunLatencyAccounting(t *testing.T) {
 	}
 }
 
-// TestErrorDegradeAccounting pins the decide() error-branch fix: a run
-// degraded by a same-run learner error must still carry the time spent in
-// the failed learner step, and the snapshot's degraded_by_error and
-// run_errors must be the runs that reported each.
+// TestErrorDegradeAccounting pins the decide() error branch: a run whose
+// learner step failed is degraded — it invokes the optimizer directly —
+// and still carries the time spent in the failed step, and the snapshot's
+// degraded_runs and run_errors are the runs that reported each.
 func TestErrorDegradeAccounting(t *testing.T) {
 	inj := faults.New(42).Enable(faults.OptimizerError, 0.5)
 	sys, err := Open(Options{
 		TPCH:   tpch.Config{Scale: 1000, Seed: 5},
 		Online: onlineForTest(),
-		// A breaker that never trips: every learner error degrades its own
-		// run and nothing else.
-		Breaker: metrics.BreakerConfig{FailureThreshold: math.MaxInt},
-		Faults:  inj,
+		Faults: inj,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -313,7 +299,7 @@ func TestErrorDegradeAccounting(t *testing.T) {
 	tmpl, _ := sys.Template("Q1")
 	rng := rand.New(rand.NewSource(9))
 
-	var byError, failed uint64
+	var degraded, failed uint64
 	sawSpentTime := false
 	for i := 0; i < 80; i++ {
 		point := []float64{0.3 + rng.Float64()*0.2, 0.3 + rng.Float64()*0.2}
@@ -327,11 +313,8 @@ func TestErrorDegradeAccounting(t *testing.T) {
 			failed++
 			continue
 		}
-		if res.DegradedByError {
-			byError++
-			if !res.Degraded {
-				t.Fatalf("run %d: DegradedByError without Degraded", i)
-			}
+		if res.Degraded {
+			degraded++
 			if !res.Invoked || res.OptimizeTime <= 0 {
 				t.Fatalf("run %d: degraded run must invoke the optimizer (%+v)", i, res)
 			}
@@ -340,11 +323,11 @@ func TestErrorDegradeAccounting(t *testing.T) {
 			}
 		}
 	}
-	if byError == 0 {
-		t.Fatal("fault injection produced no degraded-by-error runs")
+	if degraded == 0 {
+		t.Fatal("fault injection produced no degraded runs")
 	}
 	if !sawSpentTime {
-		t.Error("no degraded-by-error run carried its failed learner step's time in PredictTime")
+		t.Error("no degraded run carried its failed learner step's time in PredictTime")
 	}
 
 	tm, err := sys.TemplateMetrics("Q1")
@@ -352,8 +335,8 @@ func TestErrorDegradeAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := tm.Counters
-	if got := c.DegradedByError; got != byError {
-		t.Errorf("snapshot degraded_by_error = %d, ground truth %d", got, byError)
+	if got := c.DegradedRuns; got != degraded {
+		t.Errorf("snapshot degraded_runs = %d, ground truth %d", got, degraded)
 	}
 	if got := c.RunErrors; got != failed {
 		t.Errorf("snapshot run_errors = %d, ground truth %d", got, failed)
@@ -362,19 +345,15 @@ func TestErrorDegradeAccounting(t *testing.T) {
 
 // TestMetricsQuiescentIdentities asserts, once, the relations README
 // "Observability" states between keys of different owners — what the
-// look-alike pairs of ppc-metrics/v1 (counters.learner_errors beside
-// breaker.Failures, breaker.DegradedSteps beside counters.degraded_runs, the
-// three counters.breaker_* mirrors) each restated with a second counter. The
-// workload trips, probes and re-closes the breaker under a seeded optimizer
-// fault, serially, so the ground truth is the RunResults and the injector's
-// own count of fired faults.
+// look-alike pairs of ppc-metrics/v1 each restated with a second counter.
+// The workload runs serially under a seeded optimizer fault, so the ground
+// truth is the RunResults and the injector's own count of fired faults.
 func TestMetricsQuiescentIdentities(t *testing.T) {
 	inj := faults.New(7).Enable(faults.OptimizerError, 0.3)
 	sys, err := Open(Options{
-		TPCH:    tpch.Config{Scale: 1000, Seed: 5},
-		Online:  onlineForTest(),
-		Breaker: metrics.BreakerConfig{FailureThreshold: 2, Cooldown: 4, ProbeSuccesses: 1},
-		Faults:  inj,
+		TPCH:   tpch.Config{Scale: 1000, Seed: 5},
+		Online: onlineForTest(),
+		Faults: inj,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -385,7 +364,7 @@ func TestMetricsQuiescentIdentities(t *testing.T) {
 	}
 	tmpl, _ := sys.Template("Q1")
 	rng := rand.New(rand.NewSource(9))
-	var completed, byError, rejected, failed uint64
+	var completed, degraded, failed uint64
 	for i := 0; i < 300; i++ {
 		point := []float64{0.3 + rng.Float64()*0.2, 0.3 + rng.Float64()*0.2}
 		inst, err := sys.Optimizer().InstanceAt(tmpl, point)
@@ -396,10 +375,8 @@ func TestMetricsQuiescentIdentities(t *testing.T) {
 		switch {
 		case err != nil:
 			failed++
-		case res.DegradedByError:
-			completed, byError = completed+1, byError+1
 		case res.Degraded:
-			completed, rejected = completed+1, rejected+1
+			completed, degraded = completed+1, degraded+1
 		default:
 			completed++
 		}
@@ -408,9 +385,15 @@ func TestMetricsQuiescentIdentities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, l, b := tm.Counters, tm.Learner, tm.Breaker
-	if byError == 0 || rejected == 0 || failed == 0 || b.Trips == 0 || b.Recloses == 0 {
-		t.Fatalf("degenerate workload: by-error %d, rejected %d, failed %d, breaker %+v", byError, rejected, failed, b)
+	c, l := tm.Counters, tm.Learner
+	if degraded == 0 || failed == 0 {
+		t.Fatalf("degenerate workload: degraded %d, failed %d", degraded, failed)
+	}
+	// Q1's few plans never fill the cache, so a run's resolve never needs
+	// an optimizer call of its own: every call is a learner step's or a
+	// degraded run's fallback.
+	if n := sys.CacheEvictions(); n != 0 {
+		t.Fatalf("workload evicted %d plans", n)
 	}
 	fired := uint64(inj.Fired(faults.OptimizerError))
 	for _, ck := range []struct {
@@ -419,26 +402,16 @@ func TestMetricsQuiescentIdentities(t *testing.T) {
 	}{
 		{"counters.runs = completed runs", c.Runs, completed},
 		{"counters.run_errors = runs that returned an error", c.RunErrors, failed},
-		{"counters.degraded_by_error = completed runs a learner error degraded", c.DegradedByError, byError},
-		{"counters.degraded_runs - degraded_by_error = completed runs the open breaker turned away", c.DegradedRuns - c.DegradedByError, rejected},
-		// A fired optimizer fault fails either a learner step (the breaker
-		// counts it) or a degraded run's own optimizer call (the run fails).
-		{"breaker.failures + counters.run_errors = injected optimizer faults", uint64(b.Failures) + c.RunErrors, fired},
-		// A run the breaker admits takes one learner step, completed or not.
-		{"learner.steps = breaker.successes + breaker.failures", uint64(l.Steps), uint64(b.Successes + b.Failures)},
+		{"counters.degraded_runs = completed runs whose learner step failed", c.DegradedRuns, degraded},
+		// Every run takes one learner step, completed or not.
+		{"learner.steps = counters.runs + counters.run_errors", uint64(l.Steps), c.Runs + c.RunErrors},
+		// A fired fault fails a learner step, and the run degrades; a run
+		// fails only when its fallback's optimizer call fails as well.
+		{"injected optimizer faults = degraded_runs + 2 × run_errors", fired, c.DegradedRuns + 2*c.RunErrors},
 	} {
 		if ck.got != ck.want {
 			t.Errorf("%s: %d != %d", ck.identity, ck.got, ck.want)
 		}
-	}
-	// breaker.failures = degraded_by_error when no run failed; a failure
-	// beyond that is a run whose degraded fallback failed as well.
-	if extra := uint64(b.Failures) - c.DegradedByError; uint64(b.Failures) < c.DegradedByError || extra > c.RunErrors {
-		t.Errorf("breaker.failures %d outside [degraded_by_error %d, degraded_by_error + run_errors %d]",
-			b.Failures, c.DegradedByError, c.DegradedByError+c.RunErrors)
-	}
-	if b.Recloses > b.HalfOpens || b.HalfOpens > b.Trips {
-		t.Errorf("breaker edges out of order: recloses %d <= half_opens %d <= trips %d", b.Recloses, b.HalfOpens, b.Trips)
 	}
 }
 
@@ -523,24 +496,15 @@ func TestTraceDisabled(t *testing.T) {
 	}
 }
 
-// metricsKeysV4 is the golden key list of one template's element of a
-// ppc-metrics/v4 snapshot: its top-level keys, and every key of the three
+// metricsKeysV5 is the golden key list of one template's element of a
+// ppc-metrics/v5 snapshot: its top-level keys, and every key of the two
 // objects named after who counts what is in them. A key is added here on
 // purpose or not at all; a removal or a rename is a schema bump.
-var metricsKeysV4 = []string{
+var metricsKeysV5 = []string{
 	"apply_latency",
-	"breaker",
-	"breaker.failures",
-	"breaker.half_opens",
-	"breaker.probes",
-	"breaker.recloses",
-	"breaker.state",
-	"breaker.successes",
-	"breaker.trips",
 	"counters",
 	"counters.apply_batches",
 	"counters.cache_hits",
-	"counters.degraded_by_error",
 	"counters.degraded_runs",
 	"counters.feedback_corrections",
 	"counters.feedback_deferred",
@@ -584,12 +548,12 @@ var metricsKeysV4 = []string{
 
 // TestMetricsOneCounterPerFact is the schema guard: in a populated
 // snapshot's JSON, no key name occurs in more than one of a template's
-// counters, learner and breaker objects — ppc-metrics/v1 printed
+// counters and learner objects — ppc-metrics/v1 printed
 // null_predictions, snapshot_publishes and drift_resets twice per template,
 // with different values — and the key list is the golden above.
 func TestMetricsOneCounterPerFact(t *testing.T) {
-	if MetricsSnapshotSchema != "ppc-metrics/v4" {
-		t.Fatalf("schema %q: the golden key list above is ppc-metrics/v4's", MetricsSnapshotSchema)
+	if MetricsSnapshotSchema != "ppc-metrics/v5" {
+		t.Fatalf("schema %q: the golden key list above is ppc-metrics/v5's", MetricsSnapshotSchema)
 	}
 	sys := openSmall(t)
 	if err := sys.Register("Q1", sqlFor(t, "Q1")); err != nil {
@@ -612,7 +576,7 @@ func TestMetricsOneCounterPerFact(t *testing.T) {
 	owner := map[string]string{}
 	for key, raw := range tmpl {
 		keys = append(keys, key)
-		if key != "counters" && key != "learner" && key != "breaker" {
+		if key != "counters" && key != "learner" {
 			continue
 		}
 		var object map[string]json.RawMessage
@@ -628,8 +592,8 @@ func TestMetricsOneCounterPerFact(t *testing.T) {
 		}
 	}
 	sort.Strings(keys)
-	if !reflect.DeepEqual(keys, metricsKeysV4) {
-		t.Errorf("ppc-metrics/v4 keys moved (update metricsKeysV4 and README \"Observability\" on purpose, or bump the schema):\n got %q\nwant %q", keys, metricsKeysV4)
+	if !reflect.DeepEqual(keys, metricsKeysV5) {
+		t.Errorf("ppc-metrics/v5 keys moved (update metricsKeysV5 and README \"Observability\" on purpose, or bump the schema):\n got %q\nwant %q", keys, metricsKeysV5)
 	}
 }
 
@@ -649,12 +613,12 @@ func (l *stalledLog) Append(*wal.Record) (uint64, error) {
 
 func (l *stalledLog) Commit() error { return nil }
 
-// TestBreakerStatesAnswerWhileApplierStalled: the liveness read (ppcserve's
-// /health) must not wait for a feedback applier. Everything that reports
+// TestHealthAnswersWhileApplierStalled: the liveness read (ppcserve's
+// /health, which serves TemplateNames) must not wait for a feedback applier. Everything that reports
 // learner state flushes the template's mailbox first — MetricsSnapshot and
 // TemplateMetrics do, and wait here — so a liveness probe built on them
 // would hang exactly when an operator needs it.
-func TestBreakerStatesAnswerWhileApplierStalled(t *testing.T) {
+func TestHealthAnswersWhileApplierStalled(t *testing.T) {
 	// The default feedback queue: a background applier per template.
 	sys, err := Open(Options{TPCH: tpch.Config{Scale: 1000, Seed: 5}, Online: onlineForTest()})
 	if err != nil {
@@ -680,15 +644,15 @@ func TestBreakerStatesAnswerWhileApplierStalled(t *testing.T) {
 		t.Fatal("the applier never reached the log")
 	}
 
-	states := make(chan map[string]string, 1)
-	go func() { states <- sys.BreakerStates() }()
+	names := make(chan []string, 1)
+	go func() { names <- sys.TemplateNames() }()
 	select {
-	case got := <-states:
-		if got["Q1"] != "closed" || len(got) != 1 {
-			t.Errorf("BreakerStates = %v, want Q1 closed", got)
+	case got := <-names:
+		if !reflect.DeepEqual(got, []string{"Q1"}) {
+			t.Errorf("TemplateNames = %v, want [Q1]", got)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("BreakerStates waited for a stalled applier")
+		t.Fatal("TemplateNames waited for a stalled applier")
 	}
 
 	// The contrast that makes the above mean something: the flushing read

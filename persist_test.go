@@ -218,7 +218,7 @@ func TestRestoreOtherTransformCount(t *testing.T) {
 			t.Fatalf("run %d after restore: %v", i, err)
 		}
 		if res.Degraded {
-			t.Fatalf("run %d after restore degraded (by error: %v)", i, res.DegradedByError)
+			t.Fatalf("run %d after restore degraded", i)
 		}
 	}
 }

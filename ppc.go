@@ -36,7 +36,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/executor"
 	"repro/internal/faults"
-	"repro/internal/metrics"
 	"repro/internal/obsv"
 	"repro/internal/optimizer"
 	"repro/internal/plancache"
@@ -58,9 +57,6 @@ type Options struct {
 	// Core.OutDims must be left 0: each template's learner takes its
 	// dimensionality from the template's parameter degree.
 	Online core.OnlineConfig
-	// Breaker configures the per-template circuit breaker; the zero value
-	// uses the defaults documented on metrics.BreakerConfig.
-	Breaker metrics.BreakerConfig
 	// Faults optionally injects deterministic faults into the optimizer,
 	// executor, learner and snapshot writer (chaos testing). nil disables
 	// injection.
@@ -153,10 +149,9 @@ func (o Options) withDefaults() (Options, error) {
 // encode/decode) — the read path takes no lock at all; cacheMu guards the
 // shared plan cache, the only index of compiled plans; the estimator is an
 // internally synchronized leaf so cache eviction can score plans without
-// any template lock. The circuit breaker and all health counters are
-// atomics. The optimizer, executor, catalog and plan registry are
-// read-only or internally synchronized and are used outside all facade
-// locks.
+// any template lock. All health counters are atomics. The optimizer,
+// executor, catalog and plan registry are read-only or internally
+// synchronized and are used outside all facade locks.
 type System struct {
 	db   *tpch.Database
 	cat  *catalog.Catalog
@@ -251,9 +246,9 @@ const defaultFeedbackQueue = 256
 
 // templateState is one template's serving state. It holds no mutex: the
 // learner decision runs lock-free on the published model snapshot, the
-// breaker and health counters are atomics, and feedback flows through the
-// bounded mailbox to the template's background apply goroutine. The sys,
-// tmpl, breaker, obs and channel fields are immutable after registration.
+// health counters are atomics, and feedback flows through the bounded
+// mailbox to the template's background apply goroutine. The sys, tmpl, obs
+// and channel fields are immutable after registration.
 type templateState struct {
 	sys  *System
 	tmpl *optimizer.Template
@@ -267,10 +262,6 @@ type templateState struct {
 	memo *optimizer.Memo
 
 	online *core.Online
-	// breaker quarantines the learner when its steps keep failing. While
-	// open, Run bypasses the learner entirely and invokes the optimizer
-	// directly.
-	breaker *metrics.Breaker
 
 	// mail is the bounded feedback mailbox drained by applyLoop (nil when
 	// Options.FeedbackQueue < 0 — synchronous mode). stop asks the applier
@@ -542,15 +533,6 @@ func Open(opts Options) (*System, error) {
 	return s, nil
 }
 
-// MustOpen is like Open but panics on error.
-func MustOpen(opts Options) *System {
-	s, err := Open(opts)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // DB exposes the generated database (read-only use).
 func (s *System) DB() *tpch.Database { return s.db }
 
@@ -599,8 +581,7 @@ func (s *System) registerLocked(name, sql string) error {
 	online.SetFaults(s.opts.Faults)
 	st := &templateState{
 		sys: s, tmpl: tmpl, online: online,
-		breaker: metrics.NewBreaker(s.opts.Breaker),
-		obs:     s.obs.Template(name),
+		obs: s.obs.Template(name),
 	}
 	if !s.opts.disableAdaptiveStats {
 		// One correction site per WHERE predicate (1-based, as stamped by
@@ -747,15 +728,10 @@ type RunResult struct {
 	// EstimatedCost is the cost model's estimate for the executed plan at
 	// this instance.
 	EstimatedCost float64
-	// Degraded is true when the circuit breaker bypassed the learner (or a
-	// learner error forced a fallback) and the optimizer was invoked
-	// directly.
+	// Degraded is true when the run's learner step failed and the optimizer
+	// was invoked directly for this run. The time spent in the failed step
+	// stays in PredictTime.
 	Degraded bool
-	// DegradedByError marks the subset of degraded runs forced by a
-	// same-run learner error (as opposed to an already-open breaker). Such
-	// runs still carry the time spent in the failed learner step in
-	// PredictTime.
-	DegradedByError bool
 	// Result holds the executed rows.
 	Result *executor.Result
 }
@@ -763,9 +739,9 @@ type RunResult struct {
 // Run pushes one query instance through the full PPC workflow of Figure 1.
 //
 // Run is fault-hardened: internal panics are recovered into a typed
-// *InternalError, learner-path failures trip the template's circuit breaker
-// and fall back to invoking the optimizer directly (the answer is then the
-// same one a system without a plan cache would produce), and pipeline-stage
+// *InternalError, a failed learner step falls back to invoking the
+// optimizer directly for that run (the answer is then the same one a system
+// without a plan cache would produce), and pipeline-stage
 // failures surface as typed *PipelineError values. A Run therefore either
 // succeeds with a correct result or returns a typed error — a misbehaving
 // learner alone can never fail a query.
@@ -815,9 +791,8 @@ func (s *System) Run(template string, values []float64) (res *RunResult, err err
 // serve takes a bound run through decide, resolve and execute, filing what
 // it learns in the run's buffer.
 func (r *run) serve() error {
-	// Decide: the learner picks a cached plan or asks for the optimizer —
-	// unless the breaker has quarantined it (or it just failed), in which
-	// case the optimizer is invoked directly.
+	// Decide: the learner picks a cached plan or asks for the optimizer;
+	// if its step failed, the optimizer is invoked directly.
 	if r.decide() {
 		if err := r.degrade(); err != nil {
 			return err
@@ -889,7 +864,6 @@ func (s *System) observeRun(st *templateState, res *RunResult) {
 	rec.FeedbackCorrection = res.FeedbackCorrection
 	rec.DriftReset = res.DriftReset
 	rec.Degraded = res.Degraded
-	rec.DegradedByError = res.DegradedByError
 	rec.Executed = res.Result != nil
 	rec.PredictNs = res.PredictTime.Nanoseconds()
 	rec.OptimizeNs = res.OptimizeTime.Nanoseconds()
@@ -985,14 +959,12 @@ func (r *run) optimize() error {
 }
 
 // decide runs the learner protocol — lock-free on the template's published
-// model snapshot — and reports whether the run must fall back to degraded
-// (always-invoke-the-optimizer) mode. A learner error is absorbed here: it
-// trips the breaker and degrades this run instead of failing the query.
-func (r *run) decide() (degraded bool) {
+// model snapshot — and reports whether its step failed, in which case the
+// run falls back to invoking the optimizer directly. A step fails only when
+// its environment does (in practice, the optimizer call it made), so the
+// error is absorbed here and the next run steps the learner as usual.
+func (r *run) decide() (failed bool) {
 	st, res := r.st, r.res
-	if !st.breaker.Allow() {
-		return true
-	}
 	t0 := time.Now()
 	decision, lerr := st.online.StepConcurrent(res.Point, r)
 	// The step's latency splits into predict and optimize components: the
@@ -1005,20 +977,12 @@ func (r *run) decide() (degraded bool) {
 		r.buf.keep(decision.Label)
 	}
 	if lerr != nil {
-		// Learner-path failure: report it to the breaker (which counts it
-		// and trips toward degraded mode) and fall back to direct
-		// optimization for this run. The learner's state was not corrupted
-		// by the failed step.
-		// The time spent in the failed step stays in the run's accounting
-		// (PredictTime above; any successfully timed optimizer work inside
-		// the step stays in OptimizeTime, which degrade extends) and the
-		// run is marked degraded-by-error so traces and metrics can tell
-		// this fallback from an already-open breaker.
-		res.DegradedByError = true
-		st.breaker.RecordFailure()
+		// The failed step did not corrupt the learner's state. Its time
+		// stays in the run's accounting (PredictTime above; optimizer work
+		// timed inside the step stays in OptimizeTime, which degrade
+		// extends).
 		return true
 	}
-	st.breaker.RecordSuccess()
 	res.CacheHit = decision.CacheHit
 	res.Predicted = decision.Predicted
 	res.Invoked = decision.Invoked
@@ -1028,18 +992,18 @@ func (r *run) decide() (degraded bool) {
 	return false
 }
 
-// degrade serves a run in always-invoke-the-optimizer mode: the same plan
-// (and answer) a system without a plan cache would produce. The retraining
-// point is the run's label, sent like a healthy run's.
+// degrade serves a run whose learner step failed by invoking the optimizer
+// directly: the same plan (and answer) a system without a plan cache would
+// produce. The run's label is the validated point, sent like a healthy
+// run's.
 func (r *run) degrade() error {
 	st, res := r.st, r.res
 	res.Degraded = true
 	if err := r.optimize(); err != nil {
 		return err
 	}
-	// The validated label still feeds the quarantined learner so it
-	// retrains while degraded. A rejected point (dimensionality mismatch)
-	// is counted rather than silently dropped.
+	// A rejected point (dimensionality mismatch) is counted rather than
+	// silently dropped.
 	fb, lerr := st.online.ValidatedFeedback(res.Point, r.entry.id, res.EstimatedCost)
 	if lerr != nil {
 		st.obs.CountRetrainDrop()
