@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build vet test race chaos crash fuzz replication ab loc profile clean
+.PHONY: tier1 build vet test race chaos crash fuzz replication ab loc profile cover clean
 
 # Per-target budget for the fuzz smoke (`make fuzz FUZZTIME=2m` to go deep).
 FUZZTIME ?= 15s
@@ -33,9 +33,12 @@ PROFILE_DIR ?= profiles
 # bitmap to no slot vector, the extracting plan's cardinalities and the
 # result's allocations, and TestColumnFactsLearnedOnce a
 # second Compile to no column scan and no bitmap build; TestFreezePublishCost
-# holds a model publish to the blocks one insert touched, and
+# holds a model publish to the blocks one insert touched,
 # TestNullStepZeroAlloc a NULL learner step — the model query and the
-# optimizer call, its label aliasing the step's point — to zero;
+# optimizer call, its label aliasing the step's point — to zero, and
+# TestTryObserveFoldsWithoutAllocating a hit's fold of its own correction
+# observations into the learner (taken by TryLock, no log, no publish) to
+# zero;
 # TestCatalogBuildAllocBudget holds catalog.Build on the benchmark's database
 # to 300 allocations and 0.5 MB (212 and 0.32 MB measured: no per-row set of
 # distinct values, no copy of a column its index already orders);
@@ -60,7 +63,7 @@ tier1:
 		echo "gofmt -l . names:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -run 'TestServingPathZeroAlloc|TestRunPathAllocBudget|TestMissPathAllocBudget|TestDurableApplyAllocBudget|TestExecSteadyStateAllocs|TestCountOnlyJoinRecordsNoPairs|TestCountedJoinRecordsNoPairs|TestUnorderedScanBuildsNoBitmap|TestOrderedScanWritesNoVector|TestColumnFactsLearnedOnce|TestFreezePublishCost|TestNullStepZeroAlloc|TestCatalogBuildAllocBudget|TestOptimizeMemoAllocBudget|TestRunHandlerAllocBudget' -count=1 . ./internal/executor ./internal/core ./internal/catalog ./internal/optimizer ./cmd/ppcserve
+	$(GO) test -run 'TestServingPathZeroAlloc|TestRunPathAllocBudget|TestMissPathAllocBudget|TestDurableApplyAllocBudget|TestExecSteadyStateAllocs|TestCountOnlyJoinRecordsNoPairs|TestCountedJoinRecordsNoPairs|TestUnorderedScanBuildsNoBitmap|TestOrderedScanWritesNoVector|TestColumnFactsLearnedOnce|TestFreezePublishCost|TestNullStepZeroAlloc|TestTryObserveFoldsWithoutAllocating|TestCatalogBuildAllocBudget|TestOptimizeMemoAllocBudget|TestRunHandlerAllocBudget' -count=1 . ./internal/executor ./internal/core ./internal/catalog ./internal/optimizer ./cmd/ppcserve
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench -short ./...
 
@@ -199,6 +202,20 @@ profile:
 		-memprofile $(PROFILE_DIR)/open.mem.pprof \
 		-o $(PROFILE_DIR)/ppc.test .
 	@echo "profiles written to $(PROFILE_DIR)/"
+
+# Which functions does no test reach? A merged -coverpkg=./... profile of
+# `go test -short ./...` (written to $(PROFILE_DIR)/cover.out), then every
+# function at 0.0 % outside cmd/, examples/, internal/experiments and
+# internal/benchsuite, and the total. It reports and gates nothing: a
+# failing test only thins the profile. bench/ is a module of its own, so
+# what its harness calls of this module's packages does not count here, and
+# a function with an empty body reads 0.0 % even when it is called.
+cover:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test -short -coverpkg=./... -coverprofile=$(PROFILE_DIR)/cover.out ./... | grep -v 'coverage: ' || true
+	@$(GO) tool cover -func=$(PROFILE_DIR)/cover.out | \
+		grep -vE '^repro/(cmd|examples|internal/experiments|internal/benchsuite)/' | \
+		awk '$$NF == "0.0%" { print } $$1 == "total:" { total = $$0 } END { print total }'
 
 clean:
 	$(GO) clean ./...

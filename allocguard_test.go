@@ -231,7 +231,9 @@ func TestCommandsLinkNoBenchHarness(t *testing.T) {
 // go through — the Stats / Health shapes hand-copied from the same learner
 // left with ppc-metrics/v1 and stay out. A run hands its learner one
 // message: Run calls templateState.send once, and send holds the one
-// mailbox send that is not a flush token.
+// mailbox send that is not a flush token and the one call of the learner's
+// fold (core.Online.TryObserve), the only learner write a serving
+// goroutine makes outside a deferred apply.
 func TestFacadeOnePathPerJob(t *testing.T) {
 	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi os.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -252,8 +254,8 @@ func TestFacadeOnePathPerJob(t *testing.T) {
 	optimizeSites := map[string]int{}
 	var builds []string
 	// sends names the function of each non-flush send on a mailbox, senders
-	// each caller of templateState.send.
-	var sends, senders []string
+	// each caller of templateState.send, folders each caller of the fold.
+	var sends, senders, folders []string
 	ast.Inspect(pkg, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
@@ -277,6 +279,8 @@ func TestFacadeOnePathPerJob(t *testing.T) {
 							optimizeSites[n.Name.Name]++
 						case "send":
 							senders = append(senders, n.Name.Name)
+						case "TryObserve":
+							folders = append(folders, n.Name.Name)
 						}
 					}
 				case *ast.CompositeLit:
@@ -329,6 +333,9 @@ func TestFacadeOnePathPerJob(t *testing.T) {
 	}
 	if len(senders) != 1 || senders[0] != "Run" {
 		t.Errorf("templateState.send called from %v, want once, from Run", senders)
+	}
+	if len(folders) != 1 || folders[0] != "send" {
+		t.Errorf("core.Online.TryObserve called from %v, want once, from templateState.send", folders)
 	}
 	if n := idents["Deliver"]; n != 0 {
 		t.Errorf("identifier Deliver occurs %d times: a run's label rides its one message", n)

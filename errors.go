@@ -34,9 +34,10 @@ func (e *InternalError) Error() string {
 // PipelineError reports a failure in one stage of the Figure-1 pipeline
 // while running a query instance.
 type PipelineError struct {
-	// Stage is the failed stage: "optimize", "compile" or "execute".
-	// "compile" is an invariant violation — Register admits only templates
-	// whose plans all compile.
+	// Stage is the failed stage: "optimize", "compile", "learn" or
+	// "execute". "compile" is an invariant violation — Register admits only
+	// templates whose plans all compile — and so is "learn": a degraded
+	// run's point whose dimensionality is not its learner's.
 	Stage string
 	// Template is the query template being run.
 	Template string

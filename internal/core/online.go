@@ -171,7 +171,9 @@ type Feedback struct {
 //     serialize on mu, mutate the live ApproxLSHHist and the attached
 //     corrections, and publish a fresh snapshot with copy-on-write at
 //     histogram granularity (Freeze reuses every frozen histogram untouched
-//     since the previous publication).
+//     since the previous publication). TryObserve is the one writer that
+//     never waits for mu: it folds correction observations only when it can
+//     take the lock at once.
 //
 // Step (the serial entry point used by experiments) is StepConcurrent
 // followed by Apply of the returned label: the label is applied and
@@ -183,7 +185,8 @@ type Online struct {
 
 	// mu serializes the write path: pred and corr mutation, snapshot
 	// publication, and state encode/decode. It is never taken by
-	// StepConcurrent's serving path (predict, coin, labeling).
+	// StepConcurrent's serving path (predict, coin, labeling), and a serving
+	// goroutine that folds its run's observations takes it only by TryLock.
 	mu   sync.Mutex
 	pred *ApproxLSHHist
 
@@ -500,6 +503,27 @@ func (o *Online) ApplyBatch(points []Feedback, obs []stats.Obs) (applied int) {
 		}
 	}
 	return applied
+}
+
+// TryObserve folds one run's cardinality observations into the attached
+// corrections on the calling goroutine: ApplyBatch's correction half — the
+// same Corrections.Apply, so the same per-batch epoch rule — under the
+// learner lock, taken with TryLock so the caller never waits behind a
+// publish, a restore or another fold. It reports false and touches nothing
+// when there is nothing to fold, no corrections or a log are attached (a
+// durable learner's correction records and group commit stay with
+// ApplyBatch's caller), or the lock is held; the caller then hands the
+// observations to ApplyBatch as before. It allocates nothing.
+func (o *Online) TryObserve(obs []stats.Obs) bool {
+	if len(obs) == 0 || !o.mu.TryLock() {
+		return false
+	}
+	defer o.mu.Unlock()
+	if o.corr == nil || o.log != nil {
+		return false
+	}
+	o.corr.Apply(obs)
+	return true
 }
 
 func (o *Online) applyLocked(fb Feedback) bool {

@@ -201,6 +201,82 @@ func TestApplyBatchIsOneWrite(t *testing.T) {
 	}
 }
 
+// TestTryObserveFoldsWithoutAllocating: a run's fold of its own
+// observations is ApplyBatch's correction half — run by run, every site's
+// EWMA, count and reference, the epoch, and each factor to the bit, equal
+// to a twin fed the same runs through ApplyBatch — it publishes and inserts
+// nothing, and it allocates nothing. It declines, touching nothing, when
+// the learner lock is held, a log is attached, no corrections are attached
+// or there is nothing to fold.
+func TestTryObserveFoldsWithoutAllocating(t *testing.T) {
+	runs := [][]stats.Obs{
+		{{Site: 1, LogQ: 0.7}, {Site: 2, LogQ: -0.3}},
+		{{Site: 2, LogQ: 1.9}, {Site: 1, LogQ: 0.1}, {Site: 2, LogQ: math.NaN()}},
+		{{Site: 1, LogQ: -2.2}, {Site: 9, LogQ: 1}},
+		{{Site: 1, LogQ: 3}, {Site: 2, LogQ: 3}},
+	}
+	folded, applied := fuzzLearner(t), fuzzLearner(t)
+	for i := 0; i < 5; i++ {
+		for _, run := range runs {
+			if !folded.TryObserve(run) {
+				t.Fatal("TryObserve declined on a free, log-free learner")
+			}
+			applied.ApplyBatch(nil, run)
+		}
+	}
+	wantEpoch, _, want := applied.corr.State()
+	gotEpoch, _, got := folded.corr.State()
+	if wantEpoch == 0 || gotEpoch != wantEpoch {
+		t.Errorf("folded to epoch %d, applied to %d (want equal and past 0)", gotEpoch, wantEpoch)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("folded to %+v, applied to %+v", got, want)
+	}
+	for site := 1; site <= 2; site++ {
+		if f, w := folded.corr.Factor(site), applied.corr.Factor(site); math.Float64bits(f) != math.Float64bits(w) {
+			t.Errorf("site %d factor %v folded, %v applied", site, f, w)
+		}
+	}
+	if folded.Publishes() != 0 || folded.Validated() != 0 {
+		t.Errorf("a fold published (%d snapshots) or inserted (%d points)", folded.Publishes(), folded.Validated())
+	}
+
+	declines := func(name string, o *Online, obs []stats.Obs) {
+		t.Helper()
+		var before []stats.SiteState
+		if o.corr != nil {
+			_, _, before = o.corr.State()
+		}
+		if o.TryObserve(obs) {
+			t.Errorf("%s: TryObserve folded", name)
+		}
+		if o.corr != nil {
+			if _, _, after := o.corr.State(); !reflect.DeepEqual(after, before) {
+				t.Errorf("%s: a declined fold moved the corrections", name)
+			}
+		}
+	}
+	held := fuzzLearner(t)
+	held.mu.Lock()
+	declines("learner lock held", held, runs[0])
+	held.mu.Unlock()
+	logged, lg := fuzzLearner(t), &memLog{}
+	logged.AttachLog(lg)
+	declines("log attached", logged, runs[0])
+	if len(lg.recs) != 0 || lg.commits != 0 {
+		t.Errorf("a declined fold logged %d records and %d commits", len(lg.recs), lg.commits)
+	}
+	declines("no corrections", MustNewOnline(OnlineConfig{Core: Config{Dims: 2, Seed: 5}}, nil), runs[0])
+	declines("nothing to fold", fuzzLearner(t), nil)
+
+	if raceEnabled {
+		return // the race detector's shadow memory inflates allocation counts
+	}
+	if allocs := testing.AllocsPerRun(500, func() { folded.TryObserve(runs[1]) }); allocs != 0 {
+		t.Errorf("TryObserve allocates %v per fold, want 0", allocs)
+	}
+}
+
 // TestCorrectionsReplayReconstructsState: the correction records a learner
 // logs replay, in log order, into a fresh learner's corrections as exactly
 // the pre-crash state — epoch, watermark, every site, every factor — since

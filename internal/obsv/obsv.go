@@ -140,13 +140,14 @@ type TemplateObs struct {
 	randomInvocations   atomic.Uint64
 	feedbackCorrections atomic.Uint64
 	degradedRuns        atomic.Uint64
-	retrainDrops        atomic.Uint64
 
-	// Feedback-pipeline health: points enqueued to the background applier,
-	// points applied synchronously because the mailbox was full or closed
-	// (deferred — never lost), and apply-loop batches.
+	// Feedback-pipeline health: messages enqueued to the background applier,
+	// messages applied synchronously because the mailbox was full, closed or
+	// absent (deferred — never lost), correction-only messages the run folded
+	// itself (inline), and apply batches.
 	feedbackEnqueued atomic.Uint64
 	feedbackDeferred atomic.Uint64
+	feedbackInline   atomic.Uint64
 	applyBatches     atomic.Uint64
 
 	// Adaptive-statistics health: per-run estimation q-errors (estimated
@@ -201,18 +202,21 @@ func (t *TemplateObs) Observe(rec *TraceRecord) {
 // path's accounting entirely).
 func (t *TemplateObs) CountRunError() { t.runErrors.Add(1) }
 
-// CountRetrainDrop records a degraded-mode retraining point the learner
-// rejected.
-func (t *TemplateObs) CountRetrainDrop() { t.retrainDrops.Add(1) }
-
-// CountFeedbackEnqueued records a feedback point handed to the background
+// CountFeedbackEnqueued records a run's message handed to the background
 // applier's mailbox.
 func (t *TemplateObs) CountFeedbackEnqueued() { t.feedbackEnqueued.Add(1) }
 
-// CountFeedbackDeferred records a feedback point applied synchronously on
-// the serving goroutine because the mailbox was full or closed. Deferred
-// points are never lost — backpressure degrades latency, not durability.
+// CountFeedbackDeferred records a run's message applied synchronously on
+// the serving goroutine because the mailbox was full, closed or absent
+// (serial mode). Deferred messages are never lost — backpressure degrades
+// latency, not durability.
 func (t *TemplateObs) CountFeedbackDeferred() { t.feedbackDeferred.Add(1) }
+
+// CountFeedbackInline records a correction-only message the run folded into
+// its learner itself, on a free learner lock, instead of enqueueing it. A
+// fold is not an apply batch: it moves neither apply_batches nor
+// apply_latency.
+func (t *TemplateObs) CountFeedbackInline() { t.feedbackInline.Add(1) }
 
 // RecordApply ingests one apply batch and its latency. What the batch did to
 // the synopsis — points absorbed, a model published, points dropped as stale
@@ -254,17 +258,20 @@ type CounterSnapshot struct {
 	RandomInvocations    uint64 `json:"random_invocations"`
 	FeedbackCorrections  uint64 `json:"feedback_corrections"`
 	// DegradedRuns counts runs whose learner step failed and that invoked
-	// the optimizer directly instead. RetrainDrops counts degraded runs'
-	// labels the learner rejected.
+	// the optimizer directly instead.
 	DegradedRuns uint64 `json:"degraded_runs"`
-	RetrainDrops uint64 `json:"retrain_drops"`
-	// Feedback-pipeline counters: enqueued to the background applier,
-	// deferred to a synchronous apply under backpressure, and apply batches.
+	// Feedback-pipeline counters, one per message a run sends its learner:
+	// enqueued to the background applier, deferred to a synchronous apply
+	// under backpressure (mailbox full or closed) or in serial mode (no
+	// mailbox), or folded inline (correction observations alone, on a free
+	// learner lock, no log attached). ApplyBatches counts the learner's
+	// apply batches — the applier's and the deferred runs'; a fold is none.
 	FeedbackEnqueued uint64 `json:"feedback_enqueued"`
 	FeedbackDeferred uint64 `json:"feedback_deferred"`
+	FeedbackInline   uint64 `json:"feedback_inline"`
 	ApplyBatches     uint64 `json:"apply_batches"`
 	// MemoInvalidations is always 0: a memo reads correction factors per
-	// call and is never rebuilt. The key stays in ppc-metrics/v5 for the
+	// call and is never rebuilt. The key stays in ppc-metrics/v6 for the
 	// readers that still name it (ROADMAP item 1).
 	MemoInvalidations uint64 `json:"memo_invalidations"`
 }
@@ -295,9 +302,9 @@ func (t *TemplateObs) Snapshot() TemplateSnapshot {
 		RandomInvocations:    t.randomInvocations.Load(),
 		FeedbackCorrections:  t.feedbackCorrections.Load(),
 		DegradedRuns:         t.degradedRuns.Load(),
-		RetrainDrops:         t.retrainDrops.Load(),
 		FeedbackEnqueued:     t.feedbackEnqueued.Load(),
 		FeedbackDeferred:     t.feedbackDeferred.Load(),
+		FeedbackInline:       t.feedbackInline.Load(),
 		ApplyBatches:         t.applyBatches.Load(),
 	}
 	return TemplateSnapshot{

@@ -88,8 +88,12 @@ type CacheMetrics struct {
 // two per-cause trip counters with the precision trip; v5 removed the
 // per-template trip state with the trip itself, and
 // counters.degraded_by_error, which equals counters.degraded_runs now that
-// every degraded run is a failed learner step.
-const MetricsSnapshotSchema = "ppc-metrics/v5"
+// every degraded run is a failed learner step; v6 removed
+// counters.retrain_drops, which no run could move (a degraded run's point
+// always has its learner's dimensionality), and added
+// counters.feedback_inline, the correction-only messages runs fold
+// themselves.
+const MetricsSnapshotSchema = "ppc-metrics/v6"
 
 // MetricsSnapshot is a stable, JSON-serializable copy of the System's
 // serving-path metrics: per-template counters and latency histograms,

@@ -496,11 +496,11 @@ func TestTraceDisabled(t *testing.T) {
 	}
 }
 
-// metricsKeysV5 is the golden key list of one template's element of a
-// ppc-metrics/v5 snapshot: its top-level keys, and every key of the two
+// metricsKeysV6 is the golden key list of one template's element of a
+// ppc-metrics/v6 snapshot: its top-level keys, and every key of the two
 // objects named after who counts what is in them. A key is added here on
 // purpose or not at all; a removal or a rename is a schema bump.
-var metricsKeysV5 = []string{
+var metricsKeysV6 = []string{
 	"apply_latency",
 	"counters",
 	"counters.apply_batches",
@@ -509,11 +509,11 @@ var metricsKeysV5 = []string{
 	"counters.feedback_corrections",
 	"counters.feedback_deferred",
 	"counters.feedback_enqueued",
+	"counters.feedback_inline",
 	"counters.memo_invalidations",
 	"counters.optimizer_invocations",
 	"counters.predicted",
 	"counters.random_invocations",
-	"counters.retrain_drops",
 	"counters.run_errors",
 	"counters.runs",
 	"degraded_latency",
@@ -552,8 +552,8 @@ var metricsKeysV5 = []string{
 // null_predictions, snapshot_publishes and drift_resets twice per template,
 // with different values — and the key list is the golden above.
 func TestMetricsOneCounterPerFact(t *testing.T) {
-	if MetricsSnapshotSchema != "ppc-metrics/v5" {
-		t.Fatalf("schema %q: the golden key list above is ppc-metrics/v5's", MetricsSnapshotSchema)
+	if MetricsSnapshotSchema != "ppc-metrics/v6" {
+		t.Fatalf("schema %q: the golden key list above is ppc-metrics/v6's", MetricsSnapshotSchema)
 	}
 	sys := openSmall(t)
 	if err := sys.Register("Q1", sqlFor(t, "Q1")); err != nil {
@@ -592,8 +592,8 @@ func TestMetricsOneCounterPerFact(t *testing.T) {
 		}
 	}
 	sort.Strings(keys)
-	if !reflect.DeepEqual(keys, metricsKeysV5) {
-		t.Errorf("ppc-metrics/v5 keys moved (update metricsKeysV5 and README \"Observability\" on purpose, or bump the schema):\n got %q\nwant %q", keys, metricsKeysV5)
+	if !reflect.DeepEqual(keys, metricsKeysV6) {
+		t.Errorf("ppc-metrics/v6 keys moved (update metricsKeysV6 and README \"Observability\" on purpose, or bump the schema):\n got %q\nwant %q", keys, metricsKeysV6)
 	}
 }
 

@@ -479,3 +479,109 @@ func TestLoadStateDegradesOverdeclaredLearner(t *testing.T) {
 		})
 	}
 }
+
+// TestRestoredLearnersKeepTheirDegree: no restore installs a learner whose
+// dimensionality differs from its template's degree, so a run's point
+// always fits its learner and a degraded run's label is never rejected
+// (the reason counters.retrain_drops left the metrics with ppc-metrics/v6).
+// The learner is sized to the degree at Register. LoadState of a checkpoint
+// whose Q1 learner was saved under a two-parameter Q1 but whose SQL now
+// binds one (a constant in place of the other, so the predicate sites and
+// with them the saved corrections still fit) restores Q1 cold at degree 1,
+// refused by the learner's own dimensionality check; a durable restart
+// handed Q1 with a third parameter replays none of its old two-coordinate
+// points (TestDurableReshapedTemplateReplay's scenario, held here to the
+// learner's shape).
+func TestRestoredLearnersKeepTheirDegree(t *testing.T) {
+	const narrowed = `SELECT s.s_suppkey, COUNT(*)
+		FROM supplier s, lineitem l
+		WHERE l.l_suppkey = s.s_suppkey AND s.s_date <= ? AND l.l_partkey <= 5000
+		GROUP BY s.s_suppkey`
+	const reshaped = `SELECT s.s_suppkey, COUNT(*)
+		FROM supplier s, lineitem l
+		WHERE l.l_suppkey = s.s_suppkey AND s.s_date <= ? AND l.l_partkey <= ? AND l.l_shipdate <= ?
+		GROUP BY s.s_suppkey`
+	fits := func(t *testing.T, sys *System, name string, degree int) {
+		t.Helper()
+		st, err := sys.lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := st.online.Predictor().Config().Dims; st.tmpl.Degree() != degree || got != degree {
+			t.Fatalf("%s: degree %d, learner dims %d; want both %d", name, st.tmpl.Degree(), got, degree)
+		}
+		point := make([]float64, degree)
+		for i := range point {
+			point[i] = 0.3
+		}
+		inst, err := sys.Optimizer().InstanceAt(st.tmpl, point)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := sys.Run(name, inst.Values); err != nil || res.Degraded {
+			t.Fatalf("%s: a run after the restore failed (%v) or degraded", name, err)
+		}
+	}
+
+	t.Run("LoadState", func(t *testing.T) {
+		warm, _ := warmSystem(t, 4)
+		defer warm.Close() //nolint:errcheck
+		var saved bytes.Buffer
+		if err := warm.SaveState(&saved); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := netproto.ReadSnapshotFile(bytes.NewReader(saved.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Templates[1].Name != "Q1" {
+			t.Fatalf("the checkpoint's second template is %q, want Q1", snap.Templates[1].Name)
+		}
+		snap.Templates[1].SQL = narrowed
+		file, err := netproto.AppendSnapshotFile(nil, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := Open(Options{TPCH: tpch.Config{Scale: 2000, Seed: 5}, Online: onlineForTest()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cold.Close() //nolint:errcheck
+		if err := cold.LoadState(bytes.NewReader(file)); err != nil {
+			t.Fatalf("LoadState must degrade, not fail: %v", err)
+		}
+		if rep := cold.LoadStateReport(); !rep.Corrupt || !strings.Contains(rep.Reason, "2 dims, driver expects 1") ||
+			!reflect.DeepEqual(rep.ColdTemplates, []string{"Q1"}) {
+			t.Fatalf("report %+v, want Q1 cold for its learner's dimensionality", rep)
+		}
+		fits(t, cold, "Q0", 2)
+		fits(t, cold, "Q1", 1)
+	})
+
+	t.Run("replay into a reshaped Register", func(t *testing.T) {
+		dir := t.TempDir()
+		sys := openDurable(t, dir, nil)
+		defer sys.Close() //nolint:errcheck
+		runDurableWorkload(t, sys, 100, 3)
+		if _, err := sys.TemplateMetrics("Q1"); err != nil { // flush the applier
+			t.Fatal(err)
+		}
+		rec, err := Open(durableOptions(crashImage(t, dir), nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rec.Close() //nolint:errcheck
+		if err := rec.Register("Q1", reshaped); err != nil {
+			t.Fatal(err)
+		}
+		points, _ := feedbackTail(mustScan(t, dir))
+		st, err := rec.lookup("Q1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep := rec.LoadStateReport(); points == 0 || rep.WALStale < points || st.online.Validated() != 0 {
+			t.Fatalf("replay into the reshaped Q1: %d stale, %d validated; want all %d old points stale", rep.WALStale, st.online.Validated(), points)
+		}
+		fits(t, rec, "Q1", 3)
+	})
+}

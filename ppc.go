@@ -70,7 +70,9 @@ type Options struct {
 	// between the lock-free serving path and the background apply goroutine
 	// (default 256). A run that learned something — its learner step's
 	// label, its attributed cardinality observations, or both — sends the
-	// applier one message carrying all of it. When the mailbox is full, the
+	// applier one message carrying all of it, unless the message holds
+	// correction observations alone and the learner is free, when the run
+	// folds them itself (counted as inline). When the mailbox is full, the
 	// run applies its message synchronously on the serving goroutine
 	// (counted as deferred; never dropped). Negative disables the
 	// background applier entirely: every run applies its message inline, as
@@ -322,8 +324,21 @@ func (b *runBuf) release() {
 // full, closed or absent (counted as deferred) — backpressure degrades
 // latency, never durability: nothing the learner should see is silently
 // dropped. A run that learned nothing sends nothing.
+//
+// A message with no label holds correction observations alone: a few
+// hundred ns of EWMA work, against the microsecond a send costs to wake a
+// parked applier. The run folds those itself (counted as inline) when the
+// template keeps no log and its learner lock is free (core's TryObserve);
+// otherwise they take the mailbox like any message. Labelled messages
+// always do, since their model publish is the expensive part, and serial
+// mode (no mailbox) applies every message as a batch of its own, as before.
 func (st *templateState) send(buf *runBuf) {
 	if len(buf.label) == 0 && len(buf.obs) == 0 {
+		buf.release()
+		return
+	}
+	if st.mail != nil && len(buf.label) == 0 && st.online.TryObserve(buf.obs) {
+		st.obs.CountFeedbackInline()
 		buf.release()
 		return
 	}
@@ -1002,12 +1017,13 @@ func (r *run) degrade() error {
 	if err := r.optimize(); err != nil {
 		return err
 	}
-	// A rejected point (dimensionality mismatch) is counted rather than
-	// silently dropped.
-	fb, lerr := st.online.ValidatedFeedback(res.Point, r.entry.id, res.EstimatedCost)
-	if lerr != nil {
-		st.obs.CountRetrainDrop()
-		return nil
+	// A point always has its learner's dimensionality: the learner is sized
+	// to the template's degree at Register, and every restore refuses a
+	// state of another (TestRestoredLearnersKeepTheirDegree). A mismatch is
+	// an invariant violation, reported like a failed compile.
+	fb, err := st.online.ValidatedFeedback(res.Point, r.entry.id, res.EstimatedCost)
+	if err != nil {
+		return &PipelineError{Stage: "learn", Template: res.Template, Err: err}
 	}
 	r.buf.keep(fb)
 	return nil

@@ -609,3 +609,100 @@ func TestRegisterBoundsTemplateName(t *testing.T) {
 		t.Errorf("Register of a name at the bound: %v", err)
 	}
 }
+
+// TestEvictedPredictionReoptimizes: a prediction whose plan the cache has
+// evicted is a cache miss however right it is. With the cost check off
+// (CostEpsilon +Inf), nothing catches the eviction before resolve, which
+// finds no entry, optimizes afresh and counts a miss; the run answers what
+// the optimizer's plan answers. The scenario: Q1 warms on a tight
+// neighbourhood of a four-plan cache, a hit names its plan, and Q3 runs at
+// seeded uniform points until that plan is gone.
+func TestEvictedPredictionReoptimizes(t *testing.T) {
+	online := onlineForTest()
+	online.CostEpsilon = math.Inf(1)
+	online.InvocationProb = 1e-9 // no audit coin between the hit and its replay
+	sys, err := Open(Options{
+		TPCH:          tpch.Config{Scale: 1000, Seed: 2012},
+		Online:        online,
+		CacheCapacity: 4,
+		FeedbackQueue: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close() //nolint:errcheck
+	for _, name := range []string{"Q1", "Q3"} {
+		if err := sys.Register(name, mustSQL(t, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runWarm(t, sys, "Q1", 200, 3)
+	q1, _ := sys.lookup("Q1")
+	rng := rand.New(rand.NewSource(8))
+	var values []float64
+	var hit *RunResult
+	for i := 0; i < 100 && hit == nil; i++ {
+		values = warmValues(t, sys, q1, rng)
+		res, err := sys.Run("Q1", values)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CacheHit {
+			hit = res
+		}
+	}
+	if hit == nil {
+		t.Fatal("Q1 never hit after warm-up")
+	}
+	q3, _ := sys.lookup("Q3")
+	for i := 0; sys.cachedPlanOf(q1, hit.PlanID) != nil; i++ {
+		if i == 500 {
+			t.Fatalf("500 Q3 runs left Q1's plan %d cached", hit.PlanID)
+		}
+		point := make([]float64, q3.tmpl.Degree())
+		for j := range point {
+			point[j] = rng.Float64()
+		}
+		inst, err := sys.Optimizer().InstanceAt(q3.tmpl, point)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Run("Q3", inst.Values); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	want, err := sys.opt.OptimizeMemo(q1.memo, values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := sys.MetricsSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Run("Q1", values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := sys.MetricsSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Predicted || res.CacheHit || !res.Invoked || res.FeedbackCorrection || res.RandomInvocation {
+		t.Fatalf("replay of the hit: predicted %v hit %v invoked %v correction %v audit %v; want a predicted run resolve re-optimized",
+			res.Predicted, res.CacheHit, res.Invoked, res.FeedbackCorrection, res.RandomInvocation)
+	}
+	if misses := after.Cache.Misses - before.Cache.Misses; misses != 1 {
+		t.Errorf("the evicted prediction counted %d cache misses, want 1", misses)
+	}
+	if res.Fingerprint != want.Fingerprint || math.Float64bits(res.EstimatedCost) != math.Float64bits(want.Cost) {
+		t.Errorf("ran %s at cost %v, the optimizer picks %s at %v", res.Fingerprint, res.EstimatedCost, want.Fingerprint, want.Cost)
+	}
+	direct, err := execDirect(sys, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, wantRows := canonRows(res.Result), canonRows(direct); !reflect.DeepEqual(got, wantRows) {
+		t.Errorf("the re-optimized run returned %d rows, the optimizer's plan %d, or they differ", len(got), len(wantRows))
+	}
+}
