@@ -151,11 +151,13 @@ fuzz:
 # admission, chaos), the client library, the in-process System-level
 # contracts, and finally the process-boundary failover test — leader under
 # load, replica attached, leader SIGKILLed and restarted — against the real
-# ppcserve and ppcreplica binaries.
+# ppcserve and ppcreplica binaries. BenchmarkShipLoop (the leader's poll →
+# batch path, per shipped record) runs once so it keeps compiling and running.
 replication:
 	$(GO) test -race ./internal/netproto ./internal/replica ./pkg/client
 	$(GO) test -race -run 'TestReplication|TestLeaderReplica|TestLeaderRestart' -v .
 	$(GO) test -race -run TestLeaderReplicaFailover -v ./cmd/ppcreplica
+	$(GO) test -run '^$$' -bench BenchmarkShipLoop -benchtime 1x ./internal/replica
 
 # Same-runner A/B of one bench/ workload (hit_exec, miss_optimize,
 # serve_durable, replica_predict): the working tree against git ref BASE,

@@ -19,6 +19,7 @@ package ppc
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -232,6 +233,67 @@ func TestDurableCloseReopenRestoresState(t *testing.T) {
 	runDurableWorkload(t, sys2, 20, 4)
 	if after := triple(t, sys2); after.appliedSeq <= before.appliedSeq {
 		t.Errorf("sequence did not advance after reopen: %+v vs %+v", after, before)
+	}
+}
+
+// TestDurableFailedCheckpointKeepsThePrevious: a checkpoint that cannot
+// create its temp file fails with a *SnapshotError, counts one checkpoint
+// error and leaves the previous checkpoint as it was. Once the obstacle is
+// gone the next checkpoint lands, and a restart from it recovers the
+// learner state byte for byte.
+func TestDurableFailedCheckpointKeepsThePrevious(t *testing.T) {
+	dir := t.TempDir()
+	sys := openDurable(t, dir, nil)
+	defer sys.Close() //nolint:errcheck
+	runDurableWorkload(t, sys, 60, 3)
+	if err := sys.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, checkpointName)
+	prev, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runDurableWorkload(t, sys, 40, 4)
+	if triple(t, sys).appliedSeq == 0 {
+		t.Fatal("workload logged nothing; test is vacuous")
+	}
+
+	// A directory where the temp file goes makes os.Create fail.
+	if err := os.Mkdir(path+".tmp", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var serr *SnapshotError
+	if err := sys.Checkpoint(); !errors.As(err, &serr) {
+		t.Fatalf("checkpoint over an occupied temp path: %v, want a *SnapshotError", err)
+	}
+	if got := sys.WALMetrics().CheckpointErrors; got != 1 {
+		t.Errorf("CheckpointErrors = %d after one failed checkpoint, want 1", got)
+	}
+	if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, prev) {
+		t.Fatalf("the failed checkpoint disturbed the previous one (%d of %d bytes, %v)", len(now), len(prev), err)
+	}
+
+	if err := os.Remove(path + ".tmp"); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint after the obstacle went: %v", err)
+	}
+	st, err := sys.lookup("Q1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.flush()
+	want := st.online.EncodeState(nil)
+	restarted := openDurable(t, crashImage(t, dir), nil)
+	defer restarted.Close() //nolint:errcheck
+	rst, err := restarted.lookup("Q1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rst.online.EncodeState(nil); !bytes.Equal(got, want) {
+		t.Errorf("restart recovered %d bytes of learner state, differing from the %d checkpointed", len(got), len(want))
 	}
 }
 

@@ -70,13 +70,6 @@ func (m *Model) MemoryBytes() int {
 	return m.cfg.Transforms * (n + 1) * m.cfg.HistBuckets * histogram.BytesPerBucket
 }
 
-// Predict answers a plan prediction from the snapshot using the caller's
-// scratch buffers.
-func (m *Model) Predict(x []float64, sc *PredictScratch) Prediction {
-	pred, _, _ := m.PredictWithCost(x, sc)
-	return pred
-}
-
 // PredictWithCost is the APPROXIMATE-LSH-HISTOGRAMS density/cost query of
 // Section IV-C: a plan prediction and histogram cost estimate from the
 // snapshot. It is lock-free and safe for any number of concurrent callers,

@@ -78,12 +78,11 @@ func TestRetiredKindScansShipsAndReplaysStale(t *testing.T) {
 	tail := []byte{1, 0, 1, 0, 2, 0}
 	tail = binary.LittleEndian.AppendUint64(tail, math.Float64bits(0))
 	tail = binary.LittleEndian.AppendUint64(tail, math.Float64bits(1))
-	retired := wal.Record{Kind: wal.RecordRetiredRetune, Seq: 2, Epoch: 1, Template: "Q1", Retired: tail}
 	f, err := os.OpenFile(segs[0], os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(wal.AppendFrame(nil, &retired)); err != nil {
+	if _, err := f.Write(retiredFrame(2, 1, "Q1", tail)); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -111,14 +110,16 @@ func TestRetiredKindScansShipsAndReplaysStale(t *testing.T) {
 	if len(scan.Records) != 3 || scan.TornBytes != 0 || scan.Corrupt {
 		t.Fatalf("scan found %d of 3 records (torn %d bytes, corrupt %v: %q)", len(scan.Records), scan.TornBytes, scan.Corrupt, scan.Reason)
 	}
+	retired := wal.Record{Kind: wal.RecordRetiredRetune, Seq: 2, Epoch: 1, Template: "Q1"}
 	if got := scan.Records[1]; !reflect.DeepEqual(got, retired) {
 		t.Fatalf("the retired record scans as %+v, want %+v", got, retired)
 	}
 
-	// Shipped: a wire batch carries each record's frame.
-	var stream []byte
-	for i := range scan.Records {
-		stream = wal.AppendFrame(stream, &scan.Records[i])
+	// Shipped: a wire batch carries the frames a follower polls, as the
+	// segment holds them.
+	stream, n, err := wal.NewFollower(dir, 0).Poll(nil, 0)
+	if err != nil || n != 3 {
+		t.Fatalf("poll read %d of 3 records, %v", n, err)
 	}
 	var shipped []wal.Record
 	for len(stream) > 0 {
@@ -343,6 +344,19 @@ func fuzzLearner(tb testing.TB) *Online {
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// retiredFrame frames a record of the retired kind 3 by hand, as an older
+// build wrote it: nothing encodes the kind any more.
+func retiredFrame(seq uint64, epoch int64, template string, tail []byte) []byte {
+	le := binary.LittleEndian
+	p := le.AppendUint64([]byte{wal.RecordRetiredRetune}, seq)
+	p = le.AppendUint64(p, uint64(epoch))
+	p = le.AppendUint16(p, uint16(len(template)))
+	p = append(append(p, template...), tail...)
+	frame := le.AppendUint32(nil, uint32(len(p)))
+	frame = le.AppendUint32(frame, crc32.Checksum(p, castagnoli))
+	return append(frame, p...)
+}
+
 // reseal recomputes each frame's checksum (u32 len | u32 crc32c | payload)
 // over whatever payload the fuzzer left there, so that a mutation reaches the
 // payload decoder and replay instead of dying at the integrity check.
@@ -389,9 +403,9 @@ func FuzzReplayRecords(f *testing.F) {
 	}
 	f.Add(stream)
 	f.Add(stream[:len(stream)/2])
+	f.Add(retiredFrame(1, 1, "", []byte{1, 0, 1, 0, 17, 0}))
+	f.Add(retiredFrame(2, -1, "", nil))
 	odd := []wal.Record{
-		{Kind: wal.RecordRetiredRetune, Seq: 1, Epoch: 1, Retired: []byte{1, 0, 1, 0, 17, 0}},
-		{Kind: wal.RecordRetiredRetune, Seq: 2, Epoch: -1},
 		{Kind: wal.RecordFeedback, Seq: 3, Epoch: math.MaxInt64, Plan: -1, Cost: math.NaN(), Point: []float64{math.NaN(), math.Inf(1)}},
 		{Kind: wal.RecordFeedback, Seq: 4, Epoch: math.MinInt64, Point: []float64{-3, 7}},
 		{Kind: wal.RecordFeedback, Seq: 5, Point: []float64{0.5}},

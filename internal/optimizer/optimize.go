@@ -49,9 +49,6 @@ func (o *Optimizer) SetModel(model CostModel) { o.model = model }
 // Model returns the current cost model.
 func (o *Optimizer) Model() CostModel { return o.model }
 
-// Catalog returns the statistics catalog the optimizer estimates from.
-func (o *Optimizer) Catalog() *catalog.Catalog { return o.cat }
-
 // SetStats replaces the selectivity provider. Set at construction time,
 // before any Memo or RebindProgram is built: they hold the handles of the
 // provider that built them.

@@ -582,12 +582,10 @@ func TestChaosCorruptAndTornFrames(t *testing.T) {
 	}
 }
 
-// TestShippedBatchIsTheSegment pins what the ship loop sends: it decodes
-// each record Follower.Poll reads and re-encodes it through wal.AppendFrame,
-// and the batch body that builds is u32 count followed by the segment's
-// bytes after its header — a feedback, a correction and a retired kind-3
-// frame alike. Forwarding the frames as read would skip the decode and the
-// re-encode; until then this equality is what a replica relies on.
+// TestShippedBatchIsTheSegment pins what the ship loop sends: the batch body
+// appendBatch builds from Follower.Poll is u32 count followed by the
+// segment's bytes after its header — a feedback, a correction and a retired
+// kind-3 frame alike, forwarded as the segment holds them.
 func TestShippedBatchIsTheSegment(t *testing.T) {
 	dir := t.TempDir()
 	l, _, err := wal.Open(wal.Options{Dir: dir})
@@ -612,21 +610,11 @@ func TestShippedBatchIsTheSegment(t *testing.T) {
 	// Append refuses the retired kind, so it lands as an older build framed
 	// it: a one-warp re-tune grid of two knots.
 	grid := []byte{1, 0, 1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f}
-	retired := wal.Record{Kind: wal.RecordRetiredRetune, Seq: 3, Epoch: 1, Template: "Q1", Retired: grid}
-	f, err := os.OpenFile(segs[0], os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(wal.AppendFrame(nil, &retired)); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	appendToFile(t, segs[0], retiredFrame(3, 1, "Q1", grid))
 
-	recs, err := wal.NewFollower(dir, 0).Poll(0)
-	if err != nil || len(recs) != 3 {
-		t.Fatalf("poll read %d records, %v; want 3", len(recs), err)
+	got, n, err := appendBatch(nil, wal.NewFollower(dir, 0), 0)
+	if err != nil || n != 3 {
+		t.Fatalf("poll read %d records, %v; want 3", n, err)
 	}
 	seg, err := os.ReadFile(segs[0])
 	if err != nil {
@@ -635,7 +623,7 @@ func TestShippedBatchIsTheSegment(t *testing.T) {
 	const header = len("PPCWAL\x00") + 2 // magic, u16 version
 	want := binary.LittleEndian.AppendUint32(nil, 3)
 	want = append(want, seg[header:]...)
-	if got := encodeRecords(nil, recs); !bytes.Equal(got, want) {
+	if !bytes.Equal(got, want) {
 		t.Fatalf("shipped batch differs from the segment's frames:\n got %x\nwant %x", got, want)
 	}
 }

@@ -308,7 +308,9 @@ func (s *Server) serveClient(c *netproto.Conn) {
 
 // serveReplica runs one ship stream: welcome (+ snapshot unless the
 // follower can resume), then WAL tail batches and heartbeats until the
-// follower disconnects, falls too far behind, or the server closes.
+// follower disconnects, falls too far behind, or the server closes. A batch
+// carries the WAL's frames as the segments hold them (appendBatch): the
+// leader checks them and decodes none.
 func (s *Server) serveReplica(c *netproto.Conn, hello netproto.Hello) {
 	src := s.cfg.Source
 	epoch, err := src.ReplicationEpoch()
@@ -389,15 +391,15 @@ func (s *Server) serveReplica(c *netproto.Conn, hello netproto.Hello) {
 			}
 		case <-poll.C:
 			for {
-				recs, err := follower.Poll(batchMax)
-				if len(recs) > 0 {
-					scratch = encodeRecords(scratch[:0], recs)
+				var n int
+				scratch, n, err = appendBatch(scratch[:0], follower, batchMax)
+				if n > 0 {
 					c.NetConn().SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)) //nolint:errcheck
 					if werr := c.WriteMsg(netproto.MsgRecords, scratch); werr != nil {
 						s.obs.CountShipError()
 						return
 					}
-					s.obs.CountRecordsShipped(len(recs))
+					s.obs.CountRecordsShipped(n)
 				}
 				if err != nil {
 					if errors.Is(err, wal.ErrCompacted) {
@@ -409,7 +411,7 @@ func (s *Server) serveReplica(c *netproto.Conn, hello netproto.Hello) {
 					}
 					return
 				}
-				if len(recs) < batchMax {
+				if n < batchMax {
 					break
 				}
 			}
@@ -417,19 +419,18 @@ func (s *Server) serveReplica(c *netproto.Conn, hello netproto.Hello) {
 	}
 }
 
-// encodeRecords frames a WAL record batch: u32 count, then each record
-// re-encoded in its on-disk frame form (wal.AppendFrame).
-func encodeRecords(dst []byte, recs []wal.Record) []byte {
-	var cnt [4]byte
-	binary.LittleEndian.PutUint32(cnt[:], uint32(len(recs)))
-	dst = append(dst, cnt[:]...)
-	for i := range recs {
-		dst = wal.AppendFrame(dst, &recs[i])
-	}
-	return dst
+// appendBatch appends a MsgRecords body to dst — u32 count, then the
+// frames of up to max records past f's position as the WAL holds them — and
+// returns it with the count.
+func appendBatch(dst []byte, f *wal.Follower, max int) ([]byte, int, error) {
+	at := len(dst)
+	dst, n, err := f.Poll(append(dst, 0, 0, 0, 0), max)
+	binary.LittleEndian.PutUint32(dst[at:], uint32(n))
+	return dst, n, err
 }
 
-// decodeRecords is the inverse of encodeRecords.
+// decodeRecords decodes a MsgRecords body (appendBatch), checking every
+// frame as recovery does.
 func decodeRecords(b []byte) ([]wal.Record, error) {
 	if len(b) < 4 {
 		return nil, fmt.Errorf("replica: record batch of %d bytes: %w", len(b), io.ErrUnexpectedEOF)

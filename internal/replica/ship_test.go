@@ -1,0 +1,273 @@
+package replica
+
+// The leader's side of a ship stream on its own: what appendBatch sends
+// from a WAL directory against what a crash recovery reads from it, and
+// what the loop costs per shipped record.
+
+import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"io"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"slices"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/netproto"
+	"repro/internal/wal"
+)
+
+// retiredFrame frames a record of the retired kind 3 by hand, as an older
+// build wrote it: nothing encodes the kind any more.
+func retiredFrame(seq uint64, epoch int64, template string, tail []byte) []byte {
+	le := binary.LittleEndian
+	p := le.AppendUint64([]byte{wal.RecordRetiredRetune}, seq)
+	p = le.AppendUint64(p, uint64(epoch))
+	p = le.AppendUint16(p, uint16(len(template)))
+	p = append(append(p, template...), tail...)
+	frame := le.AppendUint32(nil, uint32(len(p)))
+	frame = le.AppendUint32(frame, crc32.Checksum(p, crc32.MakeTable(crc32.Castagnoli)))
+	return append(frame, p...)
+}
+
+// appendToFile appends b to the file at path.
+func appendToFile(t *testing.T, path string, b []byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// lastSegment returns the path of dir's newest segment file.
+func lastSegment(t *testing.T, dir string) string {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("segments %v, %v", segs, err)
+	}
+	slices.Sort(segs) // zero-padded names sort by their first sequence
+	return segs[len(segs)-1]
+}
+
+// randomRecord is a feedback record of one to four dimensions or a
+// correction, for one of three templates.
+func randomRecord(rng *rand.Rand) *wal.Record {
+	tmpl := []string{"Q1", "Q3", "Q8"}[rng.Intn(3)]
+	if rng.Intn(3) == 0 {
+		return &wal.Record{Kind: wal.RecordCorrection, Template: tmpl, CorrEpoch: uint64(rng.Intn(4)),
+			Site: uint32(1 + rng.Intn(5)), LogC: rng.NormFloat64(), N: uint64(rng.Intn(100)), Ref: rng.Float64()}
+	}
+	point := make([]float64, 1+rng.Intn(4))
+	for i := range point {
+		point[i] = rng.Float64()
+	}
+	return &wal.Record{Kind: wal.RecordFeedback, Template: tmpl, Epoch: int64(rng.Intn(3)),
+		Plan: int64(rng.Intn(9)), Cost: 100 * rng.Float64(), SelfLabeled: rng.Intn(2) == 0, Point: point}
+}
+
+// seededLog writes a WAL directory of small segments: random records, then
+// — as an older build left them — a retired kind-3 frame followed by a
+// feedback frame in the same segment, then more records from a reopened
+// log, and last a torn final frame.
+func seededLog(t *testing.T, seed int64) string {
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(seed))
+	opts := wal.Options{Dir: dir, Sync: wal.SyncNever, SegmentBytes: int64(256 + rng.Intn(512))}
+	appendRandom := func(n int) uint64 {
+		l, _, err := wal.Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if _, err := l.Append(randomRecord(rng)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		last := l.LastSeq()
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return last
+	}
+
+	last := appendRandom(25 + rng.Intn(20))
+	seg := lastSegment(t, dir)
+	appendToFile(t, seg, retiredFrame(last+1, 1, "Q1", []byte{1, 0, 1, 0, 17, 0}))
+	after := randomRecord(rng)
+	after.Seq = last + 2
+	appendToFile(t, seg, wal.AppendFrame(nil, after))
+
+	last = appendRandom(25 + rng.Intn(20))
+	torn := randomRecord(rng)
+	torn.Seq = last + 1
+	frame := wal.AppendFrame(nil, torn)
+	appendToFile(t, lastSegment(t, dir), frame[:1+rng.Intn(len(frame)-1)])
+	return dir
+}
+
+// segmentFrames maps each complete frame's sequence number to its bytes in
+// dir's segments, walked by the frames' length prefixes alone.
+func segmentFrames(t *testing.T, dir string) map[uint64][]byte {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := make(map[uint64][]byte)
+	for _, seg := range segs {
+		b, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b = b[len("PPCWAL\x00")+2:] // magic, u16 version
+		for len(b) >= 8 {
+			n := 8 + int(binary.LittleEndian.Uint32(b))
+			if n > len(b) {
+				break
+			}
+			frames[binary.LittleEndian.Uint64(b[9:])] = b[:n] // u32 len, u32 crc, u8 kind, u64 seq
+			b = b[n:]
+		}
+	}
+	return frames
+}
+
+// TestShippedEqualsRecovered holds the ship stream to crash recovery: from
+// every resume position, the records the batches decode to are the records
+// wal.Scan reads past it, field by field, and the batches' frames are those
+// records' bytes in the segments — across rotations, through a retired
+// kind-3 frame, and up to a torn final frame, at batch bounds that split
+// segments.
+func TestShippedEqualsRecovered(t *testing.T) {
+	for seed, bound := range []int{1, 3, 7, batchMax} {
+		dir := seededLog(t, int64(seed))
+		scan, err := wal.Scan(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		retired := slices.ContainsFunc(scan.Records, func(r wal.Record) bool { return r.Kind == wal.RecordRetiredRetune })
+		if scan.Segments < 3 || scan.TornBytes == 0 || scan.Corrupt || !retired {
+			t.Fatalf("seed %d: %d segments, %d torn bytes, corrupt %v, kind 3 held %v; want a torn log of several segments with a kind-3 record",
+				seed, scan.Segments, scan.TornBytes, scan.Corrupt, retired)
+		}
+		frames := segmentFrames(t, dir)
+
+		for after := uint64(0); after <= scan.LastSeq; after++ {
+			var want []wal.Record
+			var wantBytes []byte
+			for _, r := range scan.Records {
+				if r.Seq > after {
+					want = append(want, r)
+					wantBytes = append(wantBytes, frames[r.Seq]...)
+				}
+			}
+
+			f := wal.NewFollower(dir, after)
+			var got []wal.Record
+			var shipped []byte
+			for {
+				batch, n, err := appendBatch(nil, f, bound)
+				if err != nil {
+					t.Fatalf("seed %d, after %d: %v", seed, after, err)
+				}
+				recs, err := decodeRecords(batch)
+				if err != nil || len(recs) != n {
+					t.Fatalf("seed %d, after %d: batch of %d decodes to %d records, %v", seed, after, n, len(recs), err)
+				}
+				got, shipped = append(got, recs...), append(shipped, batch[4:]...)
+				if n < bound {
+					break
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d, after %d: shipped %d records, recovery reads %d past it:\n got %+v\nwant %+v", seed, after, len(got), len(want), got, want)
+			}
+			if !bytes.Equal(shipped, wantBytes) {
+				t.Fatalf("seed %d, after %d: shipped frames differ from the segments' bytes", seed, after)
+			}
+			if f.After() != scan.LastSeq {
+				t.Fatalf("seed %d, after %d: follower After() = %d, want %d", seed, after, f.After(), scan.LastSeq)
+			}
+		}
+	}
+}
+
+// TestStateTemplatesFollowInstallAndFence: a replica lists the templates of
+// the snapshot it installed, and none once fenced to another lineage.
+func TestStateTemplatesFollowInstallAndFence(t *testing.T) {
+	state := core.MustNewOnline(core.OnlineConfig{Core: core.Config{Dims: 2, Seed: 5}, Seed: 17}, stubEnv{}).EncodeState(nil)
+	st := NewState(nil)
+	st.Fence(1)
+	snap := &netproto.Snapshot{Epoch: 1, Templates: []netproto.TemplateState{{Name: "Q1", State: state}, {Name: "Q3", State: state}}}
+	if err := st.Install(snap); err != nil {
+		t.Fatal(err)
+	}
+	names := st.Templates()
+	slices.Sort(names)
+	if !slices.Equal(names, []string{"Q1", "Q3"}) {
+		t.Fatalf("Templates() = %v after installing Q1 and Q3", names)
+	}
+	if !st.Fence(2) {
+		t.Fatal("fencing to another epoch discarded nothing")
+	}
+	if names := st.Templates(); len(names) != 0 {
+		t.Fatalf("Templates() = %v after a fence to another epoch, want none", names)
+	}
+}
+
+// BenchmarkShipLoop times the leader's side of a ship stream: a follower
+// catching up on a live WAL of shipRecords records, polled and framed into
+// MsgRecords bodies as serveReplica does, written to io.Discard.
+func BenchmarkShipLoop(b *testing.B) {
+	const shipRecords = 4096
+	l, _, err := wal.Open(wal.Options{Dir: b.TempDir(), Sync: wal.SyncNever, SegmentBytes: 64 << 10})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close() //nolint:errcheck
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < shipRecords; i++ {
+		rec := &wal.Record{Kind: wal.RecordFeedback, Template: "Q3", Plan: int64(i % 7), Cost: 100 * rng.Float64(), Point: []float64{rng.Float64(), rng.Float64(), rng.Float64()}}
+		if i%3 == 2 {
+			rec = &wal.Record{Kind: wal.RecordCorrection, Template: "Q3", CorrEpoch: 1, Site: uint32(1 + i%4), LogC: rng.NormFloat64(), N: uint64(i), Ref: 1}
+		}
+		if _, err := l.Append(rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+
+	var scratch []byte
+	var before, after runtime.MemStats
+	b.ReportAllocs()
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := wal.NewFollower(l.Dir(), 0)
+		for shipped := 0; shipped < shipRecords; {
+			var n int
+			scratch, n, err = appendBatch(scratch[:0], f, batchMax)
+			if err != nil || n == 0 {
+				b.Fatalf("poll after %d of %d records: %d records, %v", shipped, shipRecords, n, err)
+			}
+			io.Discard.Write(scratch) //nolint:errcheck
+			shipped += n
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	shipped := float64(b.N) * shipRecords
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/shipped, "ns/record")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/shipped, "allocs/record")
+}

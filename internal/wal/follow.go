@@ -2,14 +2,11 @@ package wal
 
 // Tail-follow support for replication: the leader's ship loop polls a
 // Follower to pick up feedback records as the per-template appliers write
-// them. Poll decodes each frame into a Record, and the ship loop
-// (replica.encodeRecords) re-encodes each through AppendFrame, CRC
-// recomputed, into the wire batch. The shipped bytes equal the segment's
-// frames only because the encoding is stable (replica's
-// TestShippedBatchIsTheSegment pins it), so a replica decodes exactly the
-// bytes a crash recovery would. The decode and re-encode are most of the
-// ship loop's cost: 26.6 % of the leader's CPU under a /run load with one
-// replica attached (ROADMAP item 2).
+// them. Poll checks each frame as recovery does (checkFrame, through the
+// same segTail reader) and hands back the frames' bytes as the segment
+// holds them, which the ship loop writes to the wire unchanged: a replica
+// decodes exactly the bytes a crash recovery would, and the leader decodes
+// and re-encodes none of them (replica's TestShippedBatchIsTheSegment).
 
 import (
 	"errors"
@@ -23,31 +20,6 @@ import (
 // is a fresh snapshot: the missing records are covered by a checkpoint the
 // follower never saw.
 var ErrCompacted = errors.New("wal: position compacted away")
-
-// AppendFrame appends rec's framed encoding (the exact on-disk segment
-// frame: u32 len | u32 crc32c | payload) to dst and returns the extended
-// slice. rec.Seq is encoded as-is — the caller owns sequence assignment.
-func AppendFrame(dst []byte, rec *Record) []byte {
-	tail := dst[len(dst):]
-	frame := encodeFrame(tail, rec)
-	if cap(tail) >= len(frame) {
-		// encodeFrame reused dst's spare capacity in place.
-		return dst[: len(dst)+len(frame) : len(dst)+cap(tail)]
-	}
-	return append(dst, frame...)
-}
-
-// DecodeFrame decodes one framed record from the head of buf, returning
-// the consumed frame length. The error form of the private decodeFrame,
-// for callers outside the scan path (wire batch decoding on replicas).
-func DecodeFrame(buf []byte) (Record, int, error) {
-	var rec Record
-	n, reason := decodeFrame(buf, &rec)
-	if reason != "" {
-		return Record{}, 0, fmt.Errorf("wal: decode frame: %s", reason)
-	}
-	return rec, n, nil
-}
 
 // FirstSeq returns the lowest sequence number still covered by an on-disk
 // segment — the name of the oldest segment file. Records below it have
@@ -70,7 +42,7 @@ func (l *Log) FirstSeq() uint64 {
 // (no coordination with the writing Log beyond the file system), so it
 // works both in-process and over a restart. Not safe for concurrent use.
 //
-// Poll never blocks: it returns whatever complete records are on disk and
+// Poll never blocks: it returns whatever complete frames are on disk and
 // expects the caller to poll again later. A torn frame at the live tail is
 // an append in flight and simply ends the batch; the same torn frame with
 // a newer segment already present means the history under the follower was
@@ -92,20 +64,23 @@ func NewFollower(dir string, afterSeq uint64) *Follower {
 // position if the follower is rebuilt).
 func (f *Follower) After() uint64 { return f.after }
 
-// Poll returns up to max complete records past the follower's position,
-// advancing across sealed segments. An empty batch with a nil error means
-// the tail is fully consumed for now. ErrCompacted means the position no
-// longer exists on disk and the follower must be replaced by a snapshot.
-func (f *Follower) Poll(max int) ([]Record, error) {
+// Poll appends to dst the frames of up to max complete records past the
+// follower's position, as the segments hold them (a batch that crosses a
+// rotation is both segments' frames, one after the other), and returns the
+// extended slice and the number of records appended. A zero count with a
+// nil error means the tail is fully consumed for now. ErrCompacted means
+// the position no longer exists on disk and the follower must be replaced
+// by a snapshot.
+func (f *Follower) Poll(dst []byte, max int) ([]byte, int, error) {
 	if max <= 0 {
 		max = 1 << 10
 	}
-	var out []Record
-	for len(out) < max {
+	n := 0
+	for n < max {
 		if f.segFirst == 0 {
 			ok, err := f.position()
 			if err != nil || !ok {
-				return out, err
+				return dst, n, err
 			}
 		}
 		name := segName(f.segFirst)
@@ -116,52 +91,49 @@ func (f *Follower) Poll(max int) ([]Record, error) {
 			// already consumed: the history we were tailing was rewritten.
 			// Resnapshot.
 			f.segFirst = 0
-			return out, ErrCompacted
+			return dst, n, ErrCompacted
 		case errors.Is(err, errShortHeader):
-			return out, nil // header still being written; retry later
+			return dst, n, nil // header still being written; retry later
 		case err != nil:
-			return out, fmt.Errorf("wal: follow %s: %w", name, err)
+			return dst, n, fmt.Errorf("wal: follow %s: %w", name, err)
 		}
+		// The frames past the position go out as one run of the segment's
+		// bytes; a frame at or below it (a resume inside the segment) moves
+		// the run's start past it.
 		f.off = seg.off
-		for len(seg.buf) > 0 && len(out) < max {
-			if reason := seg.next(&out); reason != "" {
-				// Invalid bytes at the current position. At the live tail
-				// this is an append in flight — deliver what we have and let
-				// the next poll retry. If the writer has already rotated
-				// past this segment the damage is permanent and the records
-				// behind it unreachable: force a resnapshot.
-				next, nerr := f.nextSegment()
-				if nerr != nil {
-					return out, nerr
-				}
-				if next != 0 {
-					f.segFirst = 0
-					return out, ErrCompacted
-				}
-				return out, nil
+		run, reason := seg.buf[:0], ""
+		for len(seg.buf) > 0 && n < max {
+			var frame []byte
+			if frame, reason = seg.next(); reason != "" {
+				break
 			}
 			f.off = seg.off
-			if seq := out[len(out)-1].Seq; seq > f.after {
-				f.after = seq
+			if seq := le.Uint64(frame[frameOverhead+1:]); seq > f.after {
+				run, f.after, n = run[:len(run)+len(frame)], seq, n+1
 			} else {
-				out = out[:len(out)-1] // at or below the starting position
+				dst, run = append(dst, run...), seg.buf[:0]
 			}
 		}
-		if len(seg.buf) > 0 {
+		dst = append(dst, run...)
+		if len(seg.buf) > 0 && reason == "" {
 			continue // max reached mid-segment; outer condition ends the loop
 		}
-		// Clean end of segment: advance only once the writer has rotated,
-		// otherwise this is the live tail and we wait for more appends.
+		// The segment is consumed, or its next bytes are not a valid frame.
+		// Move on only once the writer has rotated: until then this is the
+		// live tail, and invalid bytes are an append in flight for the next
+		// poll to retry. Invalid bytes behind a rotation are permanent, and
+		// the records past them unreachable: force a resnapshot.
 		next, err := f.nextSegment()
-		if err != nil {
-			return out, err
+		if err != nil || next == 0 {
+			return dst, n, err
 		}
-		if next == 0 {
-			return out, nil
+		if reason != "" {
+			f.segFirst = 0
+			return dst, n, ErrCompacted
 		}
 		f.segFirst, f.off = next, 0
 	}
-	return out, nil
+	return dst, n, nil
 }
 
 // position picks the segment containing the follower's next sequence: the

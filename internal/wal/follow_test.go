@@ -7,6 +7,7 @@ package wal
 
 import (
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -30,12 +31,31 @@ func appendN(t *testing.T, l *Log, tmpl string, n int) uint64 {
 	return last
 }
 
+// poll runs one Poll and decodes the frames it returns, which must be
+// exactly as many as it counts.
+func poll(t *testing.T, f *Follower, max int) ([]Record, error) {
+	t.Helper()
+	frames, n, err := f.Poll(nil, max)
+	var recs []Record
+	for len(frames) > 0 {
+		rec, size, derr := DecodeFrame(frames)
+		if derr != nil {
+			t.Fatalf("poll returned an invalid frame after %d records: %v", len(recs), derr)
+		}
+		recs, frames = append(recs, rec), frames[size:]
+	}
+	if len(recs) != n {
+		t.Fatalf("poll counted %d records and returned %d frames", n, len(recs))
+	}
+	return recs, err
+}
+
 // drain polls until the follower reports no more records.
 func drain(t *testing.T, f *Follower) []Record {
 	t.Helper()
 	var out []Record
 	for {
-		recs, err := f.Poll(100)
+		recs, err := poll(t, f, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +119,7 @@ func TestFollowerCompactedPosition(t *testing.T) {
 	// A position below the surviving floor is unrecoverable for a tail: the
 	// follower must say so, not silently skip records.
 	f := NewFollower(l.Dir(), 3)
-	if _, err := f.Poll(100); !errors.Is(err, ErrCompacted) {
+	if _, err := poll(t, f, 100); !errors.Is(err, ErrCompacted) {
 		t.Fatalf("poll below the compaction floor: %v, want ErrCompacted", err)
 	}
 
@@ -127,7 +147,7 @@ func TestFollowerCompactionMidTail(t *testing.T) {
 	if _, err := l.Compact(35); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := f.Poll(100)
+	recs, err := poll(t, f, 100)
 	if err != nil && !errors.Is(err, ErrCompacted) {
 		t.Fatalf("poll after compaction: %v", err)
 	}
@@ -167,7 +187,7 @@ func TestFollowerTornTailNotDelivered(t *testing.T) {
 	}
 
 	f := NewFollower(tornDir, 0)
-	recs, err := f.Poll(100)
+	recs, err := poll(t, f, 100)
 	if err != nil {
 		t.Fatalf("poll over a torn live tail: %v", err)
 	}
@@ -180,9 +200,46 @@ func TestFollowerTornTailNotDelivered(t *testing.T) {
 	if err := os.WriteFile(torn, full, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	recs, err = f.Poll(100)
+	recs, err = poll(t, f, 100)
 	if err != nil || len(recs) != 1 || recs[0].Seq != 5 {
 		t.Fatalf("completed tail delivered %v (%v), want seq 5", recs, err)
+	}
+}
+
+// TestFollowerStopsWhereScanStops: a checksummed frame whose point count
+// disagrees with its length is invalid to a follower as it is to recovery,
+// so both stop before it.
+func TestFollowerStopsWhereScanStops(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openTest(t, Options{Dir: dir})
+	appendN(t, l, "Q1", 3)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bad := AppendFrame(nil, testRecord("Q1", 3))
+	le.PutUint16(bad[frameOverhead+minPayload+len("Q1")+17:], 3) // dims, of a two-dimensional point
+	le.PutUint32(bad[4:8], crc32.Checksum(bad[frameOverhead:], walCRC))
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments %v, %v; want one", segs, err)
+	}
+	f, err := os.OpenFile(segs[0], os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(bad); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rec, err := Scan(dir)
+	if err != nil || len(rec.Records) != 3 || rec.TornBytes != int64(len(bad)) {
+		t.Fatalf("scan read %d records and %d torn bytes (%v); want 3 and the %d-byte frame", len(rec.Records), rec.TornBytes, err, len(bad))
+	}
+	if got := len(drain(t, NewFollower(dir, 0))); got != 3 {
+		t.Fatalf("follower delivered %d records, want the 3 before the bad frame", got)
 	}
 }
 
@@ -217,7 +274,7 @@ func TestFollowerPollReadsOnlyTheTail(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs, err := f.Poll(16)
+		recs, err := poll(t, f, 16)
 		if err != nil || len(recs) != 1 || recs[0].Seq != seq {
 			t.Fatalf("round %d: poll delivered %d records (%v), want seq %d", i, len(recs), err, seq)
 		}
@@ -231,7 +288,7 @@ func TestFollowerPollReadsOnlyTheTail(t *testing.T) {
 
 func TestFollowerEmptyDir(t *testing.T) {
 	f := NewFollower(t.TempDir(), 0)
-	if recs, err := f.Poll(10); err != nil || len(recs) != 0 {
+	if recs, err := poll(t, f, 10); err != nil || len(recs) != 0 {
 		t.Fatalf("empty dir poll: %v records, %v", len(recs), err)
 	}
 }

@@ -36,13 +36,14 @@
 //	         bytes, read by the payload length and never interpreted
 //
 // A record kind is declared once, as an entry of the kinds table: the size
-// of its tail's fixed part, the length of the variable part, an encoder and
-// a decoder for the tail. The prefix, the frame, the checksum and every
-// length check are written once around the table (encodeFrame,
-// decodeFrame), and a kind's smallest payload is its own — the prefix plus
-// its fixed part — not another kind's. Segment bytes are likewise read in
-// one place, readSegment, from a byte offset: recovery reads a segment from
-// its start and a Follower from where its last poll stopped.
+// of its tail's fixed part, the length of the variable part, an encoder, a
+// length check and a decoder for the tail. The prefix, the frame, the
+// checksum and every length check are written once around the table
+// (AppendFrame, checkFrame), and a kind's smallest payload is its own — the
+// prefix plus its fixed part — not another kind's. Segment bytes are
+// likewise read in one place, readSegment, from a byte offset: recovery
+// reads a segment from its start and a Follower from where its last poll
+// stopped.
 //
 // Sequence numbers are global, monotonically increasing, and never reused;
 // segment file names carry the first sequence number the segment may
@@ -59,6 +60,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -112,7 +114,7 @@ const (
 	// RecordRetiredRetune is retired: the tunable-LSH re-tune event older
 	// builds logged. A log or a ship stream may still hold one, so its
 	// frames are checksummed and read whole by their length, and replay
-	// counts it stale; Append refuses it.
+	// counts it stale; nothing encodes one, and Append refuses it.
 	RecordRetiredRetune uint8 = 3
 )
 
@@ -129,9 +131,9 @@ const (
 // Correction fields: CorrEpoch is the template's correction epoch after the
 // update; Site/LogC/N/Ref are the site's absolute post-update state.
 //
-// A retired kind's record keeps its frame unread: the prefix's epoch slot
-// in Epoch and the tail's bytes in Retired, so it re-encodes to the bytes
-// it was read from (a ship stream forwards what the log holds).
+// A retired kind's record is its prefix alone, the epoch slot in Epoch: replay
+// counts it stale and a ship stream forwards its frame as read, so no reader
+// needs its tail.
 type Record struct {
 	Kind        uint8
 	Seq         uint64
@@ -147,8 +149,6 @@ type Record struct {
 	LogC      float64
 	N         uint64
 	Ref       float64
-
-	Retired []byte
 }
 
 // MaxTemplateName bounds a template name in bytes: a record frames the name
@@ -465,9 +465,13 @@ func scanSegment(path string, out *[]Record) (badReason string, badOff int64, si
 		return err.Error(), 0, seg.size
 	}
 	for len(seg.buf) > 0 {
-		if reason := seg.next(out); reason != "" {
+		frame, reason := seg.next()
+		if reason != "" {
 			return reason, seg.off, seg.size
 		}
+		// Decoded in place at the end of out, so the record is never copied.
+		*out = append(*out, Record{})
+		decodePayload(frame[frameOverhead:], &(*out)[len(*out)-1])
 	}
 	return "", 0, seg.size
 }
@@ -482,8 +486,8 @@ var (
 
 // segTail is the unread remainder of one segment file: the one reader under
 // recovery (scanSegment, from byte 0) and the ship tail (Follower.Poll, from
-// where its last poll stopped), so both check the same header and stop at
-// the same frames.
+// where its last poll stopped), so both check the same header and frames
+// and stop at the same frame.
 type segTail struct {
 	buf  []byte // undecoded bytes
 	off  int64  // file offset of buf[0]
@@ -533,29 +537,26 @@ func readSegment(path string, off int64) (segTail, error) {
 	return seg, nil
 }
 
-// next decodes the frame at the head of the remainder onto the end of out —
-// in place, so the record is never copied — and steps past it. A non-empty
-// reason means the bytes there are not a valid frame: the reader stays where
-// it is (off is the first invalid byte) and out is as it was. Callers stop
-// at len(buf) == 0.
-func (s *segTail) next(out *[]Record) (reason string) {
-	*out = append(*out, Record{})
-	n, reason := decodeFrame(s.buf, &(*out)[len(*out)-1])
+// next checks the frame at the head of the remainder, steps past it and
+// returns its bytes, which alias buf. A non-empty reason means the bytes
+// there are not a valid frame: the reader stays where it is (off is the
+// first invalid byte). Callers stop at len(buf) == 0.
+func (s *segTail) next() (frame []byte, reason string) {
+	n, reason := checkFrame(s.buf)
 	if reason != "" {
-		*out = (*out)[:len(*out)-1]
-		return reason
+		return nil, reason
 	}
-	s.buf, s.off = s.buf[n:], s.off+int64(n)
-	return ""
+	frame, s.buf, s.off = s.buf[:n], s.buf[n:], s.off+int64(n)
+	return frame, ""
 }
 
 // kindSpec declares one record kind: everything the codec knows about it.
 // A payload is the shared prefix `u8 kind | u64 seq | u64 epoch | u16
 // len(template) template` followed by the kind's tail — fixed bytes, then a
 // run of float64s whose count the fixed part states (a retired kind's tail
-// is bytes, kept whole). The prefix, the frame,
-// the checksum and the length checks live in encodeFrame and decodePayload;
-// a new kind is one entry here plus its arm of core's replay switch.
+// is bytes of any length, never read). The prefix, the frame, the checksum
+// and the length checks live in AppendFrame and checkFrame; a new kind is
+// one entry here plus its arm of core's replay switch.
 //
 // The funcs take and return Record by value: a pointer handed to a func
 // value escapes, which would cost Append its zero-allocation guarantee and
@@ -569,12 +570,13 @@ type kindSpec struct {
 	// encode writes the tail (fixed + variable bytes) and returns the value
 	// of the prefix's epoch slot.
 	encode func(r Record, tail []byte) (epoch uint64)
-	// decode reads the kind's fields out of the epoch slot and the tail,
-	// which holds at least fixed bytes. A non-empty reason means the count
-	// in the fixed part disagrees with the tail's length.
-	decode func(epoch uint64, tail []byte) (r Record, reason string)
-	// retired marks a kind no build writes any more: read and re-encoded
-	// whole, refused by Append.
+	// check names a count in the fixed part that disagrees with the tail's
+	// length (the tail holds at least fixed bytes); nil takes any length.
+	check func(tail []byte) (reason string)
+	// decode reads the kind's fields out of the epoch slot and a checked tail.
+	decode func(epoch uint64, tail []byte) Record
+	// retired marks a kind no build writes any more: it has no encoder, its
+	// frames decode to their prefix, and Append refuses it.
 	retired bool
 }
 
@@ -595,17 +597,19 @@ var kinds = [...]kindSpec{
 			putFloats(p[feedbackFixed:], r.Point)
 			return uint64(r.Epoch)
 		},
-		decode: func(epoch uint64, p []byte) (r Record, reason string) {
+		check: func(p []byte) string {
+			if dims := int(le.Uint16(p[17:])); feedbackFixed+8*dims != len(p) {
+				return fmt.Sprintf("record dims %d disagree with payload length", dims)
+			}
+			return ""
+		},
+		decode: func(epoch uint64, p []byte) (r Record) {
 			r.Epoch = int64(epoch)
 			r.Plan = int64(le.Uint64(p[0:]))
 			r.Cost = math.Float64frombits(le.Uint64(p[8:]))
 			r.SelfLabeled = p[16] != 0
-			dims := int(le.Uint16(p[17:]))
-			if feedbackFixed+8*dims != len(p) {
-				return r, fmt.Sprintf("record dims %d disagree with payload length", dims)
-			}
-			r.Point = floats(p[feedbackFixed:], dims)
-			return r, ""
+			r.Point = floats(p[feedbackFixed:], int(le.Uint16(p[17:])))
+			return r
 		},
 	},
 	RecordCorrection: {
@@ -619,30 +623,24 @@ var kinds = [...]kindSpec{
 			le.PutUint64(p[20:], math.Float64bits(r.Ref))
 			return r.CorrEpoch
 		},
-		decode: func(epoch uint64, p []byte) (r Record, reason string) {
+		check: func(p []byte) string {
 			if len(p) != correctionFixed {
-				return r, "correction record payload length disagrees with its template name"
+				return "correction record payload length disagrees with its template name"
 			}
+			return ""
+		},
+		decode: func(epoch uint64, p []byte) (r Record) {
 			r.CorrEpoch = epoch
 			r.Site = le.Uint32(p[0:])
 			r.LogC = math.Float64frombits(le.Uint64(p[4:]))
 			r.N = le.Uint64(p[12:])
 			r.Ref = math.Float64frombits(le.Uint64(p[20:]))
-			return r, ""
+			return r
 		},
 	},
 	RecordRetiredRetune: {
-		// bytes, never interpreted
-		variable: func(r Record) int { return len(r.Retired) },
-		encode: func(r Record, p []byte) uint64 {
-			copy(p, r.Retired)
-			return uint64(r.Epoch)
-		},
-		decode: func(epoch uint64, p []byte) (r Record, reason string) {
-			r.Epoch = int64(epoch)
-			r.Retired = append([]byte(nil), p...)
-			return r, ""
-		},
+		// bytes, never read
+		decode:  func(epoch uint64, _ []byte) Record { return Record{Epoch: int64(epoch)} },
 		retired: true,
 	},
 }
@@ -650,7 +648,7 @@ var kinds = [...]kindSpec{
 // specFor returns the table entry for a kind byte, nil when the table
 // declares no such kind.
 func specFor(kind uint8) *kindSpec {
-	if int(kind) >= len(kinds) || kinds[kind].encode == nil {
+	if int(kind) >= len(kinds) || kinds[kind].decode == nil {
 		return nil
 	}
 	return &kinds[kind]
@@ -670,11 +668,23 @@ func floats(p []byte, n int) []float64 {
 	return vs
 }
 
-// decodeFrame decodes one framed record from the head of buf into rec,
-// returning the consumed frame length. A non-empty reason means the frame
-// is invalid (truncated, implausible length, checksum mismatch, malformed
-// payload) — scanning stops there, and rec is left as it was.
-func decodeFrame(buf []byte, rec *Record) (int, string) {
+// DecodeFrame decodes one framed record from the head of buf, returning
+// the consumed frame length: checkFrame's checks, then the payload.
+func DecodeFrame(buf []byte) (Record, int, error) {
+	n, reason := checkFrame(buf)
+	if reason != "" {
+		return Record{}, 0, fmt.Errorf("wal: decode frame: %s", reason)
+	}
+	var rec Record
+	decodePayload(buf[frameOverhead:n], &rec)
+	return rec, n, nil
+}
+
+// checkFrame validates the framed record at the head of buf without
+// decoding it and returns the frame's length. A non-empty reason means the
+// frame is invalid (truncated, implausible length, checksum mismatch,
+// malformed payload): a scan stops there, and a follower too.
+func checkFrame(buf []byte) (int, string) {
 	if len(buf) < frameOverhead {
 		return 0, fmt.Sprintf("truncated frame header (%d bytes)", len(buf))
 	}
@@ -690,52 +700,51 @@ func decodeFrame(buf []byte, rec *Record) (int, string) {
 	if got := crc32.Checksum(payload, walCRC); got != sum {
 		return 0, fmt.Sprintf("record checksum mismatch: got %08x want %08x", got, sum)
 	}
-	if reason := decodePayload(payload, rec); reason != "" {
-		return 0, reason
+	spec := specFor(payload[0])
+	if spec == nil {
+		return 0, fmt.Sprintf("unknown record kind %d", payload[0])
+	}
+	tl := int(le.Uint16(payload[17:]))
+	if minPayload+tl+spec.fixed > len(payload) {
+		return 0, fmt.Sprintf("kind %d record payload shorter than its template name and %d-byte tail", payload[0], spec.fixed)
+	}
+	if spec.check != nil {
+		if reason := spec.check(payload[minPayload+tl:]); reason != "" {
+			return 0, reason
+		}
 	}
 	return frameOverhead + int(payLen), ""
 }
 
-// decodePayload decodes the checksummed record body (at least minPayload
-// bytes): the shared prefix here, the tail by the kind's table entry.
-func decodePayload(p []byte, rec *Record) string {
-	spec := specFor(p[0])
-	if spec == nil {
-		return fmt.Sprintf("unknown record kind %d", p[0])
-	}
+// decodePayload decodes a checked record body: the shared prefix here, the
+// tail by the kind's table entry.
+func decodePayload(p []byte, rec *Record) {
 	tl := int(le.Uint16(p[17:]))
-	if minPayload+tl+spec.fixed > len(p) {
-		return fmt.Sprintf("kind %d record payload shorter than its template name and %d-byte tail", p[0], spec.fixed)
-	}
-	r, reason := spec.decode(le.Uint64(p[9:]), p[minPayload+tl:])
-	if reason != "" {
-		return reason
-	}
+	r := kinds[p[0]].decode(le.Uint64(p[9:]), p[minPayload+tl:])
 	r.Kind, r.Seq, r.Template = p[0], le.Uint64(p[1:]), string(p[minPayload:minPayload+tl])
 	*rec = r
-	return ""
 }
 
-// encodeFrame encodes rec's framed bytes into buf (reusing its capacity)
-// and returns the frame. A kind the table does not declare is a bug in the
-// caller: records are built by the constructors beside core's replay switch
-// or come out of decodeFrame.
-func encodeFrame(buf []byte, rec *Record) []byte {
+// AppendFrame appends rec's framed encoding (the exact on-disk segment
+// frame: u32 len | u32 crc32c | payload) to dst and returns the extended
+// slice; rec.Seq is encoded as-is. A kind the table does not declare, or a
+// retired one, is a bug in the caller: records are built by the
+// constructors beside core's replay switch, and a frame read is forwarded
+// as it lies, never re-encoded.
+func AppendFrame(dst []byte, rec *Record) []byte {
 	kind := rec.Kind
 	if kind == 0 {
 		kind = RecordFeedback
 	}
 	spec := specFor(kind)
-	if spec == nil {
-		panic(fmt.Sprintf("wal: encode of undeclared record kind %d", kind))
+	if spec == nil || spec.retired {
+		panic(fmt.Sprintf("wal: encode of undeclared or retired record kind %d", kind))
 	}
 	tailOff := minPayload + len(rec.Template)
 	payLen := tailOff + spec.fixed + spec.variable(*rec)
-	need := frameOverhead + payLen
-	if cap(buf) < need {
-		buf = make([]byte, need)
-	}
-	frame := buf[:need]
+	start := len(dst)
+	dst = slices.Grow(dst, frameOverhead+payLen)[:start+frameOverhead+payLen]
+	frame := dst[start:]
 	le.PutUint32(frame[0:4], uint32(payLen))
 	p := frame[frameOverhead:]
 	p[0] = kind
@@ -744,7 +753,7 @@ func encodeFrame(buf []byte, rec *Record) []byte {
 	le.PutUint16(p[17:], uint16(len(rec.Template)))
 	copy(p[minPayload:], rec.Template)
 	le.PutUint32(frame[4:8], crc32.Checksum(p, walCRC))
-	return frame
+	return dst
 }
 
 // Append assigns rec the next sequence number and writes its frame to the
@@ -777,7 +786,7 @@ func (l *Log) Append(rec *Record) (uint64, error) {
 		}
 	}
 	rec.Seq = l.seq + 1
-	l.scratch = encodeFrame(l.scratch, rec)
+	l.scratch = AppendFrame(l.scratch[:0], rec)
 	frame := l.scratch
 
 	if l.opts.Faults.Should(faults.WALTornTail) && len(frame) > 1 {

@@ -76,9 +76,6 @@ func MustNew(dims, bits int) *Curve {
 	return c
 }
 
-// Dims returns the dimensionality of the curve.
-func (c *Curve) Dims() int { return c.dims }
-
 // CellsPerAxis returns the number of grid cells along each axis, 2^bits.
 func (c *Curve) CellsPerAxis() uint32 { return 1 << uint(c.bits) }
 
