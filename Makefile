@@ -86,12 +86,15 @@ race:
 # reset and nothing else (TestChaosMispredictionResetsLearner under injected
 # mispredictions,
 # TestChaosServedDriftResets under a cost-model shift), and the feedback
-# mailbox under load: every label sent through a two-slot mailbox lands
-# (TestNoFeedbackLossUnderLoad), SaveState under concurrent runs captures
-# every acknowledged label (TestSaveStateUnderLoad), and runs, SaveState and
-# MetricsSnapshot interleave on one hot template (TestHotTemplateStress).
+# mailbox under load: every label sent through a two-slot mailbox lands,
+# also when Close races the sends (TestNoFeedbackLossUnderLoad), a flush
+# waits for the batch the applier has taken but not yet applied
+# (TestFlushWaitsForTheBatchInFlight), SaveState under concurrent runs
+# captures every acknowledged label (TestSaveStateUnderLoad), and runs,
+# SaveState and MetricsSnapshot interleave on one hot template
+# (TestHotTemplateStress).
 chaos:
-	$(GO) test -race -run 'TestChaos|TestConcurrent|TestParallel|TestNoFeedbackLossUnderLoad|TestSaveStateUnderLoad|TestHotTemplateStress' -v .
+	$(GO) test -race -run 'TestChaos|TestConcurrent|TestParallel|TestNoFeedbackLossUnderLoad|TestFlushWaitsForTheBatchInFlight|TestSaveStateUnderLoad|TestHotTemplateStress' -v .
 
 # The durability suite: crash-image recovery properties (a template that
 # comes back in another shape among them, and WAL records pending a late

@@ -231,7 +231,7 @@ func TestCommandsLinkNoBenchHarness(t *testing.T) {
 // go through — the Stats / Health shapes hand-copied from the same learner
 // left with ppc-metrics/v1 and stay out. A run hands its learner one
 // message: Run calls templateState.send once, and send holds the one
-// mailbox send that is not a flush token and the one call of the learner's
+// channel send (the mailbox's wake token) and the one call of the learner's
 // fold (core.Online.TryObserve), the only learner write a serving
 // goroutine makes outside a deferred apply.
 func TestFacadeOnePathPerJob(t *testing.T) {
@@ -253,8 +253,8 @@ func TestFacadeOnePathPerJob(t *testing.T) {
 	// optimizeSites[f] counts f's calls of the optimizer.
 	optimizeSites := map[string]int{}
 	var builds []string
-	// sends names the function of each non-flush send on a mailbox, senders
-	// each caller of templateState.send, folders each caller of the fold.
+	// sends names the function of each channel send, senders each caller of
+	// templateState.send, folders each caller of the fold.
 	var sends, senders, folders []string
 	ast.Inspect(pkg, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -288,9 +288,7 @@ func TestFacadeOnePathPerJob(t *testing.T) {
 						builds = append(builds, n.Name.Name)
 					}
 				case *ast.SendStmt:
-					if !isFlushToken(m.Value) {
-						sends = append(sends, n.Name.Name)
-					}
+					sends = append(sends, n.Name.Name)
 				}
 				return true
 			})
@@ -329,7 +327,7 @@ func TestFacadeOnePathPerJob(t *testing.T) {
 	}
 	// The label has no route of its own beside the run's one message.
 	if len(sends) != 1 || sends[0] != "send" {
-		t.Errorf("non-flush mailbox sends in %v, want exactly one, in templateState.send", sends)
+		t.Errorf("channel sends in %v, want exactly one, in templateState.send", sends)
 	}
 	if len(senders) != 1 || senders[0] != "Run" {
 		t.Errorf("templateState.send called from %v, want once, from Run", senders)
@@ -353,21 +351,4 @@ func TestFacadeOnePathPerJob(t *testing.T) {
 			t.Errorf("identifier %s: only the optimizer answers run.optimize", name)
 		}
 	}
-}
-
-// isFlushToken reports whether a sent value is a feedbackMsg literal
-// carrying a flush token.
-func isFlushToken(v ast.Expr) bool {
-	lit, ok := v.(*ast.CompositeLit)
-	if !ok {
-		return false
-	}
-	for _, elt := range lit.Elts {
-		if kv, ok := elt.(*ast.KeyValueExpr); ok {
-			if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "flush" {
-				return true
-			}
-		}
-	}
-	return false
 }

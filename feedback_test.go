@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -17,8 +18,8 @@ import (
 
 // The run's one message to its learner takes one of three routes, each
 // counted once: the applier's mailbox (feedback_enqueued), a synchronous
-// apply on the serving goroutine (feedback_deferred: mailbox full, closed
-// or absent), or — for a message of correction observations alone, on a
+// apply on the serving goroutine (feedback_deferred: mailbox full or
+// closed; serial mode's holds nothing), or — for a message of correction observations alone, on a
 // free learner lock with no log attached — a fold by the run itself
 // (feedback_inline). These tests hold each route to its conditions and
 // every observation to exactly one landing.
@@ -180,6 +181,66 @@ func TestHeldLearnerLockSendsToTheMailbox(t *testing.T) {
 	t.Fatal("no label-free hit ran while the learner lock was held in 20 attempts")
 }
 
+// TestFlushWaitsForTheBatchInFlight: a flush that finds the mailbox empty
+// because the applier has already taken the last run — and is waiting on
+// the learner lock to apply it — still returns only once that run is in
+// the learner. drainMu, held by a drain from take to apply, is what makes
+// the flush wait.
+func TestFlushWaitsForTheBatchInFlight(t *testing.T) {
+	sys, st := openWarmQ1(t)
+	defer sys.Close() //nolint:errcheck
+	// The writer holding the learner lock: a batch of 50,000 validated
+	// points at one far corner, tens of milliseconds of inserts.
+	plan := cachedPlanIDs(sys)[0]
+	filler := make([]core.Feedback, 50000)
+	for i := range filler {
+		filler[i] = core.Feedback{Point: []float64{0.95, 0.95}, Plan: plan, Cost: 1, Epoch: st.online.Epoch()}
+	}
+	probe := []stats.Obs{{Site: 0, LogQ: 1}}
+	queued := func() int {
+		st.mailMu.Lock()
+		defer st.mailMu.Unlock()
+		return len(st.mail)
+	}
+	for attempt := 0; attempt < 20; attempt++ {
+		v0 := st.online.Validated()
+		var done atomic.Bool
+		finished := make(chan struct{})
+		go func() {
+			defer close(finished)
+			st.online.ApplyBatch(filler, nil)
+			done.Store(true)
+		}()
+		for !done.Load() && st.online.TryObserve(probe) {
+		}
+		fb, err := st.online.ValidatedFeedback([]float64{0.3, 0.3}, plan, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := runBufPool.Get().(*runBuf)
+		buf.keep(fb)
+		st.send(buf)
+		// Wait for the applier to take the run off the mailbox; it then
+		// blocks on the learner lock, holding the run as its batch.
+		for !done.Load() && queued() > 0 {
+			runtime.Gosched()
+		}
+		held := !done.Load()
+		st.flush()
+		got := st.online.Validated() - v0
+		<-finished
+		st.flush()
+		if !held {
+			continue // the writer finished before the flush began; try again
+		}
+		if want := len(filler) + 1; got != want {
+			t.Fatalf("flush returned with %d of %d validated points applied: the batch in flight was not waited for", got, want)
+		}
+		return
+	}
+	t.Fatal("the learner lock was never still held when the flush began in 20 attempts")
+}
+
 // TestDurableCorrectionsKeepTheApplier: a durable template never folds. Its
 // correction-only runs go through the applier like every message, so their
 // kind-2 records are written and group-committed there, at most one per
@@ -217,9 +278,9 @@ func TestDurableCorrectionsKeepTheApplier(t *testing.T) {
 	}
 }
 
-// TestSerialModeNeverFolds: with no mailbox (FeedbackQueue -1) every
-// message is applied by its run as an apply batch of its own and none is
-// folded, so serial decisions and counters are those of the build before
+// TestSerialModeNeverFolds: with a mailbox of capacity 0 (FeedbackQueue
+// -1) every message is applied by its run as an apply batch of its own and
+// none is folded, so serial decisions and counters are those of the build before
 // the fold: the pinned numbers and the digest of every run's decision and
 // of the final correction state were printed by that build on this
 // workload.

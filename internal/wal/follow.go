@@ -52,6 +52,13 @@ type Follower struct {
 	after    uint64 // newest sequence already delivered
 	segFirst uint64 // name-seq of the segment being read (0 = unpositioned)
 	off      int64  // bytes consumed in the current segment
+	// ahead is the segment's bytes from off on that the last poll read but
+	// did not reach before its max: the next poll starts from them instead
+	// of reading them again, so a drain reads each byte of a segment once.
+	// Only a poll that stopped at max keeps them, and they are a read cache
+	// only: their end is where the segment ended when they were read, so a
+	// poll that runs out of them reads on from the disk at off.
+	ahead []byte
 }
 
 // NewFollower tails dir for records with Seq > afterSeq. afterSeq = 0
@@ -83,19 +90,35 @@ func (f *Follower) Poll(dst []byte, max int) ([]byte, int, error) {
 				return dst, n, err
 			}
 		}
-		name := segName(f.segFirst)
-		seg, err := readSegment(filepath.Join(f.dir, name), f.off)
-		switch {
-		case errors.Is(err, fs.ErrNotExist), errors.Is(err, errShrunk):
-			// The segment under us was compacted away, or shrank below bytes
-			// already consumed: the history we were tailing was rewritten.
-			// Resnapshot.
-			f.segFirst = 0
-			return dst, n, ErrCompacted
-		case errors.Is(err, errShortHeader):
-			return dst, n, nil // header still being written; retry later
-		case err != nil:
-			return dst, n, fmt.Errorf("wal: follow %s: %w", name, err)
+		// The writer may have appended behind the cached bytes since they
+		// were read, so running out of them, or into bytes that were not
+		// yet a frame, reads on from the disk rather than ending the
+		// segment.
+		seg, cached := segTail{buf: f.ahead, off: f.off}, len(f.ahead) > 0
+		f.ahead = nil
+		var next uint64
+		if !cached {
+			// List the segments before reading: a segment that already had a
+			// successor is whole in the read that follows, so moving on past
+			// its end skips nothing appended after the read.
+			var err error
+			if next, err = f.nextSegment(); err != nil {
+				return dst, n, err
+			}
+			name := segName(f.segFirst)
+			seg, err = readSegment(filepath.Join(f.dir, name), f.off)
+			switch {
+			case errors.Is(err, fs.ErrNotExist), errors.Is(err, errShrunk):
+				// The segment under us was compacted away, or shrank below
+				// bytes already consumed: the history we were tailing was
+				// rewritten. Resnapshot.
+				f.segFirst = 0
+				return dst, n, ErrCompacted
+			case errors.Is(err, errShortHeader):
+				return dst, n, nil // header still being written; retry later
+			case err != nil:
+				return dst, n, fmt.Errorf("wal: follow %s: %w", name, err)
+			}
 		}
 		// The frames past the position go out as one run of the segment's
 		// bytes; a frame at or below it (a resume inside the segment) moves
@@ -115,17 +138,22 @@ func (f *Follower) Poll(dst []byte, max int) ([]byte, int, error) {
 			}
 		}
 		dst = append(dst, run...)
-		if len(seg.buf) > 0 && reason == "" {
-			continue // max reached mid-segment; outer condition ends the loop
+		switch {
+		case len(seg.buf) > 0 && reason == "":
+			// max reached mid-segment; outer condition ends the loop.
+			f.ahead = seg.buf
+			continue
+		case cached:
+			continue
 		}
-		// The segment is consumed, or its next bytes are not a valid frame.
-		// Move on only once the writer has rotated: until then this is the
-		// live tail, and invalid bytes are an append in flight for the next
-		// poll to retry. Invalid bytes behind a rotation are permanent, and
-		// the records past them unreachable: force a resnapshot.
-		next, err := f.nextSegment()
-		if err != nil || next == 0 {
-			return dst, n, err
+		// The segment as read is consumed, or its next bytes are not a
+		// valid frame. Move on only if the writer had rotated before the
+		// read: until then this is the live tail, and invalid bytes are an
+		// append in flight for the next poll to retry. Invalid bytes behind
+		// a rotation are permanent, and the records past them unreachable:
+		// force a resnapshot.
+		if next == 0 {
+			return dst, n, nil
 		}
 		if reason != "" {
 			f.segFirst = 0

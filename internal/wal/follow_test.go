@@ -286,6 +286,157 @@ func TestFollowerPollReadsOnlyTheTail(t *testing.T) {
 	}
 }
 
+// TestFollowerDrainReadsTheSegmentOnce: catching up inside one large
+// segment reads each of its bytes once, however many polls the drain takes.
+// 32,768 records in one segment of ≈ 2 MiB, drained 512 records a poll (the
+// ship loop's batch) into one reused buffer, allocate about the segment's
+// size; a poll that reads from its position to the segment's end every time
+// allocates half the segment per poll, ≈ 70 MB over the drain.
+func TestFollowerDrainReadsTheSegmentOnce(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openTest(t, Options{Dir: dir, Sync: SyncNever, SegmentBytes: 1 << 30})
+	const records = 32768
+	for i := 0; i < records; i++ {
+		if _, err := l.Append(testRecord("Q1", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments %v, %v; want one", segs, err)
+	}
+	fi, err := os.Stat(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := NewFollower(dir, 0)
+	dst := make([]byte, 0, 64<<10)
+	got, polls := 0, 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for {
+		var n int
+		if dst, n, err = f.Poll(dst[:0], 512); err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			break
+		}
+		got, polls = got+n, polls+1
+	}
+	runtime.ReadMemStats(&after)
+	if got != records {
+		t.Fatalf("drain delivered %d of %d records", got, records)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d polls over a %d-byte segment allocated %d bytes", polls, fi.Size(), alloc)
+	if limit := 2 * uint64(fi.Size()); alloc >= limit {
+		t.Errorf("%d polls over a %d-byte segment allocated %d bytes, want under %d: bytes were read more than once",
+			polls, fi.Size(), alloc, limit)
+	}
+}
+
+// TestFollowerReadsOnPastItsCache: the bytes a poll keeps past its max are
+// the segment as it was then, not its end. Records appended to the same
+// segment before a rotation, and a frame that was still being written when
+// the bytes were read, are delivered in order once the next segment exists:
+// none is skipped and the follower does not report ErrCompacted.
+func TestFollowerReadsOnPastItsCache(t *testing.T) {
+	frame := len(AppendFrame(nil, testRecord("Q1", 0)))
+	segments := func(t *testing.T, dir string) []string {
+		t.Helper()
+		segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return segs
+	}
+	// drainFrom polls 512 at a time until a poll delivers nothing and
+	// checks that the records are first..last, dense and in order.
+	drainFrom := func(t *testing.T, f *Follower, first, last uint64) {
+		t.Helper()
+		want := first
+		for {
+			recs, err := poll(t, f, 512)
+			if err != nil {
+				t.Fatalf("poll at seq %d: %v", want, err)
+			}
+			if len(recs) == 0 {
+				break
+			}
+			for _, r := range recs {
+				if r.Seq != want {
+					t.Fatalf("delivered seq %d, want %d", r.Seq, want)
+				}
+				want++
+			}
+		}
+		if want != last+1 {
+			t.Fatalf("delivered %d..%d, want %d..%d", first, want-1, first, last)
+		}
+	}
+
+	// firstPoll stops at max mid-segment, with the bytes past it kept.
+	firstPoll := func(t *testing.T, f *Follower) {
+		t.Helper()
+		recs, err := poll(t, f, 512)
+		if err != nil || len(recs) != 512 || recs[511].Seq != 512 {
+			t.Fatalf("first poll delivered %d records (%v), want 1..512", len(recs), err)
+		}
+		if len(f.ahead) == 0 {
+			t.Fatal("first poll kept no bytes past its max")
+		}
+	}
+
+	t.Run("appended then rotated", func(t *testing.T) {
+		dir := t.TempDir()
+		l, _ := openTest(t, Options{Dir: dir, Sync: SyncNever, SegmentBytes: int64(headerSize + 700*frame)})
+		appendN(t, l, "Q1", 600)
+		f := NewFollower(dir, 0)
+		firstPoll(t, f)          // 513..600 stay in hand
+		appendN(t, l, "Q1", 150) // 601..700 into the same segment, 701..750 past a rotation
+		if segs := segments(t, dir); len(segs) != 2 {
+			t.Fatalf("segments %v; want two", segs)
+		}
+		drainFrom(t, f, 513, 750)
+	})
+
+	t.Run("torn then rotated", func(t *testing.T) {
+		src := t.TempDir()
+		l, _ := openTest(t, Options{Dir: src, Sync: SyncNever, SegmentBytes: int64(headerSize + 600*frame)})
+		appendN(t, l, "Q1", 650)
+		segs := segments(t, src)
+		if len(segs) != 2 {
+			t.Fatalf("segments %v; want two", segs)
+		}
+		first, err := os.ReadFile(segs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The follower reads the first segment while its last frame is
+		// being written, and stops at max before reaching it.
+		dir := t.TempDir()
+		dst := filepath.Join(dir, filepath.Base(segs[0]))
+		if err := os.WriteFile(dst, first[:len(first)-3], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f := NewFollower(dir, 0)
+		firstPoll(t, f) // 513..599 and the torn frame stay in hand
+		// The frame lands and the writer rotates.
+		if err := os.WriteFile(dst, first, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		second, err := os.ReadFile(segs[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(segs[1])), second, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		drainFrom(t, f, 513, 650)
+	})
+}
+
 func TestFollowerEmptyDir(t *testing.T) {
 	f := NewFollower(t.TempDir(), 0)
 	if recs, err := poll(t, f, 10); err != nil || len(recs) != 0 {

@@ -117,7 +117,9 @@ type MetricsSnapshot struct {
 // by Run; everything else is an atomic read, so assembling never stalls the
 // serving path. Each number is read from whoever owns it.
 func (st *templateState) metrics() TemplateMetrics {
+	st.mailMu.Lock()
 	depth := len(st.mail)
+	st.mailMu.Unlock()
 	st.flush()
 	model := st.online.Model()
 	est := st.online.Estimator()

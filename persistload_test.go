@@ -3,7 +3,9 @@ package ppc
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/tpch"
@@ -138,10 +140,22 @@ func TestSaveStateUnderLoad(t *testing.T) {
 
 // Every validated label sent to the mailbox must be applied
 // (asynchronously or, under backpressure, synchronously) — never silently
-// dropped. The only sanctioned loss is a stale-epoch drop after a drift
-// reset, which this test keeps at zero by not running the drift path. Each
-// worker reuses one point slice, so a label must be copied when it is sent.
+// dropped, also when the System closes while the labels are being sent:
+// a send that finds the mailbox closed applies its label itself. The only
+// sanctioned loss is a stale-epoch drop after a drift reset, which this
+// test keeps at zero by not running the drift path. Each worker reuses one
+// point slice, so a label must be copied when it is sent.
 func TestNoFeedbackLossUnderLoad(t *testing.T) {
+	for _, closeMidway := range []bool{false, true} {
+		name := "flush"
+		if closeMidway {
+			name = "close"
+		}
+		t.Run(name, func(t *testing.T) { testNoFeedbackLoss(t, closeMidway) })
+	}
+}
+
+func testNoFeedbackLoss(t *testing.T, closeMidway bool) {
 	sys, err := Open(Options{
 		TPCH:   tpch.Config{Scale: 2000, Seed: 5},
 		Online: onlineForTest(),
@@ -152,6 +166,7 @@ func TestNoFeedbackLossUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer sys.Close() //nolint:errcheck
 	if err := sys.RegisterStandard(); err != nil {
 		t.Fatal(err)
 	}
@@ -167,6 +182,7 @@ func TestNoFeedbackLossUnderLoad(t *testing.T) {
 
 	const workers, perWorker = 4, 50
 	var wg sync.WaitGroup
+	var sent atomic.Int64
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -185,14 +201,39 @@ func TestNoFeedbackLossUnderLoad(t *testing.T) {
 				buf := runBufPool.Get().(*runBuf)
 				buf.keep(fb)
 				st.send(buf)
+				sent.Add(1)
 			}
 		}(w)
+	}
+	if closeMidway {
+		// Close once a quarter of the labels are out, the workers still
+		// sending: the rest race the close or follow it.
+		for sent.Load() < workers*perWorker/4 {
+			runtime.Gosched()
+		}
+		if err := sys.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if sent.Load() == workers*perWorker {
+			t.Log("every label was sent before Close returned")
+		}
 	}
 	wg.Wait()
 	if t.Failed() {
 		return
 	}
-	st.flush()
+	if closeMidway {
+		// Close drained the mailbox before it returned, and every send
+		// after it applied inline: nothing is left queued for a flush.
+		st.mailMu.Lock()
+		queued := len(st.mail)
+		st.mailMu.Unlock()
+		if queued != 0 {
+			t.Errorf("%d runs still queued after Close", queued)
+		}
+	} else {
+		st.flush()
+	}
 
 	if got, want := st.online.Validated()-base, workers*perWorker; got != want {
 		t.Errorf("validated points applied = %d, want %d", got, want)

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/catalog"
@@ -66,7 +65,7 @@ type Options struct {
 	// appends are plain-memory copies, so tracing never allocates on the
 	// serving path.
 	TraceRingSize int
-	// FeedbackQueue bounds each template's feedback mailbox — the channel
+	// FeedbackQueue bounds each template's feedback mailbox — the queue
 	// between the lock-free serving path and the background apply goroutine
 	// (default 256). A run that learned something — its learner step's
 	// label, its attributed cardinality observations, or both — sends the
@@ -131,6 +130,9 @@ func (o Options) withDefaults() (Options, error) {
 	if o.TraceRingSize < 0 {
 		o.TraceRingSize = 0
 	}
+	if o.FeedbackQueue == 0 {
+		o.FeedbackQueue = defaultFeedbackQueue
+	}
 	return o, nil
 }
 
@@ -143,11 +145,13 @@ func (o Options) withDefaults() (Options, error) {
 // Lock hierarchy (see DESIGN.md "Concurrency architecture"; locks are
 // always acquired top to bottom, never in reverse):
 //
-//	regMu  > core.Online.mu > cacheMu > TemplateEstimator.mu
+//	regMu  > drainMu > core.Online.mu > cacheMu > TemplateEstimator.mu
 //
-// regMu guards the template registry map; each core.Online.mu serializes
-// that template's learner write path (feedback application, correction
-// folds, WAL appends, snapshot publication, drift reset, state
+// regMu guards the template registry map; each template's drainMu is held
+// by a drain of its feedback mailbox from taking a batch to applying it
+// (its mailMu, guarding the queue itself, is a leaf); each core.Online.mu
+// serializes that template's learner write path (feedback application,
+// correction folds, WAL appends, snapshot publication, drift reset, state
 // encode/decode) — the read path takes no lock at all; cacheMu guards the
 // shared plan cache, the only index of compiled plans; the estimator is an
 // internally synchronized leaf so cache eviction can score plans without
@@ -246,11 +250,11 @@ const applyBatchMax = 64
 // is zero.
 const defaultFeedbackQueue = 256
 
-// templateState is one template's serving state. It holds no mutex: the
-// learner decision runs lock-free on the published model snapshot, the
-// health counters are atomics, and feedback flows through the bounded
-// mailbox to the template's background apply goroutine. The sys, tmpl, obs
-// and channel fields are immutable after registration.
+// templateState is one template's serving state. The learner decision runs
+// lock-free on the published model snapshot, the health counters are
+// atomics, and feedback flows through the bounded mailbox to the template's
+// background apply goroutine. The sys, tmpl, obs, mailCap and channel fields
+// are immutable after registration.
 type templateState struct {
 	sys  *System
 	tmpl *optimizer.Template
@@ -265,28 +269,25 @@ type templateState struct {
 
 	online *core.Online
 
-	// mail is the bounded feedback mailbox drained by applyLoop (nil when
-	// Options.FeedbackQueue < 0 — synchronous mode). stop asks the applier
-	// to drain and exit; applyDone closes when it has. closed flags the
-	// mailbox as closing so send falls back to synchronous apply.
-	mail      chan feedbackMsg
-	stop      chan struct{}
-	applyDone chan struct{}
-	closeOnce sync.Once
-	closed    atomic.Bool
+	// The feedback mailbox: mail queues the runs the applier has yet to
+	// take, at most mailCap of them (0 in serial mode, where nothing queues
+	// and no applier runs), and closed turns sends away once shutdown has
+	// begun; mailMu, a leaf, guards both. wake holds a token while queued
+	// runs wait for the applier, and applied closes when the applier has
+	// exited. drainMu is held by a drain from the moment it takes a batch
+	// off the mailbox until the batch is applied.
+	mailMu  sync.Mutex
+	mail    []*runBuf
+	mailCap int
+	closed  bool
+	wake    chan struct{}
+	applied chan struct{}
+	drainMu sync.Mutex
 
 	// obs is this template's metrics (immutable pointer, set before the
 	// state is published; the counters themselves are atomics and need no
 	// lock).
 	obs *obsv.TemplateObs
-}
-
-// feedbackMsg is one mailbox message: what one run learned, or (when flush
-// is non-nil) a flush token the applier closes once everything queued
-// before it has been applied.
-type feedbackMsg struct {
-	run   *runBuf
-	flush chan struct{}
 }
 
 // runBuf is what one run hands its template's learner: the learner step's
@@ -318,12 +319,12 @@ func (b *runBuf) release() {
 	runBufPool.Put(b)
 }
 
-// send is a run's one message to its template's learner: it hands the
-// run's label and observations to the background applier, or applies them
+// send is a run's one message to its template's learner: it queues the
+// run's label and observations for the background applier, or applies them
 // on the calling goroutine, as a batch of their own, when the mailbox is
-// full, closed or absent (counted as deferred) — backpressure degrades
-// latency, never durability: nothing the learner should see is silently
-// dropped. A run that learned nothing sends nothing.
+// full or closed (counted as deferred; in serial mode it is always full) —
+// backpressure degrades latency, never durability: nothing the learner
+// should see is silently dropped. A run that learned nothing sends nothing.
 //
 // A message with no label holds correction observations alone: a few
 // hundred ns of EWMA work, against the microsecond a send costs to wake a
@@ -331,24 +332,30 @@ func (b *runBuf) release() {
 // template keeps no log and its learner lock is free (core's TryObserve);
 // otherwise they take the mailbox like any message. Labelled messages
 // always do, since their model publish is the expensive part, and serial
-// mode (no mailbox) applies every message as a batch of its own, as before.
+// mode applies every message as a batch of its own, as before.
 func (st *templateState) send(buf *runBuf) {
 	if len(buf.label) == 0 && len(buf.obs) == 0 {
 		buf.release()
 		return
 	}
-	if st.mail != nil && len(buf.label) == 0 && st.online.TryObserve(buf.obs) {
+	if st.mailCap > 0 && len(buf.label) == 0 && st.online.TryObserve(buf.obs) {
 		st.obs.CountFeedbackInline()
 		buf.release()
 		return
 	}
-	if st.mail != nil && !st.closed.Load() {
+	st.mailMu.Lock()
+	queued := !st.closed && len(st.mail) < st.mailCap
+	if queued {
+		st.mail = append(st.mail, buf)
 		select {
-		case st.mail <- feedbackMsg{run: buf}:
-			st.obs.CountFeedbackEnqueued()
-			return
-		default:
+		case st.wake <- struct{}{}:
+		default: // a token is already waiting: its drain will take this run too
 		}
+	}
+	st.mailMu.Unlock()
+	if queued {
+		st.obs.CountFeedbackEnqueued()
+		return
 	}
 	st.obs.CountFeedbackDeferred()
 	st.learn(buf.label, buf.obs)
@@ -366,132 +373,78 @@ func (st *templateState) learn(points []core.Feedback, obs []stats.Obs) {
 	st.obs.RecordApply(time.Since(t0))
 }
 
-// applyBatch is one apply batch under assembly: the runs' labels and
-// observations the learner takes in one call, each in mailbox order, the
-// runs' buffers (their labels' points live there until the batch is
-// applied) and the flush tokens released once it is. An applier reuses one
-// across batches, so collecting allocates nothing in steady state.
+// applyBatch is one apply batch under assembly: the runs taken off the
+// mailbox (their labels' points live in their buffers until the batch is
+// applied) and their labels and observations, each in mailbox order, as
+// the learner takes them in one call. The applier reuses one across
+// batches, so draining allocates nothing in steady state.
 type applyBatch struct {
-	points  []core.Feedback
-	obs     []stats.Obs
-	runs    []*runBuf
-	flushes []chan struct{}
+	runs   []*runBuf
+	points []core.Feedback
+	obs    []stats.Obs
 }
 
-// add files one mailbox message under what it carries.
-func (b *applyBatch) add(msg feedbackMsg) {
-	if msg.flush != nil {
-		b.flushes = append(b.flushes, msg.flush)
-		return
-	}
-	b.points = append(b.points, msg.run.label...)
-	b.obs = append(b.obs, msg.run.obs...)
-	b.runs = append(b.runs, msg.run)
-}
-
-// applyLoop is the template's background learner: it drains the mailbox in
-// batches until stop closes, then drains whatever is left and exits.
+// applyLoop is the template's background learner: it drains the mailbox
+// for every wake token and exits once shutdown closes wake.
 func (st *templateState) applyLoop() {
-	defer close(st.applyDone)
+	defer close(st.applied)
 	b := &applyBatch{runs: make([]*runBuf, 0, applyBatchMax)}
-	for {
-		select {
-		case msg := <-st.mail:
-			st.collect(msg, b)
-			st.apply(b)
-		case <-st.stop:
-			st.drainMailbox(b)
-			return
-		}
+	for range st.wake {
+		st.drain(b)
 	}
 }
 
-// collect gathers one batch: the triggering message plus whatever else is
-// immediately available, up to applyBatchMax runs.
-func (st *templateState) collect(msg feedbackMsg, b *applyBatch) {
-	for {
-		b.add(msg)
-		if len(b.runs) >= applyBatchMax {
-			return
+// drain applies every run queued when it takes drainMu, in mailbox order,
+// in batches of at most applyBatchMax runs; a batch also takes runs queued
+// since, up to that bound. It is the one code that takes runs off the
+// mailbox: the applier calls it for each wake token, and flush calls it on
+// the caller's goroutine. Holding drainMu from take to apply means a drain
+// begins only after any batch another drain has taken is in the learner.
+func (st *templateState) drain(b *applyBatch) {
+	st.drainMu.Lock()
+	defer st.drainMu.Unlock()
+	st.mailMu.Lock()
+	for left := len(st.mail); left > 0; {
+		n := min(len(st.mail), applyBatchMax)
+		b.runs = append(b.runs[:0], st.mail[:n]...)
+		st.mail = st.mail[:copy(st.mail, st.mail[n:])]
+		st.mailMu.Unlock()
+		left -= n
+		for _, r := range b.runs {
+			b.points = append(b.points, r.label...)
+			b.obs = append(b.obs, r.obs...)
 		}
-		select {
-		case msg = <-st.mail:
-		default:
-			return
+		st.learn(b.points, b.obs)
+		for _, r := range b.runs {
+			r.release()
 		}
+		b.runs, b.points, b.obs = b.runs[:0], b.points[:0], b.obs[:0]
+		st.mailMu.Lock()
 	}
+	st.mailMu.Unlock()
 }
 
-// apply hands the batch to the learner in one call, returns its runs'
-// buffers to the pool, then releases its flush tokens (the mailbox is FIFO,
-// so a token completes only after everything enqueued before it is in the
-// learner) and empties the batch for reuse.
-func (st *templateState) apply(b *applyBatch) {
-	st.learn(b.points, b.obs)
-	for _, r := range b.runs {
-		r.release()
-	}
-	for _, f := range b.flushes {
-		close(f)
-	}
-	b.points, b.obs, b.runs, b.flushes = b.points[:0], b.obs[:0], b.runs[:0], b.flushes[:0]
-}
-
-// drainMailbox empties the mailbox without blocking and applies what it
-// finds as one batch. Called by the exiting applier, and inline by
-// flushers/shutdown once the applier is gone (concurrent inline drains are
-// safe — ApplyBatch serializes on the learner lock and competing receives
-// just split the backlog).
-func (st *templateState) drainMailbox(b *applyBatch) {
-	for {
-		select {
-		case msg := <-st.mail:
-			b.add(msg)
-		default:
-			st.apply(b)
-			return
-		}
-	}
-}
-
-// flush blocks until every run's message enqueued before the call has been
+// flush returns once every run's message queued before the call has been
 // applied to the synopsis, linearizing the caller with the background
 // applier. Readers of learned state (stats, metrics, SaveState) flush first
-// so they observe a model equivalent to all acknowledged feedback. No-op in
-// synchronous mode; safe during and after shutdown (drains inline).
+// so they observe a model equivalent to all acknowledged feedback. Safe in
+// serial mode and during and after shutdown: the queue is empty then, or
+// the drain empties it.
 func (st *templateState) flush() {
-	if st.mail == nil {
-		return
-	}
-	done := make(chan struct{})
-	select {
-	case st.mail <- feedbackMsg{flush: done}:
-	case <-st.applyDone:
-		st.drainMailbox(&applyBatch{})
-		return
-	}
-	select {
-	case <-done:
-	case <-st.applyDone:
-		// The applier exited between enqueue and completion; its final
-		// drain may or may not have seen the token — drain inline either
-		// way (closing an already-closed token cannot happen: exactly one
-		// drain receives it from the FIFO mailbox).
-		st.drainMailbox(&applyBatch{})
-	}
+	st.drain(&applyBatch{})
 }
 
-// shutdown stops the background applier after draining the mailbox.
-// Idempotent; subsequent sends apply synchronously.
+// shutdown stops the background applier after it has drained the mailbox.
+// Closing wake under mailMu, beside closed, means no run queues after the
+// close: later sends apply synchronously. Idempotent.
 func (st *templateState) shutdown() {
-	if st.mail == nil {
-		return
+	st.mailMu.Lock()
+	if !st.closed {
+		st.closed = true
+		close(st.wake)
 	}
-	st.closed.Store(true)
-	st.closeOnce.Do(func() { close(st.stop) })
-	<-st.applyDone
-	// Recover any message that raced past the closed flag.
-	st.drainMailbox(&applyBatch{})
+	st.mailMu.Unlock()
+	<-st.applied
 }
 
 // Open generates the database, builds statistics, and initializes the
@@ -596,7 +549,10 @@ func (s *System) registerLocked(name, sql string) error {
 	online.SetFaults(s.opts.Faults)
 	st := &templateState{
 		sys: s, tmpl: tmpl, online: online,
-		obs: s.obs.Template(name),
+		mailCap: max(s.opts.FeedbackQueue, 0),
+		wake:    make(chan struct{}, 1),
+		applied: make(chan struct{}),
+		obs:     s.obs.Template(name),
 	}
 	if !s.opts.disableAdaptiveStats {
 		// One correction site per WHERE predicate (1-based, as stamped by
@@ -612,15 +568,11 @@ func (s *System) registerLocked(name, sql string) error {
 	if st.memo, err = s.opt.NewMemo(tmpl.Query); err != nil {
 		return fmt.Errorf("ppc: register %s: %w", name, err)
 	}
-	if s.opts.FeedbackQueue >= 0 {
-		q := s.opts.FeedbackQueue
-		if q == 0 {
-			q = defaultFeedbackQueue
-		}
-		st.mail = make(chan feedbackMsg, q)
-		st.stop = make(chan struct{})
-		st.applyDone = make(chan struct{})
+	st.mail = make([]*runBuf, 0, st.mailCap)
+	if st.mailCap > 0 {
 		go st.applyLoop()
+	} else {
+		close(st.applied) // serial mode: there is no applier to wait for
 	}
 	s.templates[name] = st
 	// Replay any WAL records recovered for this template before the
