@@ -150,7 +150,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzColumnStatsMatchReference -fuzztime $(FUZZTIME) ./internal/catalog
 
 # The replication suite, bottom up: wire protocol and torn/corrupt frames,
-# WAL tailing, leader/replica servers under fault injection (epoch fencing,
+# the WAL follower every ship loop reads (wal.Log.Follow: what the log has
+# committed, across rotation and compaction, never a torn or short append's
+# frame), leader/replica servers under fault injection (epoch fencing,
 # admission, chaos), the client library, the in-process System-level
 # contracts, and finally the process-boundary failover test — leader under
 # load, replica attached, leader SIGKILLed and restarted — against the real
@@ -158,6 +160,7 @@ fuzz:
 # batch path, per shipped record) runs once so it keeps compiling and running.
 replication:
 	$(GO) test -race ./internal/netproto ./internal/replica ./pkg/client
+	$(GO) test -race -run TestFollower ./internal/wal
 	$(GO) test -race -run 'TestReplication|TestLeaderReplica|TestLeaderRestart' -v .
 	$(GO) test -race -run TestLeaderReplicaFailover -v ./cmd/ppcreplica
 	$(GO) test -run '^$$' -bench BenchmarkShipLoop -benchtime 1x ./internal/replica

@@ -50,6 +50,24 @@ func assertTyped(t *testing.T, err error) {
 	}
 }
 
+// TestBoundaryErrorsReportTheirCause: a panic recovered at the API boundary
+// names its method and value, and a *SnapshotError unwraps to its cause.
+func TestBoundaryErrorsReportTheirCause(t *testing.T) {
+	var err error
+	func() {
+		defer capturePanic("ppc.Run", &err)
+		panic("boom")
+	}()
+	var ie *InternalError
+	if !errors.As(err, &ie) || err.Error() != "ppc: internal panic in ppc.Run: boom" || len(ie.Stack) == 0 {
+		t.Errorf("recovered panic as %T %q", err, err)
+	}
+	err = &SnapshotError{Op: "checkpoint", Err: faults.ErrInjected}
+	if !errors.Is(err, faults.ErrInjected) {
+		t.Errorf("%v does not unwrap to its cause", err)
+	}
+}
+
 // TestChaosAllFaultClasses drives Q0–Q8 under each fault class in turn,
 // then disables injection and verifies every run succeeds undegraded.
 func TestChaosAllFaultClasses(t *testing.T) {

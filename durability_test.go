@@ -27,6 +27,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -294,6 +295,59 @@ func TestDurableFailedCheckpointKeepsThePrevious(t *testing.T) {
 	}
 	if got := rst.online.EncodeState(nil); !bytes.Equal(got, want) {
 		t.Errorf("restart recovered %d bytes of learner state, differing from the %d checkpointed", len(got), len(want))
+	}
+}
+
+// TestDurableBackgroundCheckpointer: with a CheckpointInterval set,
+// checkpoints land with no Checkpoint call — wal.checkpoints moves — and the
+// file the background checkpointer wrote restores the learner warm, byte
+// for byte.
+func TestDurableBackgroundCheckpointer(t *testing.T) {
+	dir := t.TempDir()
+	sys := openDurable(t, dir, func(o *Options) { o.Durability.CheckpointInterval = 5 * time.Millisecond })
+	defer sys.Close() //nolint:errcheck
+	runDurableWorkload(t, sys, 60, 3)
+	if triple(t, sys).validated == 0 {
+		t.Fatal("workload validated nothing; test is vacuous")
+	}
+	st, err := sys.lookup("Q1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.flush()
+	want := st.online.EncodeState(nil)
+
+	// The second checkpoint to finish from here began after the flush.
+	from := sys.WALMetrics().Checkpoints
+	for deadline := time.Now().Add(10 * time.Second); sys.WALMetrics().Checkpoints < from+2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("wal.checkpoints moved from %d to %d in 10 s at a 5 ms interval", from, sys.WALMetrics().Checkpoints)
+		}
+	}
+	f, err := os.Open(filepath.Join(dir, checkpointName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close() //nolint:errcheck
+	opts := durableOptions("", nil)
+	opts.Durability = Durability{}
+	fresh, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close() //nolint:errcheck
+	if err := fresh.LoadState(f); err != nil {
+		t.Fatal(err)
+	}
+	if rep := fresh.LoadStateReport(); rep == nil || rep.Corrupt {
+		t.Fatalf("the background checkpoint restored as %+v", rep)
+	}
+	rst, err := fresh.lookup("Q1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rst.online.EncodeState(nil); !bytes.Equal(got, want) {
+		t.Errorf("the background checkpoint restored %d bytes of learner state, differing from the %d held", len(got), len(want))
 	}
 }
 

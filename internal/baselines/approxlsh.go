@@ -116,9 +116,6 @@ func (p *ApproxLSH) PredictWithCost(x []float64) (core.Prediction, float64, bool
 	return pred, median(costs), true
 }
 
-// TotalPoints returns the number of inserted samples.
-func (p *ApproxLSH) TotalPoints() int { return p.total }
-
 // MemoryBytes is the paper's space accounting: t·n·b_g·8.
 func (p *ApproxLSH) MemoryBytes() int {
 	n := len(p.plans)
@@ -126,15 +123,6 @@ func (p *ApproxLSH) MemoryBytes() int {
 		n = 1
 	}
 	return p.cfg.Transforms * n * p.cfg.GridBuckets * 8
-}
-
-// Reset discards every inserted sample.
-func (p *ApproxLSH) Reset() {
-	for _, g := range p.grids {
-		g.reset()
-	}
-	p.plans = make(map[int]bool)
-	p.total = 0
 }
 
 // median returns the median of vs (vs is modified by sorting).

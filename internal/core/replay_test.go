@@ -116,8 +116,8 @@ func TestRetiredKindScansShipsAndReplaysStale(t *testing.T) {
 	}
 
 	// Shipped: a wire batch carries the frames a follower polls, as the
-	// segment holds them.
-	stream, n, err := wal.NewFollower(dir, 0).Poll(nil, 0)
+	// segment holds them (the closed log's committed records).
+	stream, n, err := l.Follow(0).Poll(nil, 0)
 	if err != nil || n != 3 {
 		t.Fatalf("poll read %d of 3 records, %v", n, err)
 	}

@@ -917,6 +917,16 @@ func TestKernelChoiceMatchesTreeWalk(t *testing.T) {
 	}
 }
 
+// TestKernelNames: the kernel matrix's failure messages name the kernel
+// Compile chose by its String.
+func TestKernelNames(t *testing.T) {
+	for k, want := range map[kernel]string{kernGeneric: "generic", kernAddressed: "addressed", kernAddressedOnce: "addressed-once"} {
+		if got := k.String(); got != want {
+			t.Errorf("kernel %d is named %q, want %q", uint8(k), got, want)
+		}
+	}
+}
+
 // TestAddressedKernelsYieldToSmallInputs covers the Exec-time half of the
 // kernel choice: over a key span much wider than the tuples that reach the
 // operator, clearing (and, for a merge join, walking) the table would cost

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"reflect"
@@ -56,6 +57,10 @@ func TestMessageRoundTrips(t *testing.T) {
 	em := ErrorMsg{Code: CodeSnapshotNeeded, Msg: "tail compacted"}
 	if got, err := DecodeError(em.Encode(nil)); err != nil || got != em {
 		t.Errorf("error: %+v, %v", got, err)
+	}
+	// A replica session ends with the leader's ErrorMsg as its error.
+	if got, want := em.Error(), fmt.Sprintf("netproto: peer error %d: tail compacted", CodeSnapshotNeeded); got != want {
+		t.Errorf("error message %q, want %q", got, want)
 	}
 	req := PredictRequest{ID: 42, Template: "Q1", Point: []float64{0.25, -3.5, 1e300}}
 	if got, err := DecodePredictRequest(req.Encode(nil)); err != nil || !reflect.DeepEqual(got, req) {

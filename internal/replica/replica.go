@@ -276,7 +276,9 @@ func (r *Replica) session(conn net.Conn) (welcomed bool, err error) {
 				obs.CountBadFrame()
 				return welcomed, err
 			}
-			r.state.ApplyRecords(recs)
+			if _, _, err := r.state.ApplyRecords(recs); err != nil {
+				return welcomed, err
+			}
 		case netproto.MsgHeartbeat:
 			hb, err := netproto.DecodeHeartbeat(body)
 			if err != nil {

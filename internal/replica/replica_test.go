@@ -147,10 +147,10 @@ func (f *fakeSource) ReplicationSnapshot() (*netproto.Snapshot, error) {
 	}, nil
 }
 
-func (f *fakeSource) WALDir() string         { return f.log.Dir() }
-func (f *fakeSource) WALFirstSeq() uint64    { return f.log.FirstSeq() }
-func (f *fakeSource) WALLastSeq() uint64     { return f.log.LastSeq() }
-func (f *fakeSource) ReplObs() *obsv.ReplObs { return &f.obs }
+func (f *fakeSource) Follow(after uint64) *wal.Follower { return f.log.Follow(after) }
+func (f *fakeSource) WALFirstSeq() uint64               { return f.log.FirstSeq() }
+func (f *fakeSource) WALLastSeq() uint64                { return f.log.LastSeq() }
+func (f *fakeSource) ReplObs() *obsv.ReplObs            { return &f.obs }
 
 // fastConfig returns server settings tightened for tests.
 func fastConfig(src ShipSource) Config {
@@ -611,8 +611,12 @@ func TestShippedBatchIsTheSegment(t *testing.T) {
 	// it: a one-warp re-tune grid of two knots.
 	grid := []byte{1, 0, 1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f}
 	appendToFile(t, segs[0], retiredFrame(3, 1, "Q1", grid))
+	if l, _, err = wal.Open(wal.Options{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close() //nolint:errcheck
 
-	got, n, err := appendBatch(nil, wal.NewFollower(dir, 0), 0)
+	got, n, err := appendBatch(nil, l.Follow(0), 0)
 	if err != nil || n != 3 {
 		t.Fatalf("poll read %d records, %v; want 3", n, err)
 	}

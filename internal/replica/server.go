@@ -29,8 +29,9 @@ type ShipSource interface {
 	ReplicationEpoch() (uint64, error)
 	// ReplicationSnapshot assembles a full state transfer.
 	ReplicationSnapshot() (*netproto.Snapshot, error)
-	// WALDir is the live WAL segment directory the ship loops tail.
-	WALDir() string
+	// Follow returns a follower of the leader's WAL delivering the records
+	// past after: what each ship loop tails.
+	Follow(after uint64) *wal.Follower
 	// WALFirstSeq is the oldest sequence still on disk (the resume floor).
 	WALFirstSeq() uint64
 	// WALLastSeq is the newest assigned sequence (the lag reference).
@@ -369,7 +370,7 @@ func (s *Server) serveReplica(c *netproto.Conn, hello netproto.Hello) {
 		}
 	}()
 
-	follower := wal.NewFollower(src.WALDir(), after)
+	follower := src.Follow(after)
 	poll := time.NewTicker(s.cfg.PollInterval)
 	defer poll.Stop()
 	hb := time.NewTicker(s.cfg.Heartbeat)

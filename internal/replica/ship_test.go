@@ -1,7 +1,7 @@
 package replica
 
 // The leader's side of a ship stream on its own: what appendBatch sends
-// from a WAL directory against what a crash recovery reads from it, and
+// from a WAL against what a crash recovery reads from its directory, and
 // what the loop costs per shipped record.
 
 import (
@@ -163,6 +163,11 @@ func TestShippedEqualsRecovered(t *testing.T) {
 				seed, scan.Segments, scan.TornBytes, scan.Corrupt, retired)
 		}
 		frames := segmentFrames(t, dir)
+		// Open truncates the torn frame before a follower exists.
+		l, _, err := wal.Open(wal.Options{Dir: dir, Sync: wal.SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
 
 		for after := uint64(0); after <= scan.LastSeq; after++ {
 			var want []wal.Record
@@ -174,7 +179,7 @@ func TestShippedEqualsRecovered(t *testing.T) {
 				}
 			}
 
-			f := wal.NewFollower(dir, after)
+			f := l.Follow(after)
 			var got []wal.Record
 			var shipped []byte
 			for {
@@ -201,6 +206,9 @@ func TestShippedEqualsRecovered(t *testing.T) {
 				t.Fatalf("seed %d, after %d: follower After() = %d, want %d", seed, after, f.After(), scan.LastSeq)
 			}
 		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -224,6 +232,74 @@ func TestStateTemplatesFollowInstallAndFence(t *testing.T) {
 	}
 	if names := st.Templates(); len(names) != 0 {
 		t.Fatalf("Templates() = %v after a fence to another epoch, want none", names)
+	}
+}
+
+// TestStateRefusesAGap: a batch that does not continue what the state holds
+// — its first record past receivedSeq+1, or a jump inside it — is refused
+// and changes neither receivedSeq nor the learner; a batch that overlaps it
+// applies only what is new, as a twin given exactly that.
+func TestStateRefusesAGap(t *testing.T) {
+	state := core.MustNewOnline(core.OnlineConfig{Core: core.Config{Dims: 2, Seed: 5}, Seed: 17}, stubEnv{}).EncodeState(nil)
+	install := func() *State {
+		st := NewState(nil)
+		snap := &netproto.Snapshot{Epoch: 1, BaseSeq: 10, Templates: []netproto.TemplateState{{Name: "Q1", State: state}}}
+		if err := st.Install(snap); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	batch := func(seqs ...uint64) []wal.Record {
+		recs := make([]wal.Record, len(seqs))
+		for i, seq := range seqs {
+			x := float64(seq) / 100
+			recs[i] = wal.Record{Kind: wal.RecordFeedback, Seq: seq, Template: "Q1", Plan: int64(seq % 3), Cost: 10, Point: []float64{x, 1 - x}}
+		}
+		return recs
+	}
+	apply := func(st *State, recs []wal.Record) int {
+		t.Helper()
+		applied, _, err := st.ApplyRecords(recs)
+		if err != nil {
+			t.Fatalf("batch %d..%d: %v", recs[0].Seq, recs[len(recs)-1].Seq, err)
+		}
+		return applied
+	}
+	learner := func(st *State) []byte {
+		t.Helper()
+		b, err := st.EncodeState(nil, "Q1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+
+	st := install()
+	apply(st, batch(11, 12))
+	held := learner(st)
+	for name, recs := range map[string][]wal.Record{
+		"gapped first record":  batch(14, 15),
+		"gap inside the batch": batch(13, 15),
+	} {
+		if _, _, err := st.ApplyRecords(recs); err == nil {
+			t.Errorf("%s: applied", name)
+		}
+		if got := st.ReceivedSeq(); got != 12 {
+			t.Errorf("%s: receivedSeq %d after a refused batch, want 12", name, got)
+		}
+		if !bytes.Equal(learner(st), held) {
+			t.Errorf("%s: a refused batch changed the learner", name)
+		}
+	}
+
+	if applied := apply(st, batch(11, 12, 13, 14)); applied != 2 || st.ReceivedSeq() != 14 {
+		t.Fatalf("overlap applied %d records, receivedSeq %d; want 2 and 14", applied, st.ReceivedSeq())
+	}
+	twin := install()
+	apply(twin, batch(11, 12))
+	apply(twin, batch(13, 14))
+	if !bytes.Equal(learner(st), learner(twin)) {
+		t.Fatal("the overlapping batch left a learner unlike its twin's")
 	}
 }
 
@@ -254,7 +330,7 @@ func BenchmarkShipLoop(b *testing.B) {
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := wal.NewFollower(l.Dir(), 0)
+		f := l.Follow(0)
 		for shipped := 0; shipped < shipRecords; {
 			var n int
 			scratch, n, err = appendBatch(scratch[:0], f, batchMax)

@@ -168,13 +168,27 @@ func (s *State) Install(snap *netproto.Snapshot) error {
 // records (the next snapshot reconciles). The received sequence advances
 // over every record either way, so lag converges to zero even with unknown
 // templates in the stream.
-func (s *State) ApplyRecords(recs []wal.Record) (applied, skipped int) {
+//
+// A batch must continue what the state holds: its records run
+// consecutively and its first is at most receivedSeq+1 (an overlap is
+// replayed idempotently). A batch past a gap is refused with an error and
+// changes nothing, so the session ends and the reconnect resumes from the
+// position the state actually holds.
+func (s *State) ApplyRecords(recs []wal.Record) (applied, skipped int, err error) {
 	if len(recs) == 0 {
-		return 0, 0
+		return 0, 0, nil
+	}
+	for i := 1; i < len(recs); i++ {
+		if recs[i].Seq != recs[i-1].Seq+1 {
+			return 0, 0, fmt.Errorf("replica: batch jumps from seq %d to %d", recs[i-1].Seq, recs[i].Seq)
+		}
 	}
 	byTemplate := wal.ByTemplate(recs)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if first := recs[0].Seq; first > s.receivedSeq+1 {
+		return 0, 0, fmt.Errorf("replica: batch starts at seq %d, state holds up to %d", first, s.receivedSeq)
+	}
 	for name, stream := range byTemplate {
 		o := s.templates[name]
 		if o == nil {
@@ -190,7 +204,7 @@ func (s *State) ApplyRecords(recs []wal.Record) (applied, skipped int) {
 	}
 	s.obs.CountRecordsApplied(applied)
 	s.obs.SetAppliedSeq(s.receivedSeq)
-	return applied, skipped
+	return applied, skipped, nil
 }
 
 // EncodeState appends one installed template's learner state — synopsis,

@@ -2,16 +2,19 @@ package wal
 
 // Tests for the live-tail Follower the replication ship loop runs: catch-up
 // over existing segments, rotation handoff, compaction racing the tail
-// (ErrCompacted), and in-flight torn tails that must be retried, never
-// delivered.
+// (ErrCompacted), and the frames a torn or short append leaves on disk,
+// which the log never commits and a follower never delivers.
 
 import (
 	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
+
+	"repro/internal/faults"
 )
 
 // appendN appends n records for tmpl and returns the last assigned seq.
@@ -70,7 +73,7 @@ func TestFollowerCatchUpAndTail(t *testing.T) {
 	l, _ := openTest(t, Options{Dir: t.TempDir(), SegmentBytes: 256})
 	last := appendN(t, l, "Q1", 20) // several segments at 256 bytes
 
-	f := NewFollower(l.Dir(), 0)
+	f := l.Follow(0)
 	recs := drain(t, f)
 	if len(recs) != 20 {
 		t.Fatalf("catch-up delivered %d records, want 20", len(recs))
@@ -102,7 +105,7 @@ func TestFollowerResumeMidStream(t *testing.T) {
 	l, _ := openTest(t, Options{Dir: t.TempDir(), SegmentBytes: 256})
 	appendN(t, l, "Q1", 30)
 
-	f := NewFollower(l.Dir(), 12)
+	f := l.Follow(12)
 	recs := drain(t, f)
 	if len(recs) != 18 || recs[0].Seq != 13 {
 		t.Fatalf("resume after 12 delivered %d records starting at %d", len(recs), recs[0].Seq)
@@ -118,14 +121,14 @@ func TestFollowerCompactedPosition(t *testing.T) {
 
 	// A position below the surviving floor is unrecoverable for a tail: the
 	// follower must say so, not silently skip records.
-	f := NewFollower(l.Dir(), 3)
+	f := l.Follow(3)
 	if _, err := poll(t, f, 100); !errors.Is(err, ErrCompacted) {
 		t.Fatalf("poll below the compaction floor: %v, want ErrCompacted", err)
 	}
 
 	// From the floor itself the tail still works.
 	first := l.FirstSeq()
-	f2 := NewFollower(l.Dir(), first-1)
+	f2 := l.Follow(first - 1)
 	recs := drain(t, f2)
 	if len(recs) == 0 || recs[0].Seq != first {
 		t.Fatalf("tail from floor %d delivered %d records", first, len(recs))
@@ -135,7 +138,7 @@ func TestFollowerCompactedPosition(t *testing.T) {
 func TestFollowerCompactionMidTail(t *testing.T) {
 	l, _ := openTest(t, Options{Dir: t.TempDir(), SegmentBytes: 256})
 	appendN(t, l, "Q1", 10)
-	f := NewFollower(l.Dir(), 0)
+	f := l.Follow(0)
 	if recs := drain(t, f); len(recs) != 10 {
 		t.Fatalf("catch-up delivered %d records", len(recs))
 	}
@@ -160,49 +163,122 @@ func TestFollowerCompactionMidTail(t *testing.T) {
 	}
 }
 
-// TestFollowerTornTailNotDelivered truncates the live segment mid-frame —
-// the on-disk state during an in-flight append or after a crash. The
-// follower must hold the partial frame back and deliver it only once the
-// bytes are complete.
+// TestFollowerTornTailNotDelivered: an append the log's fault injector
+// tears lands a prefix of its frame on disk and leaves the log dead, so the
+// appends after it land nothing. A follower delivers every record the log
+// committed before the tear, across rotations, and neither the partial
+// frame nor anything after it; a follower of the reopened log, which
+// truncated the tear, reads the same records.
 func TestFollowerTornTailNotDelivered(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := openTest(t, Options{Dir: dir})
+	inj := faults.New(7)
+	l, _ := openTest(t, Options{Dir: dir, Faults: inj, SegmentBytes: 256})
 	appendN(t, l, "Q1", 5)
-
-	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("segments: %v %v", segs, err)
+	f := l.Follow(0)
+	if recs := drain(t, f); len(recs) != 5 {
+		t.Fatalf("catch-up delivered %d records, want 5", len(recs))
 	}
-	seg := segs[len(segs)-1]
-	full, err := os.ReadFile(seg)
+	appendN(t, l, "Q1", 3)
+	inj.Enable(faults.WALTornTail, 1)
+	appendN(t, l, "Q1", 4)
+	live := filepath.Join(dir, segName(l.segs[len(l.segs)-1]))
+	if fi, err := os.Stat(live); err != nil || fi.Size() <= l.size {
+		t.Fatalf("live segment %v (%v), want more bytes than the %d committed: the torn frame", fi, err, l.size)
+	}
+
+	recs := drain(t, f)
+	if len(recs) != 3 || recs[0].Seq != 6 || recs[2].Seq != 8 {
+		t.Fatalf("delivered %d records after the tear, want 6..8", len(recs))
+	}
+	if recs := drain(t, f); len(recs) != 0 {
+		t.Fatalf("a poll after the tear delivered %d records", len(recs))
+	}
+
+	l2, rec := openTest(t, Options{Dir: dir})
+	if rec.TornBytes == 0 || rec.LastSeq != 8 {
+		t.Fatalf("reopen found %d torn bytes and last seq %d, want a tear after seq 8", rec.TornBytes, rec.LastSeq)
+	}
+	if recs := drain(t, l2.Follow(0)); len(recs) != 8 {
+		t.Fatalf("follower of the reopened log delivered %d records, want 8", len(recs))
+	}
+}
+
+// TestFollowerShortWriteNotDelivered: a short write lands half its frame,
+// errs, and the log truncates the segment back to its last whole frame
+// before it lets go of the lock. The failed record takes no sequence
+// number, so a follower polling beside the writer delivers exactly what
+// recovery reads back: every committed record, dense, across rotations.
+func TestFollowerShortWriteNotDelivered(t *testing.T) {
+	dir := t.TempDir()
+	inj := faults.New(5).Enable(faults.WALShortWrite, 0.1)
+	l, _ := openTest(t, Options{Dir: dir, Sync: SyncNever, Faults: inj, SegmentBytes: 1 << 10})
+	const appends = 2000
+	done := make(chan int, 1)
+	go func() {
+		committed := 0
+		for i := 0; i < appends; i++ {
+			if _, err := l.Append(testRecord("Q1", i)); err == nil {
+				committed++
+			}
+		}
+		done <- committed
+	}()
+	f := l.Follow(0)
+	var got []Record
+	for committed := -1; committed < 0; {
+		select {
+		case committed = <-done:
+		default:
+		}
+		recs, err := poll(t, f, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, recs...)
+	}
+	got = append(got, drain(t, f)...)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	scan, err := Scan(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(scan.Records) == appends || scan.TornBytes != 0 || scan.Segments < 3 {
+		t.Fatalf("scan read %d of %d records, %d torn bytes, %d segments: want some short writes, a clean log and rotations",
+			len(scan.Records), appends, scan.TornBytes, scan.Segments)
+	}
+	if !reflect.DeepEqual(got, scan.Records) {
+		t.Fatalf("follower delivered %d records, recovery reads %d", len(got), len(scan.Records))
+	}
+	for i, r := range got {
+		if r.Seq != uint64(i+1) {
+			t.Fatalf("record %d has seq %d, want %d", i, r.Seq, i+1)
+		}
+	}
+}
 
-	// Copy the live segment into a fresh dir, torn 3 bytes short.
-	tornDir := t.TempDir()
-	torn := filepath.Join(tornDir, filepath.Base(seg))
-	if err := os.WriteFile(torn, full[:len(full)-3], 0o644); err != nil {
+// TestFollowerPollAfterClose: a closed log's follower delivers the records
+// the log committed and then nothing, whether it was made before the Close
+// or after.
+func TestFollowerPollAfterClose(t *testing.T) {
+	l, _ := openTest(t, Options{SegmentBytes: 256})
+	appendN(t, l, "Q1", 10)
+	f := l.Follow(0)
+	if recs, err := poll(t, f, 4); err != nil || len(recs) != 4 {
+		t.Fatalf("first poll delivered %d records (%v), want 4", len(recs), err)
+	}
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	f := NewFollower(tornDir, 0)
-	recs, err := poll(t, f, 100)
-	if err != nil {
-		t.Fatalf("poll over a torn live tail: %v", err)
+	if recs := drain(t, f); len(recs) != 6 || recs[0].Seq != 5 {
+		t.Fatalf("poll after Close delivered %d records, want 5..10", len(recs))
 	}
-	if len(recs) != 4 {
-		t.Fatalf("torn tail delivered %d records, want 4 complete ones", len(recs))
+	if recs := drain(t, f); len(recs) != 0 {
+		t.Fatalf("second poll after Close delivered %d records", len(recs))
 	}
-
-	// The append "completes": the rest of the bytes land. The held-back
-	// record is delivered exactly once.
-	if err := os.WriteFile(torn, full, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	recs, err = poll(t, f, 100)
-	if err != nil || len(recs) != 1 || recs[0].Seq != 5 {
-		t.Fatalf("completed tail delivered %v (%v), want seq 5", recs, err)
+	if recs := drain(t, l.Follow(0)); len(recs) != 10 {
+		t.Fatalf("follower made after Close delivered %d records, want 10", len(recs))
 	}
 }
 
@@ -238,7 +314,13 @@ func TestFollowerStopsWhereScanStops(t *testing.T) {
 	if err != nil || len(rec.Records) != 3 || rec.TornBytes != int64(len(bad)) {
 		t.Fatalf("scan read %d records and %d torn bytes (%v); want 3 and the %d-byte frame", len(rec.Records), rec.TornBytes, err, len(bad))
 	}
-	if got := len(drain(t, NewFollower(dir, 0))); got != 3 {
+	// Open truncates the bad frame as it does a torn one, so a follower of
+	// the reopened log never reaches it.
+	l2, rec := openTest(t, Options{Dir: dir})
+	if rec.TornBytes != int64(len(bad)) {
+		t.Fatalf("open truncated %d torn bytes, want the %d-byte frame", rec.TornBytes, len(bad))
+	}
+	if got := len(drain(t, l2.Follow(0))); got != 3 {
 		t.Fatalf("follower delivered %d records, want the 3 before the bad frame", got)
 	}
 }
@@ -259,7 +341,7 @@ func TestFollowerPollReadsOnlyTheTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	f := NewFollower(dir, 0)
+	f := l.Follow(0)
 	if got := len(drain(t, f)); got != n {
 		t.Fatalf("catch-up delivered %d of %d records", got, n)
 	}
@@ -309,7 +391,7 @@ func TestFollowerDrainReadsTheSegmentOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewFollower(dir, 0)
+	f := l.Follow(0)
 	dst := make([]byte, 0, 64<<10)
 	got, polls := 0, 0
 	var before, after runtime.MemStats
@@ -337,9 +419,9 @@ func TestFollowerDrainReadsTheSegmentOnce(t *testing.T) {
 }
 
 // TestFollowerReadsOnPastItsCache: the bytes a poll keeps past its max are
-// the segment as it was then, not its end. Records appended to the same
-// segment before a rotation, and a frame that was still being written when
-// the bytes were read, are delivered in order once the next segment exists:
+// the segment as the log had committed it then, not its end. Records
+// appended to the same segment before a rotation, also past a short write
+// the log repaired, are delivered in order once the next segment exists:
 // none is skipped and the follower does not report ErrCompacted.
 func TestFollowerReadsOnPastItsCache(t *testing.T) {
 	frame := len(AppendFrame(nil, testRecord("Q1", 0)))
@@ -392,7 +474,7 @@ func TestFollowerReadsOnPastItsCache(t *testing.T) {
 		dir := t.TempDir()
 		l, _ := openTest(t, Options{Dir: dir, Sync: SyncNever, SegmentBytes: int64(headerSize + 700*frame)})
 		appendN(t, l, "Q1", 600)
-		f := NewFollower(dir, 0)
+		f := l.Follow(0)
 		firstPoll(t, f)          // 513..600 stay in hand
 		appendN(t, l, "Q1", 150) // 601..700 into the same segment, 701..750 past a rotation
 		if segs := segments(t, dir); len(segs) != 2 {
@@ -402,45 +484,30 @@ func TestFollowerReadsOnPastItsCache(t *testing.T) {
 	})
 
 	t.Run("torn then rotated", func(t *testing.T) {
-		src := t.TempDir()
-		l, _ := openTest(t, Options{Dir: src, Sync: SyncNever, SegmentBytes: int64(headerSize + 600*frame)})
-		appendN(t, l, "Q1", 650)
-		segs := segments(t, src)
-		if len(segs) != 2 {
+		dir := t.TempDir()
+		inj := faults.New(3)
+		l, _ := openTest(t, Options{Dir: dir, Sync: SyncNever, Faults: inj, SegmentBytes: int64(headerSize + 700*frame)})
+		appendN(t, l, "Q1", 600)
+		f := l.Follow(0)
+		firstPoll(t, f) // 513..600 stay in hand
+		// Half a frame lands behind the kept bytes, and the log cuts it off.
+		inj.Enable(faults.WALShortWrite, 1)
+		if _, err := l.Append(testRecord("Q1", 600)); !errors.Is(err, faults.ErrInjected) {
+			t.Fatalf("short write returned %v, want the injected error", err)
+		}
+		inj.Disable(faults.WALShortWrite)
+		appendN(t, l, "Q1", 150) // 601..700 into the same segment, 701..750 past a rotation
+		if segs := segments(t, dir); len(segs) != 2 {
 			t.Fatalf("segments %v; want two", segs)
 		}
-		first, err := os.ReadFile(segs[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The follower reads the first segment while its last frame is
-		// being written, and stops at max before reaching it.
-		dir := t.TempDir()
-		dst := filepath.Join(dir, filepath.Base(segs[0]))
-		if err := os.WriteFile(dst, first[:len(first)-3], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		f := NewFollower(dir, 0)
-		firstPoll(t, f) // 513..599 and the torn frame stay in hand
-		// The frame lands and the writer rotates.
-		if err := os.WriteFile(dst, first, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		second, err := os.ReadFile(segs[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, filepath.Base(segs[1])), second, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		drainFrom(t, f, 513, 650)
+		drainFrom(t, f, 513, 750)
 	})
 }
 
 func TestFollowerEmptyDir(t *testing.T) {
-	f := NewFollower(t.TempDir(), 0)
-	if recs, err := poll(t, f, 10); err != nil || len(recs) != 0 {
-		t.Fatalf("empty dir poll: %v records, %v", len(recs), err)
+	l, _ := openTest(t, Options{})
+	if recs, err := poll(t, l.Follow(0), 10); err != nil || len(recs) != 0 {
+		t.Fatalf("empty log poll: %v records, %v", len(recs), err)
 	}
 }
 

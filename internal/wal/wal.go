@@ -41,9 +41,10 @@
 // checksum and every length check are written once around the table
 // (AppendFrame, checkFrame), and a kind's smallest payload is its own — the
 // prefix plus its fixed part — not another kind's. Segment bytes are
-// likewise read in one place, readSegment, from a byte offset: recovery
-// reads a segment from its start and a Follower from where its last poll
-// stopped.
+// likewise read in one place, readSegment, from a byte offset to an end:
+// recovery reads a segment from its start to its end of file, and a
+// Follower from where its last poll stopped to where the Log says the
+// segment's committed frames end.
 //
 // Sequence numbers are global, monotonically increasing, and never reused;
 // segment file names carry the first sequence number the segment may
@@ -308,11 +309,14 @@ type Recovery struct {
 type Log struct {
 	opts Options
 
-	mu       sync.Mutex
-	f        *os.File
-	size     int64  // committed size of the current segment
-	seq      uint64 // last assigned sequence number
-	segFirst uint64 // first seq of the current segment (its name)
+	mu   sync.Mutex
+	f    *os.File
+	size int64  // committed size of the current segment
+	seq  uint64 // last assigned sequence number
+	// segs names the segments on disk by their first seq, ascending; the
+	// last is the current one. Open's scan builds it, a rotation appends to
+	// it and Compact trims it, so no reader lists the directory.
+	segs     []uint64
 	lastSync time.Time
 	// tail is armed by a Commit that skipped its fsync under SyncInterval
 	// and fsyncs when the interval is up; any sync and Close disarm it.
@@ -335,20 +339,23 @@ func Open(opts Options) (*Log, *Recovery, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
-	rec, tornPath, tornOff, err := scanDir(opts.Dir)
+	rec, names, tornOff, err := scanDir(opts.Dir)
 	if err != nil {
 		return nil, nil, err
 	}
+	kept := names[:len(names)-len(rec.QuarantinedSegments)]
 	// Physically truncate the torn tail: the next reader must see a log
 	// that ends on a record boundary, or it would stop at our garbage. A
 	// tear inside the segment header (crash during rotation) leaves nothing
 	// recoverable in the file, so remove it rather than strand an empty
 	// shell a future scan would misread as mid-log damage.
-	if tornPath != "" {
+	if rec.TornSegment != "" {
+		tornPath := filepath.Join(opts.Dir, rec.TornSegment)
 		if tornOff < int64(headerSize) {
 			if err := os.Remove(tornPath); err != nil {
 				return nil, nil, fmt.Errorf("wal: remove torn segment %s: %w", tornPath, err)
 			}
+			kept = kept[:len(kept)-1]
 		} else if err := os.Truncate(tornPath, tornOff); err != nil {
 			return nil, nil, fmt.Errorf("wal: truncate torn tail of %s: %w", tornPath, err)
 		}
@@ -366,6 +373,9 @@ func Open(opts Options) (*Log, *Recovery, error) {
 		}
 	}
 	l := &Log{opts: opts, seq: rec.LastSeq, lastSync: time.Now()}
+	for _, name := range kept {
+		l.segs = append(l.segs, segFirstSeq(name))
+	}
 	if err := l.rotateLocked(); err != nil {
 		return nil, nil, err
 	}
@@ -416,15 +426,16 @@ func segName(first uint64) string {
 }
 
 // scanDir walks the segments in order and collects valid records. It
-// returns the recovery report plus, when the final segment has a torn
-// tail, the path and offset Open should truncate at.
-func scanDir(dir string) (*Recovery, string, int64, error) {
+// returns the recovery report, the segment names it found and, when the
+// final segment has a torn tail (rec.TornSegment), the offset Open should
+// truncate it at.
+func scanDir(dir string) (*Recovery, []string, int64, error) {
 	names, err := segments(dir)
 	if err != nil {
-		return nil, "", 0, err
+		return nil, nil, 0, err
 	}
 	rec := &Recovery{Segments: len(names)}
-	tornPath, tornOff := "", int64(0)
+	tornOff := int64(0)
 	for i, name := range names {
 		path := filepath.Join(dir, name)
 		last := i == len(names)-1
@@ -437,7 +448,7 @@ func scanDir(dir string) (*Recovery, string, int64, error) {
 			// artifact. Everything before the first bad frame is good.
 			rec.TornBytes = size - badOff
 			rec.TornSegment = name
-			tornPath, tornOff = path, badOff
+			tornOff = badOff
 		} else {
 			// Damage followed by more segments: the stream is no longer
 			// trustworthy past this point. Stop and quarantine the rest.
@@ -450,7 +461,7 @@ func scanDir(dir string) (*Recovery, string, int64, error) {
 	if n := len(rec.Records); n > 0 {
 		rec.LastSeq = rec.Records[n-1].Seq
 	}
-	return rec, tornPath, tornOff, nil
+	return rec, names, tornOff, nil
 }
 
 // scanSegment appends the segment's valid records to out. It returns a
@@ -460,7 +471,7 @@ func scanDir(dir string) (*Recovery, string, int64, error) {
 // hard failure — a half-unlinked segment must degrade, not crash, the
 // recovery).
 func scanSegment(path string, out *[]Record) (badReason string, badOff int64, size int64) {
-	seg, err := readSegment(path, 0)
+	seg, err := readSegment(path, 0, -1)
 	if err != nil {
 		return err.Error(), 0, seg.size
 	}
@@ -476,14 +487,6 @@ func scanSegment(path string, out *[]Record) (badReason string, badOff int64, si
 	return "", 0, seg.size
 }
 
-// Conditions of readSegment a follower tells apart from damage: at the live
-// tail a header cut short is a rotation in flight, and a file shorter than
-// the offset already consumed means the history under it was rewritten.
-var (
-	errShortHeader = errors.New("segment shorter than its header")
-	errShrunk      = errors.New("segment shorter than the read offset")
-)
-
 // segTail is the unread remainder of one segment file: the one reader under
 // recovery (scanSegment, from byte 0) and the ship tail (Follower.Poll, from
 // where its last poll stopped), so both check the same header and frames
@@ -494,26 +497,27 @@ type segTail struct {
 	size int64  // bytes of the file seen by the read
 }
 
-// readSegment reads path from byte offset off to its end — the only place
-// segment bytes are read. off 0 reads from the start and checks and skips
-// the header; any other offset must sit on a frame boundary of a segment
-// whose header an earlier read checked. It reads (and allocates) the
-// remainder only, never the bytes before off.
-func readSegment(path string, off int64) (segTail, error) {
+// readSegment reads path from byte offset off to byte end, or to its end of
+// file when end is negative — the only place segment bytes are read. off 0
+// reads from the start and checks and skips the header; any other offset
+// must sit on a frame boundary of a segment whose header an earlier read
+// checked. It reads (and allocates) the bytes in between only, never those
+// before off.
+func readSegment(path string, off, end int64) (segTail, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return segTail{}, fmt.Errorf("open: %w", err)
 	}
 	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return segTail{}, fmt.Errorf("stat: %w", err)
+	if end < 0 {
+		st, err := f.Stat()
+		if err != nil {
+			return segTail{}, fmt.Errorf("stat: %w", err)
+		}
+		end = st.Size()
 	}
-	seg := segTail{off: off, size: st.Size()}
-	if seg.size < off {
-		return seg, errShrunk
-	}
-	seg.buf = make([]byte, seg.size-off)
+	seg := segTail{off: off, size: end}
+	seg.buf = make([]byte, max(end-off, 0))
 	n, err := f.ReadAt(seg.buf, off)
 	if err != nil && err != io.EOF {
 		return segTail{}, fmt.Errorf("read: %w", err)
@@ -526,7 +530,7 @@ func readSegment(path string, off int64) (segTail, error) {
 	}
 	switch {
 	case n < headerSize:
-		return seg, errShortHeader
+		return seg, errors.New("segment shorter than its header")
 	case string(seg.buf[:len(segMagic)]) != segMagic:
 		return seg, errors.New("bad segment header")
 	}
@@ -947,7 +951,10 @@ func (l *Log) rotateLocked() error {
 	}
 	l.f = f
 	l.size = size
-	l.segFirst = first
+	// The segment joins the list with its header on disk, replacing any
+	// named at or past it (a header-only segment Open found at this name).
+	i, _ := slices.BinarySearch(l.segs, first)
+	l.segs = append(l.segs[:i], first)
 	return nil
 }
 
@@ -957,29 +964,22 @@ func (l *Log) rotateLocked() error {
 func (l *Log) Compact(minSeq uint64) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	names, err := segments(l.opts.Dir)
-	if err != nil {
-		return 0, err
-	}
-	removed := 0
-	for i := 0; i+1 < len(names); i++ {
-		// All records in names[i] have seq < firstSeq(names[i+1]); the
-		// segment is obsolete when even its last record is <= minSeq.
-		if segFirstSeq(names[i+1]) > minSeq+1 {
+	// All records in segs[i] have seq < segs[i+1]; the segment is obsolete
+	// when even its last record is <= minSeq. The live segment is last, so
+	// it is never a candidate.
+	removed, err := 0, error(nil)
+	for removed+1 < len(l.segs) && l.segs[removed+1] <= minSeq+1 {
+		if err = os.Remove(filepath.Join(l.opts.Dir, segName(l.segs[removed]))); err != nil {
+			err = fmt.Errorf("wal: compact: %w", err)
 			break
-		}
-		if segFirstSeq(names[i]) == l.segFirst {
-			break // never unlink the live segment
-		}
-		if err := os.Remove(filepath.Join(l.opts.Dir, names[i])); err != nil {
-			return removed, fmt.Errorf("wal: compact: %w", err)
 		}
 		removed++
 	}
+	l.segs = l.segs[removed:]
 	if removed > 0 {
 		l.observer().WALCompact(removed)
 	}
-	return removed, nil
+	return removed, err
 }
 
 // LastSeq returns the highest sequence number assigned so far.
@@ -988,9 +988,6 @@ func (l *Log) LastSeq() uint64 {
 	defer l.mu.Unlock()
 	return l.seq
 }
-
-// Dir returns the segment directory.
-func (l *Log) Dir() string { return l.opts.Dir }
 
 // Close syncs and closes the current segment. Further appends error.
 func (l *Log) Close() error {

@@ -40,6 +40,18 @@ func TestConfigHasNoSwitches(t *testing.T) {
 
 // Each template's learner takes its dimensionality from the template, so
 // Open refuses a value it would otherwise overwrite, naming the field.
+// TestZeroOptionsTakeTheDefaultDatabase: Options with no TPCH scale open
+// the experiments' database, tpch.DefaultConfig.
+func TestZeroOptionsTakeTheDefaultDatabase(t *testing.T) {
+	opts, err := Options{}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opts.TPCH != tpch.DefaultConfig() {
+		t.Fatalf("zero options take database %+v, want %+v", opts.TPCH, tpch.DefaultConfig())
+	}
+}
+
 func TestOpenRejectsPerTemplateDims(t *testing.T) {
 	for field, set := range map[string]func(*core.Config){
 		"Online.Core.Dims":    func(c *core.Config) { c.Dims = 2 },

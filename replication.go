@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/netproto"
 	"repro/internal/obsv"
+	"repro/internal/wal"
 )
 
 // lineageName is the leader lineage epoch file under the durability
@@ -109,13 +110,14 @@ func (s *System) PredictRPC(req netproto.PredictRequest) netproto.PredictResult 
 	return st.online.AnswerPredict(req, s.reg.Fingerprint)
 }
 
-// WALDir returns the live WAL segment directory ("" when durability is
-// disabled). The in-process ship server tails it directly.
-func (s *System) WALDir() string {
+// Follow returns a follower of the WAL delivering the records past after —
+// what the in-process ship server tails — or nil when durability is
+// disabled.
+func (s *System) Follow(after uint64) *wal.Follower {
 	if s.wal == nil {
-		return ""
+		return nil
 	}
-	return s.wal.Dir()
+	return s.wal.Follow(after)
 }
 
 // WALFirstSeq returns the lowest WAL sequence still on disk — the resume
