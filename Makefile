@@ -214,16 +214,23 @@ profile:
 # Which functions does no test reach? A merged -coverpkg=./... profile of
 # `go test -short ./...` (written to $(PROFILE_DIR)/cover.out), then every
 # function at 0.0 % outside cmd/, examples/, internal/experiments and
-# internal/benchsuite, and the total. It reports and gates nothing: a
-# failing test only thins the profile. bench/ is a module of its own, so
-# what its harness calls of this module's packages does not count here, and
-# a function with an empty body reads 0.0 % even when it is called.
+# internal/benchsuite, and the total. It fails when any function but two
+# reads 0.0 %: a function no test reaches gets a test or goes. The two are
+# workload.MustDrifting, which bench/ calls (bench/ is a module of its own,
+# so what its harness calls of this module's packages does not count here),
+# and (*System).Registry, which cmd/ppcplanspace calls. A failing test is
+# tier1's to report; here it only thins the profile. A function with an
+# empty body reads 0.0 % even when it is called, so none is kept.
 cover:
 	mkdir -p $(PROFILE_DIR)
 	$(GO) test -short -coverpkg=./... -coverprofile=$(PROFILE_DIR)/cover.out ./... | grep -v 'coverage: ' || true
 	@$(GO) tool cover -func=$(PROFILE_DIR)/cover.out | \
 		grep -vE '^repro/(cmd|examples|internal/experiments|internal/benchsuite)/' | \
-		awk '$$NF == "0.0%" { print } $$1 == "total:" { total = $$0 } END { print total }'
+		awk '$$NF == "0.0%" { print; \
+			if (!($$1 ~ /^repro\/internal\/workload\/drift\.go:/ && $$2 == "MustDrifting") && \
+			    !($$1 ~ /^repro\/ppc\.go:/ && $$2 == "Registry")) bad++ } \
+			$$1 == "total:" { total = $$0 } \
+			END { print total; if (bad) { print bad " function(s) at 0.0 % beyond the two allowed"; exit 1 } }'
 
 clean:
 	$(GO) clean ./...

@@ -8,8 +8,11 @@
 //
 // Usage:
 //
-//	ppcreplica -leader HOST:PORT [-addr :8081] [-serve :7072]
-//	           [-ack 500ms] [-idle 5s] [-backoff 50ms]
+//	ppcreplica -leader HOST:PORT [-addr :8081] [-serve :7072] [-backoff 50ms]
+//
+// The session's clock is the leader's heartbeat: the replica acks its
+// applied sequence in reply to each one, and reconnects after ten
+// heartbeats' silence (5s).
 //
 // Endpoints:
 //
@@ -51,8 +54,6 @@ func run() error {
 	leader := flag.String("leader", "", "leader ship address (required)")
 	addr := flag.String("addr", ":8081", "HTTP listen address")
 	serveAddr := flag.String("serve", "", "binary-protocol listen address for predict clients (empty disables)")
-	ack := flag.Duration("ack", 500*time.Millisecond, "applied-sequence ack cadence")
-	idle := flag.Duration("idle", 5*time.Second, "reconnect after this long without leader traffic")
 	backoff := flag.Duration("backoff", 50*time.Millisecond, "reconnect backoff: an unanswered dial retries after it; after a failed session it doubles, up to 3s")
 	flag.Parse()
 	if *leader == "" {
@@ -61,11 +62,9 @@ func run() error {
 
 	state := replica.NewState(nil)
 	rep, err := replica.Start(replica.Options{
-		LeaderAddr:  *leader,
-		State:       state,
-		AckInterval: *ack,
-		IdleTimeout: *idle,
-		BackoffMin:  *backoff,
+		LeaderAddr: *leader,
+		State:      state,
+		BackoffMin: *backoff,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "ppcreplica: "+format+"\n", args...)
 		},

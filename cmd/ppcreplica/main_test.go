@@ -57,7 +57,7 @@ func TestLeaderReplicaFailover(t *testing.T) {
 		cmd := exec.Command(leaderBin,
 			"-addr", leaderHTTP, "-scale", "2000", "-templates", "Q1", "-load", "2",
 			"-wal-dir", walDir, "-wal-sync", "always", "-checkpoint-every", "500ms",
-			"-ship-addr", shipAddr, "-ship-heartbeat", "100ms")
+			"-ship-addr", shipAddr)
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
 			t.Fatal(err)
@@ -69,7 +69,7 @@ func TestLeaderReplicaFailover(t *testing.T) {
 	defer leader.Process.Kill() //nolint:errcheck
 
 	replicaCmd := exec.Command(replicaBin,
-		"-leader", shipAddr, "-addr", replicaHTTP, "-ack", "100ms", "-backoff", "50ms")
+		"-leader", shipAddr, "-addr", replicaHTTP, "-backoff", "50ms")
 	replicaCmd.Stderr = os.Stderr
 	if err := replicaCmd.Start(); err != nil {
 		t.Fatal(err)

@@ -13,6 +13,9 @@
 // replication leader: predict-only replicas (cmd/ppcreplica) connect over
 // the binary protocol, receive a full state snapshot, and then tail the WAL
 // live; pkg/client connections are served predict RPCs on the same port.
+// The ship session's timing is fixed: each stream carries a heartbeat every
+// 500ms, which the replica answers with its applied-sequence ack, and a
+// follower that cannot drain a write within 5s is disconnected.
 //
 // Usage:
 //
@@ -20,8 +23,7 @@
 //	         [-cache N] [-ring N] [-load WORKERS] [-sigma S]
 //	         [-wal-dir DIR] [-wal-sync always|interval|never]
 //	         [-wal-sync-interval 100ms] [-checkpoint-every 1m]
-//	         [-ship-addr :7071] [-ship-max 8] [-ship-heartbeat 500ms]
-//	         [-ship-write-timeout 5s]
+//	         [-ship-addr :7071] [-ship-max 8]
 //
 // Endpoints:
 //
@@ -92,8 +94,6 @@ func run() (err error) {
 	checkpointEvery := flag.Duration("checkpoint-every", time.Minute, "background checkpoint cadence (requires -wal-dir; 0 means 1m, negative disables the checkpointer)")
 	shipAddr := flag.String("ship-addr", "", "binary-protocol listen address for replicas and clients (requires -wal-dir)")
 	shipMax := flag.Int("ship-max", 8, "max concurrent replica ship streams (admission cap)")
-	shipHeartbeat := flag.Duration("ship-heartbeat", 500*time.Millisecond, "leader->replica heartbeat cadence")
-	shipWriteTimeout := flag.Duration("ship-write-timeout", 5*time.Second, "per-write deadline on ship streams (slow followers are disconnected)")
 	flag.Parse()
 
 	if *shipAddr != "" && *walDir == "" {
@@ -159,13 +159,7 @@ func run() (err error) {
 	}
 
 	if *shipAddr != "" {
-		ship, err := replica.Serve(replica.Config{
-			Addr:         *shipAddr,
-			Source:       sys,
-			MaxShips:     *shipMax,
-			Heartbeat:    *shipHeartbeat,
-			WriteTimeout: *shipWriteTimeout,
-		})
+		ship, err := replica.Serve(replica.Config{Addr: *shipAddr, Source: sys, MaxShips: *shipMax})
 		if err != nil {
 			return err
 		}

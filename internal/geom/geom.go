@@ -4,8 +4,8 @@
 // radius λ used by the locality-sensitive transformations of Section IV-B
 // of the paper.
 //
-// All vectors are plain []float64 slices; functions never retain their
-// arguments and never mutate them unless the name says so (e.g. Clamp01InPlace).
+// All vectors are plain []float64 slices; functions never retain or mutate
+// their arguments.
 package geom
 
 import (
@@ -33,19 +33,6 @@ func DistSq(a, b Vector) float64 {
 	for i := range a {
 		d := a[i] - b[i]
 		s += d * d
-	}
-	return s
-}
-
-// Dot returns the inner product of a and b.
-// It panics if the dimensions differ.
-func Dot(a, b Vector) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("geom: dimension mismatch %d vs %d", len(a), len(b)))
-	}
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
 	}
 	return s
 }
@@ -93,17 +80,6 @@ func Scale(v Vector, k float64) Vector {
 		out[i] = x * k
 	}
 	return out
-}
-
-// Clamp01InPlace clamps every coordinate of v into [0,1].
-func Clamp01InPlace(v Vector) {
-	for i, x := range v {
-		if x < 0 {
-			v[i] = 0
-		} else if x > 1 {
-			v[i] = 1
-		}
-	}
 }
 
 // Clone returns a fresh copy of v.
@@ -162,15 +138,4 @@ func SphereRadiusForCube(r int) float64 {
 	}
 	// V_r(λ) = V_r(1) · λ^r = 2^r  ⇒  λ = 2 / V_r(1)^(1/r).
 	return 2 / math.Pow(UnitBallVolume(r), 1/float64(r))
-}
-
-// BallRadiusForVolume returns the radius of an r-dimensional ball with the
-// given volume. Used to translate the query radius d into the half-width δ
-// of a z-order range query (Section IV-C: 2δ equals the volume of a
-// hypersphere with radius d).
-func BallRadiusForVolume(r int, vol float64) float64 {
-	if r <= 0 {
-		panic("geom: dimension must be positive")
-	}
-	return math.Pow(vol/UnitBallVolume(r), 1/float64(r))
 }

@@ -168,13 +168,3 @@ func (d *Dynamic) RangeCount(lo, hi float64) float64 {
 func (d *Dynamic) RangeCost(lo, hi float64) (cost, count float64) {
 	return rangeCost(d.buckets, lo, hi)
 }
-
-// RangeAvgCost estimates the average cost of points in [lo, hi]. The second
-// return value is false when the estimated count is zero.
-func (d *Dynamic) RangeAvgCost(lo, hi float64) (float64, bool) {
-	cost, count := d.RangeCost(lo, hi)
-	if count <= 0 {
-		return 0, false
-	}
-	return cost / count, true
-}

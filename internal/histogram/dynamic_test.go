@@ -132,13 +132,13 @@ func TestDynamicAvgCostTracking(t *testing.T) {
 		d.Insert(rng.Float64()*0.5, 10)
 		d.Insert(0.5+rng.Float64()*0.5, 20)
 	}
-	left, ok := d.RangeAvgCost(0.05, 0.45)
-	if !ok || math.Abs(left-10) > 1.5 {
-		t.Errorf("left avg cost = %v,%v want ~10", left, ok)
+	cost, count := d.RangeCost(0.05, 0.45)
+	if left := cost / count; count <= 0 || math.Abs(left-10) > 1.5 {
+		t.Errorf("left avg cost = %v over %v points, want ~10", left, count)
 	}
-	right, ok := d.RangeAvgCost(0.55, 0.95)
-	if !ok || math.Abs(right-20) > 1.5 {
-		t.Errorf("right avg cost = %v,%v want ~20", right, ok)
+	cost, count = d.RangeCost(0.55, 0.95)
+	if right := cost / count; count <= 0 || math.Abs(right-20) > 1.5 {
+		t.Errorf("right avg cost = %v over %v points, want ~20", right, count)
 	}
 }
 
@@ -158,8 +158,8 @@ func TestDynamicSingleBucketDegenerate(t *testing.T) {
 	if d.NumBuckets() != 1 {
 		t.Fatalf("NumBuckets = %d", d.NumBuckets())
 	}
-	avg, ok := d.RangeAvgCost(0, 1)
-	if !ok || !almost(avg, 2, 1e-9) {
-		t.Errorf("avg cost = %v,%v", avg, ok)
+	cost, count := d.RangeCost(0, 1)
+	if avg := cost / count; count <= 0 || !almost(avg, 2, 1e-9) {
+		t.Errorf("avg cost = %v over %v points", avg, count)
 	}
 }

@@ -227,9 +227,6 @@ func (c *Counter) Recall() float64 {
 	return float64(c.Correct) / float64(total)
 }
 
-// Total returns the number of recorded predictions.
-func (c *Counter) Total() int { return c.Correct + c.Incorrect + c.Nulls }
-
 // Merge adds another counter's tallies into c.
 func (c *Counter) Merge(o Counter) {
 	c.Correct += o.Correct

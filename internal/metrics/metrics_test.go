@@ -126,13 +126,13 @@ func TestCounterDefinitionFour(t *testing.T) {
 	if got := c.Recall(); math.Abs(got-0.7) > 1e-12 {
 		t.Errorf("recall = %v", got)
 	}
-	if c.Total() != 10 {
-		t.Errorf("total = %v", c.Total())
+	if total := c.Correct + c.Incorrect + c.Nulls; total != 10 {
+		t.Errorf("total = %v", total)
 	}
 	var d Counter
 	d.RecordTruth(true, true)
 	c.Merge(d)
-	if c.Correct != 8 || c.Total() != 11 {
+	if c.Correct != 8 || c.Correct+c.Incorrect+c.Nulls != 11 {
 		t.Errorf("merge: %+v", c)
 	}
 }

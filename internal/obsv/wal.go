@@ -9,9 +9,9 @@ import (
 // fsync traffic on the shared write-ahead log, plus the background
 // checkpointer's outcomes. Like every obsv type it is a lock-free leaf —
 // single atomic operations only — so the log may call it while holding its
-// own mutex, and the learner while holding the template write lock. Its
-// method set satisfies the wal package's Observer interface structurally
-// (obsv cannot import wal: the facade wires the two together).
+// own mutex, and the learner while holding the template write lock. The
+// wal package reports into it directly (wal.Options.Observer); obsv
+// imports no internal package, so the dependency runs one way.
 type WALObs struct {
 	appends      atomic.Uint64
 	appendBytes  atomic.Uint64

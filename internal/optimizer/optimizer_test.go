@@ -259,12 +259,6 @@ func TestRegistry(t *testing.T) {
 	if got := r.ID("planA"); got != a {
 		t.Error("re-interning changed id")
 	}
-	if id, ok := r.Lookup("planB"); !ok || id != b {
-		t.Error("Lookup failed")
-	}
-	if _, ok := r.Lookup("nope"); ok {
-		t.Error("Lookup invented a plan")
-	}
 	if r.Fingerprint(a) != "planA" || r.Fingerprint(99) != "" {
 		t.Error("Fingerprint lookup wrong")
 	}

@@ -268,14 +268,6 @@ func (r *Registry) ID(fingerprint string) int {
 	return id
 }
 
-// Lookup returns the identifier for a fingerprint without assigning one.
-func (r *Registry) Lookup(fingerprint string) (int, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	id, ok := r.ids[fingerprint]
-	return id, ok
-}
-
 // Fingerprint returns the fingerprint of an identifier, or "" if unknown.
 func (r *Registry) Fingerprint(id int) string {
 	r.mu.RLock()

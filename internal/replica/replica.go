@@ -16,22 +16,11 @@ type Options struct {
 	LeaderAddr string
 	// State receives the shipped state; nil creates a fresh one.
 	State *State
-	// AckInterval is the replica->leader applied-sequence ack cadence
-	// (default 500ms).
-	AckInterval time.Duration
-	// IdleTimeout reconnects a session that has heard nothing — records or
-	// heartbeats — for this long (default 5s; keep it comfortably above
-	// the leader's heartbeat cadence).
-	IdleTimeout time.Duration
-	// DialTimeout bounds one connection attempt (default 2s).
-	DialTimeout time.Duration
-	// BackoffMin/BackoffMax bound the reconnect backoff (defaults 50ms /
-	// 3s). A dial nobody answers retries after BackoffMin. After a session
-	// the leader answered and then ended or refused, the wait doubles from
-	// BackoffMin up to BackoffMax; a session that was welcomed starts it
-	// over.
+	// BackoffMin is the reconnect backoff's floor (default 50ms). A dial
+	// nobody answers retries after BackoffMin. After a session the leader
+	// answered and then ended or refused, the wait doubles from BackoffMin
+	// up to backoffMax (3s); a session that was welcomed starts it over.
 	BackoffMin time.Duration
-	BackoffMax time.Duration
 	// Faults optionally injects wire faults into outbound frames.
 	Faults *faults.Injector
 	// Logf, when set, receives connection lifecycle diagnostics.
@@ -39,20 +28,8 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.AckInterval <= 0 {
-		o.AckInterval = 500 * time.Millisecond
-	}
-	if o.IdleTimeout <= 0 {
-		o.IdleTimeout = 5 * time.Second
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 2 * time.Second
-	}
 	if o.BackoffMin <= 0 {
 		o.BackoffMin = 50 * time.Millisecond
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = 3 * time.Second
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -62,7 +39,8 @@ func (o Options) withDefaults() Options {
 
 // Replica maintains a ship session with the leader: snapshot install on
 // connect (unless the leader can resume the stream), WAL record tailing,
-// applied-sequence acks, and reconnection with exponential backoff. The
+// an applied-sequence ack in reply to each leader heartbeat, and
+// reconnection with exponential backoff. The
 // installed State keeps serving predictions while the session is down —
 // stale-but-same-lineage state is explicitly allowed (that is what a
 // follower is); only an epoch change discards it.
@@ -111,7 +89,7 @@ func (r *Replica) Close() error {
 // run is the reconnect loop: one session at a time. A dial nobody answered
 // retries after BackoffMin, so a replica started beside its leader attaches
 // as soon as the leader listens. Once the leader has answered, the backoff
-// between sessions doubles up to BackoffMax, so a leader that turns the
+// between sessions doubles up to backoffMax, so a leader that turns the
 // replica away (CodeBusy) is not hammered, and it starts over after any
 // session that got as far as a welcome.
 func (r *Replica) run() {
@@ -129,14 +107,14 @@ func (r *Replica) run() {
 			obs.CountReconnect()
 		}
 		wait := r.opts.BackoffMin
-		conn, err := net.DialTimeout("tcp", r.opts.LeaderAddr, r.opts.DialTimeout)
+		conn, err := net.DialTimeout("tcp", r.opts.LeaderAddr, dialTimeout)
 		if err == nil {
 			var welcomed bool
 			welcomed, err = r.session(conn)
 			if welcomed {
 				backoff = r.opts.BackoffMin
 			}
-			wait, backoff = backoff, min(2*backoff, r.opts.BackoffMax)
+			wait, backoff = backoff, min(2*backoff, backoffMax)
 		}
 		obs.SetConnected(false)
 		if err != nil {
@@ -180,12 +158,12 @@ func (r *Replica) session(conn net.Conn) (welcomed bool, err error) {
 		Epoch:   r.state.Epoch(),
 		LastSeq: r.state.ReceivedSeq(),
 	}
-	conn.SetWriteDeadline(time.Now().Add(r.opts.DialTimeout)) //nolint:errcheck
+	conn.SetWriteDeadline(time.Now().Add(dialTimeout)) //nolint:errcheck
 	if err := c.WriteMsg(netproto.MsgHello, hello.Encode(nil)); err != nil {
 		return false, err
 	}
 
-	conn.SetReadDeadline(time.Now().Add(r.opts.IdleTimeout)) //nolint:errcheck
+	conn.SetReadDeadline(time.Now().Add(idleTimeout)) //nolint:errcheck
 	t, body, err := c.ReadMsg()
 	if err != nil {
 		return false, err
@@ -211,7 +189,7 @@ func (r *Replica) session(conn net.Conn) (welcomed bool, err error) {
 	if !w.Resume {
 		// Full state transfer. Snapshots are the largest frames: give the
 		// read a generous multiple of the idle timeout.
-		conn.SetReadDeadline(time.Now().Add(4 * r.opts.IdleTimeout)) //nolint:errcheck
+		conn.SetReadDeadline(time.Now().Add(4 * idleTimeout)) //nolint:errcheck
 		t, body, err := c.ReadMsg()
 		if err != nil {
 			return false, err
@@ -237,31 +215,11 @@ func (r *Replica) session(conn net.Conn) (welcomed bool, err error) {
 	obs.SetConnected(true)
 	welcomed = true
 
-	// Ack loop: the only writer after the handshake (the main loop below
-	// only reads, so the Conn's one-reader/one-writer contract holds).
-	ackDone := make(chan struct{})
-	ackStop := make(chan struct{})
-	go func() {
-		defer close(ackDone)
-		tick := time.NewTicker(r.opts.AckInterval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-ackStop:
-				return
-			case <-tick.C:
-				beat := netproto.Heartbeat{Seq: r.state.ReceivedSeq(), Epoch: w.Epoch}
-				conn.SetWriteDeadline(time.Now().Add(r.opts.IdleTimeout)) //nolint:errcheck
-				if err := c.WriteMsg(netproto.MsgHeartbeat, beat.Encode(nil)); err != nil {
-					return
-				}
-			}
-		}
-	}()
-	defer func() { close(ackStop); <-ackDone }()
-
+	// The loop below is the session's only reader and, once the handshake
+	// is done, its only writer: it answers each leader heartbeat with the
+	// applied-sequence ack, so the leader's clock paces both directions.
 	for {
-		conn.SetReadDeadline(time.Now().Add(r.opts.IdleTimeout)) //nolint:errcheck
+		conn.SetReadDeadline(time.Now().Add(idleTimeout)) //nolint:errcheck
 		t, body, err := c.ReadMsg()
 		if err != nil {
 			if errors.Is(err, netproto.ErrBadFrame) {
@@ -289,6 +247,11 @@ func (r *Replica) session(conn net.Conn) (welcomed bool, err error) {
 				return welcomed, fmt.Errorf("replica: heartbeat from epoch %x on a stream fenced to %x", hb.Epoch, w.Epoch)
 			}
 			obs.SetLeaderSeq(hb.Seq)
+			ack := netproto.Heartbeat{Seq: r.state.ReceivedSeq(), Epoch: w.Epoch}
+			conn.SetWriteDeadline(time.Now().Add(writeTimeout)) //nolint:errcheck
+			if err := c.WriteMsg(netproto.MsgHeartbeat, ack.Encode(nil)); err != nil {
+				return welcomed, err
+			}
 		case netproto.MsgError:
 			if em, derr := netproto.DecodeError(body); derr == nil {
 				// CodeSnapshotNeeded lands here when compaction outran the

@@ -152,26 +152,14 @@ func (f *fakeSource) WALFirstSeq() uint64               { return f.log.FirstSeq(
 func (f *fakeSource) WALLastSeq() uint64                { return f.log.LastSeq() }
 func (f *fakeSource) ReplObs() *obsv.ReplObs            { return &f.obs }
 
-// fastConfig returns server settings tightened for tests.
+// fastConfig returns a loopback server for src.
 func fastConfig(src ShipSource) Config {
-	return Config{
-		Addr:         "127.0.0.1:0",
-		Source:       src,
-		Heartbeat:    50 * time.Millisecond,
-		PollInterval: 5 * time.Millisecond,
-		WriteTimeout: 2 * time.Second,
-	}
+	return Config{Addr: "127.0.0.1:0", Source: src}
 }
 
+// fastOptions returns options for a replica of addr that redials after 10ms.
 func fastOptions(addr string, st *State) Options {
-	return Options{
-		LeaderAddr:  addr,
-		State:       st,
-		AckInterval: 50 * time.Millisecond,
-		IdleTimeout: 2 * time.Second,
-		BackoffMin:  10 * time.Millisecond,
-		BackoffMax:  200 * time.Millisecond,
-	}
+	return Options{LeaderAddr: addr, State: st, BackoffMin: 10 * time.Millisecond}
 }
 
 func waitUntil(t *testing.T, timeout time.Duration, what string, cond func() bool) {
@@ -284,6 +272,58 @@ func TestReplicaReconnectResume(t *testing.T) {
 	}
 	if snap.SnapshotsInstalled != 1 {
 		t.Errorf("%d snapshots installed; resume should not re-snapshot", snap.SnapshotsInstalled)
+	}
+}
+
+// TestIdleDeadlineReconnects: a leader that welcomes the replica and then
+// falls silent — no records, no heartbeats — is dropped once idleTimeout
+// passes without a frame, and the replica dials again.
+func TestIdleDeadlineReconnects(t *testing.T) {
+	if testing.Short() {
+		t.Skip("waits out the replica's idle deadline")
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()                                                                //nolint:errcheck
+	l.(*net.TCPListener).SetDeadline(time.Now().Add(idleTimeout + 10*time.Second)) //nolint:errcheck
+
+	rep, err := Start(fastOptions(l.Addr().String(), nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close() //nolint:errcheck
+
+	// acceptHello takes the replica's next connection and reads its Hello.
+	acceptHello := func() *netproto.Conn {
+		t.Helper()
+		raw, err := l.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = raw.Close() })
+		raw.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+		c := netproto.NewConn(raw, nil)
+		if mt, _, err := c.ReadMsg(); err != nil || mt != netproto.MsgHello {
+			t.Fatalf("read %v, %v; want a hello", mt, err)
+		}
+		return c
+	}
+
+	first := acceptHello()
+	welcome := netproto.Welcome{Version: netproto.Version, Resume: true, Epoch: 7}
+	if err := first.WriteMsg(netproto.MsgWelcome, welcome.Encode(nil)); err != nil {
+		t.Fatal(err)
+	}
+	welcomed := time.Now()
+	acceptHello()
+	gap := time.Since(welcomed)
+	if gap < idleTimeout || gap > idleTimeout+2*time.Second {
+		t.Errorf("second hello %v after the welcome, want within [%v, %v]", gap, idleTimeout, idleTimeout+2*time.Second)
+	}
+	if rep.State().Obs().Snapshot().Reconnects == 0 {
+		t.Error("no reconnect recorded")
 	}
 }
 
@@ -563,8 +603,9 @@ func TestChaosCorruptAndTornFrames(t *testing.T) {
 	defer rep.Close() //nolint:errcheck
 	st := rep.State()
 
-	// Keep load flowing while the wire misbehaves.
-	for i := 0; i < 20; i++ {
+	// Keep load flowing while the wire misbehaves: forty feeds, each shipped
+	// as about one batch frame, give the injector its frames to fire on.
+	for i := 0; i < 40; i++ {
 		src.feed(20)
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -572,9 +613,12 @@ func TestChaosCorruptAndTornFrames(t *testing.T) {
 	waitUntil(t, 20*time.Second, "post-chaos convergence", func() bool {
 		return st.Ready() && st.ReceivedSeq() == src.log.LastSeq()
 	})
-	snap := st.Obs().Snapshot()
-	if snap.BadFrames == 0 && snap.Reconnects == 0 {
-		t.Logf("chaos produced no visible faults (injector fired %d)", inj.Fired(faults.NetCorruptFrame)+inj.Fired(faults.NetTornFrame))
+	fired := inj.Fired(faults.NetCorruptFrame) + inj.Fired(faults.NetTornFrame)
+	if fired == 0 {
+		t.Fatal("the injector fired no fault: the session never saw the chaos")
+	}
+	if snap := st.Obs().Snapshot(); snap.BadFrames == 0 && snap.Reconnects == 0 {
+		t.Errorf("the injector fired %d faults, but the replica saw no bad frame and no reconnect", fired)
 	}
 	// Applied records must never exceed what the leader wrote.
 	if st.ReceivedSeq() > src.log.LastSeq() {

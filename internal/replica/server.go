@@ -40,11 +40,30 @@ type ShipSource interface {
 	ReplObs() *obsv.ReplObs
 }
 
+// The session's timing. The leader's heartbeat is its one clock: the ship
+// loop sends one every heartbeat, the replica answers each with its
+// applied-sequence ack, and a replica that has heard nothing for
+// idleTimeout — ten heartbeats — drops the session and reconnects.
 const (
 	// batchMax bounds records per MsgRecords frame.
 	batchMax = 512
 	// handshakeTimeout bounds the hello exchange.
 	handshakeTimeout = 5 * time.Second
+	// heartbeat is the leader->replica liveness cadence.
+	heartbeat = 500 * time.Millisecond
+	// idleTimeout reconnects a replica session that has heard nothing —
+	// records or heartbeats — for this long.
+	idleTimeout = 10 * heartbeat
+	// pollInterval is the leader's WAL tail poll cadence.
+	pollInterval = 20 * time.Millisecond
+	// writeTimeout is the per-write deadline on either end of a session; a
+	// follower too slow to drain within it is disconnected and must
+	// reconnect. Snapshot writes get 4x.
+	writeTimeout = 5 * time.Second
+	// dialTimeout bounds one connection attempt and the replica's hello.
+	dialTimeout = 2 * time.Second
+	// backoffMax caps the replica's reconnect backoff.
+	backoffMax = 3 * time.Second
 )
 
 // Config configures a Server.
@@ -61,14 +80,6 @@ type Config struct {
 	// reconnect storm cannot pile unbounded snapshot encodes onto the
 	// leader (default 8).
 	MaxShips int
-	// Heartbeat is the leader->replica liveness cadence (default 500ms).
-	Heartbeat time.Duration
-	// WriteTimeout is the per-write deadline on ship streams; a follower
-	// too slow to drain within it is disconnected and must reconnect
-	// (default 5s). Snapshot writes get 4x.
-	WriteTimeout time.Duration
-	// PollInterval is the WAL tail poll cadence (default 20ms).
-	PollInterval time.Duration
 	// Faults optionally injects wire faults into outbound frames.
 	Faults *faults.Injector
 }
@@ -79,15 +90,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxShips <= 0 {
 		c.MaxShips = 8
-	}
-	if c.Heartbeat <= 0 {
-		c.Heartbeat = 500 * time.Millisecond
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 5 * time.Second
-	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 20 * time.Millisecond
 	}
 	return c
 }
@@ -268,7 +270,7 @@ func (s *Server) handle(conn net.Conn) {
 
 // writeError best-effort sends a typed error before the connection drops.
 func (s *Server) writeError(c *netproto.Conn, code uint16, msg string) {
-	c.NetConn().SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))                   //nolint:errcheck
+	c.NetConn().SetWriteDeadline(time.Now().Add(writeTimeout))                         //nolint:errcheck
 	c.WriteMsg(netproto.MsgError, netproto.ErrorMsg{Code: code, Msg: msg}.Encode(nil)) //nolint:errcheck
 }
 
@@ -291,12 +293,12 @@ func (s *Server) serveClient(c *netproto.Conn) {
 				res = s.cfg.Predictor.PredictRPC(req)
 			}
 			scratch = res.Encode(scratch[:0])
-			c.NetConn().SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)) //nolint:errcheck
+			c.NetConn().SetWriteDeadline(time.Now().Add(writeTimeout)) //nolint:errcheck
 			if err := c.WriteMsg(netproto.MsgPredictResult, scratch); err != nil {
 				return
 			}
 		case netproto.MsgPing:
-			c.NetConn().SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)) //nolint:errcheck
+			c.NetConn().SetWriteDeadline(time.Now().Add(writeTimeout)) //nolint:errcheck
 			if err := c.WriteMsg(netproto.MsgPong, nil); err != nil {
 				return
 			}
@@ -325,7 +327,7 @@ func (s *Server) serveReplica(c *netproto.Conn, hello netproto.Hello) {
 	resume := hello.Epoch == epoch && hello.LastSeq+1 >= src.WALFirstSeq()
 	after := hello.LastSeq
 
-	c.NetConn().SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)) //nolint:errcheck
+	c.NetConn().SetWriteDeadline(time.Now().Add(writeTimeout)) //nolint:errcheck
 	welcome := netproto.Welcome{Version: netproto.Version, Resume: resume, Epoch: epoch, LastSeq: src.WALLastSeq()}
 	if err := c.WriteMsg(netproto.MsgWelcome, welcome.Encode(nil)); err != nil {
 		return
@@ -339,7 +341,7 @@ func (s *Server) serveReplica(c *netproto.Conn, hello netproto.Hello) {
 		body := snap.Encode(nil)
 		// Snapshots are the largest frames; give the follower longer to
 		// drain one than a steady-state batch.
-		c.NetConn().SetWriteDeadline(time.Now().Add(4 * s.cfg.WriteTimeout)) //nolint:errcheck
+		c.NetConn().SetWriteDeadline(time.Now().Add(4 * writeTimeout)) //nolint:errcheck
 		if err := c.WriteMsg(netproto.MsgSnapshot, body); err != nil {
 			s.obs.CountShipError()
 			return
@@ -351,9 +353,9 @@ func (s *Server) serveReplica(c *netproto.Conn, hello netproto.Hello) {
 	s.obs.FollowerConnected()
 	defer s.obs.FollowerDisconnected()
 
-	// The read side of a ship stream carries only follower acks; consume
-	// them concurrently so a heartbeat-quiet follower still unblocks the
-	// loop below when it hangs up.
+	// The read side of a ship stream carries only the follower's acks, one
+	// in reply to each heartbeat; consume them concurrently so a follower
+	// that hangs up unblocks the loop below at once.
 	readerDone := make(chan struct{})
 	go func() {
 		defer close(readerDone)
@@ -371,9 +373,9 @@ func (s *Server) serveReplica(c *netproto.Conn, hello netproto.Hello) {
 	}()
 
 	follower := src.Follow(after)
-	poll := time.NewTicker(s.cfg.PollInterval)
+	poll := time.NewTicker(pollInterval)
 	defer poll.Stop()
-	hb := time.NewTicker(s.cfg.Heartbeat)
+	hb := time.NewTicker(heartbeat)
 	defer hb.Stop()
 	var scratch []byte
 
@@ -385,7 +387,7 @@ func (s *Server) serveReplica(c *netproto.Conn, hello netproto.Hello) {
 			return
 		case <-hb.C:
 			beat := netproto.Heartbeat{Seq: src.WALLastSeq(), Epoch: epoch}
-			c.NetConn().SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)) //nolint:errcheck
+			c.NetConn().SetWriteDeadline(time.Now().Add(writeTimeout)) //nolint:errcheck
 			if err := c.WriteMsg(netproto.MsgHeartbeat, beat.Encode(scratch[:0])); err != nil {
 				s.obs.CountShipError()
 				return
@@ -395,7 +397,7 @@ func (s *Server) serveReplica(c *netproto.Conn, hello netproto.Hello) {
 				var n int
 				scratch, n, err = appendBatch(scratch[:0], follower, batchMax)
 				if n > 0 {
-					c.NetConn().SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)) //nolint:errcheck
+					c.NetConn().SetWriteDeadline(time.Now().Add(writeTimeout)) //nolint:errcheck
 					if werr := c.WriteMsg(netproto.MsgRecords, scratch); werr != nil {
 						s.obs.CountShipError()
 						return

@@ -69,6 +69,7 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/obsv"
 )
 
 const (
@@ -231,26 +232,6 @@ func ParsePolicy(s string) (SyncPolicy, error) {
 	return 0, fmt.Errorf("wal: unknown sync policy %q (want always, interval or never)", s)
 }
 
-// Observer receives the log's operational events; the facade implements it
-// with the obsv registry's atomic counters. A nil observer is inert.
-type Observer interface {
-	// WALAppend records one appended record and its framed size in bytes.
-	WALAppend(bytes int)
-	// WALAppendError records a failed append (the record is not durable).
-	WALAppendError()
-	// WALSync records one fsync and its latency.
-	WALSync(d time.Duration)
-	// WALSyncError records a failed fsync.
-	WALSyncError()
-	// WALRotate records a segment rotation.
-	WALRotate()
-	// WALCompact records n segments deleted by compaction.
-	WALCompact(n int)
-	// WALTearDropped records a record silently lost after an injected torn
-	// tail (the log simulates a dead process and stops persisting).
-	WALTearDropped()
-}
-
 // Options configures a Log.
 type Options struct {
 	// Dir is the segment directory (created if missing).
@@ -264,11 +245,15 @@ type Options struct {
 	// Faults optionally injects disk faults (short write, fsync error,
 	// torn tail). nil disables injection.
 	Faults *faults.Injector
-	// Observer receives operational events (nil disables).
-	Observer Observer
+	// Observer counts the log's appends, fsyncs, rotations, compactions
+	// and their failures; nil gives the log a private one.
+	Observer *obsv.WALObs
 }
 
 func (o Options) withDefaults() Options {
+	if o.Observer == nil {
+		o.Observer = &obsv.WALObs{}
+	}
 	if o.SyncInterval <= 0 {
 		o.SyncInterval = DefaultSyncInterval
 	}
@@ -780,12 +765,12 @@ func (l *Log) Append(rec *Record) (uint64, error) {
 		// An injected torn tail "crashed" this log: from the disk's point
 		// of view the process died mid-record, so nothing after the tear
 		// may land. The in-memory system keeps serving.
-		l.observer().WALTearDropped()
+		l.opts.Observer.WALTearDropped()
 		return 0, nil
 	}
 	if l.size >= l.opts.SegmentBytes {
 		if err := l.rotateLocked(); err != nil {
-			l.observer().WALAppendError()
+			l.opts.Observer.WALAppendError()
 			return 0, err
 		}
 	}
@@ -800,7 +785,7 @@ func (l *Log) Append(rec *Record) (uint64, error) {
 		cut := 1 + l.opts.Faults.Intn(len(frame)-1)
 		l.f.Write(frame[:cut]) //nolint:errcheck
 		l.dead = true
-		l.observer().WALTearDropped()
+		l.opts.Observer.WALTearDropped()
 		return 0, nil
 	}
 	if l.opts.Faults.Should(faults.WALShortWrite) {
@@ -811,7 +796,7 @@ func (l *Log) Append(rec *Record) (uint64, error) {
 		if err := l.repairLocked(); err != nil {
 			return 0, err
 		}
-		l.observer().WALAppendError()
+		l.opts.Observer.WALAppendError()
 		return 0, fmt.Errorf("wal: short write: %w", faults.ErrInjected)
 	}
 
@@ -820,7 +805,7 @@ func (l *Log) Append(rec *Record) (uint64, error) {
 		if rerr := l.repairLocked(); rerr != nil {
 			return 0, rerr
 		}
-		l.observer().WALAppendError()
+		l.opts.Observer.WALAppendError()
 		if err == nil {
 			err = io.ErrShortWrite
 		}
@@ -828,7 +813,7 @@ func (l *Log) Append(rec *Record) (uint64, error) {
 	}
 	l.seq = rec.Seq
 	l.size += int64(len(frame))
-	l.observer().WALAppend(len(frame))
+	l.opts.Observer.WALAppend(len(frame))
 	return rec.Seq, nil
 }
 
@@ -837,12 +822,12 @@ func (l *Log) Append(rec *Record) (uint64, error) {
 func (l *Log) repairLocked() error {
 	if err := l.f.Truncate(l.size); err != nil {
 		l.dead = true
-		l.observer().WALAppendError()
+		l.opts.Observer.WALAppendError()
 		return fmt.Errorf("wal: repair truncate: %w", err)
 	}
 	if _, err := l.f.Seek(l.size, io.SeekStart); err != nil {
 		l.dead = true
-		l.observer().WALAppendError()
+		l.opts.Observer.WALAppendError()
 		return fmt.Errorf("wal: repair seek: %w", err)
 	}
 	return nil
@@ -893,16 +878,16 @@ func (l *Log) syncLocked() error {
 		return nil
 	}
 	if err := l.opts.Faults.Fail(faults.WALFsyncError); err != nil {
-		l.observer().WALSyncError()
+		l.opts.Observer.WALSyncError()
 		return fmt.Errorf("wal: fsync: %w", err)
 	}
 	t0 := time.Now()
 	if err := l.f.Sync(); err != nil {
-		l.observer().WALSyncError()
+		l.opts.Observer.WALSyncError()
 		return fmt.Errorf("wal: fsync: %w", err)
 	}
 	l.lastSync = time.Now()
-	l.observer().WALSync(time.Since(t0))
+	l.opts.Observer.WALSync(time.Since(t0))
 	return nil
 }
 
@@ -921,7 +906,7 @@ func (l *Log) rotateLocked() error {
 	if l.f != nil {
 		l.f.Sync()  //nolint:errcheck
 		l.f.Close() //nolint:errcheck
-		l.observer().WALRotate()
+		l.opts.Observer.WALRotate()
 	}
 	first := l.seq + 1
 	path := filepath.Join(l.opts.Dir, segName(first))
@@ -977,7 +962,7 @@ func (l *Log) Compact(minSeq uint64) (int, error) {
 	}
 	l.segs = l.segs[removed:]
 	if removed > 0 {
-		l.observer().WALCompact(removed)
+		l.opts.Observer.WALCompact(removed)
 	}
 	return removed, err
 }
@@ -1011,21 +996,3 @@ func (l *Log) Close() error {
 	l.f = nil
 	return err
 }
-
-// observer returns the configured observer or an inert one.
-func (l *Log) observer() Observer {
-	if l.opts.Observer != nil {
-		return l.opts.Observer
-	}
-	return noopObserver{}
-}
-
-type noopObserver struct{}
-
-func (noopObserver) WALAppend(int)         {}
-func (noopObserver) WALAppendError()       {}
-func (noopObserver) WALSync(time.Duration) {}
-func (noopObserver) WALSyncError()         {}
-func (noopObserver) WALRotate()            {}
-func (noopObserver) WALCompact(int)        {}
-func (noopObserver) WALTearDropped()       {}

@@ -6,26 +6,12 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/obsv"
 )
-
-// countObserver counts WAL events for assertions (the production observer
-// lives in internal/obsv; tests only need the counts).
-type countObserver struct {
-	appends, appendErrs, syncs, syncErrs, rotates, compacted, tears atomic.Int64
-}
-
-func (o *countObserver) WALAppend(int)         { o.appends.Add(1) }
-func (o *countObserver) WALAppendError()       { o.appendErrs.Add(1) }
-func (o *countObserver) WALSync(time.Duration) { o.syncs.Add(1) }
-func (o *countObserver) WALSyncError()         { o.syncErrs.Add(1) }
-func (o *countObserver) WALRotate()            { o.rotates.Add(1) }
-func (o *countObserver) WALCompact(n int)      { o.compacted.Add(int64(n)) }
-func (o *countObserver) WALTearDropped()       { o.tears.Add(1) }
 
 func testRecord(tmpl string, i int) *Record {
 	return &Record{
@@ -408,7 +394,7 @@ func TestSyncPolicies(t *testing.T) {
 
 	// SyncInterval: the first commit after the interval syncs, commits
 	// inside the window do not (observable via the observer's sync count).
-	obs := &countObserver{}
+	obs := &obsv.WALObs{}
 	l, _ := openTest(t, Options{Dir: t.TempDir(), Sync: SyncInterval, SyncInterval: time.Hour, Observer: obs})
 	if _, err := l.Append(testRecord("Q0", 1)); err != nil {
 		t.Fatal(err)
@@ -416,13 +402,13 @@ func TestSyncPolicies(t *testing.T) {
 	if err := l.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got := obs.syncs.Load(); got != 0 {
+	if got := obs.Snapshot().Syncs; got != 0 {
 		t.Fatalf("interval commit synced %d times inside the window", got)
 	}
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if got := obs.syncs.Load(); got != 1 {
+	if got := obs.Snapshot().Syncs; got != 1 {
 		t.Fatalf("explicit Sync recorded %d syncs, want 1", got)
 	}
 }
@@ -433,24 +419,24 @@ func TestSyncPolicies(t *testing.T) {
 // promises. The timer it leaves fires once; Close disarms one it finds armed.
 func TestIntervalCommitSyncsItsTail(t *testing.T) {
 	const interval = 20 * time.Millisecond
-	obs := &countObserver{}
+	obs := &obsv.WALObs{}
 	l, _ := openTest(t, Options{Dir: t.TempDir(), Sync: SyncInterval, SyncInterval: interval, Observer: obs})
 	// skippedCommit syncs, then appends and commits at once, so that the
 	// Commit falls inside the interval; it retries on a host slow enough to
 	// let the interval pass in between. It returns the sync count.
-	skippedCommit := func() int64 {
+	skippedCommit := func() uint64 {
 		for try := 0; try < 10; try++ {
 			if err := l.Sync(); err != nil {
 				t.Fatal(err)
 			}
-			synced := obs.syncs.Load()
+			synced := obs.Snapshot().Syncs
 			if _, err := l.Append(testRecord("Q0", try)); err != nil {
 				t.Fatal(err)
 			}
 			if err := l.Commit(); err != nil {
 				t.Fatal(err)
 			}
-			if obs.syncs.Load() == synced {
+			if obs.Snapshot().Syncs == synced {
 				return synced
 			}
 		}
@@ -458,13 +444,13 @@ func TestIntervalCommitSyncsItsTail(t *testing.T) {
 		return 0
 	}
 	synced := skippedCommit()
-	for deadline := time.Now().Add(50 * interval); obs.syncs.Load() == synced; time.Sleep(interval / 4) {
+	for deadline := time.Now().Add(50 * interval); obs.Snapshot().Syncs == synced; time.Sleep(interval / 4) {
 		if time.Now().After(deadline) {
 			t.Fatalf("no fsync %v after a Commit that skipped it, with a %v interval", 50*interval, interval)
 		}
 	}
 	time.Sleep(3 * interval)
-	if got := obs.syncs.Load() - synced; got != 1 {
+	if got := obs.Snapshot().Syncs - synced; got != 1 {
 		t.Errorf("the skipped Commit's tail was fsynced %d times, want once", got)
 	}
 
@@ -473,7 +459,7 @@ func TestIntervalCommitSyncsItsTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(3 * interval)
-	if got := obs.syncs.Load() - synced; got != 0 {
+	if got := obs.Snapshot().Syncs - synced; got != 0 {
 		t.Errorf("a closed log recorded %d more syncs", got)
 	}
 }
@@ -525,7 +511,7 @@ func TestConcurrentAppend(t *testing.T) {
 func TestInjectedTornTail(t *testing.T) {
 	dir := t.TempDir()
 	inj := faults.New(7)
-	obs := &countObserver{}
+	obs := &obsv.WALObs{}
 	l, _ := openTest(t, Options{Dir: dir, Faults: inj, Observer: obs})
 	for i := 0; i < 10; i++ {
 		if _, err := l.Append(testRecord("Q0", i)); err != nil {
@@ -540,7 +526,7 @@ func TestInjectedTornTail(t *testing.T) {
 			t.Fatalf("torn-tail append surfaced error: %v", err)
 		}
 	}
-	if got := obs.tears.Load(); got != 5 {
+	if got := obs.Snapshot().TearDrops; got != 5 {
 		t.Fatalf("observer counted %d dropped appends, want 5", got)
 	}
 	l.Close()
@@ -594,7 +580,7 @@ func TestInjectedShortWrite(t *testing.T) {
 
 func TestInjectedFsyncError(t *testing.T) {
 	inj := faults.New(3)
-	obs := &countObserver{}
+	obs := &obsv.WALObs{}
 	l, _ := openTest(t, Options{Dir: t.TempDir(), Faults: inj, Observer: obs})
 	defer l.Close()
 	if _, err := l.Append(testRecord("Q2", 0)); err != nil {
@@ -604,7 +590,7 @@ func TestInjectedFsyncError(t *testing.T) {
 	if err := l.Commit(); !errors.Is(err, faults.ErrInjected) {
 		t.Fatalf("Commit under fsync fault returned %v", err)
 	}
-	if got := obs.syncErrs.Load(); got != 1 {
+	if got := obs.Snapshot().SyncErrors; got != 1 {
 		t.Fatalf("observer counted %d sync errors, want 1", got)
 	}
 	inj.DisableAll()

@@ -130,20 +130,6 @@ func (c *Curve) Normalize(z uint64) float64 {
 	return float64(z) / float64(c.TotalCells())
 }
 
-// Denormalize maps a position on [0,1) back to the z-value of the cell that
-// covers it. Values outside [0,1) are clamped.
-func (c *Curve) Denormalize(v float64) uint64 {
-	if v <= 0 {
-		return 0
-	}
-	total := c.TotalCells()
-	z := uint64(v * float64(total))
-	if z >= total {
-		z = total - 1
-	}
-	return z
-}
-
 // CellWidth returns the width of one grid cell on the normalized [0,1) line.
 func (c *Curve) CellWidth() float64 { return 1 / float64(c.TotalCells()) }
 

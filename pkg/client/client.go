@@ -33,9 +33,10 @@ import (
 type Options struct {
 	// Addr is the server address (leader or replica).
 	Addr string
-	// PoolSize caps pooled idle connections (default 4). Connections are
-	// checked out exclusively per call, so PoolSize also bounds protocol-
-	// level concurrency toward one server.
+	// PoolSize caps pooled idle connections (default 4). A call checks a
+	// connection out exclusively and dials a fresh one when none is idle,
+	// so PoolSize bounds only what is kept between calls; MaxInFlight
+	// bounds concurrent calls, each holding one connection.
 	PoolSize int
 	// DialTimeout bounds one connection attempt (default 2s).
 	DialTimeout time.Duration

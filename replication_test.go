@@ -22,12 +22,7 @@ var _ replica.ShipSource = (*System)(nil)
 
 func fastServe(t *testing.T, sys *System) *replica.Server {
 	t.Helper()
-	srv, err := replica.Serve(replica.Config{
-		Addr:         "127.0.0.1:0",
-		Source:       sys,
-		Heartbeat:    50 * time.Millisecond,
-		PollInterval: 5 * time.Millisecond,
-	})
+	srv, err := replica.Serve(replica.Config{Addr: "127.0.0.1:0", Source: sys})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,12 +32,7 @@ func fastServe(t *testing.T, sys *System) *replica.Server {
 
 func fastReplica(t *testing.T, addr string) *replica.State {
 	t.Helper()
-	rep, err := replica.Start(replica.Options{
-		LeaderAddr:  addr,
-		AckInterval: 50 * time.Millisecond,
-		BackoffMin:  10 * time.Millisecond,
-		BackoffMax:  200 * time.Millisecond,
-	})
+	rep, err := replica.Start(replica.Options{LeaderAddr: addr, BackoffMin: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,12 +205,7 @@ func TestLeaderRestartReplicaConvergence(t *testing.T) {
 	runDurableWorkload(t, sys2, 120, 29)
 	quiesce(t, sys2)
 
-	srv2, err := replica.Serve(replica.Config{
-		Addr:         addr,
-		Source:       sys2,
-		Heartbeat:    50 * time.Millisecond,
-		PollInterval: 5 * time.Millisecond,
-	})
+	srv2, err := replica.Serve(replica.Config{Addr: addr, Source: sys2})
 	if err != nil {
 		t.Fatal(err)
 	}
