@@ -153,8 +153,10 @@ fuzz:
 # the WAL follower every ship loop reads (wal.Log.Follow: what the log has
 # committed, across rotation and compaction, never a torn or short append's
 # frame), leader/replica servers under fault injection (epoch fencing,
-# admission, chaos), the client library, the in-process System-level
-# contracts, and finally the process-boundary failover test — leader under
+# admission, chaos), the client library (TestCallTimeout, which waits out
+# three 2s call deadlines, runs here and not under cover's -short), the
+# in-process System-level contracts, and finally the process-boundary
+# failover test — leader under
 # load, replica attached, leader SIGKILLed and restarted — against the real
 # ppcserve and ppcreplica binaries. BenchmarkShipLoop (the leader's poll →
 # batch path, per shipped record) runs once so it keeps compiling and running.

@@ -20,10 +20,13 @@
 // Usage:
 //
 //	ppcserve [-addr :8080] [-scale N] [-seed S] [-templates Q0,Q1,Q2,Q3]
-//	         [-cache N] [-ring N] [-load WORKERS] [-sigma S]
+//	         [-cache N] [-load WORKERS]
 //	         [-wal-dir DIR] [-wal-sync always|interval|never]
-//	         [-wal-sync-interval 100ms] [-checkpoint-every 1m]
-//	         [-ship-addr :7071] [-ship-max 8]
+//	         [-checkpoint-every 1m] [-ship-addr :7071] [-ship-max 8]
+//
+// Each template keeps its 64 most recent decision traces. The load
+// generator's workers walk trajectories of locality r_d = 0.02, and
+// -wal-sync=interval fsyncs the WAL at most every 100ms.
 //
 // Endpoints:
 //
@@ -85,12 +88,9 @@ func run() (err error) {
 	seed := flag.Int64("seed", 2012, "database generation seed")
 	templates := flag.String("templates", "Q0,Q1,Q2,Q3", "comma-separated template names to serve")
 	cacheCap := flag.Int("cache", 64, "plan cache capacity")
-	ring := flag.Int("ring", 256, "per-template trace ring size (negative disables)")
 	load := flag.Int("load", 1, "background load-generator workers (0 disables)")
-	sigma := flag.Float64("sigma", 0.02, "load-generator trajectory locality r_d")
 	walDir := flag.String("wal-dir", "", "durability directory (empty disables the WAL)")
 	walSync := flag.String("wal-sync", "always", "WAL fsync policy: always, interval or never")
-	walSyncEvery := flag.Duration("wal-sync-interval", 100*time.Millisecond, "fsync cadence under -wal-sync=interval")
 	checkpointEvery := flag.Duration("checkpoint-every", time.Minute, "background checkpoint cadence (requires -wal-dir; 0 means 1m, negative disables the checkpointer)")
 	shipAddr := flag.String("ship-addr", "", "binary-protocol listen address for replicas and clients (requires -wal-dir)")
 	shipMax := flag.Int("ship-max", 8, "max concurrent replica ship streams (admission cap)")
@@ -109,7 +109,6 @@ func run() (err error) {
 		durability = ppc.Durability{
 			Dir:                *walDir,
 			Sync:               policy,
-			SyncInterval:       *walSyncEvery,
 			CheckpointInterval: *checkpointEvery,
 		}
 	}
@@ -118,7 +117,6 @@ func run() (err error) {
 	sys, err := ppc.Open(ppc.Options{
 		TPCH:          tpch.Config{Scale: *scale, Seed: *seed},
 		CacheCapacity: *cacheCap,
-		TraceRingSize: *ring,
 		Durability:    durability,
 	})
 	if err != nil {
@@ -154,7 +152,7 @@ func run() (err error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			generateLoad(ctx, sys, names[w%len(names)], *sigma, *seed+int64(w))
+			generateLoad(ctx, sys, names[w%len(names)], *seed+int64(w))
 		}(w)
 	}
 
@@ -303,9 +301,12 @@ func postOnly(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
+// loadSigma is the load generator's trajectory locality r_d.
+const loadSigma = 0.02
+
 // generateLoad replays an endless trajectory workload against one template
 // until the context is canceled.
-func generateLoad(ctx context.Context, sys *ppc.System, name string, sigma float64, seed int64) {
+func generateLoad(ctx context.Context, sys *ppc.System, name string, seed int64) {
 	tmpl, err := sys.Template(name)
 	if err != nil {
 		return
@@ -313,7 +314,7 @@ func generateLoad(ctx context.Context, sys *ppc.System, name string, sigma float
 	rng := rand.New(rand.NewSource(seed))
 	for ctx.Err() == nil {
 		points := workload.MustTrajectories(workload.TrajectoryConfig{
-			Dims: tmpl.Degree(), NumPoints: 256, Sigma: sigma, Seed: rng.Int63(),
+			Dims: tmpl.Degree(), NumPoints: 256, Sigma: loadSigma, Seed: rng.Int63(),
 		})
 		for _, p := range points {
 			if ctx.Err() != nil {

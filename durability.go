@@ -31,13 +31,9 @@ import (
 type Durability struct {
 	// Dir is the durability directory; empty disables the layer.
 	Dir string
-	// Sync is the WAL fsync policy (default wal.SyncAlways).
+	// Sync is the WAL fsync policy (default wal.SyncAlways; wal.SyncInterval
+	// fsyncs at most every 100ms). Segments rotate past 4 MiB.
 	Sync wal.SyncPolicy
-	// SyncInterval is the fsync cadence under wal.SyncInterval (default
-	// 100ms).
-	SyncInterval time.Duration
-	// SegmentBytes rotates WAL segments past this size (default 4 MiB).
-	SegmentBytes int64
 	// CheckpointInterval is the background checkpointer's cadence (default
 	// 1 minute). The checkpointer calls Checkpoint: SaveState to a temp
 	// file, atomic rename, then WAL compaction. Negative turns the
@@ -85,8 +81,7 @@ func (s *System) openDurable() error {
 	log, recov, err := wal.Open(wal.Options{
 		Dir:          filepath.Join(d.Dir, "wal"),
 		Sync:         d.Sync,
-		SyncInterval: d.SyncInterval,
-		SegmentBytes: d.SegmentBytes,
+		SegmentBytes: s.opts.walSegmentBytes,
 		Faults:       s.opts.Faults,
 		Observer:     s.walObs,
 	})

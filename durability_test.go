@@ -394,7 +394,7 @@ func TestDurableSyncsEqualApplyBatches(t *testing.T) {
 // Q1 serves on and Close checkpoints and compacts; Q2, registered after the
 // next reopen, must come back with every point it had validated.
 func TestDurablePendingRecordsSurviveCheckpoint(t *testing.T) {
-	small := func(o *Options) { o.Durability.SegmentBytes = 4 << 10 }
+	small := func(o *Options) { o.walSegmentBytes = 4 << 10 }
 	sys := openDurable(t, t.TempDir(), small)
 	defer sys.Close() //nolint:errcheck
 	if err := sys.Register("Q2", mustSQL(t, "Q2")); err != nil {

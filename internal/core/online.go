@@ -631,11 +631,8 @@ func (o *Online) Predictor() *ApproxLSHHist { return o.pred }
 // Estimator exposes the sliding-window estimators (Section IV-E).
 func (o *Online) Estimator() *metrics.TemplateEstimator { return o.est }
 
-// Resets returns how many drift recoveries have occurred.
-func (o *Online) Resets() int { return int(o.resets.Load()) }
-
-// Epoch returns the current drift-reset epoch (the value stamped into new
-// feedback points).
+// Epoch returns the current drift-reset epoch, the number of drift
+// recoveries so far (the value stamped into new feedback points).
 func (o *Online) Epoch() int64 { return o.resets.Load() }
 
 // Publishes returns how many model snapshots have been published.

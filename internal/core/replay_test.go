@@ -492,8 +492,8 @@ func TestDriftResetLabelIsStale(t *testing.T) {
 			continue
 		}
 		resets++
-		if d.Label.Point == nil || d.Label.Epoch != int64(o.Resets()-1) {
-			t.Fatalf("the tripping step's label is %+v, want one from epoch %d", d.Label, o.Resets()-1)
+		if d.Label.Point == nil || d.Label.Epoch != o.Epoch()-1 {
+			t.Fatalf("the tripping step's label is %+v, want one from epoch %d", d.Label, o.Epoch()-1)
 		}
 		if o.Validated() != validated || o.StaleFeedbackDrops() != drops+1 {
 			t.Fatalf("tripping step: validated %d → %d, stale drops %d → %d; want the label counted stale",

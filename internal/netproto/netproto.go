@@ -227,6 +227,29 @@ func (c *Conn) WriteMsg(t MsgType, body []byte) error {
 // returns io.EOF, a peer lost mid-frame io.ErrUnexpectedEOF.
 func (c *Conn) ReadMsg() (MsgType, []byte, error) { return c.fr.read() }
 
+// ReadExpect is ReadMsg for a reader that wants one of the given types. A
+// MsgError comes back as its ErrorMsg, the peer's typed rejection, or as a
+// plain error when its body does not decode; any other type is an error.
+// Neither wraps ErrBadFrame: the frame itself was sound.
+func (c *Conn) ReadExpect(want ...MsgType) (MsgType, []byte, error) {
+	t, body, err := c.fr.read()
+	if err != nil {
+		return 0, nil, err
+	}
+	for _, w := range want {
+		if t == w {
+			return t, body, nil
+		}
+	}
+	if t == MsgError {
+		if em, derr := DecodeError(body); derr == nil {
+			return 0, nil, em
+		}
+		return 0, nil, errors.New("netproto: peer sent an undecodable error")
+	}
+	return 0, nil, fmt.Errorf("netproto: unexpected %v message", t)
+}
+
 // frameReader reads frames from r, reusing its header and payload buffers
 // across calls: the one frame reader behind Conn and ReadSnapshotFile.
 type frameReader struct {

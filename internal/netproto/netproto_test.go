@@ -133,6 +133,34 @@ func TestConnRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadExpect: a wanted type comes back with its body; a decodable
+// MsgError is its ErrorMsg, an undecodable one and an unwanted type are
+// errors that do not wrap ErrBadFrame.
+func TestReadExpect(t *testing.T) {
+	w, r := connPair(t, nil)
+	go func() {
+		w.WriteMsg(MsgHeartbeat, Heartbeat{Seq: 3}.Encode(nil))                 //nolint:errcheck
+		w.WriteMsg(MsgError, ErrorMsg{Code: CodeBusy, Msg: "full"}.Encode(nil)) //nolint:errcheck
+		w.WriteMsg(MsgError, []byte{1})                                         //nolint:errcheck
+		w.WriteMsg(MsgPong, nil)                                                //nolint:errcheck
+	}()
+	if mt, body, err := r.ReadExpect(MsgRecords, MsgHeartbeat); err != nil || mt != MsgHeartbeat {
+		t.Fatalf("wanted frame: %v, %v", mt, err)
+	} else if hb, err := DecodeHeartbeat(body); err != nil || hb.Seq != 3 {
+		t.Fatalf("wanted frame's body: %+v, %v", hb, err)
+	}
+	var em ErrorMsg
+	if _, _, err := r.ReadExpect(MsgWelcome); !errors.As(err, &em) || em.Code != CodeBusy || em.Msg != "full" {
+		t.Fatalf("error frame: %v, want ErrorMsg{CodeBusy, full}", err)
+	}
+	for _, what := range []string{"undecodable error", "unwanted type"} {
+		_, _, err := r.ReadExpect(MsgWelcome)
+		if err == nil || errors.As(err, &em) || errors.Is(err, ErrBadFrame) {
+			t.Fatalf("%s: %v, want a plain error", what, err)
+		}
+	}
+}
+
 // TestTornFrameMidStream covers the satellite fault class: the peer dies
 // mid-write, a frame prefix lands, and the reader must fail with
 // ErrUnexpectedEOF — never deliver or misparse the partial frame.

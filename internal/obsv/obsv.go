@@ -33,16 +33,15 @@ import (
 type Registry struct {
 	mu        sync.RWMutex
 	templates map[string]*TemplateObs
-	ringSize  int
 	cache     CacheObs
 	wal       WALObs
 	repl      ReplObs
 }
 
-// NewRegistry creates a registry whose templates keep the last ringSize
-// trace records each (ringSize <= 0 disables tracing).
-func NewRegistry(ringSize int) *Registry {
-	return &Registry{templates: make(map[string]*TemplateObs), ringSize: ringSize}
+// NewRegistry creates a registry whose templates keep their last 64 trace
+// records each.
+func NewRegistry() *Registry {
+	return &Registry{templates: make(map[string]*TemplateObs)}
 }
 
 // Template returns the named template's metrics, creating them on first
@@ -58,7 +57,7 @@ func (r *Registry) Template(name string) *TemplateObs {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if t = r.templates[name]; t == nil {
-		t = &TemplateObs{name: name, ring: NewTraceRing(r.ringSize)}
+		t = &TemplateObs{name: name}
 		r.templates[name] = t
 	}
 	return t
@@ -160,7 +159,7 @@ type TemplateObs struct {
 	degraded Hist
 	apply    Hist
 
-	ring *TraceRing
+	ring traceRing
 }
 
 // Observe ingests one completed run: it assigns the record's sequence
@@ -230,8 +229,7 @@ func (t *TemplateObs) RecordApply(d time.Duration) {
 // for an operator attributed to a template predicate site).
 func (t *TemplateObs) RecordQError(q float64) { t.qerror.Record(q) }
 
-// Trace returns the template's recent trace records, oldest first (nil
-// when tracing is disabled).
+// Trace returns the template's recent trace records, oldest first.
 func (t *TemplateObs) Trace() []TraceRecord { return t.ring.Snapshot() }
 
 // CounterSnapshot is the JSON form of a template's counters: what the

@@ -108,33 +108,23 @@ func TestHistConcurrent(t *testing.T) {
 }
 
 func TestTraceRingWraparound(t *testing.T) {
-	r := NewTraceRing(4)
-	for i := 1; i <= 10; i++ {
+	var r traceRing
+	if r.Snapshot() == nil || len(r.Snapshot()) != 0 {
+		t.Fatal("a new ring must snapshot empty")
+	}
+	const extra = 6
+	for i := 1; i <= traceRingSize+extra; i++ {
 		rec := TraceRecord{Seq: uint64(i), PlanID: i}
 		r.Append(&rec)
 	}
-	if r.Len() != 4 {
-		t.Fatalf("len = %d, want 4", r.Len())
-	}
 	snap := r.Snapshot()
-	if len(snap) != 4 {
-		t.Fatalf("snapshot length = %d", len(snap))
+	if len(snap) != traceRingSize {
+		t.Fatalf("snapshot length = %d, want %d", len(snap), traceRingSize)
 	}
 	for i, rec := range snap {
-		if want := uint64(7 + i); rec.Seq != want {
+		if want := uint64(extra + 1 + i); rec.Seq != want {
 			t.Errorf("snap[%d].Seq = %d, want %d (oldest first)", i, rec.Seq, want)
 		}
-	}
-}
-
-func TestTraceRingNilSafe(t *testing.T) {
-	r := NewTraceRing(0)
-	if r != nil {
-		t.Fatal("size 0 must disable the ring")
-	}
-	r.Append(&TraceRecord{Seq: 1}) // must not panic
-	if r.Len() != 0 || r.Snapshot() != nil {
-		t.Error("nil ring must be empty")
 	}
 }
 
@@ -168,7 +158,7 @@ func TestTraceRecordJSON(t *testing.T) {
 }
 
 func TestRegistryTemplateReuse(t *testing.T) {
-	reg := NewRegistry(4)
+	reg := NewRegistry()
 	a := reg.Template("Q1")
 	a.CountRunError()
 	if b := reg.Template("Q1"); b != a {
@@ -184,7 +174,7 @@ func TestRegistryTemplateReuse(t *testing.T) {
 }
 
 func TestObserveCountersAndConcurrency(t *testing.T) {
-	tm := NewRegistry(8).Template("Q")
+	tm := NewRegistry().Template("Q")
 	const workers, per = 4, 500
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -223,10 +213,10 @@ func TestObserveCountersAndConcurrency(t *testing.T) {
 	if s.OptimizeLatency.Count != total/2 {
 		t.Errorf("optimize hist count = %d", s.OptimizeLatency.Count)
 	}
-	if got := tm.Trace(); len(got) != 8 {
-		t.Errorf("trace length = %d, want 8", len(got))
+	if got := tm.Trace(); len(got) != traceRingSize {
+		t.Errorf("trace length = %d, want %d", len(got), traceRingSize)
 	}
-	// Seq numbers are unique: the last 8 records must be 8 distinct values.
+	// Seq numbers are unique: the ring's records must be distinct values.
 	seen := map[uint64]bool{}
 	for _, rec := range tm.Trace() {
 		if seen[rec.Seq] {

@@ -63,9 +63,6 @@ func (r *TraceRecord) SetPoint(pt []float64) {
 	r.NumPoint = copy(r.Point[:], pt)
 }
 
-// ValuesSlice returns the populated prefix of Values (aliases the record).
-func (r *TraceRecord) ValuesSlice() []float64 { return r.Values[:r.NumValues] }
-
 // MarshalJSON emits the fixed-size coordinate arrays as trimmed slices.
 // Marshaling allocates; it runs only on export paths, never while serving.
 func (r TraceRecord) MarshalJSON() ([]byte, error) {
@@ -81,65 +78,36 @@ func (r TraceRecord) MarshalJSON() ([]byte, error) {
 	})
 }
 
-// TraceRing is a fixed-capacity ring of the most recent trace records. Its
-// mutex guards only plain-memory copies in and out of the preallocated
-// buffer, making it a leaf lock: Append never allocates and never calls
-// anything that could take another lock.
-type TraceRing struct {
+// traceRingSize is how many of a template's most recent records its ring
+// holds.
+const traceRingSize = 64
+
+// traceRing is a fixed-capacity ring of the most recent trace records; its
+// zero value is empty and ready. Its mutex guards only plain-memory copies
+// in and out of the inline buffer, making it a leaf lock: Append never
+// allocates and never calls anything that could take another lock.
+type traceRing struct {
 	mu  sync.Mutex
-	buf []TraceRecord
+	buf [traceRingSize]TraceRecord
 	n   uint64 // total records ever appended
 }
 
-// NewTraceRing creates a ring holding the last size records; size <= 0
-// returns nil (tracing disabled — all methods are nil-safe).
-func NewTraceRing(size int) *TraceRing {
-	if size <= 0 {
-		return nil
-	}
-	return &TraceRing{buf: make([]TraceRecord, size)}
-}
-
 // Append copies one record into the ring, overwriting the oldest.
-func (r *TraceRing) Append(rec *TraceRecord) {
-	if r == nil {
-		return
-	}
+func (r *traceRing) Append(rec *TraceRecord) {
 	r.mu.Lock()
-	r.buf[int(r.n%uint64(len(r.buf)))] = *rec
+	r.buf[r.n%traceRingSize] = *rec
 	r.n++
 	r.mu.Unlock()
 }
 
-// Len reports how many records the ring currently holds.
-func (r *TraceRing) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.n < uint64(len(r.buf)) {
-		return int(r.n)
-	}
-	return len(r.buf)
-}
-
 // Snapshot copies the retained records, oldest first.
-func (r *TraceRing) Snapshot() []TraceRecord {
-	if r == nil {
-		return nil
-	}
+func (r *traceRing) Snapshot() []TraceRecord {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	size := uint64(len(r.buf))
-	n := r.n
-	if n > size {
-		n = size
-	}
+	n := min(r.n, traceRingSize)
 	out := make([]TraceRecord, 0, n)
-	start := r.n - n
-	for i := uint64(0); i < n; i++ {
-		out = append(out, r.buf[int((start+i)%size)])
+	for seq := r.n - n; seq < r.n; seq++ {
+		out = append(out, r.buf[seq%traceRingSize])
 	}
 	return out
 }

@@ -30,16 +30,9 @@ type Optimizer struct {
 	faults *faults.Injector
 }
 
-// New creates an optimizer. A nil model uses DefaultCostModel.
+// New creates an optimizer under DefaultCostModel; SetModel replaces it.
 func New(db *tpch.Database, cat *catalog.Catalog) *Optimizer {
 	return &Optimizer{db: db, cat: cat, stats: stats.NewBase(cat), model: DefaultCostModel()}
-}
-
-// NewWithModel creates an optimizer with a custom cost model (used by the
-// drift experiments, which perturb the model mid-workload to shift plan
-// spaces).
-func NewWithModel(db *tpch.Database, cat *catalog.Catalog, model CostModel) *Optimizer {
-	return &Optimizer{db: db, cat: cat, stats: stats.NewBase(cat), model: model}
 }
 
 // SetModel replaces the cost model. Subsequent optimizations see the new

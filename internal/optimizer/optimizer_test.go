@@ -325,7 +325,8 @@ func TestFingerprintInsensitiveToParameterValues(t *testing.T) {
 func TestNoMergeJoinOnStringKey(t *testing.T) {
 	model := optimizer.DefaultCostModel()
 	model.CPUHash, model.CPUProbe = 1e6, 1e6
-	o := optimizer.NewWithModel(testDB, testCat, model)
+	o := optimizer.New(testDB, testCat)
+	o.SetModel(model)
 	for key, wantMerge := range map[string]bool{"p_size": true, "p_brand": false} {
 		sql := "SELECT COUNT(*) FROM part p1, part p2 WHERE p1." + key + " = p2." + key
 		plan, err := o.Optimize(sqlparse.MustParse(sql, queries.Schema), nil)

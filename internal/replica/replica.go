@@ -164,18 +164,9 @@ func (r *Replica) session(conn net.Conn) (welcomed bool, err error) {
 	}
 
 	conn.SetReadDeadline(time.Now().Add(idleTimeout)) //nolint:errcheck
-	t, body, err := c.ReadMsg()
+	_, body, err := c.ReadExpect(netproto.MsgWelcome)
 	if err != nil {
 		return false, err
-	}
-	if t == netproto.MsgError {
-		if em, derr := netproto.DecodeError(body); derr == nil {
-			return false, em
-		}
-		return false, fmt.Errorf("replica: leader rejected handshake")
-	}
-	if t != netproto.MsgWelcome {
-		return false, fmt.Errorf("replica: expected welcome, got %v", t)
 	}
 	w, err := netproto.DecodeWelcome(body)
 	if err != nil {
@@ -190,18 +181,9 @@ func (r *Replica) session(conn net.Conn) (welcomed bool, err error) {
 		// Full state transfer. Snapshots are the largest frames: give the
 		// read a generous multiple of the idle timeout.
 		conn.SetReadDeadline(time.Now().Add(4 * idleTimeout)) //nolint:errcheck
-		t, body, err := c.ReadMsg()
+		_, body, err := c.ReadExpect(netproto.MsgSnapshot)
 		if err != nil {
 			return false, err
-		}
-		if t == netproto.MsgError {
-			if em, derr := netproto.DecodeError(body); derr == nil {
-				return false, em
-			}
-			return false, fmt.Errorf("replica: leader aborted snapshot")
-		}
-		if t != netproto.MsgSnapshot {
-			return false, fmt.Errorf("replica: expected snapshot, got %v", t)
 		}
 		snap, err := netproto.DecodeSnapshot(body)
 		if err != nil {
@@ -220,7 +202,10 @@ func (r *Replica) session(conn net.Conn) (welcomed bool, err error) {
 	// applied-sequence ack, so the leader's clock paces both directions.
 	for {
 		conn.SetReadDeadline(time.Now().Add(idleTimeout)) //nolint:errcheck
-		t, body, err := c.ReadMsg()
+		// CodeSnapshotNeeded comes back here as an ErrorMsg when compaction
+		// outran the stream: reconnecting is the fix, since the leader sees
+		// a too-old resume position and ships a fresh snapshot.
+		t, body, err := c.ReadExpect(netproto.MsgRecords, netproto.MsgHeartbeat)
 		if err != nil {
 			if errors.Is(err, netproto.ErrBadFrame) {
 				obs.CountBadFrame()
@@ -252,16 +237,6 @@ func (r *Replica) session(conn net.Conn) (welcomed bool, err error) {
 			if err := c.WriteMsg(netproto.MsgHeartbeat, ack.Encode(nil)); err != nil {
 				return welcomed, err
 			}
-		case netproto.MsgError:
-			if em, derr := netproto.DecodeError(body); derr == nil {
-				// CodeSnapshotNeeded lands here when compaction outran the
-				// stream: reconnecting is the fix — the leader sees a
-				// too-old resume position and ships a fresh snapshot.
-				return welcomed, em
-			}
-			return welcomed, fmt.Errorf("replica: leader aborted stream")
-		default:
-			return welcomed, fmt.Errorf("replica: unexpected %v on a ship stream", t)
 		}
 	}
 }

@@ -92,10 +92,10 @@ const (
 	feedbackFixed   = 8 + 8 + 1 + 2
 	correctionFixed = 4 + 8 + 8 + 8
 
-	// DefaultSegmentBytes rotates segments at 4 MiB.
-	DefaultSegmentBytes = 4 << 20
-	// DefaultSyncInterval is the fsync cadence under SyncInterval.
-	DefaultSyncInterval = 100 * time.Millisecond
+	// defaultSegmentBytes rotates segments at 4 MiB.
+	defaultSegmentBytes = 4 << 20
+	// syncInterval is the fsync cadence under SyncInterval.
+	syncInterval = 100 * time.Millisecond
 )
 
 // walCRC is the Castagnoli polynomial table (the same family as the
@@ -197,10 +197,10 @@ const (
 	// observations together — so group commit amortizes the cost across
 	// the batch.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs on the first Commit after SyncInterval has
-	// elapsed since the previous sync, and a Commit that skips its fsync
-	// arms a timer that fsyncs when the interval is up, so a batch is
-	// durable within one interval whether or not another Commit follows.
+	// SyncInterval fsyncs on the first Commit 100ms or more after the
+	// previous sync, and a Commit that skips its fsync arms a timer that
+	// fsyncs when the 100ms are up, so a batch is durable within 100ms
+	// whether or not another Commit follows.
 	SyncInterval
 	// SyncNever leaves flushing to the OS page cache (Close still syncs).
 	SyncNever
@@ -238,8 +238,6 @@ type Options struct {
 	Dir string
 	// Sync is the fsync policy (default SyncAlways).
 	Sync SyncPolicy
-	// SyncInterval is the fsync cadence under SyncInterval (default 100ms).
-	SyncInterval time.Duration
 	// SegmentBytes rotates segments past this size (default 4 MiB).
 	SegmentBytes int64
 	// Faults optionally injects disk faults (short write, fsync error,
@@ -254,11 +252,8 @@ func (o Options) withDefaults() Options {
 	if o.Observer == nil {
 		o.Observer = &obsv.WALObs{}
 	}
-	if o.SyncInterval <= 0 {
-		o.SyncInterval = DefaultSyncInterval
-	}
 	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = DefaultSegmentBytes
+		o.SegmentBytes = defaultSegmentBytes
 	}
 	return o
 }
@@ -845,12 +840,12 @@ func (l *Log) Commit() error {
 		return l.syncLocked()
 	case SyncInterval:
 		since := time.Since(l.lastSync)
-		if since >= l.opts.SyncInterval {
+		if since >= syncInterval {
 			return l.syncLocked()
 		}
 		if l.tail == nil && !l.closed {
 			var t *time.Timer
-			t = time.AfterFunc(l.opts.SyncInterval-since, func() {
+			t = time.AfterFunc(syncInterval-since, func() {
 				l.mu.Lock()
 				defer l.mu.Unlock()
 				if l.tail == t {

@@ -392,44 +392,30 @@ func TestSyncPolicies(t *testing.T) {
 		}
 	}
 
-	// SyncInterval: the first commit after the interval syncs, commits
-	// inside the window do not (observable via the observer's sync count).
-	obs := &obsv.WALObs{}
-	l, _ := openTest(t, Options{Dir: t.TempDir(), Sync: SyncInterval, SyncInterval: time.Hour, Observer: obs})
-	if _, err := l.Append(testRecord("Q0", 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if got := obs.Snapshot().Syncs; got != 0 {
-		t.Fatalf("interval commit synced %d times inside the window", got)
-	}
-	if err := l.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if got := obs.Snapshot().Syncs; got != 1 {
-		t.Fatalf("explicit Sync recorded %d syncs, want 1", got)
-	}
 }
 
-// TestIntervalCommitSyncsItsTail: under SyncInterval a Commit inside the
-// interval skips its fsync, and with no Commit after it the batch is still
-// fsynced within about one interval — the bounded loss window the policy
-// promises. The timer it leaves fires once; Close disarms one it finds armed.
+// TestIntervalCommitSyncsItsTail: under SyncInterval an explicit Sync
+// counts one fsync, a Commit inside the interval skips its fsync, and with
+// no Commit after it the batch is still fsynced within about one interval —
+// the bounded loss window the policy promises. The timer it leaves fires
+// once; Close disarms one it finds armed.
 func TestIntervalCommitSyncsItsTail(t *testing.T) {
-	const interval = 20 * time.Millisecond
+	const interval = syncInterval
 	obs := &obsv.WALObs{}
-	l, _ := openTest(t, Options{Dir: t.TempDir(), Sync: SyncInterval, SyncInterval: interval, Observer: obs})
+	l, _ := openTest(t, Options{Dir: t.TempDir(), Sync: SyncInterval, Observer: obs})
 	// skippedCommit syncs, then appends and commits at once, so that the
 	// Commit falls inside the interval; it retries on a host slow enough to
 	// let the interval pass in between. It returns the sync count.
 	skippedCommit := func() uint64 {
 		for try := 0; try < 10; try++ {
+			before := obs.Snapshot().Syncs
 			if err := l.Sync(); err != nil {
 				t.Fatal(err)
 			}
 			synced := obs.Snapshot().Syncs
+			if synced != before+1 {
+				t.Fatalf("explicit Sync recorded %d syncs, want 1", synced-before)
+			}
 			if _, err := l.Append(testRecord("Q0", try)); err != nil {
 				t.Fatal(err)
 			}

@@ -133,7 +133,7 @@ func (st *templateState) metrics() TemplateMetrics {
 			SynopsisBytes:      model.MemoryBytes(),
 			Validated:          st.online.Validated(),
 			SelfLabeled:        st.online.SelfLabeled(),
-			Resets:             st.online.Resets(),
+			Resets:             int(st.online.Epoch()),
 			SnapshotPublishes:  st.online.Publishes(),
 			StaleFeedbackDrops: st.online.StaleFeedbackDrops(),
 			QueueDepth:         depth,
@@ -183,8 +183,8 @@ func (s *System) TemplateMetrics(template string) (tm TemplateMetrics, err error
 	return st.metrics(), nil
 }
 
-// TemplateTrace returns the template's most recent decision traces, oldest
-// first (nil when tracing is disabled via Options.TraceRingSize < 0).
+// TemplateTrace returns the template's most recent decision traces (at
+// most 64), oldest first.
 func (s *System) TemplateTrace(template string) ([]obsv.TraceRecord, error) {
 	st, err := s.lookup(template)
 	if err != nil {

@@ -228,7 +228,7 @@ func TestMetricsSnapshotMatchesRunResults(t *testing.T) {
 			last.ExecuteNs != res.ExecuteTime.Nanoseconds() {
 			t.Errorf("%s: last trace timings do not match result", name)
 		}
-		vals := last.ValuesSlice()
+		vals := last.Values[:last.NumValues]
 		if len(vals) != len(res.Values) {
 			t.Fatalf("%s: trace values length %d, want %d", name, len(vals), len(res.Values))
 		}
@@ -415,14 +415,12 @@ func TestMetricsQuiescentIdentities(t *testing.T) {
 	}
 }
 
-// TestTraceRingOption: a custom ring size keeps that many of the most
-// recent records, numbered by completion: the last one's Seq is the run
-// count.
+// TestTraceRingOption: the trace ring keeps the 64 most recent records,
+// numbered by completion: the last one's Seq is the run count.
 func TestTraceRingOption(t *testing.T) {
 	sys, err := Open(Options{
-		TPCH:          tpch.Config{Scale: 1000, Seed: 5},
-		Online:        onlineForTest(),
-		TraceRingSize: 8,
+		TPCH:   tpch.Config{Scale: 1000, Seed: 5},
+		Online: onlineForTest(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -432,7 +430,7 @@ func TestTraceRingOption(t *testing.T) {
 	}
 	tmpl, _ := sys.Template("Q1")
 	rng := rand.New(rand.NewSource(4))
-	const runs = 20
+	const ring, runs = 64, 70
 	for i := 0; i < runs; i++ {
 		point := []float64{0.4 + rng.Float64()*0.05, 0.4 + rng.Float64()*0.05}
 		inst, err := sys.Optimizer().InstanceAt(tmpl, point)
@@ -447,52 +445,11 @@ func TestTraceRingOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(trace) != 8 {
-		t.Fatalf("custom ring size: trace length = %d, want 8", len(trace))
+	if len(trace) != ring {
+		t.Fatalf("trace length = %d after %d runs, want %d", len(trace), runs, ring)
 	}
 	if last := trace[len(trace)-1].Seq; last != runs {
 		t.Errorf("last trace seq = %d, want %d", last, runs)
-	}
-}
-
-func TestTraceDisabled(t *testing.T) {
-	sys, err := Open(Options{
-		TPCH:          tpch.Config{Scale: 1000, Seed: 5},
-		Online:        onlineForTest(),
-		TraceRingSize: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Register("Q0", sqlFor(t, "Q0")); err != nil {
-		t.Fatal(err)
-	}
-	tmpl, _ := sys.Template("Q0")
-	point := make([]float64, tmpl.Degree())
-	for i := range point {
-		point[i] = 0.5
-	}
-	inst, err := sys.Optimizer().InstanceAt(tmpl, point)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Run("Q0", inst.Values); err != nil {
-		t.Fatal(err)
-	}
-	trace, err := sys.TemplateTrace("Q0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if trace != nil {
-		t.Errorf("tracing disabled but trace = %v", trace)
-	}
-	// Counters still work with tracing off.
-	snap, err := sys.MetricsSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Templates[0].Counters.Runs != 1 {
-		t.Errorf("runs = %d, want 1", snap.Templates[0].Counters.Runs)
 	}
 }
 

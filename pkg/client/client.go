@@ -1,8 +1,6 @@
 // Package client is the Go client for the PPC serving fleet's binary
 // protocol (internal/netproto): predict RPCs against a leader or any
-// predict-only replica, over pooled TCP connections with per-call
-// deadlines, bounded retry with exponential backoff, and backpressure via
-// an in-flight cap.
+// predict-only replica, over pooled TCP connections.
 //
 // Usage:
 //
@@ -15,6 +13,15 @@
 // A result with StatusNoPrediction is an answer, not an error: the learner
 // declined (warm-up, low confidence) and the caller should fall back to
 // its optimizer path, exactly as the in-process serving path would.
+//
+// The deadlines, retries and in-flight cap are fixed. A connection attempt
+// gets 2s and a call (its write and its response read) 2s. A transport
+// failure is retried at most twice on a fresh connection, after 25ms and
+// then 50ms; a typed protocol rejection is never retried. At most 64 calls
+// are in flight: callers past the cap block until a slot frees, so
+// backpressure degrades caller latency instead of piling unbounded work
+// onto a struggling server. Dial pings the server, so a wrong address or
+// version fails there, not on the first call.
 package client
 
 import (
@@ -25,8 +32,19 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/faults"
 	"repro/internal/netproto"
+)
+
+const (
+	// dialTimeout bounds one connection attempt, callTimeout one call.
+	dialTimeout = 2 * time.Second
+	callTimeout = 2 * time.Second
+	// maxRetries bounds the retries after transport failures; the first
+	// waits retryBackoff and each later one twice the one before.
+	maxRetries   = 2
+	retryBackoff = 25 * time.Millisecond
+	// maxInFlight caps concurrent calls.
+	maxInFlight = 64
 )
 
 // Options configures a Client.
@@ -35,52 +53,9 @@ type Options struct {
 	Addr string
 	// PoolSize caps pooled idle connections (default 4). A call checks a
 	// connection out exclusively and dials a fresh one when none is idle,
-	// so PoolSize bounds only what is kept between calls; MaxInFlight
-	// bounds concurrent calls, each holding one connection.
+	// so PoolSize bounds only what is kept between calls; the in-flight
+	// cap bounds concurrent calls, each holding one connection.
 	PoolSize int
-	// DialTimeout bounds one connection attempt (default 2s).
-	DialTimeout time.Duration
-	// CallTimeout is the per-call deadline covering the write and the
-	// response read (default 2s).
-	CallTimeout time.Duration
-	// MaxRetries bounds transparent retries after transport failures
-	// (default 2; typed protocol rejections are never retried).
-	MaxRetries int
-	// RetryBackoff is the first retry's delay, doubling per attempt
-	// (default 25ms).
-	RetryBackoff time.Duration
-	// MaxInFlight caps concurrent calls; callers past the cap block until
-	// a slot frees (default 64). Backpressure degrades caller latency
-	// instead of piling unbounded work onto a struggling server.
-	MaxInFlight int
-	// Lazy skips the eager liveness probe in Dial.
-	Lazy bool
-	// Faults optionally injects wire faults into outbound frames.
-	Faults *faults.Injector
-}
-
-func (o Options) withDefaults() Options {
-	if o.PoolSize <= 0 {
-		o.PoolSize = 4
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 2 * time.Second
-	}
-	if o.CallTimeout <= 0 {
-		o.CallTimeout = 2 * time.Second
-	}
-	if o.MaxRetries < 0 {
-		o.MaxRetries = 0
-	} else if o.MaxRetries == 0 {
-		o.MaxRetries = 2
-	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 25 * time.Millisecond
-	}
-	if o.MaxInFlight <= 0 {
-		o.MaxInFlight = 64
-	}
-	return o
 }
 
 // ErrClosed reports a call on a closed client.
@@ -97,18 +72,18 @@ type Client struct {
 	closed bool
 }
 
-// Dial validates the options and (unless Lazy) probes the server with a
-// ping so a wrong address or version fails here, not on the first call.
+// Dial validates the options and probes the server with a ping so a wrong
+// address or version fails here, not on the first call.
 func Dial(opts Options) (*Client, error) {
-	opts = opts.withDefaults()
 	if opts.Addr == "" {
 		return nil, fmt.Errorf("client: empty address")
 	}
-	c := &Client{opts: opts, sem: make(chan struct{}, opts.MaxInFlight)}
-	if !opts.Lazy {
-		if err := c.Ping(); err != nil {
-			return nil, err
-		}
+	if opts.PoolSize <= 0 {
+		opts.PoolSize = 4
+	}
+	c := &Client{opts: opts, sem: make(chan struct{}, maxInFlight)}
+	if err := c.Ping(); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -128,8 +103,8 @@ func (c *Client) Close() error {
 }
 
 // Predict asks the server for a plan prediction. Transport failures are
-// retried (bounded, with backoff) on a fresh connection; typed protocol
-// rejections come back as *netproto.ErrorMsg-wrapped errors without retry.
+// retried (bounded, with backoff) on a fresh connection; a typed protocol
+// rejection comes back as a netproto.ErrorMsg without retry.
 // A StatusNoPrediction result has a nil error — NULL is an answer.
 func (c *Client) Predict(template string, point []float64) (netproto.PredictResult, error) {
 	req := netproto.PredictRequest{
@@ -142,28 +117,19 @@ func (c *Client) Predict(template string, point []float64) (netproto.PredictResu
 		if werr := conn.WriteMsg(netproto.MsgPredict, req.Encode(scratch[:0])); werr != nil {
 			return werr
 		}
-		t, body, rerr := conn.ReadMsg()
+		_, body, rerr := conn.ReadExpect(netproto.MsgPredictResult)
 		if rerr != nil {
 			return rerr
 		}
-		switch t {
-		case netproto.MsgPredictResult:
-			r, derr := netproto.DecodePredictResult(body)
-			if derr != nil {
-				return derr
-			}
-			if r.ID != req.ID {
-				return fmt.Errorf("client: response id %d for request %d", r.ID, req.ID)
-			}
-			res = r
-			return nil
-		case netproto.MsgError:
-			if em, derr := netproto.DecodeError(body); derr == nil {
-				return em
-			}
-			return fmt.Errorf("client: malformed server error")
+		r, derr := netproto.DecodePredictResult(body)
+		if derr != nil {
+			return derr
 		}
-		return fmt.Errorf("client: unexpected %v response", t)
+		if r.ID != req.ID {
+			return fmt.Errorf("client: response id %d for request %d", r.ID, req.ID)
+		}
+		res = r
+		return nil
 	})
 	if err != nil {
 		return netproto.PredictResult{}, err
@@ -177,19 +143,8 @@ func (c *Client) Ping() error {
 		if err := conn.WriteMsg(netproto.MsgPing, nil); err != nil {
 			return err
 		}
-		t, body, err := conn.ReadMsg()
-		if err != nil {
-			return err
-		}
-		if t == netproto.MsgError {
-			if em, derr := netproto.DecodeError(body); derr == nil {
-				return em
-			}
-		}
-		if t != netproto.MsgPong {
-			return fmt.Errorf("client: unexpected %v response to ping", t)
-		}
-		return nil
+		_, _, err := conn.ReadExpect(netproto.MsgPong)
+		return err
 	})
 }
 
@@ -203,9 +158,9 @@ func (c *Client) call(fn func(conn *netproto.Conn, scratch []byte) error) error 
 	defer func() { <-c.sem }()
 
 	var scratch [256]byte
-	backoff := c.opts.RetryBackoff
+	backoff := retryBackoff
 	var lastErr error
-	for attempt := 0; attempt <= c.opts.MaxRetries; attempt++ {
+	for attempt := 0; attempt <= maxRetries; attempt++ {
 		if attempt > 0 {
 			time.Sleep(backoff)
 			backoff *= 2
@@ -218,8 +173,7 @@ func (c *Client) call(fn func(conn *netproto.Conn, scratch []byte) error) error 
 			lastErr = err
 			continue
 		}
-		deadline := time.Now().Add(c.opts.CallTimeout)
-		conn.NetConn().SetDeadline(deadline) //nolint:errcheck
+		conn.NetConn().SetDeadline(time.Now().Add(callTimeout)) //nolint:errcheck
 		err = fn(conn, scratch[:])
 		if err == nil {
 			c.put(conn)
@@ -254,13 +208,13 @@ func (c *Client) get() (*netproto.Conn, error) {
 	}
 	c.mu.Unlock()
 
-	raw, err := net.DialTimeout("tcp", c.opts.Addr, c.opts.DialTimeout)
+	raw, err := net.DialTimeout("tcp", c.opts.Addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", c.opts.Addr, err)
 	}
-	conn := netproto.NewConn(raw, c.opts.Faults)
+	conn := netproto.NewConn(raw, nil)
 	hello := netproto.Hello{Version: netproto.Version, Role: netproto.RoleClient}
-	raw.SetWriteDeadline(time.Now().Add(c.opts.DialTimeout)) //nolint:errcheck
+	raw.SetWriteDeadline(time.Now().Add(dialTimeout)) //nolint:errcheck
 	if err := conn.WriteMsg(netproto.MsgHello, hello.Encode(nil)); err != nil {
 		raw.Close() //nolint:errcheck
 		return nil, err

@@ -2,6 +2,7 @@ package client
 
 import (
 	"errors"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,14 +12,21 @@ import (
 	"repro/internal/replica"
 )
 
-// echoPredictor answers every request with a fixed plan and counts calls.
+// echoPredictor answers every request with a fixed plan, counts calls and
+// keeps the most calls it has seen in flight at once.
 type echoPredictor struct {
-	calls atomic.Int64
-	delay time.Duration
+	calls    atomic.Int64
+	inFlight atomic.Int64
+	peak     atomic.Int64
+	delay    time.Duration
 }
 
 func (p *echoPredictor) PredictRPC(req netproto.PredictRequest) netproto.PredictResult {
 	p.calls.Add(1)
+	n := p.inFlight.Add(1)
+	defer p.inFlight.Add(-1)
+	for old := p.peak.Load(); n > old && !p.peak.CompareAndSwap(old, n); old = p.peak.Load() {
+	}
 	if p.delay > 0 {
 		time.Sleep(p.delay)
 	}
@@ -77,9 +85,10 @@ func TestPredictRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDialFailsFastOnBadAddr: a refused port fails each attempt at once,
+// so Dial gives up after the retries' 75ms of backoff.
 func TestDialFailsFastOnBadAddr(t *testing.T) {
-	if _, err := Dial(Options{Addr: "127.0.0.1:1", DialTimeout: 200 * time.Millisecond,
-		MaxRetries: -1, RetryBackoff: time.Millisecond}); err == nil {
+	if _, err := Dial(Options{Addr: "127.0.0.1:1"}); err == nil {
 		t.Fatal("dial to a dead port succeeded")
 	}
 	if _, err := Dial(Options{}); err == nil {
@@ -92,7 +101,7 @@ func TestDialFailsFastOnBadAddr(t *testing.T) {
 func TestRetryAfterConnectionLoss(t *testing.T) {
 	pred := &echoPredictor{}
 	srv := newServer(t, pred)
-	cl, err := Dial(Options{Addr: srv.Addr(), RetryBackoff: 5 * time.Millisecond})
+	cl, err := Dial(Options{Addr: srv.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,20 +123,72 @@ func TestRetryAfterConnectionLoss(t *testing.T) {
 }
 
 // TestVersionMismatchSurfaced: a server that rejects the client's protocol
-// version must produce a typed, non-retried error on the first call.
+// version must produce a typed, non-retried error at Dial.
+func TestVersionMismatchSurfaced(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var conns atomic.Int64
+	var wg sync.WaitGroup
+	t.Cleanup(func() {
+		ln.Close() //nolint:errcheck
+		wg.Wait()
+	})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			raw, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conns.Add(1)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer raw.Close() //nolint:errcheck
+				c := netproto.NewConn(raw, nil)
+				if mt, _, err := c.ReadMsg(); err != nil || mt != netproto.MsgHello {
+					return
+				}
+				reject := netproto.ErrorMsg{Code: netproto.CodeVersionMismatch, Msg: "server speaks v0"}
+				c.WriteMsg(netproto.MsgError, reject.Encode(nil)) //nolint:errcheck
+				c.ReadMsg()                                       //nolint:errcheck // until the client hangs up
+			}()
+		}
+	}()
+
+	cl, err := Dial(Options{Addr: ln.Addr().String()})
+	if err == nil {
+		cl.Close() //nolint:errcheck
+		t.Fatal("Dial accepted a server that rejects its version")
+	}
+	var em netproto.ErrorMsg
+	if !errors.As(err, &em) || em.Code != netproto.CodeVersionMismatch {
+		t.Fatalf("Dial error = %v, want a netproto.ErrorMsg with CodeVersionMismatch", err)
+	}
+	// A retry would dial again, and its rejection would precede Dial's
+	// return, so the count is final here.
+	if n := conns.Load(); n != 1 {
+		t.Errorf("the server saw %d connections, want 1: a typed rejection was retried", n)
+	}
+}
+
+// TestConcurrentCallsUnderInFlightCap: more calls than the in-flight cap
+// run at once, and the server never sees more than the cap of them.
 func TestConcurrentCallsUnderInFlightCap(t *testing.T) {
 	pred := &echoPredictor{delay: 10 * time.Millisecond}
 	srv := newServer(t, pred)
-	cl, err := Dial(Options{Addr: srv.Addr(), MaxInFlight: 2, PoolSize: 2})
+	cl, err := Dial(Options{Addr: srv.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close() //nolint:errcheck
 
-	const calls = 16
+	const calls = 3 * maxInFlight
 	var wg sync.WaitGroup
 	errs := make(chan error, calls)
-	start := time.Now()
 	for i := 0; i < calls; i++ {
 		wg.Add(1)
 		go func() {
@@ -143,20 +204,22 @@ func TestConcurrentCallsUnderInFlightCap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// 16 calls at 10ms on 2 slots cannot finish faster than ~80ms; the cap
-	// is real backpressure, not a hint.
-	if elapsed := time.Since(start); elapsed < 60*time.Millisecond {
-		t.Errorf("16 capped calls finished in %v; in-flight cap not enforced", elapsed)
+	// The cap is real backpressure, not a hint.
+	if peak := pred.peak.Load(); peak > maxInFlight {
+		t.Errorf("the server saw %d calls in flight at once; the cap is %d", peak, maxInFlight)
 	}
 }
 
+// TestCallTimeout: a server slower than the call deadline fails every
+// attempt, so a call waits out three 2s deadlines and the 75ms of backoff
+// between them.
 func TestCallTimeout(t *testing.T) {
+	if testing.Short() {
+		t.Skip("waits out three 2s call deadlines")
+	}
 	pred := &echoPredictor{delay: 2 * time.Second}
 	srv := newServer(t, pred)
-	cl, err := Dial(Options{
-		Addr: srv.Addr(), CallTimeout: 100 * time.Millisecond,
-		MaxRetries: -1, RetryBackoff: time.Millisecond, Lazy: true,
-	})
+	cl, err := Dial(Options{Addr: srv.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,8 +228,12 @@ func TestCallTimeout(t *testing.T) {
 	if _, err := cl.Predict("Q1", []float64{0.5}); err == nil {
 		t.Fatal("slow server call did not time out")
 	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Errorf("timeout took %v, want ~100ms", elapsed)
+	elapsed := time.Since(start)
+	if n := pred.calls.Load(); n != maxRetries+1 {
+		t.Errorf("the server saw %d calls, want %d attempts", n, maxRetries+1)
+	}
+	if elapsed < 6*time.Second || elapsed > 8*time.Second {
+		t.Errorf("timeout took %v, want 3 × 2s deadlines plus backoff, in [6s, 8s]", elapsed)
 	}
 }
 

@@ -60,11 +60,6 @@ type Options struct {
 	// executor, learner and snapshot writer (chaos testing). nil disables
 	// injection.
 	Faults *faults.Injector
-	// TraceRingSize bounds the per-template ring of recent decision traces
-	// (default 64; negative disables tracing). The ring is preallocated and
-	// appends are plain-memory copies, so tracing never allocates on the
-	// serving path.
-	TraceRingSize int
 	// FeedbackQueue bounds each template's feedback mailbox — the queue
 	// between the lock-free serving path and the background apply goroutine
 	// (default 256). A run that learned something — its learner step's
@@ -98,6 +93,10 @@ type Options struct {
 	// (stats.Distorted) and watch the corrections repair it, and the
 	// binding tests count the columns a run resolves.
 	statsWrap func(stats.Provider) stats.Provider
+	// walSegmentBytes, when positive, rotates WAL segments past this size
+	// in place of the log's 4 MiB. It is a test seam, like statsWrap: a
+	// durability test rotates small segments to make compaction reach them.
+	walSegmentBytes int64
 }
 
 // withDefaults fills the facade's defaults, or reports a field the facade
@@ -123,12 +122,6 @@ func (o Options) withDefaults() (Options, error) {
 	// feedback (Section IV-E).
 	if o.Online.InvocationProb == 0 {
 		o.Online.InvocationProb = 0.05
-	}
-	if o.TraceRingSize == 0 {
-		o.TraceRingSize = 64
-	}
-	if o.TraceRingSize < 0 {
-		o.TraceRingSize = 0
 	}
 	if o.FeedbackQueue == 0 {
 		o.FeedbackQueue = defaultFeedbackQueue
@@ -469,7 +462,7 @@ func Open(opts Options) (*System, error) {
 		exec:      executor.New(db),
 		reg:       optimizer.NewRegistry(),
 		templates: make(map[string]*templateState),
-		obs:       obsv.NewRegistry(opts.TraceRingSize),
+		obs:       obsv.NewRegistry(),
 		opts:      opts,
 	}
 	s.cacheObs = s.obs.Cache()
