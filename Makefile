@@ -155,7 +155,12 @@ fuzz:
 # frame), leader/replica servers under fault injection (epoch fencing,
 # admission, chaos), the client library (TestCallTimeout, which waits out
 # three 2s call deadlines, runs here and not under cover's -short), the
-# in-process System-level contracts, and finally the process-boundary
+# in-process System-level contracts (among them the lineage rule,
+# TestReplicationLineageStableAcrossRestart: a restart that lost state is a
+# new lineage; TestLeaderRestartCorruptCheckpointNewLineage: a replica
+# fenced out by one ends byte-equal to the leader; and
+# TestLeaderRestartFromOlderImageResnapshotsReplica: a replica past the
+# restarted leader's log gets a snapshot), and finally the process-boundary
 # failover test — leader under
 # load, replica attached, leader SIGKILLed and restarted — against the real
 # ppcserve and ppcreplica binaries. BenchmarkShipLoop (the leader's poll →

@@ -18,7 +18,8 @@ import (
 //
 // Layout under Dir:
 //
-//	checkpoint.ppc   the latest SaveState snapshot (atomically replaced)
+//	checkpoint.ppc   the latest SaveState snapshot and the leader lineage
+//	                 epoch (atomically replaced)
 //	wal/wal-*.log    feedback records newer than the checkpoint
 //
 // Recovery at Open: load the checkpoint (degrading to cold learners on
@@ -27,7 +28,8 @@ import (
 // checkpoint does not contain are held aside and replayed when the
 // template is registered — so a corrupt checkpoint with an intact WAL
 // still recovers every logged point once the application re-registers its
-// templates.
+// templates. A recovery that lost anything starts a new lineage (see
+// System.ReplicationEpoch) and checkpoints it before Open returns.
 type Durability struct {
 	// Dir is the durability directory; empty disables the layer.
 	Dir string
@@ -96,8 +98,10 @@ func (s *System) openDurable() error {
 	// contract) and the WAL tail below recovers what it can.
 	ckPath := filepath.Join(d.Dir, checkpointName)
 	var report *LoadReport
+	var epoch uint64
 	if f, oerr := os.Open(ckPath); oerr == nil {
-		lerr := s.LoadState(f)
+		var lerr error
+		epoch, lerr = s.loadState(f)
 		f.Close() //nolint:errcheck
 		if lerr != nil {
 			return lerr // non-degradable: wrong database, non-fresh System
@@ -140,6 +144,22 @@ func (s *System) openDurable() error {
 	// WAL sink in registerLocked (s.wal is already set when LoadState
 	// re-registers the saved templates above).
 	report.RecoveryDuration = time.Since(t0)
+
+	// A recovery that kept everything continues the checkpoint's lineage.
+	// Anything else — a first boot, a missing or damaged checkpoint, a
+	// template left cold, a plan dropped, WAL quarantine, a checkpoint that
+	// carries no epoch — is a new history that may lack records a replica
+	// applied, so it starts a new lineage, made durable by a checkpoint
+	// before any replica can be told of it.
+	s.lineage = epoch
+	if epoch == 0 || report.Corrupt {
+		if s.lineage, err = mintLineage(); err != nil {
+			return err
+		}
+		if err := s.Checkpoint(); err != nil {
+			return err
+		}
+	}
 
 	if every := d.CheckpointInterval; every >= 0 {
 		if every == 0 {

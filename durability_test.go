@@ -138,6 +138,14 @@ func crashImage(t *testing.T, src string) string {
 // lastSegment returns the path of the newest WAL segment under dir.
 func lastSegment(t *testing.T, dir string) string {
 	t.Helper()
+	segs := walSegments(t, dir)
+	return segs[len(segs)-1]
+}
+
+// walSegments returns the paths of the WAL segments under dir, oldest
+// first.
+func walSegments(t *testing.T, dir string) []string {
+	t.Helper()
 	entries, err := os.ReadDir(filepath.Join(dir, "wal"))
 	if err != nil {
 		t.Fatal(err)
@@ -145,14 +153,14 @@ func lastSegment(t *testing.T, dir string) string {
 	var segs []string
 	for _, e := range entries {
 		if strings.HasPrefix(e.Name(), "wal-") && strings.HasSuffix(e.Name(), ".log") {
-			segs = append(segs, e.Name())
+			segs = append(segs, filepath.Join(dir, "wal", e.Name()))
 		}
 	}
 	if len(segs) == 0 {
 		t.Fatal("no WAL segments")
 	}
 	sort.Strings(segs)
-	return filepath.Join(dir, "wal", segs[len(segs)-1])
+	return segs
 }
 
 // mustScan runs the read-only WAL scanner — the independent ground truth
@@ -542,9 +550,10 @@ func TestCrashRecoveryUnderAppendFaults(t *testing.T) {
 	rep := sys2.LoadStateReport()
 	got := triple(t, sys2)
 	fbCount, fbLast := feedbackTail(scan)
-	// The recovered state holds exactly the scanned records (there is no
-	// checkpoint, so everything — feedback and corrections — replays at
-	// Register), and the synopsis holds exactly the feedback subset.
+	// The recovered state holds exactly the scanned records (the one
+	// checkpoint, first boot's, predates Q1, so everything — feedback and
+	// corrections — replays at Register), and the synopsis holds exactly
+	// the feedback subset.
 	if rep.WALReplayed != len(scan.Records) {
 		t.Errorf("replayed %d of %d scanned records", rep.WALReplayed, len(scan.Records))
 	}

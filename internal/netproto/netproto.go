@@ -481,13 +481,16 @@ type PlanState struct {
 }
 
 // Snapshot is a System's learned state, the one form a checkpoint file and
-// the replica ship stream both carry: the database it was learned on, every
+// the replica ship stream both carry: Epoch, the leader lineage epoch (0 when
+// the writer had no durability), the database it was learned on, every
 // template's SQL and learner encoding, and the plan fingerprint table (dense
-// plan id -> fingerprint). A checkpoint adds Plans, the plan cache least
-// recently used first; the ship stream leaves it empty and stamps Epoch, the
-// leader lineage epoch, and BaseSeq, the WAL sequence floor the snapshot
-// covers — the shipped tail starts there, and per-template applied-sequence
-// watermarks inside the learner encodings make the overlap idempotent.
+// plan id -> fingerprint). A durable leader's checkpoint is where its
+// lineage lives: Open adopts the epoch only when it recovered everything
+// the checkpoint and the log hold. A checkpoint adds Plans, the plan cache
+// least recently used first; the ship stream leaves it empty and stamps
+// BaseSeq, the WAL sequence floor the snapshot covers — the shipped tail
+// starts there, and per-template applied-sequence watermarks inside the
+// learner encodings make the overlap idempotent.
 type Snapshot struct {
 	Epoch        uint64
 	BaseSeq      uint64

@@ -20,7 +20,6 @@
 package obsv
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,18 +60,6 @@ func (r *Registry) Template(name string) *TemplateObs {
 		r.templates[name] = t
 	}
 	return t
-}
-
-// TemplateNames returns the known template names, sorted.
-func (r *Registry) TemplateNames() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.templates))
-	for n := range r.templates {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Cache returns the shared plan cache's counters.

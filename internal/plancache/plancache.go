@@ -32,7 +32,6 @@ type Cache struct {
 	entries   map[int]*list.Element // planID -> element in lru
 	lru       *list.List            // front = most recently used
 	precision PrecisionFunc
-	evictions int
 }
 
 // New creates a cache holding at most capacity plans. precision may be nil,
@@ -124,7 +123,6 @@ func (c *Cache) evict() int {
 	e := worst.el.Value.(*entry)
 	c.lru.Remove(worst.el)
 	delete(c.entries, e.id)
-	c.evictions++
 	return e.id
 }
 
@@ -143,6 +141,3 @@ func (c *Cache) Len() int { return c.lru.Len() }
 
 // Capacity returns the configured bound.
 func (c *Cache) Capacity() int { return c.capacity }
-
-// Evictions returns the number of evictions performed.
-func (c *Cache) Evictions() int { return c.evictions }

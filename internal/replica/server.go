@@ -323,12 +323,16 @@ func (s *Server) serveReplica(c *netproto.Conn, hello netproto.Hello) {
 	}
 
 	// Resume only a follower from this lineage whose next record is still
-	// on disk; everything else gets a fresh snapshot.
-	resume := hello.Epoch == epoch && hello.LastSeq+1 >= src.WALFirstSeq()
+	// on disk and whose position the log has reached; everything else gets
+	// a fresh snapshot. A follower past the tail applied records this log
+	// no longer holds (the leader restarted from an older image), and the
+	// sequence numbers it would wait for will name other records.
+	last := src.WALLastSeq()
+	resume := hello.Epoch == epoch && hello.LastSeq+1 >= src.WALFirstSeq() && hello.LastSeq <= last
 	after := hello.LastSeq
 
 	c.NetConn().SetWriteDeadline(time.Now().Add(writeTimeout)) //nolint:errcheck
-	welcome := netproto.Welcome{Version: netproto.Version, Resume: resume, Epoch: epoch, LastSeq: src.WALLastSeq()}
+	welcome := netproto.Welcome{Version: netproto.Version, Resume: resume, Epoch: epoch, LastSeq: last}
 	if err := c.WriteMsg(netproto.MsgWelcome, welcome.Encode(nil)); err != nil {
 		return
 	}

@@ -238,7 +238,8 @@ func TestStateTemplatesFollowInstallAndFence(t *testing.T) {
 // TestStateRefusesAGap: a batch that does not continue what the state holds
 // — its first record past receivedSeq+1, or a jump inside it — is refused
 // and changes neither receivedSeq nor the learner; a batch that overlaps it
-// applies only what is new, as a twin given exactly that.
+// applies only what is new, as a twin given exactly that; and an installed
+// snapshot's BaseSeq is the position the next batch continues.
 func TestStateRefusesAGap(t *testing.T) {
 	state := core.MustNewOnline(core.OnlineConfig{Core: core.Config{Dims: 2, Seed: 5}, Seed: 17}, stubEnv{}).EncodeState(nil)
 	install := func() *State {
@@ -300,6 +301,20 @@ func TestStateRefusesAGap(t *testing.T) {
 	apply(twin, batch(13, 14))
 	if !bytes.Equal(learner(st), learner(twin)) {
 		t.Fatal("the overlapping batch left a learner unlike its twin's")
+	}
+
+	// A snapshot replaces the state wholesale, its position too: one cut
+	// below what the state holds moves receivedSeq back to its BaseSeq, so
+	// a reconnect asks for the records past the snapshot, not past state
+	// the snapshot discarded.
+	if err := st.Install(&netproto.Snapshot{Epoch: 1, BaseSeq: 8, Templates: []netproto.TemplateState{{Name: "Q1", State: state}}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.ReceivedSeq(); got != 8 {
+		t.Fatalf("receivedSeq %d after installing a snapshot at seq 8, want 8", got)
+	}
+	if applied := apply(st, batch(9, 10)); applied != 2 || st.ReceivedSeq() != 10 {
+		t.Fatalf("the tail past the snapshot applied %d records, receivedSeq %d; want 2 and 10", applied, st.ReceivedSeq())
 	}
 }
 

@@ -18,7 +18,8 @@
 //     sequence watermarks make the snapshot/stream overlap harmless, and
 //     record epochs reproduce drift resets.
 //   - Epoch fencing: every stream is stamped with the leader's lineage
-//     epoch (a random 64-bit value persisted beside its WAL). A replica
+//     epoch (a random 64-bit value its checkpoint carries, new whenever a
+//     leader's recovery lost anything). A replica
 //     reconnecting to a different lineage discards everything it holds
 //     before installing the new snapshot — stale state is never served
 //     across a lineage change.
@@ -130,7 +131,9 @@ func (s *State) Fence(epoch uint64) bool {
 // rejected with ErrEpochFenced (stale by definition — it was cut by a
 // leader this session is not talking to); the held state keeps serving. A
 // decode failure rejects the snapshot atomically: the previously installed
-// state survives untouched.
+// state survives untouched. An installed snapshot replaces the state
+// wholesale, so the received position becomes its BaseSeq, even when the
+// state held a later one.
 func (s *State) Install(snap *netproto.Snapshot) error {
 	t0 := time.Now()
 	s.mu.Lock()
@@ -150,9 +153,7 @@ func (s *State) Install(snap *netproto.Snapshot) error {
 	s.templates = fresh
 	s.fingerprints = append([]string(nil), snap.Fingerprints...)
 	s.epoch = snap.Epoch
-	if snap.BaseSeq > s.receivedSeq {
-		s.receivedSeq = snap.BaseSeq
-	}
+	s.receivedSeq = snap.BaseSeq
 	s.obs.SetEpoch(snap.Epoch)
 	s.obs.SetAppliedSeq(s.receivedSeq)
 	s.obs.RecordSnapshotInstall(time.Since(t0))

@@ -34,7 +34,8 @@ type LoadReport struct {
 	// Corrupt is true when the snapshot failed validation (bad magic,
 	// truncation, checksum mismatch, undecodable payload) and the System
 	// stayed (fully or partially) cold, or when the WAL carried damage
-	// beyond an ordinary torn tail.
+	// beyond an ordinary torn tail. A durable Open whose report is Corrupt
+	// lost state, so it starts a new replication lineage.
 	Corrupt bool
 	// Reason explains the detected corruption, empty when Corrupt is false.
 	Reason string
@@ -112,9 +113,10 @@ func (s *System) SaveState(w io.Writer) (err error) {
 }
 
 // snapshot is the one builder behind SaveState, Checkpoint and
-// ReplicationSnapshot; a checkpoint takes the plans section, the ship stream
-// does not. Under the snapshot architecture a save of a live system is
-// per-template consistent, not globally atomic. The cached plans come first,
+// ReplicationSnapshot; all carry the lineage epoch (0 without durability),
+// and a checkpoint takes the plans section, the ship stream does not. Under
+// the snapshot architecture a save of a live system is per-template
+// consistent, not globally atomic. The cached plans come first,
 // least recently used first — LoadState re-inserts them in this order,
 // which reproduces the recency — so every plan's template is registered by
 // the time the templates are listed. Then every template in name order:
@@ -125,7 +127,7 @@ func (s *System) SaveState(w io.Writer) (err error) {
 // synopsis references. A referenced id whose tree is not in the cache
 // re-optimizes on demand after restore, exactly like an evicted plan.
 func (s *System) snapshot(plans bool) *netproto.Snapshot {
-	snap := &netproto.Snapshot{DBScale: s.opts.TPCH.Scale, DBSeed: s.opts.TPCH.Seed}
+	snap := &netproto.Snapshot{Epoch: s.lineage, DBScale: s.opts.TPCH.Scale, DBSeed: s.opts.TPCH.Seed}
 	if plans {
 		s.cacheMu.RLock()
 		s.cache.Each(func(id int, v any) {
@@ -158,7 +160,17 @@ func (s *System) snapshot(plans bool) *netproto.Snapshot {
 // Hard *SnapshotError failures are reserved for states no amount of
 // degrading can fix: a snapshot from a different database, or a System that
 // is not fresh.
-func (s *System) LoadState(r io.Reader) (err error) {
+//
+// LoadState does not adopt the snapshot's lineage epoch: a durable System
+// takes a lineage only from its own checkpoint at Open.
+func (s *System) LoadState(r io.Reader) error {
+	_, err := s.loadState(r)
+	return err
+}
+
+// loadState implements LoadState and returns the lineage epoch the snapshot
+// carries (0 when it could not be read), for openDurable alone.
+func (s *System) loadState(r io.Reader) (epoch uint64, err error) {
 	defer capturePanic("ppc.LoadState", &err)
 	s.regMu.Lock()
 	defer s.regMu.Unlock()
@@ -167,16 +179,16 @@ func (s *System) LoadState(r io.Reader) (err error) {
 	s.lastLoad = report
 	s.loadMu.Unlock()
 	if s.reg.Count() != 0 || len(s.templates) != 0 {
-		return &SnapshotError{Op: "load", Err: fmt.Errorf("LoadState requires a fresh System")}
+		return 0, &SnapshotError{Op: "load", Err: fmt.Errorf("LoadState requires a fresh System")}
 	}
 
 	in, derr := netproto.ReadSnapshotFile(r)
 	if derr != nil {
 		report.damaged("%v", derr)
-		return nil // degrade to cold
+		return 0, nil // degrade to cold
 	}
 	if in.DBScale != s.opts.TPCH.Scale || in.DBSeed != s.opts.TPCH.Seed {
-		return &SnapshotError{Op: "load", Err: fmt.Errorf(
+		return 0, &SnapshotError{Op: "load", Err: fmt.Errorf(
 			"state was learned on database scale=%d seed=%d, this system has scale=%d seed=%d",
 			in.DBScale, in.DBSeed, s.opts.TPCH.Scale, s.opts.TPCH.Seed)}
 	}
@@ -230,5 +242,5 @@ func (s *System) LoadState(r io.Reader) (err error) {
 		}
 		report.damaged("plan %d: %v", p.ID, err)
 	}
-	return nil
+	return in.Epoch, nil
 }

@@ -192,11 +192,9 @@ type System struct {
 	checkpointDone chan struct{}
 	checkpointOnce sync.Once
 
-	// lineage is the leader lineage epoch (see ReplicationEpoch), minted
-	// lazily on first use and persisted under the durability directory.
-	lineageOnce sync.Once
-	lineage     uint64
-	lineageErr  error
+	// lineage is the leader lineage epoch (see ReplicationEpoch), fixed at
+	// Open and carried by every checkpoint.
+	lineage uint64
 
 	opts Options
 }
@@ -483,6 +481,11 @@ func Open(opts Options) (*System, error) {
 	s.cache = cache
 	if opts.Durability.Dir != "" {
 		if err := s.openDurable(); err != nil {
+			// Recovery may have registered templates before it failed;
+			// stop their appliers.
+			for _, st := range s.statesByName() {
+				st.shutdown()
+			}
 			if s.wal != nil {
 				// The final fsync's verdict matters even on the failure
 				// path: join it so a dirty close is not reported as clean.
@@ -1062,9 +1065,7 @@ func (s *System) CacheLen() int {
 
 // CacheEvictions returns the number of evictions performed so far.
 func (s *System) CacheEvictions() int {
-	s.cacheMu.RLock()
-	defer s.cacheMu.RUnlock()
-	return s.cache.Evictions()
+	return int(s.cacheObs.Snapshot().Evictions)
 }
 
 // planPrecision adapts the per-plan sliding-window precision estimates to

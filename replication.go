@@ -9,91 +9,60 @@ package ppc
 import (
 	"crypto/rand"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"repro/internal/netproto"
 	"repro/internal/obsv"
 	"repro/internal/wal"
 )
 
-// lineageName is the leader lineage epoch file under the durability
-// directory.
-const lineageName = "lineage.ppc"
-
 // ReplicationEpoch returns the leader lineage epoch: a random 64-bit value
-// minted on the durability directory's first use as a leader and persisted
-// beside the checkpoint. A leader restarted over the same directory (crash
-// recovery included) keeps its epoch — its WAL history is continuous, so
-// replicas may resume. A leader started over a fresh directory mints a new
-// epoch, and every replica that reconnects discards its fenced-out state
-// instead of serving another lineage's predictions. Requires durability.
+// fixed at Open and carried by every checkpoint. A leader that recovers
+// everything its log acknowledged (a clean restart, or a crash that left only
+// a torn tail) keeps its epoch, so replicas may resume. Any other Open — a
+// first boot, a missing or damaged checkpoint, a template left cold, WAL
+// quarantine — starts a new lineage: its history may lack what replicas
+// applied, so every replica that reconnects discards its fenced-out state
+// and installs a snapshot. Requires durability.
 func (s *System) ReplicationEpoch() (uint64, error) {
 	if s.wal == nil {
-		return 0, fmt.Errorf("ppc: replication requires durability (Options.Durability.Dir)")
+		return 0, errNoReplication
 	}
-	s.lineageOnce.Do(func() {
-		s.lineage, s.lineageErr = loadOrMintLineage(s.opts.Durability.Dir)
-	})
-	return s.lineage, s.lineageErr
+	return s.lineage, nil
 }
 
-// loadOrMintLineage reads the persisted lineage epoch, minting and durably
-// writing one on first use.
-func loadOrMintLineage(dir string) (uint64, error) {
-	path := filepath.Join(dir, lineageName)
-	if data, err := os.ReadFile(path); err == nil && len(data) == 8 {
-		if e := binary.LittleEndian.Uint64(data); e != 0 {
-			return e, nil
-		}
-	}
+// errNoReplication reports a replication call on a System without a WAL.
+var errNoReplication = errors.New("ppc: replication requires durability (Options.Durability.Dir)")
+
+// mintLineage returns a fresh random lineage epoch. Zero is the protocol's
+// "no epoch" sentinel; it is re-rolled (p = 2^-64).
+func mintLineage() (uint64, error) {
 	var buf [8]byte
 	for {
 		if _, err := rand.Read(buf[:]); err != nil {
 			return 0, fmt.Errorf("ppc: mint lineage epoch: %w", err)
 		}
-		// Zero is the protocol's "no epoch" sentinel; re-roll (p = 2^-64).
-		if binary.LittleEndian.Uint64(buf[:]) != 0 {
-			break
+		if e := binary.LittleEndian.Uint64(buf[:]); e != 0 {
+			return e, nil
 		}
 	}
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return 0, fmt.Errorf("ppc: persist lineage epoch: %w", err)
-	}
-	if _, err := f.Write(buf[:]); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp) //nolint:errcheck
-		return 0, fmt.Errorf("ppc: persist lineage epoch: %w", err)
-	}
-	return binary.LittleEndian.Uint64(buf[:]), nil
 }
 
 // ReplicationSnapshot assembles a full state transfer for a connecting
-// replica: the snapshot a checkpoint writes, without its plans section,
-// stamped with the lineage epoch and the WAL floor it covers. The floor is
+// replica: the snapshot a checkpoint writes, lineage epoch included, without
+// its plans section, stamped with the WAL floor it covers. The floor is
 // taken BEFORE the learners are encoded — applied-sequence watermarks only
 // grow, so the encoded state reflects at least every record below it and
 // the overlap with the shipped tail is deduplicated by per-template
 // watermark replay on the replica.
 func (s *System) ReplicationSnapshot() (*netproto.Snapshot, error) {
-	epoch, err := s.ReplicationEpoch()
-	if err != nil {
-		return nil, err
+	if s.wal == nil {
+		return nil, errNoReplication
 	}
 	baseSeq := s.checkpointMinSeq()
 	snap := s.snapshot(false)
-	snap.Epoch, snap.BaseSeq = epoch, baseSeq
+	snap.BaseSeq = baseSeq
 	return snap, nil
 }
 

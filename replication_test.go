@@ -9,7 +9,11 @@ package ppc
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -65,40 +69,153 @@ func quiesce(t *testing.T, sys *System) {
 	}
 }
 
+// TestReplicationLineageStableAcrossRestart holds the lineage rule: a
+// restart that recovers everything the log acknowledged keeps the lineage,
+// so replicas may resume; one that lost anything starts a new one, made
+// durable before Open returns. Each row restarts a copy of one leader's
+// directory, a checkpoint and a WAL tail past it, after its own damage.
 func TestReplicationLineageStableAcrossRestart(t *testing.T) {
+	small := func(o *Options) { o.walSegmentBytes = 1 << 10 }
 	dir := t.TempDir()
-	sys := openDurable(t, dir, nil)
-	epoch1, err := sys.ReplicationEpoch()
+	sys := openDurable(t, dir, small)
+	epoch, err := sys.ReplicationEpoch()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if epoch1 == 0 {
+	if epoch == 0 {
 		t.Fatal("zero lineage epoch")
 	}
-	runDurableWorkload(t, sys, 40, 3)
+	runDurableWorkload(t, sys, 60, 3)
+	quiesce(t, sys)
+	if err := sys.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	runDurableWorkload(t, sys, 120, 4)
+	quiesce(t, sys)
+	if got, _ := sys.ReplicationEpoch(); got != epoch {
+		t.Fatalf("the lineage changed under a running leader: %x -> %x", epoch, got)
+	}
+	if n := len(walSegments(t, dir)); n < 2 {
+		t.Fatalf("the WAL holds %d segment; the quarantine row is vacuous", n)
+	}
+
+	// rewriteCheckpoint rewrites the checkpoint, CRC-valid, after mutate.
+	rewriteCheckpoint := func(t *testing.T, dir string, mutate func(*netproto.Snapshot)) {
+		path := filepath.Join(dir, checkpointName)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := netproto.ReadSnapshotFile(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Epoch != epoch {
+			t.Fatalf("the checkpoint carries epoch %x, the leader %x", snap.Epoch, epoch)
+		}
+		mutate(snap)
+		if data, err = netproto.AppendSnapshotFile(nil, snap); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	undecodable := func(s *netproto.Snapshot) { s.Templates[0].State = s.Templates[0].State[:10] }
+
+	for _, c := range []struct {
+		name string
+		same bool
+		// damage turns a crash image of the running leader into the
+		// directory the row restarts.
+		damage func(t *testing.T, dir string)
+	}{
+		{"crash image", true, func(*testing.T, string) {}},
+		{"torn tail", true, func(t *testing.T, dir string) {
+			seg := lastSegment(t, dir)
+			info, err := os.Stat(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			corruptFile(t, seg, info.Size()-10)
+			if mustScan(t, dir).TornBytes == 0 {
+				t.Fatal("no torn tail; the row is vacuous")
+			}
+		}},
+		{"corrupt checkpoint", false, func(t *testing.T, dir string) {
+			corruptFile(t, filepath.Join(dir, checkpointName), 32)
+		}},
+		{"synopsis that does not decode", false, func(t *testing.T, dir string) {
+			rewriteCheckpoint(t, dir, undecodable)
+		}},
+		{"WAL quarantine", false, func(t *testing.T, dir string) {
+			corruptFile(t, walSegments(t, dir)[0], 64)
+			if len(mustScan(t, dir).QuarantinedSegments) == 0 {
+				t.Fatal("no segment quarantined; the row is vacuous")
+			}
+		}},
+		{"deleted checkpoint", false, func(t *testing.T, dir string) {
+			if err := os.Remove(filepath.Join(dir, checkpointName)); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"checkpoint stamped 0", false, func(t *testing.T, dir string) {
+			rewriteCheckpoint(t, dir, func(s *netproto.Snapshot) { s.Epoch = 0 })
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			image := crashImage(t, dir)
+			c.damage(t, image)
+			restarted := openDurable(t, image, small)
+			defer restarted.Close() //nolint:errcheck
+			got, err := restarted.ReplicationEpoch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep := restarted.LoadStateReport(); c.same && rep.Corrupt {
+				t.Errorf("a recovery that kept everything reported damage: %s", rep.Reason)
+			}
+			if got == 0 || (got == epoch) != c.same {
+				t.Fatalf("restarted under epoch %x from %x; same lineage %v", got, epoch, c.same)
+			}
+			// The lineage is durable when Open returns: a crash right
+			// after it restarts into the same one.
+			again := openDurable(t, crashImage(t, image), small)
+			defer again.Close() //nolint:errcheck
+			if e, _ := again.ReplicationEpoch(); e != got {
+				t.Errorf("a crash after Open restarted under epoch %x, want %x", e, got)
+			}
+			onlyCheckpointAndWAL(t, image)
+		})
+	}
+
+	// A new lineage that cannot be checkpointed fails Open, here after
+	// recovery registered Q1 cold.
+	blocked := crashImage(t, dir)
+	rewriteCheckpoint(t, blocked, undecodable)
+	if err := os.Mkdir(filepath.Join(blocked, checkpointName+".tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var serr *SnapshotError
+	if _, err := Open(durableOptions(blocked, small)); !errors.As(err, &serr) {
+		t.Errorf("Open whose new lineage cannot be checkpointed: %v, want a *SnapshotError", err)
+	}
+
+	// A clean Close and reopen keeps the lineage.
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Same directory, same lineage: replicas from before the restart can
-	// resume instead of being fenced out.
-	sys2 := openDurable(t, dir, nil)
-	epoch2, err := sys2.ReplicationEpoch()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if epoch2 != epoch1 {
-		t.Errorf("lineage changed across a same-dir restart: %x -> %x", epoch1, epoch2)
+	reopened := openDurable(t, dir, small)
+	defer reopened.Close() //nolint:errcheck
+	if got, _ := reopened.ReplicationEpoch(); got != epoch {
+		t.Errorf("lineage changed across a same-dir restart: %x -> %x", epoch, got)
 	}
 
 	// A fresh directory is a new lineage.
 	other := openDurable(t, t.TempDir(), nil)
-	epoch3, err := other.ReplicationEpoch()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if epoch3 == epoch1 {
-		t.Error("independent durability directories share a lineage epoch")
+	defer other.Close() //nolint:errcheck
+	if got, _ := other.ReplicationEpoch(); got == epoch || got == 0 {
+		t.Errorf("a fresh directory's lineage epoch is %x (the first leader's is %x)", got, epoch)
 	}
 
 	// Without durability there is no lineage to ship.
@@ -106,6 +223,24 @@ func TestReplicationLineageStableAcrossRestart(t *testing.T) {
 	defer cold.Close() //nolint:errcheck
 	if _, err := cold.ReplicationEpoch(); err == nil {
 		t.Error("lineage epoch without a WAL")
+	}
+}
+
+// onlyCheckpointAndWAL holds a durability directory to the checkpoint and
+// the WAL directory: the lineage lives in the checkpoint, in no file of its
+// own.
+func onlyCheckpointAndWAL(t *testing.T, dir string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if want := []string{checkpointName, "wal"}; !reflect.DeepEqual(names, want) {
+		t.Errorf("durability directory holds %v, want %v", names, want)
 	}
 }
 
@@ -225,6 +360,124 @@ func TestLeaderRestartReplicaConvergence(t *testing.T) {
 	if st.ReceivedSeq() < ackedSeq {
 		t.Errorf("replica at seq %d, below the pre-restart acknowledged tail %d", st.ReceivedSeq(), ackedSeq)
 	}
+}
+
+// TestLeaderRestartCorruptCheckpointNewLineage: the leader restarts over
+// its own directory, but its checkpoint fails its CRC, so it recovers only
+// the WAL tail compaction left. That is a new lineage: the replica, which
+// applied everything before the restart, must discard its state once and
+// install the leader's, not resume on top of what the leader lost.
+func TestLeaderRestartCorruptCheckpointNewLineage(t *testing.T) {
+	small := func(o *Options) { o.walSegmentBytes = 1 << 10 }
+	dir := t.TempDir()
+	sys := openDurable(t, dir, small)
+	runDurableWorkload(t, sys, 200, 23)
+	quiesce(t, sys) // the compaction bound is what the learner has applied
+	if err := sys.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	runDurableWorkload(t, sys, 60, 24)
+	quiesce(t, sys)
+
+	srv := fastServe(t, sys)
+	addr := srv.Addr()
+	st := fastReplica(t, addr)
+	waitReplica(t, "install", func() bool {
+		return st.Ready() && st.ReceivedSeq() == sys.WALLastSeq()
+	})
+	epoch := st.Epoch()
+	if sys.WALFirstSeq() <= 1 {
+		t.Fatal("the WAL was never compacted; the restart loses nothing")
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	corruptFile(t, filepath.Join(dir, checkpointName), 32)
+	sys2 := openDurable(t, dir, small)
+	defer sys2.Close() //nolint:errcheck
+	if rep := sys2.LoadStateReport(); !rep.Corrupt || rep.WALReplayed == 0 {
+		t.Fatalf("restart over a corrupt checkpoint: %+v", rep)
+	}
+	srv2, err := replica.Serve(replica.Config{Addr: addr, Source: sys2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close() //nolint:errcheck
+	runDurableWorkload(t, sys2, 40, 29)
+	quiesce(t, sys2)
+	waitReplica(t, "post-restart convergence", func() bool {
+		return st.ReceivedSeq() == sys2.WALLastSeq()
+	})
+	if st.Epoch() == epoch {
+		t.Errorf("the replica still holds lineage %x after a restart that lost state", epoch)
+	}
+	if n := st.Obs().Snapshot().FenceDiscards; n != 1 {
+		t.Errorf("the replica discarded its state %d times, want 1", n)
+	}
+	learnerParity(t, sys2, st, "Q1")
+	onlyCheckpointAndWAL(t, dir)
+}
+
+// TestLeaderRestartFromOlderImageResnapshotsReplica: the leader restarts
+// from a crash image older than the replica's position, a clean recovery in
+// the same lineage. The replica is past the leader's log, so the sequence
+// numbers it would resume from will name records it never saw; it must get
+// a snapshot and end byte-equal to the leader once the leader has written
+// past the replica's old position.
+func TestLeaderRestartFromOlderImageResnapshotsReplica(t *testing.T) {
+	dir := t.TempDir()
+	sys := openDurable(t, dir, nil)
+	runDurableWorkload(t, sys, 150, 23)
+	quiesce(t, sys)
+	srv := fastServe(t, sys)
+	addr := srv.Addr()
+	st := fastReplica(t, addr)
+	waitReplica(t, "install", st.Ready)
+	image := crashImage(t, dir)
+
+	runDurableWorkload(t, sys, 60, 24)
+	quiesce(t, sys)
+	waitReplica(t, "catch-up", func() bool {
+		return st.ReceivedSeq() == sys.WALLastSeq()
+	})
+	ahead := st.ReceivedSeq()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	sys2 := openDurable(t, image, nil)
+	defer sys2.Close() //nolint:errcheck
+	if e, _ := sys2.ReplicationEpoch(); e != st.Epoch() {
+		t.Fatalf("the older image restarted under epoch %x, want the same lineage %x", e, st.Epoch())
+	}
+	if sys2.WALLastSeq() >= ahead {
+		t.Fatalf("the restarted leader is at seq %d, not behind the replica's %d", sys2.WALLastSeq(), ahead)
+	}
+	srv2, err := replica.Serve(replica.Config{Addr: addr, Source: sys2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close() //nolint:errcheck
+	waitReplica(t, "reconnect", func() bool { return sys2.ReplObs().Snapshot().Followers == 1 })
+
+	for sys2.WALLastSeq() <= ahead {
+		runDurableWorkload(t, sys2, 40, int64(sys2.WALLastSeq()))
+		quiesce(t, sys2)
+	}
+	waitReplica(t, "post-restart convergence", func() bool {
+		return st.ReceivedSeq() == sys2.WALLastSeq()
+	})
+	if n := st.Obs().Snapshot().FenceDiscards; n != 0 {
+		t.Errorf("a same-lineage restart discarded replica state %d times", n)
+	}
+	learnerParity(t, sys2, st, "Q1")
 }
 
 // TestLeaderReplicaCorrectionParity: the adaptive-statistics state ships
