@@ -99,7 +99,10 @@ chaos:
 # The durability suite: crash-image recovery properties (a template that
 # comes back in another shape among them, and WAL records pending a late
 # Register surviving a checkpoint), one fsync per apply batch,
-# degrade-to-cold triples,
+# degrade-to-cold triples, the log's numbering floor (a quiet restart and a
+# lost wal/ never number a record below a restored watermark:
+# TestDurableQuietRestartKeepsNumbering, TestDurableLostWALStartsNewLineage),
+# LoadState refused by a durable System (TestDurableSystemRefusesLoadState),
 # restored plans coming back compiled (a restart must not serve
 # its cache slower than the process it replaced), and the kill-and-restart
 # integration test against the real ppcserve binary.
@@ -225,12 +228,14 @@ profile:
 # reads 0.0 %: a function no test reaches gets a test or goes. The two are
 # workload.MustDrifting, which bench/ calls (bench/ is a module of its own,
 # so what its harness calls of this module's packages does not count here),
-# and (*System).Registry, which cmd/ppcplanspace calls. A failing test is
-# tier1's to report; here it only thins the profile. A function with an
-# empty body reads 0.0 % even when it is called, so none is kept.
+# and (*System).Registry, which cmd/ppcplanspace calls. A failing test
+# fails the target too, after printing the test output less its coverage
+# lines (kept whole in $(PROFILE_DIR)/cover.log). A function with an empty
+# body reads 0.0 % even when it is called, so none is kept.
 cover:
 	mkdir -p $(PROFILE_DIR)
-	$(GO) test -short -coverpkg=./... -coverprofile=$(PROFILE_DIR)/cover.out ./... | grep -v 'coverage: ' || true
+	$(GO) test -short -coverpkg=./... -coverprofile=$(PROFILE_DIR)/cover.out ./... > $(PROFILE_DIR)/cover.log; \
+		status=$$?; grep -v 'coverage: ' $(PROFILE_DIR)/cover.log; exit $$status
 	@$(GO) tool cover -func=$(PROFILE_DIR)/cover.out | \
 		grep -vE '^repro/(cmd|examples|internal/experiments|internal/benchsuite)/' | \
 		awk '$$NF == "0.0%" { print; \

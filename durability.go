@@ -143,6 +143,24 @@ func (s *System) openDurable() error {
 	// Every learner — checkpoint-restored or registered later — gets its
 	// WAL sink in registerLocked (s.wal is already set when LoadState
 	// re-registers the saved templates above).
+
+	// A restored learner whose watermark is past the log's end reflects
+	// records the log no longer holds (a lost or older wal/, an unsynced
+	// tail): a history a replica may hold more of, so damage. The log then
+	// numbers past every watermark, or its next records would sit at or
+	// below one and the next recovery would skip them as applied.
+	var top uint64
+	s.regMu.RLock()
+	for _, st := range s.templates {
+		top = max(top, st.online.AppliedSeq())
+	}
+	s.regMu.RUnlock()
+	if last := log.LastSeq(); top > last {
+		report.damaged("wal: ends at seq %d, before the checkpoint's watermark %d", last, top)
+		if err := log.NumberPast(top); err != nil {
+			return err
+		}
+	}
 	report.RecoveryDuration = time.Since(t0)
 
 	// A recovery that kept everything continues the checkpoint's lineage.
@@ -290,11 +308,12 @@ func (s *System) Checkpoint() (err error) {
 }
 
 // checkpointMinSeq returns the conservative WAL compaction bound: the
-// smallest applied-sequence watermark across templates that have logged
-// anything, held below the first record still waiting in walPending for
-// its template's Register. Records at or below it are reflected in every
-// learner a subsequent SaveState encodes; pending records are in none, so
-// they pin compaction until their template registers and replays them.
+// smallest learner watermark across templates that have logged anything,
+// held below the first record still waiting in walPending for its
+// template's Register. A learner's watermark is its newest record of any
+// kind, so records at or below the bound are reflected in every learner a
+// subsequent SaveState encodes; pending records are in none, so they pin
+// compaction until their template registers and replays them.
 func (s *System) checkpointMinSeq() uint64 {
 	s.regMu.RLock()
 	defer s.regMu.RUnlock()

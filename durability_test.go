@@ -19,6 +19,7 @@ package ppc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
@@ -174,22 +175,24 @@ func mustScan(t *testing.T, dir string) *wal.Recovery {
 	return recov
 }
 
-// feedbackTail splits a scan by record kind: the count of feedback
-// records and the newest feedback sequence. Correction records (kind 2)
-// share the WAL's sequence space but replay into the adaptive-statistics
-// state, not the learner synopsis, so learner-side invariants are audited
-// against the feedback tail specifically.
-func feedbackTail(scan *wal.Recovery) (count int, lastSeq uint64) {
+// logTail splits a template's records in a scan by kind: the count of
+// feedback records (the synopsis's points), the count of correction
+// records, and the sequence of the newest record of either kind — where
+// the learner's one watermark stands once it reflects them all.
+func logTail(scan *wal.Recovery, template string) (feedback, corrections int, lastSeq uint64) {
 	for _, r := range scan.Records {
-		if r.Kind != wal.RecordFeedback {
+		if r.Template != template {
 			continue
 		}
-		count++
-		if r.Seq > lastSeq {
-			lastSeq = r.Seq
+		switch r.Kind {
+		case wal.RecordFeedback:
+			feedback++
+		case wal.RecordCorrection:
+			corrections++
 		}
+		lastSeq = max(lastSeq, r.Seq)
 	}
-	return count, lastSeq
+	return feedback, corrections, lastSeq
 }
 
 // statsTriple is the provenance fingerprint the suite compares across
@@ -242,6 +245,159 @@ func TestDurableCloseReopenRestoresState(t *testing.T) {
 	runDurableWorkload(t, sys2, 20, 4)
 	if after := triple(t, sys2); after.appliedSeq <= before.appliedSeq {
 		t.Errorf("sequence did not advance after reopen: %+v vs %+v", after, before)
+	}
+}
+
+// recoversAll takes a crash image of a durable System that just acknowledged
+// state over what Open recovered, restarts from it, and wants Q1's learner
+// back whole: every record logged since Open replays — none skipped as
+// already applied, which a record numbered at or below the restored
+// watermark would be.
+func recoversAll(t *testing.T, sys *System, dir string) {
+	t.Helper()
+	acked := triple(t, sys) // flushes the applier
+	scan := mustScan(t, dir)
+	restarted := openDurable(t, crashImage(t, dir), nil)
+	defer restarted.Close() //nolint:errcheck
+	rep := restarted.LoadStateReport()
+	if got := triple(t, restarted); got != acked || rep.WALSkipped != 0 {
+		t.Errorf("recovered %+v, replayed %d and skipped %d of %d records; want %+v and none skipped",
+			got, rep.WALReplayed, rep.WALSkipped, len(scan.Records), acked)
+	}
+}
+
+// TestDurableQuietRestartKeepsNumbering: a Close checkpoints and compacts
+// the log to its live segment, which a restart that closes with no runs
+// leaves empty. The log that opens that directory next must number past
+// what its checkpoint covers — a segment's name is the lowest seq it may
+// hold — or the records it logs land at or below the restored watermark
+// and the next recovery skips them as already applied. Corrections off is
+// the arm whose last record is always a feedback point, the one compaction
+// reached before the watermarks were one.
+func TestDurableQuietRestartKeepsNumbering(t *testing.T) {
+	for _, arm := range []struct {
+		name string
+		mut  func(*Options)
+	}{
+		{"corrections off", func(o *Options) { o.disableAdaptiveStats = true }},
+		{"corrections on", nil},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			dir := t.TempDir()
+			sys := openDurable(t, dir, arm.mut)
+			runDurableWorkload(t, sys, 300, 3)
+			if err := sys.Close(); err != nil {
+				t.Fatal(err)
+			}
+			quiet := openDurable(t, dir, arm.mut)
+			if err := quiet.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if recs := mustScan(t, dir).Records; len(recs) != 0 {
+				t.Fatalf("%d records survive two closes; the quiet directory is not the one under test", len(recs))
+			}
+
+			sys3 := openDurable(t, dir, arm.mut)
+			defer sys3.Close() //nolint:errcheck
+			restored := triple(t, sys3)
+			if restored.appliedSeq == 0 || sys3.WALLastSeq() < restored.appliedSeq {
+				t.Errorf("the log resumes at seq %d below the restored watermark %d", sys3.WALLastSeq(), restored.appliedSeq)
+			}
+			if rep := sys3.LoadStateReport(); rep.Corrupt {
+				t.Fatalf("a quiet restart reported damage: %s", rep.Reason)
+			}
+			runDurableWorkload(t, sys3, 100, 4)
+			if triple(t, sys3).validated <= restored.validated {
+				t.Fatal("the runs after the quiet restart validated nothing; test is vacuous")
+			}
+			recoversAll(t, sys3, dir)
+		})
+	}
+}
+
+// TestDurableLostWALStartsNewLineage: a checkpoint beside a log that lost
+// the records it covers (here wal/ deleted outright) restores learners
+// whose watermarks are past the log's end. That history lost records a
+// replica may hold, so recovery reports damage and starts a new lineage,
+// and the log numbers past every restored watermark so the records it logs
+// next replay after another crash.
+func TestDurableLostWALStartsNewLineage(t *testing.T) {
+	dir := t.TempDir()
+	sys := openDurable(t, dir, nil)
+	runDurableWorkload(t, sys, 300, 3)
+	epoch, err := sys.ReplicationEpoch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(filepath.Join(dir, "wal")); err != nil {
+		t.Fatal(err)
+	}
+
+	sys2 := openDurable(t, dir, nil)
+	defer sys2.Close() //nolint:errcheck
+	rep := sys2.LoadStateReport()
+	restored := triple(t, sys2)
+	if rep.Templates != 1 || restored.appliedSeq == 0 {
+		t.Fatalf("the checkpoint restored %d templates to watermark %d; test is vacuous", rep.Templates, restored.appliedSeq)
+	}
+	if !rep.Corrupt || !strings.Contains(rep.Reason, "watermark") {
+		t.Errorf("a log that lost what the checkpoint covers is not damage: %+v", rep)
+	}
+	if got, _ := sys2.ReplicationEpoch(); got == epoch {
+		t.Errorf("restarted under the same lineage %x", got)
+	}
+	if sys2.WALLastSeq() < restored.appliedSeq {
+		t.Errorf("the log resumes at seq %d below the restored watermark %d", sys2.WALLastSeq(), restored.appliedSeq)
+	}
+	runDurableWorkload(t, sys2, 100, 4)
+	recoversAll(t, sys2, dir)
+
+	// The numbering is durable: a quiet restart of this directory resumes
+	// past the watermark without reporting the loss again.
+	image := crashImage(t, dir)
+	again := openDurable(t, image, nil)
+	defer again.Close() //nolint:errcheck
+	if rep := again.LoadStateReport(); rep.Corrupt {
+		t.Errorf("the restart after the loss reported damage again: %s", rep.Reason)
+	}
+}
+
+// TestDurableSystemRefusesLoadState: a durable System restores only its own
+// checkpoint, at Open. LoadState into one — even one whose registry is
+// still empty after a first boot — is a *SnapshotError: the state would
+// enter no WAL record, so replicas already attached would never receive
+// it, and its watermarks would name another log's records. The refusal
+// leaves the System and its recovery report as they were.
+func TestDurableSystemRefusesLoadState(t *testing.T) {
+	var saved bytes.Buffer
+	mem, err := Open(durableOptions("", func(o *Options) { o.Durability = Durability{} }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mem.Close() //nolint:errcheck
+	if err := mem.Register("Q1", mustSQL(t, "Q1")); err != nil {
+		t.Fatal(err)
+	}
+	runWarm(t, mem, "Q1", 60, 3)
+	if err := mem.SaveState(&saved); err != nil {
+		t.Fatal(err)
+	}
+
+	sys, err := Open(durableOptions(t.TempDir(), nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close() //nolint:errcheck
+	before := sys.LoadStateReport()
+	var serr *SnapshotError
+	if err := sys.LoadState(&saved); !errors.As(err, &serr) {
+		t.Fatalf("LoadState into a durable System: %v, want a *SnapshotError", err)
+	}
+	if sys.LoadStateReport() != before || len(sys.TemplateNames()) != 0 {
+		t.Errorf("the refused LoadState changed the System: report %+v, templates %v", sys.LoadStateReport(), sys.TemplateNames())
 	}
 }
 
@@ -549,7 +705,7 @@ func TestCrashRecoveryUnderAppendFaults(t *testing.T) {
 	defer sys2.Close() //nolint:errcheck
 	rep := sys2.LoadStateReport()
 	got := triple(t, sys2)
-	fbCount, fbLast := feedbackTail(scan)
+	fbCount, _, last := logTail(scan, "Q1")
 	// The recovered state holds exactly the scanned records (the one
 	// checkpoint, first boot's, predates Q1, so everything — feedback and
 	// corrections — replays at Register), and the synopsis holds exactly
@@ -560,8 +716,8 @@ func TestCrashRecoveryUnderAppendFaults(t *testing.T) {
 	if got.validated+got.selfLabeled != fbCount {
 		t.Errorf("synopsis holds %d points, scan holds %d feedback records", got.validated+got.selfLabeled, fbCount)
 	}
-	if got.appliedSeq != fbLast {
-		t.Errorf("recovered watermark %d, feedback tail says %d", got.appliedSeq, fbLast)
+	if got.appliedSeq != last {
+		t.Errorf("recovered watermark %d, the template's last record is %d", got.appliedSeq, last)
 	}
 	// Degraded durability is bounded by the counted append errors: memory
 	// holds every acknowledged point, and the feedback records missing from
@@ -573,9 +729,10 @@ func TestCrashRecoveryUnderAppendFaults(t *testing.T) {
 	}
 }
 
-// corrState snapshots Q1's correction state — epoch, WAL watermark and
-// every predicate site's absolute EWMA state — after flushing the applier.
-// This is the fingerprint correction crash recovery must restore exactly.
+// corrState snapshots Q1's correction state — epoch, the learner's WAL
+// watermark and every predicate site's absolute EWMA state — after flushing
+// the applier. This is the fingerprint correction crash recovery must
+// restore exactly.
 func corrState(t *testing.T, sys *System) (epoch, seq uint64, sites []stats.SiteState) {
 	t.Helper()
 	st, err := sys.lookup("Q1")
@@ -586,7 +743,8 @@ func corrState(t *testing.T, sys *System) (epoch, seq uint64, sites []stats.Site
 	if st.tmpl.Query.Corr == nil {
 		t.Fatal("adaptive statistics layer is off; correction recovery is vacuous")
 	}
-	return st.tmpl.Query.Corr.State()
+	epoch, sites = st.tmpl.Query.Corr.State()
+	return epoch, st.online.AppliedSeq(), sites
 }
 
 // TestCorrectionCrashRecovery is the adaptive-statistics half of the
@@ -606,7 +764,7 @@ func TestCorrectionCrashRecovery(t *testing.T) {
 	// Post-checkpoint corrections live only in the WAL tail.
 	runDurableWorkload(t, sys, 80, 4)
 	wantEpoch, wantSeq, wantSites := corrState(t, sys)
-	if wantSeq == 0 {
+	if _, n, _ := logTail(mustScan(t, dir), "Q1"); n == 0 {
 		t.Fatal("no correction records logged; test is vacuous")
 	}
 	warmed := 0
@@ -697,8 +855,8 @@ func TestDegradeCorruptCheckpointValidWAL(t *testing.T) {
 	if rep.WALReplayed != len(scan.Records) {
 		t.Errorf("replayed %d of %d retained records", rep.WALReplayed, len(scan.Records))
 	}
-	if _, fbLast := feedbackTail(scan); got.appliedSeq != fbLast {
-		t.Errorf("recovered watermark %d, feedback tail says %d", got.appliedSeq, fbLast)
+	if _, _, last := logTail(scan, "Q1"); got.appliedSeq != last {
+		t.Errorf("recovered watermark %d, the template's last record is %d", got.appliedSeq, last)
 	}
 	if rep.WALPending != 0 {
 		t.Errorf("%d records still pending after registration", rep.WALPending)
@@ -745,8 +903,8 @@ func TestDegradeValidCheckpointCorruptWALTail(t *testing.T) {
 		t.Errorf("checkpoint not restored: %+v", rep)
 	}
 	got := triple(t, sys2)
-	if _, fbLast := feedbackTail(scan); got.appliedSeq != fbLast {
-		t.Errorf("recovered watermark %d, feedback tail says %d", got.appliedSeq, fbLast)
+	if _, _, last := logTail(scan, "Q1"); got.appliedSeq != last {
+		t.Errorf("recovered watermark %d, the template's last record is %d", got.appliedSeq, last)
 	}
 	if total := rep.WALReplayed + rep.WALSkipped + rep.WALStale; total != len(scan.Records) {
 		t.Errorf("replay accounting %d, scan holds %d records", total, len(scan.Records))
@@ -790,8 +948,8 @@ func TestDegradeBothCorrupt(t *testing.T) {
 		t.Errorf("WAL tear not reported: %+v", rep)
 	}
 	got := triple(t, sys2)
-	if _, fbLast := feedbackTail(scan); got.appliedSeq != fbLast {
-		t.Errorf("recovered watermark %d, feedback tail says %d", got.appliedSeq, fbLast)
+	if _, _, last := logTail(scan, "Q1"); got.appliedSeq != last {
+		t.Errorf("recovered watermark %d, the template's last record is %d", got.appliedSeq, last)
 	}
 	if rep.WALReplayed != len(scan.Records) {
 		t.Errorf("replayed %d of %d surviving records", rep.WALReplayed, len(scan.Records))
@@ -980,13 +1138,27 @@ func TestDurableStateWrittenAsVersion2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	le := binary.LittleEndian
 	for _, ts := range snap.Templates {
 		o, err := core.NewReplicaOnline(ts.State)
 		if err != nil {
 			t.Fatalf("%s: %v", ts.Name, err)
 		}
-		if again := o.EncodeState(nil); !bytes.Equal(again, ts.State) {
-			t.Errorf("%s: the learner state re-encodes to %d bytes, not the %d it was read from", ts.Name, len(again), len(ts.State))
+		// That build kept two log positions: the trailer's (its newest
+		// feedback record) and the corrections section's own, in the word
+		// after the section's epoch. They re-encode as one watermark, the
+		// larger, in the trailer, and that word as 0; every other byte is
+		// the one that build wrote.
+		want := append([]byte(nil), ts.State...)
+		offs := sectionOffsets(want)
+		if len(offs) != 1 {
+			t.Fatalf("%s: %d state sections, want the corrections alone", ts.Name, len(offs))
+		}
+		seq, word := want[offs[0]-8:], want[offs[0]+8+4+5*8+8:]
+		le.PutUint64(seq, max(le.Uint64(seq), le.Uint64(word)))
+		le.PutUint64(word, 0)
+		if again := o.EncodeState(nil); !bytes.Equal(again, want) {
+			t.Errorf("%s: the learner state re-encodes to %d bytes unlike the %d it was read from", ts.Name, len(again), len(ts.State))
 		}
 	}
 	for _, mode := range []string{"snapshot", "reopen"} {

@@ -38,7 +38,7 @@ func feedbackRoutes(before, after obsv.CounterSnapshot) [3]uint64 {
 // sites. Callers make sure no apply runs concurrently (the applier is
 // idle: flushed, or given nothing since).
 func observedTotal(st *templateState) (n uint64) {
-	_, _, sites := st.tmpl.Query.Corr.State()
+	_, sites := st.tmpl.Query.Corr.State()
 	for _, s := range sites {
 		n += s.N
 	}
@@ -323,7 +323,7 @@ func TestSerialModeNeverFolds(t *testing.T) {
 				name, c.FeedbackInline, c.FeedbackEnqueued, c.FeedbackDeferred, c.ApplyBatches)
 		}
 		st, _ := sys.lookup(name)
-		epoch, _, sites := st.tmpl.Query.Corr.State()
+		epoch, sites := st.tmpl.Query.Corr.State()
 		for _, s := range sites {
 			fmt.Fprintln(digest, math.Float64bits(s.LogC), s.N, math.Float64bits(s.Ref))
 		}

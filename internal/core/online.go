@@ -220,9 +220,9 @@ type Online struct {
 	// carry one self-contained learned state per template. Written once at
 	// registration, before the template serves.
 	corr *stats.Corrections
-	// appliedSeq is the WAL sequence number of the newest feedback point
-	// reflected in the synopsis. Persisted by EncodeState so recovery can
-	// replay exactly the records the checkpoint misses.
+	// appliedSeq is the WAL sequence number of the newest record, of any
+	// kind, reflected in the learner's state. Persisted by EncodeState so
+	// recovery can replay exactly the records the checkpoint misses.
 	appliedSeq atomic.Uint64
 
 	// resets counts drift recoveries; it doubles as the feedback epoch.
@@ -498,7 +498,7 @@ func (o *Online) ApplyBatch(points []Feedback, obs []stats.Obs) (applied int) {
 		for _, site := range o.corr.Apply(obs) {
 			if o.log != nil {
 				o.rec = correctionRecord(site, o.corr.Site(site), o.corr.Epoch())
-				o.logLocked(o.corr.Watermark())
+				o.logLocked()
 			}
 		}
 	}
@@ -533,7 +533,7 @@ func (o *Online) applyLocked(fb Feedback) bool {
 	}
 	if o.log != nil {
 		o.rec = feedbackRecord(fb)
-		o.logLocked(&o.appliedSeq)
+		o.logLocked()
 	}
 	o.pred.Insert(Sample{Point: fb.Point, Plan: fb.Plan, Cost: fb.Cost})
 	if fb.SelfLabeled {
@@ -544,14 +544,13 @@ func (o *Online) applyLocked(fb Feedback) bool {
 	return true
 }
 
-// logLocked appends o.rec and advances the watermark of the state it
-// describes — under the same lock as the change, so a checkpoint's
-// watermarks and its state always agree. Append failures are counted by
-// the log's observer and degrade durability only: the event still applies
-// in memory. Callers hold mu.
-func (o *Online) logLocked(w *atomic.Uint64) {
+// logLocked appends o.rec and advances the learner's watermark — under the
+// same lock as the change, so a checkpoint's watermark and its state always
+// agree. Append failures are counted by the log's observer and degrade
+// durability only: the event still applies in memory. Callers hold mu.
+func (o *Online) logLocked() {
 	if seq, err := o.log.Append(&o.rec); err == nil && seq > 0 {
-		w.Store(seq)
+		o.appliedSeq.Store(seq)
 	}
 }
 
@@ -582,10 +581,10 @@ func (o *Online) AttachCorrections(c *stats.Corrections) {
 	o.mu.Unlock()
 }
 
-// AppliedSeq returns the WAL sequence number of the newest feedback point
-// reflected in the synopsis (0 when nothing was ever logged). Checkpoint
-// compaction uses it as the safe lower bound: every record at or below it
-// is covered by a SaveState taken afterwards.
+// AppliedSeq returns the WAL sequence number of the newest record, of any
+// kind, reflected in the learner's state (0 when nothing was ever logged).
+// Checkpoint compaction uses it as the safe lower bound: every record at or
+// below it is covered by a SaveState taken afterwards.
 func (o *Online) AppliedSeq() uint64 { return o.appliedSeq.Load() }
 
 // maybeReset performs drift recovery when the estimated precision over a
@@ -720,6 +719,12 @@ var stateSections = [...]stateSection{
 		},
 		decode: func(st *onlineState, body []byte) (err error) {
 			st.corr, err = stats.DecodeCorrections(body)
+			if err == nil {
+				// An older build kept the corrections' own watermark in the
+				// word after the epoch; the state reflects both. (A word past
+				// MaxInt64 reads negative: no log assigns it.)
+				st.counters[3] = max(st.counters[3], int64(binary.LittleEndian.Uint64(body[52:])))
+			}
 			return err
 		}},
 	// Retired: tunable LSH's re-tune state. A synopsis saved beside it keys

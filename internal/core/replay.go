@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sync/atomic"
 
 	"repro/internal/stats"
 	"repro/internal/wal"
@@ -46,19 +45,18 @@ func correctionRecord(site int, s stats.SiteState, epoch uint64) wal.Record {
 // template changed shape after the record was logged, and a learned
 // component must never leave the system worse off than a cold one (on a
 // replica the next snapshot reconciles). A record that fits is then
-// idempotent through the applied-sequence watermark: one at or below it is
-// already in the checkpoint — skipped, never double-applied — and the
-// watermark advances over stale-by-epoch records too, so a second replay of
-// the same log is a no-op.
+// idempotent through the learner's one watermark, which every kind claims
+// against: one at or below it is already in the checkpoint — skipped, never
+// double-applied — and the watermark advances over stale-by-epoch records
+// too, so a second replay of the same log is a no-op.
 //
 //   - A feedback record from a newer epoch than the learner's implies drift
 //     resets happened between: they are performed first, reproducing the
 //     live insert-then-reset ordering. One from an older epoch was
 //     superseded by a reset before the crash: stale.
 //   - A correction record carries a site's absolute post-batch state and is
-//     independent of feedback: it is claimed against the corrections' own
-//     watermark. One whose state is not finite is skipped, the watermark
-//     advanced over it.
+//     independent of feedback. One whose state is not finite is skipped, the
+//     watermark advanced over it.
 //   - A record of a retired kind (wal.RecordRetiredRetune) fits no learner:
 //     stale, like a kind this build does not declare.
 func (o *Online) ReplayRecords(recs []wal.Record) (applied, skipped, stale int) {
@@ -84,7 +82,7 @@ func (o *Online) ReplayRecords(recs []wal.Record) (applied, skipped, stale int) 
 				stale++
 				continue
 			}
-			if !claim(&o.appliedSeq, r.Seq) {
+			if !o.claimLocked(r.Seq) {
 				skipped++
 				continue
 			}
@@ -111,7 +109,7 @@ func (o *Online) ReplayRecords(recs []wal.Record) (applied, skipped, stale int) 
 				stale++
 				continue
 			}
-			if !claim(o.corr.Watermark(), r.Seq) ||
+			if !o.claimLocked(r.Seq) ||
 				!o.corr.Install(int(r.Site), stats.SiteState{LogC: r.LogC, N: r.N, Ref: r.Ref}, r.CorrEpoch) {
 				skipped++
 				continue
@@ -127,18 +125,17 @@ func (o *Online) ReplayRecords(recs []wal.Record) (applied, skipped, stale int) 
 	return applied, skipped, stale
 }
 
-// claim advances an applied-sequence watermark — the synopsis's or the
-// corrections' — over a replayed record and reports whether the record is
-// news: false means the state already reflects it. Seq 0 is an unsequenced
-// record — always news, and the watermark stays. Callers hold the learner
-// lock.
-func claim(w *atomic.Uint64, seq uint64) bool {
+// claimLocked advances the learner's watermark over a replayed record and
+// reports whether the record is news: false means the state already
+// reflects it. Seq 0 is an unsequenced record — always news, and the
+// watermark stays. Callers hold mu.
+func (o *Online) claimLocked(seq uint64) bool {
 	if seq == 0 {
 		return true
 	}
-	if seq <= w.Load() {
+	if seq <= o.appliedSeq.Load() {
 		return false
 	}
-	w.Store(seq)
+	o.appliedSeq.Store(seq)
 	return true
 }

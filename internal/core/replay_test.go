@@ -185,8 +185,8 @@ func TestApplyBatchIsOneWrite(t *testing.T) {
 			oneByOne.ApplyBatch(nil, run)
 		}
 	}
-	_, _, want := oneByOne.corr.State()
-	_, _, got := batched.corr.State()
+	_, want := oneByOne.corr.State()
+	_, got := batched.corr.State()
 	for i := range want {
 		if math.Float64bits(got[i].LogC) != math.Float64bits(want[i].LogC) || got[i].N != want[i].N {
 			t.Errorf("site %d batched to logc %v n %d, run by run to logc %v n %d", i+1, got[i].LogC, got[i].N, want[i].LogC, want[i].N)
@@ -225,8 +225,8 @@ func TestTryObserveFoldsWithoutAllocating(t *testing.T) {
 			applied.ApplyBatch(nil, run)
 		}
 	}
-	wantEpoch, _, want := applied.corr.State()
-	gotEpoch, _, got := folded.corr.State()
+	wantEpoch, want := applied.corr.State()
+	gotEpoch, got := folded.corr.State()
 	if wantEpoch == 0 || gotEpoch != wantEpoch {
 		t.Errorf("folded to epoch %d, applied to %d (want equal and past 0)", gotEpoch, wantEpoch)
 	}
@@ -246,13 +246,13 @@ func TestTryObserveFoldsWithoutAllocating(t *testing.T) {
 		t.Helper()
 		var before []stats.SiteState
 		if o.corr != nil {
-			_, _, before = o.corr.State()
+			_, before = o.corr.State()
 		}
 		if o.TryObserve(obs) {
 			t.Errorf("%s: TryObserve folded", name)
 		}
 		if o.corr != nil {
-			if _, _, after := o.corr.State(); !reflect.DeepEqual(after, before) {
+			if _, after := o.corr.State(); !reflect.DeepEqual(after, before) {
 				t.Errorf("%s: a declined fold moved the corrections", name)
 			}
 		}
@@ -294,7 +294,8 @@ func TestCorrectionsReplayReconstructsState(t *testing.T) {
 			{Site: 2, LogQ: -math.Log(2) * float64(i%3)},
 		})
 	}
-	wantEpoch, wantSeq, wantSites := leader.corr.State()
+	wantEpoch, wantSites := leader.corr.State()
+	wantSeq := leader.AppliedSeq()
 	if wantSeq == 0 || wantEpoch == 0 || lg.count(wal.RecordCorrection) != 20 {
 		t.Fatalf("logged %d correction records to watermark %d at epoch %d; test is vacuous", lg.count(wal.RecordCorrection), wantSeq, wantEpoch)
 	}
@@ -303,7 +304,8 @@ func TestCorrectionsReplayReconstructsState(t *testing.T) {
 	if applied, skipped, stale := fresh.ReplayRecords(lg.recs); applied != 20 || skipped != 0 || stale != 0 {
 		t.Fatalf("replayed as %d applied, %d skipped, %d stale; want 20/0/0", applied, skipped, stale)
 	}
-	gotEpoch, gotSeq, gotSites := fresh.corr.State()
+	gotEpoch, gotSites := fresh.corr.State()
+	gotSeq := fresh.AppliedSeq()
 	if gotEpoch != wantEpoch || gotSeq != wantSeq || !reflect.DeepEqual(gotSites, wantSites) {
 		t.Fatalf("replayed (epoch %d, seq %d, %+v), want (%d, %d, %+v)", gotEpoch, gotSeq, gotSites, wantEpoch, wantSeq, wantSites)
 	}
@@ -324,8 +326,53 @@ func TestCorrectionsReplayReconstructsState(t *testing.T) {
 	if applied, skipped, stale := fresh.ReplayRecords(odd); applied != 0 || skipped != 2 || stale != 1 {
 		t.Fatalf("odd records replayed as %d applied, %d skipped, %d stale; want 0/2/1", applied, skipped, stale)
 	}
-	if _, seq, sites := fresh.corr.State(); seq != wantSeq+3 || !reflect.DeepEqual(sites, wantSites) {
-		t.Fatalf("after odd records: watermark %d (want %d), sites %+v (want %+v)", seq, wantSeq+3, sites, wantSites)
+	if _, sites := fresh.corr.State(); fresh.AppliedSeq() != wantSeq+3 || !reflect.DeepEqual(sites, wantSites) {
+		t.Fatalf("after odd records: watermark %d (want %d), sites %+v (want %+v)", fresh.AppliedSeq(), wantSeq+3, sites, wantSites)
+	}
+}
+
+// TestOlderStateFoldsItsTwoWatermarks: a build before the learner kept one
+// watermark wrote two — the trailer's, over its feedback, and one in the
+// corrections section's reserved word. A state it wrote decodes to the
+// larger as the one watermark, so replay skips every record that state
+// reflects, and re-encodes with that watermark in the trailer and the word
+// 0. A word past MaxInt64, which no log assigns, leaves the trailer's.
+func TestOlderStateFoldsItsTwoWatermarks(t *testing.T) {
+	lg := &memLog{}
+	leader := fuzzLearner(t)
+	leader.AttachLog(lg)
+	leader.ApplyBatch([]Feedback{{Point: []float64{0.3, 0.3}, Plan: 1, Cost: 2}}, nil)
+	fbSeq := leader.AppliedSeq()
+	for i := 0; i < 3; i++ {
+		leader.ApplyBatch(nil, []stats.Obs{{Site: 1, LogQ: math.Log(3)}, {Site: 2, LogQ: 0.5}})
+	}
+	state := leader.EncodeState(nil)
+	le := binary.LittleEndian
+	body := len(leader.corr.Encode(nil))
+	trailer, word := state[len(state)-8-body-8:], state[len(state)-body+52:]
+	if le.Uint64(trailer) != leader.AppliedSeq() || le.Uint64(word) != 0 || leader.AppliedSeq() != fbSeq+6 {
+		t.Fatalf("state holds watermark %d and word %d, learner %d after feedback %d; the offsets are wrong",
+			le.Uint64(trailer), le.Uint64(word), leader.AppliedSeq(), fbSeq)
+	}
+
+	older := append([]byte(nil), state...)
+	trailer, word = older[len(older)-8-body-8:], older[len(older)-body+52:]
+	le.PutUint64(trailer, fbSeq)
+	le.PutUint64(word, leader.AppliedSeq())
+	o, err := NewReplicaOnline(older)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.AppliedSeq() != leader.AppliedSeq() || !bytes.Equal(o.EncodeState(nil), state) {
+		t.Fatalf("the older state decodes to watermark %d, want %d, and re-encodes unlike the leader's", o.AppliedSeq(), leader.AppliedSeq())
+	}
+	if applied, skipped, _ := o.ReplayRecords(lg.recs); applied != 0 || skipped != len(lg.recs) {
+		t.Fatalf("replaying the log into the older state applied %d and skipped %d of %d", applied, skipped, len(lg.recs))
+	}
+
+	le.PutUint64(word, math.MaxInt64+1)
+	if o, err := NewReplicaOnline(older); err != nil || o.AppliedSeq() != fbSeq {
+		t.Fatalf("a corrections word past MaxInt64: %v, watermark %d, want the trailer's %d", err, o.AppliedSeq(), fbSeq)
 	}
 }
 

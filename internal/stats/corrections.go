@@ -66,9 +66,6 @@ type Corrections struct {
 	// epoch advances when any site's correction moves past the epoch
 	// threshold: the learner.correction_epoch gauge.
 	epoch atomic.Uint64
-	// appliedSeq is the WAL watermark of the newest correction record
-	// reflected in the state (mirrors core.Online.appliedSeq for feedback).
-	appliedSeq atomic.Uint64
 }
 
 // NewCorrections creates correction state for a template with nSites
@@ -97,11 +94,6 @@ func (c *Corrections) Epoch() uint64 {
 	}
 	return c.epoch.Load()
 }
-
-// Watermark is the WAL sequence of the newest correction record reflected in
-// the state. The owning learner claims records against it and advances it
-// as it logs, under its lock.
-func (c *Corrections) Watermark() *atomic.Uint64 { return &c.appliedSeq }
 
 // Factor returns the published multiplicative factor for a 1-based site:
 // lock-free, identity for unknown sites, cold sites and a nil receiver.
@@ -217,12 +209,12 @@ type SiteState struct {
 
 // State copies the full correction state (tests, parity checks). Callers
 // serialize it with writes.
-func (c *Corrections) State() (epoch, appliedSeq uint64, sites []SiteState) {
+func (c *Corrections) State() (epoch uint64, sites []SiteState) {
 	sites = make([]SiteState, len(c.sites))
 	for i := range sites {
 		sites[i] = c.Site(i + 1)
 	}
-	return c.epoch.Load(), c.appliedSeq.Load(), sites
+	return c.epoch.Load(), sites
 }
 
 // ActiveSites counts sites past the cold-start threshold: the ones whose
@@ -238,8 +230,8 @@ func (c *Corrections) ActiveSites() int {
 }
 
 // Encode appends the correction state — site count, the learner's
-// constants, epoch, WAL watermark and every site's EWMA state — to dst: the
-// body of the learner state's corrections section
+// constants, epoch, a reserved zero word and every site's EWMA state — to
+// dst: the body of the learner state's corrections section
 // (core.Online.EncodeState).
 func (c *Corrections) Encode(dst []byte) []byte {
 	le := binary.LittleEndian
@@ -247,7 +239,7 @@ func (c *Corrections) Encode(dst []byte) []byte {
 	for _, v := range corrSlots {
 		dst = le.AppendUint64(dst, math.Float64bits(v))
 	}
-	dst = le.AppendUint64(le.AppendUint64(dst, c.epoch.Load()), c.appliedSeq.Load())
+	dst = le.AppendUint64(le.AppendUint64(dst, c.epoch.Load()), 0)
 	for _, s := range c.sites {
 		dst = le.AppendUint64(le.AppendUint64(le.AppendUint64(dst, math.Float64bits(s.logc)), s.n), math.Float64bits(s.ref))
 	}
@@ -255,11 +247,11 @@ func (c *Corrections) Encode(dst []byte) []byte {
 }
 
 // DecodeCorrections decodes a section body written by Encode into freshly
-// constructed state. A body with a byte more or less than its site count
-// declares is an error, and so is one whose configuration slots differ from
-// this learner's constants (its factors were learned by another rule) or
-// whose site state is not finite: nothing from outside the process
-// publishes a factor Apply could not have.
+// constructed state; the reserved word is not read. A body with a byte more
+// or less than its site count declares is an error, and so is one whose
+// configuration slots differ from this learner's constants (its factors were
+// learned by another rule) or whose site state is not finite: nothing from
+// outside the process publishes a factor Apply could not have.
 func DecodeCorrections(b []byte) (*Corrections, error) {
 	const siteBytes, fixed = 24, 4 + 5*8 + 2*8
 	le := binary.LittleEndian
@@ -274,7 +266,6 @@ func DecodeCorrections(b []byte) (*Corrections, error) {
 	}
 	c := NewCorrections(int(le.Uint32(b)))
 	c.epoch.Store(le.Uint64(b[44:]))
-	c.appliedSeq.Store(le.Uint64(b[52:]))
 	for i := range c.sites {
 		off := fixed + siteBytes*i
 		c.sites[i] = siteState{logc: f64(off), n: le.Uint64(b[off+8:]), ref: f64(off + 16)}
@@ -296,7 +287,6 @@ func (c *Corrections) Adopt(dec *Corrections) error {
 			c.factors[i].Store(0)
 		}
 		c.epoch.Store(0)
-		c.appliedSeq.Store(0)
 		return nil
 	}
 	if dec.NSites() != len(c.sites) {
@@ -307,6 +297,5 @@ func (c *Corrections) Adopt(dec *Corrections) error {
 		c.publish(i)
 	}
 	c.epoch.Store(dec.epoch.Load())
-	c.appliedSeq.Store(dec.appliedSeq.Load())
 	return nil
 }

@@ -58,7 +58,7 @@ func TestCorrectionsClampAndBounds(t *testing.T) {
 	}
 	// Out-of-shape and non-finite observations are ignored, not applied.
 	c.Apply([]Obs{{Site: 0, LogQ: 1}, {Site: 2, LogQ: 1}, {Site: 1, LogQ: math.NaN()}, {Site: 1, LogQ: math.Inf(1)}})
-	_, _, sites := c.State()
+	_, sites := c.State()
 	if sites[0].N != 250 {
 		t.Fatalf("bad observations mutated state: n = %d, want 250", sites[0].N)
 	}
@@ -96,17 +96,16 @@ func TestCorrectionsEncodeDecodeRoundTrip(t *testing.T) {
 	c := NewCorrections(2)
 	for i := 0; i < 8; i++ {
 		c.Apply([]Obs{{Site: 1, LogQ: math.Log(5)}, {Site: 2, LogQ: math.Log(0.5)}})
-		c.Watermark().Store(uint64(2*i + 2)) // as the learner logging two sites would
 	}
 	body := c.Encode(nil)
 	dec, err := DecodeCorrections(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantEpoch, wantSeq, wantSites := c.State()
-	gotEpoch, gotSeq, gotSites := dec.State()
-	if gotEpoch != wantEpoch || gotSeq != wantSeq {
-		t.Fatalf("decoded (epoch %d, seq %d), want (%d, %d)", gotEpoch, gotSeq, wantEpoch, wantSeq)
+	wantEpoch, wantSites := c.State()
+	gotEpoch, gotSites := dec.State()
+	if gotEpoch != wantEpoch {
+		t.Fatalf("decoded epoch %d, want %d", gotEpoch, wantEpoch)
 	}
 	for i := range wantSites {
 		if gotSites[i] != wantSites[i] {
@@ -118,6 +117,16 @@ func TestCorrectionsEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(dec.Encode(nil), body) {
 		t.Fatal("decode -> encode moved the section bytes")
+	}
+	// The reserved word is written 0 and not read: an older build's value
+	// there decodes to the same state and re-encodes as 0.
+	if w := binary.LittleEndian.Uint64(body[52:]); w != 0 {
+		t.Fatalf("reserved word holds %d, want 0", w)
+	}
+	older := append([]byte(nil), body...)
+	binary.LittleEndian.PutUint64(older[52:], 587)
+	if dec, err := DecodeCorrections(older); err != nil || !bytes.Equal(dec.Encode(nil), body) {
+		t.Fatalf("a section with a non-zero reserved word: %v, or it re-encodes unlike its zero-word twin", err)
 	}
 
 	// A body that disagrees with its declared site count is an error, not a
@@ -145,7 +154,7 @@ func TestCorrectionsEncodeDecodeRoundTrip(t *testing.T) {
 	if err := r2.Adopt(nil); err != nil {
 		t.Fatal(err)
 	}
-	if r2.Factor(1) != 1 || r2.Epoch() != 0 || r2.Watermark().Load() != 0 {
+	if r2.Factor(1) != 1 || r2.Epoch() != 0 {
 		t.Fatal("adopting no section did not reset to cold")
 	}
 }
@@ -201,7 +210,7 @@ func TestCorrectionsRefuseNonFiniteState(t *testing.T) {
 	// Installing a site's state — what replay does with a correction
 	// record — refuses state that is not finite, or a site beyond the
 	// shape, and leaves the state as it was.
-	epoch, _, want := c.State()
+	epoch, want := c.State()
 	for i, bad := range []struct {
 		site int
 		s    SiteState
@@ -215,7 +224,7 @@ func TestCorrectionsRefuseNonFiniteState(t *testing.T) {
 			t.Fatalf("install %d (site %d, %+v) applied", i, bad.site, bad.s)
 		}
 	}
-	if got, _, sites := c.State(); got != epoch || sites[0] != want[0] || sites[1] != want[1] {
+	if got, sites := c.State(); got != epoch || sites[0] != want[0] || sites[1] != want[1] {
 		t.Fatalf("after refused installs: epoch %d (want %d), sites %+v (want %+v)", got, epoch, sites, want)
 	}
 }

@@ -309,8 +309,9 @@ type Log struct {
 
 // Open scans dir, truncates a torn tail so the log ends on a record
 // boundary, quarantines segments stranded behind mid-log damage, and
-// returns the log positioned to append after the last valid record. The
-// returned Recovery carries the valid records for replay.
+// returns the log positioned to append after the last valid record — and
+// never below its newest kept segment's name, which a compaction can leave
+// empty. The returned Recovery carries the valid records for replay.
 func Open(opts Options) (*Log, *Recovery, error) {
 	opts = opts.withDefaults()
 	if opts.Dir == "" {
@@ -324,6 +325,15 @@ func Open(opts Options) (*Log, *Recovery, error) {
 		return nil, nil, err
 	}
 	kept := names[:len(names)-len(rec.QuarantinedSegments)]
+	// A segment's name is the lowest seq it may hold, so the log has
+	// numbered up to one below its newest kept segment's name even when
+	// compaction left that segment empty: resume past both.
+	seq := rec.LastSeq
+	if n := len(kept); n > 0 {
+		if first := segFirstSeq(kept[n-1]); first > seq {
+			seq = first - 1
+		}
+	}
 	// Physically truncate the torn tail: the next reader must see a log
 	// that ends on a record boundary, or it would stop at our garbage. A
 	// tear inside the segment header (crash during rotation) leaves nothing
@@ -352,7 +362,7 @@ func Open(opts Options) (*Log, *Recovery, error) {
 			os.Rename(src, src+".corrupt") //nolint:errcheck
 		}
 	}
-	l := &Log{opts: opts, seq: rec.LastSeq, lastSync: time.Now()}
+	l := &Log{opts: opts, seq: seq, lastSync: time.Now()}
 	for _, name := range kept {
 		l.segs = append(l.segs, segFirstSeq(name))
 	}
@@ -960,6 +970,21 @@ func (l *Log) Compact(minSeq uint64) (int, error) {
 		l.opts.Observer.WALCompact(removed)
 	}
 	return removed, err
+}
+
+// NumberPast makes the log number its next record past seq, and opens a
+// fresh live segment named for that record so the next Open resumes past
+// seq too. Recovery calls it when a checkpoint reflects records the log no
+// longer holds, so no record is numbered at or below what a restored
+// learner has applied. A no-op when the log already numbers past seq.
+func (l *Log) NumberPast(seq uint64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if seq <= l.seq {
+		return nil
+	}
+	l.seq = seq
+	return l.rotateLocked()
 }
 
 // LastSeq returns the highest sequence number assigned so far.

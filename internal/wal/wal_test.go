@@ -120,6 +120,55 @@ func TestReopenContinuesSequence(t *testing.T) {
 	}
 }
 
+// TestReopenNumbersPastACompactedLog: a reopen rotates to a fresh live
+// segment, and a compaction covering every record then leaves that empty
+// segment alone on disk. Its name is the lowest seq it may hold, so the
+// next Open resumes past it rather than at 0: sequence numbers are never
+// reused.
+func TestReopenNumbersPastACompactedLog(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openTest(t, Options{Dir: dir})
+	for i := 0; i < 10; i++ {
+		if _, err := l.Append(testRecord("Q0", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	l2, _ := openTest(t, Options{Dir: dir})
+	if removed, err := l2.Compact(10); err != nil || removed != 1 {
+		t.Fatalf("compacting the reopened log removed %d segments (%v), want its first", removed, err)
+	}
+	l2.Close()
+
+	l3, rec := openTest(t, Options{Dir: dir})
+	if len(rec.Records) != 0 || l3.LastSeq() != 10 {
+		t.Fatalf("reopened %d records at last seq %d, want none at 10", len(rec.Records), l3.LastSeq())
+	}
+	if seq, err := l3.Append(testRecord("Q0", 10)); err != nil || seq != 11 {
+		t.Fatalf("append after the quiet reopen got seq %d (%v), want 11", seq, err)
+	}
+}
+
+// TestNumberPastSurvivesReopen: NumberPast moves the next record past a
+// given seq, and the fresh segment it opens carries that floor across a
+// reopen with no records in between. A seq the log already numbers past
+// changes nothing.
+func TestNumberPastSurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openTest(t, Options{Dir: dir})
+	if err := l.NumberPast(300); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.NumberPast(7); err != nil || l.LastSeq() != 300 {
+		t.Fatalf("NumberPast below the log's place moved it to %d (%v)", l.LastSeq(), err)
+	}
+	l.Close()
+	l2, _ := openTest(t, Options{Dir: dir})
+	if seq, err := l2.Append(testRecord("Q0", 0)); err != nil || seq != 301 {
+		t.Fatalf("append after NumberPast(300) and a reopen got seq %d (%v), want 301", seq, err)
+	}
+}
+
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
 	// Small segments force several rotations.

@@ -47,8 +47,9 @@ type LearnerMetrics struct {
 	// taken, read just before the flush that makes the rest of this struct
 	// current.
 	QueueDepth int `json:"feedback_queue_depth"`
-	// AppliedSeq is the WAL sequence number of the newest feedback point in
-	// the synopsis (0 when durability is disabled or nothing was logged).
+	// AppliedSeq is the learner's watermark: the WAL sequence number of the
+	// newest record, feedback or correction, its state reflects (0 when
+	// durability is disabled or nothing was logged).
 	AppliedSeq uint64 `json:"applied_seq"`
 	// CorrectionEpoch and CorrectionSites report the adaptive statistics
 	// layer's state for this template: the correction epoch and the number

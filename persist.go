@@ -159,11 +159,14 @@ func (s *System) snapshot(plans bool) *netproto.Snapshot {
 // LoadReport.ColdTemplates) while the rest of the snapshot is still used.
 // Hard *SnapshotError failures are reserved for states no amount of
 // degrading can fix: a snapshot from a different database, or a System that
-// is not fresh.
-//
-// LoadState does not adopt the snapshot's lineage epoch: a durable System
-// takes a lineage only from its own checkpoint at Open.
+// is not fresh or is durable. A durable System restores only its own
+// checkpoint, at Open: state loaded into it would enter no WAL record —
+// replicas already attached would never receive it — and its watermarks
+// would name another log's records.
 func (s *System) LoadState(r io.Reader) error {
+	if s.wal != nil {
+		return &SnapshotError{Op: "load", Err: fmt.Errorf("LoadState into a durable System; it restores its own checkpoint at Open")}
+	}
 	_, err := s.loadState(r)
 	return err
 }

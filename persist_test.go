@@ -573,7 +573,7 @@ func TestRestoredLearnersKeepTheirDegree(t *testing.T) {
 		if err := rec.Register("Q1", reshaped); err != nil {
 			t.Fatal(err)
 		}
-		points, _ := feedbackTail(mustScan(t, dir))
+		points, _, _ := logTail(mustScan(t, dir), "Q1")
 		st, err := rec.lookup("Q1")
 		if err != nil {
 			t.Fatal(err)

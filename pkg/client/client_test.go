@@ -212,12 +212,13 @@ func TestConcurrentCallsUnderInFlightCap(t *testing.T) {
 
 // TestCallTimeout: a server slower than the call deadline fails every
 // attempt, so a call waits out three 2s deadlines and the 75ms of backoff
-// between them.
+// between them. The server's delay is strictly longer than the deadline:
+// at exactly the deadline an answer could still win the race.
 func TestCallTimeout(t *testing.T) {
 	if testing.Short() {
 		t.Skip("waits out three 2s call deadlines")
 	}
-	pred := &echoPredictor{delay: 2 * time.Second}
+	pred := &echoPredictor{delay: callTimeout + 500*time.Millisecond}
 	srv := newServer(t, pred)
 	cl, err := Dial(Options{Addr: srv.Addr()})
 	if err != nil {

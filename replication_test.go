@@ -154,6 +154,11 @@ func TestReplicationLineageStableAcrossRestart(t *testing.T) {
 				t.Fatal("no segment quarantined; the row is vacuous")
 			}
 		}},
+		{"deleted wal", false, func(t *testing.T, dir string) {
+			if err := os.RemoveAll(filepath.Join(dir, "wal")); err != nil {
+				t.Fatal(err)
+			}
+		}},
 		{"deleted checkpoint", false, func(t *testing.T, dir string) {
 			if err := os.Remove(filepath.Join(dir, checkpointName)); err != nil {
 				t.Fatal(err)
@@ -485,7 +490,8 @@ func TestLeaderRestartFromOlderImageResnapshotsReplica(t *testing.T) {
 // the EncodeState bytes and the stream carries kind-2 WAL records — so a
 // converged replica holds correction factors identical to the leader's.
 func TestLeaderReplicaCorrectionParity(t *testing.T) {
-	sys := openDurable(t, t.TempDir(), nil)
+	dir := t.TempDir()
+	sys := openDurable(t, dir, nil)
 	defer sys.Close() //nolint:errcheck
 	runDurableWorkload(t, sys, 150, 17)
 
@@ -507,7 +513,7 @@ func TestLeaderReplicaCorrectionParity(t *testing.T) {
 	if lst.tmpl.Query.Corr == nil {
 		t.Fatal("leader has no correction state; parity is vacuous")
 	}
-	if _, lSeq, _ := lst.tmpl.Query.Corr.State(); lSeq == 0 {
+	if _, n, _ := logTail(mustScan(t, dir), "Q1"); n == 0 {
 		t.Fatal("leader logged no corrections; parity is vacuous")
 	}
 	// The whole learner state — synopsis, counters and the corrections
