@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build vet test race chaos crash fuzz replication ab loc profile cover clean
+.PHONY: tier1 build vet test race chaos crash fuzz replication mutants ab loc profile cover clean
 
 # Per-target budget for the fuzz smoke (`make fuzz FUZZTIME=2m` to go deep).
 FUZZTIME ?= 15s
@@ -174,6 +174,16 @@ replication:
 	$(GO) test -race -run 'TestReplication|TestLeaderReplica|TestLeaderRestart' -v .
 	$(GO) test -race -run TestLeaderReplicaFailover -v ./cmd/ppcreplica
 	$(GO) test -run '^$$' -bench BenchmarkShipLoop -benchtime 1x ./internal/replica
+
+# The mutation check: each patch under testdata/mutants/ breaks the program
+# on purpose (a rotation that ignores its sealed segment's fsync error, a
+# wal.Open that numbers below its newest kept segment, a run.decide that
+# drops the learner's verdict) and names the test that must catch it.
+# scripts/mutants.sh applies each to a temporary copy of the working tree,
+# never to the tree itself, and fails if the named test passes on the
+# mutant (or fails without it).
+mutants:
+	bash scripts/mutants.sh
 
 # Same-runner A/B of one bench/ workload (hit_exec, miss_optimize,
 # serve_durable, replica_predict): the working tree against git ref BASE,

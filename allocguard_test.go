@@ -91,7 +91,7 @@ func TestDurableApplyAllocBudget(t *testing.T) {
 	if benchsuite.RaceEnabled {
 		t.Skip("race detector's shadow memory inflates allocation counts")
 	}
-	log, _, err := wal.Open(wal.Options{Dir: t.TempDir(), Sync: wal.SyncNever, SegmentBytes: 1 << 40})
+	log, _, err := wal.Open(wal.Options{Dir: t.TempDir(), Sync: wal.SyncInterval, SegmentBytes: 1 << 40})
 	if err != nil {
 		t.Fatal(err)
 	}

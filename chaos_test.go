@@ -327,6 +327,9 @@ func TestChaosOptimizerOutageKeepsHits(t *testing.T) {
 			}
 			assertTyped(t, err)
 		}
+		if inj.Fired(faults.OptimizerError) == 0 {
+			t.Fatal("the optimizer fault never fired")
+		}
 		inj.DisableAll()
 		recovers(t, sys, "Q1", next)
 	})
@@ -365,6 +368,9 @@ func TestChaosOptimizerOutageKeepsHits(t *testing.T) {
 				}
 			}
 			t.Logf("optimizer fault rate %v: %d of 400 runs failed, %d hits, %d degraded", c.rate, failed, hits, degraded)
+			if inj.Fired(faults.OptimizerError) == 0 {
+				t.Fatal("the optimizer fault never fired")
+			}
 			if hits < c.minHits {
 				t.Errorf("%d cache hits during the outage, want at least %d", hits, c.minHits)
 			}
@@ -438,6 +444,9 @@ func TestChaosMispredictionResetsLearner(t *testing.T) {
 	h, err := sys.TemplateMetrics("Q1")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if inj.Fired(faults.LearnerMisprediction) == 0 {
+		t.Fatal("the misprediction fault never fired")
 	}
 	if !reset || h.Learner.Resets == 0 {
 		t.Fatalf("precision collapse never reset the learner: %+v", h.Learner)
@@ -647,8 +656,8 @@ func TestChaosLabelSurvivesFailedExecute(t *testing.T) {
 			before := st.online.Validated()
 			_, err = sys.Run("Q1", inst.Values)
 			var pe *PipelineError
-			if !errors.As(err, &pe) || pe.Stage != "execute" {
-				t.Fatalf("Run with every execute failing returned %v, want a *PipelineError at stage execute", err)
+			if !errors.As(err, &pe) || pe.Stage != "execute" || !errors.Is(err, faults.ErrInjected) {
+				t.Fatalf("Run with every execute failing returned %v, want the injected error as a *PipelineError at stage execute", err)
 			}
 			st.flush()
 			if got := st.online.Validated() - before; got != 1 {

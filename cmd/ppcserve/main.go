@@ -21,7 +21,7 @@
 //
 //	ppcserve [-addr :8080] [-scale N] [-seed S] [-templates Q0,Q1,Q2,Q3]
 //	         [-cache N] [-load WORKERS]
-//	         [-wal-dir DIR] [-wal-sync always|interval|never]
+//	         [-wal-dir DIR] [-wal-sync always|interval]
 //	         [-checkpoint-every 1m] [-ship-addr :7071] [-ship-max 8]
 //
 // Each template keeps its 64 most recent decision traces. The load
@@ -90,7 +90,7 @@ func run() (err error) {
 	cacheCap := flag.Int("cache", 64, "plan cache capacity")
 	load := flag.Int("load", 1, "background load-generator workers (0 disables)")
 	walDir := flag.String("wal-dir", "", "durability directory (empty disables the WAL)")
-	walSync := flag.String("wal-sync", "always", "WAL fsync policy: always, interval or never")
+	walSync := flag.String("wal-sync", "always", "WAL fsync policy: always or interval")
 	checkpointEvery := flag.Duration("checkpoint-every", time.Minute, "background checkpoint cadence (requires -wal-dir; 0 means 1m, negative disables the checkpointer)")
 	shipAddr := flag.String("ship-addr", "", "binary-protocol listen address for replicas and clients (requires -wal-dir)")
 	shipMax := flag.Int("ship-max", 8, "max concurrent replica ship streams (admission cap)")

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -257,6 +258,66 @@ func TestRunHandlerAllocBudget(t *testing.T) {
 		t.Fatalf("/run allocates %.1f per request, Run alone %.1f: budget is Run's + %d", handler, run, requestAllocs)
 	}
 	t.Logf("/run %.1f allocs per request, Run alone %.1f", handler, run)
+}
+
+// traceKeys is the key set of one /trace record, in the order the build
+// before RunResult and the trace record shared one type of a run's facts
+// printed them.
+const traceKeys = "seq template plan_id fingerprint predicted cache_hit invoked random_invocation " +
+	"feedback_correction drift_reset degraded executed predict_ns optimize_ns execute_ns estimated_cost values point"
+
+// TestTraceJSONKeys: a /trace record carries the golden key set, its stage
+// times are integer nanosecond counts, and its facts are the ones /run
+// replied for the same run.
+func TestTraceJSONKeys(t *testing.T) {
+	sys := testSystem(t)
+	srv := httptest.NewServer(newMux(sys))
+	defer srv.Close()
+	resp, err := http.Post(srv.URL+"/run?template=Q1&values=0.3,0.3", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reply map[string]any
+	err = json.NewDecoder(resp.Body).Decode(&reply)
+	resp.Body.Close() //nolint:errcheck
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Get(srv.URL + "/trace?template=Q1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []map[string]json.RawMessage
+	err = json.NewDecoder(resp.Body).Decode(&recs)
+	resp.Body.Close() //nolint:errcheck
+	if err != nil || len(recs) != 1 {
+		t.Fatalf("/trace after one run: %d records, %v", len(recs), err)
+	}
+	rec := recs[0]
+	got := make([]string, 0, len(rec))
+	for k := range rec {
+		got = append(got, k)
+	}
+	want := strings.Fields(traceKeys)
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("/trace record keys %v, want %v", got, want)
+	}
+	for _, k := range []string{"predict_ns", "optimize_ns", "execute_ns"} {
+		if ns, err := strconv.ParseInt(string(rec[k]), 10, 64); err != nil || ns <= 0 {
+			t.Errorf("%s = %s, want a positive integer nanosecond count", k, rec[k])
+		}
+	}
+	for k, v := range reply {
+		if k == "rows" {
+			continue
+		}
+		var traced any
+		if err := json.Unmarshal(rec[k], &traced); err != nil || traced != v {
+			t.Errorf("/trace %s = %s, /run replied %v", k, rec[k], v)
+		}
+	}
 }
 
 func TestReadEndpointsServeOnDedicatedMux(t *testing.T) {

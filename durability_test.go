@@ -691,7 +691,7 @@ func TestCrashRecoveryUnderAppendFaults(t *testing.T) {
 	inj.DisableAll()
 	acked := triple(t, sys)
 	m := sys.WALMetrics()
-	if m == nil || m.AppendErrors == 0 {
+	if m == nil || m.AppendErrors == 0 || inj.Fired(faults.WALShortWrite) == 0 {
 		t.Fatalf("short writes never fired: %+v", m)
 	}
 

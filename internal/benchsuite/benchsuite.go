@@ -445,8 +445,8 @@ func RebindRecost(b *testing.B) {
 
 // WALAppend measures the log's append path in isolation: encode one frame
 // into the log's reused scratch buffer and write it to the current segment
-// (SyncNever — fsync cost is Commit's; bench/'s serve_durable workload pays
-// it end to end).
+// (it never calls Commit, so no fsync — that cost is Commit's, and bench/'s
+// serve_durable workload pays it end to end).
 // The append runs under the learner's write lock in production, so it must
 // stay allocation-free: it is part of the zero-alloc guard.
 func WALAppend(b *testing.B) {
@@ -455,7 +455,7 @@ func WALAppend(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer os.RemoveAll(dir) //nolint:errcheck
-	log, _, err := wal.Open(wal.Options{Dir: dir, Sync: wal.SyncNever, SegmentBytes: 1 << 40})
+	log, _, err := wal.Open(wal.Options{Dir: dir, SegmentBytes: 1 << 40})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -292,7 +292,7 @@ func TestOnlineNegativeFeedbackCorrects(t *testing.T) {
 		if d.FeedbackCorrection {
 			corrections++
 		}
-		if d.Reset {
+		if d.DriftReset {
 			resets++
 		}
 	}

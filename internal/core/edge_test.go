@@ -177,7 +177,8 @@ func TestOnlineInjectedMispredictionIsCorrected(t *testing.T) {
 	for i := 0; i < 1200; i++ {
 		mustStep(t, o, []float64{rng.Float64(), rng.Float64()})
 	}
-	o.SetFaults(faults.New(7).Enable(faults.LearnerMisprediction, 1))
+	inj := faults.New(7).Enable(faults.LearnerMisprediction, 1)
+	o.SetFaults(inj)
 	corrections, served := 0, 0
 	for i := 0; i < 200; i++ {
 		d := mustStep(t, o, []float64{rng.Float64(), rng.Float64()})
@@ -188,8 +189,8 @@ func TestOnlineInjectedMispredictionIsCorrected(t *testing.T) {
 			}
 		}
 	}
-	if served == 0 {
-		t.Fatal("no predictions served; test is vacuous")
+	if served == 0 || inj.Fired(faults.LearnerMisprediction) == 0 {
+		t.Fatal("no predictions served or garbled; test is vacuous")
 	}
 	if corrections < served/2 {
 		t.Errorf("only %d/%d garbled predictions corrected", corrections, served)

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/metrics"
+	"repro/internal/obsv"
 	"repro/internal/stats"
 	"repro/internal/wal"
 )
@@ -107,10 +108,11 @@ func (c OnlineConfig) withDefaults() (OnlineConfig, error) {
 	return c, nil
 }
 
-// Decision describes what the driver did for one query instance.
+// Decision describes what the driver did for one query instance: the
+// verdict every consumer of a run reads, and what only the driver's own
+// callers need.
 type Decision struct {
-	// Predicted is true when the predictor emitted a NULL-free prediction.
-	Predicted bool
+	obsv.Verdict
 	// PredictedPlan is the predictor's plan (meaningful when Predicted);
 	// experiment harnesses compare it against ground truth.
 	PredictedPlan int
@@ -118,20 +120,6 @@ type Decision struct {
 	Plan int
 	// Confidence is the predictor's confidence (0 when NULL).
 	Confidence float64
-	// Invoked is true when the optimizer ran (NULL prediction, random
-	// invocation, or negative-feedback correction).
-	Invoked bool
-	// RandomInvocation marks an invocation forced by the random coin
-	// despite a usable prediction.
-	RandomInvocation bool
-	// FeedbackCorrection marks a prediction rejected post-execution by the
-	// cost-based error detector.
-	FeedbackCorrection bool
-	// CacheHit is true when a predicted plan was served without optimizing.
-	CacheHit bool
-	// Reset is true when drift recovery dropped the template's histograms
-	// during this step.
-	Reset bool
 	// PositiveInsertion marks a high-confidence prediction returned as a
 	// self-labeled Label. It enters the histograms when the caller applies
 	// the label (Step does before it returns).
@@ -615,7 +603,7 @@ func (o *Online) maybeReset(d *Decision) {
 	o.est.Reset()
 	o.resets.Add(1)
 	o.publishLocked()
-	d.Reset = true
+	d.DriftReset = true
 }
 
 // Model returns the current published snapshot. Lock-free; the returned

@@ -535,7 +535,7 @@ func TestDriftResetLabelIsStale(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		validated, drops := o.Validated(), o.StaleFeedbackDrops()
 		d := step()
-		if !d.Reset {
+		if !d.DriftReset {
 			continue
 		}
 		resets++
@@ -551,7 +551,7 @@ func TestDriftResetLabelIsStale(t *testing.T) {
 		t.Fatal("drift recovery never fired after the plan space shifted")
 	}
 	// Learn past the last reset, so the log's newest epoch is the learner's.
-	for d := step(); !d.Invoked || d.Reset; d = step() {
+	for d := step(); !d.Invoked || d.DriftReset; d = step() {
 	}
 
 	replayed := MustNewOnline(cfg, nil)

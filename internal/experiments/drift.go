@@ -174,7 +174,7 @@ func RunDrift(env *Env, cfg DriftConfig) (*DriftResult, error) {
 				estMatch++
 			}
 		}
-		if d.Reset {
+		if d.DriftReset {
 			resetsInWindow++
 			if i >= res.DriftStep && res.FirstResetStep == -1 {
 				res.FirstResetStep = i

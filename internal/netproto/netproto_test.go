@@ -200,6 +200,9 @@ func TestCorruptFrameDetected(t *testing.T) {
 	if _, _, err := r.ReadMsg(); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("corrupt frame read error = %v, want ErrBadFrame", err)
 	}
+	if inj.Fired(faults.NetCorruptFrame) != 1 {
+		t.Fatalf("corrupt-frame fault fired %d times, want 1", inj.Fired(faults.NetCorruptFrame))
+	}
 }
 
 // TestReaderRejectsImplausibleLengths feeds raw bytes with hostile length

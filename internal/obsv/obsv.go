@@ -163,7 +163,7 @@ func (t *TemplateObs) Observe(rec *TraceRecord) {
 	}
 	if rec.Invoked {
 		t.invocations.Add(1)
-		t.optimize.Record(time.Duration(rec.OptimizeNs))
+		t.optimize.Record(rec.OptimizeTime)
 	}
 	if rec.RandomInvocation {
 		t.randomInvocations.Add(1)
@@ -174,11 +174,11 @@ func (t *TemplateObs) Observe(rec *TraceRecord) {
 	if rec.Degraded {
 		t.degradedRuns.Add(1)
 		// Degraded-path service time: decide + direct optimize + execute.
-		t.degraded.Record(time.Duration(rec.PredictNs + rec.OptimizeNs + rec.ExecuteNs))
+		t.degraded.Record(rec.PredictTime + rec.OptimizeTime + rec.ExecuteTime)
 	}
-	t.predict.Record(time.Duration(rec.PredictNs))
+	t.predict.Record(rec.PredictTime)
 	if rec.Executed {
-		t.execute.Record(time.Duration(rec.ExecuteNs))
+		t.execute.Record(rec.ExecuteTime)
 	}
 	t.ring.Append(rec)
 }

@@ -114,7 +114,7 @@ func TestTraceRingWraparound(t *testing.T) {
 	}
 	const extra = 6
 	for i := 1; i <= traceRingSize+extra; i++ {
-		rec := TraceRecord{Seq: uint64(i), PlanID: i}
+		rec := TraceRecord{Seq: uint64(i), Facts: Facts{PlanID: i}}
 		r.Append(&rec)
 	}
 	snap := r.Snapshot()
@@ -178,14 +178,11 @@ func TestObserveCountersAndConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				rec := TraceRecord{
-					Template:  "Q",
-					Predicted: i%2 == 0,
-					CacheHit:  i%2 == 0,
-					Invoked:   i%2 == 1,
-					Executed:  true,
-					PredictNs: 100, OptimizeNs: 200, ExecuteNs: 300,
-				}
+				rec := TraceRecord{Executed: true, Facts: Facts{
+					Template:    "Q",
+					Verdict:     Verdict{Predicted: i%2 == 0, CacheHit: i%2 == 0, Invoked: i%2 == 1},
+					PredictTime: 100, OptimizeTime: 200, ExecuteTime: 300,
+				}}
 				tm.Observe(&rec)
 			}
 		}()

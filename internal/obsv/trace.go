@@ -11,39 +11,16 @@ import (
 // allocations.
 const MaxTraceDims = 8
 
-// TraceRecord is one completed Run through the serving path, in the shape
-// of a ppc.RunResult but flattened to a fixed-size value type: appending it
-// to a ring copies plain memory and never allocates. Durations are raw
-// nanoseconds to keep the JSON form explicit.
+// TraceRecord is one completed Run through the serving path: the run's
+// Facts, its completion number and the instance's coordinates inline, a
+// fixed-size value type, so appending it to a ring copies plain memory and
+// never allocates.
 type TraceRecord struct {
 	// Seq is the per-template completion sequence number (1-based).
-	Seq      uint64 `json:"seq"`
-	Template string `json:"template"`
-	// PlanID and Fingerprint identify the executed plan.
-	PlanID      int    `json:"plan_id"`
-	Fingerprint string `json:"fingerprint"`
-	// Predicted is true when the learner emitted a NULL-free prediction.
-	Predicted bool `json:"predicted"`
-	// CacheHit is true when the predicted plan was served without optimizing.
-	CacheHit bool `json:"cache_hit"`
-	// Invoked is true when the optimizer ran.
-	Invoked bool `json:"invoked"`
-	// RandomInvocation / FeedbackCorrection / DriftReset mirror the online
-	// driver's Section IV-D/E decision flags.
-	RandomInvocation   bool `json:"random_invocation"`
-	FeedbackCorrection bool `json:"feedback_correction"`
-	DriftReset         bool `json:"drift_reset"`
-	// Degraded marks a run whose learner step failed and that invoked the
-	// optimizer directly.
-	Degraded bool `json:"degraded"`
+	Seq uint64 `json:"seq"`
+	Facts
 	// Executed is true when the plan ran against the database.
 	Executed bool `json:"executed"`
-	// Stage latencies in nanoseconds.
-	PredictNs  int64 `json:"predict_ns"`
-	OptimizeNs int64 `json:"optimize_ns"`
-	ExecuteNs  int64 `json:"execute_ns"`
-	// EstimatedCost is the cost model's estimate for the executed plan.
-	EstimatedCost float64 `json:"estimated_cost"`
 
 	// Values/Point hold the instance's parameter values and plan space
 	// point, inline up to MaxTraceDims coordinates.

@@ -84,7 +84,7 @@ func randomRecord(rng *rand.Rand) *wal.Record {
 func seededLog(t *testing.T, seed int64) string {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(seed))
-	opts := wal.Options{Dir: dir, Sync: wal.SyncNever, SegmentBytes: int64(256 + rng.Intn(512))}
+	opts := wal.Options{Dir: dir, SegmentBytes: int64(256 + rng.Intn(512))}
 	appendRandom := func(n int) uint64 {
 		l, _, err := wal.Open(opts)
 		if err != nil {
@@ -164,7 +164,7 @@ func TestShippedEqualsRecovered(t *testing.T) {
 		}
 		frames := segmentFrames(t, dir)
 		// Open truncates the torn frame before a follower exists.
-		l, _, err := wal.Open(wal.Options{Dir: dir, Sync: wal.SyncNever})
+		l, _, err := wal.Open(wal.Options{Dir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -323,7 +323,7 @@ func TestStateRefusesAGap(t *testing.T) {
 // MsgRecords bodies as serveReplica does, written to io.Discard.
 func BenchmarkShipLoop(b *testing.B) {
 	const shipRecords = 4096
-	l, _, err := wal.Open(wal.Options{Dir: b.TempDir(), Sync: wal.SyncNever, SegmentBytes: 64 << 10})
+	l, _, err := wal.Open(wal.Options{Dir: b.TempDir(), SegmentBytes: 64 << 10})
 	if err != nil {
 		b.Fatal(err)
 	}

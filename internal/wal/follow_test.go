@@ -181,6 +181,9 @@ func TestFollowerTornTailNotDelivered(t *testing.T) {
 	appendN(t, l, "Q1", 3)
 	inj.Enable(faults.WALTornTail, 1)
 	appendN(t, l, "Q1", 4)
+	if inj.Fired(faults.WALTornTail) != 1 {
+		t.Fatalf("torn-tail fault fired %d times, want 1 (the log is dead after it)", inj.Fired(faults.WALTornTail))
+	}
 	live := filepath.Join(dir, segName(l.segs[len(l.segs)-1]))
 	if fi, err := os.Stat(live); err != nil || fi.Size() <= l.size {
 		t.Fatalf("live segment %v (%v), want more bytes than the %d committed: the torn frame", fi, err, l.size)
@@ -211,7 +214,7 @@ func TestFollowerTornTailNotDelivered(t *testing.T) {
 func TestFollowerShortWriteNotDelivered(t *testing.T) {
 	dir := t.TempDir()
 	inj := faults.New(5).Enable(faults.WALShortWrite, 0.1)
-	l, _ := openTest(t, Options{Dir: dir, Sync: SyncNever, Faults: inj, SegmentBytes: 1 << 10})
+	l, _ := openTest(t, Options{Dir: dir, Faults: inj, SegmentBytes: 1 << 10})
 	const appends = 2000
 	done := make(chan int, 1)
 	go func() {
@@ -332,7 +335,7 @@ func TestFollowerStopsWhereScanStops(t *testing.T) {
 // its size (≈ 250 MiB here).
 func TestFollowerPollReadsOnlyTheTail(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := openTest(t, Options{Dir: dir, Sync: SyncNever, SegmentBytes: 1 << 30})
+	l, _ := openTest(t, Options{Dir: dir, SegmentBytes: 1 << 30})
 	rec := testRecord("Q1", 1)
 	frame := int64(len(AppendFrame(nil, rec)))
 	n := int((2<<20)/frame) + 1
@@ -376,7 +379,7 @@ func TestFollowerPollReadsOnlyTheTail(t *testing.T) {
 // allocates half the segment per poll, ≈ 70 MB over the drain.
 func TestFollowerDrainReadsTheSegmentOnce(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := openTest(t, Options{Dir: dir, Sync: SyncNever, SegmentBytes: 1 << 30})
+	l, _ := openTest(t, Options{Dir: dir, SegmentBytes: 1 << 30})
 	const records = 32768
 	for i := 0; i < records; i++ {
 		if _, err := l.Append(testRecord("Q1", i)); err != nil {
@@ -472,7 +475,7 @@ func TestFollowerReadsOnPastItsCache(t *testing.T) {
 
 	t.Run("appended then rotated", func(t *testing.T) {
 		dir := t.TempDir()
-		l, _ := openTest(t, Options{Dir: dir, Sync: SyncNever, SegmentBytes: int64(headerSize + 700*frame)})
+		l, _ := openTest(t, Options{Dir: dir, SegmentBytes: int64(headerSize + 700*frame)})
 		appendN(t, l, "Q1", 600)
 		f := l.Follow(0)
 		firstPoll(t, f)          // 513..600 stay in hand
@@ -486,7 +489,7 @@ func TestFollowerReadsOnPastItsCache(t *testing.T) {
 	t.Run("torn then rotated", func(t *testing.T) {
 		dir := t.TempDir()
 		inj := faults.New(3)
-		l, _ := openTest(t, Options{Dir: dir, Sync: SyncNever, Faults: inj, SegmentBytes: int64(headerSize + 700*frame)})
+		l, _ := openTest(t, Options{Dir: dir, Faults: inj, SegmentBytes: int64(headerSize + 700*frame)})
 		appendN(t, l, "Q1", 600)
 		f := l.Follow(0)
 		firstPoll(t, f) // 513..600 stay in hand

@@ -202,8 +202,6 @@ const (
 	// fsyncs when the 100ms are up, so a batch is durable within 100ms
 	// whether or not another Commit follows.
 	SyncInterval
-	// SyncNever leaves flushing to the OS page cache (Close still syncs).
-	SyncNever
 )
 
 // String names the policy (flag parsing in cmd/ppcserve round-trips it).
@@ -213,8 +211,6 @@ func (p SyncPolicy) String() string {
 		return "always"
 	case SyncInterval:
 		return "interval"
-	case SyncNever:
-		return "never"
 	}
 	return fmt.Sprintf("wal.SyncPolicy(%d)", int(p))
 }
@@ -226,10 +222,8 @@ func ParsePolicy(s string) (SyncPolicy, error) {
 		return SyncAlways, nil
 	case "interval":
 		return SyncInterval, nil
-	case "never":
-		return SyncNever, nil
 	}
-	return 0, fmt.Errorf("wal: unknown sync policy %q (want always, interval or never)", s)
+	return 0, fmt.Errorf("wal: unknown sync policy %q (want always or interval)", s)
 }
 
 // Options configures a Log.
@@ -841,7 +835,7 @@ func (l *Log) repairLocked() error {
 // Commit is the group-commit barrier the applier calls once per apply
 // batch: under SyncAlways it fsyncs now, under SyncInterval it fsyncs when
 // the interval has elapsed and otherwise leaves a timer to fsync when it
-// does, under SyncNever it is a no-op.
+// does.
 func (l *Log) Commit() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -905,13 +899,19 @@ func (l *Log) disarmLocked() {
 	}
 }
 
-// rotateLocked closes the current segment and opens a fresh one named by
-// the next sequence number.
+// rotateLocked seals the current segment and opens a fresh one named by
+// the next sequence number. The sealed segment is fsynced first, through
+// syncLocked's fault check and error count: a later segment may exist on
+// disk only behind a durable predecessor, or a power loss would turn the
+// predecessor's lost tail into mid-log damage that quarantines every later
+// segment. A new segment file's directory entry is fsynced before the
+// segment is used. On any error the current segment stays live and nothing
+// is numbered, so the next append retries the rotation.
 func (l *Log) rotateLocked() error {
 	if l.f != nil {
-		l.f.Sync()  //nolint:errcheck
-		l.f.Close() //nolint:errcheck
-		l.opts.Observer.WALRotate()
+		if err := l.syncLocked(); err != nil {
+			return err
+		}
 	}
 	first := l.seq + 1
 	path := filepath.Join(l.opts.Dir, segName(first))
@@ -930,14 +930,18 @@ func (l *Log) rotateLocked() error {
 		// the scanned (and repaired) tail segment whose records all predate
 		// first — keep appending after them rather than double-writing the
 		// header.
-		var hdr [headerSize]byte
-		copy(hdr[:], segMagic)
-		binary.LittleEndian.PutUint16(hdr[len(segMagic):], segVersion)
-		if _, err := f.Write(hdr[:]); err != nil {
-			f.Close() //nolint:errcheck
-			return fmt.Errorf("wal: write segment header: %w", err)
+		if err := l.initSegment(f); err != nil {
+			// Remove the file, so the retry finds no partial header to
+			// append after and creates (and fsyncs) it afresh.
+			f.Close()       //nolint:errcheck
+			os.Remove(path) //nolint:errcheck
+			return err
 		}
 		size = int64(headerSize)
+	}
+	if l.f != nil {
+		l.f.Close() //nolint:errcheck
+		l.opts.Observer.WALRotate()
 	}
 	l.f = f
 	l.size = size
@@ -946,6 +950,35 @@ func (l *Log) rotateLocked() error {
 	i, _ := slices.BinarySearch(l.segs, first)
 	l.segs = append(l.segs[:i], first)
 	return nil
+}
+
+// initSegment writes a fresh segment's header and fsyncs the directory
+// that now names it; a failed directory fsync counts as a sync error.
+func (l *Log) initSegment(f *os.File) error {
+	var hdr [headerSize]byte
+	copy(hdr[:], segMagic)
+	binary.LittleEndian.PutUint16(hdr[len(segMagic):], segVersion)
+	if _, err := f.Write(hdr[:]); err != nil {
+		return fmt.Errorf("wal: write segment header: %w", err)
+	}
+	if err := syncDir(l.opts.Dir); err != nil {
+		l.opts.Observer.WALSyncError()
+		return fmt.Errorf("wal: fsync directory: %w", err)
+	}
+	return nil
+}
+
+// syncDir fsyncs a directory, making the entries created in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Compact deletes segments whose every record is covered by a checkpoint —

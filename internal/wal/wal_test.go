@@ -431,7 +431,7 @@ func TestSyncPolicies(t *testing.T) {
 	if _, err := ParsePolicy("bogus"); err == nil {
 		t.Fatal("ParsePolicy accepted garbage")
 	}
-	for _, s := range []string{"always", "interval", "never"} {
+	for _, s := range []string{"always", "interval"} {
 		p, err := ParsePolicy(s)
 		if err != nil {
 			t.Fatal(err)
@@ -631,5 +631,54 @@ func TestInjectedFsyncError(t *testing.T) {
 	inj.DisableAll()
 	if err := l.Commit(); err != nil {
 		t.Fatalf("Commit after fault cleared: %v", err)
+	}
+}
+
+// TestRotationFsyncErrorFailsTheAppend: a rotation that cannot fsync the
+// segment it seals fails the append that needed it, counted as a sync error
+// and an append error. It numbers nothing and keeps the full segment live,
+// so the next append retries the rotation, and the log stays dense.
+func TestRotationFsyncErrorFailsTheAppend(t *testing.T) {
+	dir := t.TempDir()
+	inj := faults.New(3)
+	obs := &obsv.WALObs{}
+	l, _ := openTest(t, Options{Dir: dir, Faults: inj, Observer: obs, SegmentBytes: 256})
+	defer l.Close()
+	n := 0
+	for ; l.size < l.opts.SegmentBytes; n++ {
+		if _, err := l.Append(testRecord("Q1", n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seq := l.LastSeq()
+	inj.Enable(faults.WALFsyncError, 1)
+	if _, err := l.Append(testRecord("Q1", n)); !errors.Is(err, faults.ErrInjected) {
+		t.Fatalf("append needing a rotation under an fsync fault returned %v", err)
+	}
+	if inj.Fired(faults.WALFsyncError) != 1 {
+		t.Fatalf("fsync fault fired %d times, want 1", inj.Fired(faults.WALFsyncError))
+	}
+	if names, _ := segments(dir); l.LastSeq() != seq || len(names) != 1 {
+		t.Fatalf("failed rotation left last seq %d (want %d) and segments %v (want one)", l.LastSeq(), seq, names)
+	}
+	if s := obs.Snapshot(); s.SyncErrors != 1 || s.AppendErrors != 1 || s.Rotations != 0 {
+		t.Fatalf("observer counted %d sync errors, %d append errors, %d rotations; want 1, 1, 0",
+			s.SyncErrors, s.AppendErrors, s.Rotations)
+	}
+	inj.DisableAll()
+	if got, err := l.Append(testRecord("Q1", n)); err != nil || got != seq+1 {
+		t.Fatalf("append after the fault cleared: seq %d, %v; want %d", got, err, seq+1)
+	}
+	if names, _ := segments(dir); len(names) != 2 || obs.Snapshot().Rotations != 1 {
+		t.Fatalf("retried rotation: segments %v, %d rotations; want two and one", names, obs.Snapshot().Rotations)
+	}
+	l.Close()
+	got, err := Scan(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Corrupt || got.LastSeq != seq+1 || len(got.Records) != int(seq+1) {
+		t.Fatalf("scan after the retried rotation: %d records to seq %d, corrupt %v; want %d dense",
+			len(got.Records), got.LastSeq, got.Corrupt, seq+1)
 	}
 }

@@ -656,45 +656,15 @@ func (s *System) TemplateNames() []string {
 	return names
 }
 
-// RunResult reports one query execution through the PPC pipeline.
+// RunResult reports one query execution through the PPC pipeline: the
+// run's facts (its trace record carries the same value), the instance and
+// the executed rows.
 type RunResult struct {
-	// Template and Values identify the instance.
-	Template string
-	Values   []float64
-	// Point is the instance's plan space point (predicate selectivities).
-	Point []float64
-	// PlanID and Fingerprint identify the executed plan.
-	PlanID      int
-	Fingerprint string
-	// CacheHit is true when a cached plan was reused without optimizing.
-	CacheHit bool
-	// Predicted is true when the learner emitted a NULL-free prediction
-	// (false on NULL predictions and on degraded runs, where the learner's
-	// decision was bypassed or discarded).
-	Predicted bool
-	// Invoked is true when the optimizer ran.
-	Invoked bool
-	// RandomInvocation marks an optimizer invocation forced by the random
-	// audit coin despite a usable prediction (Section IV-D).
-	RandomInvocation bool
-	// FeedbackCorrection marks a prediction rejected post-execution by the
-	// cost-based negative-feedback detector (Section IV-E).
-	FeedbackCorrection bool
-	// DriftReset is true when drift recovery dropped this template's
-	// histograms during this run.
-	DriftReset bool
-	// OptimizeTime is the wall time spent in the optimizer (0 on hits);
-	// PredictTime is the learner's decision time.
-	OptimizeTime time.Duration
-	PredictTime  time.Duration
-	ExecuteTime  time.Duration
-	// EstimatedCost is the cost model's estimate for the executed plan at
-	// this instance.
-	EstimatedCost float64
-	// Degraded is true when the run's learner step failed and the optimizer
-	// was invoked directly for this run. The time spent in the failed step
-	// stays in PredictTime.
-	Degraded bool
+	obsv.Facts
+	// Values identifies the instance; Point is its plan space point
+	// (predicate selectivities).
+	Values []float64
+	Point  []float64
 	// Result holds the executed rows.
 	Result *executor.Result
 }
@@ -737,7 +707,7 @@ func (s *System) Run(template string, values []float64) (res *RunResult, err err
 	if err != nil {
 		return nil, err
 	}
-	res = &RunResult{Template: template, Values: values, Point: point}
+	res = &RunResult{Facts: obsv.Facts{Template: template}, Values: values, Point: point}
 	r := &run{st: st, res: res, buf: runBufPool.Get().(*runBuf)}
 	err = r.serve()
 	// Learn: one message to the learner carries what the run learned — the
@@ -816,22 +786,7 @@ func (r *run) execute() error {
 // locks; the record is built on the stack and copied, so the observability
 // layer adds no allocations to the serving path.
 func (s *System) observeRun(st *templateState, res *RunResult) {
-	var rec obsv.TraceRecord
-	rec.Template = res.Template
-	rec.PlanID = res.PlanID
-	rec.Fingerprint = res.Fingerprint
-	rec.Predicted = res.Predicted
-	rec.CacheHit = res.CacheHit
-	rec.Invoked = res.Invoked
-	rec.RandomInvocation = res.RandomInvocation
-	rec.FeedbackCorrection = res.FeedbackCorrection
-	rec.DriftReset = res.DriftReset
-	rec.Degraded = res.Degraded
-	rec.Executed = res.Result != nil
-	rec.PredictNs = res.PredictTime.Nanoseconds()
-	rec.OptimizeNs = res.OptimizeTime.Nanoseconds()
-	rec.ExecuteNs = res.ExecuteTime.Nanoseconds()
-	rec.EstimatedCost = res.EstimatedCost
+	rec := obsv.TraceRecord{Facts: res.Facts, Executed: res.Result != nil}
 	rec.SetValues(res.Values)
 	rec.SetPoint(res.Point)
 	st.obs.Observe(&rec)
@@ -946,12 +901,7 @@ func (r *run) decide() (failed bool) {
 		// extends).
 		return true
 	}
-	res.CacheHit = decision.CacheHit
-	res.Predicted = decision.Predicted
-	res.Invoked = decision.Invoked
-	res.RandomInvocation = decision.RandomInvocation
-	res.FeedbackCorrection = decision.FeedbackCorrection
-	res.DriftReset = decision.Reset
+	res.Verdict = decision.Verdict
 	return false
 }
 
