@@ -295,10 +295,12 @@ func (s *System) Checkpoint() (err error) {
 		os.Remove(tmp) //nolint:errcheck
 		return &SnapshotError{Op: "checkpoint", Err: err}
 	}
-	// Fsync the directory so the rename itself survives power loss.
-	if df, derr := os.Open(dir); derr == nil {
-		df.Sync()  //nolint:errcheck
-		df.Close() //nolint:errcheck
+	// Fsync the directory so the rename itself survives power loss. Until
+	// it has, compaction must not unlink the records only the new
+	// checkpoint holds: a later segment creation fsyncs wal/, and the
+	// unlinks could outlast a rename that was never made durable.
+	if err := wal.SyncDir(dir); err != nil {
+		return &SnapshotError{Op: "checkpoint", Err: err}
 	}
 	if _, err := s.wal.Compact(minSeq); err != nil {
 		return &SnapshotError{Op: "checkpoint", Err: err}

@@ -121,13 +121,9 @@ func TestRetiredKindScansShipsAndReplaysStale(t *testing.T) {
 	if err != nil || n != 3 {
 		t.Fatalf("poll read %d of 3 records, %v", n, err)
 	}
-	var shipped []wal.Record
-	for len(stream) > 0 {
-		r, n, err := wal.DecodeFrame(stream)
-		if err != nil {
-			t.Fatalf("ship decode stopped after %d records: %v", len(shipped), err)
-		}
-		shipped, stream = append(shipped, r), stream[n:]
+	shipped, err := wal.DecodeFrames(stream)
+	if err != nil {
+		t.Fatalf("ship decode stopped after %d records: %v", len(shipped), err)
 	}
 	if !reflect.DeepEqual(shipped, scan.Records) {
 		t.Fatalf("shipped %+v, scanned %+v", shipped, scan.Records)
@@ -423,7 +419,7 @@ func reseal(data []byte) []byte {
 // FuzzReplayRecords: whatever frames a log or a ship stream can hold, replay
 // never panics and never leaves the learner in a state its own encoder and
 // decoder disagree on. The fuzzer's bytes are cut into frames by
-// wal.DecodeFrame — so every record has passed the structural checks
+// wal.DecodeFrames — so every record has passed the structural checks
 // outside bytes get — and replayed into a warm learner; then EncodeState
 // must decode and re-encode to the same bytes.
 func FuzzReplayRecords(f *testing.F) {
@@ -467,15 +463,7 @@ func FuzzReplayRecords(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var recs []wal.Record
-		data = reseal(data)
-		for len(data) > 0 {
-			rec, n, err := wal.DecodeFrame(data)
-			if err != nil {
-				break
-			}
-			recs, data = append(recs, rec), data[n:]
-		}
+		recs, _ := wal.DecodeFrames(reseal(data)) // the records before the first invalid frame
 		o := fuzzLearner(t)
 		warm := rand.New(rand.NewSource(9))
 		for i := 0; i < 40; i++ {

@@ -20,7 +20,9 @@
 // hold, which is what epoch fencing and incremental resume key off. The
 // server answers with Welcome (or Error and a close). Epochs stamp every
 // replication-relevant message so a replica can never mix state from two
-// leader lineages.
+// leader lineages. After a replica's Welcome the leader sends a MsgSnapshot
+// unless the replica resumes, then MsgRecords batches, each the WAL's
+// frames as its segments hold them, between MsgHeartbeats.
 package netproto
 
 import (
@@ -44,7 +46,7 @@ const (
 	// Version is the current protocol version. The handshake is strict:
 	// mismatched versions are rejected with CodeVersionMismatch rather than
 	// negotiated down (the fleet upgrades in lockstep).
-	Version uint16 = 1
+	Version uint16 = 2
 	// frameOverhead is the per-frame cost: length prefix + checksum.
 	frameOverhead = 8
 	// MaxFrame bounds a declared frame length so a corrupted length field
@@ -78,8 +80,11 @@ const (
 	// MsgSnapshot ships the leader's full learned state (per-template
 	// learner encodings + the plan fingerprint table).
 	MsgSnapshot MsgType = 6
-	// MsgRecords ships a batch of WAL feedback records (PR 5 frame
-	// encoding, verbatim).
+	// MsgRecords ships a batch of WAL records: the body is a run of WAL
+	// frames exactly as a segment holds them after its header, and nothing
+	// else. The frames delimit and checksum themselves, so the body carries
+	// no count; wal.DecodeFrames reads it with the walk crash recovery
+	// makes.
 	MsgRecords MsgType = 7
 	// MsgHeartbeat carries liveness plus a sequence number: the leader
 	// sends its WAL tail seq (replicas derive lag), the replica acks its

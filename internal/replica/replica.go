@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/netproto"
+	"repro/internal/wal"
 )
 
 // Options configures a Replica.
@@ -214,7 +215,7 @@ func (r *Replica) session(conn net.Conn) (welcomed bool, err error) {
 		}
 		switch t {
 		case netproto.MsgRecords:
-			recs, err := decodeRecords(body)
+			recs, err := wal.DecodeFrames(body)
 			if err != nil {
 				obs.CountBadFrame()
 				return welcomed, err

@@ -8,7 +8,6 @@ package replica
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"math/rand"
 	"net"
@@ -458,8 +457,9 @@ func TestInstallRejectsCrossEpochSnapshot(t *testing.T) {
 }
 
 // TestVersionMismatchHandshake is the version-skew satellite over real TCP:
-// a peer speaking protocol v99 must be rejected with CodeVersionMismatch,
-// not silently dropped or misparsed.
+// a peer speaking protocol v1 (whose record batches carried a count) or
+// v99 must be rejected with CodeVersionMismatch, not silently dropped or
+// misparsed.
 func TestVersionMismatchHandshake(t *testing.T) {
 	src := newFakeSource(t, 1)
 	srv, err := Serve(fastConfig(src))
@@ -468,30 +468,32 @@ func TestVersionMismatchHandshake(t *testing.T) {
 	}
 	defer srv.Close() //nolint:errcheck
 
-	raw, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close() //nolint:errcheck
-	c := netproto.NewConn(raw, nil)
-	hello := netproto.Hello{Version: 99, Role: netproto.RoleReplica}
-	if err := c.WriteMsg(netproto.MsgHello, hello.Encode(nil)); err != nil {
-		t.Fatal(err)
-	}
-	raw.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
-	mt, body, err := c.ReadMsg()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mt != netproto.MsgError {
-		t.Fatalf("got %v, want error", mt)
-	}
-	em, err := netproto.DecodeError(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if em.Code != netproto.CodeVersionMismatch {
-		t.Fatalf("code %d, want CodeVersionMismatch", em.Code)
+	for _, v := range []uint16{1, 99} {
+		raw, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer raw.Close() //nolint:errcheck
+		c := netproto.NewConn(raw, nil)
+		hello := netproto.Hello{Version: v, Role: netproto.RoleReplica}
+		if err := c.WriteMsg(netproto.MsgHello, hello.Encode(nil)); err != nil {
+			t.Fatal(err)
+		}
+		raw.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+		mt, body, err := c.ReadMsg()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mt != netproto.MsgError {
+			t.Fatalf("v%d: got %v, want error", v, mt)
+		}
+		em, err := netproto.DecodeError(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if em.Code != netproto.CodeVersionMismatch {
+			t.Fatalf("v%d: code %d, want CodeVersionMismatch", v, em.Code)
+		}
 	}
 }
 
@@ -603,22 +605,26 @@ func TestChaosCorruptAndTornFrames(t *testing.T) {
 	defer rep.Close() //nolint:errcheck
 	st := rep.State()
 
-	// Keep load flowing while the wire misbehaves: forty feeds, each shipped
-	// as about one batch frame, give the injector its frames to fire on.
-	for i := 0; i < 40; i++ {
+	// Keep load flowing while the wire misbehaves: at least forty feeds,
+	// each shipped as about one batch frame, and on until each class has
+	// fired, within a bound of 400.
+	feeds := 0
+	for ; feeds < 40 || inj.Fired(faults.NetCorruptFrame) == 0 || inj.Fired(faults.NetTornFrame) == 0; feeds++ {
+		if feeds == 400 {
+			t.Fatalf("after %d feeds the injector fired %d corrupt and %d torn frames; want each at least once",
+				feeds, inj.Fired(faults.NetCorruptFrame), inj.Fired(faults.NetTornFrame))
+		}
 		src.feed(20)
 		time.Sleep(20 * time.Millisecond)
 	}
 	inj.DisableAll()
+	t.Logf("%d feeds: %d corrupt and %d torn frames", feeds, inj.Fired(faults.NetCorruptFrame), inj.Fired(faults.NetTornFrame))
 	waitUntil(t, 20*time.Second, "post-chaos convergence", func() bool {
 		return st.Ready() && st.ReceivedSeq() == src.log.LastSeq()
 	})
-	fired := inj.Fired(faults.NetCorruptFrame) + inj.Fired(faults.NetTornFrame)
-	if fired == 0 {
-		t.Fatal("the injector fired no fault: the session never saw the chaos")
-	}
 	if snap := st.Obs().Snapshot(); snap.BadFrames == 0 && snap.Reconnects == 0 {
-		t.Errorf("the injector fired %d faults, but the replica saw no bad frame and no reconnect", fired)
+		t.Errorf("the injector fired %d corrupt and %d torn frames, but the replica saw no bad frame and no reconnect",
+			inj.Fired(faults.NetCorruptFrame), inj.Fired(faults.NetTornFrame))
 	}
 	// Applied records must never exceed what the leader wrote.
 	if st.ReceivedSeq() > src.log.LastSeq() {
@@ -626,10 +632,10 @@ func TestChaosCorruptAndTornFrames(t *testing.T) {
 	}
 }
 
-// TestShippedBatchIsTheSegment pins what the ship loop sends: the batch body
-// appendBatch builds from Follower.Poll is u32 count followed by the
-// segment's bytes after its header — a feedback, a correction and a retired
-// kind-3 frame alike, forwarded as the segment holds them.
+// TestShippedBatchIsTheSegment pins what the ship loop sends: the body of a
+// live session's MsgRecords frame is the segment's bytes after its header
+// and nothing else — no count in front, a feedback, a correction and a
+// retired kind-3 frame alike, forwarded as the segment holds them.
 func TestShippedBatchIsTheSegment(t *testing.T) {
 	dir := t.TempDir()
 	l, _, err := wal.Open(wal.Options{Dir: dir})
@@ -659,19 +665,48 @@ func TestShippedBatchIsTheSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close() //nolint:errcheck
-
-	got, n, err := appendBatch(nil, l.Follow(0), 0)
-	if err != nil || n != 3 {
-		t.Fatalf("poll read %d records, %v; want 3", n, err)
-	}
 	seg, err := os.ReadFile(segs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	const header = len("PPCWAL\x00") + 2 // magic, u16 version
-	want := binary.LittleEndian.AppendUint32(nil, 3)
-	want = append(want, seg[header:]...)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("shipped batch differs from the segment's frames:\n got %x\nwant %x", got, want)
+
+	// A follower of this lineage at seq 0 resumes: no snapshot, and the
+	// first batch is the whole log.
+	srv, err := Serve(fastConfig(&fakeSource{t: t, log: l, epoch: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close() //nolint:errcheck
+	raw, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()                                //nolint:errcheck
+	raw.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+	c := netproto.NewConn(raw, nil)
+	hello := netproto.Hello{Version: netproto.Version, Role: netproto.RoleReplica, Epoch: 1}
+	if err := c.WriteMsg(netproto.MsgHello, hello.Encode(nil)); err != nil {
+		t.Fatal(err)
+	}
+	_, body, err := c.ReadExpect(netproto.MsgWelcome)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w, err := netproto.DecodeWelcome(body); err != nil || !w.Resume {
+		t.Fatalf("welcome %+v, %v; want a resume", w, err)
+	}
+	for {
+		mt, body, err := c.ReadExpect(netproto.MsgRecords, netproto.MsgHeartbeat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mt != netproto.MsgRecords {
+			continue
+		}
+		if !bytes.Equal(body, seg[header:]) {
+			t.Fatalf("shipped batch differs from the segment's frames:\n got %x\nwant %x", body, seg[header:])
+		}
+		return
 	}
 }

@@ -1,10 +1,8 @@
 package replica
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -312,8 +310,8 @@ func (s *Server) serveClient(c *netproto.Conn) {
 // serveReplica runs one ship stream: welcome (+ snapshot unless the
 // follower can resume), then WAL tail batches and heartbeats until the
 // follower disconnects, falls too far behind, or the server closes. A batch
-// carries the WAL's frames as the segments hold them (appendBatch): the
-// leader checks them and decodes none.
+// is the WAL's frames as the segments hold them (Follower.Poll), nothing
+// before or after them: the leader checks them and decodes none.
 func (s *Server) serveReplica(c *netproto.Conn, hello netproto.Hello) {
 	src := s.cfg.Source
 	epoch, err := src.ReplicationEpoch()
@@ -399,7 +397,7 @@ func (s *Server) serveReplica(c *netproto.Conn, hello netproto.Hello) {
 		case <-poll.C:
 			for {
 				var n int
-				scratch, n, err = appendBatch(scratch[:0], follower, batchMax)
+				scratch, n, err = follower.Poll(scratch[:0], batchMax)
 				if n > 0 {
 					c.NetConn().SetWriteDeadline(time.Now().Add(writeTimeout)) //nolint:errcheck
 					if werr := c.WriteMsg(netproto.MsgRecords, scratch); werr != nil {
@@ -424,37 +422,4 @@ func (s *Server) serveReplica(c *netproto.Conn, hello netproto.Hello) {
 			}
 		}
 	}
-}
-
-// appendBatch appends a MsgRecords body to dst — u32 count, then the
-// frames of up to max records past f's position as the WAL holds them — and
-// returns it with the count.
-func appendBatch(dst []byte, f *wal.Follower, max int) ([]byte, int, error) {
-	at := len(dst)
-	dst, n, err := f.Poll(append(dst, 0, 0, 0, 0), max)
-	binary.LittleEndian.PutUint32(dst[at:], uint32(n))
-	return dst, n, err
-}
-
-// decodeRecords decodes a MsgRecords body (appendBatch), checking every
-// frame as recovery does.
-func decodeRecords(b []byte) ([]wal.Record, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("replica: record batch of %d bytes: %w", len(b), io.ErrUnexpectedEOF)
-	}
-	n := int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	recs := make([]wal.Record, 0, n)
-	for i := 0; i < n; i++ {
-		rec, frameLen, err := wal.DecodeFrame(b)
-		if err != nil {
-			return nil, err
-		}
-		recs = append(recs, rec)
-		b = b[frameLen:]
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("replica: %d trailing bytes after record batch", len(b))
-	}
-	return recs, nil
 }

@@ -1,8 +1,8 @@
 package replica
 
-// The leader's side of a ship stream on its own: what appendBatch sends
-// from a WAL against what a crash recovery reads from its directory, and
-// what the loop costs per shipped record.
+// The leader's side of a ship stream on its own: the batches a follower
+// polls from a WAL against what a crash recovery reads from its directory,
+// and what the loop costs per shipped record.
 
 import (
 	"bytes"
@@ -183,15 +183,15 @@ func TestShippedEqualsRecovered(t *testing.T) {
 			var got []wal.Record
 			var shipped []byte
 			for {
-				batch, n, err := appendBatch(nil, f, bound)
+				batch, n, err := f.Poll(nil, bound)
 				if err != nil {
 					t.Fatalf("seed %d, after %d: %v", seed, after, err)
 				}
-				recs, err := decodeRecords(batch)
+				recs, err := wal.DecodeFrames(batch)
 				if err != nil || len(recs) != n {
 					t.Fatalf("seed %d, after %d: batch of %d decodes to %d records, %v", seed, after, n, len(recs), err)
 				}
-				got, shipped = append(got, recs...), append(shipped, batch[4:]...)
+				got, shipped = append(got, recs...), append(shipped, batch...)
 				if n < bound {
 					break
 				}
@@ -319,8 +319,8 @@ func TestStateRefusesAGap(t *testing.T) {
 }
 
 // BenchmarkShipLoop times the leader's side of a ship stream: a follower
-// catching up on a live WAL of shipRecords records, polled and framed into
-// MsgRecords bodies as serveReplica does, written to io.Discard.
+// catching up on a live WAL of shipRecords records, polled into MsgRecords
+// bodies as serveReplica polls them, written to io.Discard.
 func BenchmarkShipLoop(b *testing.B) {
 	const shipRecords = 4096
 	l, _, err := wal.Open(wal.Options{Dir: b.TempDir(), SegmentBytes: 64 << 10})
@@ -348,7 +348,7 @@ func BenchmarkShipLoop(b *testing.B) {
 		f := l.Follow(0)
 		for shipped := 0; shipped < shipRecords; {
 			var n int
-			scratch, n, err = appendBatch(scratch[:0], f, batchMax)
+			scratch, n, err = f.Poll(scratch[:0], batchMax)
 			if err != nil || n == 0 {
 				b.Fatalf("poll after %d of %d records: %d records, %v", shipped, shipRecords, n, err)
 			}

@@ -39,13 +39,9 @@ func appendN(t *testing.T, l *Log, tmpl string, n int) uint64 {
 func poll(t *testing.T, f *Follower, max int) ([]Record, error) {
 	t.Helper()
 	frames, n, err := f.Poll(nil, max)
-	var recs []Record
-	for len(frames) > 0 {
-		rec, size, derr := DecodeFrame(frames)
-		if derr != nil {
-			t.Fatalf("poll returned an invalid frame after %d records: %v", len(recs), derr)
-		}
-		recs, frames = append(recs, rec), frames[size:]
+	recs, derr := DecodeFrames(frames)
+	if derr != nil {
+		t.Fatalf("poll returned an invalid frame after %d records: %v", len(recs), derr)
 	}
 	if len(recs) != n {
 		t.Fatalf("poll counted %d records and returned %d frames", n, len(recs))
@@ -518,19 +514,16 @@ func TestAppendDecodeFrameRoundTrip(t *testing.T) {
 	rec := testRecord("Q9", 13)
 	rec.Seq = 77
 	buf := AppendFrame([]byte("prefix"), rec)
-	got, n, err := DecodeFrame(buf[len("prefix"):])
-	if err != nil {
-		t.Fatal(err)
+	recs, err := DecodeFrames(buf[len("prefix"):])
+	if err != nil || len(recs) != 1 {
+		t.Fatalf("one frame decodes to %d records, %v", len(recs), err)
 	}
-	if n != len(buf)-len("prefix") {
-		t.Errorf("frame length %d, consumed %d", len(buf)-len("prefix"), n)
-	}
-	if got.Seq != rec.Seq || got.Template != rec.Template || got.Plan != rec.Plan ||
+	if got := recs[0]; got.Seq != rec.Seq || got.Template != rec.Template || got.Plan != rec.Plan ||
 		got.Cost != rec.Cost || got.SelfLabeled != rec.SelfLabeled || len(got.Point) != len(rec.Point) {
 		t.Errorf("round trip: %+v vs %+v", got, rec)
 	}
 	// A truncated frame must error, not misparse.
-	if _, _, err := DecodeFrame(buf[len("prefix") : len(buf)-2]); err == nil {
-		t.Error("truncated frame decoded")
+	if recs, err := DecodeFrames(buf[len("prefix") : len(buf)-2]); err == nil || len(recs) != 0 {
+		t.Errorf("truncated frame decoded to %d records, %v", len(recs), err)
 	}
 }

@@ -3,8 +3,10 @@ package wal
 import (
 	"bytes"
 	"encoding/hex"
+	"fmt"
 	"hash/crc32"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -46,17 +48,62 @@ func TestFrameGolden(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s encodes to\n  %x\nwant\n  %x", tc.name, got, want)
 		}
-		dec, n, err := DecodeFrame(want)
-		if err != nil || n != len(want) {
-			t.Errorf("%s: golden frame decodes to %d of %d bytes, %v", tc.name, n, len(want), err)
+		dec, err := DecodeFrames(want)
+		if err != nil || len(dec) != 1 {
+			t.Errorf("%s: golden frame decodes to %d records, %v", tc.name, len(dec), err)
 			continue
 		}
 		if rec.Kind == 0 {
 			rec.Kind = RecordFeedback // what a zero Kind is on the wire
 		}
-		if !reflect.DeepEqual(dec, rec) {
+		if !reflect.DeepEqual(dec[0], rec) {
 			t.Errorf("%s: golden frame decodes to\n  %+v\nwant\n  %+v", tc.name, dec, rec)
 		}
+	}
+}
+
+// TestDecodeFramesStopsAtThePartialFrame feeds DecodeFrames a run of three
+// frames cut at every length, and once with a byte of the middle frame
+// flipped: it returns the records of the whole frames before the cut or
+// the damage, and an error naming the frame there unless the run ends on a
+// frame boundary.
+func TestDecodeFramesStopsAtThePartialFrame(t *testing.T) {
+	recs := []Record{
+		{Kind: RecordFeedback, Seq: 1, Template: "Q1", Plan: 5, Cost: 1234.5, Point: []float64{0.25, 0.75}},
+		{Kind: RecordCorrection, Seq: 2, CorrEpoch: 3, Template: "Q1", Site: 2, LogC: -0.5, N: 11, Ref: 0.25},
+		{Kind: RecordRetiredRetune, Seq: 3, Epoch: 4, Template: "Q8"},
+	}
+	var run []byte
+	ends := make([]int, len(recs)) // where each frame ends in run
+	for i := range recs[:2] {
+		run = AppendFrame(run, &recs[i])
+		ends[i] = len(run)
+	}
+	run = append(run, retiredFrame(3, 4, "Q8", nil)...)
+	ends[2] = len(run)
+
+	for cut := 0; cut <= len(run); cut++ {
+		whole, start := 0, 0 // frames that end at or before the cut; where the next starts
+		for whole < len(ends) && ends[whole] <= cut {
+			whole, start = whole+1, ends[whole]
+		}
+		got, err := DecodeFrames(run[:cut])
+		if len(got) != whole || (whole > 0 && !reflect.DeepEqual(got, recs[:whole])) {
+			t.Fatalf("cut at %d of %d bytes: decoded %+v, want the %d whole frames before it", cut, len(run), got, whole)
+		}
+		if boundary := cut == start; boundary != (err == nil) {
+			t.Fatalf("cut at %d of %d bytes (frame boundary %v): err %v", cut, len(run), boundary, err)
+		}
+		if err != nil && !strings.Contains(err.Error(), fmt.Sprintf("frame %d at byte %d ", whole, start)) {
+			t.Fatalf("cut at %d: error %q does not name frame %d at byte %d", cut, err, whole, start)
+		}
+	}
+
+	bad := append([]byte(nil), run...)
+	bad[ends[0]+frameOverhead+3] ^= 0x40 // inside the correction's payload
+	got, err := DecodeFrames(bad)
+	if len(got) != 1 || !reflect.DeepEqual(got[0], recs[0]) || err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("a damaged second frame decodes to %+v, %v; want the first record and a checksum error", got, err)
 	}
 }
 
@@ -76,20 +123,20 @@ func TestEveryKindRoundTripsItsSmallestRecord(t *testing.T) {
 			if !kinds[kind].retired {
 				frame = AppendFrame(nil, &rec)
 			}
-			got, n, err := DecodeFrame(frame)
-			if err != nil {
-				t.Errorf("kind %d, template %q: %d-byte payload does not decode: %v", kind, name, len(frame)-frameOverhead, err)
+			recs, err := DecodeFrames(frame)
+			if err != nil || len(recs) != 1 {
+				t.Errorf("kind %d, template %q: %d-byte payload decodes to %d records: %v", kind, name, len(frame)-frameOverhead, len(recs), err)
 				continue
 			}
-			if n != len(frame) || got.Kind != rec.Kind || got.Seq != 1 || got.Template != name || len(got.Point) != 0 {
-				t.Errorf("kind %d, template %q: round trip gave %+v (%d of %d bytes)", kind, name, got, n, len(frame))
+			if got := recs[0]; got.Kind != rec.Kind || got.Seq != 1 || got.Template != name || len(got.Point) != 0 {
+				t.Errorf("kind %d, template %q: round trip gave %+v", kind, name, got)
 			}
 			// One byte short of the kind's minimum is not a record of it.
 			if name == "" {
 				short := append([]byte(nil), frame[:len(frame)-1]...)
 				le.PutUint32(short[0:4], uint32(len(short)-frameOverhead))
 				le.PutUint32(short[4:8], crc32.Checksum(short[frameOverhead:], walCRC))
-				if _, _, err := DecodeFrame(short); err == nil {
+				if recs, err := DecodeFrames(short); err == nil || len(recs) != 0 {
 					t.Errorf("kind %d: a payload one byte under its minimum decoded", kind)
 				}
 			}

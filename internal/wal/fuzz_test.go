@@ -10,12 +10,13 @@ import (
 	"testing"
 )
 
-// FuzzDecodeFrame throws arbitrary bytes at the record decoder. The
-// invariants under fuzz: never panic, never over-read, and on a reported
-// success the re-encoded record must byte-match the consumed frame (decode
-// and encode are exact inverses). A retired kind has no encoder: its record is framed
-// by hand around the consumed frame's tail, so the decoded prefix is held
-// to the same bytes.
+// FuzzDecodeFrame throws arbitrary bytes at DecodeFrames, the decoder of a
+// run of frames. The invariants under fuzz: never panic, never over-read,
+// the records returned re-encode to a prefix of the input (decode and
+// encode are exact inverses), and the error is nil exactly when that prefix
+// is the whole input — otherwise the bytes after it do not start a frame. A
+// retired kind has no encoder: its record is framed by hand around the
+// consumed frame's tail, so the decoded prefix is held to the same bytes.
 func FuzzDecodeFrame(f *testing.F) {
 	seedRecs := []*Record{
 		{Seq: 1, Epoch: 0, Template: "Q1", Plan: 7, Cost: 1.5, Point: []float64{0.1, 0.9}},
@@ -25,8 +26,10 @@ func FuzzDecodeFrame(f *testing.F) {
 		{Kind: RecordCorrection, Seq: 2, CorrEpoch: 3, Template: "Q1", Site: 2, LogC: -0.5, N: 11, Ref: 0.25},
 		{Kind: RecordCorrection, Seq: 3},
 	}
+	var run []byte
 	for _, r := range seedRecs {
 		f.Add(AppendFrame(nil, r))
+		run = AppendFrame(run, r)
 	}
 	// The retired kind as older builds wrote it: a re-tune's two warps of
 	// three knots (u16 t, s, k, then the knots), and one with no tail.
@@ -40,26 +43,35 @@ func FuzzDecodeFrame(f *testing.F) {
 	bad[frameOverhead] = 99 // unknown kind
 	binary.LittleEndian.PutUint32(bad[4:8], crc32.Checksum(bad[frameOverhead:], walCRC))
 	f.Add(bad)
+	// Runs: every seed record's frame, then the same ending in a torn frame.
+	run = append(run, retiredFrame(6, 2, "Q1", retiredTail(1, 1, 2, 0, 1))...)
+	f.Add(run)
+	f.Add(run[:len(run)-3])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, n, err := DecodeFrame(data)
-		if err != nil {
-			if n != 0 {
-				t.Fatalf("invalid frame consumed %d bytes", n)
-			}
-			return
-		}
-		if n <= 0 || n > len(data) {
-			t.Fatalf("frame length %d out of range (input %d)", n, len(data))
-		}
+		recs, err := DecodeFrames(data)
 		var round []byte
-		if rec.Kind == RecordRetiredRetune {
-			round = retiredFrame(rec.Seq, rec.Epoch, rec.Template, data[frameOverhead+minPayload+len(rec.Template):n])
-		} else {
-			round = AppendFrame(nil, &rec)
+		for i := range recs {
+			if len(round)+frameOverhead > len(data) {
+				t.Fatalf("record %d decoded past the input's %d bytes", i, len(data))
+			}
+			n := frameOverhead + int(binary.LittleEndian.Uint32(data[len(round):]))
+			if rec := &recs[i]; rec.Kind == RecordRetiredRetune {
+				round = append(round, retiredFrame(rec.Seq, rec.Epoch, rec.Template, data[len(round)+frameOverhead+minPayload+len(rec.Template):len(round)+n])...)
+			} else {
+				round = AppendFrame(round, rec)
+			}
+			if len(round) > len(data) || !bytes.Equal(round, data[:len(round)]) {
+				t.Fatalf("decode/encode not inverse at record %d:\n in  %x\n out %x", i, data[:min(len(round), len(data))], round)
+			}
 		}
-		if !bytes.Equal(round, data[:n]) {
-			t.Fatalf("decode/encode not inverse:\n in  %x\n out %x", data[:n], round)
+		if (err == nil) != (len(round) == len(data)) {
+			t.Fatalf("%d records re-encode to %d of %d bytes, err %v", len(recs), len(round), len(data), err)
+		}
+		if err != nil {
+			if rest, rerr := DecodeFrames(data[len(round):]); len(rest) != 0 || rerr == nil {
+				t.Fatalf("decode stopped at byte %d (%v), but %d records decode from there", len(round), err, len(rest))
+			}
 		}
 	})
 }

@@ -459,22 +459,27 @@ func scanSegment(path string, out *[]Record) (badReason string, badOff int64, si
 	if err != nil {
 		return err.Error(), 0, seg.size
 	}
-	for len(seg.buf) > 0 {
-		frame, reason := seg.next()
-		if reason != "" {
-			return reason, seg.off, seg.size
-		}
-		// Decoded in place at the end of out, so the record is never copied.
-		*out = append(*out, Record{})
-		decodePayload(frame[frameOverhead:], &(*out)[len(*out)-1])
+	badReason, badOff = seg.decode(out)
+	return badReason, badOff, seg.size
+}
+
+// DecodeFrames decodes a run of frames — a segment's bytes after its
+// header, or a ship batch, which is the same bytes — with the walk recovery
+// makes. It returns the records before the first invalid frame and, when
+// there is one, an error naming it.
+func DecodeFrames(b []byte) ([]Record, error) {
+	var recs []Record
+	seg := segTail{buf: b}
+	if reason, off := seg.decode(&recs); reason != "" {
+		return recs, fmt.Errorf("wal: frame %d at byte %d of %d: %s", len(recs), off, len(b), reason)
 	}
-	return "", 0, seg.size
+	return recs, nil
 }
 
 // segTail is the unread remainder of one segment file: the one reader under
-// recovery (scanSegment, from byte 0) and the ship tail (Follower.Poll, from
-// where its last poll stopped), so both check the same header and frames
-// and stop at the same frame.
+// recovery (scanSegment, from byte 0), the ship tail (Follower.Poll, from
+// where its last poll stopped) and a replica's batch (DecodeFrames), so all
+// three check the same frames and stop at the same frame.
 type segTail struct {
 	buf  []byte // undecoded bytes
 	off  int64  // file offset of buf[0]
@@ -523,6 +528,22 @@ func readSegment(path string, off, end int64) (segTail, error) {
 	}
 	seg.buf, seg.off = seg.buf[headerSize:], int64(headerSize)
 	return seg, nil
+}
+
+// decode appends the remainder's records to out, each decoded in place at
+// the end of out so it is never copied. It stops at the first invalid frame
+// and returns why and its offset; an empty reason means every byte was a
+// frame.
+func (s *segTail) decode(out *[]Record) (reason string, off int64) {
+	for len(s.buf) > 0 {
+		frame, reason := s.next()
+		if reason != "" {
+			return reason, s.off
+		}
+		*out = append(*out, Record{})
+		decodePayload(frame[frameOverhead:], &(*out)[len(*out)-1])
+	}
+	return "", 0
 }
 
 // next checks the frame at the head of the remainder, steps past it and
@@ -654,18 +675,6 @@ func floats(p []byte, n int) []float64 {
 		vs[i] = math.Float64frombits(le.Uint64(p[8*i:]))
 	}
 	return vs
-}
-
-// DecodeFrame decodes one framed record from the head of buf, returning
-// the consumed frame length: checkFrame's checks, then the payload.
-func DecodeFrame(buf []byte) (Record, int, error) {
-	n, reason := checkFrame(buf)
-	if reason != "" {
-		return Record{}, 0, fmt.Errorf("wal: decode frame: %s", reason)
-	}
-	var rec Record
-	decodePayload(buf[frameOverhead:n], &rec)
-	return rec, n, nil
 }
 
 // checkFrame validates the framed record at the head of buf without
@@ -961,15 +970,17 @@ func (l *Log) initSegment(f *os.File) error {
 	if _, err := f.Write(hdr[:]); err != nil {
 		return fmt.Errorf("wal: write segment header: %w", err)
 	}
-	if err := syncDir(l.opts.Dir); err != nil {
+	if err := SyncDir(l.opts.Dir); err != nil {
 		l.opts.Observer.WALSyncError()
 		return fmt.Errorf("wal: fsync directory: %w", err)
 	}
 	return nil
 }
 
-// syncDir fsyncs a directory, making the entries created in it durable.
-func syncDir(dir string) error {
+// SyncDir fsyncs a directory, making the entries created, renamed or
+// removed in it durable: the one directory fsync of the WAL's segment
+// creation and of the checkpoint's rename.
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err

@@ -506,9 +506,6 @@ func (s *System) Catalog() *catalog.Catalog { return s.cat }
 // Optimizer exposes the cost-based optimizer.
 func (s *System) Optimizer() *optimizer.Optimizer { return s.opt }
 
-// Registry exposes the plan fingerprint registry.
-func (s *System) Registry() *optimizer.Registry { return s.reg }
-
 // Register parses a SQL template and attaches an online learner to it.
 // Internal panics are recovered into a typed *InternalError.
 func (s *System) Register(name, sql string) (err error) {
