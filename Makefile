@@ -52,7 +52,8 @@ PROFILE_DIR ?= profiles
 # bench/ module links neither internal/experiments nor internal/baselines,
 # and no non-test package but internal/experiments imports internal/baselines;
 # it also keeps the durability protocol in core: internal/stats links no
-# internal/wal.
+# internal/wal; and it keeps test code in _test.go files: no non-test
+# package of the module imports testing.
 # The benchmark harness in bench/ is a module of its own that imports this
 # one's internal packages, so it is vetted and self-tested here too: an
 # internal refactor that breaks it must fail the gate, not the next benchmark
@@ -179,8 +180,9 @@ replication:
 # The mutation check: each patch under testdata/mutants/ breaks the program
 # on purpose (among them a rotation that ignores its sealed segment's fsync
 # error, a replica state that applies a batch past a gap, a drain without
-# its lock, a DecodeFrames that forgives a partial frame; each header says
-# what it breaks) and names the test that must catch it.
+# its lock, a DecodeFrames that forgives a partial frame, a hit that folds
+# on a durable template, a predict that allocates its scratch; each header
+# says what it breaks) and names the test that must catch it.
 # scripts/mutants.sh applies each to a temporary copy of the working tree,
 # never to the tree itself, and fails if the named test passes on the
 # mutant (or fails without it).
@@ -235,8 +237,8 @@ profile:
 
 # Which functions does no test reach? A merged -coverpkg=./... profile of
 # `go test -short ./...` (written to $(PROFILE_DIR)/cover.out), then every
-# function at 0.0 % outside cmd/, examples/, internal/experiments and
-# internal/benchsuite, and the total. It fails when any function but one
+# function at 0.0 % outside cmd/, examples/ and internal/experiments, and
+# the total. It fails when any function but one
 # reads 0.0 %: a function no test reaches gets a test or goes. The one is
 # workload.MustDrifting, which bench/ calls (bench/ is a module of its own,
 # so what its harness calls of this module's packages does not count here).
@@ -249,7 +251,7 @@ cover:
 	$(GO) test -short -coverpkg=./... -coverprofile=$(PROFILE_DIR)/cover.out ./... > $(PROFILE_DIR)/cover.log; \
 		status=$$?; grep -v 'coverage: ' $(PROFILE_DIR)/cover.log; exit $$status
 	@$(GO) tool cover -func=$(PROFILE_DIR)/cover.out | \
-		grep -vE '^repro/(cmd|examples|internal/experiments|internal/benchsuite)/' | \
+		grep -vE '^repro/(cmd|examples|internal/experiments)/' | \
 		awk '$$NF == "0.0%" { print; \
 			if (!($$1 ~ /^repro\/internal\/workload\/drift\.go:/ && $$2 == "MustDrifting")) bad++ } \
 			$$1 == "total:" { total = $$0 } \

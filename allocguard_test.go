@@ -1,10 +1,8 @@
 package ppc_test
 
-// Zero-allocation guard for the serving path. PR 2 made Predict and Insert
-// allocation-free; this PR adds the observability layer on top, whose whole
-// design contract is "no new allocations on the hot path". The guard turns
-// that contract into a failing test instead of a benchmark number someone
-// has to remember to read.
+// The allocation guards turn an allocation contract into a failing test
+// instead of a benchmark number someone has to remember to read. Most run a
+// Benchmark body of bench_suite_test.go under testing.Benchmark.
 
 import (
 	"go/ast"
@@ -19,22 +17,63 @@ import (
 	"testing"
 
 	ppc "repro"
-	"repro/internal/benchsuite"
 	"repro/internal/core"
 	"repro/internal/stats"
 	"repro/internal/wal"
 )
 
-func TestServingPathZeroAlloc(t *testing.T) {
-	if benchsuite.RaceEnabled {
+// guarded is one Benchmark body an allocation guard measures.
+type guarded struct {
+	name string
+	body func(*testing.B)
+}
+
+// checkAllocs runs each body under testing.Benchmark and fails t for every
+// one that allocates more than budget times per op. The guards skip under
+// the race detector, whose shadow-memory bookkeeping shows up in the
+// allocation counters, and in -short, since each body is a full benchmark.
+func checkAllocs(t *testing.T, budget int64, bodies ...guarded) {
+	t.Helper()
+	if raceEnabled {
 		t.Skip("race detector's shadow memory inflates allocation counts")
 	}
 	if testing.Short() {
 		t.Skip("allocation guard runs full benchmarks; skipped in -short")
 	}
-	if err := benchsuite.CheckZeroAlloc(os.Stderr, benchsuite.ZeroAllocBenchmarks...); err != nil {
-		t.Fatal(err)
+	for _, g := range bodies {
+		r := testing.Benchmark(g.body)
+		if r.N == 0 {
+			t.Fatalf("%s produced no iterations (setup failure?)", g.name)
+		}
+		t.Logf("%s: %d allocs/op (%d B/op)", g.name, r.AllocsPerOp(), r.AllocedBytesPerOp())
+		if r.AllocsPerOp() > budget {
+			t.Errorf("%s allocates past its budget of %d allocs/op", g.name, budget)
+		}
 	}
+}
+
+// TestServingPathZeroAlloc holds the serving path at zero allocations:
+// the predictor's steady-state predict and insert, made allocation-free by
+// per-predictor scratch buffers. WALAppend runs under the learner's write
+// lock, so an allocation there would stall the feedback path the same way a
+// predictor allocation would stall serving. ReplicaPredict is here because
+// a follower exists to absorb read load, so its serving path carries the
+// same contract as the leader's. PredictModelManyPlans' scratch is sized by
+// the model's plan count, so it is the entry that would show a per-plan
+// allocation. RebindRecost is here because a rebind program resolves its
+// statistics handles when it is compiled and walks the cached plan in place
+// — there is no pooled private tree — so costing a hit may not allocate,
+// and binding cannot hide a per-run allocation.
+func TestServingPathZeroAlloc(t *testing.T) {
+	checkAllocs(t, 0,
+		guarded{"PredictApproxLSHHist", BenchmarkPredictApproxLSHHist},
+		guarded{"PredictModelSnapshot", BenchmarkPredictModelSnapshot},
+		guarded{"PredictModelManyPlans", BenchmarkPredictModelManyPlans},
+		guarded{"InsertApproxLSHHist", BenchmarkInsertApproxLSHHist},
+		guarded{"WALAppend", BenchmarkWALAppend},
+		guarded{"ReplicaPredict", BenchmarkReplicaPredict},
+		guarded{"RebindRecost", BenchmarkRebindRecost},
+	)
 }
 
 // TestRunPathAllocBudget holds the full Run path to its allocation budget:
@@ -46,15 +85,7 @@ func TestServingPathZeroAlloc(t *testing.T) {
 // allocation per row or per batch in an executor kernel — thousands per
 // run — fails it.
 func TestRunPathAllocBudget(t *testing.T) {
-	if benchsuite.RaceEnabled {
-		t.Skip("race detector's shadow memory inflates allocation counts")
-	}
-	if testing.Short() {
-		t.Skip("allocation guard runs full benchmarks; skipped in -short")
-	}
-	if err := benchsuite.CheckAllocBudget(os.Stderr, "EndToEndRun", 10); err != nil {
-		t.Fatal(err)
-	}
+	checkAllocs(t, 10, guarded{"EndToEndRun", BenchmarkEndToEndRun})
 }
 
 // TestMissPathAllocBudget holds the Run path most miss_optimize runs take —
@@ -66,15 +97,7 @@ func TestRunPathAllocBudget(t *testing.T) {
 // publish timing and scheduler noise, while one allocation per DP entry or
 // per join candidate — hundreds per optimization — fails it.
 func TestMissPathAllocBudget(t *testing.T) {
-	if benchsuite.RaceEnabled {
-		t.Skip("race detector's shadow memory inflates allocation counts")
-	}
-	if testing.Short() {
-		t.Skip("allocation guard runs full benchmarks; skipped in -short")
-	}
-	if err := benchsuite.CheckAllocBudget(os.Stderr, "MissPathRun", 50); err != nil {
-		t.Fatal(err)
-	}
+	checkAllocs(t, 50, guarded{"MissPathRun", BenchmarkMissPathRun})
 }
 
 // TestDurableApplyAllocBudget holds the whole durable write path — learner
@@ -88,7 +111,7 @@ func TestMissPathAllocBudget(t *testing.T) {
 // correction observations (folded and logged once per touched site).
 // WALAppend in the zero-alloc guard covers only a bare wal.Log.Append.
 func TestDurableApplyAllocBudget(t *testing.T) {
-	if benchsuite.RaceEnabled {
+	if raceEnabled {
 		t.Skip("race detector's shadow memory inflates allocation counts")
 	}
 	log, _, err := wal.Open(wal.Options{Dir: t.TempDir(), Sync: wal.SyncInterval, SegmentBytes: 1 << 40})
@@ -136,9 +159,9 @@ func TestDurableApplyAllocBudget(t *testing.T) {
 	}
 }
 
-// TestCommandsLinkNoBenchHarness keeps the guards' substrate where it
-// belongs: internal/benchsuite exists for _test.go files, so no shipped
-// binary under cmd/ may link it, or the testing package it drags in. The
+// TestCommandsLinkNoBenchHarness keeps test code in _test.go files: no
+// non-test package of the module imports the testing package, so no
+// shipped binary links it or a benchmark harness built on it. The
 // two serving binaries are held tighter: what they link of repro/internal
 // is exactly the literal set below, so a new dependency fails here and the
 // set can only shrink; and they link no reflected gob codec, since
@@ -170,14 +193,12 @@ func TestCommandsLinkNoBenchHarness(t *testing.T) {
 		if pkg != "repro/internal/experiments" && slices.Contains(strings.Fields(imports), "repro/internal/baselines") {
 			t.Errorf("%s imports repro/internal/baselines; only internal/experiments may", pkg)
 		}
+		if slices.Contains(strings.Fields(imports), "testing") {
+			t.Errorf("%s imports testing; test code belongs in _test.go files", pkg)
+		}
 	}
 	if slices.Contains(deps("./internal/stats"), "repro/internal/wal") {
 		t.Error("internal/stats links repro/internal/wal; logging its corrections is core's")
-	}
-	for _, pkg := range deps("./cmd/...") {
-		if pkg == "testing" || pkg == "repro/internal/benchsuite" {
-			t.Errorf("a command under cmd/ links %s", pkg)
-		}
 	}
 
 	serving := map[string]bool{

@@ -246,11 +246,24 @@ func TestFlushWaitsForTheBatchInFlight(t *testing.T) {
 // kind-2 records are written and group-committed there, at most one per
 // site an apply batch touched, and every observation the runs made lands
 // once. (TestCorrectionCrashRecovery holds what the records replay to.)
+// The last 100 runs each start from a drained mailbox, so the learner lock
+// is free whenever a hit could fold.
 func TestDurableCorrectionsKeepTheApplier(t *testing.T) {
 	dir := t.TempDir()
 	sys := openDurable(t, dir, nil) // the default mailbox
 	defer sys.Close()               //nolint:errcheck
 	runDurableWorkload(t, sys, 300, 3)
+	st, err := sys.lookup("Q1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 100; i++ {
+		st.flush()
+		if _, err := sys.Run("Q1", warmValues(t, sys, st, rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	m, err := sys.TemplateMetrics("Q1") // flushes the applier first
 	if err != nil {
 		t.Fatal(err)
@@ -258,10 +271,6 @@ func TestDurableCorrectionsKeepTheApplier(t *testing.T) {
 	c := m.Counters
 	if c.FeedbackInline != 0 || c.FeedbackEnqueued == 0 {
 		t.Errorf("a durable template folded %d messages and enqueued %d; want none folded", c.FeedbackInline, c.FeedbackEnqueued)
-	}
-	st, err := sys.lookup("Q1")
-	if err != nil {
-		t.Fatal(err)
 	}
 	if got, want := observedTotal(st), m.EstimationQError.Count; got != want || want == 0 {
 		t.Errorf("the corrections hold %d observations, the runs made %d", got, want)

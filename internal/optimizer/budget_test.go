@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/benchsuite"
 	"repro/internal/catalog"
 	"repro/internal/optimizer"
 	"repro/internal/queries"
@@ -86,7 +85,7 @@ func BenchmarkOptimizeMemo(b *testing.B) {
 // is one allocation above the 3 and 1 measured; the node-building
 // enumerator spent 939 allocations per Q3 call and 4,692 per Q8 call.
 func TestOptimizeMemoAllocBudget(t *testing.T) {
-	if benchsuite.RaceEnabled {
+	if raceEnabled {
 		t.Skip("race detector's shadow memory inflates allocation counts")
 	}
 	held := func(string) bool { return true }
