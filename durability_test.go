@@ -19,7 +19,6 @@ package ppc
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
@@ -1033,102 +1032,81 @@ func TestRestoredPlansServeCompiled(t *testing.T) {
 	}
 }
 
-// TestDurableStateWrittenWithCandidateSets: testdata/parent_candidates_on
-// holds a version-1 (gob) checkpoint, a format this build no longer reads
-// (its README has the recipe). Read either way it can arrive — as a
-// LoadState stream into an in-memory System, and in place by a durable
-// reopen — it degrades cold with the version named. On reopen the WAL
-// beside it still replays: its frame format is unchanged, so every record
-// waits for Register and applies once Q0–Q3 are registered.
-func TestDurableStateWrittenWithCandidateSets(t *testing.T) {
-	const fixture = "testdata/parent_candidates_on"
-	for _, mode := range []string{"snapshot", "reopen"} {
-		t.Run(mode, func(t *testing.T) {
-			sys := openFixture(t, fixture, mode, nil)
-			rep := sys.LoadStateReport()
-			if rep == nil || !rep.Corrupt || !strings.Contains(rep.Reason, "version 1 (gob) checkpoint, no longer read") ||
-				rep.Templates != 0 || rep.Plans != 0 {
-				t.Fatalf("a version-1 checkpoint restored %+v, want a cold degrade naming the version", rep)
-			}
-			if mode != "reopen" {
-				return
-			}
-			pending := rep.WALPending
-			if pending == 0 {
-				t.Fatal("no WAL record waits for its template; the replay half is vacuous")
-			}
-			for _, name := range []string{"Q0", "Q1", "Q2", "Q3"} {
-				if err := sys.Register(name, mustSQL(t, name)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if rep.WALPending != 0 || rep.WALReplayed == 0 || rep.WALReplayed+rep.WALSkipped+rep.WALStale != pending {
-				t.Errorf("after registering Q0–Q3: %d pending, %d replayed, %d skipped, %d stale of %d held",
-					rep.WALPending, rep.WALReplayed, rep.WALSkipped, rep.WALStale, pending)
-			}
-		})
+// TestDurableMidLogDamageIsMovedAsideOnce: one damaged frame before the
+// newest segment makes one recovery Corrupt, not every later one. A
+// checkpoint does not compact the damaged segment away while an idle
+// template (Q0 here) holds the compaction bound below it, so recovery
+// itself cuts the segment at the bad frame, keeping the cut bytes aside.
+// The next restart then finds a clean log: no damage reported, the lineage
+// kept, and every record appended after the first recovery still there.
+func TestDurableMidLogDamageIsMovedAsideOnce(t *testing.T) {
+	dir := t.TempDir()
+	small := func(o *Options) { o.walSegmentBytes = 4 << 10; o.FeedbackQueue = -1 }
+	sys := openDurable(t, dir, small)
+	if err := sys.Register("Q0", mustSQL(t, "Q0")); err != nil {
+		t.Fatal(err)
 	}
-}
+	runWarm(t, sys, "Q0", 5, 1)
+	runDurableWorkload(t, sys, 300, 2)
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs := walSegments(t, dir)
+	if len(segs) < 3 {
+		t.Fatalf("%d segments; the damage would not sit mid-log", len(segs))
+	}
+	info, err := os.Stat(segs[len(segs)-2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	corruptFile(t, segs[len(segs)-2], info.Size()/2)
 
-// TestDurableStateWrittenWithTunableLSH: testdata/checkpoint_v2 holds a
-// version-2 checkpoint whose learners carry the retired tunable-LSH section
-// (state tag 2; its README has the recipe). Their histograms are keyed by
-// warped z-values, which this build cannot apply, so read either way it can
-// arrive — as a LoadState stream and in place by a durable reopen — every
-// template degrades cold with the section named. On reopen the WAL beside
-// it still replays: the re-tune records (the retired kind 3) are read whole
-// and counted stale, and the feedback around them applies.
-func TestDurableStateWrittenWithTunableLSH(t *testing.T) {
-	const fixture = "testdata/checkpoint_v2"
-	records, retuneRecords := mustScan(t, fixture).Records, 0
-	for _, r := range records {
-		if r.Kind == wal.RecordRetiredRetune {
-			retuneRecords++
+	sys = openDurable(t, dir, small)
+	if rep := sys.LoadStateReport(); !rep.Corrupt || !strings.Contains(rep.Reason, filepath.Base(segs[len(segs)-2])) {
+		t.Fatalf("the damaged restart reported %+v; want the damaged segment named", rep)
+	}
+	lineage, err := sys.ReplicationEpoch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	from := sys.wal.LastSeq()
+	runDurableWorkload(t, sys, 100, 3)
+	to := sys.wal.LastSeq()
+	if to == from {
+		t.Fatal("no record logged after the damaged restart; the test is vacuous")
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	sys = openDurable(t, dir, small)
+	defer sys.Close() //nolint:errcheck
+	if rep := sys.LoadStateReport(); rep.Corrupt {
+		t.Fatalf("the restart after the repair is Corrupt again: %s (quarantined %v)", rep.Reason, rep.WALQuarantined)
+	}
+	if again, err := sys.ReplicationEpoch(); err != nil || again != lineage {
+		t.Errorf("the restart after the repair minted lineage %d, want %d kept (%v)", again, lineage, err)
+	}
+	logged := make(map[uint64]bool)
+	for _, r := range mustScan(t, dir).Records {
+		logged[r.Seq] = true
+	}
+	for seq := from + 1; seq <= to; seq++ {
+		if !logged[seq] {
+			t.Fatalf("record %d, appended after the first recovery, is gone from the log", seq)
 		}
 	}
-	if retuneRecords == 0 {
-		t.Fatal("the fixture's WAL holds no re-tune record; the replay half is vacuous")
-	}
-	for _, mode := range []string{"snapshot", "reopen"} {
-		t.Run(mode, func(t *testing.T) {
-			sys := openFixture(t, fixture, mode, nil)
-			rep := sys.LoadStateReport()
-			if rep == nil || !rep.Corrupt || !strings.Contains(rep.Reason, "tunable-LSH re-tune state, retired and no longer read") ||
-				rep.Templates != 0 || len(rep.ColdTemplates) != 4 {
-				t.Fatalf("a checkpoint with tunable-LSH state restored %+v, want every template cold with the section named", rep)
-			}
-			if mode != "reopen" {
-				return
-			}
-			t.Logf("reopen: %d replayed, %d skipped, %d stale; the log holds %d re-tune records",
-				rep.WALReplayed, rep.WALSkipped, rep.WALStale, retuneRecords)
-			if rep.WALPending != 0 || rep.WALStale != retuneRecords || rep.WALReplayed != len(records)-retuneRecords {
-				t.Errorf("reopen: %d pending, %d replayed, %d skipped, %d stale of %d records; want the %d re-tune records stale and every other applied",
-					rep.WALPending, rep.WALReplayed, rep.WALSkipped, rep.WALStale, len(records), retuneRecords)
-			}
-			for _, name := range []string{"Q0", "Q1", "Q2", "Q3"} {
-				tm, err := sys.TemplateMetrics(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if tm.Learner.SamplesAbsorbed == 0 {
-					t.Errorf("%s: the cold learner absorbed no replayed feedback", name)
-				}
-			}
-		})
-	}
 }
 
-// TestDurableStateWrittenAsVersion2: testdata/checkpoint_v2_untuned is a
-// durable directory closed by the last build with tunable LSH, which was
-// off (its README has the recipe): the version-2 compatibility oracle for
-// every later build. Each learner's saved state decodes and re-encodes to
-// the bytes that build wrote. Read both ways it can arrive, it restores
-// warm — every template and plan back, nothing damaged, a reopen that finds
-// the WAL wholly covered — and a first run at a trained point is a cache
-// hit.
-func TestDurableStateWrittenAsVersion2(t *testing.T) {
-	const fixture = "testdata/checkpoint_v2_untuned"
+// TestDurableStateWrittenAsVersion3: testdata/checkpoint_v3 is a durable
+// directory closed by this format's first build (its README has the
+// recipe): the compatibility oracle for every later build that keeps the
+// format. Each learner's saved state decodes and re-encodes to the bytes
+// that build wrote. Read both ways it can arrive, it restores warm — every
+// template and plan back, nothing damaged, a reopen that finds the WAL
+// wholly covered — and a first run at a trained point is a cache hit.
+func TestDurableStateWrittenAsVersion3(t *testing.T) {
+	const fixture = "testdata/checkpoint_v3"
 	f, err := os.Open(filepath.Join(fixture, checkpointName))
 	if err != nil {
 		t.Fatal(err)
@@ -1138,26 +1116,12 @@ func TestDurableStateWrittenAsVersion2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	le := binary.LittleEndian
 	for _, ts := range snap.Templates {
 		o, err := core.NewReplicaOnline(ts.State)
 		if err != nil {
 			t.Fatalf("%s: %v", ts.Name, err)
 		}
-		// That build kept two log positions: the trailer's (its newest
-		// feedback record) and the corrections section's own, in the word
-		// after the section's epoch. They re-encode as one watermark, the
-		// larger, in the trailer, and that word as 0; every other byte is
-		// the one that build wrote.
-		want := append([]byte(nil), ts.State...)
-		offs := sectionOffsets(want)
-		if len(offs) != 1 {
-			t.Fatalf("%s: %d state sections, want the corrections alone", ts.Name, len(offs))
-		}
-		seq, word := want[offs[0]-8:], want[offs[0]+8+4+5*8+8:]
-		le.PutUint64(seq, max(le.Uint64(seq), le.Uint64(word)))
-		le.PutUint64(word, 0)
-		if again := o.EncodeState(nil); !bytes.Equal(again, want) {
+		if again := o.EncodeState(nil); !bytes.Equal(again, ts.State) {
 			t.Errorf("%s: the learner state re-encodes to %d bytes unlike the %d it was read from", ts.Name, len(again), len(ts.State))
 		}
 	}
@@ -1192,6 +1156,48 @@ func TestDurableStateWrittenAsVersion2(t *testing.T) {
 					t.Errorf("%s: first run at a trained point: hit=%v invoked=%v optimize=%v",
 						name, res.CacheHit, res.Invoked, res.OptimizeTime)
 				}
+			}
+		})
+	}
+}
+
+// TestDurableStateWrittenAsVersion2: testdata/checkpoint_v2_untuned is a
+// durable directory written in the previous format (checkpoint version 2,
+// WAL segment version 1; its README has the recipe). Read either way it
+// can arrive — as a LoadState stream and in place by a durable reopen — it
+// restores cold with the version named. On reopen its WAL segment is
+// renamed aside, byte for byte, and none of its records is replayed or
+// held for a later Register.
+func TestDurableStateWrittenAsVersion2(t *testing.T) {
+	const fixture = "testdata/checkpoint_v2_untuned"
+	segs := walSegments(t, fixture)
+	if len(segs) != 1 {
+		t.Fatalf("fixture segments %v, want one", segs)
+	}
+	old, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []string{"snapshot", "reopen"} {
+		t.Run(mode, func(t *testing.T) {
+			sys := openFixture(t, fixture, mode, nil)
+			rep := sys.LoadStateReport()
+			if rep == nil || !rep.Corrupt || !strings.Contains(rep.Reason, "unsupported snapshot version 2") ||
+				rep.Templates != 0 || rep.Plans != 0 {
+				t.Fatalf("a version-2 checkpoint restored %+v, want a cold restore naming the version", rep)
+			}
+			if mode != "reopen" {
+				return
+			}
+			name := filepath.Base(segs[0])
+			if rep.WALReplayed+rep.WALSkipped+rep.WALStale+rep.WALPending != 0 ||
+				len(rep.WALQuarantined) != 1 || rep.WALQuarantined[0] != name {
+				t.Errorf("reopen: %d replayed, %d skipped, %d stale, %d pending, quarantined %v; want the version-1 segment aside and nothing read",
+					rep.WALReplayed, rep.WALSkipped, rep.WALStale, rep.WALPending, rep.WALQuarantined)
+			}
+			kept, err := os.ReadFile(filepath.Join(sys.opts.Durability.Dir, "wal", name+".corrupt"))
+			if err != nil || !bytes.Equal(kept, old) {
+				t.Errorf("the version-1 segment was not kept aside byte for byte: %v", err)
 			}
 		})
 	}

@@ -187,7 +187,8 @@ func FuzzDecode(f *testing.F) {
 	f.Add(decoderIndex(f, netproto.MsgSnapshot.String()), append(make([]byte, 32), 0xff, 0xff, 0xff, 0xff)) // 4 Gi templates declared
 
 	// The checkpoint envelope: whole, truncated payload, truncated header,
-	// empty, plausible magic with garbage after, a flipped payload byte.
+	// empty, plausible magic with garbage after, a flipped payload byte, and
+	// the whole file under the previous version's header.
 	checkpoint := decoderIndex(f, "checkpoint")
 	file, err := netproto.AppendSnapshotFile(nil, snap)
 	if err != nil {
@@ -195,14 +196,16 @@ func FuzzDecode(f *testing.F) {
 	}
 	flipped := append([]byte(nil), file...)
 	flipped[len(flipped)/2] ^= 0xff
-	for _, b := range [][]byte{file, file[:len(file)/2], file[:8], {}, []byte("PPCSNAP1junk"), flipped} {
+	older := append([]byte(nil), file...)
+	binary.LittleEndian.PutUint16(older[len("PPCSNAP\x00"):], 2) // the previous version's header
+	for _, b := range [][]byte{file, file[:len(file)/2], file[:8], {}, []byte("PPCSNAP1junk"), flipped, older} {
 		f.Add(checkpoint, b)
 	}
 
 	// A learner state stream: whole, halved, cut inside the first section
 	// header, the counter trailer alone (no sections), a section of unknown
-	// tag, the last section repeated, a flipped byte a third of the way in,
-	// and the retired re-tune section (tag 2) after the corrections.
+	// tag, the last section repeated, and a flipped byte a third of the way
+	// in.
 	learner := decoderIndex(f, "learner")
 	state := learnerSeed(f)
 	offs := sectionOffsets(state)
@@ -211,33 +214,28 @@ func FuzzDecode(f *testing.F) {
 	}
 	flippedState := append([]byte(nil), state...)
 	flippedState[len(state)/3] ^= 0xff
-	retuned := binary.LittleEndian.AppendUint32(append([]byte(nil), state...), 2)
-	retuned = append(binary.LittleEndian.AppendUint32(retuned, 3), 1, 2, 3)
 	noSections := offs[0]
 	for _, b := range [][]byte{
 		state, state[:len(state)/2], state[:noSections+4], state[:noSections],
 		append(append([]byte(nil), state[:noSections]...), []byte("RTPCgarbage")...),
 		append(append([]byte(nil), state...), state[offs[0]:]...),
 		flippedState,
-		retuned,
 	} {
 		f.Add(learner, b)
 	}
-	if _, err := decoders[learner].recode(retuned); err == nil || !strings.Contains(err.Error(), "tunable-LSH re-tune state, retired and no longer read") {
-		f.Fatalf("a state stream with the retired re-tune section: %v, want it refused by name", err)
-	}
 
-	// A plan tree, whole and halved, and a version-1 checkpoint header.
+	// A plan tree, whole and halved, and a checkpoint header of another
+	// version.
 	tree := treeSeed()
 	f.Add(decoderIndex(f, "plan-tree"), tree)
 	f.Add(decoderIndex(f, "plan-tree"), tree[:len(tree)/2])
 	f.Add(checkpoint, append([]byte("PPCSNAP\x00\x01\x00"), make([]byte, 22)...))
 
 	// A learner state whose corrections section holds a NaN site EWMA
-	// (section header, site count, five config words, epoch and watermark
-	// before it): refused, so the template restores correction-cold.
+	// (section header, site count, five config words and epoch before it):
+	// refused, so the template restores correction-cold.
 	nanCorr := append([]byte(nil), state...)
-	binary.LittleEndian.PutUint64(nanCorr[offs[0]+8+4+5*8+2*8:], math.Float64bits(math.NaN()))
+	binary.LittleEndian.PutUint64(nanCorr[offs[0]+8+4+5*8+8:], math.Float64bits(math.NaN()))
 	f.Add(learner, nanCorr)
 	if _, err := decoders[learner].recode(nanCorr); err == nil || !strings.Contains(err.Error(), "non-finite") {
 		f.Fatalf("a corrections section with a NaN site: %v, want it refused", err)

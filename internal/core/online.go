@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -665,9 +664,6 @@ func (o *Online) EncodeState(dst []byte) []byte {
 		dst = le.AppendUint64(dst, uint64(v))
 	}
 	for _, sec := range stateSections {
-		if sec.encode == nil {
-			continue
-		}
 		start := len(dst)
 		dst = sec.encode(o, le.AppendUint64(dst, 0)) // tag and length, set below
 		if len(dst) == start+8 {
@@ -693,8 +689,7 @@ type stateSection struct {
 // sections. Each follows the counter trailer as `u32 tag | u32 len | body`,
 // in table order, when encode writes a body. The decoder reads every
 // section through this table: an unknown tag, or one out of order or
-// repeated, is an error; a retired tag — an entry with no encode — is
-// never written, and its decode names why a stream carrying it is refused.
+// repeated, is an error.
 var stateSections = [...]stateSection{
 	// Corrections: present exactly when the adaptive statistics layer is
 	// attached. A stream without the section restores correction-cold.
@@ -707,25 +702,9 @@ var stateSections = [...]stateSection{
 		},
 		decode: func(st *onlineState, body []byte) (err error) {
 			st.corr, err = stats.DecodeCorrections(body)
-			if err == nil {
-				// An older build kept the corrections' own watermark in the
-				// word after the epoch; the state reflects both. (A word past
-				// MaxInt64 reads negative: no log assigns it.)
-				st.counters[3] = max(st.counters[3], int64(binary.LittleEndian.Uint64(body[52:])))
-			}
 			return err
 		}},
-	// Retired: tunable LSH's re-tune state. A synopsis saved beside it keys
-	// its histograms by warped z-values; read without its warps it would
-	// answer from the wrong cells, so the stream is refused by name, never
-	// skipped.
-	{tag: 2,
-		decode: func(*onlineState, []byte) error { return errRetiredRetuneSection }},
 }
-
-// errRetiredRetuneSection names why a state stream carrying section 2 is
-// refused: a restore degrades that template cold and reports this reason.
-var errRetiredRetuneSection = errors.New("core: state section 2 is tunable-LSH re-tune state, retired and no longer read")
 
 // onlineState is an EncodeState stream decoded and validated, not yet
 // installed in a driver.
@@ -734,8 +713,8 @@ type onlineState struct {
 	pred *ApproxLSHHist
 	// counters is the trailer: validated, selfLabeled, epoch, appliedSeq.
 	counters [4]int64
-	// corr is the corrections section (nil when the stream has none: a
-	// pre-correction build, or adaptive stats off at save time).
+	// corr is the corrections section (nil when the stream has none:
+	// adaptive stats off at save time).
 	corr *stats.Corrections
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"hash/crc32"
 	"math"
 	"math/rand"
@@ -275,9 +274,7 @@ func TestDecodeDomainAndRaggedPlans(t *testing.T) {
 // TestStateSectionsReadThroughOneTable: the optional sections after the
 // counter trailer are `tag | len | body` entries read through stateSections.
 // A stream with the corrections section decodes and re-encodes to the same
-// bytes; an unknown tag, a repeated one and a section cut short are errors,
-// and the retired re-tune section (tag 2) is refused by name — a synopsis
-// saved beside it is keyed by warped z-values this build cannot apply.
+// bytes; an unknown tag, a repeated one and a section cut short are errors.
 func TestStateSectionsReadThroughOneTable(t *testing.T) {
 	o := MustNewOnline(OnlineConfig{Core: Config{Dims: 2, Radius: 0.08, Gamma: 0.8, Seed: 5}}, nil)
 	o.AttachCorrections(stats.NewCorrections(2))
@@ -314,14 +311,6 @@ func TestStateSectionsReadThroughOneTable(t *testing.T) {
 	} {
 		if _, err := NewReplicaOnline(bad); err == nil {
 			t.Errorf("%s: decoded", name)
-		}
-	}
-	for name, retired := range map[string][]byte{
-		"after corrections": cat(state, section(2, []byte{1, 2, 3})),
-		"alone":             cat(state[:first], section(2, nil)),
-	} {
-		if _, err := NewReplicaOnline(retired); !errors.Is(err, errRetiredRetuneSection) {
-			t.Errorf("retune section %s: %v, want the retired section named", name, err)
 		}
 	}
 }

@@ -57,8 +57,6 @@ func correctionRecord(site int, s stats.SiteState, epoch uint64) wal.Record {
 //   - A correction record carries a site's absolute post-batch state and is
 //     independent of feedback. One whose state is not finite is skipped, the
 //     watermark advanced over it.
-//   - A record of a retired kind (wal.RecordRetiredRetune) fits no learner:
-//     stale, like a kind this build does not declare.
 func (o *Online) ReplayRecords(recs []wal.Record) (applied, skipped, stale int) {
 	if len(recs) == 0 {
 		return 0, 0, 0
@@ -115,8 +113,6 @@ func (o *Online) ReplayRecords(recs []wal.Record) (applied, skipped, stale int) 
 				continue
 			}
 			applied++
-		default:
-			stale++ // a retired or undeclared kind fits no learner
 		}
 	}
 	if dirty {

@@ -6,8 +6,6 @@ import (
 	"hash/crc32"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -47,95 +45,6 @@ func (l *memLog) count(kind uint8) int {
 		}
 	}
 	return n
-}
-
-// TestRetiredKindScansShipsAndReplaysStale: a log written by an older build
-// holds re-tune records (the retired kind 3) between feedback. Such a
-// segment scans, repairs and ships whole — a retired record is read by its
-// length, never a place a scan stops or a repair truncates — and replay
-// applies the feedback on both sides of it and counts it stale.
-func TestRetiredKindScansShipsAndReplaysStale(t *testing.T) {
-	dir := t.TempDir()
-	feedback := func(x float64) *wal.Record {
-		return &wal.Record{Kind: wal.RecordFeedback, Template: "Q1", Plan: 1, Cost: 10, Point: []float64{x, x}}
-	}
-	l, _, err := wal.Open(wal.Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.Append(feedback(0.3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// The retired record lands after it as the older build framed it: a
-	// one-warp grid of two knots.
-	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
-	if err != nil || len(segs) != 1 {
-		t.Fatalf("segments %v, %v; want one", segs, err)
-	}
-	tail := []byte{1, 0, 1, 0, 2, 0}
-	tail = binary.LittleEndian.AppendUint64(tail, math.Float64bits(0))
-	tail = binary.LittleEndian.AppendUint64(tail, math.Float64bits(1))
-	f, err := os.OpenFile(segs[0], os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(retiredFrame(2, 1, "Q1", tail)); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Open's repair pass keeps it, and the next append follows it.
-	l, rec, err := wal.Open(wal.Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Records) != 2 || rec.TornBytes != 0 || rec.Corrupt {
-		t.Fatalf("reopen recovered %d of 2 records (torn %d bytes, corrupt %v: %q)", len(rec.Records), rec.TornBytes, rec.Corrupt, rec.Reason)
-	}
-	if seq, err := l.Append(feedback(0.6)); err != nil || seq != 3 {
-		t.Fatalf("append after the retired record: seq %d, %v; want 3", seq, err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	scan, err := wal.Scan(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scan.Records) != 3 || scan.TornBytes != 0 || scan.Corrupt {
-		t.Fatalf("scan found %d of 3 records (torn %d bytes, corrupt %v: %q)", len(scan.Records), scan.TornBytes, scan.Corrupt, scan.Reason)
-	}
-	retired := wal.Record{Kind: wal.RecordRetiredRetune, Seq: 2, Epoch: 1, Template: "Q1"}
-	if got := scan.Records[1]; !reflect.DeepEqual(got, retired) {
-		t.Fatalf("the retired record scans as %+v, want %+v", got, retired)
-	}
-
-	// Shipped: a wire batch carries the frames a follower polls, as the
-	// segment holds them (the closed log's committed records).
-	stream, n, err := l.Follow(0).Poll(nil, 0)
-	if err != nil || n != 3 {
-		t.Fatalf("poll read %d of 3 records, %v", n, err)
-	}
-	shipped, err := wal.DecodeFrames(stream)
-	if err != nil {
-		t.Fatalf("ship decode stopped after %d records: %v", len(shipped), err)
-	}
-	if !reflect.DeepEqual(shipped, scan.Records) {
-		t.Fatalf("shipped %+v, scanned %+v", shipped, scan.Records)
-	}
-
-	o := MustNewOnline(OnlineConfig{Core: Config{Dims: 2, Seed: 4}, Seed: 2}, nil)
-	if applied, skipped, stale := o.ReplayRecords(shipped); applied != 2 || skipped != 0 || stale != 1 {
-		t.Fatalf("replayed as %d applied, %d skipped, %d stale; want 2/0/1", applied, skipped, stale)
-	}
-	if got := o.Validated(); got != 2 {
-		t.Errorf("Validated = %d after replay, want both feedback points", got)
-	}
 }
 
 // TestApplyBatchIsOneWrite: one apply batch carrying feedback points and
@@ -327,51 +236,6 @@ func TestCorrectionsReplayReconstructsState(t *testing.T) {
 	}
 }
 
-// TestOlderStateFoldsItsTwoWatermarks: a build before the learner kept one
-// watermark wrote two — the trailer's, over its feedback, and one in the
-// corrections section's reserved word. A state it wrote decodes to the
-// larger as the one watermark, so replay skips every record that state
-// reflects, and re-encodes with that watermark in the trailer and the word
-// 0. A word past MaxInt64, which no log assigns, leaves the trailer's.
-func TestOlderStateFoldsItsTwoWatermarks(t *testing.T) {
-	lg := &memLog{}
-	leader := fuzzLearner(t)
-	leader.AttachLog(lg)
-	leader.ApplyBatch([]Feedback{{Point: []float64{0.3, 0.3}, Plan: 1, Cost: 2}}, nil)
-	fbSeq := leader.AppliedSeq()
-	for i := 0; i < 3; i++ {
-		leader.ApplyBatch(nil, []stats.Obs{{Site: 1, LogQ: math.Log(3)}, {Site: 2, LogQ: 0.5}})
-	}
-	state := leader.EncodeState(nil)
-	le := binary.LittleEndian
-	body := len(leader.corr.Encode(nil))
-	trailer, word := state[len(state)-8-body-8:], state[len(state)-body+52:]
-	if le.Uint64(trailer) != leader.AppliedSeq() || le.Uint64(word) != 0 || leader.AppliedSeq() != fbSeq+6 {
-		t.Fatalf("state holds watermark %d and word %d, learner %d after feedback %d; the offsets are wrong",
-			le.Uint64(trailer), le.Uint64(word), leader.AppliedSeq(), fbSeq)
-	}
-
-	older := append([]byte(nil), state...)
-	trailer, word = older[len(older)-8-body-8:], older[len(older)-body+52:]
-	le.PutUint64(trailer, fbSeq)
-	le.PutUint64(word, leader.AppliedSeq())
-	o, err := NewReplicaOnline(older)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.AppliedSeq() != leader.AppliedSeq() || !bytes.Equal(o.EncodeState(nil), state) {
-		t.Fatalf("the older state decodes to watermark %d, want %d, and re-encodes unlike the leader's", o.AppliedSeq(), leader.AppliedSeq())
-	}
-	if applied, skipped, _ := o.ReplayRecords(lg.recs); applied != 0 || skipped != len(lg.recs) {
-		t.Fatalf("replaying the log into the older state applied %d and skipped %d of %d", applied, skipped, len(lg.recs))
-	}
-
-	le.PutUint64(word, math.MaxInt64+1)
-	if o, err := NewReplicaOnline(older); err != nil || o.AppliedSeq() != fbSeq {
-		t.Fatalf("a corrections word past MaxInt64: %v, watermark %d, want the trailer's %d", err, o.AppliedSeq(), fbSeq)
-	}
-}
-
 // fuzzLearner is the small learner FuzzReplayRecords replays into: two
 // dimensions, corrections attached, forty validated points in the
 // synopsis.
@@ -386,19 +250,6 @@ func fuzzLearner(tb testing.TB) *Online {
 }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// retiredFrame frames a record of the retired kind 3 by hand, as an older
-// build wrote it: nothing encodes the kind any more.
-func retiredFrame(seq uint64, epoch int64, template string, tail []byte) []byte {
-	le := binary.LittleEndian
-	p := le.AppendUint64([]byte{wal.RecordRetiredRetune}, seq)
-	p = le.AppendUint64(p, uint64(epoch))
-	p = le.AppendUint16(p, uint16(len(template)))
-	p = append(append(p, template...), tail...)
-	frame := le.AppendUint32(nil, uint32(len(p)))
-	frame = le.AppendUint32(frame, crc32.Checksum(p, castagnoli))
-	return append(frame, p...)
-}
 
 // reseal recomputes each frame's checksum (u32 len | u32 crc32c | payload)
 // over whatever payload the fuzzer left there, so that a mutation reaches the
@@ -424,8 +275,7 @@ func reseal(data []byte) []byte {
 // must decode and re-encode to the same bytes.
 func FuzzReplayRecords(f *testing.F) {
 	// Seed with what a live learner logs (feedback and corrections,
-	// interleaved), and with records that do not fit it: the retired kind
-	// among them.
+	// interleaved), and with records that do not fit it.
 	leader := fuzzLearner(f)
 	log := &memLog{}
 	leader.AttachLog(log)
@@ -446,8 +296,6 @@ func FuzzReplayRecords(f *testing.F) {
 	}
 	f.Add(stream)
 	f.Add(stream[:len(stream)/2])
-	f.Add(retiredFrame(1, 1, "", []byte{1, 0, 1, 0, 17, 0}))
-	f.Add(retiredFrame(2, -1, "", nil))
 	odd := []wal.Record{
 		{Kind: wal.RecordFeedback, Seq: 3, Epoch: math.MaxInt64, Plan: -1, Cost: math.NaN(), Point: []float64{math.NaN(), math.Inf(1)}},
 		{Kind: wal.RecordFeedback, Seq: 4, Epoch: math.MinInt64, Point: []float64{-3, 7}},
@@ -461,6 +309,14 @@ func FuzzReplayRecords(f *testing.F) {
 	for i := range odd {
 		f.Add(wal.AppendFrame(nil, &odd[i]))
 	}
+	// The log replayed twice (the second pass is skips only) and in reverse
+	// (every record after the first is at or below the watermark).
+	f.Add(append(append([]byte(nil), stream...), stream...))
+	var reversed []byte
+	for i := len(log.recs) - 1; i >= 0; i-- {
+		reversed = wal.AppendFrame(reversed, &log.recs[i])
+	}
+	f.Add(reversed)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, _ := wal.DecodeFrames(reseal(data)) // the records before the first invalid frame

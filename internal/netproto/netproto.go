@@ -46,7 +46,7 @@ const (
 	// Version is the current protocol version. The handshake is strict:
 	// mismatched versions are rejected with CodeVersionMismatch rather than
 	// negotiated down (the fleet upgrades in lockstep).
-	Version uint16 = 2
+	Version uint16 = 3
 	// frameOverhead is the per-frame cost: length prefix + checksum.
 	frameOverhead = 8
 	// MaxFrame bounds a declared frame length so a corrupted length field
@@ -563,16 +563,12 @@ func DecodeSnapshot(b []byte) (*Snapshot, error) {
 }
 
 // A checkpoint file is a file header — snapshotMagic, then a u16 version —
-// followed by the MsgSnapshot frame the ship stream carries. Version 1 held
-// a reflected (gob) payload; it is recognised by its header alone and not
-// read.
+// followed by the MsgSnapshot frame the ship stream carries. Only the
+// current version is read: an older file restores cold.
 const (
 	snapshotMagic          = "PPCSNAP\x00"
-	snapshotVersion uint16 = 2
+	snapshotVersion uint16 = 3
 )
-
-// errSnapshotV1 reports a version-1 checkpoint file: recognised, not read.
-var errSnapshotV1 = errors.New("version 1 (gob) checkpoint, no longer read")
 
 // AppendSnapshotFile appends s to dst as a checkpoint file. It fails when
 // the snapshot exceeds MaxFrame: a file that could not be read back or
@@ -593,9 +589,7 @@ func ReadSnapshotFile(r io.Reader) (*Snapshot, error) {
 	if string(hdr[:len(snapshotMagic)]) != snapshotMagic {
 		return nil, errors.New("bad magic (not a PPC snapshot)")
 	}
-	if v := le.Uint16(hdr[len(snapshotMagic):]); v == 1 {
-		return nil, errSnapshotV1
-	} else if v != snapshotVersion {
+	if v := le.Uint16(hdr[len(snapshotMagic):]); v != snapshotVersion {
 		return nil, fmt.Errorf("unsupported snapshot version %d", v)
 	}
 	f := frameReader{r: r}

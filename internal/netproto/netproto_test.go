@@ -302,8 +302,9 @@ func TestDecodeSnapshotRejectsInconsistentState(t *testing.T) {
 }
 
 // TestSnapshotFile: a checkpoint file is the header and the MsgSnapshot
-// frame; it reads back through the frame reader Conn uses, a version-1 file
-// is recognised by its header alone, and damage anywhere is an error.
+// frame; it reads back through the frame reader Conn uses, a file of any
+// other version is refused by its header alone, naming the version, and
+// damage anywhere is an error.
 func TestSnapshotFile(t *testing.T) {
 	snap := &Snapshot{DBScale: 2000, DBSeed: 5, Templates: []TemplateState{{Name: "Q1", State: []byte{1}}}}
 	file, err := AppendSnapshotFile(nil, snap)
@@ -313,9 +314,12 @@ func TestSnapshotFile(t *testing.T) {
 	if got, err := ReadSnapshotFile(bytes.NewReader(file)); err != nil || !reflect.DeepEqual(got, snap) {
 		t.Fatalf("read back %+v, %v", got, err)
 	}
-	v1 := append([]byte(snapshotMagic), 1, 0)
-	if _, err := ReadSnapshotFile(bytes.NewReader(append(v1, file[len(v1):]...))); !errors.Is(err, errSnapshotV1) {
-		t.Errorf("version-1 header: %v, want errSnapshotV1", err)
+	for _, v := range []uint16{1, snapshotVersion - 1, snapshotVersion + 1} {
+		older := le.AppendUint16([]byte(snapshotMagic), v)
+		want := fmt.Sprintf("unsupported snapshot version %d", v)
+		if _, err := ReadSnapshotFile(bytes.NewReader(append(older, file[len(older):]...))); err == nil || err.Error() != want {
+			t.Errorf("version-%d header: %v, want %q", v, err, want)
+		}
 	}
 	for off := range file {
 		bad := append([]byte(nil), file...)

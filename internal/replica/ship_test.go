@@ -7,7 +7,6 @@ package replica
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc32"
 	"io"
 	"math/rand"
 	"os"
@@ -21,19 +20,6 @@ import (
 	"repro/internal/netproto"
 	"repro/internal/wal"
 )
-
-// retiredFrame frames a record of the retired kind 3 by hand, as an older
-// build wrote it: nothing encodes the kind any more.
-func retiredFrame(seq uint64, epoch int64, template string, tail []byte) []byte {
-	le := binary.LittleEndian
-	p := le.AppendUint64([]byte{wal.RecordRetiredRetune}, seq)
-	p = le.AppendUint64(p, uint64(epoch))
-	p = le.AppendUint16(p, uint16(len(template)))
-	p = append(append(p, template...), tail...)
-	frame := le.AppendUint32(nil, uint32(len(p)))
-	frame = le.AppendUint32(frame, crc32.Checksum(p, crc32.MakeTable(crc32.Castagnoli)))
-	return append(frame, p...)
-}
 
 // appendToFile appends b to the file at path.
 func appendToFile(t *testing.T, path string, b []byte) {
@@ -78,9 +64,7 @@ func randomRecord(rng *rand.Rand) *wal.Record {
 }
 
 // seededLog writes a WAL directory of small segments: random records, then
-// — as an older build left them — a retired kind-3 frame followed by a
-// feedback frame in the same segment, then more records from a reopened
-// log, and last a torn final frame.
+// more records from a reopened log, and last a torn final frame.
 func seededLog(t *testing.T, seed int64) string {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(seed))
@@ -102,14 +86,8 @@ func seededLog(t *testing.T, seed int64) string {
 		return last
 	}
 
+	appendRandom(25 + rng.Intn(20))
 	last := appendRandom(25 + rng.Intn(20))
-	seg := lastSegment(t, dir)
-	appendToFile(t, seg, retiredFrame(last+1, 1, "Q1", []byte{1, 0, 1, 0, 17, 0}))
-	after := randomRecord(rng)
-	after.Seq = last + 2
-	appendToFile(t, seg, wal.AppendFrame(nil, after))
-
-	last = appendRandom(25 + rng.Intn(20))
 	torn := randomRecord(rng)
 	torn.Seq = last + 1
 	frame := wal.AppendFrame(nil, torn)
@@ -147,9 +125,8 @@ func segmentFrames(t *testing.T, dir string) map[uint64][]byte {
 // TestShippedEqualsRecovered holds the ship stream to crash recovery: from
 // every resume position, the records the batches decode to are the records
 // wal.Scan reads past it, field by field, and the batches' frames are those
-// records' bytes in the segments — across rotations, through a retired
-// kind-3 frame, and up to a torn final frame, at batch bounds that split
-// segments.
+// records' bytes in the segments — across rotations and up to a torn
+// final frame, at batch bounds that split segments.
 func TestShippedEqualsRecovered(t *testing.T) {
 	for seed, bound := range []int{1, 3, 7, batchMax} {
 		dir := seededLog(t, int64(seed))
@@ -157,10 +134,9 @@ func TestShippedEqualsRecovered(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		retired := slices.ContainsFunc(scan.Records, func(r wal.Record) bool { return r.Kind == wal.RecordRetiredRetune })
-		if scan.Segments < 3 || scan.TornBytes == 0 || scan.Corrupt || !retired {
-			t.Fatalf("seed %d: %d segments, %d torn bytes, corrupt %v, kind 3 held %v; want a torn log of several segments with a kind-3 record",
-				seed, scan.Segments, scan.TornBytes, scan.Corrupt, retired)
+		if scan.Segments < 3 || scan.TornBytes == 0 || scan.Corrupt {
+			t.Fatalf("seed %d: %d segments, %d torn bytes, corrupt %v; want a torn log of several segments",
+				seed, scan.Segments, scan.TornBytes, scan.Corrupt)
 		}
 		frames := segmentFrames(t, dir)
 		// Open truncates the torn frame before a follower exists.

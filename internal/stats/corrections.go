@@ -230,8 +230,7 @@ func (c *Corrections) ActiveSites() int {
 }
 
 // Encode appends the correction state — site count, the learner's
-// constants, epoch, a reserved zero word and every site's EWMA state — to
-// dst: the body of the learner state's corrections section
+// constants, epoch and every site's EWMA state — to dst: the body of the learner state's corrections section
 // (core.Online.EncodeState).
 func (c *Corrections) Encode(dst []byte) []byte {
 	le := binary.LittleEndian
@@ -239,7 +238,7 @@ func (c *Corrections) Encode(dst []byte) []byte {
 	for _, v := range corrSlots {
 		dst = le.AppendUint64(dst, math.Float64bits(v))
 	}
-	dst = le.AppendUint64(le.AppendUint64(dst, c.epoch.Load()), 0)
+	dst = le.AppendUint64(dst, c.epoch.Load())
 	for _, s := range c.sites {
 		dst = le.AppendUint64(le.AppendUint64(le.AppendUint64(dst, math.Float64bits(s.logc)), s.n), math.Float64bits(s.ref))
 	}
@@ -247,13 +246,13 @@ func (c *Corrections) Encode(dst []byte) []byte {
 }
 
 // DecodeCorrections decodes a section body written by Encode into freshly
-// constructed state; the reserved word is not read. A body with a byte more
+// constructed state. A body with a byte more
 // or less than its site count declares is an error, and so is one whose
 // configuration slots differ from this learner's constants (its factors were
 // learned by another rule) or whose site state is not finite: nothing from
 // outside the process publishes a factor Apply could not have.
 func DecodeCorrections(b []byte) (*Corrections, error) {
-	const siteBytes, fixed = 24, 4 + 5*8 + 2*8
+	const siteBytes, fixed = 24, 4 + 5*8 + 8
 	le := binary.LittleEndian
 	if len(b) < fixed || uint64(le.Uint32(b))*siteBytes != uint64(len(b)-fixed) {
 		return nil, fmt.Errorf("stats: corrections section of %d bytes does not match its site count", len(b))

@@ -118,16 +118,6 @@ func TestCorrectionsEncodeDecodeRoundTrip(t *testing.T) {
 	if !bytes.Equal(dec.Encode(nil), body) {
 		t.Fatal("decode -> encode moved the section bytes")
 	}
-	// The reserved word is written 0 and not read: an older build's value
-	// there decodes to the same state and re-encodes as 0.
-	if w := binary.LittleEndian.Uint64(body[52:]); w != 0 {
-		t.Fatalf("reserved word holds %d, want 0", w)
-	}
-	older := append([]byte(nil), body...)
-	binary.LittleEndian.PutUint64(older[52:], 587)
-	if dec, err := DecodeCorrections(older); err != nil || !bytes.Equal(dec.Encode(nil), body) {
-		t.Fatalf("a section with a non-zero reserved word: %v, or it re-encodes unlike its zero-word twin", err)
-	}
 
 	// A body that disagrees with its declared site count is an error, not a
 	// silent cold start: empty, truncated, one byte long, garbage.
@@ -175,7 +165,7 @@ func TestCorrectionsRefuseNonFiniteState(t *testing.T) {
 		binary.LittleEndian.PutUint64(b[off:], math.Float64bits(v))
 		return b
 	}
-	const site1 = 4 + 5*8 + 2*8 // first site's logc; ref is 16 bytes on
+	const site1 = 4 + 5*8 + 8 // first site's logc; ref is 16 bytes on
 	for name, bad := range map[string][]byte{
 		"alpha 0":           patch(4, 0),
 		"alpha 0.5":         patch(4, 0.5),

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -14,9 +13,7 @@ import (
 // run of frames. The invariants under fuzz: never panic, never over-read,
 // the records returned re-encode to a prefix of the input (decode and
 // encode are exact inverses), and the error is nil exactly when that prefix
-// is the whole input — otherwise the bytes after it do not start a frame. A
-// retired kind has no encoder: its record is framed by hand around the
-// consumed frame's tail, so the decoded prefix is held to the same bytes.
+// is the whole input — otherwise the bytes after it do not start a frame.
 func FuzzDecodeFrame(f *testing.F) {
 	seedRecs := []*Record{
 		{Seq: 1, Epoch: 0, Template: "Q1", Plan: 7, Cost: 1.5, Point: []float64{0.1, 0.9}},
@@ -31,10 +28,6 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Add(AppendFrame(nil, r))
 		run = AppendFrame(run, r)
 	}
-	// The retired kind as older builds wrote it: a re-tune's two warps of
-	// three knots (u16 t, s, k, then the knots), and one with no tail.
-	f.Add(retiredFrame(4, 1, "Q8", retiredTail(1, 2, 3, 0, 0.5, 1, 0, 0.25, 1)))
-	f.Add(retiredFrame(5, 0, "", nil))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})
 	// A frame with a valid checksum over a malformed payload.
@@ -44,9 +37,15 @@ func FuzzDecodeFrame(f *testing.F) {
 	binary.LittleEndian.PutUint32(bad[4:8], crc32.Checksum(bad[frameOverhead:], walCRC))
 	f.Add(bad)
 	// Runs: every seed record's frame, then the same ending in a torn frame.
-	run = append(run, retiredFrame(6, 2, "Q1", retiredTail(1, 1, 2, 0, 1))...)
 	f.Add(run)
 	f.Add(run[:len(run)-3])
+	// A segment header where a frame should start, and a kind-3 frame with a
+	// valid checksum, as a version-1 segment could hold: both stop the decode.
+	f.Add(append(append([]byte(nil), run...), segMagic+"\x02\x00"...))
+	kind3 := AppendFrame(nil, &Record{Kind: RecordCorrection, Seq: 4, Template: "Q8"})
+	kind3[frameOverhead] = 3
+	le.PutUint32(kind3[4:8], crc32.Checksum(kind3[frameOverhead:], walCRC))
+	f.Add(kind3)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, err := DecodeFrames(data)
@@ -55,12 +54,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			if len(round)+frameOverhead > len(data) {
 				t.Fatalf("record %d decoded past the input's %d bytes", i, len(data))
 			}
-			n := frameOverhead + int(binary.LittleEndian.Uint32(data[len(round):]))
-			if rec := &recs[i]; rec.Kind == RecordRetiredRetune {
-				round = append(round, retiredFrame(rec.Seq, rec.Epoch, rec.Template, data[len(round)+frameOverhead+minPayload+len(rec.Template):len(round)+n])...)
-			} else {
-				round = AppendFrame(round, rec)
-			}
+			round = AppendFrame(round, &recs[i])
 			if len(round) > len(data) || !bytes.Equal(round, data[:len(round)]) {
 				t.Fatalf("decode/encode not inverse at record %d:\n in  %x\n out %x", i, data[:min(len(round), len(data))], round)
 			}
@@ -74,18 +68,6 @@ func FuzzDecodeFrame(f *testing.F) {
 			}
 		}
 	})
-}
-
-// retiredTail is the tail of a retired re-tune record: the warp grid's
-// shape, then its knots.
-func retiredTail(t, s, k uint16, knots ...float64) []byte {
-	b := binary.LittleEndian.AppendUint16(nil, t)
-	b = binary.LittleEndian.AppendUint16(b, s)
-	b = binary.LittleEndian.AppendUint16(b, k)
-	for _, v := range knots {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-	}
-	return b
 }
 
 // FuzzScan feeds an arbitrary byte blob as a single segment file and checks
@@ -112,6 +94,9 @@ func FuzzScan(f *testing.F) {
 	f.Add(whole)
 	f.Add(whole[:len(whole)-3]) // torn tail
 	f.Add([]byte("not a segment at all"))
+	older := append([]byte(nil), whole...)
+	binary.LittleEndian.PutUint16(older[len(segMagic):], segVersion-1)
+	f.Add(older) // the previous version's segment
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

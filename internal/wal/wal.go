@@ -17,6 +17,11 @@
 //     stops at the first invalid frame of the final segment and reports how
 //     many bytes it ignored; Open truncates the tear so the log is clean
 //     for the next writer.
+//   - Any other damage is reported and moved aside, never appended to or
+//     removed: a segment whose header is foreign (another magic or another
+//     version) is quarantined whole, a damaged frame before the final
+//     segment cuts its segment there, and every later segment is
+//     quarantined — so the next scan ends where this one did.
 //   - Append-path failures degrade durability, never availability: the
 //     caller counts the error and keeps applying in memory.
 //
@@ -32,8 +37,6 @@
 //	         i64 plan | f64 cost | u8 selfLabeled | u16 dims | f64*dims
 //	tail (kind 2, correction; epoch = the correction epoch after the update):
 //	         u32 site | f64 logc | u64 n | f64 ref
-//	tail (kind 3, retired: an older build's tunable-LSH re-tune):
-//	         bytes, read by the payload length and never interpreted
 //
 // A record kind is declared once, as an entry of the kinds table: the size
 // of its tail's fixed part, the length of the variable part, an encoder, a
@@ -75,8 +78,10 @@ import (
 const (
 	// segMagic opens every segment file.
 	segMagic = "PPCWAL\x00"
-	// segVersion is the current segment format version.
-	segVersion = 1
+	// segVersion is the current segment format version. Version 1 segments
+	// may hold kind-3 frames, which this build does not declare; recovery
+	// quarantines them whole.
+	segVersion = 2
 	// headerSize is the segment header length in bytes.
 	headerSize = len(segMagic) + 2
 	// frameOverhead is the per-record framing cost (length + checksum).
@@ -105,19 +110,13 @@ var walCRC = crc32.MakeTable(crc32.Castagnoli)
 var le = binary.LittleEndian
 
 // Record kinds. The kind byte is first in every payload so the framing is
-// shared; unknown kinds stop a scan (they cannot be skipped trustably), so a
-// kind no build writes any more stays declared, as retired.
+// shared; an unknown kind stops a scan (it cannot be skipped trustably).
 const (
 	// RecordFeedback is one labeled plan space point for a learner.
 	RecordFeedback uint8 = 1
 	// RecordCorrection is one adaptive-statistics correction site update:
 	// the absolute post-update EWMA state, so replay is idempotent.
 	RecordCorrection uint8 = 2
-	// RecordRetiredRetune is retired: the tunable-LSH re-tune event older
-	// builds logged. A log or a ship stream may still hold one, so its
-	// frames are checksummed and read whole by their length, and replay
-	// counts it stale; nothing encodes one, and Append refuses it.
-	RecordRetiredRetune uint8 = 3
 )
 
 // Record is the one durable form of a learner event: what a writer hands
@@ -132,10 +131,6 @@ const (
 //
 // Correction fields: CorrEpoch is the template's correction epoch after the
 // update; Site/LogC/N/Ref are the site's absolute post-update state.
-//
-// A retired kind's record is its prefix alone, the epoch slot in Epoch: replay
-// counts it stale and a ship stream forwards its frame as read, so no reader
-// needs its tail.
 type Record struct {
 	Kind        uint8
 	Seq         uint64
@@ -266,13 +261,14 @@ type Recovery struct {
 	// TornSegment names the file whose tail was torn ("" when clean).
 	TornSegment string
 	// Corrupt is true when damage beyond a torn tail was found (an invalid
-	// record in a non-final segment, an unreadable header). Scanning stops
-	// at the damage; later segments are quarantined by Open.
+	// record in a non-final segment, a foreign or unreadable header).
+	// Scanning stops at the damage, and Open moves it aside (scanDir).
 	Corrupt bool
 	// Reason explains the corruption, empty when Corrupt is false.
 	Reason string
-	// QuarantinedSegments lists segments renamed aside because they follow
-	// mid-log damage and their records can no longer be ordered trustably.
+	// QuarantinedSegments lists the segments Open renames aside whole: one
+	// whose header this build cannot read, and every segment after the
+	// damage, whose records can no longer be ordered trustably.
 	QuarantinedSegments []string
 }
 
@@ -301,11 +297,13 @@ type Log struct {
 	scratch []byte // reusable frame encode buffer
 }
 
-// Open scans dir, truncates a torn tail so the log ends on a record
-// boundary, quarantines segments stranded behind mid-log damage, and
-// returns the log positioned to append after the last valid record — and
-// never below its newest kept segment's name, which a compaction can leave
-// empty. The returned Recovery carries the valid records for replay.
+// Open scans dir, repairs what the scan found (scanDir) so the log ends
+// on a record boundary and no damage stays where a scan would meet it
+// again, and returns the log positioned to append after the last valid
+// record — and never below its newest kept segment's name, which a
+// compaction can leave empty. The returned Recovery carries the valid
+// records for replay. A repair that fails fails Open: a damaged segment
+// left in place could be appended to.
 func Open(opts Options) (*Log, *Recovery, error) {
 	opts = opts.withDefaults()
 	if opts.Dir == "" {
@@ -314,11 +312,10 @@ func Open(opts Options) (*Log, *Recovery, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
-	rec, names, tornOff, err := scanDir(opts.Dir)
+	rec, kept, err := scanDir(opts.Dir, true)
 	if err != nil {
 		return nil, nil, err
 	}
-	kept := names[:len(names)-len(rec.QuarantinedSegments)]
 	// A segment's name is the lowest seq it may hold, so the log has
 	// numbered up to one below its newest kept segment's name even when
 	// compaction left that segment empty: resume past both.
@@ -326,34 +323,6 @@ func Open(opts Options) (*Log, *Recovery, error) {
 	if n := len(kept); n > 0 {
 		if first := segFirstSeq(kept[n-1]); first > seq {
 			seq = first - 1
-		}
-	}
-	// Physically truncate the torn tail: the next reader must see a log
-	// that ends on a record boundary, or it would stop at our garbage. A
-	// tear inside the segment header (crash during rotation) leaves nothing
-	// recoverable in the file, so remove it rather than strand an empty
-	// shell a future scan would misread as mid-log damage.
-	if rec.TornSegment != "" {
-		tornPath := filepath.Join(opts.Dir, rec.TornSegment)
-		if tornOff < int64(headerSize) {
-			if err := os.Remove(tornPath); err != nil {
-				return nil, nil, fmt.Errorf("wal: remove torn segment %s: %w", tornPath, err)
-			}
-			kept = kept[:len(kept)-1]
-		} else if err := os.Truncate(tornPath, tornOff); err != nil {
-			return nil, nil, fmt.Errorf("wal: truncate torn tail of %s: %w", tornPath, err)
-		}
-	}
-	// Segments after mid-log damage are unreachable by a trustworthy scan;
-	// move them aside so they cannot shadow future appends.
-	if rec.Corrupt {
-		for _, name := range rec.QuarantinedSegments {
-			src := filepath.Join(opts.Dir, name)
-			// A rename failure leaves the segment in place; appends below
-			// use sequence numbers past everything scanned, so the stale
-			// file can only resurface as reported corruption, never as
-			// silently replayed data.
-			os.Rename(src, src+".corrupt") //nolint:errcheck
 		}
 	}
 	l := &Log{opts: opts, seq: seq, lastSync: time.Now()}
@@ -369,7 +338,7 @@ func Open(opts Options) (*Log, *Recovery, error) {
 // Scan reads the valid records under dir without opening a writer (used by
 // tests and recovery audits). It never modifies the directory.
 func Scan(dir string) (*Recovery, error) {
-	rec, _, _, err := scanDir(dir)
+	rec, _, err := scanDir(dir, false)
 	return rec, err
 }
 
@@ -409,58 +378,117 @@ func segName(first uint64) string {
 	return fmt.Sprintf("wal-%020d.log", first)
 }
 
-// scanDir walks the segments in order and collects valid records. It
-// returns the recovery report, the segment names it found and, when the
-// final segment has a torn tail (rec.TornSegment), the offset Open should
-// truncate it at.
-func scanDir(dir string) (*Recovery, []string, int64, error) {
+// scanDir walks the segments in order, collects their valid records and
+// stops at the first damage. It returns the recovery report and the
+// segments a writer keeps. With repair set (Open) it also makes the
+// directory what the report describes, so the next scan ends cleanly where
+// this one stopped:
+//
+//   - a torn tail of the final segment is truncated, and a final segment
+//     shorter than its header — a crash during rotation, which left
+//     nothing in it — is removed;
+//   - any other damage is moved aside, never removed: a segment whose
+//     header is foreign or unreadable is quarantined whole, a segment with
+//     a bad frame is cut there (the bytes from the frame on go to a
+//     quarantine file), and every later segment is quarantined whole.
+func scanDir(dir string, repair bool) (*Recovery, []string, error) {
 	names, err := segments(dir)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
 	rec := &Recovery{Segments: len(names)}
-	tornOff := int64(0)
+	kept := names
 	for i, name := range names {
 		path := filepath.Join(dir, name)
-		last := i == len(names)-1
-		badReason, badOff, size := scanSegment(path, &rec.Records)
-		if badReason == "" {
+		seg, herr := readSegment(path, 0, -1)
+		reason, off := "", int64(0)
+		if herr != nil {
+			reason = herr.Error()
+		} else if reason, off = seg.decode(&rec.Records); reason == "" {
 			continue
 		}
-		if last {
+		if i == len(names)-1 && (herr == nil || errors.Is(herr, errShortHeader)) {
 			// Damage at the tail of the final segment: the expected crash
 			// artifact. Everything before the first bad frame is good.
-			rec.TornBytes = size - badOff
-			rec.TornSegment = name
-			tornOff = badOff
-		} else {
-			// Damage followed by more segments: the stream is no longer
-			// trustworthy past this point. Stop and quarantine the rest.
-			rec.Corrupt = true
-			rec.Reason = fmt.Sprintf("segment %s: %s", name, badReason)
-			rec.QuarantinedSegments = append(rec.QuarantinedSegments, names[i+1:]...)
+			rec.TornBytes, rec.TornSegment = seg.size-off, name
+			if !repair {
+				break
+			}
+			if herr != nil {
+				kept = names[:i]
+				err = os.Remove(path)
+			} else {
+				err = os.Truncate(path, off)
+			}
+			if err != nil {
+				return nil, nil, fmt.Errorf("wal: repair torn segment %s: %w", path, err)
+			}
 			break
 		}
+		// Damage followed by more segments, or a header this build cannot
+		// read: the stream is no longer trustworthy past it.
+		rec.Corrupt = true
+		rec.Reason = fmt.Sprintf("segment %s: %s", name, reason)
+		if kept = names[:i+1]; herr != nil {
+			kept = names[:i]
+		}
+		rec.QuarantinedSegments = names[len(kept):]
+		if !repair {
+			break
+		}
+		if herr == nil {
+			err = cutSegment(path, off, seg.buf)
+		}
+		for _, q := range rec.QuarantinedSegments {
+			if p := filepath.Join(dir, q); err == nil {
+				err = os.Rename(p, quarantineName(p))
+			}
+		}
+		if err == nil {
+			err = SyncDir(dir)
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("wal: quarantine damage in %s: %w", dir, err)
+		}
+		break
 	}
 	if n := len(rec.Records); n > 0 {
 		rec.LastSeq = rec.Records[n-1].Seq
 	}
-	return rec, names, tornOff, nil
+	return rec, kept, nil
 }
 
-// scanSegment appends the segment's valid records to out. It returns a
-// non-empty reason and the offset of the first invalid frame when the
-// segment does not end cleanly; I/O errors opening or reading the file are
-// reported as badReason too (the caller treats them as damage, not as a
-// hard failure — a half-unlinked segment must degrade, not crash, the
-// recovery).
-func scanSegment(path string, out *[]Record) (badReason string, badOff int64, size int64) {
-	seg, err := readSegment(path, 0, -1)
+// cutSegment moves the bytes of the segment at path from off on (bad) to
+// its quarantine file, and then truncates the segment at off.
+func cutSegment(path string, off int64, bad []byte) error {
+	f, err := os.OpenFile(quarantineName(path), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
-		return err.Error(), 0, seg.size
+		return err
 	}
-	badReason, badOff = seg.decode(out)
-	return badReason, badOff, seg.size
+	_, err = f.Write(bad)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	return os.Truncate(path, off)
+}
+
+// quarantineName returns where damage from the segment at path is moved:
+// path.corrupt, or path.corrupt.1, .2, ... when an earlier recovery holds
+// that name. No scan reads a quarantine file.
+func quarantineName(path string) string {
+	dst := path + ".corrupt"
+	for n := 1; ; n++ {
+		if _, err := os.Lstat(dst); err != nil {
+			return dst
+		}
+		dst = fmt.Sprintf("%s.corrupt.%d", path, n)
+	}
 }
 
 // DecodeFrames decodes a run of frames — a segment's bytes after its
@@ -476,8 +504,12 @@ func DecodeFrames(b []byte) ([]Record, error) {
 	return recs, nil
 }
 
+// errShortHeader is a segment shorter than its header: at the end of the
+// log, a crash during rotation.
+var errShortHeader = errors.New("segment shorter than its header")
+
 // segTail is the unread remainder of one segment file: the one reader under
-// recovery (scanSegment, from byte 0), the ship tail (Follower.Poll, from
+// recovery (scanDir, from byte 0), the ship tail (Follower.Poll, from
 // where its last poll stopped) and a replica's batch (DecodeFrames), so all
 // three check the same frames and stop at the same frame.
 type segTail struct {
@@ -519,7 +551,7 @@ func readSegment(path string, off, end int64) (segTail, error) {
 	}
 	switch {
 	case n < headerSize:
-		return seg, errors.New("segment shorter than its header")
+		return seg, errShortHeader
 	case string(seg.buf[:len(segMagic)]) != segMagic:
 		return seg, errors.New("bad segment header")
 	}
@@ -562,8 +594,7 @@ func (s *segTail) next() (frame []byte, reason string) {
 // kindSpec declares one record kind: everything the codec knows about it.
 // A payload is the shared prefix `u8 kind | u64 seq | u64 epoch | u16
 // len(template) template` followed by the kind's tail — fixed bytes, then a
-// run of float64s whose count the fixed part states (a retired kind's tail
-// is bytes of any length, never read). The prefix, the frame, the checksum
+// run of float64s whose count the fixed part states. The prefix, the frame, the checksum
 // and the length checks live in AppendFrame and checkFrame; a new kind is
 // one entry here plus its arm of core's replay switch.
 //
@@ -580,13 +611,10 @@ type kindSpec struct {
 	// of the prefix's epoch slot.
 	encode func(r Record, tail []byte) (epoch uint64)
 	// check names a count in the fixed part that disagrees with the tail's
-	// length (the tail holds at least fixed bytes); nil takes any length.
+	// length (the tail holds at least fixed bytes).
 	check func(tail []byte) (reason string)
 	// decode reads the kind's fields out of the epoch slot and a checked tail.
 	decode func(epoch uint64, tail []byte) Record
-	// retired marks a kind no build writes any more: it has no encoder, its
-	// frames decode to their prefix, and Append refuses it.
-	retired bool
 }
 
 // kinds is the record-kind table, indexed by the kind byte.
@@ -647,11 +675,6 @@ var kinds = [...]kindSpec{
 			return r
 		},
 	},
-	RecordRetiredRetune: {
-		// bytes, never read
-		decode:  func(epoch uint64, _ []byte) Record { return Record{Epoch: int64(epoch)} },
-		retired: true,
-	},
 }
 
 // specFor returns the table entry for a kind byte, nil when the table
@@ -705,10 +728,8 @@ func checkFrame(buf []byte) (int, string) {
 	if minPayload+tl+spec.fixed > len(payload) {
 		return 0, fmt.Sprintf("kind %d record payload shorter than its template name and %d-byte tail", payload[0], spec.fixed)
 	}
-	if spec.check != nil {
-		if reason := spec.check(payload[minPayload+tl:]); reason != "" {
-			return 0, reason
-		}
+	if reason := spec.check(payload[minPayload+tl:]); reason != "" {
+		return 0, reason
 	}
 	return frameOverhead + int(payLen), ""
 }
@@ -724,18 +745,18 @@ func decodePayload(p []byte, rec *Record) {
 
 // AppendFrame appends rec's framed encoding (the exact on-disk segment
 // frame: u32 len | u32 crc32c | payload) to dst and returns the extended
-// slice; rec.Seq is encoded as-is. A kind the table does not declare, or a
-// retired one, is a bug in the caller: records are built by the
-// constructors beside core's replay switch, and a frame read is forwarded
-// as it lies, never re-encoded.
+// slice; rec.Seq is encoded as-is. A kind the table does not declare is a
+// bug in the caller: records are built by the constructors beside core's
+// replay switch, and a frame read is forwarded as it lies, never
+// re-encoded.
 func AppendFrame(dst []byte, rec *Record) []byte {
 	kind := rec.Kind
 	if kind == 0 {
 		kind = RecordFeedback
 	}
 	spec := specFor(kind)
-	if spec == nil || spec.retired {
-		panic(fmt.Sprintf("wal: encode of undeclared or retired record kind %d", kind))
+	if spec == nil {
+		panic(fmt.Sprintf("wal: encode of undeclared record kind %d", kind))
 	}
 	tailOff := minPayload + len(rec.Template)
 	payLen := tailOff + spec.fixed + spec.variable(*rec)
@@ -758,12 +779,8 @@ func AppendFrame(dst []byte, rec *Record) []byte {
 // in the OS page cache; durability is Commit's job. On failure the segment
 // is truncated back to the last good record boundary so the log stays
 // well-formed, and the error is returned for the caller to count — the
-// in-memory learner keeps going either way. A record of a retired kind is
-// refused with an error and nothing is written.
+// in-memory learner keeps going either way.
 func (l *Log) Append(rec *Record) (uint64, error) {
-	if spec := specFor(rec.Kind); spec != nil && spec.retired {
-		return 0, fmt.Errorf("wal: append of retired record kind %d", rec.Kind)
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {

@@ -293,6 +293,107 @@ func TestTornHeaderSegmentRemoved(t *testing.T) {
 	}
 }
 
+// stampVersion rewrites the version in the header of the segment at path,
+// as if another build had written it.
+func stampVersion(t *testing.T, path string, v uint16) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	le.PutUint16(data[len(segMagic):], v)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestForeignSegmentQuarantinedNotRemoved: a log of one segment written
+// by an older build (version 1) is not a torn tail. Open reports it
+// Corrupt and renames it aside byte for byte; nothing is truncated or
+// removed, and a fresh segment takes the records that follow.
+func TestForeignSegmentQuarantinedNotRemoved(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openTest(t, Options{Dir: dir})
+	for i := 0; i < 5; i++ {
+		if _, err := l.Append(testRecord("Q1", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	path := filepath.Join(dir, segName(1))
+	old := stampVersion(t, path, segVersion-1)
+
+	l2, rec := openTest(t, Options{Dir: dir})
+	if !rec.Corrupt || rec.TornBytes != 0 || len(rec.Records) != 0 ||
+		len(rec.QuarantinedSegments) != 1 || rec.QuarantinedSegments[0] != segName(1) {
+		t.Fatalf("a version-%d segment recovered as %+v; want it Corrupt and quarantined, not torn", segVersion-1, rec)
+	}
+	if kept, err := os.ReadFile(path + ".corrupt"); err != nil || string(kept) != string(old) {
+		t.Fatalf("quarantined segment: %v, or its bytes moved", err)
+	}
+	if _, err := l2.Append(testRecord("Q1", 5)); err != nil {
+		t.Fatal(err)
+	}
+	l2.Close()
+	if got, err := Scan(dir); err != nil || got.Corrupt || len(got.Records) != 1 {
+		t.Fatalf("after the quarantine the log scans %+v, %v; want the one new record", got, err)
+	}
+}
+
+// TestForeignFirstSegmentQuarantinesTheLog: when the first of several
+// segments carries another version, that segment and every one after it
+// are renamed aside, and the live segment is a fresh one: appending after
+// the foreign header would strand every new record where the next scan
+// stops. A second foreign header at the same name does not overwrite the
+// first quarantine.
+func TestForeignFirstSegmentQuarantinesTheLog(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openTest(t, Options{Dir: dir, SegmentBytes: 256})
+	for i := 0; i < 40; i++ {
+		if _, err := l.Append(testRecord("Q1", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	names, _ := segments(dir)
+	if len(names) < 3 {
+		t.Fatalf("need >=3 segments, got %v", names)
+	}
+	stampVersion(t, filepath.Join(dir, names[0]), 9)
+
+	l2, rec := openTest(t, Options{Dir: dir, SegmentBytes: 256})
+	if !rec.Corrupt || len(rec.Records) != 0 || strings.Join(rec.QuarantinedSegments, ",") != strings.Join(names, ",") {
+		t.Fatalf("recovered %d records, corrupt %v, quarantined %v; want all of %v aside", len(rec.Records), rec.Corrupt, rec.QuarantinedSegments, names)
+	}
+	for _, name := range names {
+		if _, err := os.Stat(filepath.Join(dir, name+".corrupt")); err != nil {
+			t.Fatalf("segment %s not renamed aside: %v", name, err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := l2.Append(testRecord("Q1", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l2.Close()
+	_, rec = openTest(t, Options{Dir: dir, SegmentBytes: 256})
+	if rec.Corrupt || len(rec.Records) != 3 || rec.LastSeq != 3 {
+		t.Fatalf("the next Open recovered %d records (last %d, corrupt %v: %q); want the 3 appended after the quarantine",
+			len(rec.Records), rec.LastSeq, rec.Corrupt, rec.Reason)
+	}
+
+	stampVersion(t, filepath.Join(dir, names[0]), 9)
+	if _, rec = openTest(t, Options{Dir: dir, SegmentBytes: 256}); !rec.Corrupt {
+		t.Fatal("a second foreign header went unreported")
+	}
+	for _, q := range []string{".corrupt", ".corrupt.1"} {
+		if _, err := os.Stat(filepath.Join(dir, names[0]+q)); err != nil {
+			t.Fatalf("quarantine %s%s: %v", names[0], q, err)
+		}
+	}
+}
+
 func TestMidLogCorruptionQuarantines(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openTest(t, Options{Dir: dir, SegmentBytes: 256})
@@ -342,7 +443,15 @@ func TestMidLogCorruptionQuarantines(t *testing.T) {
 			t.Fatalf("quarantined segment %s not renamed aside: %v", q, err)
 		}
 	}
-	// The log stays appendable past the damage.
+	// The damaged segment is cut at its bad frame, the cut bytes kept aside.
+	if st, err := os.Stat(mid); err != nil || st.Size() != int64(headerSize) {
+		t.Fatalf("damaged segment not cut at its bad frame: %v, %v", st, err)
+	}
+	if cut, err := os.ReadFile(mid + ".corrupt"); err != nil || string(cut) != string(data[headerSize:]) {
+		t.Fatalf("the cut bytes were not kept aside: %v", err)
+	}
+	// The log stays appendable past the damage, and the next scan ends
+	// cleanly after the new record.
 	seq, err := l2.Append(testRecord("Q1", 99))
 	if err != nil {
 		t.Fatal(err)
@@ -351,6 +460,9 @@ func TestMidLogCorruptionQuarantines(t *testing.T) {
 		t.Fatalf("append after corruption reused seq %d (last valid %d)", seq, rec.LastSeq)
 	}
 	l2.Close()
+	if got, err := Scan(dir); err != nil || got.Corrupt || got.LastSeq != seq {
+		t.Fatalf("after the repair the log scans %+v, %v; want it clean through seq %d", got, err, seq)
+	}
 }
 
 func TestCompact(t *testing.T) {
