@@ -204,6 +204,7 @@ func TestCommandsLinkNoBenchHarness(t *testing.T) {
 	serving := map[string]bool{
 		"catalog":   true,
 		"core":      true,
+		"disk":      true, // the WAL's and the checkpoint's file seam; disk/simdisk is tests' only
 		"executor":  true,
 		"faults":    true,
 		"geom":      true,

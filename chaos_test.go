@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/disk/simdisk"
 	"repro/internal/faults"
 	"repro/internal/netproto"
 	"repro/internal/stats"
@@ -102,6 +103,10 @@ func TestChaosAllFaultClasses(t *testing.T) {
 			// (like SnapshotCorruption) over a framed loopback pair.
 			netClass := class == faults.NetTornFrame || class == faults.NetCorruptFrame
 			if walClass {
+				// They fire inside a simulated disk, which starts failing
+				// once the System is open on it.
+				inj.Disable(class)
+				inj.SetDisk(simdisk.New(inj))
 				opts.Durability = Durability{
 					Dir:                t.TempDir(),
 					Sync:               wal.SyncAlways,
@@ -111,6 +116,9 @@ func TestChaosAllFaultClasses(t *testing.T) {
 			sys, err := Open(opts)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if walClass {
+				inj.Enable(class, 0.3)
 			}
 			defer sys.Close() //nolint:errcheck
 			if err := sys.RegisterStandard(); err != nil {

@@ -30,7 +30,7 @@
 //
 // Endpoints:
 //
-//	GET  /metrics                 MetricsSnapshot as indented JSON (ppc-metrics/v6)
+//	GET  /metrics                 MetricsSnapshot as indented JSON (ppc-metrics/v7)
 //	GET  /metrics?template=Q1     that template's element of the snapshot, alone
 //	GET  /trace?template=Q1       recent decision traces, oldest first
 //	GET  /health                  liveness: 200 and the registered template names (never flushes)

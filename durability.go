@@ -1,11 +1,15 @@
 package ppc
 
 import (
+	"errors"
 	"fmt"
-	"os"
+	"io"
+	"io/fs"
+	"math"
 	"path/filepath"
 	"time"
 
+	"repro/internal/disk"
 	"repro/internal/obsv"
 	"repro/internal/wal"
 )
@@ -74,8 +78,10 @@ func (w *walSink) Commit() error { return w.log.Commit() }
 // openDurable runs the recovery sequence for a freshly opened System:
 // open (and repair) the WAL, load the latest checkpoint, replay the WAL
 // tail, stash records for unregistered templates, and start the background
-// checkpointer. Called from Open before the System is published, so no
-// concurrent Runs exist yet.
+// checkpointer. The checkpoint is read and written through the log's disk
+// (the operating system's unless a test installed a simulated one). Called
+// from Open before the System is published, so no concurrent Runs exist
+// yet.
 func (s *System) openDurable() error {
 	d := s.opts.Durability
 	t0 := time.Now()
@@ -99,9 +105,10 @@ func (s *System) openDurable() error {
 	ckPath := filepath.Join(d.Dir, checkpointName)
 	var report *LoadReport
 	var epoch uint64
-	if f, oerr := os.Open(ckPath); oerr == nil {
+	if f, oerr := s.wal.Disk().Open(ckPath); oerr == nil {
 		var lerr error
-		epoch, lerr = s.loadState(f)
+		// Read front to back through ReadAt; the file's end is io.EOF.
+		epoch, lerr = s.loadState(io.NewSectionReader(f, 0, math.MaxInt64))
 		f.Close() //nolint:errcheck
 		if lerr != nil {
 			return lerr // non-degradable: wrong database, non-fresh System
@@ -109,7 +116,7 @@ func (s *System) openDurable() error {
 		report = s.LoadStateReport()
 	} else {
 		report = &LoadReport{}
-		if !os.IsNotExist(oerr) {
+		if !errors.Is(oerr, fs.ErrNotExist) {
 			report.damaged("checkpoint: %v", oerr)
 		}
 		s.loadMu.Lock()
@@ -120,7 +127,7 @@ func (s *System) openDurable() error {
 	report.WALSegments = recov.Segments
 	report.WALTornBytes = recov.TornBytes
 	report.WALTornSegment = recov.TornSegment
-	report.WALQuarantined = recov.QuarantinedSegments
+	report.WALQuarantined = recov.Quarantined
 	if recov.Corrupt {
 		report.damaged("wal: %s", recov.Reason)
 	}
@@ -161,6 +168,7 @@ func (s *System) openDurable() error {
 			return err
 		}
 	}
+	s.walReplayed = log.LastSeq()
 	report.RecoveryDuration = time.Since(t0)
 
 	// A recovery that kept everything continues the checkpoint's lineage.
@@ -271,35 +279,27 @@ func (s *System) Checkpoint() (err error) {
 	}()
 	minSeq := s.checkpointMinSeq()
 
-	dir := s.opts.Durability.Dir
+	fsys, dir := s.wal.Disk(), s.opts.Durability.Dir
 	tmp := filepath.Join(dir, checkpointName+".tmp")
-	f, err := os.Create(tmp)
+	f, err := fsys.Create(tmp, false)
 	if err != nil {
 		return &SnapshotError{Op: "checkpoint", Err: err}
 	}
-	if err := s.SaveState(f); err != nil {
-		f.Close()      //nolint:errcheck
-		os.Remove(tmp) //nolint:errcheck
+	if err = disk.Synced(f, nil, func(f disk.File) error { return s.SaveState(f) }); err == nil {
+		err = fsys.Rename(tmp, filepath.Join(dir, checkpointName))
+	}
+	if err != nil {
+		fsys.Remove(tmp) //nolint:errcheck
+		if !errors.As(err, new(*SnapshotError)) {
+			err = &SnapshotError{Op: "checkpoint", Err: err}
+		}
 		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()      //nolint:errcheck
-		os.Remove(tmp) //nolint:errcheck
-		return &SnapshotError{Op: "checkpoint", Err: err}
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp) //nolint:errcheck
-		return &SnapshotError{Op: "checkpoint", Err: err}
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, checkpointName)); err != nil {
-		os.Remove(tmp) //nolint:errcheck
-		return &SnapshotError{Op: "checkpoint", Err: err}
 	}
 	// Fsync the directory so the rename itself survives power loss. Until
 	// it has, compaction must not unlink the records only the new
 	// checkpoint holds: a later segment creation fsyncs wal/, and the
 	// unlinks could outlast a rename that was never made durable.
-	if err := wal.SyncDir(dir); err != nil {
+	if err := fsys.SyncDir(dir); err != nil {
 		return &SnapshotError{Op: "checkpoint", Err: err}
 	}
 	if _, err := s.wal.Compact(minSeq); err != nil {

@@ -30,6 +30,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/disk"
+	"repro/internal/disk/simdisk"
 	"repro/internal/faults"
 	"repro/internal/netproto"
 	"repro/internal/stats"
@@ -167,7 +169,13 @@ func walSegments(t *testing.T, dir string) []string {
 // the recovered System is audited against.
 func mustScan(t *testing.T, dir string) *wal.Recovery {
 	t.Helper()
-	recov, err := wal.Scan(filepath.Join(dir, "wal"))
+	return mustScanOn(t, disk.OS{}, dir)
+}
+
+// mustScanOn is mustScan on the disk fsys.
+func mustScanOn(t *testing.T, fsys disk.FS, dir string) *wal.Recovery {
+	t.Helper()
+	recov, err := wal.Scan(fsys, filepath.Join(dir, "wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -679,10 +687,13 @@ func TestCrashRecoveryProperty(t *testing.T) {
 // (counted, never silent), the in-memory learner keeps serving, and the
 // recovered System matches the independent scan exactly.
 func TestCrashRecoveryUnderAppendFaults(t *testing.T) {
-	inj := faults.New(9).Enable(faults.WALShortWrite, 0.2)
+	inj := faults.New(9)
+	d := simdisk.New(inj)
+	inj.SetDisk(d)
 	dir := t.TempDir()
 	sys := openDurable(t, dir, func(o *Options) { o.Faults = inj })
 	defer sys.Close() //nolint:errcheck
+	inj.Enable(faults.WALShortWrite, 0.2)
 	runDurableWorkload(t, sys, 150, 3)
 	// The applier logs the runs' feedback asynchronously: flush it while the
 	// faults are armed, or its appends may all come after DisableAll.
@@ -694,13 +705,13 @@ func TestCrashRecoveryUnderAppendFaults(t *testing.T) {
 		t.Fatalf("short writes never fired: %+v", m)
 	}
 
-	crash := crashImage(t, dir)
-	scan := mustScan(t, crash)
+	crash := d.Kill()
+	scan := mustScanOn(t, crash, dir)
 	if scan.TornBytes != 0 {
 		t.Fatalf("short-write repair left %d torn bytes", scan.TornBytes)
 	}
 
-	sys2 := openDurable(t, crash, nil)
+	sys2 := openDurable(t, dir, func(o *Options) { o.Faults = faults.New(1).SetDisk(crash) })
 	defer sys2.Close() //nolint:errcheck
 	rep := sys2.LoadStateReport()
 	got := triple(t, sys2)
@@ -1060,10 +1071,32 @@ func TestDurableMidLogDamageIsMovedAsideOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	corruptFile(t, segs[len(segs)-2], info.Size()/2)
+	damaged, err := os.ReadFile(segs[len(segs)-2])
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	sys = openDurable(t, dir, small)
-	if rep := sys.LoadStateReport(); !rep.Corrupt || !strings.Contains(rep.Reason, filepath.Base(segs[len(segs)-2])) {
+	rep := sys.LoadStateReport()
+	if !rep.Corrupt || !strings.Contains(rep.Reason, filepath.Base(segs[len(segs)-2])) {
 		t.Fatalf("the damaged restart reported %+v; want the damaged segment named", rep)
+	}
+	// The report names every file the damage went to: the file holding the
+	// damaged segment's cut bytes, then the newest segment, moved aside
+	// whole. What the segment kept and what was cut are its bytes.
+	if len(rep.WALQuarantined) != 2 {
+		t.Fatalf("the damaged restart quarantined %v; want the cut bytes and one segment", rep.WALQuarantined)
+	}
+	kept, err := os.ReadFile(segs[len(segs)-2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut, err := os.ReadFile(filepath.Join(dir, "wal", rep.WALQuarantined[0]))
+	if err != nil || !bytes.Equal(append(kept, cut...), damaged) || len(cut) == 0 {
+		t.Fatalf("the report's first quarantine file %s does not hold the cut bytes (%v)", rep.WALQuarantined[0], err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "wal", rep.WALQuarantined[1])); err != nil {
+		t.Fatalf("the report's quarantine file %s: %v", rep.WALQuarantined[1], err)
 	}
 	lineage, err := sys.ReplicationEpoch()
 	if err != nil {
@@ -1191,13 +1224,19 @@ func TestDurableStateWrittenAsVersion2(t *testing.T) {
 			}
 			name := filepath.Base(segs[0])
 			if rep.WALReplayed+rep.WALSkipped+rep.WALStale+rep.WALPending != 0 ||
-				len(rep.WALQuarantined) != 1 || rep.WALQuarantined[0] != name {
+				len(rep.WALQuarantined) != 1 || rep.WALQuarantined[0] != name+".corrupt" {
 				t.Errorf("reopen: %d replayed, %d skipped, %d stale, %d pending, quarantined %v; want the version-1 segment aside and nothing read",
 					rep.WALReplayed, rep.WALSkipped, rep.WALStale, rep.WALPending, rep.WALQuarantined)
 			}
-			kept, err := os.ReadFile(filepath.Join(sys.opts.Durability.Dir, "wal", name+".corrupt"))
+			kept, err := os.ReadFile(filepath.Join(sys.opts.Durability.Dir, "wal", rep.WALQuarantined[0]))
 			if err != nil || !bytes.Equal(kept, old) {
 				t.Errorf("the version-1 segment was not kept aside byte for byte: %v", err)
+			}
+			// The log numbers past the seqs the segment holds: its frames,
+			// read past the header for numbering only.
+			held, _ := wal.DecodeFrames(old[len("PPCWAL\x00")+2:])
+			if len(held) == 0 || sys.WALLastSeq() < held[len(held)-1].Seq {
+				t.Errorf("reopen numbers past seq %d; the version-1 segment holds %d records", sys.WALLastSeq(), len(held))
 			}
 		})
 	}

@@ -536,7 +536,7 @@ func (o *Online) applyLocked(fb Feedback) bool {
 // agree. Append failures are counted by the log's observer and degrade
 // durability only: the event still applies in memory. Callers hold mu.
 func (o *Online) logLocked() {
-	if seq, err := o.log.Append(&o.rec); err == nil && seq > 0 {
+	if seq, err := o.log.Append(&o.rec); err == nil {
 		o.appliedSeq.Store(seq)
 	}
 }

@@ -8,6 +8,12 @@
 // The injector is safe for concurrent use: the PPC runtime consults it from
 // the optimizer, the executor, the online learner and the snapshot writer,
 // while tests reconfigure it between workload phases.
+//
+// The injector also hands the durability layer its disk (Disk): the
+// operating system's, unless a test installed a simulated one (SetDisk).
+// The three WAL classes fire inside that simulated disk (disk/simdisk), so
+// the log meets an injected fault on its own error path; on the operating
+// system's disk they never fire.
 package faults
 
 import (
@@ -16,6 +22,8 @@ import (
 	"math/rand"
 	"sync"
 	"time"
+
+	"repro/internal/disk"
 )
 
 // Class identifies one injectable fault class.
@@ -34,14 +42,15 @@ const (
 	// SnapshotCorruption flips a byte in a persisted snapshot payload,
 	// simulating storage corruption.
 	SnapshotCorruption
-	// WALShortWrite makes a WAL append land only a prefix of the frame and
-	// return an error, simulating a full disk or interrupted write.
+	// WALShortWrite makes a write to the simulated disk land half its bytes
+	// and return an error, simulating a full disk or interrupted write.
 	WALShortWrite
-	// WALFsyncError makes a WAL fsync fail, simulating a storage layer that
-	// accepts writes but cannot flush them.
+	// WALFsyncError makes a simulated disk's file or directory fsync fail,
+	// simulating a storage layer that accepts writes but cannot flush them.
 	WALFsyncError
-	// WALTornTail writes a partial frame and then silences the log for the
-	// rest of the process lifetime, simulating power loss mid-append.
+	// WALTornTail makes a write to the simulated disk land a prefix of its
+	// bytes and error, and every later write-side operation of that disk
+	// error with it, simulating power loss mid-append.
 	WALTornTail
 	// NetTornFrame makes a protocol writer send only a prefix of a frame and
 	// then fail the connection, simulating a peer dying mid-write.
@@ -102,6 +111,7 @@ type Injector struct {
 	fired   [numClasses]int64
 	checked [numClasses]int64
 	latency time.Duration
+	disk    disk.FS
 }
 
 // New creates an injector with all classes disabled. The seed makes every
@@ -202,6 +212,29 @@ func (i *Injector) CorruptOffset(n int) (int, bool) {
 		return 0, false
 	}
 	return i.Intn(n), true
+}
+
+// SetDisk installs the disk Disk returns (a test's simulated disk). Returns
+// the injector for chaining.
+func (i *Injector) SetDisk(d disk.FS) *Injector {
+	i.mu.Lock()
+	i.disk = d
+	i.mu.Unlock()
+	return i
+}
+
+// Disk returns the disk the durability layer reads and writes: the one
+// SetDisk installed, else the operating system's. Nil-safe.
+func (i *Injector) Disk() disk.FS {
+	if i == nil {
+		return disk.OS{}
+	}
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	if i.disk == nil {
+		return disk.OS{}
+	}
+	return i.disk
 }
 
 // Fired returns how many times class c has fired.

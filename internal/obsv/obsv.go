@@ -256,7 +256,7 @@ type CounterSnapshot struct {
 	FeedbackInline   uint64 `json:"feedback_inline"`
 	ApplyBatches     uint64 `json:"apply_batches"`
 	// MemoInvalidations is always 0: a memo reads correction factors per
-	// call and is never rebuilt. The key stays in ppc-metrics/v6 for the
+	// call and is never rebuilt. The key stays in ppc-metrics/v7 for the
 	// readers that still name it (ROADMAP item 1).
 	MemoInvalidations uint64 `json:"memo_invalidations"`
 }

@@ -20,7 +20,6 @@ type WALObs struct {
 	syncErrors   atomic.Uint64
 	rotations    atomic.Uint64
 	compacted    atomic.Uint64
-	tearDrops    atomic.Uint64
 
 	checkpoints       atomic.Uint64
 	checkpointErrors  atomic.Uint64
@@ -54,9 +53,6 @@ func (w *WALObs) WALRotate() { w.rotations.Add(1) }
 // WALCompact records n segments deleted by checkpoint compaction.
 func (w *WALObs) WALCompact(n int) { w.compacted.Add(uint64(n)) }
 
-// WALTearDropped records a record lost to an injected torn tail.
-func (w *WALObs) WALTearDropped() { w.tearDrops.Add(1) }
-
 // RecordCheckpoint records one completed checkpoint: its latency and the
 // WAL watermark it covers (records at or below seq are now redundant).
 func (w *WALObs) RecordCheckpoint(d time.Duration, seq uint64) {
@@ -79,9 +75,6 @@ type WALSnapshot struct {
 	Rotations    uint64 `json:"rotations"`
 	// CompactedSegments counts segment files deleted by checkpoints.
 	CompactedSegments uint64 `json:"compacted_segments"`
-	// TearDrops counts records lost to an injected torn tail (fault
-	// injection only; production appends never silently drop).
-	TearDrops uint64 `json:"tear_drops"`
 
 	Checkpoints       uint64 `json:"checkpoints"`
 	CheckpointErrors  uint64 `json:"checkpoint_errors"`
@@ -101,7 +94,6 @@ func (w *WALObs) Snapshot() WALSnapshot {
 		SyncErrors:        w.syncErrors.Load(),
 		Rotations:         w.rotations.Load(),
 		CompactedSegments: w.compacted.Load(),
-		TearDrops:         w.tearDrops.Load(),
 		Checkpoints:       w.checkpoints.Load(),
 		CheckpointErrors:  w.checkpointErrors.Load(),
 		LastCheckpointSeq: w.lastCheckpointSeq.Load(),

@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/disk"
 	"repro/internal/netproto"
 	"repro/internal/wal"
 )
@@ -130,7 +131,7 @@ func segmentFrames(t *testing.T, dir string) map[uint64][]byte {
 func TestShippedEqualsRecovered(t *testing.T) {
 	for seed, bound := range []int{1, 3, 7, batchMax} {
 		dir := seededLog(t, int64(seed))
-		scan, err := wal.Scan(dir)
+		scan, err := wal.Scan(disk.OS{}, dir)
 		if err != nil {
 			t.Fatal(err)
 		}

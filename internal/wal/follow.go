@@ -66,11 +66,12 @@ func (l *Log) extent(first, want uint64) (seg uint64, end int64, next uint64, ok
 }
 
 // Follower tails a Log, delivering records strictly after a starting
-// sequence number in order. It reads the segment files, but only as far as
-// the Log has committed them: a sealed segment to its end, the live one to
-// the size its last whole frame ends at. A frame an append is still
-// writing, or the part of one a failed append left before its repair, is
-// never read. Not safe for concurrent use.
+// sequence number in order. It reads the segment files through the Log's
+// disk, the bytes recovery reads, but only as far as the Log has committed
+// them: a sealed segment to its end, the live one to the size its last
+// whole frame ends at. A frame an append is still writing, or the part of
+// one a failed append left before its repair, is never read. Not safe for
+// concurrent use.
 //
 // Poll never blocks: it returns the committed frames past its position and
 // expects the caller to poll again later. After the Log closes, a follower
@@ -160,7 +161,7 @@ func (f *Follower) read() (next uint64, err error) {
 	if end == f.off {
 		return next, nil
 	}
-	t, err := readSegment(filepath.Join(f.log.opts.Dir, segName(seg)), f.off, end)
+	t, err := readSegment(f.log.disk, filepath.Join(f.log.opts.Dir, segName(seg)), f.off, end)
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
 		// Compacted between the Log's answer and the open.

@@ -14,6 +14,8 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/disk"
+	"repro/internal/disk/simdisk"
 	"repro/internal/faults"
 )
 
@@ -159,15 +161,17 @@ func TestFollowerCompactionMidTail(t *testing.T) {
 	}
 }
 
-// TestFollowerTornTailNotDelivered: an append the log's fault injector
-// tears lands a prefix of its frame on disk and leaves the log dead, so the
-// appends after it land nothing. A follower delivers every record the log
-// committed before the tear, across rotations, and neither the partial
-// frame nor anything after it; a follower of the reopened log, which
-// truncated the tear, reads the same records.
+// TestFollowerTornTailNotDelivered: an append the simulated disk tears
+// lands a prefix of its frame and takes the device, so that append and the
+// ones after it fail and land nothing. A follower delivers every record the
+// log committed before the tear, across rotations, and neither the partial
+// frame nor anything after it; a follower of the log reopened on what the
+// process left, which truncated the tear, reads the same records.
 func TestFollowerTornTailNotDelivered(t *testing.T) {
 	dir := t.TempDir()
 	inj := faults.New(7)
+	d := simdisk.New(inj)
+	inj.SetDisk(d)
 	l, _ := openTest(t, Options{Dir: dir, Faults: inj, SegmentBytes: 256})
 	appendN(t, l, "Q1", 5)
 	f := l.Follow(0)
@@ -176,14 +180,30 @@ func TestFollowerTornTailNotDelivered(t *testing.T) {
 	}
 	appendN(t, l, "Q1", 3)
 	inj.Enable(faults.WALTornTail, 1)
-	appendN(t, l, "Q1", 4)
+	for i := 0; i < 4; i++ {
+		if _, err := l.Append(testRecord("Q1", i)); !errors.Is(err, faults.ErrInjected) {
+			t.Fatalf("append %d after the tear returned %v, want the injected error", i, err)
+		}
+	}
 	if inj.Fired(faults.WALTornTail) != 1 {
-		t.Fatalf("torn-tail fault fired %d times, want 1 (the log is dead after it)", inj.Fired(faults.WALTornTail))
+		t.Fatalf("torn-tail fault fired %d times, want 1 (the device is gone after it)", inj.Fired(faults.WALTornTail))
 	}
-	live := filepath.Join(dir, segName(l.segs[len(l.segs)-1]))
-	if fi, err := os.Stat(live); err != nil || fi.Size() <= l.size {
-		t.Fatalf("live segment %v (%v), want more bytes than the %d committed: the torn frame", fi, err, l.size)
+	// The tear is in the newest segment: the live one, or the one a
+	// rotation was writing the header of, to which the log committed
+	// nothing.
+	names, _ := segments(d, dir)
+	newest, committed := names[len(names)-1], int64(0)
+	if newest == segName(l.segs[len(l.segs)-1]) {
+		committed = l.size
 	}
+	torn, err := d.Open(filepath.Join(dir, newest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if size, err := torn.Size(); err != nil || size <= committed {
+		t.Fatalf("segment %s of %d bytes (%v), want more than the %d committed: the torn write", newest, size, err, committed)
+	}
+	torn.Close()
 
 	recs := drain(t, f)
 	if len(recs) != 3 || recs[0].Seq != 6 || recs[2].Seq != 8 {
@@ -193,7 +213,9 @@ func TestFollowerTornTailNotDelivered(t *testing.T) {
 		t.Fatalf("a poll after the tear delivered %d records", len(recs))
 	}
 
-	l2, rec := openTest(t, Options{Dir: dir})
+	inj.DisableAll()
+	inj.SetDisk(d.Kill())
+	l2, rec := openTest(t, Options{Dir: dir, Faults: inj})
 	if rec.TornBytes == 0 || rec.LastSeq != 8 {
 		t.Fatalf("reopen found %d torn bytes and last seq %d, want a tear after seq 8", rec.TornBytes, rec.LastSeq)
 	}
@@ -210,6 +232,8 @@ func TestFollowerTornTailNotDelivered(t *testing.T) {
 func TestFollowerShortWriteNotDelivered(t *testing.T) {
 	dir := t.TempDir()
 	inj := faults.New(5).Enable(faults.WALShortWrite, 0.1)
+	d := simdisk.New(inj)
+	inj.SetDisk(d)
 	l, _ := openTest(t, Options{Dir: dir, Faults: inj, SegmentBytes: 1 << 10})
 	const appends = 2000
 	done := make(chan int, 1)
@@ -239,7 +263,7 @@ func TestFollowerShortWriteNotDelivered(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	scan, err := Scan(dir)
+	scan, err := Scan(d, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +333,7 @@ func TestFollowerStopsWhereScanStops(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec, err := Scan(dir)
+	rec, err := Scan(disk.OS{}, dir)
 	if err != nil || len(rec.Records) != 3 || rec.TornBytes != int64(len(bad)) {
 		t.Fatalf("scan read %d records and %d torn bytes (%v); want 3 and the %d-byte frame", len(rec.Records), rec.TornBytes, err, len(bad))
 	}
@@ -424,9 +448,9 @@ func TestFollowerDrainReadsTheSegmentOnce(t *testing.T) {
 // none is skipped and the follower does not report ErrCompacted.
 func TestFollowerReadsOnPastItsCache(t *testing.T) {
 	frame := len(AppendFrame(nil, testRecord("Q1", 0)))
-	segments := func(t *testing.T, dir string) []string {
+	listSegs := func(t *testing.T, l *Log) []string {
 		t.Helper()
-		segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+		segs, err := segments(l.disk, l.opts.Dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -476,7 +500,7 @@ func TestFollowerReadsOnPastItsCache(t *testing.T) {
 		f := l.Follow(0)
 		firstPoll(t, f)          // 513..600 stay in hand
 		appendN(t, l, "Q1", 150) // 601..700 into the same segment, 701..750 past a rotation
-		if segs := segments(t, dir); len(segs) != 2 {
+		if segs := listSegs(t, l); len(segs) != 2 {
 			t.Fatalf("segments %v; want two", segs)
 		}
 		drainFrom(t, f, 513, 750)
@@ -485,6 +509,7 @@ func TestFollowerReadsOnPastItsCache(t *testing.T) {
 	t.Run("torn then rotated", func(t *testing.T) {
 		dir := t.TempDir()
 		inj := faults.New(3)
+		inj.SetDisk(simdisk.New(inj))
 		l, _ := openTest(t, Options{Dir: dir, Faults: inj, SegmentBytes: int64(headerSize + 700*frame)})
 		appendN(t, l, "Q1", 600)
 		f := l.Follow(0)
@@ -496,7 +521,7 @@ func TestFollowerReadsOnPastItsCache(t *testing.T) {
 		}
 		inj.Disable(faults.WALShortWrite)
 		appendN(t, l, "Q1", 150) // 601..700 into the same segment, 701..750 past a rotation
-		if segs := segments(t, dir); len(segs) != 2 {
+		if segs := listSegs(t, l); len(segs) != 2 {
 			t.Fatalf("segments %v; want two", segs)
 		}
 		drainFrom(t, f, 513, 750)

@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/disk"
 )
 
 // TestFrameGolden pins the frame bytes of every record kind, plus a
@@ -139,7 +141,7 @@ func TestEveryKindRoundTripsItsSmallestRecord(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := Scan(dir)
+	rec, err := Scan(disk.OS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

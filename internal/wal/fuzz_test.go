@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/disk"
 )
 
 // FuzzDecodeFrame throws arbitrary bytes at DecodeFrames, the decoder of a
@@ -103,7 +105,7 @@ func FuzzScan(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, segName(1)), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		rec, err := Scan(dir)
+		rec, err := Scan(disk.OS{}, dir)
 		if err != nil {
 			t.Fatalf("Scan errored on damage instead of reporting it: %v", err)
 		}
@@ -119,7 +121,7 @@ func FuzzScan(f *testing.F) {
 			t.Fatalf("Open recovered %d records, Scan saw %d", len(rec2.Records), nValid)
 		}
 		lg.Close()
-		rec3, err := Scan(dir)
+		rec3, err := Scan(disk.OS{}, dir)
 		if err != nil {
 			t.Fatal(err)
 		}

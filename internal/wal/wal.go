@@ -23,7 +23,16 @@
 //     segment cuts its segment there, and every later segment is
 //     quarantined — so the next scan ends where this one did.
 //   - Append-path failures degrade durability, never availability: the
-//     caller counts the error and keeps applying in memory.
+//     caller counts the error and keeps applying in memory. A failed write
+//     is cut back to the last whole frame before anything else is written
+//     or synced, and until that repair succeeds every Append and Commit
+//     returns its error: the log never reports a record durable that is not.
+//
+// Every file operation goes through a disk.FS, the one handed out by
+// Options.Faults (disk.OS unless a test installed a simulated disk), so the
+// log holds no fault branch of its own: an injected short write, fsync
+// error or torn write fails inside the disk and meets the log's own error
+// path.
 //
 // On-disk layout: dir/wal-<firstseq>.log segments, each opened by a magic
 // string and a version, followed by length-prefixed, CRC-32C-framed records
@@ -62,7 +71,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -71,6 +79,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/disk"
 	"repro/internal/faults"
 	"repro/internal/obsv"
 )
@@ -161,8 +170,7 @@ const MaxTemplateName = math.MaxUint16
 // claims a record the checkpoint does not contain. *Log is one; the facade
 // wraps it to stamp the template name; tests substitute an in-memory one.
 type Appender interface {
-	// Append assigns rec.Seq and logs the record. Seq 0 with a nil error
-	// means the log declined it (an injected dead log). Errors degrade
+	// Append assigns rec.Seq and logs the record. Errors degrade
 	// durability, never availability: the caller applies in memory
 	// regardless.
 	Append(rec *Record) (seq uint64, err error)
@@ -229,8 +237,9 @@ type Options struct {
 	Sync SyncPolicy
 	// SegmentBytes rotates segments past this size (default 4 MiB).
 	SegmentBytes int64
-	// Faults optionally injects disk faults (short write, fsync error,
-	// torn tail). nil disables injection.
+	// Faults hands the log its disk (Faults.Disk: the operating system's
+	// unless a test installed a simulated one, whose injected short writes,
+	// fsync errors and torn writes the log then meets). nil is the OS disk.
 	Faults *faults.Injector
 	// Observer counts the log's appends, fsyncs, rotations, compactions
 	// and their failures; nil gives the log a private one.
@@ -266,10 +275,12 @@ type Recovery struct {
 	Corrupt bool
 	// Reason explains the corruption, empty when Corrupt is false.
 	Reason string
-	// QuarantinedSegments lists the segments Open renames aside whole: one
-	// whose header this build cannot read, and every segment after the
-	// damage, whose records can no longer be ordered trustably.
-	QuarantinedSegments []string
+	// Quarantined names, in the segment directory, every file Open moves
+	// damage to (Scan: would move it to): the cut bytes of a segment with a
+	// bad frame, then each segment renamed aside whole — one whose header
+	// this build cannot read, and every segment after the damage, whose
+	// records can no longer be ordered trustably.
+	Quarantined []string
 }
 
 // Log is the append side of the write-ahead log. Safe for concurrent use;
@@ -278,11 +289,15 @@ type Recovery struct {
 // the latency-critical sense).
 type Log struct {
 	opts Options
+	disk disk.FS
 
 	mu   sync.Mutex
-	f    *os.File
-	size int64  // committed size of the current segment
-	seq  uint64 // last assigned sequence number
+	f    disk.File
+	size int64 // committed size of the current segment
+	// dirty is set when a failed write may have left bytes past size that
+	// repairLocked has not cut yet.
+	dirty bool
+	seq   uint64 // last assigned sequence number
 	// segs names the segments on disk by their first seq, ascending; the
 	// last is the current one. Open's scan builds it, a rotation appends to
 	// it and Compact trims it, so no reader lists the directory.
@@ -291,7 +306,6 @@ type Log struct {
 	// tail is armed by a Commit that skipped its fsync under SyncInterval
 	// and fsyncs when the interval is up; any sync and Close disarm it.
 	tail   *time.Timer
-	dead   bool // an injected torn tail "crashed" the log: drop appends
 	closed bool
 
 	scratch []byte // reusable frame encode buffer
@@ -299,9 +313,8 @@ type Log struct {
 
 // Open scans dir, repairs what the scan found (scanDir) so the log ends
 // on a record boundary and no damage stays where a scan would meet it
-// again, and returns the log positioned to append after the last valid
-// record — and never below its newest kept segment's name, which a
-// compaction can leave empty. The returned Recovery carries the valid
+// again, and returns the log positioned to append past every seq a segment
+// names or holds (scanDir's floor). The returned Recovery carries the valid
 // records for replay. A repair that fails fails Open: a damaged segment
 // left in place could be appended to.
 func Open(opts Options) (*Log, *Recovery, error) {
@@ -309,23 +322,15 @@ func Open(opts Options) (*Log, *Recovery, error) {
 	if opts.Dir == "" {
 		return nil, nil, fmt.Errorf("wal: empty directory")
 	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
+	fsys := opts.Faults.Disk()
+	if err := fsys.MkdirAll(opts.Dir); err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
-	rec, kept, err := scanDir(opts.Dir, true)
+	rec, kept, seq, err := scanDir(fsys, opts.Dir, true)
 	if err != nil {
 		return nil, nil, err
 	}
-	// A segment's name is the lowest seq it may hold, so the log has
-	// numbered up to one below its newest kept segment's name even when
-	// compaction left that segment empty: resume past both.
-	seq := rec.LastSeq
-	if n := len(kept); n > 0 {
-		if first := segFirstSeq(kept[n-1]); first > seq {
-			seq = first - 1
-		}
-	}
-	l := &Log{opts: opts, seq: seq, lastSync: time.Now()}
+	l := &Log{opts: opts, disk: fsys, seq: seq, lastSync: time.Now()}
 	for _, name := range kept {
 		l.segs = append(l.segs, segFirstSeq(name))
 	}
@@ -335,25 +340,21 @@ func Open(opts Options) (*Log, *Recovery, error) {
 	return l, rec, nil
 }
 
-// Scan reads the valid records under dir without opening a writer (used by
-// tests and recovery audits). It never modifies the directory.
-func Scan(dir string) (*Recovery, error) {
-	rec, _, err := scanDir(dir, false)
+// Scan reads the valid records under dir on fsys without opening a writer
+// (used by tests and recovery audits). It never modifies the directory.
+func Scan(fsys disk.FS, dir string) (*Recovery, error) {
+	rec, _, _, err := scanDir(fsys, dir, false)
 	return rec, err
 }
 
 // segments lists the segment files under dir in sequence order.
-func segments(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
+func segments(fsys disk.FS, dir string) ([]string, error) {
+	files, err := fsys.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 	var names []string
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		name := e.Name()
+	for _, name := range files {
 		if strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log") {
 			names = append(names, name)
 		}
@@ -379,10 +380,15 @@ func segName(first uint64) string {
 }
 
 // scanDir walks the segments in order, collects their valid records and
-// stops at the first damage. It returns the recovery report and the
-// segments a writer keeps. With repair set (Open) it also makes the
-// directory what the report describes, so the next scan ends cleanly where
-// this one stopped:
+// stops at the first damage. It returns the recovery report, the segments
+// a writer keeps and the floor a writer numbers past: every seq a segment
+// holds, and one below the name of the newest segment, kept, removed or
+// moved aside, since a name is the lowest seq its segment may hold and a
+// compaction can leave the newest empty. A segment moved aside counts with
+// the frames that decode past its header, even a header this build cannot
+// read; they are read for numbering only and never replayed. With repair
+// set (Open) it also makes the directory what the report describes, so the
+// next scan ends cleanly where this one stopped:
 //
 //   - a torn tail of the final segment is truncated, and a final segment
 //     shorter than its header — a crash during rotation, which left
@@ -391,16 +397,16 @@ func segName(first uint64) string {
 //     header is foreign or unreadable is quarantined whole, a segment with
 //     a bad frame is cut there (the bytes from the frame on go to a
 //     quarantine file), and every later segment is quarantined whole.
-func scanDir(dir string, repair bool) (*Recovery, []string, error) {
-	names, err := segments(dir)
+func scanDir(fsys disk.FS, dir string, repair bool) (rec *Recovery, kept []string, floor uint64, err error) {
+	names, err := segments(fsys, dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
-	rec := &Recovery{Segments: len(names)}
-	kept := names
+	rec = &Recovery{Segments: len(names)}
+	kept = names
 	for i, name := range names {
 		path := filepath.Join(dir, name)
-		seg, herr := readSegment(path, 0, -1)
+		seg, herr := readSegment(fsys, path, 0, -1)
 		reason, off := "", int64(0)
 		if herr != nil {
 			reason = herr.Error()
@@ -416,12 +422,12 @@ func scanDir(dir string, repair bool) (*Recovery, []string, error) {
 			}
 			if herr != nil {
 				kept = names[:i]
-				err = os.Remove(path)
+				err = fsys.Remove(path)
 			} else {
-				err = os.Truncate(path, off)
+				err = truncateSegment(fsys, path, off)
 			}
 			if err != nil {
-				return nil, nil, fmt.Errorf("wal: repair torn segment %s: %w", path, err)
+				return nil, nil, 0, fmt.Errorf("wal: repair torn segment %s: %w", path, err)
 			}
 			break
 		}
@@ -432,59 +438,78 @@ func scanDir(dir string, repair bool) (*Recovery, []string, error) {
 		if kept = names[:i+1]; herr != nil {
 			kept = names[:i]
 		}
-		rec.QuarantinedSegments = names[len(kept):]
-		if !repair {
-			break
+		// The newest segment is among those moved aside whole. Its frames
+		// are read past its header, whatever the header says, for their
+		// seqs alone.
+		var aside []Record
+		last, _ := readSegment(fsys, filepath.Join(dir, names[len(names)-1]), 0, -1)
+		if last.off == 0 { // a header this build cannot read
+			last.buf = last.buf[min(headerSize, len(last.buf)):]
+		}
+		last.decode(&aside)
+		if n := len(aside); n > 0 {
+			floor = aside[n-1].Seq
 		}
 		if herr == nil {
-			err = cutSegment(path, off, seg.buf)
-		}
-		for _, q := range rec.QuarantinedSegments {
-			if p := filepath.Join(dir, q); err == nil {
-				err = os.Rename(p, quarantineName(p))
+			q := quarantineName(fsys, path)
+			rec.Quarantined = append(rec.Quarantined, filepath.Base(q))
+			if repair {
+				err = cutSegment(fsys, path, q, off, seg.buf)
 			}
 		}
-		if err == nil {
-			err = SyncDir(dir)
+		for _, m := range names[len(kept):] {
+			p := filepath.Join(dir, m)
+			q := quarantineName(fsys, p)
+			rec.Quarantined = append(rec.Quarantined, filepath.Base(q))
+			if repair && err == nil {
+				err = fsys.Rename(p, q)
+			}
+		}
+		if repair && err == nil {
+			err = fsys.SyncDir(dir)
 		}
 		if err != nil {
-			return nil, nil, fmt.Errorf("wal: quarantine damage in %s: %w", dir, err)
+			return nil, nil, 0, fmt.Errorf("wal: quarantine damage in %s: %w", dir, err)
 		}
 		break
 	}
 	if n := len(rec.Records); n > 0 {
 		rec.LastSeq = rec.Records[n-1].Seq
 	}
-	return rec, kept, nil
+	floor = max(floor, rec.LastSeq)
+	if n := len(names); n > 0 {
+		if first := segFirstSeq(names[n-1]); first > floor {
+			floor = first - 1
+		}
+	}
+	return rec, kept, floor, nil
 }
 
 // cutSegment moves the bytes of the segment at path from off on (bad) to
-// its quarantine file, and then truncates the segment at off.
-func cutSegment(path string, off int64, bad []byte) error {
-	f, err := os.OpenFile(quarantineName(path), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err != nil {
+// the quarantine file q, and then truncates the segment at off.
+func cutSegment(fsys disk.FS, path, q string, off int64, bad []byte) error {
+	f, err := fsys.Create(q, true)
+	if err := disk.Synced(f, err, func(f disk.File) error { _, err := f.Write(bad); return err }); err != nil {
 		return err
 	}
-	_, err = f.Write(bad)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	return os.Truncate(path, off)
+	return truncateSegment(fsys, path, off)
+}
+
+// truncateSegment cuts the segment at path to size bytes and fsyncs it: a
+// repair that a power loss could undo would meet the next Open as the same
+// damage.
+func truncateSegment(fsys disk.FS, path string, size int64) error {
+	f, err := fsys.OpenAppend(path)
+	return disk.Synced(f, err, func(f disk.File) error { return f.Truncate(size) })
 }
 
 // quarantineName returns where damage from the segment at path is moved:
 // path.corrupt, or path.corrupt.1, .2, ... when an earlier recovery holds
 // that name. No scan reads a quarantine file.
-func quarantineName(path string) string {
+func quarantineName(fsys disk.FS, path string) string {
 	dst := path + ".corrupt"
 	for n := 1; ; n++ {
-		if _, err := os.Lstat(dst); err != nil {
+		if !fsys.Exists(dst) {
 			return dst
 		}
 		dst = fmt.Sprintf("%s.corrupt.%d", path, n)
@@ -524,18 +549,16 @@ type segTail struct {
 // must sit on a frame boundary of a segment whose header an earlier read
 // checked. It reads (and allocates) the bytes in between only, never those
 // before off.
-func readSegment(path string, off, end int64) (segTail, error) {
-	f, err := os.Open(path)
+func readSegment(fsys disk.FS, path string, off, end int64) (segTail, error) {
+	f, err := fsys.Open(path)
 	if err != nil {
 		return segTail{}, fmt.Errorf("open: %w", err)
 	}
 	defer f.Close()
 	if end < 0 {
-		st, err := f.Stat()
-		if err != nil {
+		if end, err = f.Size(); err != nil {
 			return segTail{}, fmt.Errorf("stat: %w", err)
 		}
-		end = st.Size()
 	}
 	seg := segTail{off: off, size: end}
 	seg.buf = make([]byte, max(end-off, 0))
@@ -779,19 +802,17 @@ func AppendFrame(dst []byte, rec *Record) []byte {
 // in the OS page cache; durability is Commit's job. On failure the segment
 // is truncated back to the last good record boundary so the log stays
 // well-formed, and the error is returned for the caller to count — the
-// in-memory learner keeps going either way.
+// in-memory learner keeps going either way. A truncation that fails is
+// retried before the next write, and every Append fails until it succeeds.
 func (l *Log) Append(rec *Record) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return 0, fmt.Errorf("wal: append on closed log")
 	}
-	if l.dead {
-		// An injected torn tail "crashed" this log: from the disk's point
-		// of view the process died mid-record, so nothing after the tear
-		// may land. The in-memory system keeps serving.
-		l.opts.Observer.WALTearDropped()
-		return 0, nil
+	if err := l.repairLocked(); err != nil {
+		l.opts.Observer.WALAppendError()
+		return 0, err
 	}
 	if l.size >= l.opts.SegmentBytes {
 		if err := l.rotateLocked(); err != nil {
@@ -802,37 +823,15 @@ func (l *Log) Append(rec *Record) (uint64, error) {
 	rec.Seq = l.seq + 1
 	l.scratch = AppendFrame(l.scratch[:0], rec)
 	frame := l.scratch
-
-	if l.opts.Faults.Should(faults.WALTornTail) && len(frame) > 1 {
-		// Simulated power loss mid-append: a prefix of the frame reaches
-		// the disk, the rest — and every later append — does not. Replay
-		// must truncate the tear and recover everything before it.
-		cut := 1 + l.opts.Faults.Intn(len(frame)-1)
-		l.f.Write(frame[:cut]) //nolint:errcheck
-		l.dead = true
-		l.opts.Observer.WALTearDropped()
-		return 0, nil
-	}
-	if l.opts.Faults.Should(faults.WALShortWrite) {
-		// Simulated short write: half the frame lands, the write errors.
-		// Repair by truncating back to the last record boundary so the
-		// segment stays scannable; the record is reported lost.
-		l.f.Write(frame[:len(frame)/2]) //nolint:errcheck
-		if err := l.repairLocked(); err != nil {
-			return 0, err
-		}
-		l.opts.Observer.WALAppendError()
-		return 0, fmt.Errorf("wal: short write: %w", faults.ErrInjected)
-	}
-
 	n, err := l.f.Write(frame)
 	if err != nil || n != len(frame) {
-		if rerr := l.repairLocked(); rerr != nil {
-			return 0, rerr
-		}
 		l.opts.Observer.WALAppendError()
 		if err == nil {
 			err = io.ErrShortWrite
+		}
+		l.dirty = true
+		if rerr := l.repairLocked(); rerr != nil {
+			return 0, fmt.Errorf("wal: append: %w; %w", err, rerr)
 		}
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
@@ -843,49 +842,48 @@ func (l *Log) Append(rec *Record) (uint64, error) {
 }
 
 // repairLocked truncates the current segment back to the last committed
-// record boundary after a failed or partial write.
+// record boundary after a failed or partial write; a no-op while no failed
+// write's bytes may lie past it. Segments are opened O_APPEND, so the next
+// write lands at the cut.
 func (l *Log) repairLocked() error {
+	if !l.dirty {
+		return nil
+	}
 	if err := l.f.Truncate(l.size); err != nil {
-		l.dead = true
-		l.opts.Observer.WALAppendError()
 		return fmt.Errorf("wal: repair truncate: %w", err)
 	}
-	if _, err := l.f.Seek(l.size, io.SeekStart); err != nil {
-		l.dead = true
-		l.opts.Observer.WALAppendError()
-		return fmt.Errorf("wal: repair seek: %w", err)
-	}
+	l.dirty = false
 	return nil
 }
 
 // Commit is the group-commit barrier the applier calls once per apply
 // batch: under SyncAlways it fsyncs now, under SyncInterval it fsyncs when
 // the interval has elapsed and otherwise leaves a timer to fsync when it
-// does.
+// does. A failed write's pending repair is no reason to wait: Commit then
+// repairs and fsyncs now under either policy, and returns the repair's
+// error while it fails.
 func (l *Log) Commit() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	switch l.opts.Sync {
-	case SyncAlways:
+	if l.opts.Sync == SyncAlways || l.dirty {
 		return l.syncLocked()
-	case SyncInterval:
-		since := time.Since(l.lastSync)
-		if since >= syncInterval {
-			return l.syncLocked()
-		}
-		if l.tail == nil && !l.closed {
-			var t *time.Timer
-			t = time.AfterFunc(syncInterval-since, func() {
-				l.mu.Lock()
-				defer l.mu.Unlock()
-				if l.tail == t {
-					// A failure is counted by the observer; the next Commit,
-					// or Close, syncs again.
-					l.syncLocked() //nolint:errcheck
-				}
-			})
-			l.tail = t
-		}
+	}
+	since := time.Since(l.lastSync)
+	if since >= syncInterval {
+		return l.syncLocked()
+	}
+	if l.tail == nil && !l.closed {
+		var t *time.Timer
+		t = time.AfterFunc(syncInterval-since, func() {
+			l.mu.Lock()
+			defer l.mu.Unlock()
+			if l.tail == t {
+				// A failure is counted by the observer; the next Commit,
+				// or Close, syncs again.
+				l.syncLocked() //nolint:errcheck
+			}
+		})
+		l.tail = t
 	}
 	return nil
 }
@@ -897,14 +895,17 @@ func (l *Log) Sync() error {
 	return l.syncLocked()
 }
 
+// syncLocked fsyncs the current segment, after the repair of a failed
+// write (whose error it returns while the repair fails: a segment that may
+// hold a partial frame is never reported durable).
 func (l *Log) syncLocked() error {
 	l.disarmLocked()
-	if l.closed || l.dead || l.f == nil {
+	if l.closed || l.f == nil {
 		return nil
 	}
-	if err := l.opts.Faults.Fail(faults.WALFsyncError); err != nil {
+	if err := l.repairLocked(); err != nil {
 		l.opts.Observer.WALSyncError()
-		return fmt.Errorf("wal: fsync: %w", err)
+		return err
 	}
 	t0 := time.Now()
 	if err := l.f.Sync(); err != nil {
@@ -927,7 +928,7 @@ func (l *Log) disarmLocked() {
 
 // rotateLocked seals the current segment and opens a fresh one named by
 // the next sequence number. The sealed segment is fsynced first, through
-// syncLocked's fault check and error count: a later segment may exist on
+// syncLocked's repair and error count: a later segment may exist on
 // disk only behind a durable predecessor, or a power loss would turn the
 // predecessor's lost tail into mid-log damage that quarantines every later
 // segment. A new segment file's directory entry is fsynced before the
@@ -941,16 +942,15 @@ func (l *Log) rotateLocked() error {
 	}
 	first := l.seq + 1
 	path := filepath.Join(l.opts.Dir, segName(first))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
+	f, err := l.disk.OpenAppend(path)
 	if err != nil {
 		return fmt.Errorf("wal: open segment: %w", err)
 	}
-	st, err := f.Stat()
+	size, err := f.Size()
 	if err != nil {
 		f.Close() //nolint:errcheck
 		return fmt.Errorf("wal: stat segment: %w", err)
 	}
-	size := st.Size()
 	if size == 0 {
 		// Fresh segment: write the header. A non-empty file at this name is
 		// the scanned (and repaired) tail segment whose records all predate
@@ -959,8 +959,8 @@ func (l *Log) rotateLocked() error {
 		if err := l.initSegment(f); err != nil {
 			// Remove the file, so the retry finds no partial header to
 			// append after and creates (and fsyncs) it afresh.
-			f.Close()       //nolint:errcheck
-			os.Remove(path) //nolint:errcheck
+			f.Close()           //nolint:errcheck
+			l.disk.Remove(path) //nolint:errcheck
 			return err
 		}
 		size = int64(headerSize)
@@ -980,33 +980,18 @@ func (l *Log) rotateLocked() error {
 
 // initSegment writes a fresh segment's header and fsyncs the directory
 // that now names it; a failed directory fsync counts as a sync error.
-func (l *Log) initSegment(f *os.File) error {
+func (l *Log) initSegment(f disk.File) error {
 	var hdr [headerSize]byte
 	copy(hdr[:], segMagic)
 	binary.LittleEndian.PutUint16(hdr[len(segMagic):], segVersion)
 	if _, err := f.Write(hdr[:]); err != nil {
 		return fmt.Errorf("wal: write segment header: %w", err)
 	}
-	if err := SyncDir(l.opts.Dir); err != nil {
+	if err := l.disk.SyncDir(l.opts.Dir); err != nil {
 		l.opts.Observer.WALSyncError()
 		return fmt.Errorf("wal: fsync directory: %w", err)
 	}
 	return nil
-}
-
-// SyncDir fsyncs a directory, making the entries created, renamed or
-// removed in it durable: the one directory fsync of the WAL's segment
-// creation and of the checkpoint's rename.
-func SyncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // Compact deletes segments whose every record is covered by a checkpoint —
@@ -1020,7 +1005,7 @@ func (l *Log) Compact(minSeq uint64) (int, error) {
 	// it is never a candidate.
 	removed, err := 0, error(nil)
 	for removed+1 < len(l.segs) && l.segs[removed+1] <= minSeq+1 {
-		if err = os.Remove(filepath.Join(l.opts.Dir, segName(l.segs[removed]))); err != nil {
+		if err = l.disk.Remove(filepath.Join(l.opts.Dir, segName(l.segs[removed]))); err != nil {
 			err = fmt.Errorf("wal: compact: %w", err)
 			break
 		}
@@ -1048,6 +1033,10 @@ func (l *Log) NumberPast(seq uint64) error {
 	return l.rotateLocked()
 }
 
+// Disk returns the disk the log reads and writes through; the checkpoint
+// beside it shares it.
+func (l *Log) Disk() disk.FS { return l.disk }
+
 // LastSeq returns the highest sequence number assigned so far.
 func (l *Log) LastSeq() uint64 {
 	l.mu.Lock()
@@ -1055,7 +1044,8 @@ func (l *Log) LastSeq() uint64 {
 	return l.seq
 }
 
-// Close syncs and closes the current segment. Further appends error.
+// Close syncs and closes the current segment, after the repair of a failed
+// write. Further appends error.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -1067,8 +1057,8 @@ func (l *Log) Close() error {
 	if l.f == nil {
 		return nil
 	}
-	var err error
-	if !l.dead {
+	err := l.repairLocked()
+	if err == nil {
 		err = l.f.Sync()
 	}
 	if cerr := l.f.Close(); err == nil {

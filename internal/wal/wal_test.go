@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/disk"
+	"repro/internal/disk/simdisk"
 	"repro/internal/faults"
 	"repro/internal/obsv"
 )
@@ -60,7 +62,7 @@ func TestAppendScanRoundtrip(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	got, err := Scan(dir)
+	got, err := Scan(disk.OS{}, dir)
 	if err != nil {
 		t.Fatalf("Scan: %v", err)
 	}
@@ -111,7 +113,7 @@ func TestReopenContinuesSequence(t *testing.T) {
 	}
 	l2.Close()
 
-	got, err := Scan(dir)
+	got, err := Scan(disk.OS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,14 +182,14 @@ func TestSegmentRotation(t *testing.T) {
 		}
 	}
 	l.Close()
-	names, err := segments(dir)
+	names, err := segments(disk.OS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(names) < 3 {
 		t.Fatalf("expected several segments, got %v", names)
 	}
-	got, err := Scan(dir)
+	got, err := Scan(disk.OS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +215,7 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 	}
 	l.Close()
 
-	names, _ := segments(dir)
+	names, _ := segments(disk.OS{}, dir)
 	path := filepath.Join(dir, names[len(names)-1])
 	st, err := os.Stat(path)
 	if err != nil {
@@ -239,7 +241,7 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	l2.Close()
-	got, err := Scan(dir)
+	got, err := Scan(disk.OS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +286,7 @@ func TestTornHeaderSegmentRemoved(t *testing.T) {
 		t.Fatal(err)
 	}
 	l2.Close()
-	got, err := Scan(dir)
+	got, err := Scan(disk.OS{}, dir)
 	if err != nil || got.Corrupt || got.TornBytes != 0 {
 		t.Fatalf("dir not clean after header repair: %+v err %v", got, err)
 	}
@@ -326,7 +328,7 @@ func TestForeignSegmentQuarantinedNotRemoved(t *testing.T) {
 
 	l2, rec := openTest(t, Options{Dir: dir})
 	if !rec.Corrupt || rec.TornBytes != 0 || len(rec.Records) != 0 ||
-		len(rec.QuarantinedSegments) != 1 || rec.QuarantinedSegments[0] != segName(1) {
+		len(rec.Quarantined) != 1 || rec.Quarantined[0] != segName(1)+".corrupt" {
 		t.Fatalf("a version-%d segment recovered as %+v; want it Corrupt and quarantined, not torn", segVersion-1, rec)
 	}
 	if kept, err := os.ReadFile(path + ".corrupt"); err != nil || string(kept) != string(old) {
@@ -336,7 +338,7 @@ func TestForeignSegmentQuarantinedNotRemoved(t *testing.T) {
 		t.Fatal(err)
 	}
 	l2.Close()
-	if got, err := Scan(dir); err != nil || got.Corrupt || len(got.Records) != 1 {
+	if got, err := Scan(disk.OS{}, dir); err != nil || got.Corrupt || len(got.Records) != 1 {
 		t.Fatalf("after the quarantine the log scans %+v, %v; want the one new record", got, err)
 	}
 }
@@ -345,8 +347,9 @@ func TestForeignSegmentQuarantinedNotRemoved(t *testing.T) {
 // segments carries another version, that segment and every one after it
 // are renamed aside, and the live segment is a fresh one: appending after
 // the foreign header would strand every new record where the next scan
-// stops. A second foreign header at the same name does not overwrite the
-// first quarantine.
+// stops. The new records are numbered past every seq the quarantined
+// segments hold, so no seq is reused. A second foreign header at the same
+// name does not overwrite the first quarantine.
 func TestForeignFirstSegmentQuarantinesTheLog(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openTest(t, Options{Dir: dir, SegmentBytes: 256})
@@ -356,15 +359,15 @@ func TestForeignFirstSegmentQuarantinesTheLog(t *testing.T) {
 		}
 	}
 	l.Close()
-	names, _ := segments(dir)
+	names, _ := segments(disk.OS{}, dir)
 	if len(names) < 3 {
 		t.Fatalf("need >=3 segments, got %v", names)
 	}
-	stampVersion(t, filepath.Join(dir, names[0]), 9)
+	foreign := stampVersion(t, filepath.Join(dir, names[0]), 9)
 
 	l2, rec := openTest(t, Options{Dir: dir, SegmentBytes: 256})
-	if !rec.Corrupt || len(rec.Records) != 0 || strings.Join(rec.QuarantinedSegments, ",") != strings.Join(names, ",") {
-		t.Fatalf("recovered %d records, corrupt %v, quarantined %v; want all of %v aside", len(rec.Records), rec.Corrupt, rec.QuarantinedSegments, names)
+	if !rec.Corrupt || len(rec.Records) != 0 || strings.Join(rec.Quarantined, ",") != strings.Join(names, ".corrupt,")+".corrupt" {
+		t.Fatalf("recovered %d records, corrupt %v, quarantined %v; want all of %v aside", len(rec.Records), rec.Corrupt, rec.Quarantined, names)
 	}
 	for _, name := range names {
 		if _, err := os.Stat(filepath.Join(dir, name+".corrupt")); err != nil {
@@ -378,12 +381,14 @@ func TestForeignFirstSegmentQuarantinesTheLog(t *testing.T) {
 	}
 	l2.Close()
 	_, rec = openTest(t, Options{Dir: dir, SegmentBytes: 256})
-	if rec.Corrupt || len(rec.Records) != 3 || rec.LastSeq != 3 {
-		t.Fatalf("the next Open recovered %d records (last %d, corrupt %v: %q); want the 3 appended after the quarantine",
+	if rec.Corrupt || len(rec.Records) != 3 || rec.Records[0].Seq != 41 || rec.LastSeq != 43 {
+		t.Fatalf("the next Open recovered %d records (last %d, corrupt %v: %q); want the 3 appended after the quarantine, seqs 41-43",
 			len(rec.Records), rec.LastSeq, rec.Corrupt, rec.Reason)
 	}
 
-	stampVersion(t, filepath.Join(dir, names[0]), 9)
+	if err := os.WriteFile(filepath.Join(dir, names[0]), foreign, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if _, rec = openTest(t, Options{Dir: dir, SegmentBytes: 256}); !rec.Corrupt {
 		t.Fatal("a second foreign header went unreported")
 	}
@@ -403,7 +408,7 @@ func TestMidLogCorruptionQuarantines(t *testing.T) {
 		}
 	}
 	l.Close()
-	names, _ := segments(dir)
+	names, _ := segments(disk.OS{}, dir)
 	if len(names) < 3 {
 		t.Fatalf("need >=3 segments, got %v", names)
 	}
@@ -425,9 +430,11 @@ func TestMidLogCorruptionQuarantines(t *testing.T) {
 	if !strings.Contains(rec.Reason, names[1]) {
 		t.Fatalf("reason %q does not name the damaged segment %s", rec.Reason, names[1])
 	}
-	if len(rec.QuarantinedSegments) != len(names)-2 {
-		t.Fatalf("quarantined %v, want the %d segments after %s",
-			rec.QuarantinedSegments, len(names)-2, names[1])
+	// The report names every file the damage went to: the damaged
+	// segment's cut bytes first, then each later segment renamed aside.
+	if len(rec.Quarantined) != len(names)-1 || rec.Quarantined[0] != names[1]+".corrupt" {
+		t.Fatalf("quarantined %v, want %s's cut bytes and the %d segments after it",
+			rec.Quarantined, names[1], len(names)-2)
 	}
 	// Records from the first (clean) segment survive; nothing after the
 	// damage is replayed.
@@ -435,19 +442,20 @@ func TestMidLogCorruptionQuarantines(t *testing.T) {
 		t.Fatalf("unexpected record set: %d records, last seq %d",
 			len(rec.Records), rec.Records[len(rec.Records)-1].Seq)
 	}
-	for _, q := range rec.QuarantinedSegments {
-		if _, err := os.Stat(filepath.Join(dir, q)); !os.IsNotExist(err) {
-			t.Fatalf("quarantined segment %s still present", q)
+	for i, q := range rec.Quarantined[1:] {
+		if _, err := os.Stat(filepath.Join(dir, names[i+2])); !os.IsNotExist(err) {
+			t.Fatalf("quarantined segment %s still present", names[i+2])
 		}
-		if _, err := os.Stat(filepath.Join(dir, q+".corrupt")); err != nil {
-			t.Fatalf("quarantined segment %s not renamed aside: %v", q, err)
+		if _, err := os.Stat(filepath.Join(dir, q)); err != nil || q != names[i+2]+".corrupt" {
+			t.Fatalf("segment %s not renamed aside to %s: %v", names[i+2], q, err)
 		}
 	}
-	// The damaged segment is cut at its bad frame, the cut bytes kept aside.
+	// The damaged segment is cut at its bad frame, the cut bytes kept aside
+	// in the file the report names.
 	if st, err := os.Stat(mid); err != nil || st.Size() != int64(headerSize) {
 		t.Fatalf("damaged segment not cut at its bad frame: %v, %v", st, err)
 	}
-	if cut, err := os.ReadFile(mid + ".corrupt"); err != nil || string(cut) != string(data[headerSize:]) {
+	if cut, err := os.ReadFile(filepath.Join(dir, rec.Quarantined[0])); err != nil || string(cut) != string(data[headerSize:]) {
 		t.Fatalf("the cut bytes were not kept aside: %v", err)
 	}
 	// The log stays appendable past the damage, and the next scan ends
@@ -460,7 +468,7 @@ func TestMidLogCorruptionQuarantines(t *testing.T) {
 		t.Fatalf("append after corruption reused seq %d (last valid %d)", seq, rec.LastSeq)
 	}
 	l2.Close()
-	if got, err := Scan(dir); err != nil || got.Corrupt || got.LastSeq != seq {
+	if got, err := Scan(disk.OS{}, dir); err != nil || got.Corrupt || got.LastSeq != seq {
 		t.Fatalf("after the repair the log scans %+v, %v; want it clean through seq %d", got, err, seq)
 	}
 }
@@ -473,7 +481,7 @@ func TestCompact(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	names, _ := segments(dir)
+	names, _ := segments(disk.OS{}, dir)
 	if len(names) < 3 {
 		t.Fatalf("need >=3 segments, got %v", names)
 	}
@@ -486,7 +494,7 @@ func TestCompact(t *testing.T) {
 	if removed != len(names)-1 {
 		t.Fatalf("removed %d segments, want %d", removed, len(names)-1)
 	}
-	after, _ := segments(dir)
+	after, _ := segments(disk.OS{}, dir)
 	if len(after) != 1 {
 		t.Fatalf("segments after compact: %v", after)
 	}
@@ -495,7 +503,7 @@ func TestCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Close()
-	got, err := Scan(dir)
+	got, err := Scan(disk.OS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,13 +524,13 @@ func TestCompactPartialCoverage(t *testing.T) {
 		}
 	}
 	defer l.Close()
-	names, _ := segments(dir)
+	names, _ := segments(disk.OS{}, dir)
 	// Checkpoint covering only the first segment's records.
 	minSeq := segFirstSeq(names[1]) - 1
 	if _, err := l.Compact(minSeq); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Scan(dir)
+	got, err := Scan(disk.OS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -641,7 +649,7 @@ func TestConcurrentAppend(t *testing.T) {
 	}
 	wg.Wait()
 	l.Close()
-	got, err := Scan(dir)
+	got, err := Scan(disk.OS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -655,9 +663,16 @@ func TestConcurrentAppend(t *testing.T) {
 	}
 }
 
+// TestInjectedTornTail: a torn write on the simulated disk lands a prefix
+// of a frame and takes the device. That append and every one after it
+// fail, counted as append errors (the learner keeps serving; durability
+// is what degrades), and so do Commit and Close: nothing is reported
+// durable that is not.
 func TestInjectedTornTail(t *testing.T) {
 	dir := t.TempDir()
 	inj := faults.New(7)
+	d := simdisk.New(inj)
+	inj.SetDisk(d)
 	obs := &obsv.WALObs{}
 	l, _ := openTest(t, Options{Dir: dir, Faults: inj, Observer: obs})
 	for i := 0; i < 10; i++ {
@@ -666,20 +681,26 @@ func TestInjectedTornTail(t *testing.T) {
 		}
 	}
 	inj.Enable(faults.WALTornTail, 1)
-	// The torn append and everything after it vanish, silently (the learner
-	// keeps serving; durability is what degrades).
 	for i := 10; i < 15; i++ {
-		if _, err := l.Append(testRecord("Q0", i)); err != nil {
-			t.Fatalf("torn-tail append surfaced error: %v", err)
+		if _, err := l.Append(testRecord("Q0", i)); !errors.Is(err, faults.ErrInjected) {
+			t.Fatalf("append %d after a torn write returned %v, want the injected error", i, err)
 		}
 	}
-	if got := obs.Snapshot().TearDrops; got != 5 {
-		t.Fatalf("observer counted %d dropped appends, want 5", got)
+	if got := obs.Snapshot().AppendErrors; got != 5 {
+		t.Fatalf("observer counted %d append errors, want 5", got)
 	}
-	l.Close()
+	if err := l.Commit(); err == nil {
+		t.Fatal("Commit after a torn write reported success")
+	}
+	if err := l.Close(); err == nil {
+		t.Fatal("Close after a torn write reported success")
+	}
 
-	// Reopen recovers exactly the pre-tear records and truncates the tear.
-	l2, rec := openTest(t, Options{Dir: dir})
+	// Reopen on what the process left recovers exactly the pre-tear records
+	// and truncates the tear.
+	inj.DisableAll()
+	inj.SetDisk(d.Kill())
+	l2, rec := openTest(t, Options{Dir: dir, Faults: inj})
 	defer l2.Close()
 	if rec.Corrupt {
 		t.Fatalf("injected tear misreported as corruption: %s", rec.Reason)
@@ -692,9 +713,146 @@ func TestInjectedTornTail(t *testing.T) {
 	}
 }
 
+// TestFailedRepairFailsEveryAppend: a short write whose repair cannot
+// truncate leaves a partial frame past the log's end. Until a repair
+// succeeds every Append and Commit returns the error, counted — under
+// SyncInterval too, where a Commit inside the interval would otherwise only
+// arm its timer; once the disk heals the next Append cuts the partial frame
+// and lands, and the log scans clean and dense.
+func TestFailedRepairFailsEveryAppend(t *testing.T) {
+	for _, policy := range []SyncPolicy{SyncAlways, SyncInterval} {
+		t.Run(policy.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			inj := faults.New(13)
+			d := simdisk.New(inj)
+			inj.SetDisk(d)
+			obs := &obsv.WALObs{}
+			l, _ := openTest(t, Options{Dir: dir, Sync: policy, Faults: inj, Observer: obs})
+			for i := 0; i < 5; i++ {
+				if _, err := l.Append(testRecord("Q1", i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			d.Fail("Truncate")
+			inj.Enable(faults.WALShortWrite, 1)
+			if _, err := l.Append(testRecord("Q1", 5)); !errors.Is(err, faults.ErrInjected) {
+				t.Fatalf("short write returned %v, want the injected error", err)
+			}
+			inj.Disable(faults.WALShortWrite)
+			for i := 6; i < 9; i++ {
+				if seq, err := l.Append(testRecord("Q1", i)); err == nil {
+					t.Fatalf("append %d with the repair failing landed as seq %d", i, seq)
+				}
+			}
+			if err := l.Commit(); err == nil {
+				t.Fatal("Commit with the repair failing reported success")
+			}
+			if s := obs.Snapshot(); s.AppendErrors != 4 || s.SyncErrors != 1 {
+				t.Fatalf("observer counted %d append errors and %d sync errors; want 4 and 1", s.AppendErrors, s.SyncErrors)
+			}
+			d.Heal()
+			if seq, err := l.Append(testRecord("Q1", 9)); err != nil || seq != 6 {
+				t.Fatalf("append after the disk healed: seq %d, %v; want 6", seq, err)
+			}
+			if err := l.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			got, err := Scan(d, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Corrupt || got.TornBytes != 0 || len(got.Records) != 6 {
+				t.Fatalf("after the healed repair the log scans %d records, torn %d, corrupt %v; want 6 clean",
+					len(got.Records), got.TornBytes, got.Corrupt)
+			}
+			for i, r := range got.Records {
+				if r.Seq != uint64(i+1) {
+					t.Fatalf("record %d has seq %d: sequence not dense", i, r.Seq)
+				}
+			}
+		})
+	}
+}
+
+// TestRepairSurvivesPowerLoss: what Open cuts out of a segment stays cut
+// through a power loss. A torn tail the repair truncated would otherwise
+// come back in front of the new live segment, and a mid-log bad frame would
+// come back in its cut segment: either way the next Open would meet damage
+// before a later segment and quarantine again.
+func TestRepairSurvivesPowerLoss(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		damage func(names []string) (segment string, b []byte)
+	}{
+		{"torn tail", func(names []string) (string, []byte) {
+			return names[len(names)-1], []byte{9, 0, 0, 0, 1, 2}
+		}},
+		{"mid-log frame", func(names []string) (string, []byte) {
+			return names[1], []byte{0xde, 0xad, 0xbe, 0xef, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := "/db/wal"
+			d := simdisk.New(nil)
+			inj := faults.New(1).SetDisk(d)
+			l, _ := openTest(t, Options{Dir: dir, SegmentBytes: 256, Faults: inj})
+			for i := 0; i < 40; i++ {
+				if _, err := l.Append(testRecord("Q1", i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			names, err := segments(d, dir)
+			if err != nil || len(names) < 3 {
+				t.Fatalf("need >=3 segments, got %v (%v)", names, err)
+			}
+			// Append the damage to a segment, durably: what a power loss
+			// keeps of it is the damaged bytes.
+			name, b := tc.damage(names)
+			f, err := d.OpenAppend(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(b); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+
+			l2, rec, err := Open(Options{Dir: dir, SegmentBytes: 256, Faults: inj})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.TornBytes == 0 && !rec.Corrupt {
+				t.Fatalf("the damage to %s was not found", name)
+			}
+			d = d.Crash()
+			l2.Close()
+			l3, again, err := Open(Options{Dir: dir, SegmentBytes: 256, Faults: faults.New(1).SetDisk(d)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l3.Close()
+			if again.Corrupt || again.TornBytes != 0 || len(again.Quarantined) != 0 {
+				t.Fatalf("after a power loss the repaired log recovers torn %d, quarantined %v, corrupt %v (%s)",
+					again.TornBytes, again.Quarantined, again.Corrupt, again.Reason)
+			}
+			if again.LastSeq != rec.LastSeq {
+				t.Fatalf("after a power loss the log ends at seq %d, want %d", again.LastSeq, rec.LastSeq)
+			}
+		})
+	}
+}
+
 func TestInjectedShortWrite(t *testing.T) {
 	dir := t.TempDir()
 	inj := faults.New(11)
+	d := simdisk.New(inj)
+	inj.SetDisk(d)
 	l, _ := openTest(t, Options{Dir: dir, Faults: inj})
 	for i := 0; i < 5; i++ {
 		if _, err := l.Append(testRecord("Q1", i)); err != nil {
@@ -713,7 +871,7 @@ func TestInjectedShortWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Close()
-	got, err := Scan(dir)
+	got, err := Scan(d, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -727,6 +885,7 @@ func TestInjectedShortWrite(t *testing.T) {
 
 func TestInjectedFsyncError(t *testing.T) {
 	inj := faults.New(3)
+	inj.SetDisk(simdisk.New(inj))
 	obs := &obsv.WALObs{}
 	l, _ := openTest(t, Options{Dir: t.TempDir(), Faults: inj, Observer: obs})
 	defer l.Close()
@@ -753,6 +912,8 @@ func TestInjectedFsyncError(t *testing.T) {
 func TestRotationFsyncErrorFailsTheAppend(t *testing.T) {
 	dir := t.TempDir()
 	inj := faults.New(3)
+	d := simdisk.New(inj)
+	inj.SetDisk(d)
 	obs := &obsv.WALObs{}
 	l, _ := openTest(t, Options{Dir: dir, Faults: inj, Observer: obs, SegmentBytes: 256})
 	defer l.Close()
@@ -770,7 +931,7 @@ func TestRotationFsyncErrorFailsTheAppend(t *testing.T) {
 	if inj.Fired(faults.WALFsyncError) != 1 {
 		t.Fatalf("fsync fault fired %d times, want 1", inj.Fired(faults.WALFsyncError))
 	}
-	if names, _ := segments(dir); l.LastSeq() != seq || len(names) != 1 {
+	if names, _ := segments(d, dir); l.LastSeq() != seq || len(names) != 1 {
 		t.Fatalf("failed rotation left last seq %d (want %d) and segments %v (want one)", l.LastSeq(), seq, names)
 	}
 	if s := obs.Snapshot(); s.SyncErrors != 1 || s.AppendErrors != 1 || s.Rotations != 0 {
@@ -781,11 +942,11 @@ func TestRotationFsyncErrorFailsTheAppend(t *testing.T) {
 	if got, err := l.Append(testRecord("Q1", n)); err != nil || got != seq+1 {
 		t.Fatalf("append after the fault cleared: seq %d, %v; want %d", got, err, seq+1)
 	}
-	if names, _ := segments(dir); len(names) != 2 || obs.Snapshot().Rotations != 1 {
+	if names, _ := segments(d, dir); len(names) != 2 || obs.Snapshot().Rotations != 1 {
 		t.Fatalf("retried rotation: segments %v, %d rotations; want two and one", names, obs.Snapshot().Rotations)
 	}
 	l.Close()
-	got, err := Scan(dir)
+	got, err := Scan(d, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

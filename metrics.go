@@ -93,8 +93,10 @@ type CacheMetrics struct {
 // counters.retrain_drops, which no run could move (a degraded run's point
 // always has its learner's dimensionality), and added
 // counters.feedback_inline, the correction-only messages runs fold
-// themselves.
-const MetricsSnapshotSchema = "ppc-metrics/v6"
+// themselves; v7 removed wal.tear_drops, which counted the appends a log
+// silenced by an injected torn tail dropped: no log drops an append now,
+// and a failed one is an error counted in wal.append_errors.
+const MetricsSnapshotSchema = "ppc-metrics/v7"
 
 // MetricsSnapshot is a stable, JSON-serializable copy of the System's
 // serving-path metrics: per-template counters and latency histograms,

@@ -535,11 +535,11 @@ func TestTraceRingOption(t *testing.T) {
 	}
 }
 
-// metricsKeysV6 is the golden key list of one template's element of a
-// ppc-metrics/v6 snapshot: its top-level keys, and every key of the two
+// metricsKeysV7 is the golden key list of one template's element of a
+// ppc-metrics/v7 snapshot: its top-level keys, and every key of the two
 // objects named after who counts what is in them. A key is added here on
 // purpose or not at all; a removal or a rename is a schema bump.
-var metricsKeysV6 = []string{
+var metricsKeysV7 = []string{
 	"apply_latency",
 	"counters",
 	"counters.apply_batches",
@@ -591,8 +591,8 @@ var metricsKeysV6 = []string{
 // null_predictions, snapshot_publishes and drift_resets twice per template,
 // with different values — and the key list is the golden above.
 func TestMetricsOneCounterPerFact(t *testing.T) {
-	if MetricsSnapshotSchema != "ppc-metrics/v6" {
-		t.Fatalf("schema %q: the golden key list above is ppc-metrics/v6's", MetricsSnapshotSchema)
+	if MetricsSnapshotSchema != "ppc-metrics/v7" {
+		t.Fatalf("schema %q: the golden key list above is ppc-metrics/v7's", MetricsSnapshotSchema)
 	}
 	sys := openSmall(t)
 	if err := sys.Register("Q1", sqlFor(t, "Q1")); err != nil {
@@ -631,8 +631,8 @@ func TestMetricsOneCounterPerFact(t *testing.T) {
 		}
 	}
 	sort.Strings(keys)
-	if !reflect.DeepEqual(keys, metricsKeysV6) {
-		t.Errorf("ppc-metrics/v6 keys moved (update metricsKeysV6 and README \"Observability\" on purpose, or bump the schema):\n got %q\nwant %q", keys, metricsKeysV6)
+	if !reflect.DeepEqual(keys, metricsKeysV7) {
+		t.Errorf("ppc-metrics/v7 keys moved (update metricsKeysV7 and README \"Observability\" on purpose, or bump the schema):\n got %q\nwant %q", keys, metricsKeysV7)
 	}
 }
 

@@ -68,8 +68,9 @@ type LoadReport struct {
 	// the expected artifact of a crash mid-append, not corruption.
 	WALTornBytes   int64
 	WALTornSegment string
-	// WALQuarantined lists segments moved aside because mid-log damage made
-	// their ordering untrustworthy.
+	// WALQuarantined names every file in wal/ that recovery moved damage
+	// to (wal.Recovery.Quarantined): the cut bytes of a segment with a bad
+	// frame, and each segment renamed aside whole.
 	WALQuarantined []string
 	// RecoveryDuration is the wall time of the whole recovery sequence:
 	// WAL scan and repair, checkpoint load, and tail replay.

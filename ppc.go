@@ -183,10 +183,14 @@ type System struct {
 	// wal is the shared feedback log; walObs its metrics; walPending holds
 	// recovered records (all kinds, interleaved in log order) for templates
 	// the checkpoint did not contain, keyed by template name and guarded by
-	// regMu (consumed at registration).
-	wal        *wal.Log
-	walObs     *obsv.WALObs
-	walPending map[string][]wal.Record
+	// regMu (consumed at registration). walReplayed is the seq the log
+	// numbered past when Open returned: every record at or below it is in
+	// the learners recovery replayed into, waits in walPending, or was lost
+	// with the damage recovery reported.
+	wal         *wal.Log
+	walObs      *obsv.WALObs
+	walPending  map[string][]wal.Record
+	walReplayed uint64
 	// checkpointStop/Done bracket the background checkpointer goroutine.
 	checkpointStop chan struct{}
 	checkpointDone chan struct{}

@@ -55,12 +55,16 @@ func mintLineage() (uint64, error) {
 // taken BEFORE the learners are encoded — applied-sequence watermarks only
 // grow, so the encoded state reflects at least every record below it and
 // the overlap with the shipped tail is deduplicated by per-template
-// watermark replay on the replica.
+// watermark replay on the replica. It is never below the seq Open numbered
+// past (walReplayed): the state holds every record at or below it that the
+// replica could apply, and a restart that lost records numbers past them,
+// so the log holds no record between what it kept and its live segment for
+// the shipped tail to start from.
 func (s *System) ReplicationSnapshot() (*netproto.Snapshot, error) {
 	if s.wal == nil {
 		return nil, errNoReplication
 	}
-	baseSeq := s.checkpointMinSeq()
+	baseSeq := max(s.checkpointMinSeq(), s.walReplayed)
 	snap := s.snapshot(false)
 	snap.BaseSeq = baseSeq
 	return snap, nil

@@ -150,7 +150,7 @@ func TestReplicationLineageStableAcrossRestart(t *testing.T) {
 		}},
 		{"WAL quarantine", false, func(t *testing.T, dir string) {
 			corruptFile(t, walSegments(t, dir)[0], 64)
-			if len(mustScan(t, dir).QuarantinedSegments) == 0 {
+			if len(mustScan(t, dir).Quarantined) == 0 {
 				t.Fatal("no segment quarantined; the row is vacuous")
 			}
 		}},
@@ -483,6 +483,67 @@ func TestLeaderRestartFromOlderImageResnapshotsReplica(t *testing.T) {
 		t.Errorf("a same-lineage restart discarded replica state %d times", n)
 	}
 	learnerParity(t, sys2, st, "Q1")
+}
+
+// TestLeaderRestartPastLostRecordsResnapshotsReplica: a restart that lost
+// records numbers past them — past quarantined mid-log damage, or past a
+// checkpoint's watermark when wal/ is gone — so the log's seqs jump from
+// what it kept to its new live segment. The new lineage's snapshot must
+// cover the jump: a replica attached after the restart catches up to the
+// leader's tail although Q0, idle since the restart, holds the lowest
+// watermark below it.
+func TestLeaderRestartPastLostRecordsResnapshotsReplica(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, dir string)
+	}{
+		{"mid-log damage", func(t *testing.T, dir string) {
+			segs := walSegments(t, dir)
+			if len(segs) < 3 {
+				t.Fatalf("%d segments; the damage would not sit mid-log", len(segs))
+			}
+			info, err := os.Stat(segs[len(segs)-2])
+			if err != nil {
+				t.Fatal(err)
+			}
+			corruptFile(t, segs[len(segs)-2], info.Size()/2)
+		}},
+		{"lost wal", func(t *testing.T, dir string) {
+			if err := os.RemoveAll(filepath.Join(dir, "wal")); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			small := func(o *Options) { o.walSegmentBytes = 4 << 10; o.FeedbackQueue = -1 }
+			sys := openDurable(t, dir, small)
+			if err := sys.Register("Q0", mustSQL(t, "Q0")); err != nil {
+				t.Fatal(err)
+			}
+			runWarm(t, sys, "Q0", 5, 1)
+			runDurableWorkload(t, sys, 300, 2)
+			if err := sys.Close(); err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(t, dir)
+
+			sys = openDurable(t, dir, small)
+			defer sys.Close() //nolint:errcheck
+			if rep := sys.LoadStateReport(); !rep.Corrupt {
+				t.Fatal("the restart after the damage is not Corrupt; no seq jump to cross")
+			}
+			runDurableWorkload(t, sys, 40, 3)
+			quiesce(t, sys)
+			srv := fastServe(t, sys)
+			st := fastReplica(t, srv.Addr())
+			waitReplica(t, "catch-up to the leader's tail", func() bool {
+				return st.Ready() && st.ReceivedSeq() == sys.WALLastSeq()
+			})
+			learnerParity(t, sys, st, "Q0")
+			learnerParity(t, sys, st, "Q1")
+		})
+	}
 }
 
 // TestLeaderReplicaCorrectionParity: the adaptive-statistics state ships
